@@ -19,8 +19,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+from repro.cc.conflicts import ConflictTable
 from repro.errors import ConflictError
-from repro.histories.events import Event, Invocation, SerialHistory
+from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
@@ -68,10 +69,17 @@ class CCScheme(ABC):
     name: str = "abstract"
     #: Which timestamp order the scheme serializes by ("begin"/"commit").
     serialization_order: str = "commit"
+    #: Event-level conflict table of the schemes that hold locks until
+    #: commit (hybrid, locking); ``None`` for static, which holds none.
+    conflicts: ConflictTable | None = None
 
     def __init__(self, datatype: SerialDataType, oracle: LegalityOracle | None = None):
         self.datatype = datatype
         self.oracle = oracle or LegalityOracle(datatype)
+        #: Memoized deterministic response order, keyed by the oracle's
+        #: per-node response sets (small, few distinct values): avoids
+        #: re-rendering responses to strings on every operation.
+        self._sorted_responses: dict[frozenset[Response], tuple[Response, ...]] = {}
 
     @abstractmethod
     def choose_event(
@@ -93,6 +101,70 @@ class CCScheme(ABC):
 
     def on_finalize(self, txn: Transaction, sync: "SynchronizationState") -> None:
         """Release scheme state after commit or abort; default: none."""
+
+    def _ordered_responses(self, node, invocation: Invocation) -> tuple[Response, ...]:
+        """Legal responses at a trie node, in sorted-render order."""
+        responses = self.oracle._node_responses(node, invocation)
+        ordered = self._sorted_responses.get(responses)
+        if ordered is None:
+            ordered = tuple(sorted(responses, key=str))
+            self._sorted_responses[responses] = ordered
+        return ordered
+
+    def _commit_order_event(
+        self, view: View, txn: Transaction, invocation: Invocation
+    ) -> Event:
+        """The response chosen as if ``txn`` were to commit next.
+
+        Legal for the view's committed events in commit-timestamp order
+        followed by the transaction's own — from the view's serial cache
+        when the front-end threaded one through, from scratch (the
+        reference) otherwise.  The cache yields the legality-trie node
+        for the committed prefix; stepping it through the transaction's
+        own events lands on exactly the node ``pick_response`` would
+        reach by replaying ``view.commit_order_serial(own=txn.id)`` from
+        ``view.base_state``, so the memoized response set, the
+        deterministic candidate order, and the one-hop legality checks
+        choose the identical event.
+        """
+        oracle = self.oracle
+        cache = view.serial_cache
+        node = None if cache is None else cache.committed_node(view, oracle)
+        if node is None or cache.contains_committed(txn.id):
+            prefix = view.commit_order_serial(own=txn.id)
+            event = pick_response(
+                oracle, prefix, invocation, base_state=view.base_state
+            )
+            if event is None:
+                raise self._too_late(invocation)
+            return event
+        step = oracle._step
+        for entry in view.log.entries_of(txn.id):
+            node = step(node, entry.event)
+        for response in self._ordered_responses(node, invocation):
+            candidate = Event(invocation, response)
+            if step(node, candidate).frontier is not None:
+                return candidate
+        raise self._too_late(invocation)
+
+    def _check_held(
+        self, event: Event, txn: Transaction, sync: "SynchronizationState", clash: str
+    ) -> None:
+        """Raise a non-fatal conflict if ``event`` clashes with a held event.
+
+        Per :attr:`conflicts`; ``clash`` words the relation in the message.
+        """
+        conflict = self.conflicts.conflict
+        for holder, held_events in sync.active_events.items():
+            if holder == txn.id:
+                continue
+            for held in held_events:
+                if conflict(event, held):
+                    raise ConflictError(
+                        f"{event} {clash} uncommitted {held} of {holder}",
+                        fatal=False,
+                        holder=holder,
+                    )
 
     @staticmethod
     def _too_late(invocation: Invocation) -> ConflictError:

@@ -19,11 +19,10 @@ schemes (Weihl's commit-time timestamps, Avalon).
 
 from __future__ import annotations
 
-from repro.cc.base import CCScheme, pick_response
+from repro.cc.base import CCScheme
 from repro.cc.conflicts import ConflictTable, dependency_conflicts
 from repro.dependency.relation import DependencyRelation
-from repro.errors import ConflictError
-from repro.histories.events import Event, Invocation, Response
+from repro.histories.events import Event, Invocation
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import event_alphabet
@@ -50,10 +49,6 @@ class HybridCC(CCScheme):
             events = event_alphabet(datatype, 4, self.oracle)
             conflicts = dependency_conflicts(relation, events)
         self.conflicts = conflicts
-        #: Memoized deterministic response order, keyed by the oracle's
-        #: per-node response sets (small, few distinct values): avoids
-        #: re-rendering responses to strings on every operation.
-        self._sorted_responses: dict[frozenset[Response], tuple[Response, ...]] = {}
 
     def choose_event(
         self,
@@ -62,53 +57,6 @@ class HybridCC(CCScheme):
         invocation: Invocation,
         sync,
     ) -> Event:
-        cache = view.serial_cache
-        if cache is not None and not cache.contains_committed(txn.id):
-            event = self._choose_cached(cache, view, txn, invocation)
-        else:
-            prefix = view.commit_order_serial(own=txn.id)
-            event = pick_response(
-                self.oracle, prefix, invocation, base_state=view.base_state
-            )
-        if event is None:
-            raise self._too_late(invocation)
-        for holder, held_events in sync.active_events.items():
-            if holder == txn.id:
-                continue
-            for held in held_events:
-                if self.conflicts.conflict(event, held):
-                    raise ConflictError(
-                        f"{event} conflicts with uncommitted {held} of {holder}",
-                        fatal=False,
-                        holder=holder,
-                    )
+        event = self._commit_order_event(view, txn, invocation)
+        self._check_held(event, txn, sync, "conflicts with")
         return event
-
-    def _choose_cached(
-        self, cache, view: View, txn: Transaction, invocation: Invocation
-    ) -> Event | None:
-        """Incremental equivalent of ``pick_response`` over the commit order.
-
-        The cache yields the legality-trie node for the view's committed
-        prefix; stepping it through the transaction's own events lands on
-        exactly the node ``pick_response`` would reach by replaying
-        ``view.commit_order_serial(own=txn.id)`` from ``view.base_state``,
-        so the memoized response set, the deterministic (sorted-render)
-        candidate order, and the one-hop legality checks below choose the
-        identical event.
-        """
-        oracle = self.oracle
-        node = cache.committed_node(view, oracle)
-        step = oracle._step
-        for entry in view.log.entries_of(txn.id):
-            node = step(node, entry.event)
-        responses = oracle._node_responses(node, invocation)
-        ordered = self._sorted_responses.get(responses)
-        if ordered is None:
-            ordered = tuple(sorted(responses, key=str))
-            self._sorted_responses[responses] = ordered
-        for response in ordered:
-            candidate = Event(invocation, response)
-            if step(node, candidate).frontier is not None:
-                return candidate
-        return None

@@ -21,9 +21,8 @@ commutativity structure is literally this shared table.
 
 from __future__ import annotations
 
-from repro.cc.base import CCScheme, pick_response
+from repro.cc.base import CCScheme
 from repro.cc.conflicts import ConflictTable, commutativity_conflicts
-from repro.errors import ConflictError
 from repro.histories.events import Event, Invocation
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
@@ -60,21 +59,6 @@ class DynamicLockingCC(CCScheme):
     ) -> Event:
         # Locking guarantees all precedes-consistent serializations are
         # equivalent, so the commit-order serialization is as good as any.
-        prefix = view.commit_order_serial(own=txn.id)
-        event = pick_response(
-            self.oracle, prefix, invocation, base_state=view.base_state
-        )
-        if event is None:
-            raise self._too_late(invocation)
-        for holder, held_events in sync.active_events.items():
-            if holder == txn.id:
-                continue
-            for held in held_events:
-                if self.conflicts.conflict(event, held):
-                    raise ConflictError(
-                        f"{event} does not commute with uncommitted "
-                        f"{held} of {holder}",
-                        fatal=False,
-                        holder=holder,
-                    )
+        event = self._commit_order_event(view, txn, invocation)
+        self._check_held(event, txn, sync, "does not commute with")
         return event

@@ -26,7 +26,11 @@ from repro.quorum.coterie import Coterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
 from repro.replication.repository import Repository
-from repro.replication.serialcache import SerialPrefixCache
+from repro.replication.serialcache import (
+    CACHE_FOR_ORDER,
+    BeginOrderCache,
+    SerialPrefixCache,
+)
 from repro.replication.view import View
 from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.policy import (
@@ -86,11 +90,11 @@ class FrontEnd:
         #: path only (``network.rpc_mode == "batched"``); the serial
         #: path re-merges from scratch and stays the reference.
         self.view_cache = QuorumViewCache()
-        #: Per-object incremental commit-order replay positions, threaded
-        #: through views on the batched path only — the serial path
-        #: recomputes every serialization from scratch and stays the
-        #: byte-identical reference.
-        self.serial_caches: dict[str, SerialPrefixCache] = {}
+        #: Per-object incremental serializations (commit- or begin-order,
+        #: by the object's scheme), threaded through views on the batched
+        #: path only — the serial path recomputes every serialization
+        #: from scratch and stays the byte-identical reference.
+        self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
         #: Per-front-end policy override; see :meth:`effective_policy`.
         self.retry_policy = retry_policy
         #: Optional ``(object_name, op_name)`` callback fired once per
@@ -244,7 +248,9 @@ class FrontEnd:
         if self.network.rpc_mode == "batched":
             serial_cache = self.serial_caches.get(object_name)
             if serial_cache is None:
-                serial_cache = self.serial_caches[object_name] = SerialPrefixCache()
+                serial_cache = self.serial_caches[object_name] = CACHE_FOR_ORDER[
+                    obj.cc.serialization_order
+                ]()
         view = View(merged, self.tm, base=base, serial_cache=serial_cache)
         latest = view.max_timestamp()
         if latest is not None:

@@ -24,8 +24,8 @@ concurrency-control scheme, and two shared structures:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.clocks.timestamps import Timestamp
 from repro.histories.behavioral import (
@@ -39,6 +39,7 @@ from repro.histories.behavioral import (
 from repro.histories.events import Event, SerialHistory
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.log import LogEntry
+from repro.replication.serialcache import BeginOrderCheckpoints
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import ActionId, Transaction
@@ -52,8 +53,10 @@ class SynchronizationState:
         self.active_events: dict[ActionId, list[Event]] = {}
         #: Each active transaction's own log entries on this object.
         self._own: dict[ActionId, list[LogEntry]] = {}
-        #: Committed groups: (begin_ts, commit_ts, events), begin-ts sorted.
-        self._committed: list[tuple[Timestamp, Timestamp, tuple[Event, ...]]] = []
+        #: Committed groups ``(begin_ts, commit_ts, events)`` in begin
+        #: order, with the legality checkpoints static certification
+        #: (:meth:`StaticTimestampCC.pre_commit`) walks from.
+        self.committed = BeginOrderCheckpoints()
 
     def record(self, txn: ActionId, entry: LogEntry) -> None:
         self.active_events.setdefault(txn, []).append(entry.event)
@@ -69,7 +72,7 @@ class SynchronizationState:
         events = self.own_events(txn.id)
         if events:
             assert txn.commit_ts is not None
-            insort(self._committed, (txn.begin_ts, txn.commit_ts, events))
+            self.committed.insert(txn.begin_ts, txn.commit_ts, events)
         self.active_events.pop(txn.id, None)
         self._own.pop(txn.id, None)
 
@@ -77,19 +80,9 @@ class SynchronizationState:
         self.active_events.pop(txn.id, None)
         self._own.pop(txn.id, None)
 
-    def committed_split(
-        self, begin_ts: Timestamp
-    ) -> tuple[SerialHistory, SerialHistory]:
-        """Committed events split at a begin position, begin-ts ordered."""
-        before: list[Event] = []
-        after: list[Event] = []
-        for group_begin, _commit, events in self._committed:
-            (before if group_begin < begin_ts else after).extend(events)
-        return tuple(before), tuple(after)
-
     def committed_serial_by_commit(self) -> SerialHistory:
         """All committed events in commit-timestamp order."""
-        ordered = sorted(self._committed, key=lambda g: g[1])
+        ordered = sorted(self.committed.rows, key=itemgetter(1))
         result: list[Event] = []
         for _begin, _commit, events in ordered:
             result.extend(events)
@@ -100,18 +93,18 @@ class SynchronizationState:
 
         Bounded-memory maintenance: the committed-group list otherwise
         grows for the life of the object.  Only static certification
-        (:meth:`committed_split`) consults the full committed history
-        at commit time, so trimming is sound solely for commit-order
+        consults the full committed history at commit time (through
+        :attr:`committed`'s checkpoints, which are dropped here with
+        the rows), so trimming is sound solely for commit-order
         schemes — callers gate on ``cc.serialization_order``, exactly
         as log compaction does, and pass the compaction snapshot's
         ``last_commit_ts`` so trimmed groups are precisely the folded
         ones.  Returns how many groups were dropped.
         """
-        before = len(self._committed)
-        self._committed = [
-            group for group in self._committed if not group[1] <= floor
-        ]
-        return before - len(self._committed)
+        rows = self.committed.rows
+        kept = [row for row in rows if not row[1] <= floor]
+        self.committed.reset(kept)
+        return len(rows) - len(kept)
 
 
 @dataclass

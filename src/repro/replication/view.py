@@ -12,7 +12,10 @@ needs:
 * **begin order** (static): committed actions sorted by begin timestamp,
   with the executing transaction's events at *its* begin position — the
   events of later-begun committed actions form a suffix the chosen
-  response must not invalidate.
+  response must not invalidate.  The view supplies the classification
+  (:meth:`View.committed_actions`, :meth:`View.events_of`); the ordering
+  lives with its one consumer, :mod:`repro.cc.static_ts`, and its
+  incremental form in :mod:`repro.replication.serialcache`.
 
 Aborted actions' entries are ignored everywhere (recoverability: an
 aborted action has no effect).
@@ -50,8 +53,9 @@ class View:
         self.log = log
         self.statuses = statuses
         self.base = base
-        #: Optional :class:`~repro.replication.serialcache.SerialPrefixCache`
-        #: the owning front-end threads through on the batched RPC path;
+        #: Optional serial cache (:mod:`repro.replication.serialcache`, the
+        #: kind the object's scheme serializes by) the owning front-end
+        #: threads through on the batched RPC path;
         #: ``None`` (the serial reference path) makes schemes recompute
         #: serializations from scratch.
         self.serial_cache = serial_cache
@@ -105,32 +109,6 @@ class View:
         if own is not None:
             events.extend(self.events_of(own))
         return tuple(events)
-
-    def begin_order_split(
-        self, own: ActionId, own_begin: Timestamp
-    ) -> tuple[SerialHistory, SerialHistory]:
-        """Prefix/suffix of committed events around ``own``'s begin position.
-
-        Returns ``(prefix, suffix)``: committed actions that began before
-        ``own`` (with ``own``'s events appended to the prefix by the
-        caller) and committed actions that began after.  Under static
-        atomicity a new event for ``own`` must keep
-        ``prefix · own-events · event · suffix`` legal.
-        """
-        before: list[Event] = []
-        after: list[Event] = []
-        committed = sorted(
-            (a for a in self.committed_actions() if a != own),
-            key=lambda a: self.statuses.begin_ts_of(a),
-        )
-        for action in committed:
-            bucket = (
-                before
-                if self.statuses.begin_ts_of(action) < own_begin
-                else after
-            )
-            bucket.extend(self.events_of(action))
-        return tuple(before), tuple(after)
 
     def max_timestamp(self) -> Timestamp | None:
         """The largest entry timestamp, for Lamport clock witnessing.

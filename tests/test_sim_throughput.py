@@ -398,11 +398,18 @@ def _fingerprint(cluster, metrics, objects=("queue",)):
     }
 
 
-def _queue_cluster(mode: str, seed: int, n_sites: int = 3, tracer=None):
+SCHEMES = ("hybrid", "dynamic", "static")
+
+
+def _queue_cluster(
+    mode: str, seed: int, n_sites: int = 3, tracer=None, scheme: str = "hybrid"
+):
     cluster = build_cluster(n_sites, seed=seed, rpc_mode=mode, tracer=tracer)
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
+    relation = (
+        known.ground(queue, known.QUEUE_STATIC, 5) if scheme == "hybrid" else None
+    )
+    cluster.add_object("queue", queue, scheme, relation=relation)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
@@ -414,31 +421,70 @@ def _queue_cluster(mode: str, seed: int, n_sites: int = 3, tracer=None):
     return cluster, generator
 
 
-class TestSerialBatchedEquality:
-    @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_clean_run_is_byte_identical(self, seed):
-        prints = {}
-        for mode in ("serial", "batched"):
-            cluster, generator = _queue_cluster(mode, seed)
-            metrics = generator.run(40)
-            prints[mode] = _fingerprint(cluster, metrics)
-        assert prints["serial"] == prints["batched"]
+def _per_scheme(seeds):
+    """``(scheme, seed)`` cases; hybrid keeps the bare-seed ids it had
+    when it was the only scheme compared."""
+    return [
+        pytest.param(
+            scheme, seed, id=str(seed) if scheme == "hybrid" else f"{scheme}-{seed}"
+        )
+        for scheme in SCHEMES
+        for seed in seeds
+    ]
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_failures_between_segments_are_byte_identical(self, seed):
-        prints = {}
+
+def _serial_cache_stats(cluster) -> dict[str, int]:
+    totals: dict[str, int] = {}
+    for frontend in cluster.frontends:
+        for cache in frontend.serial_caches.values():
+            for key, value in cache.stats().items():
+                totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _assert_serial_caches_worked(scheme: str, clusters) -> None:
+    """The equality was not vacuous: batched folded deltas, serial had no cache.
+
+    Static must also have committed out of begin order, so that some
+    group was inserted in front of existing checkpoints.
+    """
+    assert _serial_cache_stats(clusters["serial"]) == {}
+    stats = _serial_cache_stats(clusters["batched"])
+    assert stats["delta_folds"] > 0
+    assert stats["delta_folds"] + stats["hits"] > stats["rebuilds"]
+    if scheme == "static":
+        assert stats["mid_inserts"] > 0
+
+
+class TestSerialBatchedEquality:
+    @pytest.mark.parametrize("scheme, seed", _per_scheme([0, 3, 11]))
+    def test_clean_run_is_byte_identical(self, scheme, seed):
+        prints, clusters = {}, {}
         for mode in ("serial", "batched"):
-            cluster, generator = _queue_cluster(mode, seed, n_sites=5)
-            generator.run(15)
+            cluster, generator = _queue_cluster(mode, seed, scheme=scheme)
+            metrics = generator.run(120)
+            prints[mode], clusters[mode] = _fingerprint(cluster, metrics), cluster
+        assert prints["serial"] == prints["batched"]
+        _assert_serial_caches_worked(scheme, clusters)
+
+    @pytest.mark.parametrize("scheme, seed", _per_scheme([1, 7]))
+    def test_failures_between_segments_are_byte_identical(self, scheme, seed):
+        prints, clusters = {}, {}
+        for mode in ("serial", "batched"):
+            cluster, generator = _queue_cluster(
+                mode, seed, n_sites=5, scheme=scheme
+            )
+            generator.run(30)
             cluster.network.crash(1)
-            generator.run(15)
+            generator.run(30)
             cluster.network.partition({0, 1, 2}, {3, 4})
-            generator.run(15)
+            generator.run(30)
             cluster.network.heal()
             cluster.network.recover(1)
-            metrics = generator.run(15)
-            prints[mode] = _fingerprint(cluster, metrics)
+            metrics = generator.run(30)
+            prints[mode], clusters[mode] = _fingerprint(cluster, metrics), cluster
         assert prints["serial"] == prints["batched"]
+        _assert_serial_caches_worked(scheme, clusters)
 
     def test_compaction_mid_run_is_byte_identical(self, ):
         prints = {}

@@ -361,12 +361,10 @@ class TestRetirement:
         assert recorder.forget(frozenset()) == 0
 
         sync = SynchronizationState()
-        sync._committed = [
-            (Timestamp(1, 0), Timestamp(2, 0), ()),
-            (Timestamp(3, 0), Timestamp(4, 0), ()),
-        ]
+        sync.committed.insert(Timestamp(1, 0), Timestamp(2, 0), ())
+        sync.committed.insert(Timestamp(3, 0), Timestamp(4, 0), ())
         assert sync.trim_committed(Timestamp(2, 0)) == 1
-        assert len(sync._committed) == 1
+        assert len(sync.committed) == 1
 
 
 # -- the soak ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import event, ok
 from repro.replication.log import Log, LogEntry
+from repro.replication.serialcache import BeginOrderCache
 from repro.replication.view import View
 from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
@@ -71,18 +72,21 @@ class TestSerializations:
 
     def test_begin_order_split(self, system):
         tm, (a, b, c), log = system
-        view = View(log, tm)
-        before, after = view.begin_order_split(c.id, c.begin_ts)
-        # Both committed actions began before C.
-        assert before == (event("Enq", ("x",)), event("Enq", ("y",)))
-        assert after == ()
+        marks = BeginOrderCache().checkpoints(View(log, tm))
+        # Both committed actions began before C, A first (begin order,
+        # although B committed first).
+        assert marks.position(c.begin_ts) == 2
+        assert marks.rows == [
+            (a.begin_ts, a.id, (event("Enq", ("x",)),)),
+            (b.begin_ts, b.id, (event("Enq", ("y",)),)),
+        ]
 
     def test_begin_order_split_with_later_action(self, system):
         tm, (a, b, _c), log = system
-        view = View(log, tm)
-        before, after = view.begin_order_split(a.id, a.begin_ts)
-        assert before == ()
-        assert after == (event("Enq", ("y",)),)
+        marks = BeginOrderCache().checkpoints(View(log, tm))
+        # Nothing began before A; B's group is the suffix behind it.
+        assert marks.position(a.begin_ts) == 0
+        assert marks.position(b.begin_ts) == 1
 
     def test_max_timestamp(self, system):
         tm, _txns, log = system
