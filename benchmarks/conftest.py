@@ -2,16 +2,23 @@
 
 Every benchmark regenerates one of the paper's figures/examples and
 emits its rows both to stdout (visible with ``pytest -s``) and to
-``benchmarks/results/<name>.txt`` so the EXPERIMENTS.md numbers can be
-traced to a run.  Machine-readable benchmarks go through
-:func:`emit_json`, which stamps every ``BENCH_*.json`` with the
-environment that produced it — worker count, kernel-cache state, CPU
-budget — so numbers from different machines can be compared honestly.
+``<name>.txt`` so the EXPERIMENTS.md numbers can be traced to a run.
+Machine-readable benchmarks go through :func:`emit_json`, which stamps
+every ``BENCH_*.json`` with the environment that produced it — worker
+count, kernel-cache state, CPU budget — so numbers from different
+machines can be compared honestly.
+
+Both land in ``benchmarks/run/`` (git-ignored), so running the suite —
+the tier-1 command collects this directory — leaves the tree clean.
+The tracked copies under ``benchmarks/results/`` change only when
+pytest is given ``--record``.
 
 Uniform knobs (apply to every benchmark in this directory):
 
 * ``--jobs N`` — worker processes for kernel derivations and fan-out
   benchmarks (default: the ``REPRO_JOBS`` environment variable, else 1);
+* ``--record`` — write result files to the tracked
+  ``benchmarks/results/`` instead of the untracked ``benchmarks/run/``;
 * ``--cache-state {cold,warm}`` — whether benchmarks may reuse a warmed
   kernel-artifact cache between tests (default cold: each session gets
   a fresh temporary cache directory either way; ``warm`` additionally
@@ -33,6 +40,11 @@ import sys
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+RUN_DIR = pathlib.Path(__file__).parent / "run"
+
+#: Where :func:`report` and :func:`emit_json` write: the untracked run
+#: directory unless the session was started with ``--record``.
+_OUTPUT = {"dir": RUN_DIR}
 
 #: What the current benchmark's process-pool actually did.  Benchmarks
 #: that shard work across processes call :func:`record_parallelism`
@@ -90,7 +102,7 @@ def record_parallelism(pool_engaged: bool, parallel_speedup: float) -> None:
 
 
 def report(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/.
+    """Print a result block and persist it as ``<name>.txt``.
 
     A footer line surfaces the pool record for the run (see
     :func:`record_parallelism`), so the human-readable summary and the
@@ -104,8 +116,8 @@ def report(name: str, text: str) -> None:
     )
     banner = f"\n===== {name} =====\n"
     print(banner + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    _OUTPUT["dir"].mkdir(exist_ok=True)
+    (_OUTPUT["dir"] / f"{name}.txt").write_text(text + "\n")
 
 
 def emit_json(
@@ -147,8 +159,8 @@ def emit_json(
         "tuner": "on" if _TUNER["enabled"] else "off",
         "scenario": _SCENARIO["name"],
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"BENCH_{name}.json"
+    _OUTPUT["dir"].mkdir(exist_ok=True)
+    out = _OUTPUT["dir"] / f"BENCH_{name}.json"
     out.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
     return out
 
@@ -163,12 +175,22 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "benchmarks (default: REPRO_JOBS, else 1)",
     )
     group.addoption(
+        "--record",
+        action="store_true",
+        help="write result files to the tracked benchmarks/results/ "
+        "(default: the git-ignored benchmarks/run/)",
+    )
+    group.addoption(
         "--cache-state",
         choices=("cold", "warm"),
         default="cold",
         help="kernel-artifact cache state benchmarks start from "
         "(default: cold; warm pre-derives the standard catalog)",
     )
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    _OUTPUT["dir"] = RESULTS_DIR if config.getoption("--record") else RUN_DIR
 
 
 @pytest.fixture(autouse=True)

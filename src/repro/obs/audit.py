@@ -82,6 +82,7 @@ from repro.histories.serialization import serialize
 from repro.obs.export import render_tree
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, TraceListener, Tracer
+from repro.replication.log import EMPTY_LOG
 from repro.txn.ids import ActionId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -642,12 +643,12 @@ class LogConsistencyMonitor(InvariantMonitor):
     repositories once more at end of run.
 
     With ``window=W`` the canonical map becomes a sliding window over
-    the W most recently first-seen timestamps per object, and the
-    per-replica verified sets track the *current* log instead of the
-    union of everything ever seen (so compacted entries are released).
-    A divergence is then caught unless the conflicting entry arrives
-    after more than W newer timestamps were first seen — replicas that
-    lag by less than the window are always checked exactly.
+    the W most recently first-seen timestamps per object.  Either way
+    each replica is checked against the log scanned last, never against
+    a retained union, so compacted entries are released.  A windowed
+    divergence is caught unless the conflicting entry arrives after more
+    than W newer timestamps were first seen — replicas that lag by less
+    than the window are always checked exactly.
     """
 
     name = "log-consistency"
@@ -656,32 +657,23 @@ class LogConsistencyMonitor(InvariantMonitor):
         super().__init__()
         self.window = window
         self._canonical: dict[str, OrderedDict[Any, tuple[Any, Any]]] = {}
-        #: (site, object) -> the entry set already checked against
-        #: canonical.  Logs grow by set-merge, so a previously verified
-        #: entry can never *become* conflicting; diffing frozensets
-        #: (which reuses their stored hashes) keeps each write scan
-        #: O(new entries) instead of re-sorting and re-hashing the whole
-        #: log — a conflicting entry is by construction one we have not
-        #: seen.  Deep mode unions the sets (a monotone high-water
-        #: mark); windowed mode stores the latest log snapshot so
-        #: compaction can actually release memory.
-        self._verified: dict[tuple[int, str], frozenset[Any]] = {}
-        #: (site, object) -> the exact Log object scanned last.  Deep
-        #: mode only: ``Log.fresh_since`` recovers the unchecked delta
-        #: from the extension-lineage chain in O(new entries), skipping
-        #: the frozenset diff entirely.  Windowed mode never anchors a
-        #: Log — pinning the lineage chain would defeat compaction's
-        #: memory release.
+        #: (site, object) -> the exact Log scanned last.  Logs grow by
+        #: set-merge, so a previously verified entry can never *become*
+        #: conflicting — a conflicting entry is by construction one we
+        #: have not seen — and a repository's log is normally a later
+        #: version of the store scanned last, so ``Log.fresh_since``
+        #: yields the unchecked entries as a slice, O(new entries).  The
+        #: anchor is a prefix length on the repository's own store: no
+        #: history is held a second time, in either mode.
         self._last_log: dict[tuple[int, str], Any] = {}
 
     def on_clear(self) -> None:
         self._canonical.clear()
-        self._verified.clear()
         self._last_log.clear()
 
     def state_cells(self) -> int:
         return sum(len(m) for m in self._canonical.values()) + len(
-            self._verified
+            self._last_log
         )
 
     def on_point_event(self, span: Span) -> None:
@@ -705,25 +697,13 @@ class LogConsistencyMonitor(InvariantMonitor):
 
     def _scan(self, obj_name: str, log, site: int, span: Span | None) -> None:
         key = (site, obj_name)
-        delta = None
-        if self.window is None:
-            last = self._last_log.get(key)
-            if last is not None:
-                delta = log.fresh_since(last)
-            self._last_log[key] = log
-        if delta is not None:
-            # Lineage hit: ``delta`` is exactly the entries not in the
-            # last scanned log, every one of which was checked then.
-            fresh: Any = delta
-            self._verified[key] = log.entry_set
-        else:
-            entries = log.entry_set
-            verified = self._verified.get(key)
-            fresh = entries if verified is None else entries - verified
-            if self.window is not None or verified is None:
-                self._verified[key] = entries
-            else:
-                self._verified[key] = verified | entries
+        last = self._last_log.get(key, EMPTY_LOG)
+        self._last_log[key] = log
+        fresh = log.fresh_since(last)
+        if fresh is None:
+            # The repository replaced its store (snapshot install,
+            # restart, fork): diff against the log scanned last.
+            fresh = log.entry_set - last.entry_set
         if not fresh:
             return
         canonical = self._canonical.setdefault(obj_name, OrderedDict())

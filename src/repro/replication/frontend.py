@@ -265,11 +265,15 @@ class FrontEnd:
 
         entry = LogEntry(self.clock.tick(), event, txn.id)
         final = assignment.final(event)
+        # Built once, outside the retry loop: on the batched path this
+        # appends ``entry`` to the view cache's own store, and a retry
+        # must re-send that same version, not fork another.  If no final
+        # quorum ever acknowledges, the cached union is still the shorter
+        # version it was — the unacknowledged entry sits beyond its end.
+        update = view.log.add(entry)
         try:
             self._retrying(
-                lambda: self._write_quorum(
-                    obj, final, view.log.add(entry), event, epoch
-                ),
+                lambda: self._write_quorum(obj, final, update, event, epoch),
                 policy,
                 deadline,
             )

@@ -8,31 +8,30 @@ ordered by timestamp, which makes it idempotent, commutative, and
 associative — the properties the hypothesis test suite checks, since
 they are what make quorum consensus insensitive to how a view was
 assembled.
+
+The protocol grows a log by one entry per operation, so a :class:`Log`
+is a *version* ``(store, n)`` — the first ``n`` arrivals — of an
+append-only :class:`_Store` shared by its whole lineage.  Extending the
+newest version appends in place, O(delta); an older version stays the
+value it was because every read of it stops at its own ``n``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import insort
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator
+from weakref import WeakKeyDictionary
 
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import Event
 from repro.txn.ids import ActionId
 
-#: Shared sort key: (counter, site, seq) — identical ordering to the old
-#: ``(entry.ts, entry.action.seq)`` tuple key, since Timestamp compares
-#: (counter, site) first, but precomputed once per entry instead of
-#: rebuilt per comparison.
+#: Shared sort key: (counter, site, seq), precomputed once per entry —
+#: the ordering of ``(entry.ts, entry.action.seq)``, since Timestamp
+#: compares (counter, site) first.
 _SORT_KEY = attrgetter("sort_key")
-
-#: Maximum :meth:`Log.extended` lineage chain length.  Each link keeps
-#: its base log alive, so the cap bounds retained history to a constant
-#: number of ancestor logs per live head; a chain that reaches the cap
-#: restarts, costing incremental consumers one O(n) fallback per
-#: ``_LINEAGE_LIMIT`` extensions (amortized O(delta)).
-_LINEAGE_LIMIT = 32
-
 
 class LogEntry:
     """One log record: when, what, and on whose behalf.
@@ -85,234 +84,235 @@ class LogEntry:
         return f"[{self.ts}] {self.event} {self.action}"
 
 
+class _Store:
+    """Append-only entry storage shared by every :class:`Log` of a lineage.
+
+    ``arrival`` holds the entries in arrival order and ``pos`` maps each
+    to its index there; nothing below an index ever changes, which is
+    what lets a ``Log`` be a prefix length.  The timestamp-sorted list
+    and the per-action grouping cover the *whole* store, are built on
+    first use and kept up to date by :meth:`append`.
+
+    ``marks[source] == m`` is a watermark: the first ``m`` arrivals of
+    the store ``source`` are all present here.  Sound because both
+    stores only append (an absorbed prefix stays absorbed) and only this
+    store's newest version, which holds every arrival, consults it; a
+    store built afresh — fork, snapshot install, journal restart — has
+    no marks and re-diffs once.  Weak keys: a mark dies with its source.
+    """
+
+    __slots__ = ("arrival", "pos", "ordered", "by_action", "marks", "__weakref__")
+
+    def __init__(self, arrival: list[LogEntry]):
+        self.arrival = arrival  # distinct entries; adopted, not copied
+        self.pos: dict[LogEntry, int] = dict(zip(arrival, range(len(arrival))))
+        self.ordered: list[LogEntry] | None = None
+        self.by_action: dict[ActionId, list[LogEntry]] | None = None
+        self.marks: WeakKeyDictionary[_Store, int] | None = None
+
+    def missing(self, candidates: Iterable[LogEntry], n: int) -> list[LogEntry]:
+        """The ``candidates`` that are not among the first ``n`` arrivals."""
+        pos = self.pos
+        return [entry for entry in candidates if pos.get(entry, n) >= n]
+
+    def lacking(self, source: "_Store", upto: int) -> list[LogEntry]:
+        """``source``'s first ``upto`` arrivals that are not in this store.
+
+        For a source never seen before: ``set.difference`` on dicts reuses
+        their stored hashes, no ``LogEntry.__hash__`` call per entry.
+        """
+        known = source.pos
+        novel = [e for e in set(known).difference(self.pos) if known[e] < upto]
+        novel.sort(key=known.__getitem__)
+        return novel
+
+    def append(self, fresh: Iterable[LogEntry]) -> None:
+        arrival, pos = self.arrival, self.pos
+        ordered, by_action = self.ordered, self.by_action
+        for entry in fresh:
+            if entry in pos:  # repeated within ``fresh``
+                continue
+            pos[entry] = len(arrival)
+            arrival.append(entry)
+            if ordered is not None:
+                insort(ordered, entry, key=_SORT_KEY)
+            if by_action is not None:
+                insort(by_action.setdefault(entry.action, []), entry, key=_SORT_KEY)
+
+    def sorted(self) -> list[LogEntry]:
+        if self.ordered is None:
+            self.ordered = sorted(self.arrival, key=_SORT_KEY)
+        return self.ordered
+
+    def grouped(self) -> dict[ActionId, list[LogEntry]]:
+        if self.by_action is None:
+            grouped: dict[ActionId, list[LogEntry]] = {}
+            for entry in self.sorted():
+                grouped.setdefault(entry.action, []).append(entry)
+            self.by_action = grouped
+        return self.by_action
+
+
+#: The store of every empty log; never a head, so never appended to.
+_NO_ENTRIES = _Store([])
+
+
 class Log:
-    """An immutable-by-convention set of entries ordered by timestamp.
+    """An immutable set of entries ordered by timestamp.
 
     Lamport timestamps (counter, site) are unique per entry in a correct
     run; merge tolerates duplicates by keying on the full entry.
+
+    Represented as the first ``_n`` arrivals of ``_store``.  The *head*
+    (``_n`` is the store's length) extends in place; any other version
+    *forks* — copies its prefix into a store of its own, once.  A log
+    handed out earlier therefore never changes: ``in``, ``len``,
+    ``ordered``, ``entries_of`` and ``==`` all stop at ``_n``.
     """
 
-    __slots__ = (
-        "_entries",
-        "_ordered",
-        "_by_action",
-        "_actions",
-        "_base",
-        "_fresh",
-        "_depth",
-    )
+    __slots__ = ("_store", "_n")
 
     def __init__(self, entries: Iterable[LogEntry] = ()):
-        self._entries: frozenset[LogEntry] = frozenset(entries)
-        # Lazy caches; logs are immutable so each is computed at most once.
-        self._ordered: tuple[LogEntry, ...] | None = None
-        self._by_action: dict[ActionId, tuple[LogEntry, ...]] | None = None
-        self._actions: frozenset[ActionId] | None = None
-        # Lineage: extended() records (base log, fresh entries) so
-        # incremental consumers can recover "what's new since the log I
-        # saw last" in O(delta) instead of an O(n) set difference.
-        self._base: Log | None = None
-        self._fresh: tuple[LogEntry, ...] | None = None
-        self._depth: int = 0
+        arrival = list(dict.fromkeys(entries))
+        self._store = _Store(arrival) if arrival else _NO_ENTRIES
+        self._n = len(arrival)
 
     @classmethod
-    def _from_entry_set(cls, entries: frozenset[LogEntry]) -> "Log":
-        """Wrap an already-frozen entry set without re-freezing it."""
+    def _version(cls, store: _Store, n: int) -> "Log":
         out = cls.__new__(cls)
-        out._entries = entries
-        out._ordered = None
-        out._by_action = None
-        out._actions = None
-        out._base = None
-        out._fresh = None
-        out._depth = 0
+        out._store = store
+        out._n = n
         return out
 
     def merge(self, other: "Log") -> "Log":
         """The least upper bound of two logs (set union)."""
-        if other._entries <= self._entries:
-            return self
-        if self._entries <= other._entries:
-            return other
-        return Log._from_entry_set(self._entries | other._entries)
+        return self.extended(other)
 
     def add(self, entry: LogEntry) -> "Log":
-        if entry in self._entries:
-            return self
         return self.extended((entry,))
 
-    def extended(self, added: Iterable[LogEntry]) -> "Log":
-        """Union with ``added``, carrying this log's caches forward.
+    def extended(self, added: "Log | Iterable[LogEntry]") -> "Log":
+        """Union with ``added``, a log or any iterable of entries.
 
-        Semantically identical to ``self.merge(Log(added))``, but when
-        this log's lazy caches have already been computed the result is
-        seeded incrementally: each new entry is bisect-inserted into the
-        sorted order instead of re-sorting the whole log.  Quorum view
-        caches use this so that a front-end revisiting a grown log pays
-        O(delta log n) rather than O(n log n) per operation.  Sound
-        because timestamps are unique per entry in a correct run, so the
-        seeded order equals the order :meth:`ordered` would compute.
-
-        The membership filter runs as C-level frozenset difference, so a
-        caller may pass a whole superset log's entries and pay only for
-        the genuinely new ones.
+        ``self`` when nothing is new.  The head appends the new entries
+        to the shared store, O(new entries), its sorted order and
+        grouping updated by insertion; any other version forks first.
+        Of a *log*, only what this store has not absorbed before is
+        examined (``_Store.marks``), and a later version of this same
+        store is returned as is.
         """
-        if isinstance(added, (frozenset, set)):
-            fresh_set = added - self._entries
+        store, n = self._store, self._n
+        head = 0 < n == len(store.arrival)
+        source = None
+        if isinstance(added, Log):
+            source, upto = added._store, added._n
+            if source is store:
+                return added if upto > n else self
+            marks = store.marks if head else None
+            start = marks.get(source, 0) if marks is not None else 0
+            if upto <= start:
+                return self
+            if not n:  # nothing of our own to keep: start from its prefix
+                fresh, store = (), _Store(source.arrival[:upto])
+            elif head and not start:
+                fresh = store.lacking(source, upto)
+            else:
+                fresh = store.missing(source.arrival[start:upto], n)
         else:
-            fresh_set = frozenset(added) - self._entries
-        if not fresh_set:
-            return self
-        out = Log._from_entry_set(self._entries | fresh_set)
-        if self._depth < _LINEAGE_LIMIT:
-            out._base = self
-            out._fresh = tuple(fresh_set)
-            out._depth = self._depth + 1
-        if len(fresh_set) == 1:
-            # The dominant caller shape: one front-end appending one new
-            # entry per quorum phase, almost always with the greatest
-            # timestamp so far.  Tuple concatenation replaces the
-            # list-copy + insort + re-tuple round trip.
-            (entry,) = fresh_set
-            if self._ordered is not None:
-                ordered = self._ordered
-                if not ordered or ordered[-1].sort_key <= entry.sort_key:
-                    out._ordered = ordered + (entry,)
-                else:
-                    i = bisect(ordered, entry.sort_key, key=_SORT_KEY)
-                    out._ordered = ordered[:i] + (entry,) + ordered[i:]
-            if self._by_action is not None:
-                grouped = dict(self._by_action)
-                group = grouped.get(entry.action)
-                if group is None:
-                    grouped[entry.action] = (entry,)
-                elif group[-1].sort_key <= entry.sort_key:
-                    grouped[entry.action] = group + (entry,)
-                else:
-                    expanded = list(group)
-                    insort(expanded, entry, key=_SORT_KEY)
-                    grouped[entry.action] = tuple(expanded)
-                out._by_action = grouped
-            if self._actions is not None:
-                out._actions = (
-                    self._actions
-                    if entry.action in self._actions
-                    else self._actions | {entry.action}
-                )
-            return out
-        fresh = sorted(fresh_set, key=_SORT_KEY)
-        if self._ordered is not None:
-            ordered = list(self._ordered)
-            for entry in fresh:
-                insort(ordered, entry, key=_SORT_KEY)
-            out._ordered = tuple(ordered)
-        if self._by_action is not None:
-            grouped = dict(self._by_action)
-            for entry in fresh:
-                group = list(grouped.get(entry.action, ()))
-                insort(group, entry, key=_SORT_KEY)
-                grouped[entry.action] = tuple(group)
-            out._by_action = grouped
-        if self._actions is not None:
-            out._actions = self._actions.union(e.action for e in fresh)
-        return out
+            fresh = store.missing(added, n)
+        if not head and store is self._store:
+            if not fresh:
+                return self
+            store = _Store(store.arrival[:n])
+        if source is not None:
+            if store.marks is None:
+                store.marks = WeakKeyDictionary()
+            store.marks[source] = upto
+        store.append(fresh)
+        grown = len(store.arrival)
+        return Log._version(store, grown) if grown > n else self
 
     def fresh_since(self, ancestor: "Log") -> tuple[LogEntry, ...] | None:
-        """Entries in this log but not in ``ancestor``, via the lineage chain.
+        """Entries in this log but not in ``ancestor``, when it is a prefix.
 
-        Walks the :meth:`extended` parent links from this log back
-        toward ``ancestor``; each link's fresh entries are disjoint from
-        everything below it, so their concatenation is *exactly*
-        ``self.entry_set - ancestor.entry_set``.  Returns ``None`` when
-        the chain does not reach ``ancestor`` (it was built by a plain
-        merge or the chain restarted at the length cap) — callers then
-        fall back to the O(n) set difference, which is always correct.
-        A non-``None`` result also certifies
-        ``ancestor.entry_set <= self.entry_set``.
+        An earlier version of the same store (or the empty log) is a
+        prefix of this one, so the slice of arrivals between the two
+        lengths is *exactly* ``self.entry_set - ancestor.entry_set``, and
+        a non-``None`` result certifies ``ancestor.entry_set <=
+        self.entry_set``.  ``None``: not related by position (a fork, a
+        rebuilt or unpickled log); callers fall back to set algebra.
         """
-        if ancestor is self:
-            return ()
-        node = self
-        floor = len(ancestor._entries)
-        chunks: list[tuple[LogEntry, ...]] = []
-        while True:
-            base = node._base
-            # Entry counts strictly shrink down the chain, so once a
-            # base is smaller than the ancestor the walk cannot reach
-            # it — bail out instead of walking to the chain's root.
-            if base is None or len(base._entries) < floor:
-                return None
-            chunks.append(node._fresh)
-            if base is ancestor:
-                if len(chunks) == 1:
-                    return chunks[0]
-                flat: list[LogEntry] = []
-                for chunk in reversed(chunks):
-                    flat.extend(chunk)
-                return tuple(flat)
-            node = base
+        start, store = ancestor._n, self._store
+        if start > self._n or (start and ancestor._store is not store):
+            return None
+        return tuple(store.arrival[start : self._n])
+
+    def _held(self, entries: Iterable[LogEntry]) -> tuple[LogEntry, ...]:
+        """Those of the store's ``entries`` that this version holds."""
+        store, n = self._store, self._n
+        if n == len(store.arrival):
+            return tuple(entries)
+        pos = store.pos
+        return tuple(entry for entry in entries if pos[entry] < n)
 
     def ordered(self) -> tuple[LogEntry, ...]:
         """Entries sorted by timestamp (total order; site breaks ties)."""
-        if self._ordered is None:
-            self._ordered = tuple(sorted(self._entries, key=_SORT_KEY))
-        return self._ordered
+        return self._held(self._store.sorted())
 
     def max_entry(self) -> LogEntry | None:
         """The timestamp-greatest entry, without forcing a full sort."""
-        if self._ordered is not None:
-            return self._ordered[-1] if self._ordered else None
-        if not self._entries:
-            return None
-        return max(self._entries, key=_SORT_KEY)
+        store, n = self._store, self._n
+        if store.ordered is None:
+            return max(islice(store.arrival, n), key=_SORT_KEY, default=None)
+        pos = store.pos
+        return next((e for e in reversed(store.ordered) if pos[e] < n), None)
 
     def entries_of(self, action: ActionId) -> tuple[LogEntry, ...]:
-        if self._by_action is None:
-            grouped: dict[ActionId, list[LogEntry]] = {}
-            for entry in self.ordered():
-                grouped.setdefault(entry.action, []).append(entry)
-            self._by_action = {a: tuple(es) for a, es in grouped.items()}
-        return self._by_action.get(action, ())
+        return self._held(self._store.grouped().get(action, ()))
 
     def actions(self) -> frozenset[ActionId]:
-        if self._actions is None:
-            self._actions = frozenset(e.action for e in self._entries)
-        return self._actions
+        return frozenset(e.action for e in islice(self._store.arrival, self._n))
 
     @property
     def entry_set(self) -> frozenset[LogEntry]:
-        """The raw unordered entry set.
+        """The entries as a frozenset, *built* (and re-hashed) per call.
 
-        Set algebra on two logs' ``entry_set``s (difference, subset)
-        reuses the hashes already stored in the frozensets, so it is
-        much cheaper than element-wise iteration, which both re-hashes
-        and sorts (``__iter__`` goes through :meth:`ordered`).  The
-        online auditor's incremental log scans depend on this.
+        For fallback and rebuild paths, where two logs are not related
+        by position and set algebra is the reference; per-operation code
+        uses ``in``, :meth:`fresh_since` and :meth:`extended`.
         """
-        return self._entries
+        return frozenset(islice(self._store.arrival, self._n))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._n
 
     def __iter__(self) -> Iterator[LogEntry]:
         return iter(self.ordered())
 
     def __contains__(self, entry: LogEntry) -> bool:
-        return entry in self._entries
+        return self._store.pos.get(entry, self._n) < self._n
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Log) and self._entries == other._entries
+        if not isinstance(other, Log) or self._n != other._n:
+            return False
+        if self._store is other._store:
+            return True
+        # Equal sizes, distinct entries: one inclusion decides equality.
+        return not self._store.missing(islice(other._store.arrival, other._n), self._n)
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.entry_set)
 
     def __reduce__(self):
-        # Rebuilt from the entry set alone: lineage weakrefs cannot be
-        # pickled and caches recompute lazily on the other side.
-        return (Log, (tuple(self._entries),))
+        # A copy starts a store of its own.
+        return (Log, (tuple(islice(self._store.arrival, self._n)),))
 
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.ordered())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Log({len(self._entries)} entries)"
+        return f"Log({self._n} entries)"
+
+
+#: The one empty log callers should share instead of building ``Log()``.
+EMPTY_LOG = Log()

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.replication.log import Log, LogEntry
+from repro.replication.log import EMPTY_LOG, Log, LogEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.recovery import SiteJournal
@@ -87,7 +87,7 @@ class Repository:
     def read_log(self, object_name: str) -> Log:
         """Serve this repository's fragment of an object's log."""
         self.reads_served += 1
-        log = self._logs.get(object_name, Log())
+        log = self._logs.get(object_name, EMPTY_LOG)
         if self.tracer.enabled:
             self.tracer.event(
                 "repo.read", site=self.site, object=object_name, entries=len(log)
@@ -105,16 +105,18 @@ class Repository:
         self.writes_served += 1
         incoming = len(update)
         snapshot = self._snapshots.get(object_name)
-        if snapshot is not None:
-            update = Log(
+        current = self._logs.get(object_name, EMPTY_LOG)
+        if snapshot is None:
+            # The Log itself, not its entries: the stored log's store
+            # remembers how much of the writer's store it has absorbed,
+            # so only what the writer added since is examined, and the
+            # stored log keeps one lineage (``fresh_since`` stays exact
+            # for the audit scan and the quorum view caches).
+            merged = current.extended(update)
+        else:
+            merged = current.extended(
                 entry for entry in update if entry.action not in snapshot.dropped
             )
-        current = self._logs.get(object_name, Log())
-        # extended(), not merge(): same union, but it records the
-        # extension-lineage link so incremental consumers (the audit
-        # log-consistency scan, quorum view caches) can recover the
-        # delta in O(new entries) instead of a full set difference.
-        merged = current.extended(update.entry_set)
         if merged is not current:
             self._logs[object_name] = merged
             self._bump(object_name)
@@ -138,7 +140,7 @@ class Repository:
         monitor uses it so auditing never perturbs ``reads_served`` or
         emits ``repo.read`` events of its own.
         """
-        return self._logs.get(object_name, Log())
+        return self._logs.get(object_name, EMPTY_LOG)
 
     # -- compaction ---------------------------------------------------------
 
@@ -156,7 +158,7 @@ class Repository:
         if current is not None and not snapshot.subsumes(current):
             return
         self._snapshots[object_name] = snapshot
-        log = self._logs.get(object_name, Log())
+        log = self._logs.get(object_name, EMPTY_LOG)
         filtered = Log(
             entry for entry in log if entry.action not in snapshot.dropped
         )
@@ -177,7 +179,7 @@ class Repository:
         version bumped exactly as a real installation would.
         """
         self._snapshots[object_name] = snapshot
-        log = self._logs.get(object_name, Log())
+        log = self._logs.get(object_name, EMPTY_LOG)
         filtered = Log(
             entry for entry in log if entry.action not in snapshot.dropped
         )
@@ -189,7 +191,7 @@ class Repository:
     def append_entry(self, object_name: str, entry: LogEntry) -> None:
         """Merge a single entry (used by anti-entropy and tests)."""
         self.writes_served += 1
-        current = self._logs.get(object_name, Log())
+        current = self._logs.get(object_name, EMPTY_LOG)
         added = current.add(entry)
         if added is not current:
             self._logs[object_name] = added
@@ -203,7 +205,7 @@ class Repository:
 
     def entry_count(self, object_name: str) -> int:
         """Number of log entries currently stored for ``object_name``."""
-        return len(self._logs.get(object_name, Log()))
+        return len(self._logs.get(object_name, EMPTY_LOG))
 
     # -- crash-recovery replay ----------------------------------------------
 

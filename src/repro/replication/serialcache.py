@@ -157,7 +157,7 @@ class BeginOrderCheckpoints:
 class _ViewDelta:
     """Which actions of a grown view newly committed — the shared half.
 
-    Holds the entry set the carried state was computed from and the
+    Holds the log the carried state was computed from and the
     classification of every action seen so far.  Owned by a front-end
     (one per object name, like the quorum view cache) because different
     front-ends visit replicas in different orders and therefore hold
@@ -165,7 +165,6 @@ class _ViewDelta:
     """
 
     __slots__ = (
-        "_entries",
         "_log",
         "_committed_set",
         "_aborted_set",
@@ -177,8 +176,7 @@ class _ViewDelta:
     )
 
     def __init__(self):
-        self._entries = None  # frozenset[LogEntry] the state was computed from
-        self._log = None  # the Log object carrying that entry set
+        self._log = None  # the Log the state was computed from
         self._committed_set: set[ActionId] = set()
         self._aborted_set: set[ActionId] = set()
         self._undecided: set[ActionId] = set()
@@ -207,17 +205,17 @@ class _ViewDelta:
         """
         statuses = view.statuses
         log = view.log
-        entries = log.entry_set
-        if self._entries is None or self._base is not view.base:
+        if self._log is None or self._base is not view.base:
             return None
-        # O(delta) when the grown log's extension lineage reaches the
-        # cached log; the O(n) frozenset algebra is the fallback (and
+        # O(delta) when the grown log is a later version of the cached
+        # log's store; the O(n) frozenset algebra is the fallback (and
         # stays the correctness reference).
         delta = log.fresh_since(self._log)
         if delta is None:
-            if not (self._entries <= entries):
+            seen, entries = self._log.entry_set, log.entry_set
+            if not (seen <= entries):
                 return None
-            delta = entries - self._entries if entries is not self._entries else ()
+            delta = entries - seen
 
         if delta:
             committed_set = self._committed_set
@@ -231,7 +229,6 @@ class _ViewDelta:
                     return None
                 if action not in aborted_set:
                     undecided.add(action)
-        self._entries = entries
         self._log = log
 
         newly_committed: list[ActionId] = []
@@ -272,7 +269,6 @@ class _ViewDelta:
                 aborted.add(action)
             else:
                 undecided.add(action)
-        self._entries = log.entry_set
         self._log = log
         self._committed_set = committed_set
         self._aborted_set = aborted

@@ -8,9 +8,9 @@ nothing has changed.  :class:`QuorumViewCache` keys the merged union on
 per-repository log version counters (:meth:`Repository.log_version`):
 
 * **hit** — every probed fragment reports the version already cached:
-  the cached merge is returned as-is (object identity preserved, so the
-  :class:`~repro.replication.log.Log` lazy order/grouping caches carry
-  over to the next operation);
+  the cached merge is returned as-is (the same
+  :class:`~repro.replication.log.Log`, on this cache's own store, whose
+  sorted order and grouping carry over to the next operation);
 * **delta** — some fragments moved: only those fragments are merged
   into the cached union (logs only grow while their compaction snapshot
   is unchanged, so the union stays exact);
@@ -50,7 +50,7 @@ class _CacheEntry:
     sites: tuple[int, ...]
     versions: dict[int, int]
     snaps: dict[int, Any]
-    #: Each cached site's fragment Log as last probed — the lineage
+    #: Each cached site's fragment Log as last probed — the positional
     #: anchor for O(delta) re-merges via :meth:`Log.fresh_since`.
     logs: dict[int, Log]
     raw: Log
@@ -102,24 +102,21 @@ class QuorumViewCache:
                 self.hits += 1
                 return entry.filtered, entry.best
             self.delta_merges += 1
-            raw_entries = entry.raw.entry_set
-            fresh: set = set()
+            raw = entry.raw
+            fresh: list = []
             for probe in changed:
-                # O(delta) when the fragment's extension lineage reaches
-                # the log we probed last time; the O(n) union-and-diff
-                # over the whole fragment is the fallback.
-                chunk = probe.value[0].fresh_since(entry.logs[probe.site])
-                if chunk is not None:
-                    fresh.update(
-                        e for e in chunk if e not in raw_entries
-                    )
-                else:
-                    fresh |= probe.value[0].entry_set
-                    fresh -= raw_entries
-            # extended() bisect-inserts the delta into the cached sorted
-            # order, so the per-operation cost is O(|delta| log n), not a
-            # fresh O(n log n) sort of the whole union.
-            raw = entry.raw.extended(fresh)
+                # O(delta): the fragment is a later version of the store
+                # we probed last time, so what is new is a slice of its
+                # arrivals.  A fragment on another store (snapshot
+                # install, restart, fork) is diffed whole.
+                fragment = probe.value[0]
+                chunk = fragment.fresh_since(entry.logs[probe.site])
+                if chunk is None:
+                    chunk = fragment.entry_set
+                fresh.extend(e for e in chunk if e not in raw)
+            # Appends the delta to the cached union's own store, its
+            # sorted order and grouping updated by insertion.
+            raw = raw.extended(fresh)
             if best is None:
                 filtered = raw
             elif raw is entry.raw and best == entry.best:
@@ -189,7 +186,10 @@ class QuorumViewCache:
         if any(before[site] != entry.versions[site] for site in cached):
             self._entries.pop(object_name, None)
             return
-        raw = entry.raw.extended(update.entry_set)
+        # ``update`` is normally the next version of the cached union's
+        # own store (the view this cache handed out, plus the new
+        # entry), which ``extended`` adopts as is.
+        raw = entry.raw.extended(update)
         entry.raw = raw
         # No snapshots anywhere in the entry, so nothing is filtered.
         entry.filtered = raw

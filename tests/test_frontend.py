@@ -132,6 +132,124 @@ class TestUnavailability:
         assert fe.execute(txn, "obj", ENQ_A) == ok()
 
 
+class TestFailedFinalQuorum:
+    """A final quorum that never acknowledges leaves the batched path's
+    cached view logically untouched (its store did receive the entry)."""
+
+    ENQ_B = Invocation("Enq", ("b",))
+
+    @staticmethod
+    def _read_one_write_all(rpc_mode: str):
+        """Enq reads one site and writes all; Deq reads all, writes one."""
+        from repro.dependency import known
+        from repro.replication.cluster import build_cluster
+        from repro.types import Queue
+
+        n = 3
+        assignment = QuorumAssignment(
+            n,
+            {
+                "Enq": OperationQuorums(
+                    initial=ThresholdCoterie(n, 1), final=ThresholdCoterie(n, n)
+                ),
+                "Deq": OperationQuorums(
+                    initial=ThresholdCoterie(n, n), final=ThresholdCoterie(n, 1)
+                ),
+            },
+        )
+        cluster = build_cluster(n, rpc_mode=rpc_mode)
+        relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
+        cluster.add_object(
+            "obj", Queue(), "hybrid", assignment=assignment, relation=relation
+        )
+        return cluster
+
+    def _timed_out_write_then_success(self, rpc_mode: str, monkeypatch):
+        """Views seen, responses and final repository logs of: a committed
+        Enq, an Enq whose final quorum times out, two more operations."""
+        from repro.replication import frontend as frontend_module
+        from repro.replication.view import View
+
+        views: list[frozenset] = []
+
+        class RecordingView(View):
+            def __init__(self, log, *args, **kwargs):
+                views.append(log.entry_set)
+                super().__init__(log, *args, **kwargs)
+
+        monkeypatch.setattr(frontend_module, "View", RecordingView)
+        cluster = self._read_one_write_all(rpc_mode)
+        fe, tm = cluster.frontends[0], cluster.tm
+        responses = []
+
+        txn = tm.begin(0)
+        responses.append(fe.execute(txn, "obj", ENQ_A))
+        tm.commit(txn)
+
+        cached = None
+        if rpc_mode == "batched":
+            cached = fe.view_cache._entries["obj"].raw
+            held = cached.entry_set
+        cluster.network.crash(1)
+        cluster.network.crash(2)
+        txn = tm.begin(0)
+        with pytest.raises(TransactionAborted):
+            fe.execute(txn, "obj", self.ENQ_B)  # site 0 acks, 1 and 2 time out
+        if cached is not None:
+            unacknowledged = cluster.repositories[0].peek_log("obj").entry_set - held
+            assert len(unacknowledged) == 1
+            assert fe.view_cache._entries["obj"].raw is cached
+            assert cached.entry_set == held and len(cached) == len(held)
+            assert not any(entry in cached for entry in unacknowledged)
+        cluster.network.recover(1)
+        cluster.network.recover(2)
+
+        txn = tm.begin(0)
+        responses.append(fe.execute(txn, "obj", ENQ_A))
+        responses.append(fe.execute(txn, "obj", DEQ))
+        tm.commit(txn)
+        stored = [repo.peek_log("obj").entry_set for repo in cluster.repositories]
+        return views, responses, stored
+
+    def test_next_operation_sees_the_view_the_serial_path_sees(self, monkeypatch):
+        batched = self._timed_out_write_then_success("batched", monkeypatch)
+        serial = self._timed_out_write_then_success("serial", monkeypatch)
+        assert batched == serial
+        views, responses, _stored = batched
+        assert len(views) == 4 and responses[-1] == ok("a")
+
+    def test_retries_resend_the_update_built_once(self, monkeypatch):
+        from repro.replication.frontend import FrontEnd
+        from repro.resilience.policy import RetryPolicy
+
+        cluster = self._read_one_write_all("batched")
+        fe = cluster.frontends[0]
+        fe.retry_policy = RetryPolicy(
+            max_attempts=4, base_delay=5.0, jitter=0.0, op_budget=None
+        )
+        sent = []
+        write_quorum = FrontEnd._write_quorum
+
+        def recording(self, obj, coterie, update, event, epoch=0):
+            sent.append(update)
+            return write_quorum(self, obj, coterie, update, event, epoch)
+
+        monkeypatch.setattr(FrontEnd, "_write_quorum", recording)
+        txn = cluster.tm.begin(0)
+        fe.execute(txn, "obj", ENQ_A)
+        cached = fe.view_cache._entries["obj"].raw
+        cluster.network.crash(2)
+        # Back while the front-end is backing off from the first attempt.
+        cluster.sim.schedule(6.0, lambda: cluster.network.recover(2))
+        assert fe.execute(txn, "obj", self.ENQ_B) == ok()
+        cluster.tm.commit(txn)
+        assert len(sent) >= 3 and fe._retry_seq >= 1
+        assert all(update is sent[1] for update in sent[1:])
+        # ... and that one update is the next version of the cached view.
+        assert len(sent[1].fresh_since(cached)) == 1
+        assert all(repo.entry_count("obj") == 2 for repo in cluster.repositories)
+
+
 class TestQuorumSemantics:
     def test_empty_initial_coterie_reads_nothing(self):
         """An operation depending on nothing needs no view and no I/O."""

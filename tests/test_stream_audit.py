@@ -260,7 +260,7 @@ class TestClearRegression:
 
         log_monitor = LogConsistencyMonitor(window=8)
         log_monitor._canonical["q"] = {1: None}
-        log_monitor._verified[("q", 0)] = [None]
+        log_monitor._last_log[("q", 0)] = None
         log_monitor.on_clear()
         assert log_monitor.state_cells() == 0
 
