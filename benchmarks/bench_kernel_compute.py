@@ -10,11 +10,13 @@ compute layer's two core claims:
   cache and the process fan-out are pure performance layers.
 
 The parallel measurement (``PARALLEL_JOBS`` workers, one type per
-process) additionally asserts **≥ 1.5× over serial** — but only when
-the machine can actually run two processes at once
-(``available_cpus() >= 2``) and the pool really engaged; on a
-single-CPU container the numbers are still recorded, honestly, in
-``benchmarks/results/BENCH_kernel_compute.json``.
+process) is always recorded, honestly, in
+``benchmarks/results/BENCH_kernel_compute.json``.  Its wall-clock claim
+— **≥ 1.5× over serial** when the machine can actually run two
+processes at once (``available_cpus() >= 2``) and the pool really
+engaged — is a ``perf``-marked test over the same measurement
+(``pytest -m perf``), outside tier-1: pool start-up on a busy 2-CPU
+host decides it, not the code under test.
 
 Standalone: ``python benchmarks/bench_kernel_compute.py [--quick]``
 runs the same measurements against a private temporary cache (CI's
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
+import pytest
 from conftest import emit_json, report
 
 from repro.compute.artifacts import (
@@ -150,18 +153,28 @@ def _check(results: dict) -> None:
         f"warm speedup {results['warm_speedup']:.1f}x below the "
         f"{WARM_SPEEDUP_FLOOR}x floor"
     )
-    if results["cpus"] >= 2 and results["parallel_used"]:
-        assert results["parallel_speedup"] >= PARALLEL_SPEEDUP_FLOOR, (
-            f"parallel speedup {results['parallel_speedup']:.2f}x below the "
-            f"{PARALLEL_SPEEDUP_FLOOR}x floor on a {results['cpus']}-cpu host"
-        )
 
 
-def test_kernel_compute_cache_and_fanout(bench_cache_state):
-    results = _measure(PLAN)
-    emit_json("kernel_compute", results, cache_state=bench_cache_state)
-    report("kernel_compute", _render(results))
-    _check(results)
+@pytest.fixture(scope="module")
+def measured():
+    """One measurement, shared by the tier-1 checks and the perf floor."""
+    return _measure(PLAN)
+
+
+def test_kernel_compute_cache_and_fanout(measured, bench_cache_state):
+    emit_json("kernel_compute", measured, cache_state=bench_cache_state)
+    report("kernel_compute", _render(measured))
+    _check(measured)
+
+
+@pytest.mark.perf
+def test_kernel_compute_pool_speedup(measured):
+    if not (measured["cpus"] >= 2 and measured["parallel_used"]):
+        pytest.skip("the pool did not engage on this host")
+    assert measured["parallel_speedup"] >= PARALLEL_SPEEDUP_FLOOR, (
+        f"parallel speedup {measured['parallel_speedup']:.2f}x below the "
+        f"{PARALLEL_SPEEDUP_FLOOR}x floor on a {measured['cpus']}-cpu host"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,16 +12,21 @@ these two operations run in concurrent uncommitted transactions?":
   reader's response depended on the absence of.
 
 Both predicates are precomputed into dictionaries over the event
-alphabet so the runtime never replays histories on the hot path.
+alphabet so the runtime never replays histories on the hot path — and,
+being functions of the type alone, once per data type value
+(:func:`~repro.spec.facts.derived_once`), not once per object.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from repro.dependency.dynamic_dep import commutativity_table
 from repro.dependency.relation import DependencyRelation
 from repro.histories.events import Event
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import event_alphabet
+from repro.spec.facts import derived_once
 from repro.spec.legality import LegalityOracle
 
 
@@ -30,11 +35,12 @@ class ConflictTable:
 
     Events outside the precomputed alphabet conservatively conflict with
     everything (sound: extra conflicts never violate atomicity, they
-    only cost concurrency).
+    only cost concurrency).  Read-only: one table is shared by every
+    object of a data type.
     """
 
     def __init__(self, conflicts: dict[tuple[Event, Event], bool]):
-        self._conflicts = conflicts
+        self._conflicts = MappingProxyType(dict(conflicts))
 
     def conflict(self, first: Event, second: Event) -> bool:
         return self._conflicts.get((first, second), True)
@@ -75,14 +81,28 @@ def commutativity_conflicts(
     oracle: LegalityOracle | None = None,
     events: tuple[Event, ...] | None = None,
 ) -> ConflictTable:
-    """Conflicts = non-commuting event pairs (two-phase locking)."""
-    oracle = oracle or LegalityOracle(datatype)
-    if events is None:
-        events = event_alphabet(datatype, max_events + 2, oracle)
-    table = commutativity_table(datatype, max_events, oracle, events)
-    return ConflictTable(
-        {pair: not commutes for pair, commutes in table.items()}
-    )
+    """Conflicts = non-commuting event pairs (two-phase locking).
+
+    Over the type's own depth-``max_events + 2`` alphabet the table is
+    derived once per data type value and depth, and every later call
+    returns that same table (``oracle`` is then only where the first
+    derivation memoizes its replays).  Over an explicit ``events``
+    alphabet it is derived as asked, every time.
+    """
+
+    def derive() -> ConflictTable:
+        legality = oracle or LegalityOracle(datatype)
+        alphabet = events
+        if alphabet is None:
+            alphabet = event_alphabet(datatype, max_events + 2, legality)
+        table = commutativity_table(datatype, max_events, legality, alphabet)
+        return ConflictTable(
+            {pair: not commutes for pair, commutes in table.items()}
+        )
+
+    if events is not None:
+        return derive()
+    return derived_once(datatype, ("commutativity_conflicts", max_events), derive)
 
 
 def dependency_conflicts(
@@ -97,3 +117,18 @@ def dependency_conflicts(
                 first.inv, second
             ) or relation.depends(second.inv, first)
     return ConflictTable(conflicts)
+
+
+def hybrid_conflicts(
+    datatype: SerialDataType, relation: DependencyRelation
+) -> ConflictTable:
+    """The hybrid scheme's table: ``relation`` over the depth-4 alphabet.
+
+    Derived once per data type value and relation; every later call
+    returns that same table.
+    """
+    return derived_once(
+        datatype,
+        ("hybrid_conflicts", relation),
+        lambda: dependency_conflicts(relation, event_alphabet(datatype, 4)),
+    )

@@ -20,18 +20,23 @@ schemes (Weihl's commit-time timestamps, Avalon).
 from __future__ import annotations
 
 from repro.cc.base import CCScheme
-from repro.cc.conflicts import ConflictTable, dependency_conflicts
+from repro.cc.conflicts import ConflictTable, hybrid_conflicts
 from repro.dependency.relation import DependencyRelation
 from repro.histories.events import Event, Invocation
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
-from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import Transaction
 
 
 class HybridCC(CCScheme):
-    """Commit-time timestamp ordering with dependency-based locking."""
+    """Commit-time timestamp ordering with dependency-based locking.
+
+    The conflict table is ``relation`` in either direction over the
+    type's depth-4 alphabet, shared by every object of an equal data
+    type under an equal relation (:func:`~repro.cc.conflicts.hybrid_conflicts`);
+    the legality ``oracle`` stays this object's own and starts empty.
+    """
 
     name = "hybrid"
     serialization_order = "commit"
@@ -46,8 +51,7 @@ class HybridCC(CCScheme):
         super().__init__(datatype, oracle)
         self.relation = relation
         if conflicts is None:
-            events = event_alphabet(datatype, 4, self.oracle)
-            conflicts = dependency_conflicts(relation, events)
+            conflicts = hybrid_conflicts(datatype, relation)
         self.conflicts = conflicts
 
     def choose_event(

@@ -31,7 +31,12 @@ from repro.txn.ids import Transaction
 
 
 class DynamicLockingCC(CCScheme):
-    """Two-phase locking on the type's commutativity conflict table."""
+    """Two-phase locking on the type's commutativity conflict table.
+
+    The table is shared by every object of an equal data type
+    (:func:`~repro.cc.conflicts.commutativity_conflicts`); the legality
+    ``oracle`` stays this object's own and starts empty.
+    """
 
     name = "dynamic"
     serialization_order = "commit"
@@ -45,9 +50,7 @@ class DynamicLockingCC(CCScheme):
     ):
         super().__init__(datatype, oracle)
         if conflicts is None:
-            conflicts = commutativity_conflicts(
-                datatype, commutativity_depth, self.oracle
-            )
+            conflicts = commutativity_conflicts(datatype, commutativity_depth)
         self.conflicts = conflicts
 
     def choose_event(

@@ -108,8 +108,6 @@ class FrontEnd:
         #: (never the simulator's RNG — retries must not perturb the
         #: seeded workload schedule).
         self._retry_seq = 0
-        #: Cached read-only classification per object name.
-        self._read_only_cache: dict[str, frozenset[str]] = {}
         #: Cached replica visit order for the fully replicated case (the
         #: router resolves per object and caches internally).
         self._all_sites_order: tuple[int, ...] | None = None
@@ -337,11 +335,7 @@ class FrontEnd:
         """Operations eligible for the degraded-read fallback."""
         if policy.read_only_ops is not None:
             return policy.read_only_ops
-        cached = self._read_only_cache.get(obj.name)
-        if cached is None:
-            cached = read_only_operations(obj.datatype)
-            self._read_only_cache[obj.name] = cached
-        return cached
+        return read_only_operations(obj.datatype)
 
     # -- quorum assembly ---------------------------------------------------------
 

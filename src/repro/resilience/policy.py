@@ -22,6 +22,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Hashable
 
+from repro.spec.facts import derived_once
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
     from repro.spec.datatype import SerialDataType
@@ -36,8 +38,13 @@ __all__ = [
 
 
 #: Upper bound on distinct states explored when classifying operations
-#: as read-only; every built-in type's reachable state space under its
-#: generator alphabet is far smaller.
+#: as read-only.  What it guarantees: the classification is sound up to
+#: the explored states — an operation is reported read-only iff none of
+#: its invocations moved any of them.  A finite state space (Register,
+#: PROM, Bag, Directory) is explored whole, and a type whose every
+#: operation mutates (Queue, Stack) stops after a few states; an
+#: unbounded type with a genuine read runs into the cap on every call
+#: (Counter, Account, LogObject — ~12k ``apply`` calls for Counter).
 _CLASSIFY_STATE_CAP = 4096
 
 #: Large odd multipliers for mixing jitter keys (splitmix-style); the
@@ -219,11 +226,6 @@ POLICIES: dict[str, RetryPolicy] = {
 }
 
 
-#: Keyed by ``id(datatype)``; the instance is kept in the value so the
-#: id can never be recycled while its entry is live.
-_READ_ONLY_CACHE: dict[int, tuple[object, frozenset[str]]] = {}
-
-
 def read_only_operations(datatype: "SerialDataType") -> frozenset[str]:
     """Operations of ``datatype`` that never change its state.
 
@@ -234,13 +236,18 @@ def read_only_operations(datatype: "SerialDataType") -> frozenset[str]:
     (``canonical``-equal).  Queue's ``Deq`` mutates; Register's ``Read``
     does not — exactly the distinction the degraded-read fallback needs.
 
-    Results are cached per datatype instance.  Raises nothing: an
-    operation absent from the alphabet is simply never classified
-    read-only.
+    Derived once per data type value
+    (:func:`~repro.spec.facts.derived_once`): every object of an equal
+    data type, in every cluster, gets the same frozenset.  Raises
+    nothing: an operation absent from the alphabet is simply never
+    classified read-only.
     """
-    cached = _READ_ONLY_CACHE.get(id(datatype))
-    if cached is not None:
-        return cached[1]
+    return derived_once(
+        datatype, "read_only_operations", lambda: _classify_read_only(datatype)
+    )
+
+
+def _classify_read_only(datatype: "SerialDataType") -> frozenset[str]:
     alphabet = tuple(datatype.invocations())
     candidates = set(datatype.operations())
     frontier = [datatype.initial_state()]
@@ -256,6 +263,4 @@ def read_only_operations(datatype: "SerialDataType") -> frozenset[str]:
                 if nxt_key not in seen:
                     seen.add(nxt_key)
                     frontier.append(nxt)
-    result = frozenset(candidates)
-    _READ_ONLY_CACHE[id(datatype)] = (datatype, result)
-    return result
+    return frozenset(candidates)

@@ -71,17 +71,22 @@ def _hybrid_relation(datatype):
     The queue gets the paper's minimal grounded relation; other types
     fall back to the total relation, which is atomic for every data
     type (every dependency kept means every serialization order the
-    scheme admits is a dependency order).
+    scheme admits is a dependency order).  Grounded once per data type
+    value; every later call returns that same relation.
     """
     from repro.dependency import known
     from repro.dependency.relation import DependencyRelation
+    from repro.spec.facts import derived_once
     from repro.types import Queue
 
-    if isinstance(datatype, Queue):
-        return known.ground(datatype, known.QUEUE_STATIC, 5)
-    return DependencyRelation.total(
-        datatype.invocations(), known.event_alphabet(datatype, 5)
-    )
+    def ground():
+        if isinstance(datatype, Queue):
+            return known.ground(datatype, known.QUEUE_STATIC, 5)
+        return DependencyRelation.total(
+            datatype.invocations(), known.event_alphabet(datatype, 5)
+        )
+
+    return derived_once(datatype, "scenario_hybrid_relation", ground)
 
 
 def scenario_keyspace(n_objects: int, n_sites: int, scheme: str):
