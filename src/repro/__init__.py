@@ -38,11 +38,9 @@ Multi-object keyspaces (see ``docs/KEYSPACE.md``) are first-class: a
 declarative :class:`KeyspaceSpec` compiled through a :class:`Placement`
 and served by a :class:`Router` — :func:`build_keyspace` wires the
 whole thing, and :func:`build_cluster` remains the one-object shim over
-it.  Constructing :class:`ReplicatedObject` directly is deprecated; go
-through :meth:`Cluster.add_object` or a spec instead.
+it.  Replicated objects are registered through :meth:`Cluster.add_object`
+or a spec, never constructed by hand.
 """
-
-import warnings as _warnings
 
 from repro.histories.events import Event, Invocation, Response, event, ok, signal
 from repro.histories.behavioral import BehavioralHistory
@@ -162,26 +160,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    """PEP 562 shim: deprecated facade names resolve with a warning.
-
-    ``repro.ReplicatedObject`` still works — examples written against
-    the pre-keyspace surface keep running — but constructing replicated
-    objects by hand bypasses placement and registration; new code goes
-    through :meth:`Cluster.add_object` or a :class:`KeyspaceSpec`.  The
-    deep import (``repro.replication.object.ReplicatedObject``) stays
-    warning-free for the runtime's own wiring and for tests.
-    """
-    if name == "ReplicatedObject":
-        _warnings.warn(
-            "importing ReplicatedObject from the repro facade is "
-            "deprecated: register objects via Cluster.add_object or a "
-            "KeyspaceSpec + build_keyspace instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.replication.object import ReplicatedObject
-
-        return ReplicatedObject
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -93,69 +93,17 @@ def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_workload(
-    args: argparse.Namespace,
-    *,
-    tracer: Tracer | None = None,
-    profiler: KernelProfiler | None = None,
-):
-    """Assemble the standard workload without running it.
-
-    Returns ``(cluster, generator)`` so callers can attach observers
-    (e.g. the online auditor) or apply fault injection between
-    construction and ``generator.run``.
-
-    With ``--objects 1 --placement all`` (the defaults) this is the
-    classic single replicated-queue workload, byte-identical to every
-    pre-keyspace release; any other setting builds a mixed
-    queue/register/counter keyspace via
-    :func:`~repro.replication.keyspace.demo_keyspace` and drives a
-    uniform cross-object mix.
-    """
-    from repro.dependency import known
-    from repro.replication.cluster import build_cluster, build_keyspace
-    from repro.replication.keyspace import demo_keyspace, demo_mix
-    from repro.sim.failures import CrashInjector, PartitionInjector
-    from repro.sim.workload import OperationMix, WorkloadGenerator
-    from repro.types import Queue
-
-    n_objects = getattr(args, "objects", 1)
-    placement = getattr(args, "placement", "all")
-    if n_objects > 1 or placement != "all":
-        spec = demo_keyspace(n_objects, args.sites, placement=placement)
-        cluster = build_keyspace(
-            spec,
-            seed=args.seed,
-            drop_probability=args.drop_probability,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        mix = demo_mix(spec)
-    else:
-        cluster = build_cluster(
-            args.sites,
-            seed=args.seed,
-            drop_probability=args.drop_probability,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("queue", queue, "hybrid", relation=relation)
-        mix = OperationMix.uniform("queue", queue.invocations())
-    if args.crashes:
-        CrashInjector(cluster.network, 60.0, 8.0).install()
-    if getattr(args, "partitions", False):
-        PartitionInjector(cluster.network, 80.0, 10.0).install()
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        mix,
-        ops_per_transaction=3,
-        concurrency=4,
-    )
-    return cluster, generator
+def _workload_shape(args: argparse.Namespace) -> dict:
+    """The ``build_workload`` keywords a workload subcommand parsed."""
+    return {
+        "seed": args.seed,
+        "sites": args.sites,
+        "drop_probability": args.drop_probability,
+        "objects": getattr(args, "objects", 1),
+        "placement": getattr(args, "placement", "all"),
+        "crashes": args.crashes,
+        "partitions": getattr(args, "partitions", False),
+    }
 
 
 def _run_workload(
@@ -165,7 +113,11 @@ def _run_workload(
     profiler: KernelProfiler | None = None,
 ):
     """Drive the standard replicated-queue workload; returns (cluster, metrics)."""
-    cluster, generator = _build_workload(args, tracer=tracer, profiler=profiler)
+    from repro.scenarios import build_workload
+
+    cluster, generator = build_workload(
+        **_workload_shape(args), tracer=tracer, profiler=profiler
+    )
     metrics = generator.run(args.transactions)
     return cluster, metrics
 
@@ -181,16 +133,7 @@ def _artifacts_argument(parser: argparse.ArgumentParser) -> None:
 
 def _workload_plan(args: argparse.Namespace) -> dict:
     """The shared workload section of a ``plan.json``."""
-    return {
-        "seed": args.seed,
-        "sites": args.sites,
-        "transactions": getattr(args, "transactions", None),
-        "objects": getattr(args, "objects", 1),
-        "placement": getattr(args, "placement", "all"),
-        "crashes": getattr(args, "crashes", False),
-        "partitions": getattr(args, "partitions", False),
-        "drop_probability": getattr(args, "drop_probability", 0.0),
-    }
+    return {**_workload_shape(args), "transactions": args.transactions}
 
 
 def _write_artifacts(args: argparse.Namespace, plan: dict, report: dict) -> None:
@@ -313,9 +256,10 @@ def _mix_table(rows: list[dict]) -> str:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.compute.obs import kernel_metrics
     from repro.resilience.policy import read_only_operations
+    from repro.scenarios import build_workload
     from repro.tuning import MixObserver
 
-    cluster, generator = _build_workload(args)
+    cluster, generator = build_workload(**_workload_shape(args))
     observer = MixObserver(
         {
             name: read_only_operations(obj.datatype)
@@ -605,17 +549,20 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
     """One audited workload run; returns the finished AuditReport."""
     from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
     from repro.obs.mutations import MUTATIONS
+    from repro.scenarios import build_workload
 
+    shape = _workload_shape(args)
     if mutate == "shard-misroute":
         # The misroute sabotage needs somewhere to misroute *to*: a
         # partially replicated keyspace on enough sites that ring
         # placement (rf 3) leaves at least one non-holding site per
         # object.  Upgrade the workload shape; everything else (seed,
         # transactions, faults) stays as given.
-        args = argparse.Namespace(**vars(args))
-        args.placement = "ring"
-        args.objects = max(getattr(args, "objects", 1), 4)
-        args.sites = max(args.sites, 5)
+        shape.update(
+            placement="ring",
+            objects=max(shape["objects"], 4),
+            sites=max(shape["sites"], 5),
+        )
     streaming = getattr(args, "streaming", False)
     window = getattr(args, "window", None) or DEFAULT_STREAM_WINDOW
     if streaming:
@@ -625,7 +572,7 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
         tracer = Tracer(retention="ring", window=window)
     else:
         tracer = Tracer()
-    cluster, generator = _build_workload(args, tracer=tracer)
+    cluster, generator = build_workload(**shape, tracer=tracer)
     # Attach first: monitors pin the declared configuration before any
     # seeded mutation can rewrite it.
     auditor = Auditor(

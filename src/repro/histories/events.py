@@ -39,6 +39,24 @@ OK = "Ok"
 _INTERN_LIMIT = 4096
 
 
+def _new_flyweight(cls, key, *fields):
+    """Build ``cls(*fields)`` on an intern-table miss and remember it.
+
+    Intern keys carry the *types* of the values as well as the values:
+    ``False == 0`` and ``True == 1`` in Python, and a flyweight shared
+    between ``Ok(False)`` and ``Ok(0)`` would render whichever a process
+    met first.  Equality and hashing stay by value (``hash(fields)``);
+    the key is kept in ``_key`` so an :class:`Event` can be keyed on its
+    parts' keys.
+    """
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, (*fields, hash(fields), key)):
+        object.__setattr__(self, name, value)
+    if len(cls._interned) < _INTERN_LIMIT:
+        cls._interned[key] = self
+    return self
+
+
 class Invocation:
     """An operation invocation: an operation name plus argument values.
 
@@ -46,23 +64,16 @@ class Invocation:
     are drawn from each data type's small generator alphabet.
     """
 
-    __slots__ = ("op", "args", "_hash")
+    __slots__ = ("op", "args", "_hash", "_key")
 
     _interned: dict = {}
 
     def __new__(cls, op: str, args: tuple[Hashable, ...] = ()):
-        key = (op, args)
-        table = cls._interned
-        cached = table.get(key)
+        key = (op, args, *map(type, args)) if args else (op, args)
+        cached = cls._interned.get(key)
         if cached is not None:
             return cached
-        self = object.__new__(cls)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(key))
-        if len(table) < _INTERN_LIMIT:
-            table[key] = self
-        return self
+        return _new_flyweight(cls, key, op, args)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Invocation is immutable (tried to set {name!r})")
@@ -100,23 +111,16 @@ class Response:
     following the CLU-style termination model the paper uses [19].
     """
 
-    __slots__ = ("kind", "values", "_hash")
+    __slots__ = ("kind", "values", "_hash", "_key")
 
     _interned: dict = {}
 
     def __new__(cls, kind: str = OK, values: tuple[Hashable, ...] = ()):
-        key = (kind, values)
-        table = cls._interned
-        cached = table.get(key)
+        key = (kind, values, *map(type, values)) if values else (kind, values)
+        cached = cls._interned.get(key)
         if cached is not None:
             return cached
-        self = object.__new__(cls)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_hash", hash(key))
-        if len(table) < _INTERN_LIMIT:
-            table[key] = self
-        return self
+        return _new_flyweight(cls, key, kind, values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Response is immutable (tried to set {name!r})")
@@ -152,23 +156,18 @@ class Response:
 class Event:
     """An invocation paired with the response the object returned for it."""
 
-    __slots__ = ("inv", "res", "_hash")
+    __slots__ = ("inv", "res", "_hash", "_key")
 
     _interned: dict = {}
 
     def __new__(cls, inv: Invocation, res: Response):
-        key = (inv, res)
-        table = cls._interned
-        cached = table.get(key)
+        # The parts' own intern keys, not the parts: two invocations equal
+        # by value but differing in a value's type must stay distinct.
+        key = (inv._key, res._key)
+        cached = cls._interned.get(key)
         if cached is not None:
             return cached
-        self = object.__new__(cls)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "res", res)
-        object.__setattr__(self, "_hash", hash(key))
-        if len(table) < _INTERN_LIMIT:
-            table[key] = self
-        return self
+        return _new_flyweight(cls, key, inv, res)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Event is immutable (tried to set {name!r})")

@@ -448,28 +448,24 @@ def streaming_matches_deep(
 ) -> dict[str, Any]:
     """One workload, two auditors, byte-compared verdicts.
 
-    Builds the standard CLI workload (the tier-1 shape), attaches a
+    Builds the standard workload
+    (:func:`~repro.scenarios.runner.build_workload`), attaches a
     deep auditor *and* a streaming auditor to the same tracer, runs it
     once, and compares ``json.dumps(report.verdict(STREAMING_INVARIANTS),
     sort_keys=True)`` byte for byte.  With ``mutate`` the seeded
     protocol sabotage is applied after both auditors have pinned the
     declared configuration, so both must flag it identically.
     """
-    import argparse
+    from repro.scenarios import build_workload
 
-    from repro.__main__ import _build_workload
-
-    args = argparse.Namespace(
+    cluster, generator = build_workload(
         seed=seed,
         sites=sites,
-        transactions=transactions,
-        crashes=crashes,
-        drop_probability=0.0,
         objects=objects,
         placement=placement,
+        crashes=crashes,
+        tracer=Tracer(),
     )
-    tracer = Tracer()
-    cluster, generator = _build_workload(args, tracer=tracer)
     deep = Auditor(cluster, mode="deep")
     streaming = Auditor(cluster, mode="streaming", window=window)
     if mutate is not None:

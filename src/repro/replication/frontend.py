@@ -25,7 +25,7 @@ from repro.obs.trace import NULL_SPAN, Tracer
 from repro.quorum.coterie import Coterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.repository import Repository
+from repro.replication.repository import Repository, read_walk, walk
 from repro.replication.serialcache import (
     CACHE_FOR_ORDER,
     BeginOrderCache,
@@ -39,7 +39,7 @@ from repro.resilience.policy import (
     RetryPolicy,
     read_only_operations,
 )
-from repro.sim.network import Network, Timeout
+from repro.sim.network import Network
 from repro.txn.ids import Transaction
 from repro.txn.manager import TransactionManager
 
@@ -459,40 +459,27 @@ class FrontEnd:
             object=obj.name,
             epoch=epoch,
         ) as span:
-            responders: set[int] = set()
-            merged = Log()
-            best = None
-            if coterie.has_quorum(frozenset()):
-                span.annotate(quorum=())
-                return merged, None
-            for site in self._site_order(obj):
-                try:
-                    fragment, snapshot = self.network.request(
-                        self.site,
-                        site,
-                        lambda s=site: (
-                            self.repositories[s].read_log(obj.name),
-                            self.repositories[s].read_snapshot(obj.name),
-                        ),
-                    )
-                except Timeout:
-                    continue
-                merged = merged.merge(fragment)
-                if snapshot is not None and snapshot.subsumes(best):
-                    best = snapshot
-                responders.add(site)
-                if coterie.has_quorum(frozenset(responders)):
-                    if best is not None:
-                        merged = Log(
-                            entry
-                            for entry in merged
-                            if entry.action not in best.dropped
-                        )
-                    span.annotate(quorum=sorted(responders))
-                    return merged, best
-            missing = self._replica_set(obj) - responders
-            span.annotate(responders=sorted(responders), missing=sorted(missing))
+            satisfied, responders, merged, best = read_walk(
+                self.network,
+                self.repositories,
+                self.site,
+                self._site_order(obj),
+                obj.name,
+                coterie.has_quorum,
+            )
+            self._conclude_serial(span, obj, op_name, satisfied, responders)
+            return merged, best
+
+    def _conclude_serial(
+        self, span, obj: ReplicatedObject, op_name: str, satisfied: bool, reached
+    ) -> None:
+        """Annotate a serial quorum span; raise when no quorum was reached."""
+        if not satisfied:
+            missing = self._replica_set(obj) - reached
+            span.annotate(responders=sorted(reached), missing=sorted(missing))
             raise UnavailableError(op_name, missing)
+        # ``()`` for a coterie the empty set satisfies, as the batched path.
+        span.annotate(quorum=sorted(reached) if reached else ())
 
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
@@ -574,25 +561,12 @@ class FrontEnd:
             res_kind=event.res.kind,
             epoch=epoch,
         ) as span:
-            acks: set[int] = set()
-            if coterie.has_quorum(frozenset()):
-                span.annotate(quorum=())
-                return
-            for site in self._site_order(obj):
-                try:
-                    self.network.request(
-                        self.site,
-                        site,
-                        lambda s=site: self.repositories[s].write_log(
-                            obj.name, update
-                        ),
-                    )
-                except Timeout:
-                    continue
-                acks.add(site)
-                if coterie.has_quorum(frozenset(acks)):
-                    span.annotate(quorum=sorted(acks))
-                    return
-            missing = self._replica_set(obj) - acks
-            span.annotate(responders=sorted(acks), missing=sorted(missing))
-            raise UnavailableError(op_name, missing)
+            satisfied, acks = walk(
+                self.network,
+                self.repositories,
+                self.site,
+                self._site_order(obj),
+                lambda repository: repository.write_log(obj.name, update),
+                coterie.has_quorum,
+            )
+            self._conclude_serial(span, obj, op_name, satisfied, frozenset(acks))

@@ -60,7 +60,8 @@ from repro.quorum.coterie import (
 )
 from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
-from repro.sim.network import Network, Timeout
+from repro.replication.repository import read_walk, walk
+from repro.sim.network import Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -336,6 +337,9 @@ def reconfigure(
         if needs_coverage(coterie)
     ]
 
+    def order(coteries):
+        return _visit_order(pool, coordinator_site, network.n_sites, coteries)
+
     with tracer.span(
         "reconfig",
         kind="reconfig",
@@ -345,26 +349,41 @@ def reconfigure(
         site=coordinator_site,
     ) as span:
         try:
-            merged, best_snapshot = _drain(
-                network,
-                repositories,
-                obj,
-                old_finals,
-                pool,
-                coordinator_site,
-                tracer,
-            )
-            _prime_phase(
-                network,
-                repositories,
-                obj,
-                new_initials,
-                pool,
-                coordinator_site,
-                tracer,
-                merged,
-                best_snapshot,
-            )
+            # Phase 1: drain — merge logs (and the best compaction
+            # snapshot) from reachable sites until they form a
+            # transversal of every old final coterie.  Without the
+            # snapshot, a primed site that was unreachable during a past
+            # compaction could end up holding neither the folded entries
+            # nor the state that subsumes them.
+            with tracer.span(
+                "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
+            ) as phase:
+                drained, reached, merged, best_snapshot = read_walk(
+                    network,
+                    repositories,
+                    coordinator_site,
+                    order(old_finals),
+                    obj.name,
+                    hits_every(old_finals),
+                )
+                _conclude(phase, drained, reached, pool, entries=len(merged))
+            # Phase 2: prime — install the complete view (snapshot first,
+            # then the residual log) on a transversal of every new
+            # initial coterie.
+            with tracer.span(
+                "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
+            ) as phase:
+                primed, acked = walk(
+                    network,
+                    repositories,
+                    coordinator_site,
+                    order(new_initials),
+                    lambda repository: _prime(
+                        repository, obj.name, best_snapshot, merged
+                    ),
+                    hits_every(new_initials),
+                )
+                _conclude(phase, primed, acked.keys(), pool)
         except UnavailableError:
             _count(registry, "reconfig.aborted")
             raise
@@ -385,98 +404,17 @@ def reconfigure(
     return True
 
 
-def _drain(
-    network: Network,
-    repositories,
-    obj: ReplicatedObject,
-    old_finals: Sequence[Coterie],
-    pool: Sequence[int],
-    coordinator_site: int,
-    tracer: Tracer,
-):
-    """Phase 1: merge logs (and the best compaction snapshot) from
-    reachable sites until they form a transversal of every old final
-    coterie.  Without the snapshot, a primed site that was unreachable
-    during a past compaction could end up holding neither the folded
-    entries nor the state that subsumes them."""
-    with tracer.span(
-        "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
-    ) as span:
-        reached: set[int] = set()
-        merged = Log()
-        best_snapshot = None
-        order = _visit_order(pool, coordinator_site, network.n_sites, old_finals)
-        for site in order:
-            if all(is_transversal(c, frozenset(reached)) for c in old_finals):
-                break
-            try:
-                fragment, snapshot = network.request(
-                    coordinator_site,
-                    site,
-                    lambda s=site: (
-                        repositories[s].read_log(obj.name),
-                        repositories[s].read_snapshot(obj.name),
-                    ),
-                )
-            except Timeout:
-                continue
-            merged = merged.merge(fragment)
-            if snapshot is not None and snapshot.subsumes(best_snapshot):
-                best_snapshot = snapshot
-            reached.add(site)
-        if not all(is_transversal(c, frozenset(reached)) for c in old_finals):
-            if tracer.enabled:
-                span.annotate(responders=sorted(reached))
-            raise UnavailableError("reconfigure", frozenset(pool) - reached)
-        if best_snapshot is not None:
-            merged = Log(
-                entry
-                for entry in merged
-                if entry.action not in best_snapshot.dropped
-            )
-        if tracer.enabled:
-            span.annotate(quorum=sorted(reached), entries=len(merged))
-    return merged, best_snapshot
+def hits_every(coteries: Sequence[Coterie]):
+    """The stop predicate of a draining walk: ``reached`` hits every coterie."""
+    return lambda reached: all(is_transversal(c, reached) for c in coteries)
 
 
-def _prime_phase(
-    network: Network,
-    repositories,
-    obj: ReplicatedObject,
-    new_initials: Sequence[Coterie],
-    pool: Sequence[int],
-    coordinator_site: int,
-    tracer: Tracer,
-    merged: Log,
-    best_snapshot,
-) -> None:
-    """Phase 2: install the complete view (snapshot first, then the
-    residual log) on a transversal of every new initial coterie."""
-    with tracer.span(
-        "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
-    ) as span:
-        acked: set[int] = set()
-        order = _visit_order(pool, coordinator_site, network.n_sites, new_initials)
-        for site in order:
-            if all(is_transversal(c, frozenset(acked)) for c in new_initials):
-                break
-            try:
-                network.request(
-                    coordinator_site,
-                    site,
-                    lambda s=site: _prime(
-                        repositories[s], obj.name, best_snapshot, merged
-                    ),
-                )
-            except Timeout:
-                continue
-            acked.add(site)
-        if not all(is_transversal(c, frozenset(acked)) for c in new_initials):
-            if tracer.enabled:
-                span.annotate(responders=sorted(acked))
-            raise UnavailableError("reconfigure", frozenset(pool) - acked)
-        if tracer.enabled:
-            span.annotate(quorum=sorted(acked))
+def _conclude(span, satisfied: bool, reached, pool, **annotations) -> None:
+    """Close a hand-over phase: annotate its span, raise if it fell short."""
+    if not satisfied:
+        span.annotate(responders=sorted(reached))
+        raise UnavailableError("reconfigure", frozenset(pool) - reached)
+    span.annotate(quorum=sorted(reached), **annotations)
 
 
 def _prime(repository, object_name: str, snapshot, merged: Log) -> None:

@@ -13,15 +13,20 @@ attaching a durable journal (see :mod:`repro.resilience.recovery`): the
 in-memory dicts then play the role of volatile state, wiped on crash by
 :meth:`lose_volatile` and rebuilt exactly — logs, snapshots, and
 version counters — by :meth:`restart` replaying checkpoint + journal.
+
+Beside the class live the two serial *walks* over a set of repositories
+(:func:`walk`, :func:`read_walk`): the per-site request loop the
+front-end's reference path, reconfiguration and compaction share.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.replication.log import EMPTY_LOG, Log, LogEntry
+from repro.sim.network import Network, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.recovery import SiteJournal
@@ -155,17 +160,8 @@ class Repository:
         no-op — installation is monotone in coverage.
         """
         current = self._snapshots.get(object_name)
-        if current is not None and not snapshot.subsumes(current):
-            return
-        self._snapshots[object_name] = snapshot
-        log = self._logs.get(object_name, EMPTY_LOG)
-        filtered = Log(
-            entry for entry in log if entry.action not in snapshot.dropped
-        )
-        self._logs[object_name] = filtered
-        self._bump(object_name)
-        if self.journal is not None:
-            self.journal.record_snapshot(object_name, snapshot, filtered)
+        if current is None or snapshot.subsumes(current):
+            self.replace_snapshot(object_name, snapshot)
 
     def replace_snapshot(self, object_name: str, snapshot) -> None:
         """Administratively swap the stored snapshot, bypassing subsumption.
@@ -239,3 +235,82 @@ class Repository:
                 f"repository {self.site} has no journal to restart from"
             )
         return self.journal.restore(self)
+
+
+# -- the repository walks ---------------------------------------------------
+
+
+def walk(
+    network: Network,
+    repositories: Sequence[Repository],
+    origin: int,
+    order: Iterable[int],
+    serve: Callable[[Repository], object],
+    enough: Callable[[frozenset[int]], bool],
+) -> tuple[bool, dict[int, object]]:
+    """Visit repositories one request at a time until ``enough`` are reached.
+
+    The per-site loop of the replication protocol (paper, Section 3.2),
+    written once for every caller that runs it serially: the front-end's
+    reference quorum path, reconfiguration's drain and prime, and
+    compaction.  ``serve(repository)`` runs at each site of ``order`` in
+    turn through :meth:`Network.request`; a site that times out is
+    skipped; the walk stops as soon as ``enough(reached)`` holds —
+    before the first request when the empty set already satisfies it.
+    A write walk passes a ``serve`` that installs state and reads the
+    reached sites off the reply keys; :func:`read_walk` is the read side.
+
+    Returns ``(satisfied, replies)``: whether ``enough`` was met, and
+    what each reached site served, in visit order.
+    """
+    replies: dict[int, object] = {}
+    satisfied = enough(frozenset())
+    for site in order:
+        if satisfied:
+            break
+        try:
+            replies[site] = network.request(
+                origin, site, lambda s=site: serve(repositories[s])
+            )
+        except Timeout:
+            continue
+        satisfied = enough(frozenset(replies))
+    return satisfied, replies
+
+
+def read_walk(
+    network: Network,
+    repositories: Sequence[Repository],
+    origin: int,
+    order: Iterable[int],
+    object_name: str,
+    enough: Callable[[frozenset[int]], bool],
+) -> tuple[bool, frozenset[int], Log, object]:
+    """Merge an object's log fragments from the sites a :func:`walk` reaches.
+
+    Returns ``(satisfied, reached, log, snapshot)``: the union of the
+    fragments served, on the best (most-covering) compaction snapshot
+    any reached site holds, with the entries that snapshot folded or
+    discarded filtered out — a lagging repository may still hold them.
+    Merges from scratch, no caches: this is the reference the batched
+    path's incremental view cache is compared against.
+    """
+    satisfied, replies = walk(
+        network,
+        repositories,
+        origin,
+        order,
+        lambda repository: (
+            repository.read_log(object_name),
+            repository.read_snapshot(object_name),
+        ),
+        enough,
+    )
+    merged, best = Log(), None
+    for fragment, snapshot in replies.values():
+        merged = merged.merge(fragment)
+        if snapshot is not None and snapshot.subsumes(best):
+            best = snapshot
+    if best is not None:
+        merged = Log(entry for entry in merged if entry.action not in best.dropped)
+    return satisfied, frozenset(replies), merged, best

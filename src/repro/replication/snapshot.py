@@ -33,9 +33,10 @@ from repro.clocks.timestamps import Timestamp
 from repro.errors import SpecificationError, UnavailableError
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.reconfig import is_transversal, needs_coverage
+from repro.replication.reconfig import hits_every, needs_coverage
+from repro.replication.repository import read_walk, walk
 from repro.replication.view import StatusSource
-from repro.sim.network import Network, Timeout
+from repro.sim.network import Network
 from repro.txn.ids import ActionId, TxnStatus
 
 
@@ -194,49 +195,23 @@ def compact(
     start = pool.index(coordinator_site) if coordinator_site in pool else 0
     order = [pool[(start + offset) % len(pool)] for offset in range(len(pool))]
 
-    reached: set[int] = set()
-    merged = Log()
-    best_base: Snapshot | None = None
-    for site in order:
-        if all(is_transversal(c, frozenset(reached)) for c in finals):
-            break
-        try:
-            fragment, base = network.request(
-                coordinator_site,
-                site,
-                lambda s=site: (
-                    repositories[s].read_log(obj.name),
-                    repositories[s].read_snapshot(obj.name),
-                ),
-            )
-        except Timeout:
-            continue
-        merged = merged.merge(fragment)
-        if base is not None and base.subsumes(best_base):
-            best_base = base
-        reached.add(site)
-    if not all(is_transversal(c, frozenset(reached)) for c in finals):
-        raise UnavailableError(
-            "compact", frozenset(range(network.n_sites)) - reached
-        )
+    drained, reached, merged, best_base = read_walk(
+        network, repositories, coordinator_site, order, obj.name, hits_every(finals)
+    )
+    if not drained:
+        raise UnavailableError("compact", frozenset(pool) - reached)
 
-    # Entries already covered or discarded by the base are not replayed.
-    if best_base is not None:
-        merged = Log(
-            entry for entry in merged if entry.action not in best_base.dropped
-        )
+    # ``merged`` holds nothing the base already covers or discards.
     snapshot = build_snapshot(obj, merged, statuses, best_base)
     if snapshot is None:
         return None
-    for site in order:
-        try:
-            network.request(
-                coordinator_site,
-                site,
-                lambda s=site: repositories[s].install_snapshot(
-                    obj.name, snapshot
-                ),
-            )
-        except Timeout:
-            continue
+    # Install wherever reachable: no site set is ever enough to stop early.
+    walk(
+        network,
+        repositories,
+        coordinator_site,
+        order,
+        lambda repository: repository.install_snapshot(obj.name, snapshot),
+        lambda _reached: False,
+    )
     return snapshot

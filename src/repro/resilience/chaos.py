@@ -23,6 +23,12 @@ histories, and message counters across ``rpc_mode="serial"`` /
 ``"batched"`` and across ``--jobs`` settings (simulated-time figures
 such as recovery latency are reported separately — the two modes run
 different clocks).
+
+The tail of an audited run is written once, here: :func:`settle`
+(clear faults, two anti-entropy passes over each object's replica-set
+star, convergence check) and :func:`run_verdict` (accounting,
+``fingerprint``, ``counts``).  :func:`run_chaos_case` and
+:func:`repro.scenarios.runner.run_scenario` both end in them.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ __all__ = [
     "generate_schedule",
     "run_chaos_case",
     "run_chaos_sweep",
+    "run_verdict",
+    "settle",
 ]
 
 #: Built-in fault profiles: what kind of trouble the schedule composes.
@@ -204,17 +212,10 @@ def run_chaos_case(
     :class:`~repro.obs.audit.Auditor`, and drives ``transactions``
     transactions through the fault schedule for ``(profile, seed)``.
 
-    After the workload: outstanding faults are cleared, anti-entropy
-    converges every replica (a site-0 star pass classically; per-object
-    replica-set passes under a keyspace, so reconciliation never ships
-    a shard to a non-holder), and the auditor's end-of-run invariants
-    execute.  The returned dict's ``fingerprint`` sub-dict is
-    mode-independent (identical across ``rpc_mode`` and ``--jobs``);
-    ``timing`` holds the simulated-clock figures (recovery-latency
-    summary and samples) that legitimately differ between modes.  ``ok``
-    requires: zero audit violations, converged replicas, and full
-    accounting — every transaction committed or aborted, every operation
-    attempt recorded under exactly one outcome.
+    After the workload :func:`settle` clears outstanding faults and
+    converges every replica set, the auditor's end-of-run invariants
+    execute, and :func:`run_verdict` builds the verdict; this run adds
+    the recovery-latency summary and samples under ``timing``.
     """
     from repro.dependency import known
     from repro.obs.audit import Auditor
@@ -290,57 +291,90 @@ def run_chaos_case(
         on_transaction_start=schedule.hook(cluster.network),
     )
     metrics = generator.run(transactions)
+    converged = settle(cluster, names)
+    verdict = run_verdict(
+        cluster,
+        names,
+        metrics,
+        auditor.finish(),
+        transactions=transactions,
+        converged=converged,
+        faults_applied=schedule.applied,
+    )
+    verdict["counts"] = {"transactions": transactions, **verdict["counts"]}
+    latency = runtime.registry.histogram("resilience.recovery.latency")
+    verdict["timing"].update(
+        recovery_syncs=int(
+            runtime.registry.counter("resilience.recovery.syncs").value
+        ),
+        recovery_failed=int(
+            runtime.registry.counter("resilience.recovery.failed").value
+        ),
+        recovery_latency=latency.summary(),
+        recovery_samples=list(latency.samples),
+    )
+    return {
+        "seed": seed,
+        "profile": profile,
+        "policy": policy_name,
+        "rpc_mode": rpc_mode,
+        **verdict,
+    }
 
-    # Cleanup: clear outstanding faults (schedules may pair a crash with
-    # a recovery past the last boundary), then reconcile twice — first
-    # pass gathers the union, second pass spreads it — so convergence is
-    # checkable exactly.  Classically that is a star-sync through site
-    # 0; under a sharded keyspace each object's replica set is starred
-    # through its own lowest replica instead, so reconciliation stays
-    # inside replica sets (genuine partial replication holds for repair
-    # traffic too).
-    if cluster.network.partitioned:
-        cluster.network.heal()
-    for site in sorted(cluster.network.crashed_sites):
-        cluster.network.recover(site)
-    antientropy = runtime.heal.antientropy
-    if objects is not None:
-        sync_pairs = sorted(
-            {
-                (reps[0], rep)
-                for reps in map(cluster.placement.replicas, names)
-                for rep in reps[1:]
-            }
-        )
-        for _pass in range(2):
-            for first, second in sync_pairs:
-                antientropy.synchronize(first, second)
-        converged = all(
-            len(
-                {
-                    str(cluster.repositories[site].peek_log(name))
-                    for site in cluster.placement.replicas(name)
-                }
-            )
-            == 1
-            for name in names
-        )
-    else:
-        for _pass in range(2):
-            for site in range(1, n_sites):
-                antientropy.synchronize(0, site)
-        converged = all(
-            len(
-                {
-                    str(repo.peek_log(name))
-                    for repo in cluster.repositories
-                }
-            )
-            == 1
-            for name in names
-        )
-    report = auditor.finish()
 
+def settle(cluster, names: Sequence[str]) -> bool:
+    """Clear outstanding faults and reconcile; returns whether replicas agree.
+
+    The cleanup phase of every audited run that injected faults (the
+    cluster must have its resilience layer enabled).  Schedules may pair
+    a crash with a recovery past the last boundary, so first heal and
+    recover everything; then reconcile twice — the first anti-entropy
+    pass gathers the union, the second spreads it — so convergence is
+    checkable exactly.  Each object's replica set is starred through its
+    own lowest replica, so repair traffic never ships a shard to a
+    non-holder (genuine partial replication holds for it too); under
+    full replication that is the star through site 0.
+    """
+    network = cluster.network
+    if network.partitioned:
+        network.heal()
+    for site in sorted(network.crashed_sites):
+        network.recover(site)
+    antientropy = cluster.resilience.heal.antientropy
+    replica_sets = [cluster.placement.replicas(name) for name in names]
+    star = sorted(
+        {(replicas[0], other) for replicas in replica_sets for other in replicas[1:]}
+    )
+    for _pass in range(2):
+        for hub, other in star:
+            antientropy.synchronize(hub, other)
+    return all(
+        len({str(cluster.repositories[site].peek_log(name)) for site in replicas})
+        == 1
+        for name, replicas in zip(names, replica_sets)
+    )
+
+
+def run_verdict(
+    cluster,
+    names: Sequence[str],
+    metrics,
+    report,
+    *,
+    transactions: int,
+    converged: bool,
+    faults_applied: int,
+) -> dict:
+    """The common part of an audited run's verdict (plain, picklable).
+
+    ``ok`` requires zero audit violations, converged replicas and full
+    accounting — every transaction committed or aborted, every
+    operation attempt recorded under exactly one outcome.  The
+    ``fingerprint`` sub-dict is mode-independent (identical across
+    ``rpc_mode`` and ``--jobs``); ``timing`` holds simulated-clock
+    figures, which legitimately differ between modes.  Callers add
+    their own header and ``timing`` entries.
+    """
     active = [t for t in cluster.tm.transactions() if t.is_active]
     attempted = sum(metrics.outcomes.values())
     by_outcome = {
@@ -355,12 +389,7 @@ def run_chaos_case(
         and metrics.committed_transactions + metrics.aborted_transactions
         >= transactions
     )
-    latency = runtime.registry.histogram("resilience.recovery.latency")
     return {
-        "seed": seed,
-        "profile": profile,
-        "policy": policy_name,
-        "rpc_mode": rpc_mode,
         "ok": bool(report.ok and converged and accounted),
         "violations": len(report.violations),
         "fingerprint": {
@@ -378,10 +407,9 @@ def run_chaos_case(
             "aborts": metrics.aborted_transactions,
             "converged": converged,
             "audit_ok": report.ok,
-            "faults_applied": schedule.applied,
+            "faults_applied": faults_applied,
         },
         "counts": {
-            "transactions": transactions,
             "attempted": attempted,
             "succeeded": by_outcome["ok"],
             "degraded": by_outcome["degraded"],
@@ -390,42 +418,13 @@ def run_chaos_case(
             "aborted_ops": by_outcome["aborted"],
             "accounted": accounted,
         },
-        "timing": {
-            "sim_time": cluster.sim.now,
-            "recovery_syncs": int(
-                runtime.registry.counter("resilience.recovery.syncs").value
-            ),
-            "recovery_failed": int(
-                runtime.registry.counter("resilience.recovery.failed").value
-            ),
-            "recovery_latency": latency.summary(),
-            "recovery_samples": list(latency.samples),
-        },
+        "timing": {"sim_time": cluster.sim.now},
     }
 
 
-def _case_trial(
-    seed: int,
-    *,
-    profile: str,
-    policy_name: str,
-    rpc_mode: str,
-    n_sites: int,
-    transactions: int,
-    objects: int | None = None,
-    placement: str = "all",
-) -> dict:
+def _case_trial(seed: int, **case) -> dict:
     """Module-level trial wrapper so sweeps pickle under ``--jobs N``."""
-    return run_chaos_case(
-        seed=seed,
-        profile=profile,
-        policy_name=policy_name,
-        rpc_mode=rpc_mode,
-        n_sites=n_sites,
-        transactions=transactions,
-        objects=objects,
-        placement=placement,
-    )
+    return run_chaos_case(seed=seed, **case)
 
 
 def _percentile(samples: Sequence[float], q: float) -> float:

@@ -11,6 +11,8 @@ The pluggable workload framework (see ``docs/SCENARIOS.md``):
   byte-identity ``default``), each with a ``doc_ref`` anchor;
 * :func:`run_scenario` — one audited run, crossable with the chaos
   profiles and the three mechanisms (:data:`MECHANISMS`);
+* :func:`build_workload` — the standard tier-1 workload the CLI's
+  ``trace``/``metrics``/``bench``/``audit`` subcommands drive;
 * the seeded samplers (:func:`zipf_weights`, :func:`hot_key_ranks`,
   :func:`poisson_arrivals`, :func:`bursty_arrivals`).
 
@@ -23,6 +25,7 @@ from repro.scenarios.catalog import SCENARIOS, scenario
 from repro.scenarios.runner import (
     MECHANISMS,
     build_scenario,
+    build_workload,
     compile_arrivals,
     compile_mix,
     run_scenario,
@@ -53,6 +56,7 @@ __all__ = [
     "ScenarioWorkload",
     "SkewSpec",
     "build_scenario",
+    "build_workload",
     "bursty_arrivals",
     "compile_arrivals",
     "compile_mix",

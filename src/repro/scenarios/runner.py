@@ -1,29 +1,39 @@
 """Compile scenario specs onto the workload engine and run them audited.
 
-Three layers, mirroring the chaos runner's discipline:
-
 * :func:`scenario_keyspace` — the keyspace a scenario runs over:
   ``objects`` mixed-type objects (queue/register/counter) all under
   **one** concurrency-control scheme, so the same traffic shape can be
   replayed under each of the paper's three atomicity mechanisms
   (:data:`MECHANISMS` maps the paper-facing mechanism names onto the
   cluster's scheme names);
-* :func:`build_scenario` — spec → ``(cluster, generator)``: the
+* :func:`build_scenario` — spec → ``(cluster, generator, names)``: the
   operation mix is compiled per object from the scenario's read/write
   balance and zipf hot-key ranking, arrivals from its arrival process,
   and both ride the :class:`~repro.sim.workload.WorkloadGenerator`'s
-  ``workload``/``arrivals`` hooks.  The ``default`` scenario compiles
-  to *exactly* the legacy workload — same cluster build, same RNG draw
+  ``mix``/``arrivals`` inputs.  The ``default`` scenario compiles to
+  *exactly* the standard workload — same cluster build, same RNG draw
   sequence — which ``tests/test_scenarios.py`` pins byte-for-byte;
+* :func:`build_workload` — that standard workload itself: the tier-1
+  shape the CLI's workload subcommands, the audit sweep and the
+  deep-vs-streaming equivalence check all drive;
 * :func:`run_scenario` — one audited run, optionally under a chaos
-  profile, returning a plain picklable verdict whose ``fingerprint``
-  sub-dict is mode-independent (identical across rpc modes and job
-  counts) while simulated-clock figures live under ``timing``.
+  profile, ending in the chaos runner's own
+  :func:`~repro.resilience.chaos.settle` and
+  :func:`~repro.resilience.chaos.run_verdict`: a plain picklable verdict
+  whose ``fingerprint`` sub-dict is mode-independent (identical across
+  rpc modes and job counts) while simulated-clock figures live under
+  ``timing``.
 """
 
 from __future__ import annotations
 
-from repro.resilience.chaos import PROFILES, ChaosSchedule, generate_schedule
+from repro.resilience.chaos import (
+    PROFILES,
+    ChaosSchedule,
+    generate_schedule,
+    run_verdict,
+    settle,
+)
 from repro.resilience.policy import POLICIES, read_only_operations
 from repro.scenarios.catalog import SCENARIOS
 from repro.scenarios.sampler import (
@@ -32,11 +42,12 @@ from repro.scenarios.sampler import (
     poisson_arrivals,
     zipf_weights,
 )
-from repro.scenarios.spec import ArrivalSpec, MixWorkload, ScenarioSpec
+from repro.scenarios.spec import ArrivalSpec, ScenarioSpec
 
 __all__ = [
     "MECHANISMS",
     "build_scenario",
+    "build_workload",
     "compile_arrivals",
     "compile_mix",
     "run_scenario",
@@ -179,9 +190,10 @@ def build_scenario(
     (:func:`~repro.replication.cluster.build_cluster` + one ``"queue"``
     object, 3 sites by default); multi-object scenarios build the
     :func:`scenario_keyspace` (5 sites by default).  ``workload``
-    overrides the compiled :class:`~repro.scenarios.spec.MixWorkload`
-    with a user-supplied :class:`~repro.scenarios.spec.ScenarioWorkload`
-    (its ``init`` is called here, before any transaction runs).
+    replaces the driver's :class:`~repro.sim.workload.MixWorkload` over
+    the compiled mix with a user-supplied
+    :class:`~repro.scenarios.spec.ScenarioWorkload` (its ``init`` is
+    called here, before any transaction runs).
     """
     from repro.replication.cluster import build_cluster, build_keyspace
     from repro.sim.workload import WorkloadGenerator
@@ -217,10 +229,8 @@ def build_scenario(
         object_specs = spec.objects
     names = tuple(obj.name for obj in object_specs)
     mix = compile_mix(object_specs, scenario, seed)
-    source = workload if workload is not None else MixWorkload(
-        mix, scenario.ops_per_transaction
-    )
-    source.init(cluster)
+    if workload is not None:
+        workload.init(cluster)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
@@ -229,10 +239,78 @@ def build_scenario(
         ops_per_transaction=scenario.ops_per_transaction,
         concurrency=scenario.concurrency,
         think_time=scenario.think_time,
-        workload=source,
+        workload=workload,
         arrivals=compile_arrivals(scenario, total, seed),
     )
     return cluster, generator, names
+
+
+def build_workload(
+    *,
+    seed: int,
+    sites: int,
+    drop_probability: float = 0.0,
+    objects: int = 1,
+    placement: str = "all",
+    crashes: bool = False,
+    partitions: bool = False,
+    tracer=None,
+    profiler=None,
+):
+    """Assemble the standard (tier-1, CLI) workload without running it.
+
+    Returns ``(cluster, generator)`` so callers can attach observers
+    (the online auditor) or apply a seeded mutation between construction
+    and ``generator.run``.  ``objects=1, placement="all"`` is the classic
+    single replicated hybrid queue, byte-identical to every pre-keyspace
+    release; any other setting builds the mixed queue/register/counter
+    :func:`~repro.replication.keyspace.demo_keyspace` and drives a
+    uniform cross-object mix.  ``crashes`` / ``partitions`` install the
+    stochastic injectors (mean uptime 60 / downtime 8; a cut every 80
+    on average, lasting 10).
+    """
+    from repro.replication.cluster import build_cluster, build_keyspace
+    from repro.replication.keyspace import demo_keyspace, demo_mix
+    from repro.sim.failures import CrashInjector, PartitionInjector
+    from repro.sim.workload import OperationMix, WorkloadGenerator
+    from repro.types import Queue
+
+    if objects > 1 or placement != "all":
+        spec = demo_keyspace(objects, sites, placement=placement)
+        cluster = build_keyspace(
+            spec,
+            seed=seed,
+            drop_probability=drop_probability,
+            tracer=tracer,
+            profiler=profiler,
+        )
+        mix = demo_mix(spec)
+    else:
+        cluster = build_cluster(
+            sites,
+            seed=seed,
+            drop_probability=drop_probability,
+            tracer=tracer,
+            profiler=profiler,
+        )
+        queue = Queue()
+        cluster.add_object(
+            "queue", queue, "hybrid", relation=_hybrid_relation(queue)
+        )
+        mix = OperationMix.uniform("queue", queue.invocations())
+    if crashes:
+        CrashInjector(cluster.network, 60.0, 8.0).install()
+    if partitions:
+        PartitionInjector(cluster.network, 80.0, 10.0).install()
+    generator = WorkloadGenerator(
+        cluster.sim,
+        cluster.tm,
+        cluster.frontends,
+        mix,
+        ops_per_transaction=3,
+        concurrency=4,
+    )
+    return cluster, generator
 
 
 def run_scenario(
@@ -255,11 +333,11 @@ def run_scenario(
     :data:`~repro.resilience.chaos.PROFILES`; a chaos profile enables
     the resilience layer under ``policy`` (default ``"default"``),
     applies the boundary-indexed fault schedule, and after the run
-    clears outstanding faults, reconciles replicas with two
-    anti-entropy passes, and checks convergence — exactly the chaos
-    runner's cleanup discipline.  The auditor watches every run
-    (bounded-memory streaming monitors by default).  ``ok`` requires
-    zero audit violations, converged replicas, and full accounting.
+    settles the cluster with the chaos runner's own
+    :func:`~repro.resilience.chaos.settle`.  The auditor watches every
+    run (bounded-memory streaming monitors by default); the verdict is
+    :func:`~repro.resilience.chaos.run_verdict`'s plus this run's
+    header and the tracer's retention figures under ``timing``.
     """
     from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
     from repro.obs.trace import Tracer
@@ -286,67 +364,37 @@ def run_scenario(
         workload=workload,
     )
     sites = cluster.network.n_sites
-    runtime = None
-    schedule = None
-    if profile != "none" or policy is not None:
-        policy_name = policy if policy is not None else "default"
+    policy_name = policy
+    if profile != "none" and policy_name is None:
+        policy_name = "default"
+    if policy_name is not None:
         if policy_name not in POLICIES:
             raise ValueError(
                 f"unknown policy {policy_name!r} "
                 f"(choose from {', '.join(sorted(POLICIES))})"
             )
-        runtime = cluster.enable_resilience(POLICIES[policy_name])
-    else:
-        policy_name = None
+        cluster.enable_resilience(POLICIES[policy_name])
     auditor = Auditor(
         cluster, mode="streaming" if streaming else "deep", window=win
     )
+    schedule = None
     if profile != "none":
         schedule = ChaosSchedule(generate_schedule(profile, seed, sites, total))
         generator.on_transaction_start = schedule.hook(cluster.network)
     metrics = generator.run(total)
-
-    converged = True
-    if profile != "none":
-        if cluster.network.partitioned:
-            cluster.network.heal()
-        for site in sorted(cluster.network.crashed_sites):
-            cluster.network.recover(site)
-        antientropy = runtime.heal.antientropy
-        sync_pairs = sorted(
-            {
-                (reps[0], rep)
-                for reps in map(cluster.placement.replicas, names)
-                for rep in reps[1:]
-            }
-        )
-        for _pass in range(2):
-            for first, second in sync_pairs:
-                antientropy.synchronize(first, second)
-        converged = all(
-            len(
-                {
-                    str(cluster.repositories[site].peek_log(name))
-                    for site in cluster.placement.replicas(name)
-                }
-            )
-            == 1
-            for name in names
-        )
+    converged = settle(cluster, names) if schedule is not None else True
     report = auditor.finish()
-
-    active = [t for t in cluster.tm.transactions() if t.is_active]
-    attempted = sum(metrics.outcomes.values())
-    by_outcome = {
-        outcome: sum(
-            count for (_op, o), count in metrics.outcomes.items() if o == outcome
-        )
-        for outcome in metrics.OUTCOMES
-    }
-    accounted = (
-        not active
-        and attempted == sum(by_outcome.values())
-        and metrics.committed_transactions + metrics.aborted_transactions >= total
+    verdict = run_verdict(
+        cluster,
+        names,
+        metrics,
+        report,
+        transactions=total,
+        converged=converged,
+        faults_applied=schedule.applied if schedule is not None else 0,
+    )
+    verdict["timing"].update(
+        retained_spans=report.retained_spans, peak_retained=report.peak_retained
     )
     return {
         "scenario": scenario.name,
@@ -358,39 +406,7 @@ def run_scenario(
         "rpc_mode": rpc_mode,
         "n_sites": sites,
         "transactions": total,
-        "ok": bool(report.ok and converged and accounted),
-        "violations": len(report.violations),
-        "fingerprint": {
-            "outcomes": {
-                f"{op}/{outcome}": count
-                for (op, outcome), count in sorted(metrics.outcomes.items())
-            },
-            "histories": {
-                name: str(cluster.tm.object(name).recorder.to_behavioral_history())
-                for name in names
-            },
-            "messages_sent": cluster.network.messages_sent,
-            "messages_dropped": cluster.network.messages_dropped,
-            "commits": metrics.committed_transactions,
-            "aborts": metrics.aborted_transactions,
-            "converged": converged,
-            "audit_ok": report.ok,
-            "faults_applied": schedule.applied if schedule is not None else 0,
-        },
-        "counts": {
-            "attempted": attempted,
-            "succeeded": by_outcome["ok"],
-            "degraded": by_outcome["degraded"],
-            "unavailable": by_outcome["unavailable"],
-            "conflict": by_outcome["conflict"],
-            "aborted_ops": by_outcome["aborted"],
-            "accounted": accounted,
-        },
-        "timing": {
-            "sim_time": cluster.sim.now,
-            "retained_spans": report.retained_spans,
-            "peak_retained": report.peak_retained,
-        },
+        **verdict,
     }
 
 

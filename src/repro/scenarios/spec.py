@@ -10,15 +10,18 @@ per named scenario with a ``doc_ref`` anchor into ``docs/SCENARIOS.md``
 (drift between catalog and doc is test-enforced).
 
 The escape hatch is :class:`ScenarioWorkload`: any object satisfying
-its ``init()``/``run()`` contract can replace the compiled mix sampler
-entirely, pgWorkload-style, while still riding the driver's
-concurrency, retry, and arrival machinery.
+its ``init()``/``run()`` contract can replace the driver's built-in
+:class:`~repro.sim.workload.MixWorkload` (re-exported here) entirely,
+pgWorkload-style, while still riding the driver's concurrency, retry,
+and arrival machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+from repro.sim.workload import MixWorkload  # re-exported: the default workload
 
 __all__ = [
     "ArrivalSpec",
@@ -247,20 +250,3 @@ class ScenarioWorkload:
     def run(self, rng) -> Sequence[tuple]:
         """Return one transaction's ``(object_name, invocation)`` list."""
         raise NotImplementedError
-
-
-class MixWorkload(ScenarioWorkload):
-    """The built-in workload: sample a compiled weighted mix.
-
-    Performs exactly ``ops_per_transaction`` draws of ``mix.sample``
-    per transaction — the same RNG consumption as the legacy inline
-    sampler, which is what keeps the compiled default scenario
-    byte-identical to seeded legacy runs.
-    """
-
-    def __init__(self, mix, ops_per_transaction: int):
-        self.mix = mix
-        self.ops_per_transaction = ops_per_transaction
-
-    def run(self, rng) -> list[tuple]:
-        return [self.mix.sample(rng) for _ in range(self.ops_per_transaction)]

@@ -8,12 +8,12 @@ transaction pseudo-randomly from the simulator's seeded RNG) and two
 orthogonal hooks decide what those transactions contain and when they
 arrive:
 
-* **what** — by default each transaction samples
-  ``ops_per_transaction`` operations from an :class:`OperationMix`;
-  passing a ``workload`` object (anything with the
-  ``init()``/``run()`` contract of
-  :class:`~repro.scenarios.ScenarioWorkload`) replaces the sampler with
-  user-defined transaction bodies, pgWorkload-style.  The declarative
+* **what** — every transaction body comes from a ``workload`` object
+  (anything with the ``run(rng)`` method of the
+  :class:`~repro.scenarios.ScenarioWorkload` contract).  The default is
+  :class:`MixWorkload`: ``ops_per_transaction`` draws from an
+  :class:`OperationMix`; passing another replaces it with user-defined
+  transaction bodies, pgWorkload-style.  The declarative
   :class:`~repro.scenarios.ScenarioSpec` layer compiles operation
   mixes, zipf key skew, and arrival processes onto these same hooks —
   see :mod:`repro.scenarios` and ``docs/SCENARIOS.md``;
@@ -32,10 +32,10 @@ arrive:
   outcomes stay byte-identical — the same reason chaos schedules are
   indexed by transaction boundary rather than by ``sim.now``).
 
-Neither hook perturbs seeded legacy runs: with ``workload=None`` and
-``arrivals=None`` the driver draws exactly the same RNG sequence as it
-always has, and the compiled default scenario is test-enforced
-byte-identical to it (``tests/test_scenarios.py``).
+Neither hook perturbs seeded runs: with ``workload=None`` and
+``arrivals=None`` the driver draws exactly the RNG sequence it always
+has, and the compiled default scenario is test-enforced byte-identical
+to it (``tests/test_scenarios.py``, ``tests/test_golden_runs.py``).
 
 Outcomes feed the :class:`~repro.sim.metrics.MetricRecorder`:
 
@@ -105,6 +105,22 @@ class OperationMix:
         return self.choices[-1][0]
 
 
+class MixWorkload:
+    """The built-in transaction source: sample a weighted mix.
+
+    Performs exactly ``ops_per_transaction`` draws of ``mix.sample`` per
+    transaction; the RNG consumption every seeded fingerprint is pinned
+    on.
+    """
+
+    def __init__(self, mix: OperationMix, ops_per_transaction: int):
+        self.mix = mix
+        self.ops_per_transaction = ops_per_transaction
+
+    def run(self, rng) -> list[tuple[str, Invocation]]:
+        return [self.mix.sample(rng) for _ in range(self.ops_per_transaction)]
+
+
 @dataclass
 class _Script:
     """One in-flight transaction's remaining work."""
@@ -150,12 +166,11 @@ class WorkloadGenerator:
     #: which keeps them identical across ``rpc_mode`` variants.  Policy
     #: retries of an existing transaction do **not** re-fire the hook.
     on_transaction_start: Callable[[int], None] | None = None
-    #: Pluggable transaction source: any object with
+    #: Transaction source: any object with
     #: ``run(rng) -> sequence of (object_name, invocation)`` (see the
     #: :class:`~repro.scenarios.ScenarioWorkload` contract).  ``None``
-    #: keeps the classic sampler: ``ops_per_transaction`` draws from
-    #: ``mix``.  The built-in mix workload performs *exactly* those
-    #: draws, so compiled scenarios stay byte-identical to legacy runs.
+    #: means :class:`MixWorkload` over ``mix`` and
+    #: ``ops_per_transaction``, built once at construction.
     workload: object | None = None
     #: Open-loop arrival schedule: ``arrivals[k]`` is the pacing-clock
     #: instant (simulated-time units) at which transaction ``k`` may be
@@ -165,6 +180,10 @@ class WorkloadGenerator:
     arrivals: Sequence[float] | None = None
     metrics: MetricRecorder = field(default_factory=MetricRecorder)
     waits: WaitsForGraph = field(default_factory=WaitsForGraph)
+
+    def __post_init__(self) -> None:
+        if self.workload is None:
+            self.workload = MixWorkload(self.mix, self.ops_per_transaction)
 
     def run(self, total_transactions: int) -> MetricRecorder:
         """Execute the workload to completion and return the metrics."""
@@ -241,17 +260,10 @@ class WorkloadGenerator:
         candidates = live or list(self.frontends)
         frontend = candidates[self.sim.rng.randrange(len(candidates))]
         txn = self.tm.begin(site=frontend.site)
-        if self.workload is not None:
-            operations = list(self.workload.run(self.sim.rng))
-        else:
-            operations = [
-                self.mix.sample(self.sim.rng)
-                for _ in range(self.ops_per_transaction)
-            ]
         return _Script(
             txn=txn,
             frontend=frontend,
-            operations=operations,
+            operations=list(self.workload.run(self.sim.rng)),
             retries_left=self.max_retries,
         )
 

@@ -65,3 +65,36 @@ class TestFormatSerial:
 
     def test_empty_history(self):
         assert format_serial(()) == ""
+
+
+class TestInterningKeepsTypesApart:
+    """``False == 0`` in Python; a flyweight must not be shared across it."""
+
+    def test_bag_member_then_counter_read_renders_the_counter_value(self):
+        from repro.types import Bag, Counter
+
+        bag, counter = Bag(), Counter()
+        [(member, _)] = bag.apply(bag.initial_state(), Invocation("Member", ("x",)))
+        assert str(member) == "Ok(False)"
+        read = Invocation("Read")
+        [(response, _)] = counter.apply(counter.initial_state(), read)
+        assert str(Event(read, response)) == "Read();Ok(0)"
+
+    def test_equal_values_of_different_types_are_distinct_flyweights(self):
+        assert Response("Ok", (False,)) is not Response("Ok", (0,))
+        assert Invocation("Write", (True,)) is not Invocation("Write", (1,))
+        assert Invocation("Write", (1,)) is Invocation("Write", (1,))
+        by_bool = Event(Invocation("Write", (True,)), Response("Ok", (False,)))
+        by_int = Event(Invocation("Write", (1,)), Response("Ok", (0,)))
+        assert by_bool is not by_int
+        assert str(by_bool) == "Write(True);Ok(False)"
+        assert str(by_int) == "Write(1);Ok(0)"
+
+    def test_equality_and_hashing_stay_by_value(self):
+        assert Response("Ok", (False,)) == Response("Ok", (0,))
+        assert hash(Response("Ok", (False,))) == hash(Response("Ok", (0,)))
+        assert Invocation("Write", (True,)) == Invocation("Write", (1,))
+        by_bool = Event(Invocation("Write", (True,)), Response("Ok", (False,)))
+        by_int = Event(Invocation("Write", (1,)), Response("Ok", (0,)))
+        assert by_bool == by_int and hash(by_bool) == hash(by_int)
+        assert len({by_bool, by_int}) == 1

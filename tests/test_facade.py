@@ -1,10 +1,10 @@
-"""The ``repro`` facade: exports, docs drift, and the deprecation shim.
+"""The ``repro`` facade: exports and docs drift.
 
 The facade is the documented surface — every name in ``__all__`` must
 resolve, every ``from repro import X`` an end-user can copy out of the
-docs must be importable, and the deprecated direct
-:class:`ReplicatedObject` entry point must warn loudly while still
-working (examples written against the pre-keyspace API keep running).
+docs must be importable, and the retired direct :class:`ReplicatedObject`
+entry point (a PEP 562 deprecation shim until PR 15) is gone: objects
+are registered through ``Cluster.add_object`` or a ``KeyspaceSpec``.
 """
 
 from __future__ import annotations
@@ -63,12 +63,10 @@ class TestFacadeExports:
 
 
 class TestDeprecationShim:
-    def test_replicated_object_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="ReplicatedObject"):
-            cls = repro.ReplicatedObject
-        from repro.replication.object import ReplicatedObject
-
-        assert cls is ReplicatedObject
+    def test_replicated_object_is_gone(self):
+        assert not hasattr(repro, "__getattr__")
+        with pytest.raises(AttributeError, match="no attribute"):
+            repro.ReplicatedObject
 
     def test_deep_import_stays_quiet(self):
         import warnings

@@ -99,6 +99,29 @@ class TestCompact:
         with pytest.raises(UnavailableError):
             compact(cluster.network, cluster.repositories, obj, cluster.tm)
 
+    def test_unreachable_sites_named_are_replicas_only(self):
+        # Genuine partial replication: a failed compaction of a ring-placed
+        # object must not name sites that never held it.
+        from repro.replication.cluster import build_keyspace
+        from repro.replication.keyspace import soak_keyspace
+
+        cluster = build_keyspace(soak_keyspace(4, 6, replication_factor=3))
+        name = "queue-0"
+        replicas = cluster.placement.replicas(name)
+        assert len(replicas) == 3
+        for site in replicas[1:]:
+            cluster.network.crash(site)
+        with pytest.raises(UnavailableError) as failure:
+            compact(
+                cluster.network,
+                cluster.repositories,
+                cluster.tm.object(name),
+                cluster.tm,
+                coordinator_site=replicas[0],
+                sites=replicas,
+            )
+        assert failure.value.missing == frozenset(replicas[1:])
+
     def test_lagging_site_catches_up_through_snapshot(self):
         cluster, obj = queue_system("hybrid")
         cluster.network.crash(2)

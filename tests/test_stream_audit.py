@@ -51,6 +51,7 @@ from repro.obs.trace import (
     process_peak_retained,
     process_retained_spans,
 )
+from repro.scenarios import build_workload
 from repro.txn.ids import ActionId
 
 pytestmark = [pytest.mark.obs, pytest.mark.streaming]
@@ -168,14 +169,8 @@ class TestStreamingFidelity:
         assert f'"{EXPECTED_INVARIANT[name]}"' in outcome["streaming"]
 
     def test_streaming_report_carries_mode_window_and_retention(self):
-        import argparse
-
-        args = argparse.Namespace(
-            seed=0, sites=3, transactions=8, crashes=False,
-            drop_probability=0.0, objects=1, placement="all",
-        )
         tracer = Tracer(retention="ring", window=64)
-        cluster, generator = cli._build_workload(args, tracer=tracer)
+        cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
         auditor = Auditor(cluster, mode="streaming", window=64)
         generator.run(8)
         report = auditor.finish()
@@ -207,14 +202,8 @@ class TestClearRegression:
         generator.run(transactions)
 
     def test_auditor_state_resets_on_clear(self):
-        import argparse
-
-        args = argparse.Namespace(
-            seed=0, sites=3, transactions=8, crashes=False,
-            drop_probability=0.0, objects=1, placement="all",
-        )
         tracer = Tracer()
-        cluster, generator = cli._build_workload(args, tracer=tracer)
+        cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
         auditor = Auditor(cluster, mode="streaming")
         generator.run(8)
         before = auditor.retained_state()
@@ -232,15 +221,9 @@ class TestClearRegression:
         # history monitors would replay a truncated history — both are
         # false-positive factories.  After the clear protocol, a
         # continued run must stay green.
-        import argparse
-
         for mode in ("deep", "streaming"):
-            args = argparse.Namespace(
-                seed=0, sites=3, transactions=8, crashes=False,
-                drop_probability=0.0, objects=1, placement="all",
-            )
             tracer = Tracer()
-            cluster, generator = cli._build_workload(args, tracer=tracer)
+            cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
             auditor = Auditor(cluster, mode=mode)
             generator.run(8)
             tracer.clear()
