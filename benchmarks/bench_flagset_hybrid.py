@@ -66,8 +66,11 @@ def _arena():
     )
 
 
-def test_flagset_two_minimal_hybrid_relations(benchmark):
-    arena = benchmark.pedantic(_arena, rounds=1, iterations=1)
+def test_flagset_two_minimal_hybrid_relations():
+    # Nothing is timed: constructing an arena enumerates nothing (the
+    # universe is built by the first search that needs it), and
+    # wall-clock numbers for the theory kernel live in ``perf/``.
+    arena = _arena()
     flagset = FlagSet()
     core = known.ground(flagset, known.FLAGSET_CORE, events=APPEND_EVENTS)
     rel_a = known.ground(flagset, known.FLAGSET_HYBRID_A, events=APPEND_EVENTS)
@@ -97,7 +100,7 @@ def test_flagset_two_minimal_hybrid_relations(benchmark):
         for extension in minimal_extensions(core, shift_pairs, arena, max_added=1)
         if len(extension.difference(core)) == 1
     ]
-    assert rel_a in found and rel_b in found
+    assert len(found) == 2 and rel_a in found and rel_b in found
 
     # 4. Bounded-minimality caveat: which pairs lack a witness in-bounds.
     unwitnessed = [

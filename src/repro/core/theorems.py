@@ -109,13 +109,11 @@ def verify_theorem_5(max_ops: int = 3) -> TheoremResult:
     hybrid_prop = HybridAtomicity(datatype, oracle)
     relation = known.ground(datatype, known.PROM_HYBRID, 5, oracle)
     details: list[str] = []
-
-    hybrid_arena = VerificationArena(
-        hybrid_prop,
-        VerificationBounds(
-            ExplorationBounds(max_ops=max_ops, max_actions=4, events=_prom_events())
-        ),
+    bounds = VerificationBounds(
+        ExplorationBounds(max_ops=max_ops, max_actions=4, events=_prom_events())
     )
+
+    hybrid_arena = VerificationArena(hybrid_prop, bounds)
     hybrid_valid = find_counterexample(relation, hybrid_arena) is None
     details.append(f"≥H is a hybrid dependency relation (bounded): {hybrid_valid}")
 
@@ -128,12 +126,7 @@ def verify_theorem_5(max_ops: int = 3) -> TheoremResult:
     )
     details.append(f"paper's witness history refutes ≥H under static: {witness_ok}")
 
-    static_arena = VerificationArena(
-        static_prop,
-        VerificationBounds(
-            ExplorationBounds(max_ops=max_ops, max_actions=4, events=_prom_events())
-        ),
-    )
+    static_arena = VerificationArena(static_prop, bounds)
     search_found = find_counterexample(relation, static_arena) is not None
     details.append(f"search independently finds a counterexample: {search_found}")
 

@@ -16,12 +16,26 @@ exist a response ``res`` and serial histories ``h1, h2, h3`` with
 exhaustively over all legal serial histories with at most ``max_events``
 events, yielding the ground relation.  The search is monotone in the
 bound: raising ``max_events`` can only add pairs.
+
+The two clauses are one query.  Write ``x`` for the event inserted after
+``h1`` and ``y`` for the event inserted after ``h2``: clause 1 with
+``[inv;res] = x, e = y`` and clause 2 with ``e = x, [inv;res] = y`` both
+read "``h1·x·h2·h3`` and ``h1·h2·y·h3`` legal, ``h1·x·h2·y·h3``
+illegal".  So each illegal ``h1·x·h2·y·h3`` records ``(x.inv, y)`` *and*
+``(y.inv, x)``, and the two legality premises — neither mentions both
+events — are hoisted out of the pair loop: the ``y`` that may follow
+``h2`` are found once per ``(h1·h2, h3)``, and a
+:class:`~repro.spec.legality.LegalityCursor` pinned at ``h1·x·h2``
+serves every ``y``.  Each prefix is replayed once rather than once per
+query.  The literal two-clause transcription (six root replays per
+``(split, inv, e)``) is the oracle of the differential test in
+``tests/test_dependency_searches.py``.
 """
 
 from __future__ import annotations
 
 from repro.dependency.relation import DependencyRelation, GroundPair
-from repro.histories.events import Event, SerialHistory
+from repro.histories.events import Event
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import event_alphabet, legal_serial_histories
 from repro.spec.legality import LegalityOracle
@@ -45,55 +59,24 @@ def minimal_static_dependency(
     if events is None:
         events = event_alphabet(datatype, max_events + 2, oracle)
     pairs: set[GroundPair] = set()
-
-    def record_if_conflicting(
-        h1: SerialHistory, h2: SerialHistory, h3: SerialHistory
-    ) -> None:
-        for inv_event in events:
-            for interfering in events:
-                pair = (inv_event.inv, interfering)
-                if pair in pairs:
-                    continue
-                if _condition_one(
-                    oracle, h1, h2, h3, inv_event, interfering
-                ) or _condition_two(oracle, h1, h2, h3, inv_event, interfering):
-                    pairs.add(pair)
-
     for history in legal_serial_histories(datatype, max_events, oracle):
-        length = len(history)
-        for i in range(length + 1):
-            for j in range(i, length + 1):
-                record_if_conflicting(history[:i], history[i:j], history[j:])
+        prefix = [oracle.cursor()]
+        for occurred in history:
+            prefix.append(prefix[-1].step(occurred))
+        for j in range(len(history) + 1):
+            h3 = history[j:]
+            later = [
+                (y, y_h3)
+                for y in events
+                if prefix[j].walk(y_h3 := (y, *h3)).legal
+            ]
+            for i in range(j + 1):
+                for x in events:
+                    at_x = prefix[i].walk((x, *history[i:j]))
+                    if not at_x.walk(h3).legal:
+                        continue
+                    for y, y_h3 in later:
+                        if not at_x.walk(y_h3).legal:
+                            pairs.add((x.inv, y))
+                            pairs.add((y.inv, x))
     return DependencyRelation(pairs)
-
-
-def _condition_one(
-    oracle: LegalityOracle,
-    h1: SerialHistory,
-    h2: SerialHistory,
-    h3: SerialHistory,
-    inv_event: Event,
-    interfering: Event,
-) -> bool:
-    """A later ``e`` invalidates the response: clause 1 of Theorem 6."""
-    return (
-        oracle.is_legal(h1 + (inv_event,) + h2 + h3)
-        and oracle.is_legal(h1 + h2 + (interfering,) + h3)
-        and not oracle.is_legal(h1 + (inv_event,) + h2 + (interfering,) + h3)
-    )
-
-
-def _condition_two(
-    oracle: LegalityOracle,
-    h1: SerialHistory,
-    h2: SerialHistory,
-    h3: SerialHistory,
-    inv_event: Event,
-    interfering: Event,
-) -> bool:
-    """A missing earlier ``e`` makes the response wrong: clause 2 of Theorem 6."""
-    return (
-        oracle.is_legal(h1 + (interfering,) + h2 + h3)
-        and oracle.is_legal(h1 + h2 + (inv_event,) + h3)
-        and not oracle.is_legal(h1 + (interfering,) + h2 + (inv_event,) + h3)
-    )

@@ -25,10 +25,12 @@ and 10); for hybrid atomicity it may be strictly smaller than every
 valid relation, which is exactly the paper's FlagSet phenomenon.
 
 To make repeated verification cheap (minimality checks run one search
-per pair), a :class:`VerificationArena` precomputes the bounded history
-universe and all candidate appended events once; individual relation
-checks then reuse it, and all specification-membership queries hit the
-property's memoization cache.
+per pair), a :class:`VerificationArena` enumerates the bounded history
+universe and classifies the candidate appended events at most once, *on
+demand*: a search that meets its counterexample early pays only for the
+universe up to that witness, the first search that runs to the end
+completes the arena, and every later check replays it.  All
+specification-membership queries hit the property's memoization cache.
 """
 
 from __future__ import annotations
@@ -89,14 +91,42 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
-class VerificationArena:
-    """The shared, precomputed universe for Definition 2 checks.
+class _Replayed:
+    """A re-iterable view of an iterator that draws each item once.
 
-    Stores every bounded history ``H`` admitted by the property together
-    with every candidate appended operation ``[e A]`` and whether
-    ``H·[e A]`` is admitted.  Only appends that are *rejected* matter to
-    the search (admitted appends satisfy Definition 2 vacuously), so
-    those are kept per history.
+    Items already drawn are kept and replayed to later iterations; an
+    iteration that runs past them draws the next one from the source.
+    """
+
+    def __init__(self, source: Iterator):
+        self._source = source
+        self._drawn: list = []
+
+    def __iter__(self) -> Iterator:
+        drawn = self._drawn
+        index = 0
+        while True:
+            if index == len(drawn):
+                try:
+                    drawn.append(next(self._source))
+                except StopIteration:
+                    return
+            yield drawn[index]
+            index += 1
+
+    def __bool__(self) -> bool:
+        return any(True for _ in self)
+
+
+class VerificationArena:
+    """The shared universe for Definition 2 checks, built on demand.
+
+    Holds every bounded history ``H`` admitted by the property that has
+    a candidate appended operation ``[e A]`` with ``H·[e A]`` *not*
+    admitted, together with those rejected appends (admitted appends
+    satisfy Definition 2 vacuously).  ``entries`` is produced in
+    enumeration order as far as some search has iterated, never twice:
+    constructing an arena enumerates nothing.
     """
 
     def __init__(self, prop: LocalAtomicityProperty, bounds: VerificationBounds):
@@ -111,10 +141,9 @@ class VerificationArena:
         )
         #: (history, rejected appends) pairs; each append is an Op entry
         #: such that history.append(op) is well-formed but not admitted.
-        self.entries: list[tuple[BehavioralHistory, tuple[Op, ...]]] = []
-        self._build()
+        self.entries = _Replayed(self._build())
 
-    def _build(self) -> None:
+    def _build(self) -> Iterator[tuple[BehavioralHistory, tuple[Op, ...]]]:
         prop = self.property
         for history in behavioral_histories(prop, self.bounds.exploration):
             rejected: list[Op] = []
@@ -124,7 +153,7 @@ class VerificationArena:
                     if not prop.admits(history.append(op)):
                         rejected.append(op)
             if rejected:
-                self.entries.append((history, tuple(rejected)))
+                yield history, tuple(rejected)
 
     def universe_pairs(self) -> DependencyRelation:
         """The total relation over this arena's alphabet."""

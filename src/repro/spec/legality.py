@@ -62,6 +62,15 @@ class LegalityCursor:
         """The cursor for this history extended by one event."""
         return LegalityCursor(self._oracle, self._oracle._step(self._node, event))
 
+    def walk(self, events: Iterable[Event]) -> "LegalityCursor":
+        """The cursor after ``events``, stopping at the first illegal prefix."""
+        node, step = self._node, self._oracle._step
+        for event in events:
+            if node.frontier is None:
+                break
+            node = step(node, event)
+        return LegalityCursor(self._oracle, node)
+
     def frontier_key(self) -> frozenset[Hashable] | None:
         """Canonical frontier keys here (None if the history is illegal)."""
         frontier = self._node.frontier

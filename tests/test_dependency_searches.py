@@ -8,10 +8,32 @@ from repro.dependency.dynamic_dep import (
     commute,
     minimal_dynamic_dependency,
 )
-from repro.dependency.relation import SchemaPair
+from repro.compute.codec import canonical_json, encode_relation
+from repro.core.theorems import _prom_events
+from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.histories.events import Invocation, event, ok, signal
-from repro.types import Account, Bag, Counter, Queue, Register
+from repro.spec.enumerate import event_alphabet, legal_serial_histories
+from repro.spec.legality import LegalityOracle
+from repro.types import (
+    PROM,
+    Account,
+    Bag,
+    Counter,
+    DoubleBuffer,
+    FlagSet,
+    Queue,
+    Register,
+)
+
+
+def _type_name(datatype):
+    return datatype.name
+
+
+def _encoded(relation):
+    """The bytes of a relation inside ``TypeArtifacts.canonical_text``."""
+    return canonical_json(encode_relation(relation))
 
 
 class TestQueueRelations:
@@ -33,6 +55,100 @@ class TestQueueRelations:
         small = minimal_static_dependency(queue, 3, queue_oracle)
         large = minimal_static_dependency(queue, 4, queue_oracle)
         assert small <= large
+
+    @pytest.mark.parametrize("datatype", [PROM(), FlagSet()], ids=_type_name)
+    def test_bound_monotonicity_beyond_queue(self, datatype):
+        oracle = LegalityOracle(datatype)
+        small = minimal_static_dependency(datatype, 3, oracle)
+        large = minimal_static_dependency(datatype, 4, oracle)
+        assert small <= large
+
+
+def _condition_one(oracle, h1, h2, h3, inv_event, interfering):
+    """A later ``e`` invalidates the response: clause 1 of Theorem 6."""
+    return (
+        oracle.is_legal(h1 + (inv_event,) + h2 + h3)
+        and oracle.is_legal(h1 + h2 + (interfering,) + h3)
+        and not oracle.is_legal(h1 + (inv_event,) + h2 + (interfering,) + h3)
+    )
+
+
+def _condition_two(oracle, h1, h2, h3, inv_event, interfering):
+    """A missing earlier ``e`` makes the response wrong: clause 2 of Theorem 6."""
+    return (
+        oracle.is_legal(h1 + (interfering,) + h2 + h3)
+        and oracle.is_legal(h1 + h2 + (inv_event,) + h3)
+        and not oracle.is_legal(h1 + (interfering,) + h2 + (inv_event,) + h3)
+    )
+
+
+def literal_theorem_6(datatype, max_events, events=None):
+    """Theorem 6 as the paper states it: two clauses, six root replays per
+    ``(split, inv_event, interfering)``, nothing shared or hoisted.
+
+    The executable statement of the theorem, and the oracle
+    ``minimal_static_dependency`` (which asks one hoisted query for both
+    clauses) must match pair for pair.
+    """
+    oracle = LegalityOracle(datatype)
+    if events is None:
+        events = event_alphabet(datatype, max_events + 2, oracle)
+    pairs = set()
+    for history in legal_serial_histories(datatype, max_events, oracle):
+        for i in range(len(history) + 1):
+            for j in range(i, len(history) + 1):
+                h1, h2, h3 = history[:i], history[i:j], history[j:]
+                for inv_event in events:
+                    for interfering in events:
+                        if _condition_one(
+                            oracle, h1, h2, h3, inv_event, interfering
+                        ) or _condition_two(oracle, h1, h2, h3, inv_event, interfering):
+                            pairs.add((inv_event.inv, interfering))
+    return DependencyRelation(pairs)
+
+
+ALL_TYPES = [
+    Queue(),
+    PROM(),
+    FlagSet(),
+    Account(),
+    Bag(),
+    Register(),
+    Counter(),
+    DoubleBuffer(),
+]
+
+
+class TestStaticSearchMatchesLiteralTheorem6:
+    """The shared-replay search equals the literal transcription."""
+
+    @pytest.mark.parametrize("max_events", [2, 3])
+    @pytest.mark.parametrize("datatype", ALL_TYPES, ids=_type_name)
+    def test_default_alphabet(self, datatype, max_events):
+        searched = minimal_static_dependency(datatype, max_events)
+        literal = literal_theorem_6(datatype, max_events)
+        assert len(literal) > 0
+        assert searched.pairs == literal.pairs
+        assert _encoded(searched) == _encoded(literal)
+
+    @pytest.mark.parametrize("max_events", [2, 3])
+    @pytest.mark.parametrize("datatype", ALL_TYPES, ids=_type_name)
+    def test_restricted_alphabet(self, datatype, max_events):
+        # Insertions may now leave the alphabet the histories are drawn
+        # from; the depth-1 alphabet is the smallest non-trivial one.
+        events = event_alphabet(datatype, 1)
+        searched = minimal_static_dependency(datatype, max_events, events=events)
+        literal = literal_theorem_6(datatype, max_events, events)
+        assert searched.pairs == literal.pairs
+
+    @pytest.mark.parametrize("max_events", [2, 3])
+    def test_prom_theorem_5_alphabet(self, max_events):
+        events = _prom_events()
+        searched = minimal_static_dependency(PROM(), max_events, events=events)
+        literal = literal_theorem_6(PROM(), max_events, events)
+        assert len(literal) > 0
+        assert searched.pairs == literal.pairs
+        assert _encoded(searched) == _encoded(literal)
 
 
 class TestCommute:

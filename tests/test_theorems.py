@@ -7,6 +7,9 @@ paper is re-derived by the kernel.  They take a few seconds in total
 
 import pytest
 
+from repro.atomicity.explore import behavioral_histories
+from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
+from repro.compute.artifacts import derive_artifacts
 from repro.core.theorems import (
     verify_all_theorems,
     verify_flagset_two_minimals,
@@ -17,6 +20,9 @@ from repro.core.theorems import (
     verify_theorem_11,
     verify_theorem_12,
 )
+from repro.dependency import verify
+from repro.spec.legality import LegalityOracle
+from repro.types import PROM
 
 
 def test_theorem_4_static_implies_hybrid():
@@ -52,3 +58,56 @@ def test_battery_reports_render():
         text = result.summary()
         assert "VERIFIED" in text
         assert result.claim in text
+
+
+class TestSearchesStopWhenAnswered:
+    """Count gates (not clock gates): deterministic and host-independent."""
+
+    def test_theorem_5_examines_a_fraction_of_the_static_universe(self, monkeypatch):
+        """The static search wants one counterexample and stops at it.
+
+        Counted: histories the static arena draws from
+        ``behavioral_histories`` during ``verify_theorem_5(max_ops=3)``,
+        against a full pass over the same bounds.  When arenas were built
+        in the constructor this was 100 %; the witness sits at entry 624
+        of 18 353.
+        """
+        drawn = {}
+
+        def counted(prop, bounds):
+            drawn[prop.name] = [bounds, 0]
+            for history in behavioral_histories(prop, bounds):
+                drawn[prop.name][1] += 1
+                yield history
+
+        monkeypatch.setattr(verify, "behavioral_histories", counted)
+        assert verify_theorem_5(max_ops=3).holds
+        bounds, examined = drawn["static"]
+        full = sum(1 for _ in behavioral_histories(StaticAtomicity(PROM()), bounds))
+        assert 0 < examined < full / 10, (examined, full)
+        # The hybrid relation is valid, so its search does run to the end.
+        bounds, examined = drawn["hybrid"]
+        assert examined == sum(
+            1 for _ in behavioral_histories(HybridAtomicity(PROM()), bounds)
+        )
+
+    def test_prom_derivation_replays_each_prefix_once(self):
+        """Trie hops during ``derive_artifacts(PROM(), 4)``.
+
+        At the parent commit (cfe42a6: six root replays per
+        ``(split, inv, e)`` in the Theorem 6 search) this count was
+        2 856 072; the shared-replay search needs 241 693.  The gate is a
+        fifth of the parent's number.
+        """
+        parent_hops = 2_856_072
+
+        class CountingOracle(LegalityOracle):
+            hops = 0
+
+            def _step(self, node, event):
+                self.hops += 1
+                return super()._step(node, event)
+
+        oracle = CountingOracle(PROM())
+        derive_artifacts(PROM(), 4, oracle)
+        assert 0 < oracle.hops < parent_hops / 5, oracle.hops

@@ -1,9 +1,13 @@
 """Unit tests for Definition 2 verification (arenas and searches)."""
 
+import itertools
+
 import pytest
 
-from repro.atomicity.explore import ExplorationBounds
+from repro.atomicity.explore import ExplorationBounds, behavioral_histories
 from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
+from repro.core.theorems import _prom_events
+from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
 from repro.dependency.verify import (
     VerificationArena,
@@ -14,19 +18,15 @@ from repro.dependency.verify import (
     required_pairs,
 )
 from repro.dependency.static_dep import minimal_static_dependency
+from repro.histories.behavioral import Op
+from repro.histories.events import event, ok
 from repro.spec.legality import LegalityOracle
-from repro.types import Register
+from repro.types import PROM, FlagSet, Register
 
 
 @pytest.fixture(scope="module")
 def register_arena():
-    register = Register(items=("x",))
-    oracle = LegalityOracle(register)
-    prop = StaticAtomicity(register, oracle)
-    return VerificationArena(
-        prop,
-        VerificationBounds(ExplorationBounds(max_ops=3, max_actions=3)),
-    )
+    return _static_register(VerificationArena)
 
 
 class TestArena:
@@ -86,3 +86,169 @@ class TestVerification:
         required = required_pairs(register_arena)
         ops = {(s.inv_op, s.ev_op, s.ev_kind) for s in required.schema_pairs()}
         assert ("Read", "Write", "Ok") in ops
+
+
+class CountingArena(VerificationArena):
+    """Counts the entries the build generator has been asked for."""
+
+    produced = 0
+
+    def _build(self):
+        for entry in super()._build():
+            self.produced += 1
+            yield entry
+
+
+def _static_register(arena_type=CountingArena):
+    register = Register(items=("x",))
+    return arena_type(
+        StaticAtomicity(register, LegalityOracle(register)),
+        VerificationBounds(ExplorationBounds(max_ops=3, max_actions=3)),
+    )
+
+
+def _hybrid_prom(arena_type=CountingArena):
+    prom = PROM()
+    return arena_type(
+        HybridAtomicity(prom, LegalityOracle(prom)),
+        VerificationBounds(
+            ExplorationBounds(max_ops=3, max_actions=4, events=_prom_events())
+        ),
+    )
+
+
+def _hybrid_flagset(arena_type=CountingArena):
+    flagset = FlagSet()
+    events = (
+        event("Open"),
+        event("Shift", (1,)),
+        event("Shift", (2,)),
+        event("Shift", (3,)),
+        event("Close", (), ok(False)),
+        event("Close", (), ok(True)),
+    )
+    return arena_type(
+        HybridAtomicity(flagset, LegalityOracle(flagset)),
+        VerificationBounds(
+            ExplorationBounds(max_ops=3, max_actions=2, events=events)
+        ),
+    )
+
+
+ARENAS = [_static_register, _hybrid_prom, _hybrid_flagset]
+
+
+def eager_entries(arena):
+    """The arena's universe built the way the constructor used to."""
+    prop = type(arena.property)(arena.property.datatype)
+    entries = []
+    for history in behavioral_histories(prop, arena.bounds.exploration):
+        rejected = []
+        for action in sorted(history.active):
+            for append_event in arena.append_events:
+                op = Op(append_event, action)
+                if not prop.admits(history.append(op)):
+                    rejected.append(op)
+        if rejected:
+            entries.append((history, tuple(rejected)))
+    return entries
+
+
+class TestOnDemandArena:
+    @pytest.mark.parametrize("build", ARENAS)
+    def test_entries_equal_the_eager_construction(self, build):
+        arena = build()
+        assert arena.produced == 0, "constructing an arena enumerates nothing"
+        expected = eager_entries(arena)
+        assert expected
+        assert list(arena.entries) == expected
+        assert list(arena.entries) == expected, "a second pass replays the first"
+        assert arena.produced == len(expected)
+
+    @pytest.mark.parametrize("build", ARENAS)
+    def test_alternating_iterators_share_one_enumeration(self, build):
+        arena = build()
+        first, second = iter(arena.entries), iter(arena.entries)
+        seen_first, seen_second = [], []
+        for index in itertools.count():
+            # Each iterator takes the lead in turn: one draws a new
+            # entry, the other is replayed it.
+            lead, follow = (
+                (first, second) if index % 2 == 0 else (second, first)
+            )
+            ahead = next(lead, None)
+            behind = next(follow, None)
+            if ahead is None:
+                assert behind is None
+                break
+            seen_first.append(ahead)
+            seen_second.append(behind)
+        assert seen_first == seen_second
+        assert arena.produced == len(seen_first), "each entry is built once"
+        single = build()
+        assert list(single.entries) == seen_first
+        assert len(arena.property._cache) == len(single.property._cache), (
+            "the universe was enumerated once, not once per iterator"
+        )
+
+    @pytest.mark.parametrize("build", ARENAS)
+    def test_early_exit_leaves_the_rest_of_the_universe_unexamined(self, build):
+        arena = build(VerificationArena)
+        memo = arena.property._cache
+        assert find_counterexample(DependencyRelation(), arena) is not None
+        after_search = len(memo)
+        total = arena.universe_pairs()
+        assert is_dependency_relation(total, arena), "a valid relation completes it"
+        assert after_search < len(memo)
+        fresh = build(VerificationArena)
+        assert is_dependency_relation(total, fresh)
+        assert list(arena.entries) == list(fresh.entries)
+
+    @pytest.mark.parametrize("build", ARENAS)
+    def test_truth_value_pulls_at_most_one_entry(self, build):
+        arena = build()
+        assert arena.entries
+        assert arena.produced == 1
+        assert arena.entries
+        assert arena.produced == 1
+
+
+def test_theorem_5_searched_counterexample_is_pinned():
+    """Golden value: the first Definition 2 violation in entry order.
+
+    ``Write(x) A · Seal B · Write(y) A · Commit A`` with ``Read→Ok(x) B``
+    appended, the view dropping ``Write(y)``.  An arena that enumerated
+    in a different order would report a different (equally genuine)
+    witness; this pins the order.
+    """
+    prom = PROM()
+    oracle = LegalityOracle(prom)
+    arena = VerificationArena(
+        StaticAtomicity(prom, oracle),
+        VerificationBounds(
+            ExplorationBounds(max_ops=3, max_actions=4, events=_prom_events())
+        ),
+    )
+    relation = known.ground(prom, known.PROM_HYBRID, 5, oracle)
+    found = find_counterexample(relation, arena)
+    assert str(found.history).splitlines() == [
+        "Begin A",
+        "Begin B",
+        "Begin C",
+        "Begin D",
+        "Write('x');Ok() A",
+        "Seal();Ok() B",
+        "Write('y');Ok() A",
+        "Commit A",
+    ]
+    assert str(found.appended) == "Read();Ok('x') B"
+    assert found.kept_ops == frozenset({4, 5})
+    assert str(found.subhistory).splitlines() == [
+        "Begin A",
+        "Begin B",
+        "Begin C",
+        "Begin D",
+        "Write('x');Ok() A",
+        "Seal();Ok() B",
+        "Commit A",
+    ]
