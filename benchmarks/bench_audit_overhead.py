@@ -5,13 +5,19 @@ Three configurations of the same seeded workload:
 * ``off``     — NullTracer, no auditor (the production default);
 * ``traced``  — a real Tracer recording spans, no auditor;
 * ``audited`` — the same Tracer with the :class:`~repro.obs.audit.Auditor`
-  attached as a live listener, all six invariant monitors on.
+  attached as a live listener, all eight invariant monitors on.
 
 The auditor's own cost is ``audited`` vs ``traced`` (it rides an
-existing tracer; you cannot audit an untraced run), and the budget is
-≤ 25 % throughput loss.  ``audited`` vs ``off`` is also reported as the
-total cost of turning on full correctness observability.  Wall times
-are best-of-``ROUNDS`` to shed scheduler noise.
+existing tracer; you cannot audit an untraced run); ``audited`` vs
+``off`` is the total cost of turning on full correctness observability.
+Wall times are best-of-``ROUNDS`` to shed scheduler noise, and they are
+reported, not asserted: the budget on observation is ``ops_per_s`` of
+the ``audited-chaos`` workload under ``perf/compare.py``, measured in
+reference-host seconds.  What this file asserts is counted on one more
+audited run of the same workload — the routing that keeps observation
+cheap: the auditor is entered for no ``rpc`` span, no monitor's
+``on_point_event`` is entered for a name it did not declare, and
+``spans_seen`` is still every close the tracer made.
 
 Results land in ``benchmarks/results/BENCH_audit_overhead.json``
 (machine-readable) and ``audit_overhead.txt`` (the usual text block).
@@ -19,12 +25,13 @@ Results land in ``benchmarks/results/BENCH_audit_overhead.json``
 
 from __future__ import annotations
 
+from collections import Counter
 from time import perf_counter
 
 from conftest import emit_json, report
 
 from repro.dependency import known
-from repro.obs.audit import Auditor
+from repro.obs.audit import Auditor, default_monitors
 from repro.obs.trace import Tracer
 from repro.replication.cluster import build_cluster
 from repro.sim.workload import OperationMix, WorkloadGenerator
@@ -36,14 +43,40 @@ TRANSACTIONS = 60
 ROUNDS = 5
 
 
-def _run_once(mode: str) -> tuple[float, int]:
-    """One workload run; returns (wall seconds, operations executed)."""
+class _CountingAuditor(Auditor):
+    """An auditor that counts what it and its monitors are entered for."""
+
+    def __init__(self, cluster):
+        self.entered: Counter = Counter()  # span kind -> on_span_end entries
+        self.undeclared: Counter = Counter()  # (monitor, event name) -> entries
+        monitors = default_monitors()
+        for monitor in monitors:
+            monitor.on_point_event = self._counted(monitor)
+        super().__init__(cluster, monitors)
+
+    def _counted(self, monitor):
+        hook, declared = monitor.on_point_event, monitor.point_events
+
+        def on_point_event(span):
+            if declared is not None and span.name not in declared:
+                self.undeclared[monitor.name, span.name] += 1
+            hook(span)
+
+        return on_point_event
+
+    def on_span_end(self, span):
+        self.entered[span.kind] += 1
+        super().on_span_end(span)
+
+
+def _build(mode: str, audit=Auditor):
+    """The seeded workload under ``mode``, un-run: (cluster, generator, auditor)."""
     tracer = Tracer() if mode != "off" else None
     cluster = build_cluster(SITES, seed=SEED, tracer=tracer)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
     cluster.add_object("queue", queue, "hybrid", relation=relation)
-    auditor = Auditor(cluster) if mode == "audited" else None
+    auditor = audit(cluster) if mode == "audited" else None
     mix = OperationMix.uniform("queue", queue.invocations())
     generator = WorkloadGenerator(
         cluster.sim,
@@ -53,6 +86,12 @@ def _run_once(mode: str) -> tuple[float, int]:
         ops_per_transaction=3,
         concurrency=4,
     )
+    return cluster, generator, auditor
+
+
+def _run_once(mode: str) -> tuple[float, int]:
+    """One workload run; returns (wall seconds, operations executed)."""
+    _cluster, generator, auditor = _build(mode)
     started = perf_counter()
     metrics = generator.run(TRANSACTIONS)
     elapsed = perf_counter() - started
@@ -60,6 +99,23 @@ def _run_once(mode: str) -> tuple[float, int]:
         audit = auditor.finish()
         assert audit.ok, audit.render()
     return elapsed, sum(metrics.outcomes.values())
+
+
+def _count_routing() -> dict:
+    """The audited run once more, counting who was entered for what."""
+    cluster, generator, auditor = _build("audited", _CountingAuditor)
+    metrics = generator.run(TRANSACTIONS)
+    audit = auditor.finish()
+    assert audit.ok, audit.render()
+    closed = Counter(span.kind for span in cluster.tracer.spans)
+    return {
+        "operations": sum(metrics.outcomes.values()),
+        "spans_closed": cluster.tracer.closed,
+        "spans_closed_by_kind": dict(closed),
+        "spans_seen": audit.spans_seen,
+        "auditor_entered_by_kind": dict(auditor.entered),
+        "undeclared_point_event_entries": sum(auditor.undeclared.values()),
+    }
 
 
 def _measure_all(modes: tuple[str, ...]) -> dict[str, dict[str, float]]:
@@ -102,6 +158,7 @@ def test_audit_overhead_within_budget(bench_cache_state):
     auditor_loss = loss("traced", "audited")
     total_loss = loss("off", "audited")
     tracer_loss = loss("off", "traced")
+    routing = _count_routing()
 
     payload = {
         "workload": {
@@ -116,7 +173,7 @@ def test_audit_overhead_within_budget(bench_cache_state):
             "tracer_vs_off": tracer_loss,
             "audited_vs_off": total_loss,
         },
-        "budget_pct": 25.0,
+        "routing": routing,
     }
     emit_json("audit_overhead", payload, cache_state=bench_cache_state)
 
@@ -135,21 +192,29 @@ def test_audit_overhead_within_budget(bench_cache_state):
         f"auditor overhead (audited vs traced): {auditor_loss:>6.1f}%",
         f"tracer overhead  (traced  vs off):    {tracer_loss:>6.1f}%",
         f"total overhead   (audited vs off):    {total_loss:>6.1f}%",
-        f"budget: auditor overhead <= 25% — "
-        f"{'MET' if auditor_loss <= 25.0 else 'EXCEEDED'}",
+        "",
+        f"spans closed {routing['spans_closed']} "
+        f"({routing['spans_closed_by_kind'].get('rpc', 0)} rpc), "
+        f"auditor entered for {sum(routing['auditor_entered_by_kind'].values())} "
+        f"({routing['auditor_entered_by_kind'].get('rpc', 0)} rpc), "
+        f"monitor entries for undeclared point events "
+        f"{routing['undeclared_point_event_entries']}",
     ]
     report("audit_overhead", "\n".join(lines))
 
-    # The budget from the issue: attaching the auditor to an
-    # already-traced run must not cost more than a quarter of
-    # throughput.  (Generous slack over the ~15% measured cost so a
-    # noisy CI box does not flap the suite.)
-    assert auditor_loss <= 25.0, (
-        f"auditor overhead {auditor_loss:.1f}% exceeds the 25% budget"
-    )
+    # The auditor reads no rpc span, so it is entered for none of them
+    # and for every close of the kinds it does read...
+    entered, closed = routing["auditor_entered_by_kind"], routing["spans_closed_by_kind"]
+    assert closed["rpc"] > 0 and "rpc" not in entered
+    assert entered == {kind: closed[kind] for kind in Auditor.span_kinds}
+    # ...each monitor only for the point events it declared...
+    assert routing["undeclared_point_event_entries"] == 0
+    # ...and the report still counts every close the tracer made.
+    assert routing["spans_seen"] == routing["spans_closed"] == sum(closed.values())
     # Identical work was done in every configuration.
     assert (
         results["off"]["operations"]
         == results["traced"]["operations"]
         == results["audited"]["operations"]
+        == routing["operations"]
     )

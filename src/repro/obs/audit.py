@@ -13,6 +13,8 @@ form the runtime keeps — while a pluggable set of
   observed initial/final quorum pair that the object's dependency
   relation requires to intersect really does (paper, Section 3.2: the
   intersection relation must contain an atomic dependency relation);
+* **reconfig-epoch** — ``reconfig.switch`` events advance an object's
+  epoch by exactly one and every quorum runs under the current one;
 * **lock-discipline** — synchronization state holds every executed
   event until the owning transaction commits or aborts (2PL for the
   dynamic scheme, dependency locks for hybrid);
@@ -49,7 +51,7 @@ exports alongside JSONL/Chrome traces.
   need the *full* run history (history-capture and one-copy
   serializability).  Memory grows with the run; right for tier-1
   workloads and forensic investigation.
-* ``mode="streaming"`` — the five online monitors rewritten as
+* ``mode="streaming"`` — the six online monitors rewritten as
   streaming folds over the span stream with per-object sliding windows
   (:func:`streaming_monitors`).  State is O(window), independent of run
   length, so auditing rides along a million-op soak at full speed.  The
@@ -57,7 +59,7 @@ exports alongside JSONL/Chrome traces.
   provably misses) lives in ``docs/OBSERVABILITY.md``.
 
 On identical span streams the two modes produce byte-identical
-verdicts for the five streaming invariants
+verdicts for the six streaming invariants
 (:meth:`AuditReport.verdict` with :data:`STREAMING_INVARIANTS`) —
 pinned by the ``pytest -m streaming`` suite.
 
@@ -81,7 +83,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.histories.serialization import serialize
 from repro.obs.export import render_tree
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, TraceListener, Tracer
+from repro.obs.trace import Span, TraceListener, Tracer, routing_table
 from repro.replication.log import EMPTY_LOG
 from repro.txn.ids import ActionId
 
@@ -202,6 +204,10 @@ class InvariantMonitor:
     #: The invariant's name, used in reports, counters, and exit codes.
     name = "invariant"
 
+    #: The point-event names :meth:`on_point_event` reads; ``None`` =
+    #: every name.  The auditor enters the hook for no other name.
+    point_events: frozenset[str] | None = None
+
     def __init__(self) -> None:
         self.auditor: "Auditor | None" = None
 
@@ -285,18 +291,20 @@ class QuorumIntersectionMonitor(InvariantMonitor):
     """
 
     name = "quorum-intersection"
+    point_events = frozenset({"reconfig.switch"})
 
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
         self.window = window
         #: object -> (declared assignment, relation class keys)
         self._declared: dict[str, tuple[Any, frozenset[tuple[str, str, str]]]] = {}
-        self._must_intersect: dict[tuple[str, str, str, str], bool] = {}
-        #: (object, op) -> distinct observed initial quorums (LRU order)
-        self._initials: dict[tuple[str, str], OrderedDict[frozenset[int], None]] = {}
-        #: (object, op, kind) -> distinct observed final quorums (LRU order)
+        #: object -> (inv op, event op, kind) -> must their quorums intersect?
+        self._must_intersect: dict[str, dict[tuple[str, str, str], bool]] = {}
+        #: object -> op -> distinct observed initial quorums (LRU order)
+        self._initials: dict[str, dict[str, OrderedDict[frozenset[int], None]]] = {}
+        #: object -> (op, kind) -> distinct observed final quorums (LRU order)
         self._finals: dict[
-            tuple[str, str, str], OrderedDict[frozenset[int], None]
+            str, dict[tuple[str, str], OrderedDict[frozenset[int], None]]
         ] = {}
 
     def _remember(
@@ -314,12 +322,16 @@ class QuorumIntersectionMonitor(InvariantMonitor):
             bucket.popitem(last=False)
 
     def on_clear(self) -> None:
-        self._initials.clear()
-        self._finals.clear()
+        for store in (self._initials, self._finals):
+            for buckets in store.values():
+                buckets.clear()
 
     def state_cells(self) -> int:
-        return sum(len(b) for b in self._initials.values()) + sum(
-            len(b) for b in self._finals.values()
+        return sum(
+            len(bucket)
+            for store in (self._initials, self._finals)
+            for buckets in store.values()
+            for bucket in buckets.values()
         )
 
     def bind(self, auditor: "Auditor") -> None:
@@ -328,16 +340,18 @@ class QuorumIntersectionMonitor(InvariantMonitor):
             self._capture(name, obj)
 
     def _capture(self, name: str, obj: Any) -> None:
+        """Pin ``obj``'s declared configuration; its observed state starts empty."""
         keys = set()
         relation = getattr(obj.cc, "relation", None)
         if relation is not None:
             for invocation, event in relation:
                 keys.add((invocation.op, event.inv.op, event.res.kind))
         self._declared[name] = (obj.assignment, frozenset(keys))
+        self._must_intersect[name] = {}
+        self._initials[name] = {}
+        self._finals[name] = {}
 
     def on_point_event(self, span: Span) -> None:
-        if span.name != "reconfig.switch":
-            return
         obj_name = span.attrs.get("object")
         if obj_name is None or self.auditor is None:
             return
@@ -353,18 +367,10 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         # mutation stays caught precisely because it rewrites the
         # assignment *without* this event.
         self._capture(obj_name, obj)
-        self._must_intersect = {
-            key: value
-            for key, value in self._must_intersect.items()
-            if key[0] != obj_name
-        }
-        for store in (self._initials, self._finals):
-            for key in [key for key in store if key[0] == obj_name]:
-                del store[key]
 
     def _required(self, obj_name: str, inv_op: str, ev_op: str, kind: str) -> bool:
-        cache_key = (obj_name, inv_op, ev_op, kind)
-        cached = self._must_intersect.get(cache_key)
+        cache, cache_key = self._must_intersect[obj_name], (inv_op, ev_op, kind)
+        cached = cache.get(cache_key)
         if cached is not None:
             return cached
         assignment, relation_keys = self._declared[obj_name]
@@ -380,7 +386,7 @@ class QuorumIntersectionMonitor(InvariantMonitor):
                 )
             except Exception:
                 required = False
-        self._must_intersect[cache_key] = required
+        cache[cache_key] = required
         return required
 
     def on_quorum(self, span: Span) -> None:
@@ -401,9 +407,9 @@ class QuorumIntersectionMonitor(InvariantMonitor):
                     span=span,
                     object_name=obj_name,
                 )
-            self._remember(self._initials, (obj_name, op), members)
-            for (o2, ev_op, kind), finals in self._finals.items():
-                if o2 != obj_name or not self._required(obj_name, op, ev_op, kind):
+            self._remember(self._initials[obj_name], op, members)
+            for (ev_op, kind), finals in self._finals[obj_name].items():
+                if not self._required(obj_name, op, ev_op, kind):
                     continue
                 for final_members in finals:
                     if not (members & final_members):
@@ -426,9 +432,9 @@ class QuorumIntersectionMonitor(InvariantMonitor):
                     span=span,
                     object_name=obj_name,
                 )
-            self._remember(self._finals, (obj_name, op, kind), members)
-            for (o2, inv_op), initials in self._initials.items():
-                if o2 != obj_name or not self._required(obj_name, inv_op, op, kind):
+            self._remember(self._finals[obj_name], (op, kind), members)
+            for inv_op, initials in self._initials[obj_name].items():
+                if not self._required(obj_name, inv_op, op, kind):
                     continue
                 for initial_members in initials:
                     if not (initial_members & members):
@@ -467,6 +473,7 @@ class ReconfigEpochMonitor(InvariantMonitor):
     """
 
     name = "reconfig-epoch"
+    point_events = frozenset({"reconfig.switch"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -484,8 +491,6 @@ class ReconfigEpochMonitor(InvariantMonitor):
     # assignments, which the bounded-memory accounting also excludes.
 
     def on_point_event(self, span: Span) -> None:
-        if span.name != "reconfig.switch":
-            return
         obj_name = span.attrs.get("object")
         epoch = span.attrs.get("epoch")
         if obj_name is None or epoch is None:
@@ -652,6 +657,7 @@ class LogConsistencyMonitor(InvariantMonitor):
     """
 
     name = "log-consistency"
+    point_events = frozenset({"repo.write"})
 
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
@@ -677,7 +683,7 @@ class LogConsistencyMonitor(InvariantMonitor):
         )
 
     def on_point_event(self, span: Span) -> None:
-        if span.name != "repo.write" or span.site is None:
+        if span.site is None:
             return
         assert self.auditor is not None
         repositories = self.auditor.repositories
@@ -843,6 +849,7 @@ class PartialReplicationMonitor(InvariantMonitor):
     """
 
     name = "genuine-partial-replication"
+    point_events = frozenset({"repo.read", "repo.write"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -861,8 +868,6 @@ class PartialReplicationMonitor(InvariantMonitor):
 
     def on_point_event(self, span: Span) -> None:
         if self._holders is None or span.site is None:
-            return
-        if span.name not in ("repo.read", "repo.write"):
             return
         obj_name = span.attrs.get("object")
         holders = self._holders.get(obj_name) if obj_name is not None else None
@@ -1097,6 +1102,10 @@ class Auditor(TraceListener):
     ring-retention tracer for a fully bounded pipeline.
     """
 
+    #: ``rpc`` spans (two in five of a run's closes) and anything else no
+    #: monitor has a hook for stay with the tracer.
+    span_kinds = frozenset({"operation", "transaction", "quorum", "event"})
+
     def __init__(
         self,
         cluster,
@@ -1143,8 +1152,8 @@ class Auditor(TraceListener):
         self._txn_counter = self.registry.counter("audit.transactions")
         self.operations = 0
         self.transactions = 0
-        self.spans_seen = 0
-        self._finished = False
+        #: The tracer's close count at attach: ``spans_seen`` starts here.
+        self._closed_before = tracer.closed
         self._report: AuditReport | None = None
         for monitor in self._monitors:
             monitor.bind(self)
@@ -1165,7 +1174,10 @@ class Auditor(TraceListener):
         self._operation_monitors = _overriding("on_operation")
         self._transaction_monitors = _overriding("on_transaction_end")
         self._quorum_monitors = _overriding("on_quorum")
-        self._point_event_monitors = _overriding("on_point_event")
+        self._point_event_hooks, self._point_event_hooks_rest = routing_table(
+            (monitor.point_events, monitor.on_point_event)
+            for monitor in _overriding("on_point_event")
+        )
         tracer.add_listener(self)
 
     # -- accessors for monitors --------------------------------------------
@@ -1250,9 +1262,6 @@ class Auditor(TraceListener):
     # -- TraceListener ------------------------------------------------------
 
     def on_span_end(self, span: Span) -> None:
-        if self._finished:
-            return
-        self.spans_seen += 1
         kind = span.kind
         if kind == "operation":
             self._operation_closed(span)
@@ -1265,8 +1274,10 @@ class Auditor(TraceListener):
             if span.name == "audit.violation":
                 return
             self._recent.append(span)
-            for monitor in self._point_event_monitors:
-                monitor.on_point_event(span)
+            for hook in self._point_event_hooks.get(
+                span.name, self._point_event_hooks_rest
+            ):
+                hook(span)
 
     def on_clear(self) -> None:
         """The tracer was cleared: reset per-epoch auditor state.
@@ -1276,8 +1287,6 @@ class Auditor(TraceListener):
         and every monitor's stream state belong to the dropped epoch
         and are reset so the next epoch is not checked against it.
         """
-        if self._finished:
-            return
         self._recent.clear()
         self._txn_by_label.clear()
         self._recorders.clear()
@@ -1377,7 +1386,6 @@ class Auditor(TraceListener):
             return self._report
         for monitor in self._monitors:
             monitor.at_end()
-        self._finished = True
         try:
             self._tracer.remove_listener(self)
         except ValueError:  # pragma: no cover - already detached
@@ -1392,7 +1400,7 @@ class Auditor(TraceListener):
             monitors=tuple(m.name for m in self._monitors),
             operations=self.operations,
             transactions=self.transactions,
-            spans_seen=self.spans_seen,
+            spans_seen=self._tracer.closed - self._closed_before,
             registry=self.registry,
             mode=self.mode,
             window=self.window,

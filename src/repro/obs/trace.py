@@ -26,9 +26,10 @@ simulator, via :meth:`Tracer.bind_clock`), so timestamps are simulated
 time, deterministic per seed.
 
 **Span retention** is a policy, not a given.  Listeners (the streaming
-auditor, the stream exporters) see *every* span regardless; retention
-only controls what the tracer itself keeps for after-the-fact
-inspection (``spans``, ``walk``, forensics):
+auditor, the stream exporters) see every span of the kinds they read
+regardless (:attr:`TraceListener.span_kinds`; unstated = all of them);
+retention only controls what the tracer itself keeps for
+after-the-fact inspection (``spans``, ``walk``, forensics):
 
 * ``retention="all"`` — keep everything (the default; exact PR-1
   behavior, memory grows with the run);
@@ -49,7 +50,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 #: Exception-class-name → span outcome, used when a ``with tracer.span``
@@ -100,7 +101,7 @@ def reset_process_peak() -> None:
     _PROCESS_PEAK_RETAINED = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed node in the trace tree."""
 
@@ -168,8 +169,14 @@ class _CountingClock:
         return self.now
 
 
-class _SpanContext:
-    """Context manager pushing one span onto the tracer's stack."""
+class _ParentContext:
+    """Context manager making an open span the implicit parent.
+
+    It does not close the span on exit: the batched RPC path opens
+    per-probe spans manually (they outlive the enclosing Python frame)
+    but still wants repository events emitted while a probe's handler
+    runs to parent under that probe.
+    """
 
     __slots__ = ("_tracer", "_span")
 
@@ -186,6 +193,17 @@ class _SpanContext:
         # already empty then, and the span was dropped with the epoch.
         if self._tracer._stack:
             self._tracer._stack.pop()
+        return False
+
+
+class _SpanContext(_ParentContext):
+    """The same, closing the span on exit with the outcome the block had."""
+
+    __slots__ = ()
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        if self._tracer._stack:
+            self._tracer._stack.pop()
         outcome = "ok"
         if exc_type is not None:
             outcome = _OUTCOME_BY_EXCEPTION.get(exc_type.__name__, "error")
@@ -196,29 +214,22 @@ class _SpanContext:
         return False
 
 
-class _ParentContext:
-    """Context manager making an open span the implicit parent.
+def routing_table(
+    readers: Iterable[tuple[Iterable[str] | None, Callable]],
+) -> tuple[dict[str, tuple[Callable, ...]], tuple[Callable, ...]]:
+    """``key → hooks`` for every key some reader names, and the hooks for the rest.
 
-    Unlike :class:`_SpanContext` it does not close the span on exit:
-    the batched RPC path opens per-probe spans manually (they outlive
-    the enclosing Python frame) but still wants repository events
-    emitted while a probe's handler runs to parent under that probe.
+    ``readers`` is ``(keys, hook)`` in registration order, ``keys=None``
+    meaning the reader takes every key: its hook is in every row, at its
+    registration position, and in the second value, which serves the
+    keys no reader named.
     """
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._stack.append(self._span)
-        return self._span
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        if self._tracer._stack:
-            self._tracer._stack.pop()
-        return False
+    readers = list(readers)
+    named = {key for keys, _hook in readers if keys is not None for key in keys}
+    return {
+        key: tuple(hook for keys, hook in readers if keys is None or key in keys)
+        for key in named
+    }, tuple(hook for keys, hook in readers if keys is None)
 
 
 class TraceListener:
@@ -232,7 +243,15 @@ class TraceListener:
     carrying it across the reset.  The online auditor
     (:mod:`repro.obs.audit`) is the principal listener; anything with
     these methods qualifies.
+
+    The tracer routes rather than broadcasts: ``on_span_start`` is
+    called only on listeners that define one of their own, and closes
+    reach a listener only for the span kinds it reads.
     """
+
+    #: The span kinds whose closes this listener reads; ``None`` (or no
+    #: such attribute) = every kind.
+    span_kinds: frozenset[str] | None = None
 
     def on_span_start(self, span: Span) -> None:  # pragma: no cover - interface
         pass
@@ -274,19 +293,26 @@ class Tracer:
             if retention == "ring"
             else None
         )
+        #: How a closed span leaves ``_spans``; ``None`` when it stays.
+        self._release: Callable | None = None
         if retention == "ring":
             self._spans: Any = deque(maxlen=self.window)
         elif retention == "consume":
             # Insertion-ordered map of *open* spans; closed spans are
             # released the moment listeners have consumed them.
             self._spans = {}
+            self._release = self._spans.pop
         else:
             self._spans = []
         #: High-water mark of :attr:`retained_spans` (survives clear()).
         self.peak_retained = 0
+        #: Spans closed so far, point events included (survives clear()):
+        #: what a listener reading every kind has been handed.
+        self.closed = 0
         self._stack: list[Span] = []
         self._next_id = 1
         self._listeners: list[TraceListener] = []
+        self._route()
         if type(self).enabled:
             _LIVE_TRACERS.add(self)
 
@@ -299,10 +325,25 @@ class Tracer:
     def add_listener(self, listener: TraceListener) -> None:
         """Stream span starts/ends to ``listener`` as they happen."""
         self._listeners.append(listener)
+        self._route()
 
     def remove_listener(self, listener: TraceListener) -> None:
         """Detach a listener registered with :meth:`add_listener`."""
         self._listeners.remove(listener)
+        self._route()
+
+    def _route(self) -> None:
+        """Rebuild the dispatch tables from the listeners, in their order."""
+        self._start_hooks = tuple(
+            listener.on_span_start
+            for listener in self._listeners
+            if getattr(listener.on_span_start, "__func__", None)
+            is not TraceListener.on_span_start
+        )
+        self._end_hooks, self._end_hooks_rest = routing_table(
+            (getattr(listener, "span_kinds", None), listener.on_span_end)
+            for listener in self._listeners
+        )
 
     @property
     def now(self) -> float:
@@ -326,38 +367,33 @@ class Tracer:
         """
         if parent is None and self._stack:
             parent = self._stack[-1]
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            kind=kind,
-            start=self._clock.now,
-            site=site,
-            attrs=attrs,
-        )
+        parent_id = parent.span_id if parent is not None else None
+        now = self._clock.now
+        span = Span(self._next_id, parent_id, name, kind, now, None, site, "ok", attrs)
         self._next_id += 1
-        if self.retention == "consume":
-            self._spans[span.span_id] = span
-        else:
+        if self._release is None:
             self._spans.append(span)
+        else:
+            self._spans[span.span_id] = span
         count = len(self._spans)
         if count > self.peak_retained:
             self.peak_retained = count
             global _PROCESS_PEAK_RETAINED
             if count > _PROCESS_PEAK_RETAINED:
                 _PROCESS_PEAK_RETAINED = count
-        for listener in self._listeners:
-            listener.on_span_start(span)
+        for hook in self._start_hooks:
+            hook(span)
         return span
 
     def end_span(self, span: Span, outcome: str = "ok") -> None:
         if span.end is None:
             span.end = self._clock.now
             span.outcome = outcome
-            for listener in self._listeners:
-                listener.on_span_end(span)
-            if self.retention == "consume":
-                self._spans.pop(span.span_id, None)
+            self.closed += 1
+            for hook in self._end_hooks.get(span.kind, self._end_hooks_rest):
+                hook(span)
+            if self._release is not None:
+                self._release(span.span_id, None)
 
     def span(
         self,
@@ -384,19 +420,18 @@ class Tracer:
         """A point-in-time marker (crash, recovery, async delivery, ...)."""
         span = self.start_span(name, kind="event", site=site, **attrs)
         span.end = span.start
-        for listener in self._listeners:
-            listener.on_span_end(span)
-        if self.retention == "consume":
-            self._spans.pop(span.span_id, None)
+        self.closed += 1
+        for hook in self._end_hooks.get("event", self._end_hooks_rest):
+            hook(span)
+        if self._release is not None:
+            self._release(span.span_id, None)
         return span
 
     # -- inspection ---------------------------------------------------------
 
     def _retained(self) -> Any:
         """The retained spans as an iterable, regardless of store shape."""
-        if self.retention == "consume":
-            return self._spans.values()
-        return self._spans
+        return self._spans if self._release is None else self._spans.values()
 
     @property
     def retained_spans(self) -> int:

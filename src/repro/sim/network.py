@@ -35,7 +35,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.obs.trace import NULL_TRACER, Span, Tracer
+from repro.obs.trace import Tracer
 from repro.sim.kernel import Simulator
 
 #: Deterministic completion order for gather replies.
@@ -314,7 +314,6 @@ class Network:
         """
         order = list(dsts)
         sim = self.sim
-        traced = self.tracer.enabled
         responders: set[int] = set()
         failed: set[int] = set()
         attempted: list[int] = []
@@ -334,34 +333,14 @@ class Network:
                     break
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
-            if traced:
-                for site in wave:
-                    attempted.append(site)
-                    self.messages_sent += 1
-                    span = self.tracer.start_span(
-                        "rpc", kind="rpc", site=site, src=src, dst=site, batched=True
-                    )
-                    sim.call_at(
-                        arrive_at,
-                        self._probe(
-                            src, site, handler, span, reply_at, replies, failed
-                        ),
-                    )
-            else:
-                # One arrival and one delivery event carry the whole
-                # wave: per-site checks, RNG draws, handler calls, and
-                # counter updates run in the same order the per-probe
-                # events would have dispatched in (launch order at equal
-                # timestamps), so every observable — replies, message
-                # counters, failure sets — is byte-identical.
-                attempted.extend(wave)
-                self.messages_sent += len(wave)
-                sim.call_at(
-                    arrive_at,
-                    self._wave_arrive(
-                        src, tuple(wave), handler, reply_at, replies, failed
-                    ),
-                )
+            # One arrival and one delivery event carry the whole wave,
+            # traced or not; each serves the sites in launch order.
+            attempted.extend(wave)
+            self.messages_sent += len(wave)
+            sim.call_at(
+                arrive_at,
+                self._wave_arrive(src, tuple(wave), handler, reply_at, replies, failed),
+            )
             # One pass dispatches both legs: request arrivals at
             # ``arrive_at`` run first (after any failure events due in
             # the window) and schedule their replies at ``reply_at``.
@@ -372,49 +351,6 @@ class Network:
             replies=ordered, attempted=tuple(attempted), failed=frozenset(failed)
         )
 
-    def _probe(
-        self,
-        src: int,
-        dst: int,
-        handler: Callable[[int], Any],
-        span: Span | None,
-        reply_at: float,
-        replies: dict[int, ProbeReply],
-        failed: set[int],
-    ) -> Callable[[], None]:
-        """Build the request-leg arrival callback for one gather probe."""
-
-        def arrive() -> None:
-            if not self._reachable(src, dst) or self._lost():
-                self.messages_dropped += 1
-                failed.add(dst)
-                if span is not None:
-                    self.tracer.end_span(span, outcome="timeout")
-                return
-            if span is not None:
-                with self.tracer.under(span):
-                    value = handler(dst)
-            else:
-                value = handler(dst)
-            self.messages_sent += 1
-
-            def deliver() -> None:
-                if not self._reachable(dst, src) or self._lost():
-                    self.messages_dropped += 1
-                    failed.add(dst)
-                    if span is not None:
-                        self.tracer.end_span(span, outcome="timeout")
-                    return
-                replies[dst] = ProbeReply(
-                    site=dst, value=value, completed_at=self.sim.now
-                )
-                if span is not None:
-                    self.tracer.end_span(span)
-
-            self.sim.call_at(reply_at, deliver)
-
-        return arrive
-
     def _wave_arrive(
         self,
         src: int,
@@ -424,14 +360,24 @@ class Network:
         replies: dict[int, ProbeReply],
         failed: set[int],
     ) -> Callable[[], None]:
-        """Build the single arrival callback for a whole untraced wave.
+        """Launch a wave: open its ``rpc`` spans, build its arrival callback.
 
-        Replays the per-probe :meth:`_probe` semantics for every site in
-        launch order within one event dispatch — reachability checked at
-        arrival time, loss drawn per leg in the same RNG order, handler
-        side effects surviving a lost reply — then schedules one shared
-        delivery event for the sites whose request leg survived.
+        One event dispatch serves every site in launch order —
+        reachability checked at arrival time, loss drawn per leg in the
+        same RNG order, handler side effects surviving a lost reply —
+        then schedules one shared delivery event for the sites whose
+        request leg survived.  A probe's span closes where its round
+        trip ends: ``timeout`` at arrival when the request leg fails,
+        ``timeout`` or ``ok`` at ``reply_at`` otherwise; what the handler
+        emits is parented under it.
         """
+        tracer = self.tracer
+        spans: dict[int, Any] = {}
+        if tracer.enabled:
+            for dst in wave:
+                spans[dst] = tracer.start_span(
+                    "rpc", kind="rpc", site=dst, src=src, dst=dst, batched=True
+                )
 
         def arrive() -> None:
             values: list[tuple[int, Any]] = []
@@ -439,8 +385,14 @@ class Network:
                 if not self._reachable(src, dst) or self._lost():
                     self.messages_dropped += 1
                     failed.add(dst)
+                    if spans:
+                        tracer.end_span(spans[dst], "timeout")
                     continue
-                values.append((dst, handler(dst)))
+                if spans:
+                    with tracer.under(spans[dst]):
+                        values.append((dst, handler(dst)))
+                else:
+                    values.append((dst, handler(dst)))
                 self.messages_sent += 1
             if not values:
                 return
@@ -451,10 +403,14 @@ class Network:
                     if not self._reachable(dst, src) or self._lost():
                         self.messages_dropped += 1
                         failed.add(dst)
+                        if spans:
+                            tracer.end_span(spans[dst], "timeout")
                         continue
                     replies[dst] = ProbeReply(
                         site=dst, value=value, completed_at=now
                     )
+                    if spans:
+                        tracer.end_span(spans[dst])
 
             self.sim.call_at(reply_at, deliver)
 

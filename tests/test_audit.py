@@ -20,6 +20,7 @@ from repro.obs.audit import (
     Auditor,
     AuditReport,
     InvariantMonitor,
+    QuorumIntersectionMonitor,
     Violation,
     default_monitors,
 )
@@ -280,3 +281,116 @@ class TestAuditorMechanics:
         assert isinstance(report.violations, tuple)
         for violation in report.violations:
             assert isinstance(violation, Violation)
+
+
+class TestRouting:
+    """Spans go only to who reads them; every reader still sees all it reads."""
+
+    def test_auditor_is_not_entered_for_rpc_spans(self):
+        kinds = []
+
+        class Recording(Auditor):
+            def on_span_end(self, span):
+                kinds.append(span.kind)
+                super().on_span_end(span)
+
+        tracer = Tracer()
+        cluster = build_cluster(3, seed=0, tracer=tracer)
+        queue = Queue()
+        cluster.add_object("queue", queue, "static")
+        auditor = Recording(cluster)
+        mix = OperationMix.uniform("queue", queue.invocations())
+        WorkloadGenerator(cluster.sim, cluster.tm, cluster.frontends, mix).run(6)
+        report = auditor.finish()
+        assert report.ok, report.render()
+        emitted = [span.kind for span in tracer.spans]
+        assert "rpc" in emitted and "rpc" not in kinds
+        assert sorted(kinds) == sorted(k for k in emitted if k in Auditor.span_kinds)
+        # spans_seen is the tracer's count, not the auditor's entries.
+        assert report.spans_seen == tracer.closed == len(emitted) > len(kinds)
+
+    def test_point_events_reach_undeclared_monitors_all_and_declared_ones_only_theirs(self):
+        class Names(InvariantMonitor):
+            def __init__(self):
+                super().__init__()
+                self.names = []
+
+            def on_point_event(self, span):
+                self.names.append(span.name)
+
+        class Everything(Names):
+            name = "everything"
+
+        class WritesOnly(Names):
+            name = "writes-only"
+            point_events = frozenset({"repo.write", "never.emitted"})
+
+        everything, writes = Everything(), WritesOnly()
+        report, cluster = audited_run(
+            crashes=True, transactions=20, monitors=[everything, writes]
+        )
+        assert report.ok
+        events = [s.name for s in cluster.tracer.spans if s.kind == "event"]
+        assert everything.names == events
+        assert {"repo.read", "repo.write", "sim.run"} <= set(events)
+        assert writes.names == [name for name in events if name == "repo.write"]
+
+    def test_interleaved_objects_and_a_switch_report_like_the_flat_scan(self):
+        # The quorum monitor keeps observed quorums per object; what it
+        # reports, in which order and how often must stay what one
+        # store scanned for every quorum reported.
+        tracer = Tracer()
+        cluster = build_cluster(5, seed=0, tracer=tracer)
+        queue = Queue()
+        relation = known.ground(queue, known.QUEUE_STATIC, 5)
+        cluster.add_object("a", queue, "hybrid", relation=relation)
+        cluster.add_object("b", Queue(), "static")
+        auditor = Auditor(cluster, [QuorumIntersectionMonitor()])
+        for item in (
+            ("a", "initial", "Deq", [0, 1, 2]),
+            ("b", "initial", "Deq", [0, 1]),  # no quorum of 3-of-5
+            ("a", "final", "Enq", [3, 4]),  # nor this; misses a's Deq initial
+            ("b", "final", "Enq", [2, 3, 4]),  # misses b's [0, 1]
+            ("a", "final", "Deq", [2, 3, 4]),
+            ("b", "initial", "Enq", [0, 1]),
+            ("a", "initial", "Deq", [0, 1]),  # misses both of a's finals
+            ("b", "initial", "Deq", [0, 1]),  # again: counts go up
+            "switch a",
+            ("a", "initial", "Deq", [0, 1]),  # a's finals went with the switch
+            ("b", "initial", "Deq", [0, 1]),  # b's did not
+            ("a", "final", "Enq", [3, 4]),
+        ):
+            if item == "switch a":
+                tracer.event("reconfig.switch", object="a", epoch=1)
+                continue
+            obj, phase, op, members = item
+            tracer.end_span(
+                tracer.start_span(
+                    "quorum", kind="quorum", object=obj, phase=phase, op=op,
+                    quorum=members,
+                )
+            )
+        report = auditor.finish()
+        no_quorum = " is not a quorum of the declared coterie ThresholdCoterie(3 of 5)"
+        tail = " — the intersection relation no longer contains the dependency relation"
+        # Produced by the parent commit's flat (object, op)-keyed scan.
+        assert [(v.object_name, v.count, v.span_id, v.message) for v in report.violations] == [
+            ("b", 5, 2, "initial quorum [0, 1] for Deq" + no_quorum),
+            ("a", 2, 4, "final quorum [3, 4] for Enq;Ok" + no_quorum),
+            ("a", 1, 4, "final quorum [3, 4] for Enq;Ok is disjoint from "
+                        "initial quorum [0, 1, 2] of Deq" + tail),
+            ("b", 1, 7, "final quorum [2, 3, 4] for Enq;Ok is disjoint from "
+                        "initial quorum [0, 1] of Deq" + tail),
+            ("b", 1, 10, "initial quorum [0, 1] for Enq" + no_quorum),
+            ("b", 1, 10, "initial quorum [0, 1] for Enq is disjoint from "
+                         "final quorum [2, 3, 4] of Enq;Ok" + tail),
+            ("a", 1, 13, "initial quorum [0, 1] for Deq is disjoint from "
+                         "final quorum [3, 4] of Enq;Ok" + tail),
+            ("a", 1, 13, "initial quorum [0, 1] for Deq is disjoint from "
+                         "final quorum [2, 3, 4] of Deq;Ok" + tail),
+            ("b", 2, 16, "initial quorum [0, 1] for Deq is disjoint from "
+                         "final quorum [2, 3, 4] of Enq;Ok" + tail),
+            ("a", 1, 21, "final quorum [3, 4] for Enq;Ok is disjoint from "
+                         "initial quorum [0, 1] of Deq" + tail),
+        ]
+        assert report.suppressed == {} and report.spans_seen == 22

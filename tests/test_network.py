@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.trace import TraceListener, Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, Timeout
 
@@ -117,3 +118,80 @@ class TestSend:
         net.crash(1)
         net.sim.run()
         assert delivered == []
+
+
+class TestTracedWave:
+    """One ``gather`` wave under a tracer: where each ``rpc`` span closes."""
+
+    @staticmethod
+    def _wave(tracer):
+        """Site 0 probes [3, 1, 2]: 1 is down, 2's reply meets a partition.
+
+        Returns the network, the gather result, what each ``sim.run``
+        dispatched, and the ``(name, site, outcome, end)`` of every span
+        in the order a listener saw it close.
+        """
+        sim = Simulator(seed=1, tracer=tracer)
+        net = Network(sim, n_sites=4, latency=1.0, tracer=tracer)
+        dispatched, closes = [], []
+        run = sim.run
+        sim.run = lambda **kw: dispatched.append(run(**kw))
+        if tracer is not None:
+            tracer.bind_clock(sim)
+            listener = TraceListener()
+            listener.on_span_end = lambda span: closes.append(
+                (span.name, span.site, span.outcome, span.end)
+            )
+            tracer.add_listener(listener)
+        net.crash(1)
+        sim.schedule(1.5, lambda: net.partition({0, 1, 3}, {2}))
+
+        def handler(site):
+            net.tracer.event("repo.write", site=site, object="q")
+            return site * 10
+
+        return net, net.gather(0, [3, 1, 2], handler), dispatched, closes
+
+    def test_each_probe_closes_where_its_round_trip_ends(self):
+        tracer = Tracer()
+        _net, result, _dispatched, closes = self._wave(tracer)
+        assert [reply.value for reply in result.replies] == [30]
+        assert result.failed == frozenset({1, 2})
+        rpcs = [span for span in tracer.spans if span.kind == "rpc"]
+        # Opened at launch and in launch order (span 1 is the crash).
+        assert [(s.span_id, s.site, s.start) for s in rpcs] == [
+            (2, 3, 0.0), (3, 1, 0.0), (4, 2, 0.0),
+        ]
+        assert [(s.site, s.outcome, s.end) for s in rpcs] == [
+            (3, "ok", 2.0),  # survivor: closes with its reply
+            (1, "timeout", 1.0),  # crashed: closes when the request arrives
+            (2, "timeout", 2.0),  # reply lost: closes when it was due
+        ]
+        # The handler ran at 3 and at 2; what it emitted is kept, lost
+        # reply or not, and hangs under its own probe.
+        writes = [span for span in tracer.spans if span.name == "repo.write"]
+        assert [(w.site, w.parent_id, w.start) for w in writes] == [
+            (3, 2, 1.0), (2, 4, 1.0),
+        ]
+        # Closes reach a listener in time order, launch order within an instant.
+        assert [c for c in closes if c[0] in ("rpc", "repo.write")] == [
+            ("repo.write", 3, "ok", 1.0),
+            ("rpc", 1, "timeout", 1.0),
+            ("repo.write", 2, "ok", 1.0),
+            ("rpc", 3, "ok", 2.0),
+            ("rpc", 2, "timeout", 2.0),
+        ]
+        # The one thing tracing used to change: what the kernel dispatched.
+        assert [s.attrs for s in tracer.spans if s.name == "sim.run"] == [
+            {"dispatched": 3}
+        ]
+
+    def test_tracing_changes_nothing_the_kernel_or_the_caller_sees(self):
+        traced_net, traced, traced_dispatched, _closes = self._wave(Tracer())
+        plain_net, plain, plain_dispatched, _closes = self._wave(None)
+        # Arrival, the partition, delivery: three events, traced or not.
+        assert traced_dispatched == plain_dispatched == [3]
+        assert traced == plain
+        for counter in ("messages_sent", "messages_dropped"):
+            assert getattr(traced_net, counter) == getattr(plain_net, counter)
+        assert traced_net.sim.now == plain_net.sim.now == 2.0

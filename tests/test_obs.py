@@ -22,6 +22,7 @@ from repro.obs import (
     NULL_SPAN,
     NULL_TRACER,
     Span,
+    TraceListener,
     Tracer,
     parse_jsonl,
     percentile,
@@ -172,6 +173,132 @@ class TestNullTracer:
         cluster.tm.commit(txn)
         assert cluster.tracer.spans == ()
         assert cluster.tm.transaction_span(txn.id) is None
+
+
+class _Tap(TraceListener):
+    """Records what it is handed, as ``(hook, span_id, kind, retained)``."""
+
+    def __init__(self, tracer, kinds=None, starts=True):
+        self.tracer, self.span_kinds, self.seen = tracer, kinds, []
+        if starts:
+            self.on_span_start = lambda span: self._note("start", span)
+
+    def _note(self, hook, span):
+        self.seen.append((hook, span.span_id, span.kind, span in self.tracer.spans))
+
+    def on_span_end(self, span):
+        self._note("end", span)
+
+
+def _emit(tracer):
+    """A fixed little forest: every kind the runtime emits plus an unknown one."""
+    with tracer.span("txn", kind="transaction"):
+        with tracer.span("op", kind="operation"):
+            probe = tracer.start_span("rpc", kind="rpc")
+            tracer.event("repo.write", site=1)
+            with tracer.span("quorum", kind="quorum"):
+                pass
+            tracer.end_span(probe, "timeout")
+        tracer.event("site.crash", site=0)
+    with tracer.span("other"):  # kind "span": nobody names it
+        pass
+
+
+#: ``_emit``'s stream: (hook, span id, kind) in the order the tracer fires them.
+_EMITTED = [
+    ("start", 1, "transaction"), ("start", 2, "operation"), ("start", 3, "rpc"),
+    ("start", 4, "event"), ("end", 4, "event"), ("start", 5, "quorum"),
+    ("end", 5, "quorum"), ("end", 3, "rpc"), ("end", 2, "operation"),
+    ("start", 6, "event"), ("end", 6, "event"), ("end", 1, "transaction"),
+    ("start", 7, "span"), ("end", 7, "span"),
+]
+
+
+class TestListenerRouting:
+    @pytest.mark.parametrize("retention", ["all", "ring", "consume"])
+    def test_interest_free_listener_sees_every_start_and_close_in_order(self, retention):
+        tracer = Tracer(retention=retention, window=3)
+        tap = _Tap(tracer)
+        tracer.add_listener(tap)
+        _emit(tracer)
+        assert [entry[:3] for entry in tap.seen] == _EMITTED
+        assert tracer.closed == sum(1 for entry in tap.seen if entry[0] == "end") == 7
+        if retention == "consume":
+            # Released only after delivery: still retained inside the
+            # close hook, gone once every close has been handed out.
+            assert all(retained for *_entry, retained in tap.seen)
+            assert tracer.retained_spans == 0
+
+    @pytest.mark.parametrize("first", ["narrow", "wide"])
+    def test_kind_restricted_listener_sees_exactly_its_kinds(self, first):
+        tracer = Tracer()
+        narrow = _Tap(tracer, kinds=frozenset({"quorum", "event"}), starts=False)
+        wide = _Tap(tracer, starts=False)
+        for tap in (narrow, wide) if first == "narrow" else (wide, narrow):
+            tracer.add_listener(tap)
+        _emit(tracer)
+        closes = [entry for entry in _EMITTED if entry[0] == "end"]
+        assert [entry[:3] for entry in wide.seen] == closes
+        assert [entry[:3] for entry in narrow.seen] == [
+            entry for entry in closes if entry[2] in ("quorum", "event")
+        ]
+
+    def test_registration_order_is_dispatch_order_within_a_kind(self):
+        tracer, order = Tracer(), []
+
+        class Named(TraceListener):
+            def __init__(self, label, kinds):
+                self.label, self.span_kinds = label, kinds
+
+            def on_span_end(self, span):
+                order.append((self.label, span.kind))
+
+        for label, kinds in (("a", None), ("b", frozenset({"rpc"})), ("c", None)):
+            tracer.add_listener(Named(label, kinds))
+        tracer.end_span(tracer.start_span("rpc", kind="rpc"))
+        tracer.event("site.crash")
+        assert order == [
+            ("a", "rpc"), ("b", "rpc"), ("c", "rpc"), ("a", "event"), ("c", "event"),
+        ]
+
+    def test_base_on_span_start_is_not_called(self):
+        tracer = Tracer()
+        tap = _Tap(tracer, starts=False)
+        tracer.add_listener(tap)
+        assert tracer._start_hooks == ()
+        _emit(tracer)
+        assert {entry[0] for entry in tap.seen} == {"end"}
+
+    def test_add_and_remove_mid_run_reroute(self):
+        tracer = Tracer()
+        early = _Tap(tracer, kinds=frozenset({"rpc"}), starts=False)
+        late = _Tap(tracer, starts=False)
+        tracer.add_listener(early)
+        probe = tracer.start_span("rpc", kind="rpc")
+        tracer.add_listener(late)
+        tracer.end_span(probe)  # both: routed when it closes, not when it opened
+        tracer.remove_listener(early)
+        tracer.end_span(tracer.start_span("rpc", kind="rpc"))
+        tracer.remove_listener(late)
+        tracer.event("site.crash")
+        assert [entry[1] for entry in early.seen] == [1]
+        assert [entry[1] for entry in late.seen] == [1, 2]
+        assert tracer.closed == 3
+
+    def test_closed_counts_events_and_survives_clear(self):
+        tracer = Tracer(retention="ring", window=2)
+        tap = _Tap(tracer, starts=False)
+        tracer.add_listener(tap)
+        _emit(tracer)
+        tracer.clear()
+        _emit(tracer)
+        open_span = tracer.start_span("never-closed")
+        assert tracer.closed == len(tap.seen) == 14
+        assert open_span.end is None
+        tracer.end_span(open_span)
+        tracer.end_span(open_span)  # a second close is not a close
+        assert tracer.closed == len(tap.seen) == 15
+        assert NULL_TRACER.closed == 0
 
 
 class TestExporters:

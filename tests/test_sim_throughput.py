@@ -15,6 +15,8 @@ how the availability benchmarks use the fast path.
 
 from __future__ import annotations
 
+import hashlib
+import re
 import sys
 
 import pytest
@@ -23,6 +25,8 @@ from repro.clocks.timestamps import Timestamp
 from repro.dependency import known
 from repro.errors import SimulationError
 from repro.histories.events import event
+from repro.obs.audit import Auditor
+from repro.obs.export import to_jsonl
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_SPAN_CONTEXT,
@@ -35,6 +39,9 @@ from repro.replication.cluster import build_cluster
 from repro.replication.log import Log, LogEntry
 from repro.replication.snapshot import compact
 from repro.replication.viewcache import QuorumViewCache
+from repro.resilience.chaos import ChaosSchedule, generate_schedule, settle
+from repro.resilience.policy import POLICIES
+from repro.scenarios import runner
 from repro.sim.kernel import QUEUE_MODES, Simulator
 from repro.sim.network import Network, ProbeReply
 from repro.sim.trials import run_trials, seed_range
@@ -546,6 +553,73 @@ class TestSerialBatchedEquality:
                 "rebuilds": 0,
                 "write_throughs": 0,
             }
+
+
+# -- one wave path, traced or not -----------------------------------------------
+
+
+def _chaos_run(mechanism: str, tracer, seed: int = 0, transactions: int = 40):
+    """``write-heavy`` under the ``mixed`` fault profile, batched, settled.
+
+    Returns the cluster and how many events its kernel dispatched.
+    """
+    cluster, generator, names = runner.build_scenario(
+        "write-heavy", seed=seed, mechanism=mechanism, transactions=transactions,
+        tracer=tracer,
+    )
+    cluster.enable_resilience(POLICIES["default"])
+    auditor = Auditor(cluster) if tracer is not None else None
+    schedule = ChaosSchedule(
+        generate_schedule("mixed", seed, cluster.network.n_sites, transactions)
+    )
+    generator.on_transaction_start = schedule.hook(cluster.network)
+    dispatched = []
+    run = cluster.sim.run
+    cluster.sim.run = lambda *a, **kw: dispatched.append(run(*a, **kw)) or dispatched[-1]
+    generator.run(transactions)
+    assert settle(cluster, names)
+    if auditor is not None:
+        assert auditor.finish().ok
+    return cluster, names, sum(dispatched)
+
+
+#: sha256 of ``to_jsonl(tracer.spans)`` of ``_chaos_run(mechanism, Tracer())``
+#: with every ``sim.run``'s ``dispatched`` masked to 0, taken at the commit
+#: before traced waves stopped scheduling one kernel event per probe.
+_CHAOS_EXPORT_SHA256 = {
+    "hybrid": "1c324c5f96191c94c690fe4f474aedff44e836c9ff99b989da84c230844cc7a1",
+    "blocking": "bb66e730011d6040dc12ffbe8bc18531fa9e4686e239e75dddb72d3850ab7221",
+    "multiversion": "b81273965a4bf3a49ae35b7f6c2f7b0e1d7e965cf65593faed543da2780b80fa",
+}
+
+
+class TestTracedRunIsTheUntracedRunPlusObservation:
+    @pytest.mark.parametrize("mechanism", sorted(_CHAOS_EXPORT_SHA256))
+    def test_tracing_moves_nothing_the_run_computes(self, mechanism):
+        tracer = Tracer()
+        traced, names, traced_events = _chaos_run(mechanism, tracer)
+        plain, _names, plain_events = _chaos_run(mechanism, None)
+        assert traced_events == plain_events > 0
+        for value in ("messages_sent", "messages_dropped"):
+            assert getattr(traced.network, value) == getattr(plain.network, value)
+        assert traced.network.messages_dropped > 0  # the faults did bite
+        assert traced.sim.now == plain.sim.now
+        for name in names:
+            assert str(traced.tm.object(name).recorder.to_behavioral_history()) == str(
+                plain.tm.object(name).recorder.to_behavioral_history()
+            )
+        # What the traced run's sim.run events say was dispatched is the
+        # untraced figure too.
+        assert traced_events == sum(
+            span.attrs["dispatched"] for span in tracer.spans if span.name == "sim.run"
+        )
+
+    @pytest.mark.parametrize("mechanism", sorted(_CHAOS_EXPORT_SHA256))
+    def test_full_export_is_pinned_but_for_dispatched(self, mechanism):
+        tracer = Tracer()
+        _chaos_run(mechanism, tracer)
+        text = re.sub(r'"dispatched": \d+', '"dispatched": 0', to_jsonl(tracer.spans))
+        assert hashlib.sha256(text.encode()).hexdigest() == _CHAOS_EXPORT_SHA256[mechanism]
 
 
 # -- trial sharding -----------------------------------------------------------

@@ -257,21 +257,53 @@ class TestClearRegression:
 
 
 class TestWindowedMonitors:
+    @staticmethod
+    def _bound(window):
+        """A quorum monitor on a ten-site queue, fed synthetic quorum spans."""
+        tracer = Tracer()
+        cluster, _generator = build_workload(seed=0, sites=10, tracer=tracer)
+        monitor = QuorumIntersectionMonitor(window=window)
+        auditor = Auditor(cluster, [monitor], max_per_invariant=100)
+
+        def observe(phase, members):
+            tracer.end_span(
+                tracer.start_span(
+                    "quorum", kind="quorum", object="queue", phase=phase, op="Enq",
+                    quorum=members,
+                )
+            )
+
+        def disjoint_initials():
+            """The initial quorums a final quorum was reported disjoint from."""
+            return [
+                v.message.split("initial quorum ")[1].split(" of ")[0]
+                for v in auditor.finish().violations
+                if "is disjoint from" in v.message
+            ]
+
+        return monitor, observe, disjoint_initials
+
     def test_quorum_monitor_window_evicts_oldest(self):
-        monitor = QuorumIntersectionMonitor(window=3)
-        store = monitor._initials.setdefault("q", {})
+        monitor, observe, disjoint_initials = self._bound(window=3)
         for i in range(10):
-            monitor._remember(store, ("q", "Enq"), frozenset({i}))
-        assert len(store[("q", "Enq")]) == 3
-        assert frozenset({9}) in store[("q", "Enq")]
-        assert frozenset({0}) not in store[("q", "Enq")]
+            observe("initial", [i])
+            assert monitor.state_cells() == min(i + 1, 3)
+        observe("initial", [8])  # seen again: most recent, not a new cell
+        observe("initial", [10])
+        assert monitor.state_cells() == 3
+        observe("final", [0])
+        assert monitor.state_cells() == 4
+        # [7] went when [10] came: [8] had been refreshed past it.
+        assert disjoint_initials() == ["[9]", "[8]", "[10]"]
 
     def test_deep_monitor_is_unbounded(self):
-        monitor = QuorumIntersectionMonitor()
-        store = monitor._initials.setdefault("q", {})
+        monitor, observe, disjoint_initials = self._bound(window=None)
         for i in range(10):
-            monitor._remember(store, ("q", "Enq"), frozenset({i}))
-        assert len(store[("q", "Enq")]) == 10
+            observe("initial", [i])
+        assert monitor.state_cells() == 10
+        observe("final", [0])
+        assert monitor.state_cells() == 11
+        assert disjoint_initials() == [f"[{i}]" for i in range(1, 10)]
 
 
 # -- txn ids and retirement -------------------------------------------------
