@@ -12,54 +12,84 @@ knows transaction status; accordingly a closed subhistory here always
 retains every Begin/Commit/Abort entry of ``H`` and drops only operation
 entries.  This matches the constructions in the paper's proofs, where
 ``G`` is always "all events of H except the last".
+
+Since only operation entries are ever dropped, a subhistory *is* a set of
+operation positions, and the definition is computed on bitmasks over
+them (:class:`OpMasks`): one table per ``(history, relation)``, one AND
+per kept operation to test closure.  The literal transcription — a
+subset loop and a pairwise scan — lives in ``tests/test_closure.py`` as
+the reference this module is compared against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.dependency.relation import DependencyRelation
 from repro.histories.behavioral import BehavioralHistory, Op
+from repro.histories.events import Event, Invocation
 
 
-def _op_indices(history: BehavioralHistory) -> tuple[int, ...]:
-    return tuple(
-        index for index, entry in enumerate(history) if isinstance(entry, Op)
-    )
+class OpMasks:
+    """Definition 1 for one history under one relation, on bitmasks.
+
+    Bit ``p`` of a mask is the history's ``p``-th operation entry, found
+    at entry index ``indices[p]``; ``needs[p]`` is the mask of the earlier
+    live (non-aborted) operations its invocation depends on, ``0`` if its
+    own action aborted.  ``K`` is closed iff no kept ``p`` has
+    ``needs[p] & ~K``.  The helpers below and the Definition 2 search all
+    read closure off this one table.
+    """
+
+    def __init__(self, history: BehavioralHistory, relation: DependencyRelation):
+        self._depends = relation.depends
+        aborted = history.aborted
+        self.indices: list[int] = []
+        self.needs: list[int] = []
+        self._live: list[tuple[int, Event]] = []  # (bit, event), history order
+        for index, entry in enumerate(history):
+            if isinstance(entry, Op):
+                live = entry.action not in aborted
+                self.needs.append(self.depended_on(entry.event.inv) if live else 0)
+                if live:
+                    self._live.append((1 << len(self.indices), entry.event))
+                self.indices.append(index)
+        self.full = (1 << len(self.indices)) - 1
+
+    def depended_on(self, invocation: Invocation) -> int:
+        """The live operations (met so far) that ``invocation`` depends on."""
+        return sum(bit for bit, event in self._live if self._depends(invocation, event))
+
+    def is_closed(self, kept: int) -> bool:
+        for p, need in enumerate(self.needs):
+            if kept >> p & 1 and need & ~kept:
+                return False
+        return True
+
+    def closed(self, required: int, *, proper_only: bool = False) -> Iterator[int]:
+        """Closed masks ``K ⊇ required``, ascending — the order in which a
+        counter over the optional operations alone visits them, since
+        spreading its bits over their positions preserves ``<``."""
+        optional = self.full & ~required
+        chosen = 0
+        while True:
+            kept = required | chosen
+            if not (proper_only and kept == self.full) and self.is_closed(kept):
+                yield kept
+            chosen = (chosen - optional) & optional  # the next submask up
+            if not chosen:
+                return
+
+    def mask_of(self, op_indices: Iterable[int]) -> int:
+        return sum(1 << self.indices.index(index) for index in op_indices)
+
+    def indices_of(self, mask: int) -> frozenset[int]:
+        return frozenset(i for p, i in enumerate(self.indices) if mask >> p & 1)
 
 
 def project(history: BehavioralHistory, kept_ops: frozenset[int]) -> BehavioralHistory:
     """The subhistory keeping all non-operation entries and ``kept_ops``."""
-    return BehavioralHistory(
-        entry
-        for index, entry in enumerate(history)
-        if not isinstance(entry, Op) or index in kept_ops
-    )
-
-
-def _violations(
-    history: BehavioralHistory,
-    relation: DependencyRelation,
-    kept: frozenset[int],
-) -> bool:
-    """Does ``kept`` violate closure: a kept entry depends on a dropped earlier one?"""
-    aborted = history.aborted
-    entries = history.entries
-    for index in kept:
-        entry = entries[index]
-        assert isinstance(entry, Op)
-        if entry.action in aborted:
-            continue
-        for earlier_index in _op_indices(history):
-            if earlier_index >= index or earlier_index in kept:
-                continue
-            earlier = entries[earlier_index]
-            assert isinstance(earlier, Op)
-            if earlier.action in aborted:
-                continue
-            if relation.depends(entry.event.inv, earlier.event):
-                return True
-    return False
+    return history.subhistory(kept_ops)
 
 
 def is_closed_subhistory(
@@ -68,7 +98,8 @@ def is_closed_subhistory(
     kept_ops: frozenset[int],
 ) -> bool:
     """Is the projection onto ``kept_ops`` closed under ``relation``?"""
-    return not _violations(history, relation, kept_ops)
+    masks = OpMasks(history, relation)
+    return masks.is_closed(masks.mask_of(kept_ops))
 
 
 def closed_subhistories(
@@ -85,23 +116,14 @@ def closed_subhistories(
     requires the view for an invocation to contain every event it depends
     on).  With ``proper_only`` the full history itself is skipped.
 
-    The closure of ``required_ops`` under ``relation`` is taken first;
-    the remaining optional entries are then toggled in all combinations
-    that preserve closure.  At kernel scale (≤ 6 operation entries) plain
+    The remaining optional entries are toggled in all combinations that
+    preserve closure.  At kernel scale (≤ 6 operation entries) plain
     subset enumeration is exact and fast.
     """
-    ops = _op_indices(history)
-    optional = [index for index in ops if index not in required_ops]
-    for bits in range(1 << len(optional)):
-        kept = set(required_ops)
-        for position, index in enumerate(optional):
-            if bits & (1 << position):
-                kept.add(index)
-        kept_frozen = frozenset(kept)
-        if proper_only and len(kept_frozen) == len(ops):
-            continue
-        if is_closed_subhistory(history, relation, kept_frozen):
-            yield kept_frozen, project(history, kept_frozen)
+    masks = OpMasks(history, relation)
+    for kept in masks.closed(masks.mask_of(required_ops), proper_only=proper_only):
+        kept_ops = masks.indices_of(kept)
+        yield kept_ops, project(history, kept_ops)
 
 
 def dependent_op_indices(
@@ -110,11 +132,5 @@ def dependent_op_indices(
     invocation,
 ) -> frozenset[int]:
     """Indices of the (non-aborted) entries of ``history`` that ``invocation`` depends on."""
-    aborted = history.aborted
-    return frozenset(
-        index
-        for index, entry in enumerate(history)
-        if isinstance(entry, Op)
-        and entry.action not in aborted
-        and relation.depends(invocation, entry.event)
-    )
+    masks = OpMasks(history, relation)
+    return masks.indices_of(masks.depended_on(invocation))

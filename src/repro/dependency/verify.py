@@ -29,23 +29,23 @@ per pair), a :class:`VerificationArena` enumerates the bounded history
 universe and classifies the candidate appended events at most once, *on
 demand*: a search that meets its counterexample early pays only for the
 universe up to that witness, the first search that runs to the end
-completes the arena, and every later check replays it.  All
-specification-membership queries hit the property's memoization cache.
+completes the arena, and every later check replays it.  Whether a closed
+subhistory admits an append does not depend on the relation that made it
+closed, so that answer is kept beside the arena entry too: a search
+enumerates closed kept sets as bitmasks (``closure.OpMasks``) and asks
+the property only about views no earlier search over the arena met.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.atomicity.explore import ExplorationBounds, behavioral_histories
 from repro.atomicity.properties import LocalAtomicityProperty
-from repro.dependency.closure import (
-    closed_subhistories,
-    dependent_op_indices,
-)
+from repro.dependency.closure import OpMasks, project
 from repro.dependency.relation import DependencyRelation, GroundPair
-from repro.histories.behavioral import Action, BehavioralHistory, Op
+from repro.histories.behavioral import BehavioralHistory, Op
 from repro.histories.events import Event, Invocation
 
 
@@ -126,7 +126,10 @@ class VerificationArena:
     admitted, together with those rejected appends (admitted appends
     satisfy Definition 2 vacuously).  ``entries`` is produced in
     enumeration order as far as some search has iterated, never twice:
-    constructing an arena enumerates nothing.
+    constructing an arena enumerates nothing.  ``view_admitted`` holds,
+    per entry, rejected append and kept set, whether the property admits
+    that append after that closed subhistory — decided by the first
+    search that asks, under whatever relation, and replayed to the rest.
     """
 
     def __init__(self, prop: LocalAtomicityProperty, bounds: VerificationBounds):
@@ -142,6 +145,9 @@ class VerificationArena:
         #: (history, rejected appends) pairs; each append is an Op entry
         #: such that history.append(op) is well-formed but not admitted.
         self.entries = _Replayed(self._build())
+        #: (position in ``entries``, position among its rejected appends,
+        #: kept mask ``K``) → is ``project(history, K)·op`` admitted?
+        self.view_admitted: dict[tuple[int, int, int], bool] = {}
 
     def _build(self) -> Iterator[tuple[BehavioralHistory, tuple[Op, ...]]]:
         prop = self.property
@@ -166,18 +172,27 @@ def find_counterexample(
 ) -> Counterexample | None:
     """Search the arena for a Definition 2 violation of ``relation``.
 
-    Returns the first counterexample found, or ``None`` when the
-    relation holds throughout the bounded universe.
+    Returns the first counterexample found — entries in arena order,
+    their rejected appends in order, kept masks ascending — or ``None``
+    when the relation holds throughout the bounded universe.
     """
     prop = arena.property
-    for history, rejected in arena.entries:
-        for op in rejected:
-            required = dependent_op_indices(history, relation, op.event.inv)
-            for kept, subhistory in closed_subhistories(
-                history, relation, required, proper_only=True
-            ):
-                if prop.admits(subhistory.append(op)):
-                    return Counterexample(history, subhistory, kept, op)
+    view_admitted = arena.view_admitted
+    for slot, (history, rejected) in enumerate(arena.entries):
+        masks = OpMasks(history, relation)
+        for which, op in enumerate(rejected):
+            required = masks.depended_on(op.event.inv)
+            for kept in masks.closed(required, proper_only=True):
+                admitted = view_admitted.get((slot, which, kept))
+                if admitted is None:
+                    view = project(history, masks.indices_of(kept))
+                    admitted = prop.admits(view.append(op))
+                    view_admitted[slot, which, kept] = admitted
+                if admitted:
+                    kept_ops = masks.indices_of(kept)
+                    return Counterexample(
+                        history, project(history, kept_ops), kept_ops, op
+                    )
     return None
 
 

@@ -66,10 +66,29 @@ class Op:
 Entry = Begin | Commit | Abort | Op
 
 
+def _after(index: int, entry: Entry, begun, committed, aborted, active):
+    """``(begun, committed, aborted, active)`` once ``entry`` stands at
+    ``index`` after a history in that state; raises if it may not."""
+    action = entry.action
+    if isinstance(entry, Begin):
+        if action in begun:
+            raise SpecificationError(f"entry {index}: action {action} begins twice")
+        return begun + (action,), committed, aborted, active | {action}
+    if action not in active:
+        problem = "after terminating" if action in begun else "before its Begin"
+        raise SpecificationError(f"entry {index}: action {action} acts {problem}")
+    if isinstance(entry, Commit):
+        return begun, committed + (action,), aborted, active - {action}
+    if isinstance(entry, Abort):
+        return begun, committed, aborted | {action}, active - {action}
+    return begun, committed, aborted, active
+
+
 class BehavioralHistory:
     """An immutable, well-formed behavioral history.
 
-    Well-formedness (checked on construction):
+    Well-formedness (checked on construction, and on :meth:`append`
+    against the parent's state — one entry, not the whole history):
 
     * an action's ``Begin`` precedes all its other entries;
     * each action begins, commits, and aborts at most once;
@@ -81,42 +100,35 @@ class BehavioralHistory:
     as the Lamport commit-time order used by hybrid atomicity
     (Definition 3): representing timestamps positionally keeps the kernel
     purely combinatorial.
+
+    A history made by :meth:`append` links to the one it extends — that
+    object is its longest proper prefix, and its per-action events are
+    the parent's plus one.  Equality and hashing read the entries alone.
     """
 
-    __slots__ = ("_entries", "_begun", "_committed", "_aborted", "_hash", "_events_of")
+    __slots__ = (
+        "_entries", "_begun", "_committed", "_aborted", "_active", "_parent",
+        "_hash", "_events_of", "_committed_set", "_actions",
+    )
 
     def __init__(self, entries: Iterable[Entry] = ()):
         entries = tuple(entries)
-        begun: list[Action] = []
-        committed: list[Action] = []
-        aborted: list[Action] = []
+        state = (), (), frozenset(), frozenset()
         for index, entry in enumerate(entries):
-            action = entry.action
-            if isinstance(entry, Begin):
-                if action in begun:
-                    raise SpecificationError(
-                        f"entry {index}: action {action} begins twice"
-                    )
-                begun.append(action)
-                continue
-            if action not in begun:
-                raise SpecificationError(
-                    f"entry {index}: action {action} acts before its Begin"
-                )
-            if action in committed or action in aborted:
-                raise SpecificationError(
-                    f"entry {index}: action {action} acts after terminating"
-                )
-            if isinstance(entry, Commit):
-                committed.append(action)
-            elif isinstance(entry, Abort):
-                aborted.append(action)
-        self._entries = entries
-        self._begun = tuple(begun)
-        self._committed = tuple(committed)
-        self._aborted = frozenset(aborted)
+            state = _after(index, entry, *state)
+        self._set(entries, None, *state)
+
+    def _set(self, entries, parent, begun, committed, aborted, active) -> None:
+        self._entries: tuple[Entry, ...] = entries
+        self._parent: BehavioralHistory | None = parent
+        self._begun: tuple[Action, ...] = begun
+        self._committed: tuple[Action, ...] = committed
+        self._aborted: frozenset[Action] = aborted
+        self._active: frozenset[Action] = active
         self._hash: int | None = None
         self._events_of: dict[Action, tuple[Event, ...]] | None = None
+        self._committed_set: frozenset[Action] | None = None
+        self._actions: frozenset[Action] | None = None
 
     # -- sequence protocol -------------------------------------------------
 
@@ -161,7 +173,9 @@ class BehavioralHistory:
 
     @property
     def committed(self) -> frozenset[Action]:
-        return frozenset(self._committed)
+        if self._committed_set is None:
+            self._committed_set = frozenset(self._committed)
+        return self._committed_set
 
     @property
     def aborted(self) -> frozenset[Action]:
@@ -170,11 +184,13 @@ class BehavioralHistory:
     @property
     def active(self) -> frozenset[Action]:
         """Actions that have begun but neither committed nor aborted."""
-        return frozenset(self._begun) - self.committed - self._aborted
+        return self._active
 
     @property
     def actions(self) -> frozenset[Action]:
-        return frozenset(self._begun)
+        if self._actions is None:
+            self._actions = frozenset(self._begun)
+        return self._actions
 
     def ops(self) -> tuple[Op, ...]:
         """All operation entries, in history order."""
@@ -183,26 +199,56 @@ class BehavioralHistory:
     def events_of(self, action: Action) -> tuple[Event, ...]:
         """The events executed by ``action``, in history order.
 
-        Cached on first use: serialization machinery calls this once per
-        action per serialization, which would otherwise rescan the whole
-        entry list each time.
+        Tabulated per action on first use, from the nearest
+        :meth:`append` ancestor that has a table: one entry further than
+        a tabulated history reads one entry.
         """
-        if self._events_of is None:
-            collected: dict[Action, list[Event]] = {a: [] for a in self._begun}
-            for entry in self._entries:
+        table = self._events_of
+        if table is None:
+            base = self._parent
+            while base is not None and base._events_of is None:
+                base = base._parent
+            table = {} if base is None else dict(base._events_of)
+            for entry in self._entries[0 if base is None else len(base._entries):]:
                 if isinstance(entry, Op):
-                    collected[entry.action].append(entry.event)
-            self._events_of = {a: tuple(evs) for a, evs in collected.items()}
-        return self._events_of.get(action, ())
+                    table[entry.action] = table.get(entry.action, ()) + (entry.event,)
+            self._events_of = table
+        return table.get(action, ())
 
     # -- construction helpers ----------------------------------------------
 
     def append(self, entry: Entry) -> "BehavioralHistory":
-        """Return a new history with ``entry`` appended (well-formedness checked)."""
-        return BehavioralHistory(self._entries + (entry,))
+        """Return a new history with ``entry`` appended (that entry checked)."""
+        state = _after(
+            len(self._entries), entry,
+            self._begun, self._committed, self._aborted, self._active,
+        )
+        child = object.__new__(BehavioralHistory)
+        child._set(self._entries + (entry,), self, *state)
+        return child
+
+    def subhistory(self, kept_ops: frozenset[int]) -> "BehavioralHistory":
+        """This history without its operation entries at indices outside
+        ``kept_ops``: as well-formed as this one, in the same state."""
+        kept = object.__new__(BehavioralHistory)
+        kept._set(
+            tuple(
+                entry
+                for index, entry in enumerate(self._entries)
+                if not isinstance(entry, Op) or index in kept_ops
+            ),
+            None, self._begun, self._committed, self._aborted, self._active,
+        )
+        return kept
 
     def prefix(self, length: int) -> "BehavioralHistory":
-        """Return the prefix consisting of the first ``length`` entries."""
+        """Return the prefix consisting of the first ``length`` entries:
+        the history this one grew from by :meth:`append`, if one did."""
+        history = self
+        while len(history._entries) > length and history._parent is not None:
+            history = history._parent
+        if len(history._entries) == length:
+            return history
         return BehavioralHistory(self._entries[:length])
 
     def prefixes(self) -> Iterator["BehavioralHistory"]:

@@ -167,17 +167,3 @@ def dynamic_serializations(history: BehavioralHistory) -> Iterator[SerialHistory
                 seen.add(serial)
                 yield serial
 
-
-def dynamic_serialization_orders(
-    history: BehavioralHistory,
-) -> Iterator[tuple[Action, ...]]:
-    """Yield the action orders underlying :func:`dynamic_serializations`.
-
-    Exposed separately for Definition 7's equivalence requirement, where
-    the checker needs each serialization (not just the distinct ones).
-    """
-    pairs = precedes_pairs(history)
-    committed = history.committed
-    for subset in action_subsets(relevant_active(history)):
-        nodes = sorted(committed | set(subset))
-        yield from linear_extensions(nodes, pairs)

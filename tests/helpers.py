@@ -39,3 +39,16 @@ def prom_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):
     datatype = PROM()
     relation = known.ground(datatype, known.PROM_HYBRID, 5)
     return small_system(datatype, scheme, relation, n_sites, seed, **kwargs)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a pass-through that counts its ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counted.calls += 1
+        return original(*args, **kwargs)
+
+    counted.calls = 0
+    monkeypatch.setattr(owner, name, counted)
+    return counted

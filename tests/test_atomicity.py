@@ -13,6 +13,7 @@ from repro.atomicity.properties import (
 from repro.histories.behavioral import Abort, Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import event, ok, signal
 from repro.types import Queue, Register
+from tests.helpers import count_calls
 
 
 ENQ_A = event("Enq", ("a",))
@@ -219,3 +220,77 @@ class TestCompareConcurrency:
     def test_summary_renders(self, comparison):
         text = comparison.summary()
         assert "Queue" in text and "hybrid" in text
+
+
+def _short_transactions(count, last=()):
+    """``count`` serial single-``Enq(a)`` transactions, then ``last``."""
+    entries = []
+    for number in range(count):
+        action = f"T{number}"
+        entries += [Begin(action), Op(ENQ_A, action), Commit(action)]
+    return entries + list(last)
+
+
+def _two_long_transactions(dequeues, last=()):
+    """``A`` enqueues 598 times and commits, ``B`` dequeues, then ``last``.
+
+    The run-length shape for strong dynamic atomicity: Definition 7's
+    check reads ``precedes``, which is quadratic in *committed actions*,
+    so four hundred of them cost ``check_history`` (not ``admits``) tens
+    of seconds.
+    """
+    entries = [Begin("A"), *[Op(ENQ_A, "A")] * 598, Commit("A"), Begin("B")]
+    return entries + [Op(DEQ_A, "B")] * dequeues + list(last)
+
+
+RUN_LENGTH = [
+    (StaticAtomicity, _short_transactions, 400),
+    (HybridAtomicity, _short_transactions, 400),
+    (DynamicAtomicity, _two_long_transactions, 598),
+]
+
+
+class TestRunLengthHistories:
+    """``admits`` on histories as long as the runtime records them.
+
+    One stack frame per entry overflowed at about a thousand entries
+    (the ``long-history`` queue's recorder yields two thousand).
+    """
+
+    @pytest.mark.parametrize("prop_type, shape, count", RUN_LENGTH)
+    def test_admitted_without_recursion_and_checked_once(
+        self, monkeypatch, prop_type, shape, count
+    ):
+        entries = shape(count, [Commit("B")] if shape is _two_long_transactions else ())
+        history = BehavioralHistory(entries)
+        assert len(history) == 1200
+        prop = prop_type(Queue())
+        entered = count_calls(monkeypatch, prop_type, "check_history")
+        assert prop.admits(history)
+        first_pass = entered.calls
+        assert 0 < first_pass <= len(history.ops()), "at most one check per Op prefix"
+        assert prop.admits(history)
+        assert prop.admits(BehavioralHistory(entries)), "an equal history, rebuilt"
+        assert entered.calls == first_pass, "a decided history is not checked again"
+
+    @pytest.mark.parametrize("prop_type, shape, count", RUN_LENGTH)
+    def test_rejected_at_the_first_bad_prefix_past_entry_1000(
+        self, monkeypatch, prop_type, shape, count
+    ):
+        # Dequeuing ``b`` from a queue that holds only ``a``.
+        late = "B" if shape is _two_long_transactions else "late"
+        begin = [] if late == "B" else [Begin(late)]
+        good = shape(count - 60) + begin
+        bad = len(good)
+        assert bad > 1000
+        history = BehavioralHistory(
+            good + [Op(DEQ_B, late), Op(DEQ_A, late), Commit(late)]
+        )
+        prop = prop_type(Queue())
+        entered = count_calls(monkeypatch, prop_type, "check_history")
+        assert not prop.admits(history)
+        assert prop.admits(history.prefix(bad))
+        assert not prop.admits(history.prefix(bad + 1))
+        assert entered.calls <= len(history.prefix(bad + 1).ops()), (
+            "nothing past the first rejected prefix is checked"
+        )

@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.atomicity.explore import ExplorationBounds, behavioral_histories
+from repro.atomicity.properties import (
+    DynamicAtomicity,
+    HybridAtomicity,
+    StaticAtomicity,
+)
+from repro.core.theorems import _prom_events
 from repro.dependency.closure import (
     closed_subhistories,
     dependent_op_indices,
@@ -11,6 +18,7 @@ from repro.dependency.closure import (
 from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.histories.behavioral import Abort, Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import Invocation, event, ok
+from repro.types import PROM, FlagSet, Queue, Register
 
 
 ENQ_A = event("Enq", ("a",))
@@ -124,3 +132,151 @@ class TestDependentIndices:
     def test_unrelated_invocation_requires_nothing(self, history):
         deps = dependent_op_indices(history, REL, Invocation("Enq", ("a",)))
         assert deps == frozenset()
+
+
+# -- the literal Definition 1, kept as the reference -------------------------
+#
+# What ``closure.py`` computed before it moved to op-position bitmasks: a
+# subset loop over the optional entries, a pairwise violation scan per
+# subset.  ``tests/test_verify.py`` builds the literal Definition 2
+# search on top of it.
+
+
+def _op_indices(history):
+    return tuple(
+        index for index, entry in enumerate(history) if isinstance(entry, Op)
+    )
+
+
+def _violations(history, relation, kept):
+    """Does ``kept`` violate closure: a kept entry depends on a dropped earlier one?"""
+    aborted = history.aborted
+    entries = history.entries
+    for index in kept:
+        entry = entries[index]
+        assert isinstance(entry, Op)
+        if entry.action in aborted:
+            continue
+        for earlier_index in _op_indices(history):
+            if earlier_index >= index or earlier_index in kept:
+                continue
+            earlier = entries[earlier_index]
+            if earlier.action in aborted:
+                continue
+            if relation.depends(entry.event.inv, earlier.event):
+                return True
+    return False
+
+
+def reference_closed_subhistories(
+    history, relation, required_ops=frozenset(), *, proper_only=False
+):
+    ops = _op_indices(history)
+    optional = [index for index in ops if index not in required_ops]
+    for bits in range(1 << len(optional)):
+        kept = set(required_ops)
+        for position, index in enumerate(optional):
+            if bits & (1 << position):
+                kept.add(index)
+        kept_frozen = frozenset(kept)
+        if proper_only and len(kept_frozen) == len(ops):
+            continue
+        if not _violations(history, relation, kept_frozen):
+            yield kept_frozen, BehavioralHistory(
+                entry
+                for index, entry in enumerate(history)
+                if not isinstance(entry, Op) or index in kept_frozen
+            )
+
+
+def reference_dependent_op_indices(history, relation, invocation):
+    aborted = history.aborted
+    return frozenset(
+        index
+        for index, entry in enumerate(history)
+        if isinstance(entry, Op)
+        and entry.action not in aborted
+        and relation.depends(invocation, entry.event)
+    )
+
+
+#: The FlagSet battery's alphabet: its normal events.
+FLAGSET_EVENTS = (
+    event("Open"),
+    event("Shift", (1,)),
+    event("Shift", (2,)),
+    event("Shift", (3,)),
+    event("Close", (), ok(False)),
+    event("Close", (), ok(True)),
+)
+
+
+def probe_relations(invocations, events):
+    """The empty relation, the total one, and the total minus each pair."""
+    total = DependencyRelation.total(invocations, events)
+    return [DependencyRelation(), total, *(total.without(pair) for pair in total)]
+
+
+def _universe(prop, **bounds):
+    bounds = ExplorationBounds(**bounds)
+    events = bounds.resolve_events(prop)
+    invocations = sorted({ev.inv for ev in events}, key=str)
+    return prop, bounds, invocations, probe_relations(invocations, events)
+
+
+UNIVERSES = {
+    "static-register": lambda: _universe(
+        StaticAtomicity(Register(items=("x",))), max_ops=3, max_actions=2
+    ),
+    "hybrid-prom": lambda: _universe(
+        HybridAtomicity(PROM()), max_ops=3, max_actions=3, events=_prom_events()
+    ),
+    "hybrid-flagset": lambda: _universe(
+        HybridAtomicity(FlagSet()), max_ops=3, max_actions=2, events=FLAGSET_EVENTS
+    ),
+    "dynamic-queue": lambda: _universe(
+        DynamicAtomicity(Queue()), max_ops=3, max_actions=2, alphabet_depth=2
+    ),
+    "static-register-aborts": lambda: _universe(
+        StaticAtomicity(Register(items=("x",))),
+        max_ops=3, max_actions=2, include_aborts=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNIVERSES)
+def test_mask_core_agrees_with_the_literal_definition(name):
+    """Same ``(kept, subhistory)`` sequence, same order, every relation."""
+    prop, bounds, invocations, relations = UNIVERSES[name]()
+    histories = list(behavioral_histories(prop, bounds))
+    assert any(history.aborted for history in histories) == bounds.include_aborts
+    compared = 0
+    for history in histories:
+        ops = _op_indices(history)
+        for relation in relations:
+            requirements = {frozenset()}
+            for invocation in invocations:
+                required = dependent_op_indices(history, relation, invocation)
+                assert required == reference_dependent_op_indices(
+                    history, relation, invocation
+                )
+                requirements.add(required)
+            for required in requirements:
+                for proper_only in (False, True):
+                    expected = list(
+                        reference_closed_subhistories(
+                            history, relation, required, proper_only=proper_only
+                        )
+                    )
+                    assert expected == list(
+                        closed_subhistories(
+                            history, relation, required, proper_only=proper_only
+                        )
+                    )
+                    compared += len(expected)
+            for bits in range(1 << len(ops)):
+                kept = frozenset(i for p, i in enumerate(ops) if bits >> p & 1)
+                assert is_closed_subhistory(history, relation, kept) == (
+                    not _violations(history, relation, kept)
+                )
+    assert compared > 1000

@@ -7,7 +7,7 @@ paper is re-derived by the kernel.  They take a few seconds in total
 
 import pytest
 
-from repro.atomicity.explore import behavioral_histories
+from repro.atomicity.explore import ExplorationBounds, behavioral_histories
 from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
 from repro.compute.artifacts import derive_artifacts
 from repro.core.theorems import (
@@ -20,9 +20,12 @@ from repro.core.theorems import (
     verify_theorem_11,
     verify_theorem_12,
 )
-from repro.dependency import verify
+from repro.dependency import closure, known, verify
+from repro.histories.behavioral import BehavioralHistory
 from repro.spec.legality import LegalityOracle
-from repro.types import PROM
+from repro.types import PROM, FlagSet
+from tests.helpers import count_calls
+from tests.test_closure import FLAGSET_EVENTS
 
 
 def test_theorem_4_static_implies_hybrid():
@@ -111,3 +114,62 @@ class TestSearchesStopWhenAnswered:
         oracle = CountingOracle(PROM())
         derive_artifacts(PROM(), 4, oracle)
         assert 0 < oracle.hops < parent_hops / 5, oracle.hops
+
+    def test_theorem_5_checks_each_serialized_input_once(self, monkeypatch):
+        """``check_history`` entries and whole-history validations.
+
+        At the parent commit (124b4a2) ``verify_theorem_5(max_ops=3)``
+        entered ``check_history`` 17 078 times for 2 702 distinct inputs
+        and walked a whole history in ``BehavioralHistory.__init__``
+        59 268 times (every ``append``, ``prefix`` and ``project`` did).
+        Keyed admission needs 1 864 checks; ``append`` validates one
+        entry and a projection none, which leaves the constructor the
+        six histories built from a list of entries.
+        """
+        static = count_calls(monkeypatch, StaticAtomicity, "check_history")
+        hybrid = count_calls(monkeypatch, HybridAtomicity, "check_history")
+        validated = count_calls(monkeypatch, BehavioralHistory, "__init__")
+        assert verify_theorem_5(max_ops=3).holds
+        assert 0 < static.calls + hybrid.calls < 17_078 / 4
+        assert 0 < validated.calls < 59_268 / 3
+
+    def test_flagset_searches_share_their_projections(self, monkeypatch):
+        """Subhistories ``project`` builds in ``verify_flagset_two_minimals``.
+
+        Three searches over one arena: at the parent commit each
+        re-projected every closed subhistory for every rejected append
+        (19 040 builds); a view's verdict is now kept beside the arena
+        entry, and one search builds a view once for all its appends.
+        """
+        built = count_calls(monkeypatch, closure, "project")
+        monkeypatch.setattr(verify, "project", built, raising=False)  # its own name
+        assert verify_flagset_two_minimals(max_ops=4).holds
+        assert 0 < built.calls < 19_040 / 2
+
+    def test_a_repeated_search_asks_the_property_nothing(self, monkeypatch):
+        """Second search over a completed arena: no admission, no check.
+
+        View verdicts carry no relation, so a search whose views an
+        earlier one decided — the same relation again, or any superset
+        (fewer closed subhistories, more required entries) — replays.
+        """
+        datatype = FlagSet()
+        arena = verify.VerificationArena(
+            HybridAtomicity(datatype),
+            verify.VerificationBounds(
+                ExplorationBounds(max_ops=3, max_actions=2, events=FLAGSET_EVENTS)
+            ),
+        )
+        relation = known.ground(
+            datatype, known.FLAGSET_HYBRID_A, events=FLAGSET_EVENTS
+        )
+        assert verify.find_counterexample(relation, arena) is None
+        decided = len(arena.view_admitted)
+        assert decided > 0
+        entered = count_calls(monkeypatch, HybridAtomicity, "check_history")
+        asked = count_calls(monkeypatch, HybridAtomicity, "admits")
+        for again in (relation, relation.union(arena.universe_pairs())):
+            assert verify.find_counterexample(again, arena) is None
+        assert len(arena.view_admitted) == decided
+        assert entered.calls == 0 and asked.calls == 0
+

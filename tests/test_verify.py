@@ -5,11 +5,17 @@ import itertools
 import pytest
 
 from repro.atomicity.explore import ExplorationBounds, behavioral_histories
-from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
+from repro.atomicity.properties import (
+    DynamicAtomicity,
+    HybridAtomicity,
+    StaticAtomicity,
+)
 from repro.core.theorems import _prom_events
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
+from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 from repro.dependency.verify import (
+    Counterexample,
     VerificationArena,
     VerificationBounds,
     find_counterexample,
@@ -21,7 +27,13 @@ from repro.dependency.static_dep import minimal_static_dependency
 from repro.histories.behavioral import Op
 from repro.histories.events import event, ok
 from repro.spec.legality import LegalityOracle
-from repro.types import PROM, FlagSet, Register
+from repro.types import PROM, FlagSet, Queue, Register
+from tests.test_closure import (
+    FLAGSET_EVENTS,
+    probe_relations,
+    reference_closed_subhistories,
+    reference_dependent_op_indices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +264,86 @@ def test_theorem_5_searched_counterexample_is_pinned():
         "Seal();Ok() B",
         "Commit A",
     ]
+
+
+# -- the literal Definition 2 search, kept as the reference -------------------
+
+
+def reference_find_counterexample(relation, entries, prop):
+    """What ``find_counterexample`` did before view verdicts were kept.
+
+    Every closed subhistory of every entry is projected and put to
+    ``admits`` again, for every relation, in the literal subset order of
+    ``tests/test_closure.py``.
+    """
+    for history, rejected in entries:
+        for op in rejected:
+            required = reference_dependent_op_indices(history, relation, op.event.inv)
+            for kept, subhistory in reference_closed_subhistories(
+                history, relation, required, proper_only=True
+            ):
+                if prop.admits(subhistory.append(op)):
+                    return Counterexample(history, subhistory, kept, op)
+    return None
+
+
+def _arena(prop, **bounds):
+    return VerificationArena(prop, VerificationBounds(ExplorationBounds(**bounds)))
+
+
+def _battery_relations(datatype, *schemas, events=None):
+    return [known.ground(datatype, schema, 5, events=events) for schema in schemas]
+
+
+#: name → (arena, the relations the theorem battery puts to such an arena).
+DIFFERENTIAL = {
+    "static-register": lambda: (
+        _static_register(VerificationArena),
+        [minimal_static_dependency(Register(items=("x",)), 3)],
+    ),
+    "hybrid-prom": lambda: (
+        _hybrid_prom(VerificationArena),
+        _battery_relations(PROM(), known.PROM_HYBRID)
+        + [minimal_static_dependency(PROM(), 3)],
+    ),
+    "hybrid-flagset": lambda: (
+        _hybrid_flagset(VerificationArena),
+        _battery_relations(
+            FlagSet(), known.FLAGSET_CORE, known.FLAGSET_HYBRID_A,
+            known.FLAGSET_HYBRID_B, events=FLAGSET_EVENTS,
+        ),
+    ),
+    "dynamic-queue": lambda: (
+        _arena(DynamicAtomicity(Queue()), max_ops=2, max_actions=3),
+        [minimal_dynamic_dependency(Queue(), 3), minimal_static_dependency(Queue(), 3)],
+    ),
+    "static-register-aborts": lambda: (
+        _arena(
+            StaticAtomicity(Register(items=("x",))),
+            max_ops=3, max_actions=2, include_aborts=True,
+        ),
+        [minimal_static_dependency(Register(items=("x",)), 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_search_returns_the_literal_first_counterexample(name):
+    """Same ``Counterexample`` — history, view, kept set, append — or ``None``.
+
+    One arena serves every relation, so each search after the first
+    answers mostly from the view verdicts the earlier ones left.
+    """
+    arena, battery = DIFFERENTIAL[name]()
+    entries = eager_entries(arena)
+    reference_prop = type(arena.property)(arena.property.datatype)
+    relations = probe_relations(arena.invocations, arena.append_events) + battery
+    outcomes = set()
+    for relation in relations:
+        expected = reference_find_counterexample(relation, entries, reference_prop)
+        assert find_counterexample(relation, arena) == expected
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}, "valid and refuted relations both met"
+    assert any(
+        history.aborted for history, _ in entries
+    ) == arena.bounds.exploration.include_aborts
