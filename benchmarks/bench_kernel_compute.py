@@ -1,22 +1,20 @@
 """Kernel compute-layer benchmark: cold derive vs warm cache vs fan-out.
 
-Three measurements over the same ``(type, bound)`` plan, asserting the
-compute layer's two core claims:
+Three measurements over the same ``(type, bound)`` plan.  What is
+asserted is what the code decides, not what the host does:
 
-* **warm ≥ 3× cold** — loading a cached artifact must beat re-deriving
-  it by at least 3× (in practice it is orders of magnitude);
 * **byte-identical artifacts** — the canonical JSON of every artifact
   must be identical across the cold, warm, and parallel paths; the
-  cache and the process fan-out are pure performance layers.
+  cache and the process fan-out are pure performance layers;
+* **the warm pass is a cache pass** — every artifact of the plan is
+  served from the persistent cache (``hits == len(plan)``).
 
-The parallel measurement (``PARALLEL_JOBS`` workers, one type per
-process) is always recorded, honestly, in
-``benchmarks/results/BENCH_kernel_compute.json``.  Its wall-clock claim
-— **≥ 1.5× over serial** when the machine can actually run two
-processes at once (``available_cpus() >= 2``) and the pool really
-engaged — is a ``perf``-marked test over the same measurement
-(``pytest -m perf``), outside tier-1: pool start-up on a busy 2-CPU
-host decides it, not the code under test.
+The three wall-clock readings (and the two ratios) are recorded and
+rendered as measured, never gated.  Since the derivations walk merged
+frontiers (``docs/PERFORMANCE.md`` "Layer 1d") a cold derivation of this
+plan costs about as much as two or three cache loads, and shipping it to
+a process pool costs more than deriving it: both ratios are findings
+about Layers 2 and 3, written down in ROADMAP.md, not floors.
 
 Standalone: ``python benchmarks/bench_kernel_compute.py [--quick]``
 runs the same measurements against a private temporary cache (CI's
@@ -27,8 +25,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-import pytest
-from conftest import emit_json, report
+from conftest import emit_json, record_parallelism, report
 
 from repro.compute.artifacts import (
     _catalog_worker,
@@ -57,8 +54,6 @@ QUICK_PLAN = (
 )
 
 PARALLEL_JOBS = 4
-WARM_SPEEDUP_FLOOR = 3.0
-PARALLEL_SPEEDUP_FLOOR = 1.5
 
 
 def _measure(plan) -> dict:
@@ -128,7 +123,7 @@ def _render(results: dict) -> str:
         f"plan: {plan_text}",
         f"cold derive (serial):   {results['cold_seconds']:>8.3f}s",
         f"warm cache load:        {results['warm_seconds']:>8.3f}s "
-        f"({results['warm_speedup']:,.0f}x, "
+        f"({results['warm_speedup']:,.1f}x, "
         f"{results['warm_cache_hits']} hits)",
         f"parallel derive (x{results['parallel_jobs']}):  "
         f"{results['parallel_seconds']:>8.3f}s "
@@ -149,32 +144,17 @@ def _check(results: dict) -> None:
     assert results["warm_cache_hits"] == len(results["plan"]), (
         "warm pass was not served entirely from the persistent cache"
     )
-    assert results["warm_speedup"] >= WARM_SPEEDUP_FLOOR, (
-        f"warm speedup {results['warm_speedup']:.1f}x below the "
-        f"{WARM_SPEEDUP_FLOOR}x floor"
-    )
 
 
-@pytest.fixture(scope="module")
-def measured():
-    """One measurement, shared by the tier-1 checks and the perf floor."""
-    return _measure(PLAN)
+def _publish(results: dict, cache_state: str) -> None:
+    record_parallelism(results["parallel_used"], results["parallel_speedup"])
+    emit_json("kernel_compute", results, cache_state=cache_state)
+    report("kernel_compute", _render(results))
+    _check(results)
 
 
-def test_kernel_compute_cache_and_fanout(measured, bench_cache_state):
-    emit_json("kernel_compute", measured, cache_state=bench_cache_state)
-    report("kernel_compute", _render(measured))
-    _check(measured)
-
-
-@pytest.mark.perf
-def test_kernel_compute_pool_speedup(measured):
-    if not (measured["cpus"] >= 2 and measured["parallel_used"]):
-        pytest.skip("the pool did not engage on this host")
-    assert measured["parallel_speedup"] >= PARALLEL_SPEEDUP_FLOOR, (
-        f"parallel speedup {measured['parallel_speedup']:.2f}x below the "
-        f"{PARALLEL_SPEEDUP_FLOOR}x floor on a {measured['cpus']}-cpu host"
-    )
+def test_kernel_compute_cache_and_fanout(bench_cache_state):
+    _publish(_measure(PLAN), bench_cache_state)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,10 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # A private cache keeps the standalone run hermetic.
     os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
-    results = _measure(QUICK_PLAN if args.quick else PLAN)
-    emit_json("kernel_compute", results, cache_state="cold")
-    report("kernel_compute", _render(results))
-    _check(results)
+    _publish(_measure(QUICK_PLAN if args.quick else PLAN), "cold")
     return 0
 
 

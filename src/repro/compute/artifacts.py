@@ -223,10 +223,11 @@ def derive_catalog(
 def default_warm_plan() -> list[tuple[SerialDataType, int]]:
     """The ``(type, bound)`` pairs the stock reports and tests consume.
 
-    The standard catalog runs at bound 3 (Directory at 2 — its state
-    space explodes combinatorially and the catalog never asks deeper),
-    plus the bound-4 Queue and PROM derivations the theorem battery and
-    the Figure 1-2 comparison use.
+    The standard catalog runs at bound 3 (Directory at 2: the catalog
+    never asks deeper and the reports are pinned there.  Not a cost
+    limit — its history tree is wide, 1 885 histories at depth 3, but
+    they reach nine distinct frontiers), plus the bound-4 Queue and PROM
+    derivations the theorem battery and the Figure 1-2 comparison use.
     """
     from repro.types import Directory, PROM, Queue, standard_types
 

@@ -7,7 +7,10 @@ digests a **behavior probe**: a breadth-first unfolding of the type's
 transition system from the initial state, out to the same depth the
 kernel's bounded searches explore.  Two types with identical probes are
 indistinguishable to every derivation the cache stores, so sharing an
-artifact between them is sound by construction.
+artifact between them is sound by construction.  The derivations walk
+the same merged transition system
+(:class:`~repro.spec.legality.MergedFrontiers`): what the probe digests
+is what they read.
 
 Determinism notes (the digest must be stable across processes and hash
 seeds):

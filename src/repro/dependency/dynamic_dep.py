@@ -9,14 +9,16 @@ histories.
 :func:`commute` checks Definition 8 exhaustively over all legal
 histories of at most ``max_events`` events for a *single* pair, and is
 kept as the executable reference implementation.  The full table
-(:func:`commutativity_table`) no longer calls it per pair — doing so
-re-enumerates the bounded history universe once per pair, O(pairs ×
-histories) full traversals.  Instead a **shared pass** walks the
-universe exactly once: at each legal history a
-:class:`~repro.spec.legality.LegalityCursor` knows which alphabet events
-are enabled, and every not-yet-refuted pair with both events enabled is
-checked with two memoized trie hops.  The equivalence of the two
-implementations is test-enforced (``tests/test_compute.py``).
+(:func:`commutativity_table`) does not call it per pair, and does not
+walk histories at all: Definition 8 reads ``h`` only through the states
+it can be in (``h ≡ h'``, Section 5), so one **shared pass** visits each
+distinct frontier reachable within ``max_events`` generator events once
+(:class:`~repro.spec.legality.MergedFrontiers`), steps every alphabet
+event from it, and checks each not-yet-refuted pair with both events
+enabled by two more hops — the two orders commute there iff they land
+on the same canonical node.  The equivalence with :func:`commute` is
+test-enforced (``tests/test_compute.py``,
+``tests/test_dependency_searches.py``).
 
 The commutativity table computed here is also what the locking
 concurrency-control scheme (:mod:`repro.cc.locking`) uses for its
@@ -24,18 +26,18 @@ conflict matrix — the paper's point that strong dynamic atomicity ties
 *both* concurrency and availability to the same commutativity structure.
 
 The shared pass can additionally be sharded across worker processes
-(``jobs``): each top-level subtree of the history universe is an
-independent unit, refuted pairs merge by union, and the empty history is
+(``jobs``): the frontiers reachable through each first event are an
+independent walk, refuted pairs merge by union, and the empty history is
 checked by the coordinating process.
 """
 
 from __future__ import annotations
 
 from repro.dependency.relation import DependencyRelation, GroundPair
-from repro.histories.events import Event, SerialHistory
+from repro.histories.events import Event
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import event_alphabet, legal_serial_histories
-from repro.spec.legality import LegalityOracle
+from repro.spec.legality import LegalityOracle, MergedFrontiers
 
 #: An unordered event pair, stored as alphabet indices ``i <= j``.
 IndexPair = tuple[int, int]
@@ -72,71 +74,53 @@ def commute(
     return True
 
 
-def _refute_pairs_in_subtree(
+def _refute_reachable_pairs(
     oracle: LegalityOracle,
     events: tuple[Event, ...],
-    max_events: int,
-    root: SerialHistory = (),
-    refuted: set[IndexPair] | None = None,
+    depth: int,
+    first_events: tuple[Event, ...] | None = None,
 ) -> set[IndexPair]:
-    """One walk over the legal-history subtree under ``root``.
+    """One walk over the frontiers within ``depth`` generator events of the
+    empty history (or of the histories ``(e,)`` for ``e`` in ``first_events``).
 
     Returns the index pairs ``(i, j)`` with ``i <= j`` for which some
-    history in the subtree witnesses non-commutativity (Definition 8).
-    ``refuted`` carries pairs already ruled out, so their checks are
-    skipped from the start.
+    history ending there witnesses non-commutativity (Definition 8).
+    The definition reads the history only through its frontier, so each
+    distinct frontier is checked once.
     """
-    invocations = list(oracle.datatype.invocations())
     total_pairs = len(events) * (len(events) + 1) // 2
-    refuted = set() if refuted is None else set(refuted)
-
-    def visit(cursor, depth: int) -> None:
-        if len(refuted) == total_pairs:
-            return  # every pair already has a witness; nothing left to learn
-        enabled: dict[int, object] = {}
-        for idx, ev in enumerate(events):
-            child = cursor.step(ev)
-            if child.legal:
-                enabled[idx] = child
-        indices = sorted(enabled)
-        for a, i in enumerate(indices):
-            child_i = enabled[i]
-            for j in indices[a:]:
-                if (i, j) in refuted:
-                    continue
-                forward = child_i.step(events[j])
-                backward = enabled[j].step(events[i])
-                if (
-                    not forward.legal
-                    or not backward.legal
-                    or forward.frontier_key() != backward.frontier_key()
-                ):
-                    refuted.add((i, j))
-        if depth >= max_events:
-            return
-        for inv in invocations:
-            for res in sorted(cursor.responses(inv), key=str):
-                visit(cursor.step(Event(inv, res)), depth + 1)
-
-    cursor = oracle.cursor(root)
-    if cursor.legal:
-        visit(cursor, len(root))
+    refuted: set[IndexPair] = set()
+    merged = MergedFrontiers(oracle)
+    after = merged.after
+    starts = None
+    if first_events is not None:
+        starts = [after(merged.root, occurred) for occurred in first_events]
+    for level in merged.levels(depth, starts):
+        for node in level:
+            if len(refuted) == total_pairs:
+                return refuted  # every pair already has a witness
+            enabled = [
+                (index, child)
+                for index, ev in enumerate(events)
+                if (child := after(node, ev)) is not None
+            ]
+            for position, (i, after_i) in enumerate(enabled):
+                for j, after_j in enabled[position:]:
+                    if (i, j) in refuted:
+                        continue
+                    forward = after(after_i, events[j])
+                    if forward is None or forward is not after(after_j, events[i]):
+                        refuted.add((i, j))
     return refuted
 
 
 def _shard_worker(
-    payload: tuple[SerialDataType, tuple[Event, ...], int, tuple[SerialHistory, ...]],
+    payload: tuple[SerialDataType, tuple[Event, ...], int, tuple[Event, ...]],
 ) -> set[IndexPair]:
-    """Process-pool unit: refute pairs over a batch of top-level subtrees."""
-    datatype, events, max_events, roots = payload
+    """Process-pool unit: refute pairs over the walk from a batch of first events."""
+    datatype, events, depth, first_events = payload
     oracle = LegalityOracle(datatype)
-    refuted: set[IndexPair] = set()
-    total_pairs = len(events) * (len(events) + 1) // 2
-    for root in roots:
-        if len(refuted) == total_pairs:
-            break
-        refuted = _refute_pairs_in_subtree(oracle, events, max_events, root, refuted)
-    return refuted
+    return _refute_reachable_pairs(oracle, events, depth, first_events)
 
 
 def _refuted_pairs(
@@ -150,32 +134,22 @@ def _refuted_pairs(
     from repro.compute.parallel import parallel_map, resolve_jobs
 
     jobs = resolve_jobs(jobs)
-    root = oracle.cursor()
-    first_events = sorted(
-        (
-            Event(inv, res)
-            for inv in datatype.invocations()
-            for res in root.responses(inv)
-        ),
-        key=str,
-    )
+    merged = MergedFrontiers(oracle)
+    first_events = merged.enabled(merged.root)
     if jobs <= 1 or max_events < 1 or len(first_events) <= 1:
-        return _refute_pairs_in_subtree(oracle, events, max_events)
-    # The coordinator checks the empty history; workers split the
-    # top-level subtrees (round-robin, so expensive neighbours spread out).
-    refuted = _refute_pairs_in_subtree(oracle, events, 0)
-    batches = [
-        tuple((e,) for e in first_events[shard::jobs])
-        for shard in range(min(jobs, len(first_events)))
-    ]
+        return _refute_reachable_pairs(oracle, events, max_events)
+    # The coordinator checks the empty history; workers split the first
+    # events (round-robin, so expensive neighbours spread out).
+    refuted = _refute_reachable_pairs(oracle, events, 0)
     results, _parallel = parallel_map(
         _shard_worker,
-        [(datatype, events, max_events, batch) for batch in batches],
+        [
+            (datatype, events, max_events - 1, tuple(first_events[shard::jobs]))
+            for shard in range(min(jobs, len(first_events)))
+        ],
         jobs,
     )
-    for shard_refuted in results:
-        refuted |= shard_refuted
-    return refuted
+    return refuted.union(*results)
 
 
 def commutativity_table(
@@ -190,8 +164,8 @@ def commutativity_table(
 
     Symmetric by definition, so only one orientation is computed and the
     table is mirrored.  ``jobs`` shards the single shared traversal
-    across processes by top-level history subtree (default: the
-    ``REPRO_JOBS`` environment variable, else serial).
+    across processes by first event (default: the ``REPRO_JOBS``
+    environment variable, else serial).
     """
     oracle = oracle or LegalityOracle(datatype)
     if events is None:

@@ -10,13 +10,17 @@ data type's generator alphabet:
 * the responses each invocation can receive (:func:`response_alphabet`).
 
 Because serial specifications are prefix-closed, depth-first search with
-pruning on illegal prefixes enumerates the history universe exactly.
-The walk is driven by :class:`~repro.spec.legality.LegalityCursor`, so
-each extension is one memoized trie hop rather than a full prefix
-replay, and :func:`alphabets` derives the event and response alphabets
-together from a single traversal — the separate :func:`event_alphabet`
-and :func:`response_alphabet` entry points are now views over that one
-shared pass.
+pruning on illegal prefixes enumerates the history universe exactly
+(:func:`legal_serial_histories`, one memoized trie hop per extension).
+
+The alphabets do not need the histories: what a prefix contributes
+depends on its frontier and on how many events are left, and fewer
+events used only adds.  So :func:`alphabets` expands each distinct
+frontier once, at its shallowest depth
+(:meth:`~repro.spec.legality.MergedFrontiers.levels`), and
+:func:`event_alphabet` / :func:`response_alphabet` are views over that
+one pass.  The two-pass definitions over the histories are the oracle
+of the differential tests (``tests/test_dependency_searches.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator
 
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.spec.datatype import SerialDataType
-from repro.spec.legality import LegalityOracle
+from repro.spec.legality import LegalityOracle, MergedFrontiers
 
 
 def legal_serial_histories(
@@ -62,7 +66,7 @@ def alphabets(
     *,
     collect_responses: bool = True,
 ) -> tuple[tuple[Event, ...], dict[Invocation, tuple[Response, ...]]]:
-    """Event and response alphabets from one shared traversal.
+    """Event and response alphabets from one walk of the reachable frontiers.
 
     Returns ``(events, responses)`` where ``events`` is every event
     occurring in some legal history of at most ``depth`` events (what
@@ -76,28 +80,19 @@ def alphabets(
     alphabet alone never needs; the returned response map is then
     incomplete and callers must ignore it.
     """
-    oracle = oracle or LegalityOracle(datatype)
-    invocations = list(datatype.invocations())
+    merged = MergedFrontiers(oracle or LegalityOracle(datatype))
     events: set[Event] = set()
     by_invocation: dict[Invocation, set[Response]] = {
-        inv: set() for inv in invocations
+        inv: set() for inv in datatype.invocations()
     }
-
-    def walk(length: int, cursor) -> None:
-        at_leaf = length >= depth
-        for inv in invocations:
-            if at_leaf and not collect_responses:
-                continue
-            responses = cursor.responses(inv)
-            if collect_responses:
-                by_invocation[inv].update(responses)
-            if not at_leaf:
-                for res in responses:
-                    event = Event(inv, res)
+    for length, level in enumerate(merged.levels(depth)):
+        if length == depth and not collect_responses:
+            break
+        for node in level:
+            for event in merged.enabled(node):
+                by_invocation[event.inv].add(event.res)
+                if length < depth:
                     events.add(event)
-                    walk(length + 1, cursor.step(event))
-
-    walk(0, oracle.cursor())
     return (
         tuple(sorted(events, key=str)),
         {

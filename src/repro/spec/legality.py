@@ -12,11 +12,15 @@ histories are equivalent (``h ≡ h'`` — indistinguishable by any future
 computation, paper Section 5) whenever their frontiers have equal
 canonical key sets; this check is sound in general and exact for all the
 built-in types, whose states are canonical value representations.
+
+The derivations (alphabets, Theorem 6, Definition 8) ask nothing of a
+prefix but its frontier, so they walk :class:`MergedFrontiers` — one
+node per distinct frontier — and cost what the type's states cost.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.spec.datatype import SerialDataType, State
@@ -61,15 +65,6 @@ class LegalityCursor:
     def step(self, event: Event) -> "LegalityCursor":
         """The cursor for this history extended by one event."""
         return LegalityCursor(self._oracle, self._oracle._step(self._node, event))
-
-    def walk(self, events: Iterable[Event]) -> "LegalityCursor":
-        """The cursor after ``events``, stopping at the first illegal prefix."""
-        node, step = self._node, self._oracle._step
-        for event in events:
-            if node.frontier is None:
-                break
-            node = step(node, event)
-        return LegalityCursor(self._oracle, node)
 
     def frontier_key(self) -> frozenset[Hashable] | None:
         """Canonical frontier keys here (None if the history is illegal)."""
@@ -319,3 +314,72 @@ class LegalityOracle:
                 frontier = next_frontier
             self._suffix_responses[depth] = by_invocation
         return by_invocation[invocation]
+
+
+class MergedFrontiers:
+    """An oracle's replay trie with equivalent prefixes merged.
+
+    Theorems 6 and 10 and the alphabets read a prefix only through the
+    states it can be in, so ``h ≡ h'`` (equal frontier keys) makes every
+    question about ``h`` a question about ``h'``.  This view names one
+    trie node per distinct ``frozenset(frontier)`` — the first one met —
+    and answers every step with that *canonical* node, so a derivation
+    walks the type's reachable frontiers instead of the histories that
+    reach them, and ``is`` on two nodes is frontier-key equality.  Every
+    hop is one :meth:`LegalityOracle._step` from a canonical node; the
+    trie therefore grows by at most one child per (frontier, event).
+    """
+
+    def __init__(self, oracle: LegalityOracle):
+        self._oracle = oracle
+        #: The canonical node of the empty history.
+        self.root = oracle._root
+        self._canonical = {frozenset(self.root.frontier): self.root}
+        self._moves: dict[_TrieNode, tuple[tuple[Event, _TrieNode], ...]] = {}
+
+    def after(self, node: _TrieNode, event: Event) -> _TrieNode | None:
+        """The canonical node of ``node``'s histories extended by ``event``
+        (``None`` if the extension is illegal)."""
+        child = self._oracle._step(node, event)
+        if child.frontier is None:
+            return None
+        return self._canonical.setdefault(frozenset(child.frontier), child)
+
+    def enabled(self, node: _TrieNode) -> list[Event]:
+        """The generator-alphabet events legal at ``node``, in string order
+        per invocation (the order :func:`legal_serial_histories` extends in)."""
+        responses = self._oracle._node_responses
+        return [
+            Event(inv, res)
+            for inv in self._oracle.datatype.invocations()
+            for res in sorted(responses(node, inv), key=str)
+        ]
+
+    def moves(self, node: _TrieNode) -> tuple[tuple[Event, _TrieNode], ...]:
+        """``(event, after(node, event))`` per enabled event, memoized."""
+        found = self._moves.get(node)
+        if found is None:
+            found = self._moves[node] = tuple(
+                (event, self.after(node, event)) for event in self.enabled(node)
+            )
+        return found
+
+    def levels(
+        self, depth: int, starts: list[_TrieNode] | None = None
+    ) -> Iterator[list[_TrieNode]]:
+        """Breadth-first from ``starts`` (default the root): for each
+        ``d = 0 … depth`` the nodes first reached by ``d`` generator events.
+
+        A frontier's shallowest depth is where it has the most events
+        left, and everything the derivations ask of a frontier is
+        monotone in the events left — so visiting it there, once, is
+        visiting every history that reaches it.
+        """
+        level = [self.root] if starts is None else list(dict.fromkeys(starts))
+        seen = set(level)
+        for left in range(depth, -1, -1):
+            yield level
+            if left:
+                reached = [child for node in level for _, child in self.moves(node)]
+                level = [node for node in dict.fromkeys(reached) if node not in seen]
+                seen.update(level)

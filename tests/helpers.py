@@ -1,9 +1,11 @@
-"""Shared builders for replication-layer tests."""
+"""Shared builders for replication-layer tests, and test-only data types."""
 
 from __future__ import annotations
 
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
+from repro.errors import SpecificationError
+from repro.histories.events import Invocation, ok
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.cluster import Cluster, build_cluster
 from repro.spec.datatype import SerialDataType
@@ -52,3 +54,82 @@ def count_calls(monkeypatch, owner, name):
     counted.calls = 0
     monkeypatch.setattr(owner, name, counted)
     return counted
+
+
+class HiddenCoin(SerialDataType):
+    """A hidden nondeterministic choice: ``Toss`` answers ``Ok()`` and lands
+    heads *or* tails, and only ``Peek`` reveals which.
+
+    After a ``Toss`` the replay frontier holds two states — the set-valued
+    merging no catalogue type exercises (their frontiers never exceed one
+    state, nondeterministic SemiQueue included: its ``Deq`` names the item).
+    """
+
+    name = "HiddenCoin"
+
+    def initial_state(self):
+        return "heads"
+
+    def apply(self, state, invocation):
+        if invocation.op == "Toss":
+            return [(ok(), "heads"), (ok(), "tails")]
+        if invocation.op == "Peek":
+            return [(ok(state), state)]
+        raise SpecificationError(f"HiddenCoin has no operation {invocation.op!r}")
+
+    def invocations(self):
+        return (Invocation("Toss"), Invocation("Peek"))
+
+
+class CountingRegister(Register):
+    """A Register whose state also counts the writes it has seen.
+
+    ``canonical`` strips the counter, so it is the plain Register to every
+    future — but its raw states never repeat, so a walk that merged on
+    states instead of canonical keys would grow with the bound.
+    """
+
+    name = "CountingRegister"
+
+    def initial_state(self):
+        return (super().initial_state(), 0)
+
+    def apply(self, state, invocation):
+        value, writes = state
+        return [
+            (response, (written, writes + (invocation.op == "Write")))
+            for response, written in super().apply(value, invocation)
+        ]
+
+    def canonical(self, state):
+        return state[0]
+
+
+class TableType(SerialDataType):
+    """A finite automaton read off a table: ``(state, op) -> ((value, next), …)``.
+
+    ``op`` answers ``Ok(value)`` and moves to ``next``; more than one
+    outcome per cell makes it nondeterministic.  Small enough for
+    hypothesis to draw at random, and for a shrunk one to be pinned as a
+    regression row.
+    """
+
+    name = "TableType"
+
+    def __init__(self, table, initial=0):
+        self._table = dict(table)
+        self._initial = initial
+        self._ops = sorted({op for _state, op in self._table})
+
+    def initial_state(self):
+        return self._initial
+
+    def apply(self, state, invocation):
+        outcomes = self._table[state, invocation.op]
+        return [(ok(value), following) for value, following in outcomes]
+
+    def invocations(self):
+        return tuple(Invocation(op) for op in self._ops)
+
+    def __repr__(self):
+        return f"TableType({self._table!r}, initial={self._initial!r})"

@@ -16,6 +16,7 @@ fast-path equalities.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -55,7 +56,16 @@ from repro.spec.enumerate import (
     response_alphabet,
 )
 from repro.spec.legality import LegalityOracle
-from repro.types import PROM, DoubleBuffer, FlagSet, Queue, standard_types
+from repro.types import (
+    PROM,
+    Account,
+    Bag,
+    Directory,
+    DoubleBuffer,
+    FlagSet,
+    Queue,
+    standard_types,
+)
 
 pytestmark = pytest.mark.compute
 
@@ -95,6 +105,35 @@ class TestSharedPassEquivalence:
         table = commutativity_table(datatype, 3, oracle, events)
         deq_a = event("Deq", (), ok("a"))
         assert table[(deq_a, deq_a)] is False
+
+
+class TestDeepBoundRegression:
+    """``canonical_text`` digests at bounds past the catalogue's.
+
+    Computed at 7e56cdb, where these derivations walked the history tree
+    and took 6.7 / 16.3 / 5.6 / 7.3 / 0.75 / 1.1 s — too dear for tier-1
+    there, a few hundredths of a second each over merged frontiers.
+    """
+
+    DIGESTS = {
+        (PROM, 6): "ad67c45611b002f815a25c1aa976604cd5b1c69d2882a7debdaef940a4101a7c",
+        (Bag, 5): "baa7fe627126082f7dcc4145bcb84e1bad3174145779ef64de917e56fc2134fc",
+        (FlagSet, 5): "5bb384f047f8ee1e4f1cc767c77a211425ac650a1a44c63f4ff99acdb6c343f8",
+        (Directory, 3): "32d12b3838ac32cf133ee2de4a9b0d73b50555905f0488cfd32da3633a5a57ab",
+        (Queue, 6): "513291fd1745d30d501ccd6f505685474fe85c1791ff9305092403b8ec0e1923",
+        (Account, 4): "90049c8ec46b24ed3e2701a3dc34d37cb1b09d3839c4669b4abd1dd4e46faf19",
+    }
+
+    @pytest.mark.parametrize(
+        "datatype,bound,digest",
+        [
+            pytest.param(cls(), bound, digest, id=f"{cls.name}@{bound}")
+            for (cls, bound), digest in DIGESTS.items()
+        ],
+    )
+    def test_artifacts_match_the_history_tree_derivation(self, datatype, bound, digest):
+        text = derive_artifacts(datatype, bound).canonical_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestAlphabetFusion:

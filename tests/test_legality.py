@@ -1,8 +1,13 @@
 """Unit tests for the legality oracle: replay, frontiers, equivalence."""
 
+import pytest
+
 from repro.histories.events import Invocation, event, ok, signal
-from repro.spec.legality import LegalityOracle
-from repro.types import Queue, Register, SemiQueue
+from repro.spec.enumerate import legal_serial_histories
+from repro.spec.legality import LegalityOracle, MergedFrontiers
+from repro.types import Directory, Queue, Register, SemiQueue, standard_types
+
+from tests.helpers import CountingRegister, HiddenCoin
 
 
 class TestLegality:
@@ -101,3 +106,72 @@ class TestEquivalence:
         second = (event("Deq", (), signal("Empty")),)
         assert queue_oracle.equivalent(first, second)
         assert queue_oracle.distinguishing_suffix(first, second, depth=3) is None
+
+
+def _frontiers(datatype, depth):
+    """``frontier key -> level`` as :meth:`MergedFrontiers.levels` walks them."""
+    merged = MergedFrontiers(LegalityOracle(datatype))
+    nodes = [
+        (frozenset(node.frontier), length)
+        for length, level in enumerate(merged.levels(depth))
+        for node in level
+    ]
+    assert len(dict(nodes)) == len(nodes), "a frontier was walked twice"
+    return dict(nodes)
+
+
+class TestMergedFrontiers:
+    @pytest.mark.parametrize(
+        "datatype",
+        [*standard_types(), HiddenCoin(), CountingRegister()],
+        ids=lambda d: d.name,
+    )
+    def test_levels_reach_each_frontier_once_at_its_shallowest_depth(self, datatype):
+        # Trap (ii), frontier half: PROM reaches (y, unsealed) by
+        # Write(x)·Write(y) before it reaches it by Write(y) — a depth-first
+        # walk with a plain visited set would leave it one event short.
+        depth = 2 if isinstance(datatype, Directory) else 4
+        oracle = LegalityOracle(datatype)
+        shallowest: dict = {}
+        for history in legal_serial_histories(datatype, depth, oracle):
+            key = oracle.frontier_key(history)
+            shallowest[key] = min(shallowest.get(key, depth), len(history))
+        assert _frontiers(datatype, depth) == shallowest
+
+    def test_steps_answer_with_the_canonical_node(self):
+        merged = MergedFrontiers(LegalityOracle(Register()))
+        write_x, write_y = event("Write", ("x",)), event("Write", ("y",))
+        at_y = merged.after(merged.root, write_y)
+        assert merged.after(merged.after(merged.root, write_x), write_y) is at_y
+        assert merged.after(at_y, event("Read", (), ok("y"))) is at_y
+        assert merged.after(at_y, event("Read", (), ok("x"))) is None
+
+    def test_moves_follow_the_generator_alphabet_in_enumeration_order(self, queue):
+        merged = MergedFrontiers(LegalityOracle(queue))
+        first_events = [h[0] for h in legal_serial_histories(queue, 1) if h]
+        assert [ev for ev, _child in merged.moves(merged.root)] == first_events
+        assert merged.enabled(merged.root) == first_events
+
+    def test_a_hidden_choice_merges_on_sets_of_states(self):
+        toss, peek_tails = event("Toss"), event("Peek", (), ok("tails"))
+        oracle = LegalityOracle(HiddenCoin())
+        assert oracle.frontier_key((toss,)) == {"heads", "tails"}
+        assert oracle.frontier_key((toss, peek_tails)) == {"tails"}
+        assert set(_frontiers(HiddenCoin(), 3)) == {
+            frozenset({"heads"}),
+            frozenset({"heads", "tails"}),
+            frozenset({"tails"}),
+        }
+
+    def test_merging_is_on_canonical_keys_not_states(self):
+        # The write counter makes every raw state new; canonical() strips it.
+        assert _frontiers(CountingRegister(), 5) == _frontiers(Register(), 5)
+
+    def test_the_trie_grows_by_one_child_per_frontier_and_event(self):
+        oracle = LegalityOracle(Register())
+        merged = MergedFrontiers(oracle)
+        for _ in range(2):
+            walked = [node for level in merged.levels(6) for node in level]
+            # '0', 'x', 'y': three frontiers, three enabled events each.
+            assert len(walked) == 3
+            assert oracle.cache_nodes() == 1 + 3 * 3

@@ -23,7 +23,7 @@ from repro.core.theorems import (
 from repro.dependency import closure, known, verify
 from repro.histories.behavioral import BehavioralHistory
 from repro.spec.legality import LegalityOracle
-from repro.types import PROM, FlagSet
+from repro.types import PROM, Account, Bag, FlagSet, Queue
 from tests.helpers import count_calls
 from tests.test_closure import FLAGSET_EVENTS
 
@@ -61,6 +61,23 @@ def test_battery_reports_render():
         text = result.summary()
         assert "VERIFIED" in text
         assert result.claim in text
+
+
+class _CountingOracle(LegalityOracle):
+    """Counts trie hops: every step of a derivation goes through ``_step``."""
+
+    hops = 0
+
+    def _step(self, node, event):
+        self.hops += 1
+        return super()._step(node, event)
+
+
+def _derivation_cost(datatype, bound):
+    """``(trie hops, trie nodes)`` of one cold ``derive_artifacts``."""
+    oracle = _CountingOracle(datatype)
+    derive_artifacts(datatype, bound, oracle)
+    return oracle.hops, oracle.cache_nodes()
 
 
 class TestSearchesStopWhenAnswered:
@@ -103,17 +120,43 @@ class TestSearchesStopWhenAnswered:
         fifth of the parent's number.
         """
         parent_hops = 2_856_072
+        hops, _nodes = _derivation_cost(PROM(), 4)
+        assert 0 < hops < parent_hops / 5, hops
 
-        class CountingOracle(LegalityOracle):
-            hops = 0
+    def test_derivations_walk_frontiers_not_histories(self):
+        """Trie hops of the five ``theory-battery`` derivations.
 
-            def _step(self, node, event):
-                self.hops += 1
-                return super()._step(node, event)
+        At the parent commit (7e56cdb: alphabets, Theorem 6 and
+        Definition 8 each walked the history tree) PROM@4 took 241 693
+        hops and the five together 689 224; over merged frontiers they
+        take 1 239 and 11 906.  The gates are a twentieth and a tenth.
+        """
+        hops = {}
+        for datatype, bound in (
+            (Queue(), 4), (PROM(), 4), (FlagSet(), 3), (Account(), 3), (Bag(), 3)
+        ):  # fmt: skip
+            hops[datatype.name] = _derivation_cost(datatype, bound)[0]
+        assert 0 < hops["PROM"] < 241_693 / 20, hops
+        assert sum(hops.values()) < 689_224 / 10, hops
 
-        oracle = CountingOracle(PROM())
-        derive_artifacts(PROM(), 4, oracle)
-        assert 0 < oracle.hops < parent_hops / 5, oracle.hops
+    @pytest.mark.parametrize(
+        "datatype,bound,deeper", [(PROM(), 4, 6), (Bag(), 3, 5)], ids=["PROM", "Bag"]
+    )
+    def test_a_finite_state_derivation_is_flat_in_the_bound(
+        self, datatype, bound, deeper
+    ):
+        """Cost follows the states, not the bound.
+
+        Every frontier of PROM (6) and Bag (4) is met within two
+        events, so two more events of bound allocate no trie node and
+        add only the longer budgets' memo entries (PROM 1 239 → 1 759
+        hops, Bag 1 190 → 1 958).  At 7e56cdb PROM@6 took 8.86 M hops and 119 421
+        nodes, Bag@5 16 s.
+        """
+        hops, nodes = _derivation_cost(datatype, bound)
+        deeper_hops, deeper_nodes = _derivation_cost(datatype, deeper)
+        assert deeper_nodes == nodes
+        assert deeper_hops <= 2 * hops, (hops, deeper_hops)
 
     def test_theorem_5_checks_each_serialized_input_once(self, monkeypatch):
         """``check_history`` entries and whole-history validations.
