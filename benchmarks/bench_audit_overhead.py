@@ -144,7 +144,7 @@ def _measure_all(modes: tuple[str, ...]) -> dict[str, dict[str, float]]:
     return results
 
 
-def test_audit_overhead_within_budget(bench_cache_state):
+def test_audit_overhead_within_budget():
     results = _measure_all(("off", "traced", "audited"))
 
     def loss(base: str, probe: str) -> float:
@@ -175,7 +175,7 @@ def test_audit_overhead_within_budget(bench_cache_state):
         },
         "routing": routing,
     }
-    emit_json("audit_overhead", payload, cache_state=bench_cache_state)
+    emit_json("audit_overhead", payload)
 
     lines = [
         f"{'config':<10} {'best wall':>10} {'ops':>6} {'throughput':>12}",

@@ -27,7 +27,7 @@ SITES = 5
 POLICY = "degraded"
 
 
-def test_chaos_recovery_latency(bench_cache_state):
+def test_chaos_recovery_latency():
     verdict = run_chaos_sweep(
         seeds=SEEDS,
         profiles=PROFILES,
@@ -67,7 +67,7 @@ def test_chaos_recovery_latency(bench_cache_state):
         },
         "ok": verdict["ok"],
     }
-    emit_json("chaos_recovery", payload, cache_state=bench_cache_state)
+    emit_json("chaos_recovery", payload)
 
     lines = [
         f"{'profile':<10} {'faults':>6} {'att':>5} {'ok':>5} {'degr':>5} "

@@ -121,12 +121,11 @@ def _check(results: dict) -> None:
             assert row["partial"], row
 
 
-def test_keyspace_scale(bench_cache_state):
+def test_keyspace_scale():
     results = _measure(OBJECT_COUNTS, TRANSACTIONS)
     emit_json(
         "keyspace_scale",
         results,
-        cache_state=bench_cache_state,
         objects=max(OBJECT_COUNTS),
         placement=PLACEMENT,
     )
@@ -136,23 +135,18 @@ def test_keyspace_scale(bench_cache_state):
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
-    import os
-    import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="use the trimmed CI sweep"
     )
     args = parser.parse_args(argv)
-    # A private cache keeps the standalone run hermetic.
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
     counts = QUICK_OBJECT_COUNTS if args.quick else OBJECT_COUNTS
     transactions = QUICK_TRANSACTIONS if args.quick else TRANSACTIONS
     results = _measure(counts, transactions)
     emit_json(
         "keyspace_scale",
         results,
-        cache_state="cold",
         objects=max(counts),
         placement=PLACEMENT,
     )

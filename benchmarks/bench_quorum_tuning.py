@@ -410,12 +410,11 @@ def _check(results: dict) -> None:
     assert "reconfig-epoch" in audit["monitors"]
 
 
-def _emit(results: dict, cache_state: str) -> None:
+def _emit(results: dict) -> None:
     record_tuner(True)
     emit_json(
         "quorum_tuning",
         results,
-        cache_state=cache_state,
         objects=results["objects"],
         placement="ring",
     )
@@ -423,25 +422,21 @@ def _emit(results: dict, cache_state: str) -> None:
     _check(results)
 
 
-def test_quorum_tuning(bench_cache_state):
+def test_quorum_tuning():
     results = _measure(TRANSACTIONS)
-    _emit(results, bench_cache_state)
+    _emit(results)
 
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
-    import os
-    import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="use the trimmed CI sizes"
     )
     args = parser.parse_args(argv)
-    # A private cache keeps the standalone run hermetic.
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
     results = _measure(QUICK_TRANSACTIONS if args.quick else TRANSACTIONS)
-    _emit(results, "cold")
+    _emit(results)
     return 0
 
 

@@ -163,13 +163,12 @@ def _check(results: dict) -> None:
             assert row["faults_applied"] > 0 or row["transactions"] < 8, row
 
 
-def test_scenario_matrix(bench_cache_state):
+def test_scenario_matrix():
     record_scenario("matrix")
     results = _measure(SCENARIO_NAMES, PROFILE_NAMES)
     emit_json(
         "scenario_matrix",
         results,
-        cache_state=bench_cache_state,
         objects=max(SCENARIOS[name].objects for name in SCENARIO_NAMES),
     )
     report("scenario_matrix", _render(results))
@@ -178,16 +177,12 @@ def test_scenario_matrix(bench_cache_state):
 
 def main(argv: list[str] | None = None) -> int:
     import argparse
-    import os
-    import tempfile
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="use the trimmed CI matrix"
     )
     args = parser.parse_args(argv)
-    # A private cache keeps the standalone run hermetic.
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
     scenarios = QUICK_SCENARIO_NAMES if args.quick else SCENARIO_NAMES
     profiles = QUICK_PROFILE_NAMES if args.quick else PROFILE_NAMES
     record_scenario("matrix")
@@ -195,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     emit_json(
         "scenario_matrix",
         results,
-        cache_state="cold",
         objects=max(SCENARIOS[name].objects for name in scenarios),
     )
     report("scenario_matrix", _render(results))

@@ -205,12 +205,11 @@ def _check(results: dict) -> None:
         assert row["flagged"], row
 
 
-def test_stream_audit(bench_cache_state):
+def test_stream_audit():
     results = _measure(QUICK_TRANSACTIONS, QUICK_SOAK_OPS)
     emit_json(
         "stream_audit",
         results,
-        cache_state=bench_cache_state,
         objects=OBJECTS,
         placement=PLACEMENT,
     )
@@ -219,22 +218,17 @@ def test_stream_audit(bench_cache_state):
 
 
 def main(argv: list[str] | None = None) -> int:
-    import os
-    import tempfile
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true", help="25k-op soak instead of 1M"
     )
     args = parser.parse_args(argv)
-    os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(prefix="repro-bench-")
     transactions = QUICK_TRANSACTIONS if args.quick else TRANSACTIONS
     soak_ops = QUICK_SOAK_OPS if args.quick else SOAK_OPS
     results = _measure(transactions, soak_ops)
     emit_json(
         "stream_audit",
         results,
-        cache_state="cold",
         objects=OBJECTS,
         placement=PLACEMENT,
     )

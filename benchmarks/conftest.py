@@ -5,8 +5,8 @@ emits its rows both to stdout (visible with ``pytest -s``) and to
 ``<name>.txt`` so the EXPERIMENTS.md numbers can be traced to a run.
 Machine-readable benchmarks go through :func:`emit_json`, which stamps
 every ``BENCH_*.json`` with the environment that produced it — worker
-count, kernel-cache state, CPU budget — so numbers from different
-machines can be compared honestly.
+count, CPU budget — so numbers from different machines can be compared
+honestly.
 
 Both land in ``benchmarks/run/`` (git-ignored), so running the suite —
 the tier-1 command collects this directory — leaves the tree clean.
@@ -18,21 +18,12 @@ Uniform knobs (apply to every benchmark in this directory):
 * ``--jobs N`` — worker processes for kernel derivations and fan-out
   benchmarks (default: the ``REPRO_JOBS`` environment variable, else 1);
 * ``--record`` — write result files to the tracked
-  ``benchmarks/results/`` instead of the untracked ``benchmarks/run/``;
-* ``--cache-state {cold,warm}`` — whether benchmarks may reuse a warmed
-  kernel-artifact cache between tests (default cold: each session gets
-  a fresh temporary cache directory either way; ``warm`` additionally
-  pre-derives the standard catalog before the first benchmark runs).
-
-The session always repoints ``REPRO_CACHE_DIR`` at a temporary
-directory, so benchmark runs never read or pollute a developer's
-``~/.cache/repro``.
+  ``benchmarks/results/`` instead of the untracked ``benchmarks/run/``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import platform
 import sys
@@ -125,7 +116,6 @@ def emit_json(
     payload: dict,
     *,
     jobs: int | None = None,
-    cache_state: str | None = None,
     objects: int = 1,
     placement: str = "all",
 ) -> pathlib.Path:
@@ -148,8 +138,6 @@ def emit_json(
         "python": platform.python_version(),
         "cpus": available_cpus(),
         "jobs": resolve_jobs(jobs),
-        "cache_state": cache_state or "cold",
-        "cache_dir": os.environ.get("REPRO_CACHE_DIR", ""),
         "objects": objects,
         "placement": placement,
         "obs.retained_spans": process_retained_spans(),
@@ -180,13 +168,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         help="write result files to the tracked benchmarks/results/ "
         "(default: the git-ignored benchmarks/run/)",
     )
-    group.addoption(
-        "--cache-state",
-        choices=("cold", "warm"),
-        default="cold",
-        help="kernel-artifact cache state benchmarks start from "
-        "(default: cold; warm pre-derives the standard catalog)",
-    )
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -210,36 +191,3 @@ def bench_jobs(request: pytest.FixtureRequest) -> int:
     from repro.compute.parallel import resolve_jobs
 
     return resolve_jobs(request.config.getoption("--jobs"))
-
-
-@pytest.fixture(scope="session")
-def bench_cache_state(request: pytest.FixtureRequest) -> str:
-    return str(request.config.getoption("--cache-state"))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_kernel_cache(
-    request: pytest.FixtureRequest,
-    tmp_path_factory: pytest.TempPathFactory,
-):
-    """Point the kernel cache at a session-temporary directory.
-
-    ``--cache-state warm`` pre-derives the standard catalog into it, so
-    warm-path benchmarks measure cache loads rather than derivations.
-    """
-    from repro.compute.artifacts import clear_memory_cache, default_warm_plan, derive_catalog
-
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("repro-cache"))
-    clear_memory_cache()
-    if request.config.getoption("--cache-state") == "warm":
-        derive_catalog(
-            default_warm_plan(), jobs=request.config.getoption("--jobs")
-        )
-        clear_memory_cache()
-    yield
-    clear_memory_cache()
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous

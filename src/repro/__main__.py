@@ -27,9 +27,6 @@ Subcommands:
   chosen atomicity mechanism and optional chaos profile, streaming-
   audited; ``--list`` prints the catalog.  Exits non-zero on audit
   violations, divergent replicas, or unaccounted work.
-* ``cache``   — administer the persistent kernel-artifact cache:
-  ``stats`` (traffic + disk usage), ``warm`` (pre-derive the standard
-  catalog, optionally in parallel), ``clear``.
 
 All workload subcommands share ``--seed``, ``--sites``,
 ``--transactions``, ``--crashes`` and are deterministic per seed.
@@ -38,8 +35,7 @@ All workload subcommands share ``--seed``, ``--sites``,
 ``report.json`` pair describing the run (see
 :mod:`repro.obs.runreport`).
 ``report`` and the kernel paths honor ``--jobs`` / ``REPRO_JOBS`` for
-multiprocess derivation and ``REPRO_CACHE_DIR`` / ``REPRO_CACHE`` for
-the artifact cache.
+multiprocess derivation.
 """
 
 from __future__ import annotations
@@ -254,7 +250,6 @@ def _mix_table(rows: list[dict]) -> str:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.compute.obs import kernel_metrics
     from repro.resilience.policy import read_only_operations
     from repro.scenarios import build_workload
     from repro.tuning import MixObserver
@@ -273,7 +268,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         payload = {
             "operations": metrics.summary(),
             "registry": metrics.registry.to_dict(),
-            "kernel": kernel_metrics().to_dict(),
             "mix": {row["object"]: row for row in mix_rows},
             "network": {
                 "messages_sent": cluster.network.messages_sent,
@@ -282,14 +276,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
-        _emit(
-            metrics.table()
-            + "\n\n"
-            + _mix_table(mix_rows)
-            + "\n\nkernel (this process):\n"
-            + kernel_metrics().render(),
-            args.output,
-        )
+        _emit(metrics.table() + "\n\n" + _mix_table(mix_rows), args.output)
     return 0
 
 
@@ -482,67 +469,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             make_report("chaos", ok=bool(verdict["ok"]), verdict=verdict),
         )
     return 0 if verdict["ok"] else 1
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.compute import (
-        default_cache,
-        default_warm_plan,
-        derive_catalog,
-        set_kernel_tracer,
-    )
-
-    cache = default_cache()
-    if args.cache_command == "stats":
-        stats = cache.stats()
-        if args.format == "json":
-            _emit(json.dumps(stats, indent=2, sort_keys=True), args.output)
-        else:
-            lines = [f"artifact cache at {stats['root']}:"]
-            lines.append(
-                f"  {stats['artifacts']} artifacts, {stats['bytes']:,} bytes"
-            )
-            lines.append(
-                f"  lifetime traffic: {stats['hits']} hits, "
-                f"{stats['misses']} misses, {stats['stores']} stores"
-            )
-            _emit("\n".join(lines), args.output)
-        return 0
-
-    if args.cache_command == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} artifacts from {cache.root}")
-        return 0
-
-    # warm
-    tracer = None
-    if args.trace:
-        tracer = Tracer()
-        set_kernel_tracer(tracer)
-    plan = default_warm_plan()
-    if args.bound is not None:
-        plan = [(datatype, args.bound) for datatype, _bound in plan]
-    wall_start = perf_counter()
-    artifacts = derive_catalog(plan, jobs=args.jobs, refresh=args.refresh)
-    elapsed = perf_counter() - wall_start
-    lines = []
-    for item in artifacts:
-        lines.append(
-            f"  {item.type_name:<14} bound {item.bound}  "
-            f"|alphabet| {len(item.events):>2}  "
-            f"static {len(item.static):>3}  dynamic {len(item.dynamic):>3}  "
-            f"{item.fingerprint[:12]}"
-        )
-    lines.append(
-        f"warmed {len(artifacts)} artifacts in {elapsed:.2f}s "
-        f"(cache at {cache.root})"
-    )
-    if tracer is not None:
-        set_kernel_tracer(None)
-        lines.append("")
-        lines.append(export(tracer.spans, "tree"))
-    _emit("\n".join(lines), args.output)
-    return 0
 
 
 def _audit_once(args: argparse.Namespace, mutate: str | None):
@@ -800,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for kernel derivations on a cache miss "
-        "(default: REPRO_JOBS, else serial)",
+        help="worker processes for kernel derivations when a derivation is "
+        "sharded (default: REPRO_JOBS, else serial)",
     )
     _artifacts_argument(report)
     report.set_defaults(func=_cmd_report)
@@ -949,60 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _artifacts_argument(chaos)
     chaos.set_defaults(func=_cmd_chaos)
-
-    cache = subparsers.add_parser(
-        "cache", help="administer the persistent kernel-artifact cache"
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser(
-        "stats", help="show cache traffic and disk usage"
-    )
-    cache_stats.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="stats rendering (default: table)",
-    )
-    cache_stats.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    cache_warm = cache_sub.add_parser(
-        "warm", help="pre-derive artifacts for the standard catalog"
-    )
-    cache_warm.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes, one type per worker "
-        "(default: REPRO_JOBS, else serial)",
-    )
-    cache_warm.add_argument(
-        "--bound",
-        type=int,
-        default=None,
-        metavar="B",
-        help="override every plan entry's serial bound",
-    )
-    cache_warm.add_argument(
-        "--refresh",
-        action="store_true",
-        help="re-derive and overwrite even on a cache hit",
-    )
-    cache_warm.add_argument(
-        "--trace",
-        action="store_true",
-        help="append the kernel span forest to the output",
-    )
-    cache_warm.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    cache_clear = cache_sub.add_parser(
-        "clear", help="delete every cached artifact and the stats journal"
-    )
-    cache_clear.set_defaults(func=_cmd_cache)
-    cache_stats.set_defaults(func=_cmd_cache)
-    cache_warm.set_defaults(func=_cmd_cache)
 
     audit = subparsers.add_parser(
         "audit",

@@ -1,23 +1,17 @@
-"""The theory-kernel compute layer: derive once, reuse everywhere.
+"""The theory-kernel compute layer: derive once per process, reuse everywhere.
 
 The bounded model-checking kernel (Theorems 6 and 10 searches,
 commutativity tables, event alphabets) is pure: its outputs are
 functions of a type's bounded behavior and nothing else.  This package
-exploits that purity three ways:
+exploits that purity two ways:
 
 * :mod:`repro.compute.artifacts` — one shared derivation per
-  ``(type, bound)``, memoized in-process and persisted to a
-  content-addressed on-disk cache (:mod:`repro.compute.cache`) keyed by
-  a behavioral fingerprint (:mod:`repro.compute.fingerprint`);
-* :mod:`repro.compute.parallel` — multiprocess fan-out across the type
-  catalog and across history-universe shards, with a serial fallback
-  that is always semantically identical;
-* :mod:`repro.compute.obs` — ``kernel.cache.*`` metrics and derivation
-  spans surfaced through ``python -m repro metrics`` and the trace
-  exporters.
-
-``python -m repro cache {stats,warm,clear}`` administers the persistent
-store from the command line.
+  ``(type, bound)``, memoized in-process by the data type's value
+  (:mod:`repro.compute.cache`) and rendered as canonical JSON
+  (:mod:`repro.compute.codec`) for digests;
+* :mod:`repro.compute.parallel` — multiprocess fan-out across
+  history-universe shards and simulation trials, with a serial fallback
+  that is always semantically identical.
 """
 
 from repro.compute.artifacts import (
@@ -26,16 +20,8 @@ from repro.compute.artifacts import (
     clear_memory_cache,
     default_warm_plan,
     derive_artifacts,
-    derive_catalog,
 )
-from repro.compute.cache import ArtifactCache, cache_enabled, default_cache
-from repro.compute.fingerprint import SCHEMA_VERSION, type_fingerprint
-from repro.compute.obs import (
-    kernel_metrics,
-    kernel_tracer,
-    reset_kernel_metrics,
-    set_kernel_tracer,
-)
+from repro.compute.cache import ArtifactCache
 from repro.compute.parallel import available_cpus, parallel_map, resolve_jobs
 
 __all__ = [
@@ -44,16 +30,7 @@ __all__ = [
     "clear_memory_cache",
     "default_warm_plan",
     "derive_artifacts",
-    "derive_catalog",
     "ArtifactCache",
-    "cache_enabled",
-    "default_cache",
-    "SCHEMA_VERSION",
-    "type_fingerprint",
-    "kernel_metrics",
-    "kernel_tracer",
-    "reset_kernel_metrics",
-    "set_kernel_tracer",
     "available_cpus",
     "parallel_map",
     "resolve_jobs",

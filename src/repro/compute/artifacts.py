@@ -7,40 +7,29 @@ full commutativity table the dynamic relation is assembled from (also
 the conflict matrix the locking scheme uses).
 
 :func:`artifacts_for` is the single entry point the catalog, the
-comparison report, and the theorem battery all call.  It layers three
-levels of reuse:
+comparison report, and the theorem battery all call: it looks the pair
+up in the in-process memo (:class:`~repro.compute.cache.ArtifactCache`,
+keyed by the data type's value) and otherwise derives
+(:func:`derive_artifacts`) and stores, so one report run derives each
+type once no matter how many consumers ask.  Nothing is kept between
+processes: a derivation costs milliseconds.
 
-1. an in-process memo keyed by fingerprint, so one report run derives
-   each type once no matter how many consumers ask;
-2. the persistent :class:`~repro.compute.cache.ArtifactCache`, so
-   repeated *runs* skip derivation entirely (the warm path);
-3. on a true miss, one shared-pass derivation
-   (:func:`derive_artifacts`), optionally sharded across processes.
-
-Payloads round-trip through :mod:`repro.compute.codec` and the
-canonical JSON text is byte-deterministic, which is what lets the
-benchmark assert cold and warm runs produce *identical* artifacts.
+The canonical JSON text of a bundle is byte-deterministic, which is what
+lets tests pin its digest across commits and hash seeds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
-from repro.compute.cache import ArtifactCache, cache_enabled, default_cache
+from repro.compute.cache import ArtifactCache
 from repro.compute.codec import (
     canonical_json,
-    decode_event,
-    decode_relation,
-    decode_table,
     encode_event,
     encode_relation,
     encode_table,
 )
-from repro.compute.fingerprint import SCHEMA_VERSION, type_fingerprint
-from repro.compute.obs import kernel_metrics, kernel_tracer
-from repro.compute.parallel import parallel_map, resolve_jobs
 from repro.dependency.dynamic_dep import (
     commutativity_table,
     dependency_from_commutativity,
@@ -50,11 +39,12 @@ from repro.dependency.static_dep import minimal_static_dependency
 from repro.histories.events import Event
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import alphabets
+from repro.spec.facts import value_key
 from repro.spec.legality import LegalityOracle
 
-#: In-process memo: fingerprint -> TypeArtifacts.  Lives for the process
-#: (artifacts are immutable), cleared explicitly by tests.
-_MEMORY: dict[str, "TypeArtifacts"] = {}
+#: The in-process memo.  Lives for the process (artifacts are immutable),
+#: cleared explicitly by tests and benchmarks.
+_MEMO = ArtifactCache()
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,6 @@ class TypeArtifacts:
 
     type_name: str
     bound: int
-    fingerprint: str
     events: tuple[Event, ...]
     static: DependencyRelation
     dynamic: DependencyRelation
@@ -71,31 +60,15 @@ class TypeArtifacts:
 
     def to_payload(self) -> dict[str, Any]:
         return {
-            "schema": SCHEMA_VERSION,
             "type": self.type_name,
             "bound": self.bound,
-            "fingerprint": self.fingerprint,
             "events": [encode_event(ev) for ev in self.events],
             "static": encode_relation(self.static),
             "refuted": encode_table(self.events, self.table),
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TypeArtifacts":
-        events = tuple(decode_event(ev) for ev in payload["events"])
-        table = decode_table(events, payload["refuted"])
-        return cls(
-            type_name=payload["type"],
-            bound=payload["bound"],
-            fingerprint=payload["fingerprint"],
-            events=events,
-            static=decode_relation(payload["static"]),
-            dynamic=dependency_from_commutativity(events, table),
-            table=table,
-        )
-
     def canonical_text(self) -> str:
-        """The byte-deterministic rendering benchmarks compare."""
+        """The byte-deterministic rendering digests are taken over."""
         return canonical_json(self.to_payload())
 
 
@@ -105,26 +78,16 @@ def derive_artifacts(
     oracle: LegalityOracle | None = None,
     *,
     jobs: int | None = None,
-    fingerprint: str | None = None,
 ) -> TypeArtifacts:
     """One full derivation: alphabet, Theorem 6 search, shared-pass table."""
-    fingerprint = fingerprint or type_fingerprint(datatype, bound)
-    with kernel_tracer().span(
-        "kernel.derive", type=datatype.name, bound=bound, fingerprint=fingerprint
-    ):
-        started = time.perf_counter()
-        oracle = oracle or LegalityOracle(datatype)
-        events, _ = alphabets(datatype, bound + 2, oracle, collect_responses=False)
-        static = minimal_static_dependency(datatype, bound, oracle, events)
-        table = commutativity_table(datatype, bound, oracle, events, jobs=jobs)
-        dynamic = dependency_from_commutativity(events, table)
-        kernel_metrics().histogram("kernel.derive.seconds").observe(
-            time.perf_counter() - started
-        )
+    oracle = oracle or LegalityOracle(datatype)
+    events, _ = alphabets(datatype, bound + 2, oracle, collect_responses=False)
+    static = minimal_static_dependency(datatype, bound, oracle, events)
+    table = commutativity_table(datatype, bound, oracle, events, jobs=jobs)
+    dynamic = dependency_from_commutativity(events, table)
     return TypeArtifacts(
         type_name=datatype.name,
         bound=bound,
-        fingerprint=fingerprint,
         events=events,
         static=static,
         dynamic=dynamic,
@@ -138,86 +101,19 @@ def artifacts_for(
     oracle: LegalityOracle | None = None,
     *,
     jobs: int | None = None,
-    cache: ArtifactCache | None | bool = None,
-    refresh: bool = False,
 ) -> TypeArtifacts:
-    """Memoized, cached artifacts for ``(datatype, bound)``.
-
-    ``cache`` is tri-state: an explicit :class:`ArtifactCache`, ``False``
-    to bypass the persistent layer (the in-process memo still applies),
-    or ``None`` for the environment default (``REPRO_CACHE_DIR`` /
-    ``REPRO_CACHE``).  ``refresh`` forces re-derivation and overwrites
-    both layers.
-    """
-    fingerprint = type_fingerprint(datatype, bound)
-    if not refresh:
-        memoized = _MEMORY.get(fingerprint)
-        if memoized is not None:
-            return memoized
-
-    store: ArtifactCache | None
-    if cache is False:
-        store = None
-    elif cache is None or cache is True:
-        store = default_cache() if cache_enabled() else None
-    else:
-        store = cache
-
-    if store is not None and not refresh:
-        payload = store.load(fingerprint)
-        if payload is not None and payload.get("fingerprint") == fingerprint:
-            artifacts = TypeArtifacts.from_payload(payload)
-            _MEMORY[fingerprint] = artifacts
-            return artifacts
-
-    artifacts = derive_artifacts(
-        datatype, bound, oracle, jobs=jobs, fingerprint=fingerprint
-    )
-    if store is not None:
-        store.store(fingerprint, artifacts.to_payload())
-    _MEMORY[fingerprint] = artifacts
+    """Artifacts for ``(datatype, bound)``, derived once per process."""
+    key = (value_key(datatype), bound)
+    artifacts = _MEMO.load(key)
+    if artifacts is None:
+        artifacts = derive_artifacts(datatype, bound, oracle, jobs=jobs)
+        _MEMO.store(key, artifacts)
     return artifacts
 
 
 def clear_memory_cache() -> None:
     """Drop the in-process memo (tests and benchmarks)."""
-    _MEMORY.clear()
-
-
-# -- catalog fan-out ----------------------------------------------------------
-
-
-def _catalog_worker(
-    item: tuple[SerialDataType, int, bool],
-) -> dict[str, Any]:
-    """Process-pool unit: derive (or cache-load) one type, ship the payload."""
-    datatype, bound, refresh = item
-    return artifacts_for(datatype, bound, refresh=refresh).to_payload()
-
-
-def derive_catalog(
-    plan: Sequence[tuple[SerialDataType, int]],
-    *,
-    jobs: int | None = None,
-    refresh: bool = False,
-) -> list[TypeArtifacts]:
-    """Artifacts for every ``(type, bound)`` in ``plan``.
-
-    With ``jobs > 1`` the *catalog* is the parallel grain — one worker
-    per type — which beats sharding any single type's sweep because the
-    types differ wildly in cost.  Workers write the shared persistent
-    cache; the coordinator rebuilds its in-process memo from the shipped
-    payloads, so a follow-up ``artifacts_for`` in this process is free.
-    """
-    jobs = resolve_jobs(jobs)
-    work = [(datatype, bound, refresh) for datatype, bound in plan]
-    payloads, _parallel = parallel_map(_catalog_worker, work, jobs)
-    results = []
-    for payload in payloads:
-        artifacts = TypeArtifacts.from_payload(payload)
-        _MEMORY[artifacts.fingerprint] = artifacts
-        results.append(artifacts)
-    return results
+    _MEMO.clear()
 
 
 def default_warm_plan() -> list[tuple[SerialDataType, int]]:
@@ -228,6 +124,8 @@ def default_warm_plan() -> list[tuple[SerialDataType, int]]:
     limit — its history tree is wide, 1 885 histories at depth 3, but
     they reach nine distinct frontiers), plus the bound-4 Queue and PROM
     derivations the theorem battery and the Figure 1-2 comparison use.
+    No cache is warmed from it: ``TestBoundConvergence`` and CI's
+    convergence table iterate it.
     """
     from repro.types import Directory, PROM, Queue, standard_types
 

@@ -1,172 +1,33 @@
-"""The persistent, content-addressed artifact store.
+"""The in-process artifact memo.
 
-Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
-
-    artifacts/<fingerprint>.json   one artifact payload per type digest
-    stats.log                      append-only hit/miss/store journal
-
-Artifacts are immutable once written — the fingerprint *is* the
-content address, so a stale entry is impossible by construction and
-there is no eviction logic.  Writes go through a temp file and
-``os.replace`` so a crashed writer never leaves a torn payload, and
-concurrent writers of the same fingerprint race benignly (both write
-identical bytes).
-
-The journal exists because hit/miss counters in a per-process registry
-vanish with the process: ``python -m repro cache warm`` then ``python
--m repro report`` are different processes, and CI asserts the second
-one hit.  Appends use ``O_APPEND`` single-``write`` calls, which POSIX
-keeps atomic for these short lines, so concurrent workers interleave
-whole lines, never fragments.
+Artifacts are a pure function of a data type's value and a bound, and a
+derivation costs milliseconds (``docs/PERFORMANCE.md``, Layer 2), so
+nothing outlives the process: no directory, no journal, no environment
+variable.  What is left is one dict behind ``load`` / ``store`` — kept
+as a class because those two methods are where the repo benchmark's
+tracer (``perf/trace.py``) counts memo traffic.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Hashable
 
-from repro.compute.codec import canonical_json
-from repro.compute.obs import kernel_metrics, kernel_tracer
-
-#: ``REPRO_CACHE`` values that disable the persistent layer entirely.
-_DISABLED = {"0", "off", "false", "no"}
-
-_JOURNAL_KINDS = ("hit", "miss", "store")
-
-
-def cache_enabled() -> bool:
-    """Whether the persistent cache layer is on (``REPRO_CACHE`` gate)."""
-    return os.environ.get("REPRO_CACHE", "").strip().lower() not in _DISABLED
-
-
-def default_cache_root() -> Path:
-    """``$REPRO_CACHE_DIR``, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro"
+if TYPE_CHECKING:
+    from repro.compute.artifacts import TypeArtifacts
 
 
 class ArtifactCache:
-    """Content-addressed JSON artifacts with observable traffic."""
+    """Artifacts by ``(data type value, bound)``, for the life of the process."""
 
-    def __init__(self, root: Path | str | None = None):
-        self.root = Path(root) if root is not None else default_cache_root()
+    def __init__(self) -> None:
+        self._entries: dict[Hashable, TypeArtifacts] = {}
 
-    @property
-    def artifacts_dir(self) -> Path:
-        return self.root / "artifacts"
+    def load(self, key: Hashable) -> TypeArtifacts | None:
+        """The artifacts stored under ``key``, or ``None`` on a miss."""
+        return self._entries.get(key)
 
-    @property
-    def journal_path(self) -> Path:
-        return self.root / "stats.log"
+    def store(self, key: Hashable, artifacts: TypeArtifacts) -> None:
+        self._entries[key] = artifacts
 
-    def path_for(self, fingerprint: str) -> Path:
-        return self.artifacts_dir / f"{fingerprint}.json"
-
-    # -- traffic ------------------------------------------------------------
-
-    def load(self, fingerprint: str) -> dict[str, Any] | None:
-        """The payload stored under ``fingerprint``, or ``None`` on miss.
-
-        A corrupt or unreadable file counts as a miss (the caller will
-        re-derive and overwrite it).
-        """
-        metrics = kernel_metrics()
-        with kernel_tracer().span("kernel.cache.load", fingerprint=fingerprint) as span:
-            started = time.perf_counter()
-            payload: dict[str, Any] | None = None
-            try:
-                text = self.path_for(fingerprint).read_text(encoding="ascii")
-                decoded = json.loads(text)
-                if isinstance(decoded, dict):
-                    payload = decoded
-            except (OSError, ValueError):
-                payload = None
-            outcome = "hit" if payload is not None else "miss"
-            span.annotate(outcome=outcome)
-            metrics.counter(f"kernel.cache.{outcome}").inc()
-            metrics.histogram("kernel.cache.load.seconds").observe(
-                time.perf_counter() - started
-            )
-            self._journal(outcome, fingerprint)
-        return payload
-
-    def store(self, fingerprint: str, payload: dict[str, Any]) -> Path:
-        """Atomically persist ``payload`` under ``fingerprint``."""
-        with kernel_tracer().span("kernel.cache.store", fingerprint=fingerprint):
-            self.artifacts_dir.mkdir(parents=True, exist_ok=True)
-            target = self.path_for(fingerprint)
-            temp = target.with_suffix(f".tmp.{os.getpid()}")
-            temp.write_text(canonical_json(payload), encoding="ascii")
-            os.replace(temp, target)
-            kernel_metrics().counter("kernel.cache.store").inc()
-            self._journal("store", fingerprint)
-        return target
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _journal(self, kind: str, fingerprint: str) -> None:
-        line = f"{kind} {fingerprint}\n".encode("ascii")
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                self.journal_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-            try:
-                os.write(fd, line)
-            finally:
-                os.close(fd)
-        except OSError:
-            pass  # the journal is advisory; never fail the derivation over it
-
-    def stats(self) -> dict[str, Any]:
-        """Lifetime traffic (from the journal) plus current disk usage."""
-        counts = {kind: 0 for kind in _JOURNAL_KINDS}
-        try:
-            for line in self.journal_path.read_text(encoding="ascii").splitlines():
-                kind = line.split(" ", 1)[0]
-                if kind in counts:
-                    counts[kind] += 1
-        except OSError:
-            pass
-        artifacts = sorted(self.artifacts_dir.glob("*.json")) if (
-            self.artifacts_dir.is_dir()
-        ) else []
-        return {
-            "root": str(self.root),
-            "artifacts": len(artifacts),
-            "bytes": sum(path.stat().st_size for path in artifacts),
-            "hits": counts["hit"],
-            "misses": counts["miss"],
-            "stores": counts["store"],
-        }
-
-    def clear(self) -> int:
-        """Delete every artifact and the journal; returns files removed."""
-        removed = 0
-        if self.artifacts_dir.is_dir():
-            for path in self.artifacts_dir.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        try:
-            self.journal_path.unlink()
-        except OSError:
-            pass
-        return removed
-
-
-def default_cache() -> ArtifactCache:
-    """A cache rooted at the current environment's directory.
-
-    Constructed per call (cheap) so tests that repoint
-    ``REPRO_CACHE_DIR`` at a temp directory are isolated without any
-    global to reset.
-    """
-    return ArtifactCache()
+    def clear(self) -> None:
+        self._entries.clear()

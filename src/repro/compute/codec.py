@@ -1,18 +1,19 @@
-"""JSON codec for kernel artifacts.
+"""Canonical JSON encoding of kernel artifacts.
 
-The persistent artifact cache stores events, relations, and
-commutativity tables as JSON.  Invocation arguments and response values
-are arbitrary hashables drawn from generator alphabets — in practice
-strings, numbers, booleans, ``None``, tuples, and frozensets — so the
-codec tags the containers (plain JSON atoms pass through untouched) and
-sorts unordered collections by their canonical encoding, making every
-serialization byte-deterministic regardless of hash randomization.
+Digests and byte comparisons of events, relations, and commutativity
+tables are taken over their JSON text.  Invocation arguments and
+response values are arbitrary hashables drawn from generator alphabets —
+in practice strings, numbers, booleans, ``None``, tuples, and frozensets
+— so the encoder tags the containers (plain JSON atoms pass through
+untouched) and sorts unordered collections by their canonical encoding,
+making every serialization byte-deterministic regardless of hash
+randomization and distinct for distinct values.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable
 
 from repro.dependency.relation import DependencyRelation
 from repro.errors import ReproError
@@ -20,7 +21,7 @@ from repro.histories.events import Event, Invocation, Response
 
 
 class CodecError(ReproError):
-    """A value the artifact codec cannot round-trip."""
+    """A value the artifact codec cannot encode."""
 
 
 def canonical_json(payload: Any) -> str:
@@ -47,19 +48,6 @@ def encode_value(value: Hashable) -> Any:
     raise CodecError(f"cannot encode alphabet value of type {type(value).__name__}")
 
 
-def decode_value(encoded: Any) -> Hashable:
-    if isinstance(encoded, dict):
-        tag = encoded.get("!")
-        if tag == "bool":
-            return bool(encoded["v"])
-        if tag == "tuple":
-            return tuple(decode_value(item) for item in encoded["v"])
-        if tag == "frozenset":
-            return frozenset(decode_value(item) for item in encoded["v"])
-        raise CodecError(f"unknown value tag {tag!r}")
-    return encoded
-
-
 # -- events -------------------------------------------------------------------
 
 
@@ -70,12 +58,6 @@ def encode_invocation(invocation: Invocation) -> dict[str, Any]:
     }
 
 
-def decode_invocation(encoded: dict[str, Any]) -> Invocation:
-    return Invocation(
-        encoded["op"], tuple(decode_value(arg) for arg in encoded["args"])
-    )
-
-
 def encode_response(response: Response) -> dict[str, Any]:
     return {
         "kind": response.kind,
@@ -83,18 +65,8 @@ def encode_response(response: Response) -> dict[str, Any]:
     }
 
 
-def decode_response(encoded: dict[str, Any]) -> Response:
-    return Response(
-        encoded["kind"], tuple(decode_value(value) for value in encoded["values"])
-    )
-
-
 def encode_event(event: Event) -> dict[str, Any]:
     return {"inv": encode_invocation(event.inv), "res": encode_response(event.res)}
-
-
-def decode_event(encoded: dict[str, Any]) -> Event:
-    return Event(decode_invocation(encoded["inv"]), decode_response(encoded["res"]))
 
 
 # -- relations and tables -----------------------------------------------------
@@ -106,12 +78,6 @@ def encode_relation(relation: DependencyRelation) -> list[Any]:
         [encode_invocation(inv), encode_event(ev)] for inv, ev in relation.pairs
     ]
     return sorted(encoded, key=canonical_json)
-
-
-def decode_relation(encoded: Iterable[Any]) -> DependencyRelation:
-    return DependencyRelation(
-        (decode_invocation(pair[0]), decode_event(pair[1])) for pair in encoded
-    )
 
 
 def encode_table(
@@ -129,17 +95,3 @@ def encode_table(
                 refuted.append([i, j])
     return refuted
 
-
-def decode_table(
-    events: tuple[Event, ...], refuted: Iterable[Iterable[int]]
-) -> dict[tuple[Event, Event], bool]:
-    table: dict[tuple[Event, Event], bool] = {}
-    for i, first in enumerate(events):
-        for j in range(i, len(events)):
-            table[(first, events[j])] = True
-            table[(events[j], first)] = True
-    for i, j in refuted:
-        first, second = events[i], events[j]
-        table[(first, second)] = False
-        table[(second, first)] = False
-    return table

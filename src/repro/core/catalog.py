@@ -64,8 +64,7 @@ def catalog_entry(
 
     Served from the shared artifact layer
     (:func:`repro.compute.artifacts.artifacts_for`): memoized in-process,
-    persisted in the content-addressed cache, derived (optionally with
-    ``jobs`` worker processes) only on a true miss.
+    derived (optionally with ``jobs`` worker processes) only on a miss.
     """
     artifacts = artifacts_for(datatype, bound, oracle, jobs=jobs)
     invocations = tuple(datatype.invocations())

@@ -100,8 +100,8 @@ def compare_dependencies(
     unique, so no closed-form search exists); ``None`` omits the hybrid
     column.  With ``frontier_sites`` set, the availability frontiers of
     all supplied relations are computed as well.  The minimal relations
-    come from the shared artifact layer (memoized + persistent cache);
-    ``jobs`` shards a cache-miss derivation across processes.
+    come from the shared artifact layer (memoized per process);
+    ``jobs`` shards a memo-miss derivation across processes.
     """
     artifacts = artifacts_for(datatype, bound, oracle, jobs=jobs)
     comparison = DependencyComparison(

@@ -36,7 +36,7 @@ def paper_report(
     """Regenerate the paper's results as a single text report.
 
     ``jobs`` shards kernel derivations across worker processes when the
-    artifact cache misses; the report text is identical either way.
+    artifact memo misses; the report text is identical either way.
     """
     sections: list[str] = []
 

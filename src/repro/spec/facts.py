@@ -32,6 +32,20 @@ _BY_INSTANCE: "WeakKeyDictionary[SerialDataType, dict[Hashable, Any]]" = (
 )
 
 
+def value_key(datatype: SerialDataType) -> Hashable:
+    """What memos of type facts key on: the data type's *value*.
+
+    Its class and sorted constructor state; the instance itself when that
+    state cannot be hashed.
+    """
+    key = (type(datatype), tuple(sorted(vars(datatype).items())))
+    try:
+        hash(key)
+    except TypeError:
+        return datatype
+    return key
+
+
 def derived_once(
     datatype: SerialDataType, fact: Hashable, derive: Callable[[], T]
 ) -> T:
@@ -41,12 +55,8 @@ def derived_once(
     type it depends on (a depth, a relation); ``derive`` must be a pure
     function of those and return an immutable result.
     """
-    try:
-        facts = _BY_VALUE.setdefault(
-            (type(datatype), tuple(sorted(vars(datatype).items()))), {}
-        )
-    except TypeError:  # unhashable constructor state
-        facts = _BY_INSTANCE.setdefault(datatype, {})
+    key = value_key(datatype)
+    facts = (_BY_INSTANCE if key is datatype else _BY_VALUE).setdefault(key, {})
     try:
         return facts[fact]
     except KeyError:

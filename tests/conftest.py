@@ -1,31 +1,14 @@
 """Shared fixtures: data types and their legality oracles.
 
 Oracles are session-scoped because their replay tries only grow — reuse
-across tests is a large speedup and has no cross-test effects.  The
-kernel-artifact cache is likewise repointed at a session-temporary
-directory: artifacts are content-addressed (reuse across tests is
-sound), but test runs must never read or write a developer's
-``~/.cache/repro``.
+across tests is a large speedup and has no cross-test effects.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.spec.legality import LegalityOracle
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _hermetic_kernel_cache(tmp_path_factory):
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("kernel-cache"))
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
 from repro.types import (
     PROM,
     Account,

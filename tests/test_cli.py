@@ -63,14 +63,7 @@ class TestMetrics:
         code, out = run_cli(["metrics", *WORKLOAD, "--format", "json"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {
-            "operations",
-            "registry",
-            "network",
-            "kernel",
-            "mix",
-        }
-        assert "kernel.cache.hit" in payload["kernel"]["counters"]
+        assert set(payload) == {"operations", "registry", "network", "mix"}
         for op_stats in payload["operations"].values():
             assert "availability" in op_stats
 

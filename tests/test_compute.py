@@ -1,17 +1,15 @@
-"""The compute layer: shared-pass commutativity, artifact cache, fan-out.
+"""The compute layer: shared-pass commutativity, artifact memo, fan-out.
 
-Covers the three equivalences the performance work must preserve:
+Covers the equivalences the performance work must preserve:
 
 * the shared-pass commutativity table equals the per-pair Definition 8
   reference implementation (:func:`repro.dependency.dynamic_dep.commute`);
-* artifacts round-trip through the codec and the persistent cache
-  byte-identically, for every catalog type;
-* the behavioral fingerprint moves exactly when behavior, bound, or
-  schema version moves — and an unchanged type always hits.
+* ``canonical_text`` is byte-identical across commits and hash seeds
+  (pinned digests), and distinct values encode to distinct JSON;
+* :func:`artifacts_for` derives once per data type value and bound, and
+  a memo hit touches neither the type nor the oracle.
 
-Plus the CLI surface (``cache stats/warm/clear``), the kernel metrics
-and span plumbing, the process fan-out fallback, and the quorum
-fast-path equalities.
+Plus the process fan-out fallback and the quorum fast-path equalities.
 """
 
 from __future__ import annotations
@@ -22,33 +20,14 @@ import json
 import pytest
 
 from repro.compute.artifacts import (
-    TypeArtifacts,
     artifacts_for,
     clear_memory_cache,
     derive_artifacts,
-    derive_catalog,
 )
-from repro.compute.cache import ArtifactCache, cache_enabled
-from repro.compute.codec import (
-    CodecError,
-    canonical_json,
-    decode_event,
-    decode_value,
-    encode_event,
-    encode_value,
-)
-from repro.compute import fingerprint as fingerprint_mod
-from repro.compute.fingerprint import type_fingerprint
-from repro.compute.obs import (
-    kernel_metrics,
-    kernel_tracer,
-    reset_kernel_metrics,
-    set_kernel_tracer,
-)
+from repro.compute.codec import CodecError, canonical_json, encode_value
 from repro.compute.parallel import parallel_map, resolve_jobs
 from repro.dependency.dynamic_dep import commute, commutativity_table
-from repro.histories.events import event, ok, signal
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.histories.events import event, ok
 from repro.spec.enumerate import (
     alphabets,
     event_alphabet,
@@ -113,15 +92,17 @@ class TestDeepBoundRegression:
     Computed at 7e56cdb, where these derivations walked the history tree
     and took 6.7 / 16.3 / 5.6 / 7.3 / 0.75 / 1.1 s — too dear for tier-1
     there, a few hundredths of a second each over merged frontiers.
+    Re-pinned at 804ed8e over the same payloads minus their ``schema``
+    and ``fingerprint`` keys, which left with the persistent cache.
     """
 
     DIGESTS = {
-        (PROM, 6): "ad67c45611b002f815a25c1aa976604cd5b1c69d2882a7debdaef940a4101a7c",
-        (Bag, 5): "baa7fe627126082f7dcc4145bcb84e1bad3174145779ef64de917e56fc2134fc",
-        (FlagSet, 5): "5bb384f047f8ee1e4f1cc767c77a211425ac650a1a44c63f4ff99acdb6c343f8",
-        (Directory, 3): "32d12b3838ac32cf133ee2de4a9b0d73b50555905f0488cfd32da3633a5a57ab",
-        (Queue, 6): "513291fd1745d30d501ccd6f505685474fe85c1791ff9305092403b8ec0e1923",
-        (Account, 4): "90049c8ec46b24ed3e2701a3dc34d37cb1b09d3839c4669b4abd1dd4e46faf19",
+        (PROM, 6): "322d44a331840498c243f8687ea8fe04fe933b3b798b68dac59578d4388751f8",
+        (Bag, 5): "be5ce4a5fd1ae6e53308e0cdeb9305ef4c2fc3aa6bb145ba3a70fa38d2ae78a7",
+        (FlagSet, 5): "1ff94bde6488d0544d9651445dae510d48c2c82e811c1fcbdfcd727cb4c1ef8a",
+        (Directory, 3): "b56a0fa56238dbf33cdaf78cacfdc40e3b20e0a65471028c0d76beb61cb387eb",
+        (Queue, 6): "1759b590c0c3fa5dced2f02b2ce16d10171fc3c72775242f1184cebce1a5b739",
+        (Account, 4): "434336bcb664427e08b5d1d3c42a0b9bd1f693e9a736a65aae0bfac30d0d777f",
     }
 
     @pytest.mark.parametrize(
@@ -165,174 +146,100 @@ class TestAlphabetFusion:
 
 
 class TestCodec:
-    @pytest.mark.parametrize(
-        "value",
-        [
-            None,
-            0,
-            1,
-            -3,
-            2.5,
-            "x",
-            True,
-            False,
-            ("a", 1, None),
-            (("nested",), frozenset({1, 2})),
-            frozenset({("a", True), ("b", False)}),
-        ],
-    )
-    def test_value_round_trip(self, value):
-        encoded = encode_value(value)
-        json.loads(canonical_json(encoded))  # JSON-serializable
-        decoded = decode_value(encoded)
-        assert decoded == value
-        assert type(decoded) is type(value)
+    VALUES = [
+        None,
+        0,
+        1,
+        -3,
+        2.5,
+        "x",
+        True,
+        False,
+        ("a", 1, None),
+        (("nested",), frozenset({1, 2})),
+        frozenset({("a", True), ("b", False)}),
+    ]
 
-    def test_bool_int_distinction_survives(self):
-        assert decode_value(encode_value(True)) is True
-        assert decode_value(encode_value(1)) == 1
-        assert type(decode_value(encode_value(1))) is int
+    @pytest.mark.parametrize("value", VALUES)
+    def test_value_encodes_to_json(self, value):
+        json.loads(canonical_json(encode_value(value)))  # JSON-serializable
 
-    def test_event_round_trip(self):
-        for ev in (event("Enq", ("a",)), event("Deq", (), signal("Empty"))):
-            assert decode_event(encode_event(ev)) == ev
+    def test_distinct_values_encode_distinctly(self):
+        """What the digests rely on — ``True`` vs ``1`` included."""
+        texts = [canonical_json(encode_value(value)) for value in self.VALUES]
+        assert len(set(texts)) == len(self.VALUES)
 
     def test_unencodable_value_raises(self):
         with pytest.raises(CodecError):
             encode_value(object())
 
 
-class TestFingerprint:
-    def test_stable_across_instances(self):
-        assert type_fingerprint(Queue(), 3) == type_fingerprint(Queue(), 3)
+class _CountingOracle(LegalityOracle):
+    """Counts trie hops: every step of a derivation goes through ``_step``."""
 
-    def test_mutated_apply_changes_fingerprint(self):
-        assert type_fingerprint(Queue(), 3) != type_fingerprint(LifoQueue(), 3)
+    hops = 0
 
-    def test_bound_changes_fingerprint(self):
-        assert type_fingerprint(Queue(), 3) != type_fingerprint(Queue(), 4)
+    def _step(self, node, event):
+        self.hops += 1
+        return super()._step(node, event)
 
-    def test_probe_depth_changes_fingerprint(self):
-        assert type_fingerprint(Queue(), 3, depth=5) != type_fingerprint(
-            Queue(), 3, depth=6
+
+class TestArtifactMemo:
+    """``artifacts_for`` is memo → derive, keyed by data type value and bound."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_memory_cache()
+        yield
+        clear_memory_cache()
+
+    def test_equal_values_share_one_derivation(self):
+        assert artifacts_for(Queue(), 3) is artifacts_for(Queue(), 3)
+
+    def test_a_subclass_derives_its_own(self):
+        fifo, lifo = artifacts_for(Queue(), 3), artifacts_for(LifoQueue(), 3)
+        assert lifo is not fifo
+        assert lifo.canonical_text() != fifo.canonical_text()
+
+    def test_a_different_bound_derives_its_own(self):
+        shallow, deep = artifacts_for(Queue(), 2), artifacts_for(Queue(), 3)
+        assert (shallow.bound, deep.bound) == (2, 3)
+        assert deep is artifacts_for(Queue(), 3)
+
+    def test_unhashable_state_memoizes_per_instance(self):
+        first, second = Queue(), Queue()
+        first.notes = second.notes = ["not hashable"]
+        assert artifacts_for(first, 2) is artifacts_for(first, 2)
+        assert artifacts_for(first, 2) is not artifacts_for(second, 2)
+        assert (
+            artifacts_for(first, 2).canonical_text()
+            == artifacts_for(Queue(), 2).canonical_text()
         )
 
-    def test_schema_version_changes_fingerprint(self, monkeypatch):
-        before = type_fingerprint(Queue(), 3)
-        monkeypatch.setattr(fingerprint_mod, "SCHEMA_VERSION", 999)
-        assert type_fingerprint(Queue(), 3) != before
-
-
-class TestCacheRoundTrip:
-    @pytest.mark.parametrize(
-        "datatype", standard_types(), ids=lambda d: d.name
-    )
-    def test_every_catalog_type_round_trips(self, datatype, tmp_path):
-        bound = 2
-        cache = ArtifactCache(tmp_path / "cache")
-        derived = artifacts_for(datatype, bound, cache=cache, refresh=True)
+    def test_clearing_the_memo_forces_a_rederivation(self):
+        datatype = Queue()
+        first_oracle = _CountingOracle(datatype)
+        second_oracle = _CountingOracle(datatype)
+        first = artifacts_for(datatype, 3, first_oracle)
         clear_memory_cache()
-        loaded = artifacts_for(datatype, bound, cache=cache)
-        assert loaded.events == derived.events
-        assert loaded.static == derived.static
-        assert loaded.dynamic == derived.dynamic
-        assert loaded.table == derived.table
-        assert loaded.canonical_text() == derived.canonical_text()
+        second = artifacts_for(datatype, 3, second_oracle)
+        assert second is not first
+        assert first_oracle.hops == second_oracle.hops > 0
+        assert second.canonical_text() == first.canonical_text()
 
-    def test_memo_serves_repeat_queries_without_disk(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        reset_kernel_metrics()
-        first = artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        second = artifacts_for(Queue(), 2, cache=cache)
-        assert second is first  # in-process memo, no load
-        assert kernel_metrics().counter("kernel.cache.hit").value == 0
+    def test_a_memo_hit_never_touches_the_type(self, monkeypatch):
+        first = artifacts_for(Queue(), 3)
+        applied = []
+        original = Queue.apply
 
-    def test_mutated_type_misses(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        clear_memory_cache()
-        reset_kernel_metrics()
-        mutated = artifacts_for(LifoQueue(), 2, cache=cache)
-        assert kernel_metrics().counter("kernel.cache.miss").value == 1
-        assert kernel_metrics().counter("kernel.cache.hit").value == 0
-        # and the mutation is visible in the derived semantics: LIFO Deq
-        # returns the newest item, so the relations differ from FIFO
-        assert mutated.fingerprint != artifacts_for(Queue(), 2, cache=cache).fingerprint
+        def counting(self, state, invocation):
+            applied.append(invocation)
+            return original(self, state, invocation)
 
-    def test_bumped_bound_misses(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        clear_memory_cache()
-        reset_kernel_metrics()
-        artifacts_for(Queue(), 3, cache=cache)
-        assert kernel_metrics().counter("kernel.cache.miss").value == 1
-
-    def test_bumped_schema_version_misses(self, tmp_path, monkeypatch):
-        cache = ArtifactCache(tmp_path / "cache")
-        artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        clear_memory_cache()
-        monkeypatch.setattr(fingerprint_mod, "SCHEMA_VERSION", 999)
-        reset_kernel_metrics()
-        artifacts_for(Queue(), 2, cache=cache)
-        assert kernel_metrics().counter("kernel.cache.miss").value == 1
-
-    def test_corrupt_artifact_is_a_miss_then_rederived(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        derived = artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        path = cache.path_for(derived.fingerprint)
-        path.write_text("{not json", encoding="ascii")
-        clear_memory_cache()
-        reloaded = artifacts_for(Queue(), 2, cache=cache)
-        assert reloaded.canonical_text() == derived.canonical_text()
-
-    def test_cache_disabled_by_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        assert not cache_enabled()
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        assert cache_enabled()
-        monkeypatch.delenv("REPRO_CACHE")
-        assert cache_enabled()
-
-    def test_stats_and_clear(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        artifacts_for(Queue(), 2, cache=cache, refresh=True)
-        clear_memory_cache()
-        artifacts_for(Queue(), 2, cache=cache)
-        stats = cache.stats()
-        assert stats["artifacts"] == 1
-        assert stats["stores"] == 1
-        assert stats["hits"] == 1
-        assert stats["bytes"] > 0
-        removed = cache.clear()
-        assert removed == 1
-        assert cache.stats()["artifacts"] == 0
-
-
-class TestObservability:
-    def test_derivation_and_cache_spans(self, tmp_path):
-        tracer = Tracer()
-        set_kernel_tracer(tracer)
-        try:
-            cache = ArtifactCache(tmp_path / "cache")
-            artifacts_for(Queue(), 2, cache=cache, refresh=True)
-            clear_memory_cache()
-            artifacts_for(Queue(), 2, cache=cache)
-        finally:
-            set_kernel_tracer(None)
-        names = [span.name for span in tracer.finished_spans()]
-        assert "kernel.derive" in names
-        assert "kernel.cache.store" in names
-        assert "kernel.cache.load" in names
-        load = next(s for s in tracer.finished_spans() if s.name == "kernel.cache.load")
-        assert load.attrs["outcome"] == "hit"
-        assert kernel_tracer() is NULL_TRACER
-
-    def test_derive_timing_recorded(self, tmp_path):
-        reset_kernel_metrics()
-        derive_artifacts(Queue(), 2)
-        histogram = kernel_metrics().histogram("kernel.derive.seconds")
-        assert histogram.count == 1
-        assert histogram.total >= 0.0
+        monkeypatch.setattr(Queue, "apply", counting)
+        oracle = _CountingOracle(Queue())
+        assert artifacts_for(Queue(), 3, oracle) is first
+        assert applied == [] and oracle.hops == 0
 
 
 class TestParallel:
@@ -364,65 +271,6 @@ class TestParallel:
         serial = commutativity_table(datatype, 3, oracle, events, jobs=1)
         sharded = commutativity_table(datatype, 3, oracle, events, jobs=3)
         assert serial == sharded
-
-    def test_derive_catalog_parallel_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cat"))
-        plan = [(Queue(), 2), (PROM(), 2)]
-        serial = derive_catalog(plan, jobs=1, refresh=True)
-        clear_memory_cache()
-        parallel = derive_catalog(plan, jobs=2, refresh=True)
-        assert [a.canonical_text() for a in serial] == [
-            a.canonical_text() for a in parallel
-        ]
-
-
-class TestCacheCli:
-    def test_warm_stats_clear(self, tmp_path, monkeypatch, capsys):
-        from repro.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
-        clear_memory_cache()
-        assert main(["cache", "warm", "--bound", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "warmed" in out and "Queue" in out
-
-        assert main(["cache", "stats", "--format", "json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["artifacts"] > 0
-        assert stats["stores"] == stats["artifacts"]
-
-        # a second warm is served from the cache: hit counters move
-        clear_memory_cache()
-        assert main(["cache", "warm", "--bound", "1"]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats", "--format", "json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["hits"] >= stats["artifacts"]
-
-        assert main(["cache", "clear"]) == 0
-        assert "removed" in capsys.readouterr().out
-        assert main(["cache", "stats", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["artifacts"] == 0
-
-    def test_warm_trace_renders_spans(self, tmp_path, monkeypatch, capsys):
-        from repro.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
-        clear_memory_cache()
-        assert main(["cache", "warm", "--bound", "1", "--trace"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel.derive" in out
-
-    def test_metrics_includes_kernel_registry(self, capsys):
-        from repro.__main__ import main
-
-        assert (
-            main(["metrics", "--format", "json", "--transactions", "2"]) == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert "kernel" in payload
-        assert "kernel.cache.hit" in payload["kernel"]["counters"]
-        assert "kernel.cache.miss" in payload["kernel"]["counters"]
 
 
 class TestQuorumFastPath:
