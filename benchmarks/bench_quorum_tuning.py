@@ -26,8 +26,9 @@ Asserted claims (the phase-shifting scenario):
 * tuned pooled p95 operation latency no worse than ``default``;
 * an audited tuned run (all streaming monitors, including
   ``reconfig-epoch``) reports **zero violations** across the switches;
-* tuned runs fingerprint **byte-identically** across serial/batched
-  RPC modes, with identical switch schedules;
+* the tuned phase-shifting run's fingerprint and switch schedule stay
+  on their pin (``PINNED_TUNED``), taken where a one-request-at-a-time
+  front-end produced the same bytes;
 * with the tuner constructed but never driven, the run is
   byte-identical to a plain untuned run — observation is free.
 
@@ -41,6 +42,9 @@ Standalone: ``python benchmarks/bench_quorum_tuning.py [--quick]``
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -76,6 +80,13 @@ DEFAULT_SAVING_FLOOR = 0.15
 #: 10% hysteresis still blocks noise-driven churn on the skewed steady
 #: mixes (the switch schedule is identical across run lengths here).
 TUNING = TunerConfig(window=4, evaluate_every=2, min_samples=4, hysteresis=0.10)
+
+#: transactions -> SHA-256 of the tuned phase-shifting cell's
+#: ``{"fingerprint", "switches"}``.
+PINNED_TUNED = {
+    TRANSACTIONS: "13ee440319a129062d66e3d5687a62ed20e820a3b79cab8fd9f121c700eb8a68",
+    QUICK_TRANSACTIONS: "812358f347356b0e0b601bbcbb0c136c5e3b3080a6fc85fc781f8ca59ad7d8da",
+}
 
 QUEUE_NAMES = tuple(f"queue-{i}" for i in range(QUEUES))
 PROM_NAMES = tuple(f"prom-{i}" for i in range(PROMS))
@@ -140,8 +151,8 @@ NOMINAL_WEIGHTS = {
 }
 
 
-def _build(seed: int = 0, rpc_mode: str = "batched", tracer=None):
-    return build_keyspace(_spec(), seed=seed, rpc_mode=rpc_mode, tracer=tracer)
+def _build(seed: int = 0, tracer=None):
+    return build_keyspace(_spec(), seed=seed, tracer=tracer)
 
 
 def _seal_proms(cluster) -> None:
@@ -208,7 +219,7 @@ def _pooled_p95(metrics) -> float:
 
 
 def _fingerprint(cluster, metrics) -> dict:
-    """Everything that must not change between RPC modes, JSON-shaped."""
+    """Everything a passive tuner must not move, JSON-shaped."""
     return {
         "outcomes": sorted(
             [op, outcome, count]
@@ -225,10 +236,9 @@ def _measure_config(
     transactions: int,
     *,
     seed: int = 0,
-    rpc_mode: str = "batched",
 ) -> dict:
     """One (scenario, assignment-config) cell of the comparison."""
-    cluster = _build(seed=seed, rpc_mode=rpc_mode)
+    cluster = _build(seed=seed)
     _seal_proms(cluster)
     tuner = None
     if config in NOMINAL_WEIGHTS:
@@ -252,19 +262,12 @@ def _measure_config(
     }
 
 
-def _measure_determinism(transactions: int) -> dict:
-    """Tuned runs across RPC modes; a passive tuner against no tuner."""
-    by_mode = {}
-    for mode in ("serial", "batched"):
-        cluster = _build(rpc_mode=mode)
-        _seal_proms(cluster)
-        tuner = cluster.enable_tuning(TUNING)
-        metrics = _run_scenario(cluster, "phase_shifting", transactions, tuner=tuner)
-        by_mode[mode] = {
-            "fingerprint": _fingerprint(cluster, metrics),
-            "switches": list(tuner.switches),
-        }
-
+def _measure_determinism(transactions: int, tuned: dict) -> dict:
+    """The tuned cell against its pin; a passive tuner against no tuner."""
+    pinned = json.dumps(
+        {"fingerprint": tuned["fingerprint"], "switches": tuned["switches"]},
+        sort_keys=True,
+    )
     baseline = _build()
     _seal_proms(baseline)
     base_metrics = _run_scenario(baseline, "phase_shifting", transactions)
@@ -273,8 +276,10 @@ def _measure_determinism(transactions: int) -> dict:
     passive.enable_tuning(TUNING)  # observer installed, never driven
     passive_metrics = _run_scenario(passive, "phase_shifting", transactions)
     return {
-        "byte_identical_modes": by_mode["serial"] == by_mode["batched"],
-        "switches": by_mode["batched"]["switches"],
+        "tuned_on_pin": (
+            hashlib.sha256(pinned.encode()).hexdigest()
+            == PINNED_TUNED.get(transactions)
+        ),
         "tuner_off_identical": (
             _fingerprint(baseline, base_metrics)
             == _fingerprint(passive, passive_metrics)
@@ -323,7 +328,9 @@ def _measure(transactions: int) -> dict:
             "p_up": TUNING.p_up,
         },
         "scenarios": scenarios,
-        "determinism": _measure_determinism(transactions),
+        "determinism": _measure_determinism(
+            transactions, scenarios["phase_shifting"]["tuned"]
+        ),
         "audit": _measure_audit(transactions),
         "default_saving_floor": DEFAULT_SAVING_FLOOR,
     }
@@ -362,8 +369,8 @@ def _render(results: dict) -> str:
         f"phase-shifting: tuned {shifting['tuned']['messages_per_commit']:.2f} "
         f"vs best static {best_static:.2f}, "
         f"{saving:.1%} below default (floor {results['default_saving_floor']:.0%})",
-        f"modes byte-identical: {det['byte_identical_modes']} "
-        f"({len(det['switches'])} switches)",
+        f"tuned run on its pin: {det['tuned_on_pin']} "
+        f"({len(shifting['tuned']['switches'])} switches)",
         f"tuner-off byte-identical to baseline: {det['tuner_off_identical']}",
         f"audit: {'OK' if audit['ok'] else 'FAIL'} "
         f"({audit['violations']} violations across {audit['switches']} switches)",
@@ -396,9 +403,7 @@ def _check(results: dict) -> None:
         f"{shifting['default']['p95_latency']:.2f}"
     )
     det = results["determinism"]
-    assert det["byte_identical_modes"], (
-        "tuned runs diverged between serial and batched RPC"
-    )
+    assert det["tuned_on_pin"], "the tuned phase-shifting run left its pin"
     assert det["tuner_off_identical"], (
         "a passive (never-driven) tuner perturbed the workload"
     )

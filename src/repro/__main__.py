@@ -412,8 +412,7 @@ def _chaos_table(verdict: dict) -> str:
     lines.append(
         "sweep: "
         + ("all cases clean" if verdict["ok"] else "CASES FAILED")
-        + f" (seeds {verdict['seeds']}, {verdict['transactions']} txns/case, "
-        f"rpc_mode {verdict['rpc_mode']})"
+        + f" (seeds {verdict['seeds']}, {verdict['transactions']} txns/case)"
     )
     return "\n".join(lines)
 
@@ -436,7 +435,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
         profiles=profiles,
         policies=policies,
-        rpc_mode=args.rpc_mode,
         n_sites=args.sites,
         transactions=args.transactions,
         jobs=args.jobs,
@@ -464,7 +462,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 },
                 profiles=list(profiles),
                 policies=list(policies),
-                rpc_mode=args.rpc_mode,
             ),
             make_report("chaos", ok=bool(verdict["ok"]), verdict=verdict),
         )
@@ -638,7 +635,7 @@ def _scenario_table(verdict: dict) -> str:
         f"scenario {verdict['scenario']} × {verdict['mechanism']} "
         f"(scheme {verdict['scheme']}) × profile {verdict['profile']} "
         f"(seed {verdict['seed']}, {verdict['n_sites']} sites, "
-        f"{verdict['transactions']} txns, rpc {verdict['rpc_mode']})",
+        f"{verdict['transactions']} txns)",
         f"  attempted {counts['attempted']}  ok {counts['succeeded']}  "
         f"degraded {counts['degraded']}  unavailable {counts['unavailable']}  "
         f"conflict {counts['conflict']}  aborted {counts['aborted_ops']}",
@@ -672,7 +669,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         mechanism=args.mechanism,
         profile=args.profile,
         policy=args.policy,
-        rpc_mode=args.rpc_mode,
         n_sites=args.sites,
         transactions=args.transactions,
         streaming=not args.deep_audit,
@@ -698,7 +694,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 mechanism=args.mechanism,
                 profile=args.profile,
                 policy=verdict["policy"],
-                rpc_mode=args.rpc_mode,
             ),
             make_report("scenario", ok=bool(verdict["ok"]), verdict=verdict),
         )
@@ -834,12 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="transactions per case (default: 16)",
-    )
-    chaos.add_argument(
-        "--rpc-mode",
-        choices=("batched", "serial"),
-        default="batched",
-        help="front-end quorum assembly mode (default: batched)",
     )
     chaos.add_argument(
         "--objects",
@@ -1060,12 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="transactions to run (default: the scenario's own count)",
-    )
-    scenario.add_argument(
-        "--rpc-mode",
-        choices=("batched", "serial"),
-        default="batched",
-        help="front-end quorum assembly mode (default: batched)",
     )
     scenario.add_argument(
         "--deep-audit",

@@ -23,9 +23,10 @@ commit-time certification:
 The rules are decided once, in :meth:`choose_event`; *how* a
 serialization is tested for legality comes in two interchangeable
 forms.  From scratch (:meth:`_from_scratch`, the reference, used when
-the view carries no serial cache — the ``rpc_mode="serial"`` path) every
-test sorts the committed groups and replays the whole serial from the
-root.  From checkpoints (:meth:`_from_checkpoints`) the committed groups
+the view carries no serial cache, the cache has no checkpoints yet, or
+the transaction's own entries are already among the committed ones)
+every test sorts the committed groups and replays the whole serial from
+the root.  From checkpoints (:meth:`_from_checkpoints`) the committed groups
 stay sorted by begin timestamp with the legality-trie node after each
 (:class:`~repro.replication.serialcache.BeginOrderCheckpoints`), so a
 test starts at the checkpoint in front of the oldest position it

@@ -263,8 +263,6 @@ def build_keyspace(
     drop_probability: float = 0.0,
     tracer: Tracer | None = None,
     profiler: KernelProfiler | None = None,
-    rpc_mode: str = "batched",
-    queue_mode: str = "slot",
 ) -> Cluster:
     """Compile a keyspace spec into a running cluster.
 
@@ -281,15 +279,6 @@ def build_keyspace(
     replicated to an arbitrary extent so availability is dominated by
     repositories.
 
-    ``rpc_mode`` selects how front-ends assemble quorums: ``"batched"``
-    (the default) overlaps probe latencies through
-    :meth:`~repro.sim.network.Network.gather` and reuses cached view
-    merges; ``"serial"`` walks sites one round-trip at a time — the
-    reference path the equality tests compare against.  ``queue_mode``
-    selects the simulator's event-queue implementation the same way:
-    ``"slot"`` (default, allocation-free) or ``"reference"`` (the
-    dataclass heap both must match dispatch-for-dispatch).
-
     Pass a :class:`~repro.obs.trace.Tracer` to capture span trees
     (transaction → operation → quorum phase → RPC) over simulated time,
     and/or a :class:`~repro.obs.profile.KernelProfiler` for per-callback
@@ -299,9 +288,7 @@ def build_keyspace(
     placement = spec.compile()
     router = Router(placement)
     tracer = tracer if tracer is not None else NULL_TRACER
-    sim = Simulator(
-        seed=seed, tracer=tracer, profiler=profiler, queue_mode=queue_mode
-    )
+    sim = Simulator(seed=seed, tracer=tracer, profiler=profiler)
     tracer.bind_clock(sim)
     network = Network(
         sim,
@@ -309,7 +296,6 @@ def build_keyspace(
         latency=latency,
         drop_probability=drop_probability,
         tracer=tracer,
-        rpc_mode=rpc_mode,
     )
     repositories = tuple(
         Repository(site, tracer=tracer) for site in range(n_sites)
@@ -358,8 +344,6 @@ def build_cluster(
     drop_probability: float = 0.0,
     tracer: Tracer | None = None,
     profiler: KernelProfiler | None = None,
-    rpc_mode: str = "batched",
-    queue_mode: str = "slot",
 ) -> Cluster:
     """Assemble the full stack over ``n_sites`` fully replicated sites.
 
@@ -380,6 +364,4 @@ def build_cluster(
         drop_probability=drop_probability,
         tracer=tracer,
         profiler=profiler,
-        rpc_mode=rpc_mode,
-        queue_mode=queue_mode,
     )

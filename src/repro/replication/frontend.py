@@ -25,7 +25,7 @@ from repro.obs.trace import NULL_SPAN, Tracer
 from repro.quorum.coterie import Coterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.repository import Repository, read_walk, walk
+from repro.replication.repository import Repository
 from repro.replication.serialcache import (
     CACHE_FOR_ORDER,
     BeginOrderCache,
@@ -86,14 +86,10 @@ class FrontEnd:
         self.clock = LamportClock(site=site)
         #: Span sink; defaults to the network's (usually null).
         self.tracer = tracer if tracer is not None else network.tracer
-        #: Incremental view-merge cache, consulted on the batched RPC
-        #: path only (``network.rpc_mode == "batched"``); the serial
-        #: path re-merges from scratch and stays the reference.
+        #: Incremental view-merge cache over initial-quorum replies.
         self.view_cache = QuorumViewCache()
         #: Per-object incremental serializations (commit- or begin-order,
-        #: by the object's scheme), threaded through views on the batched
-        #: path only — the serial path recomputes every serialization
-        #: from scratch and stays the byte-identical reference.
+        #: by the object's scheme), threaded through every view.
         self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
         #: Per-front-end policy override; see :meth:`effective_policy`.
         self.retry_policy = retry_policy
@@ -242,13 +238,11 @@ class FrontEnd:
         )
         for entry in obj.sync.own_entries(txn.id):
             merged = merged.add(entry)
-        serial_cache = None
-        if self.network.rpc_mode == "batched":
-            serial_cache = self.serial_caches.get(object_name)
-            if serial_cache is None:
-                serial_cache = self.serial_caches[object_name] = CACHE_FOR_ORDER[
-                    obj.cc.serialization_order
-                ]()
+        serial_cache = self.serial_caches.get(object_name)
+        if serial_cache is None:
+            serial_cache = self.serial_caches[object_name] = CACHE_FOR_ORDER[
+                obj.cc.serialization_order
+            ]()
         view = View(merged, self.tm, base=base, serial_cache=serial_cache)
         latest = view.max_timestamp()
         if latest is not None:
@@ -263,11 +257,11 @@ class FrontEnd:
 
         entry = LogEntry(self.clock.tick(), event, txn.id)
         final = assignment.final(event)
-        # Built once, outside the retry loop: on the batched path this
-        # appends ``entry`` to the view cache's own store, and a retry
-        # must re-send that same version, not fork another.  If no final
-        # quorum ever acknowledges, the cached union is still the shorter
-        # version it was — the unacknowledged entry sits beyond its end.
+        # Built once, outside the retry loop: this appends ``entry`` to
+        # the view cache's own store, and a retry must re-send that same
+        # version, not fork another.  If no final quorum ever
+        # acknowledges, the cached union is still the shorter version it
+        # was — the unacknowledged entry sits beyond its end.
         update = view.log.add(entry)
         try:
             self._retrying(
@@ -386,24 +380,16 @@ class FrontEnd:
 
         Returns ``(log, snapshot_or_None)``; entries covered by the
         snapshot are filtered out (a lagging repository may still hold
-        them).  Dispatches on ``network.rpc_mode``: batched probes
-        overlap their latencies through :meth:`Network.gather` and feed
-        the incremental view-merge cache; serial is the one-RPC-at-a-
-        time reference walk.  ``epoch`` is the configuration epoch the
+        them).  Probes overlap their latencies through
+        :meth:`Network.gather` and the replies feed the incremental
+        view-merge cache.  ``epoch`` is the configuration epoch the
         caller resolved the coterie under; it is stamped onto the traced
         quorum span for the auditor's ``reconfig-epoch`` monitor.
         """
-        if self.network.rpc_mode == "batched":
-            return self._read_quorum_batched(obj, coterie, op_name, epoch)
-        return self._read_quorum_serial(obj, coterie, op_name, epoch)
-
-    def _read_quorum_batched(
-        self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int
-    ) -> tuple[Log, object]:
         if not self.tracer.enabled:
             # Untraced hot path: no span kwargs, no eager annotate
             # arguments (the sorted() renderings dominate otherwise).
-            return self._read_quorum_batched_impl(obj, coterie, op_name, None)
+            return self._read_quorum_impl(obj, coterie, op_name, None)
         with self.tracer.span(
             "quorum.initial",
             kind="quorum",
@@ -413,9 +399,9 @@ class FrontEnd:
             object=obj.name,
             epoch=epoch,
         ) as span:
-            return self._read_quorum_batched_impl(obj, coterie, op_name, span)
+            return self._read_quorum_impl(obj, coterie, op_name, span)
 
-    def _read_quorum_batched_impl(
+    def _read_quorum_impl(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, span
     ) -> tuple[Log, object]:
         if coterie.has_quorum(frozenset()):
@@ -447,55 +433,13 @@ class FrontEnd:
             span.annotate(quorum=sorted(responders))
         return merged, best
 
-    def _read_quorum_serial(
-        self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0
-    ) -> tuple[Log, object]:
-        with self.tracer.span(
-            "quorum.initial",
-            kind="quorum",
-            site=self.site,
-            phase="initial",
-            op=op_name,
-            object=obj.name,
-            epoch=epoch,
-        ) as span:
-            satisfied, responders, merged, best = read_walk(
-                self.network,
-                self.repositories,
-                self.site,
-                self._site_order(obj),
-                obj.name,
-                coterie.has_quorum,
-            )
-            self._conclude_serial(span, obj, op_name, satisfied, responders)
-            return merged, best
-
-    def _conclude_serial(
-        self, span, obj: ReplicatedObject, op_name: str, satisfied: bool, reached
-    ) -> None:
-        """Annotate a serial quorum span; raise when no quorum was reached."""
-        if not satisfied:
-            missing = self._replica_set(obj) - reached
-            span.annotate(responders=sorted(reached), missing=sorted(missing))
-            raise UnavailableError(op_name, missing)
-        # ``()`` for a coterie the empty set satisfies, as the batched path.
-        span.annotate(quorum=sorted(reached) if reached else ())
-
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
         epoch: int = 0,
     ) -> None:
         """Write the updated view until a final quorum acknowledges."""
-        if self.network.rpc_mode == "batched":
-            return self._write_quorum_batched(obj, coterie, update, event, epoch)
-        return self._write_quorum_serial(obj, coterie, update, event, epoch)
-
-    def _write_quorum_batched(
-        self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
-        epoch: int,
-    ) -> None:
         if not self.tracer.enabled:
-            return self._write_quorum_batched_impl(obj, coterie, update, event, None)
+            return self._write_quorum_impl(obj, coterie, update, event, None)
         with self.tracer.span(
             "quorum.final",
             kind="quorum",
@@ -506,9 +450,9 @@ class FrontEnd:
             res_kind=event.res.kind,
             epoch=epoch,
         ) as span:
-            return self._write_quorum_batched_impl(obj, coterie, update, event, span)
+            return self._write_quorum_impl(obj, coterie, update, event, span)
 
-    def _write_quorum_batched_impl(
+    def _write_quorum_impl(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event, span
     ) -> None:
         if coterie.has_quorum(frozenset()):
@@ -545,28 +489,3 @@ class FrontEnd:
         )
         if span is not None:
             span.annotate(quorum=sorted(acks))
-
-    def _write_quorum_serial(
-        self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
-        epoch: int = 0,
-    ) -> None:
-        op_name = event.inv.op
-        with self.tracer.span(
-            "quorum.final",
-            kind="quorum",
-            site=self.site,
-            phase="final",
-            op=op_name,
-            object=obj.name,
-            res_kind=event.res.kind,
-            epoch=epoch,
-        ) as span:
-            satisfied, acks = walk(
-                self.network,
-                self.repositories,
-                self.site,
-                self._site_order(obj),
-                lambda repository: repository.write_log(obj.name, update),
-                coterie.has_quorum,
-            )
-            self._conclude_serial(span, obj, op_name, satisfied, frozenset(acks))

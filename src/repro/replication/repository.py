@@ -14,9 +14,9 @@ in-memory dicts then play the role of volatile state, wiped on crash by
 :meth:`lose_volatile` and rebuilt exactly — logs, snapshots, and
 version counters — by :meth:`restart` replaying checkpoint + journal.
 
-Beside the class live the two serial *walks* over a set of repositories
-(:func:`walk`, :func:`read_walk`): the per-site request loop the
-front-end's reference path, reconfiguration and compaction share.
+Beside the class live the two one-request-at-a-time *walks* over a set
+of repositories (:func:`walk`, :func:`read_walk`): the per-site request
+loop reconfiguration and compaction share.
 """
 
 from __future__ import annotations
@@ -251,9 +251,8 @@ def walk(
     """Visit repositories one request at a time until ``enough`` are reached.
 
     The per-site loop of the replication protocol (paper, Section 3.2),
-    written once for every caller that runs it serially: the front-end's
-    reference quorum path, reconfiguration's drain and prime, and
-    compaction.  ``serve(repository)`` runs at each site of ``order`` in
+    written once for every caller that runs it one site at a time:
+    reconfiguration's drain and prime, and compaction.  ``serve(repository)`` runs at each site of ``order`` in
     turn through :meth:`Network.request`; a site that times out is
     skipped; the walk stops as soon as ``enough(reached)`` holds —
     before the first request when the empty set already satisfies it.
@@ -292,8 +291,8 @@ def read_walk(
     fragments served, on the best (most-covering) compaction snapshot
     any reached site holds, with the entries that snapshot folded or
     discarded filtered out — a lagging repository may still hold them.
-    Merges from scratch, no caches: this is the reference the batched
-    path's incremental view cache is compared against.
+    Merges from scratch, no caches (the front-end's incremental view
+    cache is not consulted).
     """
     satisfied, replies = walk(
         network,

@@ -40,8 +40,11 @@ computation — whenever a soundness condition fails:
   (the checkpoints are then re-stepped in the live trie; detached nodes
   would stay correct but defeat the soak's memo bound).
 
-The serial RPC path never constructs one of these, so the
-serial-vs-batched byte-identity suite checks both caches end to end.
+A view built with ``serial_cache=None`` recomputes every serialization
+from scratch; the model tests (``tests/test_serialcache.py``,
+``tests/test_view.py``) compare both caches against it, and the pinned
+run fingerprints of ``tests/test_sim_throughput.py`` check them end to
+end.
 """
 
 from __future__ import annotations

@@ -55,9 +55,9 @@ class View:
         self.base = base
         #: Optional serial cache (:mod:`repro.replication.serialcache`, the
         #: kind the object's scheme serializes by) the owning front-end
-        #: threads through on the batched RPC path;
-        #: ``None`` (the serial reference path) makes schemes recompute
-        #: serializations from scratch.
+        #: threads through; ``None`` makes schemes recompute
+        #: serializations from scratch (the reference the model tests
+        #: compare the caches against).
         self.serial_cache = serial_cache
 
     @property

@@ -15,8 +15,8 @@ per-repository log version counters (:meth:`Repository.log_version`):
   into the cached union (logs only grow while their compaction snapshot
   is unchanged, so the union stays exact);
 * **rebuild** — the responding site set or any site's snapshot object
-  changed: the union is rebuilt from scratch, exactly as the serial
-  reference path would.
+  changed: the union is rebuilt from scratch over the probes in visit
+  order.
 
 After a successful final-quorum write the cache is refreshed from the
 acks alone (:meth:`note_write`): each acked repository confirmed, via a
@@ -24,10 +24,9 @@ version-before/version-after pair captured atomically with the write,
 that nothing else touched its fragment since our read, so the new union
 is the cached union plus the written update — no re-read needed.
 
-Every path preserves *exact* set equality with the serial re-merge; the
-equality tests in ``tests/test_sim_throughput.py`` enforce it end to
-end.  The cache is only consulted on the batched RPC path — the serial
-path stays the pristine reference implementation.
+Every path preserves *exact* set equality with a from-scratch re-merge;
+``tests/test_sim_throughput.py`` checks each path and pins end-to-end
+run fingerprints.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class QuorumViewCache:
         attempt (visit) order, each carrying a ``(log, snapshot,
         version)`` triple captured atomically at the repository.
         Returns ``(filtered_log, best_snapshot_or_None)`` with exactly
-        the sets the serial fold over the same probes would produce.
+        the sets a from-scratch fold over the same probes would produce.
         """
         sites = tuple(probe.site for probe in probes)
         best = None

@@ -16,8 +16,8 @@ supplies the client- and repair-side machinery that argument assumes:
   a crashed site recovers;
 * :mod:`repro.resilience.chaos` — the seeded chaos sweep behind
   ``python -m repro chaos``: fault schedules composed over the existing
-  injectors, applied at transaction boundaries for cross-``rpc_mode``
-  determinism, audited by the online :class:`Auditor`.
+  injectors, applied at transaction boundaries so fault timing does not
+  depend on the simulated clock, audited by the online :class:`Auditor`.
 
 See ``docs/RESILIENCE.md`` for the failure model and the mapping from
 each fault profile back to the paper's claims.

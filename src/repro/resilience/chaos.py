@@ -19,10 +19,10 @@ never from ``sim.rng`` (which the workload consumes) and never from
 string ``hash()`` (randomized per process).  Together with
 ``drop_probability=0`` this keeps a chaos case inside the PR-4
 determinism envelope: the same seed produces byte-identical outcomes,
-histories, and message counters across ``rpc_mode="serial"`` /
-``"batched"`` and across ``--jobs`` settings (simulated-time figures
-such as recovery latency are reported separately — the two modes run
-different clocks).
+histories, and message counters across ``--jobs`` settings, and
+``tests/test_golden_runs.py`` pins them per seed (simulated-time
+figures such as recovery latency are reported separately, under
+``timing``, outside the fingerprint).
 
 The tail of an audited run is written once, here: :func:`settle`
 (clear faults, two anti-entropy passes over each object's replica-set
@@ -189,7 +189,6 @@ def run_chaos_case(
     seed: int,
     profile: str = "mixed",
     policy_name: str = "default",
-    rpc_mode: str = "batched",
     n_sites: int = 5,
     transactions: int = 16,
     objects: int | None = None,
@@ -234,13 +233,13 @@ def run_chaos_case(
     if objects is not None:
         spec = demo_keyspace(objects, n_sites, placement=placement)
         cluster = build_keyspace(
-            spec, seed=seed, rpc_mode=rpc_mode, drop_probability=0.0, tracer=tracer
+            spec, seed=seed, drop_probability=0.0, tracer=tracer
         )
         mix = demo_mix(spec)
         names = tuple(obj_spec.name for obj_spec in spec.objects)
     else:
         cluster = build_cluster(
-            n_sites, seed=seed, rpc_mode=rpc_mode, drop_probability=0.0, tracer=tracer
+            n_sites, seed=seed, drop_probability=0.0, tracer=tracer
         )
         queue = Queue()
         cluster.add_object(
@@ -317,7 +316,6 @@ def run_chaos_case(
         "seed": seed,
         "profile": profile,
         "policy": policy_name,
-        "rpc_mode": rpc_mode,
         **verdict,
     }
 
@@ -370,10 +368,10 @@ def run_verdict(
     ``ok`` requires zero audit violations, converged replicas and full
     accounting — every transaction committed or aborted, every
     operation attempt recorded under exactly one outcome.  The
-    ``fingerprint`` sub-dict is mode-independent (identical across
-    ``rpc_mode`` and ``--jobs``); ``timing`` holds simulated-clock
-    figures, which legitimately differ between modes.  Callers add
-    their own header and ``timing`` entries.
+    ``fingerprint`` sub-dict holds decisions and messages only
+    (identical across ``--jobs``; the golden table pins it); ``timing``
+    holds simulated-clock figures.  Callers add their own header and
+    ``timing`` entries.
     """
     active = [t for t in cluster.tm.transactions() if t.is_active]
     attempted = sum(metrics.outcomes.values())
@@ -441,7 +439,6 @@ def run_chaos_sweep(
     seeds: Sequence[int] = (0, 1, 2, 3),
     profiles: Sequence[str] = PROFILES,
     policies: Sequence[str] = tuple(POLICIES),
-    rpc_mode: str = "batched",
     n_sites: int = 5,
     transactions: int = 16,
     jobs: int | None = None,
@@ -469,7 +466,6 @@ def run_chaos_sweep(
                 _case_trial,
                 profile=profile,
                 policy_name=policy_name,
-                rpc_mode=rpc_mode,
                 n_sites=n_sites,
                 transactions=transactions,
                 objects=objects,
@@ -509,7 +505,6 @@ def run_chaos_sweep(
         "seeds": list(seeds),
         "transactions": transactions,
         "n_sites": n_sites,
-        "rpc_mode": rpc_mode,
         "objects": objects,
         "placement": placement,
         "parallel_used": parallel_any,

@@ -10,10 +10,10 @@ cut heals or a crashed site comes back, recording how long catch-up
 took (in simulated time) into the ``resilience.recovery.latency``
 histogram — the recovery-latency figure the chaos verdicts report.
 
-The driver reuses the serial :meth:`AntiEntropy.synchronize` exchange,
-which charges normal request latencies through the simulated network in
-both ``rpc_mode``s identically — so a chaos run's catch-up cost is part
-of the deterministic, mode-independent schedule.
+The driver reuses the one-request-at-a-time
+:meth:`AntiEntropy.synchronize` exchange, which charges normal request
+latencies through the simulated network — so a chaos run's catch-up
+cost is part of its deterministic, seeded schedule.
 """
 
 from __future__ import annotations

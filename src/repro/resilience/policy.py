@@ -13,7 +13,7 @@ Everything here is deterministic.  Backoff jitter is derived from the
 policy's own seed and a caller-supplied key — never from the
 simulator's RNG — so enabling or tuning a policy does not perturb the
 seeded workload/failure schedule, and the same seed gives byte-identical
-runs under ``rpc_mode="serial"`` and ``"batched"``.
+runs in every process and at every ``--jobs`` setting.
 """
 
 from __future__ import annotations

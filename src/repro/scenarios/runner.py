@@ -20,9 +20,10 @@
   profile, ending in the chaos runner's own
   :func:`~repro.resilience.chaos.settle` and
   :func:`~repro.resilience.chaos.run_verdict`: a plain picklable verdict
-  whose ``fingerprint`` sub-dict is mode-independent (identical across
-  rpc modes and job counts) while simulated-clock figures live under
-  ``timing``.
+  whose ``fingerprint`` sub-dict holds decisions and messages only
+  (identical across job counts, pinned per cell by
+  ``tests/test_golden_runs.py``) while simulated-clock figures live
+  under ``timing``.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ def build_scenario(
     seed: int = 0,
     mechanism: str = "hybrid",
     n_sites: int | None = None,
-    rpc_mode: str = "batched",
     transactions: int | None = None,
     tracer=None,
     workload=None,
@@ -206,9 +206,7 @@ def build_scenario(
     total = transactions if transactions is not None else scenario.transactions
     if scenario.objects == 1:
         sites = n_sites if n_sites is not None else 3
-        cluster = build_cluster(
-            sites, seed=seed, rpc_mode=rpc_mode, drop_probability=0.0, tracer=tracer
-        )
+        cluster = build_cluster(sites, seed=seed, drop_probability=0.0, tracer=tracer)
         from repro.replication.keyspace import ObjectSpec
         from repro.types import Queue
 
@@ -223,9 +221,7 @@ def build_scenario(
     else:
         sites = n_sites if n_sites is not None else 5
         spec = scenario_keyspace(scenario.objects, sites, scheme)
-        cluster = build_keyspace(
-            spec, seed=seed, rpc_mode=rpc_mode, drop_probability=0.0, tracer=tracer
-        )
+        cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
         object_specs = spec.objects
     names = tuple(obj.name for obj in object_specs)
     mix = compile_mix(object_specs, scenario, seed)
@@ -320,7 +316,6 @@ def run_scenario(
     mechanism: str = "hybrid",
     profile: str = "none",
     policy: str | None = None,
-    rpc_mode: str = "batched",
     n_sites: int | None = None,
     transactions: int | None = None,
     streaming: bool = True,
@@ -358,7 +353,6 @@ def run_scenario(
         seed=seed,
         mechanism=mechanism,
         n_sites=n_sites,
-        rpc_mode=rpc_mode,
         transactions=total,
         tracer=tracer,
         workload=workload,
@@ -403,7 +397,6 @@ def run_scenario(
         "scheme": _scheme_for(mechanism),
         "profile": profile,
         "policy": policy_name,
-        "rpc_mode": rpc_mode,
         "n_sites": sites,
         "transactions": total,
         **verdict,
@@ -417,7 +410,6 @@ def scenario_trial(
     mechanism: str = "hybrid",
     profile: str = "none",
     policy: str | None = None,
-    rpc_mode: str = "batched",
     transactions: int | None = None,
 ) -> dict:
     """Module-level trial wrapper so sweeps pickle under ``--jobs N``."""
@@ -427,6 +419,5 @@ def scenario_trial(
         mechanism=mechanism,
         profile=profile,
         policy=policy,
-        rpc_mode=rpc_mode,
         transactions=transactions,
     )

@@ -7,14 +7,14 @@ consumes operation by operation) and never from string ``hash()``
 (randomized per process).  That is the same discipline the chaos
 schedules follow, and it is what keeps a compiled scenario inside the
 determinism envelope: the same ``(scenario, seed)`` pair produces the
-same hot-key ranking and the same arrival schedule in every process, at
-every ``--jobs`` setting, under either rpc mode.
+same hot-key ranking and the same arrival schedule in every process and
+at every ``--jobs`` setting.
 
 Arrival schedules are expressed in *simulated-time units on the
 driver's pacing clock* (see :mod:`repro.sim.workload`), not on
-``sim.now`` — batched quorum fan-out overlaps probe latencies, so the
-kernel clock legitimately diverges between rpc modes while outcomes
-stay byte-identical.
+``sim.now`` — the kernel clock moves with how quorum fan-out charges
+probe latencies, and the golden table pins open-loop fingerprints that
+must not move with it.
 """
 
 from __future__ import annotations

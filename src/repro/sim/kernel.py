@@ -7,21 +7,15 @@ events at the same instant always run in scheduling order.  All
 randomness flows through the kernel's seeded :class:`random.Random`, so
 a run is a pure function of its seed and configuration.
 
-Two queue implementations share one contract:
-
-* ``queue_mode="slot"`` (default) — the allocation-free hot path.  The
-  heap holds bare ``(time, seq)`` tuples; callbacks live in a dict slot
-  table keyed by sequence number; cancellable handles are ``__slots__``
-  objects drawn from a free-list and recycled at dispatch when (and only
-  when) ``sys.getrefcount`` proves no caller still holds one.  The
-  internal :meth:`Simulator.call_at` path allocates no handle at all.
-* ``queue_mode="reference"`` — the original per-event ``_Scheduled``
-  dataclass algorithm, kept verbatim as the byte-identical reference the
-  randomized equivalence tests drive against the slot queue.
-
-Both modes allocate one sequence number per scheduled event, so dispatch
-order — and therefore every seeded fingerprint — is identical between
-them.
+The queue is allocation-free on its hot path.  The heap holds bare
+``(time, seq)`` tuples; callbacks live in a dict slot table keyed by
+sequence number; cancellable handles are ``__slots__`` objects drawn
+from a free-list and recycled at dispatch when (and only when)
+``sys.getrefcount`` proves no caller still holds one.  The internal
+:meth:`Simulator.call_at` path allocates no handle at all.  Every
+scheduled event takes one sequence number, so dispatch order — and
+therefore every seeded fingerprint — is a function of the scheduling
+calls alone (``tests/test_sim_throughput.py`` pins per-step traces).
 
 Observability: an optional :class:`~repro.obs.profile.KernelProfiler`
 accounts wall time per dispatched callback and samples queue depth, and
@@ -34,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from sys import getrefcount
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
@@ -46,27 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profile import KernelProfiler
 
 
-#: Accepted values for ``Simulator(queue_mode=...)``.
-QUEUE_MODES = ("slot", "reference")
-
-
-@dataclass(order=True)
-class _Scheduled:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    dispatched: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """A cancellable handle for one scheduled event (slot queue mode).
+    """A cancellable handle for one scheduled event.
 
-    Mirrors the fields of the reference ``_Scheduled`` record so
-    introspecting callers (tests, debuggers) see the same shape, but the
-    heap itself never stores one — only ``(time, seq)`` tuples — and
-    handles are recycled through a free-list once the kernel can prove
-    no caller still references them.
+    Carries the event's time, sequence number and callback plus its
+    ``cancelled`` / ``dispatched`` state for introspecting callers
+    (tests, debuggers), but the heap itself never stores one — only
+    ``(time, seq)`` tuples — and handles are recycled through a
+    free-list once the kernel can prove no caller still references them.
     """
 
     __slots__ = ("time", "seq", "callback", "cancelled", "dispatched")
@@ -96,26 +76,16 @@ class Simulator:
         *,
         tracer: Tracer | None = None,
         profiler: "KernelProfiler | None" = None,
-        queue_mode: str = "slot",
     ):
-        if queue_mode not in QUEUE_MODES:
-            raise ValueError(
-                f"unknown queue_mode {queue_mode!r}; expected one of {QUEUE_MODES}"
-            )
-        self.queue_mode = queue_mode
-        self._slot = queue_mode == "slot"
-        if self._slot:
-            #: Bare (time, seq) tuples; comparisons are C-level.
-            self._heap: list[tuple[float, int]] = []
-            #: seq -> callback for every live (scheduled, not cancelled,
-            #: not dispatched) event; absence marks a tombstone.
-            self._callbacks: dict[int, Callable[[], None]] = {}
-            #: seq -> handle, only for events scheduled through the
-            #: public :meth:`schedule`; :meth:`call_at` events have none.
-            self._handles: dict[int, EventHandle] = {}
-            self._free_handles: list[EventHandle] = []
-        else:
-            self._queue: list[_Scheduled] = []
+        #: Bare (time, seq) tuples; comparisons are C-level.
+        self._heap: list[tuple[float, int]] = []
+        #: seq -> callback for every live (scheduled, not cancelled,
+        #: not dispatched) event; absence marks a tombstone.
+        self._callbacks: dict[int, Callable[[], None]] = {}
+        #: seq -> handle, only for events scheduled through the
+        #: public :meth:`schedule`; :meth:`call_at` events have none.
+        self._handles: dict[int, EventHandle] = {}
+        self._free_handles: list[EventHandle] = []
         self._seq = 0
         #: Live count of scheduled, not-cancelled, not-yet-run events —
         #: kept in lockstep by schedule/cancel/dispatch so ``pending``
@@ -132,7 +102,7 @@ class Simulator:
         #: Per-callback wall-time accounting; ``None`` disables profiling.
         self.profiler = profiler
 
-    def schedule(self, delay: float, callback: Callable[[], None]):
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at ``now + delay``; returns a cancellable handle."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} into the past")
@@ -140,10 +110,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if not self._slot:
-            event = _Scheduled(time, seq, callback)
-            heapq.heappush(self._queue, event)
-            return event
         free = self._free_handles
         if free:
             handle = free.pop()
@@ -159,7 +125,7 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq))
         return handle
 
-    def schedule_at(self, time: float, callback: Callable[[], None]):
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -171,11 +137,10 @@ class Simulator:
         """Run ``callback`` at absolute ``time``, without a cancel handle.
 
         The steady-path scheduling primitive for fire-and-forget events
-        (message deliveries, probe arrivals): in slot mode it pushes one
-        heap tuple and one dict slot and allocates no handle object.
-        Events scheduled this way cannot be cancelled.  Consumes the
-        same sequence number either way, so dispatch order is identical
-        across queue modes.
+        (message deliveries, probe arrivals): it pushes one heap tuple
+        and one dict slot and allocates no handle object.  Events
+        scheduled this way cannot be cancelled.  Consumes one sequence
+        number, exactly as :meth:`schedule` does.
         """
         if time < self.now:
             raise SimulationError(
@@ -184,27 +149,21 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._slot:
-            self._callbacks[seq] = callback
-            heapq.heappush(self._heap, (time, seq))
-        else:
-            heapq.heappush(self._queue, _Scheduled(time, seq, callback))
+        self._callbacks[seq] = callback
+        heapq.heappush(self._heap, (time, seq))
 
-    def cancel(self, event) -> None:
+    def cancel(self, event: EventHandle) -> None:
         """Cancel a scheduled event (no-op if it already ran)."""
         if event.cancelled or event.dispatched:
             return
         event.cancelled = True
         self._live -= 1
         self._tombstones += 1
-        if self._slot:
-            # The slot entries are the live-ness marker; the heap tuple
-            # stays behind as a tombstone until popped or compacted.
-            del self._callbacks[event.seq]
-            del self._handles[event.seq]
-            queue_len = len(self._heap)
-        else:
-            queue_len = len(self._queue)
+        # The slot entries are the live-ness marker; the heap tuple stays
+        # behind as a tombstone until popped or compacted.
+        del self._callbacks[event.seq]
+        del self._handles[event.seq]
+        queue_len = len(self._heap)
         if self._tombstones * 2 > queue_len and queue_len >= _COMPACT_FLOOR:
             self._compact()
 
@@ -215,16 +174,12 @@ class Simulator:
         until they bubble to the top; a schedule/cancel-heavy workload
         (timeouts that rarely fire) would otherwise grow the queue
         without bound.  Heapify of the survivors is O(n) and preserves
-        dispatch order because (time, seq) keys are unique.  In slot
-        mode this is a plain array filter against the slot table.
+        dispatch order because (time, seq) keys are unique.  It is a
+        plain array filter against the slot table.
         """
-        if self._slot:
-            callbacks = self._callbacks
-            self._heap = [item for item in self._heap if item[1] in callbacks]
-            heapq.heapify(self._heap)
-        else:
-            self._queue = [event for event in self._queue if not event.cancelled]
-            heapq.heapify(self._queue)
+        callbacks = self._callbacks
+        self._heap = [item for item in self._heap if item[1] in callbacks]
+        heapq.heapify(self._heap)
         self._tombstones = 0
 
     def advance(self, delta: float) -> None:
@@ -243,10 +198,7 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if self._slot:
-                dispatched = self._run_slot(until, max_events)
-            else:
-                dispatched = self._run_reference(until, max_events)
+            dispatched = self._dispatch(until, max_events)
             if until is not None:
                 self.now = max(self.now, until)
         finally:
@@ -255,7 +207,7 @@ class Simulator:
             self.tracer.event("sim.run", dispatched=dispatched)
         return dispatched
 
-    def _run_slot(self, until: float | None, max_events: int | None) -> int:
+    def _dispatch(self, until: float | None, max_events: int | None) -> int:
         dispatched = 0
         heap = self._heap
         callbacks = self._callbacks
@@ -300,37 +252,6 @@ class Simulator:
             dispatched += 1
         return dispatched
 
-    def _run_reference(self, until: float | None, max_events: int | None) -> int:
-        dispatched = 0
-        profiler = self.profiler
-        while self._queue:
-            if max_events is not None and dispatched >= max_events:
-                break
-            event = self._queue[0]
-            if event.cancelled:
-                heapq.heappop(self._queue)
-                self._tombstones -= 1
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._queue)
-            event.dispatched = True
-            self._live -= 1
-            self.now = max(self.now, event.time)
-            if profiler is not None:
-                wall_start = perf_counter()
-                event.callback()
-                profiler.record(
-                    event.callback,
-                    perf_counter() - wall_start,
-                    len(self._queue),
-                    self.now,
-                )
-            else:
-                event.callback()
-            dispatched += 1
-        return dispatched
-
     def drain(self) -> int:
         """Dispatch everything due at or before the current time.
 
@@ -364,5 +285,5 @@ class Simulator:
 
     @property
     def queue_depth(self) -> int:
-        """Physical heap length, tombstones included (both queue modes)."""
-        return len(self._heap) if self._slot else len(self._queue)
+        """Physical heap length, tombstones included."""
+        return len(self._heap)

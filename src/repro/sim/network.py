@@ -4,22 +4,24 @@ Sites crash and recover; communication links lose messages and can
 partition the functioning sites into groups that cannot reach each other
 (paper, Section 3).  The fabric exposes two communication styles:
 
-* :meth:`Network.request` — a synchronous RPC used by front-ends to read
-  and write repository state.  It consults crash and partition state,
+* :meth:`Network.request` — a synchronous RPC, one round trip at a
+  time, used by the administrative walks of
+  :mod:`repro.replication.repository` (reconfiguration, compaction,
+  anti-entropy, available copies).  It consults crash and partition state,
   may lose the request or the reply (indistinguishable to the caller, as
   the paper notes: "the absence of a response may indicate that the
   original message was lost, that the reply was lost, that the recipient
   has crashed, or simply that the recipient is slow"), charges simulated
   latency, and raises :class:`Timeout` on failure.
-* :meth:`Network.gather` — a batched RPC that launches one probe per
-  destination through the kernel at the same instant, so their
-  latencies overlap instead of accumulating.  Probes are issued in
-  *waves*: each wave is the shortest prefix of the remaining
-  destinations that could satisfy the caller's ``stop`` predicate if
-  every probe in it responded, so a stable set of reachable sites is
-  probed exactly as the serial walk would probe it (same attempted
-  sites, same message counts) while a failed probe widens the next
-  wave.  Completion ordering is deterministic: replies are reported
+* :meth:`Network.gather` — the batched RPC front-ends assemble quorums
+  with: it launches one probe per destination through the kernel at
+  the same instant, so their latencies overlap instead of
+  accumulating.  Probes are issued in *waves*: each wave is the
+  shortest prefix of the remaining destinations that could satisfy the
+  caller's ``stop`` predicate if every probe in it responded, so a
+  stable set of reachable sites is probed exactly as a one-at-a-time
+  walk would probe it (same attempted sites, same message counts)
+  while a failed probe widens the next wave.  Completion ordering is deterministic: replies are reported
   sorted by (completion time, site id).
 * :meth:`Network.send` — an asynchronous message scheduled through the
   kernel, used by failure injectors and background anti-entropy.
@@ -57,8 +59,7 @@ class GatherResult:
 
     ``replies`` holds the successful probes in deterministic completion
     order — (completion time, site id) — while ``attempted`` preserves
-    launch order, which matches the order the serial reference path
-    would have visited the same sites.
+    launch order: the caller's visit order.
     """
 
     replies: tuple[ProbeReply, ...]
@@ -73,9 +74,9 @@ class GatherResult:
     def in_attempt_order(self) -> tuple[ProbeReply, ...]:
         """Replies reordered by launch (visit) order.
 
-        This is the order in which the serial reference path would have
-        observed the same responses, so callers that fold over replies
-        (log merging, snapshot election) stay byte-compatible with it.
+        Callers that fold over replies (log merging, snapshot election)
+        fold in visit order, so the result does not depend on which
+        reply happened to complete first.
         """
         by_site = {reply.site: reply for reply in self.replies}
         return tuple(
@@ -94,9 +95,6 @@ class Timeout(Exception):
 class Network:
     """Crash, partition, and loss state for a fixed universe of sites."""
 
-    #: Valid values for the front-end RPC dispatch mode.
-    RPC_MODES = ("batched", "serial")
-
     def __init__(
         self,
         sim: Simulator,
@@ -105,24 +103,15 @@ class Network:
         drop_probability: float = 0.0,
         *,
         tracer: Tracer | None = None,
-        rpc_mode: str = "batched",
     ):
         if n_sites <= 0:
             raise SimulationError("network needs at least one site")
         if not 0.0 <= drop_probability < 1.0:
             raise SimulationError("drop probability must be in [0, 1)")
-        if rpc_mode not in self.RPC_MODES:
-            raise SimulationError(
-                f"rpc_mode must be one of {self.RPC_MODES}, got {rpc_mode!r}"
-            )
         self.sim = sim
         self.n_sites = n_sites
         self.latency = latency
         self.drop_probability = drop_probability
-        #: How front-ends issue quorum probes: ``"batched"`` overlaps
-        #: them through :meth:`gather`; ``"serial"`` is the one-at-a-time
-        #: reference path via :meth:`request`.
-        self.rpc_mode = rpc_mode
         #: Span/event sink; defaults to the simulator's (usually null).
         self.tracer = tracer if tracer is not None else sim.tracer
         self._crashed: set[int] = set()
@@ -299,10 +288,10 @@ class Network:
         its probes share one request leg and one reply leg of simulated
         latency, so a wave costs two latencies of simulated time no
         matter how wide it is.  When some probes fail, the next wave
-        extends to further destinations, exactly as the serial walk
-        would have — under a failure state that is stable for the
-        duration of the call (and no message loss), the attempted site
-        set and the message counters match the serial reference path.
+        extends to further destinations, exactly as a one-at-a-time
+        walk over :meth:`request` would — under a failure state that is
+        stable for the duration of the call (and no message loss), the
+        attempted site set and the message counters match that walk's.
 
         Per-probe semantics mirror :meth:`request`: the request leg is
         checked against crash/partition/loss state at arrival time (so

@@ -25,12 +25,12 @@ arrive:
   only once the driver's pacing clock reaches ``arrivals[k]``, with
   ``concurrency`` acting as an admission-backlog cap.  The pacing clock
   advances ``think_time`` per driver step and jumps to the next arrival
-  when the pool idles, so it measures simulated time in a way that is
-  **identical across rpc modes** (the kernel clock itself is not:
-  batched quorum fan-out overlaps probe latencies, so ``sim.now``
-  diverges between ``rpc_mode="serial"`` and ``"batched"`` while
-  outcomes stay byte-identical — the same reason chaos schedules are
-  indexed by transaction boundary rather than by ``sim.now``).
+  when the pool idles, so admission is a function of the driver's own
+  steps and not of how the protocol charges latency to the kernel
+  clock: ``tests/test_golden_runs.py`` pins open-loop fingerprints, and
+  a change to quorum fan-out timing (``sim.now``) must not move which
+  transaction is admitted when — the same reason chaos schedules are
+  indexed by transaction boundary rather than by ``sim.now``.
 
 Neither hook perturbs seeded runs: with ``workload=None`` and
 ``arrivals=None`` the driver draws exactly the RNG sequence it always
@@ -163,7 +163,7 @@ class WorkloadGenerator:
     #: Called with the transaction index (0-based) just before each *new*
     #: transaction begins — the chaos layer injects faults here so fault
     #: schedules are indexed by transaction boundary, not simulated time,
-    #: which keeps them identical across ``rpc_mode`` variants.  Policy
+    #: which keeps them independent of protocol latency.  Policy
     #: retries of an existing transaction do **not** re-fire the hook.
     on_transaction_start: Callable[[int], None] | None = None
     #: Transaction source: any object with
@@ -200,8 +200,8 @@ class WorkloadGenerator:
         self._pool = pool
         #: The driver's pacing clock: advances ``think_time`` per step
         #: and jumps to the next arrival on idle — a simulated-time
-        #: measure that is identical across rpc modes (``sim.now`` is
-        #: not; see the module docstring).
+        #: measure independent of protocol latency (``sim.now`` is not;
+        #: see the module docstring).
         pacing = 0.0
         stall_budget = 1000 * max(1, total_transactions)
         while started < total_transactions or pool:

@@ -74,7 +74,7 @@ class ScoredCandidate:
         """Deterministic preference order: fewer messages, then fewer
         round trips, then higher availability, then a stable textual
         tie-break so equal-cost candidates resolve identically across
-        runs, job counts, and RPC modes."""
+        runs and job counts."""
         return (
             self.messages,
             self.round_trips,

@@ -17,8 +17,8 @@ provably view-preserving hand-over, audited across epochs by the
 
 Determinism: the tuner evaluates only from the workload generator's
 ``on_transaction_start`` hook — a schedule that is identical across
-``--jobs`` counts and serial/batched RPC modes (it advances per *new*
-transaction, never per retry) — and all scoring/tie-breaking is
+``--jobs`` counts and independent of simulated time (it advances per
+*new* transaction, never per retry) — and all scoring/tie-breaking is
 deterministic, so tuned runs fingerprint byte-identically across the
 whole determinism envelope.
 """
@@ -144,8 +144,7 @@ class QuorumTuner:
         """Workload hook: evaluate every ``evaluate_every`` transactions.
 
         Fires on the generator's deterministic new-transaction schedule,
-        so tuning decisions land at identical points across job counts
-        and RPC modes.
+        so tuning decisions land at identical points across job counts.
         """
         if index > 0 and index % self.config.evaluate_every == 0:
             self.maybe_tune()

@@ -7,7 +7,11 @@ from repro.dependency.relation import DependencyRelation
 from repro.errors import SpecificationError
 from repro.histories.events import Invocation, ok
 from repro.quorum.assignment import QuorumAssignment
+from repro.replication import frontend
 from repro.replication.cluster import Cluster, build_cluster
+from repro.replication.log import Log
+from repro.replication.view import View
+from repro.replication.viewcache import QuorumViewCache
 from repro.spec.datatype import SerialDataType
 from repro.types import PROM, Counter, Queue, Register
 
@@ -54,6 +58,53 @@ def count_calls(monkeypatch, owner, name):
     counted.calls = 0
     monkeypatch.setattr(owner, name, counted)
     return counted
+
+
+class FromScratchViewCache(QuorumViewCache):
+    """A view cache that remembers nothing.
+
+    Every initial-quorum read is folded from scratch over its probes, in
+    visit order, as :func:`~repro.replication.repository.read_walk`
+    folds a walk's replies; a final-quorum write refreshes nothing.
+    ``merges`` counts the folds across every instance.
+    """
+
+    merges = 0
+
+    def merged_view(self, object_name, probes):
+        FromScratchViewCache.merges += 1
+        merged, best = Log(), None
+        for probe in probes:
+            fragment, snapshot, _version = probe.value
+            merged = merged.merge(fragment)
+            if snapshot is not None and snapshot.subsumes(best):
+                best = snapshot
+        if best is not None:
+            merged = Log(entry for entry in merged if entry.action not in best.dropped)
+        return merged, best
+
+    def note_write(self, object_name, update, acks) -> None:
+        pass
+
+
+def from_scratch_front_ends(monkeypatch) -> type[FromScratchViewCache]:
+    """Make every front-end built from here on run without its caches.
+
+    Views are merged by :class:`FromScratchViewCache` and built with no
+    serial cache, so every scheme recomputes its serializations from
+    scratch: the model the incremental caches must agree with.  Returns
+    the cache class, whose ``merges`` shows the reads went through it.
+    """
+    monkeypatch.setattr(FromScratchViewCache, "merges", 0)
+    monkeypatch.setattr(frontend, "QuorumViewCache", FromScratchViewCache)
+    monkeypatch.setattr(
+        frontend,
+        "View",
+        lambda log, statuses, base=None, serial_cache=None: View(
+            log, statuses, base=base
+        ),
+    )
+    return FromScratchViewCache
 
 
 class HiddenCoin(SerialDataType):

@@ -12,6 +12,14 @@ ENQ_A = Invocation("Enq", ("a",))
 DEQ = Invocation("Deq")
 
 
+def _rendered(entries) -> list[str]:
+    """Log entries as sorted ``"counter.site event action"`` strings."""
+    return sorted(
+        f"{entry.ts.counter}.{entry.ts.site} {entry.event} {entry.action}"
+        for entry in entries
+    )
+
+
 class TestHappyPath:
     def test_entries_reach_final_quorum(self):
         cluster, obj = queue_system("hybrid")
@@ -133,13 +141,13 @@ class TestUnavailability:
 
 
 class TestFailedFinalQuorum:
-    """A final quorum that never acknowledges leaves the batched path's
+    """A final quorum that never acknowledges leaves the front-end's
     cached view logically untouched (its store did receive the entry)."""
 
     ENQ_B = Invocation("Enq", ("b",))
 
     @staticmethod
-    def _read_one_write_all(rpc_mode: str):
+    def _read_one_write_all():
         """Enq reads one site and writes all; Deq reads all, writes one."""
         from repro.dependency import known
         from repro.replication.cluster import build_cluster
@@ -157,16 +165,17 @@ class TestFailedFinalQuorum:
                 ),
             },
         )
-        cluster = build_cluster(n, rpc_mode=rpc_mode)
+        cluster = build_cluster(n)
         relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
         cluster.add_object(
             "obj", Queue(), "hybrid", assignment=assignment, relation=relation
         )
         return cluster
 
-    def _timed_out_write_then_success(self, rpc_mode: str, monkeypatch):
+    def _timed_out_write_then_success(self, monkeypatch):
         """Views seen, responses and final repository logs of: a committed
-        Enq, an Enq whose final quorum times out, two more operations."""
+        Enq, an Enq whose final quorum times out, two more operations;
+        entry sets come back :func:`_rendered`."""
         from repro.replication import frontend as frontend_module
         from repro.replication.view import View
 
@@ -178,7 +187,7 @@ class TestFailedFinalQuorum:
                 super().__init__(log, *args, **kwargs)
 
         monkeypatch.setattr(frontend_module, "View", RecordingView)
-        cluster = self._read_one_write_all(rpc_mode)
+        cluster = self._read_one_write_all()
         fe, tm = cluster.frontends[0], cluster.tm
         responses = []
 
@@ -186,21 +195,18 @@ class TestFailedFinalQuorum:
         responses.append(fe.execute(txn, "obj", ENQ_A))
         tm.commit(txn)
 
-        cached = None
-        if rpc_mode == "batched":
-            cached = fe.view_cache._entries["obj"].raw
-            held = cached.entry_set
+        cached = fe.view_cache._entries["obj"].raw
+        held = cached.entry_set
         cluster.network.crash(1)
         cluster.network.crash(2)
         txn = tm.begin(0)
         with pytest.raises(TransactionAborted):
             fe.execute(txn, "obj", self.ENQ_B)  # site 0 acks, 1 and 2 time out
-        if cached is not None:
-            unacknowledged = cluster.repositories[0].peek_log("obj").entry_set - held
-            assert len(unacknowledged) == 1
-            assert fe.view_cache._entries["obj"].raw is cached
-            assert cached.entry_set == held and len(cached) == len(held)
-            assert not any(entry in cached for entry in unacknowledged)
+        unacknowledged = cluster.repositories[0].peek_log("obj").entry_set - held
+        assert len(unacknowledged) == 1
+        assert fe.view_cache._entries["obj"].raw is cached
+        assert cached.entry_set == held and len(cached) == len(held)
+        assert not any(entry in cached for entry in unacknowledged)
         cluster.network.recover(1)
         cluster.network.recover(2)
 
@@ -209,20 +215,32 @@ class TestFailedFinalQuorum:
         responses.append(fe.execute(txn, "obj", DEQ))
         tm.commit(txn)
         stored = [repo.peek_log("obj").entry_set for repo in cluster.repositories]
-        return views, responses, stored
+        return [_rendered(view) for view in views], responses, [
+            _rendered(log) for log in stored
+        ]
 
-    def test_next_operation_sees_the_view_the_serial_path_sees(self, monkeypatch):
-        batched = self._timed_out_write_then_success("batched", monkeypatch)
-        serial = self._timed_out_write_then_success("serial", monkeypatch)
-        assert batched == serial
-        views, responses, _stored = batched
-        assert len(views) == 4 and responses[-1] == ok("a")
+    def test_next_operation_sees_the_view_a_fresh_merge_sees(self, monkeypatch):
+        # Written out from a one-request-at-a-time front-end that merged
+        # every view from scratch: the aborted Enq('b') stays in site 0's
+        # log and in every later view, so the Deq still returns 'a'.
+        views, responses, stored = self._timed_out_write_then_success(monkeypatch)
+        enq_a = "1.0 Enq('a');Ok() T1@0"
+        enq_b = "3.0 Enq('b');Ok() T2@0"
+        enq_a2 = "5.0 Enq('a');Ok() T3@0"
+        deq = "7.0 Deq();Ok('a') T3@0"
+        assert views == [[], [enq_a], [enq_a, enq_b], [enq_a, enq_b, enq_a2]]
+        assert responses == [ok(), ok(), ok("a")]
+        assert stored == [
+            [enq_a, enq_b, enq_a2, deq],
+            [enq_a, enq_b, enq_a2],
+            [enq_a, enq_b, enq_a2],
+        ]
 
     def test_retries_resend_the_update_built_once(self, monkeypatch):
         from repro.replication.frontend import FrontEnd
         from repro.resilience.policy import RetryPolicy
 
-        cluster = self._read_one_write_all("batched")
+        cluster = self._read_one_write_all()
         fe = cluster.frontends[0]
         fe.retry_policy = RetryPolicy(
             max_attempts=4, base_delay=5.0, jitter=0.0, op_budget=None

@@ -1,12 +1,15 @@
 """Golden run table: pinned fingerprints that hold the behaviour guarantee.
 
 Each row names one seeded audited run and the SHA-256 of its
-mode-independent fingerprint.  The digests were generated in a fresh
-interpreter at the commit *before* the protocol loops were unified
-(PR 15), so a refactor that changes a decision, a message or a rendered
-history fails here by name.  Every driver that takes ``rpc_mode`` is
-checked under both ``"batched"`` and ``"serial"`` against the same
-digest.
+fingerprint (decisions, messages and rendered histories; no simulated
+clock).  The digests were generated in a fresh interpreter at the
+commit *before* the protocol loops were unified, and every row but
+``soak/small`` was checked against the same digest under both the
+overlapped front-end and a one-request-at-a-time one until the latter
+was deleted, so a refactor that changes a decision, a message or a
+rendered history fails here by name.  Every row is also run with each
+view merged and serialized from scratch, bypassing the front-end's
+incremental caches, against the same digest.
 
 Regenerate (only when a change *means* to move a fingerprint):
 ``PYTHONPATH=src python tests/test_golden_runs.py`` prints the table
@@ -41,23 +44,19 @@ class GoldenCase:
     driver: str
     inputs: dict
     digest: str = ""
-    #: The modes checked against ``digest``; one where the driver takes none.
-    rpc_modes: tuple[str, ...] = ("batched", "serial")
 
 
-def _scenario(rpc_mode: str, **inputs) -> dict:
-    return run_scenario(seed=0, rpc_mode=rpc_mode, **inputs)["fingerprint"]
+def _scenario(**inputs) -> dict:
+    return run_scenario(seed=0, **inputs)["fingerprint"]
 
 
-def _chaos(rpc_mode: str, **inputs) -> dict:
-    return run_chaos_case(rpc_mode=rpc_mode, **inputs)["fingerprint"]
+def _chaos(**inputs) -> dict:
+    return run_chaos_case(**inputs)["fingerprint"]
 
 
-def _reconfig(rpc_mode: str, *, seed: int, transactions: int) -> dict:
+def _reconfig(*, seed: int, transactions: int) -> dict:
     """A hybrid queue reconfigured twice while transactions are in flight."""
-    cluster = build_cluster(
-        5, seed=seed, rpc_mode=rpc_mode, drop_probability=0.0, tracer=Tracer()
-    )
+    cluster = build_cluster(5, seed=seed, drop_probability=0.0, tracer=Tracer())
     queue = Queue()
     obj = cluster.add_object(
         "queue", queue, "hybrid", relation=_hybrid_relation(queue)
@@ -102,7 +101,7 @@ def _reconfig(rpc_mode: str, *, seed: int, transactions: int) -> dict:
     }
 
 
-def _soak(rpc_mode: str, **inputs) -> dict:
+def _soak(**inputs) -> dict:
     result = run_soak(SoakConfig(**inputs))
     return {
         "ops": result.ops,
@@ -610,13 +609,13 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/OBSERVABILITY.md#the-soak-proving-it-end-to-end',
         'soak',
         {'ops': 900, 'window': 128, 'compact_every': 10, 'objects': 4},
-        'f64b6824f627f9a5e61eaeb7b4e92900c0567df4d13ac05bbde86d8a1943a95f', rpc_modes=('batched',),
+        'f64b6824f627f9a5e61eaeb7b4e92900c0567df4d13ac05bbde86d8a1943a95f',
     ),
 )
 
 
-def _digest(case: GoldenCase, rpc_mode: str) -> str:
-    fingerprint = DRIVERS[case.driver](rpc_mode, **case.inputs)
+def _digest(case: GoldenCase) -> str:
+    fingerprint = DRIVERS[case.driver](**case.inputs)
     return hashlib.sha256(
         json.dumps(fingerprint, sort_keys=True).encode()
     ).hexdigest()
@@ -626,13 +625,21 @@ def test_table_is_the_declared_grid():
     assert [replace(case, digest="") for case in CASES] == _grid()
 
 
-@pytest.mark.parametrize(
-    "case,rpc_mode",
-    [(case, mode) for case in CASES for mode in case.rpc_modes],
-    ids=[f"{case.name}[{mode}]" for case in CASES for mode in case.rpc_modes],
-)
-def test_golden_fingerprint(case: GoldenCase, rpc_mode: str):
-    assert _digest(case, rpc_mode) == case.digest, case.doc_ref
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_golden_fingerprint(case: GoldenCase):
+    assert _digest(case) == case.digest, case.doc_ref
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_golden_fingerprint_from_scratch(case: GoldenCase, monkeypatch):
+    """The same row with every view merged and serialized from scratch:
+    the incremental caches must not move a decision or a message."""
+    # Imported here so the regeneration script runs without the package.
+    from tests.helpers import from_scratch_front_ends
+
+    cache = from_scratch_front_ends(monkeypatch)
+    assert _digest(case) == case.digest, case.doc_ref
+    assert cache.merges > 0
 
 
 def _grid() -> list[GoldenCase]:
@@ -677,7 +684,6 @@ def _grid() -> list[GoldenCase]:
             "docs/OBSERVABILITY.md#the-soak-proving-it-end-to-end",
             "soak",
             {"ops": 900, "window": 128, "compact_every": 10, "objects": 4},
-            rpc_modes=("batched",),
         )
     )
     return rows
@@ -685,11 +691,8 @@ def _grid() -> list[GoldenCase]:
 
 if __name__ == "__main__":
     for blank in _grid():
-        digests = {_digest(blank, mode) for mode in blank.rpc_modes}
-        assert len(digests) == 1, (blank.name, digests)
-        modes = "" if len(blank.rpc_modes) == 2 else f", rpc_modes={blank.rpc_modes!r}"
         print(
             f"    GoldenCase(\n        {blank.name!r},\n        {blank.doc_ref!r},\n"
             f"        {blank.driver!r},\n        {blank.inputs!r},\n"
-            f"        {digests.pop()!r}{modes},\n    ),"
+            f"        {_digest(blank)!r},\n    ),"
         )

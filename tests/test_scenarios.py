@@ -5,8 +5,8 @@ The load-bearing guarantees:
 * the compiled ``default`` scenario is **byte-identical** to the legacy
   workload — same cluster build, same RNG draw sequence, same
   fingerprint — so nine PRs of seeded baselines survive the framework;
-* every scenario's fingerprint is mode-independent: identical across
-  ``rpc_mode`` serial/batched and across ``jobs`` 1/N;
+* every scenario's fingerprint is identical across ``jobs`` 1/N (and
+  pinned per scenario × mechanism cell by ``tests/test_golden_runs.py``);
 * the seeded samplers are deterministic per seed and statistically
   sane (zipf concentrates traffic on hot keys, Poisson gaps average
   ``1/rate``);
@@ -281,23 +281,6 @@ class TestByteIdentity:
         compiled = {key: verdict["fingerprint"][key] for key in legacy}
         assert compiled == legacy
         assert verdict["ok"]
-
-    @pytest.mark.parametrize(
-        "scenario,mechanism",
-        [
-            ("default", "hybrid"),
-            ("read-dominant", "multiversion"),
-            ("hot-key-contention", "blocking"),
-            ("bursty-flash-crowd", "hybrid"),
-            ("long-transaction", "blocking"),
-        ],
-    )
-    def test_fingerprints_identical_across_rpc_modes(self, scenario, mechanism):
-        batched = run_scenario(scenario, seed=0, mechanism=mechanism)
-        serial = run_scenario(
-            scenario, seed=0, mechanism=mechanism, rpc_mode="serial"
-        )
-        assert batched["fingerprint"] == serial["fingerprint"]
 
     def test_fingerprints_identical_across_job_counts(self):
         trial = partial(

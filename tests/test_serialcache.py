@@ -303,7 +303,7 @@ def test_static_legality_steps_per_operation_do_not_grow_with_history(monkeypatc
 
     Counts, not clocks: deterministic for the seed on any host.  From
     scratch the count grows with the log (every legality test replays
-    the whole committed history), so this fails on the reference path.
+    the whole committed history), so this fails without the caches.
     """
     from repro.replication.frontend import FrontEnd
 
