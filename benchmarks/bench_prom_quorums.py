@@ -12,13 +12,10 @@ achievable while keeping Read at a single site, under each property's
 minimal constraints — plus the full Pareto frontier at n = 5.
 """
 
-from time import perf_counter
-
 import pytest
 from conftest import report
 
 from repro.dependency import known
-from repro.quorum.batch import threshold_frontier_sweep
 from repro.quorum.search import threshold_frontier, valid_threshold_choices
 from repro.types import PROM
 
@@ -89,35 +86,16 @@ def test_prom_availability_sweep(relations, benchmark):
         return best
 
     def sweep():
-        # One valid-choice enumeration per relation for the whole grid,
-        # instead of one per (relation, probability) point.
-        hybrid_sweep = threshold_frontier_sweep(hybrid, n, OPS, probabilities)
-        static_sweep = threshold_frontier_sweep(static, n, OPS, probabilities)
         return [
-            (p, best_write(h_frontier), best_write(s_frontier))
-            for (p, h_frontier), (_p, s_frontier) in zip(hybrid_sweep, static_sweep)
+            (
+                p,
+                best_write(threshold_frontier(hybrid, n, OPS, p)),
+                best_write(threshold_frontier(static, n, OPS, p)),
+            )
+            for p in probabilities
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    # The batched sweep must be bit-identical to the scalar frontier at
-    # every grid point — no tolerance: same floats, same Pareto set.
-    started = perf_counter()
-    scalar = [
-        (p, threshold_frontier(hybrid, n, OPS, p), threshold_frontier(static, n, OPS, p))
-        for p in probabilities
-    ]
-    scalar_seconds = perf_counter() - started
-    started = perf_counter()
-    batched = list(
-        zip(
-            probabilities,
-            (f for _p, f in threshold_frontier_sweep(hybrid, n, OPS, probabilities)),
-            (f for _p, f in threshold_frontier_sweep(static, n, OPS, probabilities)),
-        )
-    )
-    batched_seconds = perf_counter() - started
-    assert batched == scalar, "batched frontier sweep diverged from scalar"
 
     lines = [
         f"Write availability with single-site Reads, n = {n} sites:",
@@ -130,14 +108,6 @@ def test_prom_availability_sweep(relations, benchmark):
             f"{p:>10.2f} {hybrid_av:>10.4f} {static_av:>10.4f} "
             f"{hybrid_av / static_av:>8.2f}"
         )
-    lines.append("")
-    lines.append(
-        f"sweep wall time: scalar {scalar_seconds:.4f}s, "
-        f"batched {batched_seconds:.4f}s "
-        f"({scalar_seconds / batched_seconds:.1f}x, bit-identical)"
-        if batched_seconds
-        else "sweep wall time: batched path below timer resolution"
-    )
     report("prom_availability_sweep", "\n".join(lines))
 
 

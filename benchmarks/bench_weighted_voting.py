@@ -13,7 +13,6 @@ from conftest import report
 
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.quorum.availability import operation_availability
-from repro.quorum.batch import AvailabilityBatch
 from repro.quorum.search import valid_threshold_choices
 from repro.quorum.voting_search import best_voting_assignment
 from repro.types import Register
@@ -22,17 +21,12 @@ OPS = ("Read", "Write")
 
 
 def _best_uniform(relation, p_vector):
-    # One AvailabilityBatch shares the count-tail / up-set tables across
-    # every candidate choice; each score is bit-identical to the scalar
-    # operation_availability, which the spot assert pins inline.
-    batch = AvailabilityBatch(len(p_vector), list(p_vector))
     best = 0.0
     for choice in valid_threshold_choices(relation, len(p_vector), OPS):
         assignment = choice.to_assignment()
-        values = [batch.operation(assignment, op) for op in OPS]
-        assert values[0] == operation_availability(
-            assignment, OPS[0], list(p_vector)
-        )
+        values = [
+            operation_availability(assignment, op, list(p_vector)) for op in OPS
+        ]
         score = sum(values) / len(OPS)
         best = max(best, score)
     return best

@@ -59,16 +59,13 @@ def binomial_tail(n: int, k: int, p: float) -> float:
     return sum(comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(k, n + 1))
 
 
-#: Backwards-compatible internal alias.
-_binomial_tail = binomial_tail
-
-
-def _poisson_binomial_tail(probs: Sequence[float], k: int) -> float:
+def _count_tail(probs: Sequence[float], k: int) -> float:
     """P[at least k of the sites are up], per-site probabilities ``probs``.
 
-    Dynamic program over the count distribution — O(n²) instead of the
-    2^n up-set enumeration, so heterogeneous threshold coteries stay
-    exact at any realistic site count.
+    The Poisson-binomial tail, by dynamic program over the count
+    distribution — O(n²) instead of the 2^n up-set enumeration, so
+    heterogeneous threshold coteries stay exact at any realistic site
+    count.
     """
     distribution = [1.0]  # distribution[j] = P[j sites up] so far
     for p in probs:
@@ -115,8 +112,8 @@ def coterie_availability(
         if coterie.n_sites == 0:
             return 0.0
         if len(set(probs)) <= 1:
-            return _binomial_tail(coterie.n_sites, coterie.threshold, probs[0])
-        return _poisson_binomial_tail(probs, coterie.threshold)
+            return binomial_tail(coterie.n_sites, coterie.threshold, probs[0])
+        return _count_tail(probs, coterie.threshold)
     return _upset_probability(coterie.n_sites, probs, coterie.has_quorum)
 
 
@@ -144,7 +141,7 @@ def operation_availability(
         needed = max(initial.threshold, final_threshold)
         if needed == 0:
             return 1.0
-        return _binomial_tail(assignment.n_sites, needed, probs[0])
+        return binomial_tail(assignment.n_sites, needed, probs[0])
     if isinstance(initial, EmptyCoterie):
         return coterie_availability(final, p_up)
     if isinstance(final, EmptyCoterie):

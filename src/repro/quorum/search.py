@@ -30,7 +30,12 @@ from repro.dependency.relation import DependencyRelation
 from repro.errors import QuorumError
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.availability import binomial_tail
-from repro.quorum.coterie import EmptyCoterie, ThresholdCoterie
+from repro.quorum.coterie import (
+    Coterie,
+    EmptyCoterie,
+    SubsetThresholdCoterie,
+    ThresholdCoterie,
+)
 
 #: An event class is an ``(operation, response kind)`` pair.
 EventClass = tuple[str, str]
@@ -63,26 +68,8 @@ class ThresholdChoice:
         return self._final_map.get((op, kind), 0)
 
     def to_assignment(self) -> QuorumAssignment:
-        """Materialize as a :class:`QuorumAssignment`."""
-        finals = dict(self.final)
-        operations = {}
-        overrides = {}
-        for op, k_init in self.initial:
-            kinds = {kind: k for (name, kind), k in finals.items() if name == op}
-            default = max(kinds.values(), default=0)
-            operations[op] = OperationQuorums(
-                initial=self._coterie(k_init),
-                final=self._coterie(default),
-            )
-            for kind, k in kinds.items():
-                if k != default:
-                    overrides[(op, kind)] = self._coterie(k)
-        return QuorumAssignment(self.n_sites, operations, overrides)
-
-    def _coterie(self, threshold: int):
-        if threshold == 0:
-            return EmptyCoterie(self.n_sites)
-        return ThresholdCoterie(self.n_sites, threshold)
+        """Materialize as a :class:`QuorumAssignment` over every site."""
+        return embed_choice(self, range(self.n_sites), self.n_sites)
 
     def describe(self) -> str:
         parts = [
@@ -95,6 +82,48 @@ class ThresholdChoice:
             for op, k_init in self.initial
         ]
         return "; ".join(parts)
+
+
+def embed_choice(
+    choice: ThresholdChoice, replicas: Iterable[int], n_sites: int
+) -> QuorumAssignment:
+    """Materialize a choice over a replica subset of the site universe.
+
+    ``choice.n_sites`` must equal ``len(replicas)`` — its thresholds are
+    counts *of replicas* — while the returned assignment lives in the
+    full ``n_sites`` universe.  Over a proper subset every coterie is a
+    :class:`SubsetThresholdCoterie` on the replica set (mirroring how
+    :meth:`~repro.replication.keyspace.ObjectSpec.compile_assignment`
+    compiles placements); under full replication it is a plain
+    :class:`ThresholdCoterie`, the same quorum family with cheaper
+    membership checks.  Each operation's final coterie is its largest
+    per-kind final; kinds needing less become overrides.
+    """
+    members = frozenset(replicas)
+    if choice.n_sites != len(members):
+        raise ValueError(
+            f"choice is over {choice.n_sites} replicas, got {len(members)}"
+        )
+
+    def coterie(threshold: int) -> Coterie:
+        if threshold == 0:
+            return EmptyCoterie(n_sites)
+        if len(members) == n_sites:
+            return ThresholdCoterie(n_sites, threshold)
+        return SubsetThresholdCoterie(n_sites, members, threshold)
+
+    operations = {}
+    overrides = {}
+    for op, k_init in choice.initial:
+        kinds = {kind: k for (name, kind), k in choice.final if name == op}
+        default = max(kinds.values(), default=0)
+        operations[op] = OperationQuorums(
+            initial=coterie(k_init), final=coterie(default)
+        )
+        for kind, k in kinds.items():
+            if k != default:
+                overrides[(op, kind)] = coterie(k)
+    return QuorumAssignment(n_sites, operations, overrides)
 
 
 def schema_constraints(
@@ -193,9 +222,7 @@ def needed_thresholds(choice: ThresholdChoice) -> tuple[tuple[str, int], ...]:
     Under identical site probabilities the joint initial+final
     availability of a threshold choice is a single binomial tail at this
     threshold (the same up-set serves both coteries), so a choice's
-    whole availability vector is determined by these integers.  Shared
-    by the scalar :func:`_availability_vector` and the batched sweep in
-    :mod:`repro.quorum.batch`.
+    whole availability vector is determined by these integers.
     """
     result = []
     for op, k_init in choice.initial:
@@ -207,12 +234,7 @@ def needed_thresholds(choice: ThresholdChoice) -> tuple[tuple[str, int], ...]:
 def pareto_frontier(
     scored: Sequence[tuple[ThresholdChoice, tuple[tuple[str, float], ...]]],
 ) -> list[tuple[ThresholdChoice, tuple[tuple[str, float], ...]]]:
-    """Filter ``(choice, availability vector)`` pairs to the Pareto set.
-
-    Shared by :func:`threshold_frontier` and the batched grid sweep in
-    :mod:`repro.quorum.batch`, so both paths apply the identical
-    domination test, deduplication, and ordering.
-    """
+    """Filter ``(choice, availability vector)`` pairs to the Pareto set."""
     frontier: list[tuple[ThresholdChoice, tuple[tuple[str, float], ...]]] = []
     for choice, vector in scored:
         values = [v for _op, v in vector]
@@ -268,9 +290,17 @@ def best_threshold_assignment(
     weights: dict[str, float] | None = None,
     extra_classes: Iterable[EventClass] = (),
 ) -> tuple[ThresholdChoice, float]:
-    """The valid threshold choice maximizing workload-weighted availability."""
+    """The valid threshold choice maximizing workload-weighted availability.
+
+    ``weights`` is normalized over ``operations`` alone, the same rule
+    :func:`~repro.quorum.availability.assignment_availability` applies:
+    weights of unscored operations are ignored, and a non-positive total
+    is an error.
+    """
     weights = weights or {op: 1.0 for op in operations}
-    total = sum(weights.values())
+    total = sum(weights.get(op, 0.0) for op in operations)
+    if total <= 0:
+        raise QuorumError("workload weights must have positive total")
     best: tuple[ThresholdChoice, float] | None = None
     for choice in valid_threshold_choices(relation, n_sites, operations, extra_classes):
         vector = dict(_availability_vector(choice, p_up))

@@ -12,13 +12,13 @@ Three pieces close the loop the paper's quorum spectrum opens:
   the predicted saving clears its hysteresis threshold.
 """
 
+from repro.quorum.search import embed_choice
 from repro.tuning.cost import (
     ScoredCandidate,
     assignment_messages,
     choice_availability,
     choice_messages,
     choice_round_trips,
-    embed_choice,
     legal_candidates,
     score_candidates,
 )

@@ -27,10 +27,11 @@ scored under the observed operation mix:
 
 Candidates are materialized over the object's *replica set* as
 :class:`~repro.quorum.coterie.SubsetThresholdCoterie` layouts
-(:func:`embed_choice`), then re-checked against the dependency relation
-with :func:`~repro.quorum.constraints.satisfies` — belt and braces: the
-threshold inequalities already imply intersection, and the explicit
-check keeps the guarantee independent of the enumeration's correctness.
+(:func:`~repro.quorum.search.embed_choice`), then re-checked against
+the dependency relation with :func:`~repro.quorum.constraints.satisfies`
+— belt and braces: the threshold inequalities already imply
+intersection, and the explicit check keeps the guarantee independent of
+the enumeration's correctness.
 """
 
 from __future__ import annotations
@@ -40,17 +41,11 @@ from typing import Mapping, Sequence
 
 from repro.dependency.relation import DependencyRelation
 from repro.quorum import constraints
-from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.availability import binomial_tail
-from repro.quorum.coterie import (
-    Coterie,
-    EmptyCoterie,
-    SubsetThresholdCoterie,
-    ThresholdCoterie,
-)
+from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.search import (
     ThresholdChoice,
-    needed_thresholds,
+    _availability_vector,
+    embed_choice,
     valid_threshold_choices,
 )
 
@@ -110,57 +105,9 @@ def choice_round_trips(
 
 def choice_availability(choice: ThresholdChoice, p_up: float) -> float:
     """Worst-case per-operation availability of a threshold choice."""
-    worst = 1.0
-    for _op, needed in needed_thresholds(choice):
-        avail = 1.0 if needed == 0 else binomial_tail(choice.n_sites, needed, p_up)
-        worst = min(worst, avail)
-    return worst
-
-
-def _embed_coterie(
-    threshold: int, replicas: frozenset[int], n_sites: int
-) -> Coterie:
-    if threshold == 0:
-        return EmptyCoterie(n_sites)
-    if len(replicas) == n_sites:
-        # Full replication: a plain threshold coterie is the same quorum
-        # family with cheaper membership checks — and byte-identical
-        # ``describe()`` output to the pre-keyspace layouts.
-        return ThresholdCoterie(n_sites, threshold)
-    return SubsetThresholdCoterie(n_sites, replicas, threshold)
-
-
-def embed_choice(
-    choice: ThresholdChoice, replicas: Sequence[int], n_sites: int
-) -> QuorumAssignment:
-    """Materialize a choice over a replica subset of the site universe.
-
-    ``choice.n_sites`` must equal ``len(replicas)`` — its thresholds are
-    counts *of replicas* — while the returned assignment lives in the
-    full ``n_sites`` universe, with every coterie a
-    :class:`SubsetThresholdCoterie` over the replica set (mirroring how
-    :meth:`~repro.replication.keyspace.ObjectSpec.compile_assignment`
-    compiles placements).
-    """
-    members = frozenset(replicas)
-    if choice.n_sites != len(members):
-        raise ValueError(
-            f"choice is over {choice.n_sites} replicas, got {len(members)}"
-        )
-    finals = dict(choice.final)
-    operations = {}
-    overrides = {}
-    for op, k_init in choice.initial:
-        kinds = {kind: k for (name, kind), k in finals.items() if name == op}
-        default = max(kinds.values(), default=0)
-        operations[op] = OperationQuorums(
-            initial=_embed_coterie(k_init, members, n_sites),
-            final=_embed_coterie(default, members, n_sites),
-        )
-        for kind, k in kinds.items():
-            if k != default:
-                overrides[(op, kind)] = _embed_coterie(k, members, n_sites)
-    return QuorumAssignment(n_sites, operations, overrides)
+    return min(
+        (value for _op, value in _availability_vector(choice, p_up)), default=1.0
+    )
 
 
 def legal_candidates(

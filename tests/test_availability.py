@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from repro.errors import QuorumError
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.availability import (
+    _EXACT_LIMIT,
+    _count_tail,
     assignment_availability,
+    binomial_tail,
     coterie_availability,
     operation_availability,
 )
@@ -190,3 +193,68 @@ class TestPoissonBinomialPath:
         assert coterie_availability(ThresholdCoterie(5, 3), probs) == pytest.approx(
             coterie_availability(ThresholdCoterie(5, 3), 0.85)
         )
+
+    def test_heterogeneous_operation_matches_enumeration(self):
+        probs = [0.99, 0.6, 0.6]
+        for init in range(1, 4):
+            for final in range(4):
+                threshold = QuorumAssignment(
+                    3,
+                    {
+                        "Op": OperationQuorums(
+                            initial=ThresholdCoterie(3, init),
+                            final=(
+                                EmptyCoterie(3)
+                                if final == 0
+                                else ThresholdCoterie(3, final)
+                            ),
+                        )
+                    },
+                )
+                needed = max(init, final)
+                explicit = ExplicitCoterie(
+                    3, list(ThresholdCoterie(3, needed).quorums())
+                )
+                assert operation_availability(
+                    threshold, "Op", probs
+                ) == pytest.approx(coterie_availability(explicit, probs))
+
+
+class TestBinomialTail:
+    def test_tail_zero_is_total_mass(self):
+        assert binomial_tail(5, 0, 0.9) == pytest.approx(1.0)
+
+    def test_past_end_tail_is_zero(self):
+        assert binomial_tail(4, 5, 0.7) == 0.0
+
+    @given(st.integers(0, 8), st.floats(0.0, 1.0))
+    def test_matches_count_distribution(self, n, p):
+        for k in range(n + 2):
+            assert binomial_tail(n, k, p) == pytest.approx(
+                _count_tail([p] * n, k), abs=1e-12
+            )
+
+
+class TestUpsetEnumeration:
+    def test_explicit_operation_matches_hand_count(self):
+        probs = [0.9, 0.5, 0.8, 0.7]
+        initial = ExplicitCoterie(4, [{0, 1}, {1, 2, 3}])
+        assignment = QuorumAssignment(
+            4,
+            {"Op": OperationQuorums(initial=initial, final=ThresholdCoterie(4, 2))},
+        )
+        # Every quorum of ``initial`` has at least two sites, so the final
+        # threshold adds nothing: P[{0,1} up or {1,2,3} up].
+        p0, p1, p2, p3 = probs
+        both = p0 * p1 * p2 * p3
+        expected = p0 * p1 + p1 * p2 * p3 - both
+        assert coterie_availability(initial, probs) == pytest.approx(expected)
+        assert operation_availability(assignment, "Op", probs) == pytest.approx(
+            expected
+        )
+
+    def test_respects_exact_limit(self):
+        sites = _EXACT_LIMIT + 1
+        coterie = ExplicitCoterie(sites, [set(range(sites))])
+        with pytest.raises(QuorumError, match=f"limited to {_EXACT_LIMIT} sites"):
+            coterie_availability(coterie, 0.9)

@@ -1,15 +1,18 @@
 """Documentation checks: snippets run, cross-links resolve.
 
-Two guarantees keep the guides honest:
+Three guarantees keep the guides honest:
 
 * every ``python`` fenced block in the snippet-bearing guides executes
   *as written* — blocks run cumulatively, top to bottom, in one
   namespace per document, so each guide is literally a script split by
   prose;
 * every cross-link — markdown links (including ``#anchor`` fragments)
-  and backticked repository paths — points at something that exists.
+  and backticked repository paths — points at something that exists;
+* every backticked dotted ``repro.x.y`` name resolves to a module or an
+  attribute of one.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -37,6 +40,7 @@ _MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _FENCED_BLOCK = re.compile(r"```.*?```", re.S)
 _BACKTICK_PATH = re.compile(r"`([\w./\-]+/[\w./\-]+\.(?:py|md|toml|yml))`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.M)
+_DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _python_blocks(path: Path) -> list[str]:
@@ -98,6 +102,35 @@ def test_backticked_repo_paths_exist(doc):
         if not any(c.exists() for c in candidates):
             problems.append(ref)
     assert not problems, f"{doc.name}: dangling path references {problems}"
+
+
+def _resolve_dotted(name: str):
+    """Import the longest module prefix of ``name``, then ``getattr`` the rest."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if not f"{module_name}.".startswith(f"{error.name}."):
+                raise  # the module exists but one of its imports does not
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ModuleNotFoundError(name)
+
+
+@pytest.mark.parametrize("doc", LINKED_DOCS, ids=lambda p: p.name)
+def test_backticked_repro_names_resolve(doc):
+    """Backticked dotted ``repro.x.y`` names must import or getattr."""
+    problems = []
+    for name in sorted(set(_DOTTED_NAME.findall(doc.read_text()))):
+        try:
+            _resolve_dotted(name)
+        except (ImportError, AttributeError) as error:
+            problems.append(f"{name}: {error}")
+    assert not problems, f"{doc.name}: unresolvable names {problems}"
 
 
 def test_readme_indexes_every_guide():

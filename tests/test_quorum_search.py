@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dependency import known
+from repro.errors import QuorumError
 from repro.quorum.constraints import satisfies
 from repro.quorum.search import (
     best_threshold_assignment,
@@ -87,6 +88,14 @@ class TestFrontier:
             static_frontier
         )
 
+    def test_frontier_at_certain_probabilities(self, prom_relations):
+        for relation in prom_relations:
+            for p in (0.0, 1.0):
+                frontier = threshold_frontier(relation, 3, OPS, p)
+                assert frontier
+                for _choice, vector in frontier:
+                    assert all(v in (0.0, 1.0) for _op, v in vector)
+
     def test_frontier_points_not_dominated(self, prom_relations):
         hybrid, _static = prom_relations
         frontier = threshold_frontier(hybrid, 3, OPS, 0.9)
@@ -115,3 +124,25 @@ class TestBestAssignment:
         _choice_h, score_h = best_threshold_assignment(hybrid, 5, OPS, 0.9, weights)
         _choice_s, score_s = best_threshold_assignment(static, 5, OPS, 0.9, weights)
         assert score_h > score_s
+
+    def test_unscored_weights_do_not_dilute_the_score(self, prom_relations):
+        hybrid, _static = prom_relations
+        choice, score = best_threshold_assignment(hybrid, 3, OPS, 0.9)
+        extra = best_threshold_assignment(
+            hybrid,
+            3,
+            OPS,
+            0.9,
+            weights={"Read": 1.0, "Seal": 1.0, "Write": 1.0, "Other": 3.0},
+        )
+        assert extra == (choice, score)
+        assert score == pytest.approx(0.972, abs=5e-4)
+
+    def test_non_positive_weight_total_rejected(self, prom_relations):
+        hybrid, _static = prom_relations
+        with pytest.raises(QuorumError, match="positive total"):
+            best_threshold_assignment(
+                hybrid, 3, OPS, 0.9, weights={op: 0.0 for op in OPS}
+            )
+        with pytest.raises(QuorumError, match="positive total"):
+            best_threshold_assignment(hybrid, 3, OPS, 0.9, weights={"Other": 1.0})
