@@ -33,7 +33,8 @@ from conftest import emit_json, report
 from repro.dependency import known
 from repro.obs.audit import Auditor, default_monitors
 from repro.obs.trace import Tracer
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
 
@@ -72,10 +73,10 @@ class _CountingAuditor(Auditor):
 def _build(mode: str, audit=Auditor):
     """The seeded workload under ``mode``, un-run: (cluster, generator, auditor)."""
     tracer = Tracer() if mode != "off" else None
-    cluster = build_cluster(SITES, seed=SEED, tracer=tracer)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(SITES, (ObjectSpec("queue", queue, relation=relation),))
+    cluster = build_keyspace(spec, seed=SEED, tracer=tracer)
     auditor = audit(cluster) if mode == "audited" else None
     mix = OperationMix.uniform("queue", queue.invocations())
     generator = WorkloadGenerator(

@@ -22,7 +22,8 @@ from repro.atomicity.properties import (
 from repro.errors import UnavailableError
 from repro.histories.events import Invocation, ok
 from repro.replication.available_copies import AvailableCopiesObject
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.dependency import known
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
@@ -47,10 +48,11 @@ def _run_available_copies():
 
 
 def _run_quorum_consensus(seed: int = 0):
-    cluster = build_cluster(3, seed=seed)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("q", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(3, (ObjectSpec("q", queue, relation=relation),))
+    cluster = build_keyspace(spec, seed=seed)
+    obj = cluster.tm.object("q")
     txn = cluster.tm.begin(0)
     cluster.frontends[0].execute(txn, "q", ENQ_X)
     cluster.tm.commit(txn)

@@ -18,7 +18,8 @@ from conftest import report
 
 from repro.dependency import known
 from repro.obs.metrics import Histogram
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Counter, Queue
 
@@ -27,8 +28,8 @@ def _run(scheme: str, datatype, relation, seeds, transactions=60):
     """Pool metrics over several seeds for one scheme."""
     pooled = []
     for seed in seeds:
-        cluster = build_cluster(3, seed=seed)
-        obj = cluster.add_object("obj", datatype, scheme, relation=relation)
+        spec = KeyspaceSpec(3, (ObjectSpec("obj", datatype, scheme, relation=relation),))
+        cluster = build_keyspace(spec, seed=seed)
         mix = OperationMix.uniform("obj", datatype.invocations())
         generator = WorkloadGenerator(
             cluster.sim,

@@ -17,7 +17,8 @@ from repro.core.report import figure_3_1
 from repro.dependency import known
 from repro.histories.events import Invocation
 from repro.obs import Tracer, to_jsonl
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
 
@@ -25,10 +26,11 @@ TRACES_DIR = pathlib.Path(__file__).parent / "results" / "traces"
 
 
 def _run_queue_system():
-    cluster = build_cluster(3, seed=17, tracer=Tracer())
     queue = Queue(items=("x", "y"))
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("queue", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(3, (ObjectSpec("queue", queue, relation=relation),))
+    cluster = build_keyspace(spec, seed=17, tracer=Tracer())
+    obj = cluster.tm.object("queue")
     script = [
         ("Enq", ("x",)),
         ("Enq", ("y",)),

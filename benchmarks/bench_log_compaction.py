@@ -13,7 +13,8 @@ from conftest import report
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.dependency import known
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.snapshot import compact
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
@@ -24,10 +25,11 @@ TRANSACTIONS_PER_BATCH = 20
 
 
 def _run(compaction: bool, seed: int = 31):
-    cluster = build_cluster(3, seed=seed)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("obj", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(3, (ObjectSpec("obj", queue, relation=relation),))
+    cluster = build_keyspace(spec, seed=seed)
+    obj = cluster.tm.object("obj")
     mix = OperationMix.uniform("obj", queue.invocations())
     generator = WorkloadGenerator(
         cluster.sim,

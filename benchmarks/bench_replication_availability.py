@@ -26,7 +26,8 @@ from repro.histories.events import Invocation
 from repro.obs.metrics import Histogram
 from repro.quorum.availability import operation_availability
 from repro.quorum.search import valid_threshold_choices
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.failures import CrashInjector
 from repro.sim.trials import run_trials, seed_range
 from repro.sim.workload import OperationMix, WorkloadGenerator
@@ -62,12 +63,12 @@ def _measure(choice, seed):
     # Message latency small relative to failure timescales, so that an
     # operation samples an effectively instantaneous cluster state (the
     # analytic availability model's assumption).
-    cluster = build_cluster(N_SITES, seed=seed, latency=0.2)
     prom = PROM()
     relation = known.ground(prom, known.PROM_HYBRID, 5)
-    cluster.add_object(
+    spec = ObjectSpec(
         "prom", prom, "hybrid", assignment=choice.to_assignment(), relation=relation
     )
+    cluster = build_keyspace(KeyspaceSpec(N_SITES, (spec,)), seed=seed, latency=0.2)
     CrashInjector(cluster.network, MEAN_UPTIME, MEAN_DOWNTIME).install()
     mix = OperationMix.weighted(
         [

@@ -42,7 +42,8 @@ from time import perf_counter
 from conftest import emit_json, record_parallelism, report
 
 from repro.dependency import known
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.trials import available_cpus, run_trials, seed_range
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
@@ -72,11 +73,15 @@ PINNED = {
 }
 
 
-def _queue_workload(seed: int, transactions: int, n_sites: int):
-    cluster = build_cluster(n_sites, seed=seed)
-    queue = Queue()
+def _queue_cluster(queue, n_sites: int, seed: int):
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(n_sites, (ObjectSpec("queue", queue, relation=relation),))
+    return build_keyspace(spec, seed=seed)
+
+
+def _queue_workload(seed: int, transactions: int, n_sites: int):
+    queue = Queue()
+    cluster = _queue_cluster(queue, n_sites, seed)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
@@ -141,10 +146,8 @@ def _crash_trial(seed: int, transactions: int) -> tuple:
     A pure function of its arguments, so it shards across worker
     processes with byte-identical results.
     """
-    cluster = build_cluster(3, seed=seed)
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
+    cluster = _queue_cluster(queue, 3, seed)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,

@@ -15,7 +15,8 @@ from repro.atomicity.properties import HybridAtomicity
 from repro.dependency import known
 from repro.errors import UnavailableError
 from repro.histories.events import Invocation
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
 
@@ -33,10 +34,11 @@ def attempt(cluster, site: int, invocation) -> str:
 
 
 def main() -> None:
-    cluster = build_cluster(n_sites=5, seed=99)
     queue = Queue(items=("x", "y"))
     relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
-    obj = cluster.add_object("queue", queue, "hybrid", relation=relation)
+    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue, "hybrid", relation=relation),))
+    cluster = build_keyspace(spec, seed=99)
+    obj = cluster.tm.object("queue")
 
     print("— healthy cluster —")
     print(attempt(cluster, 0, Invocation("Enq", ("x",))))

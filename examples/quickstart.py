@@ -13,22 +13,25 @@ from repro.atomicity.properties import HybridAtomicity
 from repro.core.report import figure_3_1
 from repro.dependency import known
 from repro.histories.events import Invocation
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
 
 
 def main() -> None:
-    # 1. A cluster: simulator + network + 3 repositories + front-ends.
-    cluster = build_cluster(n_sites=3, seed=7)
-
-    # 2. A replicated Queue.  The hybrid concurrency-control scheme needs
+    # 1. A replicated Queue.  The hybrid concurrency-control scheme needs
     #    a hybrid dependency relation for its conflict table; the Queue's
     #    minimal static relation is one (every static dependency relation
     #    is a hybrid dependency relation — Theorem 4).
     queue = Queue(items=("x", "y"))
     relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
-    obj = cluster.add_object("jobs", queue, scheme="hybrid", relation=relation)
+    jobs = ObjectSpec("jobs", queue, scheme="hybrid", relation=relation)
+
+    # 2. A cluster: simulator + network + 3 repositories + front-ends,
+    #    with the queue replicated at every site under majority quorums.
+    cluster = build_keyspace(KeyspaceSpec(3, (jobs,)), seed=7)
+    obj = cluster.tm.object("jobs")
 
     # 3. Transactions through front-ends at different sites.
     producer_fe = cluster.frontends[0]

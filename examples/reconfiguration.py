@@ -16,7 +16,8 @@ from repro.errors import UnavailableError
 from repro.histories.events import Invocation
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import ThresholdCoterie
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.reconfig import reconfigure
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
@@ -31,13 +32,14 @@ def threshold_assignment(n: int, init: int, final: int) -> QuorumAssignment:
 
 def main() -> None:
     n = 5
-    cluster = build_cluster(n_sites=n, seed=11)
     queue = Queue(items=("x", "y"))
     relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
     read_optimized = threshold_assignment(n, init=1, final=n)
-    obj = cluster.add_object(
+    jobs = ObjectSpec(
         "jobs", queue, "hybrid", assignment=read_optimized, relation=relation
     )
+    cluster = build_keyspace(KeyspaceSpec(n, (jobs,)), seed=11)
+    obj = cluster.tm.object("jobs")
     print("initial assignment (read-optimized):")
     print("  " + obj.assignment.describe().replace("\n", "\n  "))
 

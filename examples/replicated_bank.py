@@ -16,7 +16,8 @@ from repro.atomicity.properties import HybridAtomicity
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.errors import ConflictError, TransactionAborted, UnavailableError
 from repro.histories.events import Invocation
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.failures import CrashInjector
 from repro.spec.legality import LegalityOracle
 from repro.types import Account
@@ -25,15 +26,19 @@ ACCOUNTS = ("checking", "savings")
 
 
 def main() -> None:
-    cluster = build_cluster(n_sites=5, seed=2026)
     account_type = Account(amounts=(1, 2))
     # The minimal static relation is also a valid hybrid relation
     # (Theorem 4) — a safe conflict table for the hybrid scheme.
     relation = minimal_static_dependency(account_type, max_events=3)
-    objects = {
-        name: cluster.add_object(name, account_type, "hybrid", relation=relation)
-        for name in ACCOUNTS
-    }
+    spec = KeyspaceSpec(
+        5,
+        tuple(
+            ObjectSpec(name, account_type, "hybrid", relation=relation)
+            for name in ACCOUNTS
+        ),
+    )
+    cluster = build_keyspace(spec, seed=2026)
+    objects = {name: cluster.tm.object(name) for name in ACCOUNTS}
     CrashInjector(cluster.network, mean_uptime=80.0, mean_downtime=8.0).install()
 
     rng = cluster.sim.rng

@@ -17,14 +17,15 @@ Run:  python examples/task_dispatch.py
 """
 
 from repro.dependency.dynamic_dep import minimal_dynamic_dependency
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue, SemiQueue
 
 
 def run_dispatcher(datatype, seed: int = 21, transactions: int = 60):
-    cluster = build_cluster(n_sites=3, seed=seed)
-    cluster.add_object("tasks", datatype, scheme="dynamic")
+    spec = KeyspaceSpec(3, (ObjectSpec("tasks", datatype, scheme="dynamic"),))
+    cluster = build_keyspace(spec, seed=seed)
     mix = OperationMix.uniform("tasks", datatype.invocations())
     generator = WorkloadGenerator(
         cluster.sim,

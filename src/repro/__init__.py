@@ -30,16 +30,16 @@ and the observability hooks — :class:`Tracer`, :class:`MetricsRegistry`,
 reachable without deep imports::
 
     import repro
+    from repro.types import Register
 
-    tracer = repro.Tracer()
-    cluster = repro.build_cluster(5, seed=0, tracer=tracer)
+    spec = repro.KeyspaceSpec(5, (repro.ObjectSpec("x", Register(), "static"),))
+    cluster = repro.build_keyspace(spec, seed=0, tracer=repro.Tracer())
 
-Multi-object keyspaces (see ``docs/KEYSPACE.md``) are first-class: a
-declarative :class:`KeyspaceSpec` compiled through a :class:`Placement`
-and served by a :class:`Router` — :func:`build_keyspace` wires the
-whole thing, and :func:`build_cluster` remains the one-object shim over
-it.  Replicated objects are registered through :meth:`Cluster.add_object`
-or a spec, never constructed by hand.
+Every cluster is a declarative :class:`KeyspaceSpec` (see
+``docs/KEYSPACE.md``) compiled through a :class:`Placement` and served
+by a :class:`Router`; :func:`build_keyspace` wires the whole thing, and
+full replication is the default ``PlacementRule.all()``.  Replicated
+objects are declared in the spec, never constructed by hand.
 """
 
 from repro.histories.events import Event, Invocation, Response, event, ok, signal
@@ -57,7 +57,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profile import KernelProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, TraceListener, Tracer
 from repro.quorum.assignment import QuorumAssignment
-from repro.replication.cluster import Cluster, build_cluster, build_keyspace
+from repro.replication.cluster import Cluster, build_keyspace
 from repro.replication.keyspace import (
     KeyspaceSpec,
     ObjectSpec,
@@ -112,7 +112,6 @@ __all__ = [
     "DynamicAtomicity",
     "QuorumAssignment",
     "Cluster",
-    "build_cluster",
     "build_keyspace",
     "KeyspaceSpec",
     "ObjectSpec",

@@ -9,7 +9,7 @@ The running system (`repro.sim`, `repro.replication`, `repro.txn`) is
 instrumented against these interfaces with the no-op
 :data:`NULL_TRACER` as default, so tracing is strictly opt-in: pass a
 real :class:`Tracer` to
-:func:`repro.replication.cluster.build_cluster` (or the ``python -m
+:func:`repro.replication.cluster.build_keyspace` (or the ``python -m
 repro trace`` / ``audit`` CLI) to capture span trees.
 """
 

@@ -36,7 +36,7 @@ form the runtime keeps — while a pluggable set of
 * **genuine-partial-replication** — under a sharded keyspace, no site
   ever logs, reads, or acks an operation for a shard it does not hold
   (Sutra & Shapiro's genuineness criterion, checked against the
-  cluster's compiled placement; inert on fully hand-wired clusters).
+  cluster's compiled placement).
 
 Violations are first-class observability artifacts: each carries the
 offending span subtree and a ring buffer of recent point events
@@ -66,7 +66,7 @@ pinned by the ``pytest -m streaming`` suite.
 Usage::
 
     tracer = Tracer()
-    cluster = build_cluster(3, seed=0, tracer=tracer)
+    cluster = build_keyspace(spec, seed=0, tracer=tracer)
     ...
     auditor = Auditor(cluster)        # attaches to cluster.tracer
     ...run the workload...
@@ -842,10 +842,8 @@ class PartialReplicationMonitor(InvariantMonitor):
       of holder sites (a non-holder's ack must never help a quorum
       form).
 
-    On a cluster without a placement (hand-wired, pre-keyspace) the
-    monitor is inert: every site implicitly holds everything.  Objects
-    placed *after* bind are not checked — like the other monitors, the
-    declared configuration is captured at attach time.
+    Like the other monitors it checks the configuration captured at
+    attach time.
     """
 
     name = "genuine-partial-replication"
@@ -853,21 +851,18 @@ class PartialReplicationMonitor(InvariantMonitor):
 
     def __init__(self) -> None:
         super().__init__()
-        self._holders: dict[str, frozenset[int]] | None = None
+        self._holders: dict[str, frozenset[int]] = {}
 
     def bind(self, auditor: "Auditor") -> None:
         super().bind(auditor)
         placement = auditor.placement()
-        if placement is None:
-            self._holders = None
-            return
         self._holders = {
             name: frozenset(placement.replicas(name))
             for name in placement.object_names()
         }
 
     def on_point_event(self, span: Span) -> None:
-        if self._holders is None or span.site is None:
+        if span.site is None:
             return
         obj_name = span.attrs.get("object")
         holders = self._holders.get(obj_name) if obj_name is not None else None
@@ -883,8 +878,6 @@ class PartialReplicationMonitor(InvariantMonitor):
         )
 
     def on_quorum(self, span: Span) -> None:
-        if self._holders is None:
-            return
         if span.outcome != "ok" or "quorum" not in span.attrs:
             return
         obj_name = span.attrs.get("object")
@@ -1189,8 +1182,8 @@ class Auditor(TraceListener):
         return self._tm.objects.get(name)
 
     def placement(self):
-        """The cluster's compiled placement, or ``None`` when hand-wired."""
-        return getattr(self._cluster, "placement", None)
+        """The cluster's compiled placement."""
+        return self._cluster.placement
 
     def history(self, object_name: str):
         """The live-captured behavioral history of one object."""

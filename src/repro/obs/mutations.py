@@ -182,12 +182,7 @@ def misroute_shard(cluster) -> str:
     """
     from repro.errors import SpecificationError
 
-    router = getattr(cluster, "router", None)
-    placement = getattr(cluster, "placement", None)
-    if router is None or placement is None:
-        raise SpecificationError(
-            "shard-misroute needs a keyspace-built cluster with a router"
-        )
+    router, placement = cluster.router, cluster.placement
     all_sites = set(range(placement.n_sites))
     outsiders = {}
     for name in placement.object_names():
@@ -229,17 +224,13 @@ def stale_assignment(cluster) -> str:
     old epoch on its quorum spans, which the ``reconfig-epoch`` monitor
     flags against the epoch the switch announced.
     """
-    from repro.quorum.coterie import EmptyCoterie, SubsetThresholdCoterie
+    from repro.quorum.coterie import SubsetThresholdCoterie
     from repro.replication.reconfig import reconfigure
 
     victim_fe = cluster.frontends[0]
     name = sorted(cluster.tm.objects)[0]
     obj = cluster.tm.object(name)
-    placement = getattr(cluster, "placement", None)
-    if placement is not None and name in placement.object_names():
-        replicas = frozenset(placement.replicas(name))
-    else:
-        replicas = frozenset(range(obj.assignment.n_sites))
+    replicas = frozenset(cluster.placement.replicas(name))
 
     # Freeze front-end 0's view of the object *before* the switch.
     stale = victim_fe._assignment_of(obj)
@@ -262,11 +253,7 @@ def stale_assignment(cluster) -> str:
         {
             op: OperationQuorums(
                 initial=SubsetThresholdCoterie(n, replicas, len(replicas)),
-                final=(
-                    SubsetThresholdCoterie(n, replicas, 1)
-                    if len(replicas) > 0
-                    else EmptyCoterie(n)
-                ),
+                final=SubsetThresholdCoterie(n, replicas, 1),
             )
             for op in obj.assignment.operation_names
         },
@@ -276,7 +263,7 @@ def stale_assignment(cluster) -> str:
         cluster.repositories,
         obj,
         new_assignment,
-        placement=placement,
+        placement=cluster.placement,
         frontends=cluster.frontends,
         tracer=cluster.tracer,
     )

@@ -180,12 +180,6 @@ class SoakMaintenance:
         self._countdown = self.every
         self.run_round()
 
-    def _replicas_of(self, name: str) -> tuple[int, ...]:
-        placement = self.cluster.placement
-        if placement is not None:
-            return placement.replicas(name)
-        return tuple(range(self.cluster.network.n_sites))
-
     def run_round(self) -> None:
         """One full sweep: compact, prune, trim, then retire."""
         from repro.replication.snapshot import compact
@@ -199,7 +193,7 @@ class SoakMaintenance:
         for name, obj in tm.objects.items():
             if obj.cc.serialization_order != "commit":
                 continue  # static atomicity cannot compact (see snapshot.py)
-            replicas = self._replicas_of(name)
+            replicas = self.cluster.placement.replicas(name)
             if not all(network.is_up(site) for site in replicas):
                 self.skipped_objects += 1
                 continue

@@ -8,7 +8,8 @@ identical sites" example is the special case of equal probabilities).
 
 Three evaluation strategies, picked automatically:
 
-* threshold coteries under identical probabilities: binomial tails;
+* threshold coteries: a binomial tail over the members under identical
+  probabilities, the Poisson-binomial tail otherwise;
 * anything else with ≤ ``_EXACT_LIMIT`` sites: exact summation over the
   ``2^n`` up-sets (n is small in every replication deployment that
   matters here);
@@ -26,7 +27,7 @@ from typing import Sequence
 from repro.errors import QuorumError
 from repro.histories.events import Event, Invocation
 from repro.quorum.assignment import QuorumAssignment
-from repro.quorum.coterie import Coterie, EmptyCoterie, ThresholdCoterie
+from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
 
 #: Exact up-set enumeration is used up to this many sites (2^20 ≈ 1M terms).
 _EXACT_LIMIT = 20
@@ -99,6 +100,18 @@ def _upset_probability(
     return total
 
 
+def _threshold_availability(
+    members: frozenset[int], threshold: int, probs: Sequence[float]
+) -> float:
+    """P[at least ``threshold`` of ``members`` are up]."""
+    if threshold == 0:
+        return 1.0
+    member_probs = [probs[site] for site in sorted(members)]
+    if len(set(member_probs)) == 1:
+        return binomial_tail(len(member_probs), threshold, member_probs[0])
+    return _count_tail(member_probs, threshold)
+
+
 def coterie_availability(
     coterie: Coterie, p_up: float | Sequence[float]
 ) -> float:
@@ -106,14 +119,8 @@ def coterie_availability(
     probs = _site_probabilities(coterie.n_sites, p_up)
     if isinstance(coterie, EmptyCoterie):
         return 1.0
-    if isinstance(coterie, ThresholdCoterie):
-        if coterie.threshold == 0:
-            return 1.0
-        if coterie.n_sites == 0:
-            return 0.0
-        if len(set(probs)) <= 1:
-            return binomial_tail(coterie.n_sites, coterie.threshold, probs[0])
-        return _count_tail(probs, coterie.threshold)
+    if isinstance(coterie, SubsetThresholdCoterie):
+        return _threshold_availability(coterie.members, coterie.threshold, probs)
     return _upset_probability(coterie.n_sites, probs, coterie.has_quorum)
 
 
@@ -128,24 +135,25 @@ def operation_availability(
     The same up-set must serve both coteries — the front-end needs its
     view sources and its update sinks in the same partition — so this is
     *not* the product of the two marginal availabilities unless one
-    coterie is trivial.
+    coterie is trivial.  Two threshold coteries over the same members
+    need the larger threshold of them up, a single tail.
     """
     name = operation if isinstance(operation, str) else operation.op
     initial = assignment.initial(name)
     final = assignment.final(name, kind)
     probs = _site_probabilities(assignment.n_sites, p_up)
-    if isinstance(initial, ThresholdCoterie) and isinstance(
-        final, (ThresholdCoterie, EmptyCoterie)
-    ) and len(set(probs)) <= 1:
-        final_threshold = 0 if isinstance(final, EmptyCoterie) else final.threshold
-        needed = max(initial.threshold, final_threshold)
-        if needed == 0:
-            return 1.0
-        return binomial_tail(assignment.n_sites, needed, probs[0])
     if isinstance(initial, EmptyCoterie):
         return coterie_availability(final, p_up)
     if isinstance(final, EmptyCoterie):
         return coterie_availability(initial, p_up)
+    if (
+        isinstance(initial, SubsetThresholdCoterie)
+        and isinstance(final, SubsetThresholdCoterie)
+        and initial.members == final.members
+    ):
+        return _threshold_availability(
+            initial.members, max(initial.threshold, final.threshold), probs
+        )
     return _upset_probability(
         assignment.n_sites,
         probs,

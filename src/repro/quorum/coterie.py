@@ -11,19 +11,19 @@ A coterie answers three questions the replication method needs:
 
 Two implementations cover the library's needs: the general
 :class:`ExplicitCoterie` (any antichain of site sets) and the symmetric
-:class:`ThresholdCoterie` ("any k of n sites"), for which intersection
-and availability have closed forms.  :class:`EmptyCoterie` represents
-operations that need no quorum at all — e.g. the final quorum of an
-event no invocation depends on, which the paper's PROM example exploits
-to give Read a final quorum of zero sites.
+:class:`SubsetThresholdCoterie` ("any k of these m sites"), for which
+intersection and availability have closed forms;
+:class:`ThresholdCoterie` is its full-replication case, m = every site.
+:class:`EmptyCoterie` represents operations that need no quorum at all —
+e.g. the final quorum of an event no invocation depends on, which the
+paper's PROM example exploits to give Read a final quorum of zero sites.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import QuorumError
 
@@ -35,7 +35,6 @@ class Coterie(ABC):
         if n_sites < 0:
             raise QuorumError("site count must be non-negative")
         self.n_sites = n_sites
-        # Built once: has_quorum consults it on every probe wave.
         self._universe = frozenset(range(n_sites))
 
     @property
@@ -114,57 +113,20 @@ class ExplicitCoterie(Coterie):
         return f"ExplicitCoterie(n={self.n_sites}, [{sets}])"
 
 
-class ThresholdCoterie(Coterie):
-    """"Any ``threshold`` of ``n_sites`` sites" — symmetric quorums.
-
-    ``threshold`` may be 0, in which case this degenerates to an
-    :class:`EmptyCoterie`-like coterie whose single quorum is empty.
-    """
-
-    def __init__(self, n_sites: int, threshold: int):
-        super().__init__(n_sites)
-        if not 0 <= threshold <= n_sites:
-            raise QuorumError(
-                f"threshold {threshold} out of range for {n_sites} sites"
-            )
-        self.threshold = threshold
-
-    def quorums(self) -> Iterator[frozenset[int]]:
-        for quorum in combinations(range(self.n_sites), self.threshold):
-            yield frozenset(quorum)
-
-    def has_quorum(self, live: frozenset[int]) -> bool:
-        return len(live & self._universe) >= self.threshold
-
-    def smallest_quorum_size(self) -> int:
-        return self.threshold
-
-    def _intersects_fast(self, other: Coterie) -> bool | None:
-        if isinstance(other, ThresholdCoterie) and other.n_sites == self.n_sites:
-            if self.threshold == 0 or other.threshold == 0:
-                return False
-            return self.threshold + other.threshold > self.n_sites
-        if isinstance(other, EmptyCoterie):
-            return False
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ThresholdCoterie({self.threshold} of {self.n_sites})"
-
-
 class SubsetThresholdCoterie(Coterie):
     """"Any ``threshold`` of these ``members``" — threshold quorums over a
-    replica subset of a larger site universe.
+    replica set of the site universe.
 
-    Partial replication places each object on a subset of the cluster's
-    sites; its quorums must draw from that subset while front-end spans,
-    auditors, and assignments keep speaking *global* site ids.  This
-    coterie keeps the universe at ``n_sites`` (so
-    :class:`~repro.quorum.assignment.QuorumAssignment` validation and
-    observed-quorum checks are unchanged) but only counts the member
-    sites toward the threshold — a non-member's reply never helps a
-    quorum form, which is the routing half of genuine partial
-    replication.
+    An object placed at a subset of the cluster's sites draws its quorums
+    from that subset while front-end spans, auditors, and assignments
+    keep speaking *global* site ids.  The universe stays at ``n_sites``
+    (so :class:`~repro.quorum.assignment.QuorumAssignment` validation and
+    observed-quorum checks are unchanged) but only member sites count
+    toward the threshold — a non-member's reply never helps a quorum
+    form, which is the routing half of genuine partial replication.
+    Full replication is the case ``members`` = every site
+    (:class:`ThresholdCoterie`).  ``threshold`` may be 0: the single
+    quorum is then empty, as for an :class:`EmptyCoterie`.
     """
 
     def __init__(self, n_sites: int, members: Iterable[int], threshold: int):
@@ -193,32 +155,30 @@ class SubsetThresholdCoterie(Coterie):
         return self.threshold
 
     def _intersects_fast(self, other: Coterie) -> bool | None:
-        if self.threshold == 0:
+        if self.threshold == 0 or isinstance(other, EmptyCoterie):
             return False
-        if isinstance(other, SubsetThresholdCoterie):
-            if other.threshold == 0:
-                return False
-            if other.members == self.members:
-                return self.threshold + other.threshold > len(self.members)
-            if not (self.members & other.members):
-                return False
+        if not isinstance(other, SubsetThresholdCoterie):
             return None
-        if isinstance(other, ThresholdCoterie) and other.n_sites == self.n_sites:
-            if other.threshold == 0:
-                return False
-            # Worst case: other's quorum takes every non-member first.
-            spare = self.n_sites - len(self.members)
-            return other.threshold - spare + self.threshold > len(self.members)
-        if isinstance(other, EmptyCoterie):
-            return False
-        return None
+        # Worst case: other's quorum takes every site outside our members
+        # first, so only the rest of it lands where ours can be forced.
+        inside = max(0, other.threshold - len(other.members - self.members))
+        return other.threshold > 0 and inside + self.threshold > len(self.members)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        if self.members == self.universe:
+            return f"ThresholdCoterie({self.threshold} of {self.n_sites})"
         members = ",".join(map(str, sorted(self.members)))
         return (
             f"SubsetThresholdCoterie({self.threshold} of "
             f"{{{members}}} in {self.n_sites} sites)"
         )
+
+
+class ThresholdCoterie(SubsetThresholdCoterie):
+    """"Any ``threshold`` of ``n_sites`` sites" — the full-replication case."""
+
+    def __init__(self, n_sites: int, threshold: int):
+        super().__init__(n_sites, range(n_sites), threshold)
 
 
 class EmptyCoterie(Coterie):

@@ -30,12 +30,7 @@ from repro.dependency.relation import DependencyRelation
 from repro.errors import QuorumError
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.availability import binomial_tail
-from repro.quorum.coterie import (
-    Coterie,
-    EmptyCoterie,
-    SubsetThresholdCoterie,
-    ThresholdCoterie,
-)
+from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
 
 #: An event class is an ``(operation, response kind)`` pair.
 EventClass = tuple[str, str]
@@ -91,12 +86,10 @@ def embed_choice(
 
     ``choice.n_sites`` must equal ``len(replicas)`` — its thresholds are
     counts *of replicas* — while the returned assignment lives in the
-    full ``n_sites`` universe.  Over a proper subset every coterie is a
-    :class:`SubsetThresholdCoterie` on the replica set (mirroring how
+    full ``n_sites`` universe.  Every coterie is a
+    :class:`SubsetThresholdCoterie` on the replica set, as
     :meth:`~repro.replication.keyspace.ObjectSpec.compile_assignment`
-    compiles placements); under full replication it is a plain
-    :class:`ThresholdCoterie`, the same quorum family with cheaper
-    membership checks.  Each operation's final coterie is its largest
+    compiles placements.  Each operation's final coterie is its largest
     per-kind final; kinds needing less become overrides.
     """
     members = frozenset(replicas)
@@ -108,8 +101,6 @@ def embed_choice(
     def coterie(threshold: int) -> Coterie:
         if threshold == 0:
             return EmptyCoterie(n_sites)
-        if len(members) == n_sites:
-            return ThresholdCoterie(n_sites, threshold)
         return SubsetThresholdCoterie(n_sites, members, threshold)
 
     operations = {}

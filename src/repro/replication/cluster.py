@@ -1,28 +1,18 @@
-"""Convenience wiring for complete replicated systems.
+"""Wiring for complete replicated systems.
 
-Builds the full stack — simulator, network, repositories, transaction
-manager, front-ends — and replicated objects under any of the three
-concurrency-control schemes with sensible default quorum assignments.
-Examples and benchmarks use these helpers; tests mostly wire pieces by
-hand.
-
-Two entry points share one construction path:
-
-* :func:`build_keyspace` — the primary API: compile a declarative
-  :class:`~repro.replication.keyspace.KeyspaceSpec` into a running
-  cluster with per-site shard maps, a request router, and one
-  registered object per declaration;
-* :func:`build_cluster` — the classic single-object-era helper, now a
-  thin shim over :func:`build_keyspace` with an empty spec; objects are
-  added afterwards via :meth:`Cluster.add_object` at full replication,
-  which keeps every pre-keyspace example, benchmark, and fingerprint
-  byte-identical.
+:func:`build_keyspace` compiles a declarative
+:class:`~repro.replication.keyspace.KeyspaceSpec` into the full stack —
+simulator, network, repositories holding their shards, transaction
+manager, routed front-ends — with one replicated object per declaration
+under any of the three concurrency-control schemes.  It is the one way
+to build a :class:`Cluster`: a single fully replicated object is a
+one-object spec under the default ``PlacementRule.all()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.cc.hybrid import HybridCC
 from repro.cc.locking import DynamicLockingCC
@@ -31,8 +21,7 @@ from repro.dependency.relation import DependencyRelation
 from repro.errors import SpecificationError
 from repro.obs.profile import KernelProfiler
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.coterie import majority
+from repro.quorum.assignment import QuorumAssignment
 from repro.replication.frontend import FrontEnd
 from repro.replication.keyspace import KeyspaceSpec, Placement, Router
 from repro.replication.object import ReplicatedObject
@@ -60,14 +49,12 @@ class Cluster:
     repositories: tuple[Repository, ...]
     tm: TransactionManager
     frontends: tuple[FrontEnd, ...]
+    #: Compiled object → replica-set maps.
+    placement: Placement
+    #: The request router front-ends resolve objects through.
+    router: Router
     #: Shared span sink for every layer (the no-op tracer by default).
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-    #: Compiled object → replica-set maps (``None`` for hand-wired
-    #: clusters predating the keyspace API; ``build_keyspace`` and
-    #: ``build_cluster`` always set one).
-    placement: Placement | None = None
-    #: The request router front-ends resolve objects through.
-    router: Router | None = None
 
     @property
     def n_sites(self) -> int:
@@ -180,46 +167,6 @@ class Cluster:
 
         return QuorumTuner(self, config=config, registry=registry)
 
-    def add_object(
-        self,
-        name: str,
-        datatype: SerialDataType,
-        scheme: str = "hybrid",
-        assignment: QuorumAssignment | None = None,
-        relation: DependencyRelation | None = None,
-        oracle: LegalityOracle | None = None,
-    ) -> ReplicatedObject:
-        """Create and register a replicated object.
-
-        ``scheme`` is ``"static"``, ``"hybrid"``, or ``"dynamic"``.  The
-        hybrid scheme needs a hybrid dependency ``relation`` for its
-        conflict table.  The default ``assignment`` gives every
-        operation majority initial and majority final quorums, which is
-        valid under any dependency relation (majorities always
-        intersect).
-        """
-        oracle = oracle or LegalityOracle(datatype)
-        if assignment is None:
-            assignment = majority_assignment(self.n_sites, datatype)
-        cc = _make_scheme(datatype, scheme, relation, oracle)
-        obj = ReplicatedObject(name, datatype, assignment, cc, oracle)
-        self.tm.register(obj)
-        self._place(name, range(self.n_sites))
-        return obj
-
-    def _place(self, name: str, sites: Sequence[int]) -> None:
-        """Record ``name``'s replica set in the placement and shard maps.
-
-        Hand-wired clusters without a placement skip this — their
-        repositories hold everything (``shards is None``) and their
-        front-ends fan out to all sites, exactly the pre-keyspace model.
-        """
-        if self.placement is None:
-            return
-        self.placement.add(name, sites)
-        for site in sites:
-            self.repositories[site].add_shard(name)
-
 
 def _make_scheme(
     datatype: SerialDataType,
@@ -239,19 +186,6 @@ def _make_scheme(
     if scheme == "dynamic":
         return DynamicLockingCC(datatype, oracle)
     raise SpecificationError(f"unknown concurrency-control scheme {scheme!r}")
-
-
-def majority_assignment(n_sites: int, datatype: SerialDataType) -> QuorumAssignment:
-    """Majority initial and final quorums for every operation.
-
-    Any two majorities intersect, so the intersection relation is total
-    and the assignment is valid under every local atomicity property —
-    the safe default when availability is not being optimized.
-    """
-    quorums = OperationQuorums(initial=majority(n_sites), final=majority(n_sites))
-    return QuorumAssignment(
-        n_sites, {op: quorums for op in datatype.operations()}
-    )
 
 
 def build_keyspace(
@@ -305,9 +239,7 @@ def build_keyspace(
     tm = TransactionManager(tracer=tracer)
     count = n_frontends if n_frontends is not None else n_sites
     frontends = tuple(
-        FrontEnd(
-            site % n_sites, network, repositories, tm, tracer=tracer, router=router
-        )
+        FrontEnd(site % n_sites, network, repositories, tm, router, tracer=tracer)
         for site in range(count)
     )
     for obj_spec in spec.objects:
@@ -324,44 +256,5 @@ def build_keyspace(
             )
         )
     return Cluster(
-        sim,
-        network,
-        repositories,
-        tm,
-        frontends,
-        tracer=tracer,
-        placement=placement,
-        router=router,
-    )
-
-
-def build_cluster(
-    n_sites: int,
-    *,
-    n_frontends: int | None = None,
-    seed: int = 0,
-    latency: float = 1.0,
-    drop_probability: float = 0.0,
-    tracer: Tracer | None = None,
-    profiler: KernelProfiler | None = None,
-) -> Cluster:
-    """Assemble the full stack over ``n_sites`` fully replicated sites.
-
-    The single-object-era entry point, kept as a thin shim over
-    :func:`build_keyspace` with an empty spec: objects added afterwards
-    through :meth:`Cluster.add_object` are placed at *every* site, the
-    router's visit order for a fully replicated object equals the
-    classic locality-first rotation, and quorum assignments default to
-    plain majorities — so pre-keyspace examples, benchmarks, and
-    fingerprints are byte-identical.  See ``docs/KEYSPACE.md`` for
-    migration notes.
-    """
-    return build_keyspace(
-        KeyspaceSpec(n_sites),
-        n_frontends=n_frontends,
-        seed=seed,
-        latency=latency,
-        drop_probability=drop_probability,
-        tracer=tracer,
-        profiler=profiler,
+        sim, network, repositories, tm, frontends, placement, router, tracer=tracer
     )

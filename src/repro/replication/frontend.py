@@ -56,16 +56,14 @@ class FrontEnd:
         network: the simulated fabric its quorum RPCs travel.
         repositories: the replica set, indexed by site.
         tm: the shared transaction manager.
+        router: the keyspace :class:`~repro.replication.keyspace.Router`
+            resolving object → replica visit order.
         tracer: span sink; defaults to the network's (usually null).
         retry_policy: this front-end's
             :class:`~repro.resilience.policy.RetryPolicy`; when ``None``
             the transaction manager's ``retry_policy`` applies, and when
             that is also ``None`` quorum failures raise immediately (the
             pre-policy behaviour).
-        router: the keyspace :class:`~repro.replication.keyspace.Router`
-            resolving object → replica visit order under partial
-            replication; ``None`` means every object is fully replicated
-            and quorum fan-out walks all sites (the classic path).
     """
 
     def __init__(
@@ -74,10 +72,10 @@ class FrontEnd:
         network: Network,
         repositories: Sequence[Repository],
         tm: TransactionManager,
+        router: "Router",
         *,
         tracer: Tracer | None = None,
         retry_policy: RetryPolicy | None = None,
-        router: "Router | None" = None,
     ):
         self.site = site
         self.network = network
@@ -98,15 +96,12 @@ class FrontEnd:
         #: layer's windowed read/write-mix counters.  ``None`` costs one
         #: attribute check per op on the hot path.
         self.op_observer: Callable[[str, str], None] | None = None
-        #: Object → replica-set resolution for sharded keyspaces.
+        #: Object → replica visit order.
         self.router = router
         #: Monotone retry sequence, part of the deterministic jitter key
         #: (never the simulator's RNG — retries must not perturb the
         #: seeded workload schedule).
         self._retry_seq = 0
-        #: Cached replica visit order for the fully replicated case (the
-        #: router resolves per object and caches internally).
-        self._all_sites_order: tuple[int, ...] | None = None
 
     def effective_policy(self) -> RetryPolicy | None:
         """The retry policy governing this front-end's operations.
@@ -347,31 +342,13 @@ class FrontEnd:
         """
         return obj.assignment, obj.epoch
 
-    def _site_order(
-        self, obj: ReplicatedObject | None = None
-    ) -> tuple[int, ...]:
-        """Replica visit order for ``obj``, starting at our own site.
-
-        With a router the order covers only the object's replica set;
-        without one (or with no object given) every site is a replica
-        — locality first, then round-robin.  For a fully replicated
-        object the two produce the same order.
-        """
-        if self.router is not None and obj is not None:
-            return self.router.route(self.site, obj.name)
-        order = self._all_sites_order
-        if order is None:
-            n = len(self.repositories)
-            start = self.site % n if n else 0
-            order = tuple((start + offset) % n for offset in range(n))
-            self._all_sites_order = order
-        return order
+    def _site_order(self, obj: ReplicatedObject) -> tuple[int, ...]:
+        """Replica visit order for ``obj``: locality first, then round-robin."""
+        return self.router.route(self.site, obj.name)
 
     def _replica_set(self, obj: ReplicatedObject) -> frozenset[int]:
         """The sites that could have answered a quorum probe for ``obj``."""
-        if self.router is not None:
-            return frozenset(self.router.replicas(obj.name))
-        return frozenset(range(len(self.repositories)))
+        return frozenset(self.router.replicas(obj.name))
 
     def _read_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0

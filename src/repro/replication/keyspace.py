@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.errors import QuorumError, SpecificationError
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
+from repro.quorum.constraints import violated_pairs
 from repro.quorum.coterie import SubsetThresholdCoterie
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,8 +64,8 @@ class PlacementRule:
 
     Three kinds cover the library's needs:
 
-    * ``"all"``   — full replication, one replica per site (the classic
-      single-object cluster and the safe default);
+    * ``"all"``   — full replication, one replica per site (the
+      default);
     * ``"ring"``  — ``replication_factor`` consecutive sites starting at
       ``crc32(name) % n_sites``, the standard consistent-placement
       shape: different objects land on different arcs, so load and
@@ -125,10 +126,13 @@ class ObjectSpec:
     ``quorums`` is either ``"majority"`` (majority-of-replicas initial
     and final coteries — always a valid assignment, since any two
     majorities of the same replica set intersect) or an explicit
-    ``(initial_threshold, final_threshold)`` pair over the replica set.
-    A full :class:`~repro.quorum.assignment.QuorumAssignment` can be
-    supplied via ``assignment`` instead; it is validated to be
-    *genuine* — every quorum must draw only from the object's replicas.
+    ``(initial_threshold, final_threshold)`` pair over the replica set;
+    with a ``relation`` declared, the compiled pair must make every
+    initial quorum of each pair's invocation meet every final quorum of
+    its event (paper, Section 3.2).  A full
+    :class:`~repro.quorum.assignment.QuorumAssignment` can be supplied
+    via ``assignment`` instead; it is validated only to be *genuine* —
+    every quorum must draw only from the object's replicas.
     """
 
     name: str
@@ -150,8 +154,13 @@ class ObjectSpec:
             return self.assignment
         if self.quorums == "majority":
             initial_k = final_k = len(replica_set) // 2 + 1
-        else:
+        elif isinstance(self.quorums, tuple) and len(self.quorums) == 2:
             initial_k, final_k = self.quorums
+        else:
+            raise SpecificationError(
+                f"object {self.name!r}: quorums {self.quorums!r} is neither "
+                "'majority' nor an (initial, final) threshold pair"
+            )
         try:
             quorums = OperationQuorums(
                 initial=SubsetThresholdCoterie(n_sites, replica_set, initial_k),
@@ -161,9 +170,19 @@ class ObjectSpec:
             raise SpecificationError(
                 f"object {self.name!r}: {exc} (replicas {sorted(replica_set)})"
             ) from exc
-        return QuorumAssignment(
+        assignment = QuorumAssignment(
             n_sites, {op: quorums for op in self.datatype.operations()}
         )
+        if self.relation is not None:
+            broken = violated_pairs(assignment, self.relation)
+            if broken:
+                invocation, event = broken[0]
+                raise SpecificationError(
+                    f"object {self.name!r}: quorums {self.quorums!r} over "
+                    f"replicas {sorted(replica_set)} leave {invocation} ≥ "
+                    f"{event} without intersecting initial and final quorums"
+                )
+        return assignment
 
 
 def _require_genuine(
@@ -185,9 +204,7 @@ class Placement:
     """Compiled replica sets and shard maps for one keyspace.
 
     Object → sorted replica tuple, and site → shard set, kept mutually
-    consistent.  ``add`` supports late registration so the one-object
-    compatibility path (``build_cluster`` + ``Cluster.add_object``)
-    shares this layer with declaratively built keyspaces.
+    consistent.
     """
 
     def __init__(
@@ -260,8 +277,8 @@ class Router:
     (locality first) and round-robins through the rest; a front-end at a
     non-holding site starts at ``site % len(replicas)`` so different
     front-ends still spread load across the replica set.  For a fully
-    replicated object this reproduces the classic single-object visit
-    order exactly, which is what keeps ``build_cluster`` byte-identical.
+    replicated object the route is every site, starting at the
+    front-end's own.
     """
 
     def __init__(self, placement: Placement):

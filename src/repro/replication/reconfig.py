@@ -29,8 +29,8 @@ The hand-over rule implemented here:
    stays green.
 
 Both site sets are *transversals* (hitting sets) of coteries; for a
-threshold coterie of ``k`` of ``n`` (or ``k`` of a replica subset) the
-cheapest transversal is any ``n - k + 1`` member sites, and for explicit
+threshold coterie of ``k`` of ``m`` member sites the cheapest
+transversal is any ``m - k + 1`` of the members, and for explicit
 coteries :func:`greedy_transversal` computes a greedy hitting set.  If
 the live sites contain no transversal the reconfiguration raises
 :class:`~repro.errors.UnavailableError` and changes nothing.
@@ -52,12 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import QuorumError, UnavailableError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.quorum.assignment import QuorumAssignment
-from repro.quorum.coterie import (
-    Coterie,
-    EmptyCoterie,
-    SubsetThresholdCoterie,
-    ThresholdCoterie,
-)
+from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
 from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
 from repro.replication.repository import read_walk, walk
@@ -81,10 +76,6 @@ def transversal_size(coterie: Coterie) -> int | None:
         if coterie.threshold == 0:
             return None
         return len(coterie.members) - coterie.threshold + 1
-    if isinstance(coterie, ThresholdCoterie):
-        if coterie.threshold == 0:
-            return None
-        return coterie.n_sites - coterie.threshold + 1
     quorums = list(coterie.quorums())
     if not quorums:
         return 0  # no quorums: vacuously hit
@@ -113,10 +104,6 @@ def is_transversal(coterie: Coterie, sites: frozenset[int]) -> bool:
             len(sites & coterie.members)
             >= len(coterie.members) - coterie.threshold + 1
         )
-    if isinstance(coterie, ThresholdCoterie):
-        if coterie.threshold == 0:
-            return False
-        return len(sites) >= coterie.n_sites - coterie.threshold + 1
     return all(sites & quorum for quorum in coterie.quorums())
 
 
@@ -129,7 +116,7 @@ def needs_coverage(coterie: Coterie) -> bool:
     """
     if isinstance(coterie, EmptyCoterie):
         return False
-    if isinstance(coterie, (ThresholdCoterie, SubsetThresholdCoterie)):
+    if isinstance(coterie, SubsetThresholdCoterie):
         return coterie.threshold > 0
     quorums = list(coterie.quorums())
     return bool(quorums) and all(quorum for quorum in quorums)
@@ -141,7 +128,7 @@ def greedy_transversal(
     """A small hitting set of ``coterie`` drawn from ``available`` sites.
 
     Threshold shapes use their closed form (the lowest-numbered
-    ``n - k + 1`` eligible sites); explicit coteries run the classic
+    ``m - k + 1`` eligible members); explicit coteries run the classic
     greedy set-cover heuristic — repeatedly pick the site hitting the
     most still-unhit quorums, lowest site id breaking ties — which is
     within a logarithmic factor of the optimum and, crucially for the
@@ -159,14 +146,6 @@ def greedy_transversal(
             return None
         pool = sorted(available & coterie.members)
         need = len(coterie.members) - coterie.threshold + 1
-        if len(pool) < need:
-            return None
-        return frozenset(pool[:need])
-    if isinstance(coterie, ThresholdCoterie):
-        if coterie.threshold == 0:
-            return None
-        pool = sorted(available & coterie.universe)
-        need = coterie.n_sites - coterie.threshold + 1
         if len(pool) < need:
             return None
         return frozenset(pool[:need])
@@ -201,11 +180,8 @@ def _same_coterie(a: Coterie, b: Coterie) -> bool:
         b, SubsetThresholdCoterie
     ):
         return a.members == b.members and a.threshold == b.threshold
-    if isinstance(a, ThresholdCoterie) and isinstance(b, ThresholdCoterie):
-        return a.threshold == b.threshold
-    # Mixed shapes (a full-universe subset coterie vs a plain threshold,
-    # or explicit coteries): compare the minimal quorum sets directly —
-    # admin-path only, never on the per-operation hot path.
+    # Explicit coteries (or one beside a threshold): compare the minimal
+    # quorum sets directly — admin-path only, never per operation.
     return frozenset(a.quorums()) == frozenset(b.quorums())
 
 
@@ -255,13 +231,13 @@ def _visit_order(
     coterie is explicit (no threshold closed form), the greedy hitting
     set of its quorums is promoted to the front so the transversal
     completes in as few RPCs as the heuristic allows; threshold coteries
-    need no such help — any ``n - k + 1`` pool sites do.
+    need no such help — any ``m - k + 1`` of their members do.
     """
     rotation = sorted(pool, key=lambda site: ((site - coordinator_site) % n_sites, site))
     explicit = [
         c
         for c in coteries
-        if not isinstance(c, (ThresholdCoterie, SubsetThresholdCoterie, EmptyCoterie))
+        if not isinstance(c, (SubsetThresholdCoterie, EmptyCoterie))
     ]
     if not explicit:
         return rotation

@@ -49,13 +49,13 @@ class Repository:
         #: plain stable-storage model (crashes lose nothing by fiat).
         #: Attached by :class:`~repro.resilience.recovery.RecoveryManager`.
         self.journal: "SiteJournal | None" = None
-        #: The shard names this site is assigned under partial
-        #: replication, or ``None`` for the classic fully replicated
-        #: repository that holds everything.  Set by ``build_keyspace``;
-        #: storage itself stays permissive (a misrouted write *lands*,
-        #: and the auditor's genuine-partial-replication monitor is what
-        #: flags it — enforcement here would mask the very violations
-        #: the mutation harness needs to exercise).
+        #: The shard names this site is assigned, or ``None`` for a
+        #: standalone repository that holds everything.  Set by
+        #: ``build_keyspace``; storage itself stays permissive (a
+        #: misrouted write *lands*, and the auditor's
+        #: genuine-partial-replication monitor is what flags it —
+        #: enforcement here would mask the very violations the mutation
+        #: harness needs to exercise).
         self.shards: set[str] | None = None
         self.reads_served = 0
         self.writes_served = 0
@@ -66,11 +66,6 @@ class Repository:
     def assign_shards(self, names) -> None:
         """Restrict this repository to the given shard names."""
         self.shards = set(names)
-
-    def add_shard(self, name: str) -> None:
-        """Grow the assignment by one shard (no-op when fully replicated)."""
-        if self.shards is not None:
-            self.shards.add(name)
 
     def holds(self, object_name: str) -> bool:
         """Is ``object_name`` one of this site's shards?

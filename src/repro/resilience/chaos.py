@@ -219,10 +219,13 @@ def run_chaos_case(
     from repro.dependency import known
     from repro.obs.audit import Auditor
     from repro.obs.trace import Tracer
-    from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-    from repro.quorum.coterie import ThresholdCoterie, majority
-    from repro.replication.cluster import build_cluster, build_keyspace
-    from repro.replication.keyspace import demo_keyspace, demo_mix
+    from repro.replication.cluster import build_keyspace
+    from repro.replication.keyspace import (
+        KeyspaceSpec,
+        ObjectSpec,
+        demo_keyspace,
+        demo_mix,
+    )
     from repro.sim.workload import OperationMix, WorkloadGenerator
     from repro.types.queue import Queue
     from repro.types.register import Register
@@ -232,39 +235,29 @@ def run_chaos_case(
     tracer = Tracer()
     if objects is not None:
         spec = demo_keyspace(objects, n_sites, placement=placement)
-        cluster = build_keyspace(
-            spec, seed=seed, drop_probability=0.0, tracer=tracer
-        )
         mix = demo_mix(spec)
-        names = tuple(obj_spec.name for obj_spec in spec.objects)
     else:
-        cluster = build_cluster(
-            n_sites, seed=seed, drop_probability=0.0, tracer=tracer
-        )
-        queue = Queue()
-        cluster.add_object(
-            "queue",
-            queue,
-            "hybrid",
-            relation=known.ground(queue, known.QUEUE_STATIC, 5),
-        )
-        register = Register()
-        # Asymmetric assignment: majority (3-of-5) initial quorums, 4-of-5
-        # finals.  Every initial intersects every final (3 + 4 > 5) and
-        # finals pairwise intersect (4 + 4 > 5), so the assignment is valid
-        # for the total dependency relation — but two crashed sites make
-        # final quorums unassemblable while reads still reach their initial
+        queue, register = Queue(), Register()
+        # Asymmetric register quorums: majority (3-of-5) initial, 4-of-5
+        # final.  Every initial meets every final (3 + 4 > 5) and finals
+        # meet pairwise (4 + 4 > 5), so the assignment is valid for the
+        # total dependency relation — but two crashed sites make final
+        # quorums unassemblable while reads still reach their initial
         # quorum, which is the window the degraded-read fallback serves.
-        tight_final = OperationQuorums(
-            initial=majority(n_sites),
-            final=ThresholdCoterie(n_sites, min(n_sites, 4)),
-        )
-        cluster.add_object(
-            "register",
-            register,
-            "static",
-            assignment=QuorumAssignment(
-                n_sites, {op: tight_final for op in register.operations()}
+        spec = KeyspaceSpec(
+            n_sites,
+            (
+                ObjectSpec(
+                    "queue",
+                    queue,
+                    relation=known.ground(queue, known.QUEUE_STATIC, 5),
+                ),
+                ObjectSpec(
+                    "register",
+                    register,
+                    scheme="static",
+                    quorums=(n_sites // 2 + 1, min(n_sites, 4)),
+                ),
             ),
         )
         mix = OperationMix.weighted(
@@ -274,7 +267,8 @@ def run_chaos_case(
             ]
             + [("queue", inv, 1.0) for inv in queue.invocations()]
         )
-        names = ("queue", "register")
+    cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
+    names = tuple(obj_spec.name for obj_spec in spec.objects)
     runtime = cluster.enable_resilience(POLICIES[policy_name])
     auditor = Auditor(cluster)
     schedule = ChaosSchedule(

@@ -186,17 +186,18 @@ def build_scenario(
 ):
     """Spec → ``(cluster, generator, names)``, ready to run.
 
-    A single-object scenario builds the classic cluster
-    (:func:`~repro.replication.cluster.build_cluster` + one ``"queue"``
-    object, 3 sites by default); multi-object scenarios build the
+    A single-object scenario builds one fully replicated ``"queue"``
+    object (3 sites by default); multi-object scenarios build the
     :func:`scenario_keyspace` (5 sites by default).  ``workload``
     replaces the driver's :class:`~repro.sim.workload.MixWorkload` over
     the compiled mix with a user-supplied
     :class:`~repro.scenarios.spec.ScenarioWorkload` (its ``init`` is
     called here, before any transaction runs).
     """
-    from repro.replication.cluster import build_cluster, build_keyspace
+    from repro.replication.cluster import build_keyspace
+    from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
     from repro.sim.workload import WorkloadGenerator
+    from repro.types import Queue
 
     if isinstance(scenario, str):
         from repro.scenarios.catalog import scenario as lookup
@@ -205,26 +206,19 @@ def build_scenario(
     scheme = _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
     if scenario.objects == 1:
-        sites = n_sites if n_sites is not None else 3
-        cluster = build_cluster(sites, seed=seed, drop_probability=0.0, tracer=tracer)
-        from repro.replication.keyspace import ObjectSpec
-        from repro.types import Queue
-
         queue = Queue()
-        cluster.add_object(
-            "queue",
-            queue,
-            scheme,
-            relation=_hybrid_relation(queue) if scheme == "hybrid" else None,
+        relation = _hybrid_relation(queue) if scheme == "hybrid" else None
+        spec = KeyspaceSpec(
+            n_sites if n_sites is not None else 3,
+            (ObjectSpec("queue", queue, scheme=scheme, relation=relation),),
         )
-        object_specs = (ObjectSpec("queue", queue, scheme=scheme),)
     else:
-        sites = n_sites if n_sites is not None else 5
-        spec = scenario_keyspace(scenario.objects, sites, scheme)
-        cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
-        object_specs = spec.objects
-    names = tuple(obj.name for obj in object_specs)
-    mix = compile_mix(object_specs, scenario, seed)
+        spec = scenario_keyspace(
+            scenario.objects, n_sites if n_sites is not None else 5, scheme
+        )
+    cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
+    names = tuple(obj.name for obj in spec.objects)
+    mix = compile_mix(spec.objects, scenario, seed)
     if workload is not None:
         workload.init(cluster)
     generator = WorkloadGenerator(
@@ -258,42 +252,39 @@ def build_workload(
     Returns ``(cluster, generator)`` so callers can attach observers
     (the online auditor) or apply a seeded mutation between construction
     and ``generator.run``.  ``objects=1, placement="all"`` is the classic
-    single replicated hybrid queue, byte-identical to every pre-keyspace
-    release; any other setting builds the mixed queue/register/counter
+    single fully replicated hybrid queue; any other setting builds the
+    mixed queue/register/counter
     :func:`~repro.replication.keyspace.demo_keyspace` and drives a
     uniform cross-object mix.  ``crashes`` / ``partitions`` install the
     stochastic injectors (mean uptime 60 / downtime 8; a cut every 80
     on average, lasting 10).
     """
-    from repro.replication.cluster import build_cluster, build_keyspace
-    from repro.replication.keyspace import demo_keyspace, demo_mix
+    from repro.replication.cluster import build_keyspace
+    from repro.replication.keyspace import (
+        KeyspaceSpec,
+        ObjectSpec,
+        demo_keyspace,
+        demo_mix,
+    )
     from repro.sim.failures import CrashInjector, PartitionInjector
-    from repro.sim.workload import OperationMix, WorkloadGenerator
+    from repro.sim.workload import WorkloadGenerator
     from repro.types import Queue
 
     if objects > 1 or placement != "all":
         spec = demo_keyspace(objects, sites, placement=placement)
-        cluster = build_keyspace(
-            spec,
-            seed=seed,
-            drop_probability=drop_probability,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        mix = demo_mix(spec)
     else:
-        cluster = build_cluster(
-            sites,
-            seed=seed,
-            drop_probability=drop_probability,
-            tracer=tracer,
-            profiler=profiler,
-        )
         queue = Queue()
-        cluster.add_object(
-            "queue", queue, "hybrid", relation=_hybrid_relation(queue)
+        spec = KeyspaceSpec(
+            sites, (ObjectSpec("queue", queue, relation=_hybrid_relation(queue)),)
         )
-        mix = OperationMix.uniform("queue", queue.invocations())
+    cluster = build_keyspace(
+        spec,
+        seed=seed,
+        drop_probability=drop_probability,
+        tracer=tracer,
+        profiler=profiler,
+    )
+    mix = demo_mix(spec)
     if crashes:
         CrashInjector(cluster.network, 60.0, 8.0).install()
     if partitions:

@@ -119,19 +119,13 @@ class QuorumTuner:
                 names.append(name)
         return tuple(sorted(names))
 
-    def _replicas(self, name: str) -> tuple[int, ...]:
-        placement = self.cluster.placement
-        if placement is not None and name in placement.object_names():
-            return tuple(placement.replicas(name))
-        return tuple(range(self.cluster.n_sites))
-
     def _candidate_space(self, name: str):
         cached = self._candidates.get(name)
         if cached is None:
             obj = self.cluster.tm.object(name)
             cached = legal_candidates(
                 obj.cc.relation,
-                self._replicas(name),
+                self.cluster.placement.replicas(name),
                 self.cluster.n_sites,
                 obj.datatype.operations(),
             )

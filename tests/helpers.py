@@ -8,7 +8,8 @@ from repro.errors import SpecificationError
 from repro.histories.events import Invocation, ok
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication import frontend
-from repro.replication.cluster import Cluster, build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.log import Log
 from repro.replication.view import View
 from repro.replication.viewcache import QuorumViewCache
@@ -26,11 +27,22 @@ def small_system(
     name: str = "obj",
 ):
     """A cluster with one replicated object; returns (cluster, object)."""
-    cluster = build_cluster(n_sites, seed=seed)
-    obj = cluster.add_object(
-        name, datatype, scheme, assignment=assignment, relation=relation
-    )
-    return cluster, obj
+    spec = ObjectSpec(name, datatype, scheme, relation=relation, assignment=assignment)
+    cluster = cluster_of(n_sites, spec, seed=seed)
+    return cluster, cluster.tm.object(name)
+
+
+def cluster_of(n_sites: int, *objects: ObjectSpec, **options):
+    """A running ``n_sites`` cluster of ``objects``; ``options`` go to
+    :func:`~repro.replication.cluster.build_keyspace`."""
+    return build_keyspace(KeyspaceSpec(n_sites, objects), **options)
+
+
+def hybrid_queue(name: str = "queue") -> ObjectSpec:
+    """A fully replicated hybrid FIFO queue under the paper's static
+    relation (Theorem 4 makes it a hybrid relation too)."""
+    queue = Queue()
+    return ObjectSpec(name, queue, relation=known.ground(queue, known.QUEUE_STATIC, 5))
 
 
 def queue_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):

@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.dependency import known
 from repro.obs.audit import (
     Auditor,
     AuditReport,
@@ -26,11 +25,12 @@ from repro.obs.audit import (
 )
 from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
 from repro.obs.trace import Tracer
-from repro.replication.cluster import build_cluster, build_keyspace
-from repro.replication.keyspace import demo_keyspace, demo_mix
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import ObjectSpec, demo_keyspace, demo_mix
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
+from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.obs
 
@@ -64,14 +64,11 @@ def audited_run(
         cluster = build_keyspace(spec, seed=seed, tracer=tracer)
         mix = demo_mix(spec)
     else:
-        cluster = build_cluster(sites, seed=seed, tracer=tracer)
-        queue = Queue()
-        if scheme == "hybrid":
-            relation = known.ground(queue, known.QUEUE_STATIC, 5)
-            cluster.add_object("queue", queue, scheme, relation=relation)
-        else:
-            cluster.add_object("queue", queue, scheme)
-        mix = OperationMix.uniform("queue", queue.invocations())
+        queue = (
+            hybrid_queue() if scheme == "hybrid" else ObjectSpec("queue", Queue(), scheme)
+        )
+        cluster = cluster_of(sites, queue, seed=seed, tracer=tracer)
+        mix = OperationMix.uniform("queue", queue.datatype.invocations())
     if crashes:
         CrashInjector(cluster.network, 60.0, 8.0).install()
     auditor = Auditor(cluster, monitors)
@@ -171,13 +168,10 @@ class TestMutationsAreFlagged:
 
     def test_violation_marks_land_in_the_trace(self):
         tracer = Tracer()
-        cluster = build_cluster(3, seed=0, tracer=tracer)
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("queue", queue, "hybrid", relation=relation)
+        cluster = cluster_of(3, hybrid_queue(), seed=0, tracer=tracer)
         auditor = Auditor(cluster)
         MUTATIONS["quorum-intersection"](cluster)
-        mix = OperationMix.uniform("queue", queue.invocations())
+        mix = OperationMix.uniform("queue", Queue().invocations())
         WorkloadGenerator(
             cluster.sim, cluster.tm, cluster.frontends, mix
         ).run(6)
@@ -201,7 +195,7 @@ class TestMutationsAreFlagged:
 
 class TestAuditorMechanics:
     def test_rejects_null_tracer(self):
-        cluster = build_cluster(3, seed=0)  # untraced by default
+        cluster = cluster_of(3, seed=0)  # untraced by default
         with pytest.raises(ValueError, match="enabled Tracer"):
             Auditor(cluster)
 
@@ -223,12 +217,9 @@ class TestAuditorMechanics:
                 self.report(f"finding #{record.span.span_id}")
 
         tracer = Tracer()
-        cluster = build_cluster(3, seed=0, tracer=tracer)
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("queue", queue, "hybrid", relation=relation)
+        cluster = cluster_of(3, hybrid_queue(), seed=0, tracer=tracer)
         auditor = Auditor(cluster, [Chatty()], max_per_invariant=3)
-        mix = OperationMix.uniform("queue", queue.invocations())
+        mix = OperationMix.uniform("queue", Queue().invocations())
         WorkloadGenerator(
             cluster.sim, cluster.tm, cluster.frontends, mix
         ).run(10)
@@ -295,9 +286,10 @@ class TestRouting:
                 super().on_span_end(span)
 
         tracer = Tracer()
-        cluster = build_cluster(3, seed=0, tracer=tracer)
         queue = Queue()
-        cluster.add_object("queue", queue, "static")
+        cluster = cluster_of(
+            3, ObjectSpec("queue", queue, "static"), seed=0, tracer=tracer
+        )
         auditor = Recording(cluster)
         mix = OperationMix.uniform("queue", queue.invocations())
         WorkloadGenerator(cluster.sim, cluster.tm, cluster.frontends, mix).run(6)
@@ -340,11 +332,9 @@ class TestRouting:
         # reports, in which order and how often must stay what one
         # store scanned for every quorum reported.
         tracer = Tracer()
-        cluster = build_cluster(5, seed=0, tracer=tracer)
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("a", queue, "hybrid", relation=relation)
-        cluster.add_object("b", Queue(), "static")
+        cluster = cluster_of(
+            5, hybrid_queue("a"), ObjectSpec("b", Queue(), "static"), seed=0, tracer=tracer
+        )
         auditor = Auditor(cluster, [QuorumIntersectionMonitor()])
         for item in (
             ("a", "initial", "Deq", [0, 1, 2]),

@@ -11,12 +11,18 @@ from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.availability import (
     _EXACT_LIMIT,
     _count_tail,
+    _upset_probability,
     assignment_availability,
     binomial_tail,
     coterie_availability,
     operation_availability,
 )
-from repro.quorum.coterie import EmptyCoterie, ExplicitCoterie, ThresholdCoterie
+from repro.quorum.coterie import (
+    EmptyCoterie,
+    ExplicitCoterie,
+    SubsetThresholdCoterie,
+    ThresholdCoterie,
+)
 
 
 class TestCoterieAvailability:
@@ -258,3 +264,52 @@ class TestUpsetEnumeration:
         coterie = ExplicitCoterie(sites, [set(range(sites))])
         with pytest.raises(QuorumError, match=f"limited to {_EXACT_LIMIT} sites"):
             coterie_availability(coterie, 0.9)
+
+
+probabilities = st.floats(0.0, 1.0) | st.sampled_from((0.5, 0.9))
+
+
+@st.composite
+def subset_cases(draw):
+    n = draw(st.integers(1, 6))
+    members = draw(st.sets(st.integers(0, n - 1)))
+    coterie = SubsetThresholdCoterie(n, members, draw(st.integers(0, len(members))))
+    uniform = draw(st.booleans())
+    probs = [draw(probabilities)] * n if uniform else draw(
+        st.lists(probabilities, min_size=n, max_size=n)
+    )
+    return coterie, probs
+
+
+class TestSubsetThresholdAvailability:
+    """The member-set closed form against the up-set enumeration it replaced.
+
+    Not ``==``: the binomial and Poisson-binomial tails sum in another
+    order than the enumeration, so the last bits differ.
+    """
+
+    @given(subset_cases())
+    def test_coterie_matches_enumeration(self, case):
+        coterie, probs = case
+        brute = _upset_probability(coterie.n_sites, probs, coterie.has_quorum)
+        assert coterie_availability(coterie, probs) == pytest.approx(brute, abs=1e-12)
+
+    @given(subset_cases(), st.data())
+    def test_shared_members_operation_matches_enumeration(self, case, data):
+        initial, probs = case
+        final = SubsetThresholdCoterie(
+            initial.n_sites,
+            initial.members,
+            data.draw(st.integers(0, len(initial.members))),
+        )
+        assignment = QuorumAssignment(
+            initial.n_sites, {"Op": OperationQuorums(initial=initial, final=final)}
+        )
+        brute = _upset_probability(
+            initial.n_sites,
+            probs,
+            lambda live: initial.has_quorum(live) and final.has_quorum(live),
+        )
+        assert operation_availability(assignment, "Op", probs) == pytest.approx(
+            brute, abs=1e-12
+        )

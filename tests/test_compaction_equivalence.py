@@ -10,11 +10,9 @@ the script, so aborted-entry garbage collection is exercised too.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dependency import known
 from repro.histories.events import Invocation
-from repro.replication.cluster import build_cluster
 from repro.replication.snapshot import compact
-from repro.types import Queue
+from tests.helpers import queue_system
 
 INVOCATIONS = (
     Invocation("Enq", ("a",)),
@@ -35,16 +33,8 @@ steps_strategy = st.lists(
 )
 
 
-def _fresh_cluster():
-    cluster = build_cluster(3, seed=0)
-    queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("obj", queue, "hybrid", relation=relation)
-    return cluster, obj
-
-
 def _run(steps, with_compaction: bool):
-    cluster, obj = _fresh_cluster()
+    cluster, obj = queue_system("hybrid")
     responses = []
     for inv_index, do_commit, site, compact_now in steps:
         txn = cluster.tm.begin(site)

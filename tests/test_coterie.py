@@ -5,12 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import QuorumError
+from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import (
     EmptyCoterie,
     ExplicitCoterie,
+    SubsetThresholdCoterie,
     ThresholdCoterie,
     majority,
 )
+from repro.replication.reconfig import same_assignment
 
 
 class TestExplicitCoterie:
@@ -111,3 +114,50 @@ def test_threshold_intersection_matches_enumeration(first, second, n):
     a, b = ThresholdCoterie(n, first), ThresholdCoterie(n, second)
     brute = all(q1 & q2 for q1 in a.quorums() for q2 in b.quorums())
     assert a.intersects(b) == brute
+
+
+@st.composite
+def subset_coteries(draw, n):
+    members = draw(st.sets(st.integers(0, n - 1)))
+    threshold = draw(st.integers(0, len(members)))
+    return SubsetThresholdCoterie(n, members, threshold)
+
+
+@st.composite
+def subset_coterie_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(subset_coteries(n)), draw(subset_coteries(n))
+
+
+@given(subset_coterie_pairs())
+def test_subset_intersection_matches_enumeration(pair):
+    # Overlapping unequal member sets included: the closed form must
+    # agree with the quorum-pair enumeration it replaced.
+    a, b = pair
+    brute = all(q1 & q2 for q1 in a.quorums() for q2 in b.quorums())
+    assert a.intersects(b) == brute
+    assert b.intersects(a) == brute
+
+
+def test_full_replication_is_the_all_sites_subset():
+    full = ThresholdCoterie(5, 3)
+    subset = SubsetThresholdCoterie(5, range(5), 3)
+    assert isinstance(full, SubsetThresholdCoterie)
+    assert full.members == subset.members
+    assert repr(full) == repr(subset) == "ThresholdCoterie(3 of 5)"
+    assert "SubsetThresholdCoterie" in repr(SubsetThresholdCoterie(5, (0, 2), 1))
+
+
+@given(st.integers(1, 6), st.data())
+def test_same_assignment_across_the_two_names(n, data):
+    k = data.draw(st.integers(0, n))
+
+    def assignment(coterie):
+        return QuorumAssignment(
+            n, {"Op": OperationQuorums(initial=coterie, final=coterie)}
+        )
+
+    full = assignment(ThresholdCoterie(n, k))
+    assert same_assignment(full, assignment(SubsetThresholdCoterie(n, range(n), k)))
+    if k < n:
+        assert not same_assignment(full, assignment(ThresholdCoterie(n, k + 1)))

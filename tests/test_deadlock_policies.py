@@ -4,17 +4,18 @@ import pytest
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.dependency import known
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
+from tests.helpers import cluster_of, hybrid_queue
 
 
 def _run(policy: str, seed: int = 3, transactions: int = 25, scheme: str = "dynamic"):
-    cluster = build_cluster(3, seed=seed)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("obj", queue, scheme, relation=relation)
+    cluster = cluster_of(3, ObjectSpec("obj", queue, scheme, relation=relation), seed=seed)
+    obj = cluster.tm.object("obj")
     mix = OperationMix.uniform("obj", queue.invocations())
     generator = WorkloadGenerator(
         cluster.sim,
@@ -46,15 +47,12 @@ class TestPolicies:
         assert checker.admits(obj.recorder.to_behavioral_history())
 
     def test_unknown_policy_rejected(self):
-        cluster = build_cluster(3)
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("obj", queue, "hybrid", relation=relation)
+        cluster = cluster_of(3, hybrid_queue("obj"))
         generator = WorkloadGenerator(
             cluster.sim,
             cluster.tm,
             cluster.frontends,
-            OperationMix.uniform("obj", queue.invocations()),
+            OperationMix.uniform("obj", Queue().invocations()),
             deadlock_policy="optimism",
         )
         with pytest.raises(ValueError):

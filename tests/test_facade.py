@@ -4,7 +4,7 @@ The facade is the documented surface — every name in ``__all__`` must
 resolve, every ``from repro import X`` an end-user can copy out of the
 docs must be importable, and the retired direct :class:`ReplicatedObject`
 entry point (a PEP 562 deprecation shim until PR 15) is gone: objects
-are registered through ``Cluster.add_object`` or a ``KeyspaceSpec``.
+are declared in a ``KeyspaceSpec``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class TestFacadeExports:
             "PlacementRule",
             "Router",
             "build_keyspace",
-            "build_cluster",
         }
         assert required <= set(repro.__all__)
 

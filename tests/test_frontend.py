@@ -150,8 +150,8 @@ class TestFailedFinalQuorum:
     def _read_one_write_all():
         """Enq reads one site and writes all; Deq reads all, writes one."""
         from repro.dependency import known
-        from repro.replication.cluster import build_cluster
         from repro.types import Queue
+        from tests.helpers import small_system
 
         n = 3
         assignment = QuorumAssignment(
@@ -165,10 +165,9 @@ class TestFailedFinalQuorum:
                 ),
             },
         )
-        cluster = build_cluster(n)
         relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
-        cluster.add_object(
-            "obj", Queue(), "hybrid", assignment=assignment, relation=relation
+        cluster, _obj = small_system(
+            Queue(), "hybrid", relation, n_sites=n, assignment=assignment
         )
         return cluster
 
@@ -304,6 +303,6 @@ class TestQuorumSemantics:
         assert cluster.network.messages_sent - before == 6
 
     def test_site_order_starts_locally(self):
-        cluster, _obj = queue_system("hybrid")
+        cluster, obj = queue_system("hybrid")
         fe = cluster.frontends[1]
-        assert fe._site_order()[0] == 1
+        assert fe._site_order(obj)[0] == 1

@@ -29,7 +29,8 @@ from repro.obs.soak import SoakConfig, run_soak
 from repro.obs.trace import Tracer
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import ThresholdCoterie
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.resilience.chaos import PROFILES, run_chaos_case
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.runner import MECHANISMS, _hybrid_relation
@@ -56,11 +57,10 @@ def _chaos(**inputs) -> dict:
 
 def _reconfig(*, seed: int, transactions: int) -> dict:
     """A hybrid queue reconfigured twice while transactions are in flight."""
-    cluster = build_cluster(5, seed=seed, drop_probability=0.0, tracer=Tracer())
     queue = Queue()
-    obj = cluster.add_object(
-        "queue", queue, "hybrid", relation=_hybrid_relation(queue)
-    )
+    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue, relation=_hybrid_relation(queue)),))
+    cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=Tracer())
+    obj = cluster.tm.object("queue")
     auditor = Auditor(cluster)
 
     def thresholds(initial: int, final: int) -> QuorumAssignment:

@@ -20,11 +20,12 @@ from repro.dependency import known
 from repro.histories.events import Invocation, ok, signal
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import EmptyCoterie, ThresholdCoterie
+from repro.replication.keyspace import ObjectSpec
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, Counter, Queue
-from tests.helpers import queue_system, small_system
+from tests.helpers import cluster_of, queue_system, small_system
 
 
 def _drive(cluster, obj, transactions, concurrency=3, ops=2, mix=None):
@@ -165,19 +166,18 @@ class TestFaultTolerance:
         assert unavailable > 0
 
 
+def _counters(relation):
+    """Replicated hybrid counters ``left`` and ``right`` on three sites."""
+    return cluster_of(
+        3, *(ObjectSpec(name, Counter(), "hybrid", relation=relation) for name in ("left", "right"))
+    )
+
+
 class TestMultiObjectTransactions:
     def test_transfer_between_replicated_counters(self):
         from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 
-        cluster, first = small_system(Counter(), "hybrid",
-                                      minimal_dynamic_dependency(Counter(), 3),
-                                      name="left")
-        second = cluster.add_object(
-            "right",
-            Counter(),
-            "hybrid",
-            relation=minimal_dynamic_dependency(Counter(), 3),
-        )
+        cluster = _counters(minimal_dynamic_dependency(Counter(), 3))
         fe = cluster.frontends[0]
         seed_txn = cluster.tm.begin(0)
         fe.execute(seed_txn, "left", Invocation("Inc"))
@@ -197,9 +197,7 @@ class TestMultiObjectTransactions:
         """A veto on one object aborts the transaction everywhere."""
         from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 
-        relation = minimal_dynamic_dependency(Counter(), 3)
-        cluster, _left = small_system(Counter(), "hybrid", relation, name="left")
-        cluster.add_object("right", Counter(), "hybrid", relation=relation)
+        cluster = _counters(minimal_dynamic_dependency(Counter(), 3))
         fe = cluster.frontends[0]
         txn = cluster.tm.begin(0)
         fe.execute(txn, "left", Invocation("Inc"))

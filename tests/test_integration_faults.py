@@ -9,18 +9,20 @@ import pytest
 
 from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
 from repro.dependency import known
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.sim.failures import CrashInjector, PartitionInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
+from tests.helpers import cluster_of
 
 
 def _run(scheme, *, seed, drop=0.0, crash=False, partition=False, transactions=25):
-    cluster = build_cluster(3, seed=seed, drop_probability=drop)
     queue = Queue()
     relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    obj = cluster.add_object("obj", queue, scheme, relation=relation)
+    spec = ObjectSpec("obj", queue, scheme, relation=relation)
+    cluster = cluster_of(3, spec, seed=seed, drop_probability=drop)
+    obj = cluster.tm.object("obj")
     if crash:
         CrashInjector(cluster.network, mean_uptime=60.0, mean_downtime=8.0).install()
     if partition:
@@ -74,14 +76,17 @@ class TestChurn:
 class TestStress:
     def test_many_objects_mixed_schemes(self):
         """Four objects under different schemes in one transaction space."""
-        cluster = build_cluster(3, seed=7)
         queue = Queue()
         relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        names = []
-        for index, scheme in enumerate(("hybrid", "static", "dynamic", "hybrid")):
-            name = f"q{index}"
-            cluster.add_object(name, Queue(), scheme, relation=relation)
-            names.append((name, scheme))
+        names = [
+            (f"q{index}", scheme)
+            for index, scheme in enumerate(("hybrid", "static", "dynamic", "hybrid"))
+        ]
+        cluster = cluster_of(
+            3,
+            *(ObjectSpec(name, Queue(), scheme, relation=relation) for name, scheme in names),
+            seed=7,
+        )
         mix = OperationMix.weighted(
             [
                 (name, inv, 1.0)

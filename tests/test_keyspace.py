@@ -6,10 +6,9 @@ The keyspace redesign (``docs/KEYSPACE.md``) is pinned from four sides:
   deterministic and validated, :class:`SubsetThresholdCoterie` keeps
   quorums inside the replica set while living in the global site-id
   universe;
-* **routing** — a :class:`Router` over full replication reproduces the
-  legacy front-end visit order byte-for-byte (the ``build_cluster``
-  compatibility guarantee), and over partial replication never leaves
-  the replica set;
+* **routing** — a :class:`Router` over full replication visits every
+  site starting at the front-end's own, and over partial replication
+  never leaves the replica set;
 * **the running system** — an eight-object keyspace on five sites runs
   a cross-object transactional workload under the auditor with zero
   violations and no site storing a shard it was never assigned, and
@@ -33,7 +32,7 @@ from repro.obs.mutations import MUTATIONS
 from repro.obs.trace import Tracer
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import SubsetThresholdCoterie, majority
-from repro.replication.cluster import build_cluster, build_keyspace
+from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import (
     KeyspaceSpec,
     ObjectSpec,
@@ -45,7 +44,8 @@ from repro.replication.keyspace import (
 )
 from repro.resilience.chaos import run_chaos_case, run_chaos_sweep
 from repro.sim.workload import WorkloadGenerator
-from repro.types import Register
+from repro.dependency import known
+from repro.types import Queue, Register
 
 pytestmark = pytest.mark.keyspace
 
@@ -115,17 +115,17 @@ class TestSubsetCoterie:
 
 
 class TestRouterCompat:
-    def test_full_replication_matches_legacy_rotation(self):
-        """build_cluster's router reproduces the pre-keyspace visit order."""
-        cluster = build_cluster(5, seed=0)
-        cluster.add_object("register", Register(), "static")
-        for frontend in cluster.frontends:
-            legacy = tuple(
-                (frontend.site + offset) % 5 for offset in range(5)
-            )
-            assert frontend._site_order() == legacy
-            obj = cluster.tm.object("register")
-            assert frontend._site_order(obj) == legacy
+    def test_full_replication_routes_from_own_site(self):
+        """``PlacementRule.all()`` (the default) routes through every
+        site, locality first, then round-robin."""
+        spec = KeyspaceSpec(4, (ObjectSpec("register", Register(), "static"),))
+        placement = spec.compile()
+        assert not placement.is_partial
+        assert placement.replicas("register") == (0, 1, 2, 3)
+        router = Router(placement)
+        for site in range(4):
+            rotation = tuple((site + offset) % 4 for offset in range(4))
+            assert router.route(site, "register") == rotation
 
     def test_partial_route_stays_in_replica_set(self):
         placement = Placement(6)
@@ -135,14 +135,6 @@ class TestRouterCompat:
         assert router.route(0, "x") == (1, 3, 5)  # non-member: rotation
         for site in range(6):
             assert set(router.route(site, "x")) == {1, 3, 5}
-
-    def test_build_cluster_shim_is_fully_replicated(self):
-        cluster = build_cluster(4, seed=0)
-        cluster.add_object("register", Register(), "static")
-        assert not cluster.placement.is_partial
-        assert cluster.placement.replicas("register") == (0, 1, 2, 3)
-        for repo in cluster.repositories:
-            assert repo.holds("register")
 
 
 class TestKeyspaceSpec:
@@ -175,6 +167,28 @@ class TestKeyspaceSpec:
         )
         with pytest.raises(SpecificationError):
             build_keyspace(spec)
+
+    @pytest.mark.parametrize("quorums", [(1, 1), (2, 1), (0, 0)])
+    def test_quorums_must_meet_the_declared_relation(self, quorums):
+        # Initial 1 + final 1 of 3 replicas can miss each other, and so
+        # can 2 + 1; a zero threshold meets nothing.
+        queue = Queue()
+        relation = known.ground(queue, known.QUEUE_STATIC, 5)
+        spec = ObjectSpec("q", queue, quorums=quorums, relation=relation)
+        with pytest.raises(SpecificationError, match=r"'q'.* ≥ "):
+            spec.compile_assignment((0, 1, 2), 3)
+
+    def test_quorums_meeting_the_relation_compile(self):
+        queue = Queue()
+        relation = known.ground(queue, known.QUEUE_STATIC, 5)
+        for quorums in ("majority", (1, 3), (3, 1), (2, 2)):
+            spec = ObjectSpec("q", queue, quorums=quorums, relation=relation)
+            spec.compile_assignment((0, 1, 2), 3)
+
+    def test_malformed_quorums_name_the_accepted_forms(self):
+        spec = ObjectSpec("q", Register(), "static", quorums="majorty")
+        with pytest.raises(SpecificationError, match="'majority' nor an"):
+            spec.compile_assignment((0, 1, 2), 3)
 
     def test_compiled_quorums_stay_inside_replicas(self):
         spec = demo_keyspace(8, 5, placement="ring")

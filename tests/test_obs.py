@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.dependency import known
 from repro.histories.events import Invocation
 from repro.obs import (
     Histogram,
@@ -30,11 +29,11 @@ from repro.obs import (
     to_chrome_trace,
     to_jsonl,
 )
-from repro.replication.cluster import build_cluster
 from repro.sim.failures import CrashInjector
 from repro.sim.kernel import Simulator
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
+from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.obs
 
@@ -42,13 +41,10 @@ pytestmark = pytest.mark.obs
 def traced_run(seed=3, sites=3, transactions=10, crashes=False):
     """Run the standard queue workload with tracing on."""
     tracer = Tracer()
-    cluster = build_cluster(sites, seed=seed, tracer=tracer)
-    queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
+    cluster = cluster_of(sites, hybrid_queue(), seed=seed, tracer=tracer)
     if crashes:
         CrashInjector(cluster.network, 50.0, 10.0).install()
-    mix = OperationMix.uniform("queue", queue.invocations())
+    mix = OperationMix.uniform("queue", Queue().invocations())
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
@@ -163,11 +159,8 @@ class TestNullTracer:
         assert NULL_SPAN.attrs == {}
 
     def test_default_cluster_is_untraced(self):
-        cluster = build_cluster(3, seed=0)
+        cluster = cluster_of(3, hybrid_queue(), seed=0)
         assert cluster.tracer is NULL_TRACER
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        cluster.add_object("queue", queue, "hybrid", relation=relation)
         txn = cluster.tm.begin(0)
         cluster.frontends[0].execute(txn, "queue", Invocation("Enq", ("x",)))
         cluster.tm.commit(txn)

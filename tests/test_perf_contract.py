@@ -61,6 +61,24 @@ def test_every_traced_entry_point_is_wrappable(module_name, owner_name, names):
         assert defined is None or inspect.isfunction(defined), f"{owner_name}.{name}"
 
 
+def test_no_function_is_wrapped_twice():
+    # ``install`` wraps each row's names where the owner defines them; two
+    # rows reaching one function (a class alias, say) would wrap it twice
+    # and count every call of it twice.
+    seen: dict[int, str] = {}
+    for _layer, module_name, owner_name, names in trace.ENTRY_POINTS:
+        if owner_name is None:
+            continue
+        owner = getattr(importlib.import_module(module_name), owner_name)
+        for name in names:
+            defined = owner.__dict__.get(name)
+            if defined is None:
+                continue
+            label = f"{owner_name}.{name}"
+            assert id(defined) not in seen, f"{label} is {seen[id(defined)]}"
+            seen[id(defined)] = label
+
+
 @pytest.mark.parametrize(
     "function,kwargs",
     [

@@ -8,11 +8,8 @@ import pytest
 
 from repro.errors import DegradedOperation, SimulationError, UnavailableError
 from repro.histories.events import Invocation
-from repro.dependency import known
-from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.coterie import ThresholdCoterie, majority
 from repro.replication.antientropy import AntiEntropy
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.resilience import (
     POLICIES,
     Deadline,
@@ -29,6 +26,7 @@ from repro.resilience.chaos import (
 from repro.sim.kernel import Simulator
 from repro.types.queue import Queue
 from repro.types.register import Register
+from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.resilience
 
@@ -39,29 +37,15 @@ WRITE = Invocation("Write", ("x",))
 
 
 def _queue_cluster(n_sites=3, seed=0, tracer=None):
-    cluster = build_cluster(n_sites, seed=seed, tracer=tracer)
-    queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
-    return cluster
+    return cluster_of(n_sites, hybrid_queue(), seed=seed, tracer=tracer)
 
 
 def _register_cluster(n_sites=5, seed=0):
     """Register with majority initials but 4-of-5 finals (see chaos.py)."""
-    cluster = build_cluster(n_sites, seed=seed)
-    register = Register()
-    quorums = OperationQuorums(
-        initial=majority(n_sites), final=ThresholdCoterie(n_sites, 4)
+    register = ObjectSpec(
+        "register", Register(), "static", quorums=(n_sites // 2 + 1, 4)
     )
-    cluster.add_object(
-        "register",
-        register,
-        "static",
-        assignment=QuorumAssignment(
-            n_sites, {op: quorums for op in register.operations()}
-        ),
-    )
-    return cluster
+    return cluster_of(n_sites, register, seed=seed)
 
 
 class TestRetryPolicy:
@@ -325,7 +309,7 @@ class TestPartitionHealDriver:
 
 class TestFailureListeners:
     def test_listener_contract(self):
-        cluster = build_cluster(3, seed=0)
+        cluster = cluster_of(3, seed=0)
         events = []
         cluster.network.add_failure_listener(
             lambda kind, **info: events.append((kind, info))
@@ -341,7 +325,7 @@ class TestFailureListeners:
         assert frozenset({0}) in former and frozenset({1, 2}) in former
 
     def test_remove_listener(self):
-        cluster = build_cluster(3, seed=0)
+        cluster = cluster_of(3, seed=0)
         events = []
         listener = lambda kind, **info: events.append(kind)  # noqa: E731
         cluster.network.add_failure_listener(listener)
@@ -354,13 +338,7 @@ class TestFailureListeners:
 
 class TestPartitionAwareAntiEntropy:
     def test_rounds_skip_unreachable_pairs_without_traffic(self):
-        cluster = build_cluster(2, seed=0)
-        cluster.add_object(
-            "queue",
-            Queue(),
-            "hybrid",
-            relation=known.ground(Queue(), known.QUEUE_STATIC, 5),
-        )
+        cluster = _queue_cluster(2)
         antientropy = AntiEntropy(
             cluster.network, cluster.repositories, interval=5.0
         )
@@ -374,13 +352,7 @@ class TestPartitionAwareAntiEntropy:
         assert cluster.network.messages_sent == 0
 
     def test_sync_resumes_after_heal(self):
-        cluster = build_cluster(2, seed=0)
-        cluster.add_object(
-            "queue",
-            Queue(),
-            "hybrid",
-            relation=known.ground(Queue(), known.QUEUE_STATIC, 5),
-        )
+        cluster = _queue_cluster(2)
         antientropy = AntiEntropy(
             cluster.network, cluster.repositories, interval=5.0
         )
@@ -423,7 +395,7 @@ class TestChaosSchedules:
             generate_schedule("meteor", 0, 5, 10)
 
     def test_applier_is_idempotent_against_cleanup(self):
-        cluster = build_cluster(3, seed=0)
+        cluster = cluster_of(3, seed=0)
         schedule = ChaosSchedule(
             {0: (("recover", 1), ("heal",), ("crash", 2))}
         )

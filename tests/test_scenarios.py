@@ -22,8 +22,8 @@ from functools import partial
 
 import pytest
 
-from repro.replication.cluster import build_cluster
 from repro.resilience.policy import _mix_key
+from tests.helpers import cluster_of, hybrid_queue
 from repro.scenarios import (
     MECHANISMS,
     SCENARIOS,
@@ -241,20 +241,15 @@ class TestCompilation:
 
 def _legacy_fingerprint(seed: int, transactions: int) -> dict:
     """The classic single-queue workload's fingerprint, built by hand."""
-    from repro.dependency import known
     from repro.sim.workload import OperationMix, WorkloadGenerator
-    from repro.types import Queue
 
-    cluster = build_cluster(3, seed=seed)
-    queue = Queue()
-    cluster.add_object(
-        "queue", queue, "hybrid", relation=known.ground(queue, known.QUEUE_STATIC, 5)
-    )
+    queue = hybrid_queue()
+    cluster = cluster_of(3, queue, seed=seed)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
         cluster.frontends,
-        OperationMix.uniform("queue", queue.invocations()),
+        OperationMix.uniform("queue", queue.datatype.invocations()),
         ops_per_transaction=3,
         concurrency=4,
     )
@@ -311,22 +306,14 @@ class TestByteIdentity:
 class TestOpenLoop:
     def test_arrival_schedule_shorter_than_run_is_rejected(self):
         from repro.sim.workload import OperationMix, WorkloadGenerator
-        from repro.dependency import known
-        from repro.types import Queue
 
-        cluster = build_cluster(3, seed=0)
-        queue = Queue()
-        cluster.add_object(
-            "queue",
-            queue,
-            "hybrid",
-            relation=known.ground(queue, known.QUEUE_STATIC, 5),
-        )
+        queue = hybrid_queue()
+        cluster = cluster_of(3, queue, seed=0)
         generator = WorkloadGenerator(
             cluster.sim,
             cluster.tm,
             cluster.frontends,
-            OperationMix.uniform("queue", queue.invocations()),
+            OperationMix.uniform("queue", queue.datatype.invocations()),
             arrivals=(0.5, 1.0),
         )
         with pytest.raises(ValueError, match="arrival schedule"):

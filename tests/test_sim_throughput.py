@@ -41,7 +41,7 @@ from repro.obs.trace import (
     Tracer,
 )
 from repro.quorum.coterie import ThresholdCoterie
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.replication.log import Log, LogEntry
 from repro.replication.snapshot import compact
 from repro.replication.viewcache import QuorumViewCache
@@ -54,7 +54,7 @@ from repro.sim.trials import run_trials, seed_range
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
 from repro.types import Queue
-from tests.helpers import from_scratch_front_ends
+from tests.helpers import cluster_of, from_scratch_front_ends
 
 pytestmark = pytest.mark.throughput
 
@@ -413,12 +413,12 @@ SCHEMES = ("hybrid", "dynamic", "static")
 
 
 def _queue_cluster(seed: int, n_sites: int = 3, tracer=None, scheme: str = "hybrid"):
-    cluster = build_cluster(n_sites, seed=seed, tracer=tracer)
     queue = Queue()
     relation = (
         known.ground(queue, known.QUEUE_STATIC, 5) if scheme == "hybrid" else None
     )
-    cluster.add_object("queue", queue, scheme, relation=relation)
+    spec = ObjectSpec("queue", queue, scheme, relation=relation)
+    cluster = cluster_of(n_sites, spec, seed=seed, tracer=tracer)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,

@@ -187,9 +187,9 @@ class TestStreamingFidelity:
         assert tuple(m.name for m in roster) == STREAMING_INVARIANTS
 
     def test_invalid_mode_rejected(self):
-        from repro.replication.cluster import build_cluster
+        from tests.helpers import cluster_of
 
-        cluster = build_cluster(3, tracer=Tracer())
+        cluster = cluster_of(3, tracer=Tracer())
         with pytest.raises(ValueError):
             Auditor(cluster, mode="shallow")
 

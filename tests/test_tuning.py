@@ -25,13 +25,9 @@ from repro.obs.audit import Auditor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.quorum import constraints
-from repro.quorum.coterie import (
-    EmptyCoterie,
-    SubsetThresholdCoterie,
-    ThresholdCoterie,
-)
+from repro.quorum.coterie import EmptyCoterie, SubsetThresholdCoterie
 from repro.quorum.search import ThresholdChoice
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.tuning import (
     MixObserver,
@@ -46,6 +42,7 @@ from repro.tuning import (
     score_candidates,
 )
 from repro.types import Queue
+from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.tuning
 
@@ -153,7 +150,8 @@ class TestCostModel:
     def test_embed_choice_shapes(self):
         choice = _choice(5, 1, 5, 5, 0)
         full = embed_choice(choice, tuple(range(5)), 5)
-        assert isinstance(full.initial("Enq"), ThresholdCoterie)
+        assert full.initial("Enq").members == frozenset(range(5))
+        assert repr(full.initial("Enq")) == "ThresholdCoterie(1 of 5)"
         assert isinstance(full.final("Deq", "Ok"), EmptyCoterie)
 
         sub_choice = _choice(3, 1, 3, 3, 1)
@@ -216,11 +214,7 @@ class TestCostModel:
 
 
 def _tuned_cluster(seed=0, tracer=None):
-    cluster = build_cluster(5, seed=seed, tracer=tracer)
-    queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster.add_object("queue", queue, "hybrid", relation=relation)
-    return cluster
+    return cluster_of(5, hybrid_queue(), seed=seed, tracer=tracer)
 
 
 ENQ_HEAVY = OperationMix.weighted(
@@ -323,8 +317,7 @@ class TestQuorumTuner:
         assert passive.tm.object("queue").epoch == 0
 
     def test_static_scheme_objects_are_not_tunable(self):
-        cluster = build_cluster(3, seed=0)
-        cluster.add_object("queue", Queue(), "static")
+        cluster = cluster_of(3, ObjectSpec("queue", Queue(), "static"), seed=0)
         tuner = cluster.enable_tuning(FAST_TUNING)
         assert tuner.tunable_objects() == ()
         assert tuner.maybe_tune() == 0

@@ -22,7 +22,8 @@ from repro.errors import SpecificationError
 from repro.histories.events import Invocation, event, ok, signal
 from repro.quorum.constraints import satisfies
 from repro.quorum.search import best_threshold_assignment
-from repro.replication.cluster import build_cluster
+from repro.replication.cluster import build_keyspace
+from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
 
@@ -104,14 +105,15 @@ class TestTutorialSteps:
         choice, _score = best_threshold_assignment(
             hybrid_relation, 5, ("Total", "Visit"), 0.9
         )
-        cluster = build_cluster(5, seed=1)
-        obj = cluster.add_object(
+        visits = ObjectSpec(
             "visits",
             counter,
             "hybrid",
             assignment=choice.to_assignment(),
             relation=hybrid_relation,
         )
+        cluster = build_keyspace(KeyspaceSpec(5, (visits,)), seed=1)
+        obj = cluster.tm.object("visits")
         for _ in range(3):
             txn = cluster.tm.begin(0)
             cluster.frontends[0].execute(txn, "visits", Invocation("Visit"))

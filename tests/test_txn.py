@@ -63,15 +63,9 @@ class TestLifecycle:
 
 class TestRegistry:
     def test_duplicate_object_rejected(self):
-        cluster, _obj = queue_system("hybrid")
-        from repro.types import Queue
-        from repro.dependency import known
-
+        cluster, obj = queue_system("hybrid")
         with pytest.raises(TransactionError):
-            cluster.add_object(
-                "obj", Queue(), "hybrid",
-                relation=known.ground(Queue(), known.QUEUE_STATIC, 5),
-            )
+            cluster.tm.register(obj)
 
     def test_unknown_object_rejected(self):
         tm = TransactionManager()

@@ -15,19 +15,19 @@ import pytest
 from repro.errors import ConflictError
 from repro.histories.events import Invocation
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-from repro.replication.cluster import build_cluster
+from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.deadlock import WaitsForGraph
 from repro.types import Queue
+from tests.helpers import cluster_of
 
 pytestmark = pytest.mark.obs
 
 
 def traced_cluster(objects=("a",), scheme="dynamic", sites=3, seed=0):
     tracer = Tracer()
-    cluster = build_cluster(sites, seed=seed, tracer=tracer)
-    for name in objects:
-        cluster.add_object(name, Queue(), scheme)
+    specs = (ObjectSpec(name, Queue(), scheme) for name in objects)
+    cluster = cluster_of(sites, *specs, seed=seed, tracer=tracer)
     return tracer, cluster
 
 
@@ -150,10 +150,10 @@ class TestDeadlockTracing:
 
 class TestNullTracerStaysFree:
     def test_abort_and_deadlock_paths_record_nothing(self):
-        cluster = build_cluster(3, seed=0)
+        cluster = cluster_of(
+            3, *(ObjectSpec(name, Queue(), "dynamic") for name in ("a", "b")), seed=0
+        )
         assert cluster.tracer is NULL_TRACER
-        for name in ("a", "b"):
-            cluster.add_object(name, Queue(), "dynamic")
         fe = cluster.frontends[0]
         t1 = cluster.tm.begin(0)
         t2 = cluster.tm.begin(1)
