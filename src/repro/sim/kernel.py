@@ -17,17 +17,22 @@ scheduled event takes one sequence number, so dispatch order — and
 therefore every seeded fingerprint — is a function of the scheduling
 calls alone (``tests/test_sim_throughput.py`` pins per-step traces).
 
+:meth:`Simulator.reach` runs a leg in place where an event scheduled for
+it would fire; both legs of every gather wave run this way, so a
+fault-free run dispatches no kernel events at all.
+
 Observability: an optional :class:`~repro.obs.profile.KernelProfiler`
-accounts wall time per dispatched callback and samples queue depth, and
-an optional :class:`~repro.obs.trace.Tracer` receives a ``sim.run``
-event per productive dispatch batch.  Both default to off and cost one
-``is None`` check per event when off.
+accounts wall time per dispatched callback and per in-place leg and
+samples queue depth, and an optional :class:`~repro.obs.trace.Tracer`
+receives a ``sim.run`` event per productive batch of due events.  Both
+default to off and cost one ``is None`` check per event when off.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from math import inf
 from sys import getrefcount
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
@@ -137,7 +142,7 @@ class Simulator:
         """Run ``callback`` at absolute ``time``, without a cancel handle.
 
         The steady-path scheduling primitive for fire-and-forget events
-        (message deliveries, probe arrivals): it pushes one heap tuple
+        (message deliveries, failure injections): it pushes one heap tuple
         and one dict slot and allocates no handle object.  Events
         scheduled this way cannot be cancelled.  Consumes one sequence
         number, exactly as :meth:`schedule` does.
@@ -192,14 +197,23 @@ class Simulator:
         """Dispatch events in time order; returns the number dispatched.
 
         Stops when the queue empties, the next event lies beyond
-        ``until``, or ``max_events`` have run.
+        ``until``, or ``max_events`` have run; only the first two move the
+        clock on to ``until`` (events still due must not fire late).
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        bound = None
+        if until is not None:
+            heap = self._heap
+            # Nothing due (a tombstone on top still goes to the loop).
+            if not heap or (heap[0][0] > until and heap[0][1] in self._callbacks):
+                self.now = max(self.now, until)
+                return 0
+            bound = (until, inf)
         self._running = True
         try:
-            dispatched = self._dispatch(until, max_events)
-            if until is not None:
+            dispatched = self._dispatch(bound, max_events)
+            if until is not None and (max_events is None or dispatched < max_events):
                 self.now = max(self.now, until)
         finally:
             self._running = False
@@ -207,7 +221,40 @@ class Simulator:
             self.tracer.event("sim.run", dispatched=dispatched)
         return dispatched
 
-    def _dispatch(self, until: float | None, max_events: int | None) -> int:
+    def reach(self, time: float, leg: Callable[..., None], *args) -> int:
+        """Run ``leg(*args)`` at ``time`` in place, as an event scheduled now.
+
+        :meth:`call_at` plus :meth:`run` up to that event, minus its heap
+        entry: claims its sequence number, dispatches every live event
+        keyed ahead of it, sets the clock and calls ``leg`` inside the
+        reentrancy guard (and the profiler, as a dispatched callback).
+        Returns the number of events dispatched on the way.
+        """
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
+        if time < self.now:
+            raise SimulationError(f"cannot reach {time}: simulated time is {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        self._running = True
+        try:
+            dispatched = self._dispatch((time, seq), None) if self._heap else 0
+            self.now = time
+            if dispatched and self.tracer.enabled:
+                self.tracer.event("sim.run", dispatched=dispatched)
+            profiler = self.profiler
+            if profiler is None:
+                leg(*args)
+            else:
+                wall_start = perf_counter()
+                leg(*args)
+                profiler.record(leg, perf_counter() - wall_start, len(self._heap), time)
+        finally:
+            self._running = False
+        return dispatched
+
+    def _dispatch(self, bound: tuple | None, max_events: int | None) -> int:
+        """Dispatch live events keyed before ``bound`` (all when ``None``)."""
         dispatched = 0
         heap = self._heap
         callbacks = self._callbacks
@@ -224,7 +271,7 @@ class Simulator:
                 heappop(heap)
                 self._tombstones -= 1
                 continue
-            if until is not None and time > until:
+            if bound is not None and heap[0] >= bound:
                 break
             heappop(heap)
             del callbacks[seq]

@@ -14,15 +14,15 @@ partition the functioning sites into groups that cannot reach each other
   has crashed, or simply that the recipient is slow"), charges simulated
   latency, and raises :class:`Timeout` on failure.
 * :meth:`Network.gather` — the batched RPC front-ends assemble quorums
-  with: it launches one probe per destination through the kernel at
-  the same instant, so their latencies overlap instead of
-  accumulating.  Probes are issued in *waves*: each wave is the
-  shortest prefix of the remaining destinations that could satisfy the
-  caller's ``stop`` predicate if every probe in it responded, so a
-  stable set of reachable sites is probed exactly as a one-at-a-time
-  walk would probe it (same attempted sites, same message counts)
-  while a failed probe widens the next wave.  Completion ordering is deterministic: replies are reported
-  sorted by (completion time, site id).
+  with: it launches one probe per destination at the same instant, so
+  their latencies overlap instead of accumulating.  Probes are issued
+  in *waves*: each wave is the shortest prefix of the remaining
+  destinations that could satisfy the caller's ``stop`` predicate if
+  every probe in it responded, so a stable set of reachable sites is
+  probed exactly as a one-at-a-time walk would probe it (same
+  attempted sites, same message counts) while a failed probe widens
+  the next wave.  Completion ordering is deterministic: replies are
+  reported sorted by (completion time, site id).
 * :meth:`Network.send` — an asynchronous message scheduled through the
   kernel, used by failure injectors and background anti-entropy.
 
@@ -322,17 +322,20 @@ class Network:
                     break
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
-            # One arrival and one delivery event carry the whole wave,
-            # traced or not; each serves the sites in launch order.
             attempted.extend(wave)
             self.messages_sent += len(wave)
-            sim.call_at(
-                arrive_at,
-                self._wave_arrive(src, tuple(wave), handler, reply_at, replies, failed),
-            )
-            # One pass dispatches both legs: request arrivals at
-            # ``arrive_at`` run first (after any failure events due in
-            # the window) and schedule their replies at ``reply_at``.
+            spans: dict[int, Any] = {}
+            if self.tracer.enabled:
+                for dst in wave:
+                    spans[dst] = self.tracer.start_span(
+                        "rpc", kind="rpc", site=dst, src=src, dst=dst, batched=True
+                    )
+            # Each leg runs in place, after the events due before it; the
+            # closing run fires what is left due at the reply instant.
+            values: list[tuple[int, Any]] = []
+            sim.reach(arrive_at, self._arrive, src, wave, handler, spans, values, failed)
+            if values:
+                sim.reach(reply_at, self._deliver, src, values, spans, replies, failed)
             sim.run(until=reply_at)
             responders.update(site for site in wave if site in replies)
         ordered = tuple(sorted(replies.values(), key=_REPLY_ORDER))
@@ -340,70 +343,50 @@ class Network:
             replies=ordered, attempted=tuple(attempted), failed=frozenset(failed)
         )
 
-    def _wave_arrive(
-        self,
-        src: int,
-        wave: tuple[int, ...],
-        handler: Callable[[int], Any],
-        reply_at: float,
-        replies: dict[int, ProbeReply],
-        failed: set[int],
-    ) -> Callable[[], None]:
-        """Launch a wave: open its ``rpc`` spans, build its arrival callback.
-
-        One event dispatch serves every site in launch order —
-        reachability checked at arrival time, loss drawn per leg in the
-        same RNG order, handler side effects surviving a lost reply —
-        then schedules one shared delivery event for the sites whose
-        request leg survived.  A probe's span closes where its round
-        trip ends: ``timeout`` at arrival when the request leg fails,
-        ``timeout`` or ``ok`` at ``reply_at`` otherwise; what the handler
-        emits is parented under it.
-        """
+    def _arrive(
+        self, src: int, wave: list[int], handler: Callable[[int], Any],
+        spans: dict[int, Any], values: list[tuple[int, Any]], failed: set[int],
+    ) -> None:
+        """A wave's request leg: a lost probe's span closes as ``timeout``;
+        a survivor runs ``handler`` under its span and queues the value."""
         tracer = self.tracer
-        spans: dict[int, Any] = {}
-        if tracer.enabled:
-            for dst in wave:
-                spans[dst] = tracer.start_span(
-                    "rpc", kind="rpc", site=dst, src=src, dst=dst, batched=True
-                )
-
-        def arrive() -> None:
-            values: list[tuple[int, Any]] = []
-            for dst in wave:
-                if not self._reachable(src, dst) or self._lost():
-                    self.messages_dropped += 1
-                    failed.add(dst)
-                    if spans:
-                        tracer.end_span(spans[dst], "timeout")
-                    continue
+        for dst in wave:
+            # With nothing crashed, cut or lossy, every probe gets through
+            # and ``_lost`` would draw nothing: skip both checks.
+            if (self._crashed or self._groups or self.drop_probability) and (
+                not self._reachable(src, dst) or self._lost()
+            ):
+                self.messages_dropped += 1
+                failed.add(dst)
                 if spans:
-                    with tracer.under(spans[dst]):
-                        values.append((dst, handler(dst)))
-                else:
+                    tracer.end_span(spans[dst], "timeout")
+                continue
+            if spans:
+                with tracer.under(spans[dst]):
                     values.append((dst, handler(dst)))
-                self.messages_sent += 1
-            if not values:
-                return
+            else:
+                values.append((dst, handler(dst)))
+            self.messages_sent += 1
 
-            def deliver() -> None:
-                now = self.sim.now
-                for dst, value in values:
-                    if not self._reachable(dst, src) or self._lost():
-                        self.messages_dropped += 1
-                        failed.add(dst)
-                        if spans:
-                            tracer.end_span(spans[dst], "timeout")
-                        continue
-                    replies[dst] = ProbeReply(
-                        site=dst, value=value, completed_at=now
-                    )
-                    if spans:
-                        tracer.end_span(spans[dst])
-
-            self.sim.call_at(reply_at, deliver)
-
-        return arrive
+    def _deliver(
+        self, src: int, values: list[tuple[int, Any]], spans: dict[int, Any],
+        replies: dict[int, ProbeReply], failed: set[int],
+    ) -> None:
+        """A wave's reply leg: each surviving reply lands or is lost."""
+        tracer = self.tracer
+        now = self.sim.now
+        for dst, value in values:
+            if (self._crashed or self._groups or self.drop_probability) and (
+                not self._reachable(dst, src) or self._lost()
+            ):
+                self.messages_dropped += 1
+                failed.add(dst)
+                if spans:
+                    tracer.end_span(spans[dst], "timeout")
+                continue
+            replies[dst] = ProbeReply(site=dst, value=value, completed_at=now)
+            if spans:
+                tracer.end_span(spans[dst])
 
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
         """Asynchronous one-way message through the event queue."""

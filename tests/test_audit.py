@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.histories.events import Invocation, ok
 from repro.obs.audit import (
     Auditor,
     AuditReport,
@@ -29,7 +30,7 @@ from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import ObjectSpec, demo_keyspace, demo_mix
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
-from repro.types import Queue
+from repro.types import Queue, Register
 from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.obs
@@ -384,3 +385,44 @@ class TestRouting:
                          "initial quorum [0, 1] of Deq" + tail),
         ]
         assert report.suppressed == {} and report.spans_seen == 22
+
+
+class TestGlobalAtomicityWitness:
+    """A cross-object run no serial order explains, which every
+    per-object monitor passes (ROADMAP item 3).
+
+    A hybrid queue serializes in commit order, a static register in
+    begin order.  B begins after A, writes the register, enqueues 1 and
+    commits; then A reads the register's initial ``'0'`` and dequeues
+    B's 1.  A;B would dequeue from an empty queue and B;A would read
+    ``'b'``, yet each object alone is atomic.  Strict: this flips to a
+    pass the day a global monitor flags the run.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="monitors check one object at a time; no global-atomicity monitor yet",
+    )
+    def test_deep_auditor_flags_the_cross_object_cycle(self):
+        cluster = cluster_of(
+            5,
+            hybrid_queue("queue"),
+            ObjectSpec("register", Register(("a", "b")), "static"),
+            seed=0,
+            tracer=Tracer(),
+        )
+        auditor = Auditor(cluster, mode="deep")
+        frontend, tm = cluster.frontends[0], cluster.tm
+        a, b = tm.begin(0), tm.begin(0)
+        frontend.execute(b, "register", Invocation("Write", ("b",)))
+        frontend.execute(b, "queue", Invocation("Enq", (1,)))
+        tm.commit(b)
+        read = frontend.execute(a, "register", Invocation("Read"))
+        dequeued = frontend.execute(a, "queue", Invocation("Deq"))
+        tm.commit(a)
+        report = auditor.finish()
+        # The schedule ran as written: both committed, A saw '0' and 1.
+        assert (read, dequeued) == (ok("0"), ok(1))
+        assert report.monitors == INVARIANTS and report.transactions == 2
+        assert not report.ok, "no serial order explains A and B"

@@ -90,6 +90,15 @@ class TestBench:
         assert "kernel profile" in out
         assert "queue depth" in out
 
+    def test_fault_free_profile_lists_the_wave_legs(self, capsys):
+        # A fault-free run dispatches no kernel events: its waves' legs
+        # run in place, and the profile still accounts for them.
+        code, out = run_cli(["bench", *WORKLOAD, "--profile"], capsys)
+        assert code == 0
+        assert "no events dispatched" not in out
+        assert "network.Network._arrive" in out
+        assert "network.Network._deliver" in out
+
 
 class TestAudit:
     def test_clean_run_exits_zero(self, capsys):

@@ -94,3 +94,63 @@ class TestControl:
     def test_time_cannot_move_backwards(self):
         with pytest.raises(SimulationError):
             Simulator().advance(-1.0)
+
+    def test_max_events_does_not_warp_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(1.0, lambda: fired.append(sim.now))
+        sim.call_at(2.0, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0, max_events=1) == 1
+        # The 2.0 event is still due: the clock must not jump past it.
+        assert sim.now == 1.0 and sim.pending == 1
+        sim.call_at(5.0, lambda: fired.append(sim.now))
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 5.0]
+        assert sim.now == 10.0
+
+
+class TestReach:
+    """``reach`` runs a leg in place, in the turn a ``call_at`` would take."""
+
+    def test_leg_runs_after_what_is_due_before_it(self):
+        sim = Simulator()
+        order = []
+        sim.call_at(0.5, lambda: order.append(("early", sim.now)))
+        sim.call_at(1.0, lambda: order.append(("tie", sim.now)))
+        sim.call_at(3.0, lambda: order.append(("late", sim.now)))
+        assert sim.reach(1.0, lambda tag: order.append((tag, sim.now)), "leg") == 2
+        assert order == [("early", 0.5), ("tie", 1.0), ("leg", 1.0)]
+        assert sim.now == 1.0 and sim.pending == 1
+
+    def test_events_scheduled_in_the_window_keep_their_turn(self):
+        sim = Simulator()
+        order = []
+        # Scheduled during the window, at the leg's own instant: it takes
+        # a later sequence number than the leg, so it fires after it.
+        sim.call_at(0.5, lambda: sim.call_at(1.0, lambda: order.append("chained")))
+        sim.reach(1.0, order.append, "leg")
+        assert order == ["leg"]
+        sim.run(until=1.0)
+        assert order == ["leg", "chained"]
+
+    def test_leg_runs_inside_the_reentrancy_guard(self):
+        sim = Simulator()
+        seen = []
+
+        def leg():
+            seen.append(sim.dispatching)
+            with pytest.raises(SimulationError):
+                sim.run()
+            assert sim.drain() == 0
+
+        sim.reach(2.0, leg)
+        assert seen == [True] and not sim.dispatching
+
+    def test_reach_refuses_the_past_and_reentry(self):
+        sim = Simulator()
+        sim.advance(3.0)
+        with pytest.raises(SimulationError):
+            sim.reach(2.0, lambda: None)
+        sim.call_at(4.0, lambda: sim.reach(5.0, lambda: None))
+        with pytest.raises(SimulationError):
+            sim.run()

@@ -620,7 +620,9 @@ class TestPinnedRuns:
 def _chaos_run(mechanism: str, tracer, seed: int = 0, transactions: int = 40):
     """``write-heavy`` under the ``mixed`` fault profile, batched, settled.
 
-    Returns the cluster and how many events its kernel dispatched.
+    Returns the cluster, its object names and ``(events, legs)``: how
+    many events its kernel dispatched — through ``run`` and on the way
+    to an in-place wave leg — and how many legs ran in place (``reach``).
     """
     cluster, generator, names = runner.build_scenario(
         "write-heavy", seed=seed, mechanism=mechanism, transactions=transactions,
@@ -632,23 +634,27 @@ def _chaos_run(mechanism: str, tracer, seed: int = 0, transactions: int = 40):
         generate_schedule("mixed", seed, cluster.network.n_sites, transactions)
     )
     generator.on_transaction_start = schedule.hook(cluster.network)
-    dispatched = []
-    run = cluster.sim.run
-    cluster.sim.run = lambda *a, **kw: dispatched.append(run(*a, **kw)) or dispatched[-1]
+    dispatched, legs = [], []
+    sim = cluster.sim
+    run, reach = sim.run, sim.reach
+    sim.run = lambda *a, **kw: dispatched.append(run(*a, **kw)) or dispatched[-1]
+    sim.reach = lambda *a: legs.append(reach(*a)) or legs[-1]
     generator.run(transactions)
     assert settle(cluster, names)
     if auditor is not None:
         assert auditor.finish().ok
-    return cluster, names, sum(dispatched)
+    return cluster, names, (sum(dispatched) + sum(legs), len(legs))
 
 
 #: sha256 of ``to_jsonl(tracer.spans)`` of ``_chaos_run(mechanism, Tracer())``
-#: with every ``sim.run``'s ``dispatched`` masked to 0, taken at the commit
-#: before traced waves stopped scheduling one kernel event per probe.
+#: with every ``sim.run``'s ``dispatched`` masked to 0.  Taken when wave
+#: legs began to run in place: the export is the one before but for the
+#: per-wave ``sim.run`` events, which are gone (this run's faults apply at
+#: transaction start, so its waves were all its kernel ever dispatched).
 _CHAOS_EXPORT_SHA256 = {
-    "hybrid": "1c324c5f96191c94c690fe4f474aedff44e836c9ff99b989da84c230844cc7a1",
-    "blocking": "bb66e730011d6040dc12ffbe8bc18531fa9e4686e239e75dddb72d3850ab7221",
-    "multiversion": "b81273965a4bf3a49ae35b7f6c2f7b0e1d7e965cf65593faed543da2780b80fa",
+    "hybrid": "743f59b5a8dcf305055899b9b41bca407aef45e9efa41dab69499cb93a78452b",
+    "blocking": "a7ba3f3216ba3e03a1461b2c224ee02a328afab3551fab05bb126523aa7de0af",
+    "multiversion": "861e4b99a98b332f1795291670e41ef287100968f1d73497827459170bd83314",
 }
 
 
@@ -656,9 +662,10 @@ class TestTracedRunIsTheUntracedRunPlusObservation:
     @pytest.mark.parametrize("mechanism", sorted(_CHAOS_EXPORT_SHA256))
     def test_tracing_moves_nothing_the_run_computes(self, mechanism):
         tracer = Tracer()
-        traced, names, traced_events = _chaos_run(mechanism, tracer)
-        plain, _names, plain_events = _chaos_run(mechanism, None)
-        assert traced_events == plain_events > 0
+        traced, names, (traced_events, traced_legs) = _chaos_run(mechanism, tracer)
+        plain, _names, (plain_events, plain_legs) = _chaos_run(mechanism, None)
+        assert traced_events == plain_events
+        assert traced_legs == plain_legs > 0
         for value in ("messages_sent", "messages_dropped"):
             assert getattr(traced.network, value) == getattr(plain.network, value)
         assert traced.network.messages_dropped > 0  # the faults did bite
