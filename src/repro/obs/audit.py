@@ -1,7 +1,6 @@
 """The online correctness auditor: live histories, invariants, forensics.
 
-PR 1 gave the replication stack *latency* observability; this module
-watches *correctness*.  An :class:`Auditor` attaches to a cluster's
+This module watches *correctness*.  An :class:`Auditor` attaches to a cluster's
 :class:`~repro.obs.trace.Tracer` as a live listener and, as spans close,
 reconstructs each replicated object's behavioral history from the event
 stream — the same :class:`~repro.replication.object.HistoryRecorder`
@@ -78,6 +77,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.histories.serialization import serialize
@@ -208,6 +208,10 @@ class InvariantMonitor:
     #: every name.  The auditor enters the hook for no other name.
     point_events: frozenset[str] | None = None
 
+    #: Whether :meth:`on_quorum` reads quorum spans.  Both declarations
+    #: may be narrowed at :meth:`bind`, from the configuration pinned there.
+    reads_quorums: bool = True
+
     def __init__(self) -> None:
         self.auditor: "Auditor | None" = None
 
@@ -278,7 +282,8 @@ class QuorumIntersectionMonitor(InvariantMonitor):
       the declared coterie for that operation/event class;
     * every observed initial quorum must intersect every observed final
       quorum of a class the dependency relation (or the declared
-      assignment itself) requires it to intersect.
+      assignment itself) requires it to intersect — re-checked only for
+      a member set new to its bucket or marked (:meth:`_remember`).
 
     With ``window=W`` the monitor becomes a streaming fold: each
     per-class store keeps only the W most recently seen *distinct*
@@ -300,26 +305,36 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         self._declared: dict[str, tuple[Any, frozenset[tuple[str, str, str]]]] = {}
         #: object -> (inv op, event op, kind) -> must their quorums intersect?
         self._must_intersect: dict[str, dict[tuple[str, str, str], bool]] = {}
-        #: object -> op -> distinct observed initial quorums (LRU order)
-        self._initials: dict[str, dict[str, OrderedDict[frozenset[int], None]]] = {}
-        #: object -> (op, kind) -> distinct observed final quorums (LRU order)
+        #: object -> op -> distinct observed initial quorums (LRU order),
+        #: each marked once it has met a disjoint required partner
+        self._initials: dict[str, dict[str, OrderedDict[frozenset[int], bool]]] = {}
+        #: object -> (op, kind) -> the same for final quorums
         self._finals: dict[
-            str, dict[tuple[str, str], OrderedDict[frozenset[int], None]]
+            str, dict[tuple[str, str], OrderedDict[frozenset[int], bool]]
         ] = {}
 
     def _remember(
         self,
-        store: dict[Any, OrderedDict[frozenset[int], None]],
+        store: dict[Any, OrderedDict[frozenset[int], bool]],
         key: Any,
         members: frozenset[int],
-    ) -> None:
+    ) -> OrderedDict[frozenset[int], bool] | None:
+        """Note ``members`` in its bucket; the bucket if its pairs need a check.
+
+        A set already in its bucket was checked against every set now in
+        the opposite buckets, by whichever of the two arrived later; only
+        its mark (its cell's value: counted, evicted and cleared with it)
+        makes a repeated violation count again.
+        """
         bucket = store.setdefault(key, OrderedDict())
-        if members in bucket:
+        marked = bucket.get(members)
+        if marked is not None:
             bucket.move_to_end(members)
-            return
-        bucket[members] = None
+            return bucket if marked else None
+        bucket[members] = False
         if self.window is not None and len(bucket) > self.window:
             bucket.popitem(last=False)
+        return bucket
 
     def on_clear(self) -> None:
         for store in (self._initials, self._finals):
@@ -368,85 +383,78 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         # assignment *without* this event.
         self._capture(obj_name, obj)
 
-    def _required(self, obj_name: str, inv_op: str, ev_op: str, kind: str) -> bool:
-        cache, cache_key = self._must_intersect[obj_name], (inv_op, ev_op, kind)
-        cached = cache.get(cache_key)
+    def _required(self, obj_name: str, pair: tuple[str, str, str]) -> bool:
+        """Must ``(inv op, event op, kind)``'s quorums intersect?"""
+        cache = self._must_intersect[obj_name]
+        cached = cache.get(pair)
         if cached is not None:
             return cached
         assignment, relation_keys = self._declared[obj_name]
-        if (inv_op, ev_op, kind) in relation_keys:
+        if pair in relation_keys:
             required = True
         else:
             # No relation available (static/dynamic schemes): the
             # declared assignment is the contract — pairs it makes
             # intersect must stay intersecting at runtime.
+            inv_op, ev_op, kind = pair
             try:
                 required = assignment.initial(inv_op).intersects(
                     assignment.final(ev_op, kind)
                 )
             except Exception:
                 required = False
-        cache[cache_key] = required
+        cache[pair] = required
         return required
 
     def on_quorum(self, span: Span) -> None:
-        if span.outcome != "ok" or "quorum" not in span.attrs:
+        attrs = span.attrs
+        if span.outcome != "ok" or "quorum" not in attrs:
             return
-        obj_name = span.attrs.get("object")
-        if obj_name not in self._declared:
+        obj_name = attrs.get("object")
+        declared = self._declared.get(obj_name)
+        if declared is None:
             return
-        op = span.attrs.get("op", "?")
-        members = frozenset(span.attrs["quorum"])
-        assignment, _keys = self._declared[obj_name]
-        if span.attrs.get("phase") == "initial":
-            coterie = assignment.initial(op)
-            if not coterie.has_quorum(members):
-                self.report(
-                    f"initial quorum {sorted(members)} for {op} is not a "
-                    f"quorum of the declared coterie {coterie!r}",
-                    span=span,
-                    object_name=obj_name,
-                )
-            self._remember(self._initials[obj_name], op, members)
-            for (ev_op, kind), finals in self._finals[obj_name].items():
-                if not self._required(obj_name, op, ev_op, kind):
-                    continue
-                for final_members in finals:
-                    if not (members & final_members):
-                        self.report(
-                            f"initial quorum {sorted(members)} for {op} is "
-                            f"disjoint from final quorum "
-                            f"{sorted(final_members)} of {ev_op};{kind} — "
-                            "the intersection relation no longer contains "
-                            "the dependency relation",
-                            span=span,
-                            object_name=obj_name,
-                        )
+        op = attrs.get("op", "?")
+        members = frozenset(attrs["quorum"])
+        if attrs.get("phase") == "initial":
+            phase, other, key = "initial", "final", op
+            coterie = declared[0].initial(op)
+            store, partners = self._initials[obj_name], self._finals[obj_name]
         else:
-            kind = span.attrs.get("res_kind", "Ok")
-            coterie = assignment.final(op, kind)
-            if not coterie.has_quorum(members):
-                self.report(
-                    f"final quorum {sorted(members)} for {op};{kind} is not "
-                    f"a quorum of the declared coterie {coterie!r}",
-                    span=span,
-                    object_name=obj_name,
-                )
-            self._remember(self._finals[obj_name], (op, kind), members)
-            for inv_op, initials in self._initials[obj_name].items():
-                if not self._required(obj_name, inv_op, op, kind):
-                    continue
-                for initial_members in initials:
-                    if not (initial_members & members):
-                        self.report(
-                            f"final quorum {sorted(members)} for {op};{kind} "
-                            f"is disjoint from initial quorum "
-                            f"{sorted(initial_members)} of {inv_op} — "
-                            "the intersection relation no longer contains "
-                            "the dependency relation",
-                            span=span,
-                            object_name=obj_name,
-                        )
+            kind = attrs.get("res_kind", "Ok")
+            phase, other, key = "final", "initial", (op, kind)
+            coterie = declared[0].final(op, kind)
+            store, partners = self._finals[obj_name], self._initials[obj_name]
+        if not coterie.has_quorum(members):
+            self.report(
+                f"{phase} quorum {sorted(members)} for {_label(key)} is not a "
+                f"quorum of the declared coterie {coterie!r}",
+                span=span,
+                object_name=obj_name,
+            )
+        bucket = self._remember(store, key, members)
+        if bucket is None:
+            return
+        for partner_key, partner_bucket in partners.items():
+            pair = (op, *partner_key) if phase == "initial" else (partner_key, *key)
+            if not self._required(obj_name, pair):
+                continue
+            for partner in partner_bucket:
+                if not (members & partner):
+                    bucket[members] = partner_bucket[partner] = True
+                    self.report(
+                        f"{phase} quorum {sorted(members)} for {_label(key)} is "
+                        f"disjoint from {other} quorum {sorted(partner)} of "
+                        f"{_label(partner_key)} — the intersection relation no "
+                        "longer contains the dependency relation",
+                        span=span,
+                        object_name=obj_name,
+                    )
+
+
+def _label(key: str | tuple[str, str]) -> str:
+    """A bucket key as reports name it: ``Deq`` (initial), ``Enq;Ok`` (final)."""
+    return key if isinstance(key, str) else "%s;%s" % key
 
 
 class ReconfigEpochMonitor(InvariantMonitor):
@@ -636,6 +644,9 @@ class TimestampOrderMonitor(InvariantMonitor):
             self._last_commit = (txn.commit_ts, txn.id)
 
 
+_BY_TS = attrgetter("ts.counter", "ts.site")  # Timestamp order, compared in C
+
+
 class LogConsistencyMonitor(InvariantMonitor):
     """Replica logs never conflict: one entry per Lamport timestamp.
 
@@ -662,7 +673,8 @@ class LogConsistencyMonitor(InvariantMonitor):
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
         self.window = window
-        self._canonical: dict[str, OrderedDict[Any, tuple[Any, Any]]] = {}
+        #: object -> timestamp -> the entry first seen there
+        self._canonical: dict[str, OrderedDict[Any, Any]] = {}
         #: (site, object) -> the exact Log scanned last.  Logs grow by
         #: set-merge, so a previously verified entry can never *become*
         #: conflicting — a conflicting entry is by construction one we
@@ -713,14 +725,14 @@ class LogConsistencyMonitor(InvariantMonitor):
         if not fresh:
             return
         canonical = self._canonical.setdefault(obj_name, OrderedDict())
-        for entry in sorted(fresh, key=lambda e: e.ts):
-            identity = (entry.action, entry.event)
-            seen = canonical.setdefault(entry.ts, identity)
-            if seen != identity:
+        for entry in sorted(fresh, key=_BY_TS) if len(fresh) > 1 else fresh:
+            seen = canonical.setdefault(entry.ts, entry)
+            # Replicas share entry objects, so identity settles most.
+            if seen is not entry and seen != entry:
                 self.report(
                     f"replica logs diverge at timestamp {entry.ts}: site "
                     f"{site} holds {entry.event} for {entry.action}, another "
-                    f"replica holds {seen[1]} for {seen[0]}",
+                    f"replica holds {seen.event} for {seen.action}",
                     span=span,
                     object_name=obj_name,
                 )
@@ -747,10 +759,7 @@ class HistoryConsistencyMonitor(InvariantMonitor):
     """
 
     name = "history-capture"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cleared = False
+    _cleared = False
 
     def on_clear(self) -> None:
         self._cleared = True
@@ -790,10 +799,7 @@ class SerializabilityMonitor(InvariantMonitor):
     """
 
     name = "one-copy-serializability"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cleared = False
+    _cleared = False
 
     def on_clear(self) -> None:
         self._cleared = True
@@ -843,11 +849,12 @@ class PartialReplicationMonitor(InvariantMonitor):
       form).
 
     Like the other monitors it checks the configuration captured at
-    attach time.
+    attach time.  Under full placement it reads nothing: a ``repo.*``
+    event fires at a repository and every quorum member is one, so
+    every site it could name is a holder.
     """
 
     name = "genuine-partial-replication"
-    point_events = frozenset({"repo.read", "repo.write"})
 
     def __init__(self) -> None:
         super().__init__()
@@ -860,6 +867,9 @@ class PartialReplicationMonitor(InvariantMonitor):
             name: frozenset(placement.replicas(name))
             for name in placement.object_names()
         }
+        partial = placement.is_partial
+        self.point_events = frozenset(("repo.read", "repo.write") if partial else ())
+        self.reads_quorums = partial
 
     def on_point_event(self, span: Span) -> None:
         if span.site is None:
@@ -1150,12 +1160,9 @@ class Auditor(TraceListener):
         self._report: AuditReport | None = None
         for monitor in self._monitors:
             monitor.bind(self)
-        # Per-hook dispatch lists: the listener fires for every span in
-        # the run, and most monitors implement only one or two hooks —
-        # calling the base-class no-ops for the rest was a measurable
-        # slice of the audited-vs-traced overhead.  Override detection
-        # resolves through the MRO, so subclassed monitors still land
-        # on every hook they (or a parent) actually implement.
+        # Per-hook dispatch lists: a monitor is entered only for the hooks
+        # it (or a parent, through the MRO) implements and, for quorums and
+        # point events, only for what it declared at bind that it reads.
         def _overriding(hook: str) -> tuple:
             return tuple(
                 monitor
@@ -1166,7 +1173,9 @@ class Auditor(TraceListener):
 
         self._operation_monitors = _overriding("on_operation")
         self._transaction_monitors = _overriding("on_transaction_end")
-        self._quorum_monitors = _overriding("on_quorum")
+        self._quorum_monitors = tuple(
+            m for m in _overriding("on_quorum") if m.reads_quorums
+        )
         self._point_event_hooks, self._point_event_hooks_rest = routing_table(
             (monitor.point_events, monitor.on_point_event)
             for monitor in _overriding("on_point_event")
@@ -1256,14 +1265,7 @@ class Auditor(TraceListener):
 
     def on_span_end(self, span: Span) -> None:
         kind = span.kind
-        if kind == "operation":
-            self._operation_closed(span)
-        elif kind == "transaction":
-            self._transaction_closed(span)
-        elif kind == "quorum":
-            for monitor in self._quorum_monitors:
-                monitor.on_quorum(span)
-        elif kind == "event":
+        if kind == "event":  # the commonest close, so tested first
             if span.name == "audit.violation":
                 return
             self._recent.append(span)
@@ -1271,6 +1273,13 @@ class Auditor(TraceListener):
                 span.name, self._point_event_hooks_rest
             ):
                 hook(span)
+        elif kind == "quorum":
+            for monitor in self._quorum_monitors:
+                monitor.on_quorum(span)
+        elif kind == "operation":
+            self._operation_closed(span)
+        elif kind == "transaction":
+            self._transaction_closed(span)
 
     def on_clear(self) -> None:
         """The tracer was cleared: reset per-epoch auditor state.

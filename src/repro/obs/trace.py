@@ -95,12 +95,6 @@ def process_peak_retained() -> int:
     return _PROCESS_PEAK_RETAINED
 
 
-def reset_process_peak() -> None:
-    """Forget the process-wide high-water mark (test isolation)."""
-    global _PROCESS_PEAK_RETAINED
-    _PROCESS_PEAK_RETAINED = 0
-
-
 @dataclass(slots=True)
 class Span:
     """One timed node in the trace tree."""
@@ -169,14 +163,16 @@ class _CountingClock:
         return self.now
 
 
-class _ParentContext:
-    """Context manager making an open span the implicit parent.
+class _OpenSpans(dict):
+    """``retention="consume"``'s open spans by id, appended like a list."""
 
-    It does not close the span on exit: the batched RPC path opens
-    per-probe spans manually (they outlive the enclosing Python frame)
-    but still wants repository events emitted while a probe's handler
-    runs to parent under that probe.
-    """
+    def append(self, span: Span) -> None:
+        self[span.span_id] = span
+
+
+class _SpanContext:
+    """Makes an open span the implicit parent for a ``with`` body, and
+    closes it on exit with the outcome the block had."""
 
     __slots__ = ("_tracer", "_span")
 
@@ -191,17 +187,6 @@ class _ParentContext:
     def __exit__(self, exc_type, exc, _tb) -> bool:
         # The guard covers Tracer.clear() inside the block: the stack is
         # already empty then, and the span was dropped with the epoch.
-        if self._tracer._stack:
-            self._tracer._stack.pop()
-        return False
-
-
-class _SpanContext(_ParentContext):
-    """The same, closing the span on exit with the outcome the block had."""
-
-    __slots__ = ()
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
         if self._tracer._stack:
             self._tracer._stack.pop()
         outcome = "ok"
@@ -298,9 +283,9 @@ class Tracer:
         if retention == "ring":
             self._spans: Any = deque(maxlen=self.window)
         elif retention == "consume":
-            # Insertion-ordered map of *open* spans; closed spans are
-            # released the moment listeners have consumed them.
-            self._spans = {}
+            # Closed spans are released the moment listeners have
+            # consumed them.
+            self._spans = _OpenSpans()
             self._release = self._spans.pop
         else:
             self._spans = []
@@ -344,6 +329,7 @@ class Tracer:
             (getattr(listener, "span_kinds", None), listener.on_span_end)
             for listener in self._listeners
         )
+        self._event_hooks = self._end_hooks.get("event", self._end_hooks_rest)
 
     @property
     def now(self) -> float:
@@ -365,17 +351,17 @@ class Tracer:
         ``parent=None`` parents under the innermost context-managed span,
         if any; pass an explicit parent to cross call boundaries.
         """
-        if parent is None and self._stack:
-            parent = self._stack[-1]
-        parent_id = parent.span_id if parent is not None else None
+        if parent is None:
+            stack = self._stack
+            parent_id = stack[-1].span_id if stack else None
+        else:
+            parent_id = parent.span_id
         now = self._clock.now
         span = Span(self._next_id, parent_id, name, kind, now, None, site, "ok", attrs)
         self._next_id += 1
-        if self._release is None:
-            self._spans.append(span)
-        else:
-            self._spans[span.span_id] = span
-        count = len(self._spans)
+        spans = self._spans
+        spans.append(span)
+        count = len(spans)
         if count > self.peak_retained:
             self.peak_retained = count
             global _PROCESS_PEAK_RETAINED
@@ -409,19 +395,23 @@ class Tracer:
             self, self.start_span(name, kind=kind, parent=parent, site=site, **attrs)
         )
 
-    def under(self, span: Span) -> _ParentContext:
-        """Make ``span`` the implicit parent for the ``with`` body.
-
-        The span is left open on exit; close it with :meth:`end_span`.
-        """
-        return _ParentContext(self, span)
+    def under(self, span: Span, fn: Callable[[Any], Any], arg: Any) -> Any:
+        """``fn(arg)`` with ``span``, left open, as the implicit parent:
+        a batched probe's handler events parent under its manual span."""
+        stack = self._stack
+        stack.append(span)
+        try:
+            return fn(arg)
+        finally:
+            if stack:  # empty when fn cleared the tracer
+                stack.pop()
 
     def event(self, name: str, *, site: int | None = None, **attrs: Any) -> Span:
         """A point-in-time marker (crash, recovery, async delivery, ...)."""
         span = self.start_span(name, kind="event", site=site, **attrs)
         span.end = span.start
         self.closed += 1
-        for hook in self._end_hooks.get("event", self._end_hooks_rest):
+        for hook in self._event_hooks:
             hook(span)
         if self._release is not None:
             self._release(span.span_id, None)
@@ -532,8 +522,8 @@ class NullTracer(Tracer):
     def span(self, name: str, **_kw: Any) -> _NullSpanContext:
         return NULL_SPAN_CONTEXT
 
-    def under(self, span: Span) -> _NullSpanContext:  # type: ignore[override]
-        return NULL_SPAN_CONTEXT
+    def under(self, span: Span, fn: Callable[[Any], Any], arg: Any) -> Any:
+        return fn(arg)
 
     def event(self, name: str, **_kw: Any) -> Span:
         return NULL_SPAN

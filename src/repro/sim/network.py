@@ -362,8 +362,7 @@ class Network:
                     tracer.end_span(spans[dst], "timeout")
                 continue
             if spans:
-                with tracer.under(spans[dst]):
-                    values.append((dst, handler(dst)))
+                values.append((dst, tracer.under(spans[dst], handler, dst)))
             else:
                 values.append((dst, handler(dst)))
             self.messages_sent += 1

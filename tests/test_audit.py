@@ -11,15 +11,22 @@ Two kinds of guarantees are pinned here:
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from repro.histories.events import Invocation, ok
+import repro.__main__ as cli
+from repro.clocks.timestamps import Timestamp
+from repro.histories.events import Invocation, event, ok
 from repro.obs.audit import (
     Auditor,
     AuditReport,
     InvariantMonitor,
+    LogConsistencyMonitor,
+    PartialReplicationMonitor,
     QuorumIntersectionMonitor,
     Violation,
     default_monitors,
@@ -28,8 +35,10 @@ from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
 from repro.obs.trace import Tracer
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import ObjectSpec, demo_keyspace, demo_mix
+from repro.replication.log import Log, LogEntry
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
+from repro.txn.ids import ActionId
 from repro.types import Queue, Register
 from tests.helpers import cluster_of, hybrid_queue
 
@@ -385,6 +394,125 @@ class TestRouting:
                          "initial quorum [0, 1] of Deq" + tail),
         ]
         assert report.suppressed == {} and report.spans_seen == 22
+
+
+#: SHA-256 of ``json.dumps(report.verdict(), sort_keys=True)`` for every
+#: ``audit --sweep`` case at seed 3, 40 transactions: (deep, streaming
+#: with window 16).  Taken before the monitors learnt to skip settled
+#: checks, so a pin that holds means nothing they skip could have fired.
+VERDICT_PINS = {
+    "clean": ("4b02ec4684a960160e6e96bb2e70415ac55b94153900e92253520f5c5e85d5ce",) * 2,
+    "crashes": ("0eca09ea6c87f5606fe390144d161706f099544d9e4259ee5e041ad27df8fc29",) * 2,
+    "partitions": ("1c8567f58bdca3e3744d79dedf5c635f8ba600e7a2bcc7e15bfc808e7f5f4e13",) * 2,
+    "early-lock-release": ("9bd9b6a26e7ab24361ac23258e23f976db7ec4ebe3a24f3ed7f688354fc388bb",) * 2,
+    "log-divergence": ("e77755f44357ba7c672718cb148586f7e5ce1c3802eb63c2bdf4ebe01eba9ae3",) * 2,
+    "quorum-intersection": (
+        "802ad1a7af07a0e2f41698c4a694008d12f092a1910349d437552c820e76edb5",
+        "bf26baa61c88de3952111624b21d2f5e1d436f58fac258152cbc5d0af165cde3",
+    ),
+    "shard-misroute": ("0b031ff66d504e23e65b7ea43fe7d6c4dbdc86f627ff9b09b6a71934d3af529c",) * 2,
+    "stale-assignment": ("9b8c090542825aada5648e805d565e76189d84b6699da3253e0b9fa904a3a0bd",) * 2,
+    "timestamp-inversion": (
+        "b6f3b9d7653a42238a0804f05f67495914f24a79f2c76d08134ffa8ed39e9de7",
+        "763b15591afbe5afbc718738eaed005ba49c528276938132904f5b87d14b825e",
+    ),
+}
+
+
+def _audit_args(*argv):
+    return cli.build_parser().parse_args(["audit", *argv])
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name``; returns the list of ``(self, result)`` per entry."""
+    entries = []
+    original = getattr(owner, name)
+
+    def counted(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        entries.append((self, result))
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+    return entries
+
+
+class TestSettledChecksStaySettled:
+    """Monitors skip only what cannot fire: every verdict is pinned, and
+    what they skip is counted, not timed."""
+
+    @pytest.mark.parametrize("mode", ["deep", "streaming"])
+    def test_sweep_verdicts_are_pinned(self, mode):
+        extra = ("--streaming", "--window", "16") if mode == "streaming" else ()
+        base = _audit_args("--seed", "3", "--transactions", "40", *extra)
+        cases = [("clean", base, None)]
+        for flag in ("crashes", "partitions"):
+            cases.append((flag, argparse.Namespace(**{**vars(base), flag: True}), None))
+        cases += [(name, base, name) for name in sorted(MUTATIONS)]
+        digests = {
+            label: hashlib.sha256(
+                json.dumps(cli._audit_once(args, mutate).verdict(), sort_keys=True).encode()
+            ).hexdigest()
+            for label, args, mutate in cases
+        }
+        column = 0 if mode == "deep" else 1
+        assert digests == {label: pins[column] for label, pins in VERDICT_PINS.items()}
+
+    def test_full_placement_audit_skips_what_cannot_fire(self, monkeypatch):
+        from repro.scenarios import run_scenario
+
+        partial = _counting(monkeypatch, PartialReplicationMonitor, "on_point_event")
+        partial += _counting(monkeypatch, PartialReplicationMonitor, "on_quorum")
+        remembered = _counting(monkeypatch, QuorumIntersectionMonitor, "_remember")
+        opened = _counting(monkeypatch, Tracer, "start_span")
+        verdict = run_scenario(
+            "write-heavy", seed=0, mechanism="hybrid", profile="mixed", transactions=150
+        )
+        assert verdict["ok"] and verdict["violations"] == 0
+        # Every site holds every object: genuine-partial-replication reads nothing.
+        assert partial == []
+        # The pairwise loop runs for new (or marked) member sets only.
+        checked = [bucket for _monitor, bucket in remembered if bucket is not None]
+        assert (len(checked), len(remembered)) == (232, 877)
+        # Every span still opens through start_span, exactly once.
+        (tracer,) = {owner for owner, _span in opened}
+        assert len(opened) == tracer._next_id - 1
+
+    def test_log_consistency_compares_values_past_identity(self):
+        # Replicas normally share entry objects; a restarted or installed
+        # store holds equal copies, which must not read as a divergence.
+        def entry(op):
+            return LogEntry(Timestamp(5, 1), event(op, ("a",)), ActionId(1, 1))
+
+        first, copy, forged = entry("Enq"), entry("Enq"), entry("Deq")
+        found = []
+        auditor = SimpleNamespace(
+            repositories=[
+                SimpleNamespace(stored_objects=lambda: ("q",), peek_log=lambda _n, e=e: Log([e]))
+                for e in (first, copy, forged)
+            ],
+            report_violation=lambda _invariant, message, **_kw: found.append(message),
+        )
+        monitor = LogConsistencyMonitor()
+        monitor.bind(auditor)
+        monitor.at_end()
+        assert copy is not first and found == [
+            f"replica logs diverge at timestamp {first.ts}: site 2 holds "
+            f"{forged.event} for {forged.action}, another replica holds "
+            f"{first.event} for {first.action}"
+        ]
+
+    def test_partial_placement_keeps_every_route(self, monkeypatch):
+        points = _counting(monkeypatch, PartialReplicationMonitor, "on_point_event")
+        quorums = _counting(monkeypatch, PartialReplicationMonitor, "on_quorum")
+        # The ring keyspace the sweep's shard-misroute case runs on, unmutated.
+        args = _audit_args(
+            "--seed", "0", "--transactions", "40", "--sites", "5", "--objects", "4",
+            "--placement", "ring",
+        )
+        report = cli._audit_once(args, None)
+        assert report.ok, report.render()
+        assert len(points) > 0 and len(quorums) > 0
 
 
 class TestGlobalAtomicityWitness:

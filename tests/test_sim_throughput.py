@@ -160,7 +160,17 @@ class TestNullSpanFastPath:
         assert NullTracer().span("d") is NULL_SPAN_CONTEXT
         with NULL_TRACER.span("e") as span:
             assert span is NULL_SPAN
-        assert NULL_TRACER.under(NULL_SPAN) is NULL_SPAN_CONTEXT
+        assert NULL_TRACER.under(NULL_SPAN, abs, -3) == 3
+
+    @pytest.mark.parametrize("tracer", [NullTracer(), Tracer()], ids=["null", "enabled"])
+    def test_running_under_a_span_does_not_allocate(self, tracer):
+        probe = tracer.start_span("rpc", kind="rpc")
+        for _ in range(64):  # warm any lazy caches
+            tracer.under(probe, abs, -1)
+        before = sys.getallocatedblocks()
+        for _ in range(10_000):
+            tracer.under(probe, abs, -1)
+        assert sys.getallocatedblocks() - before < 50
 
     def test_disabled_spans_do_not_allocate(self):
         tracer = NullTracer()

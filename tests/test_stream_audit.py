@@ -126,6 +126,19 @@ class TestRetention:
             tracer.clear()
         assert tracer.retained_spans == 0
 
+    def test_clear_inside_a_handler_run_under_a_span_leaves_the_stack_empty(self):
+        tracer = Tracer()
+        probe = tracer.start_span("rpc", kind="rpc")
+
+        def handler(site):
+            assert tracer.event("repo.write", site=site).parent_id == probe.span_id
+            tracer.clear()
+            return site
+
+        assert tracer.under(probe, handler, 2) == 2
+        assert tracer._stack == []
+        assert tracer.event("after").parent_id is None
+
     def test_process_wide_gauges_cover_live_tracers(self):
         tracer = Tracer(retention="ring", window=4)
         for _ in range(9):
