@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.errors import QuorumError
 
@@ -46,7 +46,7 @@ class Coterie(ABC):
         """Yield the minimal quorums."""
 
     @abstractmethod
-    def has_quorum(self, live: frozenset[int]) -> bool:
+    def has_quorum(self, live: AbstractSet[int]) -> bool:
         """Is some quorum contained in the live set?"""
 
     @abstractmethod
@@ -100,7 +100,7 @@ class ExplicitCoterie(Coterie):
     def quorums(self) -> Iterator[frozenset[int]]:
         return iter(self._quorums)
 
-    def has_quorum(self, live: frozenset[int]) -> bool:
+    def has_quorum(self, live: AbstractSet[int]) -> bool:
         return any(q <= live for q in self._quorums)
 
     def smallest_quorum_size(self) -> int | None:
@@ -148,7 +148,7 @@ class SubsetThresholdCoterie(Coterie):
         for quorum in combinations(sorted(self.members), self.threshold):
             yield frozenset(quorum)
 
-    def has_quorum(self, live: frozenset[int]) -> bool:
+    def has_quorum(self, live: AbstractSet[int]) -> bool:
         return len(live & self.members) >= self.threshold
 
     def smallest_quorum_size(self) -> int:
@@ -192,7 +192,7 @@ class EmptyCoterie(Coterie):
     def quorums(self) -> Iterator[frozenset[int]]:
         yield frozenset()
 
-    def has_quorum(self, live: frozenset[int]) -> bool:
+    def has_quorum(self, live: AbstractSet[int]) -> bool:
         return True
 
     def smallest_quorum_size(self) -> int:

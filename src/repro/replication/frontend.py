@@ -231,8 +231,9 @@ class FrontEnd:
             policy,
             deadline,
         )
-        for entry in obj.sync.own_entries(txn.id):
-            merged = merged.add(entry)
+        own = obj.sync.own_entries(txn.id)
+        if own:
+            merged = merged.extended(own)
         serial_cache = self.serial_caches.get(object_name)
         if serial_cache is None:
             serial_cache = self.serial_caches[object_name] = CACHE_FOR_ORDER[
@@ -456,13 +457,6 @@ class FrontEnd:
             if span is not None:
                 span.annotate(responders=sorted(acks), missing=sorted(missing))
             raise UnavailableError(event.inv.op, missing)
-        self.view_cache.note_write(
-            name,
-            update,
-            tuple(
-                (reply.site, reply.value[0], reply.value[1])
-                for reply in outcome.in_attempt_order()
-            ),
-        )
+        self.view_cache.note_write(name, update, outcome.in_attempt_order())
         if span is not None:
             span.annotate(quorum=sorted(acks))

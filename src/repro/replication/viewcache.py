@@ -81,11 +81,6 @@ class QuorumViewCache:
         the sets a from-scratch fold over the same probes would produce.
         """
         sites = tuple(probe.site for probe in probes)
-        best = None
-        for probe in probes:
-            snapshot = probe.value[1]
-            if snapshot is not None and snapshot.subsumes(best):
-                best = snapshot
         entry = self._entries.get(object_name)
         if (
             entry is not None
@@ -101,7 +96,6 @@ class QuorumViewCache:
                 self.hits += 1
                 return entry.filtered, entry.best
             self.delta_merges += 1
-            raw = entry.raw
             fresh: list = []
             for probe in changed:
                 # O(delta): the fragment is a later version of the store
@@ -110,33 +104,32 @@ class QuorumViewCache:
                 # install, restart, fork) is diffed whole.
                 fragment = probe.value[0]
                 chunk = fragment.fresh_since(entry.logs[probe.site])
-                if chunk is None:
-                    chunk = fragment.entry_set
-                fresh.extend(e for e in chunk if e not in raw)
-            # Appends the delta to the cached union's own store, its
-            # sorted order and grouping updated by insertion.
-            raw = raw.extended(fresh)
+                fresh.extend(fragment.entry_set if chunk is None else chunk)
+            # ``extended`` skips what the union already holds and appends
+            # the rest to its own store, sorted order and grouping
+            # updated by insertion.  Every probed snapshot is the cached
+            # object, so the elected one is the cached ``best`` too.
+            best = entry.best
+            raw = entry.raw.extended(fresh)
             if best is None:
                 filtered = raw
-            elif raw is entry.raw and best == entry.best:
-                filtered = entry.filtered
-            elif best == entry.best:
+            else:
                 filtered = entry.filtered.extended(
                     e for e in fresh if e.action not in best.dropped
                 )
-            else:  # snapshots were identity-stable, so this is unreachable;
-                # kept as a safe fallback rather than an assumption.
-                filtered = Log(e for e in raw if e.action not in best.dropped)
             entry.versions = {probe.site: probe.value[2] for probe in probes}
             entry.logs = {probe.site: probe.value[0] for probe in probes}
             entry.raw = raw
-            entry.best = best
             entry.filtered = filtered
             return filtered, best
         self.rebuilds += 1
+        best = None
         raw = Log()
         for probe in probes:
-            raw = raw.merge(probe.value[0])
+            fragment, snapshot, _version = probe.value
+            raw = raw.merge(fragment)
+            if snapshot is not None and snapshot.subsumes(best):
+                best = snapshot
         if best is None:
             filtered = raw
         else:
@@ -153,49 +146,45 @@ class QuorumViewCache:
         return filtered, best
 
     def note_write(
-        self,
-        object_name: str,
-        update: Log,
-        acks: Sequence[tuple[int, int, int]],
+        self, object_name: str, update: Log, acks: Sequence[Any]
     ) -> None:
         """Refresh the cache from a final-quorum write's acks.
 
-        ``acks`` holds ``(site, version_before, version_after)`` per
-        acked repository, the version pair captured atomically around
-        the write.  The refresh only applies when every cached site
-        acked with ``version_before`` equal to the cached version — the
-        proof that nothing else touched the fragment between our read
-        and our write, so its new fragment is exactly the old one plus
+        ``acks`` are :class:`~repro.sim.network.ProbeReply` objects, each
+        carrying the ``(version_before, version_after)`` pair its
+        repository captured atomically around the write.  The refresh
+        only applies when every cached site acked with
+        ``version_before`` equal to the cached version — the proof that
+        nothing else touched the fragment between our read and our
+        write, so its new fragment is exactly the old one plus
         ``update``.  A moved version means an interleaved writer; the
         entry is discarded and the next read rebuilds.  Repositories
         holding compaction snapshots filter incoming updates, so the
         refresh is also skipped (never applied unsoundly) when any
-        cached site has one.
+        cached site has one — exactly when the entry elected a ``best``.
         """
         entry = self._entries.get(object_name)
-        if entry is None:
+        if entry is None or entry.best is not None:
             return
-        if any(snapshot is not None for snapshot in entry.snaps.values()):
+        cached = entry.versions
+        versions: dict[int, int] = {}
+        moved = False
+        for ack in acks:
+            site = ack.site
+            if site in cached:
+                before, versions[site] = ack.value
+                moved = moved or before != cached[site]
+        if len(versions) < len(cached):
             return
-        before = {site: b for site, b, _ in acks}
-        after = {site: a for site, _, a in acks}
-        cached = set(entry.sites)
-        if not cached <= set(before):
-            return
-        if any(before[site] != entry.versions[site] for site in cached):
-            self._entries.pop(object_name, None)
+        if moved:
+            del self._entries[object_name]
             return
         # ``update`` is normally the next version of the cached union's
         # own store (the view this cache handed out, plus the new
-        # entry), which ``extended`` adopts as is.
-        raw = entry.raw.extended(update)
-        entry.raw = raw
-        # No snapshots anywhere in the entry, so nothing is filtered.
-        entry.filtered = raw
-        entry.versions = {
-            site: after.get(site, version)
-            for site, version in entry.versions.items()
-        }
+        # entry), which ``extended`` adopts as is.  No snapshots anywhere
+        # in the entry, so nothing is filtered.
+        entry.raw = entry.filtered = entry.raw.extended(update)
+        entry.versions = versions
         self.write_throughs += 1
 
     def invalidate(self, object_name: str | None = None) -> None:

@@ -21,8 +21,9 @@ partition the functioning sites into groups that cannot reach each other
   every probe in it responded, so a stable set of reachable sites is
   probed exactly as a one-at-a-time walk would probe it (same
   attempted sites, same message counts) while a failed probe widens
-  the next wave.  Completion ordering is deterministic: replies are
-  reported sorted by (completion time, site id).
+  the next wave.  Replies come back in visit order, as the reply legs
+  deliver them; completion order, (completion time, site id), is
+  derived on request.
 * :meth:`Network.send` — an asynchronous message scheduled through the
   kernel, used by failure injectors and background anti-entropy.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import AbstractSet, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.obs.trace import Tracer
@@ -44,9 +45,12 @@ from repro.sim.kernel import Simulator
 _REPLY_ORDER = attrgetter("completed_at", "site")
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeReply:
-    """One successful probe from a :meth:`Network.gather` call."""
+class ProbeReply(NamedTuple):
+    """One successful probe from a :meth:`Network.gather` call.
+
+    A named tuple: a wave builds one per probe that reaches its
+    destination, so it costs what a tuple does.
+    """
 
     site: int
     value: Any
@@ -57,31 +61,30 @@ class ProbeReply:
 class GatherResult:
     """Outcome of a batched :meth:`Network.gather` round.
 
-    ``replies`` holds the successful probes in deterministic completion
-    order — (completion time, site id) — while ``attempted`` preserves
-    launch order: the caller's visit order.
+    ``attempted`` is launch order — the caller's visit order — and
+    ``received`` holds the successful probes in that same order, as the
+    reply legs delivered them; ``responders`` are their sites.
     """
 
-    replies: tuple[ProbeReply, ...]
     attempted: tuple[int, ...]
     failed: frozenset[int]
+    responders: frozenset[int]
+    received: tuple[ProbeReply, ...]
 
     @property
-    def responders(self) -> frozenset[int]:
-        """Sites whose round trip fully completed."""
-        return frozenset(reply.site for reply in self.replies)
+    def replies(self) -> tuple[ProbeReply, ...]:
+        """The successful probes in deterministic completion order —
+        (completion time, site id) — derived on each access."""
+        return tuple(sorted(self.received, key=_REPLY_ORDER))
 
     def in_attempt_order(self) -> tuple[ProbeReply, ...]:
-        """Replies reordered by launch (visit) order.
+        """Replies in launch (visit) order.
 
         Callers that fold over replies (log merging, snapshot election)
         fold in visit order, so the result does not depend on which
         reply happened to complete first.
         """
-        by_site = {reply.site: reply for reply in self.replies}
-        return tuple(
-            by_site[site] for site in self.attempted if site in by_site
-        )
+        return self.received
 
 
 class Timeout(Exception):
@@ -278,9 +281,9 @@ class Network:
         dsts: Iterable[int],
         handler: Callable[[int], Any],
         *,
-        stop: Callable[[frozenset[int]], bool] | None = None,
+        stop: Callable[[AbstractSet[int]], bool] | None = None,
     ) -> GatherResult:
-        """Batched RPC: probe ``dsts`` with overlapping latencies.
+        """Batched RPC: probe distinct sites ``dsts`` with overlapping latencies.
 
         Probes are launched in waves.  A wave is the shortest prefix of
         the remaining destinations that would satisfy ``stop`` if every
@@ -291,7 +294,14 @@ class Network:
         extends to further destinations, exactly as a one-at-a-time
         walk over :meth:`request` would — under a failure state that is
         stable for the duration of the call (and no message loss), the
-        attempted site set and the message counters match that walk's.
+        attempted sites, the responders, the failed sites, the reply
+        values in visit order and the message counters match that walk's.
+
+        ``stop`` must be a predicate of its argument alone.  It is called
+        with a set the gather owns — the sites that answered, plus those
+        of the wave being formed — and must neither keep nor mutate it.
+        A wave in which every probe answered ends the call without asking
+        ``stop`` again: its last answer is already known.
 
         Per-probe semantics mirror :meth:`request`: the request leg is
         checked against crash/partition/loss state at arrival time (so
@@ -301,55 +311,61 @@ class Network:
         span when tracing is on, with the handler's own events parented
         beneath it.
         """
-        order = list(dsts)
+        order = tuple(dsts)
         sim = self.sim
-        responders: set[int] = set()
+        tracer = self.tracer
+        reached: set[int] = set()
         failed: set[int] = set()
-        attempted: list[int] = []
-        replies: dict[int, ProbeReply] = {}
+        received: list[ProbeReply] = []
+        spans: dict[int, Any] = {}
         idx = 0
-        while idx < len(order):
-            if stop is not None and stop(frozenset(responders)):
-                break
-            wave: list[int] = []
-            assumed = set(responders)
+        while idx < len(order) and (stop is None or not stop(reached)):
+            first = idx
             while idx < len(order):
-                site = order[idx]
+                reached.add(order[idx])
                 idx += 1
-                wave.append(site)
-                assumed.add(site)
-                if stop is not None and stop(frozenset(assumed)):
+                if stop is not None and stop(reached):
                     break
+            wave = order[first:idx]
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
-            attempted.extend(wave)
             self.messages_sent += len(wave)
-            spans: dict[int, Any] = {}
-            if self.tracer.enabled:
+            if tracer.enabled:
                 for dst in wave:
-                    spans[dst] = self.tracer.start_span(
+                    spans[dst] = tracer.start_span(
                         "rpc", kind="rpc", site=dst, src=src, dst=dst, batched=True
                     )
             # Each leg runs in place, after the events due before it; the
             # closing run fires what is left due at the reply instant.
-            values: list[tuple[int, Any]] = []
-            sim.reach(arrive_at, self._arrive, src, wave, handler, spans, values, failed)
-            if values:
-                sim.reach(reply_at, self._deliver, src, values, spans, replies, failed)
+            lost = len(failed)
+            pending: list[ProbeReply] = []
+            sim.reach(
+                arrive_at, self._arrive, src, wave, handler, spans, pending, failed,
+                reply_at,
+            )
+            if pending:
+                sim.reach(reply_at, self._deliver, src, pending, spans, received, failed)
             sim.run(until=reply_at)
-            responders.update(site for site in wave if site in replies)
-        ordered = tuple(sorted(replies.values(), key=_REPLY_ORDER))
+            if len(failed) == lost:
+                break
+            reached.difference_update(failed)
         return GatherResult(
-            replies=ordered, attempted=tuple(attempted), failed=frozenset(failed)
+            attempted=order[:idx],
+            failed=frozenset(failed),
+            responders=frozenset(reached),
+            received=tuple(received),
         )
 
     def _arrive(
-        self, src: int, wave: list[int], handler: Callable[[int], Any],
-        spans: dict[int, Any], values: list[tuple[int, Any]], failed: set[int],
+        self, src: int, wave: tuple[int, ...], handler: Callable[[int], Any],
+        spans: dict[int, Any], pending: list[ProbeReply], failed: set[int],
+        reply_at: float,
     ) -> None:
         """A wave's request leg: a lost probe's span closes as ``timeout``;
-        a survivor runs ``handler`` under its span and queues the value."""
+        a survivor runs ``handler`` under its span and queues its reply,
+        stamped with the instant the reply leg lands."""
         tracer = self.tracer
+        new = tuple.__new__  # ProbeReply's own constructor, minus its frame
         for dst in wave:
             # With nothing crashed, cut or lossy, every probe gets through
             # and ``_lost`` would draw nothing: skip both checks.
@@ -361,20 +377,18 @@ class Network:
                 if spans:
                     tracer.end_span(spans[dst], "timeout")
                 continue
-            if spans:
-                values.append((dst, tracer.under(spans[dst], handler, dst)))
-            else:
-                values.append((dst, handler(dst)))
+            value = tracer.under(spans[dst], handler, dst) if spans else handler(dst)
+            pending.append(new(ProbeReply, (dst, value, reply_at)))
             self.messages_sent += 1
 
     def _deliver(
-        self, src: int, values: list[tuple[int, Any]], spans: dict[int, Any],
-        replies: dict[int, ProbeReply], failed: set[int],
+        self, src: int, pending: list[ProbeReply], spans: dict[int, Any],
+        received: list[ProbeReply], failed: set[int],
     ) -> None:
-        """A wave's reply leg: each surviving reply lands or is lost."""
+        """A wave's reply leg: each queued reply lands or is lost."""
         tracer = self.tracer
-        now = self.sim.now
-        for dst, value in values:
+        for reply in pending:
+            dst = reply.site
             if (self._crashed or self._groups or self.drop_probability) and (
                 not self._reachable(dst, src) or self._lost()
             ):
@@ -383,7 +397,7 @@ class Network:
                 if spans:
                     tracer.end_span(spans[dst], "timeout")
                 continue
-            replies[dst] = ProbeReply(site=dst, value=value, completed_at=now)
+            received.append(reply)
             if spans:
                 tracer.end_span(spans[dst])
 

@@ -19,6 +19,7 @@ exact.  Parallel trial shards must match one job byte for byte.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -26,6 +27,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks.timestamps import Timestamp
 from repro.dependency import known
@@ -43,7 +46,8 @@ from repro.obs.trace import (
 from repro.quorum.coterie import ThresholdCoterie
 from repro.replication.keyspace import ObjectSpec
 from repro.replication.log import Log, LogEntry
-from repro.replication.snapshot import compact
+from repro.replication.repository import walk
+from repro.replication.snapshot import Snapshot, compact
 from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.chaos import ChaosSchedule, generate_schedule, settle
 from repro.resilience.policy import POLICIES
@@ -54,7 +58,7 @@ from repro.sim.trials import run_trials, seed_range
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
 from repro.types import Queue
-from tests.helpers import cluster_of, from_scratch_front_ends
+from tests.helpers import FromScratchViewCache, cluster_of, from_scratch_front_ends
 
 pytestmark = pytest.mark.throughput
 
@@ -202,6 +206,34 @@ def _fabric(n_sites: int = 3, latency: float = 1.0, **kw) -> Network:
     return Network(sim, n_sites, latency=latency, **kw)
 
 
+@st.composite
+def _stable_gathers(draw):
+    """``(n_sites, origin, order, stop, crashed, groups)`` for one gather.
+
+    A visit order over at most six sites, a threshold predicate over some
+    member sites (or none), crashed sites and a partition cut (or none),
+    all fixed before the call.
+    """
+    n_sites = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n_sites)))
+    order = order[: draw(st.integers(0, n_sites))]
+    origin = draw(st.integers(0, n_sites - 1))
+    stop = None
+    if draw(st.booleans()):
+        members = frozenset(draw(st.sets(st.integers(0, n_sites - 1))))
+        threshold = draw(st.integers(0, len(members) + 1))
+        stop = lambda reached: len(reached & members) >= threshold  # noqa: E731
+    crashed = draw(st.sets(st.integers(0, n_sites - 1)))
+    groups = ()
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=n_sites, max_size=n_sites))
+        groups = tuple(
+            {site for site in range(n_sites) if labels[site] == label}
+            for label in sorted(set(labels))
+        )
+    return n_sites, origin, order, stop, crashed, groups
+
+
 class TestGather:
     def test_probes_overlap_and_complete_in_site_order(self):
         network = _fabric()
@@ -293,6 +325,103 @@ class TestGather:
         assert all(span.start == 0.0 for span in spans)
         assert spans[0].end == 2.0 and spans[2].end == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=_stable_gathers())
+    def test_gather_reports_what_the_serial_walk_reports(self, case):
+        """The promise in ``gather``'s docstring, under a stable failure
+        state and no message loss: a serial ``walk`` over
+        ``Network.request`` attempts, reaches and counts the same."""
+        n_sites, origin, order, stop, crashed, groups = case
+        batched, serial = _fabric(n_sites=n_sites), _fabric(n_sites=n_sites)
+        for network in (batched, serial):
+            for site in crashed:
+                network.crash(site)
+            if groups:
+                network.partition(*groups)
+        outcome = batched.gather(origin, order, lambda site: site * 10, stop=stop)
+
+        attempted = []
+        request = serial.request
+
+        def recorded(src, dst, handler):
+            attempted.append(dst)
+            return request(src, dst, handler)
+
+        serial.request = recorded
+        _satisfied, replies = walk(
+            serial, range(n_sites), origin, order, lambda site: site * 10,
+            stop or (lambda reached: False),
+        )
+        assert outcome.attempted == tuple(attempted)
+        assert outcome.responders == frozenset(replies)
+        assert outcome.failed == frozenset(attempted) - frozenset(replies)
+        assert [reply.value for reply in outcome.in_attempt_order()] == list(
+            replies.values()
+        )
+        assert batched.messages_sent == serial.messages_sent
+        assert batched.messages_dropped == serial.messages_dropped
+
+
+class TestGatherCallCount:
+    """Python-level calls the fabric makes inside ``Network.gather``, counted.
+
+    Counts, not clocks: deterministic for the seed on any host.  A
+    profile hook counts every ``call`` event whose caller is a frame of
+    :mod:`repro.sim.network` or :mod:`repro.sim.kernel` while ``gather``
+    runs: the legs, the kernel steps that run them, each ``stop`` and
+    handler call, and any reply or result object built through
+    Python-level code — but not what a handler does at its repository,
+    whose hash caches warm with the process, nor a weakref callback the
+    cyclic collector would run under a counted frame.  No counted frame
+    holds a comprehension, so Pythons that inline comprehensions and
+    those that do not count alike.  A change that adds per-probe
+    bookkeeping to the round (a reply built through ``__init__``, a
+    generator over the wave, ``stop`` asked twice) grows the count and
+    fails here.  The round these pins replaced made 7.0 calls per probe
+    on this cell (5 859).
+    """
+
+    #: ``hot-key-contention × blocking``, seed 0, 40 transactions.
+    PROBES = 837
+    CALLS = 3_627
+
+    def test_calls_per_probe_are_pinned(self, monkeypatch):
+        from repro.sim import kernel, network
+
+        _cluster, generator, _names = runner.build_scenario(
+            "hot-key-contention", seed=0, mechanism="blocking", transactions=40
+        )
+        fabric = {network.__file__, kernel.__file__}
+        counts = {"calls": 0, "probes": 0}
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_back.f_code.co_filename in fabric:
+                counts["calls"] += 1
+
+        original = Network.gather
+
+        def counted(self, *args, **kwargs):
+            sys.setprofile(profile)
+            try:
+                result = original(self, *args, **kwargs)
+            finally:
+                sys.setprofile(None)
+            counts["probes"] += len(result.attempted)
+            return result
+
+        monkeypatch.setattr(Network, "gather", counted)
+        # Earlier tests' garbage must not die, and run its weakref
+        # callbacks, under a counted frame.
+        gc.collect()
+        gc.disable()
+        try:
+            generator.run(40)
+        finally:
+            gc.enable()
+        assert (counts["probes"], counts["calls"]) == (self.PROBES, self.CALLS), (
+            f"{counts['calls'] / counts['probes']:.3f} calls per probe"
+        )
+
 
 # -- the incremental view-merge cache -----------------------------------------
 
@@ -303,6 +432,10 @@ def _entry(seq: int) -> LogEntry:
 
 def _probe(site: int, log: Log, version: int, snapshot=None) -> ProbeReply:
     return ProbeReply(site=site, value=(log, snapshot, version), completed_at=0.0)
+
+
+def _ack(site: int, before: int, after: int) -> ProbeReply:
+    return ProbeReply(site=site, value=(before, after), completed_at=0.0)
 
 
 class TestQuorumViewCache:
@@ -337,7 +470,7 @@ class TestQuorumViewCache:
         base = Log([_entry(1)])
         cache.merged_view("q", (_probe(0, base, 1), _probe(1, base, 1)))
         update = base.add(_entry(2))
-        cache.note_write("q", update, ((0, 1, 2), (1, 1, 2)))
+        cache.note_write("q", update, (_ack(0, 1, 2), _ack(1, 1, 2)))
         assert cache.stats()["write_throughs"] == 1
         merged, _ = cache.merged_view(
             "q", (_probe(0, update, 2), _probe(1, update, 2))
@@ -353,7 +486,7 @@ class TestQuorumViewCache:
         # Site 0 reports version_before=2: someone else wrote between our
         # read (version 1) and this write.  The cached union can no longer
         # be extended soundly, so the entry must be dropped.
-        cache.note_write("q", update, ((0, 2, 3), (1, 1, 2)))
+        cache.note_write("q", update, (_ack(0, 2, 3), _ack(1, 1, 2)))
         assert cache.stats()["write_throughs"] == 0
         interloper = base.add(_entry(99))
         merged, _ = cache.merged_view(
@@ -389,6 +522,33 @@ class TestQuorumViewCache:
         assert best is wider
         assert merged == Log()
         assert cache.stats()["rebuilds"] == 2
+
+    def test_delta_merge_under_snapshots_keeps_the_cached_best(self):
+        """Every probed site holds a snapshot; only the fragments move."""
+        cache = QuorumViewCache()
+        narrow = Snapshot(None, frozenset({ActionId(1, 0)}), None, 1)
+        wide = Snapshot(None, frozenset({ActionId(1, 0), ActionId(3, 0)}), None, 2)
+        first = Log([_entry(1), _entry(2), _entry(3)])
+        second = Log([_entry(2), _entry(3)])
+        _, best = cache.merged_view(
+            "q", (_probe(0, first, 1, narrow), _probe(1, second, 1, wide))
+        )
+        assert best is wide
+        # Site 0 grows on its own store (a slice of arrivals), including an
+        # entry of a dropped action; site 1 comes back on a store of its
+        # own (a restart), so it is diffed whole.
+        probes = (
+            _probe(0, first.extended([_entry(4), _entry(3), _entry(5)]), 2, narrow),
+            _probe(1, Log([_entry(2), _entry(3), _entry(5), _entry(6)]), 2, wide),
+        )
+        merged, best = cache.merged_view("q", probes)
+        assert cache.stats() == {
+            "hits": 0, "delta_merges": 1, "rebuilds": 1, "write_throughs": 0,
+        }
+        assert best is wide
+        expected, scratch_best = FromScratchViewCache().merged_view("q", probes)
+        assert scratch_best is wide
+        assert merged == expected == Log([_entry(2), _entry(4), _entry(5), _entry(6)])
 
 
 # -- pinned run fingerprints, end to end ----------------------------------------
