@@ -30,7 +30,6 @@ from time import perf_counter
 
 from conftest import emit_json, report
 
-from repro.dependency import known
 from repro.obs.audit import Auditor, default_monitors
 from repro.obs.trace import Tracer
 from repro.replication.cluster import build_keyspace
@@ -74,8 +73,7 @@ def _build(mode: str, audit=Auditor):
     """The seeded workload under ``mode``, un-run: (cluster, generator, auditor)."""
     tracer = Tracer() if mode != "off" else None
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(SITES, (ObjectSpec("queue", queue, relation=relation),))
+    spec = KeyspaceSpec(SITES, (ObjectSpec("queue", queue),))
     cluster = build_keyspace(spec, seed=SEED, tracer=tracer)
     auditor = audit(cluster) if mode == "audited" else None
     mix = OperationMix.uniform("queue", queue.invocations())

@@ -24,7 +24,6 @@ from repro.histories.events import Invocation, ok
 from repro.replication.available_copies import AvailableCopiesObject
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
-from repro.dependency import known
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.trials import run_trials, seed_range
@@ -49,8 +48,7 @@ def _run_available_copies():
 
 def _run_quorum_consensus(seed: int = 0):
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(3, (ObjectSpec("q", queue, relation=relation),))
+    spec = KeyspaceSpec(3, (ObjectSpec("q", queue),))
     cluster = build_keyspace(spec, seed=seed)
     obj = cluster.tm.object("q")
     txn = cluster.tm.begin(0)

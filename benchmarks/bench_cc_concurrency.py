@@ -16,7 +16,6 @@ rates are compared.  Expected shape:
 
 from conftest import report
 
-from repro.dependency import known
 from repro.obs.metrics import Histogram
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
@@ -65,13 +64,11 @@ def _pooled_latency(runs, ops):
 
 
 def test_cc_concurrency_queue(benchmark):
-    queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
     seeds = (1, 2, 3, 4)
 
     def run_all():
         return {
-            scheme: _run(scheme, Queue(), relation, seeds)
+            scheme: _run(scheme, Queue(), None, seeds)
             for scheme in ("hybrid", "static", "dynamic")
         }
 

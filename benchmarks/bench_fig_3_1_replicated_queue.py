@@ -14,7 +14,6 @@ from conftest import report
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.core.report import figure_3_1
-from repro.dependency import known
 from repro.histories.events import Invocation
 from repro.obs import Tracer, to_jsonl
 from repro.replication.cluster import build_keyspace
@@ -27,8 +26,7 @@ TRACES_DIR = pathlib.Path(__file__).parent / "results" / "traces"
 
 def _run_queue_system():
     queue = Queue(items=("x", "y"))
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(3, (ObjectSpec("queue", queue, relation=relation),))
+    spec = KeyspaceSpec(3, (ObjectSpec("queue", queue),))
     cluster = build_keyspace(spec, seed=17, tracer=Tracer())
     obj = cluster.tm.object("queue")
     script = [

@@ -12,7 +12,6 @@ full, uncompacted execution record.
 from conftest import report
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.dependency import known
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.snapshot import compact
@@ -26,8 +25,7 @@ TRANSACTIONS_PER_BATCH = 20
 
 def _run(compaction: bool, seed: int = 31):
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(3, (ObjectSpec("obj", queue, relation=relation),))
+    spec = KeyspaceSpec(3, (ObjectSpec("obj", queue),))
     cluster = build_keyspace(spec, seed=seed)
     obj = cluster.tm.object("obj")
     mix = OperationMix.uniform("obj", queue.invocations())

@@ -94,11 +94,10 @@ PROM_NAMES = tuple(f"prom-{i}" for i in range(PROMS))
 
 def _spec() -> KeyspaceSpec:
     queue, prom = Queue(), PROM()
-    queue_relation = known.ground(queue, known.QUEUE_STATIC, 5)
     prom_relation = known.ground(prom, known.PROM_HYBRID, 5)
     rule = PlacementRule.ring(REPLICATION_FACTOR)
     specs = [
-        ObjectSpec(name, queue, scheme="hybrid", placement=rule, relation=queue_relation)
+        ObjectSpec(name, queue, scheme="hybrid", placement=rule)
         for name in QUEUE_NAMES
     ] + [
         ObjectSpec(name, prom, scheme="hybrid", placement=rule, relation=prom_relation)

@@ -41,15 +41,13 @@ SEED = 0
 
 def _legacy_fingerprint() -> dict:
     """The classic single-queue workload fingerprint, built by hand."""
-    from repro.dependency import known
     from repro.replication.cluster import build_keyspace
     from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
     from repro.sim.workload import OperationMix, WorkloadGenerator
     from repro.types import Queue
 
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(3, (ObjectSpec("queue", queue, relation=relation),))
+    spec = KeyspaceSpec(3, (ObjectSpec("queue", queue),))
     cluster = build_keyspace(spec, seed=SEED)
     generator = WorkloadGenerator(
         cluster.sim,

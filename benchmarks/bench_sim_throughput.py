@@ -41,7 +41,6 @@ from time import perf_counter
 
 from conftest import emit_json, record_parallelism, report
 
-from repro.dependency import known
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.trials import available_cpus, run_trials, seed_range
@@ -74,8 +73,7 @@ PINNED = {
 
 
 def _queue_cluster(queue, n_sites: int, seed: int):
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = KeyspaceSpec(n_sites, (ObjectSpec("queue", queue, relation=relation),))
+    spec = KeyspaceSpec(n_sites, (ObjectSpec("queue", queue),))
     return build_keyspace(spec, seed=seed)
 
 

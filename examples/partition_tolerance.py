@@ -12,7 +12,6 @@ Run:  python examples/partition_tolerance.py
 """
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.dependency import known
 from repro.errors import UnavailableError
 from repro.histories.events import Invocation
 from repro.replication.cluster import build_keyspace
@@ -35,8 +34,7 @@ def attempt(cluster, site: int, invocation) -> str:
 
 def main() -> None:
     queue = Queue(items=("x", "y"))
-    relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
-    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue, "hybrid", relation=relation),))
+    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue, "hybrid"),))
     cluster = build_keyspace(spec, seed=99)
     obj = cluster.tm.object("queue")
 

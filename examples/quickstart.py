@@ -11,7 +11,6 @@ Run:  python examples/quickstart.py
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.core.report import figure_3_1
-from repro.dependency import known
 from repro.histories.events import Invocation
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
@@ -21,12 +20,12 @@ from repro.types import Queue
 
 def main() -> None:
     # 1. A replicated Queue.  The hybrid concurrency-control scheme needs
-    #    a hybrid dependency relation for its conflict table; the Queue's
-    #    minimal static relation is one (every static dependency relation
-    #    is a hybrid dependency relation — Theorem 4).
+    #    a hybrid dependency relation for its conflict table; given none,
+    #    the spec resolves the Queue's minimal static relation, which is
+    #    one (every static dependency relation is a hybrid dependency
+    #    relation — Theorem 4).
     queue = Queue(items=("x", "y"))
-    relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
-    jobs = ObjectSpec("jobs", queue, scheme="hybrid", relation=relation)
+    jobs = ObjectSpec("jobs", queue, scheme="hybrid")
 
     # 2. A cluster: simulator + network + 3 repositories + front-ends,
     #    with the queue replicated at every site under majority quorums.

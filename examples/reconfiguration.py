@@ -11,7 +11,6 @@ Run:  python examples/reconfiguration.py
 """
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.dependency import known
 from repro.errors import UnavailableError
 from repro.histories.events import Invocation
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
@@ -33,11 +32,8 @@ def threshold_assignment(n: int, init: int, final: int) -> QuorumAssignment:
 def main() -> None:
     n = 5
     queue = Queue(items=("x", "y"))
-    relation = known.ground(queue, known.QUEUE_STATIC, depth=5)
     read_optimized = threshold_assignment(n, init=1, final=n)
-    jobs = ObjectSpec(
-        "jobs", queue, "hybrid", assignment=read_optimized, relation=relation
-    )
+    jobs = ObjectSpec("jobs", queue, "hybrid", assignment=read_optimized)
     cluster = build_keyspace(KeyspaceSpec(n, (jobs,)), seed=11)
     obj = cluster.tm.object("jobs")
     print("initial assignment (read-optimized):")

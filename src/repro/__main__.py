@@ -51,6 +51,17 @@ from repro.obs.profile import KernelProfiler
 from repro.obs.trace import Tracer
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for sizes and windows: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
@@ -73,7 +84,7 @@ def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--objects",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="objects in the keyspace (default: 1, the classic "
@@ -487,7 +498,7 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
             sites=max(shape["sites"], 5),
         )
     streaming = getattr(args, "streaming", False)
-    window = getattr(args, "window", None) or DEFAULT_STREAM_WINDOW
+    window = args.window if args.window is not None else DEFAULT_STREAM_WINDOW
     if streaming:
         # Streaming audit rides on bounded retention end to end: the
         # tracer only keeps the ring tail, the monitors only their
@@ -745,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--window",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="W",
         help="ring-retention window for --stream (default: 4096)",
@@ -832,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--objects",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="run cases over an N-object keyspace instead of the classic "
@@ -910,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--window",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="W",
         help="sliding-window size for --streaming (default: 256)",
@@ -943,21 +954,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--objects",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="hybrid queues in the soak keyspace (default: 8)",
     )
     soak.add_argument(
         "--replication-factor",
-        type=int,
+        type=_positive_int,
         default=3,
         metavar="F",
         help="ring replicas per object (default: 3)",
     )
     soak.add_argument(
         "--window",
-        type=int,
+        type=_positive_int,
         default=512,
         metavar="W",
         help="tracer ring size and streaming-monitor window (default: 512)",
@@ -1058,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--window",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="W",
         help="ring/streaming window when streaming (default: 256)",

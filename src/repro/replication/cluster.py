@@ -176,10 +176,6 @@ def _make_scheme(
 ) -> "CCScheme":
     """Instantiate the named concurrency-control scheme."""
     if scheme == "hybrid":
-        if relation is None:
-            raise SpecificationError(
-                "hybrid scheme needs a hybrid dependency relation"
-            )
         return HybridCC(datatype, relation, oracle)
     if scheme == "static":
         return StaticTimestampCC(datatype, oracle)

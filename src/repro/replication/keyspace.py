@@ -133,6 +133,14 @@ class ObjectSpec:
     :class:`~repro.quorum.assignment.QuorumAssignment` can be supplied
     via ``assignment`` instead; it is validated only to be *genuine* —
     every quorum must draw only from the object's replicas.
+
+    A ``"hybrid"`` object given no ``relation`` resolves its default
+    here, once per data type value: the paper's minimal static relation
+    for a FIFO queue (a hybrid relation too, by Theorem 4), the total
+    relation — atomic for every type — for anything else.  Pass
+    ``relation=`` only for one that differs (PROM's ``≥H``, a FlagSet
+    completion, a synthesized relation); static and dynamic objects
+    keep ``relation is None`` unless given one.
     """
 
     name: str
@@ -143,6 +151,10 @@ class ObjectSpec:
     relation: "DependencyRelation | None" = None
     assignment: QuorumAssignment | None = None
     oracle: "LegalityOracle | None" = None
+
+    def __post_init__(self) -> None:
+        if self.scheme == "hybrid" and self.relation is None:
+            object.__setattr__(self, "relation", _default_relation(self.datatype))
 
     def compile_assignment(
         self, replicas: Sequence[int], n_sites: int
@@ -183,6 +195,28 @@ class ObjectSpec:
                     f"{event} without intersecting initial and final quorums"
                 )
         return assignment
+
+
+def _default_relation(datatype: "SerialDataType") -> "DependencyRelation":
+    """The hybrid relation an :class:`ObjectSpec` resolves when given none.
+
+    Grounded once per data type value; every later call returns that
+    same relation.
+    """
+    from repro.dependency import known
+    from repro.dependency.relation import DependencyRelation
+    from repro.spec.enumerate import event_alphabet
+    from repro.spec.facts import derived_once
+    from repro.types import Queue
+
+    def ground():
+        if isinstance(datatype, Queue):
+            return known.ground(datatype, known.QUEUE_STATIC, 5)
+        return DependencyRelation.total(
+            datatype.invocations(), event_alphabet(datatype, 5)
+        )
+
+    return derived_once(datatype, "hybrid_relation", ground)
 
 
 def _require_genuine(
@@ -326,59 +360,56 @@ class KeyspaceSpec:
         return placement
 
 
+def _uniform_rule(
+    n_objects: int, n_sites: int, placement: str, replication_factor: int
+) -> PlacementRule:
+    """The placement rule all objects of a demo or soak keyspace share."""
+    if n_objects < 1:
+        raise SpecificationError("a keyspace builder needs at least one object")
+    if placement == "all":
+        return PlacementRule.all()
+    if placement == "ring":
+        return PlacementRule.ring(min(replication_factor, n_sites))
+    raise SpecificationError(
+        f"unknown placement {placement!r} (use 'all' or 'ring')"
+    )
+
+
 def demo_keyspace(
     n_objects: int,
     n_sites: int,
     *,
     placement: str = "ring",
     replication_factor: int = 3,
+    scheme: str | None = None,
 ) -> KeyspaceSpec:
-    """A standard mixed keyspace for CLI workloads, benches, and tests.
+    """A standard mixed keyspace for CLI workloads, scenarios, and benches.
 
-    Objects cycle through the three scheme/type pairings the paper
-    compares — hybrid FIFO queues, static-atomicity registers, and
-    dynamic-atomicity counters — under one shared placement rule
-    (``"ring"`` with ``replication_factor`` replicas, or ``"all"`` for
-    full replication).  Deterministic: same arguments, same spec.
+    Objects cycle through FIFO queues, registers, and counters under one
+    shared placement rule (``"ring"`` with ``replication_factor``
+    replicas, or ``"all"`` for full replication).  With ``scheme=None``
+    each keeps the pairing the paper compares — hybrid queues,
+    static-atomicity registers, dynamic-atomicity counters; a named
+    ``scheme`` puts every object under it, so the scenario matrix can
+    replay one traffic shape under each mechanism.  Deterministic: same
+    arguments, same spec.
     """
-    from repro.dependency import known
     from repro.types import Counter, Queue, Register
 
-    if placement == "all":
-        rule = PlacementRule.all()
-    elif placement == "ring":
-        rule = PlacementRule.ring(min(replication_factor, n_sites))
-    else:
-        raise SpecificationError(
-            f"unknown demo placement {placement!r} (use 'all' or 'ring')"
-        )
-    queue, register, counter = Queue(), Register(), Counter()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    specs: list[ObjectSpec] = []
+    rule = _uniform_rule(n_objects, n_sites, placement, replication_factor)
+    prototypes = (
+        ("queue", Queue(), "hybrid"),
+        ("register", Register(), "static"),
+        ("counter", Counter(), "dynamic"),
+    )
+    specs = []
     for index in range(n_objects):
-        kind = index % 3
-        if kind == 0:
-            specs.append(
-                ObjectSpec(
-                    f"queue-{index}",
-                    queue,
-                    scheme="hybrid",
-                    placement=rule,
-                    relation=relation,
-                )
+        kind, datatype, paired = prototypes[index % 3]
+        specs.append(
+            ObjectSpec(
+                f"{kind}-{index}", datatype, scheme=scheme or paired, placement=rule
             )
-        elif kind == 1:
-            specs.append(
-                ObjectSpec(
-                    f"register-{index}", register, scheme="static", placement=rule
-                )
-            )
-        else:
-            specs.append(
-                ObjectSpec(
-                    f"counter-{index}", counter, scheme="dynamic", placement=rule
-                )
-            )
+        )
     return KeyspaceSpec(n_sites, tuple(specs))
 
 
@@ -401,30 +432,17 @@ def soak_keyspace(
     the workload across ``n_objects`` of them.  Deterministic: same
     arguments, same spec.
     """
-    from repro.dependency import known
     from repro.types import Queue
 
-    if placement == "all":
-        rule = PlacementRule.all()
-    elif placement == "ring":
-        rule = PlacementRule.ring(min(replication_factor, n_sites))
-    else:
-        raise SpecificationError(
-            f"unknown soak placement {placement!r} (use 'all' or 'ring')"
-        )
+    rule = _uniform_rule(n_objects, n_sites, placement, replication_factor)
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    specs = tuple(
-        ObjectSpec(
-            f"queue-{index}",
-            queue,
-            scheme="hybrid",
-            placement=rule,
-            relation=relation,
-        )
-        for index in range(n_objects)
+    return KeyspaceSpec(
+        n_sites,
+        tuple(
+            ObjectSpec(f"queue-{index}", queue, placement=rule)
+            for index in range(n_objects)
+        ),
     )
-    return KeyspaceSpec(n_sites, specs)
 
 
 def demo_mix(spec: KeyspaceSpec):

@@ -216,7 +216,6 @@ def run_chaos_case(
     execute, and :func:`run_verdict` builds the verdict; this run adds
     the recovery-latency summary and samples under ``timing``.
     """
-    from repro.dependency import known
     from repro.obs.audit import Auditor
     from repro.obs.trace import Tracer
     from repro.replication.cluster import build_keyspace
@@ -247,11 +246,7 @@ def run_chaos_case(
         spec = KeyspaceSpec(
             n_sites,
             (
-                ObjectSpec(
-                    "queue",
-                    queue,
-                    relation=known.ground(queue, known.QUEUE_STATIC, 5),
-                ),
+                ObjectSpec("queue", queue),
                 ObjectSpec(
                     "register",
                     register,

@@ -29,7 +29,6 @@ from repro.scenarios.runner import (
     compile_arrivals,
     compile_mix,
     run_scenario,
-    scenario_keyspace,
 )
 from repro.scenarios.sampler import (
     bursty_arrivals,
@@ -64,6 +63,5 @@ __all__ = [
     "poisson_arrivals",
     "run_scenario",
     "scenario",
-    "scenario_keyspace",
     "zipf_weights",
 ]

@@ -1,12 +1,12 @@
 """Compile scenario specs onto the workload engine and run them audited.
 
-* :func:`scenario_keyspace` — the keyspace a scenario runs over:
-  ``objects`` mixed-type objects (queue/register/counter) all under
-  **one** concurrency-control scheme, so the same traffic shape can be
-  replayed under each of the paper's three atomicity mechanisms
-  (:data:`MECHANISMS` maps the paper-facing mechanism names onto the
-  cluster's scheme names);
-* :func:`build_scenario` — spec → ``(cluster, generator, names)``: the
+* :func:`build_scenario` — spec → ``(cluster, generator, names)``: a
+  multi-object scenario runs over the fully replicated
+  :func:`~repro.replication.keyspace.demo_keyspace` with **one**
+  concurrency-control scheme for every object, so the same traffic
+  shape can be replayed under each of the paper's three atomicity
+  mechanisms (:data:`MECHANISMS` maps the paper-facing mechanism names
+  onto the cluster's scheme names); the
   operation mix is compiled per object from the scenario's read/write
   balance and zipf hot-key ranking, arrivals from its arrival process,
   and both ride the :class:`~repro.sim.workload.WorkloadGenerator`'s
@@ -52,7 +52,6 @@ __all__ = [
     "compile_arrivals",
     "compile_mix",
     "run_scenario",
-    "scenario_keyspace",
     "scenario_trial",
 ]
 
@@ -75,58 +74,6 @@ def _scheme_for(mechanism: str) -> str:
             f"unknown mechanism {mechanism!r} (choose from "
             f"{', '.join(sorted(MECHANISMS))})"
         ) from None
-
-
-def _hybrid_relation(datatype):
-    """A valid hybrid dependency relation for any catalog data type.
-
-    The queue gets the paper's minimal grounded relation; other types
-    fall back to the total relation, which is atomic for every data
-    type (every dependency kept means every serialization order the
-    scheme admits is a dependency order).  Grounded once per data type
-    value; every later call returns that same relation.
-    """
-    from repro.dependency import known
-    from repro.dependency.relation import DependencyRelation
-    from repro.spec.facts import derived_once
-    from repro.types import Queue
-
-    def ground():
-        if isinstance(datatype, Queue):
-            return known.ground(datatype, known.QUEUE_STATIC, 5)
-        return DependencyRelation.total(
-            datatype.invocations(), known.event_alphabet(datatype, 5)
-        )
-
-    return derived_once(datatype, "scenario_hybrid_relation", ground)
-
-
-def scenario_keyspace(n_objects: int, n_sites: int, scheme: str):
-    """A mixed-type keyspace with every object under one scheme.
-
-    Like :func:`~repro.replication.keyspace.demo_keyspace` the objects
-    cycle queue/register/counter (full replication), but the scheme is
-    uniform — the scenario matrix varies the *mechanism* axis across
-    runs, not within a keyspace.  Deterministic: same arguments, same
-    spec.
-    """
-    from repro.replication.keyspace import KeyspaceSpec, ObjectSpec, PlacementRule
-    from repro.types import Counter, Queue, Register
-
-    prototypes = (("queue", Queue()), ("register", Register()), ("counter", Counter()))
-    specs = []
-    for index in range(n_objects):
-        kind, datatype = prototypes[index % 3]
-        specs.append(
-            ObjectSpec(
-                f"{kind}-{index}",
-                datatype,
-                scheme=scheme,
-                placement=PlacementRule.all(),
-                relation=_hybrid_relation(datatype) if scheme == "hybrid" else None,
-            )
-        )
-    return KeyspaceSpec(n_sites, tuple(specs))
 
 
 def compile_mix(object_specs, scenario: ScenarioSpec, seed: int):
@@ -187,15 +134,16 @@ def build_scenario(
     """Spec → ``(cluster, generator, names)``, ready to run.
 
     A single-object scenario builds one fully replicated ``"queue"``
-    object (3 sites by default); multi-object scenarios build the
-    :func:`scenario_keyspace` (5 sites by default).  ``workload``
+    object (3 sites by default); multi-object scenarios build the fully
+    replicated :func:`~repro.replication.keyspace.demo_keyspace` under
+    the mechanism's scheme (5 sites by default).  ``workload``
     replaces the driver's :class:`~repro.sim.workload.MixWorkload` over
     the compiled mix with a user-supplied
     :class:`~repro.scenarios.spec.ScenarioWorkload` (its ``init`` is
     called here, before any transaction runs).
     """
     from repro.replication.cluster import build_keyspace
-    from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
+    from repro.replication.keyspace import KeyspaceSpec, ObjectSpec, demo_keyspace
     from repro.sim.workload import WorkloadGenerator
     from repro.types import Queue
 
@@ -206,15 +154,16 @@ def build_scenario(
     scheme = _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
     if scenario.objects == 1:
-        queue = Queue()
-        relation = _hybrid_relation(queue) if scheme == "hybrid" else None
         spec = KeyspaceSpec(
             n_sites if n_sites is not None else 3,
-            (ObjectSpec("queue", queue, scheme=scheme, relation=relation),),
+            (ObjectSpec("queue", Queue(), scheme=scheme),),
         )
     else:
-        spec = scenario_keyspace(
-            scenario.objects, n_sites if n_sites is not None else 5, scheme
+        spec = demo_keyspace(
+            scenario.objects,
+            n_sites if n_sites is not None else 5,
+            placement="all",
+            scheme=scheme,
         )
     cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
     names = tuple(obj.name for obj in spec.objects)
@@ -273,10 +222,7 @@ def build_workload(
     if objects > 1 or placement != "all":
         spec = demo_keyspace(objects, sites, placement=placement)
     else:
-        queue = Queue()
-        spec = KeyspaceSpec(
-            sites, (ObjectSpec("queue", queue, relation=_hybrid_relation(queue)),)
-        )
+        spec = KeyspaceSpec(sites, (ObjectSpec("queue", Queue()),))
     cluster = build_keyspace(
         spec,
         seed=seed,

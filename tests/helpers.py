@@ -39,18 +39,14 @@ def cluster_of(n_sites: int, *objects: ObjectSpec, **options):
 
 
 def hybrid_queue(name: str = "queue") -> ObjectSpec:
-    """A fully replicated hybrid FIFO queue under the paper's static
-    relation (Theorem 4 makes it a hybrid relation too)."""
-    queue = Queue()
-    return ObjectSpec(name, queue, relation=known.ground(queue, known.QUEUE_STATIC, 5))
+    """A fully replicated hybrid FIFO queue under its default relation,
+    the paper's static one (Theorem 4 makes it a hybrid relation too)."""
+    return ObjectSpec(name, Queue())
 
 
 def queue_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):
-    """Replicated Queue; the static relation doubles as a hybrid relation
-    (Theorem 4) for the hybrid scheme's conflict table."""
-    datatype = Queue()
-    relation = known.ground(datatype, known.QUEUE_STATIC, 5)
-    return small_system(datatype, scheme, relation, n_sites, seed, **kwargs)
+    """Replicated Queue; a hybrid one runs under its default relation."""
+    return small_system(Queue(), scheme, None, n_sites, seed, **kwargs)
 
 
 def prom_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):

@@ -159,6 +159,42 @@ class TestAudit:
         assert tuple(mutate_action.choices) == tuple(sorted(MUTATIONS))
 
 
+class TestPositiveSizes:
+    """Every ``--window``, ``--objects`` and ``--replication-factor`` flag
+    refuses zero and negatives as a usage error, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--stream", "--format", "jsonl", "--window", "0"],
+            ["audit", "--streaming", "--window", "0"],
+            ["audit", "--streaming", "--window", "-3"],
+            ["soak", "--quick", "--window", "0"],
+            ["scenario", "default", "--window", "0"],
+            ["audit", "--objects", "0"],
+            ["chaos", "--objects", "0"],
+            ["soak", "--quick", "--objects", "0"],
+            ["soak", "--quick", "--replication-factor", "0"],
+            ["audit", "--window", "four"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_code_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "positive integer" in err or "not an integer" in err
+
+    def test_streaming_window_is_reported_as_given(self, capsys):
+        code, out = run_cli(
+            ["audit", *WORKLOAD, "--streaming", "--window", "16", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["window"] == 16
+
+
 class TestReportCompatibility:
     def test_no_args_prints_paper_report(self, capsys, monkeypatch):
         import repro.core.paper

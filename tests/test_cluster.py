@@ -3,10 +3,15 @@
 import pytest
 
 from repro.dependency import known
+from repro.dependency.relation import DependencyRelation
 from repro.errors import SpecificationError
+from repro.histories.events import Invocation
+from repro.obs.audit import Auditor
+from repro.obs.trace import Tracer
 from repro.quorum.constraints import satisfies
 from repro.replication.keyspace import ObjectSpec
-from repro.types import PROM, Queue
+from repro.spec.enumerate import event_alphabet
+from repro.types import PROM, Counter, Queue, Register
 from tests.helpers import cluster_of
 
 
@@ -27,11 +32,45 @@ class TestBuildCluster:
         assert first == second
 
 
-class TestAddObject:
-    def test_hybrid_requires_relation(self):
-        with pytest.raises(SpecificationError):
-            cluster_of(3, ObjectSpec("q", Queue(), "hybrid"))
+class TestHybridRelationResolution:
+    """A hybrid ``ObjectSpec`` given no relation resolves its default once,
+    and the scheme and the auditor see that value (the quorum check is
+    ``test_keyspace.py::TestKeyspaceSpec::test_quorums_must_meet_the_declared_relation``)."""
 
+    def test_defaulted_queue_runs_under_the_grounded_static_relation(self):
+        cluster = cluster_of(
+            3, ObjectSpec("q", Queue()), ObjectSpec("p", Queue(), "hybrid"),
+            tracer=Tracer(),
+        )
+        auditor = Auditor(cluster)
+        first, second = (cluster.tm.object(name).cc.relation for name in "qp")
+        assert first == known.ground(Queue(), known.QUEUE_STATIC, 5)
+        assert first is second
+        txn = cluster.tm.begin(0)
+        cluster.frontends[0].execute(txn, "q", Invocation("Enq", ("a",)))
+        cluster.tm.commit(txn)
+        assert auditor.finish().ok
+
+    @pytest.mark.parametrize("datatype", [Register(), Counter()], ids=["Register", "Counter"])
+    def test_other_types_resolve_to_the_total_relation(self, datatype):
+        total = DependencyRelation.total(
+            datatype.invocations(), event_alphabet(datatype, 5)
+        )
+        assert ObjectSpec("x", datatype).relation == total
+
+    def test_an_explicit_relation_wins(self):
+        prom = PROM()
+        hybrid = known.ground(prom, known.PROM_HYBRID, 5)
+        cluster = cluster_of(3, ObjectSpec("p", prom, relation=hybrid))
+        assert cluster.tm.object("p").cc.relation is hybrid
+        assert hybrid != ObjectSpec("d", prom).relation
+
+    @pytest.mark.parametrize("scheme", ["static", "dynamic"])
+    def test_static_and_dynamic_keep_no_relation(self, scheme):
+        assert ObjectSpec("q", Queue(), scheme).relation is None
+
+
+class TestAddObject:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SpecificationError):
             cluster_of(3, ObjectSpec("q", Queue(), "optimistic"))
@@ -43,8 +82,7 @@ class TestAddObject:
         assert set(cluster.tm.objects) == {"s", "d"}
 
     def test_object_registered_with_tm(self):
-        relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
-        cluster = cluster_of(3, ObjectSpec("q", Queue(), "hybrid", relation=relation))
+        cluster = cluster_of(3, ObjectSpec("q", Queue(), "hybrid"))
         assert cluster.tm.object("q").name == "q"
         assert cluster.placement.replicas("q") == (0, 1, 2)
 

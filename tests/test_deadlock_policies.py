@@ -3,7 +3,6 @@
 import pytest
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.dependency import known
 from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
@@ -13,8 +12,7 @@ from tests.helpers import cluster_of, hybrid_queue
 
 def _run(policy: str, seed: int = 3, transactions: int = 25, scheme: str = "dynamic"):
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    cluster = cluster_of(3, ObjectSpec("obj", queue, scheme, relation=relation), seed=seed)
+    cluster = cluster_of(3, ObjectSpec("obj", queue, scheme), seed=seed)
     obj = cluster.tm.object("obj")
     mix = OperationMix.uniform("obj", queue.invocations())
     generator = WorkloadGenerator(

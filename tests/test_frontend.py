@@ -100,7 +100,6 @@ class TestUnavailability:
         its final quorum, so the transaction aborts.
         """
         from repro.types import Queue
-        from repro.dependency import known
         from tests.helpers import small_system
 
         n = 3
@@ -115,9 +114,8 @@ class TestUnavailability:
                 ),
             },
         )
-        relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
         cluster, _obj = small_system(
-            Queue(), "hybrid", relation, n_sites=n, assignment=assignment
+            Queue(), "hybrid", n_sites=n, assignment=assignment
         )
         cluster.network.crash(1)
         cluster.network.crash(2)
@@ -149,7 +147,6 @@ class TestFailedFinalQuorum:
     @staticmethod
     def _read_one_write_all():
         """Enq reads one site and writes all; Deq reads all, writes one."""
-        from repro.dependency import known
         from repro.types import Queue
         from tests.helpers import small_system
 
@@ -165,9 +162,8 @@ class TestFailedFinalQuorum:
                 ),
             },
         )
-        relation = known.ground(Queue(), known.QUEUE_STATIC, 5)
         cluster, _obj = small_system(
-            Queue(), "hybrid", relation, n_sites=n, assignment=assignment
+            Queue(), "hybrid", n_sites=n, assignment=assignment
         )
         return cluster
 

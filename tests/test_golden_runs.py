@@ -33,7 +33,7 @@ from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.resilience.chaos import PROFILES, run_chaos_case
 from repro.scenarios import SCENARIOS, run_scenario
-from repro.scenarios.runner import MECHANISMS, _hybrid_relation
+from repro.scenarios.runner import MECHANISMS
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
 
@@ -58,7 +58,7 @@ def _chaos(**inputs) -> dict:
 def _reconfig(*, seed: int, transactions: int) -> dict:
     """A hybrid queue reconfigured twice while transactions are in flight."""
     queue = Queue()
-    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue, relation=_hybrid_relation(queue)),))
+    spec = KeyspaceSpec(5, (ObjectSpec("queue", queue),))
     cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=Tracer())
     obj = cluster.tm.object("queue")
     auditor = Auditor(cluster)

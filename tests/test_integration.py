@@ -115,13 +115,11 @@ class TestInvalidAssignmentBreaksAtomicity:
             },
         )
         datatype = Queue()
-        relation = known.ground(datatype, known.QUEUE_STATIC, 5)
         violations = 0
         for seed in range(6):
             cluster, obj = small_system(
                 datatype,
                 "hybrid",
-                relation,
                 n_sites=n,
                 seed=seed,
                 assignment=broken,

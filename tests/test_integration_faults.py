@@ -8,7 +8,6 @@ recorded histories through the membership checkers.
 import pytest
 
 from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
-from repro.dependency import known
 from repro.replication.keyspace import ObjectSpec
 from repro.sim.failures import CrashInjector, PartitionInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
@@ -19,8 +18,7 @@ from tests.helpers import cluster_of
 
 def _run(scheme, *, seed, drop=0.0, crash=False, partition=False, transactions=25):
     queue = Queue()
-    relation = known.ground(queue, known.QUEUE_STATIC, 5)
-    spec = ObjectSpec("obj", queue, scheme, relation=relation)
+    spec = ObjectSpec("obj", queue, scheme)
     cluster = cluster_of(3, spec, seed=seed, drop_probability=drop)
     obj = cluster.tm.object("obj")
     if crash:
@@ -77,14 +75,13 @@ class TestStress:
     def test_many_objects_mixed_schemes(self):
         """Four objects under different schemes in one transaction space."""
         queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
         names = [
             (f"q{index}", scheme)
             for index, scheme in enumerate(("hybrid", "static", "dynamic", "hybrid"))
         ]
         cluster = cluster_of(
             3,
-            *(ObjectSpec(name, Queue(), scheme, relation=relation) for name, scheme in names),
+            *(ObjectSpec(name, Queue(), scheme) for name, scheme in names),
             seed=7,
         )
         mix = OperationMix.weighted(

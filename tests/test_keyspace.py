@@ -41,10 +41,10 @@ from repro.replication.keyspace import (
     Router,
     demo_keyspace,
     demo_mix,
+    soak_keyspace,
 )
 from repro.resilience.chaos import run_chaos_case, run_chaos_sweep
 from repro.sim.workload import WorkloadGenerator
-from repro.dependency import known
 from repro.types import Queue, Register
 
 pytestmark = pytest.mark.keyspace
@@ -171,18 +171,16 @@ class TestKeyspaceSpec:
     @pytest.mark.parametrize("quorums", [(1, 1), (2, 1), (0, 0)])
     def test_quorums_must_meet_the_declared_relation(self, quorums):
         # Initial 1 + final 1 of 3 replicas can miss each other, and so
-        # can 2 + 1; a zero threshold meets nothing.
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
-        spec = ObjectSpec("q", queue, quorums=quorums, relation=relation)
+        # can 2 + 1; a zero threshold meets nothing.  The relation is the
+        # queue's default: before it existed such a queue could not be
+        # built at all, so refusing it refuses nothing that built before.
+        spec = ObjectSpec("q", Queue(), quorums=quorums)
         with pytest.raises(SpecificationError, match=r"'q'.* ≥ "):
             spec.compile_assignment((0, 1, 2), 3)
 
     def test_quorums_meeting_the_relation_compile(self):
-        queue = Queue()
-        relation = known.ground(queue, known.QUEUE_STATIC, 5)
         for quorums in ("majority", (1, 3), (3, 1), (2, 2)):
-            spec = ObjectSpec("q", queue, quorums=quorums, relation=relation)
+            spec = ObjectSpec("q", Queue(), quorums=quorums)
             spec.compile_assignment((0, 1, 2), 3)
 
     def test_malformed_quorums_name_the_accepted_forms(self):
@@ -202,6 +200,26 @@ class TestKeyspaceSpec:
             ):
                 for quorum in coterie.quorums():
                     assert quorum <= replicas
+
+
+class TestKeyspaceBuilders:
+    @pytest.mark.parametrize("build", [demo_keyspace, soak_keyspace])
+    @pytest.mark.parametrize("n_objects", [0, -2])
+    def test_an_empty_keyspace_is_refused(self, build, n_objects):
+        with pytest.raises(SpecificationError, match="at least one object"):
+            build(n_objects, 5)
+
+    @pytest.mark.parametrize("build", [demo_keyspace, soak_keyspace])
+    def test_an_unknown_placement_is_refused(self, build):
+        with pytest.raises(SpecificationError, match="'grid'"):
+            build(3, 5, placement="grid")
+
+    def test_paper_pairings_by_default(self):
+        spec = demo_keyspace(6, 5)
+        assert [(obj.name, obj.scheme) for obj in spec.objects[:3]] == [
+            ("queue-0", "hybrid"), ("register-1", "static"), ("counter-2", "dynamic"),
+        ]
+        assert {obj.placement for obj in spec.objects} == {PlacementRule.ring(3)}
 
 
 def build_demo(n_objects=8, n_sites=5, seed=0):

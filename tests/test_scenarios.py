@@ -40,9 +40,9 @@ from repro.scenarios import (
     hot_key_ranks,
     poisson_arrivals,
     run_scenario,
-    scenario_keyspace,
     zipf_weights,
 )
+from repro.replication.keyspace import demo_keyspace
 from repro.scenarios.runner import scenario_trial
 from repro.sim.trials import run_trials
 
@@ -205,7 +205,7 @@ class TestCompilation:
         assert compiled == OperationMix.uniform("queue", queue.invocations())
 
     def test_zipf_mix_concentrates_draws_on_the_hot_key(self):
-        spec = scenario_keyspace(8, 5, "hybrid")
+        spec = demo_keyspace(8, 5, placement="all", scheme="hybrid")
         scenario = SCENARIOS["hot-key-contention"]
         mix = compile_mix(spec.objects, scenario, seed=0)
         ranks = hot_key_ranks([o.name for o in spec.objects], 0)
@@ -224,10 +224,12 @@ class TestCompilation:
 
     def test_scenario_keyspace_uses_one_scheme_everywhere(self):
         for mechanism, scheme in MECHANISMS.items():
-            spec = scenario_keyspace(6, 5, scheme)
-            assert {o.scheme for o in spec.objects} == {scheme}
-            kinds = {o.name.split("-")[0] for o in spec.objects}
-            assert kinds == {"queue", "register", "counter"}
+            cluster, _generator, names = build_scenario(
+                "write-heavy", mechanism=mechanism
+            )
+            assert {cluster.tm.object(n).cc.name for n in names} == {scheme}
+            assert {n.split("-")[0] for n in names} == {"queue", "register", "counter"}
+            assert not cluster.placement.is_partial
 
     def test_unknown_mechanism_and_scenario_are_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism"):

@@ -31,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.timestamps import Timestamp
-from repro.dependency import known
 from repro.errors import SimulationError
 from repro.histories.events import event
 from repro.obs.audit import Auditor
@@ -584,10 +583,7 @@ SCHEMES = ("hybrid", "dynamic", "static")
 
 def _queue_cluster(seed: int, n_sites: int = 3, tracer=None, scheme: str = "hybrid"):
     queue = Queue()
-    relation = (
-        known.ground(queue, known.QUEUE_STATIC, 5) if scheme == "hybrid" else None
-    )
-    spec = ObjectSpec("queue", queue, scheme, relation=relation)
+    spec = ObjectSpec("queue", queue, scheme)
     cluster = cluster_of(n_sites, spec, seed=seed, tracer=tracer)
     generator = WorkloadGenerator(
         cluster.sim,

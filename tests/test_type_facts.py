@@ -1,7 +1,7 @@
 """Type facts are derived once per data type value and shared by reference.
 
 What the build path memoizes (:mod:`repro.spec.facts`) — the locking
-conflict table, the hybrid conflict table, the scenario runner's hybrid
+conflict table, the hybrid conflict table, an ``ObjectSpec``'s default hybrid
 relation, the read-only operation set — must equal a from-scratch
 derivation, be keyed on the data type's *value* (class + constructor
 state, never identity alone, never across subclasses), be immutable
@@ -33,11 +33,8 @@ from repro.obs.audit import Auditor
 from repro.obs.mutations import MUTATIONS
 from repro.obs.trace import Tracer
 from repro.resilience.policy import _classify_read_only, read_only_operations
-from repro.scenarios.runner import (
-    _hybrid_relation,
-    build_scenario,
-    scenario_trial,
-)
+from repro.replication.keyspace import ObjectSpec
+from repro.scenarios.runner import build_scenario, scenario_trial
 from repro.sim.trials import run_trials
 from repro.spec import facts
 from repro.spec.enumerate import event_alphabet
@@ -94,6 +91,11 @@ CASES = [
     (Mutex, 4, set()),
     (Sequencer, 4, set()),
 ]
+
+
+def _hybrid_relation(datatype):
+    """The relation a hybrid object of ``datatype`` resolves by default."""
+    return ObjectSpec("x", datatype).relation
 
 
 def _case_id(case) -> str:
