@@ -15,7 +15,7 @@ Typical entry points:
 * quorum math: :mod:`repro.quorum`;
 * the running system: :mod:`repro.replication.cluster`,
   :mod:`repro.sim.workload`;
-* observability (tracing, metrics, profiling): :mod:`repro.obs`;
+* observability (tracing, metrics, auditing): :mod:`repro.obs`;
 * resilience (retry policies, crash recovery, chaos sweeps):
   :mod:`repro.resilience`;
 * adaptive quorum tuning (mix observation, online reconfiguration):
@@ -26,7 +26,7 @@ Typical entry points:
 The running system's principals — :class:`Simulator`, :class:`Network`,
 :class:`Repository`, :class:`FrontEnd`, :class:`TransactionManager` —
 and the observability hooks — :class:`Tracer`, :class:`MetricsRegistry`,
-:class:`KernelProfiler` — are re-exported here, so a traced cluster is
+:class:`Auditor` — are re-exported here, so a traced cluster is
 reachable without deep imports::
 
     import repro
@@ -54,7 +54,6 @@ from repro.atomicity.properties import (
 )
 from repro.obs.audit import Auditor, AuditReport, Violation
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.profile import KernelProfiler
 from repro.obs.trace import NULL_TRACER, NullTracer, Span, TraceListener, Tracer
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.cluster import Cluster, build_keyspace
@@ -135,7 +134,6 @@ __all__ = [
     "NULL_TRACER",
     "Histogram",
     "MetricsRegistry",
-    "KernelProfiler",
     "Auditor",
     "AuditReport",
     "Violation",

@@ -8,8 +8,6 @@ Subcommands:
   emit the span forest as a tree, JSONL, or Chrome trace JSON;
 * ``metrics`` — run the same workload and print the outcome/latency
   metrics (fixed-width table or JSON);
-* ``bench``   — time the workload in wall-clock terms, optionally with
-  kernel profiling (per-callback cost, queue depth);
 * ``audit``   — run the workload under the online correctness auditor
   (live history capture + invariant monitors); exits non-zero when any
   invariant is violated.  ``--mutate`` seeds a protocol mutation the
@@ -30,12 +28,14 @@ Subcommands:
 
 All workload subcommands share ``--seed``, ``--sites``,
 ``--transactions``, ``--crashes`` and are deterministic per seed.
-``report``, ``bench``, ``audit``, ``chaos``, and ``soak`` accept
+``report``, ``audit``, ``chaos``, ``soak`` and ``scenario`` accept
 ``--artifacts DIR`` to drop a machine-readable ``plan.json`` /
 ``report.json`` pair describing the run (see
 :mod:`repro.obs.runreport`).
 ``report`` and the kernel paths honor ``--jobs`` / ``REPRO_JOBS`` for
-multiprocess derivation.
+multiprocess derivation.  Wall-clock measurement lives outside the
+package: ``python3 perf/run.py <workload> --rounds 1 --traced`` prints
+host-corrected medians and a per-layer ledger.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import sys
 from time import perf_counter
 
 from repro.obs.export import EXPORTERS, export
-from repro.obs.profile import KernelProfiler
 from repro.obs.trace import Tracer
 
 
@@ -62,13 +61,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    """Argparse type for a per-message loss probability in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"{value} is not a probability in [0, 1)")
+    return value
+
+
+#: Retry policies, kept literal so parser construction stays import-light;
+#: guarded against drift from repro.resilience.policy.POLICIES by test_cli.
+_POLICIES = ("no-retry", "default", "degraded")
+
+
 def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
-        "--sites", type=int, default=3, help="number of repository sites"
+        "--sites", type=_positive_int, default=3, help="number of repository sites"
     )
     parser.add_argument(
-        "--transactions", type=int, default=12, help="transactions to run"
+        "--transactions", type=_positive_int, default=12, help="transactions to run"
     )
     parser.add_argument(
         "--crashes",
@@ -77,7 +92,7 @@ def _workload_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--drop-probability",
-        type=float,
+        type=_probability,
         default=0.0,
         metavar="P",
         help="per-message loss probability in [0, 1)",
@@ -113,20 +128,12 @@ def _workload_shape(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_workload(
-    args: argparse.Namespace,
-    *,
-    tracer: Tracer | None = None,
-    profiler: KernelProfiler | None = None,
-):
-    """Drive the standard replicated-queue workload; returns (cluster, metrics)."""
+def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
+    """Drive the standard replicated-queue workload under ``tracer``."""
     from repro.scenarios import build_workload
 
-    cluster, generator = build_workload(
-        **_workload_shape(args), tracer=tracer, profiler=profiler
-    )
-    metrics = generator.run(args.transactions)
-    return cluster, metrics
+    _cluster, generator = build_workload(**_workload_shape(args), tracer=tracer)
+    generator.run(args.transactions)
 
 
 def _artifacts_argument(parser: argparse.ArgumentParser) -> None:
@@ -206,7 +213,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         writer = open_stream_writer(args.format, handle)
         tracer.add_listener(writer)
         try:
-            _run_workload(args, tracer=tracer)
+            _run_workload(args, tracer)
             writer.close()
         finally:
             if handle is not sys.stdout:
@@ -219,7 +226,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 0
     tracer = Tracer()
-    _run_workload(args, tracer=tracer)
+    _run_workload(args, tracer)
     _emit(export(tracer.spans, args.format), args.output)
     return 0
 
@@ -291,115 +298,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_worker(payload: dict) -> dict:
-    """Process-pool unit for ``bench --jobs``: one workload replica."""
-    args = argparse.Namespace(**payload)
-    wall_start = perf_counter()
-    cluster, metrics = _run_workload(args)
-    elapsed = perf_counter() - wall_start
-    return {
-        "seed": args.seed,
-        "elapsed": elapsed,
-        "operations": sum(metrics.outcomes.values()),
-        "messages": cluster.network.messages_sent,
-        "sim_time": cluster.sim.now,
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.compute.parallel import parallel_map, resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
-    if jobs > 1:
-        # Fan out independent replicas at consecutive seeds — the same
-        # experiment the simulator benchmarks repeat serially.
-        payloads = [
-            {
-                "seed": args.seed + replica,
-                "sites": args.sites,
-                "transactions": args.transactions,
-                "crashes": args.crashes,
-                "drop_probability": args.drop_probability,
-                "objects": args.objects,
-                "placement": args.placement,
-            }
-            for replica in range(jobs)
-        ]
-        wall_start = perf_counter()
-        results, parallel_used = parallel_map(_bench_worker, payloads, jobs)
-        elapsed = perf_counter() - wall_start
-        operations = sum(r["operations"] for r in results)
-        lines = [
-            f"{jobs} replicas × {args.transactions} transactions over "
-            f"{args.sites} sites (seeds {args.seed}..{args.seed + jobs - 1}, "
-            f"{'process pool' if parallel_used else 'serial fallback'})",
-        ]
-        for r in results:
-            lines.append(
-                f"  seed {r['seed']}: {r['operations']} ops in "
-                f"{r['elapsed']:.3f}s (sim time {r['sim_time']:.1f})"
-            )
-        lines.append(
-            f"wall time: {elapsed:.3f}s ({operations / elapsed:,.0f} ops/s "
-            "aggregate)"
-        )
-        _emit("\n".join(lines), args.output)
-        if args.artifacts is not None:
-            from repro.obs.runreport import make_plan, make_report
-
-            _write_artifacts(
-                args,
-                make_plan("bench", workload=_workload_plan(args), jobs=jobs),
-                make_report(
-                    "bench",
-                    ok=True,
-                    elapsed=round(elapsed, 3),
-                    operations=operations,
-                    replicas=results,
-                ),
-            )
-        return 0
-
-    profiler = KernelProfiler() if args.profile else None
-    wall_start = perf_counter()
-    cluster, metrics = _run_workload(args, profiler=profiler)
-    elapsed = perf_counter() - wall_start
-    operations = sum(metrics.outcomes.values())
-    lines = [
-        f"{args.transactions} transactions, {operations} operations, "
-        f"{cluster.network.messages_sent} messages "
-        f"over {args.sites} sites (seed {args.seed})",
-        f"wall time: {elapsed:.3f}s "
-        f"({operations / elapsed:,.0f} ops/s, "
-        f"{args.transactions / elapsed:,.0f} txn/s)",
-        f"simulated time: {cluster.sim.now:.1f}",
-        "",
-        metrics.table(),
-    ]
-    if profiler is not None:
-        lines += ["", "kernel profile (wall time per dispatched callback):"]
-        lines.append(profiler.report())
-    _emit("\n".join(lines), args.output)
-    if args.artifacts is not None:
-        from repro.obs.metrics import retention_gauges
-        from repro.obs.runreport import make_plan, make_report
-
-        _write_artifacts(
-            args,
-            make_plan("bench", workload=_workload_plan(args), jobs=1),
-            make_report(
-                "bench",
-                ok=True,
-                elapsed=round(elapsed, 3),
-                operations=operations,
-                messages=cluster.network.messages_sent,
-                sim_time=round(cluster.sim.now, 1),
-                retention=retention_gauges(metrics.registry),
-            ),
-        )
-    return 0
-
-
 def _chaos_table(verdict: dict) -> str:
     """Fixed-width rendering of a chaos-sweep verdict."""
     header = (
@@ -436,12 +334,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     policies = (
         tuple(POLICIES) if args.policies is None else tuple(args.policies)
     )
-    for name in policies:
-        if name not in POLICIES:
-            raise SystemExit(
-                f"python -m repro chaos: unknown policy {name!r} "
-                f"(choose from {', '.join(sorted(POLICIES))})"
-            )
     verdict = run_chaos_sweep(
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
         profiles=profiles,
@@ -781,29 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.set_defaults(func=_cmd_metrics)
 
-    bench = subparsers.add_parser(
-        "bench", help="time a workload run, optionally with kernel profiling"
-    )
-    _workload_arguments(bench)
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="account wall time per simulator callback",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run N independent replicas (seeds seed..seed+N-1) in "
-        "parallel (default: REPRO_JOBS, else 1)",
-    )
-    bench.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    _artifacts_argument(bench)
-    bench.set_defaults(func=_cmd_bench)
-
     chaos = subparsers.add_parser(
         "chaos",
         help="run the audited chaos sweep over composed fault schedules",
@@ -811,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0, help="first sweep seed")
     chaos.add_argument(
         "--seeds",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="number of consecutive seeds per (profile, policy) cell "
@@ -828,16 +697,16 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--policies",
         nargs="+",
+        choices=_POLICIES,
         default=None,
-        metavar="NAME",
         help="retry policies to sweep (default: every built-in policy)",
     )
     chaos.add_argument(
-        "--sites", type=int, default=5, help="repository sites (default: 5)"
+        "--sites", type=_positive_int, default=5, help="repository sites (default: 5)"
     )
     chaos.add_argument(
         "--transactions",
-        type=int,
+        type=_positive_int,
         default=16,
         help="transactions per case (default: 16)",
     )
@@ -938,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--ops",
-        type=int,
+        type=_positive_int,
         default=1_000_000,
         metavar="N",
         help="executed operations to drive (default: 1,000,000)",
@@ -950,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument("--seed", type=int, default=0, help="simulation seed")
     soak.add_argument(
-        "--sites", type=int, default=5, help="repository sites (default: 5)"
+        "--sites", type=_positive_int, default=5, help="repository sites (default: 5)"
     )
     soak.add_argument(
         "--objects",
@@ -975,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--compact-every",
-        type=int,
+        type=_positive_int,
         default=25,
         metavar="T",
         help="maintenance round every T transactions (default: 25)",
@@ -1041,22 +910,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--policy",
+        choices=_POLICIES,
         default=None,
-        metavar="NAME",
         help="retry policy (default: 'default' under chaos, none "
         "otherwise)",
     )
     scenario.add_argument("--seed", type=int, default=0, help="simulation seed")
     scenario.add_argument(
         "--sites",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="repository sites (default: the scenario's natural size)",
     )
     scenario.add_argument(
         "--transactions",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="transactions to run (default: the scenario's own count)",

@@ -1,8 +1,7 @@
 """repro.obs — structured observability for the replication stack.
 
 Tracing (:mod:`repro.obs.trace`), metric instruments
-(:mod:`repro.obs.metrics`), kernel profiling
-(:mod:`repro.obs.profile`), trace exporters (:mod:`repro.obs.export`),
+(:mod:`repro.obs.metrics`), trace exporters (:mod:`repro.obs.export`),
 and the online correctness auditor (:mod:`repro.obs.audit`, with seeded
 protocol mutations for fault injection in :mod:`repro.obs.mutations`).
 The running system (`repro.sim`, `repro.replication`, `repro.txn`) is
@@ -35,7 +34,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     percentile,
 )
-from repro.obs.profile import CallbackStats, KernelProfiler, callback_name
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_SPAN_CONTEXT,
@@ -59,9 +57,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "percentile",
-    "KernelProfiler",
-    "CallbackStats",
-    "callback_name",
     "export",
     "to_jsonl",
     "parse_jsonl",

@@ -34,10 +34,7 @@ after-the-fact inspection (``spans``, ``walk``, forensics):
 * ``retention="all"`` — keep everything (the default; exact PR-1
   behavior, memory grows with the run);
 * ``retention="ring"`` — keep the last ``window`` spans in a ring
-  buffer: O(window) memory, enough tail for violation forensics;
-* ``retention="consume"`` — release each span as soon as its close has
-  been streamed to the listeners; only *open* spans are retained, so a
-  pure streaming consumer pays O(concurrent spans).
+  buffer: O(window) memory, enough tail for violation forensics.
 
 ``retained_spans`` / ``peak_retained`` expose the live count and its
 high-water mark; :func:`process_peak_retained` tracks the largest
@@ -68,7 +65,7 @@ _OUTCOME_BY_EXCEPTION = {
 }
 
 #: Valid span-retention policies (see the module docstring).
-RETENTION_MODES = ("all", "ring", "consume")
+RETENTION_MODES = ("all", "ring")
 
 #: Default ring-buffer size when ``retention="ring"`` without a window.
 DEFAULT_WINDOW = 4096
@@ -161,13 +158,6 @@ class _CountingClock:
     def tick(self) -> float:
         self.now += 1.0
         return self.now
-
-
-class _OpenSpans(dict):
-    """``retention="consume"``'s open spans by id, appended like a list."""
-
-    def append(self, span: Span) -> None:
-        self[span.span_id] = span
 
 
 class _SpanContext:
@@ -278,17 +268,9 @@ class Tracer:
             if retention == "ring"
             else None
         )
-        #: How a closed span leaves ``_spans``; ``None`` when it stays.
-        self._release: Callable | None = None
-        if retention == "ring":
-            self._spans: Any = deque(maxlen=self.window)
-        elif retention == "consume":
-            # Closed spans are released the moment listeners have
-            # consumed them.
-            self._spans = _OpenSpans()
-            self._release = self._spans.pop
-        else:
-            self._spans = []
+        self._spans: Any = (
+            deque(maxlen=self.window) if retention == "ring" else []
+        )
         #: High-water mark of :attr:`retained_spans` (survives clear()).
         self.peak_retained = 0
         #: Spans closed so far, point events included (survives clear()):
@@ -378,8 +360,6 @@ class Tracer:
             self.closed += 1
             for hook in self._end_hooks.get(span.kind, self._end_hooks_rest):
                 hook(span)
-            if self._release is not None:
-                self._release(span.span_id, None)
 
     def span(
         self,
@@ -413,15 +393,9 @@ class Tracer:
         self.closed += 1
         for hook in self._event_hooks:
             hook(span)
-        if self._release is not None:
-            self._release(span.span_id, None)
         return span
 
     # -- inspection ---------------------------------------------------------
-
-    def _retained(self) -> Any:
-        """The retained spans as an iterable, regardless of store shape."""
-        return self._spans if self._release is None else self._spans.values()
 
     @property
     def retained_spans(self) -> int:
@@ -431,29 +405,29 @@ class Tracer:
     @property
     def spans(self) -> tuple[Span, ...]:
         """Retained spans in creation order (open spans included)."""
-        return tuple(self._retained())
+        return tuple(self._spans)
 
     def finished_spans(self) -> tuple[Span, ...]:
-        return tuple(span for span in self._retained() if span.finished)
+        return tuple(span for span in self._spans if span.finished)
 
     def children_of(self, span: Span | None) -> tuple[Span, ...]:
         parent_id = None if span is None else span.span_id
-        return tuple(s for s in self._retained() if s.parent_id == parent_id)
+        return tuple(s for s in self._spans if s.parent_id == parent_id)
 
     def roots(self) -> tuple[Span, ...]:
         """Spans with no retained parent, in start order."""
-        ids = {span.span_id for span in self._retained()}
+        ids = {span.span_id for span in self._spans}
         return tuple(
             span
-            for span in self._retained()
+            for span in self._spans
             if span.parent_id is None or span.parent_id not in ids
         )
 
     def walk(self) -> Iterator[tuple[Span, int]]:
         """Depth-first (span, depth) pairs over the retained forest."""
         by_parent: dict[int | None, list[Span]] = {}
-        ids = {span.span_id for span in self._retained()}
-        for span in self._retained():
+        ids = {span.span_id for span in self._spans}
+        for span in self._spans:
             key = span.parent_id if span.parent_id in ids else None
             by_parent.setdefault(key, []).append(span)
 

@@ -19,7 +19,6 @@ from repro.cc.locking import DynamicLockingCC
 from repro.cc.static_ts import StaticTimestampCC
 from repro.dependency.relation import DependencyRelation
 from repro.errors import SpecificationError
-from repro.obs.profile import KernelProfiler
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.frontend import FrontEnd
@@ -62,10 +61,6 @@ class Cluster:
 
     #: The active resilience bundle, set by :meth:`enable_resilience`.
     resilience: "ResilienceRuntime | None" = None
-
-    @property
-    def profiler(self) -> KernelProfiler | None:
-        return self.sim.profiler
 
     def enable_resilience(
         self,
@@ -192,7 +187,6 @@ def build_keyspace(
     latency: float = 1.0,
     drop_probability: float = 0.0,
     tracer: Tracer | None = None,
-    profiler: KernelProfiler | None = None,
 ) -> Cluster:
     """Compile a keyspace spec into a running cluster.
 
@@ -210,15 +204,14 @@ def build_keyspace(
     repositories.
 
     Pass a :class:`~repro.obs.trace.Tracer` to capture span trees
-    (transaction → operation → quorum phase → RPC) over simulated time,
-    and/or a :class:`~repro.obs.profile.KernelProfiler` for per-callback
-    wall-time accounting in the sim kernel; both default to off.
+    (transaction → operation → quorum phase → RPC) over simulated time;
+    it defaults to off.
     """
     n_sites = spec.n_sites
     placement = spec.compile()
     router = Router(placement)
     tracer = tracer if tracer is not None else NULL_TRACER
-    sim = Simulator(seed=seed, tracer=tracer, profiler=profiler)
+    sim = Simulator(seed=seed, tracer=tracer)
     tracer.bind_clock(sim)
     network = Network(
         sim,

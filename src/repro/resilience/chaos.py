@@ -443,8 +443,11 @@ def run_chaos_sweep(
     attempted / succeeded / degraded / aborted / unavailable, violation
     totals, and pooled recovery-latency p50/p95 — plus a top-level
     ``ok`` that is ``True`` only when **every** case passed its audit,
-    converged, and fully accounted for its work.
+    converged, and fully accounted for its work.  An empty ``seeds``
+    raises :class:`ValueError`: a sweep of nothing has no verdict.
     """
+    if not seeds:
+        raise ValueError("run_chaos_sweep needs at least one seed")
     table: dict[str, dict[str, dict]] = {}
     sweep_ok = True
     parallel_any = False

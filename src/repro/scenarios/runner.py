@@ -194,7 +194,6 @@ def build_workload(
     crashes: bool = False,
     partitions: bool = False,
     tracer=None,
-    profiler=None,
 ):
     """Assemble the standard (tier-1, CLI) workload without running it.
 
@@ -228,7 +227,6 @@ def build_workload(
         seed=seed,
         drop_probability=drop_probability,
         tracer=tracer,
-        profiler=profiler,
     )
     mix = demo_mix(spec)
     if crashes:

@@ -21,11 +21,9 @@ calls alone (``tests/test_sim_throughput.py`` pins per-step traces).
 it would fire; both legs of every gather wave run this way, so a
 fault-free run dispatches no kernel events at all.
 
-Observability: an optional :class:`~repro.obs.profile.KernelProfiler`
-accounts wall time per dispatched callback and per in-place leg and
-samples queue depth, and an optional :class:`~repro.obs.trace.Tracer`
-receives a ``sim.run`` event per productive batch of due events.  Both
-default to off and cost one ``is None`` check per event when off.
+Observability: an optional :class:`~repro.obs.trace.Tracer` receives a
+``sim.run`` event per productive batch of due events.  Wall time per
+layer is measured from outside by ``perf/run.py --traced``.
 """
 
 from __future__ import annotations
@@ -34,14 +32,10 @@ import heapq
 import random
 from math import inf
 from sys import getrefcount
-from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.obs.trace import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import KernelProfiler
 
 
 class EventHandle:
@@ -75,13 +69,7 @@ _FREE_LIST_LIMIT = 256
 class Simulator:
     """A deterministic event-driven clock."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        tracer: Tracer | None = None,
-        profiler: "KernelProfiler | None" = None,
-    ):
+    def __init__(self, seed: int = 0, *, tracer: Tracer | None = None):
         #: Bare (time, seq) tuples; comparisons are C-level.
         self._heap: list[tuple[float, int]] = []
         #: seq -> callback for every live (scheduled, not cancelled,
@@ -104,8 +92,6 @@ class Simulator:
         self._running = False
         #: Span/event sink for the layers running on this clock.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Per-callback wall-time accounting; ``None`` disables profiling.
-        self.profiler = profiler
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run ``callback`` at ``now + delay``; returns a cancellable handle."""
@@ -227,7 +213,7 @@ class Simulator:
         :meth:`call_at` plus :meth:`run` up to that event, minus its heap
         entry: claims its sequence number, dispatches every live event
         keyed ahead of it, sets the clock and calls ``leg`` inside the
-        reentrancy guard (and the profiler, as a dispatched callback).
+        reentrancy guard.
         Returns the number of events dispatched on the way.
         """
         if self._running:
@@ -242,13 +228,7 @@ class Simulator:
             self.now = time
             if dispatched and self.tracer.enabled:
                 self.tracer.event("sim.run", dispatched=dispatched)
-            profiler = self.profiler
-            if profiler is None:
-                leg(*args)
-            else:
-                wall_start = perf_counter()
-                leg(*args)
-                profiler.record(leg, perf_counter() - wall_start, len(self._heap), time)
+            leg(*args)
         finally:
             self._running = False
         return dispatched
@@ -261,7 +241,6 @@ class Simulator:
         handles = self._handles
         free = self._free_handles
         heappop = heapq.heappop
-        profiler = self.profiler
         while heap:
             if max_events is not None and dispatched >= max_events:
                 break
@@ -288,14 +267,7 @@ class Simulator:
             self._live -= 1
             if time > self.now:
                 self.now = time
-            if profiler is not None:
-                wall_start = perf_counter()
-                callback()
-                profiler.record(
-                    callback, perf_counter() - wall_start, len(heap), self.now
-                )
-            else:
-                callback()
+            callback()
             dispatched += 1
         return dispatched
 

@@ -81,25 +81,6 @@ class TestMetrics:
         )
 
 
-class TestBench:
-    def test_reports_throughput_and_profile(self, capsys):
-        code, out = run_cli(["bench", *WORKLOAD, "--crashes", "--profile"], capsys)
-        assert code == 0
-        assert "wall time" in out
-        assert "ops/s" in out
-        assert "kernel profile" in out
-        assert "queue depth" in out
-
-    def test_fault_free_profile_lists_the_wave_legs(self, capsys):
-        # A fault-free run dispatches no kernel events: its waves' legs
-        # run in place, and the profile still accounts for them.
-        code, out = run_cli(["bench", *WORKLOAD, "--profile"], capsys)
-        assert code == 0
-        assert "no events dispatched" not in out
-        assert "network.Network._arrive" in out
-        assert "network.Network._deliver" in out
-
-
 class TestAudit:
     def test_clean_run_exits_zero(self, capsys):
         code, out = run_cli(["audit", *WORKLOAD], capsys)
@@ -160,8 +141,8 @@ class TestAudit:
 
 
 class TestPositiveSizes:
-    """Every ``--window``, ``--objects`` and ``--replication-factor`` flag
-    refuses zero and negatives as a usage error, before anything runs."""
+    """Every size, count and window flag refuses zero and negatives as a
+    usage error, before anything runs."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -176,6 +157,19 @@ class TestPositiveSizes:
             ["soak", "--quick", "--objects", "0"],
             ["soak", "--quick", "--replication-factor", "0"],
             ["audit", "--window", "four"],
+            ["metrics", "--sites", "0"],
+            ["audit", "--sites", "0"],
+            ["trace", "--sites", "0"],
+            ["chaos", "--sites", "0"],
+            ["scenario", "default", "--sites", "0"],
+            ["soak", "--quick", "--sites", "0"],
+            ["metrics", "--transactions", "-1"],
+            ["chaos", "--transactions", "0"],
+            ["scenario", "default", "--transactions", "0"],
+            ["chaos", "--seeds", "0"],
+            ["chaos", "--seeds", "-2"],
+            ["soak", "--ops", "0"],
+            ["soak", "--quick", "--compact-every", "0"],
         ],
         ids=" ".join,
     )
@@ -193,6 +187,39 @@ class TestPositiveSizes:
         )
         assert code == 0
         assert json.loads(out)["window"] == 16
+
+
+#: (argv, what the usage error says) for values that are not sizes.
+_USAGE_ERRORS = [
+    (["metrics", "--drop-probability", "1.5"], "probability in [0, 1)"),
+    (["audit", "--drop-probability", "1"], "probability in [0, 1)"),
+    (["trace", "--drop-probability", "-0.1"], "probability in [0, 1)"),
+    (["metrics", "--drop-probability", "half"], "not a number"),
+    (["scenario", "default", "--policy", "bogus"], "invalid choice"),
+    (["chaos", "--policies", "bogus"], "invalid choice"),
+    (["bench"], "invalid choice"),
+]
+
+
+class TestOtherUsageErrors:
+    """Out-of-range values that are not sizes also stop at the parser."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        _USAGE_ERRORS,
+        ids=[" ".join(argv) for argv, _message in _USAGE_ERRORS],
+    )
+    def test_exit_code_two(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_chaos_sweep_refuses_an_empty_seed_list(self):
+        from repro.resilience.chaos import run_chaos_sweep
+
+        with pytest.raises(ValueError):
+            run_chaos_sweep(seeds=())
 
 
 class TestReportCompatibility:
@@ -305,3 +332,9 @@ class TestScenario:
         from repro.resilience.chaos import PROFILES
 
         assert self._choices("scenario", "profile") == ("none", *PROFILES)
+
+    def test_policy_choices_match_registry(self):
+        from repro.resilience.policy import POLICIES
+
+        assert self._choices("scenario", "policy") == tuple(POLICIES)
+        assert self._choices("chaos", "policies") == tuple(POLICIES)

@@ -1,6 +1,6 @@
 """Documentation checks: snippets run, cross-links resolve.
 
-Three guarantees keep the guides honest:
+Four guarantees keep the guides honest:
 
 * every ``python`` fenced block in the snippet-bearing guides executes
   *as written* — blocks run cumulatively, top to bottom, in one
@@ -9,11 +9,13 @@ Three guarantees keep the guides honest:
 * every cross-link — markdown links (including ``#anchor`` fragments)
   and backticked repository paths — points at something that exists;
 * every backticked dotted ``repro.x.y`` name resolves to a module or an
-  attribute of one.
+  attribute of one;
+* every documented ``python -m repro …`` command line parses.
 """
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,12 @@ _FENCED_BLOCK = re.compile(r"```.*?```", re.S)
 _BACKTICK_PATH = re.compile(r"`([\w./\-]+/[\w./\-]+\.(?:py|md|toml|yml))`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.M)
 _DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+_SH_BLOCK = re.compile(r"```sh\n(.*?)```", re.S)
+_CLI_LINE = re.compile(r"^(?:PYTHONPATH=src\s+)?python -m repro\b(.*)$")
+_TRAILING_COMMENT = re.compile(r"\s+#.*$")
+
+#: Documents whose ``sh`` blocks may show CLI lines.
+CLI_DOCS = LINKED_DOCS + (ROOT / ".claude" / "skills" / "verify" / "SKILL.md",)
 
 
 def _python_blocks(path: Path) -> list[str]:
@@ -139,6 +147,41 @@ def test_readme_indexes_every_guide():
         assert f"docs/{guide.name}" in readme, (
             f"README.md documentation index is missing docs/{guide.name}"
         )
+
+
+def _cli_lines() -> list:
+    """One ``argv`` param, labelled ``doc:line``, per ``python -m repro``
+    line in an ``sh`` block: ``\\`` continuations joined, a leading
+    ``PYTHONPATH=src`` and a trailing ``# comment`` stripped."""
+    cases = []
+    for doc in CLI_DOCS:
+        text = doc.read_text()
+        for match in _SH_BLOCK.finditer(text):
+            first = text.count("\n", 0, match.start(1)) + 1
+            lines = match.group(1).split("\n")
+            index = 0
+            while index < len(lines):
+                start, line = index, lines[index]
+                while line.endswith("\\") and index + 1 < len(lines):
+                    index += 1
+                    line = line[:-1] + " " + lines[index].strip()
+                index += 1
+                command = _CLI_LINE.match(_TRAILING_COMMENT.sub("", line.strip()))
+                if command is not None:
+                    label = f"{doc.relative_to(ROOT)}:{first + start}"
+                    cases.append(pytest.param(shlex.split(command.group(1)), id=label))
+    return cases
+
+
+@pytest.mark.parametrize("argv", _cli_lines())
+def test_documented_cli_lines_parse(argv):
+    """A documented command must be one the parser accepts (nothing runs)."""
+    from repro.__main__ import build_parser
+
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exited:
+        pytest.fail(f"python -m repro {shlex.join(argv)}: usage error {exited.code}")
 
 
 class TestScenarioDocRefs:

@@ -1,4 +1,4 @@
-"""The observability layer: spans, metrics, profiling, exporters.
+"""The observability layer: spans, metrics, exporters.
 
 The span-tree tests drive the *real* replicated system (a traced
 cluster running a seeded workload) and assert structural invariants of
@@ -16,7 +16,6 @@ import pytest
 from repro.histories.events import Invocation
 from repro.obs import (
     Histogram,
-    KernelProfiler,
     MetricsRegistry,
     NULL_SPAN,
     NULL_TRACER,
@@ -30,7 +29,6 @@ from repro.obs import (
     to_jsonl,
 )
 from repro.sim.failures import CrashInjector
-from repro.sim.kernel import Simulator
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.types import Queue
 from tests.helpers import cluster_of, hybrid_queue
@@ -169,15 +167,15 @@ class TestNullTracer:
 
 
 class _Tap(TraceListener):
-    """Records what it is handed, as ``(hook, span_id, kind, retained)``."""
+    """Records what it is handed, as ``(hook, span_id, kind)``."""
 
-    def __init__(self, tracer, kinds=None, starts=True):
-        self.tracer, self.span_kinds, self.seen = tracer, kinds, []
+    def __init__(self, kinds=None, starts=True):
+        self.span_kinds, self.seen = kinds, []
         if starts:
             self.on_span_start = lambda span: self._note("start", span)
 
     def _note(self, hook, span):
-        self.seen.append((hook, span.span_id, span.kind, span in self.tracer.spans))
+        self.seen.append((hook, span.span_id, span.kind))
 
     def on_span_end(self, span):
         self._note("end", span)
@@ -208,31 +206,26 @@ _EMITTED = [
 
 
 class TestListenerRouting:
-    @pytest.mark.parametrize("retention", ["all", "ring", "consume"])
+    @pytest.mark.parametrize("retention", ["all", "ring"])
     def test_interest_free_listener_sees_every_start_and_close_in_order(self, retention):
         tracer = Tracer(retention=retention, window=3)
-        tap = _Tap(tracer)
+        tap = _Tap()
         tracer.add_listener(tap)
         _emit(tracer)
-        assert [entry[:3] for entry in tap.seen] == _EMITTED
+        assert tap.seen == _EMITTED
         assert tracer.closed == sum(1 for entry in tap.seen if entry[0] == "end") == 7
-        if retention == "consume":
-            # Released only after delivery: still retained inside the
-            # close hook, gone once every close has been handed out.
-            assert all(retained for *_entry, retained in tap.seen)
-            assert tracer.retained_spans == 0
 
     @pytest.mark.parametrize("first", ["narrow", "wide"])
     def test_kind_restricted_listener_sees_exactly_its_kinds(self, first):
         tracer = Tracer()
-        narrow = _Tap(tracer, kinds=frozenset({"quorum", "event"}), starts=False)
-        wide = _Tap(tracer, starts=False)
+        narrow = _Tap(kinds=frozenset({"quorum", "event"}), starts=False)
+        wide = _Tap(starts=False)
         for tap in (narrow, wide) if first == "narrow" else (wide, narrow):
             tracer.add_listener(tap)
         _emit(tracer)
         closes = [entry for entry in _EMITTED if entry[0] == "end"]
-        assert [entry[:3] for entry in wide.seen] == closes
-        assert [entry[:3] for entry in narrow.seen] == [
+        assert wide.seen == closes
+        assert narrow.seen == [
             entry for entry in closes if entry[2] in ("quorum", "event")
         ]
 
@@ -256,7 +249,7 @@ class TestListenerRouting:
 
     def test_base_on_span_start_is_not_called(self):
         tracer = Tracer()
-        tap = _Tap(tracer, starts=False)
+        tap = _Tap(starts=False)
         tracer.add_listener(tap)
         assert tracer._start_hooks == ()
         _emit(tracer)
@@ -264,8 +257,8 @@ class TestListenerRouting:
 
     def test_add_and_remove_mid_run_reroute(self):
         tracer = Tracer()
-        early = _Tap(tracer, kinds=frozenset({"rpc"}), starts=False)
-        late = _Tap(tracer, starts=False)
+        early = _Tap(kinds=frozenset({"rpc"}), starts=False)
+        late = _Tap(starts=False)
         tracer.add_listener(early)
         probe = tracer.start_span("rpc", kind="rpc")
         tracer.add_listener(late)
@@ -280,7 +273,7 @@ class TestListenerRouting:
 
     def test_closed_counts_events_and_survives_clear(self):
         tracer = Tracer(retention="ring", window=2)
-        tap = _Tap(tracer, starts=False)
+        tap = _Tap(starts=False)
         tracer.add_listener(tap)
         _emit(tracer)
         tracer.clear()
@@ -444,29 +437,3 @@ class TestMetricsRegistry:
         for op in metrics.operations():
             assert "latency_p99" in summary[op]
             assert summary[op]["latency_p99"] >= summary[op]["latency_p50"]
-
-
-class TestKernelProfiler:
-    def test_accounts_dispatched_callbacks(self):
-        profiler = KernelProfiler()
-        sim = Simulator(seed=0, profiler=profiler)
-
-        def tick():
-            pass
-
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, tick)
-        sim.run()
-        assert profiler.dispatched == 3
-        (stats,) = [s for s in profiler.stats.values()]
-        assert stats.calls == 3
-        assert stats.wall_seconds >= 0.0
-        assert profiler.queue_depth.count == 3
-        assert "tick" in profiler.report()
-        assert "queue depth" in profiler.report()
-
-    def test_off_by_default(self):
-        sim = Simulator(seed=0)
-        assert sim.profiler is None
-        sim.schedule(1.0, lambda: None)
-        assert sim.run() == 1

@@ -84,19 +84,6 @@ class TestRetention:
         assert tracer.peak_retained <= 8 + 1  # window + one open span
         assert len(tracer.finished_spans()) == 8
 
-    def test_consume_releases_after_notification(self):
-        tracer = Tracer(retention="consume", window=None)
-        listener = _CountingListener()
-        tracer.add_listener(listener)
-        outer = tracer.start_span("outer")
-        inner = tracer.start_span("inner")
-        assert tracer.retained_spans == 2
-        tracer.end_span(inner)
-        tracer.end_span(outer)
-        assert tracer.retained_spans == 0
-        assert listener.ended == 2
-        assert tracer.peak_retained == 2
-
     def test_all_mode_is_the_default_and_keeps_everything(self):
         tracer = Tracer()
         assert tracer.retention == "all"
