@@ -22,6 +22,7 @@ Standalone: ``python benchmarks/bench_keyspace_scale.py [--quick]``
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
 
 import pytest
@@ -30,9 +31,7 @@ from conftest import emit_json, report
 
 from repro.obs.audit import Auditor
 from repro.obs.trace import Tracer
-from repro.replication.cluster import build_keyspace
-from repro.replication.keyspace import demo_keyspace, demo_mix
-from repro.sim.workload import WorkloadGenerator
+from repro.scenarios import SCENARIOS, build_scenario
 
 pytestmark = pytest.mark.keyspace
 
@@ -46,17 +45,15 @@ PLACEMENT = "ring"
 
 
 def _measure_case(n_objects: int, transactions: int) -> dict:
-    spec = demo_keyspace(n_objects, SITES, placement=PLACEMENT)
-    cluster = build_keyspace(spec, seed=SEED, tracer=Tracer())
-    auditor = Auditor(cluster)
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        demo_mix(spec),
-        ops_per_transaction=3,
-        concurrency=4,
+    cluster, generator, _names = build_scenario(
+        replace(SCENARIOS["default"], objects=n_objects),
+        seed=SEED,
+        mechanism=None,
+        n_sites=SITES,
+        placement=PLACEMENT,
+        tracer=Tracer(),
     )
+    auditor = Auditor(cluster)
     started = perf_counter()
     generator.run(transactions)
     seconds = perf_counter() - started

@@ -60,11 +60,10 @@ EQUIVALENCE_CASES = (
 
 def _overhead_case(mode: str, transactions: int) -> dict:
     """One workload timed under one observability configuration."""
-    from repro.replication.cluster import build_keyspace
-    from repro.replication.keyspace import demo_keyspace, demo_mix
-    from repro.sim.workload import WorkloadGenerator
+    from dataclasses import replace
 
-    spec = demo_keyspace(OBJECTS, SITES, placement=PLACEMENT)
+    from repro.scenarios import SCENARIOS, build_scenario
+
     if mode == "untraced":
         tracer = NULL_TRACER
     elif mode == "ring":
@@ -73,20 +72,19 @@ def _overhead_case(mode: str, transactions: int) -> dict:
         tracer = Tracer(retention="ring", window=WINDOW) if (
             mode == "streaming-audit"
         ) else Tracer()
-    cluster = build_keyspace(spec, seed=SEED, tracer=tracer)
+    cluster, generator, _names = build_scenario(
+        replace(SCENARIOS["default"], objects=OBJECTS),
+        seed=SEED,
+        mechanism=None,
+        n_sites=SITES,
+        placement=PLACEMENT,
+        tracer=tracer,
+    )
     auditor = None
     if mode == "streaming-audit":
         auditor = Auditor(cluster, mode="streaming", window=WINDOW)
     elif mode == "deep-audit":
         auditor = Auditor(cluster, mode="deep")
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        demo_mix(spec),
-        ops_per_transaction=3,
-        concurrency=4,
-    )
     started = perf_counter()
     generator.run(transactions)
     seconds = perf_counter() - started

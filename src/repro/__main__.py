@@ -116,7 +116,7 @@ def _workload_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _workload_shape(args: argparse.Namespace) -> dict:
-    """The ``build_workload`` keywords a workload subcommand parsed."""
+    """The standard-workload shape a workload subcommand parsed."""
     return {
         "seed": args.seed,
         "sites": args.sites,
@@ -128,11 +128,27 @@ def _workload_shape(args: argparse.Namespace) -> dict:
     }
 
 
-def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
-    """Drive the standard replicated-queue workload under ``tracer``."""
-    from repro.scenarios import build_workload
+def _standard_workload(shape: dict, tracer: Tracer | None = None):
+    """``(cluster, generator)`` for a shape, un-run: ``SCENARIOS["default"]``
+    with the shape's object count, under the paper's per-type pairing."""
+    from dataclasses import replace
 
-    _cluster, generator = build_workload(**_workload_shape(args), tracer=tracer)
+    from repro.scenarios import SCENARIOS, build_scenario
+
+    options = dict(shape)
+    cluster, generator, _names = build_scenario(
+        replace(SCENARIOS["default"], objects=options.pop("objects")),
+        mechanism=None,
+        n_sites=options.pop("sites"),
+        tracer=tracer,
+        **options,
+    )
+    return cluster, generator
+
+
+def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
+    """Drive the standard workload under ``tracer``."""
+    _cluster, generator = _standard_workload(_workload_shape(args), tracer)
     generator.run(args.transactions)
 
 
@@ -269,10 +285,9 @@ def _mix_table(rows: list[dict]) -> str:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.resilience.policy import read_only_operations
-    from repro.scenarios import build_workload
     from repro.tuning import MixObserver
 
-    cluster, generator = build_workload(**_workload_shape(args))
+    cluster, generator = _standard_workload(_workload_shape(args))
     observer = MixObserver(
         {
             name: read_only_operations(obj.datatype)
@@ -375,7 +390,6 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
     """One audited workload run; returns the finished AuditReport."""
     from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
     from repro.obs.mutations import MUTATIONS
-    from repro.scenarios import build_workload
 
     shape = _workload_shape(args)
     if mutate == "shard-misroute":
@@ -398,7 +412,7 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
         tracer = Tracer(retention="ring", window=window)
     else:
         tracer = Tracer()
-    cluster, generator = build_workload(**shape, tracer=tracer)
+    cluster, generator = _standard_workload(shape, tracer)
     # Attach first: monitors pin the declared configuration before any
     # seeded mutation can rewrite it.
     auditor = Auditor(
@@ -722,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--placement",
         choices=("all", "ring"),
         default="all",
-        help="keyspace placement rule when --objects is given "
+        help="keyspace placement rule; anything but 'all' needs --objects "
         "(default: all)",
     )
     chaos.add_argument(
@@ -961,6 +975,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "chaos" and args.objects is None and args.placement != "all":
+        parser.error(
+            "chaos --placement needs --objects N: the classic queue/register "
+            "pair is fully replicated"
+        )
     try:
         if args.command is None:
             # Backward compatibility: bare ``python -m repro`` keeps

@@ -21,15 +21,6 @@ class SpecificationError(ReproError):
     """
 
 
-class IllegalHistoryError(ReproError):
-    """A history violates the serial specification it was checked against."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        #: Index of the first offending event, when known.
-        self.position = position
-
-
 class DependencyError(ReproError):
     """A dependency-relation computation was given inconsistent inputs."""
 
@@ -105,7 +96,3 @@ class ConflictError(TransactionError):
 
 class SimulationError(ReproError):
     """The discrete-event simulator was driven into an invalid state."""
-
-
-class ProtocolError(ReproError):
-    """A replication protocol message violated the protocol state machine."""

@@ -442,20 +442,25 @@ def streaming_matches_deep(
 ) -> dict[str, Any]:
     """One workload, two auditors, byte-compared verdicts.
 
-    Builds the standard workload
-    (:func:`~repro.scenarios.runner.build_workload`), attaches a
-    deep auditor *and* a streaming auditor to the same tracer, runs it
-    once, and compares ``json.dumps(report.verdict(STREAMING_INVARIANTS),
-    sort_keys=True)`` byte for byte.  With ``mutate`` the seeded
-    protocol sabotage is applied after both auditors have pinned the
-    declared configuration, so both must flag it identically.
+    Builds the standard workload (``SCENARIOS["default"]`` with
+    ``objects`` objects, through
+    :func:`~repro.scenarios.runner.build_scenario` under the paper's
+    per-type pairing), attaches a deep auditor *and* a streaming auditor
+    to the same tracer, runs it once, and compares
+    ``json.dumps(report.verdict(STREAMING_INVARIANTS), sort_keys=True)``
+    byte for byte.  With ``mutate`` the seeded protocol sabotage is
+    applied after both auditors have pinned the declared configuration,
+    so both must flag it identically.
     """
-    from repro.scenarios import build_workload
+    from dataclasses import replace
 
-    cluster, generator = build_workload(
+    from repro.scenarios import SCENARIOS, build_scenario
+
+    cluster, generator, _names = build_scenario(
+        replace(SCENARIOS["default"], objects=objects),
         seed=seed,
-        sites=sites,
-        objects=objects,
+        mechanism=None,
+        n_sites=sites,
         placement=placement,
         crashes=crashes,
         tracer=Tracer(),

@@ -53,7 +53,6 @@ __all__ = [
     "PlacementRule",
     "Router",
     "demo_keyspace",
-    "demo_mix",
     "soak_keyspace",
 ]
 
@@ -444,15 +443,3 @@ def soak_keyspace(
         ),
     )
 
-
-def demo_mix(spec: KeyspaceSpec):
-    """A uniform :class:`~repro.sim.workload.OperationMix` over ``spec``."""
-    from repro.sim.workload import OperationMix
-
-    return OperationMix.weighted(
-        [
-            (obj.name, invocation, 1.0)
-            for obj in spec.objects
-            for invocation in obj.datatype.invocations()
-        ]
-    )

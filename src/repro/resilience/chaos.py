@@ -24,11 +24,12 @@ histories, and message counters across ``--jobs`` settings, and
 figures such as recovery latency are reported separately, under
 ``timing``, outside the fingerprint).
 
-The tail of an audited run is written once, here: :func:`settle`
+An audited run's lifecycle is written once, here: :func:`audited_run`
+(resilience, auditor, fault schedule, run) ending in :func:`settle`
 (clear faults, two anti-entropy passes over each object's replica-set
 star, convergence check) and :func:`run_verdict` (accounting,
 ``fingerprint``, ``counts``).  :func:`run_chaos_case` and
-:func:`repro.scenarios.runner.run_scenario` both end in them.
+:func:`repro.scenarios.runner.run_scenario` both run through it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.sim.trials import run_trials
 __all__ = [
     "PROFILES",
     "ChaosSchedule",
+    "audited_run",
     "generate_schedule",
     "run_chaos_case",
     "run_chaos_sweep",
@@ -158,10 +160,6 @@ class ChaosSchedule:
         self.applied = 0
         self.skipped = 0
 
-    @property
-    def total_actions(self) -> int:
-        return sum(len(acts) for acts in self.actions.values())
-
     def apply_at(self, network, index: int) -> None:
         """Fire every action scheduled for transaction ``index``."""
         for action in self.actions.get(index, ()):
@@ -202,40 +200,46 @@ def run_chaos_case(
     4-of-5 threshold (so two downed sites leave reads
     *initial*-assemblable but writes unreachable, exercising the
     policy's degraded/retry paths).  With ``objects=N``, builds the
-    :func:`~repro.replication.keyspace.demo_keyspace` of ``N`` mixed
-    queue/register/counter objects under the given ``placement`` rule
-    (``"all"`` or ``"ring"``) instead — the sharded-keyspace chaos
-    envelope, with the genuine-partial-replication monitor live.
-    Either way the cluster enables the resilience layer with
-    ``POLICIES[policy_name]``, attaches the
-    :class:`~repro.obs.audit.Auditor`, and drives ``transactions``
-    transactions through the fault schedule for ``(profile, seed)``.
-
-    After the workload :func:`settle` clears outstanding faults and
-    converges every replica set, the auditor's end-of-run invariants
-    execute, and :func:`run_verdict` builds the verdict; this run adds
-    the recovery-latency summary and samples under ``timing``.
+    standard workload of ``N`` mixed queue/register/counter objects
+    under the given ``placement`` rule (``"all"`` or ``"ring"``) through
+    :func:`~repro.scenarios.runner.build_scenario` instead — the
+    sharded-keyspace chaos envelope, with the
+    genuine-partial-replication monitor live.  A ``placement`` other
+    than ``"all"`` without ``objects`` raises :class:`ValueError`: the
+    classic pair is fully replicated.  Either way :func:`audited_run`
+    drives ``transactions`` transactions through the fault schedule for
+    ``(profile, seed)`` under ``POLICIES[policy_name]``, deep-audited;
+    this run adds the recovery-latency summary and samples under
+    ``timing``.
     """
-    from repro.obs.audit import Auditor
-    from repro.obs.trace import Tracer
-    from repro.replication.cluster import build_keyspace
-    from repro.replication.keyspace import (
-        KeyspaceSpec,
-        ObjectSpec,
-        demo_keyspace,
-        demo_mix,
-    )
-    from repro.sim.workload import OperationMix, WorkloadGenerator
-    from repro.types.queue import Queue
-    from repro.types.register import Register
+    from dataclasses import replace
 
-    if policy_name not in POLICIES:
-        raise ValueError(f"unknown policy {policy_name!r} (not in {sorted(POLICIES)})")
+    from repro.obs.trace import Tracer
+
+    if objects is None and placement != "all":
+        raise ValueError(
+            f"placement {placement!r} needs objects=N: the classic "
+            "queue/register pair is fully replicated"
+        )
     tracer = Tracer()
     if objects is not None:
-        spec = demo_keyspace(objects, n_sites, placement=placement)
-        mix = demo_mix(spec)
+        from repro.scenarios import SCENARIOS, build_scenario
+
+        cluster, generator, names = build_scenario(
+            replace(SCENARIOS["default"], objects=objects, concurrency=3),
+            seed=seed,
+            mechanism=None,
+            n_sites=n_sites,
+            placement=placement,
+            tracer=tracer,
+        )
     else:
+        from repro.replication.cluster import build_keyspace
+        from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
+        from repro.sim.workload import OperationMix, WorkloadGenerator
+        from repro.types.queue import Queue
+        from repro.types.register import Register
+
         queue, register = Queue(), Register()
         # Asymmetric register quorums: majority (3-of-5) initial, 4-of-5
         # final.  Every initial meets every final (3 + 4 > 5) and finals
@@ -262,42 +266,31 @@ def run_chaos_case(
             ]
             + [("queue", inv, 1.0) for inv in queue.invocations()]
         )
-    cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
-    names = tuple(obj_spec.name for obj_spec in spec.objects)
-    runtime = cluster.enable_resilience(POLICIES[policy_name])
-    auditor = Auditor(cluster)
-    schedule = ChaosSchedule(
-        generate_schedule(profile, seed, n_sites, transactions)
-    )
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        mix,
-        ops_per_transaction=3,
-        concurrency=3,
-        on_transaction_start=schedule.hook(cluster.network),
-    )
-    metrics = generator.run(transactions)
-    converged = settle(cluster, names)
-    verdict = run_verdict(
+        cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
+        names = ("queue", "register")
+        generator = WorkloadGenerator(
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            mix,
+            ops_per_transaction=3,
+            concurrency=3,
+        )
+    verdict = audited_run(
         cluster,
+        generator,
         names,
-        metrics,
-        auditor.finish(),
+        seed=seed,
         transactions=transactions,
-        converged=converged,
-        faults_applied=schedule.applied,
+        profile=profile,
+        policy=policy_name,
     )
     verdict["counts"] = {"transactions": transactions, **verdict["counts"]}
-    latency = runtime.registry.histogram("resilience.recovery.latency")
+    registry = cluster.resilience.registry
+    latency = registry.histogram("resilience.recovery.latency")
     verdict["timing"].update(
-        recovery_syncs=int(
-            runtime.registry.counter("resilience.recovery.syncs").value
-        ),
-        recovery_failed=int(
-            runtime.registry.counter("resilience.recovery.failed").value
-        ),
+        recovery_syncs=int(registry.counter("resilience.recovery.syncs").value),
+        recovery_failed=int(registry.counter("resilience.recovery.failed").value),
         recovery_latency=latency.summary(),
         recovery_samples=list(latency.samples),
     )
@@ -307,6 +300,69 @@ def run_chaos_case(
         "policy": policy_name,
         **verdict,
     }
+
+
+def audited_run(
+    cluster,
+    generator,
+    names: Sequence[str],
+    *,
+    seed: int,
+    transactions: int,
+    profile: str = "none",
+    policy: str | None = None,
+    window: int | None = None,
+) -> dict:
+    """Run a built workload audited, end to end; returns its verdict.
+
+    The one audited lifecycle.  ``policy`` (a
+    :data:`~repro.resilience.policy.POLICIES` name; ``None`` leaves the
+    resilience layer off) enables resilience; the
+    :class:`~repro.obs.audit.Auditor` attaches, deep with ``window=None``
+    and streaming over ``window`` spans otherwise; a chaos ``profile``
+    (``"none"`` is fault-free; any other needs a ``policy``) hooks the
+    fault schedule for ``(profile, seed)`` onto the generator.  After
+    ``transactions`` transactions a faulted run is :func:`settle`-d and
+    :func:`run_verdict` builds the verdict, whose ``timing`` also
+    carries the tracer's retention figures.
+    """
+    from repro.obs.audit import Auditor
+
+    if profile != "none" and policy is None:
+        raise ValueError(f"chaos profile {profile!r} needs a retry policy")
+    if policy is not None:
+        if policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r} "
+                f"(choose from {', '.join(sorted(POLICIES))})"
+            )
+        cluster.enable_resilience(POLICIES[policy])
+    if window is None:
+        auditor = Auditor(cluster)
+    else:
+        auditor = Auditor(cluster, mode="streaming", window=window)
+    schedule = None
+    if profile != "none":
+        schedule = ChaosSchedule(
+            generate_schedule(profile, seed, cluster.network.n_sites, transactions)
+        )
+        generator.on_transaction_start = schedule.hook(cluster.network)
+    metrics = generator.run(transactions)
+    converged = settle(cluster, names) if schedule is not None else True
+    report = auditor.finish()
+    verdict = run_verdict(
+        cluster,
+        names,
+        metrics,
+        report,
+        transactions=transactions,
+        converged=converged,
+        faults_applied=schedule.applied if schedule is not None else 0,
+    )
+    verdict["timing"].update(
+        retained_spans=report.retained_spans, peak_retained=report.peak_retained
+    )
+    return verdict
 
 
 def settle(cluster, names: Sequence[str]) -> bool:
@@ -444,7 +500,8 @@ def run_chaos_sweep(
     totals, and pooled recovery-latency p50/p95 — plus a top-level
     ``ok`` that is ``True`` only when **every** case passed its audit,
     converged, and fully accounted for its work.  An empty ``seeds``
-    raises :class:`ValueError`: a sweep of nothing has no verdict.
+    raises :class:`ValueError` (a sweep of nothing has no verdict), as
+    does a ``placement`` other than ``"all"`` without ``objects``.
     """
     if not seeds:
         raise ValueError("run_chaos_sweep needs at least one seed")

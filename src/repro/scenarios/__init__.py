@@ -11,8 +11,9 @@ The pluggable workload framework (see ``docs/SCENARIOS.md``):
   byte-identity ``default``), each with a ``doc_ref`` anchor;
 * :func:`run_scenario` — one audited run, crossable with the chaos
   profiles and the three mechanisms (:data:`MECHANISMS`);
-* :func:`build_workload` — the standard tier-1 workload the CLI's
-  ``trace``/``metrics``/``bench``/``audit`` subcommands drive;
+* :func:`build_scenario` — the one builder of a catalog-traffic run,
+  also behind the CLI's ``trace``/``metrics``/``audit`` subcommands
+  (``SCENARIOS["default"]`` with its object count replaced);
 * the seeded samplers (:func:`zipf_weights`, :func:`hot_key_ranks`,
   :func:`poisson_arrivals`, :func:`bursty_arrivals`).
 
@@ -25,7 +26,6 @@ from repro.scenarios.catalog import SCENARIOS, scenario
 from repro.scenarios.runner import (
     MECHANISMS,
     build_scenario,
-    build_workload,
     compile_arrivals,
     compile_mix,
     run_scenario,
@@ -55,7 +55,6 @@ __all__ = [
     "ScenarioWorkload",
     "SkewSpec",
     "build_scenario",
-    "build_workload",
     "bursty_arrivals",
     "compile_arrivals",
     "compile_mix",

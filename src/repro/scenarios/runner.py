@@ -1,41 +1,35 @@
 """Compile scenario specs onto the workload engine and run them audited.
 
-* :func:`build_scenario` — spec → ``(cluster, generator, names)``: a
-  multi-object scenario runs over the fully replicated
-  :func:`~repro.replication.keyspace.demo_keyspace` with **one**
+* :func:`build_scenario` — spec → ``(cluster, generator, names)``, the
+  one builder of a catalog-traffic run: a multi-object scenario runs
+  over :func:`~repro.replication.keyspace.demo_keyspace` with **one**
   concurrency-control scheme for every object, so the same traffic
   shape can be replayed under each of the paper's three atomicity
   mechanisms (:data:`MECHANISMS` maps the paper-facing mechanism names
-  onto the cluster's scheme names); the
-  operation mix is compiled per object from the scenario's read/write
-  balance and zipf hot-key ranking, arrivals from its arrival process,
-  and both ride the :class:`~repro.sim.workload.WorkloadGenerator`'s
-  ``mix``/``arrivals`` inputs.  The ``default`` scenario compiles to
-  *exactly* the standard workload — same cluster build, same RNG draw
-  sequence — which ``tests/test_scenarios.py`` pins byte-for-byte;
-* :func:`build_workload` — that standard workload itself: the tier-1
-  shape the CLI's workload subcommands, the audit sweep and the
-  deep-vs-streaming equivalence check all drive;
+  onto the cluster's scheme names), or with ``mechanism=None`` under
+  the paper's per-type pairing; the operation mix is compiled per
+  object from the scenario's read/write balance and zipf hot-key
+  ranking, arrivals from its arrival process, and both ride the
+  :class:`~repro.sim.workload.WorkloadGenerator`'s ``mix``/``arrivals``
+  inputs.  The ``default`` scenario compiles to *exactly* the classic
+  single-queue workload — same cluster build, same RNG draw sequence —
+  which ``tests/test_scenarios.py`` pins byte-for-byte; with its object
+  count replaced, a placement rule and the fault switches it is the
+  standard workload the CLI's ``trace`` / ``metrics`` / ``audit`` and
+  the chaos runner's sharded cases drive;
 * :func:`run_scenario` — one audited run, optionally under a chaos
-  profile, ending in the chaos runner's own
-  :func:`~repro.resilience.chaos.settle` and
-  :func:`~repro.resilience.chaos.run_verdict`: a plain picklable verdict
-  whose ``fingerprint`` sub-dict holds decisions and messages only
-  (identical across job counts, pinned per cell by
+  profile, through the chaos runner's
+  :func:`~repro.resilience.chaos.audited_run`: a plain picklable
+  verdict whose ``fingerprint`` sub-dict holds decisions and messages
+  only (identical across job counts, pinned per cell by
   ``tests/test_golden_runs.py``) while simulated-clock figures live
   under ``timing``.
 """
 
 from __future__ import annotations
 
-from repro.resilience.chaos import (
-    PROFILES,
-    ChaosSchedule,
-    generate_schedule,
-    run_verdict,
-    settle,
-)
-from repro.resilience.policy import POLICIES, read_only_operations
+from repro.resilience.chaos import audited_run
+from repro.resilience.policy import read_only_operations
 from repro.scenarios.catalog import SCENARIOS
 from repro.scenarios.sampler import (
     bursty_arrivals,
@@ -48,7 +42,6 @@ from repro.scenarios.spec import ArrivalSpec, ScenarioSpec
 __all__ = [
     "MECHANISMS",
     "build_scenario",
-    "build_workload",
     "compile_arrivals",
     "compile_mix",
     "run_scenario",
@@ -125,25 +118,37 @@ def build_scenario(
     scenario: ScenarioSpec | str,
     *,
     seed: int = 0,
-    mechanism: str = "hybrid",
+    mechanism: str | None = "hybrid",
     n_sites: int | None = None,
     transactions: int | None = None,
+    placement: str = "all",
+    drop_probability: float = 0.0,
+    crashes: bool = False,
+    partitions: bool = False,
     tracer=None,
     workload=None,
 ):
     """Spec → ``(cluster, generator, names)``, ready to run.
 
-    A single-object scenario builds one fully replicated ``"queue"``
-    object (3 sites by default); multi-object scenarios build the fully
-    replicated :func:`~repro.replication.keyspace.demo_keyspace` under
-    the mechanism's scheme (5 sites by default).  ``workload``
-    replaces the driver's :class:`~repro.sim.workload.MixWorkload` over
-    the compiled mix with a user-supplied
-    :class:`~repro.scenarios.spec.ScenarioWorkload` (its ``init`` is
-    called here, before any transaction runs).
+    A single-object scenario under ``placement="all"`` builds one fully
+    replicated ``"queue"`` object (3 sites by default); anything else
+    builds :func:`~repro.replication.keyspace.demo_keyspace` under the
+    ``placement`` rule (``"all"`` or ``"ring"``; 5 sites by default).
+    ``mechanism`` puts every object under its scheme; ``None`` keeps the
+    paper's per-type pairing (hybrid queues, static registers, dynamic
+    counters), which is the standard workload the CLI's ``trace`` /
+    ``metrics`` / ``audit`` drive over ``SCENARIOS["default"]`` with the
+    object count ``dataclasses.replace``-d in.  ``drop_probability``
+    loses messages; ``crashes`` / ``partitions`` install the stochastic
+    injectors (mean uptime 60 / downtime 8; a cut every 80 on average,
+    lasting 10).  ``workload`` replaces the driver's
+    :class:`~repro.sim.workload.MixWorkload` over the compiled mix with a
+    user-supplied :class:`~repro.scenarios.spec.ScenarioWorkload` (its
+    ``init`` is called here, before any transaction runs).
     """
     from repro.replication.cluster import build_keyspace
     from repro.replication.keyspace import KeyspaceSpec, ObjectSpec, demo_keyspace
+    from repro.sim.failures import CrashInjector, PartitionInjector
     from repro.sim.workload import WorkloadGenerator
     from repro.types import Queue
 
@@ -151,23 +156,29 @@ def build_scenario(
         from repro.scenarios.catalog import scenario as lookup
 
         scenario = lookup(scenario)
-    scheme = _scheme_for(mechanism)
+    scheme = None if mechanism is None else _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
-    if scenario.objects == 1:
+    if scenario.objects == 1 and placement == "all":
         spec = KeyspaceSpec(
             n_sites if n_sites is not None else 3,
-            (ObjectSpec("queue", Queue(), scheme=scheme),),
+            (ObjectSpec("queue", Queue(), scheme=scheme or "hybrid"),),
         )
     else:
         spec = demo_keyspace(
             scenario.objects,
             n_sites if n_sites is not None else 5,
-            placement="all",
+            placement=placement,
             scheme=scheme,
         )
-    cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
+    cluster = build_keyspace(
+        spec, seed=seed, drop_probability=drop_probability, tracer=tracer
+    )
     names = tuple(obj.name for obj in spec.objects)
     mix = compile_mix(spec.objects, scenario, seed)
+    if crashes:
+        CrashInjector(cluster.network, 60.0, 8.0).install()
+    if partitions:
+        PartitionInjector(cluster.network, 80.0, 10.0).install()
     if workload is not None:
         workload.init(cluster)
     generator = WorkloadGenerator(
@@ -182,66 +193,6 @@ def build_scenario(
         arrivals=compile_arrivals(scenario, total, seed),
     )
     return cluster, generator, names
-
-
-def build_workload(
-    *,
-    seed: int,
-    sites: int,
-    drop_probability: float = 0.0,
-    objects: int = 1,
-    placement: str = "all",
-    crashes: bool = False,
-    partitions: bool = False,
-    tracer=None,
-):
-    """Assemble the standard (tier-1, CLI) workload without running it.
-
-    Returns ``(cluster, generator)`` so callers can attach observers
-    (the online auditor) or apply a seeded mutation between construction
-    and ``generator.run``.  ``objects=1, placement="all"`` is the classic
-    single fully replicated hybrid queue; any other setting builds the
-    mixed queue/register/counter
-    :func:`~repro.replication.keyspace.demo_keyspace` and drives a
-    uniform cross-object mix.  ``crashes`` / ``partitions`` install the
-    stochastic injectors (mean uptime 60 / downtime 8; a cut every 80
-    on average, lasting 10).
-    """
-    from repro.replication.cluster import build_keyspace
-    from repro.replication.keyspace import (
-        KeyspaceSpec,
-        ObjectSpec,
-        demo_keyspace,
-        demo_mix,
-    )
-    from repro.sim.failures import CrashInjector, PartitionInjector
-    from repro.sim.workload import WorkloadGenerator
-    from repro.types import Queue
-
-    if objects > 1 or placement != "all":
-        spec = demo_keyspace(objects, sites, placement=placement)
-    else:
-        spec = KeyspaceSpec(sites, (ObjectSpec("queue", Queue()),))
-    cluster = build_keyspace(
-        spec,
-        seed=seed,
-        drop_probability=drop_probability,
-        tracer=tracer,
-    )
-    mix = demo_mix(spec)
-    if crashes:
-        CrashInjector(cluster.network, 60.0, 8.0).install()
-    if partitions:
-        PartitionInjector(cluster.network, 80.0, 10.0).install()
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        mix,
-        ops_per_transaction=3,
-        concurrency=4,
-    )
-    return cluster, generator
 
 
 def run_scenario(
@@ -260,26 +211,21 @@ def run_scenario(
     """One audited scenario run; returns a plain (picklable) verdict.
 
     ``profile`` is ``"none"`` (fault-free) or one of the chaos
-    :data:`~repro.resilience.chaos.PROFILES`; a chaos profile enables
-    the resilience layer under ``policy`` (default ``"default"``),
-    applies the boundary-indexed fault schedule, and after the run
-    settles the cluster with the chaos runner's own
-    :func:`~repro.resilience.chaos.settle`.  The auditor watches every
-    run (bounded-memory streaming monitors by default); the verdict is
-    :func:`~repro.resilience.chaos.run_verdict`'s plus this run's
-    header and the tracer's retention figures under ``timing``.
+    :data:`~repro.resilience.chaos.PROFILES`; a chaos profile runs under
+    ``policy`` (default ``"default"``).  The run itself is
+    :func:`~repro.resilience.chaos.audited_run`'s, watched by
+    bounded-memory streaming monitors by default (``streaming=False``
+    audits deep); the verdict is its plus this run's header.
     """
-    from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
+    from repro.obs.audit import DEFAULT_STREAM_WINDOW
     from repro.obs.trace import Tracer
 
     if isinstance(scenario, str):
         from repro.scenarios.catalog import scenario as lookup
 
         scenario = lookup(scenario)
-    if profile != "none" and profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r} (use 'none' or one of {PROFILES})"
-        )
+    if policy is None and profile != "none":
+        policy = "default"
     win = window if window is not None else DEFAULT_STREAM_WINDOW
     tracer = Tracer(retention="ring", window=win) if streaming else Tracer()
     total = transactions if transactions is not None else scenario.transactions
@@ -292,38 +238,15 @@ def run_scenario(
         tracer=tracer,
         workload=workload,
     )
-    sites = cluster.network.n_sites
-    policy_name = policy
-    if profile != "none" and policy_name is None:
-        policy_name = "default"
-    if policy_name is not None:
-        if policy_name not in POLICIES:
-            raise ValueError(
-                f"unknown policy {policy_name!r} "
-                f"(choose from {', '.join(sorted(POLICIES))})"
-            )
-        cluster.enable_resilience(POLICIES[policy_name])
-    auditor = Auditor(
-        cluster, mode="streaming" if streaming else "deep", window=win
-    )
-    schedule = None
-    if profile != "none":
-        schedule = ChaosSchedule(generate_schedule(profile, seed, sites, total))
-        generator.on_transaction_start = schedule.hook(cluster.network)
-    metrics = generator.run(total)
-    converged = settle(cluster, names) if schedule is not None else True
-    report = auditor.finish()
-    verdict = run_verdict(
+    verdict = audited_run(
         cluster,
+        generator,
         names,
-        metrics,
-        report,
+        seed=seed,
         transactions=total,
-        converged=converged,
-        faults_applied=schedule.applied if schedule is not None else 0,
-    )
-    verdict["timing"].update(
-        retained_spans=report.retained_spans, peak_retained=report.peak_retained
+        profile=profile,
+        policy=policy,
+        window=win if streaming else None,
     )
     return {
         "scenario": scenario.name,
@@ -331,8 +254,8 @@ def run_scenario(
         "mechanism": mechanism,
         "scheme": _scheme_for(mechanism),
         "profile": profile,
-        "policy": policy_name,
-        "n_sites": sites,
+        "policy": policy,
+        "n_sites": cluster.network.n_sites,
         "transactions": total,
         **verdict,
     }

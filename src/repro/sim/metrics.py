@@ -114,10 +114,6 @@ class MetricRecorder:
     def mean_latency(self, operation: str) -> float:
         return self.latency_histogram(operation).mean
 
-    def latency_summary(self, operation: str) -> dict[str, float]:
-        """count/mean/p50/p95/p99/max of the operation's latency samples."""
-        return self.latency_histogram(operation).summary()
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-operation rates plus percentile latency aggregation.
 

@@ -34,8 +34,9 @@ from repro.obs.audit import (
 from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
 from repro.obs.trace import Tracer
 from repro.replication.cluster import build_keyspace
-from repro.replication.keyspace import ObjectSpec, demo_keyspace, demo_mix
+from repro.replication.keyspace import ObjectSpec, demo_keyspace
 from repro.replication.log import Log, LogEntry
+from repro.scenarios import SCENARIOS, compile_mix
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
@@ -72,7 +73,7 @@ def audited_run(
         # replicated ring keyspace, not the fully replicated queue.
         spec = demo_keyspace(4, max(sites, 5), placement="ring")
         cluster = build_keyspace(spec, seed=seed, tracer=tracer)
-        mix = demo_mix(spec)
+        mix = compile_mix(spec.objects, SCENARIOS["default"], seed)
     else:
         queue = (
             hybrid_queue() if scheme == "hybrid" else ObjectSpec("queue", Queue(), scheme)

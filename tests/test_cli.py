@@ -198,6 +198,10 @@ _USAGE_ERRORS = [
     (["scenario", "default", "--policy", "bogus"], "invalid choice"),
     (["chaos", "--policies", "bogus"], "invalid choice"),
     (["bench"], "invalid choice"),
+    (
+        ["chaos", "--seeds", "1", "--transactions", "4", "--placement", "ring"],
+        "--placement needs --objects",
+    ),
 ]
 
 
@@ -220,6 +224,16 @@ class TestOtherUsageErrors:
 
         with pytest.raises(ValueError):
             run_chaos_sweep(seeds=())
+
+    def test_chaos_refuses_a_placement_without_a_keyspace(self):
+        # The classic queue/register pair is fully replicated: a ring
+        # placement would be recorded in the verdict but never applied.
+        from repro.resilience.chaos import run_chaos_case, run_chaos_sweep
+
+        with pytest.raises(ValueError, match="needs objects"):
+            run_chaos_case(seed=0, placement="ring")
+        with pytest.raises(ValueError, match="needs objects"):
+            run_chaos_sweep(seeds=(0,), placement="ring")
 
 
 class TestReportCompatibility:
@@ -338,3 +352,103 @@ class TestScenario:
 
         assert self._choices("scenario", "policy") == tuple(POLICIES)
         assert self._choices("chaos", "policies") == tuple(POLICIES)
+
+
+#: (argv, SHA-256 of stdout) for the standard workload and the audited
+#: runs, taken while the CLI's workload subcommands still had their own
+#: builder beside ``build_scenario`` and ``run_chaos_case`` still ran its
+#: own copy of the audited lifecycle.  Both paths agreed on every row;
+#: the pins hold the one builder and the one lifecycle to those bytes.
+_STANDARD_WORKLOAD_PINS = [
+    (["metrics"], "f2d05057ec2f7747c474a5dc693b18c955d9a47c03f50a3e4e9ed2591446ee1c"),
+    (["audit"], "0576461f09bcb1f4c73d1f7f6f6ad764ca5aac44ba66410b170ff3d48e0e8238"),
+    (
+        ["metrics", "--objects", "5", "--placement", "ring", "--sites", "6"],
+        "50a5eb99ade78b74550efb505179133f0f48de546701d00df574b884af380491",
+    ),
+    (
+        ["audit", "--objects", "5", "--placement", "ring", "--sites", "6"],
+        "10ab73e0875cc4c35b96d90281e6c884ec1cf9693bd0890c2d29d8c3b88ef27d",
+    ),
+    (
+        ["metrics", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
+        "92155383d2fbff0bde9b55aa4d98624d27bb7d0fe61cd7c55ef017f8adaf02b6",
+    ),
+    (
+        ["audit", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
+        "eadb4d98dbfb06cf23df318e044ee67a843a804fde481e82a61906fc414dfc94",
+    ),
+    (
+        ["audit", "--objects", "3", "--partitions"],
+        "cde8df8c75c1a3a7a11f88166d02aeaec45c1b2ee96eadce4665873c5c33d0fc",
+    ),
+    (
+        ["metrics", "--placement", "ring"],
+        "7561497da5fd19e6598072e8e511535444e0465a223d940f948c36fc90c15e31",
+    ),
+    (
+        ["audit", "--objects", "4", "--placement", "ring", "--sites", "5",
+         "--streaming", "--window", "16"],
+        "ad9807e7302c380c0b3579d8f2d99f4dfac44a4cf94e27b684edc5515d086bc4",
+    ),
+    (
+        ["chaos", "--seeds", "2", "--profile", "mixed", "--objects", "4",
+         "--placement", "ring"],
+        "c65c92b1f45390e6cb780988faa7207f0ba32e93240c5ae62165391bb9477459",
+    ),
+    (
+        ["chaos", "--seeds", "1", "--profile", "crash"],
+        "5cfdb2d9e0c36879957fb1195d20674e1abcddcf1bfb3359cc4af9cdaa96bd14",
+    ),
+    (
+        ["scenario", "write-heavy"],
+        "5abf616c8682990b8db23169d92809427df49612c9027e6aba36e258ce3895f3",
+    ),
+    (
+        ["scenario", "default", "--profile", "mixed"],
+        "0c27b9ab1363043996aff7fedb01baad0f37cc7245c1f4ac47dc9c26bc0fb013",
+    ),
+    (
+        ["scenario", "hot-key-contention", "--profile", "churn", "--deep-audit"],
+        "73b30e80657bc2c210d5c6c408b8d2d818b53ba23a9429b384c4251d868335bc",
+    ),
+]
+
+#: ``trace --format jsonl`` digests, same provenance.
+_TRACE_PINS = [
+    ([], "e7d1408089fbf363b9c30102bcf936ecbfe8f2c51b79839bb9d384bb300ed3cf"),
+    (
+        ["--objects", "5", "--placement", "ring", "--sites", "6"],
+        "49370f532505ce8ca6630cd0f86da280f41882f972e6c73f42f8a98c18cecafb",
+    ),
+]
+
+
+class TestStandardWorkloadPins:
+    """``--format json`` output of the workload, audit, chaos and scenario
+    subcommands, byte for byte, across the shapes no golden row covers:
+    ring placement, crashes with message loss, partitions, streaming."""
+
+    @staticmethod
+    def _digest(argv, capsys) -> str:
+        import hashlib
+
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        _STANDARD_WORKLOAD_PINS,
+        ids=[" ".join(argv) for argv, _digest in _STANDARD_WORKLOAD_PINS],
+    )
+    def test_json_output_is_pinned(self, argv, digest, capsys):
+        assert self._digest([*argv, "--format", "json"], capsys) == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        _TRACE_PINS,
+        ids=[" ".join(["trace", *argv]) for argv, _digest in _TRACE_PINS],
+    )
+    def test_trace_is_pinned(self, argv, digest, capsys):
+        assert self._digest(["trace", *argv, "--format", "jsonl"], capsys) == digest

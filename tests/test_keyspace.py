@@ -40,10 +40,10 @@ from repro.replication.keyspace import (
     PlacementRule,
     Router,
     demo_keyspace,
-    demo_mix,
     soak_keyspace,
 )
 from repro.resilience.chaos import run_chaos_case, run_chaos_sweep
+from repro.scenarios import SCENARIOS, compile_mix
 from repro.sim.workload import WorkloadGenerator
 from repro.types import Queue, Register
 
@@ -238,7 +238,7 @@ class TestRunningKeyspace:
             cluster.sim,
             cluster.tm,
             cluster.frontends,
-            demo_mix(spec),
+            compile_mix(spec.objects, SCENARIOS["default"], 0),
             ops_per_transaction=3,
             concurrency=4,
         )
@@ -288,7 +288,10 @@ class TestRunningKeyspace:
         auditor = Auditor(cluster)
         MUTATIONS["shard-misroute"](cluster)
         generator = WorkloadGenerator(
-            cluster.sim, cluster.tm, cluster.frontends, demo_mix(spec)
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            compile_mix(spec.objects, SCENARIOS["default"], 0),
         )
         generator.run(8)
         report = auditor.finish()

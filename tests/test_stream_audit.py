@@ -51,7 +51,7 @@ from repro.obs.trace import (
     process_peak_retained,
     process_retained_spans,
 )
-from repro.scenarios import build_workload
+from repro.scenarios import build_scenario
 from repro.txn.ids import ActionId
 
 pytestmark = [pytest.mark.obs, pytest.mark.streaming]
@@ -160,6 +160,37 @@ class TestStreamingFidelity:
         outcome = streaming_matches_deep(**case)
         assert outcome["match"], outcome
 
+    #: (case, SHA-256 of the sorted-key JSON of its outcome), taken while
+    #: the standard workload still had a builder of its own beside
+    #: ``build_scenario``; the outcome holds both verdicts byte for byte.
+    PINNED = [
+        ({}, "d670f470a5356a2afe24cfd7abd4c7a5a048eab7168f1092f6e42d3f4d7474d2"),
+        (
+            {"objects": 4, "placement": "ring", "sites": 5, "crashes": True},
+            "8ac71954cd326cedec37304aa377f65d41fdde46a8bc5f7f5a1812e95ad1703d",
+        ),
+        (
+            {"mutate": "shard-misroute", "objects": 4, "placement": "ring",
+             "sites": 5, "window": 16},
+            "ea68792bd5376b45a6164b8605396dd78dba8cf8541224e08abff0c922e7f251",
+        ),
+        (
+            {"mutate": "early-lock-release", "window": 16},
+            "ab82ce10bd863a329b8fbe367b617484630bf24f1cfbb8f7459c9df2e7768786",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "case, digest", PINNED, ids=[repr(case) for case, _digest in PINNED]
+    )
+    def test_outcome_is_pinned(self, case, digest):
+        import hashlib
+
+        outcome = streaming_matches_deep(**case)
+        assert outcome["match"]
+        encoded = json.dumps(outcome, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == digest
+
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
     def test_every_mutation_flagged_under_tiny_window(self, name):
         kwargs = {"mutate": name, "window": 16}
@@ -170,7 +201,7 @@ class TestStreamingFidelity:
 
     def test_streaming_report_carries_mode_window_and_retention(self):
         tracer = Tracer(retention="ring", window=64)
-        cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
+        cluster, generator, _names = build_scenario("default", n_sites=3, tracer=tracer)
         auditor = Auditor(cluster, mode="streaming", window=64)
         generator.run(8)
         report = auditor.finish()
@@ -203,7 +234,7 @@ class TestClearRegression:
 
     def test_auditor_state_resets_on_clear(self):
         tracer = Tracer()
-        cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
+        cluster, generator, _names = build_scenario("default", n_sites=3, tracer=tracer)
         auditor = Auditor(cluster, mode="streaming")
         generator.run(8)
         before = auditor.retained_state()
@@ -223,7 +254,9 @@ class TestClearRegression:
         # continued run must stay green.
         for mode in ("deep", "streaming"):
             tracer = Tracer()
-            cluster, generator = build_workload(seed=0, sites=3, tracer=tracer)
+            cluster, generator, _names = build_scenario(
+                "default", n_sites=3, tracer=tracer
+            )
             auditor = Auditor(cluster, mode=mode)
             generator.run(8)
             tracer.clear()
@@ -261,7 +294,7 @@ class TestWindowedMonitors:
     def _bound(window):
         """A quorum monitor on a ten-site queue, fed synthetic quorum spans."""
         tracer = Tracer()
-        cluster, _generator = build_workload(seed=0, sites=10, tracer=tracer)
+        cluster, _generator, _names = build_scenario("default", n_sites=10, tracer=tracer)
         monitor = QuorumIntersectionMonitor(window=window)
         auditor = Auditor(cluster, [monitor], max_per_invariant=100)
 
