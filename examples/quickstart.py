@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.core.report import figure_3_1
+from repro.core.claims import figure_3_1
 from repro.histories.events import Invocation
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec

@@ -67,8 +67,9 @@ def main() -> None:
     assert weak_conflicts < fifo_conflicts
     print(
         "\nWeakening Deq from 'the oldest task' to 'any task' removed the\n"
-        "Enq/Enq conflict — and (see repro.core.catalog) the corresponding\n"
-        "quorum-intersection constraints with it."
+        "Enq/Enq conflict — and (see the type catalog `python -m repro\n"
+        "report` prints) the corresponding quorum-intersection constraints\n"
+        "with it."
     )
 
 

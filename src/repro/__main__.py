@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``report``  — regenerate the paper's results as a text report (also
-  what running with no arguments prints, for backward compatibility);
+  what running with no arguments does); exits non-zero when any row of
+  :data:`repro.core.claims.CLAIMS` does not hold;
 * ``trace``   — run a replicated-queue workload with tracing on and
   emit the span forest as a tree, JSONL, or Chrome trace JSON;
 * ``metrics`` — run the same workload and print the outcome/latency
@@ -32,8 +33,7 @@ All workload subcommands share ``--seed``, ``--sites``,
 ``--artifacts DIR`` to drop a machine-readable ``plan.json`` /
 ``report.json`` pair describing the run (see
 :mod:`repro.obs.runreport`).
-``report`` and the kernel paths honor ``--jobs`` / ``REPRO_JOBS`` for
-multiprocess derivation.  Wall-clock measurement lives outside the
+Wall-clock measurement lives outside the
 package: ``python3 perf/run.py <workload> --rounds 1 --traced`` prints
 host-corrected medians and a per-layer ledger.
 """
@@ -193,22 +193,28 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core.paper import paper_report
+    from repro.core.claims import paper_report
 
     wall_start = perf_counter()
-    print(paper_report(fast_theorems=args.fast, jobs=args.jobs))
+    report = paper_report(fast_theorems=args.fast)
+    print(report)
     elapsed = perf_counter() - wall_start
+    if report.failed:
+        print("claims that do not hold: " + ", ".join(report.failed), file=sys.stderr)
     if args.artifacts is not None:
         from repro.obs.runreport import make_plan, make_report
 
         _write_artifacts(
             args,
-            make_plan(
-                "report", config={"fast": args.fast, "jobs": args.jobs}
+            make_plan("report", config={"fast": args.fast}),
+            make_report(
+                "report",
+                ok=not report.failed,
+                elapsed=round(elapsed, 3),
+                failed=report.failed,
             ),
-            make_report("report", ok=True, elapsed=round(elapsed, 3)),
         )
-    return 0
+    return 1 if report.failed else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -633,14 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the slowest theorem searches",
     )
-    report.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for kernel derivations when a derivation is "
-        "sharded (default: REPRO_JOBS, else serial)",
-    )
     _artifacts_argument(report)
     report.set_defaults(func=_cmd_report)
 
@@ -982,13 +980,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         if args.command is None:
-            # Backward compatibility: bare ``python -m repro`` keeps
-            # printing the paper report, exactly as before the
-            # subcommand redesign.
-            from repro.core.paper import paper_report
-
-            print(paper_report())
-            return 0
+            # Backward compatibility: bare ``python -m repro`` is
+            # ``python -m repro report``.
+            args = parser.parse_args(["report"])
         return args.func(args)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a

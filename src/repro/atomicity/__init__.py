@@ -25,7 +25,6 @@ from repro.atomicity.properties import (
     is_serializable_in_some_order,
 )
 from repro.atomicity.explore import behavioral_histories, ExplorationBounds
-from repro.atomicity.compare import ConcurrencyComparison, compare_concurrency
 
 __all__ = [
     "LocalAtomicityProperty",
@@ -36,6 +35,4 @@ __all__ = [
     "is_serializable_in_some_order",
     "behavioral_histories",
     "ExplorationBounds",
-    "ConcurrencyComparison",
-    "compare_concurrency",
 ]

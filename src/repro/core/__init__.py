@@ -1,19 +1,12 @@
-"""The paper's contribution: the three-way comparison framework.
+"""The paper's contribution: its theorems and claims, machine-checked.
 
 * :mod:`repro.core.theorems` — every theorem of the paper as an
   executable, machine-checked statement with explicit bounds;
-* :mod:`repro.core.compare` — given a data type, compute and compare the
-  minimal dependency relations under all three properties (Figure 1-2)
-  and the realizable availability frontiers;
-* :mod:`repro.core.report` — render the paper's figures as text.
+* :mod:`repro.core.claims` — the paper's results and figures as one
+  table of rows, each computing, asserting and rendering its result;
+  ``python -m repro report`` prints them.
 """
 
-from repro.core.compare import DependencyComparison, compare_dependencies
-from repro.core.theorems import TheoremResult, verify_all_theorems
+from repro.core.theorems import TheoremResult
 
-__all__ = [
-    "DependencyComparison",
-    "compare_dependencies",
-    "TheoremResult",
-    "verify_all_theorems",
-]
+__all__ = ["TheoremResult"]

@@ -4,9 +4,9 @@ Each ``verify_theorem_*`` function re-derives its theorem from the
 kernel — by search where the paper gives a characterization, by
 bounded model checking where it gives a counterexample — and returns a
 :class:`TheoremResult` recording the claim, the bounds used, and the
-witnesses found.  ``verify_all_theorems`` runs the whole battery; the
-test suite asserts every result holds, and the Figure 1-2 benchmark
-prints the collected report.
+witnesses found.  The battery rows of :data:`repro.core.claims.CLAIMS`
+call them at their full and ``--fast`` bounds; ``python -m repro report``
+prints their summaries.
 
 Bounds are chosen so every check completes in seconds; raising them
 never changed any outcome in our runs (the paper's counterexamples are
@@ -262,6 +262,18 @@ def verify_theorem_12(max_ops: int = 4, *, jobs: int | None = None) -> TheoremRe
     )
 
 
+#: FlagSet's normal-event alphabet: the distinguishing behaviour lives
+#: entirely in Ok events.
+FLAGSET_EVENTS = (
+    event("Open"),
+    event("Shift", (1,)),
+    event("Shift", (2,)),
+    event("Shift", (3,)),
+    event("Close", (), ok(False)),
+    event("Close", (), ok(True)),
+)
+
+
 def verify_flagset_two_minimals(max_ops: int = 4) -> TheoremResult:
     """FlagSet has two distinct minimal hybrid dependency relations.
 
@@ -272,14 +284,7 @@ def verify_flagset_two_minimals(max_ops: int = 4) -> TheoremResult:
     """
     datatype = FlagSet()
     oracle = LegalityOracle(datatype)
-    events = (
-        event("Open"),
-        event("Shift", (1,)),
-        event("Shift", (2,)),
-        event("Shift", (3,)),
-        event("Close", (), ok(False)),
-        event("Close", (), ok(True)),
-    )
+    events = FLAGSET_EVENTS
     arena = VerificationArena(
         HybridAtomicity(datatype, oracle),
         VerificationBounds(
@@ -306,33 +311,3 @@ def verify_flagset_two_minimals(max_ops: int = 4) -> TheoremResult:
         bounds=f"histories ≤{max_ops} ops / 2 actions, normal-event alphabet",
         details=details,
     )
-
-
-def verify_all_theorems(
-    *, fast: bool = False, jobs: int | None = None
-) -> list[TheoremResult]:
-    """Run the full battery in paper order.
-
-    ``fast`` trims the bounds (still covering every witness in the
-    paper) for callers that regenerate the battery interactively.
-    ``jobs`` shards any cache-miss kernel derivations across processes.
-    """
-    if fast:
-        return [
-            verify_theorem_4(serial_bound=3, max_ops=2, jobs=jobs),
-            verify_theorem_5(max_ops=3),
-            verify_theorem_6(serial_bound=3, max_ops=2, jobs=jobs),
-            verify_theorem_10(serial_bound=3, max_ops=2, jobs=jobs),
-            verify_theorem_11(serial_bound=3, max_ops=2, jobs=jobs),
-            verify_theorem_12(jobs=jobs),
-            verify_flagset_two_minimals(max_ops=4),
-        ]
-    return [
-        verify_theorem_4(jobs=jobs),
-        verify_theorem_5(),
-        verify_theorem_6(jobs=jobs),
-        verify_theorem_10(jobs=jobs),
-        verify_theorem_11(jobs=jobs),
-        verify_theorem_12(jobs=jobs),
-        verify_flagset_two_minimals(),
-    ]

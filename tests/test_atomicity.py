@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.atomicity.compare import compare_concurrency
 from repro.atomicity.explore import ExplorationBounds, behavioral_histories
 from repro.atomicity.properties import (
     DynamicAtomicity,
@@ -193,33 +192,6 @@ class TestGenericAtomicity:
             Commit("B"),
         )
         assert not is_atomic(queue_oracle, history)
-
-
-class TestCompareConcurrency:
-    @pytest.fixture(scope="class")
-    def comparison(self):
-        return compare_concurrency(
-            Queue(), ExplorationBounds(max_ops=3, max_actions=2)
-        )
-
-    def test_dynamic_contained_in_hybrid(self, comparison):
-        assert comparison.contains("dynamic", "hybrid")
-
-    def test_hybrid_strictly_larger_than_dynamic(self, comparison):
-        assert not comparison.contains("hybrid", "dynamic")
-
-    def test_static_hybrid_incomparable(self, comparison):
-        assert comparison.incomparable("static", "hybrid")
-
-    def test_static_dynamic_incomparable(self, comparison):
-        assert comparison.incomparable("static", "dynamic")
-
-    def test_counts_consistent(self, comparison):
-        assert comparison.universe_size >= max(comparison.admitted.values())
-
-    def test_summary_renders(self, comparison):
-        text = comparison.summary()
-        assert "Queue" in text and "hybrid" in text
 
 
 def _short_transactions(count, last=()):

@@ -238,29 +238,61 @@ class TestOtherUsageErrors:
 
 class TestReportCompatibility:
     def test_no_args_prints_paper_report(self, capsys, monkeypatch):
-        import repro.core.paper
+        from repro.core import claims
 
         monkeypatch.setattr(
-            repro.core.paper, "paper_report", lambda **kw: "PAPER REPORT STUB"
+            claims, "paper_report", lambda **kw: claims.Report("PAPER REPORT STUB")
         )
         code, out = run_cli([], capsys)
         assert code == 0
         assert "PAPER REPORT STUB" in out
 
     def test_report_subcommand_forwards_fast_flag(self, capsys, monkeypatch):
-        import repro.core.paper
+        from repro.core import claims
 
         captured_kwargs = {}
 
         def fake_report(**kwargs):
             captured_kwargs.update(kwargs)
-            return "FAST STUB"
+            return claims.Report("FAST STUB")
 
-        monkeypatch.setattr(repro.core.paper, "paper_report", fake_report)
+        monkeypatch.setattr(claims, "paper_report", fake_report)
         code, out = run_cli(["report", "--fast"], capsys)
         assert code == 0
         assert "FAST STUB" in out
-        assert captured_kwargs == {"fast_theorems": True, "jobs": None}
+        assert captured_kwargs == {"fast_theorems": True}
+
+    def test_report_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["report", "--jobs", "2"])
+        assert exited.value.code == 2
+
+    def test_a_row_that_does_not_hold_fails_the_report(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from dataclasses import replace
+
+        from repro.core import claims
+
+        figure, catalog = claims.CLAIMS[0], claims.CLAIMS[-1]
+        broken = replace(
+            catalog, check=lambda bounds: replace(catalog.check(bounds), holds=False)
+        )
+        monkeypatch.setattr(claims, "CLAIMS", (figure, broken))
+        for argv in (["report", "--artifacts", str(tmp_path)], []):
+            code, out = run_cli(argv, capsys)
+            assert code == 1
+            assert "Figure 1-1 — concurrency relations" in out
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["ok"] is False and report["failed"] == ["Type catalog"]
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["config"] == {"fast": False}
+
+        monkeypatch.setattr(claims, "CLAIMS", (figure, catalog))
+        code, _out = run_cli(["report", "--artifacts", str(tmp_path)], capsys)
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["ok"] is True and report["failed"] == []
 
     def test_unknown_subcommand_errors(self, capsys):
         with pytest.raises(SystemExit):

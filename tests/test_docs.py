@@ -35,7 +35,9 @@ SNIPPET_DOCS = (
 )
 
 #: Documents whose links and path references are checked.
-LINKED_DOCS = tuple(sorted(DOCS.glob("*.md"))) + (ROOT / "README.md",)
+LINKED_DOCS = tuple(sorted(DOCS.glob("*.md"))) + tuple(
+    ROOT / name for name in ("DESIGN.md", "EXPERIMENTS.md", "README.md")
+)
 
 _PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 _MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
@@ -185,20 +187,24 @@ def test_documented_cli_lines_parse(argv):
 
 
 class TestScenarioDocRefs:
-    """Catalog ↔ doc drift guard for ``repro.scenarios``.
+    """Catalog ↔ doc drift guard for ``repro.scenarios`` and the claims.
 
-    Every ``ScenarioSpec.doc_ref`` must resolve to a real anchor in
-    ``docs/SCENARIOS.md``, and every catalog scenario must appear in the
-    doc's reference table — so the doc cannot silently diverge from the
-    frozen catalog.
+    Every ``ScenarioSpec.doc_ref`` and every ``Claim.doc_ref`` of
+    ``repro.core.claims.CLAIMS`` must resolve to a real anchor, and every
+    catalog scenario must appear in ``docs/SCENARIOS.md``'s reference
+    table — so the docs cannot silently diverge from the frozen catalog
+    or from the paper's claims.
     """
 
     def test_every_doc_ref_resolves_to_a_real_anchor(self):
+        from repro.core.claims import CLAIMS
         from repro.scenarios import SCENARIOS
 
+        refs = {name: spec.doc_ref for name, spec in SCENARIOS.items()}
+        refs.update((claim.name, claim.doc_ref) for claim in CLAIMS)
         problems = []
-        for name, spec in SCENARIOS.items():
-            path_part, _, fragment = spec.doc_ref.partition("#")
+        for name, doc_ref in refs.items():
+            path_part, _, fragment = doc_ref.partition("#")
             dest = ROOT / path_part
             if not dest.exists():
                 problems.append(f"{name}: doc_ref file {path_part} missing")
