@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.cc.conflicts import ConflictTable
 from repro.errors import ConflictError
-from repro.histories.events import Event, Invocation, Response, SerialHistory
+from repro.histories.events import Event, Invocation, SerialHistory
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
@@ -76,10 +76,6 @@ class CCScheme(ABC):
     def __init__(self, datatype: SerialDataType, oracle: LegalityOracle | None = None):
         self.datatype = datatype
         self.oracle = oracle or LegalityOracle(datatype)
-        #: Memoized deterministic response order, keyed by the oracle's
-        #: per-node response sets (small, few distinct values): avoids
-        #: re-rendering responses to strings on every operation.
-        self._sorted_responses: dict[frozenset[Response], tuple[Response, ...]] = {}
 
     @abstractmethod
     def choose_event(
@@ -102,15 +98,6 @@ class CCScheme(ABC):
     def on_finalize(self, txn: Transaction, sync: "SynchronizationState") -> None:
         """Release scheme state after commit or abort; default: none."""
 
-    def _ordered_responses(self, node, invocation: Invocation) -> tuple[Response, ...]:
-        """Legal responses at a trie node, in sorted-render order."""
-        responses = self.oracle._node_responses(node, invocation)
-        ordered = self._sorted_responses.get(responses)
-        if ordered is None:
-            ordered = tuple(sorted(responses, key=str))
-            self._sorted_responses[responses] = ordered
-        return ordered
-
     def _commit_order_event(
         self, view: View, txn: Transaction, invocation: Invocation
     ) -> Event:
@@ -123,9 +110,8 @@ class CCScheme(ABC):
         for the committed prefix; stepping it through the transaction's
         own events lands on exactly the node ``pick_response`` would
         reach by replaying ``view.commit_order_serial(own=txn.id)`` from
-        ``view.base_state``, so the memoized response set, the
-        deterministic candidate order, and the one-hop legality checks
-        choose the identical event.
+        ``view.base_state``, so its first successor in sorted-render order
+        is the event ``pick_response`` chooses (every successor is legal).
         """
         oracle = self.oracle
         cache = view.serial_cache
@@ -141,11 +127,10 @@ class CCScheme(ABC):
         step = oracle._step
         for entry in view.log.entries_of(txn.id):
             node = step(node, entry.event)
-        for response in self._ordered_responses(node, invocation):
-            candidate = Event(invocation, response)
-            if step(node, candidate).frontier is not None:
-                return candidate
-        raise self._too_late(invocation)
+        successors = oracle._successors(node, invocation)
+        if not successors:
+            raise self._too_late(invocation)
+        return successors[0][0]
 
     def _check_held(
         self, event: Event, txn: Transaction, sync: "SynchronizationState", clash: str

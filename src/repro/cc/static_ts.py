@@ -20,39 +20,28 @@ commit-time certification:
 * commit needs no certification (the on-line invariant makes any commit
   safe); :meth:`pre_commit` re-checks it as a safety net.
 
-The rules are decided once, in :meth:`choose_event`; *how* a
-serialization is tested for legality comes in two interchangeable
-forms.  From scratch (:meth:`_from_scratch`, the reference, used when
-the view carries no serial cache, the cache has no checkpoints yet, or
-the transaction's own entries are already among the committed ones)
-every test sorts the committed groups and replays the whole serial from
-the root.  From checkpoints (:meth:`_from_checkpoints`) the committed groups
-stay sorted by begin timestamp with the legality-trie node after each
-(:class:`~repro.replication.serialcache.BeginOrderCheckpoints`), so a
-test starts at the checkpoint in front of the oldest position it
-touches and replays only the tail window — bounded by the oldest active
-transaction's begin position, not by how long the object has lived.
+The rules are decided in one walk (:func:`_blame`): the committed
+groups stay sorted by begin timestamp with the legality-trie node after
+each (:class:`~repro.replication.serialcache.BeginOrderCheckpoints`), and
+each subset's serialization starts at the checkpoint in front of the
+oldest begin position it merges in and replays only the tail window —
+bounded by the oldest active transaction's begin position, not by how
+long the object has lived.  The rows come from the view's serial cache,
+or, when the view carries none or already shows the transaction as
+committed, are built afresh from the view.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Sequence
 
 from repro.cc.base import CCScheme
-from repro.clocks.timestamps import Timestamp
 from repro.errors import ConflictError
-from repro.histories.events import Event, Invocation, SerialHistory
+from repro.histories.events import Event, Invocation
+from repro.replication.serialcache import BeginOrderCheckpoints, begin_order_rows
 from repro.replication.view import View
-from repro.txn.ids import ActionId, Transaction
-
-#: An active transaction's held events: ``(begin_ts, holder, events)``.
-ActiveGroup = tuple[Timestamp, ActionId, tuple[Event, ...]]
-#: ``legal(event, chosen)``: does the serialization stay legal with
-#: ``event`` appended to the transaction's own events and the ``chosen``
-#: active groups committed?
-LegalityTest = Callable[[Event, Sequence[ActiveGroup]], bool]
+from repro.txn.ids import Transaction
 
 
 class StaticTimestampCC(CCScheme):
@@ -75,24 +64,63 @@ class StaticTimestampCC(CCScheme):
                 "prefix)",
                 fatal=True,
             )
-        own_events = sync.own_events(txn.id)
-        active_groups = self._active_groups(view, sync, txn.id)
         cache = view.serial_cache
         marks = None if cache is None else cache.checkpoints(view)
         if marks is None or cache.contains_committed(txn.id):
-            candidates, legal = self._from_scratch(view, txn, invocation, own_events)
-        else:
-            candidates, legal = self._from_checkpoints(
-                marks, txn, invocation, own_events, active_groups
+            marks = BeginOrderCheckpoints(
+                begin_order_rows(
+                    view, [a for a in view.committed_actions() if a != txn.id]
+                )
             )
+        oracle = self.oracle
+        own_events = sync.own_events(txn.id)
+        own_at = marks.position(txn.begin_ts)
+        node = marks.node_before(oracle, own_at)
+        step = oracle._step
+        for own in own_events:
+            child = node.children.get(own)
+            node = step(node, own) if child is None else child
 
-        blocking_holder: ActionId | None = None
-        for event in candidates:
-            holder = self._first_violation(active_groups, event, legal)
-            if holder is None:
+        # Everyone who may be merged in, in serialization (begin) order:
+        # ``(position, bit, events)``; the transaction's own slot is bit 1
+        # (its events are the candidate's), the i-th other active
+        # transaction in ``str`` order bit ``2 << i``.
+        others = [
+            (action, events)
+            for action, events in sync.active_events.items()
+            if events and action != txn.id
+        ]
+        slots = [(own_at, 1, None)]
+        if others:
+            if len(others) > 1:
+                others.sort(key=lambda item: str(item[0]))
+            begin_ts_of = view.statuses.begin_ts_of
+            begins = sorted(
+                [
+                    (begin_ts_of(action), 2 << i, events)
+                    for i, (action, events) in enumerate(others)
+                ]
+                + [(txn.begin_ts, 1, None)],
+                key=itemgetter(0),
+            )
+            slots = [
+                (own_at if bit == 1 else marks.position(begin), bit, events)
+                for begin, bit, events in begins
+            ]
+
+        blocking_holder = None
+        for event, child in oracle._successors(node, invocation):
+            # ``child`` is the node after the committed rows in front of
+            # the transaction's begin position, its own events and
+            # ``event``: where every subset that merges nothing in front
+            # of it stands after its own block.
+            blamed = _blame(
+                marks, oracle, slots, own_events + (event,), len(others), {1: child}
+            )
+            if blamed is None:
                 return event
-            if holder != _COMMITTED:
-                blocking_holder = holder
+            if blamed:
+                blocking_holder = others[blamed.bit_length() - 2][0]
         if blocking_holder is not None:
             raise ConflictError(
                 f"{invocation} at {txn.id}'s begin position conflicts with "
@@ -105,135 +133,80 @@ class StaticTimestampCC(CCScheme):
     def pre_commit(self, txn: Transaction, sync) -> None:
         """Safety net: the on-line invariant makes commits always safe."""
         committed = sync.committed
-        own = (committed.position(txn.begin_ts), sync.own_events(txn.id))
-        if not committed.legal_with(self.oracle, [own]):
+        own = [(committed.position(txn.begin_ts), 1, None)]
+        blamed = _blame(committed, self.oracle, own, sync.own_events(txn.id), 0, {})
+        if blamed is not None:
             raise ConflictError(
                 f"certification failed for {txn.id}: static on-line "
                 "invariant was broken (this indicates a scheme bug)",
                 fatal=True,
             )
 
-    # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _first_violation(
-        active_groups: list[ActiveGroup], event: Event, legal: LegalityTest
-    ):
-        """The holder blamed for the first illegal static serialization.
+def _blame(
+    marks: BeginOrderCheckpoints,
+    oracle,
+    slots: list,
+    own: tuple,
+    others: int,
+    reached: dict,
+):
+    """Who is blamed for the first illegal static serialization.
 
-        Checks every subset of the other active transactions, smallest
-        first; returns ``None`` if every serialization stays legal, the
-        sentinel ``_COMMITTED`` if even the committed-only serialization
-        fails, or the :class:`ActionId` of an active transaction whose
-        inclusion breaks legality.
-        """
-        for subset in chain.from_iterable(
-            combinations(active_groups, size)
-            for size in range(len(active_groups) + 1)
-        ):
-            if not legal(event, subset):
-                return subset[-1][1] if subset else _COMMITTED
-        return None
+    Checks every subset of the ``others`` active transactions — by size,
+    then in ``combinations`` order — merging the chosen ``slots`` and
+    the transaction's own (bit 1, events ``own``) into ``marks``' rows at
+    their begin positions.  Returns ``None`` if every serialization stays
+    legal, ``0`` if even the committed-only one fails, or the bit of the
+    last member of the first failing subset.
 
-    def _from_scratch(
-        self,
-        view: View,
-        txn: Transaction,
-        invocation: Invocation,
-        own_events: tuple[Event, ...],
-    ) -> tuple[list[Event], LegalityTest]:
-        """Candidates and legality by sorting and replaying the whole view."""
-        committed_groups = [
-            (view.statuses.begin_ts_of(action), view.events_of(action))
-            for action in view.committed_actions()
-            if action != txn.id
-        ]
-
-        def split(groups) -> tuple[SerialHistory, SerialHistory]:
-            before: list[Event] = []
-            after: list[Event] = []
-            for begin_ts, events in sorted(groups, key=itemgetter(0)):
-                (before if begin_ts < txn.begin_ts else after).extend(events)
-            return tuple(before), tuple(after)
-
-        # Candidate responses must at least work against committed events
-        # alone (the empty subset of active transactions).
-        before, _after = split(committed_groups)
-        candidates = [
-            Event(invocation, res)
-            for res in sorted(
-                self.oracle.responses(before + own_events, invocation), key=str
-            )
-        ]
-
-        def legal(event, chosen):
-            before, after = split(
-                committed_groups
-                + [(begin_ts, events) for begin_ts, _holder, events in chosen]
-            )
-            return self.oracle.is_legal(before + own_events + (event,) + after)
-
-        return candidates, legal
-
-    def _from_checkpoints(
-        self,
-        marks,
-        txn: Transaction,
-        invocation: Invocation,
-        own_events: tuple[Event, ...],
-        active_groups: list[ActiveGroup],
-    ) -> tuple[list[Event], LegalityTest]:
-        """The same candidates and legality, walking only the tail window.
-
-        ``marks`` holds the committed groups :meth:`_from_scratch` sorts,
-        already in begin order; the transaction's own events (plus the
-        candidate) and each chosen active group are merged in at their
-        begin positions, so the serial replayed is event for event the
-        one :meth:`_from_scratch` builds — from the checkpoint in front
-        of the first merged block instead of from the root.
-        """
-        oracle = self.oracle
-        own_at = marks.position(txn.begin_ts)
-        node = marks.node_before(oracle, own_at)
-        for own in own_events:
-            node = oracle._step(node, own)
-        candidates = [
-            Event(invocation, res) for res in self._ordered_responses(node, invocation)
-        ]
-        #: Everyone who may be merged in, in serialization (begin) order:
-        #: ``(begin_ts, position, holder, events)``.
-        slots = sorted(
-            [
-                (begin_ts, marks.position(begin_ts), holder, events)
-                for begin_ts, holder, events in active_groups
-            ]
-            + [(txn.begin_ts, own_at, txn.id, own_events)],
-            key=itemgetter(0),
-        )
-
-        def legal(event, chosen):
-            holders = {holder for _begin, holder, _events in chosen}
-            return marks.legal_with(
-                oracle,
-                [
-                    (at, events + (event,)) if holder == txn.id else (at, events)
-                    for _begin, at, holder, events in slots
-                    if holder == txn.id or holder in holders
-                ],
-            )
-
-        return candidates, legal
-
-    @staticmethod
-    def _active_groups(view: View, sync, own: ActionId) -> list[ActiveGroup]:
-        return [
-            (view.statuses.begin_ts_of(action), action, tuple(events))
-            for action, events in sorted(
-                sync.active_events.items(), key=lambda item: str(item[0])
-            )
-            if action != own and events
-        ]
-
-
-#: Sentinel distinguishing "conflicts with committed history" from a holder.
-_COMMITTED = "committed"
+    Subsets that merge in the same slots up to some block reach the same
+    trie node there, so the node after each block is kept per prefix in
+    ``reached`` (keyed by the bits merged so far; the caller may seed
+    it); a hop the walk makes is one a subset-by-subset replay would
+    make, no more.
+    """
+    rows = marks.rows
+    end = len(rows)
+    step = oracle._step
+    bits = [2 << i for i in range(others)]
+    for size in range(others + 1):
+        for chosen in combinations(bits, size):
+            mask = 1 + sum(chosen)
+            merged = 0
+            node = None
+            for position, bit, events in slots:
+                if not mask & bit:
+                    continue
+                merged |= bit
+                known = reached.get(merged)
+                if known is not None:
+                    node = known
+                else:
+                    if node is None:
+                        node = marks.node_before(oracle, position)
+                    else:
+                        while at < position:
+                            for event in rows[at][2]:
+                                child = node.children.get(event)
+                                node = step(node, event) if child is None else child
+                            at += 1
+                    for event in own if bit == 1 else events:
+                        child = node.children.get(event)
+                        node = step(node, event) if child is None else child
+                    reached[merged] = node
+                at = position
+                if node.frontier is None:
+                    break
+            else:
+                while at < end:
+                    for event in rows[at][2]:
+                        child = node.children.get(event)
+                        node = step(node, event) if child is None else child
+                    at += 1
+                    if node.frontier is None:
+                        break
+                else:
+                    continue
+            return chosen[-1] if chosen else 0
+    return None

@@ -5,93 +5,59 @@ first and breaking ties with the site identifier yields the total order
 required by the paper: "A system of Lamport Clocks can be used to impose
 an unambiguous ordering on Begin and Commit events" (Section 4).
 
-Implementation note (throughput): :class:`Timestamp` is a hand-written
-``__slots__`` value type with a precomputed hash.  Log-set algebra and
-sort keys hash and compare timestamps constantly on the replication hot
-path; a ``@dataclass(order=True)`` rebuilds ``(counter, site)`` tuples
-for every comparison and rehashes per call.  The hash value equals the
-dataclass hash (``hash((counter, site))``), so set iteration orders —
-and therefore every seeded fingerprint — are unchanged.  Timestamps are
-*not* interned: their key space grows linearly with simulated time, so
-an intern table would defeat the bounded-memory soak guarantees (see
-``docs/PERFORMANCE.md``, "Simulator core").
+Implementation note (throughput): :class:`Timestamp` is a ``tuple``
+subclass, ``(counter, site)``.  Log-set algebra, ``bisect`` and sort keys
+hash and compare timestamps constantly on the replication hot path; as a
+tuple, hashing and ordering run in C (no Python frame), and the hash is
+``hash((counter, site))`` — so set iteration orders, and therefore every
+seeded fingerprint, are those of the dataclass it once was.  Equality
+stays type-distinct: a timestamp never equals a plain tuple or an
+:class:`~repro.txn.ids.ActionId`.  Timestamps are *not* interned: their
+key space grows linearly with simulated time, so an intern table would
+defeat the bounded-memory soak guarantees (see ``docs/PERFORMANCE.md``,
+"Simulator core").
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator
 
 
-class Timestamp:
+class Timestamp(tuple):
     """A Lamport timestamp: logical counter with a site tiebreak.
 
     Comparisons order by ``counter`` first and ``site`` second, which is
     exactly the total order we need.
     """
 
-    __slots__ = ("counter", "site", "_hash")
+    __slots__ = ()
 
-    def __init__(self, counter: int, site: int = 0):
-        object.__setattr__(self, "counter", counter)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "_hash", hash((counter, site)))
+    def __new__(cls, counter: int, site: int = 0):
+        return tuple.__new__(cls, (counter, site))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Timestamp is immutable (tried to set {name!r})")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Timestamp is immutable (tried to delete {name!r})")
+    counter = property(itemgetter(0))
+    site = property(itemgetter(1))
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        return self.counter == other.counter and self.site == other.site
+        return type(other) is Timestamp and tuple.__eq__(self, other)
 
-    def __lt__(self, other):
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        if self.counter != other.counter:
-            return self.counter < other.counter
-        return self.site < other.site
-
-    def __le__(self, other):
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        if self.counter != other.counter:
-            return self.counter < other.counter
-        return self.site <= other.site
-
-    def __gt__(self, other):
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        if self.counter != other.counter:
-            return self.counter > other.counter
-        return self.site > other.site
-
-    def __ge__(self, other):
-        if not isinstance(other, Timestamp):
-            return NotImplemented
-        if self.counter != other.counter:
-            return self.counter > other.counter
-        return self.site >= other.site
-
-    def __hash__(self):
-        return self._hash
+    def __ne__(self, other):
+        return type(other) is not Timestamp or tuple.__ne__(self, other)
 
     def __reduce__(self):
-        return (Timestamp, (self.counter, self.site))
+        return (Timestamp, tuple(self))
 
     def __repr__(self):
-        return f"Timestamp(counter={self.counter!r}, site={self.site!r})"
+        return f"Timestamp(counter={self[0]!r}, site={self[1]!r})"
 
     def next_at(self, site: int) -> "Timestamp":
         """Return the earliest timestamp at ``site`` strictly after ``self``."""
-        return Timestamp(self.counter + 1, site)
+        return Timestamp(self[0] + 1, site)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.counter}.{self.site}"
+        return f"{self[0]}.{self[1]}"
 
 
 #: The timestamp ordered before every timestamp any clock can produce.

@@ -167,21 +167,30 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        self._check_free(name, self._counters)
-        return self._counters.setdefault(name, Counter(name))
+        found = self._counters.get(name)
+        if found is not None:
+            return found
+        return self._create(name, self._counters, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        self._check_free(name, self._gauges)
-        return self._gauges.setdefault(name, Gauge(name))
+        found = self._gauges.get(name)
+        if found is not None:
+            return found
+        return self._create(name, self._gauges, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        self._check_free(name, self._histograms)
-        return self._histograms.setdefault(name, Histogram(name))
+        found = self._histograms.get(name)
+        if found is not None:
+            return found
+        return self._create(name, self._histograms, Histogram)
 
-    def _check_free(self, name: str, own: dict) -> None:
+    def _create(self, name: str, own: dict, kind):
+        """A new instrument in ``own`` — unless another family has the name."""
         for family in (self._counters, self._gauges, self._histograms):
             if family is not own and name in family:
                 raise ValueError(f"metric {name!r} already exists with another type")
+        instrument = own[name] = kind(name)
+        return instrument
 
     # -- enumeration ----------------------------------------------------------
 

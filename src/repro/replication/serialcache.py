@@ -82,8 +82,8 @@ class BeginOrderCheckpoints:
 
     __slots__ = ("rows", "_nodes", "_trims_seen", "mid_inserts")
 
-    def __init__(self) -> None:
-        self.rows: list[tuple["Timestamp", object, tuple["Event", ...]]] = []
+    def __init__(self, rows: Iterable[tuple] = ()) -> None:
+        self.rows: list[tuple["Timestamp", object, tuple["Event", ...]]] = list(rows)
         self._nodes: list = []
         self._trims_seen = -1
         #: Inserts that landed in front of an existing row.
@@ -125,36 +125,6 @@ class BeginOrderCheckpoints:
                     node = step(node, event)
                 nodes.append(node)
         return nodes[position - 1]
-
-    def legal_with(
-        self, oracle: "LegalityOracle", blocks: list[tuple[int, tuple["Event", ...]]]
-    ) -> bool:
-        """Is the begin-order serial legal with ``blocks`` merged in?
-
-        ``blocks`` are ``(position, events)`` in serialization order:
-        each block's events go in front of row ``position``.  The walk
-        starts at the checkpoint before the first block and replays only
-        from there to the tail.
-        """
-        rows = self.rows
-        at = blocks[0][0]
-        node = self.node_before(oracle, at)
-        step = oracle._step
-        for position, events in blocks:
-            while at < position:
-                for event in rows[at][2]:
-                    node = step(node, event)
-                at += 1
-            for event in events:
-                node = step(node, event)
-            if node.frontier is None:
-                return False
-        for index in range(at, len(rows)):
-            for event in rows[index][2]:
-                node = step(node, event)
-            if node.frontier is None:
-                return False
-        return True
 
 
 class _ViewDelta:
@@ -368,19 +338,22 @@ class BeginOrderCache(_ViewDelta):
         newly_committed = self._newly_committed(view)
         if newly_committed is None:
             committed = view.committed_actions()
-            self._marks.reset(
-                sorted((self._row(view, action) for action in committed), key=_BEGIN)
-            )
+            self._marks.reset(begin_order_rows(view, committed))
             self._adopt(view, committed)
         elif newly_committed:
             for action in newly_committed:
-                self._marks.insert(*self._row(view, action))
+                self._marks.insert(*_begin_row(view, action))
             self._folded(newly_committed)
         return self._marks
 
-    @staticmethod
-    def _row(view: "View", action: ActionId):
-        return view.statuses.begin_ts_of(action), action, view.events_of(action)
+
+def begin_order_rows(view: "View", actions: Iterable[ActionId]) -> list[tuple]:
+    """``(begin_ts, action, events)`` per action of ``view``, in begin order."""
+    return sorted((_begin_row(view, action) for action in actions), key=_BEGIN)
+
+
+def _begin_row(view: "View", action: ActionId) -> tuple:
+    return view.statuses.begin_ts_of(action), action, view.events_of(action)
 
 
 #: The cache a front-end threads through its views, by the scheme's

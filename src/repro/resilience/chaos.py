@@ -392,8 +392,11 @@ def settle(cluster, names: Sequence[str]) -> bool:
         for hub, other in star:
             antientropy.synchronize(hub, other)
     return all(
-        len({str(cluster.repositories[site].peek_log(name)) for site in replicas})
-        == 1
+        all(
+            cluster.repositories[site].peek_log(name)
+            == cluster.repositories[replicas[0]].peek_log(name)
+            for site in replicas[1:]
+        )
         for name, replicas in zip(names, replica_sets)
     )
 

@@ -32,6 +32,14 @@ class MetricRecorder:
     outcomes: Counter = field(default_factory=Counter)
     committed_transactions: int = 0
     aborted_transactions: int = 0
+    #: The registry's instruments per ``(operation, outcome)`` and per
+    #: operation, so a record builds no names.
+    _counters: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _latencies: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     #: ``degraded`` counts read-quorum-only fallback responses (see
     #: :class:`~repro.resilience.policy.RetryPolicy` ``degraded_reads``) —
@@ -40,12 +48,23 @@ class MetricRecorder:
     OUTCOMES = ("ok", "unavailable", "conflict", "aborted", "degraded")
 
     def record(self, operation: str, outcome: str, latency: float | None = None) -> None:
-        if outcome not in self.OUTCOMES:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        self.outcomes[(operation, outcome)] += 1
-        self.registry.counter(f"ops.{operation}.{outcome}").inc()
+        key = (operation, outcome)
+        counter = self._counters.get(key)
+        if counter is None:
+            if outcome not in self.OUTCOMES:
+                raise ValueError(f"unknown outcome {outcome!r}")
+            counter = self._counters[key] = self.registry.counter(
+                f"ops.{operation}.{outcome}"
+            )
+        self.outcomes[key] += 1
+        counter.inc()
         if latency is not None:
-            self.registry.histogram(f"latency.{operation}").observe(latency)
+            histogram = self._latencies.get(operation)
+            if histogram is None:
+                histogram = self._latencies[operation] = self.registry.histogram(
+                    f"latency.{operation}"
+                )
+            histogram.observe(latency)
 
     def record_commit(self) -> None:
         self.committed_transactions += 1

@@ -29,7 +29,7 @@ from repro.spec.datatype import SerialDataType, State
 class _TrieNode:
     """One replay frontier, plus memoized children per event."""
 
-    __slots__ = ("frontier", "children", "responses")
+    __slots__ = ("frontier", "children", "responses", "successors")
 
     def __init__(self, frontier: dict[Hashable, State] | None):
         #: canonical-key -> representative state; ``None`` marks illegal.
@@ -38,6 +38,9 @@ class _TrieNode:
         #: Memoized invocation -> legal responses at this frontier; built
         #: lazily because most interior nodes are only ever stepped through.
         self.responses: dict[Invocation, frozenset[Response]] | None = None
+        #: Memoized invocation -> ``(event, child)`` per legal response
+        #: (:meth:`LegalityOracle._successors`, runtime only).
+        self.successors: dict[Invocation, tuple] | None = None
 
 
 class LegalityCursor:
@@ -192,6 +195,45 @@ class LegalityOracle:
                 for response, _next_state in self._dt.apply(state, invocation)
             )
             cache[invocation] = found
+        return found
+
+    def _successors(
+        self, node: _TrieNode, invocation: Invocation
+    ) -> tuple[tuple[Event, _TrieNode], ...]:
+        """``(event, child)`` per legal response for ``invocation`` at ``node``.
+
+        In sorted-render order (the runtime's deterministic choice order),
+        memoized per node.  One pass over the frontier lists the
+        responses *and* builds each child — the node :meth:`_step` would
+        build — so the step that follows a chosen response is a memo hit.
+        The runtime's schemes ask this; the derivations keep
+        :meth:`_node_responses`, which builds no children.
+        """
+        memo = node.successors
+        if memo is None:
+            memo = node.successors = {}
+        found = memo.get(invocation)
+        if found is not None:
+            return found
+        frontiers: dict[Response, dict[Hashable, State]] = {}
+        if node.frontier is not None:
+            canonical = self._dt.canonical
+            for state in node.frontier.values():
+                for response, next_state in self._dt.apply(state, invocation):
+                    frontiers.setdefault(response, {})[canonical(next_state)] = (
+                        next_state
+                    )
+        ordered = sorted(frontiers, key=str) if len(frontiers) > 1 else frontiers
+        children = node.children
+        steps = []
+        for response in ordered:
+            event = Event(invocation, response)
+            child = children.get(event)
+            if child is None:
+                child = children[event] = _TrieNode(frontiers[response])
+                self._cache_nodes += 1
+            steps.append((event, child))
+        found = memo[invocation] = tuple(steps)
         return found
 
     # -- cursors ---------------------------------------------------------------

@@ -9,51 +9,46 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.clocks.timestamps import Timestamp
 
 
-class ActionId:
+class ActionId(tuple):
     """A globally unique action identifier: sequence number plus home site.
 
-    Hand-written ``__slots__`` value type with a precomputed hash: action
-    ids key the log's per-action indexes and the transaction-manager maps
-    on every operation, and the cached hash (identical to the dataclass
-    hash it replaces) removes per-lookup rehashing from the hot path.
-    Action ids are not interned — their key space grows with the run.
+    A ``tuple`` subclass, ``(seq, site)``, for the reason
+    :class:`~repro.clocks.timestamps.Timestamp` is one: action ids key the
+    log's per-action indexes and the transaction-manager maps on every
+    operation, and as a tuple they hash in C, to ``hash((seq, site))``.
+    Equality is type-distinct (an action id equals no plain tuple and no
+    timestamp).  Action ids are not interned — their key space grows
+    with the run.
     """
 
-    __slots__ = ("seq", "site", "_hash")
+    __slots__ = ()
 
-    def __init__(self, seq: int, site: int = 0):
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "_hash", hash((seq, site)))
+    def __new__(cls, seq: int, site: int = 0):
+        return tuple.__new__(cls, (seq, site))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ActionId is immutable (tried to set {name!r})")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ActionId is immutable (tried to delete {name!r})")
+    seq = property(itemgetter(0))
+    site = property(itemgetter(1))
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ActionId):
-            return NotImplemented
-        return self.seq == other.seq and self.site == other.site
+        return type(other) is ActionId and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return self._hash
+    def __ne__(self, other):
+        return type(other) is not ActionId or tuple.__ne__(self, other)
 
     def __reduce__(self):
-        return (ActionId, (self.seq, self.site))
+        return (ActionId, tuple(self))
 
     def __repr__(self):
-        return f"ActionId(seq={self.seq!r}, site={self.site!r})"
+        return f"ActionId(seq={self[0]!r}, site={self[1]!r})"
 
     def __str__(self) -> str:
-        return f"T{self.seq}@{self.site}"
+        return f"T{self[0]}@{self[1]}"
 
     @staticmethod
     def parse(text: str) -> "ActionId | None":

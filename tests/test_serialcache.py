@@ -1,12 +1,16 @@
 """The serial caches: begin-order checkpoints and the shared view delta.
 
-Three layers of evidence that the incremental paths compute what the
+Four layers of evidence that the incremental paths compute what the
 from-scratch reference computes:
 
 * a hypothesis property over random insertion orders — every checkpoint
   *is* the trie node the oracle reaches by replaying the flattened
-  prefix, and ``legal_with`` agrees with ``is_legal`` on the merged
-  serial;
+  prefix;
+* a differential property for static atomicity's decision: the single
+  walk over the checkpoints (or over rows built afresh from the view)
+  answers what the literal subset-by-subset definition answers —
+  the same event, or the same fatal / non-fatal conflict blaming the
+  same holder;
 * one unit test per condition under which carried state is unsound
   (each must rebuild or fall back, never answer from stale state);
 * a counted (not timed) guard that static atomicity's per-operation
@@ -15,6 +19,7 @@ from-scratch reference computes:
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from types import SimpleNamespace
 
 import pytest
@@ -37,8 +42,9 @@ from repro.replication.serialcache import (
 from repro.replication.view import View
 from repro.scenarios import runner
 from repro.spec.legality import LegalityOracle
+from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
-from repro.types import Account, Queue
+from repro.types import Account, Queue, SemiQueue
 from tests.helpers import queue_system
 
 ENQ_A = Invocation("Enq", ("a",))
@@ -51,8 +57,8 @@ DEQ = Invocation("Deq")
 
 @st.composite
 def grouped_histories(draw, datatype):
-    """A legal serial history cut into begin-ordered groups, plus a
-    permutation to insert them in and blocks to merge in afterwards."""
+    """A legal serial history cut into begin-ordered groups (odd begin
+    counters), plus a permutation to insert them in."""
     invocations = datatype.invocations()
     state = datatype.initial_state()
     groups = []
@@ -65,18 +71,7 @@ def grouped_histories(draw, datatype):
             events.append(Event(invocation, response))
         groups.append((Timestamp(2 * begin + 1, 0), begin, tuple(events)))
     order = draw(st.permutations(range(len(groups))))
-    alphabet = [event for _begin, _tag, events in groups for event in events]
-    blocks = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, len(groups)),
-                st.lists(st.sampled_from(alphabet), max_size=2).map(tuple),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    return groups, order, sorted(blocks, key=lambda block: block[0])
+    return groups, order
 
 
 def _flatten(rows):
@@ -99,7 +94,7 @@ class TestBeginOrderCheckpoints:
     def test_any_insertion_order_keeps_checkpoints_on_the_replay_path(
         self, datatype, data
     ):
-        groups, order, blocks = data.draw(grouped_histories(datatype))
+        groups, order = data.draw(grouped_histories(datatype))
         oracle = LegalityOracle(datatype)
         marks = BeginOrderCheckpoints()
         inserted = []
@@ -115,14 +110,6 @@ class TestBeginOrderCheckpoints:
             1 for seen, index in enumerate(order) if index < max(order[: seen + 1])
         )
 
-        merged = []
-        for position in range(len(groups) + 1):
-            merged += [events for at, events in blocks if at == position]
-            if position < len(groups):
-                merged.append(groups[position][2])
-        serial = tuple(event for events in merged for event in events)
-        assert marks.legal_with(oracle, blocks) == oracle.is_legal(serial)
-
     def test_trimmed_oracle_gets_live_nodes(self, datatype):
         oracle = LegalityOracle(datatype)
         deposit_or_enq = Event(datatype.invocations()[0], ok())
@@ -137,6 +124,221 @@ class TestBeginOrderCheckpoints:
         assert live is not stale
         assert live is oracle._node(_flatten(marks.rows))
         assert oracle.cache_nodes() == 5
+
+
+# -- static atomicity's decision, against the literal definition --------------
+
+
+def literal_static_choice(oracle, committed, own_begin, own_events, others, invocation):
+    """Static atomicity's operation-time rule, subset by subset.
+
+    ``committed`` holds ``(begin_ts, events)`` per committed group,
+    ``others`` ``(begin_ts, holder, events)`` per other active
+    transaction in ``str(holder)`` order.  For each response (sorted
+    render order) legal after the committed events that began before
+    ``own_begin`` and the transaction's own, every subset of ``others``
+    — by size, then in ``combinations`` order — is flattened into one
+    begin-ordered serial and asked of ``oracle.is_legal``.  Returns the
+    first event every subset keeps legal; otherwise raises the conflict
+    blaming the last member of the last candidate's first failing
+    subset (fatal when only committed events are to blame).
+    """
+
+    def serial(event, chosen):
+        groups = sorted(
+            list(committed)
+            + [(begin, events) for begin, _holder, events in chosen]
+            + [(own_begin, own_events + (event,))],
+            key=lambda group: group[0],
+        )
+        return tuple(e for _begin, events in groups for e in events)
+
+    before = tuple(
+        e
+        for begin, events in sorted(committed, key=lambda group: group[0])
+        if begin < own_begin
+        for e in events
+    )
+    blocking = None
+    for response in sorted(oracle.responses(before + own_events, invocation), key=str):
+        event = Event(invocation, response)
+        subsets = chain.from_iterable(
+            combinations(others, size) for size in range(len(others) + 1)
+        )
+        failing = next(
+            (chosen for chosen in subsets if not oracle.is_legal(serial(event, chosen))),
+            None,
+        )
+        if failing is None:
+            return event
+        if failing:
+            blocking = failing[-1][1]
+    raise ConflictError("literal", fatal=blocking is None, holder=blocking)
+
+
+@st.composite
+def static_decisions(draw, datatype):
+    """Committed rows (odd begin counters) in an insertion order, other
+    active transactions and the executing one (even begin counters,
+    holders whose ``str`` order is not their numeric order), own events
+    and an invocation."""
+    groups, order = draw(grouped_histories(datatype))
+    alphabet = [event for _begin, _tag, events in groups for event in events]
+    alphabet += [
+        Event(invocation, response)
+        for invocation in datatype.invocations()
+        for response, _state in datatype.apply(datatype.initial_state(), invocation)
+    ]
+    events = st.lists(st.sampled_from(alphabet), max_size=2).map(tuple)
+    begins = draw(
+        st.lists(st.integers(0, len(groups) + 1), min_size=1, max_size=4, unique=True)
+    )
+    seqs = draw(
+        st.lists(
+            st.sampled_from([1, 2, 9, 10, 12, 100]),
+            min_size=len(begins),
+            max_size=len(begins),
+            unique=True,
+        )
+    )
+    actives = [
+        (Timestamp(2 * begin, 0), ActionId(seq, 0), draw(events))
+        for begin, seq in zip(begins, seqs)
+    ]
+    own_begin, own_id, own_events = actives.pop(draw(st.integers(0, len(actives) - 1)))
+    invocation = draw(st.sampled_from(datatype.invocations()))
+    return groups, order, actives, (own_begin, own_id, own_events), invocation
+
+
+def _decision(choose):
+    try:
+        return choose()
+    except ConflictError as conflict:
+        return ("conflict", conflict.fatal, conflict.holder)
+
+
+def _static_inputs(committed, marks, actives, own):
+    """The view, synchronization state and transaction ``choose_event``
+    reads: ``committed`` maps action to ``(begin_ts, events)``; with
+    ``marks`` the view carries a serial cache answering with them (and
+    reporting ``own`` committed if ``committed`` has it), without it
+    none."""
+    own_begin, own_id, own_events = own
+    begins = {action: begin for action, (begin, _events) in committed.items()}
+    begins.update({holder: begin for begin, holder, _events in actives})
+    begins[own_id] = own_begin
+    cache = None
+    if marks is not None:
+        cache = SimpleNamespace(
+            checkpoints=lambda _view: marks, contains_committed=committed.__contains__
+        )
+    view = SimpleNamespace(
+        base_state=None,
+        serial_cache=cache,
+        statuses=SimpleNamespace(begin_ts_of=begins.__getitem__),
+        committed_actions=lambda: tuple(committed),
+        events_of=lambda action: committed[action][1],
+    )
+    sync = SimpleNamespace(
+        own_events=lambda _action: own_events,
+        active_events={
+            holder: list(events) for _begin, holder, events in actives + [own]
+        },
+    )
+    return view, sync, SimpleNamespace(id=own_id, begin_ts=own_begin)
+
+
+@pytest.mark.parametrize(
+    "datatype",
+    # SemiQueue's Deq has several legal responses: which candidate's
+    # holder is blamed matters there.
+    [Queue(), Account(), SemiQueue()],
+    ids=["Queue", "Account", "SemiQueue"],
+)
+@pytest.mark.parametrize("rows", ["checkpoints", "fresh", "own-committed"])
+class TestStaticDecision:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_single_walk_answers_what_the_literal_definition_answers(
+        self, datatype, rows, data
+    ):
+        groups, order, actives, own, invocation = data.draw(static_decisions(datatype))
+        own_begin, own_id, own_events = own
+        oracle = LegalityOracle(datatype)
+        committed = {
+            ActionId(1000 + tag, 1): (begin, events) for begin, tag, events in groups
+        }
+        if rows == "own-committed":
+            # The view already shows the executing transaction committed
+            # (its own entries among them); the walk must leave it out.
+            committed[own_id] = (own_begin, own_events)
+        marks = BeginOrderCheckpoints()
+        for index in order:
+            begin_ts, tag, events = groups[index]
+            marks.insert(begin_ts, ActionId(1000 + tag, 1), events)
+            # Leave a partly stepped checkpoint prefix behind.
+            marks.node_before(oracle, data.draw(st.integers(0, len(marks))))
+        view, sync, txn = _static_inputs(
+            committed, None if rows == "fresh" else marks, actives, own
+        )
+        others = sorted(
+            [active for active in actives if active[2]], key=lambda a: str(a[1])
+        )
+        literal = _decision(
+            lambda: literal_static_choice(
+                oracle,
+                [group for action, group in committed.items() if action != own_id],
+                own_begin,
+                own_events,
+                others,
+                invocation,
+            )
+        )
+        scheme = StaticTimestampCC(datatype, LegalityOracle(datatype))
+        walked = _decision(lambda: scheme.choose_event(view, txn, invocation, sync))
+        assert walked == literal
+
+        # pre_commit's safety net reads through the same walk: it fails,
+        # fatally, iff the committed groups plus the transaction's own
+        # events in begin order are illegal.
+        sync.committed = marks
+        serial = sorted(
+            [(begin, events) for begin, _tag, events in groups]
+            + [(own_begin, own_events)],
+            key=lambda group: group[0],
+        )
+        legal = oracle.is_legal(tuple(e for _begin, events in serial for e in events))
+        certified = _decision(lambda: scheme.pre_commit(txn, sync))
+        assert certified == (None if legal else ("conflict", True, None))
+
+
+def test_the_last_candidates_holder_is_blamed():
+    """Each of Deq's two candidates clashes with a different holder: the
+    conflict names the holder the last candidate (in sorted-render
+    order) clashed with, as the literal definition does."""
+    datatype = SemiQueue()
+    oracle = LegalityOracle(datatype)
+    enq_a, enq_b = Event(ENQ_A, ok()), Event(ENQ_B, ok())
+    committed = {ActionId(1, 1): (Timestamp(1, 0), (enq_a, enq_b))}
+    own = (Timestamp(2, 0), ActionId(2, 0), ())
+    actives = [
+        (Timestamp(3, 0), ActionId(10, 0), (Event(DEQ, ok("a")),)),
+        (Timestamp(4, 0), ActionId(9, 0), (Event(DEQ, ok("b")),)),
+    ]
+    literal = _decision(
+        lambda: literal_static_choice(
+            oracle,
+            list(committed.values()),
+            own[0],
+            own[2],
+            sorted(actives, key=lambda active: str(active[1])),
+            DEQ,
+        )
+    )
+    assert literal == ("conflict", False, ActionId(9, 0))
+    scheme = StaticTimestampCC(datatype, LegalityOracle(datatype))
+    view, sync, txn = _static_inputs(committed, None, actives, own)
+    assert _decision(lambda: scheme.choose_event(view, txn, DEQ, sync)) == literal
 
 
 # -- when carried state is unsound ---------------------------------------------
