@@ -237,7 +237,7 @@ def build_keyspace(
             placement.replicas(obj_spec.name), n_sites
         )
         cc = _make_scheme(
-            obj_spec.datatype, obj_spec.scheme, obj_spec.relation, oracle
+            obj_spec.datatype, obj_spec.scheme, obj_spec.resolved_relation, oracle
         )
         tm.register(
             ReplicatedObject(

@@ -133,13 +133,15 @@ class ObjectSpec:
     via ``assignment`` instead; it is validated only to be *genuine* —
     every quorum must draw only from the object's replicas.
 
-    A ``"hybrid"`` object given no ``relation`` resolves its default
-    here, once per data type value: the paper's minimal static relation
-    for a FIFO queue (a hybrid relation too, by Theorem 4), the total
-    relation — atomic for every type — for anything else.  Pass
-    ``relation=`` only for one that differs (PROM's ``≥H``, a FlagSet
-    completion, a synthesized relation); static and dynamic objects
-    keep ``relation is None`` unless given one.
+    ``relation`` is what the caller declared; :attr:`resolved_relation`
+    is what the object runs under.  A ``"hybrid"`` object given no
+    ``relation`` resolves Theorem 6's minimal static relation for its
+    type, valid for hybrid by Theorem 4, derived once per data type
+    value.  For value-indexed types it is a bound-3 slice, kept sound by
+    the conflict table's out-of-alphabet conflicts.  Pass ``relation=``
+    only for one that differs (PROM's ``≥H``, a FlagSet completion, a
+    synthesized relation); static and dynamic objects resolve ``None``
+    unless given one.
     """
 
     name: str
@@ -151,9 +153,12 @@ class ObjectSpec:
     assignment: QuorumAssignment | None = None
     oracle: "LegalityOracle | None" = None
 
-    def __post_init__(self) -> None:
-        if self.scheme == "hybrid" and self.relation is None:
-            object.__setattr__(self, "relation", _default_relation(self.datatype))
+    @property
+    def resolved_relation(self) -> "DependencyRelation | None":
+        """The declared relation, else a hybrid object's default."""
+        if self.relation is None and self.scheme == "hybrid":
+            return _default_relation(self.datatype)
+        return self.relation
 
     def compile_assignment(
         self, replicas: Sequence[int], n_sites: int
@@ -184,8 +189,9 @@ class ObjectSpec:
         assignment = QuorumAssignment(
             n_sites, {op: quorums for op in self.datatype.operations()}
         )
-        if self.relation is not None:
-            broken = violated_pairs(assignment, self.relation)
+        relation = self.resolved_relation
+        if relation is not None:
+            broken = violated_pairs(assignment, relation)
             if broken:
                 invocation, event = broken[0]
                 raise SpecificationError(
@@ -197,25 +203,18 @@ class ObjectSpec:
 
 
 def _default_relation(datatype: "SerialDataType") -> "DependencyRelation":
-    """The hybrid relation an :class:`ObjectSpec` resolves when given none.
-
-    Grounded once per data type value; every later call returns that
-    same relation.
-    """
-    from repro.dependency import known
-    from repro.dependency.relation import DependencyRelation
+    """Theorem 6's minimal static relation for ``datatype``, derived once."""
+    from repro.dependency.static_dep import minimal_static_dependency
     from repro.spec.enumerate import event_alphabet
     from repro.spec.facts import derived_once
-    from repro.types import Queue
 
-    def ground():
-        if isinstance(datatype, Queue):
-            return known.ground(datatype, known.QUEUE_STATIC, 5)
-        return DependencyRelation.total(
-            datatype.invocations(), event_alphabet(datatype, 5)
-        )
-
-    return derived_once(datatype, "hybrid_relation", ground)
+    return derived_once(
+        datatype,
+        "hybrid_relation",
+        lambda: minimal_static_dependency(
+            datatype, 3, events=event_alphabet(datatype, 5)
+        ),
+    )
 
 
 def _require_genuine(

@@ -474,7 +474,7 @@ class TestSettledChecksStaySettled:
         assert partial == []
         # The pairwise loop runs for new (or marked) member sets only.
         checked = [bucket for _monitor, bucket in remembered if bucket is not None]
-        assert (len(checked), len(remembered)) == (232, 877)
+        assert (len(checked), len(remembered)) == (220, 870)
         # Every span still opens through start_span, exactly once.
         (tracer,) = {owner for owner, _span in opened}
         assert len(opened) == tracer._next_id - 1

@@ -434,7 +434,7 @@ _STANDARD_WORKLOAD_PINS = [
     ),
     (
         ["scenario", "write-heavy"],
-        "5abf616c8682990b8db23169d92809427df49612c9027e6aba36e258ce3895f3",
+        "2bf1a1111306cbee9b235fd83532a9b9c5340061ade9c54d71db3b29251e1ed3",
     ),
     (
         ["scenario", "default", "--profile", "mixed"],
@@ -442,7 +442,7 @@ _STANDARD_WORKLOAD_PINS = [
     ),
     (
         ["scenario", "hot-key-contention", "--profile", "churn", "--deep-audit"],
-        "73b30e80657bc2c210d5c6c408b8d2d818b53ba23a9429b384c4251d868335bc",
+        "92451c8bbf5403f77a0a5d76f4e83279bed1cafed831c869eecdfb6d0d2bb9e9",
     ),
 ]
 

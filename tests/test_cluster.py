@@ -1,17 +1,24 @@
 """Tests for cluster wiring and example-level flows."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.atomicity.properties import HybridAtomicity
+from repro.cc.conflicts import hybrid_conflicts
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
+from repro.dependency.static_dep import minimal_static_dependency
 from repro.errors import SpecificationError
-from repro.histories.events import Invocation
+from repro.histories.events import Event, Invocation, ok
 from repro.obs.audit import Auditor
 from repro.obs.trace import Tracer
 from repro.quorum.constraints import satisfies
+from repro.replication import keyspace
 from repro.replication.keyspace import ObjectSpec
+from repro.scenarios.runner import build_scenario
 from repro.spec.enumerate import event_alphabet
-from repro.types import PROM, Counter, Queue, Register
+from repro.types import PROM, Account, Counter, Queue, Register, SemiQueue
 from tests.helpers import cluster_of
 
 
@@ -51,23 +58,98 @@ class TestHybridRelationResolution:
         cluster.tm.commit(txn)
         assert auditor.finish().ok
 
-    @pytest.mark.parametrize("datatype", [Register(), Counter()], ids=["Register", "Counter"])
-    def test_other_types_resolve_to_the_total_relation(self, datatype):
-        total = DependencyRelation.total(
-            datatype.invocations(), event_alphabet(datatype, 5)
-        )
-        assert ObjectSpec("x", datatype).relation == total
+    def test_every_type_resolves_theorem_6s_relation(self):
+        queue = ObjectSpec("q", Queue()).resolved_relation
+        assert queue == known.ground(Queue(), known.QUEUE_STATIC, 5)
+        for datatype, size in ((Register(), 6), (Counter(), 12)):
+            relation = ObjectSpec("x", datatype).resolved_relation
+            total = DependencyRelation.total(
+                datatype.invocations(), event_alphabet(datatype, 5)
+            )
+            assert relation == minimal_static_dependency(datatype, 3)
+            assert len(relation) == size
+            assert relation.pairs < total.pairs
 
     def test_an_explicit_relation_wins(self):
         prom = PROM()
         hybrid = known.ground(prom, known.PROM_HYBRID, 5)
-        cluster = cluster_of(3, ObjectSpec("p", prom, relation=hybrid))
+        spec = ObjectSpec("p", prom, relation=hybrid)
+        assert spec.resolved_relation is hybrid
+        assert replace(spec, datatype=PROM(("x",))).resolved_relation is hybrid
+        cluster = cluster_of(3, spec)
         assert cluster.tm.object("p").cc.relation is hybrid
-        assert hybrid != ObjectSpec("d", prom).relation
+        assert hybrid != ObjectSpec("d", prom).resolved_relation
+
+    def test_a_replaced_datatype_resolves_its_own_default(self):
+        semiqueue = ObjectSpec("x", SemiQueue())
+        queue = replace(semiqueue, datatype=Queue())
+        assert queue.relation is None
+        assert queue.resolved_relation == known.ground(
+            Queue(), known.QUEUE_STATIC, 5
+        )
+        assert queue.resolved_relation != semiqueue.resolved_relation
+        cluster = cluster_of(3, queue)
+        assert cluster.tm.object("x").cc.relation is queue.resolved_relation
 
     @pytest.mark.parametrize("scheme", ["static", "dynamic"])
     def test_static_and_dynamic_keep_no_relation(self, scheme):
-        assert ObjectSpec("q", Queue(), scheme).relation is None
+        assert ObjectSpec("q", Queue(), scheme).resolved_relation is None
+
+    @pytest.mark.parametrize(
+        "datatype",
+        [Queue(), Register(), Counter(), Account(), PROM()],
+        ids=lambda datatype: type(datatype).__name__,
+    )
+    def test_the_bound_3_slice_is_sound_for_the_conflict_table(self, datatype):
+        """What a deeper search adds lies outside the table's alphabet,
+        where ``ConflictTable`` conflicts with everything."""
+        relation = ObjectSpec("x", datatype).resolved_relation
+        deeper = minimal_static_dependency(
+            datatype, 5, events=event_alphabet(datatype, 5)
+        )
+        table = hybrid_conflicts(datatype, relation)
+        tabled = set(event_alphabet(datatype, 4))
+        for invocation, event in deeper.pairs - relation.pairs:
+            assert event not in tabled
+            for held in tabled:
+                if held.inv == invocation:
+                    assert table.conflict(held, event)
+
+    def test_a_hybrid_counter_reads_conflict_with_increments(self):
+        counter = Counter()
+        table = hybrid_conflicts(
+            counter, ObjectSpec("c", counter).resolved_relation
+        )
+        read = Event(Invocation("Read"), ok(7))
+        assert table.conflict(read, Event(Invocation("Inc"), ok()))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "scenario", ["read-dominant", "write-heavy", "hot-key-contention"]
+    )
+    def test_hybrid_runs_are_hybrid_atomic(self, scenario, seed):
+        assert all(_hybrid_atomic(scenario, seed).values())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_an_empty_relation_breaks_hybrid_atomicity(self, seed, monkeypatch):
+        monkeypatch.setattr(
+            keyspace, "_default_relation", lambda datatype: DependencyRelation()
+        )
+        assert not all(_hybrid_atomic("read-dominant", seed).values())
+
+
+def _hybrid_atomic(scenario: str, seed: int) -> dict[str, bool]:
+    """Each object's recorded history of a hybrid run, checked by Definition 3."""
+    cluster, generator, names = build_scenario(
+        scenario, seed=seed, mechanism="hybrid", transactions=40
+    )
+    generator.run(40)
+    verdicts = {}
+    for name in names:
+        obj = cluster.tm.object(name)
+        history = obj.recorder.to_behavioral_history()
+        verdicts[name] = HybridAtomicity(obj.datatype).check_history(history)
+    return verdicts
 
 
 class TestAddObject:

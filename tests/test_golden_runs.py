@@ -196,14 +196,14 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/SCENARIOS.md#read-dominant',
         'scenario',
         {'scenario': 'read-dominant', 'mechanism': 'hybrid', 'profile': 'none'},
-        '8107d2c9ed05c5d8401c63dc9c6afdbc3760bf2d116add10a523ab062ab08316',
+        'ad1204067b324d2123122307198656dd809e641f7bea856948469712ba819953',
     ),
     GoldenCase(
         'scenario/read-dominant/hybrid/mixed',
         'docs/SCENARIOS.md#read-dominant',
         'scenario',
         {'scenario': 'read-dominant', 'mechanism': 'hybrid', 'profile': 'mixed'},
-        'b4ea1e51c2f49c385be599ddd986f411b8746de9eda5246c45bbcaaa6557f308',
+        '4f41deb830f2c6cc1518f7172441e41a562b70785a8725a004c09d575ef16d02',
     ),
     GoldenCase(
         'scenario/write-heavy/blocking/none',
@@ -238,14 +238,14 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/SCENARIOS.md#write-heavy',
         'scenario',
         {'scenario': 'write-heavy', 'mechanism': 'hybrid', 'profile': 'none'},
-        '4499c5bf3db8e38390d33bed4a5b3c2a735955373fc80a4bf3168a08fb93a843',
+        '51d002d561acff21abd514f4ae0da1bca53ea382c8d1d19bb7688cf989a57aed',
     ),
     GoldenCase(
         'scenario/write-heavy/hybrid/mixed',
         'docs/SCENARIOS.md#write-heavy',
         'scenario',
         {'scenario': 'write-heavy', 'mechanism': 'hybrid', 'profile': 'mixed'},
-        '665c12472621b3485fe2c8554cbb09ce4dbdd0ce3b5325e060abb62e3e382755',
+        'fffc6599bc0dc97e60af149b045f9252977c52cb031f42c38a51fd79b396091a',
     ),
     GoldenCase(
         'scenario/hot-key-contention/blocking/none',
@@ -280,14 +280,14 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/SCENARIOS.md#hot-key-contention',
         'scenario',
         {'scenario': 'hot-key-contention', 'mechanism': 'hybrid', 'profile': 'none'},
-        '5bfb82b7a5e79ce3309f7a3df6734d4cc012cc6fae0d4e9eaf85b99d10ed4560',
+        'c1b30fa382517b27416937274c5771c707b5a8c5aaab0895ee121231ed5c1d26',
     ),
     GoldenCase(
         'scenario/hot-key-contention/hybrid/mixed',
         'docs/SCENARIOS.md#hot-key-contention',
         'scenario',
         {'scenario': 'hot-key-contention', 'mechanism': 'hybrid', 'profile': 'mixed'},
-        '3eb59886c4bda7d69852effb801619891a638dc5e92f4eae2eb0bc7460dc9185',
+        'f463e4289f401449484a453d0672bc9c14b5da9b381c0e9f07f3eed7f856e6ce',
     ),
     GoldenCase(
         'scenario/bursty-flash-crowd/blocking/none',
@@ -322,14 +322,14 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/SCENARIOS.md#bursty-flash-crowd',
         'scenario',
         {'scenario': 'bursty-flash-crowd', 'mechanism': 'hybrid', 'profile': 'none'},
-        '9a2ab526f812adce65d0286b0d26e2b16b2d95581b3f149da0ef2efaa49f6238',
+        '7d058bb8e35b6ea81db94e215e11dd98a84af91fe4eb11d4b5074a7c0eaf43ee',
     ),
     GoldenCase(
         'scenario/bursty-flash-crowd/hybrid/mixed',
         'docs/SCENARIOS.md#bursty-flash-crowd',
         'scenario',
         {'scenario': 'bursty-flash-crowd', 'mechanism': 'hybrid', 'profile': 'mixed'},
-        '99b35a789c3129bf4e667022c400e45aa28a710304a9512e648477f8ae55d3d2',
+        '40716ca273a033afb58d57a18da65c082fdd509167b2349698af2b7046cb743c',
     ),
     GoldenCase(
         'scenario/long-transaction/blocking/none',
@@ -364,14 +364,14 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/SCENARIOS.md#long-transaction',
         'scenario',
         {'scenario': 'long-transaction', 'mechanism': 'hybrid', 'profile': 'none'},
-        '6047f60cfb2418aa4ffa757913b1bfa84ecf8e89e9b382825f959b1f637359cb',
+        '09cf85e720083886c935567841f67f4d0f279bdfcbf19244c54f903f09f056a2',
     ),
     GoldenCase(
         'scenario/long-transaction/hybrid/mixed',
         'docs/SCENARIOS.md#long-transaction',
         'scenario',
         {'scenario': 'long-transaction', 'mechanism': 'hybrid', 'profile': 'mixed'},
-        'ea6057dbd4a26b774e2e21c5549ab2b962d43aba2539d4f8122a2fa309c1274c',
+        '17b40a54dce3ce0e86efcaafdcb9c70ade2551fece55edb13f81b07df2619193',
     ),
     GoldenCase(
         'chaos/crash/default/classic/0',

@@ -818,7 +818,7 @@ def _chaos_run(mechanism: str, tracer, seed: int = 0, transactions: int = 40):
 #: per-wave ``sim.run`` events, which are gone (this run's faults apply at
 #: transaction start, so its waves were all its kernel ever dispatched).
 _CHAOS_EXPORT_SHA256 = {
-    "hybrid": "743f59b5a8dcf305055899b9b41bca407aef45e9efa41dab69499cb93a78452b",
+    "hybrid": "2583e8eae7c784b05a0748f2ef7901413f776b7ad56fdef77f701717d7572ecf",
     "blocking": "a7ba3f3216ba3e03a1461b2c224ee02a328afab3551fab05bb126523aa7de0af",
     "multiversion": "861e4b99a98b332f1795291670e41ef287100968f1d73497827459170bd83314",
 }

@@ -26,9 +26,9 @@ from repro.cc.conflicts import (
     dependency_conflicts,
     hybrid_conflicts,
 )
+from repro.compute.artifacts import derive_artifacts
 from repro.dependency import known
 from repro.dependency.dynamic_dep import commutativity_table
-from repro.dependency.relation import DependencyRelation
 from repro.obs.audit import Auditor
 from repro.obs.mutations import MUTATIONS
 from repro.obs.trace import Tracer
@@ -95,7 +95,7 @@ CASES = [
 
 def _hybrid_relation(datatype):
     """The relation a hybrid object of ``datatype`` resolves by default."""
-    return ObjectSpec("x", datatype).relation
+    return ObjectSpec("x", datatype).resolved_relation
 
 
 def _case_id(case) -> str:
@@ -125,15 +125,7 @@ def test_memoized_facts_equal_a_from_scratch_derivation(build, depth, read_only)
         pair: not commutes for pair, commutes in scratch.items()
     }
 
-    if isinstance(datatype, Queue):
-        relation = known.ground(
-            datatype, known.QUEUE_STATIC, 5, LegalityOracle(datatype)
-        )
-    else:
-        relation = DependencyRelation.total(
-            datatype.invocations(),
-            event_alphabet(datatype, 5, LegalityOracle(datatype)),
-        )
+    relation = derive_artifacts(datatype, 3).static
     assert _hybrid_relation(build()) == relation
     assert (
         hybrid_conflicts(build(), relation).pairs()
