@@ -48,7 +48,6 @@ def _measure_case(n_objects: int, transactions: int) -> dict:
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=n_objects),
         seed=SEED,
-        mechanism=None,
         n_sites=SITES,
         placement=PLACEMENT,
         tracer=Tracer(),

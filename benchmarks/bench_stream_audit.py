@@ -75,7 +75,6 @@ def _overhead_case(mode: str, transactions: int) -> dict:
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=OBJECTS),
         seed=SEED,
-        mechanism=None,
         n_sites=SITES,
         placement=PLACEMENT,
         tracer=tracer,

@@ -130,7 +130,7 @@ def _workload_shape(args: argparse.Namespace) -> dict:
 
 def _standard_workload(shape: dict, tracer: Tracer | None = None):
     """``(cluster, generator)`` for a shape, un-run: ``SCENARIOS["default"]``
-    with the shape's object count, under the paper's per-type pairing."""
+    with the shape's object count, every object hybrid."""
     from dataclasses import replace
 
     from repro.scenarios import SCENARIOS, build_scenario
@@ -138,7 +138,6 @@ def _standard_workload(shape: dict, tracer: Tracer | None = None):
     options = dict(shape)
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=options.pop("objects")),
-        mechanism=None,
         n_sites=options.pop("sites"),
         tracer=tracer,
         **options,

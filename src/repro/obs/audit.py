@@ -810,7 +810,7 @@ class SerializabilityMonitor(InvariantMonitor):
             return
         for name, obj in self.auditor.objects().items():
             history = self.auditor.history(name)
-            order_kind = getattr(obj.cc, "serialization_order", "commit")
+            order_kind = obj.cc.serialization_order
             if order_kind == "begin":
                 order = [a for a in history.begin_order if a in history.committed]
             else:

@@ -443,10 +443,10 @@ def streaming_matches_deep(
     """One workload, two auditors, byte-compared verdicts.
 
     Builds the standard workload (``SCENARIOS["default"]`` with
-    ``objects`` objects, through
-    :func:`~repro.scenarios.runner.build_scenario` under the paper's
-    per-type pairing), attaches a deep auditor *and* a streaming auditor
-    to the same tracer, runs it once, and compares
+    ``objects`` objects, all hybrid, through
+    :func:`~repro.scenarios.runner.build_scenario`), attaches a deep
+    auditor *and* a streaming auditor to the same tracer, runs it once,
+    and compares
     ``json.dumps(report.verdict(STREAMING_INVARIANTS), sort_keys=True)``
     byte for byte.  With ``mutate`` the seeded protocol sabotage is
     applied after both auditors have pinned the declared configuration,
@@ -459,7 +459,6 @@ def streaming_matches_deep(
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=objects),
         seed=seed,
-        mechanism=None,
         n_sites=sites,
         placement=placement,
         crashes=crashes,

@@ -379,34 +379,26 @@ def demo_keyspace(
     *,
     placement: str = "ring",
     replication_factor: int = 3,
-    scheme: str | None = None,
+    scheme: str = "hybrid",
 ) -> KeyspaceSpec:
-    """A standard mixed keyspace for CLI workloads, scenarios, and benches.
+    """A standard keyspace for CLI workloads, scenarios, and benches.
 
     Objects cycle through FIFO queues, registers, and counters under one
     shared placement rule (``"ring"`` with ``replication_factor``
-    replicas, or ``"all"`` for full replication).  With ``scheme=None``
-    each keeps the pairing the paper compares — hybrid queues,
-    static-atomicity registers, dynamic-atomicity counters; a named
-    ``scheme`` puts every object under it, so the scenario matrix can
-    replay one traffic shape under each mechanism.  Deterministic: same
-    arguments, same spec.
+    replicas, or ``"all"`` for full replication) and one ``scheme`` —
+    one transaction domain, one serialization order — so the scenario
+    matrix can replay one traffic shape under each mechanism.
+    Deterministic: same arguments, same spec.
     """
     from repro.types import Counter, Queue, Register
 
     rule = _uniform_rule(n_objects, n_sites, placement, replication_factor)
-    prototypes = (
-        ("queue", Queue(), "hybrid"),
-        ("register", Register(), "static"),
-        ("counter", Counter(), "dynamic"),
-    )
+    prototypes = (("queue", Queue()), ("register", Register()), ("counter", Counter()))
     specs = []
     for index in range(n_objects):
-        kind, datatype, paired = prototypes[index % 3]
+        kind, datatype = prototypes[index % 3]
         specs.append(
-            ObjectSpec(
-                f"{kind}-{index}", datatype, scheme=scheme or paired, placement=rule
-            )
+            ObjectSpec(f"{kind}-{index}", datatype, scheme=scheme, placement=rule)
         )
     return KeyspaceSpec(n_sites, tuple(specs))
 
@@ -420,15 +412,11 @@ def soak_keyspace(
 ) -> KeyspaceSpec:
     """An all-hybrid-queue keyspace for bounded-memory soak runs.
 
-    :func:`demo_keyspace` cycles in static registers and dynamic
-    counters, but the soak's maintenance loop leans on log compaction
-    (:mod:`repro.replication.snapshot`), which requires commit-order
-    serialization — static atomicity cannot compact at all, and the
-    dynamic counter's view-time responses do not replay as a commit
-    order serialization.  Hybrid FIFO queues are the paper's
-    headline mechanism *and* compaction-friendly, so the soak shards
-    the workload across ``n_objects`` of them.  Deterministic: same
-    arguments, same spec.
+    :func:`~repro.obs.soak.soak_mix` bounds a queue by weighting ``Deq``
+    over ``Enq``; a counter's argument-free ``Inc``/``Dec`` get equal
+    weights, so its value (and every snapshot) would wander without
+    bound.  Hybrid queues also serialize in commit order, which log
+    compaction needs.  Deterministic: same arguments, same spec.
     """
     from repro.types import Queue
 

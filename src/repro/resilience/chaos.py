@@ -195,13 +195,13 @@ def run_chaos_case(
     """One audited chaos run; returns a plain (picklable) verdict dict.
 
     With ``objects=None`` (the default), builds a five-site cluster with
-    two replicated objects — a hybrid FIFO queue under majority/majority
-    quorums, and a static-scheme register whose final coterie is a
-    4-of-5 threshold (so two downed sites leave reads
-    *initial*-assemblable but writes unreachable, exercising the
-    policy's degraded/retry paths).  With ``objects=N``, builds the
-    standard workload of ``N`` mixed queue/register/counter objects
-    under the given ``placement`` rule (``"all"`` or ``"ring"``) through
+    two hybrid replicated objects — a FIFO queue under majority/majority
+    quorums, and a register whose final coterie is a 4-of-5 threshold
+    (so two downed sites leave reads *initial*-assemblable but writes
+    unreachable, exercising the policy's degraded/retry paths).  With
+    ``objects=N``, builds the standard workload of ``N`` hybrid
+    queue/register/counter objects under the given ``placement`` rule
+    (``"all"`` or ``"ring"``) through
     :func:`~repro.scenarios.runner.build_scenario` instead — the
     sharded-keyspace chaos envelope, with the
     genuine-partial-replication monitor live.  A ``placement`` other
@@ -228,7 +228,6 @@ def run_chaos_case(
         cluster, generator, names = build_scenario(
             replace(SCENARIOS["default"], objects=objects, concurrency=3),
             seed=seed,
-            mechanism=None,
             n_sites=n_sites,
             placement=placement,
             tracer=tracer,
@@ -244,18 +243,15 @@ def run_chaos_case(
         # Asymmetric register quorums: majority (3-of-5) initial, 4-of-5
         # final.  Every initial meets every final (3 + 4 > 5) and finals
         # meet pairwise (4 + 4 > 5), so the assignment is valid for the
-        # total dependency relation — but two crashed sites make final
-        # quorums unassemblable while reads still reach their initial
-        # quorum, which is the window the degraded-read fallback serves.
+        # total dependency relation and hence for any — but two crashed
+        # sites make final quorums unassemblable while reads still reach
+        # their initial quorum, the window the degraded-read fallback serves.
         spec = KeyspaceSpec(
             n_sites,
             (
                 ObjectSpec("queue", queue),
                 ObjectSpec(
-                    "register",
-                    register,
-                    scheme="static",
-                    quorums=(n_sites // 2 + 1, min(n_sites, 4)),
+                    "register", register, quorums=(n_sites // 2 + 1, min(n_sites, 4))
                 ),
             ),
         )

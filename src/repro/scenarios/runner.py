@@ -6,8 +6,7 @@
   concurrency-control scheme for every object, so the same traffic
   shape can be replayed under each of the paper's three atomicity
   mechanisms (:data:`MECHANISMS` maps the paper-facing mechanism names
-  onto the cluster's scheme names), or with ``mechanism=None`` under
-  the paper's per-type pairing; the operation mix is compiled per
+  onto the cluster's scheme names); the operation mix is compiled per
   object from the scenario's read/write balance and zipf hot-key
   ranking, arrivals from its arrival process, and both ride the
   :class:`~repro.sim.workload.WorkloadGenerator`'s ``mix``/``arrivals``
@@ -118,7 +117,7 @@ def build_scenario(
     scenario: ScenarioSpec | str,
     *,
     seed: int = 0,
-    mechanism: str | None = "hybrid",
+    mechanism: str = "hybrid",
     n_sites: int | None = None,
     transactions: int | None = None,
     placement: str = "all",
@@ -134,11 +133,10 @@ def build_scenario(
     replicated ``"queue"`` object (3 sites by default); anything else
     builds :func:`~repro.replication.keyspace.demo_keyspace` under the
     ``placement`` rule (``"all"`` or ``"ring"``; 5 sites by default).
-    ``mechanism`` puts every object under its scheme; ``None`` keeps the
-    paper's per-type pairing (hybrid queues, static registers, dynamic
-    counters), which is the standard workload the CLI's ``trace`` /
-    ``metrics`` / ``audit`` drive over ``SCENARIOS["default"]`` with the
-    object count ``dataclasses.replace``-d in.  ``drop_probability``
+    ``mechanism`` puts every object under its scheme; over
+    ``SCENARIOS["default"]`` with the object count replaced it builds the
+    standard workload the CLI's ``trace`` / ``metrics`` / ``audit`` drive.
+    ``drop_probability``
     loses messages; ``crashes`` / ``partitions`` install the stochastic
     injectors (mean uptime 60 / downtime 8; a cut every 80 on average,
     lasting 10).  ``workload`` replaces the driver's
@@ -156,12 +154,12 @@ def build_scenario(
         from repro.scenarios.catalog import scenario as lookup
 
         scenario = lookup(scenario)
-    scheme = None if mechanism is None else _scheme_for(mechanism)
+    scheme = _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
     if scenario.objects == 1 and placement == "all":
         spec = KeyspaceSpec(
             n_sites if n_sites is not None else 3,
-            (ObjectSpec("queue", Queue(), scheme=scheme or "hybrid"),),
+            (ObjectSpec("queue", Queue(), scheme=scheme),),
         )
     else:
         spec = demo_keyspace(

@@ -23,7 +23,12 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.clocks.lamport import LamportClock
 from repro.clocks.timestamps import Timestamp
-from repro.errors import ConflictError, TransactionAborted, TransactionError
+from repro.errors import (
+    ConflictError,
+    SpecificationError,
+    TransactionAborted,
+    TransactionError,
+)
 from repro.obs.trace import NULL_TRACER, Span, Tracer
 from repro.txn.ids import ActionId, Transaction, TxnStatus
 
@@ -56,8 +61,20 @@ class TransactionManager:
     # -- object registry ---------------------------------------------------
 
     def register(self, obj: "ReplicatedObject") -> "ReplicatedObject":
+        """Add ``obj`` to the domain, which has one serialization order:
+        local atomicity is global only if every object orders alike
+        (Weihl).  Static (begin order) is refused beside hybrid or dynamic
+        (commit order); see docs/KEYSPACE.md, "One order per keyspace"."""
         if obj.name in self._objects:
             raise TransactionError(f"object {obj.name!r} already registered")
+        other = next(iter(self._objects.values()), None)
+        order = obj.cc.serialization_order
+        if other is not None and order != other.cc.serialization_order:
+            raise SpecificationError(
+                f"object {obj.name!r} serializes in {order} order, but "
+                f"{other.name!r} serializes in {other.cc.serialization_order} "
+                "order: one transaction domain needs one serialization order"
+            )
         self._objects[obj.name] = obj
         return obj
 

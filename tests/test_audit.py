@@ -20,7 +20,7 @@ import pytest
 
 import repro.__main__ as cli
 from repro.clocks.timestamps import Timestamp
-from repro.histories.events import Invocation, event, ok
+from repro.histories.events import event
 from repro.obs.audit import (
     Auditor,
     AuditReport,
@@ -40,7 +40,7 @@ from repro.scenarios import SCENARIOS, compile_mix
 from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
-from repro.types import Queue, Register
+from repro.types import Queue
 from tests.helpers import cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.obs
@@ -344,7 +344,7 @@ class TestRouting:
         # store scanned for every quorum reported.
         tracer = Tracer()
         cluster = cluster_of(
-            5, hybrid_queue("a"), ObjectSpec("b", Queue(), "static"), seed=0, tracer=tracer
+            5, hybrid_queue("a"), ObjectSpec("b", Queue(), "dynamic"), seed=0, tracer=tracer
         )
         auditor = Auditor(cluster, [QuorumIntersectionMonitor()])
         for item in (
@@ -401,6 +401,9 @@ class TestRouting:
 #: ``audit --sweep`` case at seed 3, 40 transactions: (deep, streaming
 #: with window 16).  Taken before the monitors learnt to skip settled
 #: checks, so a pin that holds means nothing they skip could have fired.
+#: ``shard-misroute`` (the one ring-keyspace case) was re-taken when
+#: every object of that keyspace became hybrid; it flags only
+#: ``genuine-partial-replication``, as before.
 VERDICT_PINS = {
     "clean": ("4b02ec4684a960160e6e96bb2e70415ac55b94153900e92253520f5c5e85d5ce",) * 2,
     "crashes": ("0eca09ea6c87f5606fe390144d161706f099544d9e4259ee5e041ad27df8fc29",) * 2,
@@ -411,7 +414,7 @@ VERDICT_PINS = {
         "802ad1a7af07a0e2f41698c4a694008d12f092a1910349d437552c820e76edb5",
         "bf26baa61c88de3952111624b21d2f5e1d436f58fac258152cbc5d0af165cde3",
     ),
-    "shard-misroute": ("0b031ff66d504e23e65b7ea43fe7d6c4dbdc86f627ff9b09b6a71934d3af529c",) * 2,
+    "shard-misroute": ("f8382500cc1402d27483e20409ea4ec1c9f19489ba317414df61504b6a5f2095",) * 2,
     "stale-assignment": ("9b8c090542825aada5648e805d565e76189d84b6699da3253e0b9fa904a3a0bd",) * 2,
     "timestamp-inversion": (
         "b6f3b9d7653a42238a0804f05f67495914f24a79f2c76d08134ffa8ed39e9de7",
@@ -514,44 +517,3 @@ class TestSettledChecksStaySettled:
         report = cli._audit_once(args, None)
         assert report.ok, report.render()
         assert len(points) > 0 and len(quorums) > 0
-
-
-class TestGlobalAtomicityWitness:
-    """A cross-object run no serial order explains, which every
-    per-object monitor passes (ROADMAP item 3).
-
-    A hybrid queue serializes in commit order, a static register in
-    begin order.  B begins after A, writes the register, enqueues 1 and
-    commits; then A reads the register's initial ``'0'`` and dequeues
-    B's 1.  A;B would dequeue from an empty queue and B;A would read
-    ``'b'``, yet each object alone is atomic.  Strict: this flips to a
-    pass the day a global monitor flags the run.
-    """
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="monitors check one object at a time; no global-atomicity monitor yet",
-    )
-    def test_deep_auditor_flags_the_cross_object_cycle(self):
-        cluster = cluster_of(
-            5,
-            hybrid_queue("queue"),
-            ObjectSpec("register", Register(("a", "b")), "static"),
-            seed=0,
-            tracer=Tracer(),
-        )
-        auditor = Auditor(cluster, mode="deep")
-        frontend, tm = cluster.frontends[0], cluster.tm
-        a, b = tm.begin(0), tm.begin(0)
-        frontend.execute(b, "register", Invocation("Write", ("b",)))
-        frontend.execute(b, "queue", Invocation("Enq", (1,)))
-        tm.commit(b)
-        read = frontend.execute(a, "register", Invocation("Read"))
-        dequeued = frontend.execute(a, "queue", Invocation("Deq"))
-        tm.commit(a)
-        report = auditor.finish()
-        # The schedule ran as written: both committed, A saw '0' and 1.
-        assert (read, dequeued) == (ok("0"), ok(1))
-        assert report.monitors == INVARIANTS and report.transactions == 2
-        assert not report.ok, "no serial order explains A and B"

@@ -391,28 +391,30 @@ class TestScenario:
 #: builder beside ``build_scenario`` and ``run_chaos_case`` still ran its
 #: own copy of the audited lifecycle.  Both paths agreed on every row;
 #: the pins hold the one builder and the one lifecycle to those bytes.
+#: The multi-object and chaos rows were re-taken, each exiting 0, when
+#: the standard keyspace moved to one scheme (every object hybrid).
 _STANDARD_WORKLOAD_PINS = [
     (["metrics"], "f2d05057ec2f7747c474a5dc693b18c955d9a47c03f50a3e4e9ed2591446ee1c"),
     (["audit"], "0576461f09bcb1f4c73d1f7f6f6ad764ca5aac44ba66410b170ff3d48e0e8238"),
     (
         ["metrics", "--objects", "5", "--placement", "ring", "--sites", "6"],
-        "50a5eb99ade78b74550efb505179133f0f48de546701d00df574b884af380491",
+        "282da72e184481bc199ccae9c2dab98a65b9392037ba33a5a41a7bb44be0a949",
     ),
     (
         ["audit", "--objects", "5", "--placement", "ring", "--sites", "6"],
-        "10ab73e0875cc4c35b96d90281e6c884ec1cf9693bd0890c2d29d8c3b88ef27d",
+        "53287dfa31e074aef6a59b887984411c4c38bf5c66ce99258b6d5f61c9ea0ead",
     ),
     (
         ["metrics", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
-        "92155383d2fbff0bde9b55aa4d98624d27bb7d0fe61cd7c55ef017f8adaf02b6",
+        "a101371841acc5b25f8275850b50c382df8043cc68ca193629d7c676022c60ec",
     ),
     (
         ["audit", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
-        "eadb4d98dbfb06cf23df318e044ee67a843a804fde481e82a61906fc414dfc94",
+        "df0f6a76f53e917a7f8bef0f08d801b5341a9e0dddfb59fd61e4076cd2691f13",
     ),
     (
         ["audit", "--objects", "3", "--partitions"],
-        "cde8df8c75c1a3a7a11f88166d02aeaec45c1b2ee96eadce4665873c5c33d0fc",
+        "870819e3bb6ab72006782a71a7341b87434ffd3f9a8ad54932b5f1f4111372ad",
     ),
     (
         ["metrics", "--placement", "ring"],
@@ -421,16 +423,16 @@ _STANDARD_WORKLOAD_PINS = [
     (
         ["audit", "--objects", "4", "--placement", "ring", "--sites", "5",
          "--streaming", "--window", "16"],
-        "ad9807e7302c380c0b3579d8f2d99f4dfac44a4cf94e27b684edc5515d086bc4",
+        "3b743188936d9f0670d9869c03782c8f8483f3e7088b5b7d1ca7d074b89b3ccc",
     ),
     (
         ["chaos", "--seeds", "2", "--profile", "mixed", "--objects", "4",
          "--placement", "ring"],
-        "c65c92b1f45390e6cb780988faa7207f0ba32e93240c5ae62165391bb9477459",
+        "4805a2470135de9019b931df0c3fd9b7d37703af4a55ea964e7295b2eee6bf94",
     ),
     (
         ["chaos", "--seeds", "1", "--profile", "crash"],
-        "5cfdb2d9e0c36879957fb1195d20674e1abcddcf1bfb3359cc4af9cdaa96bd14",
+        "90315968089424ea5b3e35ebdfd3e911fe893c7d9252e412d9bee40bafd19738",
     ),
     (
         ["scenario", "write-heavy"],
@@ -451,7 +453,7 @@ _TRACE_PINS = [
     ([], "e7d1408089fbf363b9c30102bcf936ecbfe8f2c51b79839bb9d384bb300ed3cf"),
     (
         ["--objects", "5", "--placement", "ring", "--sites", "6"],
-        "49370f532505ce8ca6630cd0f86da280f41882f972e6c73f42f8a98c18cecafb",
+        "790a441f9dffc0d134130984fb213f01d6d7ef0b3d8ba297559de48274802cbb",
     ),
 ]
 

@@ -158,10 +158,14 @@ class TestAddObject:
             cluster_of(3, ObjectSpec("q", Queue(), "optimistic"))
 
     def test_static_and_dynamic_need_no_relation(self):
-        cluster = cluster_of(
-            3, ObjectSpec("s", Queue(), "static"), ObjectSpec("d", Queue(), "dynamic")
+        static = cluster_of(
+            3, ObjectSpec("s", Queue(), "static"), ObjectSpec("t", Queue(), "static")
         )
-        assert set(cluster.tm.objects) == {"s", "d"}
+        dynamic = cluster_of(
+            3, ObjectSpec("d", Queue(), "dynamic"), ObjectSpec("e", Queue(), "dynamic")
+        )
+        assert set(static.tm.objects) == {"s", "t"}
+        assert set(dynamic.tm.objects) == {"d", "e"}
 
     def test_object_registered_with_tm(self):
         cluster = cluster_of(3, ObjectSpec("q", Queue(), "hybrid"))

@@ -7,7 +7,10 @@ commit *before* the protocol loops were unified, and every row but
 ``soak/small`` was checked against the same digest under both the
 overlapped front-end and a one-request-at-a-time one until the latter
 was deleted, so a refactor that changes a decision, a message or a
-rendered history fails here by name.  Every row is also run with each
+rendered history fails here by name.  The ``chaos`` rows were re-taken,
+each audit-clean and converged, when the classic register and the
+sharded keyspace moved to one serialization order (every object
+hybrid).  Every row is also run with each
 view merged and serialized from scratch, bypassing the front-end's
 incremental caches, against the same digest.
 
@@ -378,224 +381,224 @@ CASES: tuple[GoldenCase, ...] = (
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'crash', 'policy_name': 'default'},
-        'ae0fa35e8cd275614f6a9b63c2e193e1623e207dd9f1f53042f10cc667c6de8f',
+        '0b10c609a69f3597c4e4051289b64007838399abec128d4419840b6aa3c358b2',
     ),
     GoldenCase(
         'chaos/crash/default/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'crash', 'policy_name': 'default'},
-        'd6935a6e39f2bb62cf7ae5e9f0031f6b00193e30565368fe7112265a21d093f9',
+        '8404bd8e265e4e24da1233cd9a65afcec305ea0cf81a71f6580b555ecb5f01f0',
     ),
     GoldenCase(
         'chaos/crash/default/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'crash', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        'fa1667b36703cb3bc5e3bfe8f6990d6b014da520e855690b19f76b4de976f83e',
+        '817072c7fa75d7015cac3fb7b52e7aab593850fa6f78c90ea344dd9b17e86b6b',
     ),
     GoldenCase(
         'chaos/crash/default/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'crash', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        'b6ff6fc3a89ae8b035cbf0872b8678c19e053d18820064e3466d906a95764a89',
+        'e5550085b3924784c03f5eb2faaa5c6a6e317b1db268804253eebd13dce48604',
     ),
     GoldenCase(
         'chaos/crash/degraded/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'crash', 'policy_name': 'degraded'},
-        'ae0fa35e8cd275614f6a9b63c2e193e1623e207dd9f1f53042f10cc667c6de8f',
+        '0b10c609a69f3597c4e4051289b64007838399abec128d4419840b6aa3c358b2',
     ),
     GoldenCase(
         'chaos/crash/degraded/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'crash', 'policy_name': 'degraded'},
-        'd6935a6e39f2bb62cf7ae5e9f0031f6b00193e30565368fe7112265a21d093f9',
+        '8404bd8e265e4e24da1233cd9a65afcec305ea0cf81a71f6580b555ecb5f01f0',
     ),
     GoldenCase(
         'chaos/crash/degraded/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'crash', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        'fa1667b36703cb3bc5e3bfe8f6990d6b014da520e855690b19f76b4de976f83e',
+        '817072c7fa75d7015cac3fb7b52e7aab593850fa6f78c90ea344dd9b17e86b6b',
     ),
     GoldenCase(
         'chaos/crash/degraded/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'crash', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        'b6ff6fc3a89ae8b035cbf0872b8678c19e053d18820064e3466d906a95764a89',
+        'e5550085b3924784c03f5eb2faaa5c6a6e317b1db268804253eebd13dce48604',
     ),
     GoldenCase(
         'chaos/partition/default/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'partition', 'policy_name': 'default'},
-        'fbdca88f907ece8b45a48ed6be430b7c9d7c48df91c764f1a395e615e6027c87',
+        '55aeb8a14d5e83de7ce4b1766744ec6a1bd60e270fdcc8736e3050888e2618f5',
     ),
     GoldenCase(
         'chaos/partition/default/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'partition', 'policy_name': 'default'},
-        '8b4ee4f5e387452a12f0493873122880b32add8c663abe6b2b03813e3b5dc1b0',
+        'c5168efd8b9b3ab7a844ca7c8cc026933c98921b2e3a25beef0fa7d286c37ddc',
     ),
     GoldenCase(
         'chaos/partition/default/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'partition', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        'cfe390cf135da0f6da34c83871da9b3f83ba6779af2bfa78c7089bb832f8e680',
+        '223fb3cbf5742ec58e67c3f622a3f685bd963dfa8e1e0c7cf0f726be52888c43',
     ),
     GoldenCase(
         'chaos/partition/default/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'partition', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        '5e565097983ec40d533d7a93ba3279642737df2c247ac4947411409522287348',
+        'e46755db0e634105c99cf1402768a586f65217d79362f33b606514ee0bcb027e',
     ),
     GoldenCase(
         'chaos/partition/degraded/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'partition', 'policy_name': 'degraded'},
-        'fbdca88f907ece8b45a48ed6be430b7c9d7c48df91c764f1a395e615e6027c87',
+        '55aeb8a14d5e83de7ce4b1766744ec6a1bd60e270fdcc8736e3050888e2618f5',
     ),
     GoldenCase(
         'chaos/partition/degraded/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'partition', 'policy_name': 'degraded'},
-        '8b4ee4f5e387452a12f0493873122880b32add8c663abe6b2b03813e3b5dc1b0',
+        'c5168efd8b9b3ab7a844ca7c8cc026933c98921b2e3a25beef0fa7d286c37ddc',
     ),
     GoldenCase(
         'chaos/partition/degraded/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'partition', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        'cfe390cf135da0f6da34c83871da9b3f83ba6779af2bfa78c7089bb832f8e680',
+        '223fb3cbf5742ec58e67c3f622a3f685bd963dfa8e1e0c7cf0f726be52888c43',
     ),
     GoldenCase(
         'chaos/partition/degraded/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'partition', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        '5e565097983ec40d533d7a93ba3279642737df2c247ac4947411409522287348',
+        'e46755db0e634105c99cf1402768a586f65217d79362f33b606514ee0bcb027e',
     ),
     GoldenCase(
         'chaos/churn/default/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'churn', 'policy_name': 'default'},
-        '5d54d5f8b11be438231c91ee1db72df51c58ceddf034b618933434f615e6f825',
+        '69b38ec19b826f72138db5b9fd36ffb200929764ed044bc6d3497baadbc32d83',
     ),
     GoldenCase(
         'chaos/churn/default/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'churn', 'policy_name': 'default'},
-        '31d0d00c30564f1723d5cff90aada3f3f51a94a31164cbb8af8d69c493314a23',
+        '5321252e5baaa01998b3cfeb2d6ca76a41c0857e98b616b72a82fe8a88dc910e',
     ),
     GoldenCase(
         'chaos/churn/default/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'churn', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        'f29581a3d38a9d895ce8652a2c47b93d865a5a3c5fa35905b4a403e6df324bb1',
+        '2a2a787fa359b7bcc21ffb5b7d38f3cbc7f6846d97232048a1211cdb88fca02e',
     ),
     GoldenCase(
         'chaos/churn/default/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'churn', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        '4bbb26a6bbbc25b9af317ac717224b6437f6676d28e19f9cf56a1023ad2bdd48',
+        '5db8afb36b299d224b56003c6ffc5169500767bd0001de5478457fcbc239f705',
     ),
     GoldenCase(
         'chaos/churn/degraded/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'churn', 'policy_name': 'degraded'},
-        '5d54d5f8b11be438231c91ee1db72df51c58ceddf034b618933434f615e6f825',
+        '69b38ec19b826f72138db5b9fd36ffb200929764ed044bc6d3497baadbc32d83',
     ),
     GoldenCase(
         'chaos/churn/degraded/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'churn', 'policy_name': 'degraded'},
-        '31d0d00c30564f1723d5cff90aada3f3f51a94a31164cbb8af8d69c493314a23',
+        '5321252e5baaa01998b3cfeb2d6ca76a41c0857e98b616b72a82fe8a88dc910e',
     ),
     GoldenCase(
         'chaos/churn/degraded/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'churn', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        'f29581a3d38a9d895ce8652a2c47b93d865a5a3c5fa35905b4a403e6df324bb1',
+        '2a2a787fa359b7bcc21ffb5b7d38f3cbc7f6846d97232048a1211cdb88fca02e',
     ),
     GoldenCase(
         'chaos/churn/degraded/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'churn', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        '4bbb26a6bbbc25b9af317ac717224b6437f6676d28e19f9cf56a1023ad2bdd48',
+        '5db8afb36b299d224b56003c6ffc5169500767bd0001de5478457fcbc239f705',
     ),
     GoldenCase(
         'chaos/mixed/default/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'mixed', 'policy_name': 'default'},
-        'b4dd972a212f6c1b4d25dfec803a7bab87c7decea88a9191860fba5c32f41f23',
+        '77c485805c2539d2e3cdefa913fd300767ac6da332dd40c0f6111ae5de0e8352',
     ),
     GoldenCase(
         'chaos/mixed/default/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'mixed', 'policy_name': 'default'},
-        '88c0fe3438f70f34467e6af5eeb8ef66864aaee131de9a305f65692738cf4984',
+        '6df6ca4980df74ab41d660f632553c72589b6337e0538239fc72692cf3a87825',
     ),
     GoldenCase(
         'chaos/mixed/default/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'mixed', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        '143cb09ae3456cce3ad6dcf1a0165ce7db989117bc615f2742769b15370877ba',
+        '92f88fd602b7be7c9c9aaa7cbf17ea6192313da31bc811e63fd9ea578038a1ab',
     ),
     GoldenCase(
         'chaos/mixed/default/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'mixed', 'policy_name': 'default', 'objects': 4, 'placement': 'ring'},
-        '64f91dcd635f7a7c783378fed089516aaba82d24bb15997d3913c497e5179a67',
+        'a5ebc0b557acb940ffb8a55c5eace54ff0194515d1be507d82ed588f870b88a1',
     ),
     GoldenCase(
         'chaos/mixed/degraded/classic/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'mixed', 'policy_name': 'degraded'},
-        'b4dd972a212f6c1b4d25dfec803a7bab87c7decea88a9191860fba5c32f41f23',
+        '77c485805c2539d2e3cdefa913fd300767ac6da332dd40c0f6111ae5de0e8352',
     ),
     GoldenCase(
         'chaos/mixed/degraded/classic/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'mixed', 'policy_name': 'degraded'},
-        '57d24da7d429a6138062528a65414314980437273418e4ec21c3d6d032d4f706',
+        'b5857617ce5971ea4ce833c87646cbaa7c9f9ae42366a9381c33d4296736e581',
     ),
     GoldenCase(
         'chaos/mixed/degraded/ring4/0',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 0, 'profile': 'mixed', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        '143cb09ae3456cce3ad6dcf1a0165ce7db989117bc615f2742769b15370877ba',
+        '92f88fd602b7be7c9c9aaa7cbf17ea6192313da31bc811e63fd9ea578038a1ab',
     ),
     GoldenCase(
         'chaos/mixed/degraded/ring4/1',
         'docs/RESILIENCE.md#the-seeded-chaos-sweep',
         'chaos',
         {'seed': 1, 'profile': 'mixed', 'policy_name': 'degraded', 'objects': 4, 'placement': 'ring'},
-        '64f91dcd635f7a7c783378fed089516aaba82d24bb15997d3913c497e5179a67',
+        'a5ebc0b557acb940ffb8a55c5eace54ff0194515d1be507d82ed588f870b88a1',
     ),
     GoldenCase(
         'reconfig/under-traffic',

@@ -72,13 +72,17 @@ class TestChurn:
 
 
 class TestStress:
-    def test_many_objects_mixed_schemes(self):
-        """Four objects under different schemes in one transaction space."""
+    @pytest.mark.parametrize(
+        "schemes",
+        [("hybrid", "dynamic", "dynamic", "hybrid"), ("static",) * 4],
+        ids=["commit-order", "begin-order"],
+    )
+    def test_many_objects_mixed_schemes(self, schemes):
+        """Four objects in one transaction space, which has one
+        serialization order: hybrid and dynamic share commit order, and
+        static objects keep to themselves."""
         queue = Queue()
-        names = [
-            (f"q{index}", scheme)
-            for index, scheme in enumerate(("hybrid", "static", "dynamic", "hybrid"))
-        ]
+        names = [(f"q{index}", scheme) for index, scheme in enumerate(schemes)]
         cluster = cluster_of(
             3,
             *(ObjectSpec(name, Queue(), scheme) for name, scheme in names),

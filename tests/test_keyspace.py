@@ -43,11 +43,13 @@ from repro.replication.keyspace import (
     soak_keyspace,
 )
 from repro.resilience.chaos import run_chaos_case, run_chaos_sweep
-from repro.scenarios import SCENARIOS, compile_mix
+from repro.scenarios import SCENARIOS, build_scenario, compile_mix
 from repro.sim.workload import WorkloadGenerator
 from repro.types import Queue, Register
 
 pytestmark = pytest.mark.keyspace
+
+SCHEMES = ("static", "hybrid", "dynamic")
 
 
 class TestPlacementRules:
@@ -214,12 +216,87 @@ class TestKeyspaceBuilders:
         with pytest.raises(SpecificationError, match="'grid'"):
             build(3, 5, placement="grid")
 
-    def test_paper_pairings_by_default(self):
-        spec = demo_keyspace(6, 5)
-        assert [(obj.name, obj.scheme) for obj in spec.objects[:3]] == [
-            ("queue-0", "hybrid"), ("register-1", "static"), ("counter-2", "dynamic"),
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_scheme_for_every_object(self, scheme):
+        spec = demo_keyspace(6, 5, scheme=scheme)
+        assert [obj.name for obj in spec.objects[:3]] == [
+            "queue-0", "register-1", "counter-2",
         ]
+        assert {obj.scheme for obj in spec.objects} == {scheme}
         assert {obj.placement for obj in spec.objects} == {PlacementRule.ring(3)}
+        assert {obj.scheme for obj in demo_keyspace(6, 5).objects} == {"hybrid"}
+        with pytest.raises(ValueError, match="unknown mechanism None"):
+            build_scenario(SCENARIOS["default"], mechanism=None)
+
+
+#: The witness: A begins before B; B writes the register, enqueues 1 and
+#: commits; then A reads the register and dequeues.
+WITNESS = {
+    "A": (("register", Invocation("Read")), ("queue", Invocation("Deq"))),
+    "B": (
+        ("register", Invocation("Write", ("b",))),
+        ("queue", Invocation("Enq", (1,))),
+    ),
+}
+
+
+def serial_responses(datatypes, order):
+    """A's responses when the witness's transactions run one at a time."""
+    states = {name: datatype.initial_state() for name, datatype in datatypes.items()}
+    responses = []
+    for txn in order:
+        for name, invocation in WITNESS[txn]:
+            [(response, states[name])] = datatypes[name].apply(
+                states[name], invocation
+            )
+            if txn == "A":
+                responses.append(response)
+    return tuple(responses)
+
+
+class TestOneOrderPerDomain:
+    """Weihl's locality result needs one serialization order per
+    transaction domain.  A static (begin-order) object beside a hybrid or
+    dynamic (commit-order) one commits the witness, which no serial order
+    explains: A reads the register's initial ``'0'`` yet dequeues B's 1,
+    or reads B's ``'b'`` yet finds the queue empty.  So such a domain is
+    refused; every other pair commits the witness as one serial order.
+    """
+
+    @pytest.mark.parametrize("register_scheme", SCHEMES)
+    @pytest.mark.parametrize("queue_scheme", SCHEMES)
+    def test_the_witness_runs_serially_or_is_refused(
+        self, queue_scheme, register_scheme
+    ):
+        datatypes = {"queue": Queue(), "register": Register(("a", "b"))}
+        spec = KeyspaceSpec(
+            5,
+            (
+                ObjectSpec("queue", datatypes["queue"], queue_scheme),
+                ObjectSpec("register", datatypes["register"], register_scheme),
+            ),
+        )
+        if queue_scheme != register_scheme and "static" in (
+            queue_scheme, register_scheme
+        ):
+            with pytest.raises(SpecificationError) as refusal:
+                build_keyspace(spec, seed=0)
+            assert "'queue'" in str(refusal.value)
+            assert "'register'" in str(refusal.value)
+            return
+        cluster = build_keyspace(spec, seed=0, tracer=Tracer())
+        auditor = Auditor(cluster, mode="deep")
+        frontend, tm = cluster.frontends[0], cluster.tm
+        a, b = tm.begin(0), tm.begin(0)
+        for name, invocation in WITNESS["B"]:
+            frontend.execute(b, name, invocation)
+        tm.commit(b)
+        seen = tuple(frontend.execute(a, name, inv) for name, inv in WITNESS["A"])
+        tm.commit(a)
+        assert tm.commits == 2
+        assert auditor.finish().ok
+        expected = "AB" if queue_scheme == "static" else "BA"
+        assert seen == serial_responses(datatypes, expected)
 
 
 def build_demo(n_objects=8, n_sites=5, seed=0):
@@ -337,7 +414,8 @@ class TestKeyspaceCli:
 class TestKeyspaceDeterminism:
     def test_fingerprint_matches_its_pin(self):
         # Taken where a one-request-at-a-time front-end produced the
-        # same fingerprint byte for byte.
+        # same fingerprint byte for byte; re-taken when every object of
+        # the keyspace became hybrid.
         case = run_chaos_case(
             seed=7, profile="mixed", transactions=10, objects=3, placement="ring"
         )
@@ -348,7 +426,7 @@ class TestKeyspaceDeterminism:
             json.dumps(fingerprint, sort_keys=True).encode()
         ).hexdigest()
         assert digest == (
-            "5b8b499cf3c6b4ba358404d608b36c215a03d847bf1856c0d4fc6d517dedde8c"
+            "fda22c9765fc4a0ac32f5c2edb0d0f081a85bda80629a22df9f55d99b788e3c5"
         )
 
     def test_sweep_identical_across_worker_counts(self):
