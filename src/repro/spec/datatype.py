@@ -18,8 +18,11 @@ The set of legal serial histories of the type is exactly the trace set of
 this machine, and it is prefix-closed by construction, as the paper
 requires of serial specifications.
 
-States must be immutable and hashable.  If two states are behaviorally
-equivalent but structurally different, override
+States must be immutable and hashable.  A state may be a view rather
+than a value — a Queue state is a window over a store shared with other
+states — provided its equality and hash are those of the tuple it stands
+for.  If two states are behaviorally equivalent but structurally
+different, override
 :meth:`~SerialDataType.canonical` to map them to a common key; the
 equivalence check in :class:`~repro.spec.legality.LegalityOracle` relies
 on canonical keys.

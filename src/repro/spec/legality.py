@@ -6,12 +6,18 @@ stores replay results in a trie keyed by events, so each distinct prefix
 is replayed against the data type exactly once.
 
 For a (possibly nondeterministic) specification, the replay state is a
-*frontier*: the set of states the object could be in after exhibiting the
-history.  A history is legal iff its frontier is non-empty.  Two legal
-histories are equivalent (``h ≡ h'`` — indistinguishable by any future
-computation, paper Section 5) whenever their frontiers have equal
-canonical key sets; this check is sound in general and exact for all the
-built-in types, whose states are canonical value representations.
+*frontier*: the states the object could be in after exhibiting the
+history, kept as a tuple of states with distinct canonical keys.  A
+history is legal iff its frontier is non-empty.  Two legal histories are
+equivalent (``h ≡ h'`` — indistinguishable by any future computation,
+paper Section 5) whenever their frontiers have equal canonical key sets;
+this check is sound in general and exact for all the built-in types,
+whose states are canonical value representations.
+
+A step that yields one state — every step of a deterministic type —
+neither calls ``canonical`` nor hashes the state: the runtime replays
+long Queue states through the trie, and only a frontier's key set,
+built on first use (:meth:`LegalityOracle._keys`), pays for hashing.
 
 The derivations (alphabets, Theorem 6, Definition 8) ask nothing of a
 prefix but its frontier, so they walk :class:`MergedFrontiers` — one
@@ -29,11 +35,14 @@ from repro.spec.datatype import SerialDataType, State
 class _TrieNode:
     """One replay frontier, plus memoized children per event."""
 
-    __slots__ = ("frontier", "children", "responses", "successors")
+    __slots__ = ("frontier", "keys", "children", "responses", "successors")
 
-    def __init__(self, frontier: dict[Hashable, State] | None):
-        #: canonical-key -> representative state; ``None`` marks illegal.
+    def __init__(self, frontier: tuple[State, ...] | None):
+        #: States with distinct canonical keys; ``None`` marks illegal.
         self.frontier = frontier
+        #: The frontier's canonical keys, built on demand
+        #: (:meth:`LegalityOracle._keys`).
+        self.keys: frozenset[Hashable] | None = None
         self.children: dict[Event, _TrieNode] = {}
         #: Memoized invocation -> legal responses at this frontier; built
         #: lazily because most interior nodes are only ever stepped through.
@@ -71,10 +80,7 @@ class LegalityCursor:
 
     def frontier_key(self) -> frozenset[Hashable] | None:
         """Canonical frontier keys here (None if the history is illegal)."""
-        frontier = self._node.frontier
-        if frontier is None:
-            return None
-        return frozenset(frontier)
+        return self._oracle._keys(self._node)
 
     def responses(self, invocation: Invocation) -> frozenset[Response]:
         """Legal responses for ``invocation`` at this position (memoized).
@@ -89,8 +95,7 @@ class LegalityOracle:
 
     def __init__(self, datatype: SerialDataType):
         self._dt = datatype
-        initial = datatype.initial_state()
-        self._root = _TrieNode({datatype.canonical(initial): initial})
+        self._root = _TrieNode((datatype.initial_state(),))
         #: Memoized replay roots for non-initial base states (used when a
         #: log prefix has been compacted into a snapshot state).
         self._base_roots: dict[Hashable, _TrieNode] = {}
@@ -115,7 +120,7 @@ class LegalityOracle:
         key = self._dt.canonical(base_state)
         root = self._base_roots.get(key)
         if root is None:
-            root = _TrieNode({key: base_state})
+            root = _TrieNode((base_state,))
             self._base_roots[key] = root
             self._cache_nodes += 1
         return root
@@ -143,28 +148,51 @@ class LegalityOracle:
         The depth-bounded ``_suffix_responses`` memo is retained — it is
         small and independent of replayed history.
         """
-        initial = self._dt.initial_state()
-        self._root = _TrieNode({self._dt.canonical(initial): initial})
+        self._root = _TrieNode((self._dt.initial_state(),))
         self._base_roots.clear()
         self._cache_nodes = 1
         self.cache_trims += 1
 
     # -- replay internals ----------------------------------------------------
 
+    def _keys(self, node: _TrieNode) -> frozenset[Hashable] | None:
+        """``node``'s canonical frontier keys (None if illegal), cached."""
+        keys = node.keys
+        if keys is None and node.frontier is not None:
+            keys = node.keys = frozenset(map(self._dt.canonical, node.frontier))
+        return keys
+
+    def _child(self, states: list[State]) -> _TrieNode:
+        """A node over ``states``, deduplicated by canonical key.
+
+        One state is the frontier as it stands, unhashed (:meth:`_step`,
+        the runtime's hottest miss, builds that node inline).  Of
+        several, the last state per key is kept, at its key's first
+        position.
+        """
+        if len(states) == 1:
+            return _TrieNode((states[0],))
+        if not states:
+            return _TrieNode(None)
+        distinct = {self._dt.canonical(state): state for state in states}
+        child = _TrieNode(tuple(distinct.values()))
+        child.keys = frozenset(distinct)
+        return child
+
     def _step(self, node: _TrieNode, event: Event) -> _TrieNode:
         child = node.children.get(event)
         if child is not None:
             return child
-        if node.frontier is None:
-            child = _TrieNode(None)
-        else:
-            next_frontier: dict[Hashable, State] = {}
-            for state in node.frontier.values():
+        states = []
+        if node.frontier is not None:
+            wanted = event.res
+            for state in node.frontier:
                 for response, next_state in self._dt.apply(state, event.inv):
-                    if response == event.res:
-                        next_frontier[self._dt.canonical(next_state)] = next_state
-            child = _TrieNode(next_frontier if next_frontier else None)
-        node.children[event] = child
+                    if response is wanted or response == wanted:
+                        states.append(next_state)
+        child = node.children[event] = (
+            _TrieNode((states[0],)) if len(states) == 1 else self._child(states)
+        )
         self._cache_nodes += 1
         return child
 
@@ -191,7 +219,7 @@ class LegalityOracle:
         if found is None:
             found = frozenset(
                 response
-                for state in node.frontier.values()
+                for state in node.frontier
                 for response, _next_state in self._dt.apply(state, invocation)
             )
             cache[invocation] = found
@@ -215,14 +243,11 @@ class LegalityOracle:
         found = memo.get(invocation)
         if found is not None:
             return found
-        frontiers: dict[Response, dict[Hashable, State]] = {}
+        frontiers: dict[Response, list[State]] = {}
         if node.frontier is not None:
-            canonical = self._dt.canonical
-            for state in node.frontier.values():
+            for state in node.frontier:
                 for response, next_state in self._dt.apply(state, invocation):
-                    frontiers.setdefault(response, {})[canonical(next_state)] = (
-                        next_state
-                    )
+                    frontiers.setdefault(response, []).append(next_state)
         ordered = sorted(frontiers, key=str) if len(frontiers) > 1 else frontiers
         children = node.children
         steps = []
@@ -230,7 +255,7 @@ class LegalityOracle:
             event = Event(invocation, response)
             child = children.get(event)
             if child is None:
-                child = children[event] = _TrieNode(frontiers[response])
+                child = children[event] = self._child(frontiers[response])
                 self._cache_nodes += 1
             steps.append((event, child))
         found = memo[invocation] = tuple(steps)
@@ -275,10 +300,7 @@ class LegalityOracle:
 
     def frontier_key(self, history: SerialHistory) -> frozenset[Hashable] | None:
         """Canonical keys of all states reachable via ``history`` (None if illegal)."""
-        frontier = self._node(history).frontier
-        if frontier is None:
-            return None
-        return frozenset(frontier)
+        return self._keys(self._node(history))
 
     def responses(self, history: SerialHistory, invocation: Invocation) -> set[Response]:
         """Every response legal for ``invocation`` after ``history``."""
@@ -364,7 +386,7 @@ class MergedFrontiers:
     Theorems 6 and 10 and the alphabets read a prefix only through the
     states it can be in, so ``h ≡ h'`` (equal frontier keys) makes every
     question about ``h`` a question about ``h'``.  This view names one
-    trie node per distinct ``frozenset(frontier)`` — the first one met —
+    trie node per distinct frontier key set — the first one met —
     and answers every step with that *canonical* node, so a derivation
     walks the type's reachable frontiers instead of the histories that
     reach them, and ``is`` on two nodes is frontier-key equality.  Every
@@ -376,7 +398,7 @@ class MergedFrontiers:
         self._oracle = oracle
         #: The canonical node of the empty history.
         self.root = oracle._root
-        self._canonical = {frozenset(self.root.frontier): self.root}
+        self._canonical = {oracle._keys(self.root): self.root}
         self._moves: dict[_TrieNode, tuple[tuple[Event, _TrieNode], ...]] = {}
 
     def after(self, node: _TrieNode, event: Event) -> _TrieNode | None:
@@ -385,7 +407,7 @@ class MergedFrontiers:
         child = self._oracle._step(node, event)
         if child.frontier is None:
             return None
-        return self._canonical.setdefault(frozenset(child.frontier), child)
+        return self._canonical.setdefault(self._oracle._keys(child), child)
 
     def enabled(self, node: _TrieNode) -> list[Event]:
         """The generator-alphabet events legal at ``node``, in string order

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.histories.events import Invocation, event, ok, signal
+from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import legal_serial_histories
 from repro.spec.legality import LegalityOracle, MergedFrontiers
 from repro.types import Directory, Queue, Register, SemiQueue, standard_types
@@ -110,9 +111,10 @@ class TestEquivalence:
 
 def _frontiers(datatype, depth):
     """``frontier key -> level`` as :meth:`MergedFrontiers.levels` walks them."""
-    merged = MergedFrontiers(LegalityOracle(datatype))
+    oracle = LegalityOracle(datatype)
+    merged = MergedFrontiers(oracle)
     nodes = [
-        (frozenset(node.frontier), length)
+        (oracle._keys(node), length)
         for length, level in enumerate(merged.levels(depth))
         for node in level
     ]
@@ -175,3 +177,125 @@ class TestMergedFrontiers:
             # '0', 'x', 'y': three frontiers, three enabled events each.
             assert len(walked) == 3
             assert oracle.cache_nodes() == 1 + 3 * 3
+
+
+class _Tallied:
+    """A counter value that records every ``__hash__`` call in ``tally``."""
+
+    __slots__ = ("value", "tally")
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __eq__(self, other):
+        return isinstance(other, _Tallied) and other.value == self.value
+
+    def __hash__(self):
+        self.tally["hash"] += 1
+        return hash(self.value)
+
+
+class TalliedCounter(SerialDataType):
+    """A deterministic counter whose states count hashes and whose
+    ``canonical`` counts its own calls."""
+
+    name = "TalliedCounter"
+
+    def __init__(self):
+        self.tally = {"hash": 0, "canonical": 0}
+
+    def initial_state(self):
+        return _Tallied(0, self.tally)
+
+    def apply(self, state, invocation):
+        if invocation.op == "Inc":
+            return [(ok(), _Tallied(state.value + 1, self.tally))]
+        return [(ok(state.value), state)]
+
+    def invocations(self):
+        return (Invocation("Inc"), Invocation("Read"))
+
+    def canonical(self, state):
+        self.tally["canonical"] += 1
+        return state
+
+
+class TaggedCoin(HiddenCoin):
+    """A :class:`HiddenCoin` whose state also remembers the face it was
+    tossed from; ``canonical`` strips the tag, so two raw states share a
+    key and a frontier must pick which one represents it."""
+
+    name = "TaggedCoin"
+
+    def initial_state(self):
+        return ("heads", None)
+
+    def apply(self, state, invocation):
+        face, _tag = state
+        if invocation.op == "Toss":
+            return [(ok(), ("heads", face)), (ok(), ("tails", face))]
+        return [(res, state) for res, _face in super().apply(face, invocation)]
+
+    def canonical(self, state):
+        return state[0]
+
+
+def _reference_frontier(datatype, history):
+    """The frontier replayed from the initial state as a ``{canonical
+    key: state}`` dict: the last state per key, at the key's first
+    position."""
+    initial = datatype.initial_state()
+    frontier = {datatype.canonical(initial): initial}
+    for ev in history:
+        reached = {}
+        for state in frontier.values():
+            for response, next_state in datatype.apply(state, ev.inv):
+                if response == ev.res:
+                    reached[datatype.canonical(next_state)] = next_state
+        frontier = reached
+    return tuple(frontier.values())
+
+
+class TestRuntimeStep:
+    def test_a_one_state_step_hashes_nothing(self):
+        datatype = TalliedCounter()
+        oracle = LegalityOracle(datatype)
+        inc, read = Invocation("Inc"), Invocation("Read")
+        node = oracle._root
+        for _ in range(5):
+            node = oracle._step(node, event("Inc"))
+            (read_event, node), = oracle._successors(node, read)
+            (_inc_event, node), = oracle._successors(node, inc)
+        assert read_event == event("Read", (), ok(9))
+        assert oracle.is_legal((event("Inc"), event("Read", (), ok(1))))
+        assert datatype.tally == {"hash": 0, "canonical": 0}
+        # Equivalence still reads canonical keys, built once per node.
+        assert oracle.frontier_key((event("Inc"),)) is oracle.frontier_key(
+            (event("Inc"),)
+        )
+        assert datatype.tally == {"hash": 1, "canonical": 1}
+
+    @pytest.mark.parametrize(
+        "datatype",
+        [SemiQueue(), CountingRegister(), HiddenCoin(), TaggedCoin()],
+        ids=lambda d: d.name,
+    )
+    def test_frontiers_keep_the_parents_representatives(self, datatype):
+        stepped, walked = LegalityOracle(datatype), LegalityOracle(datatype)
+        sizes = set()
+        for history in legal_serial_histories(datatype, 4, stepped):
+            expected = _reference_frontier(datatype, history)
+            assert stepped._node(history).frontier == expected
+            node = walked._root
+            for ev in history:
+                node = dict(walked._successors(node, ev.inv))[ev]
+            assert node.frontier == expected
+            assert walked._keys(node) == frozenset(map(datatype.canonical, expected))
+            sizes.add(len(expected))
+        assert sizes == ({1, 2} if isinstance(datatype, HiddenCoin) else {1})
+        if isinstance(datatype, TaggedCoin):  # the last state per key is kept
+            toss = event("Toss")
+            assert stepped._node((toss, toss)).frontier == (
+                ("heads", "tails"),
+                ("tails", "tails"),
+            )

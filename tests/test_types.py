@@ -6,7 +6,13 @@ paper's own examples (the Section 3.1 Queue history, the PROM and
 FlagSet behaviours of Section 4, the DoubleBuffer of Section 5).
 """
 
+import copy
+import pickle
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SpecificationError
 from repro.histories.events import Invocation, event, ok, signal
@@ -25,6 +31,7 @@ from repro.types import (
     SemiQueue,
     Stack,
 )
+from repro.types.queue import _SLACK, _Window
 
 
 class TestQueue:
@@ -64,6 +71,121 @@ class TestQueue:
     def test_invocations_cover_alphabet(self, queue):
         assert Invocation("Enq", ("a",)) in queue.invocations()
         assert Invocation("Deq") in queue.invocations()
+
+    @pytest.mark.parametrize(
+        "invocation, arity",
+        [
+            (Invocation("Deq", ("x",)), "Deq takes 0"),
+            (Invocation("Enq"), "Enq takes 1"),
+            (Invocation("Enq", ("a", "b")), "Enq takes 1"),
+        ],
+        ids=str,
+    )
+    def test_wrong_number_of_arguments_rejected(self, queue, invocation, arity):
+        with pytest.raises(SpecificationError, match=arity):
+            queue.apply(queue.initial_state(), invocation)
+
+
+#: Enq items for the window properties: ``1`` and ``True`` are equal but
+#: must never stand in for each other in a shared store.
+_ITEMS = st.sampled_from(["a", "b", 1, True])
+
+#: A step of a branching program: from the state at ``index`` (taken
+#: modulo the states made so far), enqueue the item or, for ``None``, dequeue.
+_STEPS = st.lists(
+    st.tuples(st.integers(min_value=0), st.one_of(st.none(), _ITEMS)),
+    max_size=40,
+)
+
+
+def _check_is_its_tuple(state, model):
+    """``state`` behaves as the plain tuple ``model`` in every way a tuple can."""
+    assert isinstance(state, _Window)
+    assert list(state) == list(model)
+    assert [type(item) for item in state] == [type(item) for item in model]
+    assert len(state) == len(model) and bool(state) == bool(model)
+    for position in range(-len(model), len(model)):
+        assert state[position] == model[position]
+        assert type(state[position]) is type(model[position])
+    for position in (len(model), -len(model) - 1):
+        with pytest.raises(IndexError):
+            state[position]
+    for cut in range(-len(model) - 1, len(model) + 2):
+        for piece, expected in (
+            (state[cut:], model[cut:]),
+            (state[:cut], model[:cut]),
+            (state[cut : cut + 2], model[cut : cut + 2]),
+        ):
+            assert isinstance(piece, _Window) and piece == expected
+    assert state[::2] == model[::2] and state[::-1] == model[::-1]
+    assert state == model and model == state and not state != model
+    assert state != model + ("z",) and model + ("z",) != state
+    assert hash(state) == hash(model)
+    assert repr(state) == repr(model) and str(state) == str(model)
+    for copied in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert isinstance(copied, _Window)
+        assert repr(copied) == repr(model) and copied == state
+
+
+class TestQueueWindow:
+    """A Queue state is a window over a shared store that is its tuple."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_STEPS)
+    def test_every_state_of_a_branching_program_is_its_tuple(self, steps):
+        queue = Queue()
+        states, models = [queue.initial_state()], [()]
+        for index, item in steps:
+            index %= len(states)
+            state, model = states[index], models[index]
+            if item is None:
+                (response, state), = queue.apply(state, Invocation("Deq"))
+                expected = ok(model[0]) if model else signal("Empty")
+                assert response == expected
+                model = model[1:]
+            else:
+                (_response, state), = queue.apply(state, Invocation("Enq", (item,)))
+                model = model + (item,)
+            states.append(state)
+            models.append(model)
+        # Checked after every branch was cut: later appends to a shared
+        # store must not have moved an earlier state.
+        for state, model in zip(states, models):
+            _check_is_its_tuple(state, model)
+        for state, model in zip(states, models):
+            other = random.Random(len(model)).randrange(len(states))
+            assert (state == states[other]) == (model == models[other])
+            assert (state != states[other]) == (model != models[other])
+
+    def test_equal_items_of_different_types_do_not_share_a_store(self):
+        queue = Queue()
+        (_, base), = queue.apply(queue.initial_state(), Invocation("Enq", ("a",)))
+        (_, one), = queue.apply(base, Invocation("Enq", (1,)))
+        (_, true), = queue.apply(base, Invocation("Enq", (True,)))
+        (_, one_again), = queue.apply(base, Invocation("Enq", (1,)))
+        assert [type(item) for item in one] == [str, int]
+        assert [type(item) for item in true] == [str, bool]
+        assert one_again._store is one._store  # the same value, shared
+        assert true._store is not one._store  # an equal value, forked
+        _check_is_its_tuple(one, ("a", 1))
+        _check_is_its_tuple(true, ("a", True))
+
+    def test_a_long_walk_keeps_the_store_bounded(self):
+        # The window rebases when its dead prefix outgrows it, so a state
+        # pins at most twice its length plus _SLACK items of store.
+        queue, rng = Queue(), random.Random(7)
+        state, model = queue.initial_state(), ()
+        for step in range(20_000):
+            grow = 0.6 if (step // 2_500) % 2 == 0 else 0.4
+            if rng.random() < grow:
+                item = rng.choice("ab")
+                (_, state), = queue.apply(state, Invocation("Enq", (item,)))
+                model = model + (item,)
+            else:
+                (_, state), = queue.apply(state, Invocation("Deq"))
+                model = model[1:]
+            assert len(state._store) <= 2 * len(state) + _SLACK
+        assert state == model and len(model) > 0
 
 
 class TestPROM:
