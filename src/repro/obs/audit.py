@@ -678,11 +678,11 @@ class LogConsistencyMonitor(InvariantMonitor):
         #: (site, object) -> the exact Log scanned last.  Logs grow by
         #: set-merge, so a previously verified entry can never *become*
         #: conflicting — a conflicting entry is by construction one we
-        #: have not seen — and a repository's log is normally a later
-        #: version of the store scanned last, so ``Log.fresh_since``
-        #: yields the unchecked entries as a slice, O(new entries).  The
-        #: anchor is a prefix length on the repository's own store: no
-        #: history is held a second time, in either mode.
+        #: have not seen — and a repository's log is normally a superset
+        #: on the entry table scanned last, so ``Log.fresh_since`` yields
+        #: the unchecked entries as a mask difference.  The anchor is a
+        #: mask over a table the repository's log shares: no history is
+        #: held a second time, in either mode.
         self._last_log: dict[tuple[int, str], Any] = {}
 
     def on_clear(self) -> None:
@@ -719,8 +719,8 @@ class LogConsistencyMonitor(InvariantMonitor):
         self._last_log[key] = log
         fresh = log.fresh_since(last)
         if fresh is None:
-            # The repository replaced its store (snapshot install,
-            # restart, fork): diff against the log scanned last.
+            # The repository's log moved to another table (snapshot
+            # install, restart, union by size): diff against the last.
             fresh = log.entry_set - last.entry_set
         if not fresh:
             return

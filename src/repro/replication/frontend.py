@@ -253,11 +253,9 @@ class FrontEnd:
 
         entry = LogEntry(self.clock.tick(), event, txn.id)
         final = assignment.final(event)
-        # Built once, outside the retry loop: this appends ``entry`` to
-        # the view cache's own store, and a retry must re-send that same
-        # version, not fork another.  If no final quorum ever
-        # acknowledges, the cached union is still the shorter version it
-        # was — the unacknowledged entry sits beyond its end.
+        # Built once, outside the retry loop: a retry re-sends this same
+        # log.  If no final quorum ever acknowledges, the cached union is
+        # still the log it was — the entry's bit is not in its mask.
         update = view.log.add(entry)
         try:
             self._retrying(

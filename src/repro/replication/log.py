@@ -9,20 +9,19 @@ associative — the properties the hypothesis test suite checks, since
 they are what make quorum consensus insensitive to how a view was
 assembled.
 
-The protocol grows a log by one entry per operation, so a :class:`Log`
-is a *version* ``(store, n)`` — the first ``n`` arrivals — of an
-append-only :class:`_Store` shared by its whole lineage.  Extending the
-newest version appends in place, O(delta); an older version stays the
-value it was because every read of it stops at its own ``n``.
+The fragments and views of one object hold mostly the same entries, so
+a :class:`Log` is a bitmask over an append-only :class:`_Table` shared
+by its whole lineage: bit ``i`` is set when the log holds the table's
+``i``-th entry.  A union of two logs on one table is an integer ``|``,
+and a log never changes because a table only appends.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from itertools import islice
+from bisect import bisect, insort
+from itertools import compress, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
-from weakref import WeakKeyDictionary
 
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import Event
@@ -32,6 +31,13 @@ from repro.txn.ids import ActionId
 #: the ordering of ``(entry.ts, entry.action.seq)``, since Timestamp
 #: compares (counter, site) first.
 _SORT_KEY = attrgetter("sort_key")
+_ACTION = attrgetter("action")
+_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte ``i`` is 1 when bit ``i`` of ``mask`` is set, else 0 (up to its top bit)."""
+    return bin(mask)[:1:-1].encode().translate(_FLAG)
 
 class LogEntry:
     """One log record: when, what, and on whose behalf.
@@ -84,77 +90,69 @@ class LogEntry:
         return f"[{self.ts}] {self.event} {self.action}"
 
 
-class _Store:
-    """Append-only entry storage shared by every :class:`Log` of a lineage.
+class _Table:
+    """Append-only entry table shared by every :class:`Log` of a lineage.
 
-    ``arrival`` holds the entries in arrival order and ``pos`` maps each
-    to its index there; nothing below an index ever changes, which is
-    what lets a ``Log`` be a prefix length.  The timestamp-sorted list
-    and the per-action grouping cover the *whole* store, are built on
-    first use and kept up to date by :meth:`append`.
-
-    ``marks[source] == m`` is a watermark: the first ``m`` arrivals of
-    the store ``source`` are all present here.  Sound because both
-    stores only append (an absorbed prefix stays absorbed) and only this
-    store's newest version, which holds every arrival, consults it; a
-    store built afresh — fork, snapshot install, journal restart — has
-    no marks and re-diffs once.  Weak keys: a mark dies with its source.
+    ``arrival[i]`` is the entry of bit ``i`` and ``pos`` maps it back; an
+    index never changes, so every mask over the table stays valid however
+    it grows.  The timestamp-sorted list (``ordered``, each entry's bit
+    beside it in ``ranks``) and the per-action grouping (bits in sorted
+    order) cover the whole table, are built on first use and kept up to
+    date by :meth:`bits`.
     """
 
-    __slots__ = ("arrival", "pos", "ordered", "by_action", "marks", "__weakref__")
+    __slots__ = ("arrival", "pos", "ordered", "ranks", "by_action")
 
     def __init__(self, arrival: list[LogEntry]):
         self.arrival = arrival  # distinct entries; adopted, not copied
         self.pos: dict[LogEntry, int] = dict(zip(arrival, range(len(arrival))))
         self.ordered: list[LogEntry] | None = None
-        self.by_action: dict[ActionId, list[LogEntry]] | None = None
-        self.marks: WeakKeyDictionary[_Store, int] | None = None
+        self.ranks: list[int] | None = None
+        self.by_action: dict[ActionId, list[int]] | None = None
 
-    def missing(self, candidates: Iterable[LogEntry], n: int) -> list[LogEntry]:
-        """The ``candidates`` that are not among the first ``n`` arrivals."""
-        pos = self.pos
-        return [entry for entry in candidates if pos.get(entry, n) >= n]
-
-    def lacking(self, source: "_Store", upto: int) -> list[LogEntry]:
-        """``source``'s first ``upto`` arrivals that are not in this store.
-
-        For a source never seen before: ``set.difference`` on dicts reuses
-        their stored hashes, no ``LogEntry.__hash__`` call per entry.
-        """
-        known = source.pos
-        novel = [e for e in set(known).difference(self.pos) if known[e] < upto]
-        novel.sort(key=known.__getitem__)
-        return novel
-
-    def append(self, fresh: Iterable[LogEntry]) -> None:
+    def bits(self, entries: Iterable[LogEntry]) -> int:
+        """The mask of ``entries``, appending those the table lacks."""
         arrival, pos = self.arrival, self.pos
-        ordered, by_action = self.ordered, self.by_action
-        for entry in fresh:
-            if entry in pos:  # repeated within ``fresh``
-                continue
-            pos[entry] = len(arrival)
-            arrival.append(entry)
-            if ordered is not None:
-                insort(ordered, entry, key=_SORT_KEY)
-            if by_action is not None:
-                insort(by_action.setdefault(entry.action, []), entry, key=_SORT_KEY)
+        mask = 0
+        for entry in entries:
+            size = len(arrival)
+            bit = pos.setdefault(entry, size)
+            if bit == size:
+                arrival.append(entry)
+                self._place(entry, bit)
+            mask |= 1 << bit
+        return mask
+
+    def _place(self, entry: LogEntry, bit: int) -> None:
+        ordered = self.ordered
+        if ordered is not None:
+            at = bisect(ordered, entry.sort_key, key=_SORT_KEY)
+            ordered.insert(at, entry)
+            self.ranks.insert(at, bit)
+        if self.by_action is not None:
+            group = self.by_action.setdefault(entry.action, [])
+            insort(group, bit, key=lambda held: self.arrival[held].sort_key)
 
     def sorted(self) -> list[LogEntry]:
         if self.ordered is None:
-            self.ordered = sorted(self.arrival, key=_SORT_KEY)
+            arrival = self.arrival
+            keys = [entry.sort_key for entry in arrival]
+            self.ranks = sorted(range(len(arrival)), key=keys.__getitem__)
+            self.ordered = [arrival[bit] for bit in self.ranks]
         return self.ordered
 
-    def grouped(self) -> dict[ActionId, list[LogEntry]]:
+    def grouped(self) -> dict[ActionId, list[int]]:
         if self.by_action is None:
-            grouped: dict[ActionId, list[LogEntry]] = {}
-            for entry in self.sorted():
-                grouped.setdefault(entry.action, []).append(entry)
+            grouped: dict[ActionId, list[int]] = {}
+            for entry, bit in zip(self.sorted(), self.ranks):
+                grouped.setdefault(entry.action, []).append(bit)
             self.by_action = grouped
         return self.by_action
 
 
-#: The store of every empty log; never a head, so never appended to.
-_NO_ENTRIES = _Store([])
+#: The table of every log built empty; never appended to, since a union
+#: into an empty log adopts its operand or starts a table of its own.
+_NO_ENTRIES = _Table([])
 
 
 class Log:
@@ -163,25 +161,26 @@ class Log:
     Lamport timestamps (counter, site) are unique per entry in a correct
     run; merge tolerates duplicates by keying on the full entry.
 
-    Represented as the first ``_n`` arrivals of ``_store``.  The *head*
-    (``_n`` is the store's length) extends in place; any other version
-    *forks* — copies its prefix into a store of its own, once.  A log
-    handed out earlier therefore never changes: ``in``, ``len``,
-    ``ordered``, ``entries_of`` and ``==`` all stop at ``_n``.
+    Represented as ``(_table, _mask, _n)``: the entries of ``_table``
+    whose bits are set in ``_mask``, ``_n`` of them.  A table only
+    appends, so a log handed out earlier never changes: ``in``, ``len``,
+    ``ordered``, ``entries_of`` and ``==`` all read through its mask.
     """
 
-    __slots__ = ("_store", "_n")
+    __slots__ = ("_table", "_mask", "_n")
 
     def __init__(self, entries: Iterable[LogEntry] = ()):
         arrival = list(dict.fromkeys(entries))
-        self._store = _Store(arrival) if arrival else _NO_ENTRIES
+        self._table = _Table(arrival) if arrival else _NO_ENTRIES
         self._n = len(arrival)
+        self._mask = (1 << self._n) - 1
 
     @classmethod
-    def _version(cls, store: _Store, n: int) -> "Log":
+    def _of(cls, table: _Table, mask: int) -> "Log":
         out = cls.__new__(cls)
-        out._store = store
-        out._n = n
+        out._table = table
+        out._mask = mask
+        out._n = mask.bit_count()
         return out
 
     def merge(self, other: "Log") -> "Log":
@@ -194,94 +193,99 @@ class Log:
     def extended(self, added: "Log | Iterable[LogEntry]") -> "Log":
         """Union with ``added``, a log or any iterable of entries.
 
-        ``self`` when nothing is new.  The head appends the new entries
-        to the shared store, O(new entries), its sorted order and
-        grouping updated by insertion; any other version forks first.
-        Of a *log*, only what this store has not absorbed before is
-        examined (``_Store.marks``), and a later version of this same
-        store is returned as is.
+        ``self`` when nothing is new, and ``added`` when it is a log that
+        holds ``self``.  On one table the union is ``mask | other``.  An
+        iterable's entries are looked up in this log's table, the new
+        ones appended once.  An empty log adopts its operand.  A log on
+        another table is re-expressed on the larger of the two tables
+        (union by size), so two lineages that meet converge on one.
         """
-        store, n = self._store, self._n
-        head = 0 < n == len(store.arrival)
-        source = None
+        table, mask = self._table, self._mask
         if isinstance(added, Log):
-            source, upto = added._store, added._n
-            if source is store:
-                return added if upto > n else self
-            marks = store.marks if head else None
-            start = marks.get(source, 0) if marks is not None else 0
-            if upto <= start:
+            if added._table is table:
+                grown = mask | added._mask
+                if grown == mask:
+                    return self
+                return added if grown == added._mask else Log._of(table, grown)
+            if not added._n:
                 return self
-            if not n:  # nothing of our own to keep: start from its prefix
-                fresh, store = (), _Store(source.arrival[:upto])
-            elif head and not start:
-                fresh = store.lacking(source, upto)
-            else:
-                fresh = store.missing(source.arrival[start:upto], n)
-        else:
-            fresh = store.missing(added, n)
-        if not head and store is self._store:
-            if not fresh:
-                return self
-            store = _Store(store.arrival[:n])
-        if source is not None:
-            if store.marks is None:
-                store.marks = WeakKeyDictionary()
-            store.marks[source] = upto
-        store.append(fresh)
-        grown = len(store.arrival)
-        return Log._version(store, grown) if grown > n else self
+            if not self._n:
+                return added
+            if len(added._table.arrival) > len(table.arrival):
+                grown = added.extended(self._entries())
+                return self if grown._n == self._n else grown
+            added = added._entries()
+        elif not self._n:
+            log = Log(added)
+            return log if log._n else self
+        grown = mask | table.bits(added)
+        return self if grown == mask else Log._of(table, grown)
 
     def fresh_since(self, ancestor: "Log") -> tuple[LogEntry, ...] | None:
-        """Entries in this log but not in ``ancestor``, when it is a prefix.
+        """Entries in this log but not in ``ancestor``, when it is a subset.
 
-        An earlier version of the same store (or the empty log) is a
-        prefix of this one, so the slice of arrivals between the two
-        lengths is *exactly* ``self.entry_set - ancestor.entry_set``, and
-        a non-``None`` result certifies ``ancestor.entry_set <=
-        self.entry_set``.  ``None``: not related by position (a fork, a
-        rebuilt or unpickled log); callers fall back to set algebra.
+        On one table, ``ancestor`` is a subset when its mask has no bit
+        this one lacks, and the entries of the bits between the two
+        masks — in table order — are *exactly* ``self.entry_set -
+        ancestor.entry_set``; a non-``None`` result certifies
+        ``ancestor.entry_set <= self.entry_set``.  The empty log is an
+        ancestor of every log.  ``None``: another table (a rebuilt or
+        unpickled log) or not a subset; callers fall back to set algebra.
         """
-        start, store = ancestor._n, self._store
-        if start > self._n or (start and ancestor._store is not store):
+        old, new = ancestor._mask, self._mask
+        if not old:
+            return tuple(self._entries())
+        if ancestor._table is not self._table or old & ~new:
             return None
-        return tuple(store.arrival[start : self._n])
+        fresh = new ^ old
+        if not fresh:
+            return ()
+        low = (fresh & -fresh).bit_length() - 1
+        flags = _flags(fresh >> low)
+        return tuple(compress(islice(self._table.arrival, low, None), flags))
 
-    def _held(self, entries: Iterable[LogEntry]) -> tuple[LogEntry, ...]:
-        """Those of the store's ``entries`` that this version holds."""
-        store, n = self._store, self._n
-        if n == len(store.arrival):
-            return tuple(entries)
-        pos = store.pos
-        return tuple(entry for entry in entries if pos[entry] < n)
+    def _entries(self) -> Iterator[LogEntry]:
+        """The entries this log holds, in table order."""
+        arrival = self._table.arrival
+        if self._n == len(arrival):
+            return islice(arrival, self._n)
+        return compress(arrival, _flags(self._mask))
 
     def ordered(self) -> tuple[LogEntry, ...]:
         """Entries sorted by timestamp (total order; site breaks ties)."""
-        return self._held(self._store.sorted())
+        ordered = self._table.sorted()
+        if self._n == len(ordered):
+            return tuple(ordered)
+        flags = _flags(self._mask).ljust(len(ordered), b"\0")
+        return tuple(compress(ordered, map(flags.__getitem__, self._table.ranks)))
 
     def max_entry(self) -> LogEntry | None:
         """The timestamp-greatest entry, without forcing a full sort."""
-        store, n = self._store, self._n
-        if store.ordered is None:
-            return max(islice(store.arrival, n), key=_SORT_KEY, default=None)
-        pos = store.pos
-        return next((e for e in reversed(store.ordered) if pos[e] < n), None)
+        table, mask = self._table, self._mask
+        if table.ordered is None:
+            return max(self._entries(), key=_SORT_KEY, default=None)
+        for entry, bit in zip(reversed(table.ordered), reversed(table.ranks)):
+            if mask >> bit & 1:
+                return entry
+        return None
 
     def entries_of(self, action: ActionId) -> tuple[LogEntry, ...]:
-        return self._held(self._store.grouped().get(action, ()))
+        arrival, mask = self._table.arrival, self._mask
+        group = self._table.grouped().get(action, ())
+        return tuple(arrival[bit] for bit in group if mask >> bit & 1)
 
     def actions(self) -> frozenset[ActionId]:
-        return frozenset(e.action for e in islice(self._store.arrival, self._n))
+        return frozenset(map(_ACTION, self._entries()))
 
     @property
     def entry_set(self) -> frozenset[LogEntry]:
         """The entries as a frozenset, *built* (and re-hashed) per call.
 
-        For fallback and rebuild paths, where two logs are not related
-        by position and set algebra is the reference; per-operation code
-        uses ``in``, :meth:`fresh_since` and :meth:`extended`.
+        For fallback and rebuild paths, where two logs share no table
+        and set algebra is the reference; per-operation code uses
+        ``in``, :meth:`fresh_since` and :meth:`extended`.
         """
-        return frozenset(islice(self._store.arrival, self._n))
+        return frozenset(self._entries())
 
     def __len__(self) -> int:
         return self._n
@@ -290,22 +294,23 @@ class Log:
         return iter(self.ordered())
 
     def __contains__(self, entry: LogEntry) -> bool:
-        return self._store.pos.get(entry, self._n) < self._n
+        bit = self._table.pos.get(entry)
+        return bit is not None and self._mask >> bit & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Log) or self._n != other._n:
             return False
-        if self._store is other._store:
-            return True
+        if self._table is other._table:
+            return self._mask == other._mask
         # Equal sizes, distinct entries: one inclusion decides equality.
-        return not self._store.missing(islice(other._store.arrival, other._n), self._n)
+        return all(map(self.__contains__, other._entries()))
 
     def __hash__(self) -> int:
         return hash(self.entry_set)
 
     def __reduce__(self):
-        # A copy starts a store of its own.
-        return (Log, (tuple(islice(self._store.arrival, self._n)),))
+        # A copy starts a table of its own.
+        return (Log, (tuple(self._entries()),))
 
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.ordered())

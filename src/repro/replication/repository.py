@@ -107,11 +107,9 @@ class Repository:
         snapshot = self._snapshots.get(object_name)
         current = self._logs.get(object_name, EMPTY_LOG)
         if snapshot is None:
-            # The Log itself, not its entries: the stored log's store
-            # remembers how much of the writer's store it has absorbed,
-            # so only what the writer added since is examined, and the
-            # stored log keeps one lineage (``fresh_since`` stays exact
-            # for the audit scan and the quorum view caches).
+            # The Log itself, not its entries: on the writer's table the
+            # union is one integer ``|`` and hashes no entry, and a
+            # fragment on another table joins the larger of the two.
             merged = current.extended(update)
         else:
             merged = current.extended(

@@ -180,9 +180,9 @@ class _ViewDelta:
         log = view.log
         if self._log is None or self._base is not view.base:
             return None
-        # O(delta) when the grown log is a later version of the cached
-        # log's store; the O(n) frozenset algebra is the fallback (and
-        # stays the correctness reference).
+        # A mask difference when the grown log is on the cached log's
+        # table; the O(n) frozenset algebra is the fallback (and stays
+        # the correctness reference).
         delta = log.fresh_since(self._log)
         if delta is None:
             seen, entries = self._log.entry_set, log.entry_set

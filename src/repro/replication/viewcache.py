@@ -9,10 +9,11 @@ per-repository log version counters (:meth:`Repository.log_version`):
 
 * **hit** — every probed fragment reports the version already cached:
   the cached merge is returned as-is (the same
-  :class:`~repro.replication.log.Log`, on this cache's own store, whose
-  sorted order and grouping carry over to the next operation);
+  :class:`~repro.replication.log.Log`, whose table's sorted order and
+  grouping carry over to the next operation);
 * **delta** — some fragments moved: only those fragments are merged
-  into the cached union (logs only grow while their compaction snapshot
+  into the cached union, each one integer ``|`` when it shares the
+  union's entry table (logs only grow while their compaction snapshot
   is unchanged, so the union stays exact);
 * **rebuild** — the responding site set or any site's snapshot object
   changed: the union is rebuilt from scratch over the probes in visit
@@ -49,8 +50,8 @@ class _CacheEntry:
     sites: tuple[int, ...]
     versions: dict[int, int]
     snaps: dict[int, Any]
-    #: Each cached site's fragment Log as last probed — the positional
-    #: anchor for O(delta) re-merges via :meth:`Log.fresh_since`.
+    #: Each cached site's fragment Log as last probed — the anchor for a
+    #: filtered union's per-entry delta via :meth:`Log.fresh_since`.
     logs: dict[int, Log]
     raw: Log
     best: Any
@@ -96,24 +97,23 @@ class QuorumViewCache:
                 self.hits += 1
                 return entry.filtered, entry.best
             self.delta_merges += 1
-            fresh: list = []
-            for probe in changed:
-                # O(delta): the fragment is a later version of the store
-                # we probed last time, so what is new is a slice of its
-                # arrivals.  A fragment on another store (snapshot
-                # install, restart, fork) is diffed whole.
-                fragment = probe.value[0]
-                chunk = fragment.fresh_since(entry.logs[probe.site])
-                fresh.extend(fragment.entry_set if chunk is None else chunk)
-            # ``extended`` skips what the union already holds and appends
-            # the rest to its own store, sorted order and grouping
-            # updated by insertion.  Every probed snapshot is the cached
-            # object, so the elected one is the cached ``best`` too.
+            # Every probed snapshot is the cached object, so the elected
+            # one is the cached ``best`` too.
             best = entry.best
-            raw = entry.raw.extended(fresh)
             if best is None:
+                raw = entry.raw
+                for probe in changed:
+                    raw = raw.extended(probe.value[0])
                 filtered = raw
             else:
+                # The filter is per entry: take each fragment's new ones,
+                # diffed whole when it left the table probed last time.
+                fresh: list = []
+                for probe in changed:
+                    fragment = probe.value[0]
+                    chunk = fragment.fresh_since(entry.logs[probe.site])
+                    fresh.extend(fragment.entry_set if chunk is None else chunk)
+                raw = entry.raw.extended(fresh)
                 filtered = entry.filtered.extended(
                     e for e in fresh if e.action not in best.dropped
                 )
@@ -179,10 +179,9 @@ class QuorumViewCache:
         if moved:
             del self._entries[object_name]
             return
-        # ``update`` is normally the next version of the cached union's
-        # own store (the view this cache handed out, plus the new
-        # entry), which ``extended`` adopts as is.  No snapshots anywhere
-        # in the entry, so nothing is filtered.
+        # ``update`` is normally the cached union plus the new entry, on
+        # the union's table, which ``extended`` adopts as is.  No
+        # snapshots anywhere in the entry, so nothing is filtered.
         entry.raw = entry.filtered = entry.raw.extended(update)
         entry.versions = versions
         self.write_throughs += 1

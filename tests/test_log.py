@@ -3,12 +3,13 @@
 import pickle
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import event, ok
-from repro.replication.log import EMPTY_LOG, Log, LogEntry, _Store
+from repro.replication.log import EMPTY_LOG, Log, LogEntry, _Table
 from repro.replication.repository import Repository
 from repro.resilience.recovery import SiteJournal
 from repro.txn.ids import ActionId
@@ -86,7 +87,7 @@ class TestMergeLaws:
 
 
 class TestExtensionLineage:
-    """fresh_since recovers exact deltas between versions of one store."""
+    """fresh_since recovers exact deltas between logs on one table."""
 
     def test_single_link_returns_the_fresh_entries(self):
         base = Log([_entry(1), _entry(2)])
@@ -109,14 +110,20 @@ class TestExtensionLineage:
         log = Log([_entry(1)])
         assert log.fresh_since(log) == ()
 
-    def test_merge_keeps_the_lineage(self):
-        base = Log([_entry(1)])
+    def test_a_union_lands_on_the_larger_table(self):
+        base = Log([_entry(1), _entry(4)])
         other = Log([_entry(2), _entry(3), _entry(1)])
         merged = base.merge(other)
-        delta = merged.fresh_since(base)
-        assert delta is not None
-        assert frozenset(delta) == {_entry(2), _entry(3)}
-        assert len(base) == 1 and len(other) == 3
+        # The smaller operand is re-expressed on the larger one's table:
+        # from there on the two lineages are one, and a delta is exact.
+        assert merged._table is other._table
+        assert merged.fresh_since(other) == (_entry(4),)
+        assert merged.fresh_since(base) is None  # base is on its own table
+        assert other.merge(base) == merged and other.merge(base)._table is other._table
+        assert len(base) == 2 and len(other) == 3
+        # Equal tables in size: the union stays on the left operand's.
+        left, right = Log([_entry(5)]), Log([_entry(6)])
+        assert left.merge(right)._table is left._table
 
     def test_unrelated_ancestor_returns_none(self):
         base = Log([_entry(1)])
@@ -153,24 +160,31 @@ class TestExtensionLineage:
         assert copied.fresh_since(base) is None  # lineage not shipped
 
 
-class TestSharedStore:
-    """One store per lineage: the head appends, everything else forks."""
+class TestSharedTable:
+    """One table per lineage: every version is a mask over it."""
 
-    def test_an_older_version_forks_and_nothing_it_shared_changes(self):
+    def test_versions_share_one_table_and_an_older_one_never_changes(self):
         base = Log([_entry(1), _entry(2)])
-        first = base.add(_entry(3))  # base was the head: appended in place
-        second = base.add(_entry(4))  # base no longer is: forks
-        assert first._store is base._store and second._store is not base._store
+        assert base.ordered() and base.entries_of(ActionId(1, 0))  # build both
+        first = base.add(_entry(3))
+        second = base.add(_entry(4))
+        assert first._table is base._table and second._table is base._table
+        union = first.merge(second).merge(Log([_entry(5)]))
+        assert union._table is base._table
+        assert union.entry_set == {_entry(c) for c in range(1, 6)}
         assert base.entry_set == {_entry(1), _entry(2)}
         assert first.entry_set == {_entry(1), _entry(2), _entry(3)}
         assert second.entry_set == {_entry(1), _entry(2), _entry(4)}
         assert _entry(3) not in base and _entry(3) not in second
-        assert second.fresh_since(base) is None  # callers fall back to sets
+        assert second.fresh_since(base) == (_entry(4),)
+        assert second.fresh_since(first) is None  # not a subset
+        assert base == Log([_entry(2), _entry(1)]) and base != first
         assert [e.ts.counter for e in base.ordered()] == [1, 2]
         assert base.max_entry() == _entry(2)
         assert base.entries_of(ActionId(1, 0)) == (_entry(1), _entry(2))
+        assert base.actions() == {ActionId(1, 0)} and len(base) == 2
 
-    def test_a_later_version_of_the_same_store_is_adopted(self):
+    def test_a_later_version_on_the_same_table_is_adopted(self):
         base = Log([_entry(1)])
         grown = base.add(_entry(2))
         assert base.extended(grown) is grown
@@ -194,11 +208,17 @@ class TestSharedStore:
         assert len(Log()) == 0 and len(EMPTY_LOG) == 0 and Log() == EMPTY_LOG
         assert list(EMPTY_LOG) == [] and EMPTY_LOG.max_entry() is None
 
-    def test_a_union_copy_does_not_take_over_the_other_logs_store(self):
+    def test_an_empty_log_adopts_and_sharing_is_safe(self):
         fragment = Log([_entry(1), _entry(2)])
+        assert Log().merge(fragment) is fragment
+        assert EMPTY_LOG.extended(fragment) is fragment
         union = Log().merge(fragment).merge(Log([_entry(3)]))
-        assert union._store is not fragment._store
-        assert fragment.add(_entry(4))._store is fragment._store  # still the head
+        grown = fragment.add(_entry(4))
+        assert union._table is fragment._table and grown._table is fragment._table
+        assert union.entry_set == {_entry(1), _entry(2), _entry(3)}
+        assert grown.entry_set == {_entry(1), _entry(2), _entry(4)}
+        assert fragment.entry_set == {_entry(1), _entry(2)}
+        assert _entry(4) not in union and _entry(3) not in grown
 
     def test_out_of_order_arrivals_keep_the_orders_sorted(self):
         log = Log([_entry(5, seq=1), _entry(9, seq=2)])
@@ -209,35 +229,40 @@ class TestSharedStore:
         assert [e.ts.counter for e in log.entries_of(ActionId(2, 0))] == [1, 9]
         assert log.max_entry() == _entry(9, seq=2)
 
-    def test_an_older_version_does_not_trust_the_heads_watermarks(self):
+    def test_an_older_version_unions_as_the_value_it_is(self):
         source = Log([_entry(7), _entry(8)])
         base = Log([_entry(1)])
-        grown = base.extended(source)  # the store now marks ``source`` absorbed
+        grown = base.extended(source)
         assert grown.extended(source) is grown
-        again = base.extended(source)  # ... which says nothing about ``base``
-        assert again == grown and again._store is not base._store
+        again = base.extended(source)
+        assert again == grown and again._table is source._table
         assert len(base) == 1
 
-    def test_watermark_examines_only_what_the_writer_added(self, monkeypatch):
-        examined = []
-        original = _Store.missing
+    def test_a_write_on_the_writers_table_hashes_no_entry(self, monkeypatch):
+        hashed = []
+        original = LogEntry.__hash__
 
-        def counting(self, candidates, n):
-            candidates = list(candidates)
-            examined.append(len(candidates))
-            return original(self, candidates, n)
+        def counting(self):
+            hashed.append(self)
+            return original(self)
 
+        repo = Repository(0)
+        repo.append_entry("obj", _entry(100))
         writer = Log([_entry(c) for c in range(1, 41)])
-        stored = Log([_entry(100)]).extended(writer)  # first contact: whole diff
-        monkeypatch.setattr(_Store, "missing", counting)
-        for counter in range(41, 61):
-            writer = writer.add(_entry(counter))
-            stored = stored.extended(writer)
-        assert len(stored) == 61
-        # Per round: the one-entry add, then the one-entry suffix of the
-        # writer's store — never the 40..60 entries shipped.
-        assert examined == [1, 1] * 20
-        assert stored.extended(writer) is stored and len(examined) == 40
+        later = [_entry(c) for c in range(41, 61)]
+        monkeypatch.setattr(LogEntry, "__hash__", counting)
+        # First contact: the stored entry moves to the writer's table.
+        repo.write_log("obj", writer)
+        assert hashed == [_entry(100)]
+        assert repo.peek_log("obj")._table is writer._table
+        for entry in later:
+            writer = writer.add(entry)
+            hashed.clear()
+            repo.write_log("obj", writer)  # one integer ``|``
+            assert hashed == []
+        stored = repo.peek_log("obj")
+        assert len(stored) == 61 and stored.extended(writer) is stored
+        assert hashed == []
 
 
 # -- model test: many live versions of many lineages ---------------------------
@@ -320,6 +345,50 @@ def test_versions_behave_as_immutable_sets_under_any_interleaving(steps):
                 assert frozenset(delta) == newer_held - older_held
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.lists(_ENTRY, min_size=1, max_size=6), min_size=2, max_size=5),
+    st.lists(st.tuples(_INDEX, _INDEX), min_size=1, max_size=10),
+)
+def test_unions_across_tables_land_on_the_larger_table(groups, pairs):
+    """Logs on several tables, unioned pairwise: each union is the
+    frozenset union, and lands on the larger operand's table — or is the
+    left operand itself when the right adds nothing."""
+    live = [(Log(group), frozenset(group)) for group in groups]
+    universe = set().union(*(held for _log, held in live))
+    for i, j in pairs:
+        (left, held), (right, other_held) = live[i % len(live)], live[j % len(live)]
+        larger = max(left._table, right._table, key=lambda table: len(table.arrival))
+        union = left.merge(right)
+        if other_held <= held:
+            assert union is left
+        else:
+            assert union._table is larger
+        live.append((union, held | other_held))
+    for log, held in live:
+        _assert_reads_agree(log, held, universe)
+
+
+@pytest.mark.parametrize("mechanism", ["hybrid", "blocking", "multiversion"])
+def test_lineages_converge_on_one_table(mechanism):
+    """After a fault-free run, every repository fragment and every cached
+    view of the object is a mask over one table."""
+    from repro.scenarios import runner
+
+    cluster, generator, names = runner.build_scenario(
+        "default", mechanism=mechanism, transactions=60
+    )
+    generator.run(60)
+    for name in names:
+        logs = [repo.peek_log(name) for repo in cluster.repositories]
+        for frontend in cluster.frontends:
+            cached = frontend.view_cache._entries.get(name)
+            if cached is not None:
+                logs += [cached.raw, cached.filtered]
+        assert len(logs) > len(cluster.repositories) and all(logs)
+        assert len({id(log._table) for log in logs}) == 1
+
+
 _REPO_STEP = st.one_of(
     st.tuples(st.just("send"), st.integers(0, 1), _ENTRY),  # the protocol's step
     st.tuples(st.just("grow"), st.integers(0, 1), _ENTRY),
@@ -374,15 +443,16 @@ def test_watermarks_never_skip_an_entry_across_snapshots_and_restarts(steps):
 
 def test_entries_touched_per_operation_do_not_grow_with_history(monkeypatch):
     """``default x multiversion``: the last quarter of 300 transactions
-    copies or re-diffs at most twice the first quarter's entries per
-    front-end operation, and the cluster starts a constant number of
-    stores.
+    touches at most twice the first quarter's entries per front-end
+    operation, builds no more ``entry_set``s, and the cluster starts one
+    table.
 
     Counts, not clocks: deterministic for the seed on any host.  Counted
-    where a log can touch entries wholesale — a store started from a
-    list (fork, copy), candidates diffed against a store, a whole-store
-    difference, a materialised ``entry_set``.  Copying the view per
-    version made every one of these grow with the log.
+    where a log can touch entries one by one — entries hashed into a
+    table's bits, entries walked by mask iteration or returned by
+    ``fresh_since``, a table started from a list — and every
+    materialised ``entry_set``.  Copying the view per version made the
+    touched entries grow with the log.
     """
     from repro.replication.frontend import FrontEnd
     from repro.scenarios import runner
@@ -391,42 +461,53 @@ def test_entries_touched_per_operation_do_not_grow_with_history(monkeypatch):
         "default", seed=0, mechanism="multiversion", transactions=300
     )
     touched_per_operation: list[int] = []
-    touched = stores = 0
-    start_store, missing, lacking = _Store.__init__, _Store.missing, _Store.lacking
+    sets_per_operation: list[int] = []
+    touched = tables = sets = 0
+    start_table, bits = _Table.__init__, _Table.bits
+    walk, fresh_since = Log._entries, Log.fresh_since
     entry_set, execute = Log.entry_set.fget, FrontEnd.execute
 
-    def counted_store(self, arrival):
-        nonlocal touched, stores
-        stores += 1
+    def counted_table(self, arrival):
+        nonlocal touched, tables
+        tables += 1
         touched += len(arrival)
-        start_store(self, arrival)
+        start_table(self, arrival)
 
-    def counted_missing(self, candidates, n):
+    def counted_bits(self, entries):
         nonlocal touched
-        candidates = list(candidates)
-        touched += len(candidates)
-        return missing(self, candidates, n)
+        entries = list(entries)
+        touched += len(entries)
+        return bits(self, entries)
 
-    def counted_lacking(self, source, upto):
+    def counted_walk(self):
         nonlocal touched
-        touched += len(source.pos)
-        return lacking(self, source, upto)
+        entries = list(walk(self))
+        touched += len(entries)
+        return iter(entries)
+
+    def counted_fresh_since(self, ancestor):
+        nonlocal touched
+        fresh = fresh_since(self, ancestor)
+        touched += len(fresh or ())
+        return fresh
 
     def counted_entry_set(self):
-        nonlocal touched
-        touched += len(self)
+        nonlocal sets
+        sets += 1
         return entry_set(self)
 
     def counted_execute(self, txn, object_name, invocation):
-        started = touched
+        started, built = touched, sets
         try:
             return execute(self, txn, object_name, invocation)
         finally:
             touched_per_operation.append(touched - started)
+            sets_per_operation.append(sets - built)
 
-    monkeypatch.setattr(_Store, "__init__", counted_store)
-    monkeypatch.setattr(_Store, "missing", counted_missing)
-    monkeypatch.setattr(_Store, "lacking", counted_lacking)
+    monkeypatch.setattr(_Table, "__init__", counted_table)
+    monkeypatch.setattr(_Table, "bits", counted_bits)
+    monkeypatch.setattr(Log, "_entries", counted_walk)
+    monkeypatch.setattr(Log, "fresh_since", counted_fresh_since)
     monkeypatch.setattr(Log, "entry_set", property(counted_entry_set))
     monkeypatch.setattr(FrontEnd, "execute", counted_execute)
     generator.run(300)
@@ -437,8 +518,7 @@ def test_entries_touched_per_operation_do_not_grow_with_history(monkeypatch):
     last = sum(touched_per_operation[-quarter:]) / quarter
     assert max(len(repo.peek_log("queue")) for repo in cluster.repositories) > 700
     assert 0 < last <= 2 * first, (first, last)
-    # One store per repository and per front-end cache that touched the
-    # object, plus the first operation's one-entry stores: never one per
-    # operation (942 here).
-    sites = len(cluster.repositories)
-    assert stores <= 4 * sites, stores
+    assert sum(sets_per_operation[-quarter:]) <= sum(sets_per_operation[:quarter])
+    # One table for the whole run, over 942 operations: every fragment
+    # and every view joins the first operation's.
+    assert tables == 1, tables

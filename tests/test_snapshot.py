@@ -157,3 +157,51 @@ class TestCompactionUnderWorkload:
         # replays anymore — still certifies the whole execution.
         checker = HybridAtomicity(obj.datatype, LegalityOracle(obj.datatype))
         assert checker.admits(obj.recorder.to_behavioral_history())
+
+
+class TestCompactionBoundsStorage:
+    """The same Queue workload with and without compaction after each
+    batch of 20 transactions (40 operations): compaction bounds what
+    every repository stores, and every entry table a log sits on."""
+
+    BATCHES = 8
+    TRANSACTIONS_PER_BATCH = 20
+
+    def _run(self, compaction: bool):
+        cluster, obj = queue_system("hybrid", seed=31)
+        mix = OperationMix.uniform("obj", obj.datatype.invocations())
+        generator = WorkloadGenerator(
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            mix,
+            ops_per_transaction=2,
+            concurrency=3,
+        )
+        sizes, tables = [], []
+        for _batch in range(self.BATCHES):
+            generator.run(self.TRANSACTIONS_PER_BATCH)
+            if compaction:
+                compact(cluster.network, cluster.repositories, obj, cluster.tm)
+            sizes.append(max(r.entry_count("obj") for r in cluster.repositories))
+            logs = [r.peek_log("obj") for r in cluster.repositories]
+            for frontend in cluster.frontends:
+                cached = frontend.view_cache._entries.get("obj")
+                if cached is not None:
+                    logs += [cached.raw, cached.filtered]
+            tables.append(max(len(log._table.arrival) for log in logs))
+        return obj, sizes, tables
+
+    def test_compaction_bounds_logs_and_tables(self):
+        _obj, plain_sizes, plain_tables = self._run(compaction=False)
+        obj, compacted_sizes, compacted_tables = self._run(compaction=True)
+        assert plain_sizes[-1] > 4 * max(1, compacted_sizes[-1])
+        assert all(size <= 6 for size in compacted_sizes)
+        # A compacted log starts a table of its own, so no table holds
+        # more than one batch's 40 entries; without compaction one table
+        # holds the whole history.
+        assert all(size <= 2 * self.TRANSACTIONS_PER_BATCH for size in compacted_tables)
+        assert plain_tables[-1] >= plain_sizes[-1] > 2 * self.TRANSACTIONS_PER_BATCH
+        # The compacted run's full execution record still certifies.
+        checker = HybridAtomicity(obj.datatype, LegalityOracle(obj.datatype))
+        assert checker.admits(obj.recorder.to_behavioral_history())
