@@ -101,8 +101,8 @@ class Forensics:
 
     ``spans`` is the offending span's subtree (root first, depth-first,
     truncated to :data:`SUBTREE_LIMIT` nodes); ``recent_events`` is the
-    tail of the point-event stream (crashes, partitions, repository
-    reads/writes) leading up to the violation.
+    tail of the point-event stream (crashes, partitions, recoveries,
+    reconfiguration switches) leading up to the violation.
     """
 
     spans: tuple[Span, ...] = ()
@@ -208,7 +208,10 @@ class InvariantMonitor:
     #: every name.  The auditor enters the hook for no other name.
     point_events: frozenset[str] | None = None
 
-    #: Whether :meth:`on_quorum` reads quorum spans.  Both declarations
+    #: The step-span names :meth:`on_step` reads; ``None`` = every step.
+    step_names: frozenset[str] | None = None
+
+    #: Whether :meth:`on_quorum` reads quorum spans.  Each declaration
     #: may be narrowed at :meth:`bind`, from the configuration pinned there.
     reads_quorums: bool = True
 
@@ -238,11 +241,15 @@ class InvariantMonitor:
     def on_transaction_end(self, span: Span, txn: "Transaction") -> None:
         """A transaction span closed (outcome ``committed``/``aborted``)."""
 
+    def on_step(self, span: Span) -> None:
+        """A protocol step closed, whatever its outcome; its ``served``
+        names the sites whose handler ran (see :func:`step_objects`)."""
+
     def on_quorum(self, span: Span) -> None:
-        """A quorum-phase span closed."""
+        """A quorum-phase span closed (after the step hooks saw it)."""
 
     def on_point_event(self, span: Span) -> None:
-        """A point event (crash, partition, repository read/write) fired."""
+        """A point event (crash, partition, reconfiguration switch) fired."""
 
     def on_clear(self) -> None:
         """The tracer was cleared: drop per-epoch state.
@@ -646,6 +653,15 @@ class TimestampOrderMonitor(InvariantMonitor):
 
 _BY_TS = attrgetter("ts.counter", "ts.site")  # Timestamp order, compared in C
 
+#: The steps that can add log entries at the sites they serve.
+WRITING_STEPS = frozenset({"quorum.final", "antientropy.sync", "reconfig.prime"})
+
+
+def step_objects(span: Span):
+    """The objects a step touched: an exchange's ``objects``, else its ``object``."""
+    objects = span.attrs.get("objects")
+    return (span.attrs.get("object"),) if objects is None else objects
+
 
 class LogConsistencyMonitor(InvariantMonitor):
     """Replica logs never conflict: one entry per Lamport timestamp.
@@ -655,8 +671,9 @@ class LogConsistencyMonitor(InvariantMonitor):
     object, each ``(counter, site)`` timestamp names at most one
     ``(action, event)`` entry across every repository.  The monitor
     folds every repository write into a per-object timestamp map
-    (incrementally, on ``repo.write`` events) and sweeps all
-    repositories once more at end of run.
+    (incrementally: each served site's log of each object a
+    :data:`WRITING_STEPS` span touched, when that step closes) and
+    sweeps all repositories once more at end of run.
 
     With ``window=W`` the canonical map becomes a sliding window over
     the W most recently first-seen timestamps per object.  Either way
@@ -668,7 +685,7 @@ class LogConsistencyMonitor(InvariantMonitor):
     """
 
     name = "log-consistency"
-    point_events = frozenset({"repo.write"})
+    step_names = WRITING_STEPS
 
     def __init__(self, *, window: int | None = None) -> None:
         super().__init__()
@@ -694,18 +711,14 @@ class LogConsistencyMonitor(InvariantMonitor):
             self._last_log
         )
 
-    def on_point_event(self, span: Span) -> None:
-        if span.site is None:
-            return
+    def on_step(self, span: Span) -> None:
         assert self.auditor is not None
         repositories = self.auditor.repositories
-        if not 0 <= span.site < len(repositories):
-            return
-        obj_name = span.attrs.get("object")
-        if obj_name is None:
-            return
-        repo = repositories[span.site]
-        self._scan(obj_name, repo.peek_log(obj_name), span.site, span)
+        objects = step_objects(span)
+        for site in span.attrs.get("served", ()):
+            repo = repositories[site]
+            for obj_name in objects:
+                self._scan(obj_name, repo.peek_log(obj_name), site, span)
 
     def at_end(self) -> None:
         assert self.auditor is not None
@@ -841,17 +854,18 @@ class PartialReplicationMonitor(InvariantMonitor):
     :class:`~repro.replication.keyspace.Placement` — object → holder
     sites — and then checks, online:
 
-    * every ``repo.read`` / ``repo.write`` point event fires at a
-      holder of the object (a read or write landing elsewhere means the
-      router leaked an operation off its replica set);
+    * every site a protocol step served — whatever the step's outcome —
+      holds every object the step touched (a read or write landing
+      elsewhere means the router leaked an operation off its replica
+      set);
     * every successful quorum — initial or final — is made up entirely
       of holder sites (a non-holder's ack must never help a quorum
       form).
 
     Like the other monitors it checks the configuration captured at
-    attach time.  Under full placement it reads nothing: a ``repo.*``
-    event fires at a repository and every quorum member is one, so
-    every site it could name is a holder.
+    attach time.  Under full placement it reads nothing: every served
+    site and every quorum member is a repository, so every site it
+    could name is a holder.
     """
 
     name = "genuine-partial-replication"
@@ -868,24 +882,22 @@ class PartialReplicationMonitor(InvariantMonitor):
             for name in placement.object_names()
         }
         partial = placement.is_partial
-        self.point_events = frozenset(("repo.read", "repo.write") if partial else ())
+        self.step_names = None if partial else frozenset()
         self.reads_quorums = partial
 
-    def on_point_event(self, span: Span) -> None:
-        if span.site is None:
-            return
-        obj_name = span.attrs.get("object")
-        holders = self._holders.get(obj_name) if obj_name is not None else None
-        if holders is None or span.site in holders:
-            return
-        verb = "served a read of" if span.name == "repo.read" else "accepted a write of"
-        self.report(
-            f"site {span.site} {verb} {obj_name!r} but its replica set is "
-            f"{sorted(holders)} — the operation was routed to a non-holding "
-            "site (genuine partial replication broken)",
-            span=span,
-            object_name=obj_name,
-        )
+    def on_step(self, span: Span) -> None:
+        verb = "accepted a write of" if span.name in WRITING_STEPS else "served a read of"
+        for obj_name in step_objects(span):
+            holders = self._holders.get(obj_name, ())
+            for site in span.attrs.get("served", ()) if holders else ():
+                if site not in holders:
+                    self.report(
+                        f"site {site} {verb} {obj_name!r} but its replica set is "
+                        f"{sorted(holders)} — the operation was routed to a "
+                        "non-holding site (genuine partial replication broken)",
+                        span=span,
+                        object_name=obj_name,
+                    )
 
     def on_quorum(self, span: Span) -> None:
         if span.outcome != "ok" or "quorum" not in span.attrs:
@@ -1105,9 +1117,12 @@ class Auditor(TraceListener):
     ring-retention tracer for a fully bounded pipeline.
     """
 
-    #: ``rpc`` spans (two in five of a run's closes) and anything else no
-    #: monitor has a hook for stay with the tracer.
-    span_kinds = frozenset({"operation", "transaction", "quorum", "event"})
+    #: What some monitor has a hook for: the protocol steps (``quorum``,
+    #: ``sync``, ``reconfig``, ``compaction``), operations, transactions
+    #: and point events.
+    span_kinds = frozenset(
+        {"operation", "transaction", "quorum", "sync", "reconfig", "compaction", "event"}
+    )
 
     def __init__(
         self,
@@ -1161,8 +1176,8 @@ class Auditor(TraceListener):
         for monitor in self._monitors:
             monitor.bind(self)
         # Per-hook dispatch lists: a monitor is entered only for the hooks
-        # it (or a parent, through the MRO) implements and, for quorums and
-        # point events, only for what it declared at bind that it reads.
+        # it (or a parent, through the MRO) implements and, for steps,
+        # quorums and point events, only for what it declared it reads.
         def _overriding(hook: str) -> tuple:
             return tuple(
                 monitor
@@ -1179,6 +1194,10 @@ class Auditor(TraceListener):
         self._point_event_hooks, self._point_event_hooks_rest = routing_table(
             (monitor.point_events, monitor.on_point_event)
             for monitor in _overriding("on_point_event")
+        )
+        self._step_hooks, self._step_hooks_rest = routing_table(
+            (monitor.step_names, monitor.on_step)
+            for monitor in _overriding("on_step")
         )
         tracer.add_listener(self)
 
@@ -1273,13 +1292,16 @@ class Auditor(TraceListener):
                 span.name, self._point_event_hooks_rest
             ):
                 hook(span)
-        elif kind == "quorum":
-            for monitor in self._quorum_monitors:
-                monitor.on_quorum(span)
         elif kind == "operation":
             self._operation_closed(span)
         elif kind == "transaction":
             self._transaction_closed(span)
+        else:  # a protocol step: its sites first, then a quorum's members
+            for hook in self._step_hooks.get(span.name, self._step_hooks_rest):
+                hook(span)
+            if kind == "quorum":
+                for monitor in self._quorum_monitors:
+                    monitor.on_quorum(span)
 
     def on_clear(self) -> None:
         """The tracer was cleared: reset per-epoch auditor state.

@@ -53,14 +53,19 @@ def parse_jsonl(text: str) -> list[Span]:
 # -- human-readable tree ----------------------------------------------------
 
 
+def _ordered(value):
+    """A set sorted; a sequence (a step's ``served``) keeps its own order."""
+    return sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
+
+
 def _attr_text(span: Span) -> str:
     if not span.attrs:
         return ""
     parts = []
     for key in sorted(span.attrs):
-        value = span.attrs[key]
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = "[" + ",".join(str(v) for v in sorted(value, key=str)) + "]"
+        value = _ordered(span.attrs[key])
+        if isinstance(value, (list, tuple)):
+            value = "[" + ",".join(map(str, value)) + "]"
         parts.append(f"{key}={value}")
     return " " + " ".join(parts)
 
@@ -112,8 +117,9 @@ def _chrome_event(span: Span) -> dict:
     tid = span.site if span.site is not None else -1
     args = {"outcome": span.outcome, "span_id": span.span_id}
     for key, value in span.attrs.items():
-        if isinstance(value, (list, tuple, set, frozenset)):
-            value = [str(v) for v in sorted(value, key=str)]
+        value = _ordered(value)
+        if isinstance(value, (list, tuple)):
+            value = [str(v) for v in value]
         args[key] = value
     base = {
         "name": span.name,

@@ -244,24 +244,3 @@ class MetricsRegistry:
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
-
-def retention_gauges(registry: MetricsRegistry, tracer=None) -> dict[str, int]:
-    """Stamp the span-retention gauges into ``registry``.
-
-    With a tracer, reads that tracer's ``retained_spans`` /
-    ``peak_retained``; without one, falls back to the process-wide
-    aggregates (every live tracer plus the historical peak), which is
-    what benchmark environment blocks want.  Returns the values stamped
-    as ``{"obs.retained_spans": ..., "obs.peak_retained": ...}``.
-    """
-    if tracer is not None:
-        retained = int(getattr(tracer, "retained_spans", 0))
-        peak = int(getattr(tracer, "peak_retained", 0))
-    else:
-        from repro.obs.trace import process_peak_retained, process_retained_spans
-
-        retained = process_retained_spans()
-        peak = process_peak_retained()
-    registry.gauge("obs.retained_spans").set(retained)
-    registry.gauge("obs.peak_retained").set(peak)
-    return {"obs.retained_spans": retained, "obs.peak_retained": peak}

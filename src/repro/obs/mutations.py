@@ -140,7 +140,7 @@ def diverge_logs(cluster) -> str:
     forged at the *same* Lamport timestamp as the newest stored entry
     but with a different response — two replicas (or one replica's own
     log) now disagree about what happened at that timestamp, which the
-    log-consistency monitor detects on the next write or final sweep.
+    log-consistency monitor detects at that step's close or final sweep.
     """
     repo = cluster.repositories[0]
     original = repo.write_log
@@ -174,7 +174,7 @@ def misroute_shard(cluster) -> str:
     the *front*, so the very next operation on any such object probes —
     and, because storage is permissive, logs at — a site that was never
     assigned the shard.  The genuine-partial-replication monitor flags
-    the stray read/write event and the polluted quorum.
+    the step that served the stray site and the polluted quorum.
 
     Requires a sharded keyspace: raises
     :class:`~repro.errors.SpecificationError` on a fully replicated

@@ -1,9 +1,12 @@
 """Hierarchical span tracing over simulated time.
 
 A :class:`Tracer` records what the replicated system *did* as a tree of
-spans — transaction → operation → quorum phase → per-repository RPC —
-each stamped with simulated start/end times and structured attributes
-(quorum used, view timestamp, conflict kind).  Instrumented layers hold
+spans — transaction → operation → quorum phase — each stamped with
+simulated start/end times and structured attributes (quorum used, view
+timestamp, conflict kind).  A protocol step that reaches repositories
+(a quorum phase, an anti-entropy exchange, a reconfiguration phase, a
+compaction) is one span naming the sites it attempted and served; a
+single RPC leg records nothing.  Instrumented layers hold
 a tracer reference and call it unconditionally; the default
 :data:`NULL_TRACER` makes every call a no-op so untraced runs pay
 essentially nothing.
@@ -29,7 +32,8 @@ time, deterministic per seed.
 auditor, the stream exporters) see every span of the kinds they read
 regardless (:attr:`TraceListener.span_kinds`; unstated = all of them);
 retention only controls what the tracer itself keeps for
-after-the-fact inspection (``spans``, ``walk``, forensics):
+after-the-fact inspection (``spans``, forensics,
+:func:`~repro.obs.export.walk_forest`):
 
 * ``retention="all"`` — keep everything (the default; exact PR-1
   behavior, memory grows with the run);
@@ -47,7 +51,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 
 #: Exception-class-name → span outcome, used when a ``with tracer.span``
@@ -99,7 +103,7 @@ class Span:
     span_id: int
     parent_id: int | None
     name: str
-    #: Coarse role: "transaction", "operation", "quorum", "rpc", "event", ...
+    #: Coarse role: "transaction", "operation", "quorum", "sync", "event", ...
     kind: str
     start: float
     end: float | None = None
@@ -375,17 +379,6 @@ class Tracer:
             self, self.start_span(name, kind=kind, parent=parent, site=site, **attrs)
         )
 
-    def under(self, span: Span, fn: Callable[[Any], Any], arg: Any) -> Any:
-        """``fn(arg)`` with ``span``, left open, as the implicit parent:
-        a batched probe's handler events parent under its manual span."""
-        stack = self._stack
-        stack.append(span)
-        try:
-            return fn(arg)
-        finally:
-            if stack:  # empty when fn cleared the tracer
-                stack.pop()
-
     def event(self, name: str, *, site: int | None = None, **attrs: Any) -> Span:
         """A point-in-time marker (crash, recovery, async delivery, ...)."""
         span = self.start_span(name, kind="event", site=site, **attrs)
@@ -413,30 +406,6 @@ class Tracer:
     def children_of(self, span: Span | None) -> tuple[Span, ...]:
         parent_id = None if span is None else span.span_id
         return tuple(s for s in self._spans if s.parent_id == parent_id)
-
-    def roots(self) -> tuple[Span, ...]:
-        """Spans with no retained parent, in start order."""
-        ids = {span.span_id for span in self._spans}
-        return tuple(
-            span
-            for span in self._spans
-            if span.parent_id is None or span.parent_id not in ids
-        )
-
-    def walk(self) -> Iterator[tuple[Span, int]]:
-        """Depth-first (span, depth) pairs over the retained forest."""
-        by_parent: dict[int | None, list[Span]] = {}
-        ids = {span.span_id for span in self._spans}
-        for span in self._spans:
-            key = span.parent_id if span.parent_id in ids else None
-            by_parent.setdefault(key, []).append(span)
-
-        def visit(parent_key: int | None, depth: int) -> Iterator[tuple[Span, int]]:
-            for span in by_parent.get(parent_key, ()):
-                yield span, depth
-                yield from visit(span.span_id, depth + 1)
-
-        yield from visit(None, 0)
 
     def clear(self) -> None:
         """Drop retained spans and reset the context stack.
@@ -478,8 +447,8 @@ class NullTracer(Tracer):
 
     ``span`` returns the process-wide :data:`NULL_SPAN_CONTEXT`
     singleton, so a disabled tracer allocates nothing per call: every
-    ``with tracer.span(...)`` on the hot RPC path reuses one shared
-    context manager instead of constructing a fresh object per probe.
+    ``with tracer.span(...)`` on the hot quorum path reuses one shared
+    context manager instead of constructing a fresh object per step.
     """
 
     enabled = False
@@ -495,9 +464,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **_kw: Any) -> _NullSpanContext:
         return NULL_SPAN_CONTEXT
-
-    def under(self, span: Span, fn: Callable[[Any], Any], arg: Any) -> Any:
-        return fn(arg)
 
     def event(self, name: str, **_kw: Any) -> Span:
         return NULL_SPAN

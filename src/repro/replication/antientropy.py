@@ -97,47 +97,63 @@ class AntiEntropy:
         Each direction is a normal network request and can time out
         (crash, partition, or message loss on the fabric); a
         half-completed exchange is harmless (merge is monotone), and a
-        timeout simply returns ``False`` — never raises.
+        timeout simply returns ``False`` — never raises.  The exchange is
+        one ``antientropy.sync`` span (kind ``sync``, at ``first``) with
+        the ``peer``, the ``objects`` merged, ``attempted`` ``[first,
+        second]`` (``first`` needs no message) and ``served``, which
+        names the peer once a request leg reached it.
         """
         repo_a, repo_b = self.repositories[first], self.repositories[second]
+        request = self.network.request
+        served, exchanged = [first], []
         try:
-            # Digest exchange: learn what the peer stores (and probe
-            # reachability) before shipping logs.
-            peer_objects = self.network.request(
-                first, second, repo_b.stored_objects
-            )
-            objects = set(repo_a.stored_objects()) | set(peer_objects)
-            for name in sorted(objects):
-                # Genuine partial replication: only reconcile shards
-                # both sites are assigned (always true when fully
-                # replicated, where ``holds`` is vacuous).
-                if not (repo_a.holds(name) and repo_b.holds(name)):
-                    self.cross_shard_skips += 1
-                    continue
-                # Spread compaction snapshots first, so neither side
-                # re-admits entries the other has already folded.
-                snap_b = self.network.request(
-                    first, second, lambda n=name: repo_b.read_snapshot(n)
-                )
-                snap_a = repo_a.read_snapshot(name)
-                if snap_b is not None and snap_b.subsumes(snap_a):
-                    repo_a.install_snapshot(name, snap_b)
-                elif snap_a is not None:
-                    self.network.request(
-                        first,
-                        second,
-                        lambda n=name, s=snap_a: repo_b.install_snapshot(n, s),
+            with self.network.tracer.span(
+                "antientropy.sync", kind="sync", site=first, peer=second
+            ) as span:
+                try:
+                    # Digest exchange: learn what the peer stores (and
+                    # probe reachability) before shipping logs.
+                    peer_objects = request(first, second, repo_b.stored_objects)
+                    served.append(second)
+                    objects = set(repo_a.stored_objects()) | set(peer_objects)
+                    for name in sorted(objects):
+                        # Genuine partial replication: only reconcile
+                        # shards both sites are assigned (always true when
+                        # fully replicated, where ``holds`` is vacuous).
+                        if not (repo_a.holds(name) and repo_b.holds(name)):
+                            self.cross_shard_skips += 1
+                            continue
+                        # Spread compaction snapshots first, so neither
+                        # side re-admits entries the other has folded.
+                        snap_b = request(
+                            first, second, lambda n=name: repo_b.read_snapshot(n)
+                        )
+                        snap_a = repo_a.read_snapshot(name)
+                        if snap_b is not None and snap_b.subsumes(snap_a):
+                            repo_a.install_snapshot(name, snap_b)
+                        elif snap_a is not None:
+                            request(
+                                first,
+                                second,
+                                lambda n=name, s=snap_a: repo_b.install_snapshot(n, s),
+                            )
+                        log_b = request(first, second, lambda n=name: repo_b.read_log(n))
+                        merged = repo_a.read_log(name).merge(log_b)
+                        repo_a.write_log(name, merged)
+                        exchanged.append(name)
+                        request(
+                            first,
+                            second,
+                            lambda n=name, m=merged: repo_b.write_log(n, m),
+                        )
+                except Timeout as lost:
+                    if lost.served and len(served) == 1:
+                        served.append(second)
+                    raise
+                finally:
+                    span.annotate(
+                        attempted=[first, second], served=served, objects=exchanged
                     )
-                log_b = self.network.request(
-                    first, second, lambda n=name: repo_b.read_log(n)
-                )
-                merged = repo_a.read_log(name).merge(log_b)
-                repo_a.write_log(name, merged)
-                self.network.request(
-                    first,
-                    second,
-                    lambda n=name, m=merged: repo_b.write_log(n, m),
-                )
         except Timeout:
             return False
         self.exchanges += 1

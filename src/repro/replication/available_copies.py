@@ -19,6 +19,7 @@ combined history can fail to be serializable.
 The comparison benchmark drives the same partitioned workload through
 available copies (anomaly: a FIFO queue item dequeued twice) and through
 quorum consensus (minority side unavailable, history stays atomic).
+The baseline is never audited, so its requests record no step span.
 """
 
 from __future__ import annotations

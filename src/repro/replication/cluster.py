@@ -220,9 +220,7 @@ def build_keyspace(
         drop_probability=drop_probability,
         tracer=tracer,
     )
-    repositories = tuple(
-        Repository(site, tracer=tracer) for site in range(n_sites)
-    )
+    repositories = tuple(Repository(site) for site in range(n_sites))
     for repo in repositories:
         repo.assign_shards(placement.shards_of(repo.site))
     tm = TransactionManager(tracer=tracer)

@@ -144,10 +144,10 @@ class FrontEnd:
         :meth:`execute_outcome` to receive it as a result instead).
 
         Each call is one ``operation`` span, parented under the
-        transaction's span, with ``quorum`` phase and per-repository
-        ``rpc`` spans nested beneath it (one ``quorum`` span per retry
-        attempt); a degraded call closes its span with outcome
-        ``"degraded"``.
+        transaction's span, with its ``quorum`` phase spans nested
+        beneath it (one per retry attempt), each naming the sites it
+        ``attempted`` and the ones that ``served`` it; a degraded call
+        closes its span with outcome ``"degraded"``.
         """
         if not self.tracer.enabled:
             # Untraced hot path: skip the span kwargs (txn stringification,
@@ -397,6 +397,10 @@ class FrontEnd:
             stop=coterie.has_quorum,
         )
         responders = outcome.responders
+        if span is not None:
+            span.annotate(
+                attempted=list(outcome.attempted), served=list(outcome.served)
+            )
         if not coterie.has_quorum(responders):
             missing = self._replica_set(obj) - responders
             if span is not None:
@@ -450,6 +454,10 @@ class FrontEnd:
             stop=coterie.has_quorum,
         )
         acks = outcome.responders
+        if span is not None:
+            span.annotate(
+                attempted=list(outcome.attempted), served=list(outcome.served)
+            )
         if not coterie.has_quorum(acks):
             missing = self._replica_set(obj) - acks
             if span is not None:

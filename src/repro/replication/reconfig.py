@@ -38,7 +38,8 @@ the live sites contain no transversal the reconfiguration raises
 The module predates the keyspace (PR 6) and observability (PR 2/7)
 layers; it is now placement-aware — the hand-over walks only the
 object's replica set, so genuine partial replication is preserved — and
-instrumented: ``reconfig.drain`` / ``reconfig.prime`` spans, the
+instrumented: ``reconfig.drain`` / ``reconfig.prime`` spans (each
+naming the sites it ``attempted`` and that ``served`` it), the
 ``reconfig.switch`` point event, and ``reconfig.attempts`` /
 ``reconfig.success`` / ``reconfig.aborted`` / ``reconfig.noop``
 counters when a :class:`~repro.obs.metrics.MetricsRegistry` is passed.
@@ -341,6 +342,7 @@ def reconfigure(
                     order(old_finals),
                     obj.name,
                     hits_every(old_finals),
+                    phase,
                 )
                 _conclude(phase, drained, reached, pool, entries=len(merged))
             # Phase 2: prime — install the complete view (snapshot first,
@@ -358,6 +360,7 @@ def reconfigure(
                         repository, obj.name, best_snapshot, merged
                     ),
                     hits_every(new_initials),
+                    phase,
                 )
                 _conclude(phase, primed, acked.keys(), pool)
         except UnavailableError:

@@ -17,6 +17,9 @@ version counters — by :meth:`restart` replaying checkpoint + journal.
 Beside the class live the two one-request-at-a-time *walks* over a set
 of repositories (:func:`walk`, :func:`read_walk`): the per-site request
 loop reconfiguration and compaction share.
+
+A repository records no trace: the protocol step that reached it names
+it in its span's ``served``, and the auditor reads its logs at that close.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import SimulationError
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Span
 from repro.replication.log import EMPTY_LOG, Log, LogEntry
 from repro.sim.network import Network, Timeout
 
@@ -35,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Repository:
     """Stable per-site log storage, addressed through the network fabric."""
 
-    def __init__(self, site: int, *, tracer: Tracer | None = None):
+    def __init__(self, site: int):
         self.site = site
         self._logs: dict[str, Log] = {}
         #: Compacted prefixes, per object (see repro.replication.snapshot).
@@ -59,7 +62,6 @@ class Repository:
         self.shards: set[str] | None = None
         self.reads_served = 0
         self.writes_served = 0
-        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # -- shard assignment ----------------------------------------------------
 
@@ -85,14 +87,13 @@ class Repository:
         return version
 
     def read_log(self, object_name: str) -> Log:
-        """Serve this repository's fragment of an object's log."""
+        """Serve this repository's fragment of an object's log.
+
+        Records nothing: the step that sent the read names this site in
+        its span's ``served``.
+        """
         self.reads_served += 1
-        log = self._logs.get(object_name, EMPTY_LOG)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "repo.read", site=self.site, object=object_name, entries=len(log)
-            )
-        return log
+        return self._logs.get(object_name, EMPTY_LOG)
 
     def write_log(self, object_name: str, update: Log) -> int:
         """Merge a view written by a front-end into stable storage.
@@ -100,10 +101,11 @@ class Repository:
         Entries already folded into this repository's snapshot are not
         re-admitted (a stale writer may ship them back).  Returns the
         post-write log version, so batched writers can refresh their
-        merge caches from the ack alone.
+        merge caches from the ack alone.  Records nothing: the step that
+        sent the write names this site in its span's ``served``, and the
+        auditor scans the merged log when that step closes.
         """
         self.writes_served += 1
-        incoming = len(update)
         snapshot = self._snapshots.get(object_name)
         current = self._logs.get(object_name, EMPTY_LOG)
         if snapshot is None:
@@ -120,23 +122,13 @@ class Repository:
             self._bump(object_name)
             if self.journal is not None:
                 self.journal.record_log(object_name, merged)
-        # Emitted after the merge so trace listeners (the online auditor)
-        # observe the repository's post-write log state.
-        if self.tracer.enabled:
-            self.tracer.event(
-                "repo.write",
-                site=self.site,
-                object=object_name,
-                entries=incoming,
-            )
         return self._versions.get(object_name, 0)
 
     def peek_log(self, object_name: str) -> Log:
         """Inspect a stored log without counting a served read.
 
         Observability-only accessor: the auditor's log-consistency
-        monitor uses it so auditing never perturbs ``reads_served`` or
-        emits ``repo.read`` events of its own.
+        monitor uses it so auditing never perturbs ``reads_served``.
         """
         return self._logs.get(object_name, EMPTY_LOG)
 
@@ -240,6 +232,7 @@ def walk(
     order: Iterable[int],
     serve: Callable[[Repository], object],
     enough: Callable[[frozenset[int]], bool],
+    span: Span | None = None,
 ) -> tuple[bool, dict[int, object]]:
     """Visit repositories one request at a time until ``enough`` are reached.
 
@@ -253,20 +246,33 @@ def walk(
     reached sites off the reply keys; :func:`read_walk` is the read side.
 
     Returns ``(satisfied, replies)``: whether ``enough`` was met, and
-    what each reached site served, in visit order.
+    what each reached site served, in visit order.  ``span`` is the
+    calling step's: the sites the walk attempted, and those whose
+    ``serve`` ran (a lost reply included), join its ``attempted`` and
+    ``served`` attributes in visit order, each site named once however
+    many walks of the step visit it.
     """
     replies: dict[int, object] = {}
+    attempted: list[int] = []
+    served: list[int] = []
     satisfied = enough(frozenset())
     for site in order:
         if satisfied:
             break
+        attempted.append(site)
         try:
             replies[site] = network.request(
                 origin, site, lambda s=site: serve(repositories[s])
             )
-        except Timeout:
+        except Timeout as lost:
+            if lost.served:
+                served.append(site)
             continue
+        served.append(site)
         satisfied = enough(frozenset(replies))
+    if span is not None:
+        for key, sites in (("attempted", attempted), ("served", served)):
+            span.annotate(**{key: list(dict.fromkeys((*span.attrs.get(key, ()), *sites)))})
     return satisfied, replies
 
 
@@ -277,6 +283,7 @@ def read_walk(
     order: Iterable[int],
     object_name: str,
     enough: Callable[[frozenset[int]], bool],
+    span: Span | None = None,
 ) -> tuple[bool, frozenset[int], Log, object]:
     """Merge an object's log fragments from the sites a :func:`walk` reaches.
 
@@ -297,6 +304,7 @@ def read_walk(
             repository.read_snapshot(object_name),
         ),
         enough,
+        span,
     )
     merged, best = Log(), None
     for fragment, snapshot in replies.values():

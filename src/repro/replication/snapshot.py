@@ -183,6 +183,8 @@ def compact(
     Raises :class:`UnavailableError` when the live sites cannot drain
     every final coterie, and :class:`SpecificationError` for objects
     whose scheme does not serialize in commit order.
+    Drain and installation are one ``compaction`` span on the network's
+    tracer, naming the sites both walks ``attempted`` and ``served``.
     """
     if obj.cc.serialization_order != "commit":
         raise SpecificationError(
@@ -195,23 +197,28 @@ def compact(
     start = pool.index(coordinator_site) if coordinator_site in pool else 0
     order = [pool[(start + offset) % len(pool)] for offset in range(len(pool))]
 
-    drained, reached, merged, best_base = read_walk(
-        network, repositories, coordinator_site, order, obj.name, hits_every(finals)
-    )
-    if not drained:
-        raise UnavailableError("compact", frozenset(pool) - reached)
+    with network.tracer.span(
+        "compaction", kind="compaction", object=obj.name, site=coordinator_site
+    ) as span:
+        drained, reached, merged, best_base = read_walk(
+            network, repositories, coordinator_site, order, obj.name,
+            hits_every(finals), span,
+        )
+        if not drained:
+            raise UnavailableError("compact", frozenset(pool) - reached)
 
-    # ``merged`` holds nothing the base already covers or discards.
-    snapshot = build_snapshot(obj, merged, statuses, best_base)
-    if snapshot is None:
-        return None
-    # Install wherever reachable: no site set is ever enough to stop early.
-    walk(
-        network,
-        repositories,
-        coordinator_site,
-        order,
-        lambda repository: repository.install_snapshot(obj.name, snapshot),
-        lambda _reached: False,
-    )
-    return snapshot
+        # ``merged`` holds nothing the base already covers or discards.
+        snapshot = build_snapshot(obj, merged, statuses, best_base)
+        if snapshot is None:
+            return None
+        # Install wherever reachable: no site set is ever enough to stop.
+        walk(
+            network,
+            repositories,
+            coordinator_site,
+            order,
+            lambda repository: repository.install_snapshot(obj.name, snapshot),
+            lambda _reached: False,
+            span,
+        )
+        return snapshot

@@ -28,7 +28,8 @@ partition the functioning sites into groups that cannot reach each other
   kernel, used by failure injectors and background anti-entropy.
 
 All styles draw from the simulator's seeded RNG, so behaviour is
-deterministic per seed.
+deterministic per seed.  No style records a span: the protocol step
+calling it is the span, naming the sites it attempted and served.
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ class GatherResult:
     """Outcome of a batched :meth:`Network.gather` round.
 
     ``attempted`` is launch order — the caller's visit order — and
-    ``received`` holds the successful probes in that same order, as the
-    reply legs delivered them; ``responders`` are their sites.
+    ``served`` those whose request leg arrived (their handler ran), in
+    that order; ``received`` holds the successful probes in that same
+    order, as the reply legs delivered them; ``responders`` are their
+    sites.  ``attempted − served`` lost the request leg, ``served −
+    responders`` the reply leg.
     """
 
     attempted: tuple[int, ...]
+    served: tuple[int, ...]
     failed: frozenset[int]
     responders: frozenset[int]
     received: tuple[ProbeReply, ...]
@@ -88,11 +93,12 @@ class GatherResult:
 
 
 class Timeout(Exception):
-    """An RPC got no response: lost message, crash, or partition."""
+    """An RPC got no response; ``served`` if only its reply leg was lost."""
 
-    def __init__(self, destination: int):
+    def __init__(self, destination: int, served: bool = False):
         super().__init__(f"no response from site {destination}")
         self.destination = destination
+        self.served = served
 
 
 class Network:
@@ -251,15 +257,8 @@ class Network:
 
         Charges two message latencies; raises :class:`Timeout` when the
         destination is unreachable or either direction loses the message.
-        Each round trip is one ``rpc`` span (homed at the destination
-        repository) when tracing is on.
+        It records no span: the calling step's names the sites it served.
         """
-        if self.tracer.enabled:
-            with self.tracer.span("rpc", kind="rpc", site=dst, src=src, dst=dst):
-                return self._round_trip(src, dst, handler)
-        return self._round_trip(src, dst, handler)
-
-    def _round_trip(self, src: int, dst: int, handler: Callable[[], Any]) -> Any:
         self.messages_sent += 1
         self.sim.advance(self.latency)
         self.sim.drain()  # apply failures due while the message travelled
@@ -272,7 +271,7 @@ class Network:
         self.sim.drain()
         if not self._reachable(dst, src) or self._lost():
             self.messages_dropped += 1
-            raise Timeout(dst)
+            raise Timeout(dst, served=True)
         return result
 
     def gather(
@@ -307,17 +306,16 @@ class Network:
         checked against crash/partition/loss state at arrival time (so
         failures due while the message travelled apply first), the
         handler runs at the destination at arrival time, and its side
-        effects survive a lost reply leg.  Each probe is one ``rpc``
-        span when tracing is on, with the handler's own events parented
-        beneath it.
+        effects survive a lost reply leg.  No probe records a span: the
+        result's ``attempted`` and ``served`` are what the calling
+        quorum span names.
         """
         order = tuple(dsts)
         sim = self.sim
-        tracer = self.tracer
         reached: set[int] = set()
         failed: set[int] = set()
+        unserved: set[int] = set()
         received: list[ProbeReply] = []
-        spans: dict[int, Any] = {}
         idx = 0
         while idx < len(order) and (stop is None or not stop(reached)):
             first = idx
@@ -330,41 +328,35 @@ class Network:
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
             self.messages_sent += len(wave)
-            if tracer.enabled:
-                for dst in wave:
-                    spans[dst] = tracer.start_span(
-                        "rpc", kind="rpc", site=dst, src=src, dst=dst, batched=True
-                    )
             # Each leg runs in place, after the events due before it; the
             # closing run fires what is left due at the reply instant.
             lost = len(failed)
             pending: list[ProbeReply] = []
             sim.reach(
-                arrive_at, self._arrive, src, wave, handler, spans, pending, failed,
-                reply_at,
+                arrive_at, self._arrive, src, wave, handler, pending, failed,
+                unserved, reply_at,
             )
             if pending:
-                sim.reach(reply_at, self._deliver, src, pending, spans, received, failed)
+                sim.reach(reply_at, self._deliver, src, pending, received, failed)
             sim.run(until=reply_at)
             if len(failed) == lost:
                 break
             reached.difference_update(failed)
+        attempted = served = order[:idx]
+        if unserved:
+            served = tuple(site for site in attempted if site not in unserved)
         return GatherResult(
-            attempted=order[:idx],
-            failed=frozenset(failed),
-            responders=frozenset(reached),
-            received=tuple(received),
+            attempted, served, frozenset(failed), frozenset(reached), tuple(received)
         )
 
     def _arrive(
         self, src: int, wave: tuple[int, ...], handler: Callable[[int], Any],
-        spans: dict[int, Any], pending: list[ProbeReply], failed: set[int],
+        pending: list[ProbeReply], failed: set[int], unserved: set[int],
         reply_at: float,
     ) -> None:
-        """A wave's request leg: a lost probe's span closes as ``timeout``;
-        a survivor runs ``handler`` under its span and queues its reply,
-        stamped with the instant the reply leg lands."""
-        tracer = self.tracer
+        """A wave's request leg: a lost probe is failed and unserved; a
+        survivor runs ``handler`` and queues its reply, stamped with the
+        instant the reply leg lands."""
         new = tuple.__new__  # ProbeReply's own constructor, minus its frame
         for dst in wave:
             # With nothing crashed, cut or lossy, every probe gets through
@@ -374,19 +366,16 @@ class Network:
             ):
                 self.messages_dropped += 1
                 failed.add(dst)
-                if spans:
-                    tracer.end_span(spans[dst], "timeout")
+                unserved.add(dst)
                 continue
-            value = tracer.under(spans[dst], handler, dst) if spans else handler(dst)
-            pending.append(new(ProbeReply, (dst, value, reply_at)))
+            pending.append(new(ProbeReply, (dst, handler(dst), reply_at)))
             self.messages_sent += 1
 
     def _deliver(
-        self, src: int, pending: list[ProbeReply], spans: dict[int, Any],
-        received: list[ProbeReply], failed: set[int],
+        self, src: int, pending: list[ProbeReply], received: list[ProbeReply],
+        failed: set[int],
     ) -> None:
         """A wave's reply leg: each queued reply lands or is lost."""
-        tracer = self.tracer
         for reply in pending:
             dst = reply.site
             if (self._crashed or self._groups or self.drop_probability) and (
@@ -394,12 +383,8 @@ class Network:
             ):
                 self.messages_dropped += 1
                 failed.add(dst)
-                if spans:
-                    tracer.end_span(spans[dst], "timeout")
                 continue
             received.append(reply)
-            if spans:
-                tracer.end_span(spans[dst])
 
     def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
         """Asynchronous one-way message through the event queue."""

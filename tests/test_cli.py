@@ -28,7 +28,7 @@ class TestTrace:
         assert "transaction " in out
         assert "  operation " in out
         assert "    quorum." in out
-        assert "      rpc " in out
+        assert "served=[" in out and "      rpc " not in out
 
     def test_chrome_format_is_loadable_json(self, capsys):
         code, out = run_cli(["trace", *WORKLOAD, "--format", "chrome"], capsys)
@@ -392,17 +392,20 @@ class TestScenario:
 #: own copy of the audited lifecycle.  Both paths agreed on every row;
 #: the pins hold the one builder and the one lifecycle to those bytes.
 #: The multi-object and chaos rows were re-taken, each exiting 0, when
-#: the standard keyspace moved to one scheme (every object hybrid).
+#: the standard keyspace moved to one scheme (every object hybrid).  The
+#: audit and scenario rows were re-taken when protocol steps replaced
+#: per-probe records: only ``spans_seen`` and the retained-span gauges
+#: moved.
 _STANDARD_WORKLOAD_PINS = [
     (["metrics"], "f2d05057ec2f7747c474a5dc693b18c955d9a47c03f50a3e4e9ed2591446ee1c"),
-    (["audit"], "0576461f09bcb1f4c73d1f7f6f6ad764ca5aac44ba66410b170ff3d48e0e8238"),
+    (["audit"], "4b60f4cb05d7d10a805fe491bf23dd895d77bc3e5181648a32f144c089b60555"),
     (
         ["metrics", "--objects", "5", "--placement", "ring", "--sites", "6"],
         "282da72e184481bc199ccae9c2dab98a65b9392037ba33a5a41a7bb44be0a949",
     ),
     (
         ["audit", "--objects", "5", "--placement", "ring", "--sites", "6"],
-        "53287dfa31e074aef6a59b887984411c4c38bf5c66ce99258b6d5f61c9ea0ead",
+        "38adc5812c2240463673913c0c1f94812c57dff63ffbd4798954c1d5255edd4b",
     ),
     (
         ["metrics", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
@@ -410,11 +413,11 @@ _STANDARD_WORKLOAD_PINS = [
     ),
     (
         ["audit", "--objects", "4", "--crashes", "--drop-probability", "0.05"],
-        "df0f6a76f53e917a7f8bef0f08d801b5341a9e0dddfb59fd61e4076cd2691f13",
+        "f3339043eacbfb3abe5671ec5e287b28cc0afea44097ac7b5d4fe0b93fb2faac",
     ),
     (
         ["audit", "--objects", "3", "--partitions"],
-        "870819e3bb6ab72006782a71a7341b87434ffd3f9a8ad54932b5f1f4111372ad",
+        "72626e59ca1ab551fcd57b529a1383f43e3e4df448d578404e3a3294cab93e33",
     ),
     (
         ["metrics", "--placement", "ring"],
@@ -423,7 +426,7 @@ _STANDARD_WORKLOAD_PINS = [
     (
         ["audit", "--objects", "4", "--placement", "ring", "--sites", "5",
          "--streaming", "--window", "16"],
-        "3b743188936d9f0670d9869c03782c8f8483f3e7088b5b7d1ca7d074b89b3ccc",
+        "9b372e34e3f88585e70487d159c020b48a95f49eb77d2bcdee210753c7131a4f",
     ),
     (
         ["chaos", "--seeds", "2", "--profile", "mixed", "--objects", "4",
@@ -436,24 +439,25 @@ _STANDARD_WORKLOAD_PINS = [
     ),
     (
         ["scenario", "write-heavy"],
-        "2bf1a1111306cbee9b235fd83532a9b9c5340061ade9c54d71db3b29251e1ed3",
+        "b315409df35f21b22efc369a8e93a8b125e0a60565e43f48223da9431b61984e",
     ),
     (
         ["scenario", "default", "--profile", "mixed"],
-        "0c27b9ab1363043996aff7fedb01baad0f37cc7245c1f4ac47dc9c26bc0fb013",
+        "c0296629939b2fc2798d75d778c0d316e3e0a3336a404318ff71c2f605ef5a04",
     ),
     (
         ["scenario", "hot-key-contention", "--profile", "churn", "--deep-audit"],
-        "92451c8bbf5403f77a0a5d76f4e83279bed1cafed831c869eecdfb6d0d2bb9e9",
+        "543c07c0330e8a3406441a107e962f9234cd08f78db8f56c305a7f1421c0e7b7",
     ),
 ]
 
-#: ``trace --format jsonl`` digests, same provenance.
+#: ``trace --format jsonl`` digests, same provenance; re-taken when the
+#: ``rpc`` spans and ``repo.*`` events gave way to step attributes.
 _TRACE_PINS = [
-    ([], "e7d1408089fbf363b9c30102bcf936ecbfe8f2c51b79839bb9d384bb300ed3cf"),
+    ([], "9fdeae4b334f8f69a61edebc934e059990c37d95c483c67d5631e239dc02adc1"),
     (
         ["--objects", "5", "--placement", "ring", "--sites", "6"],
-        "790a441f9dffc0d134130984fb213f01d6d7ef0b3d8ba297559de48274802cbb",
+        "7ddb16bc888b77e83e98106ad661c6055c5ab30655855f4d14f8b5b7dd0bfe66",
     ),
 ]
 

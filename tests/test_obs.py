@@ -3,7 +3,7 @@
 The span-tree tests drive the *real* replicated system (a traced
 cluster running a seeded workload) and assert structural invariants of
 whatever trace comes out — well-nested intervals, per-site monotone
-timestamps, the transaction → operation → quorum → rpc hierarchy —
+timestamps, the transaction → operation → quorum hierarchy —
 rather than golden outputs, so they hold for any seed.
 """
 
@@ -72,7 +72,6 @@ class TestSpanTree:
         expected_parent_kind = {
             "operation": "transaction",
             "quorum": "operation",
-            "rpc": "quorum",
         }
         seen = set()
         for span in tracer.spans:
@@ -82,7 +81,9 @@ class TestSpanTree:
             assert span.parent_id is not None, f"{span.name} has no parent"
             assert by_id[span.parent_id].kind == want
             seen.add(span.kind)
-        assert seen == {"operation", "quorum", "rpc"}
+        # A quorum step is a leaf: the sites it probed are its attributes.
+        assert seen == {"operation", "quorum"}
+        assert {s.kind for s in tracer.spans} == {"transaction", "operation", "quorum"}
 
     def test_children_within_parent_interval(self, traced):
         tracer, _cluster, _metrics = traced
@@ -135,8 +136,15 @@ class TestSpanTree:
         tracer, _cluster, metrics = traced_with_failures
         names = {span.name for span in tracer.spans}
         assert "site.crash" in names
-        rpc_outcomes = {s.outcome for s in tracer.spans if s.kind == "rpc"}
-        assert "timeout" in rpc_outcomes
+        # A probe that timed out is attempted but not among the responders.
+        quorums = [s for s in tracer.spans if s.kind == "quorum" and "served" in s.attrs]
+        assert all(
+            set(s.attrs["served"]) <= set(s.attrs["attempted"]) for s in quorums
+        )
+        assert any(
+            set(s.attrs["attempted"]) - set(s.attrs.get("quorum", s.attrs.get("responders")))
+            for s in quorums
+        )
         # Unavailability shows up as quorum spans that name the missing sites.
         unavailable = [
             s
@@ -185,8 +193,8 @@ def _emit(tracer):
     """A fixed little forest: every kind the runtime emits plus an unknown one."""
     with tracer.span("txn", kind="transaction"):
         with tracer.span("op", kind="operation"):
-            probe = tracer.start_span("rpc", kind="rpc")
-            tracer.event("repo.write", site=1)
+            probe = tracer.start_span("antientropy.sync", kind="sync")
+            tracer.event("site.recover", site=1)
             with tracer.span("quorum", kind="quorum"):
                 pass
             tracer.end_span(probe, "timeout")
@@ -197,9 +205,9 @@ def _emit(tracer):
 
 #: ``_emit``'s stream: (hook, span id, kind) in the order the tracer fires them.
 _EMITTED = [
-    ("start", 1, "transaction"), ("start", 2, "operation"), ("start", 3, "rpc"),
+    ("start", 1, "transaction"), ("start", 2, "operation"), ("start", 3, "sync"),
     ("start", 4, "event"), ("end", 4, "event"), ("start", 5, "quorum"),
-    ("end", 5, "quorum"), ("end", 3, "rpc"), ("end", 2, "operation"),
+    ("end", 5, "quorum"), ("end", 3, "sync"), ("end", 2, "operation"),
     ("start", 6, "event"), ("end", 6, "event"), ("end", 1, "transaction"),
     ("start", 7, "span"), ("end", 7, "span"),
 ]
@@ -239,12 +247,12 @@ class TestListenerRouting:
             def on_span_end(self, span):
                 order.append((self.label, span.kind))
 
-        for label, kinds in (("a", None), ("b", frozenset({"rpc"})), ("c", None)):
+        for label, kinds in (("a", None), ("b", frozenset({"sync"})), ("c", None)):
             tracer.add_listener(Named(label, kinds))
-        tracer.end_span(tracer.start_span("rpc", kind="rpc"))
+        tracer.end_span(tracer.start_span("sync", kind="sync"))
         tracer.event("site.crash")
         assert order == [
-            ("a", "rpc"), ("b", "rpc"), ("c", "rpc"), ("a", "event"), ("c", "event"),
+            ("a", "sync"), ("b", "sync"), ("c", "sync"), ("a", "event"), ("c", "event"),
         ]
 
     def test_base_on_span_start_is_not_called(self):
@@ -257,14 +265,14 @@ class TestListenerRouting:
 
     def test_add_and_remove_mid_run_reroute(self):
         tracer = Tracer()
-        early = _Tap(kinds=frozenset({"rpc"}), starts=False)
+        early = _Tap(kinds=frozenset({"sync"}), starts=False)
         late = _Tap(starts=False)
         tracer.add_listener(early)
-        probe = tracer.start_span("rpc", kind="rpc")
+        probe = tracer.start_span("antientropy.sync", kind="sync")
         tracer.add_listener(late)
         tracer.end_span(probe)  # both: routed when it closes, not when it opened
         tracer.remove_listener(early)
-        tracer.end_span(tracer.start_span("rpc", kind="rpc"))
+        tracer.end_span(tracer.start_span("sync", kind="sync"))
         tracer.remove_listener(late)
         tracer.event("site.crash")
         assert [entry[1] for entry in early.seen] == [1]
@@ -303,7 +311,24 @@ class TestExporters:
         assert any(line.startswith("transaction ") for line in lines)
         assert any(line.startswith("  operation ") for line in lines)
         assert any(line.startswith("    quorum.") for line in lines)
-        assert any(line.startswith("      rpc ") for line in lines)
+        assert not any(line.startswith("      ") for line in lines)
+
+    def test_sequences_keep_their_order_and_sets_are_sorted(self):
+        tracer = Tracer()
+        step = tracer.start_span(
+            "quorum.final", kind="quorum", attempted=[2, 0, 1], served=(2, 1),
+            missing=frozenset({3, 1}),
+        )
+        tracer.end_span(step, "unavailable")
+        line = render_tree([step])
+        assert "attempted=[2,0,1]" in line and "served=[2,1]" in line
+        assert "missing=[1,3]" in line
+        (event,) = [
+            e for e in json.loads(to_chrome_trace([step]))["traceEvents"] if e["ph"] != "M"
+        ]
+        assert event["args"]["attempted"] == ["2", "0", "1"]
+        assert event["args"]["served"] == ["2", "1"]
+        assert event["args"]["missing"] == ["1", "3"]
 
     def test_chrome_trace_is_valid_and_complete(self, traced):
         tracer, _cluster, _metrics = traced

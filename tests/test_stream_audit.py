@@ -113,16 +113,11 @@ class TestRetention:
             tracer.clear()
         assert tracer.retained_spans == 0
 
-    def test_clear_inside_a_handler_run_under_a_span_leaves_the_stack_empty(self):
+    def test_clear_inside_a_step_leaves_the_stack_empty(self):
         tracer = Tracer()
-        probe = tracer.start_span("rpc", kind="rpc")
-
-        def handler(site):
-            assert tracer.event("repo.write", site=site).parent_id == probe.span_id
+        with tracer.span("quorum.final", kind="quorum") as step:
+            assert tracer.event("site.crash", site=2).parent_id == step.span_id
             tracer.clear()
-            return site
-
-        assert tracer.under(probe, handler, 2) == 2
         assert tracer._stack == []
         assert tracer.event("after").parent_id is None
 
@@ -164,21 +159,23 @@ class TestStreamingFidelity:
     #: the standard workload still had a builder of its own beside
     #: ``build_scenario``; the outcome holds both verdicts byte for byte.
     #: The shard-misroute row was re-taken when every object of the
-    #: standard keyspace became hybrid.
+    #: standard keyspace became hybrid.  Every row was re-taken when
+    #: protocol steps replaced per-probe records: ``spans_seen`` fell, and
+    #: shard-misroute's violation times moved to their step's close.
     PINNED = [
-        ({}, "d670f470a5356a2afe24cfd7abd4c7a5a048eab7168f1092f6e42d3f4d7474d2"),
+        ({}, "bd40cf8ae631277114a768f0a7ead30f565ee615477a0becba321a682626461c"),
         (
             {"objects": 4, "placement": "ring", "sites": 5, "crashes": True},
-            "8ac71954cd326cedec37304aa377f65d41fdde46a8bc5f7f5a1812e95ad1703d",
+            "de57b438950e9c2a673a4340b9f90ffc4efd665b5424f6706c3af3fa83959ec0",
         ),
         (
             {"mutate": "shard-misroute", "objects": 4, "placement": "ring",
              "sites": 5, "window": 16},
-            "111967b17ff64c683d2dc7b42fe99dd07a3bd70636349e10602b0d5a58826bea",
+            "e1ac66f766e35f1f082c57f604203a09fd170f9597360bb7f1145116f787aff0",
         ),
         (
             {"mutate": "early-lock-release", "window": 16},
-            "ab82ce10bd863a329b8fbe367b617484630bf24f1cfbb8f7459c9df2e7768786",
+            "cfdd714f10bc7ef480e60e6b800a85076131f49c4d7724b8003e6325b6550691",
         ),
     ]
 
