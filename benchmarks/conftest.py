@@ -43,13 +43,6 @@ _OUTPUT = {"dir": RUN_DIR}
 #: every artifact says whether a pool ran — no artifact implies one did.
 _PARALLELISM = {"pool_engaged": False, "parallel_speedup": 1.0}
 
-#: Whether the current benchmark ran with the adaptive quorum tuner
-#: driving reconfigurations.  Benchmarks that enable tuning call
-#: :func:`record_tuner` before emitting; the honest default is "off",
-#: so every artifact says whether its numbers include online
-#: reconfiguration — regression comparisons never conflate the two.
-_TUNER = {"enabled": False}
-
 #: Which workload scenario (``repro.scenarios`` catalog name) drove the
 #: current benchmark.  Scenario-aware benchmarks call
 #: :func:`record_scenario` before emitting; the honest default is
@@ -66,15 +59,6 @@ def record_scenario(name: str) -> None:
     never compared as if they measured the same workload.
     """
     _SCENARIO["name"] = str(name)
-
-
-def record_tuner(enabled: bool) -> None:
-    """Record whether the adaptive quorum tuner drove this benchmark.
-
-    Stamped as ``tuner: "on"|"off"`` into the next :func:`emit_json`
-    environment block.
-    """
-    _TUNER["enabled"] = bool(enabled)
 
 
 def record_parallelism(pool_engaged: bool, parallel_speedup: float) -> None:
@@ -144,7 +128,6 @@ def emit_json(
         "obs.peak_retained": process_peak_retained(),
         "pool_engaged": _PARALLELISM["pool_engaged"],
         "parallel_speedup": round(_PARALLELISM["parallel_speedup"], 4),
-        "tuner": "on" if _TUNER["enabled"] else "off",
         "scenario": _SCENARIO["name"],
     }
     _OUTPUT["dir"].mkdir(exist_ok=True)
@@ -176,11 +159,10 @@ def pytest_configure(config: pytest.Config) -> None:
 
 @pytest.fixture(autouse=True)
 def _reset_parallelism():
-    """Reset the pool, tuner, and scenario records so benchmarks never
-    inherit a predecessor's."""
+    """Reset the pool and scenario records so benchmarks never inherit a
+    predecessor's."""
     _PARALLELISM["pool_engaged"] = False
     _PARALLELISM["parallel_speedup"] = 1.0
-    _TUNER["enabled"] = False
     _SCENARIO["name"] = "default"
     yield
 

@@ -49,7 +49,6 @@ class HybridCC(CCScheme):
         conflicts: ConflictTable | None = None,
     ):
         super().__init__(datatype, oracle)
-        self.relation = relation
         if conflicts is None:
             conflicts = hybrid_conflicts(datatype, relation)
         self.conflicts = conflicts

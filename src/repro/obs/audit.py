@@ -281,16 +281,16 @@ class QuorumIntersectionMonitor(InvariantMonitor):
     """Observed quorums honor the declared assignment and intersect.
 
     At bind time the monitor captures each object's *declared* quorum
-    assignment and, when the scheme exposes one, its dependency relation
-    (projected to ``(invocation op, event op, response kind)`` classes —
-    intersection is a property of classes, not ground events).  Then:
+    assignment and its dependency relation (projected to ``(invocation
+    op, event op, response kind)`` classes — intersection is a property
+    of classes, not ground events).  Then:
 
     * every successful ``quorum`` span's member set must be a quorum of
       the declared coterie for that operation/event class;
     * every observed initial quorum must intersect every observed final
-      quorum of a class the dependency relation (or the declared
-      assignment itself) requires it to intersect — re-checked only for
-      a member set new to its bucket or marked (:meth:`_remember`).
+      quorum of a class the dependency relation requires it to
+      intersect — re-checked only for a member set new to its bucket or
+      marked (:meth:`_remember`).
 
     With ``window=W`` the monitor becomes a streaming fold: each
     per-class store keeps only the W most recently seen *distinct*
@@ -310,8 +310,6 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         self.window = window
         #: object -> (declared assignment, relation class keys)
         self._declared: dict[str, tuple[Any, frozenset[tuple[str, str, str]]]] = {}
-        #: object -> (inv op, event op, kind) -> must their quorums intersect?
-        self._must_intersect: dict[str, dict[tuple[str, str, str], bool]] = {}
         #: object -> op -> distinct observed initial quorums (LRU order),
         #: each marked once it has met a disjoint required partner
         self._initials: dict[str, dict[str, OrderedDict[frozenset[int], bool]]] = {}
@@ -363,13 +361,11 @@ class QuorumIntersectionMonitor(InvariantMonitor):
 
     def _capture(self, name: str, obj: Any) -> None:
         """Pin ``obj``'s declared configuration; its observed state starts empty."""
-        keys = set()
-        relation = getattr(obj.cc, "relation", None)
-        if relation is not None:
-            for invocation, event in relation:
-                keys.add((invocation.op, event.inv.op, event.res.kind))
-        self._declared[name] = (obj.assignment, frozenset(keys))
-        self._must_intersect[name] = {}
+        keys = frozenset(
+            (invocation.op, event.inv.op, event.res.kind)
+            for invocation, event in obj.relation.pairs
+        )
+        self._declared[name] = (obj.assignment, keys)
         self._initials[name] = {}
         self._finals[name] = {}
 
@@ -390,29 +386,6 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         # assignment *without* this event.
         self._capture(obj_name, obj)
 
-    def _required(self, obj_name: str, pair: tuple[str, str, str]) -> bool:
-        """Must ``(inv op, event op, kind)``'s quorums intersect?"""
-        cache = self._must_intersect[obj_name]
-        cached = cache.get(pair)
-        if cached is not None:
-            return cached
-        assignment, relation_keys = self._declared[obj_name]
-        if pair in relation_keys:
-            required = True
-        else:
-            # No relation available (static/dynamic schemes): the
-            # declared assignment is the contract — pairs it makes
-            # intersect must stay intersecting at runtime.
-            inv_op, ev_op, kind = pair
-            try:
-                required = assignment.initial(inv_op).intersects(
-                    assignment.final(ev_op, kind)
-                )
-            except Exception:
-                required = False
-        cache[pair] = required
-        return required
-
     def on_quorum(self, span: Span) -> None:
         attrs = span.attrs
         if span.outcome != "ok" or "quorum" not in attrs:
@@ -421,16 +394,17 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         declared = self._declared.get(obj_name)
         if declared is None:
             return
+        coteries, required = declared
         op = attrs.get("op", "?")
         members = frozenset(attrs["quorum"])
         if attrs.get("phase") == "initial":
             phase, other, key = "initial", "final", op
-            coterie = declared[0].initial(op)
+            coterie = coteries.initial(op)
             store, partners = self._initials[obj_name], self._finals[obj_name]
         else:
             kind = attrs.get("res_kind", "Ok")
             phase, other, key = "final", "initial", (op, kind)
-            coterie = declared[0].final(op, kind)
+            coterie = coteries.final(op, kind)
             store, partners = self._finals[obj_name], self._initials[obj_name]
         if not coterie.has_quorum(members):
             self.report(
@@ -444,7 +418,7 @@ class QuorumIntersectionMonitor(InvariantMonitor):
             return
         for partner_key, partner_bucket in partners.items():
             pair = (op, *partner_key) if phase == "initial" else (partner_key, *key)
-            if not self._required(obj_name, pair):
+            if pair not in required:
                 continue
             for partner in partner_bucket:
                 if not (members & partner):

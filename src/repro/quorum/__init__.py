@@ -14,8 +14,8 @@ Gifford-style weighted voting constructors (:mod:`repro.quorum.voting`),
 assignments and their intersection relations
 (:mod:`repro.quorum.assignment`, :mod:`repro.quorum.constraints`), exact
 availability computation (:mod:`repro.quorum.availability`), and a
-search for availability-optimal assignments under a dependency relation
-(:mod:`repro.quorum.search`).
+search for availability-optimal assignments under a dependency relation,
+with the cheapest layout for an operation mix (:mod:`repro.quorum.search`).
 """
 
 from repro.quorum.coterie import (
@@ -30,6 +30,7 @@ from repro.quorum.voting_search import best_voting_assignment
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.constraints import (
     intersection_relation,
+    require_satisfies,
     satisfies,
     violated_pairs,
 )
@@ -42,6 +43,7 @@ from repro.quorum.availability import (
 from repro.quorum.search import (
     ThresholdChoice,
     best_threshold_assignment,
+    cheapest_assignment,
     threshold_frontier,
 )
 
@@ -56,6 +58,7 @@ __all__ = [
     "OperationQuorums",
     "QuorumAssignment",
     "intersection_relation",
+    "require_satisfies",
     "satisfies",
     "violated_pairs",
     "binomial_tail",
@@ -64,5 +67,6 @@ __all__ = [
     "assignment_availability",
     "ThresholdChoice",
     "best_threshold_assignment",
+    "cheapest_assignment",
     "threshold_frontier",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.dependency.relation import DependencyRelation, GroundPair
+from repro.errors import SpecificationError
 from repro.histories.events import Event, Invocation
 from repro.quorum.assignment import QuorumAssignment
 
@@ -59,6 +60,31 @@ def violated_pairs(
         if not cache[key]:
             failures.append((invocation, event))
     return tuple(failures)
+
+
+def pair_class(invocation: Invocation, event: Event) -> str:
+    """A ground pair's ``(invocation op, event op, kind)`` class, as
+    ``Enq ≥ Deq;Ok`` — the grain at which quorums intersect."""
+    return f"{invocation.op} ≥ {event.inv.op};{event.res.kind}"
+
+
+def require_satisfies(
+    assignment: QuorumAssignment, relation: DependencyRelation, subject: str
+) -> None:
+    """Refuse ``assignment`` unless it satisfies ``relation``.
+
+    The one validity check every layout an object runs passes through:
+    the raised :class:`~repro.errors.SpecificationError` starts with
+    ``subject`` and names each failing ``(invocation op, event op,
+    kind)`` class once, in sorted order, as ``Enq ≥ Deq;Ok``.
+    """
+    broken = violated_pairs(assignment, relation)
+    if broken:
+        labels = sorted({pair_class(inv, event) for inv, event in broken})
+        raise SpecificationError(
+            f"{subject} leave {', '.join(labels)} without intersecting "
+            "initial and final quorums"
+        )
 
 
 def satisfies(assignment: QuorumAssignment, relation: DependencyRelation) -> bool:

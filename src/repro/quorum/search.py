@@ -16,15 +16,17 @@ derives minimal finals, and collects the Pareto frontier over per-
 operation availability.  This is exactly the computation behind the
 paper's PROM example: under hybrid atomicity the frontier contains
 Read/Seal/Write quorums of sizes ``1/n/1``, while under static atomicity
-every point with single-site Reads forces ``n``-site Writes.
+every point with single-site Reads forces ``n``-site Writes.  For an
+operation mix, :func:`cheapest_assignment` is the one quorum chooser:
+the valid layout over a replica set with the fewest expected messages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.dependency.relation import DependencyRelation
 from repro.errors import QuorumError
@@ -187,6 +189,95 @@ def valid_threshold_choices(
             initial=tuple(sorted(initial.items())),
             final=tuple(sorted(final.items())),
         )
+
+
+#: The response kind whose final quorum prices the common case.
+COMMON_KIND = "Ok"
+
+
+def cheapest_assignment(
+    relation: DependencyRelation,
+    operations: Sequence[str],
+    weights: Mapping[str, float],
+    replicas: Iterable[int],
+    n_sites: int,
+    *,
+    p_up: float = 0.9,
+    availability_floor: float = 0.0,
+) -> tuple[ThresholdChoice, QuorumAssignment, float] | None:
+    """The cheapest valid threshold layout over a replica set, under a mix.
+
+    Walks :func:`valid_threshold_choices` over ``len(replicas)`` virtual
+    sites (thresholds count replicas), skipping layouts with a zero
+    initial quorum (an operation that can never execute) and layouts
+    whose worst operation's availability at ``p_up`` falls below
+    ``availability_floor``.  The rest rank by expected messages per
+    operation (an initial quorum of ``k_i`` costs ``k_i`` exchanges and
+    the common-case ``Ok`` final ``k_f`` more; exceptional kinds such as
+    PROM's ``Read();Disabled()`` price the rare path and are left out),
+    then quorum round trips (batched probes overlap within a phase),
+    then higher availability, then :meth:`ThresholdChoice.describe`, so
+    equal-cost layouts resolve identically in every run.
+
+    Only the winner is embedded over ``replicas``
+    (:func:`embed_choice`).  Returns ``(choice, assignment, messages)``,
+    or ``None`` when no layout clears the floor.
+    """
+    members = frozenset(replicas)
+    best: tuple[tuple[float, float, float, str], ThresholdChoice] | None = None
+    for choice, availability, text in _layouts(
+        relation, tuple(operations), len(members), p_up
+    ):
+        if availability < availability_floor:
+            continue
+        messages = round_trips = 0.0
+        for op, weight in weights.items():
+            initial, final = choice.initial_of(op), choice.final_of(op, COMMON_KIND)
+            messages += weight * (initial + final)
+            round_trips += weight * ((initial > 0) + (final > 0))
+        key = (messages, round_trips, -availability, text)
+        if best is None or key < best[0]:
+            best = (key, choice)
+    if best is None:
+        return None
+    (messages, *_rest), choice = best
+    return choice, embed_choice(choice, members, n_sites), messages
+
+
+@lru_cache(maxsize=256)
+def _layouts(
+    relation: DependencyRelation, operations: tuple[str, ...], n: int, p_up: float
+) -> tuple[tuple[ThresholdChoice, float, str], ...]:
+    """:func:`cheapest_assignment`'s candidates, enumerated once per
+    relation and replica count: each valid layout with no zero initial,
+    its worst operation's availability, and its text."""
+    layouts = []
+    for choice in valid_threshold_choices(relation, n, operations):
+        if any(k == 0 for _op, k in choice.initial):
+            continue
+        availability = min(
+            (value for _op, value in _availability_vector(choice, p_up)),
+            default=1.0,
+        )
+        layouts.append((choice, availability, choice.describe()))
+    return tuple(layouts)
+
+
+def assignment_messages(
+    assignment: QuorumAssignment, weights: Mapping[str, float]
+) -> float:
+    """Expected messages/op of an *installed* assignment under a mix.
+
+    :func:`cheapest_assignment`'s price, read off the assignment's
+    smallest quorum sizes: it prices the layout an object runs now, so
+    a candidate is compared with it like for like.
+    """
+    total = 0.0
+    for op, weight in weights.items():
+        initial = assignment.initial(op).smallest_quorum_size() or 0
+        final = assignment.final(op, COMMON_KIND).smallest_quorum_size() or 0
+        total += weight * (initial + final)
+    return total
 
 
 def _availability_vector(

@@ -166,10 +166,11 @@ class Cluster:
 def _make_scheme(
     datatype: SerialDataType,
     scheme: str,
-    relation: DependencyRelation | None,
+    relation: DependencyRelation,
     oracle: LegalityOracle,
 ) -> "CCScheme":
-    """Instantiate the named concurrency-control scheme."""
+    """Instantiate the named concurrency-control scheme; only hybrid's
+    conflict table is built from the relation."""
     if scheme == "hybrid":
         return HybridCC(datatype, relation, oracle)
     if scheme == "static":
@@ -234,12 +235,11 @@ def build_keyspace(
         assignment = obj_spec.compile_assignment(
             placement.replicas(obj_spec.name), n_sites
         )
-        cc = _make_scheme(
-            obj_spec.datatype, obj_spec.scheme, obj_spec.resolved_relation, oracle
-        )
+        relation = obj_spec.resolved_relation
+        cc = _make_scheme(obj_spec.datatype, obj_spec.scheme, relation, oracle)
         tm.register(
             ReplicatedObject(
-                obj_spec.name, obj_spec.datatype, assignment, cc, oracle
+                obj_spec.name, obj_spec.datatype, assignment, relation, cc, oracle
             )
         )
     return Cluster(

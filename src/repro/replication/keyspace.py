@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.errors import QuorumError, SpecificationError
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.constraints import violated_pairs
+from repro.quorum.constraints import pair_class, require_satisfies
 from repro.quorum.coterie import SubsetThresholdCoterie
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,25 +123,27 @@ class ObjectSpec:
     """One object's declaration in a :class:`KeyspaceSpec`.
 
     ``quorums`` is either ``"majority"`` (majority-of-replicas initial
-    and final coteries — always a valid assignment, since any two
-    majorities of the same replica set intersect) or an explicit
-    ``(initial_threshold, final_threshold)`` pair over the replica set;
-    with a ``relation`` declared, the compiled pair must make every
-    initial quorum of each pair's invocation meet every final quorum of
-    its event (paper, Section 3.2).  A full
+    and final coteries) or an explicit ``(initial_threshold,
+    final_threshold)`` pair over the replica set.  A full
     :class:`~repro.quorum.assignment.QuorumAssignment` can be supplied
-    via ``assignment`` instead; it is validated only to be *genuine* —
-    every quorum must draw only from the object's replicas.
+    via ``assignment`` instead; it must be *genuine* — every quorum
+    draws only from the object's replicas.  Either way the compiled
+    layout must make every initial quorum of each pair's invocation
+    meet every final quorum of its event under :attr:`resolved_relation`
+    (paper, Section 3.2), or the spec is refused, naming the pair.
 
     ``relation`` is what the caller declared; :attr:`resolved_relation`
-    is what the object runs under.  A ``"hybrid"`` object given no
-    ``relation`` resolves Theorem 6's minimal static relation for its
-    type, valid for hybrid by Theorem 4, derived once per data type
-    value.  For value-indexed types it is a bound-3 slice, kept sound by
-    the conflict table's out-of-alphabet conflicts.  Pass ``relation=``
-    only for one that differs (PROM's ``≥H``, a FlagSet completion, a
-    synthesized relation); static and dynamic objects resolve ``None``
-    unless given one.
+    is what the object runs under.  Given no ``relation``, each scheme
+    resolves its mechanism's minimal relation, derived once per data
+    type value: static and hybrid get Theorem 6's minimal static
+    relation (valid for hybrid by Theorem 4), dynamic gets Theorem 10's
+    minimal dynamic relation, both over the depth-5 event alphabet.
+    For value-indexed types these are bound-3 slices, kept sound by the
+    conflict table's out-of-alphabet conflicts.  A hybrid object may
+    declare any relation (its minimal one is not unique: PROM's ``≥H``,
+    a FlagSet completion, a synthesized relation).  A static or dynamic
+    object's declared relation must cover every ``(invocation op, event
+    op, kind)`` class of its mechanism's unique minimal relation.
     """
 
     name: str
@@ -154,10 +156,20 @@ class ObjectSpec:
     oracle: "LegalityOracle | None" = None
 
     @property
-    def resolved_relation(self) -> "DependencyRelation | None":
-        """The declared relation, else a hybrid object's default."""
-        if self.relation is None and self.scheme == "hybrid":
-            return _default_relation(self.datatype)
+    def resolved_relation(self) -> "DependencyRelation":
+        """The relation this object's quorums must satisfy."""
+        if self.scheme == "hybrid" and self.relation is not None:
+            return self.relation
+        minimal = _default_relation(self.datatype, self.scheme)
+        if self.relation is None:
+            return minimal
+        missing = _classes(minimal) - _classes(self.relation)
+        if missing:
+            raise SpecificationError(
+                f"object {self.name!r}: the declared relation lacks "
+                f"{', '.join(sorted(missing))} of the {self.scheme} "
+                "mechanism's minimal relation"
+            )
         return self.relation
 
     def compile_assignment(
@@ -167,6 +179,11 @@ class ObjectSpec:
         replica_set = frozenset(replicas)
         if self.assignment is not None:
             _require_genuine(self.name, self.assignment, replica_set)
+            require_satisfies(
+                self.assignment,
+                self.resolved_relation,
+                f"object {self.name!r}: the declared assignment would",
+            )
             return self.assignment
         if self.quorums == "majority":
             initial_k = final_k = len(replica_set) // 2 + 1
@@ -189,32 +206,40 @@ class ObjectSpec:
         assignment = QuorumAssignment(
             n_sites, {op: quorums for op in self.datatype.operations()}
         )
-        relation = self.resolved_relation
-        if relation is not None:
-            broken = violated_pairs(assignment, relation)
-            if broken:
-                invocation, event = broken[0]
-                raise SpecificationError(
-                    f"object {self.name!r}: quorums {self.quorums!r} over "
-                    f"replicas {sorted(replica_set)} leave {invocation} ≥ "
-                    f"{event} without intersecting initial and final quorums"
-                )
+        require_satisfies(
+            assignment,
+            self.resolved_relation,
+            f"object {self.name!r}: quorums {self.quorums!r} over replicas "
+            f"{sorted(replica_set)}",
+        )
         return assignment
 
 
-def _default_relation(datatype: "SerialDataType") -> "DependencyRelation":
-    """Theorem 6's minimal static relation for ``datatype``, derived once."""
+def _default_relation(
+    datatype: "SerialDataType", scheme: str
+) -> "DependencyRelation":
+    """The mechanism's minimal relation for ``datatype``, derived once.
+
+    Theorem 6's for static and hybrid, Theorem 10's for dynamic.
+    """
+    from repro.dependency.dynamic_dep import minimal_dynamic_dependency
     from repro.dependency.static_dep import minimal_static_dependency
     from repro.spec.enumerate import event_alphabet
     from repro.spec.facts import derived_once
 
+    if scheme not in ("static", "hybrid", "dynamic"):
+        raise SpecificationError(f"unknown concurrency-control scheme {scheme!r}")
+    dynamic = scheme == "dynamic"
+    derive = minimal_dynamic_dependency if dynamic else minimal_static_dependency
     return derived_once(
         datatype,
-        "hybrid_relation",
-        lambda: minimal_static_dependency(
-            datatype, 3, events=event_alphabet(datatype, 5)
-        ),
+        ("minimal_relation", dynamic),
+        lambda: derive(datatype, 3, events=event_alphabet(datatype, 5)),
     )
+
+
+def _classes(relation: "DependencyRelation") -> frozenset[str]:
+    return frozenset(pair_class(inv, event) for inv, event in relation.pairs)
 
 
 def _require_genuine(

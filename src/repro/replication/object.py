@@ -1,8 +1,9 @@
 """Replicated objects and their synchronization state.
 
 A :class:`ReplicatedObject` bundles what every front-end needs to
-operate on one object: the serial data type, the quorum assignment, the
-concurrency-control scheme, and two shared structures:
+operate on one object: the serial data type, the quorum assignment and
+the dependency relation it must satisfy, the concurrency-control
+scheme, and two shared structures:
 
 * :class:`SynchronizationState` — the object's logically centralized
   synchronization data: events held by active transactions (lock
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.clocks.timestamps import Timestamp
+from repro.dependency.relation import DependencyRelation
 from repro.histories.behavioral import (
     Abort,
     Begin,
@@ -174,12 +176,17 @@ class ReplicatedObject:
         name: str,
         datatype: SerialDataType,
         assignment: QuorumAssignment,
+        relation: DependencyRelation,
         cc,
         oracle: LegalityOracle | None = None,
     ):
         self.name = name
         self.datatype = datatype
         self.assignment = assignment
+        #: The dependency relation every assignment this object runs
+        #: must satisfy (:attr:`ObjectSpec.resolved_relation
+        #: <repro.replication.keyspace.ObjectSpec.resolved_relation>`).
+        self.relation = relation
         #: Configuration epoch, bumped by every successful online
         #: reconfiguration (see :mod:`repro.replication.reconfig`).
         #: Front-ends stamp the epoch they operated under onto their

@@ -28,6 +28,11 @@ The hand-over rule implemented here:
    ``stale-assignment`` mutation) is flagged while a legitimate switch
    stays green.
 
+Before any of it the new assignment must satisfy the object's
+dependency relation (:func:`~repro.quorum.constraints.require_satisfies`,
+the check a keyspace build runs): a layout that leaves one of its pairs
+without intersecting quorums is refused, and nothing is drained.
+
 Both site sets are *transversals* (hitting sets) of coteries; for a
 threshold coterie of ``k`` of ``m`` member sites the cheapest
 transversal is any ``m - k + 1`` of the members, and for explicit
@@ -53,6 +58,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import QuorumError, UnavailableError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.quorum.assignment import QuorumAssignment
+from repro.quorum.constraints import require_satisfies
 from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
 from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
@@ -274,9 +280,10 @@ def reconfigure(
     epoch.  Raises :class:`UnavailableError` (leaving the old
     assignment, epoch, and every repository byte-identical) when the
     reachable sites cannot drain the old configuration, and
-    :class:`~repro.errors.SpecificationError` when ``placement`` is
-    given and the new assignment draws quorums from outside the
-    object's replica set.
+    :class:`~repro.errors.SpecificationError`, before any RPC, when the
+    new assignment leaves a pair of the object's relation without
+    intersecting quorums, or when ``placement`` is given and it draws
+    quorums from outside the object's replica set.
 
     With ``placement`` the hand-over walks only the object's replica
     set (genuine partial replication); ``frontends`` get their
@@ -302,6 +309,9 @@ def reconfigure(
         pool: Sequence[int] = placement.replicas(obj.name)
     else:
         pool = range(network.n_sites)
+    require_satisfies(
+        new_assignment, obj.relation, f"object {obj.name!r}: the new assignment would"
+    )
 
     old_finals = [
         coterie

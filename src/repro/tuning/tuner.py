@@ -4,16 +4,17 @@ Closes the loop the paper leaves open: quorum consensus admits a whole
 spectrum of legal assignments per type (Thms 6/10), and which point is
 *cheapest* depends on the live operation mix.  The
 :class:`QuorumTuner` watches each object's windowed mix through a
-:class:`~repro.tuning.mix.MixObserver`, prices every legal threshold
-layout over the object's replica set with the
-:mod:`~repro.tuning.cost` model, and — when the predicted saving clears
-a hysteresis threshold — installs the winner through the
-drain-and-prime epoch transaction in
+:class:`~repro.tuning.mix.MixObserver`, asks
+:func:`~repro.quorum.search.cheapest_assignment` for the cheapest
+valid threshold layout over the object's replica set under that mix,
+and — when the predicted saving clears a hysteresis threshold —
+installs the winner through the drain-and-prime epoch transaction in
 :mod:`repro.replication.reconfig`.  Safety is therefore not the tuner's
-problem: every candidate is legality-checked against the dependency
-relation before it is ever scored, and the switch itself is the
-provably view-preserving hand-over, audited across epochs by the
-``reconfig-epoch`` monitor.
+problem: every candidate is drawn from the threshold inequalities of
+the object's own dependency relation, ``reconfigure`` refuses a layout
+that leaves one of its pairs without intersecting quorums, and the
+switch itself is the provably view-preserving hand-over, audited
+across epochs by the ``reconfig-epoch`` monitor.
 
 Determinism: the tuner evaluates only from the workload generator's
 ``on_transaction_start`` hook — a schedule that is identical across
@@ -30,12 +31,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import UnavailableError
 from repro.quorum.assignment import QuorumAssignment
-from repro.resilience.policy import read_only_operations
-from repro.tuning.cost import (
+from repro.quorum.search import (
+    ThresholdChoice,
     assignment_messages,
-    legal_candidates,
-    score_candidates,
+    cheapest_assignment,
 )
+from repro.resilience.policy import read_only_operations
 from repro.tuning.mix import MixObserver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,10 +82,8 @@ class QuorumTuner:
     every front-end; drive the tuner by installing
     :meth:`on_transaction_start` as the workload generator's
     transaction hook (or call :meth:`maybe_tune` at your own cadence).
-    Only objects whose concurrency-control scheme carries a dependency
-    ``relation`` (the hybrid scheme) are tunable — the relation is what
-    makes candidate legality *provable*; everything else keeps its
-    static assignment.
+    Every object is tunable: each runs under its mechanism's dependency
+    relation, which is what makes candidate legality *provable*.
     """
 
     def __init__(
@@ -107,30 +106,10 @@ class QuorumTuner:
         self.observer.attach(cluster.frontends)
         #: (object name, new epoch, describe()) per performed switch.
         self.switches: list[tuple[str, int, str]] = []
-        self._candidates: dict[str, tuple] = {}
-
-    # -- candidate spaces --------------------------------------------------
 
     def tunable_objects(self) -> tuple[str, ...]:
-        """Names of objects the tuner may reconfigure, sorted."""
-        names = []
-        for name, obj in self.cluster.tm.objects.items():
-            if getattr(obj.cc, "relation", None) is not None:
-                names.append(name)
-        return tuple(sorted(names))
-
-    def _candidate_space(self, name: str):
-        cached = self._candidates.get(name)
-        if cached is None:
-            obj = self.cluster.tm.object(name)
-            cached = legal_candidates(
-                obj.cc.relation,
-                self.cluster.placement.replicas(name),
-                self.cluster.n_sites,
-                obj.datatype.operations(),
-            )
-            self._candidates[name] = cached
-        return cached
+        """Names of objects the tuner may reconfigure, sorted: all of them."""
+        return tuple(sorted(self.cluster.tm.objects))
 
     # -- the tuning loop ---------------------------------------------------
 
@@ -160,21 +139,26 @@ class QuorumTuner:
         if not weights:
             return False
         obj = self.cluster.tm.object(name)
-        incumbent = assignment_messages(obj.assignment, weights)
-        scored = score_candidates(
-            self._candidate_space(name),
+        best = cheapest_assignment(
+            obj.relation,
+            obj.datatype.operations(),
             weights,
+            self.cluster.placement.replicas(name),
+            self.cluster.n_sites,
             p_up=cfg.p_up,
             availability_floor=cfg.availability_floor,
         )
-        if not scored:
+        if best is None:
             return False
-        best, assignment = scored[0]
-        if best.messages > incumbent * (1.0 - cfg.hysteresis):
+        choice, assignment, messages = best
+        incumbent = assignment_messages(obj.assignment, weights)
+        if messages > incumbent * (1.0 - cfg.hysteresis):
             return False
-        return self._switch(name, assignment, best)
+        return self._switch(name, assignment, choice)
 
-    def _switch(self, name: str, assignment: QuorumAssignment, best) -> bool:
+    def _switch(
+        self, name: str, assignment: QuorumAssignment, choice: ThresholdChoice
+    ) -> bool:
         try:
             changed = self.cluster.reconfigure(
                 name, assignment, registry=self.registry
@@ -188,7 +172,7 @@ class QuorumTuner:
         if not changed:
             return False
         obj = self.cluster.tm.object(name)
-        self.switches.append((name, obj.epoch, best.choice.describe()))
+        self.switches.append((name, obj.epoch, choice.describe()))
         self._count("tuning.switches")
         return True
 

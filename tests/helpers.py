@@ -38,6 +38,26 @@ def cluster_of(n_sites: int, *objects: ObjectSpec, **options):
     return build_keyspace(KeyspaceSpec(n_sites, objects), **options)
 
 
+def refused_layout_system(
+    datatype: SerialDataType, assignment: QuorumAssignment, **kwargs
+):
+    """A hybrid object running ``assignment``, which its relation refuses.
+
+    The build refuses the layout, so it is installed after the build, as
+    :func:`repro.obs.mutations.break_quorum_intersection` does; returns
+    ``(cluster, object)`` like :func:`small_system`.
+    """
+    try:
+        small_system(datatype, "hybrid", assignment=assignment, **kwargs)
+    except SpecificationError as refusal:
+        assert "without intersecting" in str(refusal)
+    else:
+        raise AssertionError("the build accepted a layout its relation refuses")
+    cluster, obj = small_system(datatype, "hybrid", **kwargs)
+    obj.assignment = assignment
+    return cluster, obj
+
+
 def hybrid_queue(name: str = "queue") -> ObjectSpec:
     """A fully replicated hybrid FIFO queue under its default relation,
     the paper's static one (Theorem 4 makes it a hybrid relation too)."""
@@ -50,8 +70,13 @@ def queue_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):
 
 
 def prom_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):
+    """Replicated PROM; a hybrid one runs under the paper's ``≥H``, the
+    others under their mechanism's minimal relation (``≥H`` lacks
+    static's ``Read ≥ Write;Ok``)."""
     datatype = PROM()
-    relation = known.ground(datatype, known.PROM_HYBRID, 5)
+    relation = None
+    if scheme == "hybrid":
+        relation = known.ground(datatype, known.PROM_HYBRID, 5)
     return small_system(datatype, scheme, relation, n_sites, seed, **kwargs)
 
 

@@ -439,7 +439,14 @@ class TestRouting:
 #: ``log-consistency`` and ``genuine-partial-replication`` times moved
 #: to their step's close, and in ``log-divergence`` site 0's forged
 #: entry is caught at the close of the step it rode in on, ahead of site
-#: 2's; every message, object and count held.
+#: 2's; every message, object and count held.  ``quorum-intersection``
+#: and ``stale-assignment`` were re-taken when the monitor stopped
+#: requiring pairs outside the object's relation merely because the
+#: declared assignment made them meet: both are still flagged by
+#: ``quorum-intersection`` alone, minus the reports on ``Enq ≥ Enq;Ok``,
+#: a pair the hybrid queue's relation does not hold (``stale-assignment``
+#: 14 → 12 violations).  The parent commit with only that requirement
+#: removed gives the same digests.
 VERDICT_PINS = {
     "clean": ("9c90964e00601af469c97aad0b016e0c3f18f492a9dbc602c8eb947393887eb2",) * 2,
     "crashes": ("3b9ad8cd3b5d93c3bcc227e443acc24d37fbde050cd3190c2f349d0b7a0dd1dc",) * 2,
@@ -447,11 +454,11 @@ VERDICT_PINS = {
     "early-lock-release": ("7979380e4792f2a0355ee1d92068b36bda2d9a2f274a5940d73aff4577441424",) * 2,
     "log-divergence": ("7cc9c9af1f806192f79a6fabf9d0faf51718cc4a302be00f00ba00f83c7798fc",) * 2,
     "quorum-intersection": (
-        "cf532858a342ed8d3c627eaf51cf967fac71e73d6876091da8d748f609b90abd",
-        "c401ab202adae23df0c6cf4cf99c68e0e2ad67f568c23cdc36dd62c407aaa4c1",
+        "1ec673b776fe995b48b5ffaf8d6698af4d7479c059a32cce4b9ca114386da0a9",
+        "b325d97170aaf26a85c91d7b9253ec73031c919cf2058cefb7ad89ed4eb4004b",
     ),
     "shard-misroute": ("fe591a15e989f057ca3f4e1a3f1980128c5979659570bbf08298e39b24edbc0a",) * 2,
-    "stale-assignment": ("8c60ecba3139855d04ab134c58ab543fb6f5b2f5d310208671447008eb56503b",) * 2,
+    "stale-assignment": ("f46a61d769c98aa088c8265ebef18363003bbae922e5954246e3aeca605c00f4",) * 2,
     "timestamp-inversion": (
         "e421810942e29a0100f99eea7e777a06ec6646240dafa2f5c87cb1570de69e57",
         "d54dabf7377dc32be3e87811e56d1dbb05b3bc1156c4d2fb5fca8842e9f7d84a",

@@ -7,6 +7,7 @@ import pytest
 from repro.atomicity.properties import HybridAtomicity
 from repro.cc.conflicts import hybrid_conflicts
 from repro.dependency import known
+from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 from repro.dependency.relation import DependencyRelation
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.errors import SpecificationError
@@ -40,8 +41,8 @@ class TestBuildCluster:
 
 
 class TestHybridRelationResolution:
-    """A hybrid ``ObjectSpec`` given no relation resolves its default once,
-    and the scheme and the auditor see that value (the quorum check is
+    """An ``ObjectSpec`` given no relation resolves its mechanism's default
+    once, and the scheme and the auditor see that value (the quorum check is
     ``test_keyspace.py::TestKeyspaceSpec::test_quorums_must_meet_the_declared_relation``)."""
 
     def test_defaulted_queue_runs_under_the_grounded_static_relation(self):
@@ -50,7 +51,7 @@ class TestHybridRelationResolution:
             tracer=Tracer(),
         )
         auditor = Auditor(cluster)
-        first, second = (cluster.tm.object(name).cc.relation for name in "qp")
+        first, second = (cluster.tm.object(name).relation for name in "qp")
         assert first == known.ground(Queue(), known.QUEUE_STATIC, 5)
         assert first is second
         txn = cluster.tm.begin(0)
@@ -77,7 +78,7 @@ class TestHybridRelationResolution:
         assert spec.resolved_relation is hybrid
         assert replace(spec, datatype=PROM(("x",))).resolved_relation is hybrid
         cluster = cluster_of(3, spec)
-        assert cluster.tm.object("p").cc.relation is hybrid
+        assert cluster.tm.object("p").relation is hybrid
         assert hybrid != ObjectSpec("d", prom).resolved_relation
 
     def test_a_replaced_datatype_resolves_its_own_default(self):
@@ -89,11 +90,43 @@ class TestHybridRelationResolution:
         )
         assert queue.resolved_relation != semiqueue.resolved_relation
         cluster = cluster_of(3, queue)
-        assert cluster.tm.object("x").cc.relation is queue.resolved_relation
+        assert cluster.tm.object("x").relation is queue.resolved_relation
+
+    def test_each_mechanism_resolves_its_own_relation(self):
+        """Theorem 6's relation for static and hybrid, Theorem 10's for
+        dynamic: a Queue's differ (Theorem 11), and a dynamic Register
+        adds ``Write ≥ Write;Ok`` to the static one."""
+        alphabet = event_alphabet(Queue(), 5)
+        queue = {
+            scheme: ObjectSpec("q", Queue(), scheme).resolved_relation
+            for scheme in ("static", "hybrid", "dynamic")
+        }
+        assert queue["static"] is queue["hybrid"]
+        assert queue["dynamic"] == minimal_dynamic_dependency(
+            Queue(), 3, events=alphabet
+        )
+        assert queue["static"] != queue["dynamic"]
+        static, dynamic = (
+            ObjectSpec("r", Register(), scheme).resolved_relation
+            for scheme in ("static", "dynamic")
+        )
+        assert static.pairs < dynamic.pairs
+        added = {(inv.op, ev.inv.op) for inv, ev in dynamic.pairs - static.pairs}
+        assert added == {("Write", "Write")}
+        cluster = cluster_of(3, ObjectSpec("q", Queue(), "dynamic"))
+        assert cluster.tm.object("q").relation is queue["dynamic"]
 
     @pytest.mark.parametrize("scheme", ["static", "dynamic"])
-    def test_static_and_dynamic_keep_no_relation(self, scheme):
-        assert ObjectSpec("q", Queue(), scheme).resolved_relation is None
+    def test_a_declared_relation_must_cover_the_minimal_one(self, scheme):
+        """A static PROM under ``≥H`` would lack ``Read ≥ Write;Ok``, and
+        the tuner could then install ``1/n/1``, which Theorem 5 forbids."""
+        prom = PROM()
+        hybrid = known.ground(prom, known.PROM_HYBRID, 5)
+        spec = ObjectSpec("p", prom, scheme, relation=hybrid)
+        with pytest.raises(SpecificationError, match=r"'p'.*lacks .*≥ Write;Ok"):
+            cluster_of(3, spec)
+        total = DependencyRelation.total(prom.invocations(), event_alphabet(prom, 5))
+        assert ObjectSpec("p", prom, scheme, relation=total).resolved_relation is total
 
     @pytest.mark.parametrize(
         "datatype",
@@ -133,7 +166,7 @@ class TestHybridRelationResolution:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_an_empty_relation_breaks_hybrid_atomicity(self, seed, monkeypatch):
         monkeypatch.setattr(
-            keyspace, "_default_relation", lambda datatype: DependencyRelation()
+            keyspace, "_default_relation", lambda datatype, scheme: DependencyRelation()
         )
         assert not all(_hybrid_atomic("read-dominant", seed).values())
 

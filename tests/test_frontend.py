@@ -100,7 +100,7 @@ class TestUnavailability:
         its final quorum, so the transaction aborts.
         """
         from repro.types import Queue
-        from tests.helpers import small_system
+        from tests.helpers import refused_layout_system
 
         n = 3
         assignment = QuorumAssignment(
@@ -114,9 +114,7 @@ class TestUnavailability:
                 ),
             },
         )
-        cluster, _obj = small_system(
-            Queue(), "hybrid", n_sites=n, assignment=assignment
-        )
+        cluster, _obj = refused_layout_system(Queue(), assignment, n_sites=n)
         cluster.network.crash(1)
         cluster.network.crash(2)
         fe = cluster.frontends[0]
@@ -148,7 +146,7 @@ class TestFailedFinalQuorum:
     def _read_one_write_all():
         """Enq reads one site and writes all; Deq reads all, writes one."""
         from repro.types import Queue
-        from tests.helpers import small_system
+        from tests.helpers import refused_layout_system
 
         n = 3
         assignment = QuorumAssignment(
@@ -162,9 +160,7 @@ class TestFailedFinalQuorum:
                 ),
             },
         )
-        cluster, _obj = small_system(
-            Queue(), "hybrid", n_sites=n, assignment=assignment
-        )
+        cluster, _obj = refused_layout_system(Queue(), assignment, n_sites=n)
         return cluster
 
     def _timed_out_write_then_success(self, monkeypatch):

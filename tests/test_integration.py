@@ -25,7 +25,12 @@ from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, Counter, Queue
-from tests.helpers import cluster_of, queue_system, small_system
+from tests.helpers import (
+    cluster_of,
+    queue_system,
+    refused_layout_system,
+    small_system,
+)
 
 
 def _drive(cluster, obj, transactions, concurrency=3, ops=2, mix=None):
@@ -117,12 +122,8 @@ class TestInvalidAssignmentBreaksAtomicity:
         datatype = Queue()
         violations = 0
         for seed in range(6):
-            cluster, obj = small_system(
-                datatype,
-                "hybrid",
-                n_sites=n,
-                seed=seed,
-                assignment=broken,
+            cluster, obj = refused_layout_system(
+                datatype, broken, n_sites=n, seed=seed
             )
             try:
                 _drive(cluster, obj, transactions=25)

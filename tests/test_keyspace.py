@@ -31,7 +31,9 @@ from repro.obs.audit import Auditor
 from repro.obs.mutations import MUTATIONS
 from repro.obs.trace import Tracer
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
+from repro.quorum.constraints import violated_pairs
 from repro.quorum.coterie import SubsetThresholdCoterie, majority
+from repro.quorum.search import ThresholdChoice
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import (
     KeyspaceSpec,
@@ -202,6 +204,58 @@ class TestKeyspaceSpec:
             ):
                 for quorum in coterie.quorums():
                     assert quorum <= replicas
+
+
+#: Theorem 11 at run scale: two three-site layouts, each valid under one
+#: mechanism's minimal relation and not the other's.
+REGISTER_READ_2_WRITE_1 = ThresholdChoice(
+    3,
+    initial=(("Read", 2), ("Write", 1)),
+    final=((("Read", "Ok"), 3), (("Write", "Ok"), 2)),
+)
+QUEUE_ENQ_1_DEQ_3 = ThresholdChoice(
+    3,
+    initial=(("Deq", 3), ("Enq", 1)),
+    final=((("Deq", "Empty"), 3), (("Deq", "Ok"), 1), (("Enq", "Ok"), 3)),
+)
+
+
+class TestTheorem11AtRunScale:
+    """The relation, not the mechanism's name, decides which layouts an
+    object may run: a Register's dynamic relation adds ``Write ≥
+    Write;Ok`` to the static one, and a Queue's dynamic relation trades
+    static's ``Enq ≥ Deq;Ok`` for ``Enq ≥ Enq;Ok``."""
+
+    @pytest.mark.parametrize(
+        "datatype, choice, refused",
+        [
+            (Register(), REGISTER_READ_2_WRITE_1, {"dynamic": "Write ≥ Write;Ok"}),
+            (
+                Queue(),
+                QUEUE_ENQ_1_DEQ_3,
+                {"static": "Enq ≥ Deq;Ok", "hybrid": "Enq ≥ Deq;Ok"},
+            ),
+        ],
+        ids=["register", "queue"],
+    )
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_layout_compiles_exactly_where_its_relation_allows(
+        self, scheme, datatype, choice, refused
+    ):
+        assignment = choice.to_assignment()
+        spec = KeyspaceSpec(
+            3, (ObjectSpec("x", datatype, scheme, assignment=assignment),)
+        )
+        if scheme in refused:
+            with pytest.raises(
+                SpecificationError, match=f"'x'.* leave {refused[scheme]} without"
+            ):
+                build_keyspace(spec)
+            return
+        cluster = build_keyspace(spec)
+        obj = cluster.tm.object("x")
+        assert obj.assignment is assignment
+        assert violated_pairs(assignment, obj.relation) == ()
 
 
 class TestKeyspaceBuilders:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.atomicity.properties import HybridAtomicity
-from repro.errors import QuorumError, UnavailableError
+from repro.errors import QuorumError, SpecificationError, UnavailableError
 from repro.histories.events import Invocation, ok
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -14,6 +14,7 @@ from repro.quorum.coterie import (
     SubsetThresholdCoterie,
     ThresholdCoterie,
 )
+from repro.quorum.search import ThresholdChoice
 from repro.replication.reconfig import (
     greedy_transversal,
     is_transversal,
@@ -243,6 +244,32 @@ class TestReconfigureEdgeCases:
         assert registry.counter("reconfig.attempts").value == 1
         assert registry.counter("reconfig.aborted").value == 1
         assert "reconfig.success" not in registry.counters
+
+    @pytest.mark.parametrize(
+        "scheme, refused",
+        [("static", None), ("hybrid", None), ("dynamic", "Enq ≥ Enq;Ok")],
+    )
+    def test_a_layout_the_relation_refuses_is_refused_before_the_drain(
+        self, scheme, refused
+    ):
+        """One-site Enqs and five-site Deqs meet every static pair, but
+        not the dynamic ``Enq ≥ Enq;Ok`` (Theorem 11)."""
+        cluster, obj = queue_system(scheme, n_sites=5)
+        enq_one = ThresholdChoice(
+            5,
+            initial=(("Deq", 5), ("Enq", 1)),
+            final=((("Deq", "Empty"), 5), (("Deq", "Ok"), 5), (("Enq", "Ok"), 1)),
+        ).to_assignment()
+        if refused is None:
+            assert reconfigure(cluster.network, cluster.repositories, obj, enq_one)
+            assert obj.epoch == 1
+            return
+        before, sent = _repo_state(cluster), cluster.network.messages_sent
+        with pytest.raises(SpecificationError, match=f"'obj'.* {refused} without"):
+            reconfigure(cluster.network, cluster.repositories, obj, enq_one)
+        assert cluster.network.messages_sent == sent  # refused before the drain
+        assert _repo_state(cluster) == before
+        assert obj.epoch == 0 and obj.assignment is not enq_one
 
     def test_identical_assignment_is_a_noop(self):
         cluster, obj = queue_system("hybrid", n_sites=5)

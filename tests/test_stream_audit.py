@@ -291,7 +291,9 @@ class TestClearRegression:
 class TestWindowedMonitors:
     @staticmethod
     def _bound(window):
-        """A quorum monitor on a ten-site queue, fed synthetic quorum spans."""
+        """A quorum monitor on a ten-site queue, fed synthetic quorum spans:
+        initial ones for Deq, final ones for Enq, a pair (``Deq ≥
+        Enq;Ok``) the queue's relation requires to intersect."""
         tracer = Tracer()
         cluster, _generator, _names = build_scenario("default", n_sites=10, tracer=tracer)
         monitor = QuorumIntersectionMonitor(window=window)
@@ -300,8 +302,8 @@ class TestWindowedMonitors:
         def observe(phase, members):
             tracer.end_span(
                 tracer.start_span(
-                    "quorum", kind="quorum", object="queue", phase=phase, op="Enq",
-                    quorum=members,
+                    "quorum", kind="quorum", object="queue", phase=phase,
+                    op="Deq" if phase == "initial" else "Enq", quorum=members,
                 )
             )
 

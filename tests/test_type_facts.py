@@ -258,9 +258,9 @@ def test_nothing_shared_can_be_mutated_in_place():
         assert table.conflict(event, event) is before
         with pytest.raises(AttributeError):
             event.inv = None
-        assert isinstance(obj.cc.relation.pairs, frozenset)
+        assert isinstance(obj.relation.pairs, frozenset)
         with pytest.raises(AttributeError):
-            obj.cc.relation.extra = 1
+            obj.relation.extra = 1
         assert isinstance(read_only_operations(obj.datatype), frozenset)
 
 
