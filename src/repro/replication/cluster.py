@@ -121,7 +121,7 @@ class Cluster:
 
         The cluster-aware wrapper over
         :func:`repro.replication.reconfig.reconfigure`: the hand-over
-        walks the object's replica set (from the placement), every
+        probes the object's replica set (from the placement), every
         front-end's view/serial caches are invalidated at the switch,
         and the cluster tracer receives the ``reconfig.*`` spans plus
         the ``reconfig.switch`` point event the auditor's

@@ -16,7 +16,7 @@ partition.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.clocks.lamport import LamportClock
 from repro.errors import DegradedOperation, TransactionAborted, UnavailableError
@@ -39,7 +39,7 @@ from repro.resilience.policy import (
     RetryPolicy,
     read_only_operations,
 )
-from repro.sim.network import Network
+from repro.sim.network import GatherResult, Network
 from repro.txn.ids import Transaction
 from repro.txn.manager import TransactionManager
 
@@ -345,10 +345,6 @@ class FrontEnd:
         """Replica visit order for ``obj``: locality first, then round-robin."""
         return self.router.route(self.site, obj.name)
 
-    def _replica_set(self, obj: ReplicatedObject) -> frozenset[int]:
-        """The sites that could have answered a quorum probe for ``obj``."""
-        return frozenset(self.router.replicas(obj.name))
-
     def _read_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0
     ) -> tuple[Log, object]:
@@ -396,22 +392,10 @@ class FrontEnd:
             ),
             stop=coterie.has_quorum,
         )
-        responders = outcome.responders
-        if span is not None:
-            span.annotate(
-                attempted=list(outcome.attempted), served=list(outcome.served)
-            )
-        if not coterie.has_quorum(responders):
-            missing = self._replica_set(obj) - responders
-            if span is not None:
-                span.annotate(
-                    responders=sorted(responders), missing=sorted(missing)
-                )
-            raise UnavailableError(op_name, missing)
-        merged, best = self.view_cache.merged_view(name, outcome.in_attempt_order())
-        if span is not None:
-            span.annotate(quorum=sorted(responders))
-        return merged, best
+        conclude_step(
+            span, outcome, coterie.has_quorum, op_name, self.router.replicas(name)
+        )
+        return self.view_cache.merged_view(name, outcome.in_attempt_order())
 
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
@@ -453,16 +437,34 @@ class FrontEnd:
             ),
             stop=coterie.has_quorum,
         )
-        acks = outcome.responders
-        if span is not None:
-            span.annotate(
-                attempted=list(outcome.attempted), served=list(outcome.served)
-            )
-        if not coterie.has_quorum(acks):
-            missing = self._replica_set(obj) - acks
-            if span is not None:
-                span.annotate(responders=sorted(acks), missing=sorted(missing))
-            raise UnavailableError(event.inv.op, missing)
+        conclude_step(
+            span, outcome, coterie.has_quorum, event.inv.op, self.router.replicas(name)
+        )
         self.view_cache.note_write(name, update, outcome.in_attempt_order())
+
+
+def conclude_step(
+    span, outcome: GatherResult, enough: Callable[[frozenset[int]], bool],
+    op: str, pool: Iterable[int],
+) -> None:
+    """Close one quorum round of a protocol step (paper, Section 3.2).
+
+    The step's span names the sites the round ``attempted`` and that
+    ``served`` it.  When ``enough`` holds for the responders it names
+    them as its ``quorum``; otherwise it names the ``responders`` and
+    the sites of ``pool`` (the object's replica set) left ``missing``,
+    and :class:`~repro.errors.UnavailableError` is raised for ``op``.
+    Front-ends, reconfiguration and compaction all close through this;
+    ``span`` is ``None`` on the untraced path, which renders nothing.
+    """
+    responders = outcome.responders
+    if span is not None:
+        span.annotate(attempted=list(outcome.attempted), served=list(outcome.served))
+    if enough(responders):
         if span is not None:
-            span.annotate(quorum=sorted(acks))
+            span.annotate(quorum=sorted(responders))
+        return
+    missing = frozenset(pool) - responders
+    if span is not None:
+        span.annotate(responders=sorted(responders), missing=sorted(missing))
+    raise UnavailableError(op, missing)

@@ -40,11 +40,13 @@ coteries :func:`greedy_transversal` computes a greedy hitting set.  If
 the live sites contain no transversal the reconfiguration raises
 :class:`~repro.errors.UnavailableError` and changes nothing.
 
-The module predates the keyspace (PR 6) and observability (PR 2/7)
-layers; it is now placement-aware — the hand-over walks only the
-object's replica set, so genuine partial replication is preserved — and
-instrumented: ``reconfig.drain`` / ``reconfig.prime`` spans (each
-naming the sites it ``attempted`` and that ``served`` it), the
+Drain and prime are each one quorum round over
+:meth:`~repro.sim.network.Network.gather`, as a front-end's phases
+are, closed by :func:`~repro.replication.frontend.conclude_step`.  The
+hand-over draws only from the object's replica set, so genuine partial
+replication is preserved, and it is instrumented: ``reconfig.drain`` /
+``reconfig.prime`` spans (each naming the sites it ``attempted``, that
+``served`` it and, when it succeeds, its ``quorum``), the
 ``reconfig.switch`` point event, and ``reconfig.attempts`` /
 ``reconfig.success`` / ``reconfig.aborted`` / ``reconfig.noop``
 counters when a :class:`~repro.obs.metrics.MetricsRegistry` is passed.
@@ -53,17 +55,18 @@ counters when a :class:`~repro.obs.metrics.MetricsRegistry` is passed.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import QuorumError, UnavailableError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.constraints import require_satisfies
 from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
+from repro.replication.frontend import conclude_step
 from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
-from repro.replication.repository import read_walk, walk
-from repro.sim.network import Network
+from repro.replication.viewcache import fold_view
+from repro.sim.network import GatherResult, Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -233,11 +236,11 @@ def _visit_order(
 ) -> list[int]:
     """The order the hand-over probes sites in.
 
-    The base order is the pool rotated from the coordinator (exactly the
-    classic full-universe walk when the pool is every site).  When any
+    The base order is the pool rotated from the coordinator (the
+    full-universe rotation when the pool is every site).  When any
     coterie is explicit (no threshold closed form), the greedy hitting
     set of its quorums is promoted to the front so the transversal
-    completes in as few RPCs as the heuristic allows; threshold coteries
+    completes in as few probes as the heuristic allows; threshold coteries
     need no such help — any ``m - k + 1`` of their members do.
     """
     rotation = sorted(pool, key=lambda site: ((site - coordinator_site) % n_sites, site))
@@ -253,7 +256,7 @@ def _visit_order(
     for coterie in explicit:
         hit = greedy_transversal(coterie, available)
         if hit is None:
-            continue  # the drain loop will surface the unavailability
+            continue  # the drain's round will surface the unavailability
         for site in sorted(hit):
             if site not in priority:
                 priority.append(site)
@@ -285,7 +288,7 @@ def reconfigure(
     intersecting quorums, or when ``placement`` is given and it draws
     quorums from outside the object's replica set.
 
-    With ``placement`` the hand-over walks only the object's replica
+    With ``placement`` the hand-over probes only the object's replica
     set (genuine partial replication); ``frontends`` get their
     per-object :class:`~repro.replication.viewcache.QuorumViewCache`
     and serial-prefix cache entries invalidated at the switch;
@@ -345,34 +348,27 @@ def reconfigure(
             with tracer.span(
                 "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
             ) as phase:
-                drained, reached, merged, best_snapshot = read_walk(
-                    network,
-                    repositories,
-                    coordinator_site,
-                    order(old_finals),
-                    obj.name,
-                    hits_every(old_finals),
-                    phase,
+                _drained, merged, best_snapshot = drain(
+                    network, repositories, obj.name, coordinator_site,
+                    order(old_finals), old_finals, phase, "reconfigure", pool,
                 )
-                _conclude(phase, drained, reached, pool, entries=len(merged))
+                phase.annotate(entries=len(merged))
             # Phase 2: prime — install the complete view (snapshot first,
             # then the residual log) on a transversal of every new
             # initial coterie.
             with tracer.span(
                 "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
             ) as phase:
-                primed, acked = walk(
-                    network,
-                    repositories,
+                enough = hits_every(new_initials)
+                primed = network.gather(
                     coordinator_site,
                     order(new_initials),
-                    lambda repository: _prime(
-                        repository, obj.name, best_snapshot, merged
+                    lambda site: _prime(
+                        repositories[site], obj.name, best_snapshot, merged
                     ),
-                    hits_every(new_initials),
-                    phase,
+                    stop=enough,
                 )
-                _conclude(phase, primed, acked.keys(), pool)
+                conclude_step(phase, primed, enough, "reconfigure", pool)
         except UnavailableError:
             _count(registry, "reconfig.aborted")
             raise
@@ -394,16 +390,35 @@ def reconfigure(
 
 
 def hits_every(coteries: Sequence[Coterie]):
-    """The stop predicate of a draining walk: ``reached`` hits every coterie."""
+    """The stop predicate of a hand-over round: ``reached`` hits every coterie."""
     return lambda reached: all(is_transversal(c, reached) for c in coteries)
 
 
-def _conclude(span, satisfied: bool, reached, pool, **annotations) -> None:
-    """Close a hand-over phase: annotate its span, raise if it fell short."""
-    if not satisfied:
-        span.annotate(responders=sorted(reached))
-        raise UnavailableError("reconfigure", frozenset(pool) - reached)
-    span.annotate(quorum=sorted(reached), **annotations)
+def drain(
+    network: Network, repositories, name: str, origin: int, order: Sequence[int],
+    coteries: Sequence[Coterie], span, op: str, pool: Iterable[int],
+) -> tuple[GatherResult, Log, object]:
+    """Merge ``name``'s log from sites that hit every one of ``coteries``.
+
+    One quorum round from ``origin`` over ``order``, closed on ``span``
+    (``UnavailableError`` for ``op`` when the reachable sites of
+    ``pool`` fall short), folded from scratch: returns the round's
+    outcome, the merged log and the best compaction snapshot reached.
+    Reconfiguration drains the old finals, compaction the current ones.
+    """
+    enough = hits_every(coteries)
+    outcome = network.gather(
+        origin,
+        order,
+        lambda site: (
+            repositories[site].read_log(name),
+            repositories[site].read_snapshot(name),
+        ),
+        stop=enough,
+    )
+    conclude_step(span, outcome, enough, op, pool)
+    _raw, merged, best = fold_view(outcome.in_attempt_order())
+    return outcome, merged, best
 
 
 def _prime(repository, object_name: str, snapshot, merged: Log) -> None:

@@ -14,22 +14,19 @@ in-memory dicts then play the role of volatile state, wiped on crash by
 :meth:`lose_volatile` and rebuilt exactly — logs, snapshots, and
 version counters — by :meth:`restart` replaying checkpoint + journal.
 
-Beside the class live the two one-request-at-a-time *walks* over a set
-of repositories (:func:`walk`, :func:`read_walk`): the per-site request
-loop reconfiguration and compaction share.
-
-A repository records no trace: the protocol step that reached it names
-it in its span's ``served``, and the auditor reads its logs at that close.
+A repository is reached only through a protocol step's quorum round
+(:meth:`~repro.sim.network.Network.gather`: front-ends, reconfiguration,
+compaction) or an anti-entropy exchange, and records no trace: the step
+that reached it names it in its span's ``served``, and the auditor reads
+its logs at that close.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.obs.trace import Span
 from repro.replication.log import EMPTY_LOG, Log, LogEntry
-from repro.sim.network import Network, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.recovery import SiteJournal
@@ -220,97 +217,3 @@ class Repository:
                 f"repository {self.site} has no journal to restart from"
             )
         return self.journal.restore(self)
-
-
-# -- the repository walks ---------------------------------------------------
-
-
-def walk(
-    network: Network,
-    repositories: Sequence[Repository],
-    origin: int,
-    order: Iterable[int],
-    serve: Callable[[Repository], object],
-    enough: Callable[[frozenset[int]], bool],
-    span: Span | None = None,
-) -> tuple[bool, dict[int, object]]:
-    """Visit repositories one request at a time until ``enough`` are reached.
-
-    The per-site loop of the replication protocol (paper, Section 3.2),
-    written once for every caller that runs it one site at a time:
-    reconfiguration's drain and prime, and compaction.  ``serve(repository)`` runs at each site of ``order`` in
-    turn through :meth:`Network.request`; a site that times out is
-    skipped; the walk stops as soon as ``enough(reached)`` holds —
-    before the first request when the empty set already satisfies it.
-    A write walk passes a ``serve`` that installs state and reads the
-    reached sites off the reply keys; :func:`read_walk` is the read side.
-
-    Returns ``(satisfied, replies)``: whether ``enough`` was met, and
-    what each reached site served, in visit order.  ``span`` is the
-    calling step's: the sites the walk attempted, and those whose
-    ``serve`` ran (a lost reply included), join its ``attempted`` and
-    ``served`` attributes in visit order, each site named once however
-    many walks of the step visit it.
-    """
-    replies: dict[int, object] = {}
-    attempted: list[int] = []
-    served: list[int] = []
-    satisfied = enough(frozenset())
-    for site in order:
-        if satisfied:
-            break
-        attempted.append(site)
-        try:
-            replies[site] = network.request(
-                origin, site, lambda s=site: serve(repositories[s])
-            )
-        except Timeout as lost:
-            if lost.served:
-                served.append(site)
-            continue
-        served.append(site)
-        satisfied = enough(frozenset(replies))
-    if span is not None:
-        for key, sites in (("attempted", attempted), ("served", served)):
-            span.annotate(**{key: list(dict.fromkeys((*span.attrs.get(key, ()), *sites)))})
-    return satisfied, replies
-
-
-def read_walk(
-    network: Network,
-    repositories: Sequence[Repository],
-    origin: int,
-    order: Iterable[int],
-    object_name: str,
-    enough: Callable[[frozenset[int]], bool],
-    span: Span | None = None,
-) -> tuple[bool, frozenset[int], Log, object]:
-    """Merge an object's log fragments from the sites a :func:`walk` reaches.
-
-    Returns ``(satisfied, reached, log, snapshot)``: the union of the
-    fragments served, on the best (most-covering) compaction snapshot
-    any reached site holds, with the entries that snapshot folded or
-    discarded filtered out — a lagging repository may still hold them.
-    Merges from scratch, no caches (the front-end's incremental view
-    cache is not consulted).
-    """
-    satisfied, replies = walk(
-        network,
-        repositories,
-        origin,
-        order,
-        lambda repository: (
-            repository.read_log(object_name),
-            repository.read_snapshot(object_name),
-        ),
-        enough,
-        span,
-    )
-    merged, best = Log(), None
-    for fragment, snapshot in replies.values():
-        merged = merged.merge(fragment)
-        if snapshot is not None and snapshot.subsumes(best):
-            best = snapshot
-    if best is not None:
-        merged = Log(entry for entry in merged if entry.action not in best.dropped)
-    return satisfied, frozenset(replies), merged, best

@@ -20,7 +20,9 @@ Like reconfiguration, compaction is a quiesced, administrative
 operation: it drains a transversal of every final coterie (so the
 merged log provably contains every committed event), computes the
 snapshot, and installs it on every reachable repository, which drop
-their covered entries.
+their covered entries.  The drain and the installation are each one
+quorum round over :meth:`~repro.sim.network.Network.gather`, as a
+front-end's phases are.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from functools import cached_property
 from typing import Hashable
 
 from repro.clocks.timestamps import Timestamp
-from repro.errors import SpecificationError, UnavailableError
+from repro.errors import SpecificationError
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.reconfig import hits_every, needs_coverage
-from repro.replication.repository import read_walk, walk
+from repro.replication.reconfig import drain, needs_coverage
 from repro.replication.view import StatusSource
 from repro.sim.network import Network
 from repro.txn.ids import ActionId, TxnStatus
@@ -180,11 +181,14 @@ def compact(
     never reads (or installs on) a site that does not hold the object,
     which genuine partial replication forbids.  Default: every site.
 
-    Raises :class:`UnavailableError` when the live sites cannot drain
-    every final coterie, and :class:`SpecificationError` for objects
-    whose scheme does not serialize in commit order.
+    Raises :class:`~repro.errors.UnavailableError` when the live sites
+    cannot drain every final coterie, and :class:`SpecificationError`
+    for objects whose scheme does not serialize in commit order.
     Drain and installation are one ``compaction`` span on the network's
-    tracer, naming the sites both walks ``attempted`` and ``served``.
+    tracer: the drain is a quorum round (:meth:`Network.gather` until
+    the reached sites hit every final coterie, naming them its
+    ``quorum``), the installation one wave to every site, and the span
+    names the sites either round ``attempted`` and that ``served`` it.
     """
     if obj.cc.serialization_order != "commit":
         raise SpecificationError(
@@ -200,25 +204,22 @@ def compact(
     with network.tracer.span(
         "compaction", kind="compaction", object=obj.name, site=coordinator_site
     ) as span:
-        drained, reached, merged, best_base = read_walk(
-            network, repositories, coordinator_site, order, obj.name,
-            hits_every(finals), span,
+        drained, merged, best_base = drain(
+            network, repositories, obj.name, coordinator_site, order, finals,
+            span, "compact", pool,
         )
-        if not drained:
-            raise UnavailableError("compact", frozenset(pool) - reached)
-
         # ``merged`` holds nothing the base already covers or discards.
         snapshot = build_snapshot(obj, merged, statuses, best_base)
         if snapshot is None:
             return None
-        # Install wherever reachable: no site set is ever enough to stop.
-        walk(
-            network,
-            repositories,
+        # Install wherever reachable: one wave to every site of the pool.
+        installed = network.gather(
             coordinator_site,
             order,
-            lambda repository: repository.install_snapshot(obj.name, snapshot),
-            lambda _reached: False,
-            span,
+            lambda site: repositories[site].install_snapshot(obj.name, snapshot),
+        )
+        span.annotate(
+            attempted=list(dict.fromkeys(drained.attempted + installed.attempted)),
+            served=list(dict.fromkeys(drained.served + installed.served)),
         )
         return snapshot

@@ -17,7 +17,7 @@ per-repository log version counters (:meth:`Repository.log_version`):
   is unchanged, so the union stays exact);
 * **rebuild** — the responding site set or any site's snapshot object
   changed: the union is rebuilt from scratch over the probes in visit
-  order.
+  order (:func:`fold_view`, the fold the administrative drains use).
 
 After a successful final-quorum write the cache is refreshed from the
 acks alone (:meth:`note_write`): each acked repository confirmed, via a
@@ -56,6 +56,28 @@ class _CacheEntry:
     raw: Log
     best: Any
     filtered: Log
+
+
+def fold_view(probes: Sequence[Any]) -> tuple[Log, Log, Any]:
+    """Merge quorum read probes from scratch: ``(raw, filtered, best)``.
+
+    Each probe's ``value`` starts with the site's ``(log, snapshot)``.
+    ``raw`` is the union of the fragments in visit order, ``best`` the
+    most-covering snapshot any probe carries (by ``subsumes``, a later
+    equal one winning), and ``filtered`` is ``raw`` minus the entries
+    ``best`` folded or discarded — a lagging repository may still hold
+    them.  The cache's rebuild and the administrative drains of
+    reconfiguration and compaction all fold through this.
+    """
+    raw, best = Log(), None
+    for probe in probes:
+        fragment, snapshot = probe.value[0], probe.value[1]
+        raw = raw.merge(fragment)
+        if snapshot is not None and snapshot.subsumes(best):
+            best = snapshot
+    if best is None:
+        return raw, raw, None
+    return raw, Log(e for e in raw if e.action not in best.dropped), best
 
 
 class QuorumViewCache:
@@ -123,17 +145,7 @@ class QuorumViewCache:
             entry.filtered = filtered
             return filtered, best
         self.rebuilds += 1
-        best = None
-        raw = Log()
-        for probe in probes:
-            fragment, snapshot, _version = probe.value
-            raw = raw.merge(fragment)
-            if snapshot is not None and snapshot.subsumes(best):
-                best = snapshot
-        if best is None:
-            filtered = raw
-        else:
-            filtered = Log(e for e in raw if e.action not in best.dropped)
+        raw, filtered, best = fold_view(probes)
         self._entries[object_name] = _CacheEntry(
             sites=sites,
             versions={probe.site: probe.value[2] for probe in probes},

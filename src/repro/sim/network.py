@@ -5,16 +5,17 @@ partition the functioning sites into groups that cannot reach each other
 (paper, Section 3).  The fabric exposes two communication styles:
 
 * :meth:`Network.request` — a synchronous RPC, one round trip at a
-  time, used by the administrative walks of
-  :mod:`repro.replication.repository` (reconfiguration, compaction,
-  anti-entropy, available copies).  It consults crash and partition state,
+  time, used by anti-entropy's pairwise exchanges and the
+  available-copies baseline.  It consults crash and partition state,
   may lose the request or the reply (indistinguishable to the caller, as
   the paper notes: "the absence of a response may indicate that the
   original message was lost, that the reply was lost, that the recipient
   has crashed, or simply that the recipient is slow"), charges simulated
   latency, and raises :class:`Timeout` on failure.
-* :meth:`Network.gather` — the batched RPC front-ends assemble quorums
-  with: it launches one probe per destination at the same instant, so
+* :meth:`Network.gather` — the batched RPC of every quorum round: a
+  front-end's initial and final quorums, reconfiguration's drain and
+  prime, compaction's drain and install.  It launches one probe per
+  destination at the same instant, so
   their latencies overlap instead of accumulating.  Probes are issued
   in *waves*: each wave is the shortest prefix of the remaining
   destinations that could satisfy the caller's ``stop`` predicate if
@@ -257,7 +258,9 @@ class Network:
 
         Charges two message latencies; raises :class:`Timeout` when the
         destination is unreachable or either direction loses the message.
-        It records no span: the calling step's names the sites it served.
+        Anti-entropy and the available-copies baseline call it; every
+        quorum round goes through :meth:`gather` instead.  It records no
+        span: the calling step's names the sites it served.
         """
         self.messages_sent += 1
         self.sim.advance(self.latency)

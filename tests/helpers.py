@@ -97,9 +97,10 @@ class FromScratchViewCache(QuorumViewCache):
     """A view cache that remembers nothing.
 
     Every initial-quorum read is folded from scratch over its probes, in
-    visit order, as :func:`~repro.replication.repository.read_walk`
-    folds a walk's replies; a final-quorum write refreshes nothing.
-    ``merges`` counts the folds across every instance.
+    visit order, written out here independently of
+    :func:`~repro.replication.viewcache.fold_view` (the fold the cache's
+    rebuild and the administrative drains share); a final-quorum write
+    refreshes nothing.  ``merges`` counts the folds across every instance.
     """
 
     merges = 0

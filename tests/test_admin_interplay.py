@@ -109,6 +109,27 @@ class TestAdminInterplay:
         assert checker.admits(obj.recorder.to_behavioral_history())
 
 
+    def test_a_drain_drops_what_the_best_snapshot_covers(self):
+        """Site 1 misses the first compaction and still holds ``a``'s
+        entry; the second compaction's drain reaches it beside sites
+        holding the snapshot, and must not fold ``a`` a second time."""
+        cluster, obj = queue_system("hybrid", n_sites=5)
+        for site, invocation in ((0, ENQ_A), (1, ENQ_B)):
+            if site == 1:
+                cluster.network.crash(1)
+                compact(cluster.network, cluster.repositories, obj, cluster.tm)
+                cluster.network.recover(1)
+            txn = cluster.tm.begin(site)
+            cluster.frontends[site].execute(txn, "obj", invocation)
+            cluster.tm.commit(txn)
+        assert cluster.repositories[1].read_snapshot("obj") is None
+        assert cluster.repositories[1].entry_count("obj") == 2
+        snapshot = compact(
+            cluster.network, cluster.repositories, obj, cluster.tm, coordinator_site=1
+        )
+        assert snapshot.state == ("a", "b")
+
+
 class TestReconfigurePropagatesSnapshots:
     def test_primed_site_without_snapshot_receives_one(self):
         """Regression: a site unreachable during compaction must receive

@@ -446,7 +446,10 @@ class TestRouting:
 #: ``quorum-intersection`` alone, minus the reports on ``Enq ≥ Enq;Ok``,
 #: a pair the hybrid queue's relation does not hold (``stale-assignment``
 #: 14 → 12 violations).  The parent commit with only that requirement
-#: removed gives the same digests.
+#: removed gives the same digests.  ``stale-assignment`` was re-taken
+#: again when reconfiguration's drain and prime became quorum rounds over
+#: ``Network.gather`` (two latencies per wave, not per site): the same
+#: violations, each reported 2.0 earlier.
 VERDICT_PINS = {
     "clean": ("9c90964e00601af469c97aad0b016e0c3f18f492a9dbc602c8eb947393887eb2",) * 2,
     "crashes": ("3b9ad8cd3b5d93c3bcc227e443acc24d37fbde050cd3190c2f349d0b7a0dd1dc",) * 2,
@@ -458,7 +461,7 @@ VERDICT_PINS = {
         "b325d97170aaf26a85c91d7b9253ec73031c919cf2058cefb7ad89ed4eb4004b",
     ),
     "shard-misroute": ("fe591a15e989f057ca3f4e1a3f1980128c5979659570bbf08298e39b24edbc0a",) * 2,
-    "stale-assignment": ("f46a61d769c98aa088c8265ebef18363003bbae922e5954246e3aeca605c00f4",) * 2,
+    "stale-assignment": ("335480c4b51bcddb71a74ba075ea3743445ef232f5eab6ed93009e735f58be7a",) * 2,
     "timestamp-inversion": (
         "e421810942e29a0100f99eea7e777a06ec6646240dafa2f5c87cb1570de69e57",
         "d54dabf7377dc32be3e87811e56d1dbb05b3bc1156c4d2fb5fca8842e9f7d84a",

@@ -42,17 +42,17 @@ from repro.obs.trace import (
     NullTracer,
     Tracer,
 )
+from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import ThresholdCoterie
 from repro.replication.keyspace import ObjectSpec
 from repro.replication.log import Log, LogEntry
-from repro.replication.repository import walk
 from repro.replication.snapshot import Snapshot, compact
 from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.chaos import ChaosSchedule, generate_schedule, settle
 from repro.resilience.policy import POLICIES
 from repro.scenarios import runner
 from repro.sim.kernel import Simulator
-from repro.sim.network import Network, ProbeReply, Timeout
+from repro.sim.network import GatherResult, Network, ProbeReply, Timeout
 from repro.sim.trials import run_trials, seed_range
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
@@ -194,6 +194,38 @@ def _fabric(n_sites: int = 3, latency: float = 1.0, **kw) -> Network:
     return Network(sim, n_sites, latency=latency, **kw)
 
 
+def serial_walk(network: Network, origin: int, order, handler, stop=None) -> GatherResult:
+    """The one-request-at-a-time loop ``Network.gather`` promises to match.
+
+    Visits ``order`` through :meth:`Network.request` until ``stop`` holds
+    for the sites that answered (never, when ``stop`` is ``None``),
+    skipping a site that times out, and reports what it saw as a
+    :class:`GatherResult`: replies in visit order, each stamped with the
+    instant its reply leg landed.
+    """
+    attempted: list[int] = []
+    served: list[int] = []
+    received: list[ProbeReply] = []
+    reached: set[int] = set()
+    for site in order:
+        if stop is not None and stop(frozenset(reached)):
+            break
+        attempted.append(site)
+        try:
+            value = network.request(origin, site, lambda site=site: handler(site))
+        except Timeout as lost:
+            if lost.served:
+                served.append(site)
+            continue
+        served.append(site)
+        reached.add(site)
+        received.append(ProbeReply(site, value, network.sim.now))
+    return GatherResult(
+        tuple(attempted), tuple(served), frozenset(attempted) - reached,
+        frozenset(reached), tuple(received),
+    )
+
+
 @st.composite
 def _stable_gathers(draw):
     """``(n_sites, origin, order, stop, crashed, groups)`` for one gather.
@@ -268,16 +300,10 @@ class TestGather:
             outcome = batched.gather(
                 0, [0, 1, 2, 3], lambda site: site, stop=coterie.has_quorum
             )
-            responders: set[int] = set()
-            for site in [0, 1, 2, 3]:
-                if coterie.has_quorum(frozenset(responders)):
-                    break
-                try:
-                    serial.request(0, site, lambda s=site: s)
-                except Exception:
-                    continue
-                responders.add(site)
-            assert outcome.responders == frozenset(responders)
+            walked = serial_walk(
+                serial, 0, [0, 1, 2, 3], lambda site: site, stop=coterie.has_quorum
+            )
+            assert outcome.responders == walked.responders
             assert batched.messages_sent == serial.messages_sent, crashed
             assert batched.messages_dropped == serial.messages_dropped, crashed
 
@@ -317,16 +343,8 @@ class TestGather:
                 result = network.gather(0, [0, 1, 2], handler)
                 legs[style] = (result.attempted, result.served, result.responders)
                 continue
-            served, answered = [], set()
-            for site in (0, 1, 2):
-                try:
-                    network.request(0, site, lambda site=site: handler(site))
-                except Timeout as lost:
-                    served += [site] if lost.served else []
-                    continue
-                served.append(site)
-                answered.add(site)
-            legs[style] = ((0, 1, 2), tuple(served), answered)
+            walked = serial_walk(network, 0, [0, 1, 2], handler)
+            legs[style] = (walked.attempted, walked.served, walked.responders)
         # 2 lost its request leg and 1 its reply leg, alike in both
         # styles, and neither records a span.
         assert legs["gather"] == legs["request"] == ((0, 1, 2), (0, 1), {0})
@@ -336,8 +354,8 @@ class TestGather:
     @given(case=_stable_gathers())
     def test_gather_reports_what_the_serial_walk_reports(self, case):
         """The promise in ``gather``'s docstring, under a stable failure
-        state and no message loss: a serial ``walk`` over
-        ``Network.request`` attempts, reaches and counts the same."""
+        state and no message loss: :func:`serial_walk` over
+        ``Network.request`` attempts, serves, reaches and counts the same."""
         n_sites, origin, order, stop, crashed, groups = case
         batched, serial = _fabric(n_sites=n_sites), _fabric(n_sites=n_sites)
         for network in (batched, serial):
@@ -346,27 +364,114 @@ class TestGather:
             if groups:
                 network.partition(*groups)
         outcome = batched.gather(origin, order, lambda site: site * 10, stop=stop)
-
-        attempted = []
-        request = serial.request
-
-        def recorded(src, dst, handler):
-            attempted.append(dst)
-            return request(src, dst, handler)
-
-        serial.request = recorded
-        _satisfied, replies = walk(
-            serial, range(n_sites), origin, order, lambda site: site * 10,
-            stop or (lambda reached: False),
-        )
-        assert outcome.attempted == tuple(attempted)
-        assert outcome.responders == frozenset(replies)
-        assert outcome.failed == frozenset(attempted) - frozenset(replies)
-        assert [reply.value for reply in outcome.in_attempt_order()] == list(
-            replies.values()
-        )
+        walked = serial_walk(serial, origin, order, lambda site: site * 10, stop)
+        assert outcome.attempted == walked.attempted
+        assert outcome.served == walked.served
+        assert outcome.responders == walked.responders
+        assert outcome.failed == walked.failed
+        assert [reply.value for reply in outcome.in_attempt_order()] == [
+            reply.value for reply in walked.in_attempt_order()
+        ]
         assert batched.messages_sent == serial.messages_sent
         assert batched.messages_dropped == serial.messages_dropped
+
+
+def _threshold_layout(n_sites: int, initial: int, final: int) -> QuorumAssignment:
+    quorums = OperationQuorums(
+        initial=ThresholdCoterie(n_sites, initial),
+        final=ThresholdCoterie(n_sites, final),
+    )
+    return QuorumAssignment(n_sites, {"Enq": quorums, "Deq": quorums})
+
+
+class TestAdministrativeRounds:
+    """Reconfiguration and compaction are quorum rounds over ``gather``.
+
+    On a 5-site cluster with site 1 crashed, each runs once through
+    ``gather`` and once with ``gather`` replaced by :func:`serial_walk`:
+    both send and drop the same messages and their spans name the same
+    sites; only simulated time differs, two latencies per wave.
+    """
+
+    LATENCY = 0.75
+
+    def _cluster(self, serial: bool):
+        tracer = Tracer()
+        cluster = cluster_of(
+            5,
+            ObjectSpec("queue", Queue(), assignment=_threshold_layout(5, 3, 3)),
+            latency=self.LATENCY,
+            tracer=tracer,
+        )
+        for site, value in enumerate("ab"):
+            cluster.frontends[site].transact([("queue", event("Enq", value).inv)])
+        network = cluster.network
+        network.crash(1)
+        if serial:
+            network.gather = lambda src, dsts, handler, *, stop=None: serial_walk(
+                network, src, dsts, handler, stop
+            )
+        return cluster, tracer
+
+    def _step(self, cluster, tracer, action):
+        network = cluster.network
+        before = (network.sim.now, network.messages_sent, network.messages_dropped)
+        first = len(tracer.spans)
+        action(cluster)
+        spans = tuple(
+            (span.name, {key: span.attrs.get(key) for key in ("attempted", "served", "quorum")})
+            for span in tracer.spans[first:]
+            if span.kind in ("reconfig", "compaction")
+        )
+        return (
+            network.sim.now - before[0],
+            network.messages_sent - before[1],
+            network.messages_dropped - before[2],
+            spans,
+        )
+
+    def _reconfigure(cluster):
+        cluster.reconfigure("queue", _threshold_layout(5, 2, 4))
+
+    def _compact(cluster):
+        compact(cluster.network, cluster.repositories, cluster.tm.object("queue"), cluster.tm)
+
+    @pytest.mark.parametrize(
+        "action, waves, steps",
+        [
+            # Drain: a transversal of the old 3-of-5 finals, {0, 1, 2}
+            # then {3}; prime: of the new 2-of-5 initials, {0..3} then {4}.
+            (
+                _reconfigure,
+                4,
+                {
+                    "reconfig.drain": ([0, 1, 2, 3], [0, 2, 3], [0, 2, 3]),
+                    "reconfig.prime": ([0, 1, 2, 3, 4], [0, 2, 3, 4], [0, 2, 3, 4]),
+                },
+            ),
+            # Drain: {0, 1, 2} then {3}; install: one wave to every site.
+            (
+                _compact,
+                3,
+                {"compaction": ([0, 1, 2, 3, 4], [0, 2, 3, 4], [0, 2, 3])},
+            ),
+        ],
+        ids=["reconfigure", "compact"],
+    )
+    def test_a_round_is_the_serial_walk_in_fewer_latencies(self, action, waves, steps):
+        batched = self._step(*self._cluster(serial=False), action)
+        serial = self._step(*self._cluster(serial=True), action)
+        elapsed, sent, dropped, spans = batched
+        assert (sent, dropped, spans) == serial[1:]
+        assert (sent, dropped) == (16, 2)
+        named = {
+            name: (attrs["attempted"], attrs["served"], attrs["quorum"])
+            for name, attrs in spans
+            if attrs["attempted"] is not None
+        }
+        assert named == steps
+        assert elapsed == 2 * self.LATENCY * waves
+        assert serial[0] > elapsed
 
 
 class TestGatherCallCount:
