@@ -43,7 +43,7 @@ from repro.spec.facts import value_key
 from repro.spec.legality import LegalityOracle
 
 #: The in-process memo.  Lives for the process (artifacts are immutable),
-#: cleared explicitly by tests and benchmarks.
+#: cleared explicitly by tests and the repo benchmark.
 _MEMO = ArtifactCache()
 
 
@@ -112,7 +112,7 @@ def artifacts_for(
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process memo (tests and benchmarks)."""
+    """Drop the in-process memo (tests and the repo benchmark)."""
     _MEMO.clear()
 
 

@@ -60,7 +60,7 @@ def parallel_map(
 
     Returns ``(results, parallel_used)`` — results in input order, and a
     flag recording whether a process pool actually did the work (False
-    on the serial path or after a pool failure), so benchmarks can
+    on the serial path or after a pool failure), so a caller can
     report honestly about what ran.
 
     ``chunksize`` batches that many items per worker round trip (the

@@ -183,7 +183,6 @@ class SoakMaintenance:
     def run_round(self) -> None:
         """One full sweep: compact, prune, trim, then retire."""
         from repro.replication.snapshot import compact
-        from repro.sim.network import Timeout
 
         tm = self.cluster.tm
         network = self.cluster.network
@@ -206,7 +205,7 @@ class SoakMaintenance:
                     coordinator_site=replicas[0],
                     sites=replicas,
                 )
-            except (UnavailableError, Timeout):
+            except UnavailableError:
                 self.skipped_objects += 1
                 continue
             if snapshot is not None:

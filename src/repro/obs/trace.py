@@ -41,14 +41,12 @@ after-the-fact inspection (``spans``, forensics,
   buffer: O(window) memory, enough tail for violation forensics.
 
 ``retained_spans`` / ``peak_retained`` expose the live count and its
-high-water mark; :func:`process_peak_retained` tracks the largest
-single-tracer high-water mark process-wide so benchmark environment
-stamps can prove a run stayed bounded.
+high-water mark: a soak stayed bounded iff its tracer's peak never
+passed the window.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -73,27 +71,6 @@ RETENTION_MODES = ("all", "ring")
 
 #: Default ring-buffer size when ``retention="ring"`` without a window.
 DEFAULT_WINDOW = 4096
-
-#: Live (weakly held) tracers, for process-wide retention accounting.
-_LIVE_TRACERS: "weakref.WeakSet[Tracer]" = weakref.WeakSet()
-
-#: Largest number of spans any single tracer retained at once.
-_PROCESS_PEAK_RETAINED = 0
-
-
-def process_retained_spans() -> int:
-    """Spans currently retained across every live tracer in the process."""
-    return sum(tracer.retained_spans for tracer in _LIVE_TRACERS)
-
-
-def process_peak_retained() -> int:
-    """The largest span count any single tracer has retained at once.
-
-    This is the number bounded-memory claims are made about: a soak ran
-    with a ring window of W iff this never exceeds W (plus whatever an
-    ``retention="all"`` tracer elsewhere in the process retained).
-    """
-    return _PROCESS_PEAK_RETAINED
 
 
 @dataclass(slots=True)
@@ -284,8 +261,6 @@ class Tracer:
         self._next_id = 1
         self._listeners: list[TraceListener] = []
         self._route()
-        if type(self).enabled:
-            _LIVE_TRACERS.add(self)
 
     def bind_clock(self, clock: Any) -> None:
         """Read timestamps from ``clock.now`` from here on."""
@@ -350,9 +325,6 @@ class Tracer:
         count = len(spans)
         if count > self.peak_retained:
             self.peak_retained = count
-            global _PROCESS_PEAK_RETAINED
-            if count > _PROCESS_PEAK_RETAINED:
-                _PROCESS_PEAK_RETAINED = count
         for hook in self._start_hooks:
             hook(span)
         return span

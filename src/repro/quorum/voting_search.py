@@ -15,7 +15,7 @@ sums are only sufficient, not necessary, for lumpy weights — the
 coterie-level check is authoritative).
 
 The search space is exponential in sites and operations, so this is a
-small-n tool (the benchmarks use n = 3); it exists to demonstrate and
+small-n tool (the ``Weighted voting`` claim row uses n = 3); it exists to demonstrate and
 test the phenomenon, not to scale.
 """
 

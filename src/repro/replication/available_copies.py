@@ -16,10 +16,11 @@ method's downfall: a partition is indistinguishable from a crash, so
 both sides of a partition keep executing on diverging copies, and the
 combined history can fail to be serializable.
 
-The comparison benchmark drives the same partitioned workload through
-available copies (anomaly: a FIFO queue item dequeued twice) and through
-quorum consensus (minority side unavailable, history stays atomic).
-The baseline is never audited, so its requests record no step span.
+The ``Available copies contrast`` claim row drives one partitioned
+workload through available copies (anomaly: a FIFO queue item dequeued
+twice) and through quorum consensus (minority side unavailable, history
+stays atomic).  The baseline is never audited, so its requests record
+no step span.
 """
 
 from __future__ import annotations

@@ -228,13 +228,13 @@ def _count(registry: "MetricsRegistry | None", name: str) -> None:
         registry.counter(name).inc()
 
 
-def _visit_order(
+def visit_order(
     pool: Sequence[int],
     coordinator_site: int,
     n_sites: int,
     coteries: Sequence[Coterie],
 ) -> list[int]:
-    """The order the hand-over probes sites in.
+    """The order a hand-over (reconfiguration or compaction) probes sites in.
 
     The base order is the pool rotated from the coordinator (the
     full-universe rotation when the pool is every site).  When any
@@ -328,7 +328,7 @@ def reconfigure(
     ]
 
     def order(coteries):
-        return _visit_order(pool, coordinator_site, network.n_sites, coteries)
+        return visit_order(pool, coordinator_site, network.n_sites, coteries)
 
     with tracer.span(
         "reconfig",

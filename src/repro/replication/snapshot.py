@@ -35,7 +35,7 @@ from repro.clocks.timestamps import Timestamp
 from repro.errors import SpecificationError
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
-from repro.replication.reconfig import drain, needs_coverage
+from repro.replication.reconfig import drain, needs_coverage, visit_order
 from repro.replication.view import StatusSource
 from repro.sim.network import Network
 from repro.txn.ids import ActionId, TxnStatus
@@ -176,10 +176,12 @@ def compact(
 ) -> Snapshot | None:
     """Compact ``obj``'s logs cluster-wide; returns the installed snapshot.
 
-    ``sites`` restricts the drain/install rotation — under a partially
+    ``sites`` restricts the drain/install pool — under a partially
     replicated keyspace pass the object's replica set, so compaction
     never reads (or installs on) a site that does not hold the object,
     which genuine partial replication forbids.  Default: every site.
+    Both rounds visit the pool in ``reconfig.visit_order``, as a
+    reconfiguration from the same coordinator does.
 
     Raises :class:`~repro.errors.UnavailableError` when the live sites
     cannot drain every final coterie, and :class:`SpecificationError`
@@ -198,8 +200,7 @@ def compact(
         )
     finals = [c for c in obj.assignment.final_coteries() if needs_coverage(c)]
     pool = tuple(sites) if sites is not None else tuple(range(network.n_sites))
-    start = pool.index(coordinator_site) if coordinator_site in pool else 0
-    order = [pool[(start + offset) % len(pool)] for offset in range(len(pool))]
+    order = visit_order(pool, coordinator_site, network.n_sites, finals)
 
     with network.tracer.span(
         "compaction", kind="compaction", object=obj.name, site=coordinator_site

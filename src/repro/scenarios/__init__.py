@@ -18,8 +18,8 @@ The pluggable workload framework (see ``docs/SCENARIOS.md``):
   :func:`poisson_arrivals`, :func:`bursty_arrivals`).
 
 ``python -m repro scenario`` is the CLI entry point;
-``benchmarks/bench_scenario_matrix.py`` sweeps the full
-scenario × chaos-profile × mechanism matrix.
+``tests/test_scenarios.py`` sweeps the full scenario × chaos-profile ×
+mechanism matrix.
 """
 
 from repro.scenarios.catalog import SCENARIOS, scenario

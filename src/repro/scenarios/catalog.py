@@ -4,9 +4,8 @@ Each entry is a :class:`~repro.scenarios.spec.ScenarioSpec` with a
 ``doc_ref`` anchor into ``docs/SCENARIOS.md``; ``tests/test_docs.py``
 fails the build when an anchor goes stale or a catalog entry is missing
 from the doc's reference table, and ``tests/test_scenarios.py`` pins
-the ``default`` entry byte-identical to the legacy workload.  The
-catalog is the row axis of ``benchmarks/bench_scenario_matrix.py``,
-crossed there with the chaos profiles and the three atomicity
+the ``default`` entry byte-identical to the legacy workload and crosses
+every entry with the chaos profiles and the three atomicity
 mechanisms.
 
 Changing an existing entry re-rolls every published fingerprint built

@@ -8,7 +8,7 @@ message fabric with latency, loss, crashes, and partitions
 (:mod:`repro.sim.failures`), workload generation
 (:mod:`repro.sim.workload`), and measurement (:mod:`repro.sim.metrics`).
 
-Everything is deterministic given a seed, so every benchmark run is
+Everything is deterministic given a seed, so every run is
 reproducible.
 """
 

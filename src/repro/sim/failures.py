@@ -6,7 +6,7 @@ Two styles are provided:
   site 2; at t=90 heal the partition"), for targeted tests;
 * :class:`CrashInjector` / :class:`PartitionInjector` — stochastic
   background processes with exponential inter-failure and repair times,
-  for availability benchmarks.  Stochastic injectors draw from the
+  for availability experiments.  Stochastic injectors draw from the
   simulator's seeded RNG and are therefore reproducible.
 """
 
@@ -84,8 +84,9 @@ class CrashInjector:
     Each up site crashes with exponential rate ``1 / mean_uptime`` and
     each down site recovers with rate ``1 / mean_downtime``.  The
     long-run per-site availability is therefore
-    ``mean_uptime / (mean_uptime + mean_downtime)``, which benchmarks
-    match against the analytic quorum availability.
+    ``mean_uptime / (mean_uptime + mean_downtime)``, which the
+    ``End-to-end availability`` claim row matches against the analytic
+    quorum availability.
 
     Args:
         network: the fabric whose sites crash and recover.

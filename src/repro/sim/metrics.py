@@ -2,8 +2,7 @@
 
 A :class:`MetricRecorder` accumulates per-operation counters —
 successes, unavailability (no quorum), concurrency-control conflicts,
-aborts — plus latency samples, and renders summary tables the benchmarks
-print.
+aborts — plus latency samples, and renders summary tables.
 
 This module is now a thin compatibility shim over
 :mod:`repro.obs.metrics`: outcome counts and latency distributions live
@@ -13,7 +12,7 @@ in a :class:`~repro.obs.metrics.MetricsRegistry` (counters named
 rather than a bare mean — a mean hides exactly the timeout tails the
 availability experiments are about.  The original dict-shaped API
 (``outcomes``, ``latencies``, ``attempts`` …) is preserved for the
-benchmarks that post-process it.
+claim rows and tests that post-process it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Parallel Monte Carlo trial sharding for availability sweeps.
+"""Parallel Monte Carlo trial sharding for seed sweeps.
 
-The availability benchmarks estimate Section 3 claims by running the
-same seeded workload under many seeds and aggregating the per-seed
-metrics.  Each trial is an independent, deterministic function of its
+A chaos sweep (:func:`repro.resilience.chaos.run_chaos_sweep`) runs the
+same seeded workload under many seeds and aggregates the per-seed
+results.  Each trial is an independent, deterministic function of its
 seed, so the seed list shards perfectly across worker processes.  This
 module rides the :mod:`repro.compute.parallel` ProcessPoolExecutor
 infrastructure from the theory-kernel compute layer (``--jobs`` /
@@ -20,11 +20,11 @@ serial sweep with identical results.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
-from repro.compute.parallel import available_cpus, parallel_map, resolve_jobs
+from repro.compute.parallel import parallel_map, resolve_jobs
 
-__all__ = ["run_trials", "seed_range", "available_cpus", "resolve_jobs"]
+__all__ = ["run_trials"]
 
 R = TypeVar("R")
 
@@ -42,7 +42,7 @@ def run_trials(
     order.  ``jobs`` resolves through ``REPRO_JOBS`` when ``None`` and
     defaults to serial; ``parallel_used`` honestly records whether a
     process pool did the work (``False`` on the serial path or any
-    fallback), so benchmarks can report single-CPU runs as such instead
+    fallback), so a caller can report single-CPU runs as such instead
     of claiming a speedup.
 
     ``chunksize`` batches seeds per worker round trip; the default
@@ -71,7 +71,3 @@ def run_trials(
         # deterministic, so rerunning serially gives the same answer.
         return [trial(seed) for seed in seed_list], False
 
-
-def seed_range(start: int, count: int) -> Sequence[int]:
-    """The canonical ``count`` consecutive trial seeds from ``start``."""
-    return range(start, start + count)

@@ -1,7 +1,7 @@
 """Workload driving: concurrent transaction streams over replicated objects.
 
 :class:`WorkloadGenerator` is the execution engine under every
-benchmark, chaos sweep, soak, and scenario in the repository.  It is
+measured claim row, chaos sweep, soak, and scenario in the repository.  It is
 *not* tied to one traffic shape: the engine interleaves in-flight
 transactions one operation at a time (picking the next runnable
 transaction pseudo-randomly from the simulator's seeded RNG) and two

@@ -11,7 +11,7 @@ The four types the paper's proofs revolve around:
   buffers (Section 5, Theorem 12);
 
 plus a standard library of types used by the replication runtime,
-examples, and benchmarks: Register (Gifford-style file), Counter, Bag,
+examples, and claim rows: Register (Gifford-style file), Counter, Bag,
 Directory, Account, Stack, SemiQueue (nondeterministic), and an
 append-only Log.
 """

@@ -3,8 +3,7 @@
 Operations are classified only as reads or writes, exactly the model
 underlying Gifford's weighted voting [11] and the Bernstein–Goodman
 replicated-database model [4] that the paper contrasts with typed quorum
-consensus.  The register is the baseline for the read/write-classification
-ablation benchmark.
+consensus.  It is the type of the ``Weighted voting`` claim row.
 """
 
 from __future__ import annotations

@@ -6,13 +6,15 @@ import pytest
 from repro.atomicity.properties import HybridAtomicity
 from repro.histories.events import Invocation, ok
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.coterie import ThresholdCoterie
+from repro.quorum.coterie import SubsetThresholdCoterie, ThresholdCoterie
 from repro.replication.antientropy import AntiEntropy
+from repro.replication.keyspace import ObjectSpec, PlacementRule
 from repro.replication.reconfig import reconfigure
 from repro.replication.snapshot import compact
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
-from tests.helpers import queue_system
+from repro.types import Queue
+from tests.helpers import cluster_of, queue_system
 
 ENQ_A = Invocation("Enq", ("a",))
 ENQ_B = Invocation("Enq", ("b",))
@@ -159,3 +161,38 @@ class TestReconfigurePropagatesSnapshots:
         txn = cluster.tm.begin(4)
         assert cluster.frontends[4].execute(txn, "obj", DEQ) == ok("a")
         cluster.tm.commit(txn)
+
+
+class TestOneVisitOrder:
+    """Compaction and reconfiguration hand over in one order."""
+
+    @pytest.mark.parametrize("coordinator", range(5))
+    def test_both_drains_probe_the_replicas_in_one_order(self, coordinator, monkeypatch):
+        # Replicas at 0, 2 and 4: a coordinator at 1 or 3 holds none.
+        replicas = (0, 2, 4)
+        spec = ObjectSpec("obj", Queue(), placement=PlacementRule.at(replicas))
+        cluster = cluster_of(5, spec)
+        obj = cluster.tm.object("obj")
+        txn = cluster.tm.begin(0)
+        cluster.frontends[0].execute(txn, "obj", ENQ_A)
+        cluster.tm.commit(txn)
+        probed = []
+        gather = cluster.network.gather
+
+        def recording(origin, order, *args, **kwargs):
+            probed.append(list(order))
+            return gather(origin, order, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.network, "gather", recording)
+        compact(cluster.network, cluster.repositories, obj, cluster.tm,
+                coordinator_site=coordinator, sites=replicas)  # fmt: skip
+        drain, install = probed
+        quorums = OperationQuorums(
+            initial=SubsetThresholdCoterie(5, replicas, 3),
+            final=SubsetThresholdCoterie(5, replicas, 1),
+        )
+        new = QuorumAssignment(5, {"Enq": quorums, "Deq": quorums})
+        assert cluster.reconfigure("obj", new, coordinator_site=coordinator)
+        # The pool rotated from the coordinator, as reconfiguration drains.
+        expected = sorted(replicas, key=lambda site: (site - coordinator) % 5)
+        assert drain == install == probed[2] == expected

@@ -109,6 +109,20 @@ class TestHybridAtomicity:
         prop = HybridAtomicity(queue, queue_oracle)
         assert prop.admits(history)
 
+    def test_a_dequeue_sees_the_enqueue_committed_first(self, queue, queue_oracle):
+        history = BehavioralHistory.build(
+            Begin("A"),
+            Begin("B"),
+            Begin("C"),
+            Op(ENQ_A, "A"),
+            Op(ENQ_B, "B"),
+            Commit("A"),
+            Op(DEQ_A, "C"),
+            Commit("C"),
+            Commit("B"),
+        )
+        assert HybridAtomicity(queue, queue_oracle).admits(history)
+
     def test_hybrid_rejects_wrong_commit_order(self, queue, queue_oracle):
         history = BehavioralHistory.build(
             Begin("A"),

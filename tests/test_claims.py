@@ -21,9 +21,11 @@ from repro.types import DoubleBuffer, Queue
 RULE = "=" * 72
 
 #: ``(heading, first 16 hex digits of the sha256 of the body)`` per section.
+#: The title section's was re-taken when its last line stopped pointing at a
+#: separate bench tree and named the measured rows instead.
 PINNED = {
     "report": (
-        ("Comparing How Atomicity Mechanisms Support Replication", "e4831d1211f3f39c"),
+        ("Comparing How Atomicity Mechanisms Support Replication", "dcb8ea7f30d8b3d0"),
         ("Figure 1-1: concurrency", "d5c99ae4ce862d12"),
         ("Theorems 4, 5, 6, 10, 11, 12 + FlagSet", "ae86be9ba6da5b29"),
         ("Figure 1-2: constraints on quorum assignment (Queue)", "4b850c7c2706dc3f"),
@@ -31,7 +33,7 @@ PINNED = {
         ("Conclusion", "dcd68453179a8321"),
     ),
     "fast": (
-        ("Comparing How Atomicity Mechanisms Support Replication", "e4831d1211f3f39c"),
+        ("Comparing How Atomicity Mechanisms Support Replication", "dcb8ea7f30d8b3d0"),
         ("Figure 1-1: concurrency", "d5c99ae4ce862d12"),
         ("Theorems 4, 5, 6, 10, 11, 12 + FlagSet", "964617c714afe92e"),
         ("Figure 1-2: constraints on quorum assignment (Queue)", "4b850c7c2706dc3f"),
@@ -39,7 +41,7 @@ PINNED = {
         ("Conclusion", "dcd68453179a8321"),
     ),
     "small": (
-        ("Comparing How Atomicity Mechanisms Support Replication", "e4831d1211f3f39c"),
+        ("Comparing How Atomicity Mechanisms Support Replication", "dcb8ea7f30d8b3d0"),
         ("Figure 1-1: concurrency", "249700e188effbed"),
         ("Theorems 4, 5, 6, 10, 11, 12 + FlagSet", "964617c714afe92e"),
         ("Figure 1-2: constraints on quorum assignment (Queue)", "d1f829b5957933d2"),
@@ -60,6 +62,11 @@ NAMES = [
     "Figure 1-2",
     "PROM quorum example",
     "Figure 3-1",
+    "End-to-end availability",
+    "End-to-end concurrency",
+    "Read/write ablation",
+    "Available copies contrast",
+    "Weighted voting",
     "Type catalog",
 ]
 
@@ -132,6 +139,11 @@ def test_report_keeps_the_pinned_sections_then_adds_the_rows(report):
         "Figure 1-2",
         "PROM quorum example",
         "Figure 3-1",
+        "End-to-end availability",
+        "End-to-end concurrency",
+        "Read/write ablation",
+        "Available copies contrast",
+        "Weighted voting",
         "Type catalog",
     ]
 

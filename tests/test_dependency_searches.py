@@ -59,6 +59,10 @@ class TestQueueRelations:
         assert not static <= dynamic
         assert not dynamic <= static
 
+    def test_bound_three_already_constrains_both(self, queue, queue_oracle):
+        assert minimal_static_dependency(queue, 3, queue_oracle)
+        assert minimal_dynamic_dependency(queue, 3, queue_oracle)
+
     def test_bound_monotonicity(self, queue, queue_oracle):
         small = minimal_static_dependency(queue, 3, queue_oracle)
         large = minimal_static_dependency(queue, 4, queue_oracle)

@@ -42,7 +42,7 @@ LINKED_DOCS = tuple(sorted(DOCS.glob("*.md"))) + tuple(
 _PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 _MARKDOWN_LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _FENCED_BLOCK = re.compile(r"```.*?```", re.S)
-_BACKTICK_PATH = re.compile(r"`([\w./\-]+/[\w./\-]+\.(?:py|md|toml|yml))`")
+_BACKTICK_PATH = re.compile(r"`([\w./\-]+/[\w./\-]+\.(?:py|md|toml|yml))((?:::\w+)*)`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.M)
 _DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 _SH_BLOCK = re.compile(r"```sh\n(.*?)```", re.S)
@@ -97,20 +97,21 @@ def test_markdown_links_resolve(doc):
 
 @pytest.mark.parametrize("doc", LINKED_DOCS, ids=lambda p: p.name)
 def test_backticked_repo_paths_exist(doc):
-    """Backticked ``dir/file.ext`` references must name real files.
-
-    Generated artifacts (``benchmarks/results/...``) are exempt — they
-    do not exist in a fresh checkout; ``::``-qualified pytest node ids
-    are checked by their file part.
-    """
+    """Backticked ``dir/file.ext`` references must name real files, and
+    the classes and functions of a ``file.py::Class::test`` node id must
+    be defined in that file."""
     text = doc.read_text()
     problems = []
-    for ref in _BACKTICK_PATH.findall(text):
-        if ref.startswith("benchmarks/results/"):
-            continue
+    for ref, node in _BACKTICK_PATH.findall(text):
         candidates = (ROOT / ref, ROOT / "src" / ref, doc.parent / ref)
-        if not any(c.exists() for c in candidates):
+        found = [c for c in candidates if c.exists()]
+        if not found:
             problems.append(ref)
+            continue
+        source = found[0].read_text()
+        for name in node.split("::")[1:]:
+            if not re.search(rf"^\s*(?:class|def) {name}\b", source, re.M):
+                problems.append(f"{ref}{node}")
     assert not problems, f"{doc.name}: dangling path references {problems}"
 
 

@@ -30,6 +30,7 @@ class TestLegalSerialHistories:
         shallow = sum(1 for _ in legal_serial_histories(queue, 2))
         deep = sum(1 for _ in legal_serial_histories(queue, 3))
         assert deep > shallow
+        assert sum(1 for _ in legal_serial_histories(queue, 4)) > 100
 
     def test_register_count_closed_form(self, register):
         # Register: every event sequence over {Write x, Write y, Read last}

@@ -1,8 +1,9 @@
 """Golden run table: pinned fingerprints that hold the behaviour guarantee.
 
 Each row names one seeded audited run and the SHA-256 of its
-fingerprint (decisions, messages and rendered histories; no simulated
-clock).  The digests were generated in a fresh interpreter at the
+fingerprint: decisions, messages and rendered histories.  Only the
+``soak`` driver's fingerprint also holds the simulated clock, as
+``sim_time``.  The digests were generated in a fresh interpreter at the
 commit *before* the protocol loops were unified, and every row but
 ``soak/small`` was checked against the same digest under both the
 overlapped front-end and a one-request-at-a-time one until the latter

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -383,6 +384,21 @@ class TestRunningKeyspace:
         for repo in cluster.repositories:
             assert repo.shards is not None
             assert set(repo.stored_objects()) <= repo.shards
+
+    @pytest.mark.parametrize("n_objects", [1, 2, 4, 8, 16])
+    def test_a_ring_keyspace_commits_and_audits_green_at_any_size(self, n_objects):
+        cluster, generator, _names = build_scenario(
+            replace(SCENARIOS["default"], objects=n_objects),
+            n_sites=5,
+            placement="ring",
+            tracer=Tracer(),
+        )
+        auditor = Auditor(cluster)
+        generator.run(40)
+        report = auditor.finish()
+        assert report.ok, report.render()
+        assert cluster.tm.commits > 0
+        assert cluster.placement.is_partial or n_objects == 1
 
     def test_transact_spans_objects_under_one_transaction(self):
         spec, cluster = build_demo(n_objects=3)

@@ -25,6 +25,14 @@ class TestLegality:
         for cut in range(len(history)):
             assert queue_oracle.is_legal(history[:cut])
 
+    def test_long_histories_replay_cold_and_warm(self, queue_oracle):
+        enq_a, enq_b = event("Enq", ("a",)), event("Enq", ("b",))
+        deq_a, deq_b = event("Deq", (), ok("a")), event("Deq", (), ok("b"))
+        cold = (enq_a, enq_b, deq_a, enq_a, deq_b, deq_a) * 2
+        assert LegalityOracle(Queue()).is_legal(cold)
+        warm = (enq_a, enq_b, deq_a, deq_b) * 3
+        assert queue_oracle.is_legal(warm) and queue_oracle.is_legal(warm)
+
     def test_extension_of_illegal_stays_illegal(self, queue_oracle):
         bad = (event("Deq", (), ok("a")),)
         assert not queue_oracle.is_legal(bad)

@@ -456,6 +456,18 @@ class TestChaosCleanliness:
             assert case["fingerprint"]["converged"]
             assert case["counts"]["accounted"]
 
+    def test_a_degraded_sweep_of_every_profile_has_no_violations(self):
+        verdict = run_chaos_sweep(
+            seeds=(0, 1, 2, 3),
+            profiles=PROFILES,
+            policies=("degraded",),
+            transactions=16,
+            n_sites=5,
+        )
+        assert verdict["ok"], verdict
+        for profile, policies in verdict["profiles"].items():
+            assert policies["degraded"]["violations"] == 0, profile
+
     def test_no_silent_loss_accounting(self):
         case = run_chaos_case(seed=1, profile="mixed", policy_name="default")
         counts = case["counts"]

@@ -22,6 +22,7 @@ from functools import partial
 
 import pytest
 
+from repro.resilience.chaos import PROFILES
 from repro.resilience.policy import _mix_key
 from tests.helpers import cluster_of, hybrid_queue
 from repro.scenarios import (
@@ -300,6 +301,23 @@ class TestByteIdentity:
         assert first["fingerprint"] == second["fingerprint"]
         assert first["ok"] and first["violations"] == 0
         assert first["fingerprint"]["converged"]
+
+
+# -- the crossing: catalog x mechanisms x chaos profiles -----------------------
+
+
+@pytest.mark.parametrize("mechanism", sorted(MECHANISMS))
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_every_cell_of_the_crossing_is_clean(scenario, mechanism):
+    """Each profile's cell audits green and converges; a faulted one saw faults."""
+    for profile in ("none", *PROFILES):
+        verdict = run_scenario(scenario, mechanism=mechanism, profile=profile)
+        cell = (scenario, mechanism, profile)
+        fingerprint = verdict["fingerprint"]
+        assert verdict["ok"] and verdict["violations"] == 0, cell
+        assert fingerprint["converged"], cell
+        if profile != "none":
+            assert fingerprint["faults_applied"] > 0 or verdict["transactions"] < 8, cell
 
 
 # -- the open loop and the workload contract ---------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -44,14 +45,8 @@ from repro.obs.soak import (
     run_soak,
     streaming_matches_deep,
 )
-from repro.obs.trace import (
-    NULL_TRACER,
-    TraceListener,
-    Tracer,
-    process_peak_retained,
-    process_retained_spans,
-)
-from repro.scenarios import build_scenario
+from repro.obs.trace import TraceListener, Tracer
+from repro.scenarios import SCENARIOS, build_scenario
 from repro.txn.ids import ActionId
 
 pytestmark = [pytest.mark.obs, pytest.mark.streaming]
@@ -121,14 +116,6 @@ class TestRetention:
         assert tracer._stack == []
         assert tracer.event("after").parent_id is None
 
-    def test_process_wide_gauges_cover_live_tracers(self):
-        tracer = Tracer(retention="ring", window=4)
-        for _ in range(9):
-            tracer.end_span(tracer.start_span("op"))
-        assert process_retained_spans() >= 4
-        assert process_peak_retained() >= tracer.peak_retained
-        assert NULL_TRACER.enabled is False
-
 
 # -- streaming audit fidelity ----------------------------------------------
 
@@ -148,8 +135,12 @@ class TestStreamingFidelity:
             {"objects": 6, "placement": "ring", "sites": 5,
              "transactions": 16},
             {"crashes": True, "transactions": 16},
+            {"objects": 6, "placement": "ring", "sites": 5,
+             "transactions": 20},
+            {"seed": 2, "sites": 5, "transactions": 20, "crashes": True},
         ],
-        ids=["classic", "five-sites", "sharded", "crashy"],
+        ids=["classic", "five-sites", "sharded", "crashy", "sharded-20",
+             "crashy-five-sites"],
     )
     def test_streaming_matches_deep_byte_for_byte(self, case):
         outcome = streaming_matches_deep(**case)
@@ -197,6 +188,20 @@ class TestStreamingFidelity:
             kwargs.update(objects=4, placement="ring", sites=5)
         outcome = streaming_matches_deep(**kwargs)
         assert f'"{EXPECTED_INVARIANT[name]}"' in outcome["streaming"]
+
+    @pytest.mark.parametrize("retention, mode", [("ring", "streaming"), ("all", "deep")])
+    def test_a_sharded_run_audits_green(self, retention, mode):
+        tracer = Tracer(retention=retention, window=512 if retention == "ring" else None)
+        cluster, generator, _names = build_scenario(
+            replace(SCENARIOS["default"], objects=6),
+            n_sites=5,
+            placement="ring",
+            tracer=tracer,
+        )
+        auditor = Auditor(cluster, mode=mode, window=512)
+        generator.run(20)
+        report = auditor.finish()
+        assert report.ok, report.render()
 
     def test_streaming_report_carries_mode_window_and_retention(self):
         tracer = Tracer(retention="ring", window=64)
@@ -436,6 +441,11 @@ class TestSoak:
         payload = result.to_dict()
         assert payload["retained_ok"] is True
         assert payload["audit"]["ok"] is True
+
+    def test_a_25k_operation_soak_stays_inside_its_window(self):
+        result = run_soak(SoakConfig(ops=25_000, window=512, compact_every=25))
+        assert result.retained_ok, result.to_dict()
+        assert result.report is not None and result.report.ok, result.to_dict()
 
     def test_soak_without_audit_runs_untraced(self):
         result = run_soak(
