@@ -490,3 +490,75 @@ class TestStandardWorkloadPins:
     )
     def test_trace_is_pinned(self, argv, digest, capsys):
         assert self._digest(["trace", *argv, "--format", "jsonl"], capsys) == digest
+
+
+#: (argv, plan.json digest, report.json digest) for ``--artifacts DIR``.
+#: Each file is its canonical dump (sorted keys, two-space indent, one
+#: trailing newline); the digest is of that dump with the wall-clock
+#: fields (``elapsed``, ``ops_per_sec``) dropped.
+_ARTIFACT_PINS = [
+    (
+        ["audit"],
+        "f1741e35a466f9749a9142a1f5c5b7e3056e7da472beadf337d9abc3fb10b6fd",
+        "8c0de1bbad71a862b59562fc7a9b09acddbdf032d86c62cd0e709abf1f944d37",
+    ),
+    (
+        ["chaos", "--seeds", "1", "--profile", "crash"],
+        "eefd151d0f0ad09afb6770384489aebe8f1a32445ef0afeb571a9db4de05cee2",
+        "89844155cbfd01e5f3a09f8d336f8172b34eed10a86248e0675337cf39336034",
+    ),
+    (
+        ["scenario", "default"],
+        "345cf6c7be96db5de281ccb3622cc8488933d45703323ebcd2250ed0f9eec0fb",
+        "97d083139fae63ffbf83f34d2569f116455f180d82f64aa46562a20a4310c8b3",
+    ),
+    (
+        ["soak", "--ops", "300"],
+        "3b9a0d4e7037651ad7624dbfdc2e71251156cbda2f5e40b954d27abecf8a7a4c",
+        "8aa8dc3e5c024cca82269fcfb89994d8e1274629fe1cb022ef67ce3ae52aa34e",
+    ),
+]
+
+_WALL_CLOCK_FIELDS = frozenset({"elapsed", "ops_per_sec"})
+
+
+def _without_wall_clock(value):
+    if isinstance(value, dict):
+        return {
+            key: _without_wall_clock(item)
+            for key, item in value.items()
+            if key not in _WALL_CLOCK_FIELDS
+        }
+    if isinstance(value, list):
+        return [_without_wall_clock(item) for item in value]
+    return value
+
+
+class TestArtifactPins:
+    """The ``plan.json``/``report.json`` pair each subcommand writes."""
+
+    @pytest.mark.parametrize(
+        "argv, plan_digest, report_digest",
+        _ARTIFACT_PINS,
+        ids=[" ".join(argv) for argv, _plan, _report in _ARTIFACT_PINS],
+    )
+    def test_artifact_pair_is_pinned(
+        self, argv, plan_digest, report_digest, capsys, tmp_path
+    ):
+        import hashlib
+
+        code, _out = run_cli([*argv, "--artifacts", str(tmp_path)], capsys)
+        assert code == 0
+        digests = []
+        for name, artifact in (("plan.json", "plan"), ("report.json", "report")):
+            text = (tmp_path / name).read_text()
+            document = json.loads(text)
+            assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
+            assert document["artifact"] == artifact
+            assert document["version"] == 1
+            assert document["command"] == argv[0]
+            canonical = json.dumps(
+                _without_wall_clock(document), indent=2, sort_keys=True
+            )
+            digests.append(hashlib.sha256(canonical.encode()).hexdigest())
+        assert digests == [plan_digest, report_digest]
