@@ -27,12 +27,13 @@ Subcommands:
   audited; ``--list`` prints the catalog.  Exits non-zero on audit
   violations, divergent replicas, or unaccounted work.
 
-All workload subcommands share ``--seed``, ``--sites``,
-``--transactions``, ``--crashes`` and are deterministic per seed.
+Every workload subcommand takes ``--seed`` and ``--sites`` and is
+deterministic per seed; ``trace``, ``metrics`` and ``audit`` share the
+standard-workload options (``--transactions``, ``--crashes``,
+``--drop-probability``, ``--objects``, ``--placement``).
 ``report``, ``audit``, ``chaos``, ``soak`` and ``scenario`` accept
 ``--artifacts DIR`` to drop a machine-readable ``plan.json`` /
-``report.json`` pair describing the run (see
-:mod:`repro.obs.runreport`).
+``report.json`` pair describing the run (see :func:`_write_artifacts`).
 Wall-clock measurement lives outside the
 package: ``python3 perf/run.py <workload> --rounds 1 --traced`` prints
 host-corrected medians and a per-layer ledger.
@@ -44,10 +45,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 from time import perf_counter
+from typing import Any, Callable, NamedTuple
 
-from repro.obs.export import EXPORTERS, export
+from repro.core import claims
+from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
+from repro.obs.export import EXPORTERS, STREAM_WRITERS, export, open_stream_writer
+from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
+from repro.obs.soak import SoakConfig, run_soak
 from repro.obs.trace import Tracer
+from repro.replication.keyspace import UNIFORM_PLACEMENTS
+from repro.resilience.chaos import PROFILES, run_chaos_sweep
+from repro.resilience.policy import POLICIES, read_only_operations
+from repro.scenarios import MECHANISMS, SCENARIOS, build_scenario, run_scenario
+from repro.tuning import MixObserver
 
 
 def _positive_int(text: str) -> int:
@@ -72,47 +84,103 @@ def _probability(text: str) -> float:
     return value
 
 
-#: Retry policies, kept literal so parser construction stays import-light;
-#: guarded against drift from repro.resilience.policy.POLICIES by test_cli.
-_POLICIES = ("no-retry", "default", "degraded")
+# -- shared options ---------------------------------------------------------
+
+#: One ``add_argument`` call: ``(names, settings)``.
+Flag = tuple[tuple[str, ...], dict[str, Any]]
 
 
-def _workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument(
-        "--sites", type=_positive_int, default=3, help="number of repository sites"
+def _flag(*names: str, **settings: Any) -> Flag:
+    return names, settings
+
+
+def _seed(help: str = "simulation seed") -> Flag:
+    return _flag("--seed", type=int, default=0, help=help)
+
+
+def _sites(default: int | None, help: str, metavar: str | None = None) -> Flag:
+    return _flag(
+        "--sites", type=_positive_int, default=default, metavar=metavar, help=help
     )
-    parser.add_argument(
-        "--transactions", type=_positive_int, default=12, help="transactions to run"
+
+
+def _transactions(default: int | None, help: str, metavar: str | None = None) -> Flag:
+    return _flag(
+        "--transactions",
+        type=_positive_int,
+        default=default,
+        metavar=metavar,
+        help=help,
     )
-    parser.add_argument(
+
+
+def _objects(default: int | None, help: str) -> Flag:
+    return _flag(
+        "--objects", type=_positive_int, default=default, metavar="N", help=help
+    )
+
+
+def _placement(help: str) -> Flag:
+    return _flag(
+        "--placement", choices=tuple(UNIFORM_PLACEMENTS), default="all", help=help
+    )
+
+
+def _window(default: int | None, help: str) -> Flag:
+    return _flag(
+        "--window", type=_positive_int, default=default, metavar="W", help=help
+    )
+
+
+def _format(what: str, *choices: str, default: str | None = None) -> Flag:
+    """``--format``: the first choice is the default unless one is named."""
+    default = choices[0] if default is None else default
+    return _flag(
+        "--format",
+        choices=choices,
+        default=default,
+        help=f"{what} rendering (default: {default})",
+    )
+
+
+_OUTPUT = _flag(
+    "--output", "-o", default=None, help="write to a file instead of stdout"
+)
+_ARTIFACTS = _flag(
+    "--artifacts",
+    default=None,
+    metavar="DIR",
+    help="write a machine-readable plan.json/report.json pair into DIR",
+)
+
+#: The standard workload behind ``trace``, ``metrics`` and ``audit``.
+_WORKLOAD = (
+    _seed(),
+    _sites(3, "number of repository sites"),
+    _transactions(12, "transactions to run"),
+    _flag(
         "--crashes",
         action="store_true",
         help="inject stochastic site crashes/recoveries (uptime 60, downtime 8)",
-    )
-    parser.add_argument(
+    ),
+    _flag(
         "--drop-probability",
         type=_probability,
         default=0.0,
         metavar="P",
         help="per-message loss probability in [0, 1)",
-    )
-    parser.add_argument(
-        "--objects",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="objects in the keyspace (default: 1, the classic "
+    ),
+    _objects(
+        1,
+        "objects in the keyspace (default: 1, the classic "
         "single-queue workload; >1 cycles queue/register/counter specs)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=("all", "ring"),
-        default="all",
-        help="replica placement rule: 'all' = full replication, 'ring' = "
+    ),
+    _placement(
+        "replica placement rule: 'all' = full replication, 'ring' = "
         "3 consecutive sites per object keyed by object name "
-        "(default: all)",
-    )
+        "(default: all)"
+    ),
+)
 
 
 def _workload_shape(args: argparse.Namespace) -> dict:
@@ -121,20 +189,22 @@ def _workload_shape(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "sites": args.sites,
         "drop_probability": args.drop_probability,
-        "objects": getattr(args, "objects", 1),
-        "placement": getattr(args, "placement", "all"),
+        "objects": args.objects,
+        "placement": args.placement,
         "crashes": args.crashes,
         "partitions": getattr(args, "partitions", False),
     }
 
 
+def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
+    """Drive the standard workload under ``tracer``."""
+    _cluster, generator = _standard_workload(_workload_shape(args), tracer)
+    generator.run(args.transactions)
+
+
 def _standard_workload(shape: dict, tracer: Tracer | None = None):
     """``(cluster, generator)`` for a shape, un-run: ``SCENARIOS["default"]``
     with the shape's object count, every object hybrid."""
-    from dataclasses import replace
-
-    from repro.scenarios import SCENARIOS, build_scenario
-
     options = dict(shape)
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=options.pop("objects")),
@@ -145,35 +215,57 @@ def _standard_workload(shape: dict, tracer: Tracer | None = None):
     return cluster, generator
 
 
-def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
-    """Drive the standard workload under ``tracer``."""
-    _cluster, generator = _standard_workload(_workload_shape(args), tracer)
-    generator.run(args.transactions)
+# -- the frame --------------------------------------------------------------
 
 
-def _artifacts_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="write a machine-readable plan.json/report.json pair into DIR",
-    )
+class Outcome(NamedTuple):
+    """What a subcommand's run hands back to the frame."""
+
+    ok: bool
+    #: Printed as JSON under ``--format json``.
+    payload: Any = None
+    #: Printed under any other format (or when there is no payload).
+    text: str | None = None
+    #: ``plan.json`` / ``report.json`` sections; no plan, no artifacts.
+    plan: dict | None = None
+    report: dict | None = None
 
 
-def _workload_plan(args: argparse.Namespace) -> dict:
-    """The shared workload section of a ``plan.json``."""
-    return {**_workload_shape(args), "transactions": args.transactions}
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its flags, in ``--help`` order, and its run."""
+
+    name: str
+    help: str
+    flags: tuple[Flag, ...]
+    run: Callable[[argparse.Namespace], Outcome]
+    #: Cross-argument check: a usage error's message, or ``None``.
+    check: Callable[[argparse.Namespace], str | None] = lambda args: None
 
 
-def _write_artifacts(args: argparse.Namespace, plan: dict, report: dict) -> None:
-    """Drop the artifact pair when ``--artifacts DIR`` was given."""
-    directory = getattr(args, "artifacts", None)
-    if directory is None:
-        return
-    from repro.obs.runreport import write_run_artifacts
+#: Bumped when the artifact envelope changes incompatibly.
+ARTIFACT_VERSION = 1
 
-    plan_path, report_path = write_run_artifacts(directory, plan, report)
-    print(f"wrote {plan_path} and {report_path}", file=sys.stderr)
+
+def _write_artifacts(
+    directory: str, command: str, ok: bool, plan: dict, report: dict
+) -> None:
+    """Write ``plan.json`` (what was about to run) and ``report.json``
+    (what happened) under ``directory``: sorted keys, two-space indent,
+    each with an ``artifact`` discriminator and a schema ``version``."""
+    os.makedirs(directory, exist_ok=True)
+    envelope = {"version": ARTIFACT_VERSION, "command": command}
+    paths = []
+    for name, document in (
+        ("plan.json", {"artifact": "plan", **envelope, **plan}),
+        ("report.json", {"artifact": "report", **envelope, "ok": ok, **report}),
+    ):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        paths.append(path)
+    print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -188,68 +280,69 @@ def _emit(text: str, output: str | None) -> None:
         print(f"wrote {output}", file=sys.stderr)
 
 
+def _finish(command: str, args: argparse.Namespace, outcome: Outcome) -> int:
+    """Emit a run's outcome, write its artifacts, and give its exit code."""
+    output = getattr(args, "output", None)
+    if outcome.payload is not None and args.format == "json":
+        _emit(json.dumps(outcome.payload, indent=2, sort_keys=True), output)
+    elif outcome.text is not None:
+        _emit(outcome.text, output)
+    directory = getattr(args, "artifacts", None)
+    if directory is not None and outcome.plan is not None:
+        _write_artifacts(
+            directory, command, bool(outcome.ok), outcome.plan, outcome.report
+        )
+    return 0 if outcome.ok else 1
+
+
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.core.claims import paper_report
-
+def _run_report(args: argparse.Namespace) -> Outcome:
     wall_start = perf_counter()
-    report = paper_report(fast_theorems=args.fast)
+    report = claims.paper_report(fast_theorems=args.fast)
     print(report)
     elapsed = perf_counter() - wall_start
     if report.failed:
         print("claims that do not hold: " + ", ".join(report.failed), file=sys.stderr)
-    if args.artifacts is not None:
-        from repro.obs.runreport import make_plan, make_report
+    return Outcome(
+        not report.failed,
+        plan={"config": {"fast": args.fast}},
+        report={"elapsed": round(elapsed, 3), "failed": report.failed},
+    )
 
-        _write_artifacts(
-            args,
-            make_plan("report", config={"fast": args.fast}),
-            make_report(
-                "report",
-                ok=not report.failed,
-                elapsed=round(elapsed, 3),
-                failed=report.failed,
-            ),
+
+def _run_trace(args: argparse.Namespace) -> Outcome:
+    if not args.stream:
+        tracer = Tracer()
+        _run_workload(args, tracer)
+        return Outcome(True, text=export(tracer.spans, args.format))
+    if args.format not in STREAM_WRITERS:
+        raise SystemExit(
+            "python -m repro trace: --stream requires --format "
+            + " or ".join(sorted(STREAM_WRITERS))
         )
-    return 1 if report.failed else 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.stream:
-        from repro.obs.export import STREAM_WRITERS, open_stream_writer
-
-        if args.format not in STREAM_WRITERS:
-            raise SystemExit(
-                "python -m repro trace: --stream requires --format "
-                + " or ".join(sorted(STREAM_WRITERS))
-            )
-        tracer = Tracer(retention="ring", window=args.window)
-        handle = (
-            sys.stdout
-            if args.output in (None, "-")
-            else open(args.output, "w", encoding="utf-8")
-        )
-        writer = open_stream_writer(args.format, handle)
-        tracer.add_listener(writer)
-        try:
-            _run_workload(args, tracer)
-            writer.close()
-        finally:
-            if handle is not sys.stdout:
-                handle.close()
-        print(
-            f"streamed {writer.spans_written} spans "
-            f"(ring window {tracer.window}, peak retained "
-            f"{tracer.peak_retained})",
-            file=sys.stderr,
-        )
-        return 0
-    tracer = Tracer()
-    _run_workload(args, tracer)
-    _emit(export(tracer.spans, args.format), args.output)
-    return 0
+    tracer = Tracer(retention="ring", window=args.window)
+    handle = (
+        sys.stdout
+        if args.output in (None, "-")
+        else open(args.output, "w", encoding="utf-8")
+    )
+    writer = open_stream_writer(args.format, handle)
+    tracer.add_listener(writer)
+    try:
+        _run_workload(args, tracer)
+        writer.close()
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
+    print(
+        f"streamed {writer.spans_written} spans "
+        f"(ring window {tracer.window}, peak retained "
+        f"{tracer.peak_retained})",
+        file=sys.stderr,
+    )
+    return Outcome(True)
 
 
 def _mix_rows(cluster, observer) -> list[dict]:
@@ -288,10 +381,7 @@ def _mix_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.resilience.policy import read_only_operations
-    from repro.tuning import MixObserver
-
+def _run_metrics(args: argparse.Namespace) -> Outcome:
     cluster, generator = _standard_workload(_workload_shape(args))
     observer = MixObserver(
         {
@@ -302,20 +392,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     observer.attach(cluster.frontends)
     metrics = generator.run(args.transactions)
     mix_rows = _mix_rows(cluster, observer)
-    if args.format == "json":
-        payload = {
-            "operations": metrics.summary(),
-            "registry": metrics.registry.to_dict(),
-            "mix": {row["object"]: row for row in mix_rows},
-            "network": {
-                "messages_sent": cluster.network.messages_sent,
-                "messages_dropped": cluster.network.messages_dropped,
-            },
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
-    else:
-        _emit(metrics.table() + "\n\n" + _mix_table(mix_rows), args.output)
-    return 0
+    payload = {
+        "operations": metrics.summary(),
+        "registry": metrics.registry.to_dict(),
+        "mix": {row["object"]: row for row in mix_rows},
+        "network": {
+            "messages_sent": cluster.network.messages_sent,
+            "messages_dropped": cluster.network.messages_dropped,
+        },
+    }
+    return Outcome(True, payload, metrics.table() + "\n\n" + _mix_table(mix_rows))
 
 
 def _chaos_table(verdict: dict) -> str:
@@ -346,14 +432,9 @@ def _chaos_table(verdict: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience.chaos import PROFILES, run_chaos_sweep
-    from repro.resilience.policy import POLICIES
-
+def _run_chaos(args: argparse.Namespace) -> Outcome:
     profiles = tuple(PROFILES) if args.profile is None else (args.profile,)
-    policies = (
-        tuple(POLICIES) if args.policies is None else tuple(args.policies)
-    )
+    policies = tuple(POLICIES) if args.policies is None else tuple(args.policies)
     verdict = run_chaos_sweep(
         seeds=tuple(range(args.seed, args.seed + args.seeds)),
         profiles=profiles,
@@ -364,38 +445,37 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         objects=args.objects,
         placement=args.placement,
     )
-    if args.format == "json":
-        _emit(json.dumps(verdict, indent=2, sort_keys=True), args.output)
-    else:
-        _emit(_chaos_table(verdict), args.output)
-    if args.artifacts is not None:
-        from repro.obs.runreport import make_plan, make_report
+    return Outcome(
+        verdict["ok"],
+        verdict,
+        _chaos_table(verdict),
+        plan={
+            "workload": {
+                "seed": args.seed,
+                "seeds": args.seeds,
+                "sites": args.sites,
+                "transactions": args.transactions,
+                "objects": args.objects,
+                "placement": args.placement,
+            },
+            "profiles": list(profiles),
+            "policies": list(policies),
+        },
+        report={"verdict": verdict},
+    )
 
-        _write_artifacts(
-            args,
-            make_plan(
-                "chaos",
-                workload={
-                    "seed": args.seed,
-                    "seeds": args.seeds,
-                    "sites": args.sites,
-                    "transactions": args.transactions,
-                    "objects": args.objects,
-                    "placement": args.placement,
-                },
-                profiles=list(profiles),
-                policies=list(policies),
-            ),
-            make_report("chaos", ok=bool(verdict["ok"]), verdict=verdict),
+
+def _chaos_placement(args: argparse.Namespace) -> str | None:
+    if args.objects is None and args.placement != "all":
+        return (
+            "chaos --placement needs --objects N: the classic queue/register "
+            "pair is fully replicated"
         )
-    return 0 if verdict["ok"] else 1
+    return None
 
 
 def _audit_once(args: argparse.Namespace, mutate: str | None):
     """One audited workload run; returns the finished AuditReport."""
-    from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
-    from repro.obs.mutations import MUTATIONS
-
     shape = _workload_shape(args)
     if mutate == "shard-misroute":
         # The misroute sabotage needs somewhere to misroute *to*: a
@@ -408,9 +488,8 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
             objects=max(shape["objects"], 4),
             sites=max(shape["sites"], 5),
         )
-    streaming = getattr(args, "streaming", False)
     window = args.window if args.window is not None else DEFAULT_STREAM_WINDOW
-    if streaming:
+    if args.streaming:
         # Streaming audit rides on bounded retention end to end: the
         # tracer only keeps the ring tail, the monitors only their
         # sliding windows.
@@ -421,7 +500,7 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
     # Attach first: monitors pin the declared configuration before any
     # seeded mutation can rewrite it.
     auditor = Auditor(
-        cluster, mode="streaming" if streaming else "deep", window=window
+        cluster, mode="streaming" if args.streaming else "deep", window=window
     )
     if mutate is not None:
         MUTATIONS[mutate](cluster)
@@ -429,92 +508,74 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
     return auditor.finish()
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
-
-    if args.sweep:
-        # Fault-injection sweep: clean and fault-tolerant runs must stay
-        # green; every seeded protocol mutation must be flagged, and the
-        # flag must name the invariant that mutation breaks.
-        rows: list[tuple[str, str, bool, str]] = []
-        ok = True
-        clean_cases = [("clean", argparse.Namespace(**vars(args)))]
-        crashed = argparse.Namespace(**vars(args))
-        crashed.crashes = True
-        clean_cases.append(("crashes", crashed))
-        parted = argparse.Namespace(**vars(args))
-        parted.partitions = True
-        clean_cases.append(("partitions", parted))
-        for label, case_args in clean_cases:
-            report = _audit_once(case_args, None)
-            passed = report.ok
-            ok = ok and passed
-            detail = "no violations" if report.ok else ", ".join(
-                report.violated_invariants
-            )
-            rows.append((label, "green", passed, detail))
-        for name in sorted(MUTATIONS):
-            report = _audit_once(args, name)
-            expected = EXPECTED_INVARIANT[name]
-            passed = expected in report.violated_invariants
-            ok = ok and passed
-            detail = (
-                ", ".join(report.violated_invariants)
-                if report.violated_invariants
-                else "no violations (MISSED)"
-            )
-            rows.append((f"mutate:{name}", f"flags {expected}", passed, detail))
-        width = max(len(row[0]) for row in rows)
-        lines = [f"audit sweep (seed {args.seed}, {args.sites} sites):"]
-        for label, expectation, passed, detail in rows:
-            verdict = "PASS" if passed else "FAIL"
-            lines.append(
-                f"  {label:<{width}}  expect {expectation:<24} {verdict}  [{detail}]"
-            )
+def _audit_sweep(args: argparse.Namespace) -> Outcome:
+    """Fault-injection sweep: clean and fault-tolerant runs must stay
+    green; every seeded protocol mutation must be flagged, and the flag
+    must name the invariant that mutation breaks."""
+    rows: list[tuple[str, str, bool, str]] = []
+    for label, faults in (("clean", {}), ("crashes", {"crashes": True}),
+                          ("partitions", {"partitions": True})):
+        report = _audit_once(argparse.Namespace(**{**vars(args), **faults}), None)
+        detail = "no violations" if report.ok else ", ".join(
+            report.violated_invariants
+        )
+        rows.append((label, "green", report.ok, detail))
+    for name in sorted(MUTATIONS):
+        report = _audit_once(args, name)
+        expected = EXPECTED_INVARIANT[name]
+        detail = (
+            ", ".join(report.violated_invariants)
+            if report.violated_invariants
+            else "no violations (MISSED)"
+        )
+        rows.append(
+            (f"mutate:{name}", f"flags {expected}",
+             expected in report.violated_invariants, detail)
+        )
+    ok = all(passed for _label, _expectation, passed, _detail in rows)
+    width = max(len(row[0]) for row in rows)
+    lines = [f"audit sweep (seed {args.seed}, {args.sites} sites):"]
+    for label, expectation, passed, detail in rows:
+        verdict = "PASS" if passed else "FAIL"
         lines.append(
-            "sweep: " + ("all expectations met" if ok else "EXPECTATIONS VIOLATED")
+            f"  {label:<{width}}  expect {expectation:<24} {verdict}  [{detail}]"
         )
-        _emit("\n".join(lines), args.output)
-        return 0 if ok else 1
+    lines.append(
+        "sweep: " + ("all expectations met" if ok else "EXPECTATIONS VIOLATED")
+    )
+    return Outcome(ok, text="\n".join(lines))
 
+
+def _run_audit(args: argparse.Namespace) -> Outcome:
+    if args.sweep:
+        return _audit_sweep(args)
     report = _audit_once(args, args.mutate)
-    if args.format == "json":
-        _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.output)
-    else:
-        _emit(report.render(), args.output)
-    if args.artifacts is not None:
-        from repro.obs.runreport import make_plan, make_report
-
-        _write_artifacts(
-            args,
-            make_plan(
-                "audit",
-                workload=_workload_plan(args),
-                observability={
-                    "mode": report.mode,
-                    "window": report.window,
-                    "mutate": args.mutate,
-                },
-            ),
-            make_report(
-                "audit",
-                ok=report.ok,
-                report=report.to_dict(),
-                retention={
-                    "obs.retained_spans": report.retained_spans,
-                    "obs.peak_retained": report.peak_retained,
-                },
-            ),
-        )
-    return 0 if report.ok else 1
+    payload = report.to_dict()
+    return Outcome(
+        report.ok,
+        payload,
+        report.render(),
+        plan={
+            "workload": {**_workload_shape(args), "transactions": args.transactions},
+            "observability": {
+                "mode": report.mode,
+                "window": report.window,
+                "mutate": args.mutate,
+            },
+        },
+        report={
+            "report": payload,
+            "retention": {
+                "obs.retained_spans": report.retained_spans,
+                "obs.peak_retained": report.peak_retained,
+            },
+        },
+    )
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
-    from repro.obs.soak import SoakConfig, run_soak
-
-    ops = 25_000 if args.quick else args.ops
+def _run_soak(args: argparse.Namespace) -> Outcome:
     config = SoakConfig(
-        ops=ops,
+        ops=25_000 if args.quick else args.ops,
         seed=args.seed,
         sites=args.sites,
         objects=args.objects,
@@ -524,29 +585,21 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         audit=not args.no_audit,
     )
     result = run_soak(config)
-    if args.format == "json":
-        _emit(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True), args.output
-        )
-    else:
-        _emit(result.render(), args.output)
-    if args.artifacts is not None:
-        from repro.obs.runreport import make_plan, make_report
-
-        _write_artifacts(
-            args,
-            make_plan(
-                "soak",
-                config=config.to_dict(),
-                observability={
-                    "retention": result.retention,
-                    "window": config.window,
-                    "audit_mode": "streaming" if config.audit else "off",
-                },
-            ),
-            make_report("soak", ok=result.ok, result=result.to_dict()),
-        )
-    return 0 if result.ok else 1
+    payload = result.to_dict()
+    return Outcome(
+        result.ok,
+        payload,
+        result.render(),
+        plan={
+            "config": config.to_dict(),
+            "observability": {
+                "retention": result.retention,
+                "window": config.window,
+                "audit_mode": "streaming" if config.audit else "off",
+            },
+        },
+        report={"result": payload},
+    )
 
 
 def _scenario_table(verdict: dict) -> str:
@@ -571,16 +624,13 @@ def _scenario_table(verdict: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.scenarios import SCENARIOS, run_scenario
-
+def _run_scenario(args: argparse.Namespace) -> Outcome:
     if args.list:
         width = max(len(name) for name in SCENARIOS)
         lines = ["scenario catalog (docs/SCENARIOS.md):"]
         for name, spec in sorted(SCENARIOS.items()):
             lines.append(f"  {name:<{width}}  {spec.description}")
-        _emit("\n".join(lines), args.output)
-        return 0
+        return Outcome(True, text="\n".join(lines))
     if args.name is None:
         raise SystemExit(
             "python -m repro scenario: name a scenario or pass --list"
@@ -596,30 +646,257 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         streaming=not args.deep_audit,
         window=args.window,
     )
-    if args.format == "json":
-        _emit(json.dumps(verdict, indent=2, sort_keys=True), args.output)
-    else:
-        _emit(_scenario_table(verdict), args.output)
-    if args.artifacts is not None:
-        from repro.obs.runreport import make_plan, make_report
+    return Outcome(
+        verdict["ok"],
+        verdict,
+        _scenario_table(verdict),
+        plan={
+            "workload": {
+                "scenario": args.name,
+                "seed": args.seed,
+                "sites": verdict["n_sites"],
+                "transactions": verdict["transactions"],
+            },
+            "mechanism": args.mechanism,
+            "profile": args.profile,
+            "policy": verdict["policy"],
+        },
+        report={"verdict": verdict},
+    )
 
-        _write_artifacts(
-            args,
-            make_plan(
-                "scenario",
-                workload={
-                    "scenario": args.name,
-                    "seed": args.seed,
-                    "sites": verdict["n_sites"],
-                    "transactions": verdict["transactions"],
-                },
-                mechanism=args.mechanism,
-                profile=args.profile,
-                policy=verdict["policy"],
+
+COMMANDS = (
+    Command(
+        "report",
+        "print the full paper reproduction report",
+        (
+            _flag(
+                "--fast", action="store_true", help="skip the slowest theorem searches"
             ),
-            make_report("scenario", ok=bool(verdict["ok"]), verdict=verdict),
-        )
-    return 0 if verdict["ok"] else 1
+            _ARTIFACTS,
+        ),
+        _run_report,
+    ),
+    Command(
+        "trace",
+        "run a traced workload and export its span forest",
+        (
+            *_WORKLOAD,
+            _format("trace", *sorted(EXPORTERS), default="tree"),
+            _flag(
+                "--stream",
+                action="store_true",
+                help="flush spans incrementally as they close (jsonl or chrome "
+                "format) under ring retention, instead of exporting at the end",
+            ),
+            _window(None, "ring-retention window for --stream (default: 4096)"),
+            _OUTPUT,
+        ),
+        _run_trace,
+    ),
+    Command(
+        "metrics",
+        "run a workload and print outcome/latency metrics",
+        (*_WORKLOAD, _format("metrics", "table", "json"), _OUTPUT),
+        _run_metrics,
+    ),
+    Command(
+        "chaos",
+        "run the audited chaos sweep over composed fault schedules",
+        (
+            _seed("first sweep seed"),
+            _flag(
+                "--seeds",
+                type=_positive_int,
+                default=4,
+                metavar="N",
+                help="number of consecutive seeds per (profile, policy) cell "
+                "(default: 4)",
+            ),
+            _flag(
+                "--profile",
+                choices=PROFILES,
+                default=None,
+                help="restrict to one fault profile (default: all four)",
+            ),
+            _flag(
+                "--policies",
+                nargs="+",
+                choices=tuple(POLICIES),
+                default=None,
+                help="retry policies to sweep (default: every built-in policy)",
+            ),
+            _sites(5, "repository sites (default: 5)"),
+            _transactions(16, "transactions per case (default: 16)"),
+            _objects(
+                None,
+                "run cases over an N-object keyspace instead of the classic "
+                "queue+register pair (default: classic)",
+            ),
+            _placement(
+                "keyspace placement rule; anything but 'all' needs --objects "
+                "(default: all)"
+            ),
+            _flag(
+                "--jobs",
+                type=int,
+                default=None,
+                metavar="N",
+                help="shard each cell's seeds across N processes "
+                "(default: REPRO_JOBS, else serial)",
+            ),
+            _format("verdict", "table", "json", default="json"),
+            _OUTPUT,
+            _ARTIFACTS,
+        ),
+        _run_chaos,
+        check=_chaos_placement,
+    ),
+    Command(
+        "audit",
+        "run a workload under the online correctness auditor",
+        (
+            *_WORKLOAD,
+            _flag(
+                "--partitions",
+                action="store_true",
+                help="inject stochastic network partitions (interval 80, duration 10)",
+            ),
+            _flag(
+                "--mutate",
+                choices=sorted(MUTATIONS),
+                default=None,
+                help="apply a seeded protocol mutation the auditor must flag",
+            ),
+            _flag(
+                "--sweep",
+                action="store_true",
+                help="run the full fault-injection sweep (clean + crashes + "
+                "partitions stay green; every mutation must be flagged)",
+            ),
+            _format("report", "text", "json"),
+            _flag(
+                "--streaming",
+                action="store_true",
+                help="audit with bounded-memory streaming monitors over a ring "
+                "tracer instead of full-history capture",
+            ),
+            _window(None, "sliding-window size for --streaming (default: 256)"),
+            _OUTPUT,
+            _ARTIFACTS,
+        ),
+        _run_audit,
+    ),
+    Command(
+        "soak",
+        "bounded-memory endurance run under the streaming auditor",
+        (
+            _flag(
+                "--ops",
+                type=_positive_int,
+                default=1_000_000,
+                metavar="N",
+                help="executed operations to drive (default: 1,000,000)",
+            ),
+            _flag(
+                "--quick",
+                action="store_true",
+                help="CI preset: 25,000 operations instead of --ops",
+            ),
+            _seed(),
+            _sites(5, "repository sites (default: 5)"),
+            _objects(8, "hybrid queues in the soak keyspace (default: 8)"),
+            _flag(
+                "--replication-factor",
+                type=_positive_int,
+                default=3,
+                metavar="F",
+                help="ring replicas per object (default: 3)",
+            ),
+            _window(
+                512, "tracer ring size and streaming-monitor window (default: 512)"
+            ),
+            _flag(
+                "--compact-every",
+                type=_positive_int,
+                default=25,
+                metavar="T",
+                help="maintenance round every T transactions (default: 25)",
+            ),
+            _flag(
+                "--no-audit",
+                action="store_true",
+                help="skip tracing and auditing (raw throughput baseline)",
+            ),
+            _format("result", "text", "json"),
+            _OUTPUT,
+            _ARTIFACTS,
+        ),
+        _run_soak,
+    ),
+    Command(
+        "scenario",
+        "run one audited catalog scenario under a chosen mechanism",
+        (
+            _flag(
+                "name",
+                nargs="?",
+                choices=sorted(SCENARIOS),
+                default=None,
+                help="catalog scenario to run (see --list and docs/SCENARIOS.md)",
+            ),
+            _flag(
+                "--list",
+                action="store_true",
+                help="print the scenario catalog and exit",
+            ),
+            _flag(
+                "--mechanism",
+                choices=sorted(MECHANISMS),
+                default="hybrid",
+                help="atomicity mechanism to run the scenario under "
+                "(default: hybrid)",
+            ),
+            _flag(
+                "--profile",
+                choices=("none", *PROFILES),
+                default="none",
+                help="chaos profile to cross the scenario with (default: none)",
+            ),
+            _flag(
+                "--policy",
+                choices=tuple(POLICIES),
+                default=None,
+                help="retry policy (default: 'default' under chaos, none "
+                "otherwise)",
+            ),
+            _seed(),
+            _sites(
+                None,
+                "repository sites (default: the scenario's natural size)",
+                metavar="N",
+            ),
+            _transactions(
+                None,
+                "transactions to run (default: the scenario's own count)",
+                metavar="N",
+            ),
+            _flag(
+                "--deep-audit",
+                action="store_true",
+                help="audit with full-history capture instead of the "
+                "bounded-memory streaming monitors",
+            ),
+            _window(None, "ring/streaming window when streaming (default: 256)"),
+            _format("verdict", "table", "json"),
+            _OUTPUT,
+            _ARTIFACTS,
+        ),
+        _run_scenario,
+    ),
+)
+
+_BY_NAME = {command.name: command for command in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,360 +906,26 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command")
-
-    report = subparsers.add_parser(
-        "report", help="print the full paper reproduction report"
-    )
-    report.add_argument(
-        "--fast",
-        action="store_true",
-        help="skip the slowest theorem searches",
-    )
-    _artifacts_argument(report)
-    report.set_defaults(func=_cmd_report)
-
-    trace = subparsers.add_parser(
-        "trace", help="run a traced workload and export its span forest"
-    )
-    _workload_arguments(trace)
-    trace.add_argument(
-        "--format",
-        choices=sorted(EXPORTERS),
-        default="tree",
-        help="trace rendering (default: tree)",
-    )
-    trace.add_argument(
-        "--stream",
-        action="store_true",
-        help="flush spans incrementally as they close (jsonl or chrome "
-        "format) under ring retention, instead of exporting at the end",
-    )
-    trace.add_argument(
-        "--window",
-        type=_positive_int,
-        default=None,
-        metavar="W",
-        help="ring-retention window for --stream (default: 4096)",
-    )
-    trace.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    trace.set_defaults(func=_cmd_trace)
-
-    metrics = subparsers.add_parser(
-        "metrics", help="run a workload and print outcome/latency metrics"
-    )
-    _workload_arguments(metrics)
-    metrics.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="metrics rendering (default: table)",
-    )
-    metrics.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    metrics.set_defaults(func=_cmd_metrics)
-
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="run the audited chaos sweep over composed fault schedules",
-    )
-    chaos.add_argument("--seed", type=int, default=0, help="first sweep seed")
-    chaos.add_argument(
-        "--seeds",
-        type=_positive_int,
-        default=4,
-        metavar="N",
-        help="number of consecutive seeds per (profile, policy) cell "
-        "(default: 4)",
-    )
-    chaos.add_argument(
-        "--profile",
-        # Kept literal so parser construction stays import-light; guarded
-        # against drift from repro.resilience.chaos.PROFILES by test_cli.
-        choices=("crash", "partition", "churn", "mixed"),
-        default=None,
-        help="restrict to one fault profile (default: all four)",
-    )
-    chaos.add_argument(
-        "--policies",
-        nargs="+",
-        choices=_POLICIES,
-        default=None,
-        help="retry policies to sweep (default: every built-in policy)",
-    )
-    chaos.add_argument(
-        "--sites", type=_positive_int, default=5, help="repository sites (default: 5)"
-    )
-    chaos.add_argument(
-        "--transactions",
-        type=_positive_int,
-        default=16,
-        help="transactions per case (default: 16)",
-    )
-    chaos.add_argument(
-        "--objects",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="run cases over an N-object keyspace instead of the classic "
-        "queue+register pair (default: classic)",
-    )
-    chaos.add_argument(
-        "--placement",
-        choices=("all", "ring"),
-        default="all",
-        help="keyspace placement rule; anything but 'all' needs --objects "
-        "(default: all)",
-    )
-    chaos.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard each cell's seeds across N processes "
-        "(default: REPRO_JOBS, else serial)",
-    )
-    chaos.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="json",
-        help="verdict rendering (default: json)",
-    )
-    chaos.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    _artifacts_argument(chaos)
-    chaos.set_defaults(func=_cmd_chaos)
-
-    audit = subparsers.add_parser(
-        "audit",
-        help="run a workload under the online correctness auditor",
-    )
-    _workload_arguments(audit)
-    audit.add_argument(
-        "--partitions",
-        action="store_true",
-        help="inject stochastic network partitions (interval 80, duration 10)",
-    )
-    audit.add_argument(
-        "--mutate",
-        # Kept literal so parser construction stays import-light; guarded
-        # against drift from repro.obs.mutations.MUTATIONS by test_cli.
-        choices=(
-            "early-lock-release",
-            "log-divergence",
-            "quorum-intersection",
-            "shard-misroute",
-            "stale-assignment",
-            "timestamp-inversion",
-        ),
-        default=None,
-        help="apply a seeded protocol mutation the auditor must flag",
-    )
-    audit.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the full fault-injection sweep (clean + crashes + "
-        "partitions stay green; every mutation must be flagged)",
-    )
-    audit.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report rendering (default: text)",
-    )
-    audit.add_argument(
-        "--streaming",
-        action="store_true",
-        help="audit with bounded-memory streaming monitors over a ring "
-        "tracer instead of full-history capture",
-    )
-    audit.add_argument(
-        "--window",
-        type=_positive_int,
-        default=None,
-        metavar="W",
-        help="sliding-window size for --streaming (default: 256)",
-    )
-    audit.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    _artifacts_argument(audit)
-    audit.set_defaults(func=_cmd_audit)
-
-    soak = subparsers.add_parser(
-        "soak",
-        help="bounded-memory endurance run under the streaming auditor",
-    )
-    soak.add_argument(
-        "--ops",
-        type=_positive_int,
-        default=1_000_000,
-        metavar="N",
-        help="executed operations to drive (default: 1,000,000)",
-    )
-    soak.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI preset: 25,000 operations instead of --ops",
-    )
-    soak.add_argument("--seed", type=int, default=0, help="simulation seed")
-    soak.add_argument(
-        "--sites", type=_positive_int, default=5, help="repository sites (default: 5)"
-    )
-    soak.add_argument(
-        "--objects",
-        type=_positive_int,
-        default=8,
-        metavar="N",
-        help="hybrid queues in the soak keyspace (default: 8)",
-    )
-    soak.add_argument(
-        "--replication-factor",
-        type=_positive_int,
-        default=3,
-        metavar="F",
-        help="ring replicas per object (default: 3)",
-    )
-    soak.add_argument(
-        "--window",
-        type=_positive_int,
-        default=512,
-        metavar="W",
-        help="tracer ring size and streaming-monitor window (default: 512)",
-    )
-    soak.add_argument(
-        "--compact-every",
-        type=_positive_int,
-        default=25,
-        metavar="T",
-        help="maintenance round every T transactions (default: 25)",
-    )
-    soak.add_argument(
-        "--no-audit",
-        action="store_true",
-        help="skip tracing and auditing (raw throughput baseline)",
-    )
-    soak.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="result rendering (default: text)",
-    )
-    soak.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    _artifacts_argument(soak)
-    soak.set_defaults(func=_cmd_soak)
-
-    scenario = subparsers.add_parser(
-        "scenario",
-        help="run one audited catalog scenario under a chosen mechanism",
-    )
-    scenario.add_argument(
-        "name",
-        nargs="?",
-        # Kept literal so parser construction stays import-light; guarded
-        # against drift from repro.scenarios.SCENARIOS by test_cli.
-        choices=(
-            "bursty-flash-crowd",
-            "default",
-            "hot-key-contention",
-            "long-transaction",
-            "read-dominant",
-            "write-heavy",
-        ),
-        default=None,
-        help="catalog scenario to run (see --list and docs/SCENARIOS.md)",
-    )
-    scenario.add_argument(
-        "--list",
-        action="store_true",
-        help="print the scenario catalog and exit",
-    )
-    scenario.add_argument(
-        "--mechanism",
-        # Kept literal; guarded against repro.scenarios.MECHANISMS drift
-        # by test_cli.
-        choices=("blocking", "hybrid", "multiversion"),
-        default="hybrid",
-        help="atomicity mechanism to run the scenario under "
-        "(default: hybrid)",
-    )
-    scenario.add_argument(
-        "--profile",
-        # Kept literal; guarded against repro.resilience.chaos.PROFILES
-        # drift by test_cli ('none' means fault-free).
-        choices=("none", "crash", "partition", "churn", "mixed"),
-        default="none",
-        help="chaos profile to cross the scenario with (default: none)",
-    )
-    scenario.add_argument(
-        "--policy",
-        choices=_POLICIES,
-        default=None,
-        help="retry policy (default: 'default' under chaos, none "
-        "otherwise)",
-    )
-    scenario.add_argument("--seed", type=int, default=0, help="simulation seed")
-    scenario.add_argument(
-        "--sites",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="repository sites (default: the scenario's natural size)",
-    )
-    scenario.add_argument(
-        "--transactions",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="transactions to run (default: the scenario's own count)",
-    )
-    scenario.add_argument(
-        "--deep-audit",
-        action="store_true",
-        help="audit with full-history capture instead of the "
-        "bounded-memory streaming monitors",
-    )
-    scenario.add_argument(
-        "--window",
-        type=_positive_int,
-        default=None,
-        metavar="W",
-        help="ring/streaming window when streaming (default: 256)",
-    )
-    scenario.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="verdict rendering (default: table)",
-    )
-    scenario.add_argument(
-        "--output", "-o", default=None, help="write to a file instead of stdout"
-    )
-    _artifacts_argument(scenario)
-    scenario.set_defaults(func=_cmd_scenario)
-
+    for command in COMMANDS:
+        subparser = subparsers.add_parser(command.name, help=command.help)
+        for names, settings in command.flags:
+            subparser.add_argument(*names, **settings)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "chaos" and args.objects is None and args.placement != "all":
-        parser.error(
-            "chaos --placement needs --objects N: the classic queue/register "
-            "pair is fully replicated"
-        )
+    if args.command is None:
+        # Backward compatibility: bare ``python -m repro`` is
+        # ``python -m repro report``.
+        args = parser.parse_args(["report"])
+    command = _BY_NAME[args.command]
+    problem = command.check(args)
+    if problem is not None:
+        parser.error(problem)
     try:
-        if args.command is None:
-            # Backward compatibility: bare ``python -m repro`` is
-            # ``python -m repro report``.
-            args = parser.parse_args(["report"])
-        return args.func(args)
+        return _finish(command.name, args, command.run(args))
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved filter (and keep the interpreter from whining

@@ -52,6 +52,7 @@ __all__ = [
     "Placement",
     "PlacementRule",
     "Router",
+    "UNIFORM_PLACEMENTS",
     "demo_keyspace",
     "soak_keyspace",
 ]
@@ -383,19 +384,26 @@ class KeyspaceSpec:
         return placement
 
 
+#: The placement rules every object of a demo or soak keyspace can share,
+#: by name: ``(n_sites, replication_factor) -> PlacementRule``.
+UNIFORM_PLACEMENTS = {
+    "all": lambda n_sites, factor: PlacementRule.all(),
+    "ring": lambda n_sites, factor: PlacementRule.ring(min(factor, n_sites)),
+}
+
+
 def _uniform_rule(
     n_objects: int, n_sites: int, placement: str, replication_factor: int
 ) -> PlacementRule:
     """The placement rule all objects of a demo or soak keyspace share."""
     if n_objects < 1:
         raise SpecificationError("a keyspace builder needs at least one object")
-    if placement == "all":
-        return PlacementRule.all()
-    if placement == "ring":
-        return PlacementRule.ring(min(replication_factor, n_sites))
-    raise SpecificationError(
-        f"unknown placement {placement!r} (use 'all' or 'ring')"
-    )
+    if placement not in UNIFORM_PLACEMENTS:
+        raise SpecificationError(
+            f"unknown placement {placement!r} "
+            f"(use {' or '.join(map(repr, UNIFORM_PLACEMENTS))})"
+        )
+    return UNIFORM_PLACEMENTS[placement](n_sites, replication_factor)
 
 
 def demo_keyspace(

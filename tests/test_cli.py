@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,28 +121,6 @@ class TestAudit:
         for label in ("clean", "crashes", "partitions", "mutate:"):
             assert label in out
 
-    def test_mutate_choices_match_registry(self):
-        # The parser hardcodes its choices to stay import-light; this
-        # guards them against drift from the mutation registry.
-        import argparse
-
-        from repro.obs.mutations import MUTATIONS
-
-        parser = cli.build_parser()
-        args = parser.parse_args(
-            ["audit", "--mutate", sorted(MUTATIONS)[0]]
-        )
-        assert args.mutate in MUTATIONS
-        subparsers = next(
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        audit_parser = subparsers.choices["audit"]
-        mutate_action = next(
-            a for a in audit_parser._actions if a.dest == "mutate"
-        )
-        assert tuple(mutate_action.choices) == tuple(sorted(MUTATIONS))
-
 
 class TestPositiveSizes:
     """Every size, count and window flag refuses zero and negatives as a
@@ -218,6 +200,19 @@ class TestOtherUsageErrors:
             cli.main(argv)
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_the_entry_point_exits_two(self):
+        # ``python -m repro`` as a shell starts it, not ``main`` in-process.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "chaos", "--seeds", "0"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        assert "not a positive integer" in child.stderr
 
     def test_chaos_sweep_refuses_an_empty_seed_list(self):
         from repro.resilience.chaos import run_chaos_sweep
@@ -348,43 +343,6 @@ class TestScenario:
         with pytest.raises(SystemExit):
             cli.main(["scenario"])
 
-    def _choices(self, parser_name, dest):
-        import argparse
-
-        parser = cli.build_parser()
-        subparsers = next(
-            a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
-        sub = subparsers.choices[parser_name]
-        action = next(a for a in sub._actions if a.dest == dest)
-        return tuple(action.choices)
-
-    def test_name_choices_match_catalog(self):
-        # The parser hardcodes its choices to stay import-light; these
-        # guards keep them in lockstep with the scenario registries.
-        from repro.scenarios import SCENARIOS
-
-        assert self._choices("scenario", "name") == tuple(sorted(SCENARIOS))
-
-    def test_mechanism_choices_match_registry(self):
-        from repro.scenarios import MECHANISMS
-
-        assert self._choices("scenario", "mechanism") == tuple(
-            sorted(MECHANISMS)
-        )
-
-    def test_profile_choices_match_chaos_profiles(self):
-        from repro.resilience.chaos import PROFILES
-
-        assert self._choices("scenario", "profile") == ("none", *PROFILES)
-
-    def test_policy_choices_match_registry(self):
-        from repro.resilience.policy import POLICIES
-
-        assert self._choices("scenario", "policy") == tuple(POLICIES)
-        assert self._choices("chaos", "policies") == tuple(POLICIES)
-
 
 #: (argv, SHA-256 of stdout) for the standard workload and the audited
 #: runs, taken while the CLI's workload subcommands still had their own
@@ -469,8 +427,6 @@ class TestStandardWorkloadPins:
 
     @staticmethod
     def _digest(argv, capsys) -> str:
-        import hashlib
-
         code, out = run_cli(argv, capsys)
         assert code == 0
         return hashlib.sha256(out.encode()).hexdigest()
@@ -535,7 +491,9 @@ def _without_wall_clock(value):
 
 
 class TestArtifactPins:
-    """The ``plan.json``/``report.json`` pair each subcommand writes."""
+    """The ``plan.json``/``report.json`` pair each subcommand writes: the
+    artifact envelope (discriminator, version, command, ``ok``) around
+    sections pinned byte for byte, less the wall clock."""
 
     @pytest.mark.parametrize(
         "argv, plan_digest, report_digest",
@@ -545,20 +503,23 @@ class TestArtifactPins:
     def test_artifact_pair_is_pinned(
         self, argv, plan_digest, report_digest, capsys, tmp_path
     ):
-        import hashlib
-
         code, _out = run_cli([*argv, "--artifacts", str(tmp_path)], capsys)
         assert code == 0
-        digests = []
-        for name, artifact in (("plan.json", "plan"), ("report.json", "report")):
-            text = (tmp_path / name).read_text()
-            document = json.loads(text)
+        texts = [(tmp_path / name).read_text() for name in ("plan.json", "report.json")]
+        plan, report = (json.loads(text) for text in texts)
+        for text, document in zip(texts, (plan, report)):
             assert text == json.dumps(document, indent=2, sort_keys=True) + "\n"
-            assert document["artifact"] == artifact
-            assert document["version"] == 1
-            assert document["command"] == argv[0]
-            canonical = json.dumps(
-                _without_wall_clock(document), indent=2, sort_keys=True
-            )
-            digests.append(hashlib.sha256(canonical.encode()).hexdigest())
-        assert digests == [plan_digest, report_digest]
+        assert (plan["artifact"], plan["version"], plan["command"]) == (
+            "plan", 1, argv[0],
+        )
+        assert (
+            report["artifact"], report["version"], report["command"], report["ok"]
+        ) == ("report", 1, argv[0], True)
+        assert [
+            hashlib.sha256(
+                json.dumps(
+                    _without_wall_clock(document), indent=2, sort_keys=True
+                ).encode()
+            ).hexdigest()
+            for document in (plan, report)
+        ] == [plan_digest, report_digest]

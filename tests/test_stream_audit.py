@@ -545,30 +545,6 @@ class TestStreamWriters:
             open_stream_writer("tree", io.StringIO())
 
 
-# -- run artifacts ----------------------------------------------------------
-
-
-class TestRunArtifacts:
-    def test_plan_report_pair_written_sorted(self, tmp_path):
-        from repro.obs.runreport import (
-            make_plan,
-            make_report,
-            write_run_artifacts,
-        )
-
-        plan = make_plan("soak", config={"ops": 10})
-        report = make_report("soak", ok=True, result={"ops": 10})
-        plan_path, report_path = write_run_artifacts(
-            str(tmp_path / "artifacts"), plan, report
-        )
-        loaded_plan = json.loads(open(plan_path).read())
-        loaded_report = json.loads(open(report_path).read())
-        assert loaded_plan["artifact"] == "plan"
-        assert loaded_plan["version"] == 1
-        assert loaded_report["artifact"] == "report"
-        assert loaded_report["ok"] is True
-
-
 # -- CLI --------------------------------------------------------------------
 
 
