@@ -409,7 +409,7 @@ def _chaos_table(verdict: dict) -> str:
     header = (
         f"{'profile':<10} {'policy':<10} {'runs':>4} {'faults':>6} "
         f"{'att':>5} {'ok':>5} {'degr':>5} {'unav':>5} {'abort':>5} "
-        f"{'viol':>4} {'rec p50':>8} {'rec p95':>8} verdict"
+        f"{'viol':>4} {'rep p50':>8} {'rep p95':>8} verdict"
     )
     lines = [header, "-" * len(header)]
     for profile, policies in verdict["profiles"].items():
@@ -420,8 +420,8 @@ def _chaos_table(verdict: dict) -> str:
                 f"{row['succeeded']:>5} {row['degraded']:>5} "
                 f"{row['unavailable']:>5} {row['aborted_ops']:>5} "
                 f"{row['violations']:>4} "
-                f"{row['recovery_latency_p50']:>8.1f} "
-                f"{row['recovery_latency_p95']:>8.1f} "
+                f"{row['recovery_repaired_p50']:>8.1f} "
+                f"{row['recovery_repaired_p95']:>8.1f} "
                 f"{'PASS' if row['ok'] else 'FAIL'}"
             )
     lines.append(

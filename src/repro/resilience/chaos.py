@@ -7,7 +7,8 @@ queue/register workload runs through them under a chosen
 :class:`~repro.resilience.policy.RetryPolicy`, every run is watched by
 the PR-2 :class:`~repro.obs.audit.Auditor`, and the sweep emits a JSON
 verdict table: operations attempted / succeeded / degraded / aborted,
-recovery-latency percentiles, and a single ``ok`` bit meaning *no
+percentiles of the log entries each catch-up repaired, and a single
+``ok`` bit meaning *no
 invariant violations, replicas converged, and nothing was silently
 lost*.
 
@@ -38,6 +39,7 @@ import random
 from functools import partial
 from typing import Mapping, Sequence
 
+from repro.obs.metrics import Histogram
 from repro.resilience.policy import POLICIES, _mix_key
 from repro.sim.trials import run_trials
 
@@ -209,8 +211,8 @@ def run_chaos_case(
     classic pair is fully replicated.  Either way :func:`audited_run`
     drives ``transactions`` transactions through the fault schedule for
     ``(profile, seed)`` under ``POLICIES[policy_name]``, deep-audited;
-    this run adds the recovery-latency summary and samples under
-    ``timing``.
+    this run adds the recovery-latency summary and the entries each
+    catch-up repaired under ``timing``.
     """
     from dataclasses import replace
 
@@ -283,12 +285,13 @@ def run_chaos_case(
     )
     verdict["counts"] = {"transactions": transactions, **verdict["counts"]}
     registry = cluster.resilience.registry
-    latency = registry.histogram("resilience.recovery.latency")
     verdict["timing"].update(
         recovery_syncs=int(registry.counter("resilience.recovery.syncs").value),
         recovery_failed=int(registry.counter("resilience.recovery.failed").value),
-        recovery_latency=latency.summary(),
-        recovery_samples=list(latency.samples),
+        recovery_latency=registry.histogram("resilience.recovery.latency").summary(),
+        recovery_repaired=list(
+            registry.histogram("resilience.recovery.repaired").samples
+        ),
     )
     return {
         "seed": seed,
@@ -469,15 +472,6 @@ def _case_trial(seed: int, **case) -> dict:
     return run_chaos_case(seed=seed, **case)
 
 
-def _percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``samples`` (0.0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[rank]
-
-
 def run_chaos_sweep(
     *,
     seeds: Sequence[int] = (0, 1, 2, 3),
@@ -496,9 +490,9 @@ def run_chaos_sweep(
     the verdict identical for any ``jobs``).  The returned dict has one
     row per ``(profile, policy)`` aggregating its seeds — operations
     attempted / succeeded / degraded / aborted / unavailable, violation
-    totals, and pooled recovery-latency p50/p95 — plus a top-level
-    ``ok`` that is ``True`` only when **every** case passed its audit,
-    converged, and fully accounted for its work.  An empty ``seeds``
+    totals, and the pooled p50/p95 of entries repaired per catch-up —
+    plus a top-level ``ok`` that is ``True`` only when **every** case
+    passed its audit, converged, and fully accounted for its work.  An empty ``seeds``
     raises :class:`ValueError` (a sweep of nothing has no verdict), as
     does a ``placement`` other than ``"all"`` without ``objects``.
     """
@@ -521,7 +515,11 @@ def run_chaos_sweep(
             )
             cases, parallel_used = run_trials(trial, seeds, jobs=jobs)
             parallel_any = parallel_any or parallel_used
-            samples = [s for case in cases for s in case["timing"]["recovery_samples"]]
+            repaired = Histogram()
+            for case in cases:
+                for entries in case["timing"]["recovery_repaired"]:
+                    repaired.observe(entries)
+            repaired_summary = repaired.summary()
             row = {
                 "runs": len(cases),
                 "ok": all(case["ok"] for case in cases),
@@ -543,8 +541,10 @@ def run_chaos_sweep(
                 "recovery_syncs": sum(
                     case["timing"]["recovery_syncs"] for case in cases
                 ),
-                "recovery_latency_p50": _percentile(samples, 0.50),
-                "recovery_latency_p95": _percentile(samples, 0.95),
+                # Interpolated quantiles of integer counts: two places
+                # keep the JSON free of float noise.
+                "recovery_repaired_p50": round(float(repaired_summary["p50"]), 2),
+                "recovery_repaired_p95": round(float(repaired_summary["p95"]), 2),
             }
             sweep_ok = sweep_ok and row["ok"]
             table[profile][policy_name] = row
