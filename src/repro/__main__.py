@@ -513,8 +513,11 @@ def _audit_sweep(args: argparse.Namespace) -> Outcome:
     green; every seeded protocol mutation must be flagged, and the flag
     must name the invariant that mutation breaks."""
     rows: list[tuple[str, str, bool, str]] = []
-    for label, faults in (("clean", {}), ("crashes", {"crashes": True}),
-                          ("partitions", {"partitions": True})):
+    for label, faults in (
+        ("clean", {}),
+        ("crashes", {"crashes": True}),
+        ("partitions", {"partitions": True}),
+    ):
         report = _audit_once(argparse.Namespace(**{**vars(args), **faults}), None)
         detail = "no violations" if report.ok else ", ".join(
             report.violated_invariants
@@ -528,10 +531,8 @@ def _audit_sweep(args: argparse.Namespace) -> Outcome:
             if report.violated_invariants
             else "no violations (MISSED)"
         )
-        rows.append(
-            (f"mutate:{name}", f"flags {expected}",
-             expected in report.violated_invariants, detail)
-        )
+        passed = expected in report.violated_invariants
+        rows.append((f"mutate:{name}", f"flags {expected}", passed, detail))
     ok = all(passed for _label, _expectation, passed, _detail in rows)
     width = max(len(row[0]) for row in rows)
     lines = [f"audit sweep (seed {args.seed}, {args.sites} sites):"]

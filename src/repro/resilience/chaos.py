@@ -8,9 +8,8 @@ queue/register workload runs through them under a chosen
 the PR-2 :class:`~repro.obs.audit.Auditor`, and the sweep emits a JSON
 verdict table: operations attempted / succeeded / degraded / aborted,
 percentiles of the log entries each catch-up repaired, and a single
-``ok`` bit meaning *no
-invariant violations, replicas converged, and nothing was silently
-lost*.
+``ok`` bit meaning *no invariant violations, replicas converged, and
+nothing was silently lost*.
 
 Determinism is load-bearing.  Fault schedules are indexed by
 **transaction boundary** (the :class:`~repro.sim.workload.WorkloadGenerator`
@@ -492,9 +491,10 @@ def run_chaos_sweep(
     attempted / succeeded / degraded / aborted / unavailable, violation
     totals, and the pooled p50/p95 of entries repaired per catch-up —
     plus a top-level ``ok`` that is ``True`` only when **every** case
-    passed its audit, converged, and fully accounted for its work.  An empty ``seeds``
-    raises :class:`ValueError` (a sweep of nothing has no verdict), as
-    does a ``placement`` other than ``"all"`` without ``objects``.
+    passed its audit, converged, and fully accounted for its work.  An
+    empty ``seeds`` raises :class:`ValueError` (a sweep of nothing has
+    no verdict), as does a ``placement`` other than ``"all"`` without
+    ``objects``.
     """
     if not seeds:
         raise ValueError("run_chaos_sweep needs at least one seed")
@@ -541,8 +541,8 @@ def run_chaos_sweep(
                 "recovery_syncs": sum(
                     case["timing"]["recovery_syncs"] for case in cases
                 ),
-                # Interpolated quantiles of integer counts: two places
-                # keep the JSON free of float noise.
+                # Rounded: interpolating between integer counts leaves
+                # float noise (6.799999999999997) in the JSON.
                 "recovery_repaired_p50": round(float(repaired_summary["p50"]), 2),
                 "recovery_repaired_p95": round(float(repaired_summary["p95"]), 2),
             }

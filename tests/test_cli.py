@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -169,6 +170,36 @@ class TestPositiveSizes:
         )
         assert code == 0
         assert json.loads(out)["window"] == 16
+
+
+#: SHA-256 of every subcommand's ``(dest, option strings, default,
+#: choices, type)``, one line per flag in ``--help`` order, taken while
+#: each subcommand still built its own parser.
+_FLAG_DUMP_SHA256 = "e1782fa60f2f7de946268ecf034a6b87f542c52a4cac662915b8b7d6108b7e58"
+
+
+def test_every_flag_is_pinned():
+    parser = cli.build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    lines = [
+        repr((
+            name,
+            action.dest,
+            action.option_strings,
+            action.default,
+            None if action.choices is None else list(action.choices),
+            getattr(action.type, "__name__", action.type),
+        ))
+        for name, subparser in subparsers.choices.items()
+        for action in subparser._actions
+        if action.dest != "help"
+    ]
+    assert len(lines) == 74
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _FLAG_DUMP_SHA256
 
 
 #: (argv, what the usage error says) for values that are not sizes.
