@@ -81,9 +81,7 @@ from repro.scenarios import (
     SCENARIOS,
     ArrivalSpec,
     MixSpec,
-    MixWorkload,
     ScenarioSpec,
-    ScenarioWorkload,
     SkewSpec,
     build_scenario,
     run_scenario,
@@ -147,10 +145,8 @@ __all__ = [
     "ArrivalSpec",
     "MECHANISMS",
     "MixSpec",
-    "MixWorkload",
     "SCENARIOS",
     "ScenarioSpec",
-    "ScenarioWorkload",
     "SkewSpec",
     "build_scenario",
     "run_scenario",

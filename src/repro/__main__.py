@@ -253,7 +253,10 @@ def _write_artifacts(
     """Write ``plan.json`` (what was about to run) and ``report.json``
     (what happened) under ``directory``: sorted keys, two-space indent,
     each with an ``artifact`` discriminator and a schema ``version``."""
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(directory, exc)
     envelope = {"version": ARTIFACT_VERSION, "command": command}
     paths = []
     for name, document in (
@@ -261,11 +264,23 @@ def _write_artifacts(
         ("report.json", {"artifact": "report", **envelope, "ok": ok, **report}),
     ):
         path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as handle:
+        with _open_output(path) as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
         paths.append(path)
     print(f"wrote {paths[0]} and {paths[1]}", file=sys.stderr)
+
+
+def _cannot_write(path: str, exc: OSError) -> SystemExit:
+    """Exit 1 with a one-line message naming the unwritable ``path``."""
+    return SystemExit(f"python -m repro: cannot write {path}: {exc}")
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(path, exc)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -276,7 +291,7 @@ def _emit(text: str, output: str | None) -> None:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise SystemExit(f"python -m repro: cannot write {output}: {exc}")
+            raise _cannot_write(output, exc)
         print(f"wrote {output}", file=sys.stderr)
 
 
@@ -323,11 +338,7 @@ def _run_trace(args: argparse.Namespace) -> Outcome:
             + " or ".join(sorted(STREAM_WRITERS))
         )
     tracer = Tracer(retention="ring", window=args.window)
-    handle = (
-        sys.stdout
-        if args.output in (None, "-")
-        else open(args.output, "w", encoding="utf-8")
-    )
+    handle = sys.stdout if args.output in (None, "-") else _open_output(args.output)
     writer = open_stream_writer(args.format, handle)
     tracer.add_listener(writer)
     try:

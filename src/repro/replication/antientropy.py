@@ -1,19 +1,21 @@
-"""Anti-entropy: background log reconciliation between repositories.
+"""Anti-entropy: pairwise log reconciliation between repositories.
 
-Quorum consensus is correct without any background repair — quorum
-intersection alone guarantees every view is complete enough — but
-repair still pays: a recovered repository serves stale fragments until
-it happens to be written through a final quorum, inflating view sizes
-needed elsewhere and wasting the recovered site's vote.  Because log
-merge is an idempotent, commutative, associative join, reconciliation
-is trivially safe: any pair of repositories can exchange and merge logs
-at any time without coordination (the same algebra that makes the
-views themselves sound).
+Quorum consensus is correct without any repair — quorum intersection
+alone guarantees every view is complete enough — but repair still pays:
+a recovered repository serves stale fragments until it happens to be
+written through a final quorum, inflating view sizes needed elsewhere
+and wasting the recovered site's vote.  Because log merge is an
+idempotent, commutative, associative join, reconciliation is trivially
+safe: any pair of repositories can exchange and merge logs at any time
+without coordination (the same algebra that makes the views themselves
+sound).
 
-:class:`AntiEntropy` is a simulator process that periodically picks a
-random reachable pair of sites and synchronizes their logs for every
-object either stores.  The tests show a recovered site converging to
-the full log without participating in any quorum.
+:class:`AntiEntropy` is the exchange: :meth:`AntiEntropy.synchronize`
+reconciles one pair of sites for every object both hold.  It runs on
+demand — the resilience layer's
+:class:`~repro.resilience.heal.PartitionHealDriver` calls it the moment
+a cut heals or a crashed site recovers.  The tests show a recovered site
+converging to the full log without participating in any quorum.
 """
 
 from __future__ import annotations
@@ -25,67 +27,26 @@ from repro.sim.network import Network, Timeout
 
 
 class AntiEntropy:
-    """Periodic pairwise log exchange between repositories.
+    """Pairwise log exchange between repositories.
 
     Args:
         network: the fabric exchanges travel (and whose reachability
             gates them).
         repositories: the replica set to reconcile, indexed by site.
-        interval: simulated time between background rounds.
 
-    Counters: ``rounds`` (background ticks), ``exchanges`` (completed
-    bidirectional syncs), ``skipped`` (rounds whose drawn pair was
-    unreachable — crashed or across an active partition cut — and was
-    therefore not attempted at all).
+    Counters: ``exchanges`` (completed bidirectional syncs) and
+    ``cross_shard_skips``.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        repositories: Sequence[Repository],
-        interval: float = 10.0,
-    ):
+    def __init__(self, network: Network, repositories: Sequence[Repository]):
         self.network = network
         self.repositories = tuple(repositories)
-        self.interval = interval
-        self.rounds = 0
         self.exchanges = 0
-        self.skipped = 0
         #: Object syncs not attempted because one side does not hold the
         #: shard (partial replication: reconciliation must not spread an
         #: object beyond its replica set — copying would silently turn a
         #: misrouted write into a permanent extra replica).
         self.cross_shard_skips = 0
-
-    def install(self) -> None:
-        """Schedule the periodic reconciliation process on the simulator.
-
-        Each round draws a random site pair from the simulator's seeded
-        RNG, so the reconciliation schedule is reproducible per seed.
-        """
-        self.network.sim.schedule(self.interval, self._round)
-
-    def _round(self) -> None:
-        """One background tick: draw a pair, sync it if connected.
-
-        Partition-aware: a pair that cannot currently reach each other
-        (either side crashed, or an active cut between them) is skipped
-        without sending anything — previously the exchange was attempted
-        across the cut and burned a timed-out request per round.  The
-        RNG draw happens either way, so enabling or suffering partitions
-        never shifts the seeded schedule of later rounds.
-        """
-        self.rounds += 1
-        sim = self.network.sim
-        n = len(self.repositories)
-        if n >= 2:
-            first = sim.rng.randrange(n)
-            second = (first + 1 + sim.rng.randrange(n - 1)) % n
-            if self.network.reachable(first, second):
-                self.synchronize(first, second)
-            else:
-                self.skipped += 1
-        sim.schedule(self.interval, self._round)
 
     def synchronize(self, first: int, second: int) -> bool:
         """One bidirectional exchange; returns ``True`` if it completed.

@@ -74,7 +74,7 @@ class Cluster:
         Wires three things together (see ``docs/RESILIENCE.md``):
 
         * the :class:`~repro.resilience.policy.RetryPolicy` (``policy``,
-          default :meth:`RetryPolicy.default`) becomes the transaction
+          default ``POLICIES["default"]``) becomes the transaction
           manager's cluster-wide default, so every front-end's quorum
           failures turn into bounded, deadline-budgeted retries;
         * a :class:`~repro.resilience.recovery.RecoveryManager` attaches
@@ -91,10 +91,10 @@ class Cluster:
         """
         from repro.obs.metrics import MetricsRegistry
         from repro.resilience.heal import PartitionHealDriver
-        from repro.resilience.policy import RetryPolicy
+        from repro.resilience.policy import POLICIES
         from repro.resilience.recovery import RecoveryManager, ResilienceRuntime
 
-        policy = policy if policy is not None else RetryPolicy.default()
+        policy = policy if policy is not None else POLICIES["default"]
         registry = registry if registry is not None else MetricsRegistry()
         self.tm.retry_policy = policy
         # Registration order matters: replay must restore a recovered
@@ -183,7 +183,6 @@ def _make_scheme(
 def build_keyspace(
     spec: KeyspaceSpec,
     *,
-    n_frontends: int | None = None,
     seed: int = 0,
     latency: float = 1.0,
     drop_probability: float = 0.0,
@@ -199,8 +198,8 @@ def build_keyspace(
     over each object's replica set — see
     :meth:`~repro.replication.keyspace.ObjectSpec.compile_assignment`).
 
-    Front-ends are colocated with repository sites (one each by
-    default), reflecting the paper's observation that front-ends can be
+    Front-ends are colocated with repository sites (one each),
+    reflecting the paper's observation that front-ends can be
     replicated to an arbitrary extent so availability is dominated by
     repositories.
 
@@ -225,10 +224,9 @@ def build_keyspace(
     for repo in repositories:
         repo.assign_shards(placement.shards_of(repo.site))
     tm = TransactionManager(tracer=tracer)
-    count = n_frontends if n_frontends is not None else n_sites
     frontends = tuple(
-        FrontEnd(site % n_sites, network, repositories, tm, router, tracer=tracer)
-        for site in range(count)
+        FrontEnd(site, network, repositories, tm, router, tracer=tracer)
+        for site in range(n_sites)
     )
     for obj_spec in spec.objects:
         oracle = obj_spec.oracle or LegalityOracle(obj_spec.datatype)

@@ -36,7 +36,6 @@ from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.policy import (
     Deadline,
     OperationResult,
-    RetryPolicy,
     read_only_operations,
 )
 from repro.sim.network import GatherResult, Network
@@ -59,11 +58,11 @@ class FrontEnd:
         router: the keyspace :class:`~repro.replication.keyspace.Router`
             resolving object → replica visit order.
         tracer: span sink; defaults to the network's (usually null).
-        retry_policy: this front-end's
-            :class:`~repro.resilience.policy.RetryPolicy`; when ``None``
-            the transaction manager's ``retry_policy`` applies, and when
-            that is also ``None`` quorum failures raise immediately (the
-            pre-policy behaviour).
+
+    Operations run under the transaction manager's ``retry_policy``
+    (set cluster-wide by :meth:`Cluster.enable_resilience`); while it is
+    ``None`` quorum failures raise immediately (the pre-policy
+    behaviour).
     """
 
     def __init__(
@@ -75,7 +74,6 @@ class FrontEnd:
         router: "Router",
         *,
         tracer: Tracer | None = None,
-        retry_policy: RetryPolicy | None = None,
     ):
         self.site = site
         self.network = network
@@ -89,8 +87,6 @@ class FrontEnd:
         #: Per-object incremental serializations (commit- or begin-order,
         #: by the object's scheme), threaded through every view.
         self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
-        #: Per-front-end policy override; see :meth:`effective_policy`.
-        self.retry_policy = retry_policy
         #: Optional ``(object_name, op_name)`` callback fired once per
         #: successfully executed operation — the feed for the tuning
         #: layer's windowed read/write-mix counters.  ``None`` costs one
@@ -103,18 +99,6 @@ class FrontEnd:
         #: seeded workload schedule).
         self._retry_seq = 0
 
-    def effective_policy(self) -> RetryPolicy | None:
-        """The retry policy governing this front-end's operations.
-
-        Resolution order: this front-end's own ``retry_policy``, then
-        the transaction manager's (set cluster-wide by
-        :meth:`Cluster.enable_resilience`), then ``None`` — no retries,
-        no deadline, no degraded fallback.
-        """
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return getattr(self.tm, "retry_policy", None)
-
     # -- the operation protocol -----------------------------------------------
 
     def execute(
@@ -122,7 +106,7 @@ class FrontEnd:
     ) -> Response:
         """Execute one operation for ``txn``; returns the response.
 
-        When a retry policy is in force (:meth:`effective_policy`),
+        When the transaction manager's retry policy is in force,
         quorum-assembly failures first become bounded retries: the
         front-end backs off over simulated time (deterministic,
         seed-derived jitter) and reassembles the quorum until the
@@ -222,7 +206,7 @@ class FrontEnd:
         self, txn: Transaction, object_name: str, invocation: Invocation, span
     ) -> Response:
         obj = self.tm.object(object_name)
-        policy = self.effective_policy()
+        policy = self.tm.retry_policy
         deadline = policy.deadline(self.network.sim) if policy is not None else None
         assignment, epoch = self._assignment_of(obj)
         initial = assignment.initial(invocation)
@@ -267,7 +251,7 @@ class FrontEnd:
             if (
                 policy is not None
                 and policy.degraded_reads
-                and invocation.op in self._read_only_ops(obj, policy)
+                and invocation.op in read_only_operations(obj.datatype)
             ):
                 # Read-quorum-only fallback: the response is legal for
                 # the merged view; nothing is recorded in the
@@ -318,12 +302,6 @@ class FrontEnd:
                 sim.advance(delay)
                 sim.drain()
                 attempt += 1
-
-    def _read_only_ops(self, obj: ReplicatedObject, policy) -> frozenset[str]:
-        """Operations eligible for the degraded-read fallback."""
-        if policy.read_only_ops is not None:
-            return policy.read_only_ops
-        return read_only_operations(obj.datatype)
 
     # -- quorum assembly ---------------------------------------------------------
 

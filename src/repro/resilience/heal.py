@@ -1,9 +1,9 @@
 """Heal-triggered anti-entropy: automatic catch-up after faults clear.
 
 :class:`~repro.replication.antientropy.AntiEntropy` is sound whenever it
-runs, but until now it only ran when a test scheduled it by hand, so a
-healed partition or a recovered site served stale fragments until a
-final quorum happened to write through it.  The
+runs, but it runs only when called: left alone, a healed partition or a
+recovered site serves stale fragments until a final quorum happens to
+write through it.  The
 :class:`PartitionHealDriver` closes that gap: it listens to the
 network's failure events and drives a reconciliation pass the moment a
 cut heals or a crashed site comes back, recording how long catch-up
@@ -51,8 +51,7 @@ class PartitionHealDriver:
     first reachable peer.  Exchanges run synchronously in the listener —
     inside the event loop when the trigger was a scheduled injector,
     inline when the trigger was a chaos boundary — and are bounded: one
-    pass per event, no periodic background process unless the caller
-    also installs one.
+    pass per event, no periodic background process.
     """
 
     def __init__(

@@ -9,9 +9,9 @@ budgets, and an explicit read-quorum-only degraded mode for when write
 quorums are unreachable (the availability asymmetry the paper's PROM
 ``1/n/1`` example is built on).
 
-Everything here is deterministic.  Backoff jitter is derived from the
-policy's own seed and a caller-supplied key — never from the
-simulator's RNG — so enabling or tuning a policy does not perturb the
+Everything here is deterministic.  Backoff jitter is derived from a
+fixed seed and a caller-supplied key — never from the
+simulator's RNG — so enabling or choosing a policy does not perturb the
 seeded workload/failure schedule, and the same seed gives byte-identical
 runs in every process and at every ``--jobs`` setting.
 """
@@ -19,7 +19,7 @@ runs in every process and at every ``--jobs`` setting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
 from repro.spec.facts import derived_once
@@ -116,52 +116,45 @@ class OperationResult:
     attempts: int = 1
 
 
+#: The backoff schedule every policy shares: retry ``k`` waits
+#: ``BASE_DELAY · MULTIPLIER^(k−1)`` simulated seconds, capped at
+#: ``MAX_DELAY``, with ±``JITTER`` of it drawn from a
+#: :class:`random.Random` seeded by ``(JITTER_SEED, key, attempt)`` —
+#: **not** the simulator's RNG — so retries never perturb the seeded
+#: workload schedule.
+BASE_DELAY = 2.0
+MULTIPLIER = 2.0
+MAX_DELAY = 30.0
+JITTER = 0.25
+JITTER_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded-retry policy for quorum assembly failures.
 
     Args:
         max_attempts: total tries per quorum phase (1 = no retries).
-        base_delay: simulated seconds before the first retry.
-        multiplier: exponential backoff factor between retries.
-        max_delay: cap on any single backoff delay.
-        jitter: fraction of the delay randomized (0 disables jitter);
-            jitter draws come from a :class:`random.Random` seeded by
-            ``(seed, key, attempt)`` — **not** the simulator's RNG — so
-            retries never perturb the seeded workload schedule.
         op_budget: per-operation :class:`Deadline` budget in simulated
             seconds (``None`` = unbounded); retries stop once spent.
         txn_attempts: times a whole transaction whose operation died of
             quorum unavailability may be re-run by the workload driver.
         degraded_reads: when the *final* quorum is unreachable but the
-            operation is read-only, return the view-legal response as an
-            explicit degraded result instead of aborting.
-        read_only_ops: explicit override of which operations count as
-            read-only for ``degraded_reads``; ``None`` classifies them
-            mechanically via :func:`read_only_operations`.
-        seed: jitter seed, mixed with the caller's key per draw.
+            operation is read-only (:func:`read_only_operations`),
+            return the view-legal response as an explicit degraded
+            result instead of aborting.
 
-    Instances are frozen; derive variants with :meth:`with_options`.
+    The menu the runtime uses is :data:`POLICIES`.
     """
 
     max_attempts: int = 4
-    base_delay: float = 2.0
-    multiplier: float = 2.0
-    max_delay: float = 30.0
-    jitter: float = 0.25
     op_budget: float | None = 120.0
     txn_attempts: int = 2
     degraded_reads: bool = False
-    read_only_ops: frozenset[str] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.txn_attempts < 1:
             raise ValueError("txn_attempts must be at least 1")
 
@@ -182,47 +175,26 @@ class RetryPolicy:
 
         ``key`` identifies the retrying call site (e.g. ``(site,
         sequence)``) so concurrent retriers de-synchronize; the jittered
-        delay is a pure function of ``(policy.seed, key, attempt)``.
+        delay is a pure function of ``(key, attempt)``.
         """
-        raw = self.base_delay * (self.multiplier ** (attempt - 1))
-        delay = min(raw, self.max_delay)
-        if self.jitter <= 0.0 or delay <= 0.0:
-            return delay
-        rng = random.Random(_mix_key(self.seed, key + (attempt,)))
-        spread = self.jitter * delay
+        delay = min(BASE_DELAY * (MULTIPLIER ** (attempt - 1)), MAX_DELAY)
+        rng = random.Random(_mix_key(JITTER_SEED, key + (attempt,)))
+        spread = JITTER * delay
         return delay - spread + rng.random() * 2.0 * spread
 
     def deadline(self, sim: "Simulator") -> Deadline:
         """Start this policy's per-operation deadline on ``sim``'s clock."""
         return Deadline(sim, self.op_budget)
 
-    def with_options(self, **overrides) -> "RetryPolicy":
-        """A copy of this policy with the given fields replaced."""
-        return replace(self, **overrides)
-
-    @staticmethod
-    def no_retry() -> "RetryPolicy":
-        """The pre-policy behaviour: one attempt, fail fast, no fallback."""
-        return RetryPolicy(
-            max_attempts=1, txn_attempts=1, degraded_reads=False, op_budget=None
-        )
-
-    @staticmethod
-    def default() -> "RetryPolicy":
-        """Bounded retries at both levels, no degraded fallback."""
-        return RetryPolicy()
-
-    @staticmethod
-    def degraded() -> "RetryPolicy":
-        """Bounded retries plus the read-quorum-only degraded fallback."""
-        return RetryPolicy(degraded_reads=True)
-
 
 #: The built-in policy menu the chaos sweep runs every profile under.
 POLICIES: dict[str, RetryPolicy] = {
-    "no-retry": RetryPolicy.no_retry(),
-    "default": RetryPolicy.default(),
-    "degraded": RetryPolicy.degraded(),
+    # The pre-policy behaviour: one attempt, fail fast, no fallback.
+    "no-retry": RetryPolicy(max_attempts=1, txn_attempts=1, op_budget=None),
+    # Bounded retries at both levels, no degraded fallback.
+    "default": RetryPolicy(),
+    # Bounded retries plus the read-quorum-only degraded fallback.
+    "degraded": RetryPolicy(degraded_reads=True),
 }
 
 

@@ -1,9 +1,7 @@
 """repro.scenarios — declarative workload scenarios over the simulator.
 
-The pluggable workload framework (see ``docs/SCENARIOS.md``):
+Declarative traffic shapes (see ``docs/SCENARIOS.md``):
 
-* :class:`ScenarioWorkload` — the user-supplied workload class
-  contract (``init()``/``run()``), pgWorkload-style;
 * :class:`ScenarioSpec` + :class:`MixSpec`/:class:`SkewSpec`/
   :class:`ArrivalSpec` — frozen declarative traffic shapes;
 * :data:`SCENARIOS` — the frozen catalog (read-dominant, write-heavy,
@@ -39,9 +37,7 @@ from repro.scenarios.sampler import (
 from repro.scenarios.spec import (
     ArrivalSpec,
     MixSpec,
-    MixWorkload,
     ScenarioSpec,
-    ScenarioWorkload,
     SkewSpec,
 )
 
@@ -49,10 +45,8 @@ __all__ = [
     "ArrivalSpec",
     "MECHANISMS",
     "MixSpec",
-    "MixWorkload",
     "SCENARIOS",
     "ScenarioSpec",
-    "ScenarioWorkload",
     "SkewSpec",
     "build_scenario",
     "bursty_arrivals",

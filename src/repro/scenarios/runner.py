@@ -125,7 +125,6 @@ def build_scenario(
     crashes: bool = False,
     partitions: bool = False,
     tracer=None,
-    workload=None,
 ):
     """Spec → ``(cluster, generator, names)``, ready to run.
 
@@ -139,10 +138,7 @@ def build_scenario(
     ``drop_probability``
     loses messages; ``crashes`` / ``partitions`` install the stochastic
     injectors (mean uptime 60 / downtime 8; a cut every 80 on average,
-    lasting 10).  ``workload`` replaces the driver's
-    :class:`~repro.sim.workload.MixWorkload` over the compiled mix with a
-    user-supplied :class:`~repro.scenarios.spec.ScenarioWorkload` (its
-    ``init`` is called here, before any transaction runs).
+    lasting 10).
     """
     from repro.replication.cluster import build_keyspace
     from repro.replication.keyspace import KeyspaceSpec, ObjectSpec, demo_keyspace
@@ -177,8 +173,6 @@ def build_scenario(
         CrashInjector(cluster.network, 60.0, 8.0).install()
     if partitions:
         PartitionInjector(cluster.network, 80.0, 10.0).install()
-    if workload is not None:
-        workload.init(cluster)
     generator = WorkloadGenerator(
         cluster.sim,
         cluster.tm,
@@ -187,7 +181,6 @@ def build_scenario(
         ops_per_transaction=scenario.ops_per_transaction,
         concurrency=scenario.concurrency,
         think_time=scenario.think_time,
-        workload=workload,
         arrivals=compile_arrivals(scenario, total, seed),
     )
     return cluster, generator, names
@@ -204,7 +197,6 @@ def run_scenario(
     transactions: int | None = None,
     streaming: bool = True,
     window: int | None = None,
-    workload=None,
 ) -> dict:
     """One audited scenario run; returns a plain (picklable) verdict.
 
@@ -234,7 +226,6 @@ def run_scenario(
         n_sites=n_sites,
         transactions=total,
         tracer=tracer,
-        workload=workload,
     )
     verdict = audited_run(
         cluster,

@@ -1,34 +1,24 @@
-"""Declarative scenario specifications and the workload class contract.
+"""Declarative scenario specifications.
 
 A :class:`ScenarioSpec` is a frozen, validated description of a traffic
 shape — what operations a transaction contains, which keys it touches,
 when transactions arrive, and how many run at once.  Specs are data,
 not behavior: :mod:`repro.scenarios.runner` compiles a spec onto the
-existing :class:`~repro.sim.workload.WorkloadGenerator` hooks, and the
+:class:`~repro.sim.workload.WorkloadGenerator`'s ``mix`` and
+``arrivals`` inputs, and the
 frozen :data:`~repro.scenarios.catalog.SCENARIOS` catalog pins one spec
 per named scenario with a ``doc_ref`` anchor into ``docs/SCENARIOS.md``
 (drift between catalog and doc is test-enforced).
-
-The escape hatch is :class:`ScenarioWorkload`: any object satisfying
-its ``init()``/``run()`` contract can replace the driver's built-in
-:class:`~repro.sim.workload.MixWorkload` (re-exported here) entirely,
-pgWorkload-style, while still riding the driver's concurrency, retry,
-and arrival machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-from repro.sim.workload import MixWorkload  # re-exported: the default workload
 
 __all__ = [
     "ArrivalSpec",
     "MixSpec",
-    "MixWorkload",
     "ScenarioSpec",
-    "ScenarioWorkload",
     "SkewSpec",
 ]
 
@@ -225,28 +215,3 @@ class ScenarioSpec:
                 f"scenario {self.name!r}: key skew needs at least 2 objects"
             )
 
-
-class ScenarioWorkload:
-    """The user-supplied workload class contract (pgWorkload-style).
-
-    Subclass (or duck-type) this to drive arbitrary transaction bodies
-    through the :class:`~repro.sim.workload.WorkloadGenerator`:
-
-    * :meth:`init` is called once with the built cluster, before any
-      transaction runs — stash handles, pre-seed state;
-    * :meth:`run` is called once per transaction with the simulator's
-      seeded RNG and returns that transaction's operation list as
-      ``(object_name, invocation)`` pairs.  Draw *only* from the given
-      ``rng`` (never ``random`` module globals) to stay inside the
-      determinism envelope.
-
-    The generator owns everything else: concurrency, retries, deadlock
-    policy, arrival gating, metrics.
-    """
-
-    def init(self, cluster) -> None:  # pragma: no cover - default no-op
-        """One-time setup against the built cluster (optional)."""
-
-    def run(self, rng) -> Sequence[tuple]:
-        """Return one transaction's ``(object_name, invocation)`` list."""
-        raise NotImplementedError

@@ -14,7 +14,7 @@ reproducible.
 
 from repro.sim.kernel import Simulator
 from repro.sim.network import GatherResult, Network, ProbeReply
-from repro.sim.failures import CrashInjector, PartitionInjector, FailureScript
+from repro.sim.failures import CrashInjector, PartitionInjector
 from repro.sim.metrics import MetricRecorder
 from repro.sim.trials import run_trials
 
@@ -29,7 +29,6 @@ __all__ = [
     "ProbeReply",
     "CrashInjector",
     "PartitionInjector",
-    "FailureScript",
     "MetricRecorder",
     "run_trials",
 ]

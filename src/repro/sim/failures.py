@@ -1,81 +1,19 @@
-"""Failure injection: scripted and stochastic crashes and partitions.
+"""Failure injection: stochastic crashes and partitions.
 
-Two styles are provided:
-
-* :class:`FailureScript` — deterministic timed failures ("at t=50 crash
-  site 2; at t=90 heal the partition"), for targeted tests;
-* :class:`CrashInjector` / :class:`PartitionInjector` — stochastic
-  background processes with exponential inter-failure and repair times,
-  for availability experiments.  Stochastic injectors draw from the
-  simulator's seeded RNG and are therefore reproducible.
+:class:`CrashInjector` / :class:`PartitionInjector` are background
+processes with exponential inter-failure and repair times, for
+availability experiments.  They draw from the simulator's seeded RNG and
+are therefore reproducible.  Deterministic fault schedules are the chaos
+layer's (:class:`~repro.resilience.chaos.ChaosSchedule`, indexed by
+transaction boundary); a test that needs one fault at one point calls
+:meth:`~repro.sim.network.Network.crash` and its siblings directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-
-
-@dataclass(frozen=True)
-class FailureEvent:
-    """One scripted failure action.
-
-    Args:
-        time: absolute simulated time at which the action fires.
-        kind: ``"crash"``, ``"recover"``, ``"partition"``, or ``"heal"``.
-        sites: target sites for crash/recover kinds.
-        groups: the disjoint site groups for a partition kind.
-    """
-
-    time: float
-    kind: str  # "crash" | "recover" | "partition" | "heal"
-    sites: tuple[int, ...] = ()
-    groups: tuple[tuple[int, ...], ...] = ()
-
-
-class FailureScript:
-    """Deterministic, timed failure schedule.
-
-    Args:
-        network: the fabric the scripted actions mutate.
-        events: the :class:`FailureEvent` actions; stored sorted by time.
-    """
-
-    def __init__(self, network: Network, events: Iterable[FailureEvent]):
-        self.network = network
-        self.events = tuple(sorted(events, key=lambda e: e.time))
-
-    def install(self) -> None:
-        """Schedule every scripted event on the simulator.
-
-        Returns nothing; events fire as the simulation clock passes
-        their times.  Raises :class:`~repro.errors.SimulationError` if
-        an event time lies in the simulated past.
-        """
-        for event in self.events:
-            self.network.sim.schedule_at(event.time, self._apply(event))
-
-    def _apply(self, event: FailureEvent):
-        network = self.network
-
-        def run() -> None:
-            if event.kind == "crash":
-                for site in event.sites:
-                    network.crash(site)
-            elif event.kind == "recover":
-                for site in event.sites:
-                    network.recover(site)
-            elif event.kind == "partition":
-                network.partition(*event.groups)
-            elif event.kind == "heal":
-                network.heal()
-            else:  # pragma: no cover - guarded by construction
-                raise ValueError(f"unknown failure kind {event.kind!r}")
-
-        return run
 
 
 class CrashInjector:

@@ -34,7 +34,6 @@ def run_trials(
     seeds: Iterable[int],
     *,
     jobs: int | None = None,
-    chunksize: int | None = None,
 ) -> tuple[list[R], bool]:
     """Run ``trial(seed)`` for every seed, sharding across processes.
 
@@ -45,24 +44,21 @@ def run_trials(
     fallback), so a caller can report single-CPU runs as such instead
     of claiming a speedup.
 
-    ``chunksize`` batches seeds per worker round trip; the default
-    ``ceil(len(seeds) / jobs)`` ships each worker its whole shard in
-    one pickle exchange, which is the right grain for trials that each
-    take milliseconds.  Pass ``1`` for per-seed dispatch when trial
-    durations vary wildly and work stealing matters more than transport.
+    Seeds go out in batches of ``ceil(len(seeds) / jobs)``: each worker
+    gets its whole shard in one pickle exchange, which is the right
+    grain for trials that each take milliseconds.
 
     Determinism: each trial sees only its seed, every worker computes
     the same pure function, and reassembly is by input position — so
     the result list, and anything aggregated from it in order, is
     byte-identical to a serial sweep of the same seeds, whatever the
-    jobs and chunksize.
+    jobs.
     """
     seed_list = list(seeds)
     effective = resolve_jobs(jobs)
     if effective <= 1 or len(seed_list) <= 1:
         return [trial(seed) for seed in seed_list], False
-    if chunksize is None:
-        chunksize = -(-len(seed_list) // effective)
+    chunksize = -(-len(seed_list) // effective)
     try:
         return parallel_map(trial, seed_list, effective, chunksize=chunksize)
     except Exception:

@@ -1,22 +1,17 @@
 """Workload driving: concurrent transaction streams over replicated objects.
 
 :class:`WorkloadGenerator` is the execution engine under every
-measured claim row, chaos sweep, soak, and scenario in the repository.  It is
-*not* tied to one traffic shape: the engine interleaves in-flight
-transactions one operation at a time (picking the next runnable
-transaction pseudo-randomly from the simulator's seeded RNG) and two
-orthogonal hooks decide what those transactions contain and when they
-arrive:
+measured claim row, chaos sweep, soak, and scenario in the repository.  The
+engine interleaves in-flight transactions one operation at a time
+(picking the next runnable transaction pseudo-randomly from the
+simulator's seeded RNG) and two inputs decide what those transactions
+contain and when they arrive:
 
-* **what** — every transaction body comes from a ``workload`` object
-  (anything with the ``run(rng)`` method of the
-  :class:`~repro.scenarios.ScenarioWorkload` contract).  The default is
-  :class:`MixWorkload`: ``ops_per_transaction`` draws from an
-  :class:`OperationMix`; passing another replaces it with user-defined
-  transaction bodies, pgWorkload-style.  The declarative
+* **what** — every transaction body is ``ops_per_transaction`` draws
+  from an :class:`OperationMix`.  The declarative
   :class:`~repro.scenarios.ScenarioSpec` layer compiles operation
-  mixes, zipf key skew, and arrival processes onto these same hooks —
-  see :mod:`repro.scenarios` and ``docs/SCENARIOS.md``;
+  mixes and zipf key skew into that mix, and arrival processes into
+  ``arrivals`` — see :mod:`repro.scenarios` and ``docs/SCENARIOS.md``;
 * **when** — by default the driver is a *closed loop*: a fixed pool of
   ``concurrency`` transactions where a finished transaction is
   immediately replaced (think time ``think_time`` per step).  Passing
@@ -32,16 +27,16 @@ arrive:
   transaction is admitted when — the same reason chaos schedules are
   indexed by transaction boundary rather than by ``sim.now``.
 
-Neither hook perturbs seeded runs: with ``workload=None`` and
-``arrivals=None`` the driver draws exactly the RNG sequence it always
-has, and the compiled default scenario is test-enforced byte-identical
-to it (``tests/test_scenarios.py``, ``tests/test_golden_runs.py``).
+With ``arrivals=None`` the driver draws exactly the RNG sequence it
+always has, and the compiled default scenario is test-enforced
+byte-identical to it (``tests/test_scenarios.py``,
+``tests/test_golden_runs.py``).
 
 Outcomes feed the :class:`~repro.sim.metrics.MetricRecorder`:
 
 * ``ok`` — the operation executed;
 * ``unavailable`` — no initial quorum could be assembled (the paper's
-  availability criterion); when the front-end's
+  availability criterion); when the cluster's
   :class:`~repro.resilience.policy.RetryPolicy` is in force this already
   includes every allowed retry, and the *transaction* may still be
   re-run up to ``policy.txn_attempts`` times;
@@ -105,22 +100,6 @@ class OperationMix:
         return self.choices[-1][0]
 
 
-class MixWorkload:
-    """The built-in transaction source: sample a weighted mix.
-
-    Performs exactly ``ops_per_transaction`` draws of ``mix.sample`` per
-    transaction; the RNG consumption every seeded fingerprint is pinned
-    on.
-    """
-
-    def __init__(self, mix: OperationMix, ops_per_transaction: int):
-        self.mix = mix
-        self.ops_per_transaction = ops_per_transaction
-
-    def run(self, rng) -> list[tuple[str, Invocation]]:
-        return [self.mix.sample(rng) for _ in range(self.ops_per_transaction)]
-
-
 @dataclass
 class _Script:
     """One in-flight transaction's remaining work."""
@@ -132,7 +111,7 @@ class _Script:
     waiting_on: ActionId | None = None
     retries_left: int = 10
     #: Times this logical transaction has been (re-)started; bounded by
-    #: the front-end policy's ``txn_attempts``.
+    #: the cluster policy's ``txn_attempts``.
     txn_attempt: int = 1
 
     @property
@@ -166,12 +145,6 @@ class WorkloadGenerator:
     #: which keeps them independent of protocol latency.  Policy
     #: retries of an existing transaction do **not** re-fire the hook.
     on_transaction_start: Callable[[int], None] | None = None
-    #: Transaction source: any object with
-    #: ``run(rng) -> sequence of (object_name, invocation)`` (see the
-    #: :class:`~repro.scenarios.ScenarioWorkload` contract).  ``None``
-    #: means :class:`MixWorkload` over ``mix`` and
-    #: ``ops_per_transaction``, built once at construction.
-    workload: object | None = None
     #: Open-loop arrival schedule: ``arrivals[k]`` is the pacing-clock
     #: instant (simulated-time units) at which transaction ``k`` may be
     #: admitted.  ``None`` keeps the classic closed loop.  Schedules are
@@ -180,10 +153,6 @@ class WorkloadGenerator:
     arrivals: Sequence[float] | None = None
     metrics: MetricRecorder = field(default_factory=MetricRecorder)
     waits: WaitsForGraph = field(default_factory=WaitsForGraph)
-
-    def __post_init__(self) -> None:
-        if self.workload is None:
-            self.workload = MixWorkload(self.mix, self.ops_per_transaction)
 
     def run(self, total_transactions: int) -> MetricRecorder:
         """Execute the workload to completion and return the metrics."""
@@ -260,10 +229,13 @@ class WorkloadGenerator:
         candidates = live or list(self.frontends)
         frontend = candidates[self.sim.rng.randrange(len(candidates))]
         txn = self.tm.begin(site=frontend.site)
+        # Exactly ``ops_per_transaction`` draws per transaction: the RNG
+        # consumption every seeded fingerprint is pinned on.
+        rng = self.sim.rng
         return _Script(
             txn=txn,
             frontend=frontend,
-            operations=list(self.workload.run(self.sim.rng)),
+            operations=[self.mix.sample(rng) for _ in range(self.ops_per_transaction)],
             retries_left=self.max_retries,
         )
 
@@ -331,14 +303,14 @@ class WorkloadGenerator:
     def _retry_transaction(self, script: _Script) -> bool:
         """Re-begin an availability-aborted script under its retry policy.
 
-        Returns ``True`` when the front-end's effective policy grants
+        Returns ``True`` when the cluster's retry policy grants
         another transaction attempt: the script gets a fresh transaction
         and restarts its operation sequence from the top (the aborted
         attempt's abort was already recorded — retries never hide
         failures from the metrics).  The chaos boundary hook is *not*
         re-fired: a retried transaction is the same logical unit of work.
         """
-        policy = script.frontend.effective_policy()
+        policy = self.tm.retry_policy
         if policy is None or script.txn_attempt >= policy.txn_attempts:
             return False
         script.txn_attempt += 1

@@ -51,10 +51,9 @@ class TransactionManager:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Open ``transaction`` spans, one per active traced transaction.
         self._txn_spans: dict[ActionId, Span] = {}
-        #: Cluster-wide default :class:`~repro.resilience.policy.RetryPolicy`.
-        #: Front-ends without their own policy resolve to this one (see
-        #: :meth:`FrontEnd.effective_policy`); ``None`` means quorum
-        #: failures raise immediately.  Set by
+        #: The cluster's :class:`~repro.resilience.policy.RetryPolicy`,
+        #: which every front-end's operations run under; ``None`` means
+        #: quorum failures raise immediately.  Set by
         #: :meth:`Cluster.enable_resilience`.
         self.retry_policy = None
 

@@ -1,4 +1,4 @@
-"""Tests for background anti-entropy reconciliation."""
+"""Tests for pairwise anti-entropy reconciliation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.replication.antientropy import AntiEntropy
 from tests.helpers import queue_system
 
 ENQ_A = Invocation("Enq", ("a",))
-ENQ_B = Invocation("Enq", ("b",))
 
 
 class TestSynchronize:
@@ -44,31 +43,6 @@ class TestSynchronize:
         assert ae.synchronize(0, 1)
         after = [repo.entry_count("obj") for repo in cluster.repositories]
         assert before == after
-
-
-class TestBackgroundProcess:
-    def test_recovered_site_converges_without_serving_quorums(self):
-        cluster, _obj = queue_system("hybrid", n_sites=3, seed=5)
-        fe = cluster.frontends[0]
-        cluster.network.crash(2)
-        for invocation in (ENQ_A, ENQ_B):
-            txn = cluster.tm.begin(0)
-            fe.execute(txn, "obj", invocation)
-            cluster.tm.commit(txn)
-        cluster.network.recover(2)
-
-        ae = AntiEntropy(cluster.network, cluster.repositories, interval=5.0)
-        ae.install()
-        cluster.sim.run(until=cluster.sim.now + 200.0)
-        assert ae.rounds > 0
-        assert cluster.repositories[2].entry_count("obj") == 2
-
-    def test_rounds_continue_over_time(self):
-        cluster, _obj = queue_system("hybrid", n_sites=3, seed=6)
-        ae = AntiEntropy(cluster.network, cluster.repositories, interval=2.0)
-        ae.install()
-        cluster.sim.run(until=20.0)
-        assert ae.rounds >= 5
 
 
 class TestSnapshotSpreading:

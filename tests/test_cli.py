@@ -262,6 +262,31 @@ class TestOtherUsageErrors:
             run_chaos_sweep(seeds=(0,), placement="ring")
 
 
+class TestUnwritableDestinations:
+    """A destination that cannot be written ends the run with one line
+    and exit status 1 (``SystemExit`` carrying the message), as ``-o`` to
+    a missing directory already does on the non-streaming path."""
+
+    def _exits_cannot_write(self, argv, path):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        message = exited.value.code
+        assert isinstance(message, str)  # printed to stderr, exit status 1
+        assert message.startswith(f"python -m repro: cannot write {path}: ")
+
+    def test_streamed_trace_to_a_missing_directory(self, tmp_path):
+        path = str(tmp_path / "missing" / "x.jsonl")
+        self._exits_cannot_write(
+            ["trace", *WORKLOAD, "--stream", "--format", "jsonl", "-o", path], path
+        )
+
+    def test_soak_artifacts_under_a_regular_file(self, tmp_path):
+        regular = tmp_path / "file"
+        regular.write_text("")
+        path = str(regular / "sub")
+        self._exits_cannot_write(["soak", "--ops", "100", "--artifacts", path], path)
+
+
 class TestReportCompatibility:
     def test_no_args_prints_paper_report(self, capsys, monkeypatch):
         from repro.core import claims

@@ -30,10 +30,6 @@ class TestBuildCluster:
         assert len(cluster.frontends) == 5
         assert [fe.site for fe in cluster.frontends] == [0, 1, 2, 3, 4]
 
-    def test_custom_frontend_count_wraps_sites(self):
-        cluster = cluster_of(3, n_frontends=5)
-        assert [fe.site for fe in cluster.frontends] == [0, 1, 2, 0, 1]
-
     def test_deterministic_seed(self):
         first = cluster_of(3, seed=9).sim.rng.random()
         second = cluster_of(3, seed=9).sim.rng.random()

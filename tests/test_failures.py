@@ -1,62 +1,12 @@
 """Unit tests for failure injection."""
 
-from repro.sim.failures import (
-    CrashInjector,
-    FailureEvent,
-    FailureScript,
-    PartitionInjector,
-)
+from repro.sim.failures import CrashInjector, PartitionInjector
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
 
 def _net(seed=0, n=4):
     return Network(Simulator(seed=seed), n_sites=n)
-
-
-class TestFailureScript:
-    def test_scripted_crash_and_recover(self):
-        net = _net()
-        script = FailureScript(
-            net,
-            [
-                FailureEvent(time=10.0, kind="crash", sites=(1,)),
-                FailureEvent(time=20.0, kind="recover", sites=(1,)),
-            ],
-        )
-        script.install()
-        net.sim.run(until=15.0)
-        assert not net.is_up(1)
-        net.sim.run(until=25.0)
-        assert net.is_up(1)
-
-    def test_scripted_partition_and_heal(self):
-        net = _net()
-        script = FailureScript(
-            net,
-            [
-                FailureEvent(time=5.0, kind="partition", groups=((0, 1), (2, 3))),
-                FailureEvent(time=15.0, kind="heal"),
-            ],
-        )
-        script.install()
-        net.sim.run(until=10.0)
-        assert not net.reachable(0, 2)
-        net.sim.run(until=20.0)
-        assert net.reachable(0, 2)
-
-    def test_events_applied_in_time_order_regardless_of_listing(self):
-        net = _net()
-        script = FailureScript(
-            net,
-            [
-                FailureEvent(time=20.0, kind="recover", sites=(0,)),
-                FailureEvent(time=10.0, kind="crash", sites=(0,)),
-            ],
-        )
-        script.install()
-        net.sim.run()
-        assert net.is_up(0)
 
 
 class TestCrashInjector:

@@ -233,9 +233,7 @@ class TestFailedFinalQuorum:
 
         cluster = self._read_one_write_all()
         fe = cluster.frontends[0]
-        fe.retry_policy = RetryPolicy(
-            max_attempts=4, base_delay=5.0, jitter=0.0, op_budget=None
-        )
+        cluster.tm.retry_policy = RetryPolicy(max_attempts=4, op_budget=None)
         sent = []
         write_quorum = FrontEnd._write_quorum
 

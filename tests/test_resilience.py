@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import DegradedOperation, SimulationError, UnavailableError
 from repro.histories.events import Invocation
-from repro.replication.antientropy import AntiEntropy
 from repro.replication.keyspace import ObjectSpec
 from repro.resilience import (
     POLICIES,
@@ -50,12 +49,12 @@ def _register_cluster(n_sites=5, seed=0):
 
 class TestRetryPolicy:
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay=2.0, multiplier=2.0, max_delay=10.0)
-        for attempt in (1, 2, 3, 5):
-            raw = min(2.0 * 2.0 ** (attempt - 1), 10.0)
+        policy = RetryPolicy()
+        for attempt in (1, 2, 3, 4):
+            raw = 2.0 * 2.0 ** (attempt - 1)
             a = policy.backoff(attempt, key=(7, 3))
-            b = policy.backoff(attempt, key=(7, 3))
-            assert a == b  # pure function of (seed, key, attempt)
+            b = POLICIES["degraded"].backoff(attempt, key=(7, 3))
+            assert a == b  # pure function of (key, attempt), whatever the policy
             assert raw * 0.75 <= a <= raw * 1.25
 
     def test_different_keys_desynchronize_jitter(self):
@@ -63,9 +62,12 @@ class TestRetryPolicy:
         delays = {policy.backoff(1, key=(site, 1)) for site in range(8)}
         assert len(delays) > 1
 
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(base_delay=1.0, multiplier=3.0, jitter=0.0)
-        assert [policy.backoff(a) for a in (1, 2, 3)] == [1.0, 3.0, 9.0]
+    def test_backoff_is_capped_at_thirty(self):
+        # 2·2^4 = 32 would exceed the cap: attempt 5 and later back off
+        # around 30, not exponentially.
+        policy = RetryPolicy()
+        for attempt in (5, 6, 9):
+            assert 30.0 * 0.75 <= policy.backoff(attempt, key=(1,)) <= 30.0 * 1.25
 
     def test_allows_respects_attempts_and_deadline(self):
         sim = Simulator(seed=0)
@@ -85,8 +87,6 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
         with pytest.raises(ValueError):
             RetryPolicy(txn_attempts=0)
 
@@ -118,9 +118,7 @@ class TestRetryExecution:
     def test_retry_rideses_through_a_scheduled_recovery(self):
         cluster = _queue_cluster(n_sites=3)
         fe = cluster.frontends[0]
-        fe.retry_policy = RetryPolicy(
-            max_attempts=4, base_delay=5.0, jitter=0.0, op_budget=None
-        )
+        cluster.tm.retry_policy = RetryPolicy(max_attempts=4, op_budget=None)
         cluster.network.crash(1)
         cluster.network.crash(2)
         # The site comes back while the front-end is backing off; the
@@ -146,9 +144,7 @@ class TestRetryExecution:
     def test_deadline_budget_stops_retries(self):
         cluster = _queue_cluster(n_sites=3)
         fe = cluster.frontends[0]
-        fe.retry_policy = RetryPolicy(
-            max_attempts=10, base_delay=50.0, jitter=0.0, op_budget=60.0
-        )
+        cluster.tm.retry_policy = RetryPolicy(max_attempts=10, op_budget=20.0)
         cluster.network.crash(1)
         cluster.network.crash(2)
         txn = cluster.tm.begin(site=0)
@@ -159,21 +155,17 @@ class TestRetryExecution:
 
     def test_cluster_policy_applies_through_tm(self):
         cluster = _queue_cluster(n_sites=3)
-        assert cluster.frontends[0].effective_policy() is None
+        assert cluster.tm.retry_policy is None
         runtime = cluster.enable_resilience()
-        assert cluster.frontends[0].effective_policy() is runtime.policy
-        own = RetryPolicy.no_retry()
-        cluster.frontends[0].retry_policy = own
-        assert cluster.frontends[0].effective_policy() is own
+        assert cluster.tm.retry_policy is runtime.policy is POLICIES["default"]
 
 
 class TestDegradedReads:
     def _crashed_register_cluster(self):
         cluster = _register_cluster()
-        policy = POLICIES["degraded"].with_options(
-            max_attempts=1, txn_attempts=1
+        cluster.tm.retry_policy = RetryPolicy(
+            max_attempts=1, txn_attempts=1, degraded_reads=True
         )
-        cluster.tm.retry_policy = policy
         # Two down: majority (3-of-5) initial quorums assemble, 4-of-5
         # finals cannot.
         cluster.network.crash(3)
@@ -337,36 +329,6 @@ class TestFailureListeners:
         cluster.network.remove_failure_listener(listener)  # no-op twice
         cluster.network.recover(0)
         assert events == ["crash"]
-
-
-class TestPartitionAwareAntiEntropy:
-    def test_rounds_skip_unreachable_pairs_without_traffic(self):
-        cluster = _queue_cluster(2)
-        antientropy = AntiEntropy(
-            cluster.network, cluster.repositories, interval=5.0
-        )
-        antientropy.install()
-        cluster.network.partition((0,), (1,))
-        cluster.sim.run(until=50.0)
-        assert antientropy.rounds >= 9
-        assert antientropy.exchanges == 0
-        assert antientropy.skipped == antientropy.rounds
-        # Partition-awareness means not even a probe crossed the cut.
-        assert cluster.network.messages_sent == 0
-
-    def test_sync_resumes_after_heal(self):
-        cluster = _queue_cluster(2)
-        antientropy = AntiEntropy(
-            cluster.network, cluster.repositories, interval=5.0
-        )
-        antientropy.install()
-        cluster.network.partition((0,), (1,))
-        cluster.sim.run(until=25.0)
-        assert antientropy.exchanges == 0
-        cluster.network.heal()
-        cluster.sim.run(until=50.0)
-        assert antientropy.exchanges > 0
-        assert cluster.network.messages_sent > 0
 
 
 class TestChaosSchedules:

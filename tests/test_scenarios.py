@@ -30,9 +30,7 @@ from repro.scenarios import (
     SCENARIOS,
     ArrivalSpec,
     MixSpec,
-    MixWorkload,
     ScenarioSpec,
-    ScenarioWorkload,
     SkewSpec,
     build_scenario,
     bursty_arrivals,
@@ -363,47 +361,14 @@ class TestOpenLoop:
 
 
 class TestWorkloadContract:
-    def test_user_workload_drives_transactions(self):
-        from repro.types import Queue
-
-        queue = Queue()
-        enq = next(i for i in queue.invocations() if i.op == "Enq")
-
-        class EnqOnly(ScenarioWorkload):
-            def __init__(self):
-                self.cluster = None
-                self.calls = 0
-
-            def init(self, cluster):
-                self.cluster = cluster
-
-            def run(self, rng):
-                self.calls += 1
-                return [("queue", enq), ("queue", enq)]
-
-        workload = EnqOnly()
-        verdict = run_scenario(
-            "default", seed=0, transactions=6, workload=workload
-        )
-        assert verdict["ok"]
-        assert workload.cluster is not None  # init saw the built cluster
-        assert workload.calls >= 6
-        ops = {
-            key.split("/")[0]
-            for key in verdict["fingerprint"]["outcomes"]
-        }
-        assert ops == {"Enq"}
-
-    def test_mix_workload_draws_match_inline_sampler(self):
-        from repro.sim.workload import OperationMix
-        from repro.types import Queue
-
-        queue = Queue()
-        mix = OperationMix.uniform("queue", queue.invocations())
-        a, b = random.Random(42), random.Random(42)
-        inline = [mix.sample(a) for _ in range(3)]
-        assert MixWorkload(mix, 3).run(b) == inline
-
-    def test_base_contract_run_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ScenarioWorkload().run(random.Random(0))
+    def test_transaction_bodies_are_inline_mix_draws(self):
+        """A new transaction draws its front-end, then exactly
+        ``ops_per_transaction`` samples of the mix from the simulator's
+        RNG: the consumption every seeded fingerprint is pinned on."""
+        cluster, generator, _names = build_scenario("default", seed=0)
+        shadow = random.Random()
+        shadow.setstate(cluster.sim.rng.getstate())
+        shadow.randrange(len(cluster.frontends))
+        inline = [generator.mix.sample(shadow) for _ in range(3)]
+        assert generator.ops_per_transaction == 3
+        assert generator._new_script().operations == inline
