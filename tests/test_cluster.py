@@ -30,6 +30,11 @@ class TestBuildCluster:
         assert len(cluster.frontends) == 5
         assert [fe.site for fe in cluster.frontends] == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("n_sites", [1, 2, 7])
+    def test_one_frontend_per_site(self, n_sites):
+        cluster = cluster_of(n_sites)
+        assert [fe.site for fe in cluster.frontends] == list(range(n_sites))
+
     def test_deterministic_seed(self):
         first = cluster_of(3, seed=9).sim.rng.random()
         second = cluster_of(3, seed=9).sim.rng.random()

@@ -293,6 +293,36 @@ class TestPartitionHealDriver:
             "queue"
         ) == cluster.repositories[0].entry_count("queue")
 
+    def test_no_repair_probe_crosses_a_standing_cut(self):
+        cluster = _queue_cluster(n_sites=3)
+        runtime = cluster.enable_resilience()
+        cluster.network.partition((0,), (1, 2))
+        cluster.network.crash(0)
+        cluster.network.recover(0)
+        # Site 0 recovers alone on its side of the cut: with no reachable
+        # peer the driver attempts nothing, so not even a probe is sent.
+        assert runtime.heal.recoveries_handled == 1
+        assert runtime.heal.heals_handled == 0
+        assert cluster.network.messages_sent == 0
+        assert runtime.registry.counter("resilience.recovery.syncs").value == 0
+        assert runtime.registry.counter("resilience.recovery.failed").value == 0
+
+    def test_recovery_behind_a_cut_pairs_with_a_reachable_peer(self):
+        cluster = _queue_cluster(n_sites=3)
+        runtime = cluster.enable_resilience()
+        cluster.network.crash(1)
+        for _ in range(2):
+            txn = cluster.tm.begin(site=0)
+            cluster.frontends[0].execute(txn, "queue", ENQ)
+            cluster.tm.commit(txn)
+        cluster.network.partition((0,), (1, 2))
+        cluster.network.recover(1)
+        # Site 0 is cut off; site 2 took part in every final quorum and
+        # hands site 1 the entries it missed.
+        assert runtime.heal.recoveries_handled == 1
+        assert cluster.repositories[1].entry_count("queue") == 2
+        assert runtime.registry.counter("resilience.recovery.syncs").value == 1
+
     def test_detach_stops_reacting(self):
         cluster = _queue_cluster(n_sites=3)
         runtime = cluster.enable_resilience()
@@ -370,6 +400,35 @@ class TestChaosSchedules:
         assert schedule.applied == 1
         assert schedule.skipped == 2
         assert not cluster.network.is_up(2)
+
+
+    def test_actions_fire_at_their_transaction_boundaries(self):
+        cluster = cluster_of(3, seed=0)
+        network = cluster.network
+        hook = ChaosSchedule({0: (("crash", 1),), 2: (("recover", 1),)}).hook(
+            network
+        )
+        hook(0)
+        assert not network.is_up(1)
+        hook(1)
+        assert not network.is_up(1)
+        hook(2)
+        assert network.is_up(1)
+
+    def test_partition_and_heal_apply_in_listed_order(self):
+        cluster = cluster_of(4, seed=0)
+        network = cluster.network
+        events = []
+        network.add_failure_listener(lambda kind, **info: events.append(kind))
+        schedule = ChaosSchedule(
+            {0: (("partition", ((0, 1), (2, 3))),), 1: (("heal",), ("crash", 0))}
+        )
+        schedule.apply_at(network, 0)
+        assert not network.reachable(0, 2)
+        schedule.apply_at(network, 1)
+        assert network.reachable(1, 2)
+        assert events == ["partition", "heal", "crash"]
+        assert schedule.applied == 3 and schedule.skipped == 0
 
 
 class TestChaosDeterminism:

@@ -75,3 +75,35 @@ class TestWorkloadGenerator:
     def test_no_transaction_left_active(self):
         cluster, _obj, _metrics = self._run("static")
         assert all(not txn.is_active for txn in cluster.tm.transactions())
+
+    def test_a_single_invocation_mix_drives_only_that_operation(self):
+        # Every transaction body is ops_per_transaction draws of the mix,
+        # so a one-choice mix makes every operation that choice.
+        cluster, _obj = queue_system("hybrid", seed=0)
+        generator = WorkloadGenerator(
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            OperationMix.uniform("obj", [ENQ_A]),
+            ops_per_transaction=2,
+            concurrency=3,
+        )
+        metrics = generator.run(6)
+        assert metrics.operations() == ("Enq",)
+        assert metrics.count("Enq", "ok") == 2 * metrics.committed_transactions
+        assert metrics.committed_transactions + metrics.aborted_transactions == 6
+
+    def test_boundary_hook_fires_once_per_new_transaction(self):
+        cluster, obj = queue_system("hybrid", seed=0)
+        started = []
+        generator = WorkloadGenerator(
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            OperationMix.uniform("obj", obj.datatype.invocations()),
+            ops_per_transaction=2,
+            concurrency=3,
+            on_transaction_start=started.append,
+        )
+        generator.run(7)
+        assert started == list(range(7))
