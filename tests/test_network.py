@@ -203,9 +203,7 @@ def _tie_row(*, dsts, events=(), quorum=None, drop=0.0, seed=5, crashed=(),
 
     Waves launch at 0, so the first one arrives at 1.0 and replies at
     2.0, the second arrives at 3.0 and replies at 4.0.  ``events`` are
-    ``(time, how, label, action)`` scheduled before the call, where
-    ``how`` is ``schedule``, ``call_at`` or ``cancelled`` (scheduled and
-    then cancelled: a tombstone on that instant).  An action is
+    ``(time, label, action)`` scheduled before the call.  An action is
     ``("crash", site)``, ``("recover", site)``, ``("partition", groups)``,
     ``("heal",)``, ``("noop",)`` or ``("then", delay, label, action)``,
     which schedules another event from inside the dispatched callback.
@@ -226,7 +224,7 @@ def _tie_row(*, dsts, events=(), quorum=None, drop=0.0, seed=5, crashed=(),
             kind, *args = action
             if kind == "then":
                 delay, then_label, then_action = args
-                sim.call_at(sim.now + delay, event(then_label, then_action))
+                sim.schedule(delay, event(then_label, then_action))
             elif kind == "partition":
                 net.partition(*args[0])
             elif kind != "noop":
@@ -236,19 +234,14 @@ def _tie_row(*, dsts, events=(), quorum=None, drop=0.0, seed=5, crashed=(),
 
     for site in crashed:
         net.crash(site)
-    for time, how, label, action in events:
-        if how == "call_at":
-            sim.call_at(time, event(label, action))
-        else:
-            handle = sim.schedule_at(time, event(label, action))
-            if how == "cancelled":
-                sim.cancel(handle)
+    for time, label, action in events:
+        sim.schedule(time - sim.now, event(label, action))
 
     def handler(site):
         fired.append(["probe", site, sim.now])
         if probes and site in probes:
             delay, label, action = probes[site]
-            sim.call_at(sim.now + delay, event(label, action))
+            sim.schedule(delay, event(label, action))
         return site * 10
 
     stop = None if quorum is None else (lambda got: len(got) >= quorum)
@@ -274,67 +267,62 @@ def _tie_row(*, dsts, events=(), quorum=None, drop=0.0, seed=5, crashed=(),
 _TIE_ROWS = (
     ("crash-at-arrival",
      dict(dsts=[1, 2, 3], quorum=2,
-          events=[(1.0, "schedule", "crash2", ("crash", 2))]),
+          events=[(1.0, "crash2", ("crash", 2))]),
      "546fc7136fe9637eddc5ca67d69d2cc12759359bd613fd370d3f2bd9dc29d8d5"),
     ("recover-at-arrival",
      dict(dsts=[2, 3], quorum=1, crashed=[2],
-          events=[(1.0, "call_at", "recover2", ("recover", 2))]),
+          events=[(1.0, "recover2", ("recover", 2))]),
      "b365ba8df4e275d26de9aa030770b44801310c51d80af7d7c7a15424a54dd9ad"),
     ("crash-at-reply",
      dict(dsts=[1, 2, 3, 4], quorum=3,
-          events=[(2.0, "schedule", "crash1", ("crash", 1))]),
+          events=[(2.0, "crash1", ("crash", 1))]),
      "b6bfdb236cba8ef99200c9e42c7ff641080f512cc32da989970c14ae7882d840"),
     ("partition-at-reply-heal-at-next-arrival",
      dict(dsts=[1, 2, 3, 4], quorum=2,
-          events=[(2.0, "schedule", "cut", ("partition", [[0, 1], [2, 3, 4]])),
-                  (3.0, "call_at", "heal", ("heal",))]),
+          events=[(2.0, "cut", ("partition", [[0, 1], [2, 3, 4]])),
+                  (3.0, "heal", ("heal",))]),
      "c7726cfba215237b0e3ba809b9f7ada67cb69dcc7d134a5cf113da6cf8c18f8e"),
     ("partition-at-arrival-heal-at-last-reply",
      dict(dsts=[3, 1, 2], quorum=2,
-          events=[(1.0, "schedule", "cut", ("partition", [[0, 1, 2], [3, 4]])),
-                  (4.0, "schedule", "heal", ("heal",))]),
+          events=[(1.0, "cut", ("partition", [[0, 1, 2], [3, 4]])),
+                  (4.0, "heal", ("heal",))]),
      "e00145bb91be04e754b67f41a36d89121b3c0a8dd4cdd7cbe52d310603311807"),
     ("chained-into-reply-instant",
      dict(dsts=[1, 2, 3], quorum=2,
-          events=[(1.5, "schedule", "arm",
-                   ("then", 0.5, "crash1", ("crash", 1)))]),
+          events=[(1.5, "arm", ("then", 0.5, "crash1", ("crash", 1)))]),
      "965fc23cb268db63148ea56e495270c31443aa90f55307307d755a39b46aa2b4"),
     ("chained-into-arrival-instant",
      dict(dsts=[1, 2, 3], quorum=2,
-          events=[(0.5, "call_at", "arm",
-                   ("then", 0.5, "crash2", ("crash", 2)))]),
+          events=[(0.5, "arm", ("then", 0.5, "crash2", ("crash", 2)))]),
      "d4b6c50ca27b0399861e406673ba5286fab723408d9d88b3916e9ca49ed5f6b5"),
     ("probe-schedules-into-reply",
      dict(dsts=[1, 2, 3], probes={1: (1.0, "crash3", ("crash", 3))}),
      "34c5c3e02833f3057461fb2cd673887e42bdb77c78b050342db09fdf0a8e7efd"),
-    ("tombstones-on-both-instants",
+    ("events-on-both-instants",
      dict(dsts=[1, 2, 3], quorum=2,
-          events=[(1.0, "cancelled", "never1", ("crash", 1)),
-                  (2.0, "cancelled", "never2", ("crash", 2)),
-                  (2.0, "schedule", "tick", ("noop",)),
-                  (1.0, "call_at", "tock", ("noop",))]),
+          events=[(2.0, "tick", ("noop",)),
+                  (1.0, "tock", ("noop",))]),
      "e5098d101305f4e932223355698aeef741e0b6f3cc09f5d0e1555cfdb70acedd"),
     ("whole-wave-lost-recover-on-reply",
      dict(dsts=[1, 2],
-          events=[(1.0, "schedule", "crash1", ("crash", 1)),
-                  (1.0, "schedule", "crash2", ("crash", 2)),
-                  (1.5, "call_at", "arm", ("then", 0.5, "recover1", ("recover", 1))),
-                  (2.0, "schedule", "late", ("noop",))]),
+          events=[(1.0, "crash1", ("crash", 1)),
+                  (1.0, "crash2", ("crash", 2)),
+                  (1.5, "arm", ("then", 0.5, "recover1", ("recover", 1))),
+                  (2.0, "late", ("noop",))]),
      "7db64509b911757d9f9962637af39ec4a898ec9376d553f058a10181e0782673"),
     ("same-instant-chains-and-far-events",
      dict(dsts=[1, 2], quorum=2,
-          events=[(10.0, "schedule", "far", ("crash", 1)),
-                  (2.0, "schedule", "at-reply", ("noop",)),
-                  (2.0, "call_at", "arm-at-reply",
-                   ("then", 0.0, "same-reply", ("noop",)))],
+          events=[(10.0, "far", ("crash", 1)),
+                  (2.0, "at-reply", ("noop",)),
+                  (2.0, "arm-at-reply", ("then", 0.0, "same-reply", ("noop",)))],
           probes={2: (0.0, "same-arrival", ("noop",))}),
      "4666a6318c0b7cf9d99cf7587ea87b9485040930fd7deab4935e212f82e5c0c7"),
     ("lossy-with-events",
      dict(dsts=[1, 2, 3, 4], quorum=3, drop=0.3, seed=2,
-          events=[(1.0, "schedule", "crash4", ("crash", 4)),
-                  (2.0, "call_at", "tick", ("noop",)),
-                  (3.0, "schedule", "recover4", ("recover", 4)),
-                  (4.0, "schedule", "cut", ("partition", [[0, 4], [1, 2, 3]]))],
+          events=[(1.0, "crash4", ("crash", 4)),
+                  (2.0, "tick", ("noop",)),
+                  (3.0, "recover4", ("recover", 4)),
+                  (4.0, "cut", ("partition", [[0, 4], [1, 2, 3]]))],
           probes={2: (0.0, "same-arrival", ("noop",)),
                   3: (1.0, "on-reply", ("noop",))}),
      "8a0f6c4c81acf944d103cf92e344f7d64a2e39304f98b5141f69d15589586d40"),
