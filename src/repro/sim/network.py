@@ -25,10 +25,8 @@ partition the functioning sites into groups that cannot reach each other
   the next wave.  Replies come back in visit order, as the reply legs
   deliver them; completion order, (completion time, site id), is
   derived on request.
-* :meth:`Network.send` — an asynchronous message scheduled through the
-  kernel, used by failure injectors and background anti-entropy.
 
-All styles draw from the simulator's seeded RNG, so behaviour is
+Both styles draw from the simulator's seeded RNG, so behaviour is
 deterministic per seed.  No style records a span: the protocol step
 calling it is the span, naming the sites it attempted and served.
 """
@@ -388,25 +386,6 @@ class Network:
                 failed.add(dst)
                 continue
             received.append(reply)
-
-    def send(self, src: int, dst: int, deliver: Callable[[], None]) -> None:
-        """Asynchronous one-way message through the event queue."""
-        self.messages_sent += 1
-        if not self._reachable(src, dst) or self._lost():
-            self.messages_dropped += 1
-            if self.tracer.enabled:
-                self.tracer.event("msg.dropped", site=src, dst=dst)
-            return
-        if self.tracer.enabled:
-            self.tracer.event("msg.send", site=src, dst=dst)
-        self.sim.call_at(self.sim.now + self.latency, self._guarded(dst, deliver))
-
-    def _guarded(self, dst: int, deliver: Callable[[], None]) -> Callable[[], None]:
-        def run() -> None:
-            if dst not in self._crashed:
-                deliver()
-
-        return run
 
     def _lost(self) -> bool:
         return (

@@ -100,29 +100,6 @@ class TestRequest:
         assert net.messages_dropped > 0
 
 
-class TestSend:
-    def test_async_delivery_through_event_queue(self, net):
-        delivered = []
-        net.send(0, 1, lambda: delivered.append("msg"))
-        assert delivered == []
-        net.sim.run()
-        assert delivered == ["msg"]
-
-    def test_send_to_unreachable_dropped(self, net):
-        net.crash(1)
-        delivered = []
-        net.send(0, 1, lambda: delivered.append("msg"))
-        net.sim.run()
-        assert delivered == []
-
-    def test_crash_after_send_prevents_delivery(self, net):
-        delivered = []
-        net.send(0, 1, lambda: delivered.append("msg"))
-        net.crash(1)
-        net.sim.run()
-        assert delivered == []
-
-
 class TestTracedWave:
     """One ``gather`` wave under a tracer: each leg is read off the result's
     ``attempted``, ``served`` and ``responders``; the fabric records no span."""

@@ -34,11 +34,11 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
-    def test_schedule_at_absolute_time(self):
+    def test_schedule_counts_from_the_current_clock(self):
         sim = Simulator()
         sim.advance(10.0)
         seen = []
-        sim.schedule_at(12.0, lambda: seen.append(sim.now))
+        sim.schedule(2.0, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [12.0]
 
@@ -61,24 +61,12 @@ class TestControl:
         seen = []
         sim.schedule(1.0, lambda: seen.append(1))
         sim.schedule(10.0, lambda: seen.append(10))
-        sim.run(until=5.0)
+        assert sim.run(until=5.0) == 1
         assert seen == [1]
         assert sim.now == 5.0
-        assert sim.pending == 1
-
-    def test_max_events_cap(self):
-        sim = Simulator()
-        for delay in (1.0, 2.0, 3.0):
-            sim.schedule(delay, lambda: None)
-        assert sim.run(max_events=2) == 2
-
-    def test_cancel(self):
-        sim = Simulator()
-        seen = []
-        handle = sim.schedule(1.0, lambda: seen.append(1))
-        sim.cancel(handle)
-        sim.run()
-        assert seen == []
+        # The later event is still queued and fires on the next run.
+        assert sim.run() == 1
+        assert seen == [1, 10] and sim.now == 10.0
 
     def test_determinism_per_seed(self):
         first = Simulator(seed=7).rng.random()
@@ -87,47 +75,39 @@ class TestControl:
 
     def test_advance_moves_clock_without_dispatch(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
         sim.advance(0.5)
-        assert sim.now == 0.5 and sim.pending == 1
+        assert sim.now == 0.5 and fired == []
+        sim.run()
+        assert fired == [1.0]
 
     def test_time_cannot_move_backwards(self):
         with pytest.raises(SimulationError):
             Simulator().advance(-1.0)
 
-    def test_max_events_does_not_warp_the_clock(self):
-        sim = Simulator()
-        fired = []
-        sim.call_at(1.0, lambda: fired.append(sim.now))
-        sim.call_at(2.0, lambda: fired.append(sim.now))
-        assert sim.run(until=10.0, max_events=1) == 1
-        # The 2.0 event is still due: the clock must not jump past it.
-        assert sim.now == 1.0 and sim.pending == 1
-        sim.call_at(5.0, lambda: fired.append(sim.now))
-        sim.run(until=10.0)
-        assert fired == [1.0, 2.0, 5.0]
-        assert sim.now == 10.0
-
 
 class TestReach:
-    """``reach`` runs a leg in place, in the turn a ``call_at`` would take."""
+    """``reach`` runs a leg in place, in the turn a scheduled event would take."""
 
     def test_leg_runs_after_what_is_due_before_it(self):
         sim = Simulator()
         order = []
-        sim.call_at(0.5, lambda: order.append(("early", sim.now)))
-        sim.call_at(1.0, lambda: order.append(("tie", sim.now)))
-        sim.call_at(3.0, lambda: order.append(("late", sim.now)))
+        sim.schedule(0.5, lambda: order.append(("early", sim.now)))
+        sim.schedule(1.0, lambda: order.append(("tie", sim.now)))
+        sim.schedule(3.0, lambda: order.append(("late", sim.now)))
         assert sim.reach(1.0, lambda tag: order.append((tag, sim.now)), "leg") == 2
         assert order == [("early", 0.5), ("tie", 1.0), ("leg", 1.0)]
-        assert sim.now == 1.0 and sim.pending == 1
+        assert sim.now == 1.0
+        assert sim.run() == 1
+        assert order[-1] == ("late", 3.0)
 
     def test_events_scheduled_in_the_window_keep_their_turn(self):
         sim = Simulator()
         order = []
         # Scheduled during the window, at the leg's own instant: it takes
         # a later sequence number than the leg, so it fires after it.
-        sim.call_at(0.5, lambda: sim.call_at(1.0, lambda: order.append("chained")))
+        sim.schedule(0.5, lambda: sim.schedule(0.5, lambda: order.append("chained")))
         sim.reach(1.0, order.append, "leg")
         assert order == ["leg"]
         sim.run(until=1.0)
@@ -138,19 +118,23 @@ class TestReach:
         seen = []
 
         def leg():
-            seen.append(sim.dispatching)
             with pytest.raises(SimulationError):
                 sim.run()
             assert sim.drain() == 0
+            seen.append("leg")
 
+        sim.schedule(0.0, lambda: seen.append("due"))
         sim.reach(2.0, leg)
-        assert seen == [True] and not sim.dispatching
+        # The guard is released on return: the kernel runs again.
+        sim.schedule(1.0, lambda: seen.append("after"))
+        assert sim.run() == 1
+        assert seen == ["due", "leg", "after"]
 
     def test_reach_refuses_the_past_and_reentry(self):
         sim = Simulator()
         sim.advance(3.0)
         with pytest.raises(SimulationError):
             sim.reach(2.0, lambda: None)
-        sim.call_at(4.0, lambda: sim.reach(5.0, lambda: None))
+        sim.schedule(1.0, lambda: sim.reach(5.0, lambda: None))
         with pytest.raises(SimulationError):
             sim.run()

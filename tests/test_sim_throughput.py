@@ -1,4 +1,4 @@
-"""Throughput-engine tests: kernel hot path, batched fan-out, view
+"""Throughput-engine tests: the event kernel, batched fan-out, view
 cache, and trial sharding.
 
 The load-bearing property throughout is *determinism*: the kernel's
@@ -60,97 +60,6 @@ from repro.types import Queue
 from tests.helpers import FromScratchViewCache, cluster_of, from_scratch_front_ends
 
 pytestmark = pytest.mark.throughput
-
-
-# -- kernel hot path ----------------------------------------------------------
-
-
-def _brute_force_pending(sim: Simulator) -> int:
-    """The O(n) scan ``Simulator.pending`` used to be."""
-    return sum(1 for _time, seq in sim._heap if seq in sim._callbacks)
-
-
-class TestPendingCounter:
-    def test_agrees_with_brute_force_through_mixed_sequences(self):
-        sim = Simulator(seed=5)
-        handles = []
-        for step in range(400):
-            choice = sim.rng.random()
-            if choice < 0.5:
-                handles.append(sim.schedule(sim.rng.random() * 10, lambda: None))
-            elif choice < 0.8 and handles:
-                sim.cancel(handles[sim.rng.randrange(len(handles))])
-            else:
-                sim.run(until=sim.now + sim.rng.random() * 3)
-            assert sim.pending == _brute_force_pending(sim)
-        sim.run()
-        assert sim.pending == _brute_force_pending(sim) == 0
-
-    def test_cancel_after_dispatch_is_a_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert sim.pending == 0
-        sim.cancel(handle)  # already ran: must not drive the counter negative
-        assert sim.pending == 0
-        sim.schedule(1.0, lambda: None)
-        assert sim.pending == 1
-
-    def test_double_cancel_counts_once(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        other = sim.schedule(2.0, lambda: None)
-        sim.cancel(handle)
-        sim.cancel(handle)
-        assert sim.pending == 1
-        assert _brute_force_pending(sim) == 1
-        sim.cancel(other)
-        assert sim.pending == 0
-
-
-class TestHeapCompaction:
-    def test_cancelling_ten_thousand_events_bounds_the_queue(self):
-        sim = Simulator()
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10_000)]
-        assert sim.queue_depth == 10_000
-        for handle in handles:
-            sim.cancel(handle)
-        # Without compaction all 10k tombstones would sit in the heap
-        # until popped; with it the queue ends (essentially) empty.
-        assert sim.pending == 0
-        assert sim.queue_depth < 64
-        assert sim.run() == 0
-
-    def test_queue_stays_proportional_to_live_events(self):
-        sim = Simulator()
-        fired = []
-        keep = []
-        for i in range(10_000):
-            handle = sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-            if i % 10 == 0:
-                keep.append(i)
-            else:
-                sim.cancel(handle)
-        # 1000 live events; tombstones never exceed half the queue.
-        assert sim.pending == 1_000
-        assert sim.queue_depth <= 2 * 1_000 + 64
-        sim.run()
-        assert fired == keep  # survivors dispatch in time order
-
-    def test_compaction_preserves_dispatch_order(self):
-        sim = Simulator(seed=3)
-        fired = []
-        live = {}
-        for i in range(2_000):
-            live[i] = sim.schedule(sim.rng.random() * 50, lambda i=i: fired.append(i))
-        for i in range(0, 2_000, 2):
-            sim.cancel(live[i])
-        sim.run()
-        expected = sorted(
-            (i for i in range(1, 2_000, 2)),
-            key=lambda i: (live[i].time, live[i].seq),
-        )
-        assert fired == expected
 
 
 # -- null tracer fast path ----------------------------------------------------
@@ -1093,25 +1002,18 @@ class TestTrialSharding:
                            (3, captured["note"])]
 
 
-# -- allocation-free simulator core (PR 8) ------------------------------------
+# -- the event kernel: past times, per-step traces, steady state --------------
 
 
-class TestScheduleAtErrorMessages:
-    """A past-time error must name both the target and the current clock."""
+class TestPastTimes:
+    """A past-time error names both the target and the current clock;
+    the current instant itself is not the past."""
 
-    def test_schedule_at_reports_target_and_now(self):
-        sim = Simulator()
-        sim.advance(5.0)
-        with pytest.raises(SimulationError) as err:
-            sim.schedule_at(2.0, lambda: None)
-        assert "2.0" in str(err.value)
-        assert "5.0" in str(err.value)
-
-    def test_call_at_reports_target_and_now(self):
+    def test_reach_reports_target_and_now(self):
         sim = Simulator()
         sim.advance(7.5)
         with pytest.raises(SimulationError) as err:
-            sim.call_at(3.25, lambda: None)
+            sim.reach(3.25, lambda: None)
         assert "3.25" in str(err.value)
         assert "7.5" in str(err.value)
 
@@ -1119,10 +1021,10 @@ class TestScheduleAtErrorMessages:
         sim = Simulator()
         sim.advance(4.0)
         fired = []
-        sim.schedule_at(4.0, lambda: fired.append("handle"))
-        sim.call_at(4.0, lambda: fired.append("anon"))
+        sim.schedule(0.0, lambda: fired.append("first"))
+        sim.schedule(0.0, lambda: fired.append("second"))
         sim.run()
-        assert fired == ["handle", "anon"]
+        assert fired == ["first", "second"]
         assert sim.now == 4.0
 
 
@@ -1210,50 +1112,18 @@ class TestKernelTracePins:
 class TestAllocationFreeCore:
     """The hot paths must not retain memory per event at steady state."""
 
-    def test_steady_call_at_loop_retains_nothing(self):
+    def test_steady_schedule_loop_retains_nothing(self):
         sim = Simulator()
         tick = lambda: None  # noqa: E731 - a single shared callback
-        for _ in range(1_000):  # warm the heap, dict, and free-list
-            sim.call_at(sim.now + 1.0, tick)
+        for _ in range(1_000):  # warm the heap
+            sim.schedule(1.0, tick)
             sim.run()
         before = sys.getallocatedblocks()
         for _ in range(10_000):
-            sim.call_at(sim.now + 1.0, tick)
+            sim.schedule(1.0, tick)
             sim.run()
         after = sys.getallocatedblocks()
         assert after - before < 50
-
-    def test_schedule_cancel_churn_retains_nothing(self):
-        sim = Simulator()
-        tick = lambda: None  # noqa: E731
-        for _ in range(1_000):
-            sim.cancel(sim.schedule(1.0, tick))
-        before = sys.getallocatedblocks()
-        for _ in range(10_000):
-            sim.cancel(sim.schedule(1.0, tick))
-        after = sys.getallocatedblocks()
-        assert after - before < 50
-
-    def test_dispatched_handles_are_recycled(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        recycled_id = id(handle)
-        del handle  # the kernel holds the last reference at dispatch
-        sim.run()
-        fresh = sim.schedule(1.0, lambda: None)
-        assert id(fresh) is not None and id(fresh) == recycled_id
-
-    def test_retained_handles_are_never_recycled(self):
-        sim = Simulator()
-        kept = sim.schedule(1.0, lambda: None)
-        sim.run()
-        fresh = sim.schedule(1.0, lambda: None)
-        assert fresh is not kept
-        assert kept.dispatched
-        sim.cancel(kept)  # stale cancel: must be a no-op on the new event
-        assert sim.pending == 1
-        sim.run()
-        assert sim.pending == 0  # the new event still dispatched
 
     def test_message_flyweights_are_interned(self):
         from repro.histories.events import Event, Invocation, Response
