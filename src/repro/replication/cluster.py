@@ -63,11 +63,7 @@ class Cluster:
     resilience: "ResilienceRuntime | None" = None
 
     def enable_resilience(
-        self,
-        policy: "RetryPolicy | None" = None,
-        *,
-        registry: "MetricsRegistry | None" = None,
-        checkpoint_every: int | None = 64,
+        self, policy: "RetryPolicy | None" = None
     ) -> "ResilienceRuntime":
         """Switch the cluster onto the resilience layer; returns the runtime.
 
@@ -82,9 +78,9 @@ class Cluster:
           volatile state and recoveries replay it exactly;
         * a :class:`~repro.resilience.heal.PartitionHealDriver` fires an
           anti-entropy catch-up pass whenever a partition heals or a
-          site recovers, recording catch-up latencies into ``registry``
-          (a fresh :class:`~repro.obs.metrics.MetricsRegistry` by
-          default) as the ``resilience.recovery.latency`` histogram.
+          site recovers, recording catch-up latencies into a fresh
+          :class:`~repro.obs.metrics.MetricsRegistry` as the
+          ``resilience.recovery.latency`` histogram.
 
         Returns the :class:`~repro.resilience.recovery.ResilienceRuntime`
         bundling all three (also stored as ``cluster.resilience``).
@@ -95,16 +91,12 @@ class Cluster:
         from repro.resilience.recovery import RecoveryManager, ResilienceRuntime
 
         policy = policy if policy is not None else POLICIES["default"]
-        registry = registry if registry is not None else MetricsRegistry()
+        registry = MetricsRegistry()
         self.tm.retry_policy = policy
         # Registration order matters: replay must restore a recovered
         # repository before the heal driver tries to synchronize it.
-        recovery = RecoveryManager(
-            self.network, self.repositories, checkpoint_every=checkpoint_every
-        )
-        heal = PartitionHealDriver(
-            self.network, self.repositories, registry=registry
-        )
+        recovery = RecoveryManager(self.network, self.repositories)
+        heal = PartitionHealDriver(self.network, self.repositories, registry)
         runtime = ResilienceRuntime(policy, recovery, heal, registry)
         self.resilience = runtime
         return runtime

@@ -38,12 +38,11 @@ class PartitionHealDriver:
 
     Args:
         network: the fabric to listen on (crash/recover/partition/heal).
-        repositories: the replica set to reconcile.
-        antientropy: the exchange engine to drive; a private
-            :class:`AntiEntropy` over the same repositories by default.
+        repositories: the replica set to reconcile, through a private
+            :class:`AntiEntropy` over them.
         registry: sink for ``resilience.recovery.*`` metrics
             (histograms ``latency`` and ``repaired`` plus ``syncs`` /
-            ``failed`` counters); ``None`` disables measurement.
+            ``failed`` counters).
 
     On ``heal`` the driver bridges every former partition group to the
     lowest-numbered up site (one exchange per other group's
@@ -58,17 +57,11 @@ class PartitionHealDriver:
         self,
         network: "Network",
         repositories: Sequence["Repository"],
-        *,
-        antientropy: AntiEntropy | None = None,
-        registry: "MetricsRegistry | None" = None,
+        registry: "MetricsRegistry",
     ):
         self.network = network
         self.repositories = tuple(repositories)
-        self.antientropy = (
-            antientropy
-            if antientropy is not None
-            else AntiEntropy(network, repositories)
-        )
+        self.antientropy = AntiEntropy(network, repositories)
         self.registry = registry
         self.heals_handled = 0
         self.recoveries_handled = 0
@@ -133,17 +126,16 @@ class PartitionHealDriver:
         started_at = self.network.sim.now
         held_before = self._entries(first, second)
         completed = self.antientropy.synchronize(first, second)
-        if self.registry is not None:
-            if completed:
-                self.registry.counter("resilience.recovery.syncs").inc()
-                self.registry.histogram("resilience.recovery.latency").observe(
-                    self.network.sim.now - started_at
-                )
-                self.registry.histogram("resilience.recovery.repaired").observe(
-                    self._entries(first, second) - held_before
-                )
-            else:
-                self.registry.counter("resilience.recovery.failed").inc()
+        if completed:
+            self.registry.counter("resilience.recovery.syncs").inc()
+            self.registry.histogram("resilience.recovery.latency").observe(
+                self.network.sim.now - started_at
+            )
+            self.registry.histogram("resilience.recovery.repaired").observe(
+                self._entries(first, second) - held_before
+            )
+        else:
+            self.registry.counter("resilience.recovery.failed").inc()
         return completed
 
     def _entries(self, *sites: int) -> int:

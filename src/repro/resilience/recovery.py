@@ -35,6 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SiteJournal", "RecoveryManager", "ResilienceRuntime"]
 
+#: A recovering site's journal is folded into a checkpoint once it
+#: holds this many records, so replay cost stays bounded.
+CHECKPOINT_EVERY = 64
+
 
 class SiteJournal:
     """Durable append-only record of one repository's mutations.
@@ -122,21 +126,14 @@ class RecoveryManager:
     Args:
         network: the fabric whose crash/recover events drive replay.
         repositories: the sites to journal (all of them, typically).
-        checkpoint_every: take a checkpoint automatically once a
-            journal accumulates this many records (``None`` disables
-            automatic checkpoints).
+
+    A recovering site's journal is checkpointed once it holds
+    :data:`CHECKPOINT_EVERY` records.
     """
 
-    def __init__(
-        self,
-        network: "Network",
-        repositories: Sequence["Repository"],
-        *,
-        checkpoint_every: int | None = 64,
-    ):
+    def __init__(self, network: "Network", repositories: Sequence["Repository"]):
         self.network = network
         self.repositories = tuple(repositories)
-        self.checkpoint_every = checkpoint_every
         self.crashes_wiped = 0
         self.restarts = 0
         for repo in self.repositories:
@@ -157,9 +154,8 @@ class RecoveryManager:
             repo.restart()
             self.restarts += 1
             if (
-                self.checkpoint_every is not None
-                and repo.journal is not None
-                and len(repo.journal.records) >= self.checkpoint_every
+                repo.journal is not None
+                and len(repo.journal.records) >= CHECKPOINT_EVERY
             ):
                 repo.journal.checkpoint(repo)
 

@@ -66,6 +66,10 @@ from repro.txn.deadlock import WaitsForGraph
 from repro.txn.ids import ActionId, Transaction
 from repro.txn.manager import TransactionManager
 
+#: Lock conflicts a transaction may meet, over all its attempts, before
+#: it aborts.
+MAX_RETRIES = 10
+
 
 @dataclass(frozen=True)
 class OperationMix:
@@ -109,7 +113,7 @@ class _Script:
     operations: list[tuple[str, Invocation]]
     index: int = 0
     waiting_on: ActionId | None = None
-    retries_left: int = 10
+    retries_left: int = MAX_RETRIES
     #: Times this logical transaction has been (re-)started; bounded by
     #: the cluster policy's ``txn_attempts``.
     txn_attempt: int = 1
@@ -129,15 +133,12 @@ class WorkloadGenerator:
     mix: OperationMix
     ops_per_transaction: int = 3
     concurrency: int = 4
-    max_retries: int = 10
     think_time: float = 0.1
     #: How lock conflicts between active transactions are resolved:
     #: "detect"     — wait; abort the requester if waiting closes a cycle;
     #: "wound-wait" — an older requester aborts (wounds) the younger
-    #:                holder; a younger requester waits;
-    #: "wait-die"   — an older requester waits; a younger one aborts
-    #:                itself.  Both timestamp policies are deadlock-free
-    #:                without cycle detection.
+    #:                holder; a younger requester waits.  It is
+    #:                deadlock-free without cycle detection.
     deadlock_policy: str = "detect"
     #: Called with the transaction index (0-based) just before each *new*
     #: transaction begins — the chaos layer injects faults here so fault
@@ -156,7 +157,7 @@ class WorkloadGenerator:
 
     def run(self, total_transactions: int) -> MetricRecorder:
         """Execute the workload to completion and return the metrics."""
-        if self.deadlock_policy not in ("detect", "wound-wait", "wait-die"):
+        if self.deadlock_policy not in ("detect", "wound-wait"):
             raise ValueError(f"unknown deadlock policy {self.deadlock_policy!r}")
         arrivals = self.arrivals
         if arrivals is not None and len(arrivals) < total_transactions:
@@ -236,7 +237,6 @@ class WorkloadGenerator:
             txn=txn,
             frontend=frontend,
             operations=[self.mix.sample(rng) for _ in range(self.ops_per_transaction)],
-            retries_left=self.max_retries,
         )
 
     def _runnable(self, script: _Script) -> bool:
@@ -332,20 +332,13 @@ class WorkloadGenerator:
                 return True
             script.waiting_on = holder
             return False
-        requester_older = script.txn.begin_ts < self.tm.begin_ts_of(holder)
-        if self.deadlock_policy == "wound-wait":
-            if requester_older:
-                self._wound(holder)
-                script.waiting_on = None  # retry once the wound lands
-            else:
-                script.waiting_on = holder
-            return False
-        # wait-die
-        if requester_older:
+        # wound-wait
+        if script.txn.begin_ts < self.tm.begin_ts_of(holder):
+            self._wound(holder)
+            script.waiting_on = None  # retry once the wound lands
+        else:
             script.waiting_on = holder
-            return False
-        self._abort(script, "wait-die: younger requester dies")
-        return True
+        return False
 
     def _wound(self, holder) -> None:
         """Abort the (younger) holder on behalf of an older requester."""
