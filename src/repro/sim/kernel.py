@@ -11,8 +11,8 @@ The queue is one heap of ``(time, seq, callback)`` tuples.  Every
 ``seq`` is unique, so a comparison never reaches the callback, and
 every scheduled event takes one, so dispatch order — and therefore
 every seeded fingerprint — is a function of the scheduling calls alone
-(``tests/test_sim_throughput.py`` pins per-step traces).  An event
-cannot be cancelled: the failure injectors, its only schedulers, never
+(``tests/test_sim_throughput.py`` pins per-step traces).  A scheduled
+event always fires: the failure injectors, its only schedulers, never
 take one back.
 
 :meth:`Simulator.reach` runs a leg in place where an event scheduled for
