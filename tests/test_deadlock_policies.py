@@ -56,6 +56,20 @@ class TestPolicies:
         with pytest.raises(ValueError):
             generator.run(1)
 
+    def test_wait_die_is_refused_as_unknown(self):
+        # ``wait-die`` had no caller and is gone; naming it is an error,
+        # not a silent fall-back to another policy.
+        cluster = cluster_of(3, hybrid_queue("obj"))
+        generator = WorkloadGenerator(
+            cluster.sim,
+            cluster.tm,
+            cluster.frontends,
+            OperationMix.uniform("obj", Queue().invocations()),
+            deadlock_policy="wait-die",
+        )
+        with pytest.raises(ValueError, match="wait-die"):
+            generator.run(1)
+
     def test_policies_produce_different_abort_profiles(self):
         outcomes = {}
         for policy in ("detect", "wound-wait"):

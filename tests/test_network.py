@@ -100,6 +100,32 @@ class TestRequest:
         assert net.messages_dropped > 0
 
 
+class TestRequestUnderScheduledFaults:
+    """A fault the kernel fires while a leg travels applies to that leg."""
+
+    def test_crash_due_while_the_request_travels_prevents_service(self, net):
+        served = []
+        net.sim.schedule(0.5, lambda: net.crash(1))
+        with pytest.raises(Timeout) as err:
+            net.request(0, 1, lambda: served.append(net.sim.now))
+        assert served == [] and not err.value.served
+        assert net.sim.now == 1.0 and not net.is_up(1)
+
+    def test_crash_due_while_the_reply_travels_loses_the_reply(self, net):
+        served = []
+        net.sim.schedule(1.5, lambda: net.crash(1))
+        with pytest.raises(Timeout) as err:
+            net.request(0, 1, lambda: served.append(net.sim.now))
+        assert served == [1.0] and err.value.served
+        assert net.messages_dropped == 1
+
+    def test_recovery_due_before_arrival_lets_the_request_through(self, net):
+        net.crash(1)
+        net.sim.schedule(1.0, lambda: net.recover(1))
+        assert net.request(0, 1, lambda: "pong") == "pong"
+        assert net.sim.now == 2.0 and net.messages_dropped == 0
+
+
 class TestTracedWave:
     """One ``gather`` wave under a tracer: each leg is read off the result's
     ``attempted``, ``served`` and ``responders``; the fabric records no span."""

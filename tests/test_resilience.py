@@ -22,6 +22,7 @@ from repro.resilience.chaos import (
     run_chaos_case,
     run_chaos_sweep,
 )
+from repro.resilience.recovery import CHECKPOINT_EVERY
 from repro.sim.kernel import Simulator
 from repro.types.queue import Queue
 from repro.types.register import Register
@@ -248,6 +249,32 @@ class TestCrashRecoveryReplay:
         assert repo.journal.replays == 1
         # Replay walked only the post-checkpoint suffix.
         assert suffix < absorbed + suffix
+
+    def test_recovery_checkpoints_a_journal_of_checkpoint_every_records(self):
+        cluster = _queue_cluster(n_sites=3)
+        cluster.enable_resilience()
+        repo = cluster.repositories[1]
+        while len(repo.journal.records) < CHECKPOINT_EVERY:
+            self._run_some_ops(cluster, count=1)
+        state = (dict(repo._logs), dict(repo._versions))
+        cluster.network.crash(1)
+        cluster.network.recover(1)
+        assert (dict(repo._logs), dict(repo._versions)) == state
+        # Replayed, then absorbed into the checkpoint.
+        assert repo.journal.replays == 1
+        assert repo.journal.records == []
+
+    def test_recovery_keeps_a_shorter_journal(self):
+        cluster = _queue_cluster(n_sites=3)
+        cluster.enable_resilience()
+        self._run_some_ops(cluster, count=2)
+        repo = cluster.repositories[1]
+        records = list(repo.journal.records)
+        assert 0 < len(records) < CHECKPOINT_EVERY
+        cluster.network.crash(1)
+        cluster.network.recover(1)
+        assert repo.journal.replays == 1
+        assert repo.journal.records == records
 
     def test_lose_volatile_requires_a_journal(self):
         cluster = _queue_cluster(n_sites=3)

@@ -1027,6 +1027,77 @@ class TestPastTimes:
         assert fired == ["first", "second"]
         assert sim.now == 4.0
 
+    def test_schedule_reports_the_negative_delay(self):
+        sim = Simulator()
+        sim.advance(5.0)
+        with pytest.raises(SimulationError) as err:
+            sim.schedule(-2.5, lambda: None)
+        assert "-2.5" in str(err.value)
+        assert sim.run() == 0 and sim.now == 5.0
+
+
+class TestDispatchModel:
+    """The kernel against a sorted-list model of ``(time, seq)`` keys."""
+
+    def test_agrees_with_brute_force_through_mixed_sequences(self):
+        sim = Simulator(seed=5)
+        fired: list[int] = []
+        model: list[tuple[float, int]] = []  # (time, id) still queued
+        for step in range(400):
+            choice = sim.rng.random()
+            if choice < 0.5:
+                time = sim.now + sim.rng.random() * 10
+                sim.schedule(time - sim.now, lambda s=step: fired.append(s))
+                model.append((time, step))
+            elif choice < 0.6:
+                sim.advance(sim.rng.random())
+            elif choice < 0.8:
+                until = sim.now + sim.rng.random() * 3
+                due = sorted(key for key in model if key[0] <= until)
+                model = [key for key in model if key[0] > until]
+                start = len(fired)
+                assert sim.run(until=until) == len(due)
+                assert fired[start:] == [s for _time, s in due]
+                assert sim.now == max(until, sim.now)
+            else:
+                at = sim.now + sim.rng.random() * 3
+                due = sorted(key for key in model if key[0] <= at)
+                model = [key for key in model if key[0] > at]
+                start = len(fired)
+                assert sim.reach(at, fired.append, "leg") == len(due)
+                assert fired[start:] == [s for _time, s in due] + ["leg"]
+                assert sim.now == at
+            assert len(sim._heap) == len(model)
+        rest = sorted(model)
+        start = len(fired)
+        assert sim.run() == len(rest)
+        assert fired[start:] == [s for _time, s in rest]
+
+    def test_large_random_queue_dispatches_in_time_then_schedule_order(self):
+        sim = Simulator(seed=3)
+        fired = []
+        keys = []
+        for i in range(2_000):
+            # Quarter-unit times, so many events share an instant.
+            delay = round(sim.rng.random() * 50 * 4) / 4
+            sim.schedule(delay, lambda i=i: fired.append(i))
+            keys.append((delay, i))
+        assert sim.run() == 2_000
+        assert fired == [i for _delay, i in sorted(keys)]
+
+    def test_queue_holds_exactly_the_undispatched_events(self):
+        sim = Simulator()
+        fired = []
+        for i in range(10_000):
+            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+        assert len(sim._heap) == 10_000
+        assert sim.run(until=1_000.0) == 1_000
+        assert len(sim._heap) == 9_000
+        assert sim.reach(5_000.5, lambda: None) == 4_000
+        assert len(sim._heap) == 5_000
+        assert sim.run() == 5_000
+        assert sim._heap == [] and fired == list(range(10_000))
+
 
 def _quarter(value: float) -> float:
     return round(value * 4) / 4
@@ -1123,6 +1194,41 @@ class TestAllocationFreeCore:
             sim.schedule(1.0, tick)
             sim.run()
         after = sys.getallocatedblocks()
+        assert after - before < 50
+
+    def test_schedule_run_until_churn_retains_nothing(self):
+        # A queue held at a steady depth of 64: each step schedules one
+        # event and runs up to the earliest.
+        sim = Simulator()
+        tick = lambda: None  # noqa: E731
+        for i in range(64):
+            sim.schedule(float(i + 1), tick)
+        for _ in range(1_000):
+            sim.schedule(65.0, tick)
+            sim.run(until=sim.now + 1.0)
+        before = sys.getallocatedblocks()
+        for _ in range(10_000):
+            sim.schedule(65.0, tick)
+            sim.run(until=sim.now + 1.0)
+        after = sys.getallocatedblocks()
+        assert len(sim._heap) == 64
+        assert after - before < 50
+
+    def test_steady_reach_loop_retains_nothing(self):
+        # The gather path: every wave leg is a ``reach``, with an
+        # injector's event due on some of the instants.
+        sim = Simulator()
+        tick = lambda: None  # noqa: E731
+        leg = lambda: None  # noqa: E731
+        for _ in range(1_000):
+            sim.schedule(0.5, tick)
+            sim.reach(sim.now + 1.0, leg)
+        before = sys.getallocatedblocks()
+        for _ in range(10_000):
+            sim.schedule(0.5, tick)
+            sim.reach(sim.now + 1.0, leg)
+        after = sys.getallocatedblocks()
+        assert sim._heap == []
         assert after - before < 50
 
     def test_message_flyweights_are_interned(self):
