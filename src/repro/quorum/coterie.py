@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from repro.errors import QuorumError
 
@@ -52,6 +52,11 @@ class Coterie(ABC):
     @abstractmethod
     def smallest_quorum_size(self) -> int | None:
         """Size of the smallest quorum, or ``None`` for an unsatisfiable coterie."""
+
+    def stop_for(self, route: Iterable[int]) -> Callable[[AbstractSet[int]], bool] | int:
+        """How a ``Network.gather`` over ``route`` stops: ``0`` if the empty
+        set is a quorum (gather nothing), else :meth:`has_quorum`."""
+        return 0 if self.has_quorum(frozenset()) else self.has_quorum
 
     def pick_quorum(self, live: frozenset[int]) -> frozenset[int] | None:
         """Return some minimal quorum within ``live``, or ``None``."""
@@ -153,6 +158,11 @@ class SubsetThresholdCoterie(Coterie):
 
     def smallest_quorum_size(self) -> int:
         return self.threshold
+
+    def stop_for(self, route: Iterable[int]) -> Callable[[AbstractSet[int]], bool] | int:
+        """A count of responders when every site of ``route`` is a member."""
+        covered = self.members.issuperset(route)
+        return self.threshold if covered else super().stop_for(route)
 
     def _intersects_fast(self, other: Coterie) -> bool | None:
         if self.threshold == 0 or isinstance(other, EmptyCoterie):

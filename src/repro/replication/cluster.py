@@ -114,7 +114,7 @@ class Cluster:
         The cluster-aware wrapper over
         :func:`repro.replication.reconfig.reconfigure`: the hand-over
         probes the object's replica set (from the placement), every
-        front-end's view/serial caches are invalidated at the switch,
+        front-end forgets its plan and caches for it at the switch,
         and the cluster tracer receives the ``reconfig.*`` spans plus
         the ``reconfig.switch`` point event the auditor's
         ``reconfig-epoch`` monitor listens for.  Returns ``True`` when

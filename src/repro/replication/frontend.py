@@ -16,7 +16,7 @@ partition.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from repro.clocks.lamport import LamportClock
 from repro.errors import DegradedOperation, TransactionAborted, UnavailableError
@@ -45,6 +45,18 @@ from repro.txn.manager import TransactionManager
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quorum.assignment import QuorumAssignment
     from repro.replication.keyspace import Router
+
+
+class _Plan(NamedTuple):
+    """What a front-end resolves once per object and ``(assignment, epoch)``;
+    ``stops`` maps a coterie to how a gather over ``route`` stops for it."""
+
+    assignment: "QuorumAssignment"
+    epoch: int
+    route: tuple[int, ...]
+    replicas: tuple[int, ...]
+    serial_cache: SerialPrefixCache | BeginOrderCache
+    stops: dict[Coterie, Callable[[frozenset[int]], bool] | int]
 
 
 class FrontEnd:
@@ -87,6 +99,8 @@ class FrontEnd:
         #: Per-object incremental serializations (commit- or begin-order,
         #: by the object's scheme), threaded through every view.
         self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
+        #: Per-object plans, see :meth:`_plan`.
+        self._plans: dict[str, _Plan] = {}
         #: Optional ``(object_name, op_name)`` callback fired once per
         #: successfully executed operation — the feed for the tuning
         #: layer's windowed read/write-mix counters.  ``None`` costs one
@@ -207,23 +221,18 @@ class FrontEnd:
     ) -> Response:
         obj = self.tm.object(object_name)
         policy = self.tm.retry_policy
-        deadline = policy.deadline(self.network.sim) if policy is not None else None
-        assignment, epoch = self._assignment_of(obj)
-        initial = assignment.initial(invocation)
-        merged, base = self._retrying(
-            lambda: self._read_quorum(obj, initial, invocation.op, epoch),
-            policy,
-            deadline,
-        )
+        plan = self._plan(obj)
+        initial = plan.assignment.initial(invocation)
+        read = (obj, initial, invocation.op, plan.epoch)
+        if policy is None:
+            merged, base = self._read_quorum(*read)
+        else:
+            deadline = policy.deadline(self.network.sim)
+            merged, base = self._retrying(policy, deadline, self._read_quorum, *read)
         own = obj.sync.own_entries(txn.id)
         if own:
             merged = merged.extended(own)
-        serial_cache = self.serial_caches.get(object_name)
-        if serial_cache is None:
-            serial_cache = self.serial_caches[object_name] = CACHE_FOR_ORDER[
-                obj.cc.serialization_order
-            ]()
-        view = View(merged, self.tm, base=base, serial_cache=serial_cache)
+        view = View(merged, self.tm, base=base, serial_cache=plan.serial_cache)
         latest = view.max_timestamp()
         if latest is not None:
             self.clock.witness(latest)
@@ -236,17 +245,17 @@ class FrontEnd:
         event = obj.cc.choose_event(view, txn, invocation, obj.sync)
 
         entry = LogEntry(self.clock.tick(), event, txn.id)
-        final = assignment.final(event)
+        final = plan.assignment.final(event)
         # Built once, outside the retry loop: a retry re-sends this same
         # log.  If no final quorum ever acknowledges, the cached union is
         # still the log it was — the entry's bit is not in its mask.
         update = view.log.add(entry)
+        write = (obj, final, update, event, plan.epoch)
         try:
-            self._retrying(
-                lambda: self._write_quorum(obj, final, update, event, epoch),
-                policy,
-                deadline,
-            )
+            if policy is None:
+                self._write_quorum(*write)
+            else:
+                self._retrying(policy, deadline, self._write_quorum, *write)
         except UnavailableError as failure:
             if (
                 policy is not None
@@ -281,20 +290,20 @@ class FrontEnd:
 
     # -- retry machinery ---------------------------------------------------
 
-    def _retrying(self, call: Callable, policy, deadline: Deadline | None):
-        """Run one quorum phase under the policy's bounded-retry loop.
+    def _retrying(self, policy, deadline: Deadline | None, phase: Callable, *args):
+        """Run ``phase(*args)`` under the policy's bounded-retry loop.
 
         Backoff advances *simulated* time and drains the event queue, so
         scheduled recoveries and heals due within the wait actually fire
         — which is what makes retrying worthwhile at all.  With no
-        policy this is a plain call.
+        policy a phase is called directly, not through here.
         """
         attempt = 1
         while True:
             try:
-                return call()
+                return phase(*args)
             except UnavailableError:
-                if policy is None or not policy.allows(attempt, deadline):
+                if not policy.allows(attempt, deadline):
                     raise
                 self._retry_seq += 1
                 delay = policy.backoff(attempt, key=(self.site, self._retry_seq))
@@ -319,9 +328,29 @@ class FrontEnd:
         """
         return obj.assignment, obj.epoch
 
-    def _site_order(self, obj: ReplicatedObject) -> tuple[int, ...]:
-        """Replica visit order for ``obj``: locality first, then round-robin."""
-        return self.router.route(self.site, obj.name)
+    def _plan(self, obj: ReplicatedObject) -> _Plan:
+        """``obj``'s plan under what :meth:`_assignment_of` resolves: the
+        one kept while it matches, else a new one."""
+        assignment, epoch = self._assignment_of(obj)
+        name = obj.name
+        plan = self._plans.get(name)
+        if plan is None or plan.assignment is not assignment or plan.epoch != epoch:
+            serial_cache = self.serial_caches.setdefault(
+                name, CACHE_FOR_ORDER[obj.cc.serialization_order]()
+            )
+            # Replica visit order: locality first, then round-robin.
+            route = self.router.route(self.site, name)
+            plan = _Plan(
+                assignment, epoch, route, self.router.replicas(name), serial_cache, {}
+            )
+            self._plans[name] = plan
+        return plan
+
+    def forget(self, object_name: str) -> None:
+        """Drop the plan and caches kept for ``object_name``."""
+        self._plans.pop(object_name, None)
+        self.serial_caches.pop(object_name, None)
+        self.view_cache.invalidate(object_name)
 
     def _read_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0
@@ -330,82 +359,26 @@ class FrontEnd:
 
         Returns ``(log, snapshot_or_None)``; entries covered by the
         snapshot are filtered out (a lagging repository may still hold
-        them).  Probes overlap their latencies through
-        :meth:`Network.gather` and the replies feed the incremental
-        view-merge cache.  ``epoch`` is the configuration epoch the
-        caller resolved the coterie under; it is stamped onto the traced
-        quorum span for the auditor's ``reconfig-epoch`` monitor.
+        them), and the replies feed the incremental view-merge cache.
         """
-        if not self.tracer.enabled:
-            # Untraced hot path: no span kwargs, no eager annotate
-            # arguments (the sorted() renderings dominate otherwise).
-            return self._read_quorum_impl(obj, coterie, op_name, None)
-        with self.tracer.span(
-            "quorum.initial",
-            kind="quorum",
-            site=self.site,
-            phase="initial",
-            op=op_name,
-            object=obj.name,
-            epoch=epoch,
-        ) as span:
-            return self._read_quorum_impl(obj, coterie, op_name, span)
-
-    def _read_quorum_impl(
-        self, obj: ReplicatedObject, coterie: Coterie, op_name: str, span
-    ) -> tuple[Log, object]:
-        if coterie.has_quorum(frozenset()):
-            if span is not None:
-                span.annotate(quorum=())
+        repositories, name = self.repositories, obj.name
+        outcome = self._round(
+            obj, coterie, lambda site: repositories[site].read_fragment(name),
+            op_name, "initial", epoch,
+        )
+        if outcome is None:
             return Log(), None
-        name = obj.name
-        repositories = self.repositories
-        outcome = self.network.gather(
-            self.site,
-            self._site_order(obj),
-            lambda site: (
-                repositories[site].read_log(name),
-                repositories[site].read_snapshot(name),
-                repositories[site].log_version(name),
-            ),
-            stop=coterie.has_quorum,
-        )
-        conclude_step(
-            span, outcome, coterie.has_quorum, op_name, self.router.replicas(name)
-        )
-        return self.view_cache.merged_view(name, outcome.in_attempt_order())
+        return self.view_cache.merged_view(name, outcome.received)
 
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
         epoch: int = 0,
     ) -> None:
         """Write the updated view until a final quorum acknowledges."""
-        if not self.tracer.enabled:
-            return self._write_quorum_impl(obj, coterie, update, event, None)
-        with self.tracer.span(
-            "quorum.final",
-            kind="quorum",
-            site=self.site,
-            phase="final",
-            op=event.inv.op,
-            object=obj.name,
-            res_kind=event.res.kind,
-            epoch=epoch,
-        ) as span:
-            return self._write_quorum_impl(obj, coterie, update, event, span)
-
-    def _write_quorum_impl(
-        self, obj: ReplicatedObject, coterie: Coterie, update: Log, event, span
-    ) -> None:
-        if coterie.has_quorum(frozenset()):
-            if span is not None:
-                span.annotate(quorum=())
-            return
-        name = obj.name
-        repositories = self.repositories
-        outcome = self.network.gather(
-            self.site,
-            self._site_order(obj),
+        repositories, name = self.repositories, obj.name
+        outcome = self._round(
+            obj,
+            coterie,
             # The version pair is captured atomically around the
             # write so the view cache can prove, from the ack alone,
             # that nothing else touched the fragment since our read.
@@ -413,12 +386,37 @@ class FrontEnd:
                 repositories[site].log_version(name),
                 repositories[site].write_log(name, update),
             ),
-            stop=coterie.has_quorum,
+            event.inv.op, "final", epoch, res_kind=event.res.kind,
         )
-        conclude_step(
-            span, outcome, coterie.has_quorum, event.inv.op, self.router.replicas(name)
-        )
-        self.view_cache.note_write(name, update, outcome.in_attempt_order())
+        if outcome is not None:
+            self.view_cache.note_write(name, update, outcome.received)
+
+    def _round(
+        self, obj: ReplicatedObject, coterie: Coterie, handler, op: str, phase: str,
+        epoch: int, span=None, **attrs,
+    ) -> GatherResult | None:
+        """One quorum phase over ``obj``'s plan (``None``: the empty set is
+        a quorum), its span stamped with the ``epoch`` ``coterie`` was
+        resolved under, for the auditor's ``reconfig-epoch`` monitor."""
+        if span is None and self.tracer.enabled:
+            # Traced: re-enter inside the span.  Untraced, nothing builds
+            # span kwargs or eager annotate arguments (sorted() renderings).
+            with self.tracer.span(
+                f"quorum.{phase}", kind="quorum", site=self.site, phase=phase, op=op,
+                object=obj.name, **attrs, epoch=epoch,
+            ) as span:
+                return self._round(obj, coterie, handler, op, phase, epoch, span)
+        plan = self._plans.get(obj.name) or self._plan(obj)
+        stop = plan.stops.get(coterie)
+        if stop is None:
+            stop = plan.stops[coterie] = coterie.stop_for(plan.route)
+        if not stop:  # the empty set is a quorum
+            if span is not None:
+                span.annotate(quorum=())
+            return None
+        outcome = self.network.gather(self.site, plan.route, handler, stop=stop)
+        conclude_step(span, outcome, coterie.has_quorum, op, plan.replicas)
+        return outcome
 
 
 def conclude_step(

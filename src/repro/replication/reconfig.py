@@ -20,8 +20,8 @@ The hand-over rule implemented here:
 3. Atomically switch the object's assignment and bump its **epoch**
    (assignment metadata is kept with the transaction-manager state,
    reliable by the same modeling convention as transaction status).
-   Every front-end's per-object view-merge and serial-prefix caches are
-   invalidated for the new epoch, and a ``reconfig.switch`` point event
+   Every front-end's per-object plan, view-merge and serial-prefix
+   caches are dropped for the new epoch, and a ``reconfig.switch`` point event
    announces the change to trace listeners — the auditor's
    ``reconfig-epoch`` monitor advances its expected epoch from exactly
    this event, so a front-end that keeps using the old quorums (the
@@ -289,9 +289,9 @@ def reconfigure(
     quorums from outside the object's replica set.
 
     With ``placement`` the hand-over probes only the object's replica
-    set (genuine partial replication); ``frontends`` get their
-    per-object :class:`~repro.replication.viewcache.QuorumViewCache`
-    and serial-prefix cache entries invalidated at the switch;
+    set (genuine partial replication); ``frontends`` forget their
+    per-object plan, :class:`~repro.replication.viewcache.QuorumViewCache`
+    and serial-prefix cache entries at the switch;
     ``tracer`` receives ``reconfig`` / ``reconfig.drain`` /
     ``reconfig.prime`` spans and the ``reconfig.switch`` point event;
     ``registry`` the ``reconfig.*`` counters.
@@ -380,8 +380,7 @@ def reconfigure(
         obj.assignment = new_assignment
         obj.epoch += 1
         for frontend in frontends:
-            frontend.view_cache.invalidate(obj.name)
-            frontend.serial_caches.pop(obj.name, None)
+            frontend.forget(obj.name)
         tracer.event("reconfig.switch", object=obj.name, epoch=obj.epoch)
         _count(registry, "reconfig.success")
         if tracer.enabled:
@@ -408,16 +407,10 @@ def drain(
     """
     enough = hits_every(coteries)
     outcome = network.gather(
-        origin,
-        order,
-        lambda site: (
-            repositories[site].read_log(name),
-            repositories[site].read_snapshot(name),
-        ),
-        stop=enough,
+        origin, order, lambda site: repositories[site].read_fragment(name), stop=enough
     )
     conclude_step(span, outcome, enough, op, pool)
-    _raw, merged, best = fold_view(outcome.in_attempt_order())
+    _raw, merged, best = fold_view(outcome.received)
     return outcome, merged, best
 
 

@@ -84,13 +84,21 @@ class Repository:
         return version
 
     def read_log(self, object_name: str) -> Log:
-        """Serve this repository's fragment of an object's log.
+        """Serve this repository's fragment of an object's log."""
+        return self.read_fragment(object_name)[0]
+
+    def read_fragment(self, object_name: str) -> tuple[Log, object, int]:
+        """Serve a read in one call: ``(log, snapshot or None, version)``.
 
         Records nothing: the step that sent the read names this site in
         its span's ``served``.
         """
         self.reads_served += 1
-        return self._logs.get(object_name, EMPTY_LOG)
+        return (
+            self._logs.get(object_name, EMPTY_LOG),
+            self._snapshots.get(object_name),
+            self._versions.get(object_name, 0),
+        )
 
     def write_log(self, object_name: str, update: Log) -> int:
         """Merge a view written by a front-end into stable storage.

@@ -16,8 +16,8 @@ event always fires: the failure injectors, its only schedulers, never
 take one back.
 
 :meth:`Simulator.reach` runs a leg in place where an event scheduled for
-it would fire; both legs of every gather wave run this way, so a
-fault-free run dispatches no kernel events at all.
+it would fire; a gather wave with nothing to dispatch or fail does what
+``reach`` would itself, so a fault-free run dispatches no kernel events.
 
 Observability: an optional :class:`~repro.obs.trace.Tracer` receives a
 ``sim.run`` event per productive batch of due events.  Wall time per

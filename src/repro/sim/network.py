@@ -33,7 +33,6 @@ calling it is the span, naming the sites it attempted and served.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Iterable, NamedTuple
 
@@ -57,16 +56,17 @@ class ProbeReply(NamedTuple):
     completed_at: float
 
 
-@dataclass(frozen=True, slots=True)
-class GatherResult:
+class GatherResult(NamedTuple):
     """Outcome of a batched :meth:`Network.gather` round.
 
     ``attempted`` is launch order — the caller's visit order — and
     ``served`` those whose request leg arrived (their handler ran), in
     that order; ``received`` holds the successful probes in that same
-    order, as the reply legs delivered them; ``responders`` are their
-    sites.  ``attempted − served`` lost the request leg, ``served −
-    responders`` the reply leg.
+    order, as the reply legs delivered them (callers fold replies in
+    it, so no fold depends on which reply completed first);
+    ``responders`` are their sites.  ``attempted − served`` lost the
+    request leg, ``served − responders`` the reply leg.  A named tuple,
+    as :class:`ProbeReply` is: a round builds one at a tuple's cost.
     """
 
     attempted: tuple[int, ...]
@@ -80,15 +80,6 @@ class GatherResult:
         """The successful probes in deterministic completion order —
         (completion time, site id) — derived on each access."""
         return tuple(sorted(self.received, key=_REPLY_ORDER))
-
-    def in_attempt_order(self) -> tuple[ProbeReply, ...]:
-        """Replies in launch (visit) order.
-
-        Callers that fold over replies (log merging, snapshot election)
-        fold in visit order, so the result does not depend on which
-        reply happened to complete first.
-        """
-        return self.received
 
 
 class Timeout(Exception):
@@ -281,7 +272,7 @@ class Network:
         dsts: Iterable[int],
         handler: Callable[[int], Any],
         *,
-        stop: Callable[[AbstractSet[int]], bool] | None = None,
+        stop: Callable[[AbstractSet[int]], bool] | int | None = None,
     ) -> GatherResult:
         """Batched RPC: probe distinct sites ``dsts`` with overlapping latencies.
 
@@ -297,58 +288,84 @@ class Network:
         attempted sites, the responders, the failed sites, the reply
         values in visit order and the message counters match that walk's.
 
-        ``stop`` must be a predicate of its argument alone.  It is called
-        with a set the gather owns — the sites that answered, plus those
-        of the wave being formed — and must neither keep nor mutate it.
-        A wave in which every probe answered ends the call without asking
-        ``stop`` again: its last answer is already known.
+        ``stop`` is a predicate of its argument alone, or a count.  A
+        predicate is called with a set the gather owns — the sites that
+        answered, plus those of the wave being formed — and must neither
+        keep nor mutate it.  A count ``k`` stops as ``len(reached) >= k``
+        would, each wave one slice of ``dsts``.  A wave in which every
+        probe answered ends the call without asking ``stop`` again: its
+        last answer is already known.
 
         Per-probe semantics mirror :meth:`request`: the request leg is
         checked against crash/partition/loss state at arrival time (so
         failures due while the message travelled apply first), the
         handler runs at the destination at arrival time, and its side
-        effects survive a lost reply leg.  No probe records a span: the
-        result's ``attempted`` and ``served`` are what the calling
-        quorum span names.
+        effects survive a lost reply leg.  Each leg runs through
+        :meth:`Simulator.reach`, unless nothing is crashed, cut, lossy or
+        queued in an idle kernel: the wave then does in place what
+        ``reach`` would, each leg claiming its ``seq`` (the reply leg's
+        after the handlers) and moving the clock to its instant, until a
+        handler schedules an event.  No probe records a span: the
+        result's ``attempted`` and ``served`` are what the calling quorum
+        span names.
         """
         order = tuple(dsts)
+        n = len(order)
+        count = n if stop is None else stop if isinstance(stop, int) else None
         sim = self.sim
         reached: set[int] = set()
         failed: set[int] = set()
         unserved: set[int] = set()
         received: list[ProbeReply] = []
         idx = 0
-        while idx < len(order) and (stop is None or not stop(reached)):
+        while idx < n and (not stop(reached) if count is None else len(reached) < count):
             first = idx
-            while idx < len(order):
-                reached.add(order[idx])
-                idx += 1
-                if stop is not None and stop(reached):
-                    break
+            if count is None:
+                while idx < n:
+                    reached.add(order[idx])
+                    idx += 1
+                    if stop(reached):
+                        break
+            else:
+                idx = min(n, idx + count - len(reached))
+                reached.update(order[first:idx])
             wave = order[first:idx]
             arrive_at = sim.now + self.latency
             reply_at = arrive_at + self.latency
             self.messages_sent += len(wave)
-            # Each leg runs in place, after the events due before it; the
-            # closing run fires what is left due at the reply instant.
             lost = len(failed)
             pending: list[ProbeReply] = []
-            sim.reach(
-                arrive_at, self._arrive, src, wave, handler, pending, failed,
-                unserved, reply_at,
-            )
-            if pending:
-                sim.reach(reply_at, self._deliver, src, pending, received, failed)
-            sim.run(until=reply_at)
+            arrive = (src, wave, handler, pending, failed, unserved, reply_at)
+            faulty = self._crashed or self._groups or self.drop_probability
+            in_place = not (faulty or sim._heap or sim._running)
+            if in_place:
+                sim._seq += 1
+                sim.now = arrive_at
+                sim._running = True
+                try:
+                    self._arrive(*arrive)
+                finally:
+                    sim._running = False
+            else:
+                sim.reach(arrive_at, self._arrive, *arrive)
+            if in_place and not sim._heap:  # no handler scheduled into the wave
+                if pending:
+                    sim._seq += 1
+                    self._deliver(src, pending, received, failed)
+                sim.now = reply_at
+            else:
+                if pending:
+                    sim.reach(reply_at, self._deliver, src, pending, received, failed)
+                sim.run(until=reply_at)  # fires what is left due at the reply instant
             if len(failed) == lost:
                 break
             reached.difference_update(failed)
         attempted = served = order[:idx]
         if unserved:
             served = tuple(site for site in attempted if site not in unserved)
-        return GatherResult(
+        return tuple.__new__(GatherResult, (
             attempted, served, frozenset(failed), frozenset(reached), tuple(received)
-        )
+        ))
 
     def _arrive(
         self, src: int, wave: tuple[int, ...], handler: Callable[[int], Any],

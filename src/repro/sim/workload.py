@@ -79,6 +79,11 @@ class OperationMix:
     """
 
     choices: tuple[tuple[tuple[str, Invocation], float], ...]
+    #: The weights' sum, taken once: every draw scales by it.
+    total: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total", sum(weight for _choice, weight in self.choices))
 
     @staticmethod
     def uniform(object_name: str, invocations: Sequence[Invocation]) -> "OperationMix":
@@ -95,8 +100,7 @@ class OperationMix:
         )
 
     def sample(self, rng) -> tuple[str, Invocation]:
-        total = sum(weight for _choice, weight in self.choices)
-        point = rng.random() * total
+        point = rng.random() * self.total
         for choice, weight in self.choices:
             point -= weight
             if point <= 0:

@@ -107,6 +107,27 @@ class TestMajority:
             assert majority(n).intersects(majority(n))
 
 
+class TestGatherStop:
+    """How a gather over a route stops for a coterie (``stop_for``)."""
+
+    def test_a_threshold_covering_the_route_is_a_count(self):
+        assert ThresholdCoterie(5, 3).stop_for((2, 3, 4, 0, 1)) == 3
+        assert SubsetThresholdCoterie(5, {1, 3, 4}, 2).stop_for((3, 4, 1)) == 2
+        assert SubsetThresholdCoterie(5, {1, 3, 4}, 2).stop_for((3,)) == 2
+
+    def test_a_route_leaving_the_members_asks_has_quorum(self):
+        coterie = SubsetThresholdCoterie(5, {1, 3, 4}, 2)
+        assert coterie.stop_for((0, 3, 4, 1)) == coterie.has_quorum
+        explicit = ExplicitCoterie(3, [{0, 1}, {1, 2}])
+        assert explicit.stop_for((0, 1, 2)) == explicit.has_quorum
+
+    def test_an_empty_quorum_gathers_nothing(self):
+        assert EmptyCoterie(3).stop_for((0, 1, 2)) == 0
+        assert ThresholdCoterie(3, 0).stop_for((0, 1, 2)) == 0
+        assert SubsetThresholdCoterie(3, {1}, 0).stop_for((0, 1, 2)) == 0
+        assert ExplicitCoterie(3, [set(), {1}]).stop_for((0, 1, 2)) == 0
+
+
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(2, 6))
 def test_threshold_intersection_matches_enumeration(first, second, n):
     first = min(first, n)

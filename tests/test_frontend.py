@@ -4,9 +4,14 @@ import pytest
 
 from repro.errors import TransactionAborted, UnavailableError
 from repro.histories.events import Invocation, ok, signal
+from repro.obs.trace import Tracer
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import EmptyCoterie, ThresholdCoterie
-from tests.helpers import prom_system, queue_system
+from repro.replication.frontend import FrontEnd
+from repro.replication.keyspace import ObjectSpec
+from repro.sim.network import Network
+from repro.types import Queue
+from tests.helpers import cluster_of, prom_system, queue_system
 
 ENQ_A = Invocation("Enq", ("a",))
 DEQ = Invocation("Deq")
@@ -295,4 +300,107 @@ class TestQuorumSemantics:
     def test_site_order_starts_locally(self):
         cluster, obj = queue_system("hybrid")
         fe = cluster.frontends[1]
-        assert fe._site_order(obj)[0] == 1
+        assert fe._plan(obj).route[0] == 1
+
+
+def _threshold_layout(n_sites: int, initial: int, final: int) -> QuorumAssignment:
+    quorums = OperationQuorums(
+        initial=ThresholdCoterie(n_sites, initial),
+        final=ThresholdCoterie(n_sites, final),
+    )
+    return QuorumAssignment(n_sites, {"Enq": quorums, "Deq": quorums})
+
+
+class TestPlan:
+    """A front-end resolves one plan per object and configuration."""
+
+    @staticmethod
+    def _gathers(monkeypatch):
+        """Record each ``Network.gather``'s visit order and stop."""
+        calls = []
+        gather = Network.gather
+
+        def recording(self, src, dsts, handler, *, stop=None):
+            calls.append((tuple(dsts), stop))
+            return gather(self, src, dsts, handler, stop=stop)
+
+        monkeypatch.setattr(Network, "gather", recording)
+        return calls
+
+    def test_reconfigure_replaces_the_plan_and_the_next_round_follows_it(
+        self, monkeypatch
+    ):
+        tracer = Tracer()
+        cluster = cluster_of(
+            5, ObjectSpec("queue", Queue(), assignment=_threshold_layout(5, 3, 3)),
+            tracer=tracer,
+        )
+        fe, obj = cluster.frontends[1], cluster.tm.object("queue")
+        route = cluster.router.route(1, "queue")
+        gathers = self._gathers(monkeypatch)
+        fe.transact([("queue", ENQ_A)])
+        before = fe._plans["queue"]
+        assert (before.epoch, before.route) == (0, route)
+        assert gathers == [(route, 3), (route, 3)]
+
+        assert cluster.reconfigure("queue", _threshold_layout(5, 2, 4))
+        assert "queue" not in fe._plans  # forgotten at the switch
+        del gathers[:]
+        first = len(tracer.spans)
+        fe.transact([("queue", DEQ)])
+        after = fe._plans["queue"]
+        assert after is not before and after.assignment is obj.assignment
+        assert (after.epoch, after.route) == (1, route)
+        # The new thresholds stop each round on a count, over the route.
+        assert gathers == [(route, 2), (route, 4)]
+        spans = {
+            span.name: span.attrs
+            for span in tracer.spans[first:]
+            if span.kind == "quorum"
+        }
+        assert spans["quorum.initial"]["epoch"] == spans["quorum.final"]["epoch"] == 1
+        assert spans["quorum.initial"]["attempted"] == list(route[:2])
+        assert spans["quorum.final"]["attempted"] == list(route[:4])
+
+    def test_a_swapped_assignment_replaces_the_plan(self):
+        cluster, obj = queue_system("hybrid")
+        fe = cluster.frontends[0]
+        txn = cluster.tm.begin(0)
+        fe.execute(txn, "obj", ENQ_A)
+        before = fe._plans["obj"]
+        assert fe._plan(obj) is before  # kept while the configuration holds
+        # Installed without a reconfiguration, as a mutation would: the
+        # epoch stays, the plan follows the assignment all the same.
+        obj.assignment = QuorumAssignment.uniform(3, obj.assignment.operation_names)
+        assert fe.execute(txn, "obj", DEQ) == ok("a")
+        after = fe._plans["obj"]
+        assert after is not before and after.assignment is obj.assignment
+        assert after.epoch == before.epoch
+        assert after.serial_cache is before.serial_cache
+
+    def test_an_epoch_bump_alone_replaces_the_plan(self):
+        tracer = Tracer()
+        cluster = cluster_of(3, ObjectSpec("queue", Queue()), tracer=tracer)
+        fe, obj = cluster.frontends[0], cluster.tm.object("queue")
+        fe.transact([("queue", ENQ_A)])
+        before = fe._plans["queue"]
+        obj.epoch += 1
+        fe.transact([("queue", DEQ)])
+        assert fe._plans["queue"] is not before
+        assert fe._plans["queue"].assignment is before.assignment
+        last = [span for span in tracer.spans if span.kind == "quorum"][-2:]
+        assert [span.attrs["epoch"] for span in last] == [1, 1]
+
+    def test_without_a_policy_no_phase_enters_the_retry_loop(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("_retrying entered without a retry policy")
+
+        monkeypatch.setattr(FrontEnd, "_retrying", refuse)
+        cluster, _obj = queue_system("hybrid")
+        fe = cluster.frontends[0]
+        txn = cluster.tm.begin(0)
+        fe.execute(txn, "obj", ENQ_A)
+        cluster.network.crash(1)
+        cluster.network.crash(2)
+        with pytest.raises(UnavailableError):
+            fe.execute(txn, "obj", DEQ)

@@ -197,6 +197,88 @@ class TestTracedWave:
         assert traced_net.sim.now == plain_net.sim.now == 2.0
 
 
+class TestInPlaceWave:
+    """A wave with nothing to dispatch or fail does what ``reach`` would,
+    in place; anything to dispatch or fail sends its legs through it."""
+
+    @staticmethod
+    def _counted(net):
+        """Count the legs ``net``'s kernel runs through ``reach``."""
+        legs = []
+        reach = net.sim.reach
+        net.sim.reach = lambda *args: legs.append(args[1].__name__) or reach(*args)
+        return legs
+
+    def test_an_idle_fault_free_wave_runs_in_place(self, net):
+        legs = self._counted(net)
+        result = net.gather(0, [2, 3, 0, 1], lambda site: site, stop=3)
+        assert legs == []
+        assert result.attempted == (2, 3, 0)
+        assert [(r.site, r.completed_at) for r in result.received] == [
+            (2, 2.0), (3, 2.0), (0, 2.0)
+        ]
+        # One sequence number per leg, as two ``reach`` calls would claim.
+        assert (net.sim._seq, net.sim.now, net.messages_sent) == (2, 2.0, 6)
+
+    def test_a_crashed_site_sends_both_legs_through_reach(self, net):
+        legs = self._counted(net)
+        net.crash(3)
+        result = net.gather(0, [2, 3, 0, 1], lambda site: site, stop=3)
+        assert legs == ["_arrive", "_deliver", "_arrive", "_deliver"]
+        assert result.attempted == (2, 3, 0, 1) and result.failed == {3}
+        assert (net.sim._seq, net.sim.now) == (4, 4.0)
+
+    def test_a_queued_event_sends_both_legs_through_reach(self, net):
+        legs = self._counted(net)
+        net.sim.schedule(10.0, lambda: None)
+        net.gather(0, [2, 3], lambda site: site)
+        assert legs == ["_arrive", "_deliver"]
+
+    def test_a_handler_that_schedules_sends_the_reply_leg_through_reach(self, net):
+        legs = self._counted(net)
+        fired = []
+
+        def handler(site):
+            # Due before the reply lands: it must fire ahead of delivery.
+            net.sim.schedule(0.5, lambda: fired.append(net.sim.now))
+            return site
+
+        result = net.gather(0, [1], handler)
+        assert legs == ["_deliver"]
+        assert fired == [1.5]
+        # The request leg claimed 0, the handler's event 1, the reply leg 2.
+        assert net.sim._seq == 3
+        assert result.responders == {1}
+
+    def test_a_handler_that_crashes_a_site_fails_its_probe_in_place(self, net):
+        legs = self._counted(net)
+
+        def handler(site):
+            if site == 1:
+                net.crash(2)
+            return site
+
+        result = net.gather(0, [1, 2, 3], handler)
+        # With nothing queued both legs stay in place, and each checks
+        # the fault a handler made as it would under ``reach``.
+        assert legs == []
+        assert (result.served, result.responders) == ((1, 3), {1, 3})
+        assert (net.messages_sent, net.messages_dropped) == (5, 1)
+
+    def test_handlers_run_inside_the_reentrancy_guard(self, net):
+        seen = []
+
+        def handler(site):
+            seen.append(net.sim.drain())
+            with pytest.raises(SimulationError, match="not reentrant"):
+                net.sim.run()
+            return site
+
+        net.gather(0, [1, 2], handler)
+        assert seen == [0, 0]
+        assert net.sim.run() == 0  # the guard is released afterwards
+
+
 # -- failure events on a wave's own instants, pinned ------------------------------
 
 

@@ -50,3 +50,11 @@ class TestRepository:
         repo.write_log("q", Log([_entry(1)]))
         repo.read_log("q")
         assert repo.writes_served == 1 and repo.reads_served == 1
+
+    def test_a_fragment_read_is_one_served_read_of_all_three(self):
+        repo = Repository(0)
+        assert repo.read_fragment("q") == (Log(), None, 0)
+        version = repo.write_log("q", Log([_entry(1)]))
+        log, snapshot, seen = repo.read_fragment("q")
+        assert (log, snapshot, seen) == (repo.read_log("q"), repo.read_snapshot("q"), version)
+        assert repo.reads_served == 3

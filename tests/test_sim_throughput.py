@@ -43,7 +43,7 @@ from repro.obs.trace import (
     Tracer,
 )
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
-from repro.quorum.coterie import ThresholdCoterie
+from repro.quorum.coterie import SubsetThresholdCoterie, ThresholdCoterie
 from repro.replication.keyspace import ObjectSpec
 from repro.replication.log import Log, LogEntry
 from repro.replication.snapshot import Snapshot, compact
@@ -164,13 +164,26 @@ def _stable_gathers(draw):
     return n_sites, origin, order, stop, crashed, groups
 
 
+@st.composite
+def _count_stopped_gathers(draw):
+    """``(n_sites, origin, order, coterie, crashed, groups, drop)``: a
+    threshold coterie whose members cover the visit order (and maybe more
+    sites), under random crashes, a partition cut and message loss."""
+    n_sites, origin, order, _stop, crashed, groups = draw(_stable_gathers())
+    members = frozenset(order) | draw(st.sets(st.integers(0, n_sites - 1)))
+    threshold = draw(st.integers(0, len(members)))
+    drop = draw(st.sampled_from((0.0, 0.3)))
+    coterie = SubsetThresholdCoterie(n_sites, members, threshold)
+    return n_sites, origin, order, coterie, crashed, groups, drop
+
+
 class TestGather:
     def test_probes_overlap_and_complete_in_site_order(self):
         network = _fabric()
         outcome = network.gather(0, [2, 0, 1], lambda site: site * 10)
         assert outcome.attempted == (2, 0, 1)
         assert [reply.site for reply in outcome.replies] == [0, 1, 2]
-        assert [reply.value for reply in outcome.in_attempt_order()] == [20, 0, 10]
+        assert [reply.value for reply in outcome.received] == [20, 0, 10]
         assert all(reply.completed_at == 2.0 for reply in outcome.replies)
         assert network.sim.now == 2.0  # one wave: two latencies total
         assert network.messages_sent == 6
@@ -279,11 +292,39 @@ class TestGather:
         assert outcome.served == walked.served
         assert outcome.responders == walked.responders
         assert outcome.failed == walked.failed
-        assert [reply.value for reply in outcome.in_attempt_order()] == [
-            reply.value for reply in walked.in_attempt_order()
+        assert [reply.value for reply in outcome.received] == [
+            reply.value for reply in walked.received
         ]
         assert batched.messages_sent == serial.messages_sent
         assert batched.messages_dropped == serial.messages_dropped
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_count_stopped_gathers())
+    def test_count_stop_matches_the_coterie_stop(self, case):
+        """A threshold coterie whose members cover the route stops its
+        gather on a count of responders: the result, the counters, the
+        clock and the kernel's sequence counter are those of the same
+        gather asking ``has_quorum`` after each site."""
+        n_sites, origin, order, coterie, crashed, groups, drop = case
+        count = coterie.stop_for(order)
+        assert type(count) is int and count == coterie.threshold
+        runs = []
+        for stop in (count, coterie.has_quorum):
+            network = _fabric(n_sites=n_sites, drop_probability=drop)
+            for site in crashed:
+                network.crash(site)
+            if groups:
+                network.partition(*groups)
+            outcome = network.gather(origin, order, lambda site: site * 10, stop=stop)
+            sim = network.sim
+            runs.append((
+                outcome, network.messages_sent, network.messages_dropped, sim.now,
+                sim._seq,
+            ))
+        counted, asked = runs
+        for field in GatherResult._fields:
+            assert getattr(counted[0], field) == getattr(asked[0], field), field
+        assert counted[1:] == asked[1:]
 
 
 def _threshold_layout(n_sites: int, initial: int, final: int) -> QuorumAssignment:
@@ -400,12 +441,15 @@ class TestGatherCallCount:
     bookkeeping to the round (a reply built through ``__init__``, a
     generator over the wave, ``stop`` asked twice) grows the count and
     fails here.  The round these pins replaced made 7.0 calls per probe
-    on this cell (5 859).
+    on this cell (5 859), and the one before the in-place wave and the
+    count stop 4.3 (3 627).  A fault-free wave on an idle kernel now makes
+    1.67: a handler call per probe, plus one request and one reply leg
+    per wave (the ``GatherResult`` is built with ``tuple.__new__``).
     """
 
     #: ``hot-key-contention × blocking``, seed 0, 40 transactions.
     PROBES = 837
-    CALLS = 3_627
+    CALLS = 1_395
 
     def test_calls_per_probe_are_pinned(self, monkeypatch):
         from repro.sim import kernel, network

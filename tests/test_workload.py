@@ -33,6 +33,26 @@ class TestOperationMix:
         assert counts["Enq"] > counts["Deq"] * 4
 
 
+    def test_draws_scale_by_the_total_taken_at_build(self):
+        import random
+
+        items = [("q", ENQ_A, 0.1), ("q", DEQ, 0.7), ("r", DEQ, 0.2)]
+        mix = OperationMix.weighted(items)
+        assert mix.total == sum(weight for _name, _inv, weight in items)
+        assert mix == OperationMix.weighted(items)
+        # The draw a per-draw re-summation made, bit for bit.
+        rng, model = random.Random(7), random.Random(7)
+        for _ in range(500):
+            point = model.random() * sum(weight for _c, weight in mix.choices)
+            for choice, weight in mix.choices:
+                point -= weight
+                if point <= 0:
+                    break
+            else:
+                choice = mix.choices[-1][0]
+            assert mix.sample(rng) == choice
+
+
 class TestWorkloadGenerator:
     def _run(self, scheme: str, seed: int = 0, transactions: int = 20):
         cluster, obj = queue_system(scheme, seed=seed)
