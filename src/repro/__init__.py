@@ -18,8 +18,6 @@ Typical entry points:
 * observability (tracing, metrics, auditing): :mod:`repro.obs`;
 * resilience (retry policies, crash recovery, chaos sweeps):
   :mod:`repro.resilience`;
-* adaptive quorum tuning (mix observation, online reconfiguration):
-  :mod:`repro.tuning`;
 * declarative workload scenarios (catalog, samplers, audited runner):
   :mod:`repro.scenarios` and ``docs/SCENARIOS.md``.
 
@@ -87,7 +85,6 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.sim.trials import run_trials
-from repro.tuning import MixObserver, QuorumTuner, TunerConfig
 from repro.txn.manager import TransactionManager
 
 __version__ = "1.0.0"
@@ -139,9 +136,6 @@ __all__ = [
     "Deadline",
     "OperationResult",
     "POLICIES",
-    "MixObserver",
-    "QuorumTuner",
-    "TunerConfig",
     "ArrivalSpec",
     "MECHANISMS",
     "MixSpec",

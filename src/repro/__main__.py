@@ -59,7 +59,6 @@ from repro.replication.keyspace import UNIFORM_PLACEMENTS
 from repro.resilience.chaos import PROFILES, run_chaos_sweep
 from repro.resilience.policy import POLICIES, read_only_operations
 from repro.scenarios import MECHANISMS, SCENARIOS, build_scenario, run_scenario
-from repro.tuning import MixObserver
 
 
 def _positive_int(text: str) -> int:
@@ -356,19 +355,21 @@ def _run_trace(args: argparse.Namespace) -> Outcome:
     return Outcome(True)
 
 
-def _mix_rows(cluster, observer) -> list[dict]:
-    """Per-object read/write-mix rows (the tuner's inspectable input)."""
+def _mix_rows(cluster) -> list[dict]:
+    """Per-object read/write-mix rows, counted from each object's recorded
+    operations: a read is an operation ``read_only_operations`` names."""
     rows = []
     for name in sorted(cluster.tm.objects):
         obj = cluster.tm.object(name)
-        reads, writes = observer.counts(name)
-        fraction = observer.read_fraction(name)
+        read_ops = read_only_operations(obj.datatype)
+        ops = [event.inv.op for kind, _, event in obj.recorder.trace if kind == "op"]
+        reads = sum(op in read_ops for op in ops)
         rows.append(
             {
                 "object": name,
                 "reads": reads,
-                "writes": writes,
-                "read_fraction": fraction,
+                "writes": len(ops) - reads,
+                "read_fraction": reads / len(ops) if ops else None,
                 "assignment": "; ".join(obj.assignment.describe().splitlines()),
             }
         )
@@ -394,15 +395,8 @@ def _mix_table(rows: list[dict]) -> str:
 
 def _run_metrics(args: argparse.Namespace) -> Outcome:
     cluster, generator = _standard_workload(_workload_shape(args))
-    observer = MixObserver(
-        {
-            name: read_only_operations(obj.datatype)
-            for name, obj in cluster.tm.objects.items()
-        }
-    )
-    observer.attach(cluster.frontends)
     metrics = generator.run(args.transactions)
-    mix_rows = _mix_rows(cluster, observer)
+    mix_rows = _mix_rows(cluster)
     payload = {
         "operations": metrics.summary(),
         "registry": metrics.registry.to_dict(),

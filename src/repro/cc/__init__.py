@@ -19,7 +19,7 @@ histories the schemes generate against the theory kernel's membership
 checkers for their respective properties.
 """
 
-from repro.cc.base import CCScheme, pick_response
+from repro.cc.base import CCScheme
 from repro.cc.static_ts import StaticTimestampCC
 from repro.cc.locking import DynamicLockingCC
 from repro.cc.hybrid import HybridCC
@@ -27,7 +27,6 @@ from repro.cc.conflicts import dependency_conflicts, commutativity_conflicts
 
 __all__ = [
     "CCScheme",
-    "pick_response",
     "StaticTimestampCC",
     "DynamicLockingCC",
     "HybridCC",

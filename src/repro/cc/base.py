@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.cc.conflicts import ConflictTable
 from repro.errors import ConflictError
-from repro.histories.events import Event, Invocation, SerialHistory
+from repro.histories.events import Event, Invocation
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
@@ -29,37 +29,6 @@ from repro.txn.ids import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.replication.object import SynchronizationState
-
-
-def pick_response(
-    oracle: LegalityOracle,
-    prefix: SerialHistory,
-    invocation: Invocation,
-    suffix: SerialHistory = (),
-    base_state=None,
-) -> Event | None:
-    """Choose a response legal between ``prefix`` and ``suffix``.
-
-    Responses are tried in a deterministic order (sorted rendering) so
-    runs are reproducible; for a nondeterministic type any legal choice
-    is correct.  Returns ``None`` when no response works — under static
-    atomicity that means the invocation arrived "too late".
-
-    ``base_state`` replays everything from a compaction snapshot state
-    instead of the type's initial state.
-    """
-    if base_state is None:
-        for response in sorted(oracle.responses(prefix, invocation), key=str):
-            event = Event(invocation, response)
-            if oracle.is_legal_extension(prefix + (event,), suffix):
-                return event
-        return None
-    candidates = oracle.responses_from(base_state, prefix, invocation)
-    for response in sorted(candidates, key=str):
-        event = Event(invocation, response)
-        if oracle.is_legal_from(base_state, prefix + (event,) + suffix):
-            return event
-    return None
 
 
 class CCScheme(ABC):
@@ -103,30 +72,24 @@ class CCScheme(ABC):
     ) -> Event:
         """The response chosen as if ``txn`` were to commit next.
 
-        Legal for the view's committed events in commit-timestamp order
-        followed by the transaction's own — from the view's serial cache
-        when the front-end threaded one through, from scratch (the
-        reference) otherwise.  The cache yields the legality-trie node
-        for the committed prefix; stepping it through the transaction's
-        own events lands on exactly the node ``pick_response`` would
-        reach by replaying ``view.commit_order_serial(own=txn.id)`` from
-        ``view.base_state``, so its first successor in sorted-render order
-        is the event ``pick_response`` chooses (every successor is legal).
+        The first legal response, in sorted-render order, for the view's
+        committed events in commit-timestamp order followed by the
+        transaction's own.  The legality-trie node for that history comes
+        from the view's serial cache when the front-end threaded one
+        through and it can serve it: the cache yields the node for the
+        committed prefix, stepped here through the transaction's own
+        events.  Otherwise it is replayed from scratch, the reference:
+        ``view.commit_order_serial(own=txn.id)`` from ``view.base_state``.
         """
         oracle = self.oracle
         cache = view.serial_cache
         node = None if cache is None else cache.committed_node(view, oracle)
         if node is None or cache.contains_committed(txn.id):
-            prefix = view.commit_order_serial(own=txn.id)
-            event = pick_response(
-                oracle, prefix, invocation, base_state=view.base_state
-            )
-            if event is None:
-                raise self._too_late(invocation)
-            return event
-        step = oracle._step
-        for entry in view.log.entries_of(txn.id):
-            node = step(node, entry.event)
+            node = oracle._node(view.commit_order_serial(own=txn.id), view.base_state)
+        else:
+            step = oracle._step
+            for entry in view.log.entries_of(txn.id):
+                node = step(node, entry.event)
         successors = oracle._successors(node, invocation)
         if not successors:
             raise self._too_late(invocation)

@@ -21,7 +21,6 @@ the minimal atomic dependency relations this subpackage computes:
 """
 
 from repro.dependency.relation import DependencyRelation, SchemaPair
-from repro.dependency.closure import closed_subhistories, is_closed_subhistory
 from repro.dependency.verify import (
     Counterexample,
     VerificationBounds,
@@ -31,14 +30,12 @@ from repro.dependency.verify import (
     is_minimal_relation,
 )
 from repro.dependency.static_dep import minimal_static_dependency
-from repro.dependency.dynamic_dep import commute, minimal_dynamic_dependency
+from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 from repro.dependency.hybrid_dep import synthesize_hybrid_relation
 
 __all__ = [
     "DependencyRelation",
     "SchemaPair",
-    "closed_subhistories",
-    "is_closed_subhistory",
     "Counterexample",
     "VerificationBounds",
     "find_counterexample",
@@ -47,6 +44,5 @@ __all__ = [
     "is_minimal_relation",
     "minimal_static_dependency",
     "minimal_dynamic_dependency",
-    "commute",
     "synthesize_hybrid_relation",
 ]

@@ -16,14 +16,16 @@ entries.  This matches the constructions in the paper's proofs, where
 Since only operation entries are ever dropped, a subhistory *is* a set of
 operation positions, and the definition is computed on bitmasks over
 them (:class:`OpMasks`): one table per ``(history, relation)``, one AND
-per kept operation to test closure.  The literal transcription — a
-subset loop and a pairwise scan — lives in ``tests/test_closure.py`` as
-the reference this module is compared against.
+per kept operation to test closure.  The Definition 2 search
+(:mod:`repro.dependency.verify`) enumerates closed masks through it.
+The literal transcription — a subset loop and a pairwise scan — lives
+in ``tests/test_closure.py`` as the reference this module is compared
+against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.dependency.relation import DependencyRelation
 from repro.histories.behavioral import BehavioralHistory, Op
@@ -80,9 +82,6 @@ class OpMasks:
             if not chosen:
                 return
 
-    def mask_of(self, op_indices: Iterable[int]) -> int:
-        return sum(1 << self.indices.index(index) for index in op_indices)
-
     def indices_of(self, mask: int) -> frozenset[int]:
         return frozenset(i for p, i in enumerate(self.indices) if mask >> p & 1)
 
@@ -90,40 +89,6 @@ class OpMasks:
 def project(history: BehavioralHistory, kept_ops: frozenset[int]) -> BehavioralHistory:
     """The subhistory keeping all non-operation entries and ``kept_ops``."""
     return history.subhistory(kept_ops)
-
-
-def is_closed_subhistory(
-    history: BehavioralHistory,
-    relation: DependencyRelation,
-    kept_ops: frozenset[int],
-) -> bool:
-    """Is the projection onto ``kept_ops`` closed under ``relation``?"""
-    masks = OpMasks(history, relation)
-    return masks.is_closed(masks.mask_of(kept_ops))
-
-
-def closed_subhistories(
-    history: BehavioralHistory,
-    relation: DependencyRelation,
-    required_ops: frozenset[int] = frozenset(),
-    *,
-    proper_only: bool = False,
-) -> Iterator[tuple[frozenset[int], BehavioralHistory]]:
-    """Yield every closed subhistory containing the ``required_ops`` entries.
-
-    Yields ``(kept_indices, subhistory)`` pairs.  ``required_ops`` are
-    entry indices into ``history`` that must be kept (Definition 2
-    requires the view for an invocation to contain every event it depends
-    on).  With ``proper_only`` the full history itself is skipped.
-
-    The remaining optional entries are toggled in all combinations that
-    preserve closure.  At kernel scale (≤ 6 operation entries) plain
-    subset enumeration is exact and fast.
-    """
-    masks = OpMasks(history, relation)
-    for kept in masks.closed(masks.mask_of(required_ops), proper_only=proper_only):
-        kept_ops = masks.indices_of(kept)
-        yield kept_ops, project(history, kept_ops)
 
 
 def dependent_op_indices(

@@ -6,18 +6,16 @@ Theorem 10: ``inv ≥D e`` iff there exists a response ``res`` such that
 ``h·e'`` both legal, ``h·e·e'`` and ``h·e'·e`` are equivalent legal
 histories.
 
-:func:`commute` checks Definition 8 exhaustively over all legal
-histories of at most ``max_events`` events for a *single* pair, and is
-kept as the executable reference implementation.  The full table
-(:func:`commutativity_table`) does not call it per pair, and does not
-walk histories at all: Definition 8 reads ``h`` only through the states
-it can be in (``h ≡ h'``, Section 5), so one **shared pass** visits each
+The table (:func:`commutativity_table`) does not walk histories at all:
+Definition 8 reads ``h`` only through the states it can be in
+(``h ≡ h'``, Section 5), so one **shared pass** visits each
 distinct frontier reachable within ``max_events`` generator events once
 (:class:`~repro.spec.legality.MergedFrontiers`), steps every alphabet
 event from it, and checks each not-yet-refuted pair with both events
 enabled by two more hops — the two orders commute there iff they land
-on the same canonical node.  The equivalence with :func:`commute` is
-test-enforced (``tests/test_compute.py``,
+on the same canonical node.  Its agreement with Definition 8 checked
+pair by pair over every legal history (``commute`` in
+``tests/oracles.py``) is test-enforced (``tests/test_compute.py``,
 ``tests/test_dependency_searches.py``).
 
 The commutativity table computed here is also what the locking
@@ -36,42 +34,11 @@ from __future__ import annotations
 from repro.dependency.relation import DependencyRelation, GroundPair
 from repro.histories.events import Event
 from repro.spec.datatype import SerialDataType
-from repro.spec.enumerate import event_alphabet, legal_serial_histories
+from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle, MergedFrontiers
 
 #: An unordered event pair, stored as alphabet indices ``i <= j``.
 IndexPair = tuple[int, int]
-
-
-def commute(
-    datatype: SerialDataType,
-    first: Event,
-    second: Event,
-    max_events: int = 4,
-    oracle: LegalityOracle | None = None,
-) -> bool:
-    """Definition 8, bounded: do ``first`` and ``second`` commute?
-
-    Checks every legal serial history ``h`` of at most ``max_events``
-    events: whenever ``h·first`` and ``h·second`` are both legal,
-    ``h·first·second`` and ``h·second·first`` must be equivalent legal
-    histories.  Reference implementation — the table builder uses the
-    shared pass below, whose agreement with this function is test-enforced.
-    """
-    oracle = oracle or LegalityOracle(datatype)
-    for history in legal_serial_histories(datatype, max_events, oracle):
-        if not (
-            oracle.is_legal(history + (first,))
-            and oracle.is_legal(history + (second,))
-        ):
-            continue
-        forward = history + (first, second)
-        backward = history + (second, first)
-        if not oracle.is_legal(forward) or not oracle.is_legal(backward):
-            return False
-        if not oracle.equivalent(forward, backward):
-            return False
-    return True
 
 
 def _refute_reachable_pairs(

@@ -27,7 +27,6 @@ from repro.histories.behavioral import (
     Op,
 )
 from repro.histories.serialization import (
-    dynamic_serializations,
     hybrid_serializations,
     precedes_pairs,
     serialize,
@@ -51,6 +50,5 @@ __all__ = [
     "serialize",
     "static_serializations",
     "hybrid_serializations",
-    "dynamic_serializations",
     "precedes_pairs",
 ]

@@ -16,9 +16,11 @@ Three families of serializations appear in the paper:
   ``precedes`` order (A precedes B if B executes an operation after A
   commits — Section 5).
 
-Each generator below yields *deduplicated* serial histories (two distinct
-orders can induce the same serial history when some actions executed no
-events).
+The static and hybrid generators below yield *deduplicated* serial
+histories (two distinct orders can induce the same serial history when
+some actions executed no events).  Dynamic atomicity
+(:class:`~repro.atomicity.properties.DynamicAtomicity`) walks the
+``precedes`` orders itself, through :func:`linear_extensions`.
 """
 
 from __future__ import annotations
@@ -147,23 +149,3 @@ def linear_extensions(
                 node_set.add(node)
 
     return extend()
-
-
-def dynamic_serializations(history: BehavioralHistory) -> Iterator[SerialHistory]:
-    """Yield every dynamic serialization of ``history``.
-
-    A dynamic serialization commits some set of active actions and
-    serializes them, together with the already-committed actions, in an
-    order consistent with the ``precedes`` partial order (Section 5).
-    """
-    pairs = precedes_pairs(history)
-    committed = history.committed
-    seen: set[SerialHistory] = set()
-    for subset in action_subsets(relevant_active(history)):
-        nodes = sorted(committed | set(subset))
-        for order in linear_extensions(nodes, pairs):
-            serial = serialize(history, order)
-            if serial not in seen:
-                seen.add(serial)
-                yield serial
-

@@ -442,7 +442,7 @@ class ReconfigEpochMonitor(InvariantMonitor):
     """Every quorum runs under the object's current configuration epoch.
 
     The one-copy-serializability argument for online reconfiguration
-    (``docs/TUNING.md``) has two legs: the drain-and-prime hand-over
+    (``docs/KEYSPACE.md``) has two legs: the drain-and-prime hand-over
     preserves every installed event across the switch, and *no
     front-end keeps operating under the superseded assignment* — a
     stale front-end could assemble quorums that fail to intersect the

@@ -263,23 +263,6 @@ def _layouts(
     return tuple(layouts)
 
 
-def assignment_messages(
-    assignment: QuorumAssignment, weights: Mapping[str, float]
-) -> float:
-    """Expected messages/op of an *installed* assignment under a mix.
-
-    :func:`cheapest_assignment`'s price, read off the assignment's
-    smallest quorum sizes: it prices the layout an object runs now, so
-    a candidate is compared with it like for like.
-    """
-    total = 0.0
-    for op, weight in weights.items():
-        initial = assignment.initial(op).smallest_quorum_size() or 0
-        final = assignment.final(op, COMMON_KIND).smallest_quorum_size() or 0
-        total += weight * (initial + final)
-    return total
-
-
 def _availability_vector(
     choice: ThresholdChoice, p_up: float
 ) -> tuple[tuple[str, float], ...]:

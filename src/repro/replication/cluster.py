@@ -33,10 +33,8 @@ from repro.txn.manager import TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cc.base import CCScheme
-    from repro.obs.metrics import MetricsRegistry
     from repro.resilience.policy import RetryPolicy
     from repro.resilience.recovery import ResilienceRuntime
-    from repro.tuning import QuorumTuner, TunerConfig
 
 
 @dataclass
@@ -106,8 +104,6 @@ class Cluster:
         name: str,
         new_assignment: QuorumAssignment,
         coordinator_site: int = 0,
-        *,
-        registry: "MetricsRegistry | None" = None,
     ) -> bool:
         """Switch object ``name`` to ``new_assignment`` online.
 
@@ -132,27 +128,7 @@ class Cluster:
             placement=self.placement,
             frontends=self.frontends,
             tracer=self.tracer,
-            registry=registry,
         )
-
-    def enable_tuning(
-        self,
-        config: "TunerConfig | None" = None,
-        *,
-        registry: "MetricsRegistry | None" = None,
-    ) -> "QuorumTuner":
-        """Attach the online quorum tuner; returns it.
-
-        Creates a :class:`~repro.tuning.QuorumTuner` over this cluster
-        (wiring its :class:`~repro.tuning.MixObserver` into every
-        front-end's ``op_observer`` hook) and returns it.  Drive it by
-        installing :meth:`~repro.tuning.QuorumTuner.on_transaction_start`
-        as the workload generator's transaction hook, or call
-        :meth:`~repro.tuning.QuorumTuner.maybe_tune` at your own cadence.
-        """
-        from repro.tuning import QuorumTuner
-
-        return QuorumTuner(self, config=config, registry=registry)
 
 
 def _make_scheme(

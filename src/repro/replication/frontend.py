@@ -101,11 +101,6 @@ class FrontEnd:
         self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
         #: Per-object plans, see :meth:`_plan`.
         self._plans: dict[str, _Plan] = {}
-        #: Optional ``(object_name, op_name)`` callback fired once per
-        #: successfully executed operation — the feed for the tuning
-        #: layer's windowed read/write-mix counters.  ``None`` costs one
-        #: attribute check per op on the hot path.
-        self.op_observer: Callable[[str, str], None] | None = None
         #: Object → replica visit order.
         self.router = router
         #: Monotone retry sequence, part of the deterministic jitter key
@@ -282,8 +277,6 @@ class FrontEnd:
         obj.cc.on_executed(txn, event, obj.sync)
         txn.touched.add(object_name)
         obj.recorder.record_op(txn, event)
-        if self.op_observer is not None:
-            self.op_observer(object_name, invocation.op)
         if self.tracer.enabled:
             span.annotate(entry_ts=str(entry.ts), response=str(event.res))
         return event.res
@@ -379,13 +372,7 @@ class FrontEnd:
         outcome = self._round(
             obj,
             coterie,
-            # The version pair is captured atomically around the
-            # write so the view cache can prove, from the ack alone,
-            # that nothing else touched the fragment since our read.
-            lambda site: (
-                repositories[site].log_version(name),
-                repositories[site].write_log(name, update),
-            ),
+            lambda site: repositories[site].write_log(name, update),
             event.inv.op, "final", epoch, res_kind=event.res.kind,
         )
         if outcome is not None:

@@ -46,10 +46,8 @@ are, closed by :func:`~repro.replication.frontend.conclude_step`.  The
 hand-over draws only from the object's replica set, so genuine partial
 replication is preserved, and it is instrumented: ``reconfig.drain`` /
 ``reconfig.prime`` spans (each naming the sites it ``attempted``, that
-``served`` it and, when it succeeds, its ``quorum``), the
-``reconfig.switch`` point event, and ``reconfig.attempts`` /
-``reconfig.success`` / ``reconfig.aborted`` / ``reconfig.noop``
-counters when a :class:`~repro.obs.metrics.MetricsRegistry` is passed.
+``served`` it and, when it succeeds, its ``quorum``) and the
+``reconfig.switch`` point event.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.errors import QuorumError, UnavailableError
+from repro.errors import QuorumError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.constraints import require_satisfies
@@ -69,7 +67,6 @@ from repro.replication.viewcache import fold_view
 from repro.sim.network import GatherResult, Network
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.replication.frontend import FrontEnd
     from repro.replication.keyspace import Placement
 
@@ -200,8 +197,8 @@ def same_assignment(a: QuorumAssignment, b: QuorumAssignment) -> bool:
 
     The structural no-op test behind ``reconfigure``: switching to an
     assignment with the same quorums would drain, prime, and bump the
-    epoch for nothing, so callers (the online tuner above all) skip the
-    hand-over entirely when this holds.
+    epoch for nothing, so ``reconfigure`` skips the hand-over entirely
+    when this holds.
     """
     if a is b:
         return True
@@ -221,11 +218,6 @@ def same_assignment(a: QuorumAssignment, b: QuorumAssignment) -> bool:
         if not _same_coterie(a.final(op, kind), b.final(op, kind)):
             return False
     return True
-
-
-def _count(registry: "MetricsRegistry | None", name: str) -> None:
-    if registry is not None:
-        registry.counter(name).inc()
 
 
 def visit_order(
@@ -273,7 +265,6 @@ def reconfigure(
     placement: "Placement | None" = None,
     frontends: Sequence["FrontEnd"] = (),
     tracer: Tracer | None = None,
-    registry: "MetricsRegistry | None" = None,
 ) -> bool:
     """Switch ``obj`` to ``new_assignment`` with a safe log hand-over.
 
@@ -293,15 +284,12 @@ def reconfigure(
     per-object plan, :class:`~repro.replication.viewcache.QuorumViewCache`
     and serial-prefix cache entries at the switch;
     ``tracer`` receives ``reconfig`` / ``reconfig.drain`` /
-    ``reconfig.prime`` spans and the ``reconfig.switch`` point event;
-    ``registry`` the ``reconfig.*`` counters.
+    ``reconfig.prime`` spans and the ``reconfig.switch`` point event.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     if new_assignment.n_sites != obj.assignment.n_sites:
         raise QuorumError("reconfiguration cannot change the site universe")
-    _count(registry, "reconfig.attempts")
     if same_assignment(obj.assignment, new_assignment):
-        _count(registry, "reconfig.noop")
         return False
     if placement is not None:
         from repro.replication.keyspace import _require_genuine
@@ -338,40 +326,34 @@ def reconfigure(
         to_epoch=obj.epoch + 1,
         site=coordinator_site,
     ) as span:
-        try:
-            # Phase 1: drain — merge logs (and the best compaction
-            # snapshot) from reachable sites until they form a
-            # transversal of every old final coterie.  Without the
-            # snapshot, a primed site that was unreachable during a past
-            # compaction could end up holding neither the folded entries
-            # nor the state that subsumes them.
-            with tracer.span(
-                "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
-            ) as phase:
-                _drained, merged, best_snapshot = drain(
-                    network, repositories, obj.name, coordinator_site,
-                    order(old_finals), old_finals, phase, "reconfigure", pool,
-                )
-                phase.annotate(entries=len(merged))
-            # Phase 2: prime — install the complete view (snapshot first,
-            # then the residual log) on a transversal of every new
-            # initial coterie.
-            with tracer.span(
-                "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
-            ) as phase:
-                enough = hits_every(new_initials)
-                primed = network.gather(
-                    coordinator_site,
-                    order(new_initials),
-                    lambda site: _prime(
-                        repositories[site], obj.name, best_snapshot, merged
-                    ),
-                    stop=enough,
-                )
-                conclude_step(phase, primed, enough, "reconfigure", pool)
-        except UnavailableError:
-            _count(registry, "reconfig.aborted")
-            raise
+        # Phase 1: drain — merge logs (and the best compaction snapshot)
+        # from reachable sites until they form a transversal of every
+        # old final coterie.  Without the snapshot, a primed site that
+        # was unreachable during a past compaction could end up holding
+        # neither the folded entries nor the state that subsumes them.
+        with tracer.span(
+            "reconfig.drain", kind="reconfig", object=obj.name, site=coordinator_site
+        ) as phase:
+            _drained, merged, best_snapshot = drain(
+                network, repositories, obj.name, coordinator_site,
+                order(old_finals), old_finals, phase, "reconfigure", pool,
+            )
+            phase.annotate(entries=len(merged))
+        # Phase 2: prime — install the complete view (snapshot first, then
+        # the residual log) on a transversal of every new initial coterie.
+        with tracer.span(
+            "reconfig.prime", kind="reconfig", object=obj.name, site=coordinator_site
+        ) as phase:
+            enough = hits_every(new_initials)
+            primed = network.gather(
+                coordinator_site,
+                order(new_initials),
+                lambda site: _prime(
+                    repositories[site], obj.name, best_snapshot, merged
+                ),
+                stop=enough,
+            )
+            conclude_step(phase, primed, enough, "reconfigure", pool)
 
         # Phase 3: switch — the epoch transaction commit point.  The
         # assignment swap, epoch bump, and cache invalidations happen
@@ -382,7 +364,6 @@ def reconfigure(
         for frontend in frontends:
             frontend.forget(obj.name)
         tracer.event("reconfig.switch", object=obj.name, epoch=obj.epoch)
-        _count(registry, "reconfig.success")
         if tracer.enabled:
             span.annotate(epoch=obj.epoch)
     return True

@@ -74,10 +74,6 @@ class Repository:
         """
         return self.shards is None or object_name in self.shards
 
-    def log_version(self, object_name: str) -> int:
-        """Monotone per-object change counter (0 = never written)."""
-        return self._versions.get(object_name, 0)
-
     def _bump(self, object_name: str) -> int:
         version = self._versions.get(object_name, 0) + 1
         self._versions[object_name] = version
@@ -100,17 +96,21 @@ class Repository:
             self._versions.get(object_name, 0),
         )
 
-    def write_log(self, object_name: str, update: Log) -> int:
+    def write_log(self, object_name: str, update: Log) -> tuple[int, int]:
         """Merge a view written by a front-end into stable storage.
 
         Entries already folded into this repository's snapshot are not
         re-admitted (a stale writer may ship them back).  Returns the
-        post-write log version, so batched writers can refresh their
-        merge caches from the ack alone.  Records nothing: the step that
-        sent the write names this site in its span's ``served``, and the
-        auditor scans the merged log when that step closes.
+        per-object log version before and after the write, so a writer
+        can prove from the ack alone that nothing else touched the
+        fragment since its read (:meth:`QuorumViewCache.note_write
+        <repro.replication.viewcache.QuorumViewCache.note_write>`).
+        Records nothing: the step that sent the write names this site in
+        its span's ``served``, and the auditor scans the merged log when
+        that step closes.
         """
         self.writes_served += 1
+        before = self._versions.get(object_name, 0)
         snapshot = self._snapshots.get(object_name)
         current = self._logs.get(object_name, EMPTY_LOG)
         if snapshot is None:
@@ -127,7 +127,7 @@ class Repository:
             self._bump(object_name)
             if self.journal is not None:
                 self.journal.record_log(object_name, merged)
-        return self._versions.get(object_name, 0)
+        return before, self._versions.get(object_name, 0)
 
     def peek_log(self, object_name: str) -> Log:
         """Inspect a stored log without counting a served read.

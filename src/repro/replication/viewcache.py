@@ -5,7 +5,8 @@ of an initial quorum.  The merge is a set union, so re-merging a quorum
 whose fragments have not changed is pure waste — and in the common case
 (same front-end, same quorum, only its own last write new) almost
 nothing has changed.  :class:`QuorumViewCache` keys the merged union on
-per-repository log version counters (:meth:`Repository.log_version`):
+per-repository log version counters (the third field of
+:meth:`Repository.read_fragment`):
 
 * **hit** — every probed fragment reports the version already cached:
   the cached merge is returned as-is (the same

@@ -6,24 +6,21 @@ specifications operationally: a :class:`~repro.spec.datatype.SerialDataType`
 is a (possibly nondeterministic) state machine whose traces are exactly
 the legal serial histories.  :class:`~repro.spec.legality.LegalityOracle`
 answers legality and equivalence queries with memoization, and
-:mod:`repro.spec.enumerate` enumerates bounded legal histories for the
-model-checking kernel.
+:mod:`repro.spec.enumerate` derives the bounded event and response
+alphabets the model-checking kernel runs over.
 """
 
 from repro.spec.datatype import SerialDataType
-from repro.spec.legality import LegalityCursor, LegalityOracle
+from repro.spec.legality import LegalityOracle
 from repro.spec.enumerate import (
     alphabets,
     event_alphabet,
-    legal_serial_histories,
     response_alphabet,
 )
 
 __all__ = [
     "SerialDataType",
     "LegalityOracle",
-    "LegalityCursor",
-    "legal_serial_histories",
     "alphabets",
     "event_alphabet",
     "response_alphabet",

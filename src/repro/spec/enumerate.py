@@ -1,17 +1,11 @@
-"""Bounded enumeration of legal serial histories and event alphabets.
+"""Bounded event alphabets of a data type.
 
-The model-checking kernel needs three finite universes derived from a
+The model-checking kernel needs two finite universes derived from a
 data type's generator alphabet:
 
-* every legal serial history of at most ``max_events`` events
-  (:func:`legal_serial_histories`);
-* every event — invocation/response pair — that occurs in some such
-  history (:func:`event_alphabet`);
+* every event — invocation/response pair — that occurs in some legal
+  serial history of at most ``depth`` events (:func:`event_alphabet`);
 * the responses each invocation can receive (:func:`response_alphabet`).
-
-Because serial specifications are prefix-closed, depth-first search with
-pruning on illegal prefixes enumerates the history universe exactly
-(:func:`legal_serial_histories`, one memoized trie hop per extension).
 
 The alphabets do not need the histories: what a prefix contributes
 depends on its frontier and on how many events are left, and fewer
@@ -19,44 +13,16 @@ events used only adds.  So :func:`alphabets` expands each distinct
 frontier once, at its shallowest depth
 (:meth:`~repro.spec.legality.MergedFrontiers.levels`), and
 :func:`event_alphabet` / :func:`response_alphabet` are views over that
-one pass.  The two-pass definitions over the histories are the oracle
-of the differential tests (``tests/test_dependency_searches.py``).
+one pass.  The two-pass definitions over the histories (enumerated by
+``tests/oracles.py::legal_serial_histories``) are the oracle of the
+differential tests (``tests/test_dependency_searches.py``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.histories.events import Event, Invocation, Response, SerialHistory
+from repro.histories.events import Event, Invocation, Response
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle, MergedFrontiers
-
-
-def legal_serial_histories(
-    datatype: SerialDataType,
-    max_events: int,
-    oracle: LegalityOracle | None = None,
-) -> Iterator[SerialHistory]:
-    """Yield every legal serial history with at most ``max_events`` events.
-
-    Histories are yielded shortest-prefix-first along each branch (the
-    empty history first), with sibling events in deterministic (string)
-    order.  Supplying a shared ``oracle`` lets callers reuse replay
-    memoization across searches.
-    """
-    oracle = oracle or LegalityOracle(datatype)
-    invocations = list(datatype.invocations())
-
-    def extend(history: SerialHistory, cursor) -> Iterator[SerialHistory]:
-        yield history
-        if len(history) >= max_events:
-            return
-        for inv in invocations:
-            for res in sorted(cursor.responses(inv), key=str):
-                event = Event(inv, res)
-                yield from extend(history + (event,), cursor.step(event))
-
-    return extend((), oracle.cursor())
 
 
 def alphabets(

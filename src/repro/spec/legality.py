@@ -26,7 +26,7 @@ node per distinct frontier — and cost what the type's states cost.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.spec.datatype import SerialDataType, State
@@ -52,44 +52,6 @@ class _TrieNode:
         self.successors: dict[Invocation, tuple] | None = None
 
 
-class LegalityCursor:
-    """A position in the replay trie with O(1) single-event steps.
-
-    The searches that walk the whole bounded history universe — shared-pass
-    commutativity, alphabet fusion, history enumeration — re-extend the
-    *same* prefix over and over.  Replaying through
-    :meth:`LegalityOracle.is_legal` costs O(len(history)) trie hops per
-    query; a cursor pins the prefix node once, so each extension is a
-    single memoized hop.
-    """
-
-    __slots__ = ("_oracle", "_node")
-
-    def __init__(self, oracle: "LegalityOracle", node: _TrieNode):
-        self._oracle = oracle
-        self._node = node
-
-    @property
-    def legal(self) -> bool:
-        """True iff the history this cursor sits on is legal."""
-        return self._node.frontier is not None
-
-    def step(self, event: Event) -> "LegalityCursor":
-        """The cursor for this history extended by one event."""
-        return LegalityCursor(self._oracle, self._oracle._step(self._node, event))
-
-    def frontier_key(self) -> frozenset[Hashable] | None:
-        """Canonical frontier keys here (None if the history is illegal)."""
-        return self._oracle._keys(self._node)
-
-    def responses(self, invocation: Invocation) -> frozenset[Response]:
-        """Legal responses for ``invocation`` at this position (memoized).
-
-        The returned set is the trie's own memo — treat it as immutable.
-        """
-        return self._oracle._node_responses(self._node, invocation)
-
-
 class LegalityOracle:
     """Memoized legality, frontier, and equivalence queries for one type."""
 
@@ -99,10 +61,6 @@ class LegalityOracle:
         #: Memoized replay roots for non-initial base states (used when a
         #: log prefix has been compacted into a snapshot state).
         self._base_roots: dict[Hashable, _TrieNode] = {}
-        #: depth -> invocation -> responses reachable within that depth
-        #: (memo for :meth:`_event_responses`; one BFS serves every
-        #: invocation at a given depth).
-        self._suffix_responses: dict[int, dict[Invocation, set[Response]]] = {}
         #: Trie nodes allocated since the last :meth:`trim_cache` (the
         #: initial root counts as one).  Maintained incrementally so
         #: long-running callers can bound the memo without walking it.
@@ -139,14 +97,12 @@ class LegalityOracle:
         return self._cache_nodes
 
     def trim_cache(self) -> None:
-        """Drop the replay memo, keeping correctness and the suffix BFS.
+        """Drop the replay memo, keeping correctness.
 
         The trie is a pure cache: every public query rebuilds any node
         it needs from the datatype, so discarding it only costs replay
-        time on the next queries.  Outstanding :class:`LegalityCursor`
-        objects keep their (now detached) nodes alive and stay valid.
-        The depth-bounded ``_suffix_responses`` memo is retained — it is
-        small and independent of replayed history.
+        time on the next queries.  Nodes held outside the oracle stay
+        valid, detached.
         """
         self._root = _TrieNode((self._dt.initial_state(),))
         self._base_roots.clear()
@@ -261,42 +217,11 @@ class LegalityOracle:
         found = memo[invocation] = tuple(steps)
         return found
 
-    # -- cursors ---------------------------------------------------------------
-
-    def cursor(self, history: SerialHistory = ()) -> LegalityCursor:
-        """A :class:`LegalityCursor` positioned after ``history``."""
-        return LegalityCursor(self, self._node(history))
-
-    # -- replay from a snapshot state -----------------------------------------
-
-    def is_legal_from(self, base_state: State, history: SerialHistory) -> bool:
-        """Legality of ``history`` replayed from ``base_state``.
-
-        Used when a log prefix has been compacted: the snapshot state
-        stands in for the folded events.
-        """
-        return self._node(history, base_state).frontier is not None
-
-    def responses_from(
-        self, base_state: State, history: SerialHistory, invocation: Invocation
-    ) -> set[Response]:
-        """Responses legal for ``invocation`` after ``base_state · history``."""
-        return set(self._node_responses(self._node(history, base_state), invocation))
-
     # -- public queries --------------------------------------------------------
 
     def is_legal(self, history: SerialHistory) -> bool:
         """True iff ``history`` is in the type's serial specification."""
         return self._node(history).frontier is not None
-
-    def is_legal_extension(self, history: SerialHistory, suffix: Iterable[Event]) -> bool:
-        """True iff ``history`` followed by ``suffix`` is legal."""
-        node = self._node(history)
-        for event in suffix:
-            if node.frontier is None:
-                return False
-            node = self._step(node, event)
-        return node.frontier is not None
 
     def frontier_key(self, history: SerialHistory) -> frozenset[Hashable] | None:
         """Canonical keys of all states reachable via ``history`` (None if illegal)."""
@@ -317,67 +242,6 @@ class LegalityOracle:
         if key_first is None:
             return False
         return key_first == self.frontier_key(second)
-
-    def distinguishing_suffix(
-        self, first: SerialHistory, second: SerialHistory, depth: int
-    ) -> SerialHistory | None:
-        """Search for a suffix legal after exactly one of the histories.
-
-        This is the *observational* inequivalence test from the paper's
-        definition (``h*s`` legal iff ``h'*s`` legal for all ``s``),
-        bounded to suffixes of at most ``depth`` events over the
-        generator alphabet.  Returns a witness suffix or ``None``.  Used
-        in tests to validate :meth:`equivalent`.
-        """
-        alphabet = [
-            Event(inv, res)
-            for inv in self._dt.invocations()
-            for res in self._event_responses(inv, depth)
-        ]
-
-        def search(sfx: tuple[Event, ...], remaining: int) -> SerialHistory | None:
-            legal_first = self.is_legal_extension(first, sfx)
-            legal_second = self.is_legal_extension(second, sfx)
-            if legal_first != legal_second:
-                return sfx
-            if remaining == 0 or not (legal_first or legal_second):
-                return None
-            for event in alphabet:
-                witness = search(sfx + (event,), remaining - 1)
-                if witness is not None:
-                    return witness
-            return None
-
-        return search((), depth)
-
-    def _event_responses(self, invocation: Invocation, depth: int) -> set[Response]:
-        """All responses ``invocation`` can receive in states reachable in ``depth`` steps.
-
-        Memoized by depth: one reachable-state BFS records the response
-        sets for *every* invocation, so :meth:`distinguishing_suffix` —
-        which used to re-run the BFS per invocation on every call — pays
-        for it at most once per depth over the oracle's lifetime.
-        """
-        by_invocation = self._suffix_responses.get(depth)
-        if by_invocation is None:
-            invocations = list(self._dt.invocations())
-            by_invocation = {inv: set() for inv in invocations}
-            seen: set[Hashable] = set()
-            frontier = [self._dt.initial_state()]
-            for _ in range(depth + 1):
-                next_frontier: list[State] = []
-                for state in frontier:
-                    key = self._dt.canonical(state)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    for inv in invocations:
-                        for response, next_state in self._dt.apply(state, inv):
-                            by_invocation[inv].add(response)
-                            next_frontier.append(next_state)
-                frontier = next_frontier
-            self._suffix_responses[depth] = by_invocation
-        return by_invocation[invocation]
 
 
 class MergedFrontiers:
@@ -411,7 +275,7 @@ class MergedFrontiers:
 
     def enabled(self, node: _TrieNode) -> list[Event]:
         """The generator-alphabet events legal at ``node``, in string order
-        per invocation (the order :func:`legal_serial_histories` extends in)."""
+        per invocation."""
         responses = self._oracle._node_responses
         return [
             Event(inv, res)

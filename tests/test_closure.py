@@ -9,12 +9,7 @@ from repro.atomicity.properties import (
     StaticAtomicity,
 )
 from repro.core.theorems import _prom_events
-from repro.dependency.closure import (
-    closed_subhistories,
-    dependent_op_indices,
-    is_closed_subhistory,
-    project,
-)
+from repro.dependency.closure import OpMasks, dependent_op_indices, project
 from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.histories.behavioral import Abort, Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import Invocation, event, ok
@@ -31,6 +26,27 @@ REL = DependencyRelation.from_schemas(
     (Invocation("Enq", ("a",)), Invocation("Enq", ("b",)), Invocation("Deq")),
     (ENQ_A, ENQ_B, DEQ_A),
 )
+
+
+def is_closed_subhistory(history, relation, kept_ops):
+    """Is the projection onto ``kept_ops`` closed, by the mask core?"""
+    masks = OpMasks(history, relation)
+    return masks.is_closed(_mask_of(masks, kept_ops))
+
+
+def closed_subhistories(
+    history, relation, required_ops=frozenset(), *, proper_only=False
+):
+    """``(kept, subhistory)`` per closed mask ``OpMasks.closed`` yields —
+    the enumeration the Definition 2 search runs."""
+    masks = OpMasks(history, relation)
+    for kept in masks.closed(_mask_of(masks, required_ops), proper_only=proper_only):
+        kept_ops = masks.indices_of(kept)
+        yield kept_ops, project(history, kept_ops)
+
+
+def _mask_of(masks, op_indices):
+    return sum(1 << masks.indices.index(index) for index in op_indices)
 
 
 @pytest.fixture()

@@ -120,7 +120,7 @@ class TestHybridRelationResolution:
     @pytest.mark.parametrize("scheme", ["static", "dynamic"])
     def test_a_declared_relation_must_cover_the_minimal_one(self, scheme):
         """A static PROM under ``≥H`` would lack ``Read ≥ Write;Ok``, and
-        the tuner could then install ``1/n/1``, which Theorem 5 forbids."""
+        ``reconfigure`` could then install ``1/n/1``, which Theorem 5 forbids."""
         prom = PROM()
         hybrid = known.ground(prom, known.PROM_HYBRID, 5)
         spec = ObjectSpec("p", prom, scheme, relation=hybrid)

@@ -3,7 +3,7 @@
 Covers the equivalences the performance work must preserve:
 
 * the shared-pass commutativity table equals the per-pair Definition 8
-  reference implementation (:func:`repro.dependency.dynamic_dep.commute`);
+  reference implementation (``commute`` in ``tests/oracles.py``);
 * ``canonical_text`` is byte-identical across commits and hash seeds
   (pinned digests), and distinct values encode to distinct JSON;
 * :func:`artifacts_for` derives once per data type value and bound, and
@@ -26,12 +26,11 @@ from repro.compute.artifacts import (
 )
 from repro.compute.codec import CodecError, canonical_json, encode_value
 from repro.compute.parallel import parallel_map, resolve_jobs
-from repro.dependency.dynamic_dep import commute, commutativity_table
+from repro.dependency.dynamic_dep import commutativity_table
 from repro.histories.events import event, ok
 from repro.spec.enumerate import (
     alphabets,
     event_alphabet,
-    legal_serial_histories,
     response_alphabet,
 )
 from repro.spec.legality import LegalityOracle
@@ -45,6 +44,7 @@ from repro.types import (
     Queue,
     standard_types,
 )
+from tests.oracles import commute, legal_serial_histories
 
 pytestmark = pytest.mark.compute
 

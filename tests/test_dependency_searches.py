@@ -8,7 +8,6 @@ from repro.compute.artifacts import default_warm_plan, derive_artifacts
 from repro.dependency import known
 from repro.dependency.dynamic_dep import (
     commutativity_table,
-    commute,
     minimal_dynamic_dependency,
 )
 from repro.compute.codec import canonical_json, encode_relation
@@ -16,7 +15,7 @@ from repro.core.theorems import _prom_events
 from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.histories.events import Invocation, event, ok, signal
-from repro.spec.enumerate import alphabets, event_alphabet, legal_serial_histories
+from repro.spec.enumerate import alphabets, event_alphabet
 from repro.spec.legality import LegalityOracle
 from repro.types import (
     PROM,
@@ -33,6 +32,7 @@ from repro.types import (
 )
 
 from tests.helpers import CountingRegister, HiddenCoin, TableType
+from tests.oracles import commute, legal_serial_histories
 
 
 def _type_name(datatype):

@@ -30,7 +30,6 @@ SNIPPET_DOCS = (
     "KEYSPACE.md",
     "RESILIENCE.md",
     "SCENARIOS.md",
-    "TUNING.md",
     "TUTORIAL.md",
 )
 

@@ -1,12 +1,9 @@
 """Unit tests for bounded serial-history enumeration."""
 
 from repro.histories.events import Invocation, event, ok, signal
-from repro.spec.enumerate import (
-    event_alphabet,
-    legal_serial_histories,
-    response_alphabet,
-)
+from repro.spec.enumerate import event_alphabet, response_alphabet
 from repro.types import PROM, Queue, Register
+from tests.oracles import legal_serial_histories
 
 
 class TestLegalSerialHistories:

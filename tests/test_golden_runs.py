@@ -606,7 +606,7 @@ CASES: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         'reconfig/under-traffic',
-        'docs/TUNING.md#the-switch-is-a-transaction',
+        'docs/KEYSPACE.md#the-switch-is-a-transaction',
         'reconfig',
         {'seed': 0, 'transactions': 24},
         'a3ea4e9735f3e377e83014788263ec5b9d9ddcc20344f2923d714bb6164cd783',
@@ -680,7 +680,7 @@ def _grid() -> list[GoldenCase]:
     rows.append(
         GoldenCase(
             "reconfig/under-traffic",
-            "docs/TUNING.md#the-switch-is-a-transaction",
+            "docs/KEYSPACE.md#the-switch-is-a-transaction",
             "reconfig",
             {"seed": 0, "transactions": 24},
         )

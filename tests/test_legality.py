@@ -4,11 +4,11 @@ import pytest
 
 from repro.histories.events import Invocation, event, ok, signal
 from repro.spec.datatype import SerialDataType
-from repro.spec.enumerate import legal_serial_histories
 from repro.spec.legality import LegalityOracle, MergedFrontiers
 from repro.types import Directory, Queue, Register, SemiQueue, standard_types
 
 from tests.helpers import CountingRegister, HiddenCoin
+from tests.oracles import distinguishing_suffix, legal_serial_histories
 
 
 class TestLegality:
@@ -37,13 +37,6 @@ class TestLegality:
         bad = (event("Deq", (), ok("a")),)
         assert not queue_oracle.is_legal(bad)
         assert not queue_oracle.is_legal(bad + (event("Enq", ("a",)),))
-
-    def test_is_legal_extension_matches_concatenation(self, queue_oracle):
-        base = (event("Enq", ("a",)),)
-        suffix = (event("Deq", (), ok("a")),)
-        assert queue_oracle.is_legal_extension(base, suffix)
-        assert queue_oracle.is_legal_extension(base, ()) == queue_oracle.is_legal(base)
-        assert not queue_oracle.is_legal_extension(base, (event("Deq", (), ok("b")),))
 
     def test_memoization_consistent_across_repeats(self, queue_oracle):
         history = (event("Enq", ("a",)), event("Deq", (), ok("a")))
@@ -104,17 +97,17 @@ class TestEquivalence:
     def test_distinguishing_suffix_agrees_with_equivalence(self, queue_oracle):
         first = (event("Enq", ("a",)),)
         second = (event("Enq", ("b",)),)
-        suffix = queue_oracle.distinguishing_suffix(first, second, depth=2)
+        suffix = distinguishing_suffix(queue_oracle, first, second, depth=2)
         assert suffix is not None
-        assert queue_oracle.is_legal_extension(first, suffix) != (
-            queue_oracle.is_legal_extension(second, suffix)
+        assert queue_oracle.is_legal(first + suffix) != (
+            queue_oracle.is_legal(second + suffix)
         )
 
     def test_no_distinguishing_suffix_for_equivalent(self, queue_oracle):
         first = (event("Enq", ("a",)), event("Deq", (), ok("a")))
         second = (event("Deq", (), signal("Empty")),)
         assert queue_oracle.equivalent(first, second)
-        assert queue_oracle.distinguishing_suffix(first, second, depth=3) is None
+        assert distinguishing_suffix(queue_oracle, first, second, depth=3) is None
 
 
 def _frontiers(datatype, depth):

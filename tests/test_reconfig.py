@@ -5,8 +5,9 @@ import pytest
 from repro.atomicity.properties import HybridAtomicity
 from repro.errors import QuorumError, SpecificationError, UnavailableError
 from repro.histories.events import Invocation, ok
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.audit import Auditor
 from repro.obs.trace import Tracer
+from repro.quorum import constraints
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import (
     EmptyCoterie,
@@ -14,7 +15,8 @@ from repro.quorum.coterie import (
     SubsetThresholdCoterie,
     ThresholdCoterie,
 )
-from repro.quorum.search import ThresholdChoice
+from repro.quorum.search import ThresholdChoice, cheapest_assignment
+from repro.replication.keyspace import ObjectSpec
 from repro.replication.reconfig import (
     greedy_transversal,
     is_transversal,
@@ -23,8 +25,10 @@ from repro.replication.reconfig import (
     same_assignment,
     transversal_size,
 )
+from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
-from tests.helpers import queue_system
+from repro.types import Queue
+from tests.helpers import cluster_of, hybrid_queue, queue_system
 
 ENQ_A = Invocation("Enq", ("a",))
 ENQ_B = Invocation("Enq", ("b",))
@@ -162,7 +166,7 @@ def _repo_state(cluster, name="obj"):
             site,
             repo.peek_log(name).entry_set,
             repo.read_snapshot(name),
-            repo.log_version(name),
+            repo.read_fragment(name)[2],
         )
         for site, repo in enumerate(cluster.repositories)
     )
@@ -226,7 +230,7 @@ class TestReconfigureEdgeCases:
         before = _repo_state(cluster)
         old_assignment = obj.assignment
         old_epoch = obj.epoch
-        registry = MetricsRegistry()
+        tracer = Tracer()
 
         with pytest.raises(UnavailableError):
             reconfigure(
@@ -234,16 +238,16 @@ class TestReconfigureEdgeCases:
                 cluster.repositories,
                 obj,
                 _threshold_assignment(5, init=5, final=1),
-                registry=registry,
+                tracer=tracer,
             )
 
         # The failed hand-over wrote nothing and switched nothing.
         assert _repo_state(cluster) == before
         assert obj.assignment is old_assignment
         assert obj.epoch == old_epoch
-        assert registry.counter("reconfig.attempts").value == 1
-        assert registry.counter("reconfig.aborted").value == 1
-        assert "reconfig.success" not in registry.counters
+        # The drain fell short: no prime, no switch.
+        outcomes = {span.name: span.outcome for span in tracer.spans}
+        assert outcomes == {"reconfig": "unavailable", "reconfig.drain": "unavailable"}
 
     @pytest.mark.parametrize(
         "scheme, refused",
@@ -280,20 +284,20 @@ class TestReconfigureEdgeCases:
 
         before = _repo_state(cluster)
         sent_before = cluster.network.messages_sent
-        registry = MetricsRegistry()
+        tracer = Tracer()
         # A structurally identical majority layout, rebuilt from scratch.
         twin = _threshold_assignment(5, init=3, final=3)
         assert same_assignment(obj.assignment, twin)
 
         changed = reconfigure(
-            cluster.network, cluster.repositories, obj, twin, registry=registry
+            cluster.network, cluster.repositories, obj, twin, tracer=tracer
         )
 
         assert changed is False
         assert obj.epoch == 0
         assert cluster.network.messages_sent == sent_before  # zero RPCs
         assert _repo_state(cluster) == before
-        assert registry.counter("reconfig.noop").value == 1
+        assert not tracer.spans  # no hand-over began
 
     def test_genuine_switch_bumps_epoch_and_invalidates_caches(self):
         cluster, obj = queue_system("hybrid", n_sites=5)
@@ -307,7 +311,6 @@ class TestReconfigureEdgeCases:
         cluster.tm.abort(reader)
 
         tracer = Tracer()
-        registry = MetricsRegistry()
         changed = reconfigure(
             cluster.network,
             cluster.repositories,
@@ -315,17 +318,107 @@ class TestReconfigureEdgeCases:
             _threshold_assignment(5, init=4, final=2),
             frontends=cluster.frontends,
             tracer=tracer,
-            registry=registry,
         )
 
         assert changed is True
         assert obj.epoch == 1
-        assert registry.counter("reconfig.success").value == 1
-        names = [span.name for span in tracer.spans]
-        assert "reconfig" in names
-        assert "reconfig.drain" in names
-        assert "reconfig.prime" in names
+        outcomes = {span.name: span.outcome for span in tracer.spans}
+        assert outcomes == {
+            "reconfig": "ok",
+            "reconfig.drain": "ok",
+            "reconfig.prime": "ok",
+            "reconfig.switch": "ok",
+        }
         switch = next(s for s in tracer.spans if s.name == "reconfig.switch")
         assert switch.attrs["epoch"] == 1
+        reconfig = next(s for s in tracer.spans if s.name == "reconfig")
+        assert reconfig.attrs["epoch"] == 1
         # Every front-end dropped its merged-view entry for the object.
         assert all("obj" not in fe.view_cache._entries for fe in cluster.frontends)
+
+
+# -- switching layouts under traffic -------------------------------------------
+
+ENQ_HEAVY = {"Enq": 0.9, "Deq": 0.1}
+DEQ_HEAVY = {"Enq": 0.1, "Deq": 0.9}
+TRAFFIC = OperationMix.weighted([("queue", ENQ_A, 1.0), ("queue", DEQ, 1.0)])
+
+
+def _cheapest_layout(cluster, weights, name="queue"):
+    """The chooser's cheapest valid layout for ``weights`` over the object's
+    own relation and replica set."""
+    obj = cluster.tm.object(name)
+    _choice, assignment, _messages = cheapest_assignment(
+        obj.relation,
+        obj.datatype.operations(),
+        weights,
+        cluster.placement.replicas(name),
+        cluster.n_sites,
+    )
+    return assignment
+
+
+def _audited_switching_run(spec, weights, mode, transactions=60, every=8):
+    """Audited traffic on one queue, reconfigured every ``every`` new
+    transactions to the cheapest layout for each of ``weights`` in turn.
+    Returns ``(cluster, report, changed)``, one ``reconfigure`` result per
+    switch point."""
+    cluster = cluster_of(5, spec, seed=0, tracer=Tracer())
+    auditor = Auditor(cluster, mode=mode)
+    layouts = [_cheapest_layout(cluster, w) for w in weights]
+    changed = []
+
+    def switch(index):
+        if index > 0 and index % every == 0:
+            layout = layouts[(index // every - 1) % len(layouts)]
+            changed.append(cluster.reconfigure("queue", layout))
+
+    generator = WorkloadGenerator(
+        cluster.sim,
+        cluster.tm,
+        cluster.frontends,
+        TRAFFIC,
+        ops_per_transaction=3,
+        concurrency=4,
+    )
+    generator.on_transaction_start = switch
+    generator.run(transactions)
+    return cluster, auditor.finish(), changed
+
+
+class TestReconfigureUnderTraffic:
+    @pytest.mark.parametrize("mode", ["deep", "streaming"])
+    def test_alternating_cheapest_layouts_audit_clean(self, mode):
+        """Every switch is a real hand-over between two valid layouts,
+        mid-traffic, and the audit stays green across every epoch."""
+        cluster, report, changed = _audited_switching_run(
+            hybrid_queue(), (ENQ_HEAVY, DEQ_HEAVY), mode
+        )
+        assert len(changed) >= 4 and all(changed)
+        assert cluster.tm.object("queue").epoch == len(changed)
+        assert report.ok and not report.violations, report.render()
+        assert "reconfig-epoch" in report.monitors
+
+    def test_each_mechanism_runs_its_own_cheapest_layout(self):
+        """Each mechanism's relation decides its layouts (Theorem 11).
+        From ``4/4`` quorums on five sites, the Enq-heavy winner gives a
+        static Queue one-site Enqs, while a dynamic one must meet
+        ``Enq ≥ Enq;Ok``: its Enq quorums still sum past five.  Both run
+        audited under traffic on the layout they switched to."""
+        enq = {}
+        for scheme in ("static", "dynamic"):
+            spec = ObjectSpec("queue", Queue(), scheme, quorums=(4, 4))
+            cluster, report, changed = _audited_switching_run(
+                spec, (ENQ_HEAVY,), "streaming"
+            )
+            assert changed[0] and not any(changed[1:])  # later targets: no-ops
+            assert report.ok and not report.violations, report.render()
+            obj = cluster.tm.object("queue")
+            assert obj.epoch == 1
+            assert constraints.satisfies(obj.assignment, obj.relation)
+            enq[scheme] = (
+                obj.assignment.initial("Enq").smallest_quorum_size(),
+                obj.assignment.final("Enq", "Ok").smallest_quorum_size(),
+            )
+        assert enq["static"] == (1, 1)
+        assert sum(enq["dynamic"]) > 5

@@ -1,6 +1,6 @@
 """The serial caches: begin-order checkpoints and the shared view delta.
 
-Four layers of evidence that the incremental paths compute what the
+Five layers of evidence that the incremental paths compute what the
 from-scratch reference computes:
 
 * a hypothesis property over random insertion orders — every checkpoint
@@ -11,6 +11,9 @@ from-scratch reference computes:
   answers what the literal subset-by-subset definition answers —
   the same event, or the same fatal / non-fatal conflict blaming the
   same holder;
+* a differential property for the commit-order decision: the trie node
+  taken from the serial cache, or replayed without one, answers what
+  replay-and-trial (``tests/oracles.py::pick_response``) answers;
 * one unit test per condition under which carried state is unsound
   (each must rebuild or fall back, never answer from stale state);
 * a counted (not timed) guard that static atomicity's per-operation
@@ -26,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cc.locking import DynamicLockingCC
 from repro.cc.static_ts import StaticTimestampCC
 from repro.clocks.timestamps import Timestamp
 from repro.errors import ConflictError
@@ -46,6 +50,7 @@ from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
 from repro.types import Account, Queue, SemiQueue
 from tests.helpers import queue_system
+from tests.oracles import pick_response, reachable_responses
 
 ENQ_A = Invocation("Enq", ("a",))
 ENQ_B = Invocation("Enq", ("b",))
@@ -339,6 +344,78 @@ def test_the_last_candidates_holder_is_blamed():
     scheme = StaticTimestampCC(datatype, LegalityOracle(datatype))
     view, sync, txn = _static_inputs(committed, None, actives, own)
     assert _decision(lambda: scheme.choose_event(view, txn, DEQ, sync)) == literal
+
+
+# -- the commit-order decision, against replay and trial -----------------------
+
+
+@st.composite
+def commit_order_views(draw, datatype):
+    """A view over random transactions' events — committed in a random
+    order, aborted or still active — plus the executing transaction
+    (active, or already committed), an invocation, a compaction base
+    state or none, and how the view reaches the scheme: with no serial
+    cache, a cold one, or one warmed on an earlier, smaller view."""
+    alphabet = sorted(
+        (
+            Event(invocation, response)
+            for invocation, responses in reachable_responses(datatype, 2).items()
+            for response in responses
+        ),
+        key=str,
+    )
+    events = st.lists(st.sampled_from(alphabet), max_size=2).map(tuple)
+    tm = TransactionManager()
+    own = tm.begin()
+    others = [tm.begin() for _ in range(draw(st.integers(0, 4)))]
+    entries, clock = [], 0
+    for txn in draw(st.permutations([own, *others])):
+        for event in draw(events):
+            clock += 1
+            entries.append(LogEntry(Timestamp(clock, 0), event, txn.id))
+    fates = {txn.id: draw(st.sampled_from(["commit", "abort", "active"])) for txn in others}
+    fates[own.id] = draw(st.sampled_from(["commit", "active"]))
+    for txn in draw(st.permutations([own, *others])):
+        if fates[txn.id] == "commit":
+            tm.commit(txn)
+        elif fates[txn.id] == "abort":
+            tm.abort(txn)
+    base = None
+    if draw(st.booleans()):
+        state = datatype.initial_state()
+        invocations = st.lists(st.sampled_from(datatype.invocations()), max_size=3)
+        for invocation in draw(invocations):
+            outcomes = list(datatype.apply(state, invocation))
+            state = outcomes[draw(st.integers(0, len(outcomes) - 1))][1]
+        base = SimpleNamespace(state=state)
+    warm = draw(st.sampled_from([None, "cold", "warm"]))
+    cache = None if warm is None else SerialPrefixCache()
+    invocation = draw(st.sampled_from(datatype.invocations()))
+    seen = draw(st.integers(0, len(entries))) if warm == "warm" else None
+    return tm, own, entries, base, cache, seen, invocation
+
+
+@pytest.mark.parametrize(
+    "datatype", [Queue(), Account(), SemiQueue()], ids=["Queue", "Account", "SemiQueue"]
+)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_commit_order_choice_answers_what_replay_and_trial_answer(datatype, data):
+    tm, own, entries, base, cache, seen, invocation = data.draw(
+        commit_order_views(datatype)
+    )
+    scheme = DynamicLockingCC(datatype, LegalityOracle(datatype))
+    if seen is not None:
+        cache.committed_node(View(Log(entries[:seen]), tm, base=base), scheme.oracle)
+    view = View(Log(entries), tm, base=base, serial_cache=cache)
+    reference = pick_response(
+        LegalityOracle(datatype),
+        view.commit_order_serial(own=own.id),
+        invocation,
+        base_state=view.base_state,
+    )
+    chosen = _decision(lambda: scheme._commit_order_event(view, own, invocation))
+    assert chosen == (("conflict", True, None) if reference is None else reference)
 
 
 # -- when carried state is unsound ---------------------------------------------

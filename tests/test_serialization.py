@@ -3,7 +3,6 @@
 from repro.histories.behavioral import Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import event, ok
 from repro.histories.serialization import (
-    dynamic_serializations,
     hybrid_serializations,
     linear_extensions,
     precedes_pairs,
@@ -11,6 +10,7 @@ from repro.histories.serialization import (
     serialize,
     static_serializations,
 )
+from tests.oracles import dynamic_serializations
 
 ENQ_X = event("Enq", ("x",))
 ENQ_Y = event("Enq", ("y",))

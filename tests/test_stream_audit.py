@@ -392,12 +392,12 @@ class TestRetirement:
         repo.install_snapshot("q", snapshot)
         # A pruned snapshot shrinks coverage: monotone install refuses,
         # administrative replacement does not.
-        version = repo.log_version("q")
+        version = repo.read_fragment("q")[2]
         repo.install_snapshot("q", pruned)
         assert repo.read_snapshot("q") is snapshot
         repo.replace_snapshot("q", pruned)
         assert repo.read_snapshot("q") is pruned
-        assert repo.log_version("q") > version
+        assert repo.read_fragment("q")[2] > version
 
     def test_recorder_forget_and_trim_committed(self):
         from repro.clocks.timestamps import Timestamp

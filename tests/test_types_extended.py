@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.dependency.dynamic_dep import commute, minimal_dynamic_dependency
+from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.errors import SpecificationError
 from repro.histories.events import Invocation, event, ok, signal
 from repro.spec.legality import LegalityOracle
 from repro.types import Mutex, PriorityQueue, Sequencer
+from tests.oracles import commute
 
 
 class TestPriorityQueueSemantics:
