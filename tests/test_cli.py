@@ -86,6 +86,83 @@ class TestMetrics:
         )
 
 
+MIX_WORKLOADS = {
+    "one-queue": ["--seed", "0", "--sites", "3", "--transactions", "4"],
+    "six-objects": ["--objects", "6", "--transactions", "60"],
+    "crashes": ["--objects", "4", "--crashes", "--transactions", "60"],
+    "lossy-ring": ["--objects", "6", "--placement", "ring", "--drop-probability", "0.1"],
+}
+
+
+class TestMetricsMix:
+    """The per-object read/write mix, checked against the run's own
+    operation counters: each recorded operation is one that returned."""
+
+    @staticmethod
+    def _payload(argv, capsys):
+        code, out = run_cli(["metrics", *argv, "--format", "json"], capsys)
+        assert code == 0
+        return json.loads(out)
+
+    @pytest.mark.parametrize("workload", sorted(MIX_WORKLOADS))
+    def test_the_mix_counts_every_returned_operation(self, workload, capsys):
+        payload = self._payload(MIX_WORKLOADS[workload], capsys)
+        counters = payload["registry"]["counters"]
+        returned = sum(
+            value for name, value in counters.items() if name.endswith(".ok")
+        )
+        mixed = sum(row["reads"] + row["writes"] for row in payload["mix"].values())
+        assert mixed == returned
+        # Only Counter and Register name a read-only operation, ``Read``.
+        reads = sum(row["reads"] for row in payload["mix"].values())
+        assert reads == counters.get("ops.Read.ok", 0)
+
+    @pytest.mark.parametrize("workload", sorted(MIX_WORKLOADS))
+    def test_the_read_fraction_is_reads_over_operations(self, workload, capsys):
+        payload = self._payload(MIX_WORKLOADS[workload], capsys)
+        for name, row in payload["mix"].items():
+            assert row["object"] == name
+            total = row["reads"] + row["writes"]
+            if total:
+                assert row["read_fraction"] == row["reads"] / total
+            else:
+                assert row["read_fraction"] is None
+            if name.startswith("queue"):
+                assert row["reads"] == 0
+
+    def test_an_object_that_ran_nothing_has_no_fraction(self):
+        cluster, _generator = cli._standard_workload(
+            {
+                "seed": 0,
+                "sites": 3,
+                "drop_probability": 0.0,
+                "objects": 4,
+                "placement": "all",
+                "crashes": False,
+                "partitions": False,
+            }
+        )
+        rows = cli._mix_rows(cluster)
+        assert [row["object"] for row in rows] == sorted(cluster.tm.objects)
+        for row in rows:
+            assert (row["reads"], row["writes"], row["read_fraction"]) == (0, 0, None)
+        table = cli._mix_table(rows).splitlines()
+        assert len(table) == 2 + len(rows)
+        assert all(line.split()[3] == "-" for line in table[2:])
+
+    def test_the_table_renders_the_json_rows(self, capsys):
+        argv = MIX_WORKLOADS["six-objects"]
+        payload = self._payload(argv, capsys)
+        _code, out = run_cli(["metrics", *argv], capsys)
+        table = out[out.index("per-object read/write mix:"):].splitlines()
+        assert len(table) == 2 + len(payload["mix"])
+        for line, (name, row) in zip(table[2:], sorted(payload["mix"].items())):
+            fields = line.split(maxsplit=4)
+            assert fields[:3] == [name, str(row["reads"]), str(row["writes"])]
+            assert fields[3] == f"{100 * row['read_fraction']:.1f}%"
+            assert fields[4] == row["assignment"]
+
+
 class TestAudit:
     def test_clean_run_exits_zero(self, capsys):
         code, out = run_cli(["audit", *WORKLOAD], capsys)

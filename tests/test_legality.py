@@ -38,6 +38,24 @@ class TestLegality:
         assert not queue_oracle.is_legal(bad)
         assert not queue_oracle.is_legal(bad + (event("Enq", ("a",)),))
 
+    def test_is_legal_extension_matches_concatenation(self, queue_oracle):
+        # The runtime extends a history by stepping the trie node it has
+        # reached (a serial cache's committed node), not by replaying the
+        # concatenation: both must agree.
+        base = (event("Enq", ("a",)),)
+
+        def extended(suffix):
+            node = queue_oracle._node(base)
+            for each in suffix:
+                node = queue_oracle._step(node, each)
+            return node.frontier is not None
+
+        good, bad = (event("Deq", (), ok("a")),), (event("Deq", (), ok("b")),)
+        for suffix in ((), good, bad, good + good):
+            assert extended(suffix) == queue_oracle.is_legal(base + suffix)
+        assert extended(good) and not extended(bad)
+        assert extended(()) == queue_oracle.is_legal(base)
+
     def test_memoization_consistent_across_repeats(self, queue_oracle):
         history = (event("Enq", ("a",)), event("Deq", (), ok("a")))
         assert queue_oracle.is_legal(history) == queue_oracle.is_legal(history)

@@ -51,6 +51,25 @@ class TestRepository:
         repo.read_log("q")
         assert repo.writes_served == 1 and repo.reads_served == 1
 
+    def test_a_write_returns_the_version_before_and_after(self):
+        repo = Repository(0)
+        first = repo.write_log("q", Log([_entry(1)]))
+        second = repo.write_log("q", Log([_entry(2)]))
+        assert first[0] == 0 and first[1] > first[0]
+        # Nothing else wrote in between: each write starts where the last ended.
+        assert second[0] == first[1] and second[1] > second[0]
+        assert repo.read_fragment("q")[2] == second[1]
+
+    def test_a_write_that_adds_nothing_leaves_the_version(self):
+        repo = Repository(0)
+        update = Log([_entry(1)])
+        _before, version = repo.write_log("q", update)
+        assert repo.write_log("q", update) == (version, version)
+        assert repo.write_log("q", Log()) == (version, version)
+        # Versions are per object: another object's write moves only its own.
+        repo.write_log("other", Log([_entry(2)]))
+        assert repo.read_fragment("q")[2] == version
+
     def test_a_fragment_read_is_one_served_read_of_all_three(self):
         repo = Repository(0)
         assert repo.read_fragment("q") == (Log(), None, 0)

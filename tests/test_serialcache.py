@@ -48,7 +48,7 @@ from repro.scenarios import runner
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
-from repro.types import Account, Queue, SemiQueue
+from repro.types import Account, Queue, SemiQueue, standard_types
 from tests.helpers import queue_system
 from tests.oracles import pick_response, reachable_responses
 
@@ -396,7 +396,7 @@ def commit_order_views(draw, datatype):
 
 
 @pytest.mark.parametrize(
-    "datatype", [Queue(), Account(), SemiQueue()], ids=["Queue", "Account", "SemiQueue"]
+    "datatype", standard_types(), ids=lambda datatype: type(datatype).__name__
 )
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
