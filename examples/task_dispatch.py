@@ -34,7 +34,6 @@ def run_dispatcher(datatype, seed: int = 21, transactions: int = 60):
         mix,
         ops_per_transaction=2,
         concurrency=4,
-        deadlock_policy="wound-wait",
     )
     return generator.run(transactions)
 

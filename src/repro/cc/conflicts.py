@@ -48,32 +48,6 @@ class ConflictTable:
     def pairs(self) -> dict[tuple[Event, Event], bool]:
         return dict(self._conflicts)
 
-    def matrix(self) -> str:
-        """Render the conflict matrix (X = conflict, . = compatible).
-
-        The lock-mode compatibility table of classical concurrency
-        control, generated from the type instead of hand-written.
-        """
-        events = sorted({e for pair in self._conflicts for e in pair}, key=str)
-        if not events:
-            return "(empty conflict table)"
-        label_width = max(len(str(e)) for e in events) + 6
-        lines = [
-            f"[{index}] {event}" for index, event in enumerate(events)
-        ]
-        lines.append("")
-        lines.append(
-            " " * label_width
-            + " ".join(f"{index}" for index in range(len(events)))
-        )
-        for index, row_event in enumerate(events):
-            marks = " ".join(
-                "X" if self.conflict(row_event, col_event) else "."
-                for col_event in events
-            )
-            lines.append(f"{f'[{index}] {row_event}':<{label_width}}{marks}")
-        return "\n".join(lines)
-
 
 def commutativity_conflicts(
     datatype: SerialDataType,

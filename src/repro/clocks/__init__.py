@@ -7,6 +7,6 @@ timestamps it generates (:class:`~repro.clocks.timestamps.Timestamp`).
 """
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.timestamps import Timestamp, TimestampGenerator
+from repro.clocks.timestamps import Timestamp
 
-__all__ = ["LamportClock", "Timestamp", "TimestampGenerator"]
+__all__ = ["LamportClock", "Timestamp"]

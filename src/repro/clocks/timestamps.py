@@ -21,7 +21,6 @@ defeat the bounded-memory soak guarantees (see ``docs/PERFORMANCE.md``,
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterator
 
 
 class Timestamp(tuple):
@@ -52,10 +51,6 @@ class Timestamp(tuple):
     def __repr__(self):
         return f"Timestamp(counter={self[0]!r}, site={self[1]!r})"
 
-    def next_at(self, site: int) -> "Timestamp":
-        """Return the earliest timestamp at ``site`` strictly after ``self``."""
-        return Timestamp(self[0] + 1, site)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self[0]}.{self[1]}"
 
@@ -63,35 +58,3 @@ class Timestamp(tuple):
 #: The timestamp ordered before every timestamp any clock can produce.
 ZERO = Timestamp(0, -1)
 
-
-class TimestampGenerator:
-    """A convenience source of strictly increasing timestamps at one site.
-
-    This wraps a bare counter for code (tests, examples) that needs
-    distinct ordered timestamps without simulating message exchange.  Code
-    that models message passing should use
-    :class:`~repro.clocks.lamport.LamportClock` instead.
-    """
-
-    def __init__(self, site: int = 0, start: int = 1):
-        if start < 1:
-            raise ValueError("timestamp counters start at 1")
-        self._site = site
-        self._counter = start - 1
-
-    @property
-    def site(self) -> int:
-        return self._site
-
-    def next(self) -> Timestamp:
-        """Return a fresh timestamp strictly greater than all prior ones."""
-        self._counter += 1
-        return Timestamp(self._counter, self._site)
-
-    def peek(self) -> Timestamp:
-        """Return the timestamp that :meth:`next` would produce, without advancing."""
-        return Timestamp(self._counter + 1, self._site)
-
-    def __iter__(self) -> Iterator[Timestamp]:
-        while True:
-            yield self.next()

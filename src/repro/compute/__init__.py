@@ -22,7 +22,7 @@ from repro.compute.artifacts import (
     derive_artifacts,
 )
 from repro.compute.cache import ArtifactCache
-from repro.compute.parallel import available_cpus, parallel_map, resolve_jobs
+from repro.compute.parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "TypeArtifacts",
@@ -31,7 +31,6 @@ __all__ = [
     "default_warm_plan",
     "derive_artifacts",
     "ArtifactCache",
-    "available_cpus",
     "parallel_map",
     "resolve_jobs",
 ]

@@ -41,14 +41,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     return max(1, int(jobs))
 
 
-def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],

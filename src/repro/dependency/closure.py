@@ -90,12 +90,3 @@ def project(history: BehavioralHistory, kept_ops: frozenset[int]) -> BehavioralH
     """The subhistory keeping all non-operation entries and ``kept_ops``."""
     return history.subhistory(kept_ops)
 
-
-def dependent_op_indices(
-    history: BehavioralHistory,
-    relation: DependencyRelation,
-    invocation,
-) -> frozenset[int]:
-    """Indices of the (non-aborted) entries of ``history`` that ``invocation`` depends on."""
-    masks = OpMasks(history, relation)
-    return masks.indices_of(masks.depended_on(invocation))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.histories.behavioral import Begin, BehavioralHistory, Commit, Op
-from repro.histories.events import Event, Invocation, event, ok
+from repro.histories.events import Event, event, ok
 from repro.spec.datatype import SerialDataType
 from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle

@@ -251,39 +251,8 @@ class BehavioralHistory:
             return history
         return BehavioralHistory(self._entries[:length])
 
-    def prefixes(self) -> Iterator["BehavioralHistory"]:
-        """Yield every proper and improper prefix, shortest first."""
-        for length in range(len(self._entries) + 1):
-            yield self.prefix(length)
-
-    def commit_all(self, actions: Iterable[Action]) -> "BehavioralHistory":
-        """Return a new history with Commit entries appended for ``actions``.
-
-        The actions are committed in the iteration order given, which
-        therefore fixes their relative commit-time order.
-        """
-        history = self
-        for action in actions:
-            history = history.append(Commit(action))
-        return history
-
     @staticmethod
     def build(*entries: Entry) -> "BehavioralHistory":
         """Construct a history from entries given as positional arguments."""
         return BehavioralHistory(entries)
 
-
-def run_serially(pairs: Iterable[tuple[Action, Iterable[Event]]]) -> BehavioralHistory:
-    """Build the behavioral history in which each action runs serially.
-
-    ``pairs`` is a sequence of ``(action, events)`` pairs; each action
-    begins, executes its events, and commits before the next action
-    begins.  This is the ``[h A]`` notation from the proof of Theorem 6.
-    """
-    entries: list[Entry] = []
-    for action, events in pairs:
-        entries.append(Begin(action))
-        for ev in events:
-            entries.append(Op(ev, action))
-        entries.append(Commit(action))
-    return BehavioralHistory(entries)

@@ -219,8 +219,3 @@ def event(op: str, args: tuple[Hashable, ...] = (), res: Response | None = None)
 #: (rather than a wrapper class) so the model-checking kernel can hash,
 #: slice, and concatenate them at native speed.
 SerialHistory = tuple[Event, ...]
-
-
-def format_serial(history: SerialHistory, sep: str = "\n") -> str:
-    """Render a serial history one event per line, as the paper prints them."""
-    return sep.join(str(e) for e in history)

@@ -57,10 +57,10 @@ exports alongside JSONL/Chrome traces.
   per-monitor window-guarantee table (what a window of W catches versus
   provably misses) lives in ``docs/OBSERVABILITY.md``.
 
-On identical span streams the two modes produce byte-identical
-verdicts for the six streaming invariants
-(:meth:`AuditReport.verdict` with :data:`STREAMING_INVARIANTS`) —
-pinned by the ``pytest -m streaming`` suite.
+On identical span streams the two modes report byte-identical
+violations on the six streaming invariants
+(:data:`STREAMING_INVARIANTS`) and identical tallies — pinned by the
+``pytest -m streaming`` suite.
 
 Usage::
 
@@ -78,7 +78,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.histories.serialization import serialize
 from repro.obs.export import render_tree
@@ -251,16 +251,6 @@ class InvariantMonitor:
     def on_point_event(self, span: Span) -> None:
         """A point event (crash, partition, reconfiguration switch) fired."""
 
-    def on_clear(self) -> None:
-        """The tracer was cleared: drop per-epoch state.
-
-        Everything accumulated from the span stream belongs to the
-        epoch that was just discarded; carrying it forward would check
-        post-clear spans against a forgotten past.  Configuration
-        captured at :meth:`bind` time (declared quorums, placement)
-        survives — it describes the cluster, not the epoch.
-        """
-
     def at_end(self) -> None:
         """End-of-run checks (serializability, final sweeps)."""
 
@@ -328,7 +318,7 @@ class QuorumIntersectionMonitor(InvariantMonitor):
 
         A set already in its bucket was checked against every set now in
         the opposite buckets, by whichever of the two arrived later; only
-        its mark (its cell's value: counted, evicted and cleared with it)
+        its mark (its cell's value: counted and evicted with it)
         makes a repeated violation count again.
         """
         bucket = store.setdefault(key, OrderedDict())
@@ -340,11 +330,6 @@ class QuorumIntersectionMonitor(InvariantMonitor):
         if self.window is not None and len(bucket) > self.window:
             bucket.popitem(last=False)
         return bucket
-
-    def on_clear(self) -> None:
-        for store in (self._initials, self._finals):
-            for buckets in store.values():
-                buckets.clear()
 
     def state_cells(self) -> int:
         return sum(
@@ -473,9 +458,9 @@ class ReconfigEpochMonitor(InvariantMonitor):
         for name, obj in auditor.objects().items():
             self._epochs[name] = getattr(obj, "epoch", 0)
 
-    # No on_clear, and state_cells stays 0: the epoch map mirrors
-    # durable object configuration (one integer per object, fixed at
-    # bind and advanced by switches), not span-stream accumulation —
+    # state_cells stays 0: the epoch map mirrors durable object
+    # configuration (one integer per object, fixed at bind and advanced
+    # by switches), not span-stream accumulation —
     # the same footing as QuorumIntersectionMonitor's declared
     # assignments, which the bounded-memory accounting also excludes.
 
@@ -536,9 +521,6 @@ class LockDisciplineMonitor(InvariantMonitor):
         super().__init__()
         self._executed: dict[tuple[str, Any], int] = {}
 
-    def on_clear(self) -> None:
-        self._executed.clear()
-
     def state_cells(self) -> int:
         return len(self._executed)
 
@@ -589,9 +571,6 @@ class TimestampOrderMonitor(InvariantMonitor):
     def __init__(self) -> None:
         super().__init__()
         self._last_commit: tuple[Any, Any] | None = None  # (ts, txn id)
-
-    def on_clear(self) -> None:
-        self._last_commit = None
 
     def state_cells(self) -> int:
         return 0 if self._last_commit is None else 1
@@ -676,10 +655,6 @@ class LogConsistencyMonitor(InvariantMonitor):
         #: held a second time, in either mode.
         self._last_log: dict[tuple[int, str], Any] = {}
 
-    def on_clear(self) -> None:
-        self._canonical.clear()
-        self._last_log.clear()
-
     def state_cells(self) -> int:
         return sum(len(m) for m in self._canonical.values()) + len(
             self._last_log
@@ -739,22 +714,13 @@ class HistoryConsistencyMonitor(InvariantMonitor):
     observability path is only trustworthy if it cannot drift from the
     system of record.
 
-    Deep mode only (the comparison needs the full captured history).  A
-    mid-run :meth:`Tracer.clear` discards the captured prefix, so the
-    monitor goes inert for the rest of the run rather than comparing a
-    suffix against the runtime's full record.
+    Deep mode only (the comparison needs the full captured history).
     """
 
     name = "history-capture"
-    _cleared = False
-
-    def on_clear(self) -> None:
-        self._cleared = True
 
     def at_end(self) -> None:
         assert self.auditor is not None
-        if self._cleared:
-            return
         for name, obj in self.auditor.objects().items():
             captured = self.auditor.history(name)
             recorded = obj.recorder.to_behavioral_history()
@@ -779,22 +745,14 @@ class SerializabilityMonitor(InvariantMonitor):
     scheme's order: the replicated object diverged from a single
     reliable copy.
 
-    Deep mode only: a *suffix* of a run serialized from the initial
-    state is not a legal serial history even when the run is correct,
-    so after a mid-run :meth:`Tracer.clear` the monitor goes inert
-    rather than false-flag the surviving epoch.
+    Deep mode only: it serializes the full captured history from the
+    initial state.
     """
 
     name = "one-copy-serializability"
-    _cleared = False
-
-    def on_clear(self) -> None:
-        self._cleared = True
 
     def at_end(self) -> None:
         assert self.auditor is not None
-        if self._cleared:
-            return
         for name, obj in self.auditor.objects().items():
             history = self.auditor.history(name)
             order_kind = obj.cc.serialization_order
@@ -1024,47 +982,6 @@ class AuditReport:
             "metrics": self.registry.to_dict(),
         }
 
-    def verdict(self, invariants: Sequence[str] | None = None) -> dict[str, Any]:
-        """A machine-comparable verdict, optionally restricted to ``invariants``.
-
-        Unlike :meth:`to_dict`, the verdict excludes everything that
-        legitimately differs between audit modes over one span stream —
-        forensics (depends on tracer retention), memory marks, the
-        monitor roster — keeping exactly what both modes must agree on:
-        the violations themselves plus the operation/transaction/span
-        tallies.  ``json.dumps(report.verdict(STREAMING_INVARIANTS),
-        sort_keys=True)`` is the byte-identity contract between deep and
-        streaming audits.
-        """
-        names = None if invariants is None else frozenset(invariants)
-        kept = [
-            v
-            for v in self.violations
-            if names is None or v.invariant in names
-        ]
-        suppressed = {
-            name: count
-            for name, count in self.suppressed.items()
-            if names is None or name in names
-        }
-        return {
-            "ok": not kept and not suppressed,
-            "operations": self.operations,
-            "transactions": self.transactions,
-            "spans_seen": self.spans_seen,
-            "violations": [
-                {
-                    "invariant": v.invariant,
-                    "message": v.message,
-                    "object": v.object_name,
-                    "time": v.time,
-                    "count": v.count,
-                }
-                for v in kept
-            ],
-            "suppressed": suppressed,
-        }
-
 
 # -- the auditor -------------------------------------------------------------
 
@@ -1276,20 +1193,6 @@ class Auditor(TraceListener):
             if kind == "quorum":
                 for monitor in self._quorum_monitors:
                     monitor.on_quorum(span)
-
-    def on_clear(self) -> None:
-        """The tracer was cleared: reset per-epoch auditor state.
-
-        Violations already found stand (they happened); captured
-        histories, the recent-event ring, cached transaction labels,
-        and every monitor's stream state belong to the dropped epoch
-        and are reset so the next epoch is not checked against it.
-        """
-        self._recent.clear()
-        self._txn_by_label.clear()
-        self._recorders.clear()
-        for monitor in self._monitors:
-            monitor.on_clear()
 
     # -- dispatch -----------------------------------------------------------
 

@@ -49,27 +49,16 @@ keyspace (:func:`~repro.replication.keyspace.soak_keyspace`), a
 ring-retention tracer, the streaming auditor, and the maintenance loop,
 returning a :class:`SoakResult` whose ``retained_ok`` asserts the
 tentpole claim — peak retained spans never exceeded the window.
-
-:func:`streaming_matches_deep` is the equivalence half of the story: it
-attaches a deep and a streaming auditor to the *same* tracer over one
-tier-1 workload and byte-compares their verdicts on the streaming
-invariant set.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any
 
 from repro.errors import SpecificationError, UnavailableError
-from repro.obs.audit import (
-    DEFAULT_STREAM_WINDOW,
-    STREAMING_INVARIANTS,
-    AuditReport,
-    Auditor,
-)
+from repro.obs.audit import AuditReport, Auditor
 from repro.obs.trace import NULL_TRACER, Tracer
 
 __all__ = [
@@ -78,7 +67,6 @@ __all__ = [
     "SoakResult",
     "run_soak",
     "soak_mix",
-    "streaming_matches_deep",
 ]
 
 
@@ -427,67 +415,3 @@ def run_soak(config: SoakConfig) -> SoakResult:
         result.report = auditor.finish()
     return result
 
-
-def streaming_matches_deep(
-    *,
-    seed: int = 0,
-    sites: int = 3,
-    transactions: int = 12,
-    objects: int = 1,
-    placement: str = "all",
-    window: int = DEFAULT_STREAM_WINDOW,
-    crashes: bool = False,
-    mutate: str | None = None,
-) -> dict[str, Any]:
-    """One workload, two auditors, byte-compared verdicts.
-
-    Builds the standard workload (``SCENARIOS["default"]`` with
-    ``objects`` objects, all hybrid, through
-    :func:`~repro.scenarios.runner.build_scenario`), attaches a deep
-    auditor *and* a streaming auditor to the same tracer, runs it once,
-    and compares
-    ``json.dumps(report.verdict(STREAMING_INVARIANTS), sort_keys=True)``
-    byte for byte.  With ``mutate`` the seeded protocol sabotage is
-    applied after both auditors have pinned the declared configuration,
-    so both must flag it identically.
-    """
-    from dataclasses import replace
-
-    from repro.scenarios import SCENARIOS, build_scenario
-
-    cluster, generator, _names = build_scenario(
-        replace(SCENARIOS["default"], objects=objects),
-        seed=seed,
-        n_sites=sites,
-        placement=placement,
-        crashes=crashes,
-        tracer=Tracer(),
-    )
-    deep = Auditor(cluster, mode="deep")
-    streaming = Auditor(cluster, mode="streaming", window=window)
-    if mutate is not None:
-        from repro.obs.mutations import MUTATIONS
-
-        MUTATIONS[mutate](cluster)
-    generator.run(transactions)
-    deep_verdict = json.dumps(
-        deep.finish().verdict(STREAMING_INVARIANTS), sort_keys=True
-    )
-    streaming_verdict = json.dumps(
-        streaming.finish().verdict(STREAMING_INVARIANTS), sort_keys=True
-    )
-    return {
-        "case": {
-            "seed": seed,
-            "sites": sites,
-            "transactions": transactions,
-            "objects": objects,
-            "placement": placement,
-            "window": window,
-            "crashes": crashes,
-            "mutate": mutate,
-        },
-        "match": deep_verdict == streaming_verdict,
-        "deep": deep_verdict,
-        "streaming": streaming_verdict,
-    }

@@ -156,10 +156,7 @@ class _SpanContext:
         return self._span
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        # The guard covers Tracer.clear() inside the block: the stack is
-        # already empty then, and the span was dropped with the epoch.
-        if self._tracer._stack:
-            self._tracer._stack.pop()
+        self._tracer._stack.pop()
         outcome = "ok"
         if exc_type is not None:
             outcome = _OUTCOME_BY_EXCEPTION.get(exc_type.__name__, "error")
@@ -194,9 +191,7 @@ class TraceListener:
     Listeners see every span twice: once when it opens (attributes may
     still be incomplete) and once when it closes (attributes final).
     Point events produced by :meth:`Tracer.event` arrive as a single
-    start + end pair.  :meth:`Tracer.clear` announces itself through
-    ``on_clear`` so stateful listeners drop per-epoch state instead of
-    carrying it across the reset.  The online auditor
+    start + end pair.  The online auditor
     (:mod:`repro.obs.audit`) is the principal listener; anything with
     these methods qualifies.
 
@@ -213,9 +208,6 @@ class TraceListener:
         pass
 
     def on_span_end(self, span: Span) -> None:  # pragma: no cover - interface
-        pass
-
-    def on_clear(self) -> None:  # pragma: no cover - interface
         pass
 
 
@@ -252,9 +244,9 @@ class Tracer:
         self._spans: Any = (
             deque(maxlen=self.window) if retention == "ring" else []
         )
-        #: High-water mark of :attr:`retained_spans` (survives clear()).
+        #: High-water mark of :attr:`retained_spans`.
         self.peak_retained = 0
-        #: Spans closed so far, point events included (survives clear()):
+        #: Spans closed so far, point events included:
         #: what a listener reading every kind has been handed.
         self.closed = 0
         self._stack: list[Span] = []
@@ -371,27 +363,6 @@ class Tracer:
     def spans(self) -> tuple[Span, ...]:
         """Retained spans in creation order (open spans included)."""
         return tuple(self._spans)
-
-    def finished_spans(self) -> tuple[Span, ...]:
-        return tuple(span for span in self._spans if span.finished)
-
-    def children_of(self, span: Span | None) -> tuple[Span, ...]:
-        parent_id = None if span is None else span.span_id
-        return tuple(s for s in self._spans if s.parent_id == parent_id)
-
-    def clear(self) -> None:
-        """Drop retained spans and reset the context stack.
-
-        Span ids keep counting up (a cleared tracer never reissues an
-        id) and ``peak_retained`` keeps its high-water mark.  Listeners
-        are told via :meth:`TraceListener.on_clear` so stateful
-        consumers reset per-epoch state rather than checking post-clear
-        spans against a forgotten past.
-        """
-        self._spans.clear()
-        self._stack.clear()
-        for listener in self._listeners:
-            listener.on_clear()
 
 
 class _NullSpan(Span):

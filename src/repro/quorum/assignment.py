@@ -22,7 +22,7 @@ from typing import Mapping
 
 from repro.errors import QuorumError
 from repro.histories.events import Event, Invocation
-from repro.quorum.coterie import Coterie, EmptyCoterie
+from repro.quorum.coterie import Coterie
 
 
 @dataclass(frozen=True)
@@ -120,19 +120,3 @@ class QuorumAssignment:
                 line += "  [" + "; ".join(overrides) + "]"
             lines.append(line)
         return "\n".join(lines)
-
-    @staticmethod
-    def uniform(n_sites: int, names, coterie_for=None) -> "QuorumAssignment":
-        """All operations share one read-anything/write-everything layout.
-
-        A convenience for tests: initial quorums of one site, final
-        quorums of all sites (always a valid assignment since every
-        initial quorum intersects every final quorum).
-        """
-        from repro.quorum.coterie import ThresholdCoterie
-
-        quorums = OperationQuorums(
-            initial=ThresholdCoterie(n_sites, 1),
-            final=ThresholdCoterie(n_sites, n_sites),
-        )
-        return QuorumAssignment(n_sites, {name: quorums for name in names})

@@ -25,7 +25,7 @@ from math import comb
 from typing import Sequence
 
 from repro.errors import QuorumError
-from repro.histories.events import Event, Invocation
+from repro.histories.events import Invocation
 from repro.quorum.assignment import QuorumAssignment
 from repro.quorum.coterie import Coterie, EmptyCoterie, SubsetThresholdCoterie
 

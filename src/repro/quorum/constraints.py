@@ -12,7 +12,7 @@ superset of an atomic dependency relation is one).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.dependency.relation import DependencyRelation, GroundPair
 from repro.errors import SpecificationError

@@ -58,13 +58,6 @@ class Coterie(ABC):
         set is a quorum (gather nothing), else :meth:`has_quorum`."""
         return 0 if self.has_quorum(frozenset()) else self.has_quorum
 
-    def pick_quorum(self, live: frozenset[int]) -> frozenset[int] | None:
-        """Return some minimal quorum within ``live``, or ``None``."""
-        for quorum in self.quorums():
-            if quorum <= live:
-                return quorum
-        return None
-
     def intersects(self, other: "Coterie") -> bool:
         """Does *every* quorum of ``self`` intersect *every* quorum of ``other``?
 

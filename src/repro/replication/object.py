@@ -26,7 +26,6 @@ scheme, and two shared structures:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from repro.clocks.timestamps import Timestamp
 from repro.dependency.relation import DependencyRelation
@@ -38,7 +37,7 @@ from repro.histories.behavioral import (
     Entry,
     Op,
 )
-from repro.histories.events import Event, SerialHistory
+from repro.histories.events import Event
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.log import LogEntry
 from repro.replication.serialcache import BeginOrderCheckpoints
@@ -81,14 +80,6 @@ class SynchronizationState:
     def finalize_abort(self, txn: Transaction) -> None:
         self.active_events.pop(txn.id, None)
         self._own.pop(txn.id, None)
-
-    def committed_serial_by_commit(self) -> SerialHistory:
-        """All committed events in commit-timestamp order."""
-        ordered = sorted(self.committed.rows, key=itemgetter(1))
-        result: list[Event] = []
-        for _begin, _commit, events in ordered:
-            result.extend(events)
-        return tuple(result)
 
     def trim_committed(self, floor: Timestamp) -> int:
         """Drop committed groups with commit timestamp ≤ ``floor``.

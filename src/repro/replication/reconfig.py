@@ -52,7 +52,6 @@ replication is preserved, and it is instrumented: ``reconfig.drain`` /
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import QuorumError
@@ -69,31 +68,6 @@ from repro.sim.network import GatherResult, Network
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.replication.frontend import FrontEnd
     from repro.replication.keyspace import Placement
-
-
-def transversal_size(coterie: Coterie) -> int | None:
-    """The size of the cheapest site set intersecting every quorum.
-
-    ``None`` when the coterie has a quorum that cannot be hit (an
-    :class:`EmptyCoterie`'s empty quorum intersects nothing).
-    """
-    if isinstance(coterie, EmptyCoterie):
-        return None
-    if isinstance(coterie, SubsetThresholdCoterie):
-        if coterie.threshold == 0:
-            return None
-        return len(coterie.members) - coterie.threshold + 1
-    quorums = list(coterie.quorums())
-    if not quorums:
-        return 0  # no quorums: vacuously hit
-    if any(not quorum for quorum in quorums):
-        return None
-    for size in range(1, coterie.n_sites + 1):
-        for candidate in combinations(range(coterie.n_sites), size):
-            chosen = frozenset(candidate)
-            if all(chosen & quorum for quorum in quorums):
-                return size
-    return None  # pragma: no cover - unreachable for well-formed coteries
 
 
 def is_transversal(coterie: Coterie, sites: frozenset[int]) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.replication.log import EMPTY_LOG, Log, LogEntry
+from repro.replication.log import EMPTY_LOG, Log
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.recovery import SiteJournal
@@ -173,17 +173,6 @@ class Repository:
         self._bump(object_name)
         if self.journal is not None:
             self.journal.record_snapshot(object_name, snapshot, filtered)
-
-    def append_entry(self, object_name: str, entry: LogEntry) -> None:
-        """Merge a single entry (used by anti-entropy and tests)."""
-        self.writes_served += 1
-        current = self._logs.get(object_name, EMPTY_LOG)
-        added = current.add(entry)
-        if added is not current:
-            self._logs[object_name] = added
-            self._bump(object_name)
-            if self.journal is not None:
-                self.journal.record_log(object_name, added)
 
     def stored_objects(self) -> tuple[str, ...]:
         """Names of every object this repository holds a log for, sorted."""

@@ -158,13 +158,6 @@ class _ViewDelta:
         self.delta_folds = 0
         self.rebuilds = 0
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "delta_folds": self.delta_folds,
-            "rebuilds": self.rebuilds,
-        }
-
     def contains_committed(self, action: ActionId) -> bool:
         """Is ``action`` already folded into the cached serialization?"""
         return action in self._committed_set
@@ -324,9 +317,6 @@ class BeginOrderCache(_ViewDelta):
     def __init__(self):
         super().__init__()
         self._marks = BeginOrderCheckpoints()
-
-    def stats(self) -> dict[str, int]:
-        return {**super().stats(), "mid_inserts": self._marks.mid_inserts}
 
     def checkpoints(self, view: "View") -> BeginOrderCheckpoints:
         """The view's committed groups in begin order, brought up to date.

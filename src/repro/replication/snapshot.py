@@ -33,7 +33,7 @@ from typing import Hashable
 
 from repro.clocks.timestamps import Timestamp
 from repro.errors import SpecificationError
-from repro.replication.log import Log, LogEntry
+from repro.replication.log import Log
 from repro.replication.object import ReplicatedObject
 from repro.replication.reconfig import drain, needs_coverage, visit_order
 from repro.replication.view import StatusSource

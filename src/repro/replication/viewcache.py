@@ -199,18 +199,7 @@ class QuorumViewCache:
         entry.versions = versions
         self.write_throughs += 1
 
-    def invalidate(self, object_name: str | None = None) -> None:
-        """Drop one object's entry, or everything when ``None``."""
-        if object_name is None:
-            self._entries.clear()
-        else:
-            self._entries.pop(object_name, None)
+    def invalidate(self, object_name: str) -> None:
+        """Drop one object's entry."""
+        self._entries.pop(object_name, None)
 
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot (hits/deltas/rebuilds/write-throughs)."""
-        return {
-            "hits": self.hits,
-            "delta_merges": self.delta_merges,
-            "rebuilds": self.rebuilds,
-            "write_throughs": self.write_throughs,
-        }

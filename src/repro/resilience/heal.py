@@ -67,10 +67,6 @@ class PartitionHealDriver:
         self.recoveries_handled = 0
         network.add_failure_listener(self._on_failure)
 
-    def detach(self) -> None:
-        """Stop reacting to failure events."""
-        self.network.remove_failure_listener(self._on_failure)
-
     # -- listener ----------------------------------------------------------
 
     def _on_failure(self, kind: str, **info) -> None:

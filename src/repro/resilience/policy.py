@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
 
 from repro.spec.facts import derived_once
 
@@ -89,15 +89,6 @@ class Deadline:
         if self.budget is None:
             return False
         return self.sim.now - self.started_at >= self.budget
-
-    def remaining(self) -> float:
-        """Simulated seconds left, ``inf`` for an unbounded deadline."""
-        if self.budget is None:
-            return float("inf")
-        return max(0.0, self.budget - (self.sim.now - self.started_at))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Deadline(budget={self.budget}, remaining={self.remaining():.2f})"
 
 
 @dataclass(frozen=True)

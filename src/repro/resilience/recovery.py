@@ -132,7 +132,6 @@ class RecoveryManager:
     """
 
     def __init__(self, network: "Network", repositories: Sequence["Repository"]):
-        self.network = network
         self.repositories = tuple(repositories)
         self.crashes_wiped = 0
         self.restarts = 0
@@ -159,20 +158,6 @@ class RecoveryManager:
             ):
                 repo.journal.checkpoint(repo)
 
-    def checkpoint_all(self) -> int:
-        """Checkpoint every journal; returns total records absorbed."""
-        return sum(
-            repo.journal.checkpoint(repo)
-            for repo in self.repositories
-            if repo.journal is not None
-        )
-
-    def detach(self) -> None:
-        """Stop listening and remove the journals (stable storage again)."""
-        self.network.remove_failure_listener(self._on_failure)
-        for repo in self.repositories:
-            repo.journal = None
-
 
 class ResilienceRuntime:
     """The bundle :meth:`Cluster.enable_resilience` wires up and returns.
@@ -189,7 +174,3 @@ class ResilienceRuntime:
         self.recovery = recovery
         self.heal = heal
         self.registry = registry
-
-    def recovery_latency_summary(self) -> dict[str, float]:
-        """count/mean/p50/p95/p99/max of catch-up sync latencies."""
-        return self.registry.histogram("resilience.recovery.latency").summary()

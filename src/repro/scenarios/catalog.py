@@ -70,7 +70,7 @@ SCENARIOS: dict[str, ScenarioSpec] = _catalog(
         doc_ref=f"{_DOC}#hot-key-contention",
         description="Zipf s=1.2 over 8 objects at double depth: most "
         "traffic collides on a couple of hot keys, so conflict "
-        "handling — waits, wounds, timestamp aborts — dominates.",
+        "handling — waits, deadlock victims, timestamp aborts — dominates.",
         mix=MixSpec.uniform(),
         skew=SkewSpec.zipf(1.2),
         arrival=ArrivalSpec.closed(),

@@ -116,21 +116,8 @@ class MetricRecorder:
 
     # -- latency distributions ----------------------------------------------
 
-    @property
-    def latencies(self) -> dict[str, list[float]]:
-        """Raw latency samples per operation (compatibility view)."""
-        prefix = "latency."
-        return {
-            name[len(prefix):]: list(hist.samples)
-            for name, hist in self.registry.histograms.items()
-            if name.startswith(prefix)
-        }
-
     def latency_histogram(self, operation: str) -> Histogram:
         return self.registry.histogram(f"latency.{operation}")
-
-    def mean_latency(self, operation: str) -> float:
-        return self.latency_histogram(operation).mean
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-operation rates plus percentile latency aggregation.

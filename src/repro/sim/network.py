@@ -33,16 +33,11 @@ calling it is the span, naming the sites it attempted and served.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.obs.trace import Tracer
 from repro.sim.kernel import Simulator
-
-#: Deterministic completion order for gather replies.
-_REPLY_ORDER = attrgetter("completed_at", "site")
-
 
 class ProbeReply(NamedTuple):
     """One successful probe from a :meth:`Network.gather` call.
@@ -74,12 +69,6 @@ class GatherResult(NamedTuple):
     failed: frozenset[int]
     responders: frozenset[int]
     received: tuple[ProbeReply, ...]
-
-    @property
-    def replies(self) -> tuple[ProbeReply, ...]:
-        """The successful probes in deterministic completion order —
-        (completion time, site id) — derived on each access."""
-        return tuple(sorted(self.received, key=_REPLY_ORDER))
 
 
 class Timeout(Exception):
@@ -142,15 +131,8 @@ class Network:
         """
         self._failure_listeners.append(listener)
 
-    def remove_failure_listener(self, listener) -> None:
-        """Unsubscribe a previously added failure listener (no-op if absent)."""
-        try:
-            self._failure_listeners.remove(listener)
-        except ValueError:
-            pass
-
     def _notify(self, kind: str, **info) -> None:
-        for listener in tuple(self._failure_listeners):
+        for listener in self._failure_listeners:
             listener(kind, **info)
 
     def crash(self, site: int) -> None:

@@ -138,12 +138,6 @@ class WorkloadGenerator:
     ops_per_transaction: int = 3
     concurrency: int = 4
     think_time: float = 0.1
-    #: How lock conflicts between active transactions are resolved:
-    #: "detect"     — wait; abort the requester if waiting closes a cycle;
-    #: "wound-wait" — an older requester aborts (wounds) the younger
-    #:                holder; a younger requester waits.  It is
-    #:                deadlock-free without cycle detection.
-    deadlock_policy: str = "detect"
     #: Called with the transaction index (0-based) just before each *new*
     #: transaction begins — the chaos layer injects faults here so fault
     #: schedules are indexed by transaction boundary, not simulated time,
@@ -161,8 +155,6 @@ class WorkloadGenerator:
 
     def run(self, total_transactions: int) -> MetricRecorder:
         """Execute the workload to completion and return the metrics."""
-        if self.deadlock_policy not in ("detect", "wound-wait"):
-            raise ValueError(f"unknown deadlock policy {self.deadlock_policy!r}")
         arrivals = self.arrivals
         if arrivals is not None and len(arrivals) < total_transactions:
             raise ValueError(
@@ -171,7 +163,6 @@ class WorkloadGenerator:
             )
         started = 0
         pool: list[_Script] = []
-        self._pool = pool
         #: The driver's pacing clock: advances ``think_time`` per step
         #: and jumps to the next arrival on idle — a simulated-time
         #: measure independent of protocol latency (``sim.now`` is not;
@@ -197,16 +188,10 @@ class WorkloadGenerator:
                     self.sim.advance(gap)
                     self.sim.run(until=self.sim.now)
                 continue
-            pool[:] = [s for s in pool if not self._swept(s)]
-            if not pool:
-                # Every in-flight script was swept (externally wounded);
-                # re-enter the admission gate rather than stall-hunting
-                # an empty pool.
-                continue
             runnable = [s for s in pool if self._runnable(s)]
             if not runnable:
                 # Everyone is waiting: break a deadlock-like stall by
-                # aborting the youngest waiter (wound-wait flavor).
+                # aborting the youngest waiter.
                 victim = max(pool, key=lambda s: s.txn.begin_ts)
                 self._abort(victim, "stall victim")
                 pool.remove(victim)
@@ -324,41 +309,19 @@ class WorkloadGenerator:
         return True
 
     def _resolve_conflict(self, script: _Script, conflict: ConflictError) -> bool:
-        """Apply the deadlock policy; True when the script is finished."""
+        """Wait for the holder, unless waiting closes a cycle in the
+        waits-for graph: then the requester is the deadlock victim.
+        True when the script is finished."""
         holder = conflict.holder
         script.retries_left -= 1
         if holder is None:
             script.waiting_on = None
             return False
-        if self.deadlock_policy == "detect":
-            if not self.waits.add_wait(script.txn.id, holder):
-                self._abort(script, "deadlock victim")
-                return True
-            script.waiting_on = holder
-            return False
-        # wound-wait
-        if script.txn.begin_ts < self.tm.begin_ts_of(holder):
-            self._wound(holder)
-            script.waiting_on = None  # retry once the wound lands
-        else:
-            script.waiting_on = holder
+        if not self.waits.add_wait(script.txn.id, holder):
+            self._abort(script, "deadlock victim")
+            return True
+        script.waiting_on = holder
         return False
-
-    def _wound(self, holder) -> None:
-        """Abort the (younger) holder on behalf of an older requester."""
-        for other in self._pool:
-            if other.txn.id == holder and other.txn.is_active:
-                self.tm.abort(other.txn, "wounded by older transaction")
-                self.metrics.record_abort()
-                self.waits.remove(other.txn.id)
-                return
-
-    def _swept(self, script: _Script) -> bool:
-        """Remove scripts whose transaction was wounded externally."""
-        if script.txn.is_active:
-            return False
-        self.waits.remove(script.txn.id)
-        return True
 
     def _commit(self, script: _Script) -> bool:
         try:

@@ -12,16 +12,11 @@ alphabets the model-checking kernel runs over.
 
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
-from repro.spec.enumerate import (
-    alphabets,
-    event_alphabet,
-    response_alphabet,
-)
+from repro.spec.enumerate import alphabets, event_alphabet
 
 __all__ = [
     "SerialDataType",
     "LegalityOracle",
     "alphabets",
     "event_alphabet",
-    "response_alphabet",
 ]

@@ -5,15 +5,16 @@ data type's generator alphabet:
 
 * every event — invocation/response pair — that occurs in some legal
   serial history of at most ``depth`` events (:func:`event_alphabet`);
-* the responses each invocation can receive (:func:`response_alphabet`).
+* the responses each invocation can receive (the second half of
+  :func:`alphabets`).
 
 The alphabets do not need the histories: what a prefix contributes
 depends on its frontier and on how many events are left, and fewer
 events used only adds.  So :func:`alphabets` expands each distinct
 frontier once, at its shallowest depth
 (:meth:`~repro.spec.legality.MergedFrontiers.levels`), and
-:func:`event_alphabet` / :func:`response_alphabet` are views over that
-one pass.  The two-pass definitions over the histories (enumerated by
+:func:`event_alphabet` is a view over that one pass.  The two-pass
+definitions over the histories (enumerated by
 ``tests/oracles.py::legal_serial_histories``) are the oracle of the
 differential tests (``tests/test_dependency_searches.py``).
 """
@@ -38,7 +39,7 @@ def alphabets(
     occurring in some legal history of at most ``depth`` events (what
     :func:`event_alphabet` returns) and ``responses`` maps each generator
     invocation to the responses it can receive in any state reachable
-    within ``depth`` events (what :func:`response_alphabet` returns).
+    within ``depth`` events.
     Both are deterministic (sorted by rendering).
 
     ``collect_responses=False`` skips the response work at the leaf
@@ -80,14 +81,3 @@ def event_alphabet(
     """
     return alphabets(datatype, depth, oracle, collect_responses=False)[0]
 
-
-def response_alphabet(
-    datatype: SerialDataType,
-    depth: int,
-    oracle: LegalityOracle | None = None,
-) -> dict[Invocation, tuple[Response, ...]]:
-    """Map each generator invocation to the responses it can receive.
-
-    Considers every state reachable within ``depth`` events.
-    """
-    return alphabets(datatype, depth, oracle)[1]

@@ -1,11 +1,12 @@
-"""Shared builders for replication-layer tests, and test-only data types."""
+"""Shared test builders, inspection helpers, fixtures and data types."""
 
 from __future__ import annotations
 
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
 from repro.errors import SpecificationError
-from repro.histories.events import Invocation, ok
+from repro.histories.behavioral import Commit
+from repro.histories.events import Invocation, event, ok
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication import frontend
 from repro.replication.cluster import build_keyspace
@@ -78,6 +79,63 @@ def prom_system(scheme: str, n_sites: int = 3, seed: int = 0, **kwargs):
     if scheme == "hybrid":
         relation = known.ground(datatype, known.PROM_HYBRID, 5)
     return small_system(datatype, scheme, relation, n_sites, seed, **kwargs)
+
+
+def replies(result):
+    """A gather's successful probes in completion order: (time, site)."""
+    return tuple(sorted(result.received, key=lambda r: (r.completed_at, r.site)))
+
+
+def commit_all(history, actions):
+    """``history`` with a Commit appended per action, in the order given."""
+    for action in actions:
+        history = history.append(Commit(action))
+    return history
+
+
+def audit_verdict(report, invariants=None):
+    """What deep and streaming audits of one span stream must agree on.
+
+    The violations (restricted to ``invariants`` if given) and the
+    operation, transaction and span tallies; forensics, memory marks and
+    the monitor roster, which legitimately differ between modes, are left
+    out.  ``json.dumps(audit_verdict(report, STREAMING_INVARIANTS),
+    sort_keys=True)`` is the byte-identity contract between the modes.
+    """
+    names = None if invariants is None else frozenset(invariants)
+    kept = [v for v in report.violations if names is None or v.invariant in names]
+    suppressed = {
+        name: count
+        for name, count in report.suppressed.items()
+        if names is None or name in names
+    }
+    return {
+        "ok": not kept and not suppressed,
+        "operations": report.operations,
+        "transactions": report.transactions,
+        "spans_seen": report.spans_seen,
+        "violations": [
+            {
+                "invariant": v.invariant,
+                "message": v.message,
+                "object": v.object_name,
+                "time": v.time,
+                "count": v.count,
+            }
+            for v in kept
+        ],
+        "suppressed": suppressed,
+    }
+
+
+def cache_stats(cache):
+    """The counters a view cache or serial cache keeps, by name."""
+    names = ("hits", "delta_merges", "delta_folds", "rebuilds", "write_throughs")
+    stats = {name: getattr(cache, name) for name in names if hasattr(cache, name)}
+    marks = getattr(cache, "_marks", None)
+    if marks is not None:
+        stats["mid_inserts"] = marks.mid_inserts
+    return stats
 
 
 def count_calls(monkeypatch, owner, name):
@@ -218,3 +276,20 @@ class TableType(SerialDataType):
 
     def __repr__(self):
         return f"TableType({self._table!r}, initial={self._initial!r})"
+
+
+#: The FlagSet battery's alphabet: its normal events.
+FLAGSET_EVENTS = (
+    event("Open"),
+    event("Shift", (1,)),
+    event("Shift", (2,)),
+    event("Shift", (3,)),
+    event("Close", (), ok(False)),
+    event("Close", (), ok(True)),
+)
+
+
+def probe_relations(invocations, events):
+    """The empty relation, the total one, and the total minus each pair."""
+    total = DependencyRelation.total(invocations, events)
+    return [DependencyRelation(), total, *(total.without(pair) for pair in total)]

@@ -12,14 +12,17 @@ fast form runs in ``src/``; nothing under ``src/`` calls them.
 * :func:`distinguishing_suffix` — observational inequivalence, against
   ``LegalityOracle.equivalent``;
 * :func:`dynamic_serializations` — every ``precedes``-consistent
-  serialization (Section 5), against the hybrid ones.
+  serialization (Section 5), against the hybrid ones;
+* :func:`reference_closed_subhistories` and
+  :func:`reference_dependent_op_indices` — Definition 1 as a subset loop
+  with a pairwise violation scan, against ``closure.OpMasks``.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.histories.behavioral import BehavioralHistory
+from repro.histories.behavioral import BehavioralHistory, Op
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.histories.serialization import (
     action_subsets,
@@ -180,3 +183,69 @@ def dynamic_serializations(history: BehavioralHistory) -> Iterator[SerialHistory
             if serial not in seen:
                 seen.add(serial)
                 yield serial
+
+
+# -- the literal Definition 1 ------------------------------------------------
+#
+# What ``closure.py`` computed before it moved to op-position bitmasks: a
+# subset loop over the optional entries, a pairwise violation scan per
+# subset.  ``tests/test_verify.py`` builds the literal Definition 2
+# search on top of it.
+
+
+def op_indices(history: BehavioralHistory) -> tuple[int, ...]:
+    return tuple(
+        index for index, entry in enumerate(history) if isinstance(entry, Op)
+    )
+
+
+def violates_closure(history, relation, kept) -> bool:
+    """Does ``kept`` violate closure: a kept entry depends on a dropped earlier one?"""
+    aborted = history.aborted
+    entries = history.entries
+    for index in kept:
+        entry = entries[index]
+        assert isinstance(entry, Op)
+        if entry.action in aborted:
+            continue
+        for earlier_index in op_indices(history):
+            if earlier_index >= index or earlier_index in kept:
+                continue
+            earlier = entries[earlier_index]
+            if earlier.action in aborted:
+                continue
+            if relation.depends(entry.event.inv, earlier.event):
+                return True
+    return False
+
+
+def reference_closed_subhistories(
+    history, relation, required_ops=frozenset(), *, proper_only=False
+):
+    ops = op_indices(history)
+    optional = [index for index in ops if index not in required_ops]
+    for bits in range(1 << len(optional)):
+        kept = set(required_ops)
+        for position, index in enumerate(optional):
+            if bits & (1 << position):
+                kept.add(index)
+        kept_frozen = frozenset(kept)
+        if proper_only and len(kept_frozen) == len(ops):
+            continue
+        if not violates_closure(history, relation, kept_frozen):
+            yield kept_frozen, BehavioralHistory(
+                entry
+                for index, entry in enumerate(history)
+                if not isinstance(entry, Op) or index in kept_frozen
+            )
+
+
+def reference_dependent_op_indices(history, relation, invocation):
+    aborted = history.aborted
+    return frozenset(
+        index
+        for index, entry in enumerate(history)
+        if isinstance(entry, Op)
+        and entry.action not in aborted
+        and relation.depends(invocation, entry.event)
+    )

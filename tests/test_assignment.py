@@ -64,11 +64,6 @@ class TestQuorumAssignment:
         text = _prom_hybrid_assignment().describe()
         assert "Read" in text and "Seal" in text and "Write" in text
 
-    def test_uniform_helper_valid_for_anything(self, prom, prom_oracle):
-        assignment = QuorumAssignment.uniform(3, prom.operations())
-        relation = known.ground(prom, known.PROM_STATIC, 5, prom_oracle)
-        assert satisfies(assignment, relation)
-
 
 class TestConstraints:
     def test_hybrid_assignment_satisfies_hybrid_relation(self, prom, prom_oracle):

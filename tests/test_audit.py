@@ -45,7 +45,7 @@ from repro.sim.failures import CrashInjector
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
 from repro.types import Queue
-from tests.helpers import cluster_of, hybrid_queue
+from tests.helpers import audit_verdict, cluster_of, hybrid_queue
 
 pytestmark = pytest.mark.obs
 
@@ -428,7 +428,7 @@ class TestRouting:
         assert report.suppressed == {} and report.spans_seen == 22
 
 
-#: SHA-256 of ``json.dumps(report.verdict(), sort_keys=True)`` for every
+#: SHA-256 of ``json.dumps(audit_verdict(report), sort_keys=True)`` for every
 #: ``audit --sweep`` case at seed 3, 40 transactions: (deep, streaming
 #: with window 16).  Taken before the monitors learnt to skip settled
 #: checks, so a pin that holds means nothing they skip could have fired.
@@ -501,7 +501,7 @@ class TestSettledChecksStaySettled:
         cases += [(name, base, name) for name in sorted(MUTATIONS)]
         digests = {
             label: hashlib.sha256(
-                json.dumps(cli._audit_once(args, mutate).verdict(), sort_keys=True).encode()
+                json.dumps(audit_verdict(cli._audit_once(args, mutate)), sort_keys=True).encode()
             ).hexdigest()
             for label, args, mutate in cases
         }

@@ -9,7 +9,6 @@ from repro.histories.behavioral import (
     BehavioralHistory,
     Commit,
     Op,
-    run_serially,
 )
 from repro.histories.events import event, ok
 
@@ -99,24 +98,10 @@ class TestConstruction:
         extended = base.append(Commit("A"))
         assert len(base) == 1 and len(extended) == 2
 
-    def test_prefix_and_prefixes(self):
+    def test_prefix(self):
         history = _paper_example()
-        assert len(list(history.prefixes())) == len(history) + 1
         assert history.prefix(0) == BehavioralHistory()
-
-    def test_commit_all_appends_in_order(self):
-        base = BehavioralHistory.build(Begin("A"), Begin("B"))
-        committed = base.commit_all(["B", "A"])
-        assert committed.commit_order == ("B", "A")
-
-    def test_run_serially_builds_sequential_history(self):
-        history = run_serially(
-            [("A", [event("Enq", ("x",))]), ("B", [event("Deq", (), ok("x"))])]
-        )
-        assert history.commit_order == ("A", "B")
-        assert history.begin_order == ("A", "B")
-        # A commits before B begins: entries alternate Begin/op/Commit.
-        assert isinstance(history[2], Commit)
+        assert history.prefix(len(history)) == history
 
     def test_equality_and_hash(self):
         assert _paper_example() == _paper_example()

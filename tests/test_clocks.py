@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.timestamps import ZERO, Timestamp, TimestampGenerator
+from repro.clocks.timestamps import ZERO, Timestamp
 from repro.txn.ids import ActionId
 
 
@@ -25,10 +25,6 @@ class TestTimestamp:
     def test_equality(self):
         assert Timestamp(4, 2) == Timestamp(4, 2)
         assert Timestamp(4, 2) != Timestamp(4, 3)
-
-    def test_next_at_is_strictly_later_regardless_of_site(self):
-        ts = Timestamp(7, 9)
-        assert ts.next_at(0) > ts
 
     def test_zero_precedes_everything_generable(self):
         assert ZERO < Timestamp(0, 0)
@@ -107,30 +103,6 @@ class TestValueTypes:
                 setattr(value, name, 1)
         with pytest.raises(AttributeError):
             del value.site
-
-
-class TestTimestampGenerator:
-    def test_strictly_increasing(self):
-        gen = TimestampGenerator(site=3)
-        produced = [gen.next() for _ in range(10)]
-        assert produced == sorted(produced)
-        assert len(set(produced)) == 10
-
-    def test_peek_does_not_advance(self):
-        gen = TimestampGenerator()
-        assert gen.peek() == gen.next()
-
-    def test_site_recorded(self):
-        gen = TimestampGenerator(site=7)
-        assert gen.next().site == 7
-
-    def test_start_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            TimestampGenerator(start=0)
-
-    def test_iteration_yields_timestamps(self):
-        gen = iter(TimestampGenerator(site=1))
-        assert next(gen) < next(gen)
 
 
 class TestLamportClock:

@@ -28,11 +28,7 @@ from repro.compute.codec import CodecError, canonical_json, encode_value
 from repro.compute.parallel import parallel_map, resolve_jobs
 from repro.dependency.dynamic_dep import commutativity_table
 from repro.histories.events import event, ok
-from repro.spec.enumerate import (
-    alphabets,
-    event_alphabet,
-    response_alphabet,
-)
+from repro.spec.enumerate import alphabets, event_alphabet
 from repro.spec.legality import LegalityOracle
 from repro.types import (
     PROM,
@@ -140,9 +136,8 @@ class TestAlphabetFusion:
         assert {inv: set(res) for inv, res in responses.items()} == (
             expected_responses
         )
-        # and the convenience wrappers agree with the fused pass
+        # and the convenience wrapper agrees with the fused pass
         assert event_alphabet(datatype, depth, oracle) == events
-        assert response_alphabet(datatype, depth, oracle) == responses
 
 
 class TestCodec:

@@ -26,11 +26,6 @@ class TestExplicitCoterie:
         assert coterie.has_quorum(frozenset({0, 1, 2}))
         assert not coterie.has_quorum(frozenset({0, 2}))
 
-    def test_pick_quorum(self):
-        coterie = ExplicitCoterie(3, [{0, 1}, {2}])
-        assert coterie.pick_quorum(frozenset({2})) == frozenset({2})
-        assert coterie.pick_quorum(frozenset({0})) is None
-
     def test_quorum_outside_universe_rejected(self):
         with pytest.raises(QuorumError):
             ExplicitCoterie(2, [{5}])

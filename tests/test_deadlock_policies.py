@@ -1,16 +1,19 @@
-"""Tests for the workload driver's deadlock-resolution policies."""
+"""Tests for the workload driver's deadlock resolution.
 
-import pytest
+A requester that meets a lock conflict waits for the holder, unless the
+wait would close a cycle in the waits-for graph: then the requester is
+the deadlock victim and aborts.
+"""
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
 from repro.types import Queue
-from tests.helpers import cluster_of, hybrid_queue
+from tests.helpers import cluster_of
 
 
-def _run(policy: str, seed: int = 3, transactions: int = 25, scheme: str = "dynamic"):
+def _generator(seed: int = 3, scheme: str = "dynamic"):
     queue = Queue()
     cluster = cluster_of(3, ObjectSpec("obj", queue, scheme), seed=seed)
     obj = cluster.tm.object("obj")
@@ -22,69 +25,46 @@ def _run(policy: str, seed: int = 3, transactions: int = 25, scheme: str = "dyna
         mix,
         ops_per_transaction=3,
         concurrency=4,
-        deadlock_policy=policy,
     )
-    metrics = generator.run(transactions)
-    return cluster, obj, metrics
+    return obj, generator
 
 
-class TestPolicies:
-    @pytest.mark.parametrize("policy", ["detect", "wound-wait"])
-    def test_all_policies_complete_the_workload(self, policy):
-        _cluster, _obj, metrics = _run(policy)
+def _run(seed: int = 3, transactions: int = 25, scheme: str = "dynamic"):
+    obj, generator = _generator(seed, scheme)
+    return obj, generator.run(transactions)
+
+
+class TestDetect:
+    def test_the_workload_completes(self):
+        _obj, metrics = _run()
         total = metrics.committed_transactions + metrics.aborted_transactions
         assert total == 25
         assert metrics.committed_transactions > 0
 
-    @pytest.mark.parametrize("policy", ["detect", "wound-wait"])
-    def test_histories_stay_safe_under_every_policy(self, policy):
-        # Safety is the scheme's job, not the policy's; verify it anyway
+    def test_histories_stay_safe(self):
+        # Safety is the scheme's job, not the driver's; verify it anyway
         # under the hybrid scheme (cheap membership check).
-        _cluster, obj, _metrics = _run(policy, scheme="hybrid")
+        obj, _metrics = _run(scheme="hybrid")
         checker = HybridAtomicity(obj.datatype, LegalityOracle(obj.datatype))
         assert checker.admits(obj.recorder.to_behavioral_history())
 
-    def test_unknown_policy_rejected(self):
-        cluster = cluster_of(3, hybrid_queue("obj"))
-        generator = WorkloadGenerator(
-            cluster.sim,
-            cluster.tm,
-            cluster.frontends,
-            OperationMix.uniform("obj", Queue().invocations()),
-            deadlock_policy="optimism",
-        )
-        with pytest.raises(ValueError):
-            generator.run(1)
-
-    def test_wait_die_is_refused_as_unknown(self):
-        # ``wait-die`` had no caller and is gone; naming it is an error,
-        # not a silent fall-back to another policy.
-        cluster = cluster_of(3, hybrid_queue("obj"))
-        generator = WorkloadGenerator(
-            cluster.sim,
-            cluster.tm,
-            cluster.frontends,
-            OperationMix.uniform("obj", Queue().invocations()),
-            deadlock_policy="wait-die",
-        )
-        with pytest.raises(ValueError, match="wait-die"):
-            generator.run(1)
-
-    def test_policies_produce_different_abort_profiles(self):
-        outcomes = {}
-        for policy in ("detect", "wound-wait"):
-            _c, _o, metrics = _run(policy, seed=9, transactions=40)
-            outcomes[policy] = (
-                metrics.committed_transactions,
-                metrics.aborted_transactions,
-            )
-        # Both complete everything...
-        assert all(sum(pair) >= 40 for pair in outcomes.values())
-        # ...and disagree on the profile (the policies genuinely differ
-        # in who gets aborted when).
-        assert len(set(outcomes.values())) == 2
-
-    def test_deterministic_per_seed_and_policy(self):
-        _c1, _o1, first = _run("wound-wait", seed=5)
-        _c2, _o2, second = _run("wound-wait", seed=5)
+    def test_deterministic_per_seed(self):
+        _o1, first = _run(seed=5)
+        _o2, second = _run(seed=5)
         assert first.outcomes == second.outcomes
+
+    def test_a_cycle_aborts_the_requester_and_the_run_completes(self, monkeypatch):
+        victims = []
+        _obj, generator = _generator(seed=9)
+        abort = generator._abort
+
+        def recording(script, reason):
+            if reason == "deadlock victim":
+                victims.append(script.txn.id)
+            abort(script, reason)
+
+        monkeypatch.setattr(generator, "_abort", recording)
+        metrics = generator.run(40)
+        assert victims
+        assert metrics.committed_transactions + metrics.aborted_transactions == 40
+        assert not any(generator.waits._edges.values())  # every wait released

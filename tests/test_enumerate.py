@@ -1,7 +1,7 @@
 """Unit tests for bounded serial-history enumeration."""
 
 from repro.histories.events import Invocation, event, ok, signal
-from repro.spec.enumerate import event_alphabet, response_alphabet
+from repro.spec.enumerate import alphabets, event_alphabet
 from repro.types import PROM, Queue, Register
 from tests.oracles import legal_serial_histories
 
@@ -54,10 +54,10 @@ class TestEventAlphabet:
 
 class TestResponseAlphabet:
     def test_queue_deq_responses(self, queue):
-        mapping = response_alphabet(queue, 3)
+        mapping = alphabets(queue, 3)[1]
         deq = set(mapping[Invocation("Deq")])
         assert deq == {ok("a"), ok("b"), signal("Empty")}
 
     def test_enq_only_ok(self, queue):
-        mapping = response_alphabet(queue, 3)
+        mapping = alphabets(queue, 3)[1]
         assert set(mapping[Invocation("Enq", ("a",))]) == {ok()}

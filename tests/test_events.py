@@ -6,7 +6,6 @@ from repro.histories.events import (
     Invocation,
     Response,
     event,
-    format_serial,
     ok,
     signal,
 )
@@ -56,15 +55,6 @@ class TestEvent:
     def test_events_are_hashable_history_elements(self):
         history = (event("Enq", ("x",)), event("Enq", ("x",)))
         assert len(set(history)) == 1
-
-
-class TestFormatSerial:
-    def test_one_event_per_line(self):
-        history = (event("Enq", ("x",)), event("Deq", (), ok("x")))
-        assert format_serial(history) == "Enq('x');Ok()\nDeq();Ok('x')"
-
-    def test_empty_history(self):
-        assert format_serial(()) == ""
 
 
 class TestInterningKeepsTypesApart:

@@ -371,7 +371,12 @@ class TestPlan:
         assert fe._plan(obj) is before  # kept while the configuration holds
         # Installed without a reconfiguration, as a mutation would: the
         # epoch stays, the plan follows the assignment all the same.
-        obj.assignment = QuorumAssignment.uniform(3, obj.assignment.operation_names)
+        read_one_write_all = OperationQuorums(
+            initial=ThresholdCoterie(3, 1), final=ThresholdCoterie(3, 3)
+        )
+        obj.assignment = QuorumAssignment(
+            3, {name: read_one_write_all for name in obj.assignment.operation_names}
+        )
         assert fe.execute(txn, "obj", DEQ) == ok("a")
         after = fe._plans["obj"]
         assert after is not before and after.assignment is obj.assignment

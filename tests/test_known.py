@@ -2,10 +2,9 @@
 
 from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
 from repro.dependency import known
-from repro.dependency.closure import dependent_op_indices
 from repro.histories.behavioral import Op
 from repro.types import PROM, DoubleBuffer, FlagSet, Queue
-from tests.test_closure import is_closed_subhistory
+from tests.test_closure import dependent_op_indices, is_closed_subhistory
 
 
 class TestGrounding:

@@ -247,7 +247,7 @@ class TestSharedTable:
             return original(self)
 
         repo = Repository(0)
-        repo.append_entry("obj", _entry(100))
+        repo.write_log("obj", Log([_entry(100)]))
         writer = Log([_entry(c) for c in range(1, 41)])
         later = [_entry(c) for c in range(41, 61)]
         monkeypatch.setattr(LogEntry, "__hash__", counting)

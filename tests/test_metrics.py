@@ -50,13 +50,7 @@ class TestMetricRecorder:
         metrics = MetricRecorder()
         metrics.record("Enq", "ok", latency=2.0)
         metrics.record("Enq", "ok", latency=4.0)
-        assert metrics.mean_latency("Enq") == pytest.approx(3.0)
-
-    def test_latencies_compatibility_view(self):
-        metrics = MetricRecorder()
-        metrics.record("Enq", "ok", latency=2.0)
-        metrics.record("Deq", "ok", latency=5.0)
-        assert metrics.latencies == {"Enq": [2.0], "Deq": [5.0]}
+        assert metrics.latency_histogram("Enq").mean == pytest.approx(3.0)
 
     def test_summary_reports_percentiles_not_bare_mean(self):
         metrics = MetricRecorder()

@@ -9,6 +9,7 @@ from repro.errors import SimulationError
 from repro.obs.trace import TraceListener, Tracer
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, Timeout
+from tests.helpers import replies
 
 
 @pytest.fixture()
@@ -165,7 +166,7 @@ class TestTracedWave:
     def test_each_leg_is_read_off_attempted_served_and_responders(self):
         tracer, ran = Tracer(), []
         _net, result, _dispatched, closes = self._wave(tracer, ran)
-        assert [reply.value for reply in result.replies] == [30]
+        assert [reply.value for reply in replies(result)] == [30]
         # 1 lost its request leg, 2 its reply leg, 3 answered.
         assert result.attempted == (3, 1, 2)
         assert result.served == (3, 2)
@@ -335,7 +336,7 @@ def _tie_row(*, dsts, events=(), quorum=None, drop=0.0, seed=5, crashed=(),
     fired.append(["returned", returned_at])
     sim.run()
     return {
-        "replies": [[r.site, r.value, r.completed_at] for r in result.replies],
+        "replies": [[r.site, r.value, r.completed_at] for r in replies(result)],
         "attempted": list(result.attempted),
         "failed": sorted(result.failed),
         "sent": net.messages_sent,

@@ -23,7 +23,6 @@ from repro.replication.reconfig import (
     needs_coverage,
     reconfigure,
     same_assignment,
-    transversal_size,
 )
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
@@ -43,18 +42,11 @@ def _threshold_assignment(n, init, final):
 
 
 class TestTransversals:
-    def test_threshold_transversal_size(self):
-        assert transversal_size(ThresholdCoterie(5, 3)) == 3
-        assert transversal_size(ThresholdCoterie(5, 5)) == 1
-        assert transversal_size(ThresholdCoterie(5, 1)) == 5
-
-    def test_empty_coterie_has_no_transversal(self):
-        assert transversal_size(EmptyCoterie(3)) is None
+    def test_empty_coterie_needs_no_coverage(self):
         assert not needs_coverage(EmptyCoterie(3))
 
     def test_explicit_transversal(self):
         coterie = ExplicitCoterie(4, [{0, 1}, {2, 3}])
-        assert transversal_size(coterie) == 2
         assert is_transversal(coterie, frozenset({0, 2}))
         assert not is_transversal(coterie, frozenset({0, 1}))
 

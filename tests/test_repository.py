@@ -40,11 +40,6 @@ class TestRepository:
         assert len(repo.read_log("q2")) == 0
         assert repo.stored_objects() == ("q1",)
 
-    def test_append_entry(self):
-        repo = Repository(0)
-        repo.append_entry("q", _entry(1))
-        assert repo.entry_count("q") == 1
-
     def test_counters_track_traffic(self):
         repo = Repository(0)
         repo.write_log("q", Log([_entry(1)]))

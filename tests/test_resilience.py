@@ -91,14 +91,16 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(txn_attempts=0)
 
-    def test_deadline_remaining(self):
+    def test_deadline_expires_once_its_budget_is_spent(self):
         sim = Simulator(seed=0)
         unbounded = Deadline(sim, None)
-        assert not unbounded.expired
-        assert unbounded.remaining() == float("inf")
         bounded = Deadline(sim, 5.0)
         sim.advance(2.0)
-        assert bounded.remaining() == pytest.approx(3.0)
+        assert not unbounded.expired and not bounded.expired
+        sim.advance(3.0)
+        assert bounded.expired
+        sim.advance(1e9)
+        assert not unbounded.expired
 
 
 class TestReadOnlyClassification:
@@ -237,7 +239,9 @@ class TestCrashRecoveryReplay:
         cluster = _queue_cluster(n_sites=3)
         runtime = cluster.enable_resilience()
         self._run_some_ops(cluster)
-        absorbed = runtime.recovery.checkpoint_all()
+        absorbed = sum(
+            repo.journal.checkpoint(repo) for repo in cluster.repositories
+        )
         assert absorbed > 0
         self._run_some_ops(cluster, count=2)
         repo = cluster.repositories[0]
@@ -299,7 +303,7 @@ class TestPartitionHealDriver:
         assert cluster.repositories[2].entry_count(
             "queue"
         ) == cluster.repositories[0].entry_count("queue")
-        summary = runtime.recovery_latency_summary()
+        summary = runtime.registry.histogram("resilience.recovery.latency").summary()
         assert summary["count"] >= 1 and summary["p50"] > 0
         # The catch-up repaired the three entries site 2 missed.
         repaired = runtime.registry.histogram("resilience.recovery.repaired")
@@ -350,14 +354,6 @@ class TestPartitionHealDriver:
         assert cluster.repositories[1].entry_count("queue") == 2
         assert runtime.registry.counter("resilience.recovery.syncs").value == 1
 
-    def test_detach_stops_reacting(self):
-        cluster = _queue_cluster(n_sites=3)
-        runtime = cluster.enable_resilience()
-        runtime.heal.detach()
-        cluster.network.crash(2)
-        cluster.network.recover(2)
-        assert runtime.heal.recoveries_handled == 0
-
 
 class TestFailureListeners:
     def test_listener_contract(self):
@@ -375,17 +371,6 @@ class TestFailureListeners:
         assert events[0][1] == {"site": 1}
         former = events[3][1]["former_groups"]
         assert frozenset({0}) in former and frozenset({1, 2}) in former
-
-    def test_remove_listener(self):
-        cluster = cluster_of(3, seed=0)
-        events = []
-        listener = lambda kind, **info: events.append(kind)  # noqa: E731
-        cluster.network.add_failure_listener(listener)
-        cluster.network.crash(0)
-        cluster.network.remove_failure_listener(listener)
-        cluster.network.remove_failure_listener(listener)  # no-op twice
-        cluster.network.recover(0)
-        assert events == ["crash"]
 
 
 class TestChaosSchedules:

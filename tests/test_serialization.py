@@ -10,6 +10,7 @@ from repro.histories.serialization import (
     serialize,
     static_serializations,
 )
+from tests.helpers import commit_all
 from tests.oracles import dynamic_serializations
 
 ENQ_X = event("Enq", ("x",))
@@ -58,7 +59,7 @@ class TestStaticSerializations:
 
     def test_begin_order_not_commit_order(self):
         # B begins after A, so B serializes after A even if B commits first.
-        history = _two_active().commit_all(["B", "A"])
+        history = commit_all(_two_active(), ["B", "A"])
         assert set(static_serializations(history)) == {(ENQ_X, ENQ_Y)}
 
 
@@ -74,7 +75,7 @@ class TestHybridSerializations:
         }
 
     def test_commit_order_respected(self):
-        history = _two_active().commit_all(["B", "A"])
+        history = commit_all(_two_active(), ["B", "A"])
         assert set(hybrid_serializations(history)) == {(ENQ_Y, ENQ_X)}
 
     def test_new_commits_after_existing(self):
@@ -98,7 +99,7 @@ class TestPrecedes:
         assert precedes_pairs(history) == frozenset()
 
     def test_commit_without_later_ops_creates_nothing(self):
-        history = _two_active().commit_all(["A", "B"])
+        history = commit_all(_two_active(), ["A", "B"])
         assert precedes_pairs(history) == frozenset()
 
 

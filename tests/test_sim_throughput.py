@@ -57,7 +57,13 @@ from repro.sim.trials import run_trials
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
 from repro.types import Queue
-from tests.helpers import FromScratchViewCache, cluster_of, from_scratch_front_ends
+from tests.helpers import (
+    FromScratchViewCache,
+    cache_stats,
+    cluster_of,
+    from_scratch_front_ends,
+    replies,
+)
 
 pytestmark = pytest.mark.throughput
 
@@ -182,9 +188,9 @@ class TestGather:
         network = _fabric()
         outcome = network.gather(0, [2, 0, 1], lambda site: site * 10)
         assert outcome.attempted == (2, 0, 1)
-        assert [reply.site for reply in outcome.replies] == [0, 1, 2]
+        assert [reply.site for reply in replies(outcome)] == [0, 1, 2]
         assert [reply.value for reply in outcome.received] == [20, 0, 10]
-        assert all(reply.completed_at == 2.0 for reply in outcome.replies)
+        assert all(reply.completed_at == 2.0 for reply in replies(outcome))
         assert network.sim.now == 2.0  # one wave: two latencies total
         assert network.messages_sent == 6
         assert network.messages_dropped == 0
@@ -238,7 +244,7 @@ class TestGather:
         network.sim.schedule(1.5, lambda: network.crash(0))
         outcome = network.gather(0, [1], lambda site: ran.append(site))
         assert ran == [1]  # the handler ran at the repository
-        assert outcome.replies == ()
+        assert outcome.received == ()
         assert outcome.failed == frozenset({1})
         assert network.messages_sent == 2
         assert network.messages_dropped == 1
@@ -512,8 +518,8 @@ class TestQuorumViewCache:
         first, _ = cache.merged_view("q", probes)
         second, _ = cache.merged_view("q", probes)
         assert second is first  # identity: lazy order caches carry over
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["rebuilds"] == 1
+        assert cache_stats(cache)["hits"] == 1
+        assert cache_stats(cache)["rebuilds"] == 1
 
     def test_changed_fragment_merges_only_the_delta(self):
         cache = QuorumViewCache()
@@ -522,14 +528,14 @@ class TestQuorumViewCache:
         grown = base.add(_entry(2))
         merged, _ = cache.merged_view("q", (_probe(0, grown, 2), _probe(1, base, 1)))
         assert merged == Log([_entry(1), _entry(2)])
-        assert cache.stats()["delta_merges"] == 1
+        assert cache_stats(cache)["delta_merges"] == 1
 
     def test_different_responder_set_rebuilds(self):
         cache = QuorumViewCache()
         log = Log([_entry(1)])
         cache.merged_view("q", (_probe(0, log, 1), _probe(1, log, 1)))
         cache.merged_view("q", (_probe(0, log, 1), _probe(2, log, 1)))
-        assert cache.stats()["rebuilds"] == 2
+        assert cache_stats(cache)["rebuilds"] == 2
 
     def test_write_through_keeps_the_union_exact(self):
         cache = QuorumViewCache()
@@ -537,12 +543,12 @@ class TestQuorumViewCache:
         cache.merged_view("q", (_probe(0, base, 1), _probe(1, base, 1)))
         update = base.add(_entry(2))
         cache.note_write("q", update, (_ack(0, 1, 2), _ack(1, 1, 2)))
-        assert cache.stats()["write_throughs"] == 1
+        assert cache_stats(cache)["write_throughs"] == 1
         merged, _ = cache.merged_view(
             "q", (_probe(0, update, 2), _probe(1, update, 2))
         )
         assert merged == update
-        assert cache.stats()["hits"] == 1  # the write refreshed the versions
+        assert cache_stats(cache)["hits"] == 1  # the write refreshed the versions
 
     def test_interleaved_writer_invalidates_instead_of_corrupting(self):
         cache = QuorumViewCache()
@@ -553,14 +559,14 @@ class TestQuorumViewCache:
         # read (version 1) and this write.  The cached union can no longer
         # be extended soundly, so the entry must be dropped.
         cache.note_write("q", update, (_ack(0, 2, 3), _ack(1, 1, 2)))
-        assert cache.stats()["write_throughs"] == 0
+        assert cache_stats(cache)["write_throughs"] == 0
         interloper = base.add(_entry(99))
         merged, _ = cache.merged_view(
             "q",
             (_probe(0, interloper.merge(update), 3), _probe(1, update, 2)),
         )
         assert merged == interloper.merge(update)
-        assert cache.stats()["rebuilds"] == 2
+        assert cache_stats(cache)["rebuilds"] == 2
 
     def test_snapshot_change_forces_rebuild(self):
         cache = QuorumViewCache()
@@ -587,7 +593,7 @@ class TestQuorumViewCache:
         )
         assert best is wider
         assert merged == Log()
-        assert cache.stats()["rebuilds"] == 2
+        assert cache_stats(cache)["rebuilds"] == 2
 
     def test_delta_merge_under_snapshots_keeps_the_cached_best(self):
         """Every probed site holds a snapshot; only the fragments move."""
@@ -608,7 +614,7 @@ class TestQuorumViewCache:
             _probe(1, Log([_entry(2), _entry(3), _entry(5), _entry(6)]), 2, wide),
         )
         merged, best = cache.merged_view("q", probes)
-        assert cache.stats() == {
+        assert cache_stats(cache) == {
             "hits": 0, "delta_merges": 1, "rebuilds": 1, "write_throughs": 0,
         }
         assert best is wide
@@ -682,7 +688,7 @@ def _serial_cache_stats(cluster) -> dict[str, int]:
     totals: dict[str, int] = {}
     for frontend in cluster.frontends:
         for cache in frontend.serial_caches.values():
-            for key, value in cache.stats().items():
+            for key, value in cache_stats(cache).items():
                 totals[key] = totals.get(key, 0) + value
     return totals
 
@@ -823,8 +829,8 @@ class TestPinnedRuns:
         generator.run(20)
         by_id = {span.span_id: span for span in tracer.spans}
         kinds = {"transaction": 0, "operation": 0, "quorum": 0}
-        for span in tracer.finished_spans():
-            assert span.kind in kinds
+        for span in tracer.spans:
+            assert span.finished and span.kind in kinds
             kinds[span.kind] += 1
             if span.kind == "quorum":
                 assert by_id[span.parent_id].kind == "operation"
@@ -839,7 +845,7 @@ class TestPinnedRuns:
         generator.run(40)
         totals = {"hits": 0, "delta_merges": 0, "rebuilds": 0, "write_throughs": 0}
         for frontend in cluster.frontends:
-            for key, value in frontend.view_cache.stats().items():
+            for key, value in cache_stats(frontend.view_cache).items():
                 totals[key] += value
         assert totals["hits"] + totals["delta_merges"] > 0
         assert totals["write_throughs"] > 0

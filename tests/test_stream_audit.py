@@ -3,8 +3,7 @@
 Four layers of guarantees:
 
 * **retention** — the tracer's ring/consume policies bound retained
-  spans while listeners still observe every span; ``clear()`` notifies
-  listeners so no observer keeps stale per-object state;
+  spans while listeners still observe every span;
 * **fidelity** — the streaming auditor's verdict is byte-identical to
   the deep auditor's on the tier-1 workload matrix, and every seeded
   protocol mutation is still flagged under a deliberately tiny window;
@@ -28,9 +27,7 @@ from repro.obs.audit import (
     DEFAULT_STREAM_WINDOW,
     STREAMING_INVARIANTS,
     Auditor,
-    LogConsistencyMonitor,
     QuorumIntersectionMonitor,
-    TimestampOrderMonitor,
     streaming_monitors,
 )
 from repro.obs.export import (
@@ -40,28 +37,79 @@ from repro.obs.export import (
     parse_jsonl,
 )
 from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
-from repro.obs.soak import (
-    SoakConfig,
-    run_soak,
-    streaming_matches_deep,
-)
+from repro.obs.soak import SoakConfig, run_soak
 from repro.obs.trace import TraceListener, Tracer
 from repro.scenarios import SCENARIOS, build_scenario
 from repro.txn.ids import ActionId
+from tests.helpers import audit_verdict
 
 pytestmark = [pytest.mark.obs, pytest.mark.streaming]
+
+
+def streaming_matches_deep(
+    *,
+    seed=0,
+    sites=3,
+    transactions=12,
+    objects=1,
+    placement="all",
+    window=DEFAULT_STREAM_WINDOW,
+    crashes=False,
+    mutate=None,
+):
+    """One workload, two auditors, byte-compared verdicts.
+
+    Builds the standard workload (``SCENARIOS["default"]`` with
+    ``objects`` objects, all hybrid, through ``build_scenario``),
+    attaches a deep auditor *and* a streaming auditor to the same tracer,
+    runs it once, and compares
+    ``json.dumps(audit_verdict(report, STREAMING_INVARIANTS), sort_keys=True)``
+    byte for byte.  With ``mutate`` the seeded protocol sabotage is
+    applied after both auditors have pinned the declared configuration,
+    so both must flag it identically.
+    """
+    cluster, generator, _names = build_scenario(
+        replace(SCENARIOS["default"], objects=objects),
+        seed=seed,
+        n_sites=sites,
+        placement=placement,
+        crashes=crashes,
+        tracer=Tracer(),
+    )
+    deep = Auditor(cluster, mode="deep")
+    streaming = Auditor(cluster, mode="streaming", window=window)
+    if mutate is not None:
+        MUTATIONS[mutate](cluster)
+    generator.run(transactions)
+    deep_verdict = json.dumps(
+        audit_verdict(deep.finish(), STREAMING_INVARIANTS), sort_keys=True
+    )
+    streaming_verdict = json.dumps(
+        audit_verdict(streaming.finish(), STREAMING_INVARIANTS), sort_keys=True
+    )
+    return {
+        "case": {
+            "seed": seed,
+            "sites": sites,
+            "transactions": transactions,
+            "objects": objects,
+            "placement": placement,
+            "window": window,
+            "crashes": crashes,
+            "mutate": mutate,
+        },
+        "match": deep_verdict == streaming_verdict,
+        "deep": deep_verdict,
+        "streaming": streaming_verdict,
+    }
 
 
 class _CountingListener(TraceListener):
     def __init__(self):
         self.ended = 0
-        self.cleared = 0
 
     def on_span_end(self, span):
         self.ended += 1
-
-    def on_clear(self):
-        self.cleared += 1
 
 
 # -- span retention ---------------------------------------------------------
@@ -77,7 +125,7 @@ class TestRetention:
         assert listener.ended == 50
         assert tracer.retained_spans == 8
         assert tracer.peak_retained <= 8 + 1  # window + one open span
-        assert len(tracer.finished_spans()) == 8
+        assert sum(span.finished for span in tracer.spans) == 8
 
     def test_all_mode_is_the_default_and_keeps_everything(self):
         tracer = Tracer()
@@ -89,32 +137,6 @@ class TestRetention:
     def test_unknown_retention_mode_rejected(self):
         with pytest.raises(ValueError):
             Tracer(retention="bogus")
-
-    def test_clear_notifies_listeners_and_resets_retention(self):
-        tracer = Tracer(retention="ring", window=4)
-        listener = _CountingListener()
-        tracer.add_listener(listener)
-        for _ in range(6):
-            tracer.end_span(tracer.start_span("op"))
-        tracer.clear()
-        assert listener.cleared == 1
-        assert tracer.retained_spans == 0
-        # Peak survives a clear: it is a high-water mark, not a level.
-        assert tracer.peak_retained >= 4
-
-    def test_clear_mid_span_is_safe(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            tracer.clear()
-        assert tracer.retained_spans == 0
-
-    def test_clear_inside_a_step_leaves_the_stack_empty(self):
-        tracer = Tracer()
-        with tracer.span("quorum.final", kind="quorum") as step:
-            assert tracer.event("site.crash", site=2).parent_id == step.span_id
-            tracer.clear()
-        assert tracer._stack == []
-        assert tracer.event("after").parent_id is None
 
 
 # -- streaming audit fidelity ----------------------------------------------
@@ -227,67 +249,6 @@ class TestStreamingFidelity:
         cluster = cluster_of(3, tracer=Tracer())
         with pytest.raises(ValueError):
             Auditor(cluster, mode="shallow")
-
-
-# -- clear regression (the auditor must reset per-object state) -------------
-
-
-class TestClearRegression:
-    def _run_once(self, tracer, cluster, generator, transactions=8):
-        generator.run(transactions)
-
-    def test_auditor_state_resets_on_clear(self):
-        tracer = Tracer()
-        cluster, generator, _names = build_scenario("default", n_sites=3, tracer=tracer)
-        auditor = Auditor(cluster, mode="streaming")
-        generator.run(8)
-        before = auditor.retained_state()
-        assert sum(before.values()) > 0
-        tracer.clear()
-        after = auditor.retained_state()
-        assert after["txn_labels"] == 0
-        assert after["recorders"] == 0
-        assert after["recent_events"] == 0
-        assert after["monitor_cells"] == 0
-
-    def test_run_after_clear_stays_green_in_both_modes(self):
-        # Without on_clear, LogConsistencyMonitor would hold canonical
-        # entries for logs whose spans were discarded, and the deep
-        # history monitors would replay a truncated history — both are
-        # false-positive factories.  After the clear protocol, a
-        # continued run must stay green.
-        for mode in ("deep", "streaming"):
-            tracer = Tracer()
-            cluster, generator, _names = build_scenario(
-                "default", n_sites=3, tracer=tracer
-            )
-            auditor = Auditor(cluster, mode=mode)
-            generator.run(8)
-            tracer.clear()
-            generator.run(8)
-            report = auditor.finish()
-            assert report.ok, (mode, report.render())
-
-    def test_monitor_on_clear_drops_observed_state_keeps_declared(self):
-        monitor = QuorumIntersectionMonitor(window=8)
-        monitor._declared["q"] = {}
-        monitor._remember(monitor._initials.setdefault("q", {}),
-                          ("q", "Enq"), frozenset({1, 2}))
-        assert monitor.state_cells() == 1
-        monitor.on_clear()
-        assert monitor.state_cells() == 0
-        assert "q" in monitor._declared
-
-        log_monitor = LogConsistencyMonitor(window=8)
-        log_monitor._canonical["q"] = {1: None}
-        log_monitor._last_log[("q", 0)] = None
-        log_monitor.on_clear()
-        assert log_monitor.state_cells() == 0
-
-        ts_monitor = TimestampOrderMonitor()
-        ts_monitor._last_commit = object()
-        ts_monitor.on_clear()
-        assert ts_monitor.state_cells() == 0
 
 
 # -- windowed monitors bound their state ------------------------------------

@@ -16,7 +16,7 @@ from repro.histories.behavioral import BehavioralHistory
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, Account, Bag, FlagSet, Queue
 from tests.helpers import count_calls
-from tests.test_closure import FLAGSET_EVENTS
+from tests.helpers import FLAGSET_EVENTS
 
 
 class _CountingOracle(LegalityOracle):

@@ -92,15 +92,20 @@ class TestTwoPhaseCommit:
         assert txn.id in obj.sync.active_events
         cluster.tm.commit(txn)
         assert txn.id not in obj.sync.active_events
-        assert obj.sync.committed_serial_by_commit() == (event("Enq", ("a",)),)
+        assert [
+            (begin, commit, tuple(events))
+            for begin, commit, events in obj.sync.committed.rows
+        ] == [(txn.begin_ts, txn.commit_ts, (event("Enq", ("a",)),))]
 
     def test_abort_discards_sync_state(self):
         cluster, obj = queue_system("hybrid")
         fe = cluster.frontends[0]
         txn = cluster.tm.begin(0)
         fe.execute(txn, "obj", Invocation("Enq", ("a",)))
+        assert txn.id in obj.sync.active_events
         cluster.tm.abort(txn)
-        assert obj.sync.committed_serial_by_commit() == ()
+        assert txn.id not in obj.sync.active_events
+        assert not obj.sync.committed.rows
 
 
 class TestWaitsForGraph:

@@ -330,3 +330,13 @@ def test_fingerprints_identical_across_job_counts(mechanism):
     serial, _used = run_trials(trial, [0, 1, 2, 3], jobs=1)
     sharded, _used = run_trials(trial, [0, 1, 2, 3], jobs=2)
     assert [v["fingerprint"] for v in serial] == [v["fingerprint"] for v in sharded]
+
+
+def test_dependency_table_is_symmetric():
+    queue = Queue()
+    relation = known.ground(queue, known.QUEUE_STATIC, 4)
+    events = event_alphabet(queue, 3)
+    table = dependency_conflicts(relation, events)
+    for first in events:
+        for second in events:
+            assert table.conflict(first, second) == table.conflict(second, first)

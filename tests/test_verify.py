@@ -28,9 +28,8 @@ from repro.histories.behavioral import Op
 from repro.histories.events import event, ok
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, FlagSet, Queue, Register
-from tests.test_closure import (
-    FLAGSET_EVENTS,
-    probe_relations,
+from tests.helpers import FLAGSET_EVENTS, probe_relations
+from tests.oracles import (
     reference_closed_subhistories,
     reference_dependent_op_indices,
 )
