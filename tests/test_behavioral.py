@@ -103,6 +103,42 @@ class TestConstruction:
         assert history.prefix(0) == BehavioralHistory()
         assert history.prefix(len(history)) == history
 
+    def test_prefix_of_an_appended_history_is_its_ancestor(self):
+        base = BehavioralHistory.build(Begin("A"))
+        middle = base.append(Op(event("Enq", ("x",)), "A"))
+        last = middle.append(Commit("A"))
+        assert last.prefix(2) is middle and last.prefix(1) is base
+
+    def test_a_prefix_carries_the_state_of_its_length(self):
+        prefix = _paper_example().prefix(5)  # ... Commit A
+        assert prefix.commit_order == ("A",)
+        assert prefix.active == {"B"}
+        assert prefix.events_of("B") == (event("Enq", ("y",)),)
+
+    def test_subhistory_drops_unkept_ops_and_keeps_every_bracket(self):
+        history = _paper_example()
+        kept = history.subhistory(frozenset({1}))  # A's Enq('x') only
+        assert [str(entry) for entry in kept] == [
+            "Begin A", "Enq('x');Ok() A", "Begin B", "Commit A", "Commit B",
+        ]
+        assert kept.commit_order == history.commit_order
+        assert kept.events_of("B") == ()
+
+    def test_an_illegal_append_leaves_the_base_unchanged(self):
+        base = BehavioralHistory.build(Begin("A"), Commit("A"))
+        with pytest.raises(SpecificationError):
+            base.append(Op(event("Enq", ("x",)), "A"))
+        assert len(base) == 2 and base.committed == {"A"}
+        assert base.append(Begin("B")).active == {"B"}
+
+    def test_events_of_an_extension_adds_to_the_parents(self):
+        parent = _paper_example().prefix(4)
+        assert parent.events_of("B") == (event("Enq", ("y",)),)  # tabulated
+        child = parent.append(Op(event("Enq", ("z",)), "B"))
+        assert child.events_of("B") == (event("Enq", ("y",)), event("Enq", ("z",)))
+        assert child.events_of("A") == (event("Enq", ("x",)),)
+        assert parent.events_of("B") == (event("Enq", ("y",)),)
+
     def test_equality_and_hash(self):
         assert _paper_example() == _paper_example()
         assert hash(_paper_example()) == hash(_paper_example())

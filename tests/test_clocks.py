@@ -133,6 +133,21 @@ class TestLamportClock:
         stamps = [a.tick() for _ in range(5)] + [b.tick() for _ in range(5)]
         assert len(set(stamps)) == 10
 
+    def test_now_starts_at_the_start_counter_on_its_site(self):
+        clock = LamportClock(site=4, start=7)
+        assert clock.site == 4
+        assert clock.now == Timestamp(7, 4)
+        assert clock.tick() == clock.now == Timestamp(8, 4)
+
+    def test_witnessing_an_equal_counter_still_advances(self):
+        clock = LamportClock(site=1, start=5)
+        assert clock.witness(Timestamp(5, 9)) == Timestamp(6, 1)
+
+    def test_zero_precedes_every_stamp_a_clock_issues(self):
+        clock = LamportClock(site=0)
+        assert ZERO < clock.now
+        assert all(ZERO < clock.tick() for _ in range(3))
+
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             LamportClock(site=0, start=-1)

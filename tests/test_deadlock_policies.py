@@ -5,7 +5,13 @@ wait would close a cycle in the waits-for graph: then the requester is
 the deadlock victim and aborts.
 """
 
-from repro.atomicity.properties import HybridAtomicity
+import pytest
+
+from repro.atomicity.properties import (
+    DynamicAtomicity,
+    HybridAtomicity,
+    StaticAtomicity,
+)
 from repro.replication.keyspace import ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
@@ -13,7 +19,7 @@ from repro.types import Queue
 from tests.helpers import cluster_of
 
 
-def _generator(seed: int = 3, scheme: str = "dynamic"):
+def _generator(seed: int = 3, scheme: str = "dynamic", concurrency: int = 4):
     queue = Queue()
     cluster = cluster_of(3, ObjectSpec("obj", queue, scheme), seed=seed)
     obj = cluster.tm.object("obj")
@@ -24,7 +30,7 @@ def _generator(seed: int = 3, scheme: str = "dynamic"):
         cluster.frontends,
         mix,
         ops_per_transaction=3,
-        concurrency=4,
+        concurrency=concurrency,
     )
     return obj, generator
 
@@ -52,6 +58,31 @@ class TestDetect:
         _o1, first = _run(seed=5)
         _o2, second = _run(seed=5)
         assert first.outcomes == second.outcomes
+
+    @pytest.mark.parametrize(
+        "scheme, checker",
+        [("static", StaticAtomicity), ("dynamic", DynamicAtomicity)],
+        ids=["static", "dynamic"],
+    )
+    def test_each_schemes_histories_keep_its_own_property(self, scheme, checker):
+        obj, metrics = _run(seed=4, transactions=12, scheme=scheme)
+        assert metrics.committed_transactions > 0
+        history = obj.recorder.to_behavioral_history()
+        assert checker(obj.datatype, LegalityOracle(obj.datatype)).admits(history)
+
+    def test_one_transaction_at_a_time_never_waits(self, monkeypatch):
+        _obj, generator = _generator(seed=9, concurrency=1)
+        aborts = []
+        abort = generator._abort
+
+        def recording(script, reason):
+            aborts.append(reason)
+            abort(script, reason)
+
+        monkeypatch.setattr(generator, "_abort", recording)
+        metrics = generator.run(10)
+        assert "deadlock victim" not in aborts
+        assert metrics.committed_transactions + metrics.aborted_transactions == 10
 
     def test_a_cycle_aborts_the_requester_and_the_run_completes(self, monkeypatch):
         victims = []

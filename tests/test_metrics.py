@@ -46,6 +46,36 @@ class TestMetricRecorder:
         metrics.record_abort()
         assert metrics.commit_rate() == pytest.approx(0.75)
 
+    def test_degraded_counts_as_available_but_not_as_ok(self):
+        metrics = MetricRecorder()
+        metrics.record("Read", "ok")
+        metrics.record("Read", "degraded")
+        assert metrics.availability("Read") == pytest.approx(1.0)
+        assert metrics.success_rate("Read") == pytest.approx(0.5)
+        assert metrics.count("Read", "degraded") == 1
+
+    def test_operations_are_sorted_and_distinct(self):
+        metrics = MetricRecorder()
+        for op, outcome in (("Enq", "ok"), ("Deq", "ok"), ("Enq", "conflict")):
+            metrics.record(op, outcome)
+        assert metrics.operations() == ("Deq", "Enq")
+
+    def test_rates_are_nan_before_anything_is_recorded(self):
+        metrics = MetricRecorder()
+        assert math.isnan(metrics.commit_rate())
+        assert math.isnan(metrics.success_rate("Enq"))
+        assert math.isnan(metrics.conflict_rate("Enq"))
+        assert metrics.operations() == () and metrics.summary() == {}
+
+    def test_latency_is_kept_per_operation_across_outcomes(self):
+        metrics = MetricRecorder()
+        metrics.record("Enq", "ok", latency=1.0)
+        metrics.record("Enq", "unavailable", latency=9.0)
+        metrics.record("Deq", "ok")
+        assert metrics.latency_histogram("Enq").count == 2
+        assert metrics.latency_histogram("Enq").max == pytest.approx(9.0)
+        assert metrics.latency_histogram("Deq").count == 0
+
     def test_latency_mean(self):
         metrics = MetricRecorder()
         metrics.record("Enq", "ok", latency=2.0)

@@ -3,6 +3,7 @@ and the seeded chaos sweep's determinism and cleanliness guarantees."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,37 @@ class TestRetryPolicy:
         assert bounded.expired
         sim.advance(1e9)
         assert not unbounded.expired
+
+    def test_a_deadline_counts_from_when_it_started(self):
+        sim = Simulator(seed=0)
+        sim.advance(100.0)
+        deadline = RetryPolicy(op_budget=5.0).deadline(sim)
+        assert deadline.started_at == 100.0 and deadline.budget == 5.0
+        sim.advance(4.0)
+        assert not deadline.expired
+        sim.advance(1.0)
+        assert deadline.expired
+
+    def test_an_unbudgeted_policy_counts_attempts_only(self):
+        sim = Simulator(seed=0)
+        policy = RetryPolicy(max_attempts=2, op_budget=None)
+        deadline = policy.deadline(sim)
+        sim.advance(1e9)
+        assert not deadline.expired
+        assert policy.allows(1, deadline) and policy.allows(1)
+        assert not policy.allows(2, deadline)
+
+    def test_degraded_is_the_default_policy_plus_the_fallback(self):
+        assert POLICIES["degraded"] == replace(
+            POLICIES["default"], degraded_reads=True
+        )
+        assert not POLICIES["default"].degraded_reads
+        assert POLICIES["default"].max_attempts > 1
+
+    def test_the_first_retry_backs_off_around_the_base_delay(self):
+        policy = RetryPolicy()
+        for key in ((0,), (1, 2), (5, 5, 5)):
+            assert 2.0 * 0.75 <= policy.backoff(1, key=key) <= 2.0 * 1.25
 
 
 class TestReadOnlyClassification:
@@ -371,6 +403,57 @@ class TestFailureListeners:
         assert events[0][1] == {"site": 1}
         former = events[3][1]["former_groups"]
         assert frozenset({0}) in former and frozenset({1, 2}) in former
+
+    def test_listeners_run_in_registration_order(self):
+        # Crash-recovery replay must restore a repository before the
+        # heal driver synchronizes it: registration order is the contract.
+        network = cluster_of(3, seed=0).network
+        calls = []
+        for name in ("first", "second", "third"):
+            network.add_failure_listener(
+                lambda kind, name=name, **info: calls.append((name, kind))
+            )
+        network.crash(2)
+        network.heal()
+        assert calls == [
+            ("first", "crash"), ("second", "crash"), ("third", "crash"),
+            ("first", "heal"), ("second", "heal"), ("third", "heal"),
+        ]
+
+    def test_a_listener_sees_the_state_after_the_change(self):
+        network = cluster_of(3, seed=0).network
+        seen = []
+        network.add_failure_listener(
+            lambda kind, **info: seen.append(
+                (kind, network.crashed_sites, network.partitioned)
+            )
+        )
+        network.crash(1)
+        network.partition((0,), (1, 2))
+        network.recover(1)
+        network.heal()
+        assert seen == [
+            ("crash", frozenset({1}), False),
+            ("partition", frozenset({1}), True),
+            ("recover", frozenset(), True),
+            ("heal", frozenset(), False),
+        ]
+
+    def test_a_partition_reports_its_implicit_rest_group(self):
+        network = cluster_of(4, seed=0).network
+        events = []
+        network.add_failure_listener(lambda kind, **info: events.append(info))
+        network.partition((0, 1))
+        assert events == [{"groups": (frozenset({0, 1}), frozenset({2, 3}))}]
+
+    def test_healing_an_unpartitioned_network_reports_no_former_groups(self):
+        network = cluster_of(3, seed=0).network
+        events = []
+        network.add_failure_listener(
+            lambda kind, **info: events.append((kind, info))
+        )
+        network.heal()
+        assert events == [("heal", {"former_groups": ()})]
 
 
 class TestChaosSchedules:

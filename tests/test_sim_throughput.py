@@ -568,6 +568,40 @@ class TestQuorumViewCache:
         assert merged == interloper.merge(update)
         assert cache_stats(cache)["rebuilds"] == 2
 
+    def test_invalidate_drops_only_the_named_object(self):
+        cache = QuorumViewCache()
+        log = Log([_entry(1)])
+        probes = (_probe(0, log, 1), _probe(1, log, 1))
+        cache.merged_view("q", probes)
+        cache.merged_view("r", probes)
+        cache.invalidate("q")
+        cache.invalidate("never-cached")
+        cache.merged_view("r", probes)
+        assert cache_stats(cache)["hits"] == 1
+        merged, _ = cache.merged_view("q", probes)
+        assert merged == log
+        assert cache_stats(cache)["rebuilds"] == 3
+
+    def test_a_write_to_an_uncached_object_is_ignored(self):
+        cache = QuorumViewCache()
+        cache.note_write("q", Log([_entry(1)]), (_ack(0, 0, 1),))
+        assert cache_stats(cache)["write_throughs"] == 0
+        merged, _ = cache.merged_view("q", (_probe(0, Log(), 0),))
+        assert merged == Log()
+
+    def test_a_write_missing_a_cached_site_leaves_the_entry_as_read(self):
+        cache = QuorumViewCache()
+        base = Log([_entry(1)])
+        probes = (_probe(0, base, 1), _probe(1, base, 1))
+        cache.merged_view("q", probes)
+        # Site 1 did not ack: its fragment may or may not hold the update,
+        # so the cache neither extends nor drops what it read.
+        cache.note_write("q", base.add(_entry(2)), (_ack(0, 1, 2),))
+        assert cache_stats(cache)["write_throughs"] == 0
+        merged, _ = cache.merged_view("q", probes)
+        assert merged == base
+        assert cache_stats(cache)["hits"] == 1
+
     def test_snapshot_change_forces_rebuild(self):
         cache = QuorumViewCache()
 

@@ -23,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 import repro.__main__ as cli
+from repro.errors import ConflictError
 from repro.obs.audit import (
     DEFAULT_STREAM_WINDOW,
     STREAMING_INVARIANTS,
@@ -38,8 +39,9 @@ from repro.obs.export import (
 )
 from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
 from repro.obs.soak import SoakConfig, run_soak
-from repro.obs.trace import TraceListener, Tracer
+from repro.obs.trace import DEFAULT_WINDOW, TraceListener, Tracer
 from repro.scenarios import SCENARIOS, build_scenario
+from repro.sim.kernel import Simulator
 from repro.txn.ids import ActionId
 from tests.helpers import audit_verdict
 
@@ -137,6 +139,71 @@ class TestRetention:
     def test_unknown_retention_mode_rejected(self):
         with pytest.raises(ValueError):
             Tracer(retention="bogus")
+
+    def test_window_must_be_a_positive_span_count(self):
+        with pytest.raises(ValueError):
+            Tracer(retention="ring", window=0)
+        assert Tracer(retention="ring").window == DEFAULT_WINDOW
+        assert Tracer(window=8).window is None  # only a ring has a window
+
+    def test_peak_retained_is_the_high_water_mark(self):
+        tracer = Tracer(retention="ring", window=4)
+        outer = tracer.start_span("outer")
+        for _ in range(2):
+            tracer.start_span("inner")
+        assert tracer.peak_retained == tracer.retained_spans == 3
+        for _ in range(10):
+            tracer.end_span(tracer.start_span("op"))
+        tracer.end_span(outer)
+        assert tracer.retained_spans == 4
+        assert tracer.peak_retained == 4
+
+
+# -- span lifecycle -----------------------------------------------------------
+
+
+class TestSpanLifecycle:
+    def test_a_span_closes_once(self):
+        tracer = Tracer()
+        listener = _CountingListener()
+        tracer.add_listener(listener)
+        span = tracer.start_span("op")
+        tracer.end_span(span, "conflict")
+        end = span.end
+        tracer.end_span(span, "ok")
+        assert (span.end, span.outcome) == (end, "conflict")
+        assert tracer.closed == listener.ended == 1
+
+    def test_a_with_block_closes_with_its_exception_outcome(self):
+        tracer = Tracer()
+        with pytest.raises(ConflictError):
+            with tracer.span("op") as span:
+                raise ConflictError("held", fatal=False)
+        assert (span.outcome, span.attrs["conflict_kind"]) == ("conflict", "wait")
+        with pytest.raises(KeyError):
+            with tracer.span("other") as other:
+                raise KeyError("boom")
+        assert other.outcome == "error" and "conflict_kind" not in other.attrs
+        # Both blocks left the implicit parent stack empty.
+        assert tracer.start_span("after").parent_id is None
+
+    def test_an_explicit_parent_overrides_the_stack(self):
+        tracer = Tracer()
+        root = tracer.start_span("root")
+        with tracer.span("outer") as outer:
+            inner = tracer.start_span("inner")
+            crossing = tracer.start_span("crossing", parent=root)
+        assert inner.parent_id == outer.span_id
+        assert crossing.parent_id == root.span_id
+
+    def test_an_event_is_a_closed_zero_length_span(self):
+        sim = Simulator(seed=0)
+        tracer = Tracer(sim)
+        sim.advance(3.0)
+        event = tracer.event("site.crash", site=2, cause="test")
+        assert (event.kind, event.site, event.attrs) == ("event", 2, {"cause": "test"})
+        assert event.finished and event.start == event.end == 3.0
+        assert event.duration == 0.0 and tracer.closed == 1
 
 
 # -- streaming audit fidelity ----------------------------------------------

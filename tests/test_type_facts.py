@@ -29,6 +29,7 @@ from repro.cc.conflicts import (
 from repro.compute.artifacts import derive_artifacts
 from repro.dependency import known
 from repro.dependency.dynamic_dep import commutativity_table
+from repro.histories.events import event, ok
 from repro.obs.audit import Auditor
 from repro.obs.mutations import MUTATIONS
 from repro.obs.trace import Tracer
@@ -340,3 +341,36 @@ def test_dependency_table_is_symmetric():
     for first in events:
         for second in events:
             assert table.conflict(first, second) == table.conflict(second, first)
+
+
+def test_the_locking_table_is_symmetric():
+    table = commutativity_conflicts(Queue(), 2)
+    for first, second in table.pairs():
+        assert table.conflict(first, second) == table.conflict(second, first)
+
+
+def test_register_reads_share_and_writes_of_different_values_conflict():
+    table = commutativity_conflicts(Register(), 2)
+    read_x, read_y = event("Read", (), ok("x")), event("Read", (), ok("y"))
+    write_x, write_y = event("Write", ("x",)), event("Write", ("y",))
+    assert not table.conflict(read_x, read_y)
+    assert not table.conflict(write_x, write_x)
+    assert not table.conflict(read_x, write_x)  # writing what was read commutes
+    assert table.conflict(read_x, write_y)
+    assert table.conflict(write_x, write_y)
+
+
+def test_an_event_outside_the_alphabet_conflicts_with_everything():
+    table = commutativity_conflicts(Register(), 2)
+    stranger = event("Write", ("q",))
+    for first, _second in table.pairs():
+        assert table.conflict(stranger, first) and table.conflict(first, stranger)
+
+
+def test_a_shared_table_cannot_be_changed_through_its_pairs():
+    table = commutativity_conflicts(Register(), 2)
+    read_x, write_y = event("Read", (), ok("x")), event("Write", ("y",))
+    pairs = table.pairs()
+    pairs[(read_x, write_y)] = False
+    assert table.conflict(read_x, write_y)
+    assert commutativity_conflicts(Register(), 2).pairs() != pairs
