@@ -7,7 +7,10 @@ A scheme is consulted at three points in a transaction's life:
   view as its atomicity property dictates, picks a legal response, and
   checks synchronization conflicts against concurrently active
   transactions (raising :class:`~repro.errors.ConflictError` to block or
-  abort).
+  abort).  Every scheme reads the view's committed groups the same way
+  (:meth:`CCScheme._committed_checkpoints`), ordered by the timestamp
+  its :attr:`CCScheme.serialization_order` names: from the front-end's
+  serial cache when it can serve, else built afresh from the view.
 * :meth:`CCScheme.pre_commit` — commit-time certification; raising
   :class:`~repro.errors.ConflictError` vetoes the commit.
 * :meth:`CCScheme.on_finalize` — after commit or abort, to release
@@ -22,6 +25,7 @@ from typing import TYPE_CHECKING
 from repro.cc.conflicts import ConflictTable
 from repro.errors import ConflictError
 from repro.histories.events import Event, Invocation
+from repro.replication.serialcache import Checkpoints, serial_rows
 from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
@@ -67,6 +71,31 @@ class CCScheme(ABC):
     def on_finalize(self, txn: Transaction, sync: "SynchronizationState") -> None:
         """Release scheme state after commit or abort; default: none."""
 
+    def _committed_checkpoints(self, view: View, txn: Transaction) -> Checkpoints:
+        """The view's committed groups other than ``txn``'s, in
+        :attr:`serialization_order`, with their legality checkpoints.
+
+        From the view's serial cache when the front-end threaded one
+        through and it has not folded ``txn`` in as committed; otherwise
+        built afresh from the view, the reference the cache is checked
+        against.
+        """
+        cache = view.serial_cache
+        if cache is not None:
+            marks = cache.checkpoints(view)
+            if txn.id not in cache.committed:
+                return marks
+        entries_of = view.log.entries_of
+        groups = [
+            (action, entries_of(action))
+            for action in view.committed_actions()
+            if action != txn.id
+        ]
+        return Checkpoints(
+            serial_rows(view.statuses, self.serialization_order, groups),
+            view.base_state,
+        )
+
     def _commit_order_event(
         self, view: View, txn: Transaction, invocation: Invocation
     ) -> Event:
@@ -74,22 +103,16 @@ class CCScheme(ABC):
 
         The first legal response, in sorted-render order, for the view's
         committed events in commit-timestamp order followed by the
-        transaction's own.  The legality-trie node for that history comes
-        from the view's serial cache when the front-end threaded one
-        through and it can serve it: the cache yields the node for the
-        committed prefix, stepped here through the transaction's own
-        events.  Otherwise it is replayed from scratch, the reference:
-        ``view.commit_order_serial(own=txn.id)`` from ``view.base_state``.
+        transaction's own: the legality-trie node after the last
+        committed group (:meth:`_committed_checkpoints`), stepped through
+        the transaction's own entries.
         """
         oracle = self.oracle
-        cache = view.serial_cache
-        node = None if cache is None else cache.committed_node(view, oracle)
-        if node is None or cache.contains_committed(txn.id):
-            node = oracle._node(view.commit_order_serial(own=txn.id), view.base_state)
-        else:
-            step = oracle._step
-            for entry in view.log.entries_of(txn.id):
-                node = step(node, entry.event)
+        marks = self._committed_checkpoints(view, txn)
+        node = marks.node_before(oracle, len(marks.rows))
+        step = oracle._step
+        for entry in view.log.entries_of(txn.id):
+            node = step(node, entry.event)
         successors = oracle._successors(node, invocation)
         if not successors:
             raise self._too_late(invocation)

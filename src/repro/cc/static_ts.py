@@ -22,13 +22,15 @@ commit-time certification:
 
 The rules are decided in one walk (:func:`_blame`): the committed
 groups stay sorted by begin timestamp with the legality-trie node after
-each (:class:`~repro.replication.serialcache.BeginOrderCheckpoints`), and
-each subset's serialization starts at the checkpoint in front of the
-oldest begin position it merges in and replays only the tail window —
-bounded by the oldest active transaction's begin position, not by how
-long the object has lived.  The rows come from the view's serial cache,
-or, when the view carries none or already shows the transaction as
-committed, are built afresh from the view.
+each (:class:`~repro.replication.serialcache.Checkpoints`), and each
+subset's serialization starts at the checkpoint in front of the oldest
+begin position it merges in and replays only the tail window — bounded
+by the oldest active transaction's begin position, not by how long the
+object has lived.  The groups come from
+:meth:`~repro.cc.base.CCScheme._committed_checkpoints`, which every
+scheme shares: the view's serial cache, or, when the view carries none
+or already shows the transaction as committed, rows built afresh from
+the view.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from operator import itemgetter
 from repro.cc.base import CCScheme
 from repro.errors import ConflictError
 from repro.histories.events import Event, Invocation
-from repro.replication.serialcache import BeginOrderCheckpoints, begin_order_rows
+from repro.replication.serialcache import Checkpoints
 from repro.replication.view import View
 from repro.txn.ids import Transaction
 
@@ -64,14 +66,7 @@ class StaticTimestampCC(CCScheme):
                 "prefix)",
                 fatal=True,
             )
-        cache = view.serial_cache
-        marks = None if cache is None else cache.checkpoints(view)
-        if marks is None or cache.contains_committed(txn.id):
-            marks = BeginOrderCheckpoints(
-                begin_order_rows(
-                    view, [a for a in view.committed_actions() if a != txn.id]
-                )
-            )
+        marks = self._committed_checkpoints(view, txn)
         oracle = self.oracle
         own_events = sync.own_events(txn.id)
         own_at = marks.position(txn.begin_ts)
@@ -144,7 +139,7 @@ class StaticTimestampCC(CCScheme):
 
 
 def _blame(
-    marks: BeginOrderCheckpoints,
+    marks: Checkpoints,
     oracle,
     slots: list,
     own: tuple,

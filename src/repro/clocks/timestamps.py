@@ -53,8 +53,3 @@ class Timestamp(tuple):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self[0]}.{self[1]}"
-
-
-#: The timestamp ordered before every timestamp any clock can produce.
-ZERO = Timestamp(0, -1)
-

@@ -58,9 +58,10 @@ exports alongside JSONL/Chrome traces.
   provably misses) lives in ``docs/OBSERVABILITY.md``.
 
 On identical span streams the two modes report byte-identical
-violations on the six streaming invariants
-(:data:`STREAMING_INVARIANTS`) and identical tallies — pinned by the
-``pytest -m streaming`` suite.
+violations on the six invariants the streaming monitors check (the
+names :func:`streaming_monitors` reports; history-capture and
+one-copy-serializability need the full history and stay deep-only) and
+identical tallies — pinned by the ``pytest -m streaming`` suite.
 
 Usage::
 
@@ -868,18 +869,6 @@ def default_monitors() -> list[InvariantMonitor]:
 
 #: Default sliding-window size for streaming monitors.
 DEFAULT_STREAM_WINDOW = 256
-
-#: The invariants the streaming monitor set checks — the six online
-#: checks; history-capture and one-copy-serializability need the full
-#: history and stay deep-mode-only.
-STREAMING_INVARIANTS = (
-    "quorum-intersection",
-    "reconfig-epoch",
-    "lock-discipline",
-    "timestamp-order",
-    "log-consistency",
-    "genuine-partial-replication",
-)
 
 
 def streaming_monitors(

@@ -26,7 +26,8 @@ Two usage styles:
 
 Time comes from whatever clock the tracer is bound to (normally the
 simulator, via :meth:`Tracer.bind_clock`), so timestamps are simulated
-time, deterministic per seed.
+time, deterministic per seed.  A tracer bound to no clock stamps every
+span 0.0.
 
 **Span retention** is a policy, not a given.  Listeners (the streaming
 auditor, the stream exporters) see every span of the kinds they read
@@ -130,15 +131,12 @@ class Span:
         )
 
 
-class _CountingClock:
-    """Fallback clock for tracers not bound to a simulator: 0, 1, 2, ..."""
+class _UnboundClock:
+    """A tracer's clock until :meth:`Tracer.bind_clock`: it reads 0.0, so
+    every span an unbound tracer records is stamped 0.0."""
 
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def tick(self) -> float:
-        self.now += 1.0
-        return self.now
+    __slots__ = ()
+    now = 0.0
 
 
 class _SpanContext:
@@ -226,8 +224,9 @@ class Tracer:
         window: int | None = None,
     ):
         #: Anything with a ``now`` attribute in simulated time units
-        #: (normally the :class:`~repro.sim.kernel.Simulator`).
-        self._clock = clock if clock is not None else _CountingClock()
+        #: (normally the :class:`~repro.sim.kernel.Simulator`); without
+        #: one, every stamp reads 0.0 until :meth:`bind_clock`.
+        self._clock = clock if clock is not None else _UnboundClock()
         if retention not in RETENTION_MODES:
             raise ValueError(
                 f"unknown retention {retention!r}; pick one of {RETENTION_MODES}"

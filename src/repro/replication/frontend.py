@@ -26,11 +26,7 @@ from repro.quorum.coterie import Coterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
 from repro.replication.repository import Repository
-from repro.replication.serialcache import (
-    CACHE_FOR_ORDER,
-    BeginOrderCache,
-    SerialPrefixCache,
-)
+from repro.replication.serialcache import SerialPrefixCache
 from repro.replication.view import View
 from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.policy import (
@@ -55,7 +51,7 @@ class _Plan(NamedTuple):
     epoch: int
     route: tuple[int, ...]
     replicas: tuple[int, ...]
-    serial_cache: SerialPrefixCache | BeginOrderCache
+    serial_cache: SerialPrefixCache
     stops: dict[Coterie, Callable[[frozenset[int]], bool] | int]
 
 
@@ -96,9 +92,9 @@ class FrontEnd:
         self.tracer = tracer if tracer is not None else network.tracer
         #: Incremental view-merge cache over initial-quorum replies.
         self.view_cache = QuorumViewCache()
-        #: Per-object incremental serializations (commit- or begin-order,
-        #: by the object's scheme), threaded through every view.
-        self.serial_caches: dict[str, SerialPrefixCache | BeginOrderCache] = {}
+        #: Per-object incremental serializations (in the order of the
+        #: object's scheme), threaded through every view.
+        self.serial_caches: dict[str, SerialPrefixCache] = {}
         #: Per-object plans, see :meth:`_plan`.
         self._plans: dict[str, _Plan] = {}
         #: Object → replica visit order.
@@ -329,7 +325,7 @@ class FrontEnd:
         plan = self._plans.get(name)
         if plan is None or plan.assignment is not assignment or plan.epoch != epoch:
             serial_cache = self.serial_caches.setdefault(
-                name, CACHE_FOR_ORDER[obj.cc.serialization_order]()
+                name, SerialPrefixCache(obj.cc.serialization_order)
             )
             # Replica visit order: locality first, then round-robin.
             route = self.router.route(self.site, name)

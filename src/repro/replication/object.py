@@ -40,7 +40,7 @@ from repro.histories.behavioral import (
 from repro.histories.events import Event
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.log import LogEntry
-from repro.replication.serialcache import BeginOrderCheckpoints
+from repro.replication.serialcache import Checkpoints
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import ActionId, Transaction
@@ -57,7 +57,7 @@ class SynchronizationState:
         #: Committed groups ``(begin_ts, commit_ts, events)`` in begin
         #: order, with the legality checkpoints static certification
         #: (:meth:`StaticTimestampCC.pre_commit`) walks from.
-        self.committed = BeginOrderCheckpoints()
+        self.committed = Checkpoints()
 
     def record(self, txn: ActionId, entry: LogEntry) -> None:
         self.active_events.setdefault(txn, []).append(entry.event)
@@ -73,7 +73,7 @@ class SynchronizationState:
         events = self.own_events(txn.id)
         if events:
             assert txn.commit_ts is not None
-            self.committed.insert(txn.begin_ts, txn.commit_ts, events)
+            self.committed.insert([(txn.begin_ts, txn.commit_ts, events)])
         self.active_events.pop(txn.id, None)
         self._own.pop(txn.id, None)
 

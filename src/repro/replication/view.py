@@ -2,9 +2,9 @@
 
 A front-end merges the logs of an initial quorum into a view and chooses
 a response legal for the view (paper, Section 3.2).  What "legal for the
-view" means depends on the local atomicity property in force, so a
-:class:`View` offers the serializations each concurrency-control scheme
-needs:
+view" means depends on the local atomicity property in force, and the
+properties differ in one thing: which timestamp orders the committed
+actions (Definition 3).
 
 * **commit order** (hybrid, and the committed part for locking):
   committed actions sorted by commit timestamp, the executing
@@ -12,10 +12,15 @@ needs:
 * **begin order** (static): committed actions sorted by begin timestamp,
   with the executing transaction's events at *its* begin position — the
   events of later-begun committed actions form a suffix the chosen
-  response must not invalidate.  The view supplies the classification
-  (:meth:`View.committed_actions`, :meth:`View.events_of`); the ordering
-  lives with its one consumer, :mod:`repro.cc.static_ts`, and its
-  incremental form in :mod:`repro.replication.serialcache`.
+  response must not invalidate.
+
+A :class:`View` supplies what both need: the merged log (an action's
+entries), the classification (:meth:`View.committed_actions`) and the
+statuses' timestamps.  The serialization itself is a list of checkpoints keyed by
+the scheme's timestamp (:class:`~repro.replication.serialcache.Checkpoints`),
+built afresh by :meth:`~repro.cc.base.CCScheme._committed_checkpoints` or
+carried forward by the front-end's serial cache
+(:mod:`repro.replication.serialcache`).
 
 Aborted actions' entries are ignored everywhere (recoverability: an
 aborted action has no effect).
@@ -26,7 +31,6 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.clocks.timestamps import Timestamp
-from repro.histories.events import Event, SerialHistory
 from repro.replication.log import Log
 from repro.txn.ids import ActionId, TxnStatus
 
@@ -53,11 +57,11 @@ class View:
         self.log = log
         self.statuses = statuses
         self.base = base
-        #: Optional serial cache (:mod:`repro.replication.serialcache`, the
-        #: kind the object's scheme serializes by) the owning front-end
-        #: threads through; ``None`` makes schemes recompute
-        #: serializations from scratch (the reference the model tests
-        #: compare the caches against).
+        #: Optional serial cache (:mod:`repro.replication.serialcache`, in
+        #: the order the object's scheme serializes by) the owning
+        #: front-end threads through; ``None`` makes schemes build their
+        #: checkpoints from scratch (the reference the model tests
+        #: compare the cache against).
         self.serial_cache = serial_cache
 
     @property
@@ -89,26 +93,6 @@ class View:
                 key=lambda a: self.statuses.begin_ts_of(a),
             )
         )
-
-    def events_of(self, action: ActionId) -> tuple[Event, ...]:
-        return tuple(entry.event for entry in self.log.entries_of(action))
-
-    # -- serializations -------------------------------------------------------
-
-    def commit_order_serial(self, own: ActionId | None = None) -> SerialHistory:
-        """Committed events in commit order, ``own``'s events appended.
-
-        This is the hybrid serialization in which ``own`` commits next:
-        under hybrid atomicity a response legal for this serial history
-        is the correct choice for the view.
-        """
-        events: list[Event] = []
-        for action in self.committed_actions():
-            if action != own:
-                events.extend(self.events_of(action))
-        if own is not None:
-            events.extend(self.events_of(own))
-        return tuple(events)
 
     def max_timestamp(self) -> Timestamp | None:
         """The largest entry timestamp, for Lamport clock witnessing.

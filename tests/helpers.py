@@ -12,6 +12,7 @@ from repro.replication import frontend
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.log import Log
+from repro.replication.serialcache import Checkpoints, SerialPrefixCache
 from repro.replication.view import View
 from repro.replication.viewcache import QuorumViewCache
 from repro.spec.datatype import SerialDataType
@@ -100,7 +101,8 @@ def audit_verdict(report, invariants=None):
     operation, transaction and span tallies; forensics, memory marks and
     the monitor roster, which legitimately differ between modes, are left
     out.  ``json.dumps(audit_verdict(report, STREAMING_INVARIANTS),
-    sort_keys=True)`` is the byte-identity contract between the modes.
+    sort_keys=True)`` (the six names ``tests/test_stream_audit.py`` pins)
+    is the byte-identity contract between the modes.
     """
     names = None if invariants is None else frozenset(invariants)
     kept = [v for v in report.violations if names is None or v.invariant in names]
@@ -129,13 +131,50 @@ def audit_verdict(report, invariants=None):
 
 
 def cache_stats(cache):
-    """The counters a view cache or serial cache keeps, by name."""
-    names = ("hits", "delta_merges", "delta_folds", "rebuilds", "write_throughs")
-    stats = {name: getattr(cache, name) for name in names if hasattr(cache, name)}
-    marks = getattr(cache, "_marks", None)
-    if marks is not None:
-        stats["mid_inserts"] = marks.mid_inserts
-    return stats
+    """The counters a quorum view cache keeps, by name."""
+    names = ("hits", "delta_merges", "rebuilds", "write_throughs")
+    return {name: getattr(cache, name) for name in names}
+
+
+def serial_cache_work(monkeypatch) -> dict[str, int]:
+    """Tally what the front-ends' serial caches do from here on.
+
+    ``queries`` counts :meth:`SerialPrefixCache.checkpoints` calls and
+    ``rebuilds`` its from-scratch rebuilds.  ``inserts`` counts the
+    queries that inserted newly committed groups into the checkpoints,
+    and ``mid_inserts`` those where a group landed in front of an
+    existing row, read from the position :meth:`Checkpoints.insert`
+    returns.  Inserts made outside a query (the synchronization
+    state's, at commit) are not counted.
+    """
+    work = {"queries": 0, "rebuilds": 0, "inserts": 0, "mid_inserts": 0}
+    query, rebuild = SerialPrefixCache.checkpoints, SerialPrefixCache._rebuild
+    insert = Checkpoints.insert
+    querying = []
+
+    def counted_query(cache, view):
+        work["queries"] += 1
+        querying.append(cache)
+        try:
+            return query(cache, view)
+        finally:
+            querying.pop()
+
+    def counted_rebuild(cache, view):
+        work["rebuilds"] += 1
+        return rebuild(cache, view)
+
+    def counted_insert(marks, rows):
+        position = insert(marks, rows)
+        if querying:
+            work["inserts"] += 1
+            work["mid_inserts"] += position < len(marks.rows) - len(rows)
+        return position
+
+    monkeypatch.setattr(SerialPrefixCache, "checkpoints", counted_query)
+    monkeypatch.setattr(SerialPrefixCache, "_rebuild", counted_rebuild)
+    monkeypatch.setattr(Checkpoints, "insert", counted_insert)
+    return work
 
 
 def count_calls(monkeypatch, owner, name):

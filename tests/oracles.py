@@ -3,6 +3,10 @@
 Each function here is a literal, slow transcription of a definition whose
 fast form runs in ``src/``; nothing under ``src/`` calls them.
 
+* :func:`commit_order_serial` — a view's committed events in commit
+  order, the executing transaction's own last (the serialization
+  Definition 3 gives hybrid atomicity), against the serial cache's
+  commit-order checkpoints;
 * :func:`pick_response` — the commit-order response choice by replay and
   trial, against ``CCScheme._commit_order_event``;
 * :func:`legal_serial_histories` — the bounded history universe the
@@ -31,8 +35,25 @@ from repro.histories.serialization import (
     relevant_active,
     serialize,
 )
+from repro.replication.view import View
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
+from repro.txn.ids import ActionId
+
+
+def commit_order_serial(view: View, own: ActionId | None = None) -> SerialHistory:
+    """Committed events of ``view`` in commit order, ``own``'s appended.
+
+    This is the hybrid serialization in which ``own`` commits next:
+    under hybrid atomicity a response legal for this serial history is
+    the correct choice for the view.
+    """
+    order = [action for action in view.committed_actions() if action != own]
+    if own is not None:
+        order.append(own)
+    return tuple(
+        entry.event for action in order for entry in view.log.entries_of(action)
+    )
 
 
 def pick_response(

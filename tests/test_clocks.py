@@ -8,8 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.timestamps import ZERO, Timestamp
+from repro.clocks.timestamps import Timestamp
 from repro.txn.ids import ActionId
+
+#: A timestamp ordered before every timestamp any clock can produce
+#: (sites are numbered from 0).
+ZERO = Timestamp(0, -1)
 
 
 class TestTimestamp:

@@ -1,4 +1,4 @@
-"""The serial caches: begin-order checkpoints and the shared view delta.
+"""The serial cache: checkpoints in either timestamp order, and the view delta.
 
 Five layers of evidence that the incremental paths compute what the
 from-scratch reference computes:
@@ -15,7 +15,9 @@ from-scratch reference computes:
   taken from the serial cache, or replayed without one, answers what
   replay-and-trial (``tests/oracles.py::pick_response``) answers;
 * one unit test per condition under which carried state is unsound
-  (each must rebuild or fall back, never answer from stale state);
+  (each must rebuild or fall back, never answer from stale state), and
+  one for the commit this view learns of late (an ordered insert, not
+  a rebuild);
 * a counted (not timed) guard that static atomicity's per-operation
   legality work no longer grows with the length of the history.
 """
@@ -38,19 +40,15 @@ from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import ThresholdCoterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.reconfig import reconfigure
-from repro.replication.serialcache import (
-    BeginOrderCache,
-    BeginOrderCheckpoints,
-    SerialPrefixCache,
-)
+from repro.replication.serialcache import Checkpoints, SerialPrefixCache
 from repro.replication.view import View
 from repro.scenarios import runner
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
 from repro.types import Account, Queue, SemiQueue, standard_types
-from tests.helpers import cache_stats, queue_system
-from tests.oracles import pick_response, reachable_responses
+from tests.helpers import count_calls, queue_system
+from tests.oracles import commit_order_serial, pick_response, reachable_responses
 
 ENQ_A = Invocation("Enq", ("a",))
 ENQ_B = Invocation("Enq", ("b",))
@@ -93,34 +91,42 @@ def _assert_checkpoints_are_replay_nodes(marks, oracle):
 
 
 @pytest.mark.parametrize("datatype", [Queue(), Account()], ids=["Queue", "Account"])
-class TestBeginOrderCheckpoints:
+class TestCheckpoints:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_any_insertion_order_keeps_checkpoints_on_the_replay_path(
         self, datatype, data
     ):
         groups, order = data.draw(grouped_histories(datatype))
+        # Inserted a batch at a time, as a cache folds what newly
+        # committed together.
+        batch = data.draw(st.integers(1, 3))
         oracle = LegalityOracle(datatype)
-        marks = BeginOrderCheckpoints()
+        marks = Checkpoints()
         inserted = []
-        for index in order:
-            begin_ts, tag, events = groups[index]
-            position = marks.insert(begin_ts, tag, events)
-            inserted.append(groups[index])
+        mid_inserts = 0
+        for start in range(0, len(order), batch):
+            rows = sorted(groups[index] for index in order[start : start + batch])
+            seen = len(marks)
+            position = marks.insert(rows)
+            mid_inserts += position < seen
+            inserted.extend(rows)
             assert marks.rows == sorted(inserted)
-            assert marks.rows[position] == groups[index]
+            assert marks.rows[position] == rows[0]
             _assert_checkpoints_are_replay_nodes(marks, oracle)
         assert marks.rows == groups
-        assert marks.mid_inserts == sum(
-            1 for seen, index in enumerate(order) if index < max(order[: seen + 1])
+        assert mid_inserts == sum(
+            1
+            for start in range(batch, len(order), batch)
+            if min(order[start : start + batch]) < max(order[:start])
         )
 
     def test_trimmed_oracle_gets_live_nodes(self, datatype):
         oracle = LegalityOracle(datatype)
         deposit_or_enq = Event(datatype.invocations()[0], ok())
-        marks = BeginOrderCheckpoints()
+        marks = Checkpoints()
         for begin in range(4):
-            marks.insert(Timestamp(begin, 0), begin, (deposit_or_enq,))
+            marks.insert([(Timestamp(begin, 0), begin, (deposit_or_enq,))])
         stale = marks.node_before(oracle, 4)
         oracle.trim_cache()
         # Detached nodes would still answer correctly, but keeping them
@@ -232,17 +238,21 @@ def _static_inputs(committed, marks, actives, own):
     begins = {action: begin for action, (begin, _events) in committed.items()}
     begins.update({holder: begin for begin, holder, _events in actives})
     begins[own_id] = own_begin
+    entries = {
+        action: tuple(
+            LogEntry(Timestamp(at, 0), event, action) for at, event in enumerate(events)
+        )
+        for action, (_begin, events) in committed.items()
+    }
     cache = None
     if marks is not None:
-        cache = SimpleNamespace(
-            checkpoints=lambda _view: marks, contains_committed=committed.__contains__
-        )
+        cache = SimpleNamespace(checkpoints=lambda _view: marks, committed=committed)
     view = SimpleNamespace(
         base_state=None,
         serial_cache=cache,
         statuses=SimpleNamespace(begin_ts_of=begins.__getitem__),
         committed_actions=lambda: tuple(committed),
-        events_of=lambda action: committed[action][1],
+        log=SimpleNamespace(entries_of=entries.__getitem__),
     )
     sync = SimpleNamespace(
         own_events=lambda _action: own_events,
@@ -277,10 +287,10 @@ class TestStaticDecision:
             # The view already shows the executing transaction committed
             # (its own entries among them); the walk must leave it out.
             committed[own_id] = (own_begin, own_events)
-        marks = BeginOrderCheckpoints()
+        marks = Checkpoints()
         for index in order:
             begin_ts, tag, events = groups[index]
-            marks.insert(begin_ts, ActionId(1000 + tag, 1), events)
+            marks.insert([(begin_ts, ActionId(1000 + tag, 1), events)])
             # Leave a partly stepped checkpoint prefix behind.
             marks.node_before(oracle, data.draw(st.integers(0, len(marks))))
         view, sync, txn = _static_inputs(
@@ -389,7 +399,7 @@ def commit_order_views(draw, datatype):
             state = outcomes[draw(st.integers(0, len(outcomes) - 1))][1]
         base = SimpleNamespace(state=state)
     warm = draw(st.sampled_from([None, "cold", "warm"]))
-    cache = None if warm is None else SerialPrefixCache()
+    cache = None if warm is None else SerialPrefixCache("commit")
     invocation = draw(st.sampled_from(datatype.invocations()))
     seen = draw(st.integers(0, len(entries))) if warm == "warm" else None
     return tm, own, entries, base, cache, seen, invocation
@@ -406,11 +416,12 @@ def test_commit_order_choice_answers_what_replay_and_trial_answer(datatype, data
     )
     scheme = DynamicLockingCC(datatype, LegalityOracle(datatype))
     if seen is not None:
-        cache.committed_node(View(Log(entries[:seen]), tm, base=base), scheme.oracle)
+        marks = cache.checkpoints(View(Log(entries[:seen]), tm, base=base))
+        marks.node_before(scheme.oracle, len(marks))
     view = View(Log(entries), tm, base=base, serial_cache=cache)
     reference = pick_response(
         LegalityOracle(datatype),
-        view.commit_order_serial(own=own.id),
+        commit_order_serial(view, own=own.id),
         invocation,
         base_state=view.base_state,
     )
@@ -444,109 +455,191 @@ def _sync_for(txn=None, events=()):
     )
 
 
-@pytest.mark.parametrize("cache_type", [SerialPrefixCache, BeginOrderCache])
+def _counted(monkeypatch):
+    """Count the serial cache's rebuilds and its checkpoint inserts."""
+    return (
+        count_calls(monkeypatch, SerialPrefixCache, "_rebuild"),
+        count_calls(monkeypatch, Checkpoints, "insert"),
+    )
+
+
+@pytest.mark.parametrize("order", ["commit", "begin"])
 class TestViewDeltaInvalidation:
-    """The shared half: both caches must rebuild on the same evidence."""
+    """Both orders find the delta one way and rebuild on the same evidence."""
 
     @staticmethod
     def _sync(cache, view, oracle):
-        if isinstance(cache, SerialPrefixCache):
-            return cache.committed_node(view, oracle)
         marks = cache.checkpoints(view)
         return marks.node_before(oracle, len(marks))
 
-    def test_grown_view_folds_the_delta(self, cache_type, committed_pair):
+    def test_grown_view_folds_the_delta(self, order, committed_pair, monkeypatch):
         tm, (a, b, c), entries = committed_pair
-        oracle, cache = LegalityOracle(Queue()), cache_type()
+        rebuilds, inserts = _counted(monkeypatch)
+        oracle, cache = LegalityOracle(Queue()), SerialPrefixCache(order)
         small = Log([entries[b.id]])
         self._sync(cache, View(small, tm), oracle)
         grown = small.extended([entries[a.id], entries[c.id]])
         node = self._sync(cache, View(grown, tm), oracle)
-        assert cache_stats(cache)["rebuilds"] == 1
-        assert cache_stats(cache)["delta_folds"] == 1
-        order = (b, a) if cache_type is SerialPrefixCache else (a, b)
-        assert node is oracle._node(tuple(entries[t.id].event for t in order))
+        assert rebuilds.calls == 1
+        assert inserts.calls == 1
+        serial = (b, a) if order == "commit" else (a, b)
+        assert node is oracle._node(tuple(entries[t.id].event for t in serial))
+        # Nothing new: neither a rebuild nor an insert.
         self._sync(cache, View(grown, tm), oracle)
-        assert cache_stats(cache)["hits"] == 1
+        assert (rebuilds.calls, inserts.calls) == (1, 1)
 
     def test_lagging_entry_for_a_folded_action_rebuilds(
-        self, cache_type, committed_pair
+        self, order, committed_pair, monkeypatch
     ):
         tm, (a, b, _c), entries = committed_pair
-        oracle, cache = LegalityOracle(Queue()), cache_type()
+        rebuilds, _inserts = _counted(monkeypatch)
+        oracle, cache = LegalityOracle(Queue()), SerialPrefixCache(order)
         log = Log([entries[a.id], entries[b.id]])
         self._sync(cache, View(log, tm), oracle)
         late = LogEntry(Timestamp(13, 0), Event(ENQ_B, ok()), a.id)
         node = self._sync(cache, View(log.extended([late]), tm), oracle)
-        assert cache_stats(cache)["rebuilds"] == 2
+        assert rebuilds.calls == 2
         a_events = (entries[a.id].event, late.event)
         b_events = (entries[b.id].event,)
-        expected = (
-            b_events + a_events
-            if cache_type is SerialPrefixCache
-            else a_events + b_events
-        )
+        expected = b_events + a_events if order == "commit" else a_events + b_events
         assert node is oracle._node(expected)
 
-    def test_shrunk_view_rebuilds(self, cache_type, committed_pair):
+    def test_shrunk_view_rebuilds(self, order, committed_pair, monkeypatch):
         tm, (a, b, _c), entries = committed_pair
-        oracle, cache = LegalityOracle(Queue()), cache_type()
+        rebuilds, _inserts = _counted(monkeypatch)
+        oracle, cache = LegalityOracle(Queue()), SerialPrefixCache(order)
         self._sync(cache, View(Log([entries[a.id], entries[b.id]]), tm), oracle)
         node = self._sync(cache, View(Log([entries[b.id]]), tm), oracle)
-        assert cache_stats(cache)["rebuilds"] == 2
+        assert rebuilds.calls == 2
         assert node is oracle._node((entries[b.id].event,))
 
-    def test_compaction_base_change_rebuilds(self, cache_type, committed_pair):
+    def test_compaction_base_change_rebuilds(self, order, committed_pair, monkeypatch):
         tm, (a, b, _c), entries = committed_pair
-        oracle, cache = LegalityOracle(Queue()), cache_type()
+        rebuilds, _inserts = _counted(monkeypatch)
+        oracle, cache = LegalityOracle(Queue()), SerialPrefixCache(order)
         log = Log([entries[a.id], entries[b.id]])
         self._sync(cache, View(log, tm), oracle)
         snapshot = SimpleNamespace(state=Queue().initial_state())
         cache_view = View(log, tm, base=snapshot, serial_cache=cache)
-        if cache_type is BeginOrderCache:
+        if order == "begin":
             # Static never reaches its cache on a compacted view: the
             # refusal comes first and is fatal, cached or not.
             scheme = StaticTimestampCC(Queue(), oracle)
             with pytest.raises(ConflictError) as refusal:
                 scheme.choose_event(cache_view, tm.begin(), DEQ, _sync_for())
             assert refusal.value.fatal
-            assert cache_stats(cache)["rebuilds"] == 1
+            assert rebuilds.calls == 1
         self._sync(cache, cache_view, oracle)
-        assert cache_stats(cache)["rebuilds"] == 2
+        assert rebuilds.calls == 2
 
     def test_own_transaction_already_committed_falls_back(
-        self, cache_type, committed_pair
+        self, order, committed_pair
     ):
         """Cached and from-scratch choices agree even for a committed ``own``."""
         tm, (a, b, _c), entries = committed_pair
-        _cluster, obj = queue_system(
-            "hybrid" if cache_type is SerialPrefixCache else "static"
-        )
+        _cluster, obj = queue_system("hybrid" if order == "commit" else "static")
         scheme = obj.cc
+        assert scheme.serialization_order == order
         log = Log([entries[a.id], entries[b.id]])
-        cache = cache_type()
+        cache = SerialPrefixCache(order)
         cached = scheme.choose_event(
             View(log, tm, serial_cache=cache), b, DEQ, _sync_for(b)
         )
         reference = scheme.choose_event(View(log, tm), b, DEQ, _sync_for(b))
-        assert cache.contains_committed(b.id)
+        assert b.id in cache.committed
         assert cached == reference
 
 
+@pytest.mark.parametrize("order", ["commit", "begin"])
+def test_an_older_commit_learned_late_is_inserted_not_rebuilt(order, monkeypatch):
+    """A view first shows B and C committed, then learns of A, which began
+    and committed before both.  A's group is inserted at the front of the
+    already-stepped checkpoints, without a rebuild, and the node after
+    them is the replay of A·B·C from the compaction base."""
+    datatype = Queue()
+    tm = TransactionManager()
+    a, b, c = tm.begin(), tm.begin(), tm.begin()
+    for txn in (a, b, c):
+        tm.commit(txn)
+    events = {
+        a.id: Event(ENQ_A, ok()),
+        b.id: Event(ENQ_B, ok()),
+        c.id: Event(DEQ, ok("z")),
+    }
+    entries = {
+        txn.id: LogEntry(Timestamp(10 + i, 0), events[txn.id], txn.id)
+        for i, txn in enumerate((a, b, c))
+    }
+    [(_response, base_state)] = datatype.apply(
+        datatype.initial_state(), Invocation("Enq", ("z",))
+    )
+    base = SimpleNamespace(state=base_state)
+    rebuilds = count_calls(monkeypatch, SerialPrefixCache, "_rebuild")
+    positions = []
+    insert = Checkpoints.insert
+
+    def recorded_insert(marks, rows):
+        positions.append(insert(marks, rows))
+        return positions[-1]
+
+    monkeypatch.setattr(Checkpoints, "insert", recorded_insert)
+    oracle, cache = LegalityOracle(datatype), SerialPrefixCache(order)
+
+    seen = Log([entries[b.id], entries[c.id]])
+    marks = cache.checkpoints(View(seen, tm, base=base))
+    later = (events[b.id], events[c.id])
+    assert marks.node_before(oracle, len(marks)) is oracle._node(later, base_state)
+
+    view = View(seen.extended([entries[a.id]]), tm, base=base)
+    marks = cache.checkpoints(view)
+    assert rebuilds.calls == 1  # the first use only
+    assert positions == [0]
+    assert [tag for _ts, tag, _events in marks.rows] == [a.id, b.id, c.id]
+    node = marks.node_before(oracle, len(marks))
+    assert node.frontier is not None
+    assert node is oracle._node((events[a.id],) + later, base_state)
+    if order == "commit":
+        assert node is oracle._node(commit_order_serial(view), view.base_state)
+
+
+@pytest.mark.parametrize("order", ["commit", "begin"])
+def test_an_undecided_actions_entries_fold_in_timestamp_order(order, monkeypatch):
+    """An active action's entries reach the view out of timestamp order,
+    the later one first.  When it commits, its group is folded from the
+    entries the deltas brought, in timestamp order, without a rebuild:
+    the rows a cache built from scratch holds."""
+    tm = TransactionManager()
+    a = tm.begin()
+    first = LogEntry(Timestamp(10, 0), Event(ENQ_A, ok()), a.id)
+    second = LogEntry(Timestamp(11, 0), Event(ENQ_B, ok()), a.id)
+    cache = SerialPrefixCache(order)
+    seen = Log([second])
+    assert cache.checkpoints(View(seen, tm)).rows == []
+    tm.commit(a)
+    rebuilds = count_calls(monkeypatch, SerialPrefixCache, "_rebuild")
+    view = View(seen.extended([first]), tm)
+    rows = cache.checkpoints(view).rows
+    assert rebuilds.calls == 0
+    assert [events for _ts, _action, events in rows] == [(first.event, second.event)]
+    assert rows == SerialPrefixCache(order).checkpoints(view).rows
+
+
 class TestFrontEndWiring:
-    def test_cache_kind_follows_the_schemes_serialization_order(self):
-        for scheme, kind in (
-            ("hybrid", SerialPrefixCache),
-            ("dynamic", SerialPrefixCache),
-            ("static", BeginOrderCache),
+    def test_cache_order_follows_the_schemes_serialization_order(self):
+        for scheme, order in (
+            ("hybrid", "commit"),
+            ("dynamic", "commit"),
+            ("static", "begin"),
         ):
-            cluster, _obj = queue_system(scheme)
+            cluster, obj = queue_system(scheme)
             frontend = cluster.frontends[0]
             txn = cluster.tm.begin(0)
             frontend.execute(txn, "obj", ENQ_A)
-            assert type(frontend.serial_caches["obj"]) is kind
+            cache = frontend.serial_caches["obj"]
+            assert type(cache) is SerialPrefixCache
+            assert cache.order == obj.cc.serialization_order == order
 
-    def test_reconfig_drops_the_cache_and_the_next_view_rebuilds(self):
+    def test_reconfig_drops_the_cache_and_the_next_view_rebuilds(self, monkeypatch):
         cluster, obj = queue_system("static")
         frontend = cluster.frontends[0]
         for invocation in (ENQ_A, ENQ_B):
@@ -566,11 +659,12 @@ class TestFrontEndWiring:
             frontends=cluster.frontends,
         )
         assert "obj" not in frontend.serial_caches
+        rebuilds = count_calls(monkeypatch, SerialPrefixCache, "_rebuild")
         reader = cluster.tm.begin(0)
         assert frontend.execute(reader, "obj", DEQ) == ok("a")
         after = frontend.serial_caches["obj"]
         assert after is not before
-        assert cache_stats(after)["rebuilds"] == 1
+        assert rebuilds.calls == 1
 
 
 # -- O(delta), counted ------------------------------------------------------------

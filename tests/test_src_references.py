@@ -1,11 +1,13 @@
 """Every definition in ``src/repro`` has a caller outside the tests.
 
 Parses every module under ``src/repro`` with :mod:`ast` and collects each
-function, method and class it defines (dunders exempt).  A definition
-counts as referenced when its name appears in some file under ``src/``,
-``perf/`` or ``examples/`` outside its own definition, as
+function, method and class it defines (dunders exempt) and each
+UPPER_CASE name a module-level assignment binds (a constant).  A
+definition counts as referenced when its name appears in some file under
+``src/``, ``perf/`` or ``examples/`` outside its own definition, as
 
-* a ``Name`` or an ``Attribute``;
+* a ``Name`` that is read (an assignment target is not a read; a name
+  inside an f-string's replacement field is) or an ``Attribute``;
 * a name imported with ``from ... import`` in a module other than an
   ``__init__.py`` (a facade re-export is not a use);
 * an identifier token of a string constant (``getattr`` targets, the
@@ -33,6 +35,7 @@ SCANNED = ("src", "perf", "examples")
 
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 #: Unreferenced definitions that stay, each with why.
 ALLOWED = {
@@ -93,7 +96,8 @@ def _appearances(path: Path) -> list[tuple[str, tuple[str, ...]]]:
         if _is_all(node) or id(node) in docstrings:
             return
         if isinstance(node, ast.Name):
-            found.append((node.id, enclosing))
+            if not isinstance(node.ctx, ast.Store):
+                found.append((node.id, enclosing))
         elif isinstance(node, ast.Attribute):
             found.append((node.attr, enclosing))
         elif isinstance(node, ast.ImportFrom) and not facade:
@@ -109,18 +113,39 @@ def _appearances(path: Path) -> list[tuple[str, tuple[str, ...]]]:
     return found
 
 
+def _defined(path: Path) -> list[tuple[str, int]]:
+    """``(name, line)`` per non-dunder definition and constant in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, _DEFINITION)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    for statement in tree.body:
+        targets = (
+            statement.targets if isinstance(statement, ast.Assign)
+            else [statement.target] if isinstance(statement, ast.AnnAssign)
+            else []
+        )
+        found.extend(
+            (target.id, statement.lineno)
+            for top in targets
+            for target in ast.walk(top)
+            if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id)
+        )
+    return found
+
+
 def _definitions() -> dict[str, list[str]]:
-    """Name of every non-dunder definition under ``src/repro`` → where."""
+    """Name of every non-dunder definition and constant under
+    ``src/repro`` → where."""
     found: dict[str, list[str]] = {}
     for path in _files("src"):
         if PACKAGE not in path.parents:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, _DEFINITION) and not (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
-                where = f"{path.relative_to(ROOT)}:{node.lineno}"
-                found.setdefault(node.name, []).append(where)
+        for name, line in _defined(path):
+            found.setdefault(name, []).append(f"{path.relative_to(ROOT)}:{line}")
     return found
 
 
@@ -165,9 +190,32 @@ def test_the_scan_sees_each_kind_of_appearance(tmp_path):
         "    return recursive()\n"
         "x = obj.attribute + plain_name\n"
         "getattr(obj, 'Owner.in_string')\n"
+        "message = f'{IN_FSTRING!r} of {obj.fstring_attr}'\n"
     )
     path = tmp_path / "probe.py"
     path.write_text(source)
     names = {name for name, enclosing in _appearances(path) if name not in enclosing}
     assert {"imported", "attribute", "plain_name", "in_string", "Owner"} <= names
-    assert not {"docstring_only", "listed_only", "recursive"} & names
+    assert {"IN_FSTRING", "fstring_attr"} <= names
+    assert not {"docstring_only", "listed_only", "recursive", "x", "message"} & names
+
+
+def test_a_module_constant_counts_only_when_read(tmp_path):
+    source = (
+        "READ_ONCE = 1\n"
+        "NEVER_READ: int = 2\n"
+        "_PRIVATE, lower_case = 3, 4\n"
+        "def use():\n"
+        "    INNER = READ_ONCE + _PRIVATE\n"
+        "    return INNER\n"
+        "class Owner:\n"
+        "    CLASS_LEVEL = 5\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(source)
+    defined = {name for name, _line in _defined(path)}
+    # Module level only, and UPPER_CASE only.
+    assert defined == {"READ_ONCE", "NEVER_READ", "_PRIVATE", "use", "Owner"}
+    names = {name for name, enclosing in _appearances(path) if name not in enclosing}
+    assert {"READ_ONCE", "_PRIVATE"} <= names
+    assert "NEVER_READ" not in names

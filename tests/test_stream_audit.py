@@ -26,7 +26,6 @@ import repro.__main__ as cli
 from repro.errors import ConflictError
 from repro.obs.audit import (
     DEFAULT_STREAM_WINDOW,
-    STREAMING_INVARIANTS,
     Auditor,
     QuorumIntersectionMonitor,
     streaming_monitors,
@@ -46,6 +45,18 @@ from repro.txn.ids import ActionId
 from tests.helpers import audit_verdict
 
 pytestmark = [pytest.mark.obs, pytest.mark.streaming]
+
+#: The invariants the streaming monitor set checks — the six online
+#: checks; history-capture and one-copy-serializability need the full
+#: history and stay deep-mode-only.
+STREAMING_INVARIANTS = (
+    "quorum-intersection",
+    "reconfig-epoch",
+    "lock-discipline",
+    "timestamp-order",
+    "log-consistency",
+    "genuine-partial-replication",
+)
 
 
 def streaming_matches_deep(
@@ -195,6 +206,21 @@ class TestSpanLifecycle:
             crossing = tracer.start_span("crossing", parent=root)
         assert inner.parent_id == outer.span_id
         assert crossing.parent_id == root.span_id
+
+    def test_an_unbound_tracer_stamps_zero_until_bound(self):
+        tracer = Tracer()
+        early = tracer.start_span("early")
+        tracer.end_span(early)
+        assert early.start == early.end == tracer.now == 0.0
+        sim = Simulator(seed=0)
+        sim.advance(2.5)
+        tracer.bind_clock(sim)
+        bound = tracer.start_span("bound")
+        sim.advance(1.0)
+        tracer.end_span(bound)
+        assert (bound.start, bound.end) == (2.5, 3.5)
+        # A span stamped before the binding keeps its 0.0.
+        assert (early.start, early.end) == (0.0, 0.0)
 
     def test_an_event_is_a_closed_zero_length_span(self):
         sim = Simulator(seed=0)
@@ -443,8 +469,8 @@ class TestRetirement:
         assert recorder.forget(frozenset()) == 0
 
         sync = SynchronizationState()
-        sync.committed.insert(Timestamp(1, 0), Timestamp(2, 0), ())
-        sync.committed.insert(Timestamp(3, 0), Timestamp(4, 0), ())
+        sync.committed.insert([(Timestamp(1, 0), Timestamp(2, 0), ())])
+        sync.committed.insert([(Timestamp(3, 0), Timestamp(4, 0), ())])
         assert sync.trim_committed(Timestamp(2, 0)) == 1
         assert len(sync.committed) == 1
 

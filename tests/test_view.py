@@ -5,10 +5,11 @@ import pytest
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import event, ok
 from repro.replication.log import Log, LogEntry
-from repro.replication.serialcache import BeginOrderCache
+from repro.replication.serialcache import SerialPrefixCache
 from repro.replication.view import View
 from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
+from tests.oracles import commit_order_serial
 
 
 @pytest.fixture()
@@ -44,15 +45,16 @@ class TestClassification:
 
     def test_events_of(self, system):
         tm, (a, _b, _c), log = system
-        view = View(log, tm)
-        assert view.events_of(a.id) == (event("Enq", ("x",)),)
+        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
+        groups = {action: events for _ts, action, events in marks.rows}
+        assert groups[a.id] == (event("Enq", ("x",)),)
 
 
 class TestSerializations:
     def test_commit_order_serial(self, system):
         tm, (a, b, c), log = system
         view = View(log, tm)
-        assert view.commit_order_serial() == (
+        assert commit_order_serial(view) == (
             event("Enq", ("y",)),
             event("Enq", ("x",)),
         )
@@ -60,19 +62,19 @@ class TestSerializations:
     def test_commit_order_serial_with_own_last(self, system):
         tm, (a, b, c), log = system
         view = View(log, tm)
-        serial = view.commit_order_serial(own=c.id)
+        serial = commit_order_serial(view, own=c.id)
         assert serial[-1] == event("Enq", ("z",))
 
     def test_own_committed_events_moved_last(self, system):
         tm, (a, b, _c), log = system
         view = View(log, tm)
-        serial = view.commit_order_serial(own=b.id)
+        serial = commit_order_serial(view, own=b.id)
         # b's event appears last even though b committed first.
         assert serial == (event("Enq", ("x",)), event("Enq", ("y",)))
 
     def test_begin_order_split(self, system):
         tm, (a, b, c), log = system
-        marks = BeginOrderCache().checkpoints(View(log, tm))
+        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
         # Both committed actions began before C, A first (begin order,
         # although B committed first).
         assert marks.position(c.begin_ts) == 2
@@ -83,10 +85,23 @@ class TestSerializations:
 
     def test_begin_order_split_with_later_action(self, system):
         tm, (a, b, _c), log = system
-        marks = BeginOrderCache().checkpoints(View(log, tm))
+        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
         # Nothing began before A; B's group is the suffix behind it.
         assert marks.position(a.begin_ts) == 0
         assert marks.position(b.begin_ts) == 1
+
+    def test_commit_order_checkpoints(self, system):
+        tm, (a, b, _c), log = system
+        view = View(log, tm)
+        marks = SerialPrefixCache("commit").checkpoints(view)
+        # Keyed by commit timestamp: B first although A began first.
+        assert [tag for _ts, tag, _events in marks.rows] == [b.id, a.id]
+        assert [ts for ts, _tag, _events in marks.rows] == [
+            tm.commit_ts_of(b.id),
+            tm.commit_ts_of(a.id),
+        ]
+        flattened = tuple(e for _ts, _tag, events in marks.rows for e in events)
+        assert flattened == commit_order_serial(view)
 
     def test_max_timestamp(self, system):
         tm, _txns, log = system
@@ -100,7 +115,7 @@ class TestAbortFiltering:
         tm.abort(c)
         view = View(log, tm)
         assert view.active_actions() == ()
-        assert view.commit_order_serial() == (
+        assert commit_order_serial(view) == (
             event("Enq", ("y",)),
             event("Enq", ("x",)),
         )
