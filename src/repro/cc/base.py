@@ -9,8 +9,9 @@ A scheme is consulted at three points in a transaction's life:
   transactions (raising :class:`~repro.errors.ConflictError` to block or
   abort).  Every scheme reads the view's committed groups the same way
   (:meth:`CCScheme._committed_checkpoints`), ordered by the timestamp
-  its :attr:`CCScheme.serialization_order` names: from the front-end's
-  serial cache when it can serve, else built afresh from the view.
+  its :attr:`CCScheme.serialization_order` names: the object's own
+  committed rows when the view holds every committed entry, else built
+  afresh from the view.
 * :meth:`CCScheme.pre_commit` — commit-time certification; raising
   :class:`~repro.errors.ConflictError` vetoes the commit.
 * :meth:`CCScheme.on_finalize` — after commit or abort, to release
@@ -71,20 +72,19 @@ class CCScheme(ABC):
     def on_finalize(self, txn: Transaction, sync: "SynchronizationState") -> None:
         """Release scheme state after commit or abort; default: none."""
 
-    def _committed_checkpoints(self, view: View, txn: Transaction) -> Checkpoints:
+    def _committed_checkpoints(
+        self, view: View, txn: Transaction, sync: "SynchronizationState"
+    ) -> Checkpoints:
         """The view's committed groups other than ``txn``'s, in
         :attr:`serialization_order`, with their legality checkpoints.
 
-        From the view's serial cache when the front-end threaded one
-        through and it has not folded ``txn`` in as committed; otherwise
-        built afresh from the view, the reference the cache is checked
-        against.
+        The object's own rows (``sync.committed``) when the view holds
+        every committed entry of the object; otherwise built afresh from
+        the view, the reference those rows are checked against.
         """
-        cache = view.serial_cache
-        if cache is not None:
-            marks = cache.checkpoints(view)
-            if txn.id not in cache.committed:
-                return marks
+        marks = sync.committed.covering(view, txn)
+        if marks is not None:
+            return marks
         entries_of = view.log.entries_of
         groups = [
             (action, entries_of(action))
@@ -97,7 +97,11 @@ class CCScheme(ABC):
         )
 
     def _commit_order_event(
-        self, view: View, txn: Transaction, invocation: Invocation
+        self,
+        view: View,
+        txn: Transaction,
+        invocation: Invocation,
+        sync: "SynchronizationState",
     ) -> Event:
         """The response chosen as if ``txn`` were to commit next.
 
@@ -108,7 +112,7 @@ class CCScheme(ABC):
         the transaction's own entries.
         """
         oracle = self.oracle
-        marks = self._committed_checkpoints(view, txn)
+        marks = self._committed_checkpoints(view, txn, sync)
         node = marks.node_before(oracle, len(marks.rows))
         step = oracle._step
         for entry in view.log.entries_of(txn.id):

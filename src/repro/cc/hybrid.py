@@ -60,6 +60,6 @@ class HybridCC(CCScheme):
         invocation: Invocation,
         sync,
     ) -> Event:
-        event = self._commit_order_event(view, txn, invocation)
+        event = self._commit_order_event(view, txn, invocation, sync)
         self._check_held(event, txn, sync, "conflicts with")
         return event

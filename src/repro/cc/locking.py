@@ -62,6 +62,6 @@ class DynamicLockingCC(CCScheme):
     ) -> Event:
         # Locking guarantees all precedes-consistent serializations are
         # equivalent, so the commit-order serialization is as good as any.
-        event = self._commit_order_event(view, txn, invocation)
+        event = self._commit_order_event(view, txn, invocation, sync)
         self._check_held(event, txn, sync, "does not commute with")
         return event

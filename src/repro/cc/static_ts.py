@@ -28,9 +28,9 @@ begin position it merges in and replays only the tail window — bounded
 by the oldest active transaction's begin position, not by how long the
 object has lived.  The groups come from
 :meth:`~repro.cc.base.CCScheme._committed_checkpoints`, which every
-scheme shares: the view's serial cache, or, when the view carries none
-or already shows the transaction as committed, rows built afresh from
-the view.
+scheme shares: the object's own begin-ordered rows — the very rows
+:meth:`pre_commit` walks — when the view holds every committed entry,
+else rows built afresh from the view.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class StaticTimestampCC(CCScheme):
                 "prefix)",
                 fatal=True,
             )
-        marks = self._committed_checkpoints(view, txn)
+        marks = self._committed_checkpoints(view, txn, sync)
         oracle = self.oracle
         own_events = sync.own_events(txn.id)
         own_at = marks.position(txn.begin_ts)
@@ -127,7 +127,7 @@ class StaticTimestampCC(CCScheme):
 
     def pre_commit(self, txn: Transaction, sync) -> None:
         """Safety net: the on-line invariant makes commits always safe."""
-        committed = sync.committed
+        committed = sync.committed.marks
         own = [(committed.position(txn.begin_ts), 1, None)]
         blamed = _blame(committed, self.oracle, own, sync.own_events(txn.id), 0, {})
         if blamed is not None:

@@ -26,7 +26,6 @@ from repro.quorum.coterie import Coterie
 from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
 from repro.replication.repository import Repository
-from repro.replication.serialcache import SerialPrefixCache
 from repro.replication.view import View
 from repro.replication.viewcache import QuorumViewCache
 from repro.resilience.policy import (
@@ -51,7 +50,6 @@ class _Plan(NamedTuple):
     epoch: int
     route: tuple[int, ...]
     replicas: tuple[int, ...]
-    serial_cache: SerialPrefixCache
     stops: dict[Coterie, Callable[[frozenset[int]], bool] | int]
 
 
@@ -92,9 +90,6 @@ class FrontEnd:
         self.tracer = tracer if tracer is not None else network.tracer
         #: Incremental view-merge cache over initial-quorum replies.
         self.view_cache = QuorumViewCache()
-        #: Per-object incremental serializations (in the order of the
-        #: object's scheme), threaded through every view.
-        self.serial_caches: dict[str, SerialPrefixCache] = {}
         #: Per-object plans, see :meth:`_plan`.
         self._plans: dict[str, _Plan] = {}
         #: Object → replica visit order.
@@ -223,7 +218,7 @@ class FrontEnd:
         own = obj.sync.own_entries(txn.id)
         if own:
             merged = merged.extended(own)
-        view = View(merged, self.tm, base=base, serial_cache=plan.serial_cache)
+        view = View(merged, self.tm, base=base)
         latest = view.max_timestamp()
         if latest is not None:
             self.clock.witness(latest)
@@ -324,21 +319,15 @@ class FrontEnd:
         name = obj.name
         plan = self._plans.get(name)
         if plan is None or plan.assignment is not assignment or plan.epoch != epoch:
-            serial_cache = self.serial_caches.setdefault(
-                name, SerialPrefixCache(obj.cc.serialization_order)
-            )
             # Replica visit order: locality first, then round-robin.
             route = self.router.route(self.site, name)
-            plan = _Plan(
-                assignment, epoch, route, self.router.replicas(name), serial_cache, {}
-            )
+            plan = _Plan(assignment, epoch, route, self.router.replicas(name), {})
             self._plans[name] = plan
         return plan
 
     def forget(self, object_name: str) -> None:
-        """Drop the plan and caches kept for ``object_name``."""
+        """Drop the plan and the view cache kept for ``object_name``."""
         self._plans.pop(object_name, None)
-        self.serial_caches.pop(object_name, None)
         self.view_cache.invalidate(object_name)
 
     def _read_quorum(

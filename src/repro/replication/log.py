@@ -90,15 +90,33 @@ class LogEntry:
         return f"[{self.ts}] {self.event} {self.action}"
 
 
+class _Group:
+    """One action's entries on a table: their bits in timestamp order,
+    the mask of those bits and the entries themselves, so a log holding
+    the whole group reads it with one AND."""
+
+    __slots__ = ("bits", "mask", "entries")
+
+    def __init__(self, bits: list[int], arrival: list[LogEntry]):
+        self.bits = bits
+        self.mask = sum(1 << bit for bit in bits)
+        self.entries = tuple(arrival[bit] for bit in bits)
+
+    def add(self, bit: int, arrival: list[LogEntry]) -> None:
+        insort(self.bits, bit, key=lambda held: arrival[held].sort_key)
+        self.mask |= 1 << bit
+        self.entries = tuple(arrival[held] for held in self.bits)
+
+
 class _Table:
     """Append-only entry table shared by every :class:`Log` of a lineage.
 
     ``arrival[i]`` is the entry of bit ``i`` and ``pos`` maps it back; an
     index never changes, so every mask over the table stays valid however
     it grows.  The timestamp-sorted list (``ordered``, each entry's bit
-    beside it in ``ranks``) and the per-action grouping (bits in sorted
-    order) cover the whole table, are built on first use and kept up to
-    date by :meth:`bits`.
+    beside it in ``ranks``) and the per-action grouping (a :class:`_Group`
+    per action) cover the whole table, are built on first use and kept up
+    to date by :meth:`bits`.
     """
 
     __slots__ = ("arrival", "pos", "ordered", "ranks", "by_action")
@@ -108,7 +126,7 @@ class _Table:
         self.pos: dict[LogEntry, int] = dict(zip(arrival, range(len(arrival))))
         self.ordered: list[LogEntry] | None = None
         self.ranks: list[int] | None = None
-        self.by_action: dict[ActionId, list[int]] | None = None
+        self.by_action: dict[ActionId, _Group] | None = None
 
     def bits(self, entries: Iterable[LogEntry]) -> int:
         """The mask of ``entries``, appending those the table lacks."""
@@ -130,8 +148,11 @@ class _Table:
             ordered.insert(at, entry)
             self.ranks.insert(at, bit)
         if self.by_action is not None:
-            group = self.by_action.setdefault(entry.action, [])
-            insort(group, bit, key=lambda held: self.arrival[held].sort_key)
+            group = self.by_action.get(entry.action)
+            if group is None:
+                self.by_action[entry.action] = _Group([bit], self.arrival)
+            else:
+                group.add(bit, self.arrival)
 
     def sorted(self) -> list[LogEntry]:
         if self.ordered is None:
@@ -141,12 +162,15 @@ class _Table:
             self.ordered = [arrival[bit] for bit in self.ranks]
         return self.ordered
 
-    def grouped(self) -> dict[ActionId, list[int]]:
+    def grouped(self) -> dict[ActionId, _Group]:
         if self.by_action is None:
-            grouped: dict[ActionId, list[int]] = {}
+            bits_of: dict[ActionId, list[int]] = {}
             for entry, bit in zip(self.sorted(), self.ranks):
-                grouped.setdefault(entry.action, []).append(bit)
-            self.by_action = grouped
+                bits_of.setdefault(entry.action, []).append(bit)
+            arrival = self.arrival
+            self.by_action = {
+                action: _Group(bits, arrival) for action, bits in bits_of.items()
+            }
         return self.by_action
 
 
@@ -260,19 +284,26 @@ class Log:
         return tuple(compress(ordered, map(flags.__getitem__, self._table.ranks)))
 
     def max_entry(self) -> LogEntry | None:
-        """The timestamp-greatest entry, without forcing a full sort."""
-        table, mask = self._table, self._mask
-        if table.ordered is None:
-            return max(self._entries(), key=_SORT_KEY, default=None)
-        for entry, bit in zip(reversed(table.ordered), reversed(table.ranks)):
+        """The timestamp-greatest entry, read from the table's sorted
+        order (built on first use, then kept up to date)."""
+        ordered = self._table.sorted()
+        mask = self._mask
+        for entry, bit in zip(reversed(ordered), reversed(self._table.ranks)):
             if mask >> bit & 1:
                 return entry
         return None
 
     def entries_of(self, action: ActionId) -> tuple[LogEntry, ...]:
-        arrival, mask = self._table.arrival, self._mask
-        group = self._table.grouped().get(action, ())
-        return tuple(arrival[bit] for bit in group if mask >> bit & 1)
+        """``action``'s entries in timestamp order: its whole group when
+        this log holds every entry of it, else the bits it holds."""
+        group = self._table.grouped().get(action)
+        if group is None:
+            return ()
+        mask = self._mask
+        if mask & group.mask == group.mask:
+            return group.entries
+        arrival = self._table.arrival
+        return tuple(arrival[bit] for bit in group.bits if mask >> bit & 1)
 
     def actions(self) -> frozenset[ActionId]:
         return frozenset(map(_ACTION, self._entries()))

@@ -8,7 +8,8 @@ scheme, and two shared structures:
 * :class:`SynchronizationState` — the object's logically centralized
   synchronization data: events held by active transactions (lock
   state), each transaction's own log entries (read-your-writes), and
-  the committed history used for static certification.
+  the committed history in the scheme's serialization order, which
+  static certification walks and every front-end's view reads.
 
   *Modeling note*: real systems distribute this state (lock managers at
   repositories, certification at coordinators); centralizing it in the
@@ -40,7 +41,7 @@ from repro.histories.behavioral import (
 from repro.histories.events import Event
 from repro.quorum.assignment import QuorumAssignment
 from repro.replication.log import LogEntry
-from repro.replication.serialcache import Checkpoints
+from repro.replication.serialcache import SerialPrefixCache
 from repro.spec.datatype import SerialDataType
 from repro.spec.legality import LegalityOracle
 from repro.txn.ids import ActionId, Transaction
@@ -49,15 +50,17 @@ from repro.txn.ids import ActionId, Transaction
 class SynchronizationState:
     """Lock state, per-transaction entries, and the committed history."""
 
-    def __init__(self) -> None:
+    def __init__(self, order: str) -> None:
         #: Events executed (and still held) by active transactions.
         self.active_events: dict[ActionId, list[Event]] = {}
         #: Each active transaction's own log entries on this object.
         self._own: dict[ActionId, list[LogEntry]] = {}
-        #: Committed groups ``(begin_ts, commit_ts, events)`` in begin
-        #: order, with the legality checkpoints static certification
-        #: (:meth:`StaticTimestampCC.pre_commit`) walks from.
-        self.committed = Checkpoints()
+        #: Committed groups in ``order`` (the scheme's
+        #: ``serialization_order``) with their legality checkpoints:
+        #: what static certification (:meth:`StaticTimestampCC.pre_commit`)
+        #: walks, and what every front-end's view that holds them all is
+        #: served (:meth:`CCScheme._committed_checkpoints`).
+        self.committed = SerialPrefixCache(order)
 
     def record(self, txn: ActionId, entry: LogEntry) -> None:
         self.active_events.setdefault(txn, []).append(entry.event)
@@ -70,12 +73,11 @@ class SynchronizationState:
         return tuple(entry.event for entry in self._own.get(txn, ()))
 
     def finalize_commit(self, txn: Transaction) -> None:
-        events = self.own_events(txn.id)
-        if events:
+        own = self._own.pop(txn.id, None)
+        if own:
             assert txn.commit_ts is not None
-            self.committed.insert([(txn.begin_ts, txn.commit_ts, events)])
+            self.committed.fold(txn, own)
         self.active_events.pop(txn.id, None)
-        self._own.pop(txn.id, None)
 
     def finalize_abort(self, txn: Transaction) -> None:
         self.active_events.pop(txn.id, None)
@@ -85,19 +87,16 @@ class SynchronizationState:
         """Drop committed groups with commit timestamp ≤ ``floor``.
 
         Bounded-memory maintenance: the committed-group list otherwise
-        grows for the life of the object.  Only static certification
-        consults the full committed history at commit time (through
-        :attr:`committed`'s checkpoints, which are dropped here with
-        the rows), so trimming is sound solely for commit-order
-        schemes — callers gate on ``cc.serialization_order``, exactly
-        as log compaction does, and pass the compaction snapshot's
-        ``last_commit_ts`` so trimmed groups are precisely the folded
-        ones.  Returns how many groups were dropped.
+        grows for the life of the object.  Trimming is sound solely for
+        commit-order schemes — static certification walks the full
+        begin-order history at commit time — so callers gate on
+        ``cc.serialization_order``, exactly as log compaction does, and
+        pass the compaction snapshot's ``last_commit_ts`` so trimmed
+        groups are precisely the folded ones.  From then on only views
+        on a compaction snapshot remain, and they take the reference
+        rows.  Returns how many groups were dropped.
         """
-        rows = self.committed.rows
-        kept = [row for row in rows if not row[1] <= floor]
-        self.committed.reset(kept)
-        return len(rows) - len(kept)
+        return self.committed.trim(floor)
 
 
 @dataclass
@@ -186,7 +185,7 @@ class ReplicatedObject:
         self.epoch = 0
         self.cc = cc
         self.oracle = oracle or cc.oracle
-        self.sync = SynchronizationState()
+        self.sync = SynchronizationState(cc.serialization_order)
         self.recorder = HistoryRecorder()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,4 +1,4 @@
-"""Incremental serialization of a growing view, in either timestamp order.
+"""Each object's committed serialization, kept once and read by every view.
 
 Every scheme chooses its responses against a serial history of the
 view's committed events (paper, Definition 3): in commit-timestamp
@@ -6,47 +6,48 @@ order for hybrid and locking, in begin-timestamp order for static.  The
 reference implementation rebuilds that history from the view on every
 operation — an O(n log n) classify-and-sort over all actions in the log
 — and then replays it through the legality trie, O(n) memoized hops.
-Profiling shows this pair dominating the replicated-workload hot path.
 
 The two orders differ only in which timestamp places a committed action,
 so one structure serves both.  :class:`Checkpoints` keeps the committed
 groups sorted by that timestamp, with the trie node reached after each
-group (a checkpoint), starting from the view's compaction snapshot
-state.  A group arriving anywhere — in begin order a transaction that
-began early and committed late, in commit order an older commit this
-view learns of late — is an ordered insert: it invalidates only the
-checkpoints from its position to the tail, and a query starts from the
-checkpoint in front of the oldest position it touches.
+group (a checkpoint).  A group arriving anywhere — in begin order a
+transaction that began early and committed late — is an ordered insert:
+it invalidates only the checkpoints from its position to the tail, and a
+query starts from the checkpoint in front of the oldest position it
+touches.
 
-A front-end revisiting a grown view almost always sees the same
-committed actions plus a few newly committed ones.
-:class:`SerialPrefixCache` finds that delta and inserts it — a newly
-committed action's group is built from the entries the deltas brought
-while it was undecided, so no query of the merged log is needed — and
-rebuilds from scratch — the reference computation — when its carried
-state is unsound:
+An object's committed groups are decided in one place: the transaction
+manager commits a transaction at every object it touched, and the
+object's :class:`SerialPrefixCache` (held by its
+:class:`~repro.replication.object.SynchronizationState`) folds that
+group in then, once for every front-end.  A view is served these rows
+when it holds every committed entry they were built from — one AND of
+the cache's mask against the view's log mask.  Every catalog object runs
+intersecting quorums, so nearly every view does.  Its committed groups
+in order are then the object's, with statuses from the same transaction
+manager, so the rows and checkpoints equal what the reference builds.
+One entry can sit in such a view and in no group: a degraded read's
+stray (logged at some sites after its final quorum failed, never
+recorded).  It is state-preserving, so leaving it out keeps the frontier
+wherever the read was legal, and the recorded history holds no stray
+either.
 
-* the view shrank or its compaction base changed (snapshot installed);
-* a new entry arrived for an action already folded in (a lagging
-  fragment filled in late).
+The reference answers everything else (:meth:`SerialPrefixCache.covering`
+returns ``None``): a view on a compaction snapshot, a view missing a
+committed entry, and an executing transaction already committed.  A trim
+of the legality oracle's memo is handled by the checkpoints themselves
+(:meth:`Checkpoints.node_before` re-steps them in the live trie;
+detached nodes would stay correct but defeat the soak's memo bound).
 
-A trim of the legality oracle's memo is handled by the checkpoints
-themselves (:meth:`Checkpoints.node_before` re-steps them in the live
-trie; detached nodes would stay correct but defeat the soak's memo
-bound).
-
-A view built with ``serial_cache=None`` makes a scheme build its
-checkpoints afresh from the view
-(:meth:`~repro.cc.base.CCScheme._committed_checkpoints`); the model
-tests (``tests/test_serialcache.py``, ``tests/test_view.py``) compare the
-cache against it, and the pinned run fingerprints of
-``tests/test_sim_throughput.py`` check it end to end.
+The model tests (``tests/test_serialcache.py``, ``tests/test_view.py``)
+compare the rows against the reference built afresh
+(:meth:`~repro.cc.base.CCScheme._committed_checkpoints`), and the pinned
+run fingerprints of ``tests/test_sim_throughput.py`` check it end to end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable
 
@@ -58,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.replication.log import LogEntry
     from repro.replication.view import StatusSource, View
     from repro.spec.legality import LegalityOracle
+    from repro.txn.ids import Transaction
 
 _TS = itemgetter(0)
 _SORT_KEY = attrgetter("sort_key")
@@ -67,14 +69,12 @@ _EVENT = attrgetter("event")
 class Checkpoints:
     """Committed groups in timestamp order, a trie node after each.
 
-    A row is ``(order_ts, tag, events)``: ``order_ts`` is the timestamp
-    that places the group (begin or commit), ``tag`` the owner's (the
-    action id for a front-end's cache, the commit timestamp for
-    :class:`~repro.replication.object.SynchronizationState`).  Begin and
-    commit timestamps are each unique — one Lamport clock at the
-    transaction manager issues them — so the order is total.  The first
-    group steps from ``base_state`` (a compaction snapshot's state;
-    ``None`` is the type's initial state).
+    A row is ``(order_ts, action, events)``: ``order_ts`` is the
+    timestamp that places the group (begin or commit).  Begin and commit
+    timestamps are each unique — one Lamport clock at the transaction
+    manager issues them — so the order is total.  The first group steps
+    from ``base_state`` (a compaction snapshot's state; ``None`` is the
+    type's initial state).
 
     Checkpoints are stepped lazily: ``_nodes[i]`` is the node after rows
     ``0..i``, valid for a prefix of the rows.  :meth:`insert` truncates
@@ -86,7 +86,7 @@ class Checkpoints:
     __slots__ = ("rows", "base_state", "_nodes", "_trims_seen")
 
     def __init__(self, rows: Iterable[tuple] = (), base_state=None) -> None:
-        self.rows: list[tuple["Timestamp", object, tuple["Event", ...]]] = list(rows)
+        self.rows: list[tuple["Timestamp", ActionId, tuple["Event", ...]]] = list(rows)
         self.base_state = base_state
         self._nodes: list = []
         self._trims_seen = -1
@@ -94,30 +94,27 @@ class Checkpoints:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def reset(self, rows: Iterable[tuple], base_state=None) -> None:
-        """Replace every row (given in order) and the base; drop all
-        checkpoints."""
+    def reset(self, rows: Iterable[tuple]) -> None:
+        """Replace every row (given in order); drop all checkpoints."""
         self.rows = list(rows)
-        self.base_state = base_state
         self._nodes.clear()
 
     def position(self, ts: "Timestamp") -> int:
         """How many rows are ordered before ``ts``."""
         return bisect_left(self.rows, ts, key=_TS)
 
-    def insert(self, rows: list[tuple]) -> int:
-        """Insert ``rows`` (sorted) at their places; returns the position
-        the first of them took — the first checkpoint dropped."""
-        mine = self.rows
-        first = rows[0][0]
-        # Appending is the common case (commit order nearly always):
-        # one comparison instead of a bisect's.
-        if not mine or mine[-1][0] < first:
-            position = len(mine)
-            mine.extend(rows)
+    def insert(self, row: tuple) -> int:
+        """Insert ``row`` at its place; returns that position — the first
+        checkpoint dropped."""
+        rows = self.rows
+        # Appending is the common case (commit order always): one
+        # comparison instead of a bisect's.
+        if not rows or rows[-1][0] < row[0]:
+            position = len(rows)
+            rows.append(row)
         else:
-            position = bisect_left(mine, first, key=_TS)
-            mine[position:] = sorted(mine[position:] + rows, key=_TS)
+            position = bisect_left(rows, row[0], key=_TS)
+            rows.insert(position, row)
         del self._nodes[position:]
         return position
 
@@ -136,7 +133,7 @@ class Checkpoints:
         if len(nodes) < position:
             node = nodes[-1] if nodes else oracle._root_for(self.base_state)
             step = oracle._step
-            for _ts, _tag, events in self.rows[len(nodes):position]:
+            for _ts, _action, events in self.rows[len(nodes):position]:
                 for event in events:
                     node = step(node, event)
                 nodes.append(node)
@@ -144,119 +141,87 @@ class Checkpoints:
 
 
 class SerialPrefixCache:
-    """Carried-forward checkpoints of one object's view.
+    """One object's committed groups in ``order``, with their checkpoints.
 
     ``order`` is the object's scheme's ``serialization_order``
     (``"begin"`` or ``"commit"``): which timestamp places a committed
-    action.  The cache holds the log its checkpoints were computed from
-    and the classification of every action seen so far.  Owned by a
-    front-end (one per object name, like the quorum view cache) because
-    different front-ends visit replicas in different orders and
-    therefore hold slightly different merged views.
+    action.  :meth:`fold` adds a group per commit; :meth:`covering`
+    hands the rows to a view that holds every entry they were built
+    from.  ``_mask`` holds the bits of those entries (``_entries``) on
+    ``_table``, one entry table of the views' log lineages; a view on
+    another table has it re-expressed there once.
     """
 
-    __slots__ = (
-        "order",
-        "committed",
-        "_log",
-        "_aborted",
-        "_pending",
-        "_base",
-        "_marks",
-    )
+    __slots__ = ("order", "marks", "_entries", "_table", "_mask", "_trimmed")
 
     def __init__(self, order: str):
         self.order = order
-        #: The committed actions folded into the checkpoints.
-        self.committed: set[ActionId] = set()
-        self._log = None  # the Log the checkpoints were computed from
-        self._aborted: set[ActionId] = set()
-        #: Each undecided action's entries in the log, collected from the
-        #: deltas; its group when it commits.
-        self._pending: defaultdict[ActionId, list["LogEntry"]] = defaultdict(list)
-        self._base = None
-        self._marks = Checkpoints()
+        self.marks = Checkpoints()
+        #: The entries of every group in :attr:`marks`.
+        self._entries: list["LogEntry"] = []
+        self._table = None  # None: ``_mask`` is not expressed on any table
+        self._mask = 0
+        #: Set by :meth:`trim`: the rows no longer start at the initial
+        #: state, so no view without a compaction base is served.
+        self._trimmed = False
 
-    def checkpoints(self, view: "View") -> Checkpoints:
-        """The view's committed groups in :attr:`order`, brought up to date.
+    def fold(self, txn: "Transaction", entries: Iterable["LogEntry"]) -> int:
+        """Add committed ``txn``'s group of ``entries``; returns the
+        position its row took (in commit order always the tail)."""
+        entries = sorted(entries, key=_SORT_KEY)
+        ts = txn.begin_ts if self.order == "begin" else txn.commit_ts
+        position = self.marks.insert((ts, txn.id, tuple(map(_EVENT, entries))))
+        self._entries.extend(entries)
+        if self._table is not None:
+            pos, mask = self._table.pos, self._mask
+            for entry in entries:
+                bit = pos.get(entry)
+                if bit is None:
+                    # Not on this table: re-expressed at the next query.
+                    self._table = None
+                    return position
+                mask |= 1 << bit
+            self._mask = mask
+        return position
 
-        Row ``i`` is what the ``i``-th committed action of the view,
-        sorted by its ``order`` timestamp, contributes to the reference
-        serialization: ``(order_ts, action, events)``.
-        """
+    def covering(self, view: "View", txn: "Transaction") -> Checkpoints | None:
+        """The committed groups in :attr:`order` when ``view`` holds every
+        entry of them, has no compaction base and ``txn`` is not
+        committed; ``None`` otherwise (the caller builds the reference)."""
+        if view.base is not None or self._trimmed or txn.status is TxnStatus.COMMITTED:
+            return None
         log = view.log
-        if self._log is None or self._base is not view.base:
-            return self._rebuild(view)
-        # A mask difference when the grown log is on the cached log's
-        # table; the O(n) frozenset algebra is the fallback (and stays
-        # the correctness reference).
-        delta = log.fresh_since(self._log)
-        if delta is None:
-            seen, entries = self._log.entry_set, log.entry_set
-            if not (seen <= entries):
-                return self._rebuild(view)
-            delta = entries - seen
+        if log._table is not self._table and not self._rebase(log._table):
+            return None
+        if self._mask & ~log._mask:
+            return None
+        return self.marks
 
-        pending = self._pending
-        if delta:
-            committed = self.committed
-            aborted = self._aborted
-            for entry in delta:
-                action = entry.action
-                if action in committed:
-                    # A lagging entry for an already-folded action: the
-                    # folded serialization is missing it.
-                    return self._rebuild(view)
-                if action not in aborted:
-                    pending[action].append(entry)
-        self._log = log
+    def _rebase(self, table) -> bool:
+        """Express the mask on ``table``; ``False`` if it lacks an entry."""
+        pos = table.pos
+        mask = 0
+        # The newest entries are the likeliest to be missing.
+        for entry in reversed(self._entries):
+            bit = pos.get(entry)
+            if bit is None:
+                return False
+            mask |= 1 << bit
+        self._table, self._mask = table, mask
+        return True
 
-        if pending:
-            status_of = view.statuses.status_of
-            newly_committed: list[ActionId] = []
-            decided_aborts = None
-            for action in pending:
-                status = status_of(action)
-                if status is TxnStatus.COMMITTED:
-                    newly_committed.append(action)
-                elif status is TxnStatus.ABORTED:
-                    if decided_aborts is None:
-                        decided_aborts = []
-                    decided_aborts.append(action)
-            if decided_aborts is not None:
-                for action in decided_aborts:
-                    del pending[action]
-                self._aborted.update(decided_aborts)
-            if newly_committed:
-                groups = [(action, pending.pop(action)) for action in newly_committed]
-                self._marks.insert(serial_rows(view.statuses, self.order, groups))
-                self.committed.update(newly_committed)
-        return self._marks
-
-    def _rebuild(self, view: "View") -> Checkpoints:
-        """The reference computation: classify every action, sort, restart."""
-        status_of = view.statuses.status_of
-        entries_of = view.log.entries_of
-        committed: set[ActionId] = set()
-        aborted: set[ActionId] = set()
-        pending: defaultdict[ActionId, list["LogEntry"]] = defaultdict(list)
-        for action in view.log.actions():
-            status = status_of(action)
-            if status is TxnStatus.COMMITTED:
-                committed.add(action)
-            elif status is TxnStatus.ABORTED:
-                aborted.add(action)
-            else:
-                pending[action] = list(entries_of(action))
-        groups = [(action, entries_of(action)) for action in committed]
-        rows = serial_rows(view.statuses, self.order, groups)
-        self._marks.reset(rows, view.base_state)
-        self._log = view.log
-        self.committed = committed
-        self._aborted = aborted
-        self._pending = pending
-        self._base = view.base
-        return self._marks
+    def trim(self, floor: "Timestamp") -> int:
+        """Drop the groups ordered at or before ``floor``, with their
+        entries; returns how many.  Meaningful in commit order only."""
+        rows = self.marks.rows
+        kept = [row for row in rows if not row[0] <= floor]
+        if len(kept) == len(rows):
+            return 0
+        dropped = {row[1] for row in rows if row[0] <= floor}
+        self.marks.reset(kept)
+        self._entries = [entry for entry in self._entries if entry.action not in dropped]
+        self._table, self._mask, self._trimmed = None, 0, True
+        return len(dropped)
 
 
 def serial_rows(

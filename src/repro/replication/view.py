@@ -17,10 +17,10 @@ actions (Definition 3).
 A :class:`View` supplies what both need: the merged log (an action's
 entries), the classification (:meth:`View.committed_actions`) and the
 statuses' timestamps.  The serialization itself is a list of checkpoints keyed by
-the scheme's timestamp (:class:`~repro.replication.serialcache.Checkpoints`),
-built afresh by :meth:`~repro.cc.base.CCScheme._committed_checkpoints` or
-carried forward by the front-end's serial cache
-(:mod:`repro.replication.serialcache`).
+the scheme's timestamp (:class:`~repro.replication.serialcache.Checkpoints`):
+the object's own committed rows when the view holds every committed entry
+(:mod:`repro.replication.serialcache`), else built afresh by
+:meth:`~repro.cc.base.CCScheme._committed_checkpoints`.
 
 Aborted actions' entries are ignored everywhere (recoverability: an
 aborted action has no effect).
@@ -53,16 +53,10 @@ class View:
     in must already exclude the covered entries (the front-end filters).
     """
 
-    def __init__(self, log: Log, statuses: StatusSource, base=None, serial_cache=None):
+    def __init__(self, log: Log, statuses: StatusSource, base=None):
         self.log = log
         self.statuses = statuses
         self.base = base
-        #: Optional serial cache (:mod:`repro.replication.serialcache`, in
-        #: the order the object's scheme serializes by) the owning
-        #: front-end threads through; ``None`` makes schemes build their
-        #: checkpoints from scratch (the reference the model tests
-        #: compare the cache against).
-        self.serial_cache = serial_cache
 
     @property
     def base_state(self):
@@ -97,8 +91,8 @@ class View:
     def max_timestamp(self) -> Timestamp | None:
         """The largest entry timestamp, for Lamport clock witnessing.
 
-        Uses :meth:`Log.max_entry`, which is O(n) without forcing the
-        O(n log n) full sort on a freshly merged log.
+        Uses :meth:`Log.max_entry`, which reads the table's sorted order
+        from its newest end.
         """
         last = self.log.max_entry()
         return last.ts if last is not None else None

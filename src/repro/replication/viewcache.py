@@ -104,18 +104,22 @@ class QuorumViewCache:
         Returns ``(filtered_log, best_snapshot_or_None)`` with exactly
         the sets a from-scratch fold over the same probes would produce.
         """
-        sites = tuple(probe.site for probe in probes)
         entry = self._entries.get(object_name)
-        if (
-            entry is not None
-            and entry.sites == sites
-            and all(entry.snaps[probe.site] is probe.value[1] for probe in probes)
-        ):
-            changed = [
-                probe
-                for probe in probes
-                if entry.versions[probe.site] != probe.value[2]
-            ]
+        changed = None
+        if entry is not None and len(entry.sites) == len(probes):
+            # One pass: the same sites in the same order, each under the
+            # cached snapshot object, and which fragments moved (``None``:
+            # a site or a snapshot differs).
+            snaps, versions = entry.snaps, entry.versions
+            changed = []
+            for site, probe in zip(entry.sites, probes):
+                value = probe.value
+                if probe.site != site or snaps[site] is not value[1]:
+                    changed = None
+                    break
+                if versions[site] != value[2]:
+                    changed.append(probe)
+        if changed is not None:
             if not changed:
                 self.hits += 1
                 return entry.filtered, entry.best
@@ -148,7 +152,7 @@ class QuorumViewCache:
         self.rebuilds += 1
         raw, filtered, best = fold_view(probes)
         self._entries[object_name] = _CacheEntry(
-            sites=sites,
+            sites=tuple(probe.site for probe in probes),
             versions={probe.site: probe.value[2] for probe in probes},
             snaps={probe.site: probe.value[1] for probe in probes},
             logs={probe.site: probe.value[0] for probe in probes},

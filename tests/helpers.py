@@ -12,8 +12,7 @@ from repro.replication import frontend
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.log import Log
-from repro.replication.serialcache import Checkpoints, SerialPrefixCache
-from repro.replication.view import View
+from repro.replication.serialcache import SerialPrefixCache
 from repro.replication.viewcache import QuorumViewCache
 from repro.spec.datatype import SerialDataType
 from repro.types import PROM, Counter, Queue, Register
@@ -137,43 +136,31 @@ def cache_stats(cache):
 
 
 def serial_cache_work(monkeypatch) -> dict[str, int]:
-    """Tally what the front-ends' serial caches do from here on.
+    """Tally what the objects' serial caches do from here on.
 
-    ``queries`` counts :meth:`SerialPrefixCache.checkpoints` calls and
-    ``rebuilds`` its from-scratch rebuilds.  ``inserts`` counts the
-    queries that inserted newly committed groups into the checkpoints,
-    and ``mid_inserts`` those where a group landed in front of an
-    existing row, read from the position :meth:`Checkpoints.insert`
-    returns.  Inserts made outside a query (the synchronization
-    state's, at commit) are not counted.
+    ``served`` counts the :meth:`SerialPrefixCache.covering` queries
+    answered with the object's rows and ``fallbacks`` those answered
+    ``None`` (the scheme then builds the reference rows).  ``folds``
+    counts the committed groups :meth:`SerialPrefixCache.fold` added and
+    ``mid_inserts`` those that landed in front of an existing row, read
+    from the position it returns.
     """
-    work = {"queries": 0, "rebuilds": 0, "inserts": 0, "mid_inserts": 0}
-    query, rebuild = SerialPrefixCache.checkpoints, SerialPrefixCache._rebuild
-    insert = Checkpoints.insert
-    querying = []
+    work = {"served": 0, "fallbacks": 0, "folds": 0, "mid_inserts": 0}
+    covering, fold = SerialPrefixCache.covering, SerialPrefixCache.fold
 
-    def counted_query(cache, view):
-        work["queries"] += 1
-        querying.append(cache)
-        try:
-            return query(cache, view)
-        finally:
-            querying.pop()
+    def counted_covering(cache, view, txn):
+        marks = covering(cache, view, txn)
+        work["served" if marks is not None else "fallbacks"] += 1
+        return marks
 
-    def counted_rebuild(cache, view):
-        work["rebuilds"] += 1
-        return rebuild(cache, view)
-
-    def counted_insert(marks, rows):
-        position = insert(marks, rows)
-        if querying:
-            work["inserts"] += 1
-            work["mid_inserts"] += position < len(marks.rows) - len(rows)
+    def counted_fold(cache, txn, entries):
+        position = fold(cache, txn, entries)
+        work["folds"] += 1
+        work["mid_inserts"] += position < len(cache.marks) - 1
         return position
 
-    monkeypatch.setattr(SerialPrefixCache, "checkpoints", counted_query)
-    monkeypatch.setattr(SerialPrefixCache, "_rebuild", counted_rebuild)
-    monkeypatch.setattr(Checkpoints, "insert", counted_insert)
+    monkeypatch.setattr(SerialPrefixCache, "covering", counted_covering)
+    monkeypatch.setattr(SerialPrefixCache, "fold", counted_fold)
     return work
 
 
@@ -221,20 +208,15 @@ class FromScratchViewCache(QuorumViewCache):
 def from_scratch_front_ends(monkeypatch) -> type[FromScratchViewCache]:
     """Make every front-end built from here on run without its caches.
 
-    Views are merged by :class:`FromScratchViewCache` and built with no
-    serial cache, so every scheme recomputes its serializations from
-    scratch: the model the incremental caches must agree with.  Returns
-    the cache class, whose ``merges`` shows the reads went through it.
+    Views are merged by :class:`FromScratchViewCache` and no object's
+    serial cache serves a view, so every scheme recomputes its
+    serializations from scratch: the model the incremental caches must
+    agree with.  Returns the cache class, whose ``merges`` shows the
+    reads went through it.
     """
     monkeypatch.setattr(FromScratchViewCache, "merges", 0)
     monkeypatch.setattr(frontend, "QuorumViewCache", FromScratchViewCache)
-    monkeypatch.setattr(
-        frontend,
-        "View",
-        lambda log, statuses, base=None, serial_cache=None: View(
-            log, statuses, base=base
-        ),
-    )
+    monkeypatch.setattr(SerialPrefixCache, "covering", lambda _cache, _view, _txn: None)
     return FromScratchViewCache
 
 

@@ -381,7 +381,6 @@ class TestPlan:
         after = fe._plans["obj"]
         assert after is not before and after.assignment is obj.assignment
         assert after.epoch == before.epoch
-        assert after.serial_cache is before.serial_cache
 
     def test_an_epoch_bump_alone_replaces_the_plan(self):
         tracer = Tracer()

@@ -265,6 +265,49 @@ class TestSharedTable:
         assert hashed == []
 
 
+class TestTableReads:
+    """Reads that go through the table's sorted order and action groups."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(entries_strategy, st.data())
+    def test_max_entry_on_a_table_never_sorted_is_the_sort_key_max(self, entries, data):
+        table_entries = list(dict.fromkeys(entries))
+        masks = data.draw(
+            st.lists(st.integers(0, (1 << len(table_entries)) - 1), min_size=1, max_size=4)
+        )
+        for mask in masks:
+            log = Log._of(Log(table_entries)._table, mask)  # a fresh table each
+            held = [e for bit, e in enumerate(table_entries) if mask >> bit & 1]
+            expected = max(held, key=lambda e: e.sort_key, default=None)
+            assert log.max_entry() == expected
+
+    def test_max_entry_builds_the_sorted_order_once_and_keeps_it(self):
+        log = Log([_entry(5), _entry(9, seq=2), _entry(7)])
+        assert log._table.ordered is None
+        assert log.max_entry() == _entry(9, seq=2)
+        ordered = log._table.ordered
+        assert ordered is not None
+        grown = log.add(_entry(11, seq=3))
+        assert grown.max_entry() == _entry(11, seq=3)
+        assert log.max_entry() == _entry(9, seq=2)
+        assert grown._table.ordered is ordered
+
+    def test_a_whole_group_is_one_and_a_partial_one_its_held_bits(self):
+        mine = [_entry(3), _entry(1), _entry(2)]
+        log = Log([*mine, _entry(4, seq=2)])
+        whole = log.entries_of(ActionId(1, 0))
+        assert whole == (_entry(1), _entry(2), _entry(3))
+        # The table's group tuple itself, not a copy.
+        assert log.entries_of(ActionId(1, 0)) is whole
+        partial = Log._of(log._table, log._mask & ~(1 << 1))  # drops _entry(1)
+        assert partial.entries_of(ActionId(1, 0)) == (_entry(2), _entry(3))
+        assert log.entries_of(ActionId(7, 0)) == ()
+        grown = log.add(_entry(0))
+        assert grown.entries_of(ActionId(1, 0)) == (_entry(0), *whole)
+        # The older log no longer holds the whole group: its bits only.
+        assert log.entries_of(ActionId(1, 0)) == whole
+
+
 # -- model test: many live versions of many lineages ---------------------------
 
 _ENTRY = st.builds(

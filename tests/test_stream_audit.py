@@ -455,10 +455,13 @@ class TestRetirement:
 
     def test_recorder_forget_and_trim_committed(self):
         from repro.clocks.timestamps import Timestamp
+        from repro.histories.events import event
+        from repro.replication.log import LogEntry
         from repro.replication.object import (
             HistoryRecorder,
             SynchronizationState,
         )
+        from repro.txn.ids import Transaction
 
         recorder = HistoryRecorder()
         recorder.trace = [("commit", ActionId(1, 0), None),
@@ -468,11 +471,15 @@ class TestRetirement:
         assert len(recorder.trace) == 1
         assert recorder.forget(frozenset()) == 0
 
-        sync = SynchronizationState()
-        sync.committed.insert([(Timestamp(1, 0), Timestamp(2, 0), ())])
-        sync.committed.insert([(Timestamp(3, 0), Timestamp(4, 0), ())])
+        sync = SynchronizationState("commit")
+        for seq in (1, 2):
+            txn = Transaction(ActionId(seq, 0), Timestamp(2 * seq - 1, 0))
+            enq = event("Enq", (str(seq),))
+            sync.record(txn.id, LogEntry(Timestamp(10 + seq, 0), enq, txn.id))
+            txn.commit_ts = Timestamp(2 * seq, 0)
+            sync.finalize_commit(txn)
         assert sync.trim_committed(Timestamp(2, 0)) == 1
-        assert len(sync.committed) == 1
+        assert len(sync.committed.marks) == 1
 
 
 # -- the soak ---------------------------------------------------------------

@@ -92,10 +92,11 @@ class TestTwoPhaseCommit:
         assert txn.id in obj.sync.active_events
         cluster.tm.commit(txn)
         assert txn.id not in obj.sync.active_events
-        assert [
-            (begin, commit, tuple(events))
-            for begin, commit, events in obj.sync.committed.rows
-        ] == [(txn.begin_ts, txn.commit_ts, (event("Enq", ("a",)),))]
+        # Hybrid serializes by commit timestamp: the group's row is keyed
+        # by it.
+        assert obj.sync.committed.marks.rows == [
+            (txn.commit_ts, txn.id, (event("Enq", ("a",)),))
+        ]
 
     def test_abort_discards_sync_state(self):
         cluster, obj = queue_system("hybrid")
@@ -105,7 +106,7 @@ class TestTwoPhaseCommit:
         assert txn.id in obj.sync.active_events
         cluster.tm.abort(txn)
         assert txn.id not in obj.sync.active_events
-        assert not obj.sync.committed.rows
+        assert not obj.sync.committed.marks.rows
 
 
 class TestWaitsForGraph:

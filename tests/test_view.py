@@ -5,11 +5,17 @@ import pytest
 from repro.clocks.timestamps import Timestamp
 from repro.histories.events import event, ok
 from repro.replication.log import Log, LogEntry
-from repro.replication.serialcache import SerialPrefixCache
+from repro.replication.serialcache import Checkpoints, serial_rows
 from repro.replication.view import View
 from repro.txn.ids import ActionId
 from repro.txn.manager import TransactionManager
 from tests.oracles import commit_order_serial
+
+
+def _checkpoints(view, order):
+    """The view's committed groups in ``order``, built afresh."""
+    groups = [(action, view.log.entries_of(action)) for action in view.committed_actions()]
+    return Checkpoints(serial_rows(view.statuses, order, groups))
 
 
 @pytest.fixture()
@@ -45,7 +51,7 @@ class TestClassification:
 
     def test_events_of(self, system):
         tm, (a, _b, _c), log = system
-        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
+        marks = _checkpoints(View(log, tm), "begin")
         groups = {action: events for _ts, action, events in marks.rows}
         assert groups[a.id] == (event("Enq", ("x",)),)
 
@@ -74,7 +80,7 @@ class TestSerializations:
 
     def test_begin_order_split(self, system):
         tm, (a, b, c), log = system
-        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
+        marks = _checkpoints(View(log, tm), "begin")
         # Both committed actions began before C, A first (begin order,
         # although B committed first).
         assert marks.position(c.begin_ts) == 2
@@ -85,7 +91,7 @@ class TestSerializations:
 
     def test_begin_order_split_with_later_action(self, system):
         tm, (a, b, _c), log = system
-        marks = SerialPrefixCache("begin").checkpoints(View(log, tm))
+        marks = _checkpoints(View(log, tm), "begin")
         # Nothing began before A; B's group is the suffix behind it.
         assert marks.position(a.begin_ts) == 0
         assert marks.position(b.begin_ts) == 1
@@ -93,7 +99,7 @@ class TestSerializations:
     def test_commit_order_checkpoints(self, system):
         tm, (a, b, _c), log = system
         view = View(log, tm)
-        marks = SerialPrefixCache("commit").checkpoints(view)
+        marks = _checkpoints(view, "commit")
         # Keyed by commit timestamp: B first although A began first.
         assert [tag for _ts, tag, _events in marks.rows] == [b.id, a.id]
         assert [ts for ts, _tag, _events in marks.rows] == [
