@@ -16,7 +16,8 @@ already exposes, on a fixed cadence at transaction boundaries:
    pruned snapshot on every replica via the administrative
    :meth:`~repro.replication.repository.Repository.replace_snapshot`;
 3. **Trim** the object's committed-group history up to the snapshot
-   boundary (:meth:`~repro.replication.object.SynchronizationState.trim_committed`);
+   boundary, its rows then starting at the installed snapshot
+   (:meth:`~repro.replication.object.SynchronizationState.trim_committed`);
 4. **Retire** finalized transactions whose every touched object was
    swept this round (:meth:`~repro.txn.manager.TransactionManager.retire`),
    after dropping their rows from each touched object's
@@ -203,10 +204,7 @@ class SoakMaintenance:
                     self.pruned_actions += pruned.retired
                     for site in replicas:
                         repositories[site].replace_snapshot(name, pruned)
-                if snapshot.last_commit_ts is not None:
-                    self.trimmed_groups += obj.sync.trim_committed(
-                        snapshot.last_commit_ts
-                    )
+                self.trimmed_groups += obj.sync.trim_committed(pruned)
             # ``None`` still counts as swept: the transversal was
             # drained and held no unfolded finalized entries.
             swept.add(name)

@@ -252,10 +252,11 @@ class FrontEnd:
                 # the merged view; nothing is recorded in the
                 # transaction's or object's synchronization state.  Log
                 # fragments the failed write left at reachable sites are
-                # harmless *because* the operation is read-only — a
-                # state-preserving event can appear in some views and
-                # not others without changing any history's legality,
-                # which is exactly why mutators never take this path.
+                # tolerated *because* the operation is read-only: in
+                # some views and not others it changes no state, which
+                # is why mutators never take this path.  It holds no
+                # lock, though, so a conflicting commit ordered in front
+                # of it can make it illegal (see serialcache).
                 if self.tracer.enabled:
                     span.annotate(missing=sorted(failure.missing))
                 raise DegradedOperation(

@@ -83,20 +83,21 @@ class SynchronizationState:
         self.active_events.pop(txn.id, None)
         self._own.pop(txn.id, None)
 
-    def trim_committed(self, floor: Timestamp) -> int:
-        """Drop committed groups with commit timestamp ≤ ``floor``.
+    def trim_committed(self, snapshot) -> int:
+        """Drop the committed groups compaction ``snapshot`` folded.
 
         Bounded-memory maintenance: the committed-group list otherwise
         grows for the life of the object.  Trimming is sound solely for
         commit-order schemes — static certification walks the full
         begin-order history at commit time — so callers gate on
         ``cc.serialization_order``, exactly as log compaction does, and
-        pass the compaction snapshot's ``last_commit_ts`` so trimmed
-        groups are precisely the folded ones.  From then on only views
-        on a compaction snapshot remain, and they take the reference
-        rows.  Returns how many groups were dropped.
+        pass the snapshot every replica now sits on: the groups at or
+        before its ``last_commit_ts`` are precisely the folded ones.
+        From then on the rows start at its state and serve the views on
+        it; views on any other base take the reference rows.  Returns
+        how many groups were dropped.
         """
-        return self.committed.trim(floor)
+        return self.committed.trim(snapshot)
 
 
 @dataclass

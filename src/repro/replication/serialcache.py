@@ -26,18 +26,26 @@ the cache's mask against the view's log mask.  Every catalog object runs
 intersecting quorums, so nearly every view does.  Its committed groups
 in order are then the object's, with statuses from the same transaction
 manager, so the rows and checkpoints equal what the reference builds.
-One entry can sit in such a view and in no group: a degraded read's
+After soak's compaction the rows start at the snapshot they were
+trimmed to (:meth:`SerialPrefixCache.trim`), and serve the views that
+sit on that snapshot object.
+
+One entry can sit in a served view and in no group: a degraded read's
 stray (logged at some sites after its final quorum failed, never
-recorded).  It is state-preserving, so leaving it out keeps the frontier
-wherever the read was legal, and the recorded history holds no stray
-either.
+recorded).  The rows leave it out, as the recorded history does; the
+reference keeps it in its transaction's group.  Where the read chose it
+the two agree, but a conflicting group ordered in front of the stray's
+after the read (its transaction held no lock for it) can make the stray
+illegal: the reference then reaches a dead node and refuses what the
+rows, like the recorded history, allow — in either order.
 
 The reference answers everything else (:meth:`SerialPrefixCache.covering`
-returns ``None``): a view on a compaction snapshot, a view missing a
-committed entry, and an executing transaction already committed.  A trim
-of the legality oracle's memo is handled by the checkpoints themselves
-(:meth:`Checkpoints.node_before` re-steps them in the live trie;
-detached nodes would stay correct but defeat the soak's memo bound).
+returns ``None``): a view on another compaction snapshot than the rows',
+a view missing a committed entry, and an executing transaction already
+committed.  A trim of the legality oracle's memo is handled by the
+checkpoints themselves (:meth:`Checkpoints.node_before` re-steps them in
+the live trie; detached nodes would stay correct but defeat the soak's
+memo bound).
 
 The model tests (``tests/test_serialcache.py``, ``tests/test_view.py``)
 compare the rows against the reference built afresh
@@ -47,7 +55,7 @@ run fingerprints of ``tests/test_sim_throughput.py`` check it end to end.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable
 
@@ -57,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.clocks.timestamps import Timestamp
     from repro.histories.events import Event
     from repro.replication.log import LogEntry
+    from repro.replication.snapshot import Snapshot
     from repro.replication.view import StatusSource, View
     from repro.spec.legality import LegalityOracle
     from repro.txn.ids import Transaction
@@ -149,10 +158,11 @@ class SerialPrefixCache:
     hands the rows to a view that holds every entry they were built
     from.  ``_mask`` holds the bits of those entries (``_entries``) on
     ``_table``, one entry table of the views' log lineages; a view on
-    another table has it re-expressed there once.
+    another table has it re-expressed there once.  ``_base`` is the
+    compaction snapshot the rows start at (``None``: the initial state).
     """
 
-    __slots__ = ("order", "marks", "_entries", "_table", "_mask", "_trimmed")
+    __slots__ = ("order", "marks", "_entries", "_table", "_mask", "_base")
 
     def __init__(self, order: str):
         self.order = order
@@ -161,9 +171,7 @@ class SerialPrefixCache:
         self._entries: list["LogEntry"] = []
         self._table = None  # None: ``_mask`` is not expressed on any table
         self._mask = 0
-        #: Set by :meth:`trim`: the rows no longer start at the initial
-        #: state, so no view without a compaction base is served.
-        self._trimmed = False
+        self._base = None
 
     def fold(self, txn: "Transaction", entries: Iterable["LogEntry"]) -> int:
         """Add committed ``txn``'s group of ``entries``; returns the
@@ -186,9 +194,10 @@ class SerialPrefixCache:
 
     def covering(self, view: "View", txn: "Transaction") -> Checkpoints | None:
         """The committed groups in :attr:`order` when ``view`` holds every
-        entry of them, has no compaction base and ``txn`` is not
-        committed; ``None`` otherwise (the caller builds the reference)."""
-        if view.base is not None or self._trimmed or txn.status is TxnStatus.COMMITTED:
+        entry of them, sits on the compaction snapshot they start at and
+        ``txn`` is not committed; ``None`` otherwise (the caller builds
+        the reference)."""
+        if view.base is not self._base or txn.status is TxnStatus.COMMITTED:
             return None
         log = view.log
         if log._table is not self._table and not self._rebase(log._table):
@@ -210,18 +219,19 @@ class SerialPrefixCache:
         self._table, self._mask = table, mask
         return True
 
-    def trim(self, floor: "Timestamp") -> int:
-        """Drop the groups ordered at or before ``floor``, with their
+    def trim(self, snapshot: "Snapshot") -> int:
+        """Start the rows at compaction ``snapshot``: drop the groups it
+        folded (ordered at or before its ``last_commit_ts``) with their
         entries; returns how many.  Meaningful in commit order only."""
         rows = self.marks.rows
-        kept = [row for row in rows if not row[0] <= floor]
-        if len(kept) == len(rows):
-            return 0
-        dropped = {row[1] for row in rows if row[0] <= floor}
-        self.marks.reset(kept)
+        floor = snapshot.last_commit_ts
+        cut = 0 if floor is None else bisect_right(rows, floor, key=_TS)
+        dropped = {action for _ts, action, _events in rows[:cut]}
+        self.marks.reset(rows[cut:])
+        self.marks.base_state = snapshot.state
         self._entries = [entry for entry in self._entries if entry.action not in dropped]
-        self._table, self._mask, self._trimmed = None, 0, True
-        return len(dropped)
+        self._table, self._mask, self._base = None, 0, snapshot
+        return cut
 
 
 def serial_rows(

@@ -13,11 +13,13 @@ from-scratch reference computes:
   definition answers — the same event, or the same fatal / non-fatal
   conflict blaming the same holder;
 * a hypothesis property over random views — covered or not, on another
-  table lineage, compacted, the executing transaction committed, a
-  degraded read's stray — in both orders: the object's rows equal the
-  rows built afresh checkpoint for checkpoint, or the query defers and
-  the reference answers; the commit-order decision answers what
-  replay-and-trial (``tests/oracles.py::pick_response``) answers;
+  table lineage, on the snapshot the rows were trimmed to or another,
+  the executing transaction committed, a degraded read's stray anywhere
+  in its group — in both orders: the object's rows equal the rows built
+  afresh from the view without the stray, checkpoint for checkpoint, or
+  the query defers and the reference answers; the commit-order decision
+  answers what replay-and-trial (``tests/oracles.py::pick_response``)
+  answers, for the stray-free view when served and the view when not;
 * one unit test per condition under which the rows must not serve a
   view, and for how commits fold (an early beginner committing late is
   an ordered insert);
@@ -417,18 +419,23 @@ def _reference(view, order, own):
 def object_views(draw, datatype, order):
     """Random transactions run against one object, and a view of its log.
 
-    Every transaction's events are recorded in the object's
-    synchronization state, as a front-end records a durable write; each
-    then commits (folded into the object's rows), aborts or stays
+    The transactions' events are drawn at random, or legal in the order
+    their groups serialize in.  Every transaction's events are recorded
+    in the object's synchronization state, as a front-end records a
+    durable write; each then commits (folded into the object's rows), aborts or stays
     active, in a random order, and the executing one stays active or
     commits.  Before some commit, or after all, the rows may be asked by
     a view on a table of its own (a lineage), which then learns every
     entry.  The view holds every entry, or all but a random few, on that
     table — where the mask decides whether it holds the committed ones —
     or on a table of its own.  Optionally the view also holds a
-    degraded read's stray — a state-preserving event of a committed
-    transaction, legal where it stands, logged but never recorded — and
-    sits on a compaction base.
+    degraded read's stray — a read-only event of a committed
+    transaction, logged but never recorded, anywhere in its group and
+    legal against the groups in front of it when it ran, so a group
+    ordered in front of it since may conflict with it — and sits on a
+    compaction base: one the rows were not trimmed to, or, in commit
+    order, the snapshot they were trimmed to, the view then holding
+    none of the dropped groups' entries.
     """
     alphabet = sorted(
         (
@@ -439,19 +446,41 @@ def object_views(draw, datatype, order):
         key=str,
     )
     events = st.lists(st.sampled_from(alphabet), max_size=2).map(tuple)
+    invocations = st.lists(st.sampled_from(datatype.invocations()), max_size=2)
     tm = TransactionManager()
     sync = SynchronizationState(order)
     own = tm.begin()
     others = [tm.begin() for _ in range(draw(st.integers(0, 4)))]
+    fate = st.sampled_from(["commit", "commit", "abort", "active"])
+    fates = {txn.id: draw(fate) for txn in others}
+    fates[own.id] = draw(st.sampled_from(["active", "active", "commit"]))
+    finishing = draw(st.permutations([own, *others]))
+    if draw(st.booleans()):
+        drawn = {txn.id: draw(events) for txn in (own, *others)}
+    else:
+        # Legal in the order the committed groups serialize in, the
+        # executing transaction's at its place, the others' after them.
+        serial = [
+            txn
+            for txn in (finishing if order == "commit" else others)
+            if txn is not own and fates[txn.id] == "commit"
+        ]
+        serial.insert(len(serial) if order == "commit" else 0, own)
+        serial += [txn for txn in others if fates[txn.id] != "commit"]
+        drawn, state = {}, datatype.initial_state()
+        for txn in serial:
+            group = []
+            for invocation in draw(invocations):
+                outcomes = list(datatype.apply(state, invocation))
+                response, state = outcomes[draw(st.integers(0, len(outcomes) - 1))]
+                group.append(Event(invocation, response))
+            drawn[txn.id] = tuple(group)
     entries, clock = [], 0
     for txn in draw(st.permutations([own, *others])):
-        for event in draw(events):
+        for event in drawn[txn.id]:
             clock += 1
             entries.append(LogEntry(Timestamp(clock, 0), event, txn.id))
             sync.record(txn.id, entries[-1])
-    fates = {txn.id: draw(st.sampled_from(["commit", "abort", "active"])) for txn in others}
-    fates[own.id] = draw(st.sampled_from(["commit", "active"]))
-    finishing = draw(st.permutations([own, *others]))
     asked_at = draw(st.integers(-1, len(finishing)))  # -1: never asked
     lineage = None
     for at, txn in enumerate([*finishing, None]):
@@ -473,16 +502,20 @@ def object_views(draw, datatype, order):
         for invocation in datatype.invocations()
         if invocation.op in read_only_operations(datatype)
     ]
-    rows = sync.committed.marks.rows
-    writers = [at for at, row in enumerate(rows) if row[1] != own.id]
+    marks = sync.committed.marks
+    writers = [at for at, row in enumerate(marks.rows) if row[1] != own.id]
     if readers and writers and draw(st.booleans()):
-        # Last in its transaction's group, so the node in front of it is
-        # the one after the group's recorded events.
-        at = draw(st.sampled_from(writers))
-        node = sync.committed.marks.node_before(oracle, at + 1)
+        at = writers[-1 - draw(st.integers(0, len(writers) - 1))]  # late first
+        group = [entry for entry in entries if entry.action == marks.rows[at][1]]
+        place = draw(st.integers(0, len(group)))
+        node = marks.node_before(oracle, draw(st.integers(0, at)))
+        for entry in group[:place]:
+            node = oracle._step(node, entry.event)
         successors = oracle._successors(node, draw(st.sampled_from(readers)))
         if successors:
-            stray = LogEntry(Timestamp(clock + 1, 0), successors[0][0], rows[at][1])
+            # Site 1 sorts it right behind its predecessor's counter.
+            counter = group[place - 1].ts.counter if place else group[0].ts.counter - 1
+            stray = LogEntry(Timestamp(counter, 1), successors[0][0], group[0].action)
     shown = entries if stray is None else [*entries, stray]
     # One view in four loses entries, one in four sits on a base.
     if not draw(st.integers(0, 3)):
@@ -490,11 +523,19 @@ def object_views(draw, datatype, order):
     base = None
     if not draw(st.integers(0, 3)):
         state = datatype.initial_state()
-        invocations = st.lists(st.sampled_from(datatype.invocations()), max_size=3)
-        for invocation in draw(invocations):
+        prefix = st.lists(st.sampled_from(datatype.invocations()), max_size=3)
+        for invocation in draw(prefix):
             outcomes = list(datatype.apply(state, invocation))
             state = outcomes[draw(st.integers(0, len(outcomes) - 1))][1]
-        base = SimpleNamespace(state=state)
+        base = SimpleNamespace(state=state, last_commit_ts=None)
+        if order == "commit" and draw(st.booleans()):
+            # Compacted: the rows start at the snapshot, past its groups.
+            cut = draw(st.integers(0, len(marks)))
+            if cut:
+                base.last_commit_ts = marks.rows[cut - 1][0]
+            folded = {action for _ts, action, _events in marks.rows[:cut]}
+            sync.trim_committed(base)
+            shown = [entry for entry in shown if entry.action not in folded]
     if lineage is not None and len(lineage) and draw(st.booleans()):
         # The asked lineage's table learns every entry; the view holds
         # what it asked with plus ``shown``.
@@ -502,6 +543,8 @@ def object_views(draw, datatype, order):
         log = lineage.extended(shown)
     else:
         log = Log(shown)
+    if base is not None and base.last_commit_ts is not None:
+        log = Log(entry for entry in log if entry.action not in folded)
     view = View(log, tm, base=base)
     invocation = draw(st.sampled_from(datatype.invocations()))
     return oracle, tm, sync, own, view, stray, invocation
@@ -511,20 +554,21 @@ def object_views(draw, datatype, order):
 @pytest.mark.parametrize(
     "datatype", standard_types(), ids=lambda datatype: type(datatype).__name__
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_the_objects_rows_equal_the_reference_or_defer_to_it(datatype, order, data):
-    """The object's rows serve a view exactly when it has no compaction
-    base, the executing transaction is not committed and the view holds
-    every recorded committed entry; then they equal the rows built
-    afresh, checkpoint for checkpoint, but for a degraded read's stray,
-    which they leave out without moving any frontier.  Served, the
-    scheme answers what the reference answers for the view without the
-    stray; a commit-order choice answers what replay and trial answer,
-    stray or not.  (In begin order an event merged in front of the
-    stray's group can make it illegal where the read chose it; the
-    reference would then refuse what the recorded history, which holds
-    no stray, allows.)"""
+    """The object's rows serve a view exactly when it sits on the
+    compaction snapshot they start at, the executing transaction is not
+    committed and the view holds every recorded committed entry; then
+    they equal the rows built afresh, checkpoint for checkpoint, from
+    the view without a degraded read's stray, which they leave out as
+    the recorded history does.  Served, the scheme answers what the
+    reference answers for the view without the stray, and a commit-order
+    choice answers what replay and trial answer for it; unserved, the
+    reference answers for the view, stray and all.  The two can differ:
+    a group ordered in front of the stray's after the read can make it
+    illegal, and the reference then refuses what the rows allow
+    (``test_a_stray_behind_a_conflicting_commit_is_refused_only_by_the_reference``)."""
     oracle, tm, sync, own, view, stray, invocation = data.draw(
         object_views(datatype, order)
     )
@@ -538,27 +582,20 @@ def test_the_objects_rows_equal_the_reference_or_defer_to_it(datatype, order, da
     ]
     folded = sum(len(events) for _ts, _action, events in cache.marks.rows)
     covered = (
-        view.base is None
+        view.base is cache._base
         and own.status is not TxnStatus.COMMITTED
         and len(recorded) == folded
     )
     assert (marks is cache.marks) == covered
-    reference = _reference(view, order, own.id)
+    plain = view
+    if stray is not None and stray in view.log:
+        plain = View(Log(e for e in view.log.ordered() if e != stray), tm, base=view.base)
     if marks is not None:
-        if stray is None or stray not in view.log:
-            assert marks.rows == reference.rows
-            for position in range(len(marks) + 1):
-                node = marks.node_before(oracle, position)
-                assert node is reference.node_before(oracle, position)
-        else:
-            assert marks.rows == [
-                (ts, action, events[:-1] if action == stray.action else events)
-                for ts, action, events in reference.rows
-            ]
-            for position in range(len(marks) + 1):
-                node = marks.node_before(oracle, position)
-                again = reference.node_before(oracle, position)
-                assert oracle._keys(node) == oracle._keys(again)
+        reference = _reference(plain, order, own.id)
+        assert marks.rows == reference.rows
+        for position in range(len(marks) + 1):
+            node = marks.node_before(oracle, position)
+            assert node is reference.node_before(oracle, position)
 
     if order == "commit":
         scheme = DynamicLockingCC(datatype, oracle)
@@ -574,18 +611,11 @@ def test_the_objects_rows_equal_the_reference_or_defer_to_it(datatype, order, da
 
     chosen = _decision(lambda: choose(view, sync))
     if marks is not None:
-        # The rows answer what the reference answers for the view without
-        # its stray.
-        plain = view
-        if stray is not None and stray in view.log:
-            plain = View(Log(e for e in view.log.ordered() if e != stray), tm)
         assert chosen == _decision(lambda: choose(plain, _deferring(sync)))
     if order == "commit":
-        # A stray stands after every group it was legal behind, and
-        # preserves the state: replay with it answers the same.
         replayed = pick_response(
             LegalityOracle(datatype),
-            commit_order_serial(view, own=own.id),
+            commit_order_serial(view if marks is None else plain, own=own.id),
             invocation,
             base_state=view.base_state,
         )
@@ -695,9 +725,9 @@ class TestCovering:
         assert marks is sync.committed.marks
         assert marks.rows == _reference(View(grown, tm), order, reader.id).rows
 
-    def test_a_compaction_base_defers(self, order):
+    def test_a_compaction_base_the_rows_do_not_start_at_defers(self, order):
         tm, sync, (_a, _b, c), entries = _committed_pair(order)
-        snapshot = SimpleNamespace(state=Queue().initial_state())
+        snapshot = SimpleNamespace(state=Queue().initial_state(), last_commit_ts=None)
         view = View(Log(entries.values()), tm, base=snapshot)
         assert sync.committed.covering(view, c) is None
         if order == "begin":
@@ -728,19 +758,34 @@ def _enq(counter):
     return LogEntry(Timestamp(counter, 0), Event(ENQ_B, ok()), ActionId(counter, 0))
 
 
-def test_trimmed_rows_stay_bounded_and_serve_no_view():
+def test_trimmed_rows_stay_bounded_and_serve_the_views_on_their_snapshot():
     """Soak's trim drops the groups a compaction folded, with their
-    entries; the rows then start past the initial state, so a view with
-    no compaction base is not served them."""
+    entries; the rows then start at the snapshot's state and serve the
+    views on that snapshot object, and no other."""
     tm, sync, (a, b, c), entries = _committed_pair("commit")
     view = View(Log(entries.values()), tm)
     assert sync.committed.covering(view, c) is sync.committed.marks
-    assert sync.trim_committed(tm.commit_ts_of(b.id)) == 1
+    [(_response, after_b)] = Queue().apply(Queue().initial_state(), ENQ_B)
+    snapshot = SimpleNamespace(state=after_b, last_commit_ts=tm.commit_ts_of(b.id))
+    assert sync.trim_committed(snapshot) == 1
     assert [action for _ts, action, _events in sync.committed.marks.rows] == [a.id]
     assert sync.committed._entries == [entries[a.id]]
     assert sync.committed._table is None
     assert sync.committed.covering(view, c) is None
-    assert sync.trim_committed(tm.commit_ts_of(b.id)) == 0
+    twin = SimpleNamespace(state=after_b, last_commit_ts=snapshot.last_commit_ts)
+    compacted = Log([entries[a.id], entries[c.id]])
+    assert sync.committed.covering(View(compacted, tm, base=twin), c) is None
+    view = View(compacted, tm, base=snapshot)
+    marks = sync.committed.covering(view, c)
+    assert marks is sync.committed.marks
+    oracle = LegalityOracle(Queue())
+    reference = _reference(view, "commit", c.id)
+    assert marks.rows == reference.rows
+    assert marks.node_before(oracle, 1) is reference.node_before(oracle, 1)
+    hybrid = queue_system("hybrid")[1].cc
+    assert hybrid.choose_event(view, c, DEQ, sync) == Event(DEQ, ok("b"))
+    assert sync.trim_committed(snapshot) == 0
+    assert sync.committed.covering(view, c) is marks
 
 
 def test_a_degraded_reads_stray_is_left_out_and_changes_no_choice():
@@ -770,6 +815,45 @@ def test_a_degraded_reads_stray_is_left_out_and_changes_no_choice():
     served = scheme.choose_event(view, reader, read, sync)
     assert served == scheme.choose_event(view, reader, read, _deferring(sync))
     assert served == Event(read, ok("x"))
+
+
+@pytest.mark.parametrize("order", ["commit", "begin"])
+def test_a_stray_behind_a_conflicting_commit_is_refused_only_by_the_reference(order):
+    """T's degraded Read saw the initial value and held no lock for it;
+    U, begun first, then wrote and committed in front of T.  The rows
+    leave the stray out, as the recorded history does, and the next
+    Read is served U's and T's writes; the reference keeps the stray in
+    T's group, after U's Write, where it is illegal, and refuses."""
+    datatype = Register()
+    tm = TransactionManager()
+    sync = SynchronizationState(order)
+    u, t = tm.begin(), tm.begin()
+    read = Invocation("Read")
+    stray = LogEntry(Timestamp(1, 0), Event(read, ok("0")), t.id)
+    writes = {
+        u.id: LogEntry(Timestamp(2, 0), Event(Invocation("Write", ("x",)), ok()), u.id),
+        t.id: LogEntry(Timestamp(3, 0), Event(Invocation("Write", ("y",)), ok()), t.id),
+    }
+    for txn in (u, t):
+        sync.record(txn.id, writes[txn.id])
+        tm.commit(txn)
+        sync.finalize_commit(txn)
+    reader = tm.begin()
+    view = View(Log([stray, *writes.values()]), tm)
+    marks = sync.committed.covering(view, reader)
+    assert marks is sync.committed.marks
+    assert [events for _ts, _action, events in marks.rows] == [
+        (writes[u.id].event,),
+        (writes[t.id].event,),
+    ]
+    assert _reference(view, order, reader.id).rows[-1][2] == (
+        stray.event,
+        writes[t.id].event,
+    )
+    scheme = small_system(datatype, "hybrid" if order == "commit" else "static")[1].cc
+    assert scheme.choose_event(view, reader, read, sync) == Event(read, ok("y"))
+    refused = _decision(lambda: scheme.choose_event(view, reader, read, _deferring(sync)))
+    assert refused[:2] == ("conflict", True)
 
 
 # -- how commits fold ------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -478,7 +479,8 @@ class TestRetirement:
             sync.record(txn.id, LogEntry(Timestamp(10 + seq, 0), enq, txn.id))
             txn.commit_ts = Timestamp(2 * seq, 0)
             sync.finalize_commit(txn)
-        assert sync.trim_committed(Timestamp(2, 0)) == 1
+        snapshot = SimpleNamespace(state=None, last_commit_ts=Timestamp(2, 0))
+        assert sync.trim_committed(snapshot) == 1
         assert len(sync.committed.marks) == 1
 
 
