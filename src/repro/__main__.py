@@ -203,11 +203,13 @@ def _run_workload(args: argparse.Namespace, tracer: Tracer) -> None:
 
 def _standard_workload(shape: dict, tracer: Tracer | None = None):
     """``(cluster, generator)`` for a shape, un-run: ``SCENARIOS["default"]``
-    with the shape's object count, every object hybrid."""
+    with the shape's object count, every object hybrid; ``--crashes``
+    means a mean uptime of 60 and downtime of 8."""
     options = dict(shape)
     cluster, generator, _names = build_scenario(
         replace(SCENARIOS["default"], objects=options.pop("objects")),
         n_sites=options.pop("sites"),
+        crashes=(60.0, 8.0) if options.pop("crashes") else None,
         tracer=tracer,
         **options,
     )

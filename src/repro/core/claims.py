@@ -42,10 +42,9 @@ from repro.replication.available_copies import AvailableCopiesObject
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.repository import Repository
-from repro.sim.failures import CrashInjector
+from repro.scenarios import MixSpec, ScenarioSpec, build_scenario
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
-from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, Bag, Counter, DoubleBuffer, FlagSet, Mutex, Queue
@@ -482,20 +481,6 @@ def _measured(run: Callable[[], Verdict]) -> Callable[[Bounds], Verdict]:
     return lambda bounds: Verdict(True) if bounds.fast_theorems else run()
 
 
-def _run_workload(
-    spec: ObjectSpec, seed: int, mix, transactions: int,
-    *, sites: int = 3, latency: float = 1.0, crashes=None, **knobs,
-):  # fmt: skip
-    """One seeded single-object workload: ``(metrics, messages sent)``."""
-    cluster = build_keyspace(KeyspaceSpec(sites, (spec,)), seed=seed, latency=latency)
-    if crashes is not None:
-        CrashInjector(cluster.network, *crashes).install()
-    generator = WorkloadGenerator(
-        cluster.sim, cluster.tm, cluster.frontends, mix, **knobs
-    )
-    return generator.run(transactions), cluster.network.messages_sent
-
-
 def _pooled(runs, op: str, outcome: str) -> float:
     attempts = sum(metrics.attempts(op) for metrics in runs)
     return sum(metrics.count(op, outcome) for metrics in runs) / attempts
@@ -524,24 +509,27 @@ def _prom_availability() -> Verdict:
         choices = valid_threshold_choices(relation, n, ops)
         return min((c for c in choices if c.initial_of("Read") == 1), key=sizes)
 
-    mix = OperationMix.weighted([
-        ("prom", Invocation("Write", ("x",)), 5.0),
-        ("prom", Invocation("Write", ("y",)), 5.0),
-        ("prom", Invocation("Read"), 10.0),
-    ])  # fmt: skip
+    traffic = ScenarioSpec(
+        "prom-availability",
+        _EXPERIMENTS + "end-to-end-availability-the-motivating-claim-measured",
+        "one-operation PROM transactions, Reads 2:1 over Writes, never sealed",
+        mix=MixSpec(read_weight=10.0, write_weight=5.0, op_weights=(("Seal", 0.0),)),
+        ops_per_transaction=1, concurrency=2, think_time=1.0, transactions=600,
+    )  # fmt: skip
     choices, runs, messages = {}, {}, {}
     for name, schemas in (("hybrid", known.PROM_HYBRID), ("static", known.PROM_STATIC)):
         choices[name] = read_maximal(known.ground(prom, schemas, 5))
         spec = ObjectSpec("prom", prom, "hybrid", relation=hybrid_relation,
                           assignment=choices[name].to_assignment())  # fmt: skip
-        # Latency small beside the failure timescales: an operation sees
-        # an effectively instantaneous cluster, as the analytic model does.
-        results = [
-            _run_workload(spec, seed, mix, 600, sites=n, latency=0.2,
-                          crashes=(uptime, downtime), ops_per_transaction=1,
-                          concurrency=2, think_time=1.0)  # fmt: skip
-            for seed in (1, 2, 3)
-        ]
+        results = []
+        for seed in (1, 2, 3):
+            # Latency small beside the failure timescales: an operation sees
+            # an effectively instantaneous cluster, as the analytic model does.
+            cluster, generator, _names = build_scenario(
+                traffic, keyspace=KeyspaceSpec(n, (spec,)), seed=seed, latency=0.2,
+                crashes=(uptime, downtime))  # fmt: skip
+            metrics = generator.run(traffic.transactions)
+            results.append((metrics, cluster.network.messages_sent))
         runs[name] = [metrics for metrics, _sent in results]
         messages[name] = [
             sent / sum(metrics.attempts(op) for op in metrics.operations())
@@ -600,13 +588,14 @@ def _cc_concurrency() -> Verdict:
     """One seeded workload per scheme: hybrid Enqs conflict less than 2PL's."""
 
     def run(datatype, relation, seeds):
-        mix = OperationMix.uniform("obj", datatype.invocations())
+        def metrics(scheme, seed):
+            obj = ObjectSpec("obj", datatype, scheme, relation=relation)
+            _cluster, generator, _names = build_scenario(
+                "default", keyspace=KeyspaceSpec(3, (obj,)), seed=seed)  # fmt: skip
+            return generator.run(60)
+
         return {
-            scheme: [
-                _run_workload(ObjectSpec("obj", datatype, scheme, relation=relation),
-                              seed, mix, 60, ops_per_transaction=3, concurrency=4)[0]
-                for seed in seeds
-            ]
+            scheme: [metrics(scheme, seed) for seed in seeds]
             for scheme in ("hybrid", "static", "dynamic")
         }  # fmt: skip
 

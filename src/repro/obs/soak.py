@@ -33,9 +33,10 @@ already exposes, on a fixed cadence at transaction boundaries:
 The workload itself must also hold state bounded: a uniform mix over a
 queue's alphabet (two ``Enq`` variants, one ``Deq``) enqueues twice as
 often as it dequeues, so per-object state — and with it every snapshot,
-view, and replay frontier — grows linearly forever.  :func:`soak_mix`
-up-weights consumers so the queue length is a random walk with negative
-drift, keeping expected state O(1).
+view, and replay frontier — grows linearly forever.  The soak's mix
+(:data:`SOAK_MIX`) weighs ``Deq`` 3 against each ``Enq``'s 1, so the
+queue length is a random walk with negative drift, keeping expected
+state O(1).
 
 Retirement soundness: a finalized transaction's log entries were written
 to full final quorums, so a sweep that drains a transversal of every
@@ -45,9 +46,11 @@ in the system can name it again.  The sweep therefore only runs when
 every replica of the object is reachable — a down site just defers that
 object's maintenance to a later round.
 
-:func:`run_soak` drives the whole experiment: an all-hybrid sharded
-keyspace (:func:`~repro.replication.keyspace.soak_keyspace`), a
-ring-retention tracer, the streaming auditor, and the maintenance loop,
+:func:`run_soak` drives the whole experiment: the config's declared
+scenario (:meth:`SoakConfig.scenario`) over an all-hybrid sharded
+keyspace (:func:`~repro.replication.keyspace.soak_keyspace`), built by
+:func:`~repro.scenarios.runner.build_scenario`, with a ring-retention
+tracer, the streaming auditor, and the maintenance loop,
 returning a :class:`SoakResult` whose ``retained_ok`` asserts the
 tentpole claim — peak retained spans never exceeded the window.
 """
@@ -61,40 +64,21 @@ from typing import Any
 from repro.errors import SpecificationError, UnavailableError
 from repro.obs.audit import AuditReport, Auditor
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.replication.keyspace import soak_keyspace
+from repro.scenarios.runner import build_scenario
+from repro.scenarios.spec import MixSpec, ScenarioSpec
 
 __all__ = [
+    "SOAK_MIX",
     "SoakConfig",
     "SoakMaintenance",
     "SoakResult",
     "run_soak",
-    "soak_mix",
 ]
 
-
-def soak_mix(spec, *, drain: float = 1.5):
-    """A drain-biased :class:`~repro.sim.workload.OperationMix` over ``spec``.
-
-    Producer invocations (those carrying arguments — they add state)
-    keep weight 1.0 each; consumer invocations (argument-free — they
-    remove or observe state) split ``drain ×`` the total producer weight
-    between them, so consumption outpaces production and per-object
-    state stays bounded in expectation.  Objects whose alphabet is all
-    producers or all consumers fall back to uniform weights.
-    """
-    from repro.sim.workload import OperationMix
-
-    entries: list[tuple[str, Any, float]] = []
-    for obj in spec.objects:
-        invocations = list(obj.datatype.invocations())
-        producers = [inv for inv in invocations if inv.args]
-        consumers = [inv for inv in invocations if not inv.args]
-        if not producers or not consumers:
-            entries.extend((obj.name, inv, 1.0) for inv in invocations)
-            continue
-        consumer_weight = drain * len(producers) / len(consumers)
-        entries.extend((obj.name, inv, 1.0) for inv in producers)
-        entries.extend((obj.name, inv, consumer_weight) for inv in consumers)
-    return OperationMix.weighted(entries)
+#: Consumers outpace producers: each queue's ``Deq`` weighs 3, each of
+#: its two ``Enq`` variants 1.
+SOAK_MIX = MixSpec(op_weights=(("Deq", 3.0),))
 
 
 @dataclass(frozen=True)
@@ -126,6 +110,17 @@ class SoakConfig:
             raise SpecificationError("the soak window must be positive")
         if self.compact_every < 1:
             raise SpecificationError("compact_every must be positive")
+
+    def scenario(self) -> ScenarioSpec:
+        """The soak's traffic: :data:`SOAK_MIX` at this config's shape."""
+        return ScenarioSpec(
+            name="soak",
+            doc_ref="docs/OBSERVABILITY.md#the-soak-proving-it-end-to-end",
+            description="drain-biased queue traffic for endurance runs",
+            mix=SOAK_MIX,
+            ops_per_transaction=self.ops_per_transaction,
+            concurrency=self.concurrency,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -351,27 +346,15 @@ class SoakResult:
 
 def run_soak(config: SoakConfig) -> SoakResult:
     """Execute one bounded-memory soak run to completion."""
-    from repro.replication.cluster import build_keyspace
-    from repro.replication.keyspace import soak_keyspace
-    from repro.sim.workload import WorkloadGenerator
-
-    spec = soak_keyspace(
-        config.objects,
-        config.sites,
-        replication_factor=config.replication_factor,
-    )
     if config.audit:
         tracer: Tracer = Tracer(retention="ring", window=config.window)
     else:
         tracer = NULL_TRACER
-    cluster = build_keyspace(spec, seed=config.seed, tracer=tracer)
-    generator = WorkloadGenerator(
-        cluster.sim,
-        cluster.tm,
-        cluster.frontends,
-        soak_mix(spec),
-        ops_per_transaction=config.ops_per_transaction,
-        concurrency=config.concurrency,
+    keyspace = soak_keyspace(
+        config.objects, config.sites, replication_factor=config.replication_factor
+    )
+    cluster, generator, _names = build_scenario(
+        config.scenario(), keyspace=keyspace, seed=config.seed, tracer=tracer
     )
     maintenance = SoakMaintenance(cluster, every=config.compact_every)
     generator.on_transaction_start = maintenance.hook

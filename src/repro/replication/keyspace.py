@@ -53,6 +53,7 @@ __all__ = [
     "PlacementRule",
     "Router",
     "UNIFORM_PLACEMENTS",
+    "chaos_keyspace",
     "demo_keyspace",
     "soak_keyspace",
 ]
@@ -436,6 +437,21 @@ def demo_keyspace(
     return KeyspaceSpec(n_sites, tuple(specs))
 
 
+def chaos_keyspace(n_sites: int) -> KeyspaceSpec:
+    """The chaos runner's classic pair: a register, then a majority queue.
+
+    The register's quorums are majority initial, ``min(n, 4)`` final:
+    valid for any relation (initials meet finals, finals meet
+    pairwise), yet at five sites two crashes leave reads their initial
+    quorum and writes no final one — the degraded-read window.
+    """
+    from repro.types import Queue, Register
+
+    quorums = (n_sites // 2 + 1, min(n_sites, 4))
+    register = ObjectSpec("register", Register(), quorums=quorums)
+    return KeyspaceSpec(n_sites, (register, ObjectSpec("queue", Queue())))
+
+
 def soak_keyspace(
     n_objects: int,
     n_sites: int,
@@ -445,10 +461,10 @@ def soak_keyspace(
 ) -> KeyspaceSpec:
     """An all-hybrid-queue keyspace for bounded-memory soak runs.
 
-    :func:`~repro.obs.soak.soak_mix` bounds a queue by weighting ``Deq``
-    over ``Enq``; a counter's argument-free ``Inc``/``Dec`` get equal
-    weights, so its value (and every snapshot) would wander without
-    bound.  Hybrid queues also serialize in commit order, which log
+    The soak's mix (:data:`~repro.obs.soak.SOAK_MIX`) bounds a queue by
+    weighting ``Deq`` over ``Enq``; a counter's ``Inc``/``Dec`` would get
+    equal weights, so its value (and every snapshot) would wander
+    without bound.  Hybrid queues also serialize in commit order, which log
     compaction needs.  Deterministic: same arguments, same spec.
     """
     from repro.types import Queue

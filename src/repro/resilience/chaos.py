@@ -3,7 +3,9 @@
 ``python -m repro chaos`` drives the whole resilience layer at once:
 random-but-reproducible fault schedules (crashes, partitions, churn, or
 a mix) are composed over the existing injector primitives, a mixed
-queue/register workload runs through them under a chosen
+register/queue workload (the declared :data:`CLASSIC` scenario over
+:func:`~repro.replication.keyspace.chaos_keyspace`, or a sharded
+keyspace) runs through them under a chosen
 :class:`~repro.resilience.policy.RetryPolicy`, every run is watched by
 the PR-2 :class:`~repro.obs.audit.Auditor`, and the sweep emits a JSON
 verdict table: operations attempted / succeeded / degraded / aborted,
@@ -29,7 +31,8 @@ An audited run's lifecycle is written once, here: :func:`audited_run`
 (clear faults, two anti-entropy passes over each object's replica-set
 star, convergence check) and :func:`run_verdict` (accounting,
 ``fingerprint``, ``counts``).  :func:`run_chaos_case` and
-:func:`repro.scenarios.runner.run_scenario` both run through it.
+:func:`repro.scenarios.runner.run_scenario` both run through it, over
+what :func:`repro.scenarios.runner.build_scenario` built.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ from typing import Mapping, Sequence
 
 from repro.obs.metrics import Histogram
 from repro.resilience.policy import POLICIES, _mix_key
+from repro.scenarios.spec import MixSpec, ScenarioSpec
 from repro.sim.trials import run_trials
 
 __all__ = [
+    "CLASSIC",
     "PROFILES",
     "ChaosSchedule",
     "audited_run",
@@ -62,6 +67,16 @@ __all__ = [
 #: * ``churn``     — rapid-fire single-site crash/recover cycles;
 #: * ``mixed``     — all of the above interleaved.
 PROFILES = ("crash", "partition", "churn", "mixed")
+
+#: The classic pair's traffic over :func:`~repro.replication.keyspace.chaos_keyspace`:
+#: a register ``Read`` three times as likely as any other invocation.
+CLASSIC = ScenarioSpec(
+    name="chaos-classic",
+    doc_ref="docs/RESILIENCE.md#the-classic-pair-and-the-sharded-cases",
+    description="register/queue pair, read-heavy register, under chaos",
+    mix=MixSpec(read_weight=3.0),
+    concurrency=3,
+)
 
 #: Domain-separation constant for the chaos schedule RNG (arbitrary,
 #: fixed forever: changing it re-rolls every published schedule).
@@ -195,84 +210,47 @@ def run_chaos_case(
 ) -> dict:
     """One audited chaos run; returns a plain (picklable) verdict dict.
 
-    With ``objects=None`` (the default), builds a five-site cluster with
-    two hybrid replicated objects — a FIFO queue under majority/majority
-    quorums, and a register whose final coterie is a 4-of-5 threshold
-    (so two downed sites leave reads *initial*-assemblable but writes
-    unreachable, exercising the policy's degraded/retry paths).  With
-    ``objects=N``, builds the standard workload of ``N`` hybrid
-    queue/register/counter objects under the given ``placement`` rule
-    (``"all"`` or ``"ring"``) through
-    :func:`~repro.scenarios.runner.build_scenario` instead — the
-    sharded-keyspace chaos envelope, with the
-    genuine-partial-replication monitor live.  A ``placement`` other
-    than ``"all"`` without ``objects`` raises :class:`ValueError`: the
-    classic pair is fully replicated.  Either way :func:`audited_run`
-    drives ``transactions`` transactions through the fault schedule for
-    ``(profile, seed)`` under ``POLICIES[policy_name]``, deep-audited;
-    this run adds the recovery-latency summary and the entries each
-    catch-up repaired under ``timing``.
+    With ``objects=None`` (the default), runs :data:`CLASSIC` over
+    :func:`~repro.replication.keyspace.chaos_keyspace`, whose register's
+    4-of-5 final coterie sends two-sites-down writes down the policy's
+    degraded/retry paths.  With ``objects=N``, runs the standard
+    workload of ``N`` hybrid queue/register/counter objects under the
+    given ``placement`` rule (``"all"`` or ``"ring"``) — the
+    sharded-keyspace chaos envelope, with the genuine-partial-replication
+    monitor live.  A ``placement`` other than ``"all"`` without
+    ``objects`` raises :class:`ValueError`: the classic pair is fully
+    replicated.  Either way the run is built by
+    :func:`~repro.scenarios.runner.build_scenario`, and
+    :func:`audited_run` drives ``transactions`` transactions through the
+    fault schedule for ``(profile, seed)`` under
+    ``POLICIES[policy_name]``, deep-audited; this run adds the
+    recovery-latency summary and the entries each catch-up repaired
+    under ``timing``.
     """
     from dataclasses import replace
 
     from repro.obs.trace import Tracer
+    from repro.replication.keyspace import chaos_keyspace
+    from repro.scenarios import SCENARIOS, build_scenario
 
     if objects is None and placement != "all":
         raise ValueError(
             f"placement {placement!r} needs objects=N: the classic "
-            "queue/register pair is fully replicated"
+            "register/queue pair is fully replicated"
         )
-    tracer = Tracer()
-    if objects is not None:
-        from repro.scenarios import SCENARIOS, build_scenario
-
-        cluster, generator, names = build_scenario(
-            replace(SCENARIOS["default"], objects=objects, concurrency=3),
-            seed=seed,
-            n_sites=n_sites,
-            placement=placement,
-            tracer=tracer,
-        )
+    if objects is None:
+        scenario, keyspace = CLASSIC, chaos_keyspace(n_sites)
     else:
-        from repro.replication.cluster import build_keyspace
-        from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
-        from repro.sim.workload import OperationMix, WorkloadGenerator
-        from repro.types.queue import Queue
-        from repro.types.register import Register
-
-        queue, register = Queue(), Register()
-        # Asymmetric register quorums: majority (3-of-5) initial, 4-of-5
-        # final.  Every initial meets every final (3 + 4 > 5) and finals
-        # meet pairwise (4 + 4 > 5), so the assignment is valid for the
-        # total dependency relation and hence for any — but two crashed
-        # sites make final quorums unassemblable while reads still reach
-        # their initial quorum, the window the degraded-read fallback serves.
-        spec = KeyspaceSpec(
-            n_sites,
-            (
-                ObjectSpec("queue", queue),
-                ObjectSpec(
-                    "register", register, quorums=(n_sites // 2 + 1, min(n_sites, 4))
-                ),
-            ),
-        )
-        mix = OperationMix.weighted(
-            [
-                ("register", inv, 3.0 if inv.op == "Read" else 1.0)
-                for inv in register.invocations()
-            ]
-            + [("queue", inv, 1.0) for inv in queue.invocations()]
-        )
-        cluster = build_keyspace(spec, seed=seed, drop_probability=0.0, tracer=tracer)
-        names = ("queue", "register")
-        generator = WorkloadGenerator(
-            cluster.sim,
-            cluster.tm,
-            cluster.frontends,
-            mix,
-            ops_per_transaction=3,
-            concurrency=3,
-        )
+        scenario = replace(SCENARIOS["default"], objects=objects, concurrency=3)
+        keyspace = None
+    cluster, generator, names = build_scenario(
+        scenario,
+        keyspace=keyspace,
+        seed=seed,
+        n_sites=n_sites,
+        placement=placement,
+        tracer=Tracer(),
+    )
     verdict = audited_run(
         cluster,
         generator,

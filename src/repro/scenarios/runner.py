@@ -1,21 +1,27 @@
 """Compile scenario specs onto the workload engine and run them audited.
 
 * :func:`build_scenario` — spec → ``(cluster, generator, names)``, the
-  one builder of a catalog-traffic run: a multi-object scenario runs
-  over :func:`~repro.replication.keyspace.demo_keyspace` with **one**
+  one place a simulated run's cluster and
+  :class:`~repro.sim.workload.WorkloadGenerator` are built.  A run
+  declares its traffic as a :class:`~repro.scenarios.spec.ScenarioSpec`
+  and, optionally, its objects as a
+  :class:`~repro.replication.keyspace.KeyspaceSpec`; the runs outside
+  the catalog (the chaos runner's classic pair, the soak, the measured
+  claim rows) declare both next to their driver.  Without a keyspace,
+  a multi-object scenario runs over
+  :func:`~repro.replication.keyspace.demo_keyspace` with **one**
   concurrency-control scheme for every object, so the same traffic
   shape can be replayed under each of the paper's three atomicity
   mechanisms (:data:`MECHANISMS` maps the paper-facing mechanism names
   onto the cluster's scheme names); the operation mix is compiled per
   object from the scenario's read/write balance and zipf hot-key
-  ranking, arrivals from its arrival process, and both ride the
-  :class:`~repro.sim.workload.WorkloadGenerator`'s ``mix``/``arrivals``
-  inputs.  The ``default`` scenario compiles to *exactly* the classic
-  single-queue workload — same cluster build, same RNG draw sequence —
-  which ``tests/test_scenarios.py`` pins byte-for-byte; with its object
-  count replaced, a placement rule and the fault switches it is the
-  standard workload the CLI's ``trace`` / ``metrics`` / ``audit`` and
-  the chaos runner's sharded cases drive;
+  ranking, arrivals from its arrival process.  The ``default`` scenario
+  compiles to *exactly* the classic single-queue workload — same
+  cluster build, same RNG draw sequence — which
+  ``tests/test_scenarios.py`` pins byte-for-byte; with its object count
+  replaced, a placement rule and the fault switches it is the standard
+  workload the CLI's ``trace`` / ``metrics`` / ``audit`` and the chaos
+  runner's sharded cases drive;
 * :func:`run_scenario` — one audited run, optionally under a chaos
   profile, through the chaos runner's
   :func:`~repro.resilience.chaos.audited_run`: a plain picklable
@@ -27,9 +33,7 @@
 
 from __future__ import annotations
 
-from repro.resilience.chaos import audited_run
 from repro.resilience.policy import read_only_operations
-from repro.scenarios.catalog import SCENARIOS
 from repro.scenarios.sampler import (
     bursty_arrivals,
     hot_key_ranks,
@@ -72,10 +76,12 @@ def compile_mix(object_specs, scenario: ScenarioSpec, seed: int):
     """Compile the scenario's weighted mix over a keyspace's objects.
 
     Per invocation: ``zipf(object rank) × read-or-write weight × named
-    multiplier``.  Object ranks come from the seeded hot-key shuffle;
-    invocations keep catalog order (spec order, then
-    ``datatype.invocations()`` order), so the all-ones default compiles
-    to the legacy uniform mix *tuple-for-tuple*.
+    multiplier``; an invocation whose named multiplier is 0 is left out.
+    Object ranks come from the seeded hot-key shuffle; invocations keep
+    catalog order (spec order, then ``datatype.invocations()`` order),
+    so the all-ones default compiles to the legacy uniform mix
+    *tuple-for-tuple*.  A mix that leaves nothing to draw raises
+    :class:`ValueError`.
     """
     from repro.sim.workload import OperationMix
 
@@ -90,7 +96,12 @@ def compile_mix(object_specs, scenario: ScenarioSpec, seed: int):
             factor = scenario.mix.multiplier(
                 invocation.op, invocation.op in read_only
             )
-            choices.append(((obj.name, invocation), object_weight * factor))
+            if factor:
+                choices.append(((obj.name, invocation), object_weight * factor))
+    if not choices:
+        raise ValueError(
+            f"scenario {scenario.name!r}: its mix weighs every operation 0"
+        )
     return OperationMix(tuple(choices))
 
 
@@ -116,29 +127,33 @@ def compile_arrivals(
 def build_scenario(
     scenario: ScenarioSpec | str,
     *,
+    keyspace=None,
     seed: int = 0,
     mechanism: str = "hybrid",
     n_sites: int | None = None,
     transactions: int | None = None,
     placement: str = "all",
+    latency: float = 1.0,
     drop_probability: float = 0.0,
-    crashes: bool = False,
+    crashes: tuple[float, float] | None = None,
     partitions: bool = False,
     tracer=None,
 ):
     """Spec → ``(cluster, generator, names)``, ready to run.
 
-    A single-object scenario under ``placement="all"`` builds one fully
-    replicated ``"queue"`` object (3 sites by default); anything else
-    builds :func:`~repro.replication.keyspace.demo_keyspace` under the
-    ``placement`` rule (``"all"`` or ``"ring"``; 5 sites by default).
-    ``mechanism`` puts every object under its scheme; over
-    ``SCENARIOS["default"]`` with the object count replaced it builds the
-    standard workload the CLI's ``trace`` / ``metrics`` / ``audit`` drive.
-    ``drop_probability``
-    loses messages; ``crashes`` / ``partitions`` install the stochastic
-    injectors (mean uptime 60 / downtime 8; a cut every 80 on average,
-    lasting 10).
+    ``keyspace`` is the run's objects, with their own sites, placement,
+    schemes and quorums (``n_sites``, ``placement`` and ``mechanism``
+    then go unused).  Without one, a single-object scenario under
+    ``placement="all"`` builds one fully replicated ``"queue"`` object
+    (3 sites by default); anything else builds
+    :func:`~repro.replication.keyspace.demo_keyspace` under the
+    ``placement`` rule (``"all"`` or ``"ring"``; 5 sites by default),
+    ``mechanism`` putting every object under its scheme.  ``latency``
+    is the message delay and ``drop_probability`` loses messages;
+    ``crashes`` installs the crash injector at that ``(mean uptime,
+    mean downtime)``, ``partitions`` the partition injector (a cut every
+    80 on average, lasting 10).  The generator is built after the
+    injectors; neither the mix nor the arrivals draw from ``sim.rng``.
     """
     from repro.replication.cluster import build_keyspace
     from repro.replication.keyspace import KeyspaceSpec, ObjectSpec, demo_keyspace
@@ -152,25 +167,29 @@ def build_scenario(
         scenario = lookup(scenario)
     scheme = _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
-    if scenario.objects == 1 and placement == "all":
-        spec = KeyspaceSpec(
+    if keyspace is None and scenario.objects == 1 and placement == "all":
+        keyspace = KeyspaceSpec(
             n_sites if n_sites is not None else 3,
             (ObjectSpec("queue", Queue(), scheme=scheme),),
         )
-    else:
-        spec = demo_keyspace(
+    elif keyspace is None:
+        keyspace = demo_keyspace(
             scenario.objects,
             n_sites if n_sites is not None else 5,
             placement=placement,
             scheme=scheme,
         )
     cluster = build_keyspace(
-        spec, seed=seed, drop_probability=drop_probability, tracer=tracer
+        keyspace,
+        seed=seed,
+        latency=latency,
+        drop_probability=drop_probability,
+        tracer=tracer,
     )
-    names = tuple(obj.name for obj in spec.objects)
-    mix = compile_mix(spec.objects, scenario, seed)
-    if crashes:
-        CrashInjector(cluster.network, 60.0, 8.0).install()
+    names = tuple(obj.name for obj in keyspace.objects)
+    mix = compile_mix(keyspace.objects, scenario, seed)
+    if crashes is not None:
+        CrashInjector(cluster.network, *crashes).install()
     if partitions:
         PartitionInjector(cluster.network, 80.0, 10.0).install()
     generator = WorkloadGenerator(
@@ -209,6 +228,7 @@ def run_scenario(
     """
     from repro.obs.audit import DEFAULT_STREAM_WINDOW
     from repro.obs.trace import Tracer
+    from repro.resilience.chaos import audited_run
 
     if isinstance(scenario, str):
         from repro.scenarios.catalog import scenario as lookup

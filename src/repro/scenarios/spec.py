@@ -33,8 +33,10 @@ class MixSpec:
     type with no read-only operations — the FIFO queue — simply sees
     ``write_weight`` everywhere).  ``op_weights`` multiplies named
     operations on top of that, e.g. ``(("Enq", 3.0),)`` to skew a queue
-    toward producers.  The default (all ones) compiles to the legacy
-    uniform mix exactly.
+    toward producers; a weight of 0 drops the operation from the
+    compiled mix (``(("Seal", 0.0),)`` runs a PROM that is never
+    sealed).  The default (all ones) compiles to the legacy uniform mix
+    exactly.
     """
 
     read_weight: float = 1.0
@@ -48,8 +50,8 @@ class MixSpec:
                 f"read={self.read_weight} write={self.write_weight}"
             )
         for op, weight in self.op_weights:
-            if weight <= 0:
-                raise ValueError(f"op weight for {op!r} must be positive")
+            if weight < 0:
+                raise ValueError(f"op weight for {op!r} must not be negative")
 
     @staticmethod
     def uniform() -> "MixSpec":
@@ -174,8 +176,9 @@ class ScenarioSpec:
     (``"docs/SCENARIOS.md#<anchor>"``); the drift guard in
     ``tests/test_docs.py`` fails the build if the anchor goes stale.
     ``objects`` sizes the keyspace the scenario runs over (1 keeps the
-    classic single-queue cluster); ``transactions`` is the default run
-    length, overridable at run time.
+    classic single-queue cluster) unless the run declares its own
+    keyspace; ``transactions`` is the default run length, overridable
+    at run time.
     """
 
     name: str

@@ -9,13 +9,16 @@ Four guarantees keep the guides honest:
 * every cross-link — markdown links (including ``#anchor`` fragments)
   and backticked repository paths — points at something that exists;
 * every backticked dotted ``repro.x.y`` name resolves to a module or an
-  attribute of one;
+  attribute of one, and every backticked ``Class.attr`` names a class
+  of the repository and something that class defines;
 * every documented ``python -m repro …`` command line parses.
 """
 
+import ast
 import importlib
 import re
 import shlex
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,9 @@ _FENCED_BLOCK = re.compile(r"```.*?```", re.S)
 _BACKTICK_PATH = re.compile(r"`([\w./\-]+/[\w./\-]+\.(?:py|md|toml|yml))((?:::\w+)*)`")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.M)
 _DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A CamelCase class name, a dot and an attribute, then the closing
+#: backtick or a call's parenthesis: `Network.gather`, `Simulator.run()`.
+_CLASS_ATTR = re.compile(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\.([A-Za-z_]\w*)[`(]")
 _SH_BLOCK = re.compile(r"```sh\n(.*?)```", re.S)
 _CLI_LINE = re.compile(r"^(?:PYTHONPATH=src\s+)?python -m repro\b(.*)$")
 _TRAILING_COMMENT = re.compile(r"\s+#.*$")
@@ -143,6 +149,85 @@ def test_backticked_repro_names_resolve(doc):
     assert not problems, f"{doc.name}: unresolvable names {problems}"
 
 
+def _defined_names(node: ast.ClassDef) -> set[str]:
+    """What a class body defines: methods and properties, nested classes,
+    class attributes and fields, ``__slots__`` entries, and every
+    ``self.attr`` one of its methods assigns."""
+    names: set[str] = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        elif isinstance(item, ast.Assign):
+            for target in item.targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    names.update(
+                        c.value
+                        for c in ast.walk(item.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    )
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            names.add(sub.attr)
+    return names
+
+
+@cache
+def _class_index() -> dict[str, list[tuple[str | None, set[str]]]]:
+    """Class name → ``(importable module or None, defined names)`` for every
+    class under ``src/``, ``tests/`` and ``perf/``."""
+    index: dict[str, list[tuple[str | None, set[str]]]] = {}
+    for top in ("src", "tests", "perf"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            module = None
+            if top == "src":
+                module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    entry = (module, _defined_names(node))
+                    index.setdefault(node.name, []).append(entry)
+    return index
+
+
+def _class_attr_resolves(index, cls: str, attr: str) -> bool:
+    """Defined in a class of that name, or inherited by the imported class
+    (from a base the index knows, or from a built-in one)."""
+    for module, names in index[cls]:
+        if attr in names:
+            return True
+        klass = getattr(importlib.import_module(module), cls, None) if module else None
+        if klass is None:
+            continue
+        if hasattr(klass, attr):
+            return True
+        for base in klass.__mro__[1:]:
+            if any(attr in names for _m, names in index.get(base.__name__, ())):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("doc", LINKED_DOCS, ids=lambda p: p.name)
+def test_backticked_class_attributes_resolve(doc):
+    """Backticked ``Class.attr`` names must name a repository class and an
+    attribute, method, property or slot of it, or a ``self.attr`` one of
+    its methods assigns."""
+    index = _class_index()
+    problems = []
+    for cls, attr in sorted(set(_CLASS_ATTR.findall(doc.read_text()))):
+        if cls not in index:
+            problems.append(f"{cls}.{attr}: no class {cls}")
+        elif not _class_attr_resolves(index, cls, attr):
+            problems.append(f"{cls}.{attr}: {cls} defines no {attr}")
+    assert not problems, f"{doc.name}: unresolvable names {problems}"
+
+
 def test_readme_indexes_every_guide():
     readme = (ROOT / "README.md").read_text()
     for guide in sorted(DOCS.glob("*.md")):
@@ -189,7 +274,8 @@ def test_documented_cli_lines_parse(argv):
 class TestScenarioDocRefs:
     """Catalog ↔ doc drift guard for ``repro.scenarios`` and the claims.
 
-    Every ``ScenarioSpec.doc_ref`` and every ``Claim.doc_ref`` of
+    Every ``ScenarioSpec.doc_ref`` (the catalog's, the chaos pair's and
+    the soak's) and every ``Claim.doc_ref`` of
     ``repro.core.claims.CLAIMS`` must resolve to a real anchor, and every
     catalog scenario must appear in ``docs/SCENARIOS.md``'s reference
     table — so the docs cannot silently diverge from the frozen catalog
@@ -198,9 +284,14 @@ class TestScenarioDocRefs:
 
     def test_every_doc_ref_resolves_to_a_real_anchor(self):
         from repro.core.claims import CLAIMS
+        from repro.obs.soak import SoakConfig
+        from repro.resilience.chaos import CLASSIC
         from repro.scenarios import SCENARIOS
 
         refs = {name: spec.doc_ref for name, spec in SCENARIOS.items()}
+        # The declared scenarios outside the catalog.
+        for spec in (CLASSIC, SoakConfig().scenario()):
+            refs[spec.name] = spec.doc_ref
         refs.update((claim.name, claim.doc_ref) for claim in CLAIMS)
         problems = []
         for name, doc_ref in refs.items():

@@ -140,8 +140,9 @@ class TestSpecs:
     def test_mix_spec_rejects_non_positive_weights(self):
         with pytest.raises(ValueError):
             MixSpec(read_weight=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must not be negative"):
             MixSpec(op_weights=(("Enq", -1.0),))
+        assert MixSpec(op_weights=(("Enq", 0.0),)).multiplier("Enq", False) == 0.0
 
     def test_mix_multiplier_composes_class_and_op_weights(self):
         mix = MixSpec(read_weight=9.0, write_weight=2.0, op_weights=(("Enq", 3.0),))
@@ -202,6 +203,56 @@ class TestCompilation:
             (ObjectSpec("queue", queue),), SCENARIOS["default"], seed=0
         )
         assert compiled == OperationMix.uniform("queue", queue.invocations())
+
+    def test_a_zero_op_weight_drops_the_invocation(self):
+        from repro.replication.keyspace import ObjectSpec
+        from repro.sim.workload import OperationMix
+        from repro.types import PROM
+
+        never_sealed = ScenarioSpec(
+            name="never-sealed",
+            doc_ref="docs/SCENARIOS.md#x",
+            description="d",
+            mix=MixSpec(
+                read_weight=10.0, write_weight=5.0, op_weights=(("Seal", 0.0),)
+            ),
+        )
+        prom = PROM()
+        compiled = compile_mix((ObjectSpec("prom", prom),), never_sealed, seed=0)
+        assert compiled == OperationMix.weighted(
+            [
+                ("prom", inv, 10.0 if inv.op == "Read" else 5.0)
+                for inv in prom.invocations()
+                if inv.op != "Seal"
+            ]
+        )
+
+    def test_a_mix_with_nothing_to_draw_raises(self):
+        # OperationMix.sample would fall back to the last choice, so an
+        # all-zero mix must fail at build time instead.
+        silent = ScenarioSpec(
+            name="silent",
+            doc_ref="docs/SCENARIOS.md#x",
+            description="d",
+            mix=MixSpec(op_weights=(("Enq", 0.0), ("Deq", 0.0))),
+        )
+        with pytest.raises(ValueError, match="weighs every operation 0"):
+            build_scenario(silent)
+
+    def test_the_chaos_pair_compiles_to_its_hand_built_mix(self):
+        from repro.replication.keyspace import chaos_keyspace
+        from repro.resilience.chaos import CLASSIC
+        from repro.sim.workload import OperationMix
+
+        register, queue = (obj.datatype for obj in chaos_keyspace(5).objects)
+        expected = OperationMix.weighted(
+            [
+                ("register", inv, 3.0 if inv.op == "Read" else 1.0)
+                for inv in register.invocations()
+            ]
+            + [("queue", inv, 1.0) for inv in queue.invocations()]
+        )
+        assert compile_mix(chaos_keyspace(5).objects, CLASSIC, seed=0) == expected
 
     def test_zipf_mix_concentrates_draws_on_the_hot_key(self):
         spec = demo_keyspace(8, 5, placement="all", scheme="hybrid")

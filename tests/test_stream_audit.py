@@ -87,7 +87,7 @@ def streaming_matches_deep(
         seed=seed,
         n_sites=sites,
         placement=placement,
-        crashes=crashes,
+        crashes=(60.0, 8.0) if crashes else None,
         tracer=Tracer(),
     )
     deep = Auditor(cluster, mode="deep")
@@ -530,11 +530,11 @@ class TestSoak:
             SoakConfig(compact_every=0)
 
     def test_soak_mix_drains_faster_than_it_fills(self):
-        from repro.obs.soak import soak_mix
         from repro.replication.keyspace import soak_keyspace
+        from repro.scenarios import compile_mix
 
         spec = soak_keyspace(2, 5, replication_factor=3)
-        mix = soak_mix(spec)
+        mix = compile_mix(spec.objects, SoakConfig().scenario(), seed=0)
         by_op: dict[str, float] = {}
         for (_, invocation), weight in mix.choices:
             by_op[invocation.op] = by_op.get(invocation.op, 0.0) + weight
