@@ -70,7 +70,6 @@ from repro.resilience.policy import (
 )
 from repro.replication.frontend import FrontEnd
 from repro.replication.repository import Repository
-from repro.replication.viewcache import QuorumViewCache
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import MetricRecorder
 from repro.sim.network import GatherResult, Network, ProbeReply
@@ -118,7 +117,6 @@ __all__ = [
     "ProbeReply",
     "Repository",
     "FrontEnd",
-    "QuorumViewCache",
     "TransactionManager",
     "MetricRecorder",
     "run_trials",

@@ -403,7 +403,7 @@ def _figure_3_1(bounds: Bounds) -> Verdict:
         cluster.tm.commit(txn)
     logs = [repo.read_log("queue") for repo in cluster.repositories]
     counts = [repo.entry_count("queue") for repo in cluster.repositories]
-    merged = reduce(lambda log, other: log.merge(other), logs)
+    merged = reduce(lambda log, other: log.extended(other), logs)
     history = cluster.tm.object("queue").recorder.to_behavioral_history()
     spans = cluster.tracer.spans
     operations = [span for span in spans if span.kind == "operation"]

@@ -147,7 +147,7 @@ def diverge_logs(cluster) -> str:
     state = {"done": False}
 
     def mutated(object_name, update, _original=original, _repo=repo, _state=state):
-        before = _original(object_name, update)[0]
+        _original(object_name, update)
         log = _repo._logs.get(object_name)
         if not _state["done"] and log is not None and len(log):
             victim = log.ordered()[-1]
@@ -158,9 +158,6 @@ def diverge_logs(cluster) -> str:
             )
             _repo._logs[object_name] = log.add(forged)
             _state["done"] = True
-        # No version after the write: a front-end that cached this
-        # fragment merges it again on its next read, forged entry and all.
-        return before, None
 
     repo.write_log = mutated
     return "forged a conflicting log entry at an existing timestamp on site 0"

@@ -99,7 +99,7 @@ class AntiEntropy:
                                 lambda n=name, s=snap_a: repo_b.install_snapshot(n, s),
                             )
                         log_b = request(first, second, lambda n=name: repo_b.read_log(n))
-                        merged = repo_a.read_log(name).merge(log_b)
+                        merged = repo_a.read_log(name).extended(log_b)
                         repo_a.write_log(name, merged)
                         exchanged.append(name)
                         request(

@@ -11,7 +11,9 @@ Front-ends can be replicated to an arbitrary extent — one per client
 site — so object availability is dominated by repository quorums, which
 is exactly what this implementation models: every read and write is an
 RPC through the simulated network that can time out on crash, loss, or
-partition.
+partition.  A front-end folds every view afresh from its initial
+quorum's replies (:func:`~repro.replication.viewcache.fold_view`); per
+object it keeps only the plan its quorum rounds travel.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.replication.log import Log, LogEntry
 from repro.replication.object import ReplicatedObject
 from repro.replication.repository import Repository
 from repro.replication.view import View
-from repro.replication.viewcache import QuorumViewCache
+from repro.replication.viewcache import fold_view
 from repro.resilience.policy import (
     Deadline,
     OperationResult,
@@ -88,8 +90,6 @@ class FrontEnd:
         self.clock = LamportClock(site=site)
         #: Span sink; defaults to the network's (usually null).
         self.tracer = tracer if tracer is not None else network.tracer
-        #: Incremental view-merge cache over initial-quorum replies.
-        self.view_cache = QuorumViewCache()
         #: Per-object plans, see :meth:`_plan`.
         self._plans: dict[str, _Plan] = {}
         #: Object → replica visit order.
@@ -233,8 +233,7 @@ class FrontEnd:
         entry = LogEntry(self.clock.tick(), event, txn.id)
         final = plan.assignment.final(event)
         # Built once, outside the retry loop: a retry re-sends this same
-        # log.  If no final quorum ever acknowledges, the cached union is
-        # still the log it was — the entry's bit is not in its mask.
+        # log.
         update = view.log.add(entry)
         write = (obj, final, update, event, plan.epoch)
         try:
@@ -327,18 +326,18 @@ class FrontEnd:
         return plan
 
     def forget(self, object_name: str) -> None:
-        """Drop the plan and the view cache kept for ``object_name``."""
+        """Drop the plan kept for ``object_name``."""
         self._plans.pop(object_name, None)
-        self.view_cache.invalidate(object_name)
 
     def _read_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, op_name: str, epoch: int = 0
     ) -> tuple[Log, object]:
         """Merge logs (and the best compaction snapshot) from an initial quorum.
 
-        Returns ``(log, snapshot_or_None)``; entries covered by the
-        snapshot are filtered out (a lagging repository may still hold
-        them), and the replies feed the incremental view-merge cache.
+        Returns ``(log, snapshot_or_None)`` folded afresh from the
+        replies (:func:`~repro.replication.viewcache.fold_view`); entries
+        covered by the snapshot are filtered out (a lagging repository
+        may still hold them).
         """
         repositories, name = self.repositories, obj.name
         outcome = self._round(
@@ -347,7 +346,7 @@ class FrontEnd:
         )
         if outcome is None:
             return Log(), None
-        return self.view_cache.merged_view(name, outcome.received)
+        return fold_view(outcome.received)
 
     def _write_quorum(
         self, obj: ReplicatedObject, coterie: Coterie, update: Log, event,
@@ -355,14 +354,12 @@ class FrontEnd:
     ) -> None:
         """Write the updated view until a final quorum acknowledges."""
         repositories, name = self.repositories, obj.name
-        outcome = self._round(
+        self._round(
             obj,
             coterie,
             lambda site: repositories[site].write_log(name, update),
             event.inv.op, "final", epoch, res_kind=event.res.kind,
         )
-        if outcome is not None:
-            self.view_cache.note_write(name, update, outcome.received)
 
     def _round(
         self, obj: ReplicatedObject, coterie: Coterie, handler, op: str, phase: str,

@@ -3,11 +3,11 @@
 A replicated object's state is a log: a sequence of entries, each
 consisting of a timestamp, an event, and an action identifier.  Logs are
 partially replicated among repositories; a front-end reconstructs a
-view by *merging* the logs of an initial quorum.  Merge is a set union
-ordered by timestamp, which makes it idempotent, commutative, and
-associative — the properties the hypothesis test suite checks, since
-they are what make quorum consensus insensitive to how a view was
-assembled.
+view by *merging* the logs of an initial quorum.  The merge,
+:meth:`Log.extended`, is a set union ordered by timestamp, which makes
+it idempotent, commutative, and associative — the properties the
+hypothesis test suite checks, since they are what make quorum consensus
+insensitive to how a view was assembled.
 
 The fragments and views of one object hold mostly the same entries, so
 a :class:`Log` is a bitmask over an append-only :class:`_Table` shared
@@ -206,10 +206,6 @@ class Log:
         out._mask = mask
         out._n = mask.bit_count()
         return out
-
-    def merge(self, other: "Log") -> "Log":
-        """The least upper bound of two logs (set union)."""
-        return self.extended(other)
 
     def add(self, entry: LogEntry) -> "Log":
         return self.extended((entry,))

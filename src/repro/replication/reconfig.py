@@ -20,13 +20,12 @@ The hand-over rule implemented here:
 3. Atomically switch the object's assignment and bump its **epoch**
    (assignment metadata is kept with the transaction-manager state,
    reliable by the same modeling convention as transaction status).
-   Every front-end's per-object plan, view-merge and serial-prefix
-   caches are dropped for the new epoch, and a ``reconfig.switch`` point event
-   announces the change to trace listeners — the auditor's
-   ``reconfig-epoch`` monitor advances its expected epoch from exactly
-   this event, so a front-end that keeps using the old quorums (the
-   ``stale-assignment`` mutation) is flagged while a legitimate switch
-   stays green.
+   Every front-end's per-object plan is dropped for the new epoch, and
+   a ``reconfig.switch`` point event announces the change to trace
+   listeners — the auditor's ``reconfig-epoch`` monitor advances its
+   expected epoch from exactly this event, so a front-end that keeps
+   using the old quorums (the ``stale-assignment`` mutation) is flagged
+   while a legitimate switch stays green.
 
 Before any of it the new assignment must satisfy the object's
 dependency relation (:func:`~repro.quorum.constraints.require_satisfies`,
@@ -255,8 +254,7 @@ def reconfigure(
 
     With ``placement`` the hand-over probes only the object's replica
     set (genuine partial replication); ``frontends`` forget their
-    per-object plan, :class:`~repro.replication.viewcache.QuorumViewCache`
-    and serial-prefix cache entries at the switch;
+    per-object plan at the switch;
     ``tracer`` receives ``reconfig`` / ``reconfig.drain`` /
     ``reconfig.prime`` spans and the ``reconfig.switch`` point event.
     """
@@ -330,7 +328,7 @@ def reconfigure(
             conclude_step(phase, primed, enough, "reconfigure", pool)
 
         # Phase 3: switch — the epoch transaction commit point.  The
-        # assignment swap, epoch bump, and cache invalidations happen
+        # assignment swap, epoch bump, and plan invalidations happen
         # between operations (the simulation is single-threaded), so no
         # operation ever sees a half-switched object.
         obj.assignment = new_assignment
@@ -365,7 +363,7 @@ def drain(
         origin, order, lambda site: repositories[site].read_fragment(name), stop=enough
     )
     conclude_step(span, outcome, enough, op, pool)
-    _raw, merged, best = fold_view(outcome.received)
+    merged, best = fold_view(outcome.received)
     return outcome, merged, best
 
 

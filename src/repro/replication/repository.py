@@ -11,8 +11,8 @@ quorum, because writes carry whole updated views).
 The stable-storage model can be made *earned* instead of assumed by
 attaching a durable journal (see :mod:`repro.resilience.recovery`): the
 in-memory dicts then play the role of volatile state, wiped on crash by
-:meth:`lose_volatile` and rebuilt exactly — logs, snapshots, and
-version counters — by :meth:`restart` replaying checkpoint + journal.
+:meth:`lose_volatile` and rebuilt exactly — logs and snapshots — by
+:meth:`restart` replaying checkpoint + journal.
 
 A repository is reached only through a protocol step's quorum round
 (:meth:`~repro.sim.network.Network.gather`: front-ends, reconfiguration,
@@ -40,11 +40,6 @@ class Repository:
         self._logs: dict[str, Log] = {}
         #: Compacted prefixes, per object (see repro.replication.snapshot).
         self._snapshots: dict[str, object] = {}
-        #: Per-object version counters, bumped whenever the stored log
-        #: (or its underlying snapshot) actually changes.  Front-ends key
-        #: incremental view-merge caches on these, so the counter must
-        #: move on every mutation a quorum read could observe.
-        self._versions: dict[str, int] = {}
         #: Durable journal for crash-recovery replay; ``None`` keeps the
         #: plain stable-storage model (crashes lose nothing by fiat).
         #: Attached by :class:`~repro.resilience.recovery.RecoveryManager`.
@@ -74,43 +69,29 @@ class Repository:
         """
         return self.shards is None or object_name in self.shards
 
-    def _bump(self, object_name: str) -> int:
-        version = self._versions.get(object_name, 0) + 1
-        self._versions[object_name] = version
-        return version
-
     def read_log(self, object_name: str) -> Log:
         """Serve this repository's fragment of an object's log."""
         return self.read_fragment(object_name)[0]
 
-    def read_fragment(self, object_name: str) -> tuple[Log, object, int]:
-        """Serve a read in one call: ``(log, snapshot or None, version)``.
+    def read_fragment(self, object_name: str) -> tuple[Log, object]:
+        """Serve a read in one call: ``(log, snapshot or None)``.
 
         Records nothing: the step that sent the read names this site in
         its span's ``served``.
         """
         self.reads_served += 1
-        return (
-            self._logs.get(object_name, EMPTY_LOG),
-            self._snapshots.get(object_name),
-            self._versions.get(object_name, 0),
-        )
+        return self._logs.get(object_name, EMPTY_LOG), self._snapshots.get(object_name)
 
-    def write_log(self, object_name: str, update: Log) -> tuple[int, int]:
+    def write_log(self, object_name: str, update: Log) -> None:
         """Merge a view written by a front-end into stable storage.
 
         Entries already folded into this repository's snapshot are not
-        re-admitted (a stale writer may ship them back).  Returns the
-        per-object log version before and after the write, so a writer
-        can prove from the ack alone that nothing else touched the
-        fragment since its read (:meth:`QuorumViewCache.note_write
-        <repro.replication.viewcache.QuorumViewCache.note_write>`).
-        Records nothing: the step that sent the write names this site in
-        its span's ``served``, and the auditor scans the merged log when
+        re-admitted (a stale writer may ship them back).  Records
+        nothing: the step that sent the write names this site in its
+        span's ``served``, and the auditor scans the merged log when
         that step closes.
         """
         self.writes_served += 1
-        before = self._versions.get(object_name, 0)
         snapshot = self._snapshots.get(object_name)
         current = self._logs.get(object_name, EMPTY_LOG)
         if snapshot is None:
@@ -124,10 +105,8 @@ class Repository:
             )
         if merged is not current:
             self._logs[object_name] = merged
-            self._bump(object_name)
             if self.journal is not None:
                 self.journal.record_log(object_name, merged)
-        return before, self._versions.get(object_name, 0)
 
     def peek_log(self, object_name: str) -> Log:
         """Inspect a stored log without counting a served read.
@@ -161,8 +140,8 @@ class Repository:
         monotone :meth:`install_snapshot` refuses.  The caller asserts
         equivalence — every pruned action's entries are already gone
         from every replica log, so the smaller snapshot filters and
-        seeds views identically.  The log is re-filtered and the
-        version bumped exactly as a real installation would.
+        seeds views identically.  The log is re-filtered exactly as a
+        real installation would.
         """
         self._snapshots[object_name] = snapshot
         log = self._logs.get(object_name, EMPTY_LOG)
@@ -170,7 +149,6 @@ class Repository:
             entry for entry in log if entry.action not in snapshot.dropped
         )
         self._logs[object_name] = filtered
-        self._bump(object_name)
         if self.journal is not None:
             self.journal.record_snapshot(object_name, snapshot, filtered)
 
@@ -198,14 +176,12 @@ class Repository:
             )
         self._logs = {}
         self._snapshots = {}
-        self._versions = {}
 
     def restart(self) -> int:
         """Rebuild state from the journal's checkpoint + record suffix.
 
         Returns the number of journal records replayed.  Restoration is
-        exact — logs, snapshots, and version counters all match their
-        pre-crash values, so view caches keyed on versions stay sound.
+        exact — logs and snapshots both match their pre-crash values.
         Raises :class:`~repro.errors.SimulationError` when no journal is
         attached.
         """

@@ -239,18 +239,17 @@ def run_chaos_case(
             "register/queue pair is fully replicated"
         )
     if objects is None:
-        scenario, keyspace = CLASSIC, chaos_keyspace(n_sites)
+        cluster, generator, names = build_scenario(
+            CLASSIC, keyspace=chaos_keyspace(n_sites), seed=seed, tracer=Tracer()
+        )
     else:
-        scenario = replace(SCENARIOS["default"], objects=objects, concurrency=3)
-        keyspace = None
-    cluster, generator, names = build_scenario(
-        scenario,
-        keyspace=keyspace,
-        seed=seed,
-        n_sites=n_sites,
-        placement=placement,
-        tracer=Tracer(),
-    )
+        cluster, generator, names = build_scenario(
+            replace(SCENARIOS["default"], objects=objects, concurrency=3),
+            seed=seed,
+            n_sites=n_sites,
+            placement=placement,
+            tracer=Tracer(),
+        )
     verdict = audited_run(
         cluster,
         generator,

@@ -6,17 +6,17 @@ That is the paper's assumption, but it leaves the recovery path itself
 untested: nothing ever has to rebuild state.  This module makes the
 recovery path real while preserving the stable-storage *semantics*:
 
-* every repository mutation that bumps the log version appends a
-  post-state record to a per-site :class:`SiteJournal` (the durable log);
+* every repository mutation that changes a stored log or snapshot
+  appends a post-state record to a per-site :class:`SiteJournal` (the
+  durable log);
 * :meth:`SiteJournal.checkpoint` folds the journal into a checkpoint so
   replay cost stays bounded;
 * when a site crashes, its **volatile** dicts are wiped; when it
   recovers, :meth:`Repository.restart` replays checkpoint + journal
-  suffix, rebuilding logs, snapshots, *and version counters* byte-for-
-  byte — so front-end view caches keyed on versions stay sound across a
-  crash, and a recovered run is indistinguishable from the stable-
-  storage model (which is exactly what makes enabling recovery safe in
-  the deterministic equality tests).
+  suffix, rebuilding logs and snapshots exactly — so a recovered run is
+  indistinguishable from the stable-storage model (which is exactly
+  what makes enabling recovery safe in the deterministic equality
+  tests).
 
 A journal is attached by :class:`RecoveryManager`; repositories without
 one keep today's stable-storage behaviour untouched.
@@ -43,19 +43,18 @@ CHECKPOINT_EVERY = 64
 class SiteJournal:
     """Durable append-only record of one repository's mutations.
 
-    Each record captures the *post-state* of exactly one version bump:
-    ``("log", name, log)`` for log writes/appends and
+    Each record captures the *post-state* of exactly one mutation:
+    ``("log", name, log)`` for log writes and
     ``("snapshot", name, snapshot, filtered_log)`` for snapshot installs
     (which rewrite the log too).  Replaying checkpoint + records through
-    :meth:`restore` therefore reproduces the repository's three dicts —
-    including ``_versions`` — exactly.
+    :meth:`restore` therefore reproduces the repository's logs and
+    snapshots exactly.
     """
 
     def __init__(self) -> None:
-        #: State at the last checkpoint: (logs, snapshots, versions).
+        #: State at the last checkpoint: (logs, snapshots).
         self._base_logs: dict[str, Log] = {}
         self._base_snapshots: dict[str, object] = {}
-        self._base_versions: dict[str, int] = {}
         self.records: list[tuple] = []
         self.checkpoints = 0
         self.replays = 0
@@ -63,7 +62,7 @@ class SiteJournal:
     # -- recording (called from Repository mutation paths) -----------------
 
     def record_log(self, name: str, log: Log) -> None:
-        """Journal a post-write log state (one version bump)."""
+        """Journal a post-write log state."""
         self.records.append(("log", name, log))
 
     def record_snapshot(self, name: str, snapshot, log: Log) -> None:
@@ -81,7 +80,6 @@ class SiteJournal:
         """
         self._base_logs = dict(repo._logs)
         self._base_snapshots = dict(repo._snapshots)
-        self._base_versions = dict(repo._versions)
         absorbed = len(self.records)
         self.records.clear()
         self.checkpoints += 1
@@ -91,13 +89,11 @@ class SiteJournal:
         """Rebuild ``repo``'s state from checkpoint + journal suffix.
 
         Returns the number of records replayed.  Restoration is exact:
-        logs, snapshots, and per-object version counters all match the
-        pre-crash values, because every record corresponds to exactly
-        one version bump.
+        logs and snapshots match the pre-crash values, because every
+        mutation appended its post-state.
         """
         repo._logs = dict(self._base_logs)
         repo._snapshots = dict(self._base_snapshots)
-        repo._versions = dict(self._base_versions)
         for record in self.records:
             if record[0] == "log":
                 _kind, name, log = record
@@ -106,7 +102,6 @@ class SiteJournal:
                 _kind, name, snapshot, log = record
                 repo._snapshots[name] = snapshot
                 repo._logs[name] = log
-            repo._versions[name] = repo._versions.get(name, 0) + 1
         self.replays += 1
         return len(self.records)
 

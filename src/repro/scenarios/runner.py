@@ -142,8 +142,10 @@ def build_scenario(
     """Spec → ``(cluster, generator, names)``, ready to run.
 
     ``keyspace`` is the run's objects, with their own sites, placement,
-    schemes and quorums (``n_sites``, ``placement`` and ``mechanism``
-    then go unused).  Without one, a single-object scenario under
+    schemes and quorums; passing ``n_sites``, a ``placement`` other than
+    ``"all"`` or a ``mechanism`` other than ``"hybrid"`` beside it
+    raises :class:`ValueError`, since the keyspace already fixes them.
+    Without one, a single-object scenario under
     ``placement="all"`` builds one fully replicated ``"queue"`` object
     (3 sites by default); anything else builds
     :func:`~repro.replication.keyspace.demo_keyspace` under the
@@ -165,6 +167,13 @@ def build_scenario(
         from repro.scenarios.catalog import scenario as lookup
 
         scenario = lookup(scenario)
+    if keyspace is not None and (
+        n_sites is not None or placement != "all" or mechanism != "hybrid"
+    ):
+        raise ValueError(
+            "a keyspace fixes its sites, placement and schemes: pass none of "
+            f"n_sites={n_sites!r}, placement={placement!r}, mechanism={mechanism!r}"
+        )
     scheme = _scheme_for(mechanism)
     total = transactions if transactions is not None else scenario.transactions
     if keyspace is None and scenario.objects == 1 and placement == "all":

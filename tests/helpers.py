@@ -8,12 +8,9 @@ from repro.errors import SpecificationError
 from repro.histories.behavioral import Commit
 from repro.histories.events import Invocation, event, ok
 from repro.quorum.assignment import QuorumAssignment
-from repro.replication import frontend
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
-from repro.replication.log import Log
 from repro.replication.serialcache import SerialPrefixCache
-from repro.replication.viewcache import QuorumViewCache
 from repro.spec.datatype import SerialDataType
 from repro.types import PROM, Counter, Queue, Register
 
@@ -129,12 +126,6 @@ def audit_verdict(report, invariants=None):
     }
 
 
-def cache_stats(cache):
-    """The counters a quorum view cache keeps, by name."""
-    names = ("hits", "delta_merges", "rebuilds", "write_throughs")
-    return {name: getattr(cache, name) for name in names}
-
-
 def serial_cache_work(monkeypatch) -> dict[str, int]:
     """Tally what the objects' serial caches do from here on.
 
@@ -177,47 +168,22 @@ def count_calls(monkeypatch, owner, name):
     return counted
 
 
-class FromScratchViewCache(QuorumViewCache):
-    """A view cache that remembers nothing.
+def from_scratch_front_ends(monkeypatch) -> dict[str, int]:
+    """Make every scheme build its committed serialization from the view.
 
-    Every initial-quorum read is folded from scratch over its probes, in
-    visit order, written out here independently of
-    :func:`~repro.replication.viewcache.fold_view` (the fold the cache's
-    rebuild and the administrative drains share); a final-quorum write
-    refreshes nothing.  ``merges`` counts the folds across every instance.
+    From here on no object's serial cache serves a view, so every
+    operation builds the reference rows afresh: the model the serial
+    cache must agree with.  Returns a tally whose ``reference_rows``
+    counts the views served that way, which shows the run went through
+    them.
     """
+    built = {"reference_rows": 0}
 
-    merges = 0
+    def refused(_cache, _view, _txn):
+        built["reference_rows"] += 1
 
-    def merged_view(self, object_name, probes):
-        FromScratchViewCache.merges += 1
-        merged, best = Log(), None
-        for probe in probes:
-            fragment, snapshot, _version = probe.value
-            merged = merged.merge(fragment)
-            if snapshot is not None and snapshot.subsumes(best):
-                best = snapshot
-        if best is not None:
-            merged = Log(entry for entry in merged if entry.action not in best.dropped)
-        return merged, best
-
-    def note_write(self, object_name, update, acks) -> None:
-        pass
-
-
-def from_scratch_front_ends(monkeypatch) -> type[FromScratchViewCache]:
-    """Make every front-end built from here on run without its caches.
-
-    Views are merged by :class:`FromScratchViewCache` and no object's
-    serial cache serves a view, so every scheme recomputes its
-    serializations from scratch: the model the incremental caches must
-    agree with.  Returns the cache class, whose ``merges`` shows the
-    reads went through it.
-    """
-    monkeypatch.setattr(FromScratchViewCache, "merges", 0)
-    monkeypatch.setattr(frontend, "QuorumViewCache", FromScratchViewCache)
-    monkeypatch.setattr(SerialPrefixCache, "covering", lambda _cache, _view, _txn: None)
-    return FromScratchViewCache
+    monkeypatch.setattr(SerialPrefixCache, "covering", refused)
+    return built
 
 
 class HiddenCoin(SerialDataType):

@@ -20,6 +20,8 @@ fast form runs in ``src/``; nothing under ``src/`` calls them.
 * :func:`reference_closed_subhistories` and
   :func:`reference_dependent_op_indices` — Definition 1 as a subset loop
   with a pairwise violation scan, against ``closure.OpMasks``.
+* :func:`folded_view` — an initial quorum's view (Section 3.2) by set
+  algebra, against ``viewcache.fold_view``.
 """
 
 from __future__ import annotations
@@ -270,3 +272,27 @@ def reference_dependent_op_indices(history, relation, invocation):
         and entry.action not in aborted
         and relation.depends(invocation, entry.event)
     )
+
+
+def folded_view(replies) -> tuple[frozenset, object]:
+    """An initial quorum's view by set algebra, against ``fold_view``.
+
+    ``replies`` are the quorum's ``(fragment, snapshot)`` pairs in visit
+    order.  The elected snapshot is the last one that covers and
+    discards at least what the one elected before it did; the view is
+    every entry of every fragment except those of the actions that
+    snapshot covered or discarded (a lagging repository may still hold
+    them).  Returns ``(entries, snapshot or None)``.
+    """
+    entries, best = set(), None
+    for fragment, snapshot in replies:
+        entries |= fragment.entry_set
+        if snapshot is not None and (
+            best is None
+            or (best.covered <= snapshot.covered and best.discarded <= snapshot.discarded)
+        ):
+            best = snapshot
+    if best is not None:
+        gone = best.covered | best.discarded
+        entries = {entry for entry in entries if entry.action not in gone}
+    return frozenset(entries), best

@@ -9,7 +9,8 @@ from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import EmptyCoterie, ThresholdCoterie
 from repro.replication.frontend import FrontEnd
 from repro.replication.keyspace import ObjectSpec
-from repro.sim.network import Network
+from repro.replication.viewcache import fold_view
+from repro.sim.network import Network, ProbeReply
 from repro.types import Queue
 from tests.helpers import cluster_of, prom_system, queue_system
 
@@ -23,6 +24,15 @@ def _rendered(entries) -> list[str]:
         f"{entry.ts.counter}.{entry.ts.site} {entry.event} {entry.action}"
         for entry in entries
     )
+
+
+def _fresh_fold(cluster, name="obj"):
+    """Every site's fragment of ``name`` folded as a quorum read would be."""
+    probes = [
+        ProbeReply(site, (repo.peek_log(name), repo.read_snapshot(name)), 0.0)
+        for site, repo in enumerate(cluster.repositories)
+    ]
+    return fold_view(probes)[0]
 
 
 class TestHappyPath:
@@ -66,7 +76,7 @@ class TestHappyPath:
         logs = [repo.read_log("obj") for repo in cluster.repositories]
         merged = logs[0]
         for log in logs[1:]:
-            merged = merged.merge(log)
+            merged = merged.extended(log)
         stamps = [entry.ts for entry in merged.ordered()]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
 
@@ -191,8 +201,7 @@ class TestFailedFinalQuorum:
         responses.append(fe.execute(txn, "obj", ENQ_A))
         tm.commit(txn)
 
-        cached = fe.view_cache._entries["obj"].raw
-        held = cached.entry_set
+        held = _fresh_fold(cluster).entry_set
         cluster.network.crash(1)
         cluster.network.crash(2)
         txn = tm.begin(0)
@@ -200,14 +209,16 @@ class TestFailedFinalQuorum:
             fe.execute(txn, "obj", self.ENQ_B)  # site 0 acks, 1 and 2 time out
         unacknowledged = cluster.repositories[0].peek_log("obj").entry_set - held
         assert len(unacknowledged) == 1
-        assert fe.view_cache._entries["obj"].raw is cached
-        assert cached.entry_set == held and len(cached) == len(held)
-        assert not any(entry in cached for entry in unacknowledged)
         cluster.network.recover(1)
         cluster.network.recover(2)
+        # The next view is what a fresh fold of every site holds: the
+        # unacknowledged entry included, nothing kept from before.
+        fresh = _fresh_fold(cluster)
+        assert fresh.entry_set == held | unacknowledged
 
         txn = tm.begin(0)
         responses.append(fe.execute(txn, "obj", ENQ_A))
+        assert views[2] == fresh.entry_set
         responses.append(fe.execute(txn, "obj", DEQ))
         tm.commit(txn)
         stored = [repo.peek_log("obj").entry_set for repo in cluster.repositories]
@@ -249,7 +260,7 @@ class TestFailedFinalQuorum:
         monkeypatch.setattr(FrontEnd, "_write_quorum", recording)
         txn = cluster.tm.begin(0)
         fe.execute(txn, "obj", ENQ_A)
-        cached = fe.view_cache._entries["obj"].raw
+        held = cluster.repositories[0].peek_log("obj")
         cluster.network.crash(2)
         # Back while the front-end is backing off from the first attempt.
         cluster.sim.schedule(6.0, lambda: cluster.network.recover(2))
@@ -257,8 +268,8 @@ class TestFailedFinalQuorum:
         cluster.tm.commit(txn)
         assert len(sent) >= 3 and fe._retry_seq >= 1
         assert all(update is sent[1] for update in sent[1:])
-        # ... and that one update is the next version of the cached view.
-        assert len(sent[1].fresh_since(cached)) == 1
+        # ... and that one update is the view read plus the new entry.
+        assert len(sent[1].fresh_since(held)) == 1
         assert all(repo.entry_count("obj") == 2 for repo in cluster.repositories)
 
 

@@ -1,6 +1,7 @@
 """Unit and property tests for replicated logs (merge is a join)."""
 
 import pickle
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -63,19 +64,19 @@ class TestMergeLaws:
 
     @given(entries_strategy)
     def test_idempotent(self, log):
-        assert log.merge(log) == log
+        assert log.extended(log) == log
 
     @given(entries_strategy, entries_strategy)
     def test_commutative(self, first, second):
-        assert first.merge(second) == second.merge(first)
+        assert first.extended(second) == second.extended(first)
 
     @given(entries_strategy, entries_strategy, entries_strategy)
     def test_associative(self, a, b, c):
-        assert a.merge(b).merge(c) == a.merge(b.merge(c))
+        assert a.extended(b).extended(c) == a.extended(b.extended(c))
 
     @given(entries_strategy, entries_strategy)
     def test_merge_is_an_upper_bound(self, first, second):
-        merged = first.merge(second)
+        merged = first.extended(second)
         for entry in first:
             assert entry in merged
         for entry in second:
@@ -83,7 +84,7 @@ class TestMergeLaws:
 
     @given(entries_strategy)
     def test_merge_with_empty_is_identity(self, log):
-        assert log.merge(Log()) == log
+        assert log.extended(Log()) == log
 
 
 class TestExtensionLineage:
@@ -113,17 +114,18 @@ class TestExtensionLineage:
     def test_a_union_lands_on_the_larger_table(self):
         base = Log([_entry(1), _entry(4)])
         other = Log([_entry(2), _entry(3), _entry(1)])
-        merged = base.merge(other)
+        merged = base.extended(other)
         # The smaller operand is re-expressed on the larger one's table:
         # from there on the two lineages are one, and a delta is exact.
         assert merged._table is other._table
         assert merged.fresh_since(other) == (_entry(4),)
         assert merged.fresh_since(base) is None  # base is on its own table
-        assert other.merge(base) == merged and other.merge(base)._table is other._table
+        swapped = other.extended(base)
+        assert swapped == merged and swapped._table is other._table
         assert len(base) == 2 and len(other) == 3
         # Equal tables in size: the union stays on the left operand's.
         left, right = Log([_entry(5)]), Log([_entry(6)])
-        assert left.merge(right)._table is left._table
+        assert left.extended(right)._table is left._table
 
     def test_unrelated_ancestor_returns_none(self):
         base = Log([_entry(1)])
@@ -169,7 +171,7 @@ class TestSharedTable:
         first = base.add(_entry(3))
         second = base.add(_entry(4))
         assert first._table is base._table and second._table is base._table
-        union = first.merge(second).merge(Log([_entry(5)]))
+        union = first.extended(second).extended(Log([_entry(5)]))
         assert union._table is base._table
         assert union.entry_set == {_entry(c) for c in range(1, 6)}
         assert base.entry_set == {_entry(1), _entry(2)}
@@ -189,7 +191,6 @@ class TestSharedTable:
         grown = base.add(_entry(2))
         assert base.extended(grown) is grown
         assert grown.extended(base) is grown
-        assert base.merge(grown) is grown
 
     def test_nothing_new_returns_self_without_forking(self):
         base = Log([_entry(1), _entry(2)])
@@ -201,7 +202,7 @@ class TestSharedTable:
     def test_the_empty_log_is_never_a_shared_head(self):
         first = Log().add(_entry(1))
         second = EMPTY_LOG.add(_entry(2))
-        third = Log().merge(Log([_entry(3)]))
+        third = Log().extended(Log([_entry(3)]))
         assert first.entry_set == {_entry(1)}
         assert second.entry_set == {_entry(2)}
         assert third.entry_set == {_entry(3)}
@@ -210,9 +211,9 @@ class TestSharedTable:
 
     def test_an_empty_log_adopts_and_sharing_is_safe(self):
         fragment = Log([_entry(1), _entry(2)])
-        assert Log().merge(fragment) is fragment
+        assert Log().extended(fragment) is fragment
         assert EMPTY_LOG.extended(fragment) is fragment
-        union = Log().merge(fragment).merge(Log([_entry(3)]))
+        union = Log().extended(fragment).extended(Log([_entry(3)]))
         grown = fragment.add(_entry(4))
         assert union._table is fragment._table and grown._table is fragment._table
         assert union.entry_set == {_entry(1), _entry(2), _entry(3)}
@@ -322,7 +323,6 @@ _STEP = st.one_of(
     st.tuples(st.just("new"), st.lists(_ENTRY, max_size=6)),
     st.tuples(st.just("extended"), _INDEX, st.lists(_ENTRY, max_size=4)),
     st.tuples(st.just("add"), _INDEX, _ENTRY),
-    st.tuples(st.just("merge"), _INDEX, _INDEX),
     st.tuples(st.just("extended-by-log"), _INDEX, _INDEX),
 )
 
@@ -355,7 +355,7 @@ def _assert_reads_agree(log: Log, model: frozenset, universe: set) -> None:
 @settings(deadline=None, max_examples=60)
 @given(st.lists(_STEP, min_size=1, max_size=16))
 def test_versions_behave_as_immutable_sets_under_any_interleaving(steps):
-    """Random extended/add/merge over several live versions of several
+    """Random extended/add over several live versions of several
     lineages, against plain frozensets: an older version never changes
     after a later append, whichever version forks, and ``fresh_since`` is
     the exact difference or ``None``."""
@@ -373,8 +373,7 @@ def test_versions_behave_as_immutable_sets_under_any_interleaving(steps):
                 log, model = target.add(step[2]), held | {step[2]}
             else:
                 other, other_held = live[step[2] % len(live)]
-                union = target.merge if kind == "merge" else target.extended
-                log, model = union(other), held | other_held
+                log, model = target.extended(other), held | other_held
         universe |= model
         live.append((log, model))
         for version, held in live:  # including every version made earlier
@@ -402,7 +401,7 @@ def test_unions_across_tables_land_on_the_larger_table(groups, pairs):
     for i, j in pairs:
         (left, held), (right, other_held) = live[i % len(live)], live[j % len(live)]
         larger = max(left._table, right._table, key=lambda table: len(table.arrival))
-        union = left.merge(right)
+        union = left.extended(right)
         if other_held <= held:
             assert union is left
         else:
@@ -414,8 +413,8 @@ def test_unions_across_tables_land_on_the_larger_table(groups, pairs):
 
 @pytest.mark.parametrize("mechanism", ["hybrid", "blocking", "multiversion"])
 def test_lineages_converge_on_one_table(mechanism):
-    """After a fault-free run, every repository fragment and every cached
-    view of the object is a mask over one table."""
+    """After a fault-free run, every repository fragment of the object is
+    a mask over one table, and so is their union."""
     from repro.scenarios import runner
 
     cluster, generator, names = runner.build_scenario(
@@ -424,11 +423,8 @@ def test_lineages_converge_on_one_table(mechanism):
     generator.run(60)
     for name in names:
         logs = [repo.peek_log(name) for repo in cluster.repositories]
-        for frontend in cluster.frontends:
-            cached = frontend.view_cache._entries.get(name)
-            if cached is not None:
-                logs += [cached.raw, cached.filtered]
-        assert len(logs) > len(cluster.repositories) and all(logs)
+        logs.append(reduce(Log.extended, logs))
+        assert len(logs) == len(cluster.repositories) + 1 and all(logs)
         assert len({id(log._table) for log in logs}) == 1
 
 
@@ -459,7 +455,7 @@ def test_watermarks_never_skip_an_entry_across_snapshots_and_restarts(steps):
         if kind in ("grow", "send"):
             writers[step[1]] = writers[step[1]].add(step[2])
         elif kind == "share":  # one writer reads the other's view
-            writers[step[1]] = writers[step[1]].merge(writers[1 - step[1]])
+            writers[step[1]] = writers[step[1]].extended(writers[1 - step[1]])
         if kind in ("write", "send"):
             repo.write_log("obj", writers[step[1]])
             stored |= {

@@ -152,14 +152,10 @@ class TestReconfigure:
 
 
 def _repo_state(cluster, name="obj"):
-    """Byte-comparable durable state across all repositories."""
+    """Byte-comparable durable state across all repositories: each
+    site's stored ``(log, snapshot)``."""
     return tuple(
-        (
-            site,
-            repo.peek_log(name).entry_set,
-            repo.read_snapshot(name),
-            repo.read_fragment(name)[2],
-        )
+        (site, repo.peek_log(name).entry_set, repo.read_snapshot(name))
         for site, repo in enumerate(cluster.repositories)
     )
 
@@ -297,10 +293,11 @@ class TestReconfigureEdgeCases:
         txn = cluster.tm.begin(0)
         fe.execute(txn, "obj", ENQ_A)
         cluster.tm.commit(txn)
-        # Warm the front-end view caches.
+        # Every front-end that ran an operation holds a plan for the object.
         reader = cluster.tm.begin(1)
         assert cluster.frontends[1].execute(reader, "obj", DEQ) == ok("a")
         cluster.tm.abort(reader)
+        assert all("obj" in cluster.frontends[site]._plans for site in (0, 1))
 
         tracer = Tracer()
         changed = reconfigure(
@@ -325,8 +322,8 @@ class TestReconfigureEdgeCases:
         assert switch.attrs["epoch"] == 1
         reconfig = next(s for s in tracer.spans if s.name == "reconfig")
         assert reconfig.attrs["epoch"] == 1
-        # Every front-end dropped its merged-view entry for the object.
-        assert all("obj" not in fe.view_cache._entries for fe in cluster.frontends)
+        # Every front-end dropped its plan for the object.
+        assert all("obj" not in fe._plans for fe in cluster.frontends)
 
 
 # -- switching layouts under traffic -------------------------------------------

@@ -46,29 +46,29 @@ class TestRepository:
         repo.read_log("q")
         assert repo.writes_served == 1 and repo.reads_served == 1
 
-    def test_a_write_returns_the_version_before_and_after(self):
+    def test_a_write_stores_the_union_and_returns_nothing(self):
         repo = Repository(0)
-        first = repo.write_log("q", Log([_entry(1)]))
-        second = repo.write_log("q", Log([_entry(2)]))
-        assert first[0] == 0 and first[1] > first[0]
-        # Nothing else wrote in between: each write starts where the last ended.
-        assert second[0] == first[1] and second[1] > second[0]
-        assert repo.read_fragment("q")[2] == second[1]
+        assert repo.write_log("q", Log([_entry(1)])) is None
+        repo.write_log("q", Log([_entry(2)]))
+        assert repo.read_fragment("q") == (Log([_entry(1), _entry(2)]), None)
 
-    def test_a_write_that_adds_nothing_leaves_the_version(self):
+    def test_a_write_that_adds_nothing_leaves_the_stored_log(self):
         repo = Repository(0)
         update = Log([_entry(1)])
-        _before, version = repo.write_log("q", update)
-        assert repo.write_log("q", update) == (version, version)
-        assert repo.write_log("q", Log()) == (version, version)
-        # Versions are per object: another object's write moves only its own.
+        repo.write_log("q", update)
+        stored = repo.peek_log("q")
+        repo.write_log("q", update)
+        repo.write_log("q", Log())
+        assert repo.peek_log("q") is stored
+        # Objects are stored apart: another object's write leaves this one.
         repo.write_log("other", Log([_entry(2)]))
-        assert repo.read_fragment("q")[2] == version
+        assert repo.peek_log("q") is stored
 
-    def test_a_fragment_read_is_one_served_read_of_all_three(self):
+    def test_a_fragment_read_is_one_served_read_of_both(self):
         repo = Repository(0)
-        assert repo.read_fragment("q") == (Log(), None, 0)
-        _before, version = repo.write_log("q", Log([_entry(1)]))
-        log, snapshot, seen = repo.read_fragment("q")
-        assert (log, snapshot, seen) == (repo.read_log("q"), repo.read_snapshot("q"), version)
+        assert repo.read_fragment("q") == (Log(), None)
+        repo.write_log("q", Log([_entry(1)]))
+        log, snapshot = repo.read_fragment("q")
+        assert (log, snapshot) == (repo.read_log("q"), repo.read_snapshot("q"))
+        assert log == Log([_entry(1)]) and snapshot is None
         assert repo.reads_served == 3

@@ -258,14 +258,33 @@ class TestCrashRecoveryReplay:
         cluster.enable_resilience()
         self._run_some_ops(cluster)
         repo = cluster.repositories[1]
-        logs = dict(repo._logs)
-        versions = dict(repo._versions)
-        assert versions  # the workload really did write here
+        logs, snapshots = dict(repo._logs), dict(repo._snapshots)
+        assert logs  # the workload really did write here
         cluster.network.crash(1)
-        assert repo._logs == {} and repo._versions == {}  # volatile loss
+        assert repo._logs == {} and repo._snapshots == {}  # volatile loss
         cluster.network.recover(1)
         assert dict(repo._logs) == logs
-        assert dict(repo._versions) == versions
+        assert dict(repo._snapshots) == snapshots
+
+    def test_replay_reproduces_a_snapshot_install_exactly(self):
+        from repro.replication.snapshot import compact
+
+        cluster = _queue_cluster(n_sites=3)
+        cluster.enable_resilience()
+        self._run_some_ops(cluster)
+        obj = cluster.tm.object("queue")
+        snapshot = compact(cluster.network, cluster.repositories, obj, cluster.tm)
+        assert snapshot is not None
+        self._run_some_ops(cluster, count=2)
+        # Site 0 served every write, so catching up on recovery adds nothing.
+        repo = cluster.repositories[0]
+        state = (dict(repo._logs), dict(repo._snapshots))
+        assert state[1] == {"queue": snapshot} and len(state[0]["queue"]) == 2
+        cluster.network.crash(0)
+        assert repo._logs == {} and repo._snapshots == {}
+        cluster.network.recover(0)
+        assert (dict(repo._logs), dict(repo._snapshots)) == state
+        assert repo.read_snapshot("queue") is snapshot
 
     def test_checkpoint_bounds_replay_and_stays_exact(self):
         cluster = _queue_cluster(n_sites=3)
@@ -278,10 +297,10 @@ class TestCrashRecoveryReplay:
         self._run_some_ops(cluster, count=2)
         repo = cluster.repositories[0]
         suffix = len(repo.journal.records)
-        state = (dict(repo._logs), dict(repo._versions))
+        state = (dict(repo._logs), dict(repo._snapshots))
         cluster.network.crash(0)
         cluster.network.recover(0)
-        assert (dict(repo._logs), dict(repo._versions)) == state
+        assert (dict(repo._logs), dict(repo._snapshots)) == state
         assert repo.journal.replays == 1
         # Replay walked only the post-checkpoint suffix.
         assert suffix < absorbed + suffix
@@ -292,10 +311,10 @@ class TestCrashRecoveryReplay:
         repo = cluster.repositories[1]
         while len(repo.journal.records) < CHECKPOINT_EVERY:
             self._run_some_ops(cluster, count=1)
-        state = (dict(repo._logs), dict(repo._versions))
+        state = (dict(repo._logs), dict(repo._snapshots))
         cluster.network.crash(1)
         cluster.network.recover(1)
-        assert (dict(repo._logs), dict(repo._versions)) == state
+        assert (dict(repo._logs), dict(repo._snapshots)) == state
         # Replayed, then absorbed into the checkpoint.
         assert repo.journal.replays == 1
         assert repo.journal.records == []

@@ -281,6 +281,27 @@ class TestCompilation:
             assert {n.split("-")[0] for n in names} == {"queue", "register", "counter"}
             assert not cluster.placement.is_partial
 
+    @pytest.mark.parametrize(
+        "ignored",
+        [{"n_sites": 5}, {"n_sites": 3}, {"placement": "ring"}, {"mechanism": "blocking"}],
+        ids=["n_sites-5", "n_sites-3", "placement", "mechanism"],
+    )
+    def test_a_keyspace_refuses_what_it_already_fixes(self, ignored):
+        from repro.replication.keyspace import chaos_keyspace
+        from repro.resilience.chaos import CLASSIC
+
+        with pytest.raises(ValueError, match="a keyspace fixes its sites"):
+            build_scenario(CLASSIC, keyspace=chaos_keyspace(5), **ignored)
+
+    def test_a_keyspace_with_the_defaults_builds(self):
+        from repro.replication.keyspace import chaos_keyspace
+        from repro.resilience.chaos import CLASSIC
+
+        cluster, _generator, names = build_scenario(
+            CLASSIC, keyspace=chaos_keyspace(5), placement="all", mechanism="hybrid"
+        )
+        assert names == ("register", "queue") and len(cluster.repositories) == 5
+
     def test_unknown_mechanism_and_scenario_are_rejected(self):
         with pytest.raises(ValueError, match="unknown mechanism"):
             run_scenario("default", mechanism="optimistic")

@@ -1,16 +1,16 @@
-"""Throughput-engine tests: the event kernel, batched fan-out, view
-cache, and trial sharding.
+"""Throughput-engine tests: the event kernel, batched fan-out, the
+quorum view fold, and trial sharding.
 
 The load-bearing property throughout is *determinism*: the kernel's
 per-step trace, and the behavioral histories, message counters, outcome
 counts and availability numbers of seeded runs through
-``Network.gather`` and the incremental view-merge and serial caches,
-are pinned as SHA-256 digests.  Each digest was taken when a second,
+``Network.gather``, the view fold and the serial cache, are pinned as
+SHA-256 digests.  Each digest was taken when a second,
 cache-free implementation (a one-request-at-a-time front-end, a
 dataclass event heap) still ran beside the first and agreed with it
 byte for byte, so a pin that still holds means the optimized path still
 computes what the simple one did.  Each pinned run is also replayed
-with every view merged and serialized from scratch
+with every committed serialization built from scratch
 (:func:`tests.helpers.from_scratch_front_ends`) against the same pin.
 The runs drive failures *between* workload segments (crash, partition,
 heal, recover applied at segment boundaries), where that agreement was
@@ -45,9 +45,9 @@ from repro.obs.trace import (
 from repro.quorum.assignment import OperationQuorums, QuorumAssignment
 from repro.quorum.coterie import SubsetThresholdCoterie, ThresholdCoterie
 from repro.replication.keyspace import ObjectSpec
-from repro.replication.log import Log, LogEntry
+from repro.replication.log import EMPTY_LOG, Log, LogEntry
 from repro.replication.snapshot import Snapshot, compact
-from repro.replication.viewcache import QuorumViewCache
+from repro.replication.viewcache import fold_view
 from repro.resilience.chaos import ChaosSchedule, generate_schedule, settle
 from repro.resilience.policy import POLICIES
 from repro.scenarios import runner
@@ -58,13 +58,12 @@ from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.txn.ids import ActionId
 from repro.types import Queue
 from tests.helpers import (
-    FromScratchViewCache,
-    cache_stats,
     cluster_of,
     from_scratch_front_ends,
     replies,
     serial_cache_work,
 )
+from tests.oracles import folded_view
 
 pytestmark = pytest.mark.throughput
 
@@ -496,166 +495,124 @@ class TestGatherCallCount:
         )
 
 
-# -- the incremental view-merge cache -----------------------------------------
+# -- the quorum view fold -------------------------------------------------------
 
 
-def _entry(seq: int) -> LogEntry:
-    return LogEntry(Timestamp(seq, 0), event("Enq", (seq,)), ActionId(seq, 0))
+def _entry(seq: int, action: int | None = None) -> LogEntry:
+    owner = ActionId(seq if action is None else action, 0)
+    return LogEntry(Timestamp(seq, 0), event("Enq", (seq,)), owner)
 
 
-def _probe(site: int, log: Log, version: int, snapshot=None) -> ProbeReply:
-    return ProbeReply(site=site, value=(log, snapshot, version), completed_at=0.0)
+def _probe(site: int, log: Log, snapshot=None) -> ProbeReply:
+    return ProbeReply(site=site, value=(log, snapshot), completed_at=0.0)
 
 
-def _ack(site: int, before: int, after: int) -> ProbeReply:
-    return ProbeReply(site=site, value=(before, after), completed_at=0.0)
+def _snapshot(covered=(), discarded=()) -> Snapshot:
+    """A new snapshot object (equal coverage is not identity)."""
+    return Snapshot(
+        None,
+        frozenset(ActionId(a, 0) for a in covered),
+        None,
+        len(covered),
+        discarded=frozenset(ActionId(a, 0) for a in discarded),
+    )
 
 
-class TestQuorumViewCache:
-    def test_unchanged_quorum_is_a_pure_hit(self):
-        cache = QuorumViewCache()
+def _assert_folds_like_the_oracle(probes) -> tuple[Log, Snapshot | None]:
+    log, best = fold_view(probes)
+    entries, expected = folded_view([probe.value for probe in probes])
+    assert best is expected
+    assert log.entry_set == entries and len(log) == len(entries)
+    assert [e.sort_key for e in log.ordered()] == sorted(e.sort_key for e in entries)
+    return log, best
+
+
+#: Twelve entries of six actions (two each), and the table a fragment on
+#: "one table" is a mask over.
+_POOL = tuple(_entry(seq, action=1 + seq // 2) for seq in range(12))
+_SHARED = Log(_POOL)
+
+
+@st.composite
+def _quorum_replies(draw):
+    """An initial quorum's probes in visit order.
+
+    Each site holds a snapshot of a chain (the first ``level`` of six
+    actions folded, those in ``aborted`` discarded, a new object each
+    time, so equal coverage recurs) or none, and a fragment with none of
+    its own snapshot's entries: a mask over one shared table or a table
+    of its own, possibly empty.  A site behind the best snapshot still
+    holds entries it folded.
+    """
+    aborted = draw(st.sets(st.integers(1, 6)))
+    probes = []
+    for site in range(draw(st.integers(0, 5))):
+        level = draw(st.one_of(st.none(), st.integers(0, 6)))
+        snapshot = None
+        if level is not None:
+            folded = range(1, level + 1)
+            snapshot = _snapshot(
+                [a for a in folded if a not in aborted], [a for a in folded if a in aborted]
+            )
+        dropped = frozenset() if snapshot is None else snapshot.dropped
+        kept = [
+            bit for bit in sorted(draw(st.sets(st.integers(0, len(_POOL) - 1))))
+            if _POOL[bit].action not in dropped
+        ]
+        if draw(st.booleans()):
+            fragment = Log._of(_SHARED._table, sum(1 << bit for bit in kept))
+        else:
+            fragment = Log(_POOL[bit] for bit in kept)
+        probes.append(_probe(site, fragment, snapshot))
+    return probes
+
+
+class TestFoldView:
+    @settings(deadline=None, max_examples=200)
+    @given(_quorum_replies())
+    def test_the_fold_is_the_set_algebra_view(self, probes):
+        _assert_folds_like_the_oracle(probes)
+
+    def test_fragments_on_one_table_fold_onto_it(self):
+        base = Log([_entry(1)])
+        grown, forked = base.add(_entry(2)), base.add(_entry(3))
+        log, best = _assert_folds_like_the_oracle(
+            (_probe(0, grown), _probe(1, forked), _probe(2, base))
+        )
+        assert best is None and log._table is base._table
+        assert log.entry_set == {_entry(1), _entry(2), _entry(3)}
+
+    def test_a_lagging_site_s_folded_entries_are_filtered(self):
         log = Log([_entry(1), _entry(2)])
-        probes = (_probe(0, log, 1), _probe(1, Log([_entry(1)]), 1))
-        first, _ = cache.merged_view("q", probes)
-        second, _ = cache.merged_view("q", probes)
-        assert second is first  # identity: lazy order caches carry over
-        assert cache_stats(cache)["hits"] == 1
-        assert cache_stats(cache)["rebuilds"] == 1
-
-    def test_changed_fragment_merges_only_the_delta(self):
-        cache = QuorumViewCache()
-        base = Log([_entry(1)])
-        cache.merged_view("q", (_probe(0, base, 1), _probe(1, base, 1)))
-        grown = base.add(_entry(2))
-        merged, _ = cache.merged_view("q", (_probe(0, grown, 2), _probe(1, base, 1)))
-        assert merged == Log([_entry(1), _entry(2)])
-        assert cache_stats(cache)["delta_merges"] == 1
-
-    def test_different_responder_set_rebuilds(self):
-        cache = QuorumViewCache()
-        log = Log([_entry(1)])
-        cache.merged_view("q", (_probe(0, log, 1), _probe(1, log, 1)))
-        cache.merged_view("q", (_probe(0, log, 1), _probe(2, log, 1)))
-        assert cache_stats(cache)["rebuilds"] == 2
-
-    def test_write_through_keeps_the_union_exact(self):
-        cache = QuorumViewCache()
-        base = Log([_entry(1)])
-        cache.merged_view("q", (_probe(0, base, 1), _probe(1, base, 1)))
-        update = base.add(_entry(2))
-        cache.note_write("q", update, (_ack(0, 1, 2), _ack(1, 1, 2)))
-        assert cache_stats(cache)["write_throughs"] == 1
-        merged, _ = cache.merged_view(
-            "q", (_probe(0, update, 2), _probe(1, update, 2))
+        snapshot = _snapshot(covered=[1])
+        merged, best = _assert_folds_like_the_oracle(
+            (_probe(0, log), _probe(1, Log([_entry(2)]), snapshot))
         )
-        assert merged == update
-        assert cache_stats(cache)["hits"] == 1  # the write refreshed the versions
-
-    def test_interleaved_writer_invalidates_instead_of_corrupting(self):
-        cache = QuorumViewCache()
-        base = Log([_entry(1)])
-        cache.merged_view("q", (_probe(0, base, 1), _probe(1, base, 1)))
-        update = base.add(_entry(2))
-        # Site 0 reports version_before=2: someone else wrote between our
-        # read (version 1) and this write.  The cached union can no longer
-        # be extended soundly, so the entry must be dropped.
-        cache.note_write("q", update, (_ack(0, 2, 3), _ack(1, 1, 2)))
-        assert cache_stats(cache)["write_throughs"] == 0
-        interloper = base.add(_entry(99))
-        merged, _ = cache.merged_view(
-            "q",
-            (_probe(0, interloper.merge(update), 3), _probe(1, update, 2)),
+        assert best is snapshot and merged == Log([_entry(2)])
+        # A wider snapshot elsewhere drops everything a lagging site holds.
+        wider = _snapshot(covered=[1], discarded=[2])
+        merged, best = _assert_folds_like_the_oracle(
+            (_probe(0, log, snapshot), _probe(1, Log(), wider), _probe(2, log))
         )
-        assert merged == interloper.merge(update)
-        assert cache_stats(cache)["rebuilds"] == 2
+        assert best is wider and merged == Log()
 
-    def test_invalidate_drops_only_the_named_object(self):
-        cache = QuorumViewCache()
-        log = Log([_entry(1)])
-        probes = (_probe(0, log, 1), _probe(1, log, 1))
-        cache.merged_view("q", probes)
-        cache.merged_view("r", probes)
-        cache.invalidate("q")
-        cache.invalidate("never-cached")
-        cache.merged_view("r", probes)
-        assert cache_stats(cache)["hits"] == 1
-        merged, _ = cache.merged_view("q", probes)
-        assert merged == log
-        assert cache_stats(cache)["rebuilds"] == 3
-
-    def test_a_write_to_an_uncached_object_is_ignored(self):
-        cache = QuorumViewCache()
-        cache.note_write("q", Log([_entry(1)]), (_ack(0, 0, 1),))
-        assert cache_stats(cache)["write_throughs"] == 0
-        merged, _ = cache.merged_view("q", (_probe(0, Log(), 0),))
-        assert merged == Log()
-
-    def test_a_write_missing_a_cached_site_leaves_the_entry_as_read(self):
-        cache = QuorumViewCache()
-        base = Log([_entry(1)])
-        probes = (_probe(0, base, 1), _probe(1, base, 1))
-        cache.merged_view("q", probes)
-        # Site 1 did not ack: its fragment may or may not hold the update,
-        # so the cache neither extends nor drops what it read.
-        cache.note_write("q", base.add(_entry(2)), (_ack(0, 1, 2),))
-        assert cache_stats(cache)["write_throughs"] == 0
-        merged, _ = cache.merged_view("q", probes)
-        assert merged == base
-        assert cache_stats(cache)["hits"] == 1
-
-    def test_snapshot_change_forces_rebuild(self):
-        cache = QuorumViewCache()
-
-        class Snap:
-            def __init__(self, dropped):
-                self.dropped = frozenset(dropped)
-
-            def subsumes(self, other):
-                return other is None or self.dropped >= other.dropped
-
-        log = Log([_entry(1), _entry(2)])
-        snap = Snap({ActionId(1, 0)})
-        merged, best = cache.merged_view(
-            "q", (_probe(0, log, 1, snap), _probe(1, log, 1, snap))
+    def test_of_two_equal_snapshots_the_later_wins(self):
+        first, second = _snapshot(covered=[1]), _snapshot(covered=[1])
+        assert first == second and first is not second
+        _, best = _assert_folds_like_the_oracle(
+            (_probe(0, Log([_entry(2)]), first), _probe(1, Log(), second))
         )
-        assert best is snap
-        assert merged == Log([_entry(2)])
-        # Same versions but a *new* snapshot object: identity check fails,
-        # the cache rebuilds rather than resurrecting dropped entries.
-        wider = Snap({ActionId(1, 0), ActionId(2, 0)})
-        merged, best = cache.merged_view(
-            "q", (_probe(0, Log([_entry(2)]), 2, wider), _probe(1, log, 1, snap))
+        assert best is second
+        # A narrower snapshot after them elects nothing.
+        _, best = _assert_folds_like_the_oracle(
+            (_probe(0, Log(), first), _probe(1, Log(), _snapshot()))
         )
-        assert best is wider
-        assert merged == Log()
-        assert cache_stats(cache)["rebuilds"] == 2
+        assert best is first
 
-    def test_delta_merge_under_snapshots_keeps_the_cached_best(self):
-        """Every probed site holds a snapshot; only the fragments move."""
-        cache = QuorumViewCache()
-        narrow = Snapshot(None, frozenset({ActionId(1, 0)}), None, 1)
-        wide = Snapshot(None, frozenset({ActionId(1, 0), ActionId(3, 0)}), None, 2)
-        first = Log([_entry(1), _entry(2), _entry(3)])
-        second = Log([_entry(2), _entry(3)])
-        _, best = cache.merged_view(
-            "q", (_probe(0, first, 1, narrow), _probe(1, second, 1, wide))
-        )
-        assert best is wide
-        # Site 0 grows on its own store (a slice of arrivals), including an
-        # entry of a dropped action; site 1 comes back on a store of its
-        # own (a restart), so it is diffed whole.
-        probes = (
-            _probe(0, first.extended([_entry(4), _entry(3), _entry(5)]), 2, narrow),
-            _probe(1, Log([_entry(2), _entry(3), _entry(5), _entry(6)]), 2, wide),
-        )
-        merged, best = cache.merged_view("q", probes)
-        assert cache_stats(cache) == {
-            "hits": 0, "delta_merges": 1, "rebuilds": 1, "write_throughs": 0,
-        }
-        assert best is wide
-        expected, scratch_best = FromScratchViewCache().merged_view("q", probes)
-        assert scratch_best is wide
-        assert merged == expected == Log([_entry(2), _entry(4), _entry(5), _entry(6)])
+    def test_an_empty_quorum_folds_to_the_empty_view(self):
+        assert fold_view(()) == (Log(), None)
+        empty = (_probe(0, Log()), _probe(1, EMPTY_LOG))
+        assert _assert_folds_like_the_oracle(empty) == (Log(), None)
 
 
 # -- pinned run fingerprints, end to end ----------------------------------------
@@ -820,11 +777,11 @@ class TestPinnedRuns:
     def test_clean_run_from_scratch_matches_the_same_pin(
         self, scheme, seed, digest, monkeypatch
     ):
-        cache = from_scratch_front_ends(monkeypatch)
+        built = from_scratch_front_ends(monkeypatch)
         cluster, generator = _queue_cluster(seed, scheme=scheme)
         metrics = generator.run(120)
         assert _digest(_fingerprint(cluster, metrics)) == digest
-        assert cache.merges > 0
+        assert built["reference_rows"] > 0
 
     @pytest.mark.parametrize(
         "scheme, seed, digest", _per_scheme(_FAILURES_RUN_SHA256)
@@ -832,7 +789,7 @@ class TestPinnedRuns:
     def test_failures_between_segments_from_scratch_match_the_same_pin(
         self, scheme, seed, digest, monkeypatch
     ):
-        cache = from_scratch_front_ends(monkeypatch)
+        built = from_scratch_front_ends(monkeypatch)
         cluster, generator = _queue_cluster(seed, n_sites=5, scheme=scheme)
         generator.run(30)
         cluster.network.crash(1)
@@ -843,10 +800,10 @@ class TestPinnedRuns:
         cluster.network.recover(1)
         metrics = generator.run(30)
         assert _digest(_fingerprint(cluster, metrics)) == digest
-        assert cache.merges > 0
+        assert built["reference_rows"] > 0
 
     def test_compaction_mid_run_from_scratch_matches_the_same_pin(self, monkeypatch):
-        cache = from_scratch_front_ends(monkeypatch)
+        built = from_scratch_front_ends(monkeypatch)
         cluster, generator = _queue_cluster(seed=2)
         generator.run(25)
         obj = cluster.tm.object("queue")
@@ -854,7 +811,7 @@ class TestPinnedRuns:
         assert snapshot is not None
         metrics = generator.run(25)
         assert _digest(_fingerprint(cluster, metrics)) == _COMPACTION_RUN_SHA256
-        assert cache.merges > 0
+        assert built["reference_rows"] > 0
 
     def test_traced_run_keeps_span_structure(self):
         tracer = Tracer()
@@ -873,15 +830,6 @@ class TestPinnedRuns:
                     assert set(span.attrs["quorum"]) <= set(served)
         assert all(count > 0 for count in kinds.values())
 
-    def test_view_cache_is_exercised(self):
-        cluster, generator = _queue_cluster(seed=9)
-        generator.run(40)
-        totals = {"hits": 0, "delta_merges": 0, "rebuilds": 0, "write_throughs": 0}
-        for frontend in cluster.frontends:
-            for key, value in cache_stats(frontend.view_cache).items():
-                totals[key] += value
-        assert totals["hits"] + totals["delta_merges"] > 0
-        assert totals["write_throughs"] > 0
 
 
 # -- one wave path, traced or not -----------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for log compaction (snapshots)."""
 
+from functools import reduce
+
 import pytest
 
 from repro.atomicity.properties import HybridAtomicity
 from repro.errors import SpecificationError, UnavailableError
 from repro.histories.events import Invocation, ok
+from repro.replication.log import Log
 from repro.replication.snapshot import compact
 from repro.sim.workload import OperationMix, WorkloadGenerator
 from repro.spec.legality import LegalityOracle
@@ -185,10 +188,7 @@ class TestCompactionBoundsStorage:
                 compact(cluster.network, cluster.repositories, obj, cluster.tm)
             sizes.append(max(r.entry_count("obj") for r in cluster.repositories))
             logs = [r.peek_log("obj") for r in cluster.repositories]
-            for frontend in cluster.frontends:
-                cached = frontend.view_cache._entries.get("obj")
-                if cached is not None:
-                    logs += [cached.raw, cached.filtered]
+            logs.append(reduce(Log.extended, logs))
             tables.append(max(len(log._table.arrival) for log in logs))
         return obj, sizes, tables
 
