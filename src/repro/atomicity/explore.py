@@ -136,21 +136,23 @@ def multi_property_histories(
                 yield Abort(action)
 
     def search(
-        history: BehavioralHistory, flags: tuple[bool, ...], op_count: int
+        history: BehavioralHistory, nodes: tuple[dict | None, ...], op_count: int
     ) -> Iterator[tuple[BehavioralHistory, tuple[bool, ...]]]:
-        yield history, flags
+        # ``nodes[i]``: ``props[i]``'s trie node for ``history``, ``None``
+        # where it rejects; each candidate is one step from there.
+        yield history, tuple(node is not None for node in nodes)
         for entry in candidates(history, op_count):
-            extended = history.append(entry)
-            new_flags = tuple(
-                old and prop.admits(extended) for old, prop in zip(flags, props)
+            children = tuple(
+                None if node is None else prop.step(node, history, entry)
+                for node, prop in zip(nodes, props)
             )
-            if any(new_flags):
+            if any(child is not None for child in children):
                 yield from search(
-                    extended,
-                    new_flags,
+                    history.append(entry),
+                    children,
                     op_count + (1 if isinstance(entry, Op) else 0),
                 )
 
-    initial_flags = tuple(prop.admits(base) for prop in props)
-    if any(initial_flags):
-        yield from search(base, initial_flags, 0)
+    initial = tuple(prop.decided(base) for prop in props)
+    if any(node is not None for node in initial):
+        yield from search(base, initial, 0)

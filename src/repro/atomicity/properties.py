@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from itertools import permutations
 from typing import Hashable
 
-from repro.histories.behavioral import BehavioralHistory, Op
+from repro.histories.behavioral import BehavioralHistory, Entry, Op
 from repro.histories.events import SerialHistory
 from repro.histories.serialization import (
     action_subsets,
@@ -52,6 +52,8 @@ class LocalAtomicityProperty(ABC):
 
     Instances answer ``admits(H)``: is ``H`` a member of the largest
     prefix-closed on-line behavioral specification for the property?
+    A search that grows histories one entry at a time asks
+    :meth:`decided` once and hands the node it returns to :meth:`step`.
     """
 
     #: Short name used in reports ("static", "hybrid", "dynamic").
@@ -86,12 +88,37 @@ class LocalAtomicityProperty(ABC):
         with equal keys have the same serializations, hence one verdict."""
 
     def admits(self, history: BehavioralHistory) -> bool:
-        """Membership in the largest prefix-closed on-line specification.
+        """Membership in the largest prefix-closed on-line specification."""
+        return self.decided(history) is not None
+
+    def decided(self, history: BehavioralHistory) -> dict | None:
+        """The trie node of ``history`` if it is admitted, else ``None``.
 
         Follows ``history`` down the trie of decided prefixes and goes on
-        from the longest one, deciding one more entry at a time: a loop
-        (a run-length history costs no stack) that validates, hashes and
-        checks nothing before that prefix again.
+        from the longest one, deciding one more entry at a time as
+        :meth:`step` does: a loop (a run-length history costs no stack)
+        that validates, hashes and checks nothing before that prefix
+        again.  A caller that grows a history entry by entry keeps the
+        node and steps it instead of asking here again.
+        """
+        node, grown = self._decided, None
+        for index, entry in enumerate(history):
+            child = node.get(entry, _UNDECIDED)
+            if child is _UNDECIDED:
+                grown = history.prefix(index + 1) if grown is None else grown.append(entry)
+                child = self._decide(node, grown, entry)
+            if child is None:
+                return None
+            node = child
+        return node
+
+    def step(self, node: dict, history: BehavioralHistory, entry: Entry) -> dict | None:
+        """Decide ``history·entry`` from ``node``, the trie node of the
+        admitted ``history``: the extension's node, or ``None``.
+
+        One probe when the trie has decided ``entry`` there already;
+        only otherwise is ``history·entry`` built and, for an ``Op``,
+        its admission key computed.
 
         Only an appended ``Op`` is checked.  For ``x`` a ``Begin``,
         ``Commit`` or ``Abort``, every serialization ``check_history``
@@ -106,22 +133,22 @@ class LocalAtomicityProperty(ABC):
         only at an ``Op``, so the orders of ``H·x`` for ``S`` are those
         of ``H`` for ``S ∪ {A}``, legal and equivalent as one group.
         """
-        node, grown = self._decided, None
-        for index, entry in enumerate(history):
-            child = node.get(entry, _UNDECIDED)
-            if child is _UNDECIDED:
-                grown = history.prefix(index + 1) if grown is None else grown.append(entry)
-                admitted = True
-                if isinstance(entry, Op):
-                    key = self.admission_key(grown)
-                    admitted = self._cache.get(key)
-                    if admitted is None:
-                        admitted = self._cache[key] = self.check_history(grown)
-                child = node[entry] = {} if admitted else None
-            if child is None:
-                return False
-            node = child
-        return True
+        child = node.get(entry, _UNDECIDED)
+        if child is _UNDECIDED:
+            child = self._decide(node, history.append(entry), entry)
+        return child
+
+    def _decide(self, node: dict, grown: BehavioralHistory, entry: Entry) -> dict | None:
+        """Record under ``node`` whether ``grown``, which ends in
+        ``entry`` and extends ``node``'s admitted history, is admitted."""
+        admitted = True
+        if isinstance(entry, Op):
+            key = self.admission_key(grown)
+            admitted = self._cache.get(key)
+            if admitted is None:
+                admitted = self._cache[key] = self.check_history(grown)
+        child = node[entry] = {} if admitted else None
+        return child
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} for {self._dt.name}>"

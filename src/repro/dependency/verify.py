@@ -151,12 +151,18 @@ class VerificationArena:
 
     def _build(self) -> Iterator[tuple[BehavioralHistory, tuple[Op, ...]]]:
         prop = self.property
+        ops: dict[str, tuple[Op, ...]] = {}  # each candidate append, built once
         for history in behavioral_histories(prop, self.bounds.exploration):
+            node = prop.decided(history)
             rejected: list[Op] = []
             for action in sorted(history.active):
-                for event in self.append_events:
-                    op = Op(event, action)
-                    if not prop.admits(history.append(op)):
+                candidates = ops.get(action)
+                if candidates is None:
+                    candidates = ops[action] = tuple(
+                        Op(event, action) for event in self.append_events
+                    )
+                for op in candidates:
+                    if prop.step(node, history, op) is None:
                         rejected.append(op)
             if rejected:
                 yield history, tuple(rejected)
@@ -180,13 +186,20 @@ def find_counterexample(
     view_admitted = arena.view_admitted
     for slot, (history, rejected) in enumerate(arena.entries):
         masks = OpMasks(history, relation)
+        views: dict[int, tuple[BehavioralHistory, dict | None]] = {}
         for which, op in enumerate(rejected):
             required = masks.depended_on(op.event.inv)
             for kept in masks.closed(required, proper_only=True):
                 admitted = view_admitted.get((slot, which, kept))
                 if admitted is None:
-                    view = project(history, masks.indices_of(kept))
-                    admitted = prop.admits(view.append(op))
+                    # Each projection is decided once; every rejected
+                    # append is one step from its node.
+                    decided = views.get(kept)
+                    if decided is None:
+                        view = project(history, masks.indices_of(kept))
+                        decided = views[kept] = view, prop.decided(view)
+                    view, node = decided
+                    admitted = node is not None and prop.step(node, view, op) is not None
                     view_admitted[slot, which, kept] = admitted
                 if admitted:
                     kept_ops = masks.indices_of(kept)

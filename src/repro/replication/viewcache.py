@@ -22,7 +22,10 @@ def fold_view(probes: Sequence[Any]) -> tuple[Log, Any]:
     fragments are unioned in visit order, ``best`` is the most-covering
     snapshot any probe carries (by ``subsumes``, a later equal one
     winning), and ``log`` is the union minus the entries ``best`` folded
-    or discarded — a lagging repository may still hold them.
+    or discarded — a lagging repository may still hold them.  When
+    every probe carries ``best`` itself, no fragment holds what it
+    dropped (a repository filters its log by its own snapshot), so the
+    union is the view as it stands, on the fragments' table.
     """
     raw, best = Log(), None
     for probe in probes:
@@ -32,6 +35,8 @@ def fold_view(probes: Sequence[Any]) -> tuple[Log, Any]:
             best = snapshot
     if best is None:
         return raw, None
+    if all(probe.value[1] is best for probe in probes):
+        return raw, best
     return Log(e for e in raw if e.action not in best.dropped), best
 
 

@@ -21,14 +21,24 @@ fast form runs in ``src/``; nothing under ``src/`` calls them.
   :func:`reference_dependent_op_indices` — Definition 1 as a subset loop
   with a pairwise violation scan, against ``closure.OpMasks``.
 * :func:`folded_view` — an initial quorum's view (Section 3.2) by set
-  algebra, against ``viewcache.fold_view``.
+  algebra, against ``viewcache.fold_view``;
+* :func:`reference_property_histories`, :func:`reference_arena_entries`
+  and :func:`reference_find_counterexample` — the bounded history
+  universe, the Definition 2 arena and its search, every candidate put
+  to ``admits`` from the trie's root, against the searches that step
+  trie nodes (``explore.multi_property_histories``,
+  ``VerificationArena.entries``, ``find_counterexample``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import string
+from typing import Iterator, Sequence
 
-from repro.histories.behavioral import BehavioralHistory, Op
+from repro.atomicity.explore import ExplorationBounds
+from repro.atomicity.properties import LocalAtomicityProperty
+from repro.dependency.verify import Counterexample
+from repro.histories.behavioral import Abort, Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.histories.serialization import (
     action_subsets,
@@ -296,3 +306,79 @@ def folded_view(replies) -> tuple[frozenset, object]:
         gone = best.covered | best.discarded
         entries = {entry for entry in entries if entry.action not in gone}
     return frozenset(entries), best
+
+
+def reference_property_histories(
+    props: Sequence[LocalAtomicityProperty], bounds: ExplorationBounds
+) -> Iterator[tuple[BehavioralHistory, tuple[bool, ...]]]:
+    """``multi_property_histories`` with every candidate extension built
+    and put to each still-admitting property's ``admits``: the same
+    canonical search (Begins at the front, first-operation order when no
+    property is begin-order sensitive), the same order."""
+    events = bounds.resolve_events(props[0])
+    labels = string.ascii_uppercase[: bounds.max_actions]
+    base = BehavioralHistory([Begin(a) for a in labels])
+    label_symmetric = not any(prop.begin_order_sensitive for prop in props)
+
+    def candidates(history, op_count):
+        active = history.active
+        acted = {e.action for e in history.ops()}
+        if op_count < bounds.max_ops:
+            allowed = sorted(active)
+            if label_symmetric:
+                idle = sorted(a for a in active if a not in acted)
+                allowed = sorted(a for a in active if a in acted) + idle[:1]
+            for action in allowed:
+                for event in events:
+                    yield Op(event, action)
+        for action in sorted(active & acted):
+            yield Commit(action)
+            if bounds.include_aborts:
+                yield Abort(action)
+
+    def search(history, flags, op_count):
+        yield history, flags
+        for entry in candidates(history, op_count):
+            extended = history.append(entry)
+            new_flags = tuple(
+                old and prop.admits(extended) for old, prop in zip(flags, props)
+            )
+            if any(new_flags):
+                yield from search(extended, new_flags, op_count + isinstance(entry, Op))
+
+    flags = tuple(prop.admits(base) for prop in props)
+    if any(flags):
+        yield from search(base, flags, 0)
+
+
+def reference_arena_entries(arena) -> list[tuple[BehavioralHistory, tuple[Op, ...]]]:
+    """``arena.entries`` built eagerly on a fresh property: every admitted
+    history of the reference universe with the appends it rejects, each
+    put to ``admits`` as a new history."""
+    prop = type(arena.property)(arena.property.datatype)
+    entries = []
+    for history, _flags in reference_property_histories([prop], arena.bounds.exploration):
+        rejected = tuple(
+            Op(event, action)
+            for action in sorted(history.active)
+            for event in arena.append_events
+            if not prop.admits(history.append(Op(event, action)))
+        )
+        if rejected:
+            entries.append((history, rejected))
+    return entries
+
+
+def reference_find_counterexample(relation, entries, prop) -> Counterexample | None:
+    """Definition 2's first violation, literally: every closed subhistory
+    of every entry (the subset order of :func:`reference_closed_subhistories`)
+    is projected and put to ``admits`` with the append, for every relation."""
+    for history, rejected in entries:
+        for op in rejected:
+            required = reference_dependent_op_indices(history, relation, op.event.inv)
+            for kept, subhistory in reference_closed_subhistories(
+                history, relation, required, proper_only=True
+            ):
+                if prop.admits(subhistory.append(op)):
+                    return Counterexample(history, subhistory, kept, op)
+    return None

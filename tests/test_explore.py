@@ -1,11 +1,19 @@
 """Unit tests for the bounded behavioral-history enumerator."""
 
-from repro.atomicity.explore import ExplorationBounds, behavioral_histories
-from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
+import pytest
+
+from repro.atomicity.explore import (
+    ExplorationBounds,
+    behavioral_histories,
+    multi_property_histories,
+)
+from repro.atomicity.properties import DynamicAtomicity, HybridAtomicity, StaticAtomicity
+from repro.core.theorems import FLAGSET_EVENTS, _prom_events
 from repro.histories.behavioral import Begin, Op
 from repro.histories.events import event
 from repro.spec.legality import LegalityOracle
-from repro.types import Queue, Register
+from repro.types import PROM, FlagSet, Queue, Register
+from tests.oracles import reference_property_histories
 
 
 class TestEnumeration:
@@ -76,3 +84,49 @@ class TestEnumeration:
         static_count = sum(1 for _ in behavioral_histories(static, bounds))
         hybrid_count = sum(1 for _ in behavioral_histories(hybrid, bounds))
         assert static_count > 0 and hybrid_count > 0
+
+
+#: name → (data type, property kinds, bounds): the universes the theorem
+#: battery's arenas enumerate, and Figure 1-1's three-property one.
+THEOREM_UNIVERSES = {
+    "thm5-hybrid": (
+        PROM(), (HybridAtomicity,), dict(max_ops=3, max_actions=4, events=_prom_events())
+    ),
+    "thm5-static": (
+        PROM(), (StaticAtomicity,), dict(max_ops=3, max_actions=4, events=_prom_events())
+    ),
+    "thm6-static": (Queue(), (StaticAtomicity,), dict(max_ops=3, max_actions=3)),
+    "flagset-hybrid": (
+        FlagSet(), (HybridAtomicity,), dict(max_ops=4, max_actions=2, events=FLAGSET_EVENTS)
+    ),
+    "figure-1-1": (
+        Queue(),
+        (StaticAtomicity, HybridAtomicity, DynamicAtomicity),
+        dict(max_ops=3, max_actions=2),
+    ),
+    "hybrid-dynamic-aborts": (
+        Queue(),
+        (HybridAtomicity, DynamicAtomicity),
+        dict(max_ops=2, max_actions=3, include_aborts=True),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_UNIVERSES)
+def test_stepping_nodes_yields_what_admits_per_candidate_yields(name):
+    """The node-carrying search against the reference that builds every
+    candidate and asks ``admits`` from the root: same ``(history, flags)``
+    sequence, and a property that decided on its own agrees."""
+    datatype, kinds, bounds = THEOREM_UNIVERSES[name]
+    bounds = ExplorationBounds(**bounds)
+    oracle = LegalityOracle(datatype)
+    expected = list(
+        reference_property_histories([kind(datatype, oracle) for kind in kinds], bounds)
+    )
+    stepped = [kind(datatype, oracle) for kind in kinds]
+    assert list(multi_property_histories(stepped, bounds)) == expected
+    assert all(
+        (prop.decided(history) is not None) == flag
+        for history, flags in expected[:: max(1, len(expected) // 500)]
+        for prop, flag in zip(stepped, flags)
+    )

@@ -9,7 +9,8 @@ These target the load-bearing algebraic facts:
   equivalence on random serial histories;
 * the dependency searches are monotone in their bound;
 * valid threshold choices always satisfy their relation;
-* the shortcuts of ``admits`` and ``BehavioralHistory.append`` are sound.
+* the shortcuts of ``admits`` and ``BehavioralHistory.append`` are sound,
+  and a trie step decides what ``admits`` decides.
 """
 
 import pytest
@@ -167,14 +168,15 @@ LABELS = "ABC"
 
 
 @st.composite
-def wellformed_entries(draw, max_steps=9):
+def wellformed_entries(draw, max_steps=9, name=None):
     """``(type name, entries)``: Begins anywhere, Commits and Aborts too.
 
     Most operations answer as one copy would in execution order, so that
     admitted prefixes grow past the first few entries; the rest take any
     event of the alphabet, legal there or not.
     """
-    name = draw(st.sampled_from(sorted(TYPES)))
+    if name is None:
+        name = draw(st.sampled_from(sorted(TYPES)))
     alphabet, oracle = ALPHABETS[name], ORACLES[name]
     invocations = sorted({ev.inv for ev in alphabet}, key=str)
     steps = draw(
@@ -287,6 +289,49 @@ class TestAdmissionProofObligations:
             prop = prop_type(TYPES[name], ORACLES[name])
             assert prop.admission_key(history) == prop.admission_key(swapped)
             assert prop.check_history(history) == prop.check_history(swapped)
+
+
+def _literally_admitted(prop, history):
+    """The largest prefix-closed specification, literally: every prefix
+    passes the property check."""
+    return all(
+        prop.check_history(BehavioralHistory(history.entries[:length]))
+        for length in range(len(history) + 1)
+    )
+
+
+class TestSteppingTheTrie:
+    @given(wellformed_entries(max_steps=12), st.integers(0, 12), st.booleans(), st.data())
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    def test_a_step_decides_what_admits_decides(self, drawn, split, warm, data):
+        # ``step(decided(H), H, x)`` against ``admits(H·x)`` on a fresh
+        # property and the literal definition, entry by entry from a
+        # prefix that may be rejected, on a fresh or a warmed trie.
+        name, entries = drawn
+        others = [
+            BehavioralHistory(more)
+            for _name, more in data.draw(
+                st.lists(wellformed_entries(name=name), max_size=4 if warm else 0)
+            )
+        ]
+        for prop_type in PROPERTIES:
+            prop = prop_type(TYPES[name], ORACLES[name])
+            for other in others:
+                prop.admits(other)
+            history = BehavioralHistory(entries[:split])
+            node = prop.decided(history)
+            assert (node is not None) == _literally_admitted(prop, history)
+            for entry in entries[split:]:
+                extended = history.append(entry)
+                expected = prop_type(TYPES[name], ORACLES[name]).admits(extended)
+                assert expected == _literally_admitted(prop, extended)
+                if node is None:
+                    assert not expected, "an extension of a rejected history"
+                else:
+                    node = prop.step(node, history, entry)
+                    assert (node is not None) == expected
+                assert prop.decided(extended) is node
+                history = extended
 
 
 def _facts(history):

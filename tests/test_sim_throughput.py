@@ -596,6 +596,18 @@ class TestFoldView:
         )
         assert best is wider and merged == Log()
 
+    def test_probes_all_on_the_elected_snapshot_keep_the_fragments_table(self):
+        # No fragment holds what its own snapshot dropped, so the union
+        # is the view: nothing filtered, no new entry table.
+        snapshot = _snapshot(covered=[1], discarded=[2])
+        base = Log([_entry(3), _entry(4)])
+        grown, forked = base.add(_entry(5)), base.add(_entry(6))
+        log, best = _assert_folds_like_the_oracle(
+            (_probe(0, grown, snapshot), _probe(1, forked, snapshot), _probe(2, base, snapshot))
+        )
+        assert best is snapshot and log._table is base._table
+        assert log.entry_set == {_entry(seq) for seq in (3, 4, 5, 6)}
+
     def test_of_two_equal_snapshots_the_later_wins(self):
         first, second = _snapshot(covered=[1]), _snapshot(covered=[1])
         assert first == second and first is not second

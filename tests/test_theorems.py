@@ -5,10 +5,16 @@ Whether each theorem holds is checked by its row of
 count the work the searches behind them do.
 """
 
+import sys
+
 import pytest
 
 from repro.atomicity.explore import ExplorationBounds, behavioral_histories
-from repro.atomicity.properties import HybridAtomicity, StaticAtomicity
+from repro.atomicity.properties import (
+    HybridAtomicity,
+    LocalAtomicityProperty,
+    StaticAtomicity,
+)
 from repro.compute.artifacts import derive_artifacts
 from repro.core.theorems import verify_flagset_two_minimals, verify_theorem_5
 from repro.dependency import closure, known, verify
@@ -166,9 +172,51 @@ class TestSearchesStopWhenAnswered:
         decided = len(arena.view_admitted)
         assert decided > 0
         entered = count_calls(monkeypatch, HybridAtomicity, "check_history")
-        asked = count_calls(monkeypatch, HybridAtomicity, "admits")
+        asked = [
+            count_calls(monkeypatch, HybridAtomicity, name)
+            for name in ("admits", "decided", "step")
+        ]
         for again in (relation, relation.union(arena.universe_pairs())):
             assert verify.find_counterexample(again, arena) is None
         assert len(arena.view_admitted) == decided
-        assert entered.calls == 0 and asked.calls == 0
+        assert entered.calls == 0 and [count.calls for count in asked] == [0, 0, 0]
 
+
+
+class TestDecisionsAreStepped:
+    """Trie probes and property checks of two battery steps, counted.
+
+    Counts, not clocks: deterministic for the bounds on any host and hash
+    seed.  A profile hook counts the ``dict.get`` calls made in the
+    frames of ``decided`` and ``step`` — one per trie probe — and
+    ``check_history`` is wrapped.  When every candidate was put to
+    ``admits``, a walk from the trie's root, ``verify_theorem_5`` made
+    235 496 probes and ``verify_flagset_two_minimals`` 116 549; the
+    searches now carry the node of the history they extend and step it,
+    so a fall-back to root walks grows the probe count and fails here.
+    The checks are what prefix closure and the admission-key memo leave,
+    unchanged by where the walk starts.
+    """
+
+    @pytest.mark.parametrize(
+        "verify_step,probes,checks",
+        [(verify_theorem_5, 84_964, 1_864), (verify_flagset_two_minimals, 51_307, 3_167)],
+        ids=["theorem-5", "flagset"],
+    )
+    def test_probes_and_checks_are_pinned(self, monkeypatch, verify_step, probes, checks):
+        walks = {LocalAtomicityProperty.decided.__code__, LocalAtomicityProperty.step.__code__}
+        counted = {"probes": 0}
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_code in walks and arg.__name__ == "get":
+                counted["probes"] += 1
+
+        static = count_calls(monkeypatch, StaticAtomicity, "check_history")
+        hybrid = count_calls(monkeypatch, HybridAtomicity, "check_history")
+        sys.setprofile(profile)
+        try:
+            result = verify_step()
+        finally:
+            sys.setprofile(None)
+        assert result.holds
+        assert (counted["probes"], static.calls + hybrid.calls) == (probes, checks)

@@ -4,18 +4,18 @@ import itertools
 
 import pytest
 
-from repro.atomicity.explore import ExplorationBounds, behavioral_histories
+from repro.atomicity.explore import ExplorationBounds
 from repro.atomicity.properties import (
     DynamicAtomicity,
     HybridAtomicity,
     StaticAtomicity,
 )
+from repro.compute.artifacts import artifacts_for
 from repro.core.theorems import _prom_events
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation
 from repro.dependency.dynamic_dep import minimal_dynamic_dependency
 from repro.dependency.verify import (
-    Counterexample,
     VerificationArena,
     VerificationBounds,
     find_counterexample,
@@ -24,15 +24,11 @@ from repro.dependency.verify import (
     required_pairs,
 )
 from repro.dependency.static_dep import minimal_static_dependency
-from repro.histories.behavioral import Op
 from repro.histories.events import event, ok
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, FlagSet, Queue, Register
 from tests.helpers import FLAGSET_EVENTS, probe_relations
-from tests.oracles import (
-    reference_closed_subhistories,
-    reference_dependent_op_indices,
-)
+from tests.oracles import reference_arena_entries, reference_find_counterexample
 
 
 @pytest.fixture(scope="module")
@@ -149,28 +145,12 @@ def _hybrid_flagset(arena_type=CountingArena):
 ARENAS = [_static_register, _hybrid_prom, _hybrid_flagset]
 
 
-def eager_entries(arena):
-    """The arena's universe built the way the constructor used to."""
-    prop = type(arena.property)(arena.property.datatype)
-    entries = []
-    for history in behavioral_histories(prop, arena.bounds.exploration):
-        rejected = []
-        for action in sorted(history.active):
-            for append_event in arena.append_events:
-                op = Op(append_event, action)
-                if not prop.admits(history.append(op)):
-                    rejected.append(op)
-        if rejected:
-            entries.append((history, tuple(rejected)))
-    return entries
-
-
 class TestOnDemandArena:
     @pytest.mark.parametrize("build", ARENAS)
     def test_entries_equal_the_eager_construction(self, build):
         arena = build()
         assert arena.produced == 0, "constructing an arena enumerates nothing"
-        expected = eager_entries(arena)
+        expected = reference_arena_entries(arena)
         assert expected
         assert list(arena.entries) == expected
         assert list(arena.entries) == expected, "a second pass replays the first"
@@ -265,27 +245,6 @@ def test_theorem_5_searched_counterexample_is_pinned():
     ]
 
 
-# -- the literal Definition 2 search, kept as the reference -------------------
-
-
-def reference_find_counterexample(relation, entries, prop):
-    """What ``find_counterexample`` did before view verdicts were kept.
-
-    Every closed subhistory of every entry is projected and put to
-    ``admits`` again, for every relation, in the literal subset order of
-    ``tests/test_closure.py``.
-    """
-    for history, rejected in entries:
-        for op in rejected:
-            required = reference_dependent_op_indices(history, relation, op.event.inv)
-            for kept, subhistory in reference_closed_subhistories(
-                history, relation, required, proper_only=True
-            ):
-                if prop.admits(subhistory.append(op)):
-                    return Counterexample(history, subhistory, kept, op)
-    return None
-
-
 def _arena(prop, **bounds):
     return VerificationArena(prop, VerificationBounds(ExplorationBounds(**bounds)))
 
@@ -334,7 +293,7 @@ def test_search_returns_the_literal_first_counterexample(name):
     answers mostly from the view verdicts the earlier ones left.
     """
     arena, battery = DIFFERENTIAL[name]()
-    entries = eager_entries(arena)
+    entries = reference_arena_entries(arena)
     reference_prop = type(arena.property)(arena.property.datatype)
     relations = probe_relations(arena.invocations, arena.append_events) + battery
     outcomes = set()
@@ -346,3 +305,44 @@ def test_search_returns_the_literal_first_counterexample(name):
     assert any(
         history.aborted for history, _ in entries
     ) == arena.bounds.exploration.include_aborts
+
+
+def _theorem_6_cell():
+    arena = _arena(StaticAtomicity(Queue()), max_ops=3, max_actions=3)
+    total = arena.universe_pairs()
+    searched = artifacts_for(Queue(), 4, LegalityOracle(Queue())).static
+    return arena, [searched] + [total.without(pair) for pair in sorted(total.pairs, key=str)]
+
+
+#: name → (arena, its theorem's relations), at the bounds
+#: ``core/theorems.py`` uses: Theorem 5's static search, Theorem 6 with
+#: every single-pair deletion ``required_pairs`` searches, and the
+#: FlagSet (Theorem 5's hybrid arena is ``DIFFERENTIAL["hybrid-prom"]``).
+THEOREM_CELLS = {
+    "thm5-static": lambda: (
+        _arena(StaticAtomicity(PROM()), max_ops=3, max_actions=4, events=_prom_events()),
+        _battery_relations(PROM(), known.PROM_HYBRID),
+    ),
+    "thm6": _theorem_6_cell,
+    "flagset": lambda: (
+        _arena(HybridAtomicity(FlagSet()), max_ops=4, max_actions=2, events=FLAGSET_EVENTS),
+        _battery_relations(
+            FlagSet(), known.FLAGSET_CORE, known.FLAGSET_HYBRID_A,
+            known.FLAGSET_HYBRID_B, events=FLAGSET_EVENTS,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", THEOREM_CELLS)
+def test_stepped_arena_and_search_match_the_root_walks(name):
+    """At the battery's bounds, the arena that steps trie nodes holds the
+    entries ``admits`` per candidate finds, and each search returns the
+    counterexample (or ``None``) the literal search returns."""
+    arena, relations = THEOREM_CELLS[name]()
+    entries = reference_arena_entries(arena)
+    reference_prop = type(arena.property)(arena.property.datatype)
+    for relation in relations:
+        expected = reference_find_counterexample(relation, entries, reference_prop)
+        assert find_counterexample(relation, arena) == expected
+    assert list(arena.entries) == entries
