@@ -17,6 +17,7 @@ Run:  python examples/task_dispatch.py
 """
 
 from repro.dependency.dynamic_dep import minimal_dynamic_dependency
+from repro.obs.metrics import render_table
 from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.sim.workload import OperationMix, WorkloadGenerator
@@ -51,14 +52,19 @@ def main() -> None:
     print("\nsame workload, 3 sites, commutativity locking, 60 transactions:\n")
     results = {}
     for datatype in (fifo, weak):
-        metrics = run_dispatcher(datatype)
-        results[datatype.name] = metrics
+        summary = run_dispatcher(datatype).summary()
+        results[datatype.name] = summary
         print(f"--- {datatype.name} dispatcher ---")
-        print(metrics.table())
+        print(render_table(
+            ("operation", "attempts", "conflict%", "p50", "p99"),
+            [(op, int(row["attempts"]), 100 * row["conflict_rate"],
+              row.get("latency_p50"), row.get("latency_p99"))
+             for op, row in summary.items()],
+        ))  # fmt: skip
         print()
 
-    fifo_conflicts = results["Queue"].conflict_rate("Enq")
-    weak_conflicts = results["SemiQueue"].conflict_rate("Enq")
+    fifo_conflicts = results["Queue"]["Enq"]["conflict_rate"]
+    weak_conflicts = results["SemiQueue"]["Enq"]["conflict_rate"]
     print(
         f"submit-conflict rate: FIFO {100 * fifo_conflicts:.1f}% vs "
         f"SemiQueue {100 * weak_conflicts:.1f}%"

@@ -33,7 +33,10 @@ standard-workload options (``--transactions``, ``--crashes``,
 ``--drop-probability``, ``--objects``, ``--placement``).
 ``report``, ``audit``, ``chaos``, ``soak`` and ``scenario`` accept
 ``--artifacts DIR`` to drop a machine-readable ``plan.json`` /
-``report.json`` pair describing the run (see :func:`_write_artifacts`).
+``report.json`` pair describing the run (see :func:`_write_artifacts`;
+``scenario --list`` runs nothing and refuses it).  Every mode that
+takes ``--format json`` prints one JSON document; every text rendering
+but the audit report's is one :func:`~repro.obs.metrics.render_table`.
 Wall-clock measurement lives outside the
 package: ``python3 perf/run.py <workload> --rounds 1 --traced`` prints
 host-corrected medians and a per-layer ledger.
@@ -52,6 +55,7 @@ from typing import Any, Callable, NamedTuple
 from repro.core import claims
 from repro.obs.audit import DEFAULT_STREAM_WINDOW, Auditor
 from repro.obs.export import EXPORTERS, STREAM_WRITERS, export, open_stream_writer
+from repro.obs.metrics import render_table
 from repro.obs.mutations import EXPECTED_INVARIANT, MUTATIONS
 from repro.obs.soak import SoakConfig, run_soak
 from repro.obs.trace import Tracer
@@ -378,65 +382,51 @@ def _mix_rows(cluster) -> list[dict]:
     return rows
 
 
-def _mix_table(rows: list[dict]) -> str:
-    lines = ["per-object read/write mix:"]
-    name_width = max(len("object"), max((len(r["object"]) for r in rows), default=0))
-    lines.append(
-        f"  {'object':<{name_width}}  {'reads':>7}  {'writes':>7}  "
-        f"{'read%':>6}  assignment"
-    )
-    for row in rows:
-        fraction = row["read_fraction"]
-        pct = "-" if fraction is None else f"{100 * fraction:.1f}%"
-        lines.append(
-            f"  {row['object']:<{name_width}}  {row['reads']:>7}  "
-            f"{row['writes']:>7}  {pct:>6}  {row['assignment']}"
-        )
-    return "\n".join(lines)
-
-
 def _run_metrics(args: argparse.Namespace) -> Outcome:
     cluster, generator = _standard_workload(_workload_shape(args))
     metrics = generator.run(args.transactions)
     mix_rows = _mix_rows(cluster)
+    operations = metrics.summary()
     payload = {
-        "operations": metrics.summary(),
-        "registry": metrics.registry.to_dict(),
+        "operations": operations,
+        "registry": metrics.export(),
         "mix": {row["object"]: row for row in mix_rows},
         "network": {
             "messages_sent": cluster.network.messages_sent,
             "messages_dropped": cluster.network.messages_dropped,
         },
     }
-    return Outcome(True, payload, metrics.table() + "\n\n" + _mix_table(mix_rows))
+    commits, aborts = metrics.committed_transactions, metrics.aborted_transactions
+    outcomes = ("ok", "unavailable", "conflict", "degraded")
+    text = render_table(
+        ("operation", "attempts", "ok", "unavail", "conflict", "degraded",
+         "avail%", "ok%", "p50", "p95", "p99"),
+        [
+            (op, int(row["attempts"]), *(metrics.outcomes[op, o] for o in outcomes),
+             100 * row["availability"], 100 * row["success_rate"],
+             row.get("latency_p50"), row.get("latency_p95"), row.get("latency_p99"))
+            for op, row in operations.items()
+        ],
+        footer=[
+            f"transactions: {commits} committed, {aborts} aborted "
+            f"({100 * commits / (commits + aborts):.2f}% commit rate)"
+        ] if commits or aborts else [],
+    )  # fmt: skip
+    mix = render_table(
+        ("object", "reads", "writes", "read%", "assignment"),
+        [
+            (row["object"], row["reads"], row["writes"],
+             None if row["read_fraction"] is None else 100 * row["read_fraction"],
+             row["assignment"])
+            for row in mix_rows
+        ],
+        title=["per-object read/write mix:"],
+    )  # fmt: skip
+    return Outcome(True, payload, text + "\n\n" + mix)
 
 
-def _chaos_table(verdict: dict) -> str:
-    """Fixed-width rendering of a chaos-sweep verdict."""
-    header = (
-        f"{'profile':<10} {'policy':<10} {'runs':>4} {'faults':>6} "
-        f"{'att':>5} {'ok':>5} {'degr':>5} {'unav':>5} {'abort':>5} "
-        f"{'viol':>4} {'rep p50':>8} {'rep p95':>8} verdict"
-    )
-    lines = [header, "-" * len(header)]
-    for profile, policies in verdict["profiles"].items():
-        for policy, row in policies.items():
-            lines.append(
-                f"{profile:<10} {policy:<10} {row['runs']:>4} "
-                f"{row['faults_applied']:>6} {row['attempted']:>5} "
-                f"{row['succeeded']:>5} {row['degraded']:>5} "
-                f"{row['unavailable']:>5} {row['aborted_ops']:>5} "
-                f"{row['violations']:>4} "
-                f"{row['recovery_repaired_p50']:>8.1f} "
-                f"{row['recovery_repaired_p95']:>8.1f} "
-                f"{'PASS' if row['ok'] else 'FAIL'}"
-            )
-    lines.append(
-        "sweep: "
-        + ("all cases clean" if verdict["ok"] else "CASES FAILED")
-        + f" (seeds {verdict['seeds']}, {verdict['transactions']} txns/case)"
-    )
-    return "\n".join(lines)
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 def _run_chaos(args: argparse.Namespace) -> Outcome:
@@ -452,10 +442,25 @@ def _run_chaos(args: argparse.Namespace) -> Outcome:
         objects=args.objects,
         placement=args.placement,
     )
+    text = render_table(
+        ("profile", "policy", "runs", "faults", "att", "ok", "degr", "unav",
+         "abort", "viol", "rep p50", "rep p95", "verdict"),
+        [(profile, policy, row["runs"], row["faults_applied"], row["attempted"],
+          row["succeeded"], row["degraded"], row["unavailable"], row["aborted_ops"],
+          row["violations"], row["recovery_repaired_p50"], row["recovery_repaired_p95"],
+          _verdict(row["ok"]))
+         for profile, policies in verdict["profiles"].items()
+         for policy, row in policies.items()],
+        footer=[
+            "sweep: "
+            + ("all cases clean" if verdict["ok"] else "CASES FAILED")
+            + f" (seeds {verdict['seeds']}, {verdict['transactions']} txns/case)"
+        ],
+    )  # fmt: skip
     return Outcome(
         verdict["ok"],
         verdict,
-        _chaos_table(verdict),
+        text,
         plan={
             "workload": {
                 "seed": args.seed,
@@ -515,43 +520,51 @@ def _audit_once(args: argparse.Namespace, mutate: str | None):
     return auditor.finish()
 
 
+def _audit_plan(args: argparse.Namespace, report, mutate) -> dict:
+    return {
+        "workload": {**_workload_shape(args), "transactions": args.transactions},
+        "observability": {
+            "mode": report.mode, "window": report.window, "mutate": mutate
+        },
+    }
+
+
 def _audit_sweep(args: argparse.Namespace) -> Outcome:
     """Fault-injection sweep: clean and fault-tolerant runs must stay
     green; every seeded protocol mutation must be flagged, and the flag
     must name the invariant that mutation breaks."""
-    rows: list[tuple[str, str, bool, str]] = []
-    for label, faults in (
-        ("clean", {}),
-        ("crashes", {"crashes": True}),
-        ("partitions", {"partitions": True}),
-    ):
-        report = _audit_once(argparse.Namespace(**{**vars(args), **faults}), None)
-        detail = "no violations" if report.ok else ", ".join(
-            report.violated_invariants
-        )
-        rows.append((label, "green", report.ok, detail))
-    for name in sorted(MUTATIONS):
-        report = _audit_once(args, name)
-        expected = EXPECTED_INVARIANT[name]
-        detail = (
-            ", ".join(report.violated_invariants)
-            if report.violated_invariants
-            else "no violations (MISSED)"
-        )
-        passed = expected in report.violated_invariants
-        rows.append((f"mutate:{name}", f"flags {expected}", passed, detail))
-    ok = all(passed for _label, _expectation, passed, _detail in rows)
-    width = max(len(row[0]) for row in rows)
-    lines = [f"audit sweep (seed {args.seed}, {args.sites} sites):"]
-    for label, expectation, passed, detail in rows:
-        verdict = "PASS" if passed else "FAIL"
-        lines.append(
-            f"  {label:<{width}}  expect {expectation:<24} {verdict}  [{detail}]"
-        )
-    lines.append(
-        "sweep: " + ("all expectations met" if ok else "EXPECTATIONS VIOLATED")
+    faults = (("clean", {}), ("crashes", {"crashes": True}),
+              ("partitions", {"partitions": True}))  # fmt: skip
+    runs = [(label, None, argparse.Namespace(**{**vars(args), **more}))
+            for label, more in faults]  # fmt: skip
+    runs += [(f"mutate:{name}", name, args) for name in sorted(MUTATIONS)]
+    cases = []
+    for label, mutate, run_args in runs:
+        report = _audit_once(run_args, mutate)
+        violated = list(report.violated_invariants)
+        expected = EXPECTED_INVARIANT.get(mutate)
+        cases.append({
+            "case": label,
+            "expect": "green" if mutate is None else f"flags {expected}",
+            "ok": report.ok if mutate is None else expected in violated,
+            "violated_invariants": violated,
+        })  # fmt: skip
+    sweep = {"ok": all(case["ok"] for case in cases), "cases": cases}
+    text = render_table(
+        ("case", "expect", "verdict", "violated"),
+        [(case["case"], case["expect"], _verdict(case["ok"]),
+          ", ".join(case["violated_invariants"]) or "none") for case in cases],
+        title=[f"audit sweep (seed {args.seed}, {args.sites} sites):"],
+        footer=["sweep: " + ("all expectations met" if sweep["ok"]
+                             else "EXPECTATIONS VIOLATED")],
+    )  # fmt: skip
+    return Outcome(
+        sweep["ok"],
+        sweep,
+        text,
+        plan=_audit_plan(args, report, sorted(MUTATIONS)),
+        report={"sweep": sweep},
     )
-    return Outcome(ok, text="\n".join(lines))
 
 
 def _run_audit(args: argparse.Namespace) -> Outcome:
@@ -563,14 +576,7 @@ def _run_audit(args: argparse.Namespace) -> Outcome:
         report.ok,
         payload,
         report.render(),
-        plan={
-            "workload": {**_workload_shape(args), "transactions": args.transactions},
-            "observability": {
-                "mode": report.mode,
-                "window": report.window,
-                "mutate": args.mutate,
-            },
-        },
+        plan=_audit_plan(args, report, args.mutate),
         report={
             "report": payload,
             "retention": {
@@ -594,10 +600,29 @@ def _run_soak(args: argparse.Namespace) -> Outcome:
     )
     result = run_soak(config)
     payload = result.to_dict()
+    m, audit = result.maintenance, result.report
+    text = render_table(
+        ("retention", "window", "peak retained", "within", "audit cells", "live txns"),
+        [(result.retention, config.window, result.peak_retained,
+          "OK" if result.retained_ok else "EXCEEDED", result.audit_cells_peak,
+          result.live_txns)],
+        title=[f"soak: {result.ops:,} operations / {result.transactions:,} "
+               f"transactions in {result.elapsed:.1f}s wall "
+               f"({result.ops_per_sec:,.0f} ops/s, seed {config.seed})",
+               f"keyspace: {config.objects} hybrid queues over {config.sites} sites "
+               f"(rf {config.replication_factor})"],
+        footer=[f"maintenance: {m['rounds']} rounds, {m['compactions']} compactions, "
+                f"{m['pruned_actions']} actions pruned, {m['retired_txns']} "
+                "transactions retired",
+                *([] if audit is None else ["audit: " + (
+                    "no violations" if audit.ok
+                    else "VIOLATIONS: " + ", ".join(audit.violated_invariants))]),
+                "verdict: " + _verdict(result.ok)],
+    )  # fmt: skip
     return Outcome(
         result.ok,
         payload,
-        result.render(),
+        text,
         plan={
             "config": config.to_dict(),
             "observability": {
@@ -610,39 +635,18 @@ def _run_soak(args: argparse.Namespace) -> Outcome:
     )
 
 
-def _scenario_table(verdict: dict) -> str:
-    """Fixed-width rendering of one scenario verdict."""
-    counts = verdict["counts"]
-    fp = verdict["fingerprint"]
-    lines = [
-        f"scenario {verdict['scenario']} × {verdict['mechanism']} "
-        f"(scheme {verdict['scheme']}) × profile {verdict['profile']} "
-        f"(seed {verdict['seed']}, {verdict['n_sites']} sites, "
-        f"{verdict['transactions']} txns)",
-        f"  attempted {counts['attempted']}  ok {counts['succeeded']}  "
-        f"degraded {counts['degraded']}  unavailable {counts['unavailable']}  "
-        f"conflict {counts['conflict']}  aborted {counts['aborted_ops']}",
-        f"  commits {fp['commits']}  aborts {fp['aborts']}  "
-        f"messages {fp['messages_sent']}  faults {fp['faults_applied']}",
-        f"  audit: {'clean' if fp['audit_ok'] else 'VIOLATIONS'} "
-        f"({verdict['violations']})  converged: {fp['converged']}  "
-        f"accounted: {counts['accounted']}",
-        "verdict: " + ("PASS" if verdict["ok"] else "FAIL"),
-    ]
-    return "\n".join(lines)
+def _scenario_usage(args: argparse.Namespace) -> str | None:
+    if args.list:
+        return "--list writes no artifacts" if args.artifacts is not None else None
+    return None if args.name is not None else "name a scenario or pass --list"
 
 
 def _run_scenario(args: argparse.Namespace) -> Outcome:
     if args.list:
-        width = max(len(name) for name in SCENARIOS)
-        lines = ["scenario catalog (docs/SCENARIOS.md):"]
-        for name, spec in sorted(SCENARIOS.items()):
-            lines.append(f"  {name:<{width}}  {spec.description}")
-        return Outcome(True, text="\n".join(lines))
-    if args.name is None:
-        raise SystemExit(
-            "python -m repro scenario: name a scenario or pass --list"
-        )
+        catalog = {name: spec.description for name, spec in sorted(SCENARIOS.items())}
+        title = ["scenario catalog (docs/SCENARIOS.md):"]
+        text = render_table(("scenario", "description"), catalog.items(), title=title)
+        return Outcome(True, catalog, text)
     verdict = run_scenario(
         args.name,
         seed=args.seed,
@@ -654,10 +658,31 @@ def _run_scenario(args: argparse.Namespace) -> Outcome:
         streaming=not args.deep_audit,
         window=args.window,
     )
+    counts, fp = verdict["counts"], verdict["fingerprint"]
+    text = render_table(
+        ("att", "ok", "degr", "unav", "confl", "abort", "commits", "aborts",
+         "messages", "faults", "viol"),
+        [(counts["attempted"], counts["succeeded"], counts["degraded"],
+          counts["unavailable"], counts["conflict"], counts["aborted_ops"],
+          fp["commits"], fp["aborts"], fp["messages_sent"], fp["faults_applied"],
+          verdict["violations"])],
+        title=[
+            f"scenario {verdict['scenario']} × {verdict['mechanism']} "
+            f"(scheme {verdict['scheme']}) × profile {verdict['profile']} "
+            f"(seed {verdict['seed']}, {verdict['n_sites']} sites, "
+            f"{verdict['transactions']} txns)"
+        ],
+        footer=[
+            f"audit: {'clean' if fp['audit_ok'] else 'VIOLATIONS'} "
+            f"({verdict['violations']})  converged: {fp['converged']}  "
+            f"accounted: {counts['accounted']}",
+            "verdict: " + _verdict(verdict["ok"]),
+        ],
+    )  # fmt: skip
     return Outcome(
         verdict["ok"],
         verdict,
-        _scenario_table(verdict),
+        text,
         plan={
             "workload": {
                 "scenario": args.name,
@@ -901,6 +926,7 @@ COMMANDS = (
             _ARTIFACTS,
         ),
         _run_scenario,
+        check=_scenario_usage,
     ),
 )
 

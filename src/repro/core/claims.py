@@ -43,6 +43,7 @@ from repro.replication.cluster import build_keyspace
 from repro.replication.keyspace import KeyspaceSpec, ObjectSpec
 from repro.replication.repository import Repository
 from repro.scenarios import MixSpec, ScenarioSpec, build_scenario
+from repro.sim.metrics import MetricRecorder
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.spec.enumerate import event_alphabet
@@ -481,19 +482,6 @@ def _measured(run: Callable[[], Verdict]) -> Callable[[Bounds], Verdict]:
     return lambda bounds: Verdict(True) if bounds.fast_theorems else run()
 
 
-def _pooled(runs, op: str, outcome: str) -> float:
-    attempts = sum(metrics.attempts(op) for metrics in runs)
-    return sum(metrics.count(op, outcome) for metrics in runs) / attempts
-
-
-def _pooled_latency(runs, ops) -> Histogram:
-    merged = Histogram()
-    for metrics in runs:
-        for op in ops:
-            merged.merge(metrics.latency_histogram(op))
-    return merged
-
-
 def _prom_availability() -> Verdict:
     """The PROM's hybrid and static quorums, run under stochastic crashes."""
     ops, n, uptime, downtime = ("Read", "Seal", "Write"), 5, 90.0, 10.0
@@ -516,25 +504,23 @@ def _prom_availability() -> Verdict:
         mix=MixSpec(read_weight=10.0, write_weight=5.0, op_weights=(("Seal", 0.0),)),
         ops_per_transaction=1, concurrency=2, think_time=1.0, transactions=600,
     )  # fmt: skip
-    choices, runs, messages = {}, {}, {}
+    choices, pooled, messages = {}, {}, {}
     for name, schemas in (("hybrid", known.PROM_HYBRID), ("static", known.PROM_STATIC)):
         choices[name] = read_maximal(known.ground(prom, schemas, 5))
         spec = ObjectSpec("prom", prom, "hybrid", relation=hybrid_relation,
                           assignment=choices[name].to_assignment())  # fmt: skip
-        results = []
+        runs, messages[name] = [], []
         for seed in (1, 2, 3):
             # Latency small beside the failure timescales: an operation sees
             # an effectively instantaneous cluster, as the analytic model does.
             cluster, generator, _names = build_scenario(
                 traffic, keyspace=KeyspaceSpec(n, (spec,)), seed=seed, latency=0.2,
                 crashes=(uptime, downtime))  # fmt: skip
-            metrics = generator.run(traffic.transactions)
-            results.append((metrics, cluster.network.messages_sent))
-        runs[name] = [metrics for metrics, _sent in results]
-        messages[name] = [
-            sent / sum(metrics.attempts(op) for op in metrics.operations())
-            for metrics, sent in results
-        ]
+            runs.append(generator.run(traffic.transactions))
+            messages[name].append(
+                cluster.network.messages_sent / runs[-1].counts()["attempted"]
+            )
+        pooled[name] = MetricRecorder.pooled(runs).summary()
     lines = [
         f"PROM, n = {n}, per-site availability p = {p_up:.2f} "
         f"(uptime {uptime}, downtime {downtime}), Read pinned to 1 site,",
@@ -550,7 +536,7 @@ def _prom_availability() -> Verdict:
         cells = []
         for name in ("hybrid", "static"):
             analytic = operation_availability(choices[name].to_assignment(), op, p_up)
-            measured = 1.0 - _pooled(runs[name], op, "unavailable")
+            measured = pooled[name][op]["availability"]
             close = close and abs(measured - analytic) < 0.08
             cells.append(f"{analytic:>9.4f} {measured:>9.4f}")
         lines.append(f"{op:<10} {cells[0]}            {cells[1]}")
@@ -560,10 +546,13 @@ def _prom_availability() -> Verdict:
         f"   {'p50':>7} {'p95':>7} {'p99':>7}   (static)",
     ]
     for op in ("Read", "Write"):
-        hists = [_pooled_latency(runs[name], (op,)) for name in ("hybrid", "static")]
-        cells = [f"{h.p50:>7.2f} {h.p95:>7.2f} {h.p99:>7.2f}" for h in hists]
+        rows = [pooled[name][op] for name in ("hybrid", "static")]
+        cells = [
+            f"{r['latency_p50']:>7.2f} {r['latency_p95']:>7.2f} {r['latency_p99']:>7.2f}"
+            for r in rows
+        ]
         lines.append(f"{op:<10} {cells[0]}            {cells[1]}")
-    writes = {name: 1.0 - _pooled(runs[name], "Write", "unavailable") for name in runs}
+    writes = {name: pooled[name]["Write"]["availability"] for name in pooled}
     ratio = (1 - writes["static"]) / max(1e-9, 1 - writes["hybrid"])
     lines += [
         "",
@@ -595,13 +584,13 @@ def _cc_concurrency() -> Verdict:
             return generator.run(60)
 
         return {
-            scheme: [metrics(scheme, seed) for seed in seeds]
+            scheme: MetricRecorder.pooled(metrics(scheme, seed) for seed in seeds)
             for scheme in ("hybrid", "static", "dynamic")
         }  # fmt: skip
 
-    def commit_rate(runs) -> float:
-        commits = sum(m.committed_transactions for m in runs)
-        return commits / (commits + sum(m.aborted_transactions for m in runs))
+    def commit_rate(pooled) -> float:
+        commits = pooled.committed_transactions
+        return commits / (commits + pooled.aborted_transactions)
 
     queue = run(Queue(), None, (1, 2, 3, 4))
     # The static relation is a valid hybrid relation too (Theorem 4).
@@ -614,13 +603,16 @@ def _cc_concurrency() -> Verdict:
         f" {'lat p50':>8} {'lat p95':>8} {'lat p99':>8}",
     ]
     enq, fed = {}, True
-    for scheme, runs in queue.items():
-        enq[scheme] = _pooled(runs, "Enq", "conflict")
-        latency = _pooled_latency(runs, ("Enq", "Deq"))
+    for scheme, pooled in queue.items():
+        rows = pooled.summary()
+        enq[scheme] = rows["Enq"]["conflict_rate"]
+        latency = Histogram()
+        for op in ("Enq", "Deq"):
+            latency.merge(pooled.registry.histogram(f"latency.{op}"))
         fed = fed and latency.count > 0  # the workload feeds the histograms
         lines.append(
-            f"{scheme:<9} {100 * commit_rate(runs):>7.1f}% {100 * enq[scheme]:>13.1f}% "
-            f"{100 * _pooled(runs, 'Deq', 'conflict'):>13.1f}%"
+            f"{scheme:<9} {100 * commit_rate(pooled):>7.1f}% {100 * enq[scheme]:>13.1f}% "
+            f"{100 * rows['Deq']['conflict_rate']:>13.1f}%"
             f" {latency.p50:>8.2f} {latency.p95:>8.2f} {latency.p99:>8.2f}"
         )
     lines += [
@@ -629,17 +621,18 @@ def _cc_concurrency() -> Verdict:
         "",
         f"{'scheme':<9} {'commit%':>8} {'Inc conflict%':>14} {'Read conflict%':>15}",
     ]
-    for scheme, runs in counter.items():
+    for scheme, pooled in counter.items():
+        rows = pooled.summary()
         lines.append(
-            f"{scheme:<9} {100 * commit_rate(runs):>7.1f}% "
-            f"{100 * _pooled(runs, 'Inc', 'conflict'):>13.1f}% "
-            f"{100 * _pooled(runs, 'Read', 'conflict'):>14.1f}%"
+            f"{scheme:<9} {100 * commit_rate(pooled):>7.1f}% "
+            f"{100 * rows['Inc']['conflict_rate']:>13.1f}% "
+            f"{100 * rows['Read']['conflict_rate']:>14.1f}%"
         )
     holds = (
         fed
         # Hybrid permits concurrent distinct enqueues; locking conflicts.
         and enq["hybrid"] < enq["dynamic"]
-        and all(sum(m.committed_transactions for m in runs) for runs in counter.values())
+        and all(pooled.committed_transactions for pooled in counter.values())
     )
     return Verdict(holds, detail="\n".join(lines), evidence={"enq_conflict": enq})
 

@@ -7,28 +7,24 @@ whatever showed up.  :class:`Histogram` keeps its raw samples (runs are
 small enough that exact percentiles beat bucketed approximations) and
 reports p50/p95/p99, which is what latency distributions with timeout
 tails need — a bare mean hides exactly the behaviour the availability
-experiments are about.
+experiments are about.  :func:`render_table` is the one fixed-width
+table the CLI's text reports print.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 
 def percentile(samples: Iterable[float], p: float) -> float:
-    """The ``p``-th percentile (0 ≤ p ≤ 100) by linear interpolation.
-
-    NaN on an empty sample set, matching the recorder's convention for
-    untouched operations.
-    """
+    """The ``p``-th percentile (0 ≤ p ≤ 100) by linear interpolation;
+    NaN on an empty sample set."""
     ordered = sorted(samples)
     if not ordered:
         return float("nan")
     if not 0.0 <= p <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if len(ordered) == 1:
-        return ordered[0]
     rank = (p / 100.0) * (len(ordered) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
@@ -65,9 +61,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 class Histogram:
     """A distribution of simulated-time samples with exact percentiles."""
@@ -97,25 +90,19 @@ class Histogram:
         return tuple(self._samples)
 
     @property
-    def total(self) -> float:
-        return sum(self._samples)
-
-    @property
     def mean(self) -> float:
-        return self.total / len(self._samples) if self._samples else float("nan")
+        samples = self._samples
+        return sum(samples) / len(samples) if samples else float("nan")
 
     @property
     def max(self) -> float:
         return max(self._samples) if self._samples else float("nan")
 
     def quantile(self, p: float) -> float:
-        self._ensure_sorted()
-        return percentile(self._samples, p)
-
-    def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._samples.sort()
             self._sorted = True
+        return percentile(self._samples, p)
 
     @property
     def p50(self) -> float:
@@ -195,14 +182,6 @@ class MetricsRegistry:
     # -- enumeration ----------------------------------------------------------
 
     @property
-    def counters(self) -> dict[str, Counter]:
-        return dict(self._counters)
-
-    @property
-    def gauges(self) -> dict[str, Gauge]:
-        return dict(self._gauges)
-
-    @property
     def histograms(self) -> dict[str, Histogram]:
         return dict(self._histograms)
 
@@ -216,31 +195,39 @@ class MetricsRegistry:
             },
         }
 
-    def render(self) -> str:
-        """A fixed-width text dump of the whole registry."""
-        lines: list[str] = []
-        if self._counters:
-            lines.append("counters:")
-            for name, counter in sorted(self._counters.items()):
-                lines.append(f"  {name:<40} {counter.value:>12}")
-        if self._gauges:
-            lines.append("gauges:")
-            for name, gauge in sorted(self._gauges.items()):
-                lines.append(f"  {name:<40} {gauge.value:>12.3f}")
-        if self._histograms:
-            lines.append("histograms:")
-            header = (
-                f"  {'name':<40} {'count':>7} {'mean':>9} {'p50':>9} "
-                f"{'p95':>9} {'p99':>9} {'max':>9}"
-            )
-            lines.append(header)
-            for name, hist in sorted(self._histograms.items()):
-                summary = hist.summary()
-                lines.append(
-                    f"  {name:<40} {int(summary['count']):>7} "
-                    f"{summary['mean']:>9.3f} {summary['p50']:>9.3f} "
-                    f"{summary['p95']:>9.3f} {summary['p99']:>9.3f} "
-                    f"{summary['max']:>9.3f}"
-                )
-        return "\n".join(lines) if lines else "(no metrics recorded)"
 
+def render_table(
+    header: Sequence[str],
+    rows: Iterable[Sequence[Any]],
+    *,
+    title: Iterable[str] = (),
+    footer: Iterable[str] = (),
+) -> str:
+    """The fixed-width text table every CLI report prints: ``title``
+    lines, ``header``, a rule, one line per row, then ``footer`` lines.
+
+    A float cell prints with two decimals, ``None`` as ``-``, any other
+    cell with ``str``.  A column of numbers (and ``None``) is
+    right-aligned, any other left-aligned; each is as wide as its widest
+    cell.
+    """
+    rows = [tuple(row) for row in rows]
+    cells = [
+        ["-" if v is None else f"{v:.2f}" if isinstance(v, float) else str(v)
+         for v in row]
+        for row in rows
+    ]  # fmt: skip
+    right = [
+        all(isinstance(row[i], (int, float, type(None))) for row in rows)
+        for i in range(len(header))
+    ]
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+
+    def line(texts) -> str:
+        return "  ".join(
+            text.rjust(width) if flush else text.ljust(width)
+            for text, width, flush in zip(texts, widths, right)
+        ).rstrip()
+
+    head = line(header)
+    return "\n".join([*title, head, "-" * len(head), *map(line, cells), *footer])

@@ -309,40 +309,6 @@ class SoakResult:
             "ok": self.ok,
         }
 
-    def render(self) -> str:
-        lines = [
-            f"soak: {self.ops:,} operations / {self.transactions:,} "
-            f"transactions in {self.elapsed:.1f}s wall "
-            f"({self.ops_per_sec:,.0f} ops/s, seed {self.config.seed})",
-            f"  keyspace: {self.config.objects} hybrid queues over "
-            f"{self.config.sites} sites (rf {self.config.replication_factor})",
-            f"  retention: {self.retention}(window={self.config.window}) — "
-            f"peak {self.peak_retained} retained spans "
-            f"[{'OK' if self.retained_ok else 'EXCEEDED'}]",
-            f"  audit state peak: {self.audit_cells_peak} cells; "
-            f"live transactions at end: {self.live_txns}",
-        ]
-        m = self.maintenance
-        if m:
-            lines.append(
-                f"  maintenance: {m.get('rounds', 0)} rounds, "
-                f"{m.get('compactions', 0)} compactions, "
-                f"{m.get('pruned_actions', 0)} actions pruned, "
-                f"{m.get('retired_txns', 0)} transactions retired"
-            )
-        if self.report is not None:
-            lines.append(
-                "  audit: "
-                + (
-                    "no violations"
-                    if self.report.ok
-                    else "VIOLATIONS: "
-                    + ", ".join(self.report.violated_invariants)
-                )
-            )
-        lines.append("verdict: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
-
 
 def run_soak(config: SoakConfig) -> SoakResult:
     """Execute one bounded-memory soak run to completion."""
@@ -375,7 +341,7 @@ def run_soak(config: SoakConfig) -> SoakResult:
         batch = max(32, min(2000, remaining // config.ops_per_transaction + 1))
         generator.run(batch)
         started += batch
-        result.ops = sum(generator.metrics.outcomes.values())
+        result.ops = generator.metrics.counts()["attempted"]
         if auditor is not None:
             cells = sum(auditor.retained_state().values())
             audit_cells_peak = max(audit_cells_peak, cells)

@@ -7,7 +7,7 @@ register/queue workload (the declared :data:`CLASSIC` scenario over
 :func:`~repro.replication.keyspace.chaos_keyspace`, or a sharded
 keyspace) runs through them under a chosen
 :class:`~repro.resilience.policy.RetryPolicy`, every run is watched by
-the PR-2 :class:`~repro.obs.audit.Auditor`, and the sweep emits a JSON
+the :class:`~repro.obs.audit.Auditor`, and the sweep emits a JSON
 verdict table: operations attempted / succeeded / degraded / aborted,
 percentiles of the log entries each catch-up repaired, and a single
 ``ok`` bit meaning *no invariant violations, replicas converged, and
@@ -19,9 +19,9 @@ Determinism is load-bearing.  Fault schedules are indexed by
 from a dedicated :class:`random.Random` seeded by integer key mixing —
 never from ``sim.rng`` (which the workload consumes) and never from
 string ``hash()`` (randomized per process).  Together with
-``drop_probability=0`` this keeps a chaos case inside the PR-4
-determinism envelope: the same seed produces byte-identical outcomes,
-histories, and message counters across ``--jobs`` settings, and
+``drop_probability=0`` this keeps a chaos case deterministic: the
+same seed produces byte-identical outcomes, histories, and message
+counters across ``--jobs`` settings, and
 ``tests/test_golden_runs.py`` pins them per seed (simulated-time
 figures such as recovery latency are reported separately, under
 ``timing``, outside the fingerprint).
@@ -389,24 +389,18 @@ def run_verdict(
     """The common part of an audited run's verdict (plain, picklable).
 
     ``ok`` requires zero audit violations, converged replicas and full
-    accounting — every transaction committed or aborted, every
-    operation attempt recorded under exactly one outcome.  The
+    accounting — every transaction committed or aborted (the record
+    files every operation attempt under exactly one outcome; ``counts``
+    are its :meth:`~repro.sim.metrics.MetricRecorder.counts`).  The
     ``fingerprint`` sub-dict holds decisions and messages only
     (identical across ``--jobs``; the golden table pins it); ``timing``
     holds simulated-clock figures.  Callers add their own header and
     ``timing`` entries.
     """
     active = [t for t in cluster.tm.transactions() if t.is_active]
-    attempted = sum(metrics.outcomes.values())
-    by_outcome = {
-        outcome: sum(
-            count for (_op, o), count in metrics.outcomes.items() if o == outcome
-        )
-        for outcome in metrics.OUTCOMES
-    }
+    counts = metrics.counts()
     accounted = (
         not active
-        and attempted == sum(by_outcome.values())
         and metrics.committed_transactions + metrics.aborted_transactions
         >= transactions
     )
@@ -414,10 +408,7 @@ def run_verdict(
         "ok": bool(report.ok and converged and accounted),
         "violations": len(report.violations),
         "fingerprint": {
-            "outcomes": {
-                f"{op}/{outcome}": count
-                for (op, outcome), count in sorted(metrics.outcomes.items())
-            },
+            "outcomes": metrics.outcome_counts(),
             "histories": {
                 name: str(cluster.tm.object(name).recorder.to_behavioral_history())
                 for name in names
@@ -430,17 +421,17 @@ def run_verdict(
             "audit_ok": report.ok,
             "faults_applied": faults_applied,
         },
-        "counts": {
-            "attempted": attempted,
-            "succeeded": by_outcome["ok"],
-            "degraded": by_outcome["degraded"],
-            "unavailable": by_outcome["unavailable"],
-            "conflict": by_outcome["conflict"],
-            "aborted_ops": by_outcome["aborted"],
-            "accounted": accounted,
-        },
+        "counts": {**counts, "accounted": accounted},
         "timing": {"sim_time": cluster.sim.now},
     }
+
+
+#: The per-case figures a sweep row sums over its seeds, by verdict section.
+_SUMMED = {
+    "counts": ("attempted", "succeeded", "degraded", "unavailable", "aborted_ops"),
+    "fingerprint": ("commits", "aborts", "faults_applied"),
+    "timing": ("recovery_syncs",),
+}
 
 
 def _case_trial(seed: int, **case) -> dict:
@@ -501,23 +492,11 @@ def run_chaos_sweep(
                 "runs": len(cases),
                 "ok": all(case["ok"] for case in cases),
                 "violations": sum(case["violations"] for case in cases),
-                "attempted": sum(case["counts"]["attempted"] for case in cases),
-                "succeeded": sum(case["counts"]["succeeded"] for case in cases),
-                "degraded": sum(case["counts"]["degraded"] for case in cases),
-                "unavailable": sum(
-                    case["counts"]["unavailable"] for case in cases
-                ),
-                "aborted_ops": sum(
-                    case["counts"]["aborted_ops"] for case in cases
-                ),
-                "commits": sum(case["fingerprint"]["commits"] for case in cases),
-                "aborts": sum(case["fingerprint"]["aborts"] for case in cases),
-                "faults_applied": sum(
-                    case["fingerprint"]["faults_applied"] for case in cases
-                ),
-                "recovery_syncs": sum(
-                    case["timing"]["recovery_syncs"] for case in cases
-                ),
+                **{
+                    key: sum(case[section][key] for case in cases)
+                    for section, keys in _SUMMED.items()
+                    for key in keys
+                },
                 # Rounded: interpolating between integer counts leaves
                 # float noise (6.799999999999997) in the JSON.
                 "recovery_repaired_p50": round(float(repaired_summary["p50"]), 2),

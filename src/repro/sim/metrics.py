@@ -1,190 +1,137 @@
 """Measurement for simulation runs.
 
-A :class:`MetricRecorder` accumulates per-operation counters —
-successes, unavailability (no quorum), concurrency-control conflicts,
-aborts — plus latency samples, and renders summary tables.
-
-This module is now a thin compatibility shim over
-:mod:`repro.obs.metrics`: outcome counts and latency distributions live
-in a :class:`~repro.obs.metrics.MetricsRegistry` (counters named
-``ops.<operation>.<outcome>``, histograms named
-``latency.<operation>``), and latency summaries report p50/p95/p99
-rather than a bare mean — a mean hides exactly the timeout tails the
-availability experiments are about.  The original dict-shaped API
-(``outcomes``, ``latencies``, ``attempts`` …) is preserved for the
-claim rows and tests that post-process it.
+A :class:`MetricRecorder` is the one record of a run.  It keeps each
+count once — how often each operation ended in each outcome, how many
+transactions committed and aborted — and each operation's latency
+samples, as ``latency.<operation>`` histograms in a
+:class:`~repro.obs.metrics.MetricsRegistry`.  Every report reads it:
+:meth:`~MetricRecorder.summary` is the per-operation row (latency as
+p50/p95/p99, not a bare mean, which would hide the timeout tails the
+availability experiments are about), :meth:`~MetricRecorder.counts`
+an audited verdict's totals, :meth:`~MetricRecorder.pooled` several runs
+as one record, and :meth:`~MetricRecorder.export` the registry snapshot
+``metrics --format json`` prints.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 @dataclass
 class MetricRecorder:
-    """Accumulates outcome counters keyed by (operation, outcome)."""
+    """Outcome counts keyed by ``(operation, outcome)``, transaction
+    counts, and per-operation latency histograms."""
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     outcomes: Counter = field(default_factory=Counter)
     committed_transactions: int = 0
     aborted_transactions: int = 0
-    #: The registry's instruments per ``(operation, outcome)`` and per
-    #: operation, so a record builds no names.
-    _counters: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    #: The registry's histogram per operation, so a record builds no names.
     _latencies: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    #: ``degraded`` counts read-quorum-only fallback responses (see
-    #: :class:`~repro.resilience.policy.RetryPolicy` ``degraded_reads``) —
-    #: the operation *found* its initial quorum, so availability() still
-    #: counts it, but it is never conflated with ``ok``.
-    OUTCOMES = ("ok", "unavailable", "conflict", "aborted", "degraded")
+    #: Each outcome and the name :meth:`counts` totals it under.
+    #: ``degraded`` is a read-quorum-only fallback response (see
+    #: :class:`~repro.resilience.policy.RetryPolicy` ``degraded_reads``):
+    #: it found its initial quorum, so it is available, but it is not ``ok``.
+    OUTCOMES = {
+        "ok": "succeeded",
+        "degraded": "degraded",
+        "unavailable": "unavailable",
+        "conflict": "conflict",
+        "aborted": "aborted_ops",
+    }
 
     def record(self, operation: str, outcome: str, latency: float | None = None) -> None:
-        key = (operation, outcome)
-        counter = self._counters.get(key)
-        if counter is None:
-            if outcome not in self.OUTCOMES:
-                raise ValueError(f"unknown outcome {outcome!r}")
-            counter = self._counters[key] = self.registry.counter(
-                f"ops.{operation}.{outcome}"
-            )
-        self.outcomes[key] += 1
-        counter.inc()
+        if outcome not in self.OUTCOMES:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        self.outcomes[operation, outcome] += 1
         if latency is not None:
             histogram = self._latencies.get(operation)
             if histogram is None:
-                histogram = self._latencies[operation] = self.registry.histogram(
-                    f"latency.{operation}"
-                )
+                histogram = self._latency(operation)
             histogram.observe(latency)
 
     def record_commit(self) -> None:
         self.committed_transactions += 1
-        self.registry.counter("txn.committed").inc()
 
     def record_abort(self) -> None:
         self.aborted_transactions += 1
-        self.registry.counter("txn.aborted").inc()
 
-    # -- derived figures -----------------------------------------------------
+    def _latency(self, operation: str) -> Histogram:
+        if operation not in self._latencies:
+            name = f"latency.{operation}"
+            self._latencies[operation] = self.registry.histogram(name)
+        return self._latencies[operation]
 
-    def attempts(self, operation: str) -> int:
-        return sum(
-            count
-            for (op, _outcome), count in self.outcomes.items()
-            if op == operation
-        )
+    @classmethod
+    def pooled(cls, records: Iterable[MetricRecorder]) -> MetricRecorder:
+        """One record of several runs: what one recorder fed every run's
+        outcomes, commits, aborts and latencies in turn would hold."""
+        pooled = cls()
+        for record in records:
+            pooled.outcomes.update(record.outcomes)
+            pooled.committed_transactions += record.committed_transactions
+            pooled.aborted_transactions += record.aborted_transactions
+            for operation, histogram in record._latencies.items():
+                pooled._latency(operation).merge(histogram)
+        return pooled
 
-    def count(self, operation: str, outcome: str) -> int:
-        return self.outcomes[(operation, outcome)]
+    def counts(self) -> dict[str, int]:
+        """Operations attempted, and each outcome's total over every
+        operation under its :data:`OUTCOMES` name."""
+        totals = Counter()
+        for (_operation, outcome), count in self.outcomes.items():
+            totals[outcome] += count
+        named = {name: totals[outcome] for outcome, name in self.OUTCOMES.items()}
+        return {"attempted": sum(totals.values()), **named}
 
-    def availability(self, operation: str) -> float:
-        """Fraction of attempts that found quorums (ok or CC-level outcome)."""
-        attempts = self.attempts(operation)
-        if attempts == 0:
-            return float("nan")
-        unavailable = self.count(operation, "unavailable")
-        return 1.0 - unavailable / attempts
-
-    def success_rate(self, operation: str) -> float:
-        attempts = self.attempts(operation)
-        if attempts == 0:
-            return float("nan")
-        return self.count(operation, "ok") / attempts
-
-    def conflict_rate(self, operation: str) -> float:
-        attempts = self.attempts(operation)
-        if attempts == 0:
-            return float("nan")
-        return self.count(operation, "conflict") / attempts
-
-    def commit_rate(self) -> float:
-        total = self.committed_transactions + self.aborted_transactions
-        if total == 0:
-            return float("nan")
-        return self.committed_transactions / total
-
-    def operations(self) -> tuple[str, ...]:
-        return tuple(sorted({op for op, _outcome in self.outcomes}))
-
-    # -- latency distributions ----------------------------------------------
-
-    def latency_histogram(self, operation: str) -> Histogram:
-        return self.registry.histogram(f"latency.{operation}")
+    def outcome_counts(self) -> dict[str, int]:
+        """``{"<operation>/<outcome>": count}`` in sorted order."""
+        pairs = sorted(self.outcomes.items())
+        return {f"{op}/{outcome}": n for (op, outcome), n in pairs}
 
     def summary(self) -> dict[str, dict[str, float]]:
-        """Per-operation rates plus percentile latency aggregation.
-
-        Latency is reported as p50/p95/p99 (and max), not a bare mean:
-        quorum probes that ride through crashes and partitions produce
-        heavy timeout tails that a mean averages away.
-        """
-        result: dict[str, dict[str, float]] = {}
-        for op in self.operations():
-            entry: dict[str, float] = {
-                "attempts": float(self.attempts(op)),
-                "availability": self.availability(op),
-                "success_rate": self.success_rate(op),
-                "conflict_rate": self.conflict_rate(op),
+        """Per-operation rows: attempts, ``availability`` (the share that
+        found their quorums: every outcome but ``unavailable``),
+        ``success_rate`` (``ok`` alone), ``conflict_rate``, and latency
+        p50/p95/p99/max once the operation has samples."""
+        by_operation: dict[str, Counter] = {}
+        for (operation, outcome), count in self.outcomes.items():
+            by_operation.setdefault(operation, Counter())[outcome] += count
+        result = {}
+        for operation, counts in sorted(by_operation.items()):
+            attempts = sum(counts.values())
+            row = result[operation] = {
+                "attempts": float(attempts),
+                "availability": 1.0 - counts["unavailable"] / attempts,
+                "success_rate": counts["ok"] / attempts,
+                "conflict_rate": counts["conflict"] / attempts,
             }
-            hist = self.latency_histogram(op)
-            if hist.count:
-                entry.update(
-                    {
-                        "latency_p50": hist.p50,
-                        "latency_p95": hist.p95,
-                        "latency_p99": hist.p99,
-                        "latency_max": hist.max,
-                    }
-                )
-            result[op] = entry
+            histogram = self._latencies.get(operation)
+            if histogram is not None and histogram.count:
+                for key in ("p50", "p95", "p99", "max"):
+                    row[f"latency_{key}"] = getattr(histogram, key)
         return result
 
-    def table(self) -> str:
-        """A fixed-width summary table, one row per operation.
-
-        Latency columns (p50/p95/p99, simulated time units) appear when
-        any operation recorded samples.
-        """
-        with_latency = any(
-            hist.count
-            for name, hist in self.registry.histograms.items()
-            if name.startswith("latency.")
-        )
-        header = (
-            f"{'operation':<12} {'attempts':>8} {'ok':>8} {'unavail':>8} "
-            f"{'conflict':>8} {'degraded':>8} {'avail%':>8} {'ok%':>8}"
-        )
-        if with_latency:
-            header += f" {'p50':>8} {'p95':>8} {'p99':>8}"
-        rows = [header, "-" * len(header)]
-        for op in self.operations():
-            row = (
-                f"{op:<12} {self.attempts(op):>8} {self.count(op, 'ok'):>8} "
-                f"{self.count(op, 'unavailable'):>8} {self.count(op, 'conflict'):>8} "
-                f"{self.count(op, 'degraded'):>8} "
-                f"{100 * self.availability(op):>7.2f}% {100 * self.success_rate(op):>7.2f}%"
-            )
-            if with_latency:
-                # summary() (not the raw properties) so an operation with
-                # no samples prints 0.00 columns instead of nan.
-                latency = self.latency_histogram(op).summary()
-                row += (
-                    f" {latency['p50']:>8.2f} {latency['p95']:>8.2f} "
-                    f"{latency['p99']:>8.2f}"
-                )
-            rows.append(row)
-        if self.committed_transactions or self.aborted_transactions:
-            rows.append(
-                f"transactions: {self.committed_transactions} committed, "
-                f"{self.aborted_transactions} aborted "
-                f"({100 * self.commit_rate():.2f}% commit rate)"
-            )
-        return "\n".join(rows)
+    def export(self) -> dict:
+        """The registry's snapshot with the counts named in it:
+        ``ops.<operation>.<outcome>`` per recorded pair, and
+        ``txn.committed``/``txn.aborted`` once nonzero."""
+        snapshot = self.registry.to_dict()
+        pairs = self.outcomes.items()
+        counters = {f"ops.{op}.{outcome}": n for (op, outcome), n in pairs}
+        for name, count in (
+            ("txn.committed", self.committed_transactions),
+            ("txn.aborted", self.aborted_transactions),
+        ):
+            if count:
+                counters[name] = count
+        counters.update(snapshot["counters"])
+        return {**snapshot, "counters": dict(sorted(counters.items()))}

@@ -146,21 +146,32 @@ class TestMetricsMix:
         assert [row["object"] for row in rows] == sorted(cluster.tm.objects)
         for row in rows:
             assert (row["reads"], row["writes"], row["read_fraction"]) == (0, 0, None)
-        table = cli._mix_table(rows).splitlines()
-        assert len(table) == 2 + len(rows)
-        assert all(line.split()[3] == "-" for line in table[2:])
 
     def test_the_table_renders_the_json_rows(self, capsys):
         argv = MIX_WORKLOADS["six-objects"]
         payload = self._payload(argv, capsys)
         _code, out = run_cli(["metrics", *argv], capsys)
         table = out[out.index("per-object read/write mix:"):].splitlines()
-        assert len(table) == 2 + len(payload["mix"])
-        for line, (name, row) in zip(table[2:], sorted(payload["mix"].items())):
+        assert len(table) == 3 + len(payload["mix"])
+        assert table[1].split() == ["object", "reads", "writes", "read%", "assignment"]
+        for line, (name, row) in zip(table[3:], sorted(payload["mix"].items())):
             fields = line.split(maxsplit=4)
             assert fields[:3] == [name, str(row["reads"]), str(row["writes"])]
-            assert fields[3] == f"{100 * row['read_fraction']:.1f}%"
+            assert fields[3] == f"{100 * row['read_fraction']:.2f}"
             assert fields[4] == row["assignment"]
+
+    def test_the_operations_table_renders_the_json_summary(self, capsys):
+        payload = self._payload(WORKLOAD, capsys)
+        _code, out = run_cli(["metrics", *WORKLOAD], capsys)
+        lines = out.splitlines()
+        assert lines[0].split()[:2] == ["operation", "attempts"]
+        rows = dict(line.split(maxsplit=1) for line in lines[2:2 + len(payload["operations"])])
+        assert sorted(rows) == sorted(payload["operations"])
+        for op, stats in payload["operations"].items():
+            fields = rows[op].split()
+            assert fields[0] == str(int(stats["attempts"]))
+            assert fields[5] == f"{100 * stats['availability']:.2f}"
+            assert fields[9] == f"{stats['latency_p99']:.2f}"
 
 
 class TestAudit:
@@ -198,6 +209,29 @@ class TestAudit:
         assert "FAIL" not in out
         for label in ("clean", "crashes", "partitions", "mutate:"):
             assert label in out
+
+    def test_sweep_json_is_its_rows(self, capsys, tmp_path):
+        from repro.obs.mutations import EXPECTED_INVARIANT
+
+        code, out = run_cli(
+            ["audit", *WORKLOAD, "--sweep", "--format", "json",
+             "--artifacts", str(tmp_path)],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        sweep = json.loads(out)
+        assert sweep["ok"] is True
+        cases = {case["case"]: case for case in sweep["cases"]}
+        assert len(cases) == 3 + len(EXPECTED_INVARIANT)
+        for label in ("clean", "crashes", "partitions"):
+            assert cases[label]["expect"] == "green"
+            assert cases[label]["violated_invariants"] == []
+        for name, invariant in EXPECTED_INVARIANT.items():
+            assert invariant in cases[f"mutate:{name}"]["violated_invariants"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["sweep"] == sweep
+        plan = json.loads((tmp_path / "plan.json").read_text())
+        assert plan["observability"]["mutate"] == sorted(EXPECTED_INVARIANT)
 
 
 class TestPositiveSizes:
@@ -472,9 +506,44 @@ class TestScenario:
         assert verdict["policy"] == "default"
         assert verdict["fingerprint"]["converged"] is True
 
+    def test_list_json_is_the_catalog(self, capsys):
+        from repro.scenarios import SCENARIOS
+
+        code, out = run_cli(["scenario", "--list", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            name: spec.description for name, spec in SCENARIOS.items()
+        }
+
     def test_no_name_without_list_errors(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exited:
             cli.main(["scenario"])
+        assert exited.value.code == 2
+        assert "name a scenario or pass --list" in capsys.readouterr().err
+
+    def test_list_with_artifacts_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["scenario", "--list", "--artifacts", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "--list writes no artifacts" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestSoakText:
+    def test_the_text_shows_the_verdict_the_window_and_the_maintenance(self, capsys):
+        code, out = run_cli(["soak", "--ops", "300", "--window", "64"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("soak: ") and "seed 0" in lines[0]
+        header = lines[2].split()
+        assert header[:4] == ["retention", "window", "peak", "retained"]
+        retention, window, peak, within = lines[4].split()[:4]
+        assert (retention, window, within) == ("ring", "64", "OK")
+        assert 0 < int(peak) <= 64
+        (maintenance,) = [line for line in lines if line.startswith("maintenance: ")]
+        assert "rounds" in maintenance and "transactions retired" in maintenance
+        assert "audit: no violations" in lines
+        assert lines[-1] == "verdict: PASS"
 
 
 #: (argv, SHA-256 of stdout) for the standard workload and the audited
@@ -658,3 +727,70 @@ class TestArtifactPins:
             ).hexdigest()
             for document in (plan, report)
         ] == [plan_digest, report_digest]
+
+
+#: Every mode of every subcommand, as the cheapest argv that runs it.
+_MODES = {
+    "report": [["--fast"]],
+    "trace": [WORKLOAD],
+    "metrics": [WORKLOAD],
+    "chaos": [["--seeds", "1", "--profile", "crash", "--transactions", "4"]],
+    "audit": [WORKLOAD, [*WORKLOAD, "--mutate", "early-lock-release"],
+              [*WORKLOAD, "--sweep"]],
+    "soak": [["--ops", "100"]],
+    "scenario": [["default", "--transactions", "4"], ["--list"]],
+}  # fmt: skip
+
+
+def _accepts(command, flag: str):
+    """The settings of ``command``'s ``flag``, or ``None``."""
+    for names, settings in command.flags:
+        if flag in names:
+            return settings
+    return None
+
+
+def _mode_cases(predicate):
+    return [
+        pytest.param(command.name, argv, id=" ".join([command.name, *argv]))
+        for command in cli.COMMANDS
+        if predicate(command)
+        for argv in _MODES[command.name]
+    ]
+
+
+def test_every_subcommand_has_its_modes_listed():
+    assert set(_MODES) == {command.name for command in cli.COMMANDS}
+
+
+class TestEveryMode:
+    """Each subcommand and mode keeps the frame's promises: ``--format
+    json`` prints exactly one JSON document, and ``--artifacts DIR``
+    writes the ``plan.json``/``report.json`` pair or is a usage error."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        _mode_cases(
+            lambda c: "json" in ((_accepts(c, "--format") or {}).get("choices") or ())
+        ),
+    )
+    def test_json_is_one_document(self, name, argv, capsys):
+        code, out = run_cli([name, *argv, "--format", "json"], capsys)
+        assert code in (0, 1)
+        json.loads(out)  # raises on text, on nothing and on a second document
+
+    @pytest.mark.parametrize(
+        "name, argv", _mode_cases(lambda c: _accepts(c, "--artifacts") is not None)
+    )
+    def test_artifacts_are_written_or_refused(self, name, argv, capsys, tmp_path):
+        target = tmp_path / "artifacts"
+        try:
+            code, _out = run_cli([name, *argv, "--artifacts", str(target)], capsys)
+        except SystemExit as exited:
+            assert exited.code == 2
+            assert not target.exists()
+            return
+        assert code in (0, 1)
+        for artifact in ("plan", "report"):
+            document = json.loads((target / f"{artifact}.json").read_text())
+            assert (document["artifact"], document["command"]) == (artifact, name)

@@ -271,6 +271,20 @@ def test_documented_cli_lines_parse(argv):
         pytest.fail(f"python -m repro {shlex.join(argv)}: usage error {exited.code}")
 
 
+def test_the_tutorial_chaos_table_is_what_the_cli_prints(capsys):
+    """TUTORIAL.md's ``--format table`` sample is that command's output,
+    byte for byte, so the sample cannot drift from the renderer."""
+    from repro.__main__ import main
+
+    text = (DOCS / "TUTORIAL.md").read_text()
+    marker = "`--seeds 2 --profile mixed --format table` prints:\n\n```\n"
+    start = text.index(marker) + len(marker)
+    sample = text[start : text.index("```\n", start)]
+    argv = ["chaos", "--seeds", "2", "--profile", "mixed", "--format", "table"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == sample
+
+
 class TestScenarioDocRefs:
     """Catalog ↔ doc drift guard for ``repro.scenarios`` and the claims.
 

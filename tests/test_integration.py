@@ -159,9 +159,7 @@ class TestFaultTolerance:
         checker = HybridAtomicity(obj.datatype, LegalityOracle(obj.datatype))
         assert checker.admits(history)
         # The minority front-end saw unavailability.
-        unavailable = sum(
-            metrics.count(op, "unavailable") for op in metrics.operations()
-        )
+        unavailable = metrics.counts()["unavailable"]
         assert unavailable > 0
 
 

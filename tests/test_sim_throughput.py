@@ -643,8 +643,7 @@ def _fingerprint(cluster, metrics, objects=("queue",)):
         "messages_sent": cluster.network.messages_sent,
         "messages_dropped": cluster.network.messages_dropped,
         "availability": {
-            op: metrics.availability(op)
-            for op in sorted({op for op, _ in metrics.outcomes})
+            op: row["availability"] for op, row in metrics.summary().items()
         },
     }
 
@@ -957,7 +956,7 @@ class TestSimulatedThroughput:
             ops_per_transaction=1,
             concurrency=4,
         ).run(transactions)
-        operations = metrics.operations()
+        summary = metrics.summary()
         fingerprint = {
             "outcomes": sorted(
                 [op, outcome, count]
@@ -965,9 +964,9 @@ class TestSimulatedThroughput:
             ),
             "messages_sent": cluster.network.messages_sent,
             "messages_dropped": cluster.network.messages_dropped,
-            "availability": {op: metrics.availability(op) for op in operations},
+            "availability": {op: row["availability"] for op, row in summary.items()},
         }
-        attempts = sum(metrics.attempts(op) for op in operations)
+        attempts = metrics.counts()["attempted"]
         pin = (_digest(fingerprint), attempts / cluster.sim.now)
         assert pin == _THROUGHPUT_PINS[transactions]
 
@@ -1000,7 +999,7 @@ def _crash_trial(seed: int):
     metrics = generator.run(20)
     cluster.network.recover(2)
     availability = tuple(
-        (op, round(metrics.availability(op), 9)) for op in metrics.operations()
+        (op, round(row["availability"], 9)) for op, row in metrics.summary().items()
     )
     return availability, cluster.network.messages_sent, cluster.network.messages_dropped
 

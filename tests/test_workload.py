@@ -109,8 +109,8 @@ class TestWorkloadGenerator:
             concurrency=3,
         )
         metrics = generator.run(6)
-        assert metrics.operations() == ("Enq",)
-        assert metrics.count("Enq", "ok") == 2 * metrics.committed_transactions
+        assert tuple(metrics.summary()) == ("Enq",)
+        assert metrics.outcomes["Enq", "ok"] == 2 * metrics.committed_transactions
         assert metrics.committed_transactions + metrics.aborted_transactions == 6
 
     def test_boundary_hook_fires_once_per_new_transaction(self):
