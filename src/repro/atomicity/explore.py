@@ -92,22 +92,24 @@ def behavioral_histories(
     prefix-closed on-line specification for the property) and begins with
     ``Begin`` entries for all ``bounds.max_actions`` actions.
     """
-    for history, _flags in multi_property_histories([prop], bounds):
+    for history, _nodes in multi_property_histories([prop], bounds):
         yield history
 
 
 def multi_property_histories(
     props: Sequence[LocalAtomicityProperty],
     bounds: ExplorationBounds,
-) -> Iterator[tuple[BehavioralHistory, tuple[bool, ...]]]:
+) -> Iterator[tuple[BehavioralHistory, tuple[dict | None, ...]]]:
     """Enumerate over the union of several properties' specifications.
 
-    Yields ``(history, flags)`` where ``flags[i]`` records whether
-    ``props[i]`` admits the history.  A branch is abandoned when *no*
-    property admits it — sound because every property's specification is
-    prefix-closed.  This is the primitive behind the Figure 1-1
-    concurrency comparison, where the same universe must be classified
-    under all three properties.
+    Yields ``(history, nodes)`` where ``nodes[i]`` is ``props[i]``'s
+    trie node for the history (what ``decided`` returns), ``None`` where
+    ``props[i]`` rejects it: a caller steps candidates from there.  A
+    branch is abandoned when *no* property admits it — sound because
+    every property's specification is prefix-closed.  This is the
+    primitive behind the Figure 1-1 concurrency comparison, where the
+    same universe must be classified under all three properties, and
+    behind the Definition 2 arena.
     """
     if not props:
         raise ValueError("need at least one property")
@@ -137,10 +139,9 @@ def multi_property_histories(
 
     def search(
         history: BehavioralHistory, nodes: tuple[dict | None, ...], op_count: int
-    ) -> Iterator[tuple[BehavioralHistory, tuple[bool, ...]]]:
-        # ``nodes[i]``: ``props[i]``'s trie node for ``history``, ``None``
-        # where it rejects; each candidate is one step from there.
-        yield history, tuple(node is not None for node in nodes)
+    ) -> Iterator[tuple[BehavioralHistory, tuple[dict | None, ...]]]:
+        # Each candidate is one step from ``nodes``.
+        yield history, nodes
         for entry in candidates(history, op_count):
             children = tuple(
                 None if node is None else prop.step(node, history, entry)

@@ -19,16 +19,19 @@ serializations arising from the same committed set.
 Checkers exploit prefix closure: a history is admitted iff its longest
 proper prefix is admitted and the full history passes the property
 check.  They pay for that check only where it can say something new —
-each property names what its check reads of a history
+each property names what its check reads of ``H·op``
 (:meth:`LocalAtomicityProperty.admission_key`), verdicts are memoized on
 that, and an appended ``Begin``/``Commit``/``Abort`` is never checked.
+The key of ``H·op`` is computed from ``H``'s own parts, kept for the
+last ``H`` asked about, with ``op``'s action's events extended by one:
+``H·op`` itself is built only when the memo has no verdict for it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import permutations
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from repro.histories.behavioral import BehavioralHistory, Entry, Op
 from repro.histories.events import SerialHistory
@@ -73,6 +76,9 @@ class LocalAtomicityProperty(ABC):
         #: prefix is the dict of its decided extensions, a rejected one
         #: (and with it, by prefix closure, all it extends to) ``None``.
         self._decided: dict = {}
+        #: The last history keyed from and its :meth:`_parts`: the arena
+        #: and the explorer step every candidate of one history in a row.
+        self._parts_memo: tuple[BehavioralHistory | None, object] = (None, None)
 
     @property
     def datatype(self) -> SerialDataType:
@@ -83,30 +89,53 @@ class LocalAtomicityProperty(ABC):
         """Does ``history`` itself (not its prefixes) satisfy the property?"""
 
     @abstractmethod
-    def admission_key(self, history: BehavioralHistory) -> Hashable:
-        """All that :meth:`check_history` reads of ``history``: histories
-        with equal keys have the same serializations, hence one verdict."""
+    def admission_key(self, history: BehavioralHistory, op: Op) -> Hashable:
+        """All that :meth:`check_history` reads of ``history·op``, for an
+        ``op`` whose action is active in ``history``: histories with equal
+        keys have the same serializations, hence one verdict.  Computed
+        from ``history``'s parts, with ``op.action``'s events extended."""
+
+    @abstractmethod
+    def _parts_of(self, history: BehavioralHistory) -> object:
+        """What :meth:`admission_key` reads of ``history``, for any op."""
+
+    def _parts(self, history: BehavioralHistory):
+        held, parts = self._parts_memo
+        if held is not history:
+            parts = self._parts_of(history)
+            self._parts_memo = history, parts
+        return parts
 
     def admits(self, history: BehavioralHistory) -> bool:
         """Membership in the largest prefix-closed on-line specification."""
         return self.decided(history) is not None
 
     def decided(self, history: BehavioralHistory) -> dict | None:
-        """The trie node of ``history`` if it is admitted, else ``None``.
+        """The trie node of ``history`` if it is admitted, else ``None``:
+        :meth:`extend` from the trie's root.  A caller that grows a
+        history entry by entry keeps the node and steps it instead of
+        asking here again."""
+        return self.extend(self._decided, BehavioralHistory(), history.entries)
 
-        Follows ``history`` down the trie of decided prefixes and goes on
-        from the longest one, deciding one more entry at a time as
-        :meth:`step` does: a loop (a run-length history costs no stack)
-        that validates, hashes and checks nothing before that prefix
-        again.  A caller that grows a history entry by entry keeps the
-        node and steps it instead of asking here again.
+    def extend(
+        self, node: dict, history: BehavioralHistory, entries: Sequence[Entry]
+    ) -> dict | None:
+        """The trie node of ``history·entries`` if it is admitted, else
+        ``None``, from ``node``, the node of the admitted ``history``.
+
+        Follows ``entries`` down the trie as far as it has decided them
+        and goes on from there one entry at a time as :meth:`step` does:
+        a loop (a run-length history costs no stack) that builds
+        ``history`` up only where a miss needs the history it extends.
         """
-        node, grown = self._decided, None
-        for index, entry in enumerate(history):
+        grown = 0
+        for index, entry in enumerate(entries):
             child = node.get(entry, _UNDECIDED)
             if child is _UNDECIDED:
-                grown = history.prefix(index + 1) if grown is None else grown.append(entry)
-                child = self._decide(node, grown, entry)
+                for earlier in entries[grown:index]:
+                    history = history.append(earlier)
+                grown = index
+                child = self._decide(node, history, entry)
             if child is None:
                 return None
             node = child
@@ -117,8 +146,9 @@ class LocalAtomicityProperty(ABC):
         admitted ``history``: the extension's node, or ``None``.
 
         One probe when the trie has decided ``entry`` there already;
-        only otherwise is ``history·entry`` built and, for an ``Op``,
-        its admission key computed.
+        otherwise an ``Op`` is keyed from ``history``'s parts, and
+        ``history·entry`` is built only to validate a non-``Op`` entry
+        or to check an ``Op`` whose key has no verdict yet.
 
         Only an appended ``Op`` is checked.  For ``x`` a ``Begin``,
         ``Commit`` or ``Abort``, every serialization ``check_history``
@@ -135,18 +165,20 @@ class LocalAtomicityProperty(ABC):
         """
         child = node.get(entry, _UNDECIDED)
         if child is _UNDECIDED:
-            child = self._decide(node, history.append(entry), entry)
+            child = self._decide(node, history, entry)
         return child
 
-    def _decide(self, node: dict, grown: BehavioralHistory, entry: Entry) -> dict | None:
-        """Record under ``node`` whether ``grown``, which ends in
-        ``entry`` and extends ``node``'s admitted history, is admitted."""
+    def _decide(self, node: dict, history: BehavioralHistory, entry: Entry) -> dict | None:
+        """Record under ``node``, the node of the admitted ``history``,
+        whether ``history·entry`` is admitted."""
         admitted = True
-        if isinstance(entry, Op):
-            key = self.admission_key(grown)
+        if isinstance(entry, Op) and entry.action in history.active:
+            key = self.admission_key(history, entry)
             admitted = self._cache.get(key)
             if admitted is None:
-                admitted = self._cache[key] = self.check_history(grown)
+                admitted = self._cache[key] = self.check_history(history.append(entry))
+        else:
+            history.append(entry)  # refuses an ill-formed entry in its words
         child = node[entry] = {} if admitted else None
         return child
 
@@ -168,19 +200,33 @@ class StaticAtomicity(LocalAtomicityProperty):
     def check_history(self, history: BehavioralHistory) -> bool:
         return all(self.oracle.is_legal(s) for s in static_serializations(history))
 
-    def admission_key(self, history: BehavioralHistory) -> Hashable:
+    def admission_key(self, history: BehavioralHistory, op: Op) -> Hashable:
         """The events of non-aborted actions in begin order, split where an
         active action starts or ends (odd places: one active action each;
         even: the committed ones between, whom no serialization parts).
         No label: relabelled histories share a verdict."""
-        key: list[SerialHistory] = [()]
+        before, after = self._parts(history)[op.action]
+        return before + (history.events_of(op.action) + (op.event,),) + after
+
+    def _parts_of(self, history: BehavioralHistory) -> dict:
+        """Per active action, the key's segments before and after its own,
+        as they stand once it has events (an idle one has none yet)."""
+        committed, active = history.committed, history.active
+        runs: list[SerialHistory] = [()]  # committed runs between active actions
+        slots: list[tuple[str, SerialHistory]] = []
         for action in history.begin_order:
-            events = history.events_of(action)
-            if action in history.committed:
-                key[-1] += events
-            elif events and action in history.active:
-                key += events, ()
-        return tuple(key)
+            if action in committed:
+                runs[-1] += history.events_of(action)
+            elif action in active:
+                slots.append((action, history.events_of(action)))
+                runs.append(())
+        return {
+            action: (
+                _segments(runs[: at + 1], slots[:at]),
+                _segments(runs[at + 1 :], slots[at + 1 :]),
+            )
+            for at, (action, _events) in enumerate(slots)
+        }
 
 
 class HybridAtomicity(LocalAtomicityProperty):
@@ -196,15 +242,27 @@ class HybridAtomicity(LocalAtomicityProperty):
     def check_history(self, history: BehavioralHistory) -> bool:
         return all(self.oracle.is_legal(s) for s in hybrid_serializations(history))
 
-    def admission_key(self, history: BehavioralHistory) -> Hashable:
+    def admission_key(self, history: BehavioralHistory, op: Op) -> Hashable:
         """The committed serialization and the bag of active actions'
         events: no label, and no trace of how the active interleaved."""
+        serial, runs = self._parts(history)
+        runs = dict(runs)
+        events = history.events_of(op.action)
+        if events:
+            runs[events] -= 1
+            if not runs[events]:
+                del runs[events]
+        events += (op.event,)
+        runs[events] = runs.get(events, 0) + 1
+        return serial, frozenset(runs.items())
+
+    def _parts_of(self, history: BehavioralHistory) -> tuple:
         runs: dict[SerialHistory, int] = {}
         for action in history.active:
             events = history.events_of(action)
             if events:
                 runs[events] = runs.get(events, 0) + 1
-        return serialize(history, history.commit_order), frozenset(runs.items())
+        return serialize(history, history.commit_order), runs
 
 
 class DynamicAtomicity(LocalAtomicityProperty):
@@ -220,13 +278,26 @@ class DynamicAtomicity(LocalAtomicityProperty):
 
     name = "dynamic"
 
-    def admission_key(self, history: BehavioralHistory) -> Hashable:
+    def admission_key(self, history: BehavioralHistory, op: Op) -> Hashable:
         """Each committed or active action's events, and ``precedes`` —
-        labelled, as that is; blind to interleaving between Commits."""
+        labelled, as that is; blind to interleaving between Commits.
+        ``op`` puts its action among the active ones that acted, and
+        after every committed one in ``precedes``."""
+        committed, running, pairs = self._parts(history)
+        acting = op.action
+        running = dict(running)
+        running[acting] = history.events_of(acting) + (op.event,)
+        return (
+            committed,
+            frozenset(running.items()),
+            pairs | {(earlier, acting) for earlier in history.commit_order},
+        )
+
+    def _parts_of(self, history: BehavioralHistory) -> tuple:
         events_of = history.events_of
         return (
             tuple((action, events_of(action)) for action in history.commit_order),
-            frozenset((a, events_of(a)) for a in relevant_active(history)),
+            {action: events_of(action) for action in relevant_active(history)},
             precedes_pairs(history),
         )
 
@@ -245,6 +316,18 @@ class DynamicAtomicity(LocalAtomicityProperty):
                 elif not self.oracle.equivalent(reference, serial):
                     return False
         return True
+
+
+def _segments(runs: list[SerialHistory], slots: list[tuple[str, SerialHistory]]) -> tuple:
+    """``runs[0], slots[0], runs[1], …`` as a static key's segments: an
+    idle slot parts nothing, so the runs on either side of it merge."""
+    key = [runs[0]]
+    for (_action, events), run in zip(slots, runs[1:]):
+        if events:
+            key += events, run
+        else:
+            key[-1] += run
+    return tuple(key)
 
 
 def is_serializable_in_some_order(

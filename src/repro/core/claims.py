@@ -29,7 +29,11 @@ from repro.core import theorems
 from repro.dependency import known
 from repro.dependency.relation import DependencyRelation, SchemaPair
 from repro.dependency.verify import VerificationArena, VerificationBounds
-from repro.dependency.verify import find_counterexample, minimal_extensions
+from repro.dependency.verify import (
+    find_counterexample,
+    minimal_extensions,
+    refuted_deletions,
+)
 from repro.errors import UnavailableError
 from repro.histories.events import Invocation, event, ok, signal
 from repro.obs import Tracer
@@ -101,8 +105,9 @@ def _figure_1_1(bounds: Bounds) -> Verdict:
     names = [prop.name for prop in properties]
     limits = bounds.concurrency_bounds
     universe, admitted, witnesses = 0, dict.fromkeys(names, 0), {}
-    for history, flags in multi_property_histories(properties, limits):
+    for history, nodes in multi_property_histories(properties, limits):
         universe += 1
+        flags = [node is not None for node in nodes]
         for name, flag in zip(names, flags):
             admitted[name] += flag
             for other, other_flag in zip(names, flags):
@@ -212,7 +217,8 @@ def _flagset_search() -> tuple[bool, str]:
         known.ground(flagset, s, events=append_events) for s in schemas
     )
     core_counterexample = find_counterexample(core, arena)
-    valid = all(find_counterexample(rel, arena) is None for rel in (rel_a, rel_b))
+    a_valid = find_counterexample(rel_a, arena) is None
+    valid = a_valid and find_counterexample(rel_b, arena) is None
     shift_pairs = [
         (inv, ev)
         for inv in arena.invocations
@@ -224,11 +230,13 @@ def _flagset_search() -> tuple[bool, str]:
         for extension in minimal_extensions(core, shift_pairs, arena, max_added=1)
         if len(extension.difference(core)) == 1
     ]
-    # Bounded minimality: the pairs whose refutation needs a longer chain.
+    # Bounded minimality: the pairs whose refutation needs a longer chain
+    # (none, were ``rel_a`` refuted: each deletion keeps its counterexample).
+    witnessed = refuted_deletions(rel_a, rel_a.pairs, arena) if a_valid else rel_a.pairs
     unwitnessed = [
         pair
         for pair in sorted(rel_a.pairs, key=lambda p: (str(p[0]), str(p[1])))
-        if find_counterexample(rel_a.without(pair), arena) is None
+        if pair not in witnessed
     ]
     holds = (
         core_counterexample is not None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.dependency.relation import DependencyRelation
+from repro.dependency.relation import DependencyRelation, GroundPair
 from repro.histories.behavioral import BehavioralHistory, Op
 from repro.histories.events import Event, Invocation
 
@@ -40,27 +40,62 @@ class OpMasks:
     live (non-aborted) operations its invocation depends on, ``0`` if its
     own action aborted.  ``K`` is closed iff no kept ``p`` has
     ``needs[p] & ~K``.  The helpers below and the Definition 2 search all
-    read closure off this one table.
+    read closure off this one table; :meth:`without` derives the table
+    of the relation less one pair from it.
     """
 
     def __init__(self, history: BehavioralHistory, relation: DependencyRelation):
-        self._depends = relation.depends
+        self._depends = depends = relation.depends
         aborted = history.aborted
         self.indices: list[int] = []
         self.needs: list[int] = []
         self._live: list[tuple[int, Event]] = []  # (bit, event), history order
+        self._invocations: list[Invocation | None] = []  # ``None``: aborted
         for index, entry in enumerate(history):
             if isinstance(entry, Op):
-                live = entry.action not in aborted
-                self.needs.append(self.depended_on(entry.event.inv) if live else 0)
-                if live:
-                    self._live.append((1 << len(self.indices), entry.event))
+                need, invocation = 0, None
+                if entry.action not in aborted:
+                    event = entry.event
+                    invocation = event.inv
+                    for bit, earlier in self._live:
+                        if depends(invocation, earlier):
+                            need |= bit
+                    self._live.append((1 << len(self.indices), event))
+                self.needs.append(need)
+                self._invocations.append(invocation)
                 self.indices.append(index)
         self.full = (1 << len(self.indices)) - 1
+        self._depended_on: dict[Invocation, int] = {}
+        self._source = self._scan  # answers a ``depended_on`` miss
+
+    def without(self, pair: GroundPair) -> OpMasks:
+        """These masks under the relation less ``pair = (inv, e)``: where
+        ``inv`` asks, the live operations of ``e`` are no longer needed.
+        Every other invocation depends on what it did here, so these
+        masks answer for it."""
+        invocation, event = pair
+        dropped = sum(bit for bit, earlier in self._live if earlier == event)
+        masks = object.__new__(OpMasks)
+        masks.indices, masks.full = self.indices, self.full
+        masks._live, masks._invocations = self._live, self._invocations
+        masks.needs = [
+            need & ~dropped if asker == invocation else need
+            for need, asker in zip(self.needs, self._invocations)
+        ]
+        masks._depended_on = {invocation: self.depended_on(invocation) & ~dropped}
+        masks._source = self.depended_on
+        return masks
 
     def depended_on(self, invocation: Invocation) -> int:
-        """The live operations (met so far) that ``invocation`` depends on."""
-        return sum(bit for bit, event in self._live if self._depends(invocation, event))
+        """The live operations that ``invocation`` depends on."""
+        mask = self._depended_on.get(invocation)
+        if mask is None:
+            mask = self._depended_on[invocation] = self._source(invocation)
+        return mask
+
+    def _scan(self, invocation: Invocation) -> int:
+        depends = self._depends
+        return sum(bit for bit, event in self._live if depends(invocation, event))
 
     def is_closed(self, kept: int) -> bool:
         for p, need in enumerate(self.needs):

@@ -18,18 +18,32 @@ inside the default bounds, and benches report the bounds used.
 Because every superset of an atomic dependency relation is itself an
 atomic dependency relation (more required intersections mean richer
 views), the total relation is always valid, and the set of pairs present
-in *every* valid relation — :func:`required_pairs` — can be computed by
-deleting one pair at a time from the total relation.  For static and
+in *every* valid relation — :func:`required_pairs` — is the set of pairs
+whose deletion from the total relation breaks it.  For static and
 dynamic atomicity that set *is* the unique minimal relation (Theorems 6
 and 10); for hybrid atomicity it may be strictly smaller than every
 valid relation, which is exactly the paper's FlagSet phenomenon.
 
-To make repeated verification cheap (minimality checks run one search
-per pair), a :class:`VerificationArena` enumerates the bounded history
-universe and classifies the candidate appended events at most once, *on
-demand*: a search that meets its counterexample early pays only for the
-universe up to that witness, the first search that runs to the end
-completes the arena, and every later check replays it.  Whether a closed
+Every "delete one pair from a valid relation" question —
+:func:`required_pairs`, :func:`is_minimal_relation` and the
+essential-pair test of :func:`minimal_extensions` — is answered by
+:func:`refuted_deletions`, in one pass over the arena for all pairs at
+once.  A history's closed subhistories read a relation only through
+``inv ≥ e`` with ``e`` the event of one of its live operations and
+``inv`` the invocation of one of its live operations or of an append
+it rejects.  On a history that lacks either side of a pair, the valid
+relation less that pair closes exactly as the valid relation does,
+which has no counterexample there; so each pair is searched only on
+the histories that hold both sides.
+
+To make repeated verification cheap (one arena serves every relation a
+theorem puts to it), a :class:`VerificationArena` enumerates the bounded
+history universe and classifies the candidate appended events at most
+once, *on demand*: a search that meets its counterexample early pays
+only for the universe up to that witness, the first search that runs to
+the end completes the arena, and every later check replays it.  The
+explorer hands the arena each history's admission-trie node, so every
+candidate append is one step from it.  Whether a closed
 subhistory admits an append does not depend on the relation that made it
 closed, so that answer is kept beside the arena entry too: a search
 enumerates closed kept sets as bitmasks (``closure.OpMasks``) and asks
@@ -38,10 +52,11 @@ the property only about views no earlier search over the arena met.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.atomicity.explore import ExplorationBounds, behavioral_histories
+from repro.atomicity.explore import ExplorationBounds, multi_property_histories
 from repro.atomicity.properties import LocalAtomicityProperty
 from repro.dependency.closure import OpMasks, project
 from repro.dependency.relation import DependencyRelation, GroundPair
@@ -148,12 +163,21 @@ class VerificationArena:
         #: (position in ``entries``, position among its rejected appends,
         #: kept mask ``K``) → is ``project(history, K)·op`` admitted?
         self.view_admitted: dict[tuple[int, int, int], bool] = {}
+        #: Per entry, the trie node of each prefix of its history by
+        #: length (``None`` short of the Begins): a projection agrees with
+        #: its history up to the first operation it drops.
+        self.prefix_nodes: list[tuple[dict | None, ...]] = []
 
     def _build(self) -> Iterator[tuple[BehavioralHistory, tuple[Op, ...]]]:
         prop = self.property
         ops: dict[str, tuple[Op, ...]] = {}  # each candidate append, built once
-        for history in behavioral_histories(prop, self.bounds.exploration):
-            node = prop.decided(history)
+        path: list[dict | None] = []  # nodes of the yielded history's prefixes
+        for history, (node,) in multi_property_histories([prop], self.bounds.exploration):
+            # Depth first: every prefix from the Begins on was yielded last
+            # at its length.
+            del path[len(history) :]
+            path += [None] * (len(history) - len(path))
+            path.append(node)
             rejected: list[Op] = []
             for action in sorted(history.active):
                 candidates = ops.get(action)
@@ -165,6 +189,7 @@ class VerificationArena:
                     if prop.step(node, history, op) is None:
                         rejected.append(op)
             if rejected:
+                self.prefix_nodes.append(tuple(path))
                 yield history, tuple(rejected)
 
     def universe_pairs(self) -> DependencyRelation:
@@ -182,31 +207,112 @@ def find_counterexample(
     their rejected appends in order, kept masks ascending — or ``None``
     when the relation holds throughout the bounded universe.
     """
-    prop = arena.property
-    view_admitted = arena.view_admitted
     for slot, (history, rejected) in enumerate(arena.entries):
         masks = OpMasks(history, relation)
-        views: dict[int, tuple[BehavioralHistory, dict | None]] = {}
-        for which, op in enumerate(rejected):
-            required = masks.depended_on(op.event.inv)
-            for kept in masks.closed(required, proper_only=True):
-                admitted = view_admitted.get((slot, which, kept))
-                if admitted is None:
-                    # Each projection is decided once; every rejected
-                    # append is one step from its node.
-                    decided = views.get(kept)
-                    if decided is None:
-                        view = project(history, masks.indices_of(kept))
-                        decided = views[kept] = view, prop.decided(view)
-                    view, node = decided
-                    admitted = node is not None and prop.step(node, view, op) is not None
-                    view_admitted[slot, which, kept] = admitted
-                if admitted:
-                    kept_ops = masks.indices_of(kept)
-                    return Counterexample(
-                        history, project(history, kept_ops), kept_ops, op
-                    )
+        found = _slot_counterexample(arena, slot, history, enumerate(rejected), masks, {})
+        if found is not None:
+            return found
     return None
+
+
+def _slot_counterexample(
+    arena: VerificationArena,
+    slot: int,
+    history: BehavioralHistory,
+    appends: Iterable[tuple[int, Op]],
+    masks: OpMasks,
+    views: dict[int, tuple[BehavioralHistory, dict | None]],
+) -> Counterexample | None:
+    """The first violation at the arena's ``slot``-th entry, of
+    ``history``, under the relation ``masks`` was built for: ``appends``
+    (``(position among the entry's rejected appends, op)``) in order,
+    kept masks ascending.  ``views`` holds the projections decided so
+    far at this entry, by kept mask — a mask names one view under any
+    relation."""
+    prop = arena.property
+    view_admitted = arena.view_admitted
+    for which, op in appends:
+        required = masks.depended_on(op.event.inv)
+        for kept in masks.closed(required, proper_only=True):
+            admitted = view_admitted.get((slot, which, kept))
+            if admitted is None:
+                # Each projection is decided once, from the node of the
+                # prefix it shares with the history (up to the first
+                # operation it drops); every rejected append is one step
+                # from its node.
+                decided = views.get(kept)
+                if decided is None:
+                    view = project(history, masks.indices_of(kept))
+                    dropped = masks.full & ~kept
+                    first = masks.indices[(dropped & -dropped).bit_length() - 1]
+                    node = prop.extend(
+                        arena.prefix_nodes[slot][first],
+                        history.prefix(first),
+                        view.entries[first:],
+                    )
+                    decided = views[kept] = view, node
+                view, node = decided
+                admitted = node is not None and prop.step(node, view, op) is not None
+                view_admitted[slot, which, kept] = admitted
+            if admitted:
+                kept_ops = masks.indices_of(kept)
+                return Counterexample(history, project(history, kept_ops), kept_ops, op)
+    return None
+
+
+def refuted_deletions(
+    valid: DependencyRelation,
+    pairs: Iterable[GroundPair],
+    arena: VerificationArena,
+) -> frozenset[GroundPair]:
+    """The pairs of ``pairs`` (all in ``valid``) whose deletion from
+    ``valid`` breaks Definition 2, for a ``valid`` with no counterexample
+    in the arena — in one pass over it.
+
+    ``OpMasks(H, R)`` asks ``R`` only whether ``inv ≥ e`` for ``e`` the
+    event of a live operation of ``H`` and ``inv`` the invocation of a
+    live operation of ``H`` or of an append ``H`` rejects.  For a pair
+    ``(inv, e)`` missing either side at an entry, ``valid.without(pair)``
+    therefore has ``valid``'s masks there and finds what ``valid`` finds:
+    nothing.  Elsewhere its masks are ``valid``'s less the pair
+    (:meth:`OpMasks.without`).  So a pair is searched only at the entries that hold
+    both sides, and only until one refutes it.  Where ``inv`` is the
+    invocation of no live operation, the deletion leaves every closure
+    constraint as it was and changes only what appends of ``inv``
+    require, so only those appends are searched.
+    """
+    pending = {pair: rank for rank, pair in enumerate(sorted(pairs, key=str))}
+    refuted: set[GroundPair] = set()
+    for slot, (history, rejected) in enumerate(arena.entries if pending else ()):
+        aborted = history.aborted
+        events = {op.event for op in history.ops() if op.action not in aborted}
+        live = {event.inv for event in events}
+        appends_of: dict[Invocation, list[tuple[int, Op]]] = {}
+        for which, op in enumerate(rejected):
+            appends_of.setdefault(op.event.inv, []).append((which, op))
+        here = sorted(
+            (
+                pair
+                for pair in itertools.product(live.union(appends_of), events)
+                if pair in pending
+            ),
+            key=pending.__getitem__,
+        )
+        if not here:
+            continue
+        masks = OpMasks(history, valid)
+        views: dict[int, tuple[BehavioralHistory, dict | None]] = {}
+        for pair in here:
+            invocation = pair[0]
+            appends = (
+                enumerate(rejected) if invocation in live else appends_of[invocation]
+            )
+            if _slot_counterexample(arena, slot, history, appends, masks.without(pair), views):
+                refuted.add(pair)
+                del pending[pair]
+        if not pending:
+            break
+    return frozenset(refuted)
 
 
 def is_dependency_relation(
@@ -230,13 +336,16 @@ def required_pairs(
     relation encompasses the union of the minimal hybrid relations, and
     the FlagSet shows the intersection can be a strict subset of every
     valid relation).
+
+    All deletions are searched in one pass (:func:`refuted_deletions`).
+    A ``universe`` that is itself refuted makes every pair required:
+    deleting pairs only adds closed subhistories and drops required
+    entries, so its counterexample refutes every smaller relation too.
     """
     total = universe if universe is not None else arena.universe_pairs()
-    needed: set[GroundPair] = set()
-    for pair in total.pairs:
-        if find_counterexample(total.without(pair), arena) is not None:
-            needed.add(pair)
-    return DependencyRelation(needed)
+    if not is_dependency_relation(total, arena):
+        return total
+    return DependencyRelation(refuted_deletions(total, total.pairs, arena))
 
 
 def is_minimal_relation(
@@ -246,10 +355,7 @@ def is_minimal_relation(
     """Is ``relation`` valid with every single-pair deletion invalid?"""
     if not is_dependency_relation(relation, arena):
         return False
-    return all(
-        find_counterexample(relation.without(pair), arena) is not None
-        for pair in relation.pairs
-    )
+    return refuted_deletions(relation, relation.pairs, arena) == relation.pairs
 
 
 def minimal_extensions(
@@ -269,18 +375,13 @@ def minimal_extensions(
     certifying global minimality of every core pair can need witnesses
     beyond any fixed bound).
     """
-    from itertools import combinations
-
     candidates = [pair for pair in candidates if pair not in core.pairs]
     for size in range(max_added + 1):
-        for added in combinations(candidates, size):
+        for added in itertools.combinations(candidates, size):
             extended = core
             for pair in added:
                 extended = extended.with_pair(pair)
             if not is_dependency_relation(extended, arena):
                 continue
-            if all(
-                find_counterexample(extended.without(pair), arena) is not None
-                for pair in added
-            ):
+            if refuted_deletions(extended, added, arena) == frozenset(added):
                 yield extended

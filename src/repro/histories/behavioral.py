@@ -11,7 +11,7 @@ active actions, and the ``precedes`` partial order of Section 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.errors import SpecificationError
@@ -54,10 +54,22 @@ class Abort:
 
 @dataclass(frozen=True, slots=True)
 class Op:
-    """``[e A]`` — action ``action`` executes event ``event``."""
+    """``[e A]`` — action ``action`` executes event ``event``.
+
+    Its hash is the generated one, kept once computed: an operation is a
+    key of every admission-trie node it is probed at.
+    """
 
     event: Event
     action: Action
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.event, self.action))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __str__(self) -> str:
         return f"{self.event} {self.action}"

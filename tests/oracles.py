@@ -27,17 +27,29 @@ fast form runs in ``src/``; nothing under ``src/`` calls them.
   universe, the Definition 2 arena and its search, every candidate put
   to ``admits`` from the trie's root, against the searches that step
   trie nodes (``explore.multi_property_histories``,
-  ``VerificationArena.entries``, ``find_counterexample``).
+  ``VerificationArena.entries``, ``find_counterexample``);
+* :func:`reference_required_pairs`, :func:`reference_is_minimal_relation`
+  and :func:`reference_minimal_extensions` — one whole-arena search per
+  deleted pair, against the one-pass deletion search in ``verify``;
+* :func:`reference_admission_key` — a property's admission key read off
+  the whole history ``H·op``, against ``admission_key(H, op)``, which
+  reads ``H``'s parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import string
 from typing import Iterator, Sequence
 
 from repro.atomicity.explore import ExplorationBounds
 from repro.atomicity.properties import LocalAtomicityProperty
-from repro.dependency.verify import Counterexample
+from repro.dependency.relation import DependencyRelation
+from repro.dependency.verify import (
+    Counterexample,
+    find_counterexample,
+    is_dependency_relation,
+)
 from repro.histories.behavioral import Abort, Begin, BehavioralHistory, Commit, Op
 from repro.histories.events import Event, Invocation, Response, SerialHistory
 from repro.histories.serialization import (
@@ -382,3 +394,72 @@ def reference_find_counterexample(relation, entries, prop) -> Counterexample | N
                 if prop.admits(subhistory.append(op)):
                     return Counterexample(history, subhistory, kept, op)
     return None
+
+
+# -- one search per deleted pair -----------------------------------------------
+
+
+def reference_required_pairs(arena, universe=None) -> DependencyRelation:
+    """Every pair of the total relation (or ``universe``) whose deletion
+    from it leaves a counterexample, one whole-arena search per pair."""
+    total = universe if universe is not None else arena.universe_pairs()
+    return DependencyRelation(
+        pair
+        for pair in total.pairs
+        if find_counterexample(total.without(pair), arena) is not None
+    )
+
+
+def reference_is_minimal_relation(relation, arena) -> bool:
+    """Valid, and each single-pair deletion searched on its own refuted."""
+    return is_dependency_relation(relation, arena) and all(
+        find_counterexample(relation.without(pair), arena) is not None
+        for pair in relation.pairs
+    )
+
+
+def reference_minimal_extensions(core, candidates, arena, *, max_added=2):
+    """``core ∪ A`` for every ``A`` of at most ``max_added`` candidates
+    that is valid with each added pair's deletion searched on its own."""
+    candidates = [pair for pair in candidates if pair not in core.pairs]
+    found = []
+    for size in range(max_added + 1):
+        for added in itertools.combinations(candidates, size):
+            extended = core.union(DependencyRelation(added))
+            if is_dependency_relation(extended, arena) and all(
+                find_counterexample(extended.without(pair), arena) is not None
+                for pair in added
+            ):
+                found.append(extended)
+    return found
+
+
+# -- admission keys of whole histories -------------------------------------------
+
+
+def reference_admission_key(prop: LocalAtomicityProperty, history: BehavioralHistory):
+    """What ``prop.check_history`` reads of ``history``, from ``history``
+    alone: ``prop.admission_key(H, op)`` must equal this for ``H·op``."""
+    events_of = history.events_of
+    if prop.name == "static":
+        key: list[SerialHistory] = [()]
+        for action in history.begin_order:
+            events = events_of(action)
+            if action in history.committed:
+                key[-1] += events
+            elif events and action in history.active:
+                key += events, ()
+        return tuple(key)
+    if prop.name == "hybrid":
+        runs: dict[SerialHistory, int] = {}
+        for action in history.active:
+            events = events_of(action)
+            if events:
+                runs[events] = runs.get(events, 0) + 1
+        return serialize(history, history.commit_order), frozenset(runs.items())
+    assert prop.name == "dynamic", prop.name
+    return (
+        tuple((action, events_of(action)) for action in history.commit_order),
+        frozenset((a, events_of(a)) for a in relevant_active(history)),
+        precedes_pairs(history),
+    )

@@ -116,7 +116,8 @@ THEOREM_UNIVERSES = {
 def test_stepping_nodes_yields_what_admits_per_candidate_yields(name):
     """The node-carrying search against the reference that builds every
     candidate and asks ``admits`` from the root: same ``(history, flags)``
-    sequence, and a property that decided on its own agrees."""
+    sequence, each admitting property's flag a node, and that node the
+    one ``decided`` finds for the history in the property's own trie."""
     datatype, kinds, bounds = THEOREM_UNIVERSES[name]
     bounds = ExplorationBounds(**bounds)
     oracle = LegalityOracle(datatype)
@@ -124,9 +125,12 @@ def test_stepping_nodes_yields_what_admits_per_candidate_yields(name):
         reference_property_histories([kind(datatype, oracle) for kind in kinds], bounds)
     )
     stepped = [kind(datatype, oracle) for kind in kinds]
-    assert list(multi_property_histories(stepped, bounds)) == expected
+    yielded = list(multi_property_histories(stepped, bounds))
+    assert [
+        (history, tuple(node is not None for node in nodes)) for history, nodes in yielded
+    ] == expected
     assert all(
-        (prop.decided(history) is not None) == flag
-        for history, flags in expected[:: max(1, len(expected) // 500)]
-        for prop, flag in zip(stepped, flags)
+        prop.decided(history) is node
+        for history, nodes in yielded[:: max(1, len(yielded) // 500)]
+        for prop, node in zip(stepped, nodes)
     )

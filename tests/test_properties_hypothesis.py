@@ -37,7 +37,11 @@ from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle
 from repro.types import PROM, DoubleBuffer, FlagSet, Queue
 from tests.helpers import commit_all
-from tests.oracles import distinguishing_suffix, dynamic_serializations
+from tests.oracles import (
+    distinguishing_suffix,
+    dynamic_serializations,
+    reference_admission_key,
+)
 
 QUEUE = Queue()
 ORACLE = LegalityOracle(QUEUE)
@@ -154,11 +158,12 @@ class TestQuorumInvariants:
 # -- proof obligations of the admission machinery ----------------------------
 #
 # ``LocalAtomicityProperty.admits`` skips the check for an appended
-# Begin/Commit/Abort and shares one verdict among histories with equal
-# ``admission_key``; ``BehavioralHistory.append`` checks one entry against
-# its parent's state.  Each shortcut is sound only if the matching
-# statement below holds on *every* history, so they are tested on random
-# ones, over four types and all three properties.
+# Begin/Commit/Abort and shares one verdict among histories ``H·op`` with
+# equal ``admission_key(H, op)``, a key it reads off ``H``'s parts;
+# ``BehavioralHistory.append`` checks one entry against its parent's
+# state.  Each shortcut is sound only if the matching statement below
+# holds on *every* history, so they are tested on random ones, over four
+# types and all three properties.
 
 TYPES = {dt.name: dt for dt in (Queue(), PROM(), FlagSet(), DoubleBuffer())}
 ORACLES = {name: LegalityOracle(dt) for name, dt in TYPES.items()}
@@ -219,6 +224,23 @@ def _longest_admitted_prefix(prop, entries):
     return history
 
 
+#: An appended operation's choice: which active action, which event.
+OP_PICKS = st.tuples(st.integers(0, 3), st.integers(0, 23))
+
+
+def _keyed(name, entries, picks):
+    """``(entries, op)``: the drawn entries, a fresh action begun if none
+    is left active, and an operation of one of the active actions."""
+    history = BehavioralHistory(entries)
+    if not history.active:
+        entries = entries + [Begin("D")]
+        history = history.append(entries[-1])
+    which, choice = picks
+    active = sorted(history.active)
+    alphabet = ALPHABETS[name]
+    return entries, Op(alphabet[choice % len(alphabet)], active[which % len(active)])
+
+
 def _relabelled(entries, mapping):
     return [
         Op(entry.event, mapping[entry.action])
@@ -245,38 +267,51 @@ class TestAdmissionProofObligations:
             assert prop.check_history(extended)
             assert prop.admits(extended)
 
-    @given(wellformed_entries(), wellformed_entries())
+    @given(wellformed_entries(), wellformed_entries(), OP_PICKS, OP_PICKS)
     @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-    def test_equal_admission_keys_mean_equal_checks(self, first, second):
-        # (ii) on unrelated histories of one type.
+    def test_equal_admission_keys_mean_equal_checks(self, first, second, one, two):
+        # (ii) on unrelated histories of one type, each extended by an op.
         if first[0] != second[0]:
             second = (first[0], second[1][: len(second[1]) // 2] or first[1])
-        histories = [BehavioralHistory(entries) for _name, entries in (first, second)]
+        name = first[0]
+        keyed = [
+            (BehavioralHistory(entries), op)
+            for entries, op in (_keyed(name, first[1], one), _keyed(name, second[1], two))
+        ]
         for prop_type in PROPERTIES:
-            prop = prop_type(TYPES[first[0]], ORACLES[first[0]])
-            keys = [prop.admission_key(history) for history in histories]
+            prop = prop_type(TYPES[name], ORACLES[name])
+            keys = [prop.admission_key(history, op) for history, op in keyed]
             if keys[0] == keys[1]:
-                assert prop.check_history(histories[0]) == prop.check_history(histories[1])
+                checks = [prop.check_history(history.append(op)) for history, op in keyed]
+                assert checks[0] == checks[1]
 
-    @given(wellformed_entries(), st.permutations("PQR"))
+    @given(wellformed_entries(), st.permutations("PQR"), OP_PICKS)
     @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
-    def test_relabelling_keeps_key_and_check(self, drawn, names):
+    def test_relabelling_keeps_key_and_check(self, drawn, names, picks):
         # (ii) static and hybrid keys carry no label at all; the dynamic
         # key is labelled, and its check is label-blind all the same.
         name, entries = drawn
+        entries, op = _keyed(name, entries, picks)
+        mapping = dict(zip(LABELS + "D", [*names, "S"]))
         history = BehavioralHistory(entries)
-        renamed = BehavioralHistory(_relabelled(entries, dict(zip(LABELS, names))))
+        renamed = BehavioralHistory(_relabelled(entries, mapping))
+        renamed_op = Op(op.event, mapping[op.action])
         for prop_type in PROPERTIES:
             prop = prop_type(TYPES[name], ORACLES[name])
-            assert prop.check_history(history) == prop.check_history(renamed)
+            assert prop.check_history(history.append(op)) == prop.check_history(
+                renamed.append(renamed_op)
+            )
             if prop_type is not DynamicAtomicity:
-                assert prop.admission_key(history) == prop.admission_key(renamed)
+                assert prop.admission_key(history, op) == prop.admission_key(
+                    renamed, renamed_op
+                )
 
-    @given(wellformed_entries(), st.integers(0, 8))
+    @given(wellformed_entries(), st.integers(0, 8), OP_PICKS)
     @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
-    def test_interleaving_of_active_actions_keeps_key_and_check(self, drawn, start):
+    def test_interleaving_of_active_actions_keeps_key_and_check(self, drawn, start, picks):
         # (ii) swap two adjacent operations of different actions.
         name, entries = drawn
+        entries, op = _keyed(name, entries, picks)
         for at in range(start, len(entries) - 1):
             one, two = entries[at], entries[at + 1]
             if isinstance(one, Op) and isinstance(two, Op) and one.action != two.action:
@@ -287,8 +322,36 @@ class TestAdmissionProofObligations:
         swapped = BehavioralHistory(entries[:at] + [two, one] + entries[at + 2 :])
         for prop_type in PROPERTIES:
             prop = prop_type(TYPES[name], ORACLES[name])
-            assert prop.admission_key(history) == prop.admission_key(swapped)
-            assert prop.check_history(history) == prop.check_history(swapped)
+            assert prop.admission_key(history, op) == prop.admission_key(swapped, op)
+            assert prop.check_history(history.append(op)) == prop.check_history(
+                swapped.append(op)
+            )
+
+
+class TestKeyOfAnExtension:
+    @given(wellformed_entries(max_steps=12), st.integers(0, 23))
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    def test_the_key_of_h_op_is_the_whole_history_key(self, drawn, start):
+        # ``admission_key(H, op)``, from ``H``'s parts, against the key
+        # read off ``H·op`` itself: every prefix ``H`` of a random history
+        # (aborts and idle actions included), each of its active actions,
+        # four events of the alphabet; one property object throughout, so
+        # its parts memo serves runs of ops and is replaced between them.
+        name, entries = drawn
+        alphabet = ALPHABETS[name]
+        events = [alphabet[(start + k) % len(alphabet)] for k in range(4)]
+        for prop_type in PROPERTIES:
+            prop = prop_type(TYPES[name], ORACLES[name])
+            history = BehavioralHistory()
+            for entry in entries + [None]:
+                for action in sorted(history.active):
+                    for event in events:
+                        op = Op(event, action)
+                        assert prop.admission_key(history, op) == reference_admission_key(
+                            prop, history.append(op)
+                        )
+                if entry is not None:
+                    history = history.append(entry)
 
 
 def _literally_admitted(prop, history):

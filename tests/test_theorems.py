@@ -9,7 +9,11 @@ import sys
 
 import pytest
 
-from repro.atomicity.explore import ExplorationBounds, behavioral_histories
+from repro.atomicity.explore import (
+    ExplorationBounds,
+    behavioral_histories,
+    multi_property_histories,
+)
 from repro.atomicity.properties import (
     HybridAtomicity,
     LocalAtomicityProperty,
@@ -49,20 +53,21 @@ class TestSearchesStopWhenAnswered:
         """The static search wants one counterexample and stops at it.
 
         Counted: histories the static arena draws from
-        ``behavioral_histories`` during ``verify_theorem_5(max_ops=3)``,
+        ``multi_property_histories`` during ``verify_theorem_5(max_ops=3)``,
         against a full pass over the same bounds.  When arenas were built
         in the constructor this was 100 %; the witness sits at entry 624
         of 18 353.
         """
         drawn = {}
 
-        def counted(prop, bounds):
+        def counted(props, bounds):
+            (prop,) = props
             drawn[prop.name] = [bounds, 0]
-            for history in behavioral_histories(prop, bounds):
+            for history, nodes in multi_property_histories(props, bounds):
                 drawn[prop.name][1] += 1
-                yield history
+                yield history, nodes
 
-        monkeypatch.setattr(verify, "behavioral_histories", counted)
+        monkeypatch.setattr(verify, "multi_property_histories", counted)
         assert verify_theorem_5(max_ops=3).holds
         bounds, examined = drawn["static"]
         full = sum(1 for _ in behavioral_histories(StaticAtomicity(PROM()), bounds))
@@ -188,23 +193,28 @@ class TestDecisionsAreStepped:
 
     Counts, not clocks: deterministic for the bounds on any host and hash
     seed.  A profile hook counts the ``dict.get`` calls made in the
-    frames of ``decided`` and ``step`` — one per trie probe — and
-    ``check_history`` is wrapped.  When every candidate was put to
-    ``admits``, a walk from the trie's root, ``verify_theorem_5`` made
-    235 496 probes and ``verify_flagset_two_minimals`` 116 549; the
-    searches now carry the node of the history they extend and step it,
-    so a fall-back to root walks grows the probe count and fails here.
-    The checks are what prefix closure and the admission-key memo leave,
-    unchanged by where the walk starts.
+    frames of ``extend`` (which ``decided`` is, from the root) and
+    ``step`` — one per trie probe — and ``check_history`` is wrapped.
+    When every candidate was put to ``admits``, a walk from the trie's
+    root, ``verify_theorem_5`` made 235 496 probes and
+    ``verify_flagset_two_minimals`` 116 549; the searches now carry the
+    node of the history they extend and step it, so a fall-back to root
+    walks grows the probe count and fails here.  With the arena
+    re-walking each history from the root and each projection decided
+    from the root the counts were 84 964 and 51 307; the arena now takes
+    each history's node from the explorer, and a projection starts at
+    the node of the prefix it shares with its history.  The checks are
+    what prefix closure and the admission-key memo leave, unchanged by
+    where the walk starts.
     """
 
     @pytest.mark.parametrize(
         "verify_step,probes,checks",
-        [(verify_theorem_5, 84_964, 1_864), (verify_flagset_two_minimals, 51_307, 3_167)],
+        [(verify_theorem_5, 43_249, 1_864), (verify_flagset_two_minimals, 23_973, 3_167)],
         ids=["theorem-5", "flagset"],
     )
     def test_probes_and_checks_are_pinned(self, monkeypatch, verify_step, probes, checks):
-        walks = {LocalAtomicityProperty.decided.__code__, LocalAtomicityProperty.step.__code__}
+        walks = {LocalAtomicityProperty.extend.__code__, LocalAtomicityProperty.step.__code__}
         counted = {"probes": 0}
 
         def profile(frame, event, arg):

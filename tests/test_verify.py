@@ -21,14 +21,22 @@ from repro.dependency.verify import (
     find_counterexample,
     is_dependency_relation,
     is_minimal_relation,
+    minimal_extensions,
     required_pairs,
 )
 from repro.dependency.static_dep import minimal_static_dependency
 from repro.histories.events import event, ok
+from repro.spec.enumerate import event_alphabet
 from repro.spec.legality import LegalityOracle
-from repro.types import PROM, FlagSet, Queue, Register
+from repro.types import PROM, FlagSet, Queue, Register, standard_types
 from tests.helpers import FLAGSET_EVENTS, probe_relations
-from tests.oracles import reference_arena_entries, reference_find_counterexample
+from tests.oracles import (
+    reference_arena_entries,
+    reference_find_counterexample,
+    reference_is_minimal_relation,
+    reference_minimal_extensions,
+    reference_required_pairs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -346,3 +354,70 @@ def test_stepped_arena_and_search_match_the_root_walks(name):
         expected = reference_find_counterexample(relation, entries, reference_prop)
         assert find_counterexample(relation, arena) == expected
     assert list(arena.entries) == entries
+
+
+# -- one pass for every one-pair deletion ---------------------------------------
+
+PROPERTY_KINDS = (StaticAtomicity, HybridAtomicity, DynamicAtomicity)
+
+
+def _deletion_cell(datatype, kind):
+    """An arena at 2 operations and 3 actions.  Directory is keyed on
+    ``'j'`` alone: its two-key alphabet grounds 312 pairs, one whole-arena
+    reference search each, where one key grounds 78."""
+    events = None
+    if datatype.name == "Directory":
+        events = tuple(e for e in event_alphabet(datatype, 2) if e.inv.args[0] == "j")
+    return lambda: _arena(kind(datatype), max_ops=2, max_actions=3, events=events)
+
+
+#: id → a builder of fresh arenas: every library type under each
+#: property, and the battery's hybrid PROM and FlagSet arenas at 3 ops.
+DELETION_CELLS = {
+    f"{datatype.name}-{kind.name}": _deletion_cell(datatype, kind)
+    for datatype in standard_types()
+    for kind in PROPERTY_KINDS
+}
+DELETION_CELLS["PROM-hybrid-3ops"] = lambda: _hybrid_prom(VerificationArena)
+DELETION_CELLS["FlagSet-hybrid-3ops"] = lambda: _hybrid_flagset(VerificationArena)
+
+
+@pytest.mark.parametrize("name", DELETION_CELLS)
+def test_one_pass_deletions_match_one_search_per_pair(name):
+    """``required_pairs`` and ``is_minimal_relation`` answer what one
+    whole-arena search per deleted pair answers, on an arena of their own
+    (no view verdict shared): the required core, and minimality of the
+    core and of the total relation."""
+    arena, reference = DELETION_CELLS[name](), DELETION_CELLS[name]()
+    required = required_pairs(arena)
+    assert required == reference_required_pairs(reference)
+    total = arena.universe_pairs()
+    for relation in (required, total):
+        assert is_minimal_relation(relation, arena) == reference_is_minimal_relation(
+            relation, reference
+        )
+
+
+@pytest.mark.parametrize("max_ops", [3, 4])
+def test_essential_pairs_match_one_search_per_pair(max_ops):
+    """``minimal_extensions`` over the FlagSet core (the Section 4
+    search) yields what testing each added pair's deletion on its own
+    yields, at one and two added pairs."""
+    arena = _arena(
+        HybridAtomicity(FlagSet()), max_ops=max_ops, max_actions=2, events=FLAGSET_EVENTS
+    )
+    reference = _arena(
+        HybridAtomicity(FlagSet()), max_ops=max_ops, max_actions=2, events=FLAGSET_EVENTS
+    )
+    core = known.ground(FlagSet(), known.FLAGSET_CORE, events=FLAGSET_EVENTS)
+    shifts = sorted(
+        (
+            pair
+            for pair in arena.universe_pairs().pairs
+            if pair[0].op == "Shift" and pair[1].inv.op == "Shift"
+        ),
+        key=str,
+    )
+    found = list(minimal_extensions(core, shifts, arena, max_added=2))
+    assert found == reference_minimal_extensions(core, shifts, reference, max_added=2)
+    assert found, "the two single-pair completions at least"
